@@ -4,7 +4,7 @@
 GO ?= go
 HISTDIR ?= bench_history
 
-.PHONY: all build vet test race check clocklint blocklint pathlenlint failclasslint loadsmoke checkdrift bench repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint pathlenlint failclasslint benchlint loadsmoke checkdrift bench repro results examples clean
 
 all: build vet test
 
@@ -37,6 +37,7 @@ check:
 	$(MAKE) blocklint
 	$(MAKE) pathlenlint
 	$(MAKE) failclasslint
+	$(MAKE) benchlint
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
 		./internal/ssl/... ./internal/record/... ./internal/macpipe/... ./internal/rsabatch/... \
 		./internal/handshake/... ./internal/accel/... ./internal/perf/... \
@@ -57,16 +58,19 @@ clocklint:
 		echo "$$bad"; exit 1; \
 	fi
 
-# The handshake FSMs and the record Core are sans-IO: every byte they
-# consume arrives through Core.Feed, and a short read surfaces as
-# ErrWouldBlock — never as a blocking transport read. A direct
-# io.ReadFull or .Read( call in those files would park the event loop
-# on one connection's socket. The rare legitimate read (the config's
-# randomness source) carries a "lint:allow-read" marker. The blocking
-# Layer adapter (record/record.go) is the one place transport reads
-# belong, so it is exempt.
+# The handshake FSMs, the record Core and the connection state machine
+# (ssl.NonBlockingConn, which ssl.Conn wraps and the epoll loop runs
+# directly) are sans-IO: every byte they consume arrives through
+# Core.Feed, and a short read surfaces as ErrWouldBlock — never as a
+# blocking transport read. A direct io.ReadFull or .Read( call in
+# those files would park the event loop on one connection's socket.
+# The rare legitimate read (the config's randomness source) carries a
+# "lint:allow-read" marker. A connection blocks in exactly one place,
+# the Layer adapter (record/record.go), reached through the Conn
+# wrapper (ssl/ssl.go); those two files are exempt.
 blocklint:
 	@bad=$$(grep -n 'io\.ReadFull\|\.Read(' internal/handshake/*.go internal/record/core.go \
+		internal/ssl/nonblock.go internal/ssl/probes.go internal/ssl/telemetry.go internal/ssl/trace.go \
 		| grep -v _test.go | grep -v 'lint:allow-read'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "blocklint: blocking reads inside the sans-IO core (mark intentional non-transport ones with // lint:allow-read):"; \
@@ -104,6 +108,24 @@ failclasslint:
 	done; \
 	if [ -n "$$missing" ]; then \
 		echo "failclasslint: probe.FailClass constants missing a failClassInfo name or a mapping-test case:$$missing"; \
+		exit 1; \
+	fi
+
+# Every committed docs/BENCH_*.json must be regenerated by `make
+# bench`: the -out of exactly one benchjson command in its recipe. A
+# recipe edit that drops or orphans a command line (make runs a stray
+# "-count 3 ..." continuation as an error-ignored command and carries
+# on) would otherwise leave a report silently stale.
+benchlint:
+	@recipes=$$($(MAKE) -s -n --no-print-directory bench \
+		| sed -e ':a' -e '/\\$$/N; s/\\\n//; ta' | grep 'cmd/benchjson'); \
+	bad=""; \
+	for f in docs/BENCH_*.json; do \
+		n=$$(printf '%s\n' "$$recipes" | grep -c -e "-out $$f "); \
+		[ "$$n" = 1 ] || bad="$$bad $$f($$n)"; \
+	done; \
+	if [ -n "$$bad" ]; then \
+		echo "benchlint: reports that are not the -out of exactly one benchjson command in 'make bench' (count in parentheses):$$bad"; \
 		exit 1; \
 	fi
 
@@ -152,6 +174,10 @@ bench:
 	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench 'Benchmark(NonBlock|GoroutinePerConn|IdleConns)' \
 		-count 3 -name nonblock -out docs/BENCH_nonblock.json \
 		-note "Sans-IO core economics: NonBlockHandshake steps the resumable FSM pair entirely in memory vs GoroutinePerConnHandshake's blocking wrappers over the pipe (same crypto, so the two must stay within 1.5x), IdleConns holds b.N established idle server conns and attributes the settled heap+stack bytes per connection — the event-loop flavor keeps only the NonBlockingConn core, the goroutine flavor also parks the per-conn serve goroutine in Read — and NonBlockReadSteady is the zero-allocation steady-state seal/feed/read round trip. The shape gate pins eventloop bytes/conn strictly below goroutine bytes/conn and the read path at 0 allocs/op."
+	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench 'Benchmark(Handshake|RecordThroughput)Telemetry(Off|On)' \
+		-count 3 -name telemetry-overhead -out docs/BENCH_telemetry.json \
+		-note "Telemetry off is a nil *telemetry.Registry: the emission hooks reduce to one pointer test each and allocs/op match the uninstrumented stack. On pays for the server-side anatomy recorder, flight-recorder events, and atomic counter/histogram updates — on a full RSA-1024 handshake over the in-memory pipe and on 4KB RC4-MD5 application records."
+	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench BenchmarkBulkPath \
 		-count 3 -name bulk-path -out docs/BENCH_bulk.json \
 		-note "Bulk-path cycles/byte per suite from the pathlen collector riding the server's probe spine: 16KB records written through the full record layer, cipher and MAC cost attributed per primitive (the live Tables 11/12), plus the syscall story — writes/record (1.0 contiguous seal, ~1/64 vectored) and MB/s + records/s for the -seq1m (1MiB writes, flight off) vs -vec (flight pipeline) pair. The shape gate holds RC4 cheaper than AES, MD5 cheaper than SHA-1, 3DES a multiple of DES, writes/record at or under 1, and vectored throughput at or above the same-size sequential baseline."
 

@@ -40,18 +40,18 @@ type elConn struct {
 
 // eventLoop owns the epoll instance and the fd -> connection table.
 type eventLoop struct {
-	epfd    int
-	lfd     int
-	srv     *server
-	payload []byte
-	conns   map[int]*elConn
-	rbuf    []byte // shared socket-read scratch
-	abuf    []byte // shared plaintext-read scratch
+	epfd     int
+	lfd      int
+	srv      *server
+	response []byte // what every request is answered with
+	conns    map[int]*elConn
+	rbuf     []byte // shared socket-read scratch
+	abuf     []byte // shared plaintext-read scratch
 }
 
 // runEventLoop serves addr forever with a single-threaded epoll loop;
 // it only returns on a fatal setup error.
-func runEventLoop(addr string, srv *server, payload []byte) error {
+func runEventLoop(addr string, srv *server, response []byte) error {
 	lfd, err := listenFD(addr)
 	if err != nil {
 		return err
@@ -65,13 +65,13 @@ func runEventLoop(addr string, srv *server, payload []byte) error {
 		return fmt.Errorf("epoll_ctl listener: %w", err)
 	}
 	el := &eventLoop{
-		epfd:    epfd,
-		lfd:     lfd,
-		srv:     srv,
-		payload: payload,
-		conns:   make(map[int]*elConn),
-		rbuf:    make([]byte, 64<<10),
-		abuf:    make([]byte, 16<<10),
+		epfd:     epfd,
+		lfd:      lfd,
+		srv:      srv,
+		response: response,
+		conns:    make(map[int]*elConn),
+		rbuf:     make([]byte, 64<<10),
+		abuf:     make([]byte, 16<<10),
 	}
 	events := make([]syscall.EpollEvent, 256)
 	for {
@@ -208,7 +208,7 @@ func (el *eventLoop) handle(c *elConn, ev uint32) {
 
 // pump advances the protocol with whatever bytes are buffered: the
 // handshake FSM first, then the request/response loop — mirroring the
-// goroutine server's serve(), one payload response per client record.
+// goroutine server's serve(), one response per client record.
 func (el *eventLoop) pump(c *elConn) {
 	if c.closing {
 		return
@@ -248,8 +248,7 @@ func (el *eventLoop) pump(c *elConn) {
 			break
 		}
 		if n > 0 {
-			hdr := fmt.Sprintf("LEN %d\n", len(el.payload))
-			c.nc.WriteData(append([]byte(hdr), el.payload...))
+			c.nc.WriteData(el.response)
 		}
 	}
 	el.flush(c)

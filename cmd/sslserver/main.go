@@ -178,10 +178,10 @@ func main() {
 		srv.certs = append(srv.certs, id.CertDER)
 	}
 
-	payload := workload.Payload(*fileSize)
+	response := workload.Response(*fileSize)
 	if *eventLoop {
 		log.Printf("event loop listening on %s (%d-byte responses)", *addr, *fileSize)
-		log.Fatal(runEventLoop(*addr, srv, payload))
+		log.Fatal(runEventLoop(*addr, srv, response))
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -193,7 +193,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		go srv.serve(tc, payload)
+		go srv.serve(tc, response)
 	}
 }
 
@@ -446,7 +446,7 @@ func (s *server) configFor() (*ssl.Config, *trace.ConnTrace) {
 	return cfg, ct
 }
 
-func (s *server) serve(tc net.Conn, payload []byte) {
+func (s *server) serve(tc net.Conn, response []byte) {
 	accepted := time.Now()
 	cfg, ct := s.configFor()
 	conn := ssl.ServerConn(tc, cfg)
@@ -472,12 +472,11 @@ func (s *server) serve(tc net.Conn, payload []byte) {
 	// transfer from Table 2 handshake steps.
 	probe.LabelBulkPhase(func() {
 		for {
-			// One request (any read) -> one payload response.
+			// One request (any read) -> one response.
 			if _, err := conn.Read(buf); err != nil {
 				return
 			}
-			hdr := fmt.Sprintf("LEN %d\n", len(payload))
-			if _, err := conn.Write(append([]byte(hdr), payload...)); err != nil {
+			if _, err := conn.Write(response); err != nil {
 				return
 			}
 		}

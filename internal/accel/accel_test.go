@@ -8,6 +8,7 @@ import (
 	"sslperf/internal/aes"
 	"sslperf/internal/md5x"
 	"sslperf/internal/perf"
+	"sslperf/internal/probe"
 	"sslperf/internal/sha1x"
 	"sslperf/internal/sslcrypto"
 )
@@ -190,7 +191,8 @@ func TestEnginePipelinedSharedBreakdown(t *testing.T) {
 	}
 
 	ep := mk()
-	ep.Perf = perf.NewSharedBreakdown()
+	breakdown := perf.NewSharedBreakdown()
+	ep.Probe = probe.NewBus(breakdown)
 	const iters = 50
 	for i := 0; i < iters; i++ {
 		ep.Reset()
@@ -202,7 +204,7 @@ func TestEnginePipelinedSharedBreakdown(t *testing.T) {
 			t.Fatal("instrumented pipelined output differs from serial")
 		}
 	}
-	b := ep.Perf.Snapshot()
+	b := breakdown.Snapshot()
 	if b.Count("mac") != iters {
 		t.Fatalf("mac attributions = %d, want %d", b.Count("mac"), iters)
 	}

@@ -6,7 +6,6 @@ import (
 	"sslperf/internal/aes"
 	"sslperf/internal/cbc"
 	"sslperf/internal/macpipe"
-	"sslperf/internal/perf"
 	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
 )
@@ -27,23 +26,9 @@ type Engine struct {
 	// Probe, when non-nil, receives "mac" and "aes" engine-timer
 	// events from the pipelined path. The hashing unit emits from its
 	// own goroutine, concurrent with the cipher unit, so attached
-	// sinks must tolerate concurrent Emit calls (SharedBreakdown
-	// does).
+	// sinks must tolerate concurrent Emit calls (a
+	// perf.SharedBreakdown does; a plain Breakdown does not).
 	Probe *probe.Bus
-
-	// Perf, when non-nil, receives "mac" and "aes" time attributions
-	// from the pipelined path. It must be a SharedBreakdown (not a
-	// plain Breakdown) because the hashing unit runs on its own
-	// goroutine, concurrent with the cipher unit.
-	//
-	// Deprecated: a shim — the breakdown is wrapped as a sink on the
-	// engine's probe bus; prefer setting Probe directly.
-	Perf *perf.SharedBreakdown
-
-	// perfBus caches the bus wrapping Perf so the pipelined path
-	// resolves its emission target once per fragment.
-	perfBus *probe.Bus
-	perfFor *perf.SharedBreakdown
 }
 
 // NewEngine builds an engine with an AES key, CBC IV, and a MAC
@@ -115,10 +100,10 @@ func (e *Engine) EncryptFragmentPipelined(data []byte) ([]byte, error) {
 	bs := e.aes.BlockSize()
 	seq := e.seq
 	e.seq++
-	// Resolve the bus once, on the caller's goroutine, before the
+	// Read the bus once, on the caller's goroutine, before the
 	// hashing unit forks; the bus itself is stateless on this path so
 	// both units can emit through it concurrently.
-	bus := e.unitBus()
+	bus := e.Probe
 	var mac []byte
 	t := &hashTask{done: make(chan struct{})}
 	t.run = func() {
@@ -148,22 +133,6 @@ func (e *Engine) EncryptFragmentPipelined(data []byte) ([]byte, error) {
 	frag[n-1] = byte(n - len(data) - macLen - 1)
 	bus.Timed("aes", func() { enc.CryptBlocks(frag[whole:], frag[whole:]) })
 	return frag, nil
-}
-
-// unitBus returns the engine's emission target: the explicit Probe
-// bus when set, else a cached bus wrapping the deprecated Perf
-// breakdown, else nil (the no-op bus).
-func (e *Engine) unitBus() *probe.Bus {
-	if e.Probe != nil {
-		return e.Probe
-	}
-	if e.Perf == nil {
-		return nil
-	}
-	if e.perfBus == nil || e.perfFor != e.Perf {
-		e.perfBus, e.perfFor = probe.NewBus(e.Perf), e.Perf
-	}
-	return e.perfBus
 }
 
 // Reset rewinds the sequence number (so serial and pipelined runs of

@@ -8,6 +8,7 @@ import (
 	"sslperf/internal/aes"
 	"sslperf/internal/md5x"
 	"sslperf/internal/perf"
+	"sslperf/internal/probe"
 	"sslperf/internal/sha1x"
 	"sslperf/internal/sslcrypto"
 	"sslperf/internal/workload"
@@ -129,14 +130,15 @@ func runFig6(cfg *Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ei.Perf = perf.NewSharedBreakdown()
+	breakdown := perf.NewSharedBreakdown()
+	ei.Probe = probe.NewBus(breakdown)
 	attrData := workload.Payload(16384)
 	for i := 0; i < cfg.scale(200); i++ {
 		if _, err := ei.EncryptFragmentPipelined(attrData); err != nil {
 			return nil, err
 		}
 	}
-	shares := ei.Perf.Snapshot()
+	shares := breakdown.Snapshot()
 	unitNote := fmt.Sprintf(
 		"engine unit attribution over 16KB fragments (SharedBreakdown): mac %.0f%%, aes %.0f%% of unit-busy time",
 		shares.Percent("mac"), shares.Percent("aes"))

@@ -66,33 +66,14 @@ func (s *Step) CryptoTotal() time.Duration {
 	return sum
 }
 
-// A StepObserver streams step boundaries and crypto calls as the
-// handshake FSM crosses them — the live counterpart of the recorded
-// Steps slice.
-//
-// Deprecated: observers are a shim over the probe spine. New code
-// should implement probe.Sink and subscribe via ssl.Config.Probes;
-// an Anatomy with a non-nil Observer forwards each event it folds.
-type StepObserver interface {
-	StepStart(index int, name, desc string)
-	StepEnd(index int, name string, elapsed time.Duration)
-	CryptoCall(step, fn string, elapsed time.Duration)
-}
-
 // An Anatomy records the per-step, per-crypto-call timing of one
 // server handshake — the probe sink that folds the event spine into
 // Table 2 rows. Attach it with ssl.Conn.SetAnatomy (or pass it to
-// Server); it receives step boundaries, attributed crypto calls, and
-// the record-layer work of the encrypted finished messages. A nil
-// *Anatomy is a valid no-op sink.
+// NewServerFSM); it receives step boundaries, attributed crypto
+// calls, and the record-layer work of the encrypted finished
+// messages. A nil *Anatomy is a valid no-op sink.
 type Anatomy struct {
 	Steps []Step
-
-	// Observer, when non-nil, receives each folded event.
-	//
-	// Deprecated: kept for callers of the pre-spine API; prefer a
-	// probe.Sink of your own next to the Anatomy.
-	Observer StepObserver
 }
 
 // NewAnatomy returns an empty recorder.
@@ -112,18 +93,12 @@ func (a *Anatomy) Emit(e probe.Event) {
 		a.Steps = append(a.Steps, Step{
 			Index: e.Step.Index(), Name: e.Step.Name(), Desc: e.Step.Desc(),
 		})
-		if a.Observer != nil {
-			a.Observer.StepStart(e.Step.Index(), e.Step.Name(), e.Step.Desc())
-		}
 	case probe.KindStepExit:
 		if len(a.Steps) == 0 {
 			return
 		}
 		cur := &a.Steps[len(a.Steps)-1]
 		cur.Elapsed += e.Dur
-		if a.Observer != nil {
-			a.Observer.StepEnd(cur.Index, cur.Name, cur.Elapsed)
-		}
 	case probe.KindCrypto:
 		a.addCrypto(e.Fn, e.Dur)
 	case probe.KindRecordCrypto:
@@ -141,9 +116,6 @@ func (a *Anatomy) addCrypto(fn string, d time.Duration) {
 	}
 	cur := &a.Steps[len(a.Steps)-1]
 	cur.Crypto = append(cur.Crypto, CryptoCall{Name: fn, Elapsed: d})
-	if a.Observer != nil {
-		a.Observer.CryptoCall(cur.Name, fn, d)
-	}
 }
 
 // Total returns the summed step latency.

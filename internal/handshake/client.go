@@ -87,24 +87,10 @@ const (
 	cliDone
 )
 
-// Client runs the client side of the SSLv3 handshake over l, leaving
-// l armed with the negotiated bulk cipher in both directions. It is
-// the blocking wrapper over ClientFSM: the layer's reads park in the
-// transport, so one Step call runs the machine to completion.
-func Client(l *record.Layer, cfg *ClientConfig) (*Result, error) {
-	fsm, err := NewClientFSM(l, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := fsm.Step(); err != nil {
-		return nil, err
-	}
-	return fsm.Result(), nil
-}
-
-// ClientFSM is the resumable client handshake; see ServerFSM for the
-// Step contract (ErrWouldBlock / nil / sticky terminal error with a
-// queued fatal alert).
+// ClientFSM is the resumable client handshake, leaving its record
+// conn armed with the negotiated bulk cipher in both directions; see
+// ServerFSM for the Step contract (ErrWouldBlock / nil / sticky
+// terminal error with a queued fatal alert).
 type ClientFSM struct {
 	c *clientState
 }

@@ -17,9 +17,9 @@ var ErrWouldBlock = record.ErrWouldBlock
 // blocking transport adapter — ReadRecord parks in the transport) and
 // *record.Core (the sans-IO core — ReadRecord returns ErrWouldBlock
 // until enough bytes are fed). The FSMs are written against this
-// interface only, so one implementation serves the blocking
-// Client/Server entry points and ssl.NonBlockingConn alike, and the
-// two paths are byte-identical on the wire by construction.
+// interface only, so one implementation serves ssl.Conn (over a
+// Layer) and ssl.NonBlockingConn (over a Core) alike, and the two
+// paths are byte-identical on the wire by construction.
 //
 // The handshake FSM never touches a transport: every read lands here
 // and every write goes out as sealed records, which is what blocklint

@@ -109,7 +109,23 @@ func intIdentity(t *testing.T) (*rsa.PrivateKey, *x509lite.Certificate) {
 	return intKey, intCert
 }
 
-// runPair drives Server and Client directly over raw record layers.
+// runToEnd steps a freshly built FSM once. Over a blocking record
+// layer that is the whole handshake: its reads park in the transport
+// instead of returning ErrWouldBlock.
+func runToEnd[F interface {
+	Step() error
+	Result() *Result
+}](fsm F, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	if err := fsm.Step(); err != nil {
+		return nil, err
+	}
+	return fsm.Result(), nil
+}
+
+// runPair drives both machines directly over raw record layers.
 func runPair(t *testing.T, scfg *ServerConfig, ccfg *ClientConfig) (*Result, *Result, error) {
 	t.Helper()
 	ct, st := testPipe()
@@ -121,10 +137,10 @@ func runPair(t *testing.T, scfg *ServerConfig, ccfg *ClientConfig) (*Result, *Re
 	}
 	cc := make(chan out, 1)
 	go func() {
-		r, err := Client(clientLayer, ccfg)
+		r, err := runToEnd(NewClientFSM(clientLayer, ccfg))
 		cc <- out{r, err}
 	}()
-	sres, serr := Server(serverLayer, scfg, nil)
+	sres, serr := runToEnd(NewServerFSM(serverLayer, scfg, nil))
 	cres := <-cc
 	if serr != nil {
 		return nil, nil, serr
@@ -160,16 +176,16 @@ func TestServerConfigValidation(t *testing.T) {
 		io.Reader
 		io.Writer
 	}{})
-	if _, err := Server(layer, &ServerConfig{CertDER: cert.Raw, Rand: rnd(1)}, nil); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{CertDER: cert.Raw, Rand: rnd(1)}, nil)); err == nil {
 		t.Fatal("server without key accepted")
 	}
-	if _, err := Server(layer, &ServerConfig{Key: key, Rand: rnd(1)}, nil); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{Key: key, Rand: rnd(1)}, nil)); err == nil {
 		t.Fatal("server without cert accepted")
 	}
-	if _, err := Server(layer, &ServerConfig{Key: key, CertDER: cert.Raw}, nil); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{Key: key, CertDER: cert.Raw}, nil)); err == nil {
 		t.Fatal("server without randomness accepted")
 	}
-	if _, err := Client(layer, &ClientConfig{}); err == nil {
+	if _, err := runToEnd(NewClientFSM(layer, &ClientConfig{})); err == nil {
 		t.Fatal("client without randomness accepted")
 	}
 }
@@ -243,11 +259,11 @@ func TestAnatomyResumedShape(t *testing.T) {
 	// Resumed handshake with anatomy: must not contain get_client_kx.
 	ct, st := testPipe()
 	a := NewAnatomy()
-	go Client(record.NewLayer(ct), &ClientConfig{
+	go runToEnd(NewClientFSM(record.NewLayer(ct), &ClientConfig{
 		Rand: rnd(11), InsecureSkipVerify: true, Session: cres.Session,
-	})
-	sres, err := Server(record.NewLayer(st),
-		&ServerConfig{Key: key, CertDER: cert.Raw, Rand: rnd(12), Cache: cache}, a)
+	}))
+	sres, err := runToEnd(NewServerFSM(record.NewLayer(st),
+		&ServerConfig{Key: key, CertDER: cert.Raw, Rand: rnd(12), Cache: cache}, a))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,43 +142,29 @@ func (p srvPhase) probeStep() probe.Step {
 	return probe.StepNone
 }
 
-// Server runs the server side of the SSLv3 handshake over l, leaving
-// l armed with the negotiated bulk cipher in both directions. When a
-// is non-nil it records the Table 2 step/crypto anatomy (it joins
-// cfg.Probe's sinks, if any). The layer's probe bus is pointed at the
-// same bus when not already set, so the record-layer work of the
-// encrypted finished messages lands on the same spine; it stays
-// attached after the handshake (bulk-phase events carry StepNone and
-// the anatomy ignores them).
-//
-// Server is the blocking wrapper over ServerFSM: the layer's reads
-// park in the transport, so a single Step call runs the machine to
-// completion — blocking and non-blocking handshakes share every line
-// of FSM code and are wire-identical by construction.
-func Server(l *record.Layer, cfg *ServerConfig, a *Anatomy) (*Result, error) {
-	fsm, err := NewServerFSM(l, cfg, a)
-	if err != nil {
-		return nil, err
-	}
-	if err := fsm.Step(); err != nil {
-		return nil, err
-	}
-	return fsm.Result(), nil
-}
-
 // ServerFSM is the resumable server handshake: one Step call advances
 // through as many phases as the fed bytes allow, returning
 // ErrWouldBlock when the peer's next flight has not arrived (feed the
 // record core and call Step again), nil when the handshake is
 // complete, or a terminal error (after which a fatal alert has been
 // queued on the record connection and further Steps return the same
-// error).
+// error). Over a *record.Layer the reads park in the transport
+// instead, so a single Step runs the machine to completion — blocking
+// and non-blocking handshakes share every line of FSM code and are
+// wire-identical by construction. Either way the record conn is left
+// armed with the negotiated bulk cipher in both directions.
 type ServerFSM struct {
 	s *serverState
 }
 
 // NewServerFSM validates the configuration and wires the probe spine,
-// returning a machine parked before step 0.
+// returning a machine parked before step 0. When a is non-nil it
+// records the Table 2 step/crypto anatomy (it joins cfg.Probe's
+// sinks, if any). The record conn's probe bus is pointed at the same
+// bus when not already set, so the record-layer work of the encrypted
+// finished messages lands on the same spine; it stays attached after
+// the handshake (bulk-phase events carry StepNone and the anatomy
+// ignores them).
 func NewServerFSM(conn RecordConn, cfg *ServerConfig, a *Anatomy) (*ServerFSM, error) {
 	if (cfg.Key == nil && cfg.Decrypter == nil) || len(cfg.CertDER) == 0 {
 		return nil, errors.New("handshake: server needs a key and certificate")

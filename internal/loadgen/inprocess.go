@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -36,13 +35,13 @@ type ServerOptions struct {
 // request/response protocol over a real TCP listener, so the load
 // generator (and `make loadsmoke`) can run self-contained.
 type Server struct {
-	ln      net.Listener
-	cfgBase ssl.Config
-	payload []byte
-	connSeq uint64
-	mu      sync.Mutex
-	wg      sync.WaitGroup
-	closed  bool
+	ln       net.Listener
+	cfgBase  ssl.Config
+	response []byte
+	connSeq  uint64
+	mu       sync.Mutex
+	wg       sync.WaitGroup
+	closed   bool
 }
 
 // StartServer generates an identity, listens on 127.0.0.1:0, and
@@ -75,7 +74,7 @@ func StartServer(opt ServerOptions) (*Server, error) {
 			Tracer:       opt.Tracer,
 			Lifecycle:    opt.Lifecycle,
 		},
-		payload: workload.Payload(opt.FileSize),
+		response: workload.Response(opt.FileSize),
 	}
 	seed := opt.Seed
 	go func() {
@@ -127,12 +126,11 @@ func (s *Server) serve(tc net.Conn, prngSeed uint64) {
 		return
 	}
 	buf := make([]byte, 4096)
-	hdr := fmt.Sprintf("LEN %d\n", len(s.payload))
 	for {
 		if _, err := conn.Read(buf); err != nil {
 			return
 		}
-		if _, err := conn.Write(append([]byte(hdr), s.payload...)); err != nil {
+		if _, err := conn.Write(s.response); err != nil {
 			return
 		}
 	}

@@ -8,8 +8,6 @@ import (
 
 	"sslperf/internal/probe"
 	"sslperf/internal/rsa"
-	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // Telemetry metric names the engine emits.
@@ -56,22 +54,6 @@ type Config struct {
 	// handshake spans it served). Sinks are shared across the
 	// engine's goroutines and must tolerate concurrent Emit calls.
 	Probes []probe.Sink
-
-	// Telemetry, when non-nil, receives the engine's batch-size,
-	// queue-depth, and linger-latency histograms.
-	//
-	// Deprecated: a shim wrapping the registry in a
-	// telemetry.EngineSink on the engine's bus; prefer Probes.
-	Telemetry *telemetry.Registry
-
-	// Tracer, when non-nil, receives one engine span per executed
-	// batch, linked to the handshake spans the batch served (requests
-	// submitted through DecrypterTraced carry the link), so the
-	// cross-connection amortization is visible in /debug/trace.
-	//
-	// Deprecated: a shim wrapping the tracer in a trace.EngineSink on
-	// the engine's bus; prefer Probes.
-	Tracer *trace.Tracer
 }
 
 func (c *Config) withDefaults(width int) Config {
@@ -116,8 +98,8 @@ type result struct {
 type request struct {
 	idx  int
 	ct   []byte
-	rnd  io.Reader // caller's randomness, used only on the direct path
-	link trace.Ref // submitting handshake's span, for batch-span links
+	rnd  io.Reader     // caller's randomness, used only on the direct path
+	link probe.SpanRef // submitting handshake's span, for batch-span links
 	done chan result
 }
 
@@ -172,12 +154,10 @@ func NewEngine(ks *KeySet, cfg Config) *Engine {
 	if c.Rand != nil {
 		c.Rand = &lockedReader{r: c.Rand}
 	}
-	sinks := append(append([]probe.Sink(nil), c.Probes...),
-		telemetry.EngineSink(c.Telemetry), trace.EngineSink(c.Tracer))
 	e := &Engine{
 		ks:   ks,
 		cfg:  c,
-		bus:  probe.NewBus(sinks...),
+		bus:  probe.NewBus(c.Probes...),
 		subq: make(chan *request, c.QueueDepth),
 		quit: make(chan struct{}),
 	}
@@ -392,7 +372,7 @@ func (e *Engine) randFor(req *request) io.Reader {
 // decrypt submits one request and waits for its result, falling back
 // to direct decryption when the queue stays full past SubmitTimeout
 // or the engine is shut down.
-func (e *Engine) decrypt(idx int, rnd io.Reader, ct []byte, ref func() trace.Ref) ([]byte, error) {
+func (e *Engine) decrypt(idx int, rnd io.Reader, ct []byte, ref func() probe.SpanRef) ([]byte, error) {
 	req := &request{idx: idx, ct: ct, rnd: rnd, done: make(chan result, 1)}
 	if ref != nil {
 		// Captured on the submitting (handshake) goroutine, so the ref
@@ -432,7 +412,7 @@ type handle struct {
 	e   *Engine
 	idx int // −1: key outside the set, pure passthrough
 	key *rsa.PrivateKey
-	ref func() trace.Ref // current submitter span, for batch-span links
+	ref func() probe.SpanRef // current submitter span, for batch-span links
 }
 
 // DecryptPKCS1 implements rsa.Decrypter. In-set keys go through the
@@ -454,7 +434,7 @@ func (e *Engine) Decrypter(i int) rsa.Decrypter {
 // submitting goroutine at enqueue time and its result is attached to
 // the batch span that ends up serving the request. Use one handle per
 // connection, with ref closing over that connection's trace.
-func (e *Engine) DecrypterTraced(i int, ref func() trace.Ref) rsa.Decrypter {
+func (e *Engine) DecrypterTraced(i int, ref func() probe.SpanRef) rsa.Decrypter {
 	return &handle{e: e, idx: i, key: e.ks.Keys[i], ref: ref}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/probe"
 	"sslperf/internal/rsabatch"
 	"sslperf/internal/suite"
 	"sslperf/internal/telemetry"
@@ -67,7 +68,7 @@ func TestBatchedHandshakes32Concurrent(t *testing.T) {
 		BatchSize: 4,
 		Linger:    2 * time.Millisecond,
 		Rand:      NewPRNG(99),
-		Telemetry: tel,
+		Probes:    []probe.Sink{telemetry.EngineSink(tel)},
 	})
 	defer setup.engine.Close()
 

@@ -19,8 +19,26 @@ import (
 // terminal error — feed more bytes and call again.
 var ErrWouldBlock = record.ErrWouldBlock
 
+// recordConn is what a connection needs of its record layer: the
+// surface the handshake FSM drives, plus close_notify. A *record.Core
+// never blocks; a *record.Layer shadows the same entry points with
+// transport-backed ones that never return ErrWouldBlock — the only
+// difference between a sans-IO connection and a blocking one.
+type recordConn interface {
+	handshake.RecordConn
+	SendClose() error
+}
+
+// handshakeFSM is the resumable client or server machine.
+type handshakeFSM interface {
+	Step() error
+	Result() *handshake.Result
+}
+
 // A NonBlockingConn is one end of an SSL connection with no transport
-// attached: the sans-IO core for event-driven servers. Wire bytes go
+// attached: the sans-IO core for event-driven servers, and the one
+// connection state machine of this package (Conn is this type behind
+// a mutex, driving a transport-backed record layer). Wire bytes go
 // in through Feed and come out through Outgoing/ConsumeOutgoing; the
 // caller owns the socket, the readiness notification, and the buffer
 // shuttling. HandshakeStep advances the resumable handshake FSM until
@@ -28,44 +46,45 @@ var ErrWouldBlock = record.ErrWouldBlock
 // ErrWouldBlock; ReadData/WriteData move application data through the
 // negotiated channel the same way.
 //
-// Unlike Conn, a NonBlockingConn performs no locking: it is designed
-// for a single event-loop goroutine and all methods must be called
-// from one goroutine at a time. Every observability surface a Conn
-// feeds (telemetry registry, tracer sampling, /debug/anatomy folds,
-// the lifecycle table with its new suspended state) is wired
-// identically here, and handshake-step attribution pauses across
+// A NonBlockingConn performs no locking: it is designed for a single
+// event-loop goroutine and all methods must be called from one
+// goroutine at a time. Handshake-step attribution pauses across
 // suspensions so parked wall-time never pollutes step durations.
+//
+// Nothing in this type may touch a transport — it is what the epoll
+// loop runs, so one blocking read would park every connection (make
+// blocklint enforces it).
 type NonBlockingConn struct {
-	core     *record.Core
+	rc       recordConn
+	core     *record.Core  // rc's core: stats, probe pointer, Feed/Outgoing buffers
+	flight   *record.Layer // rc when it is a Layer with the flight path on, else nil
 	cfg      *Config
 	isClient bool
 
-	srv *handshake.ServerFSM
-	cli *handshake.ClientFSM
+	fsm handshakeFSM
 
 	remote       string
 	lcRegistered bool
 
 	handshakeDone bool
-	hsStarted     bool
-	hsErr         error
-	hsStart       time.Time
+	hsErr         error     // sticky terminal handshake error
+	hsStart       time.Time // zero until the first HandshakeStep
 	result        *handshake.Result
 	anatomy       *handshake.Anatomy
-	telemetryID   uint64
+	telemetryID   uint64 // flight-recorder connection ID (0 = none)
 
-	bus       *probe.Bus
-	baseSinks []probe.Sink
+	bus       *probe.Bus   // the connection's probe spine (nil = off)
+	baseSinks []probe.Sink // sinks armed at handshake time
 	cryptoObs func(op record.CryptoOp, bytes int, d time.Duration)
 
-	lc *lifecycle.Conn
+	lc *lifecycle.Conn // live table entry (nil = no table)
 
-	ct           *trace.ConnTrace
-	traceHS      uint64
-	traceOutcome string
+	ct           *trace.ConnTrace // non-nil only on sampled connections
+	traceHS      uint64           // the trace's top-level handshake span
+	traceOutcome string           // outcome Finish reports at Close
 
-	// readArr owns the bytes of the most recent application record;
-	// readBuf is the unconsumed tail of it. A stable backing array
+	// readBuf is the tail of an application record that did not fit
+	// the caller's buffer, held in readArr: a stable backing array
 	// keeps the steady-state read path allocation-free.
 	readArr []byte
 	readBuf []byte
@@ -75,12 +94,14 @@ type NonBlockingConn struct {
 
 // NonBlockingClient builds the client end of a sans-IO connection.
 func NonBlockingClient(cfg *Config) *NonBlockingConn {
-	return &NonBlockingConn{core: record.NewCore(), cfg: cfg, isClient: true}
+	core := record.NewCore()
+	return &NonBlockingConn{rc: core, core: core, cfg: cfg, isClient: true}
 }
 
 // NonBlockingServer builds the server end of a sans-IO connection.
 func NonBlockingServer(cfg *Config) *NonBlockingConn {
-	return &NonBlockingConn{core: record.NewCore(), cfg: cfg, isClient: false}
+	core := record.NewCore()
+	return &NonBlockingConn{rc: core, core: core, cfg: cfg}
 }
 
 // SetRemoteAddr records the peer address for the lifecycle table
@@ -152,60 +173,31 @@ func (c *NonBlockingConn) SetCryptoObserver(fn func(op record.CryptoOp, bytes in
 	c.refreshBus()
 }
 
-// armProbes assembles the probe bus exactly as the blocking Conn
-// does: anatomy fold (server side), telemetry and trace sink shims,
-// the lifecycle entry, user probes, and the bulk-crypto observer.
-func (c *NonBlockingConn) armProbes(reg *telemetry.Registry) {
-	if !c.isClient && reg != nil && c.anatomy == nil {
-		c.anatomy = handshake.NewAnatomy()
+// role names the connection's end for telemetry and trace records.
+func (c *NonBlockingConn) role() string {
+	if c.isClient {
+		return "client"
 	}
-	sinks := make([]probe.Sink, 0, 4+len(c.cfg.Probes))
-	if c.anatomy != nil {
-		sinks = append(sinks, c.anatomy)
-	}
-	if reg != nil {
-		sinks = append(sinks, telemetry.ProbeSink(reg, c.telemetryID))
-	}
-	if c.ct != nil {
-		sinks = append(sinks, trace.ProbeSink(c.ct, c.traceHS))
-	}
-	if c.lc != nil {
-		sinks = append(sinks, c.lc)
-	}
-	sinks = append(sinks, c.cfg.Probes...)
-	c.baseSinks = sinks
-	c.refreshBus()
+	return "server"
 }
 
-// refreshBus rebuilds the bus from the armed base sinks plus the
-// bulk-crypto observer and points the record core at it.
-func (c *NonBlockingConn) refreshBus() {
-	sinks := c.baseSinks
-	if c.cryptoObs != nil {
-		sinks = append(sinks[:len(sinks):len(sinks)], bulkCryptoSink{fn: c.cryptoObs})
-	}
-	c.bus = probe.NewBus(sinks...)
-	c.core.SetProbe(c.bus)
-}
-
-// startHandshake performs the one-time setup the blocking path does in
-// handshakeLocked — telemetry open, lifecycle transition, tracer
-// sampling, bus assembly — then constructs the FSM.
+// startHandshake performs the one-time setup — telemetry open,
+// lifecycle transition, tracer sampling, bus assembly — then
+// constructs the FSM over the record conn.
 func (c *NonBlockingConn) startHandshake() error {
-	c.hsStarted = true
 	c.hsStart = time.Now()
 	tel := c.cfg.Telemetry
 	if tel != nil {
-		c.telemetryID = telemetryStartFn(tel, c.isClient)
+		c.telemetryStart(tel)
 	}
 	c.lc.HandshakeStart()
 	if c.ct != nil || c.cfg.Tracer != nil {
-		c.ct, c.traceHS = traceStartFn(c.cfg.Tracer, c.ct, c.telemetryID, c.isClient)
+		c.traceStart()
 	}
 	c.armProbes(tel)
 	var err error
 	if c.isClient {
-		c.cli, err = handshake.NewClientFSM(c.core, &handshake.ClientConfig{
+		c.fsm, err = handshake.NewClientFSM(c.rc, &handshake.ClientConfig{
 			Rand:               c.cfg.rand(),
 			Suites:             c.cfg.Suites,
 			Time:               c.cfg.Time,
@@ -218,7 +210,7 @@ func (c *NonBlockingConn) startHandshake() error {
 	} else {
 		// The anatomy (when any) is already a sink on the bus, so the
 		// FSM gets the bus alone.
-		c.srv, err = handshake.NewServerFSM(c.core, &handshake.ServerConfig{
+		c.fsm, err = handshake.NewServerFSM(c.rc, &handshake.ServerConfig{
 			Key:        c.cfg.Key,
 			Decrypter:  c.cfg.Decrypter,
 			CertDER:    c.cfg.CertDER,
@@ -234,13 +226,6 @@ func (c *NonBlockingConn) startHandshake() error {
 	return err
 }
 
-func (c *NonBlockingConn) stepFSM() error {
-	if c.isClient {
-		return c.cli.Step()
-	}
-	return c.srv.Step()
-}
-
 // HandshakeStep advances the handshake as far as the fed bytes allow.
 // It returns nil once the handshake has completed (and on every call
 // thereafter), ErrWouldBlock when more input is needed — drain
@@ -248,6 +233,8 @@ func (c *NonBlockingConn) stepFSM() error {
 // which is sticky and has already queued a fatal alert in Outgoing.
 // Probe-step attribution suspends across ErrWouldBlock, so parked
 // time never enters /debug/anatomy or the telemetry step histograms.
+// Over a Layer the record conn blocks instead, so one call runs the
+// whole handshake and the lifecycle entry never reads suspended.
 func (c *NonBlockingConn) HandshakeStep() error {
 	if c.handshakeDone {
 		return nil
@@ -260,13 +247,13 @@ func (c *NonBlockingConn) HandshakeStep() error {
 	}
 	c.ensureRegistered()
 	var err error
-	if !c.hsStarted {
-		if err = c.startHandshake(); err == nil {
-			err = c.stepFSM()
-		}
+	if c.hsStart.IsZero() {
+		err = c.startHandshake()
 	} else {
 		c.lc.Resume()
-		err = c.stepFSM()
+	}
+	if err == nil {
+		err = c.fsm.Step()
 	}
 	if err == ErrWouldBlock {
 		c.lc.Suspend()
@@ -274,17 +261,16 @@ func (c *NonBlockingConn) HandshakeStep() error {
 	}
 	d := time.Since(c.hsStart)
 	if err == nil {
-		if c.isClient {
-			c.result = c.cli.Result()
-		} else {
-			c.result = c.srv.Result()
-		}
+		c.result = c.fsm.Result()
 	}
+	// The machine is finished either way; an idle connection should
+	// not pin its transcript hashes and message buffers.
+	c.fsm = nil
 	if tel := c.cfg.Telemetry; tel != nil {
-		telemetryFinishFn(tel, c.telemetryID, c.result, c.anatomy, d, err)
+		c.telemetryFinish(tel, d, err)
 	}
 	if c.ct != nil {
-		c.traceOutcome = traceFinishFn(c.ct, c.traceHS, c.result, err)
+		c.traceFinish(err)
 	}
 	if err != nil {
 		c.hsErr = err
@@ -331,11 +317,20 @@ func (c *NonBlockingConn) ReadData(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	for len(c.readBuf) == 0 {
+	if len(c.readBuf) > 0 {
+		n := copy(p, c.readBuf)
+		c.readBuf = c.readBuf[n:]
+		return n, nil
+	}
+	for {
 		if c.eof {
 			return 0, io.EOF
 		}
-		typ, payload, err := c.core.ReadRecord()
+		var ioStart time.Time
+		if c.ct != nil {
+			ioStart = time.Now()
+		}
+		typ, payload, err := c.rc.ReadRecord()
 		if err != nil {
 			if ae, ok := err.(*record.AlertError); ok &&
 				ae.Description == record.AlertCloseNotify {
@@ -344,26 +339,33 @@ func (c *NonBlockingConn) ReadData(p []byte) (int, error) {
 			}
 			return 0, err
 		}
+		if c.ct != nil {
+			c.ct.Event("read", trace.CatIO, c.traceHS, ioStart, time.Since(ioStart))
+		}
 		switch typ {
 		case record.TypeApplicationData:
-			// The payload aliases the core's incoming buffer, which the
-			// next Feed compacts — keep an owned copy in the stable
-			// backing array.
-			c.readArr = append(c.readArr[:0], payload...)
-			c.readBuf = c.readArr
+			if len(payload) == 0 {
+				continue
+			}
+			// The payload aliases the record conn's buffer, which the
+			// next Feed (Core) or record read (Layer) overwrites: copy
+			// straight to the caller and keep only what did not fit.
+			n := copy(p, payload)
+			if n < len(payload) {
+				c.readArr = append(c.readArr[:0], payload[n:]...)
+				c.readBuf = c.readArr
+			}
+			return n, nil
 		case record.TypeHandshake:
 		default:
 			return 0, errors.New("ssl: unexpected record type " + typ.String())
 		}
 	}
-	n := copy(p, c.readBuf)
-	c.readBuf = c.readBuf[n:]
-	return n, nil
 }
 
-// WriteData seals p into application-data records in the outgoing
-// buffer (fragmenting as needed). It never blocks: the caller flushes
-// Outgoing to the transport at its own pace.
+// WriteData seals p into application-data records (fragmenting as
+// needed). Over a Core it never blocks: the records land in Outgoing
+// and the caller flushes at its own pace.
 func (c *NonBlockingConn) WriteData(p []byte) (int, error) {
 	if c.closed {
 		return 0, errors.New("ssl: connection closed")
@@ -373,15 +375,33 @@ func (c *NonBlockingConn) WriteData(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	if err := c.core.WriteRecord(record.TypeApplicationData, p); err != nil {
+	var ioStart time.Time
+	if c.ct != nil {
+		ioStart = time.Now()
+	}
+	// Large writes over a Layer take the flight pipeline: fragments
+	// MACed in parallel, sealed zero-copy in sequence order, and
+	// flushed as one vectored write per window. Wire bytes are
+	// identical to the sequential path's.
+	var err error
+	if c.flight != nil && len(p) > record.MaxFragment {
+		err = c.flight.WriteFlight(record.TypeApplicationData, p)
+	} else {
+		err = c.rc.WriteRecord(record.TypeApplicationData, p)
+	}
+	if err != nil {
 		return 0, err
+	}
+	if c.ct != nil {
+		c.ct.Event("write", trace.CatIO, c.traceHS, ioStart, time.Since(ioStart))
 	}
 	return len(p), nil
 }
 
-// Close queues close_notify (when established) and finalizes the
-// observability surfaces. The alert bytes land in Outgoing — flush
-// them before dropping the transport if a clean close matters.
+// Close sends close_notify (when established) and finalizes the
+// observability surfaces. Over a Core the alert bytes land in
+// Outgoing — flush them before dropping the transport if a clean
+// close matters.
 func (c *NonBlockingConn) Close() error {
 	if c.closed {
 		return nil
@@ -390,7 +410,7 @@ func (c *NonBlockingConn) Close() error {
 	c.ensureRegistered()
 	c.lc.Draining()
 	if c.handshakeDone {
-		c.core.SendClose()
+		c.rc.SendClose() // best effort
 	}
 	if c.telemetryID != 0 {
 		c.cfg.Telemetry.Event(c.telemetryID, telemetry.EventClose, "", "", 0)

@@ -145,7 +145,7 @@ func TestProbeOffBusIsNil(t *testing.T) {
 	client, server := connect(t, clientCfg(nil), id.ServerConfig(NewPRNG(92)))
 	defer client.Close()
 	defer server.Close()
-	if server.bus != nil || server.layer.Probe != nil {
+	if server.nb.bus != nil || server.nb.core.Probe != nil {
 		t.Fatal("uninstrumented connection built a probe bus")
 	}
 }

@@ -14,9 +14,9 @@ import (
 // trace sink shims when those channels are configured, any
 // user-supplied Config.Probes, and the bulk-crypto observer. With
 // nothing attached the bus stays nil and every hook downstream is a
-// nil-receiver no-op. Called with c.mu held, after telemetryStart and
-// traceStart have assigned the connection ID and handshake span.
-func (c *Conn) armProbes(reg *telemetry.Registry) {
+// nil-receiver no-op. Called after telemetryStart and traceStart have
+// assigned the connection ID and handshake span.
+func (c *NonBlockingConn) armProbes(reg *telemetry.Registry) {
 	if !c.isClient && reg != nil && c.anatomy == nil {
 		// Telemetry's per-step latency histograms are folded from the
 		// anatomy at handshake finish, so a server connection under a
@@ -42,15 +42,14 @@ func (c *Conn) armProbes(reg *telemetry.Registry) {
 }
 
 // refreshBus rebuilds the connection's bus from the armed base sinks
-// plus the bulk-crypto observer and points the record layer at it.
-// Called with c.mu held (or before the connection is shared).
-func (c *Conn) refreshBus() {
+// plus the bulk-crypto observer and points the record core at it.
+func (c *NonBlockingConn) refreshBus() {
 	sinks := c.baseSinks
 	if c.cryptoObs != nil {
 		sinks = append(sinks[:len(sinks):len(sinks)], bulkCryptoSink{fn: c.cryptoObs})
 	}
 	c.bus = probe.NewBus(sinks...)
-	c.layer.Probe = c.bus
+	c.core.SetProbe(c.bus)
 }
 
 // bulkCryptoSink adapts a SetCryptoObserver callback to the spine:

@@ -10,7 +10,6 @@
 package ssl
 
 import (
-	"errors"
 	"io"
 	"net"
 	"sync"
@@ -125,39 +124,17 @@ func (c *Config) rand() io.Reader {
 	return NewPRNG(uint64(time.Now().UnixNano()))
 }
 
-// A Conn is one end of an SSL connection. Read/Write trigger the
-// handshake on first use. Conn serializes access internally, but the
-// handshake itself must not race with Read/Write from other
-// goroutines.
+// A Conn is one end of an SSL connection over a blocking transport.
+// Read/Write trigger the handshake on first use. It is a lock and a
+// transport around the one connection state machine, NonBlockingConn,
+// here driving a record.Layer — whose reads park in the transport
+// instead of returning ErrWouldBlock, so every step call runs to
+// completion. Conn serializes access internally, but the handshake
+// itself must not race with Read/Write from other goroutines.
 type Conn struct {
 	mu        sync.Mutex
 	transport io.ReadWriteCloser
-	layer     *record.Layer
-	cfg       *Config
-	isClient  bool
-
-	handshakeDone bool
-	result        *handshake.Result
-	anatomy       *handshake.Anatomy
-	telemetryID   uint64 // flight-recorder connection ID (0 = none)
-
-	bus       *probe.Bus   // the connection's probe spine (nil = off)
-	baseSinks []probe.Sink // sinks armed at handshake time
-	cryptoObs func(op record.CryptoOp, bytes int, d time.Duration)
-
-	lc *lifecycle.Conn // live table entry (nil = no table)
-
-	ct           *trace.ConnTrace // non-nil only on sampled connections
-	traceHS      uint64           // the trace's top-level handshake span
-	traceOutcome string           // outcome Finish reports at Close
-
-	// noFlight disables the large-write flight fast path (set by a
-	// negative Config.BulkPipelineWidth).
-	noFlight bool
-
-	readBuf []byte
-	eof     bool
-	closed  bool
+	nb        NonBlockingConn
 }
 
 // ClientConn wraps transport as the client end.
@@ -170,21 +147,20 @@ func ServerConn(transport io.ReadWriteCloser, cfg *Config) *Conn {
 	return newConn(transport, cfg, false)
 }
 
+// newConn builds the state machine over a Layer on transport. Unlike
+// a sans-IO conn it knows its peer already, so the lifecycle entry
+// exists from construction.
 func newConn(transport io.ReadWriteCloser, cfg *Config, isClient bool) *Conn {
-	c := &Conn{
-		transport: transport,
-		layer:     record.NewLayer(vectored(transport)),
-		cfg:       cfg,
-		isClient:  isClient,
+	layer := record.NewLayer(vectored(transport))
+	c := &Conn{transport: transport, nb: NonBlockingConn{
+		rc: layer, core: &layer.Core, cfg: cfg, isClient: isClient,
+		remote: remoteAddr(transport),
+	}}
+	if cfg.BulkPipelineWidth >= 0 {
+		layer.SetSealPipeline(cfg.BulkPipelineWidth)
+		c.nb.flight = layer
 	}
-	if cfg.BulkPipelineWidth < 0 {
-		c.noFlight = true
-	} else if cfg.BulkPipelineWidth > 0 {
-		c.layer.SetSealPipeline(cfg.BulkPipelineWidth)
-	}
-	if cfg.Lifecycle != nil {
-		c.lc = cfg.Lifecycle.Register(remoteAddr(transport))
-	}
+	c.nb.ensureRegistered()
 	return c
 }
 
@@ -202,97 +178,27 @@ func remoteAddr(transport io.ReadWriteCloser) string {
 
 // LifecycleEntry returns the connection's live table entry, nil when
 // no Config.Lifecycle is attached.
-func (c *Conn) LifecycleEntry() *lifecycle.Conn { return c.lc }
+func (c *Conn) LifecycleEntry() *lifecycle.Conn { return c.nb.LifecycleEntry() }
 
 // SetAnatomy installs a recorder that will capture the server-side
 // handshake anatomy (Table 2). Must be called before Handshake.
-func (c *Conn) SetAnatomy(a *handshake.Anatomy) { c.anatomy = a }
+func (c *Conn) SetAnatomy(a *handshake.Anatomy) { c.nb.SetAnatomy(a) }
 
 // SetTrace attaches a pre-started connection trace (e.g. one begun at
 // TCP accept so the accept span is on it). Must be called before
 // Handshake; a nil ConnTrace is ignored. Without SetTrace, a
 // Config.Tracer samples the connection when the handshake starts.
-func (c *Conn) SetTrace(ct *trace.ConnTrace) {
-	if ct != nil {
-		c.ct = ct
-	}
-}
+func (c *Conn) SetTrace(ct *trace.ConnTrace) { c.nb.SetTrace(ct) }
 
 // Trace returns the connection's sampled trace, nil when the
 // connection is not sampled.
-func (c *Conn) Trace() *trace.ConnTrace { return c.ct }
+func (c *Conn) Trace() *trace.ConnTrace { return c.nb.Trace() }
 
 // Handshake runs the handshake if it has not run yet.
 func (c *Conn) Handshake() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.handshakeLocked()
-}
-
-func (c *Conn) handshakeLocked() error {
-	if c.handshakeDone {
-		return nil
-	}
-	if c.closed {
-		return errors.New("ssl: connection closed")
-	}
-	tel := c.cfg.Telemetry
-	var hsStart time.Time
-	if tel != nil || c.lc != nil {
-		hsStart = time.Now()
-	}
-	if tel != nil {
-		c.telemetryStart(tel)
-	}
-	c.lc.HandshakeStart()
-	if c.ct != nil || c.cfg.Tracer != nil {
-		c.traceStart()
-	}
-	c.armProbes(tel)
-	var err error
-	if c.isClient {
-		c.result, err = handshake.Client(c.layer, &handshake.ClientConfig{
-			Rand:               c.cfg.rand(),
-			Suites:             c.cfg.Suites,
-			Time:               c.cfg.Time,
-			Version:            c.cfg.Version,
-			Session:            c.cfg.Session,
-			RootCert:           c.cfg.RootCert,
-			ServerName:         c.cfg.ServerName,
-			InsecureSkipVerify: c.cfg.InsecureSkipVerify,
-		})
-	} else {
-		// The anatomy (when any) is already a sink on the bus, so the
-		// FSM gets the bus alone.
-		c.result, err = handshake.Server(c.layer, &handshake.ServerConfig{
-			Key:        c.cfg.Key,
-			Decrypter:  c.cfg.Decrypter,
-			CertDER:    c.cfg.CertDER,
-			Chain:      c.cfg.CertChain,
-			Rand:       c.cfg.rand(),
-			Cache:      c.cfg.SessionCache,
-			Suites:     c.cfg.Suites,
-			Time:       c.cfg.Time,
-			MaxVersion: c.cfg.Version,
-			Probe:      c.bus,
-		}, nil)
-	}
-	if tel != nil {
-		c.telemetryFinish(tel, time.Since(hsStart), err)
-	}
-	if c.ct != nil {
-		c.traceFinish(err)
-	}
-	if err != nil {
-		c.lc.Failed(Classify(err), FailureReason(err), err.Error(), time.Since(hsStart))
-		return err
-	}
-	if c.lc != nil {
-		c.lc.Established(c.result.Suite.Name, c.result.Session.Version,
-			c.result.Resumed, time.Since(hsStart))
-	}
-	c.handshakeDone = true
-	return nil
+	return c.nb.HandshakeStep()
 }
 
 // ConnectionState reports the negotiated parameters; valid after
@@ -308,132 +214,43 @@ type ConnectionState struct {
 func (c *Conn) ConnectionState() (ConnectionState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.handshakeDone {
-		return ConnectionState{}, errors.New("ssl: handshake has not completed")
-	}
-	return ConnectionState{
-		Suite:     c.result.Suite,
-		Resumed:   c.result.Resumed,
-		SessionID: c.result.Session.ID,
-		Version:   c.result.Session.Version,
-	}, nil
+	return c.nb.ConnectionState()
 }
 
 // Session returns the resumable session state; valid after Handshake.
 func (c *Conn) Session() (*handshake.Session, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.handshakeDone {
-		return nil, errors.New("ssl: handshake has not completed")
-	}
-	return c.result.Session, nil
+	return c.nb.Session()
 }
 
 // Write sends application data.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.handshakeLocked(); err != nil {
-		return 0, err
-	}
-	if c.closed {
-		return 0, errors.New("ssl: connection closed")
-	}
-	var ioStart time.Time
-	if c.ct != nil {
-		ioStart = time.Now()
-	}
-	// Large writes take the flight pipeline: fragments MACed in
-	// parallel, sealed zero-copy in sequence order, and flushed as one
-	// vectored write per window. Wire bytes are identical to the
-	// sequential path's.
-	var err error
-	if len(p) > record.MaxFragment && !c.noFlight {
-		err = c.layer.WriteFlight(record.TypeApplicationData, p)
-	} else {
-		err = c.layer.WriteRecord(record.TypeApplicationData, p)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if c.ct != nil {
-		c.ct.Event("write", trace.CatIO, c.traceHS, ioStart, time.Since(ioStart))
-	}
-	return len(p), nil
+	return c.nb.WriteData(p)
 }
 
 // Read receives application data.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.handshakeLocked(); err != nil {
-		return 0, err
-	}
-	for len(c.readBuf) == 0 {
-		if c.eof {
-			return 0, io.EOF
-		}
-		var ioStart time.Time
-		if c.ct != nil {
-			ioStart = time.Now()
-		}
-		typ, payload, err := c.layer.ReadRecord()
-		if c.ct != nil && err == nil {
-			c.ct.Event("read", trace.CatIO, c.traceHS, ioStart, time.Since(ioStart))
-		}
-		if err != nil {
-			if ae, ok := err.(*record.AlertError); ok &&
-				ae.Description == record.AlertCloseNotify {
-				c.eof = true
-				return 0, io.EOF
-			}
-			return 0, err
-		}
-		switch typ {
-		case record.TypeApplicationData:
-			c.readBuf = payload
-		case record.TypeHandshake:
-			// Ignore post-handshake handshake records (e.g.
-			// HelloRequest); renegotiation is not supported.
-		default:
-			return 0, errors.New("ssl: unexpected record type " + typ.String())
-		}
-	}
-	n := copy(p, c.readBuf)
-	c.readBuf = c.readBuf[n:]
-	return n, nil
+	return c.nb.ReadData(p)
 }
 
 // Close sends close_notify and closes the transport.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.nb.closed {
 		return nil
 	}
-	c.closed = true
-	c.lc.Draining()
-	if c.handshakeDone {
-		c.layer.SendClose() // best effort
-	}
-	if c.telemetryID != 0 {
-		c.cfg.Telemetry.Event(c.telemetryID, telemetry.EventClose, "", "", 0)
-	}
-	if c.ct != nil {
-		outcome := c.traceOutcome
-		if outcome == "" {
-			outcome = "closed_before_handshake"
-		}
-		c.ct.Finish(outcome)
-	}
-	err := c.transport.Close()
-	c.lc.Close()
-	c.lc = nil
-	return err
+	c.nb.Close() // close_notify is best effort
+	return c.transport.Close()
 }
 
 // Stats returns the record-layer counters.
-func (c *Conn) Stats() record.Stats { return c.layer.Stats }
+func (c *Conn) Stats() record.Stats { return c.nb.Stats() }
 
 // SetCryptoObserver routes bulk-phase record-layer crypto timings
 // (cipher and MAC operations with payload sizes) to fn; pass nil to
@@ -442,6 +259,5 @@ func (c *Conn) Stats() record.Stats { return c.layer.Stats }
 // always was. The Figure 2 and Table 1 experiments use this to
 // measure the crypto share of bulk transfers.
 func (c *Conn) SetCryptoObserver(fn func(op record.CryptoOp, bytes int, d time.Duration)) {
-	c.cryptoObs = fn
-	c.refreshBus()
+	c.nb.SetCryptoObserver(fn)
 }

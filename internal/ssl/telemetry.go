@@ -3,55 +3,38 @@ package ssl
 import (
 	"time"
 
-	"sslperf/internal/handshake"
 	"sslperf/internal/telemetry"
 )
 
-// telemetryStartFn assigns a connection ID and records the
-// handshake_start event; shared by the blocking and non-blocking
-// connection types. The step/crypto/record flow itself arrives through
-// the telemetry probe sink the bus assembly attaches.
-func telemetryStartFn(reg *telemetry.Registry, isClient bool) uint64 {
-	id := reg.ConnOpen()
-	role := "client"
-	if !isClient {
-		role = "server"
-	}
-	reg.Event(id, telemetry.EventHandshakeStart, "", role, 0)
-	return id
+// telemetryStart assigns a connection ID and records the
+// handshake_start event. The step/crypto/record flow itself arrives
+// through the telemetry probe sink armProbes attaches.
+func (c *NonBlockingConn) telemetryStart(reg *telemetry.Registry) {
+	c.telemetryID = reg.ConnOpen()
+	reg.Event(c.telemetryID, telemetry.EventHandshakeStart, "", c.role(), 0)
 }
 
-// telemetryStart prepares a connection for emission. Called with c.mu
-// held, only when a registry is configured.
-func (c *Conn) telemetryStart(reg *telemetry.Registry) {
-	c.telemetryID = telemetryStartFn(reg, c.isClient)
-}
-
-// telemetryFinishFn records the outcome of a handshake attempt: the
+// telemetryFinish records the outcome of a handshake attempt: the
 // outcome counters, the latency histograms, the per-step histograms
 // (server side, from the anatomy the FSM just filled), and the
-// terminal flight-recorder event. result is only read when err is nil.
-func telemetryFinishFn(reg *telemetry.Registry, id uint64, result *handshake.Result,
-	anatomy *handshake.Anatomy, d time.Duration, err error) {
+// terminal flight-recorder event. c.result is only read when err is
+// nil.
+func (c *NonBlockingConn) telemetryFinish(reg *telemetry.Registry, d time.Duration, err error) {
 	if err != nil {
 		reason := FailureReason(err)
 		reg.HandshakeFailed(reason)
-		reg.Event(id, telemetry.EventHandshakeFail, reason, err.Error(), d)
+		reg.Event(c.telemetryID, telemetry.EventHandshakeFail, reason, err.Error(), d)
 		return
 	}
-	reg.HandshakeDone(result.Suite.Name, result.Session.Version, result.Resumed, d)
-	if anatomy != nil {
-		for _, step := range anatomy.Steps {
+	reg.HandshakeDone(c.result.Suite.Name, c.result.Session.Version, c.result.Resumed, d)
+	if c.anatomy != nil {
+		for _, step := range c.anatomy.Steps {
 			reg.ObserveStep(step.Name, step.Elapsed)
 		}
 	}
-	detail := result.Suite.Name
-	if result.Resumed {
+	detail := c.result.Suite.Name
+	if c.result.Resumed {
 		detail += " resumed"
 	}
-	reg.Event(id, telemetry.EventHandshakeDone, "", detail, d)
-}
-
-func (c *Conn) telemetryFinish(reg *telemetry.Registry, d time.Duration, err error) {
-	telemetryFinishFn(reg, c.telemetryID, c.result, c.anatomy, d, err)
+	reg.Event(c.telemetryID, telemetry.EventHandshakeDone, "", detail, d)
 }

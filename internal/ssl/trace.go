@@ -1,60 +1,42 @@
 package ssl
 
-import (
-	"sslperf/internal/handshake"
-	"sslperf/internal/trace"
-)
+import "sslperf/internal/trace"
 
-// traceStartFn arms a sampled connection: starts (or adopts) its
-// ConnTrace and opens the top-level handshake span. Shared by the
-// blocking and non-blocking connection types; returns (nil, 0) when
-// the tracer declines to sample. The step, crypto, and record-layer
-// span flow arrives through the trace probe sink on the bus.
-func traceStartFn(tracer *trace.Tracer, ct *trace.ConnTrace, telemetryID uint64, isClient bool) (*trace.ConnTrace, uint64) {
-	role := "client"
-	if !isClient {
-		role = "server"
-	}
-	if ct == nil {
-		ct = tracer.ConnBegin(telemetryID, role)
-		if ct == nil {
-			return nil, 0 // not sampled
+// traceStart arms a sampled connection: starts (or adopts) its
+// ConnTrace and opens the top-level handshake span; c.ct stays nil
+// when the tracer declines to sample. The step, crypto, and
+// record-layer span flow arrives through the trace probe sink on the
+// bus. Called only when a tracer or a pre-started trace is present.
+func (c *NonBlockingConn) traceStart() {
+	if c.ct == nil {
+		c.ct = c.cfg.Tracer.ConnBegin(c.telemetryID, c.role())
+		if c.ct == nil {
+			return // not sampled
 		}
-	} else if telemetryID != 0 {
-		ct.SetConn(telemetryID)
+	} else if c.telemetryID != 0 {
+		c.ct.SetConn(c.telemetryID)
 	}
-	return ct, ct.Begin("handshake", trace.CatConn, 0)
+	c.traceHS = c.ct.Begin("handshake", trace.CatConn, 0)
 }
 
-// traceStart arms a sampled blocking connection. Called with c.mu
-// held, only when a tracer or a pre-started trace is present.
-func (c *Conn) traceStart() {
-	c.ct, c.traceHS = traceStartFn(c.cfg.Tracer, c.ct, c.telemetryID, c.isClient)
-}
-
-// traceFinishFn closes the handshake span and folds the trace into the
-// live anatomy profiler, returning the outcome Close will report.
+// traceFinish closes the handshake span and folds the trace into the
+// live anatomy profiler, setting the outcome Close will report.
 // Failed handshakes finish the whole trace immediately; successful
-// ones stay open for application I/O spans until Close. result is
+// ones stay open for application I/O spans until Close. c.result is
 // only read when err is nil.
-func traceFinishFn(ct *trace.ConnTrace, hsSpan uint64, result *handshake.Result, err error) string {
-	ct.End(hsSpan, -1)
+func (c *NonBlockingConn) traceFinish(err error) {
+	c.ct.End(c.traceHS, -1)
 	if err != nil {
-		outcome := FailureReason(err)
-		ct.Finish(outcome)
-		return outcome
+		c.traceOutcome = FailureReason(err)
+		c.ct.Finish(c.traceOutcome)
+		return
 	}
-	outcome := "ok"
-	detail := result.Suite.Name
-	if result.Resumed {
-		outcome = "resumed"
+	c.traceOutcome = "ok"
+	detail := c.result.Suite.Name
+	if c.result.Resumed {
+		c.traceOutcome = "resumed"
 		detail += " resumed"
 	}
-	ct.SetDetail(hsSpan, detail)
-	ct.Fold()
-	return outcome
-}
-
-func (c *Conn) traceFinish(err error) {
-	c.traceOutcome = traceFinishFn(c.ct, c.traceHS, c.result, err)
+	c.ct.SetDetail(c.traceHS, detail)
+	c.ct.Fold()
 }

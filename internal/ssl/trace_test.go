@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/probe"
 	"sslperf/internal/rsabatch"
 	"sslperf/internal/trace"
 )
@@ -141,7 +142,7 @@ func TestTraceBatchLinks(t *testing.T) {
 		BatchSize: 4,
 		Linger:    2 * time.Millisecond,
 		Rand:      NewPRNG(99),
-		Tracer:    tracer,
+		Probes:    []probe.Sink{trace.EngineSink(tracer)},
 	})
 	defer setup.engine.Close()
 

@@ -3,8 +3,8 @@
 // harness (internal/core's Table 2/3 experiments).
 //
 // Every sampled connection gets a trace ID; spans cover the TCP
-// accept, each of the ten handshake steps (streamed through
-// handshake.StepObserver), the individual crypto calls inside them,
+// accept, each of the ten handshake steps (streamed over the probe
+// spine), the individual crypto calls inside them,
 // record-layer seal/open work, and application I/O. The batch RSA
 // engine emits engine spans *linked* to the handshake spans they
 // served, so cross-connection batching causality stays visible.

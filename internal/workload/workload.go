@@ -125,3 +125,12 @@ func Payload(n int) []byte {
 	}
 	return buf
 }
+
+// Response builds the reply sslserver (both serve loops) and the load
+// generator's in-process server send for every request: "LEN n\n"
+// followed by Payload(n). A server formats it once at start-up and
+// every connection writes the same read-only slice — at 1 MiB a
+// per-request copy costs more than sealing the records does.
+func Response(n int) []byte {
+	return append([]byte(fmt.Sprintf("LEN %d\n", n)), Payload(n)...)
+}

@@ -80,3 +80,12 @@ func TestPayloadDeterministic(t *testing.T) {
 		t.Fatal("payload not prefix-consistent")
 	}
 }
+
+// The framing is what sslclient, sslload and bench/ parse and verify
+// byte for byte; it must stay "LEN n\n" + Payload(n).
+func TestResponseFraming(t *testing.T) {
+	want := append([]byte("LEN 1500\n"), Payload(1500)...)
+	if got := Response(1500); !bytes.Equal(got, want) {
+		t.Fatalf("Response(1500) starts %q, want %q", got[:12], want[:12])
+	}
+}
