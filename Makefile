@@ -2,9 +2,8 @@
 # (ISPASS 2005). Everything is stdlib-only Go; no network needed.
 
 GO ?= go
-HISTDIR ?= bench_history
 
-.PHONY: all build vet test race check clocklint blocklint pathlenlint failclasslint benchlint loadsmoke checkdrift bench repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -28,22 +27,23 @@ race:
 # sink adapters (telemetry, the span tracer), the record layer and the
 # macpipe sealing pipeline behind its flight path, the batch-RSA and
 # accel engines, the handshake session cache, perf (whose model-GHz
-# setting is shared mutable state), and the load generator + drift
-# engine — then a real end-to-end smoke through sslload's in-process
-# server.
+# setting is shared mutable state), and the load generator + health
+# checks — then every fuzz target for a few seconds and a real
+# end-to-end smoke through sslload's in-process server.
 check:
 	$(GO) vet ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
 	$(MAKE) pathlenlint
 	$(MAKE) failclasslint
-	$(MAKE) benchlint
+	$(MAKE) doclint
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
 		./internal/ssl/... ./internal/record/... ./internal/macpipe/... ./internal/rsabatch/... \
 		./internal/handshake/... ./internal/accel/... ./internal/perf/... \
 		./internal/loadgen/... ./internal/baseline/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \
 		./internal/history/... ./internal/debughttp/... ./cmd/ssltop/...
+	$(MAKE) fuzzsmoke
 	$(MAKE) loadsmoke
 
 # The spine owns every clock read on the handshake and record hot
@@ -111,75 +111,39 @@ failclasslint:
 		exit 1; \
 	fi
 
-# Every committed docs/BENCH_*.json must be regenerated by `make
-# bench`: the -out of exactly one benchjson command in its recipe. A
-# recipe edit that drops or orphans a command line (make runs a stray
-# "-count 3 ..." continuation as an error-ignored command and carries
-# on) would otherwise leave a report silently stale.
-benchlint:
-	@recipes=$$($(MAKE) -s -n --no-print-directory bench \
-		| sed -e ':a' -e '/\\$$/N; s/\\\n//; ta' | grep 'cmd/benchjson'); \
-	bad=""; \
-	for f in docs/BENCH_*.json; do \
-		n=$$(printf '%s\n' "$$recipes" | grep -c -e "-out $$f "); \
-		[ "$$n" = 1 ] || bad="$$bad $$f($$n)"; \
-	done; \
-	if [ -n "$$bad" ]; then \
-		echo "benchlint: reports that are not the -out of exactly one benchjson command in 'make bench' (count in parentheses):$$bad"; \
-		exit 1; \
-	fi
+# The prose must not point at things that are gone: every docs/, cmd/,
+# internal/ or examples/ path the top-level documents and the verify
+# skill mention has to exist (globs may match anything), and every
+# `make <target>` they show (in backticks or opening a code-block
+# line) has to be a target of this file.
+doclint:
+	@docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"; \
+	bad=$$(grep -onE '(docs|cmd|internal|examples)/[A-Za-z0-9_./*-]*' $$docs \
+		| sed -E 's/[.,]+$$//' | while IFS=: read f l p; do \
+			ls -d $$p >/dev/null 2>&1 || echo "  $$f:$$l: $$p does not exist"; \
+		done; \
+		grep -onE '(^|`)make +[a-z][a-z0-9_-]*' $$docs | sed -E 's/`?make +//' \
+		| while IFS=: read f l t; do \
+			grep -q "^$$t:" Makefile || echo "  $$f:$$l: make $$t is not a target"; \
+		done); \
+	if [ -n "$$bad" ]; then echo "doclint: stale references:"; echo "$$bad"; exit 1; fi
+
+# Run every fuzz target for five seconds each, not just its seed
+# corpus (which go test ./... already replays). Targets are discovered,
+# so a new Fuzz function is in the gate the moment it is written.
+fuzzsmoke:
+	@grep -rH --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . \
+		| sed -E 's|^(.*)/[^/]*:func (Fuzz[A-Za-z0-9_]*).*|\1 \2|' \
+		| while read pkg name; do \
+			echo "fuzz $$pkg $$name"; \
+			$(GO) test -run NONE -fuzz "^$$name\$$" -fuzztime 5s $$pkg || exit 1; \
+		done
 
 # End-to-end smoke: sslload drives an in-process sslserver open-loop
-# for 5s and gates its own report through the load-latency shape
-# checks (non-zero exit on failures or shape drift).
+# for 5s and checks its own result (non-zero exit on failures, a
+# disordered quantile, or a handshake outlasting its connection).
 loadsmoke:
 	$(GO) run ./cmd/sslload -selftest -rate 200 -duration 5s -warmup 1s -resume 0.3 -seed 1
-
-# Drift gate: re-validate every committed docs/BENCH_*.json against
-# the paper's expectation shapes and, where docs/bench_history/ holds
-# archived runs, against the most recent archive.
-checkdrift:
-	$(GO) run ./cmd/benchjson -checkdrift docs
-
-# Run every benchmark with -benchmem and refresh the machine-readable
-# results committed under docs/ (cmd/benchjson parses the go test
-# output, including custom metrics like decrypts/s, and derives the
-# /batch=N speedup curve). Before refreshing, the current committed
-# reports are archived into docs/bench_history/ with a timestamp, so
-# `make checkdrift` can compare the new numbers against the trend.
-bench:
-	mkdir -p docs/$(HISTDIR)
-	for f in docs/BENCH_*.json; do \
-		cp $$f docs/$(HISTDIR)/$$(basename $$f .json)-$$(date +%Y%m%d%H%M%S).json; \
-	done
-	$(GO) test -bench=. -benchmem -run=NONE ./...
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/rsabatch/ -bench BenchmarkBatchDecrypt \
-		-count 3 -name rsa-batch-amortization -out docs/BENCH_rsa_batch.json \
-		-note "Fiat batch RSA over a 1024-bit shared modulus: decrypts/s at batch width 1 (per-request CRT, the engine's singleton path) vs one full-size exponentiation amortized over 2/4/8 concurrent requests. Speedup is ops/s relative to batch=1."
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/record/ -bench 'BenchmarkRecord(Seal|Open)' \
-		-count 3 -name record-seal-allocs -out docs/BENCH_record.json \
-		-note "Record-layer seal/open with the pooled seal buffer and in-place MAC: steady state is one amortized allocation per sealed record (the sync.Pool interface box), down from a fresh MaxFragment buffer plus MAC scratch per record."
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench 'BenchmarkHandshakeTrace(Off|Sampled16|Always)' \
-		-count 3 -name trace-overhead -out docs/BENCH_trace.json \
-		-note "Span-tracing overhead on the full-handshake benchmark: Off is the nil-tracer baseline (one pointer test per hook), Sampled16 the documented 1-in-16 production setting, Always the worst case where every handshake records ~40 spans and folds into the live anatomy profiler."
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench 'BenchmarkHandshakeProbe(Off|Sampled16|All)' \
-		-count 3 -name probe-overhead -out docs/BENCH_probe.json \
-		-note "Probe-spine fan-out cost on the full-handshake benchmark: Off is the sink-free nil-bus path (one pointer test per hook, zero allocations), Sampled16 the production 1-in-16 trace sampling, All the worst case with every sink adapter attached — anatomy fold + telemetry counters + always-on span building riding one event stream."
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/lifecycle/ -bench BenchmarkConnTable \
-		-count 3 -name lifecycle-conn-table -out docs/BENCH_lifecycle.json \
-		-note "Conn-table hot path for the lifecycle observatory: register-close is the bare table round trip (pooled entry, lock-striped shard insert/delete), full-life adds handshake transitions with step and record events on the probe spine plus the SLO window fold, emit is one record-IO event folding into an established entry's counters. The shape gate holds every path at zero allocations per operation — attaching the observatory costs bookkeeping, not garbage."
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/history/ -bench BenchmarkHistorySample \
-		-count 3 -name history-sampler -out docs/BENCH_history.json \
-		-note "Time-series observatory tick: one SampleNow over every standard source (telemetry counters, runtime metrics via a reused sample buffer, the 10s SLO window fold, the conn-table walk, pathlen cipher/MAC totals, anatomy step shares) landing in the two-resolution rings. The shape gate holds the tick at zero allocations and under 1% of the 1s sampling interval, so /debug/history and /debug/watch can stay on in production."
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench 'Benchmark(NonBlock|GoroutinePerConn|IdleConns)' \
-		-count 3 -name nonblock -out docs/BENCH_nonblock.json \
-		-note "Sans-IO core economics: NonBlockHandshake steps the resumable FSM pair entirely in memory vs GoroutinePerConnHandshake's blocking wrappers over the pipe (same crypto, so the two must stay within 1.5x), IdleConns holds b.N established idle server conns and attributes the settled heap+stack bytes per connection — the event-loop flavor keeps only the NonBlockingConn core, the goroutine flavor also parks the per-conn serve goroutine in Read — and NonBlockReadSteady is the zero-allocation steady-state seal/feed/read round trip. The shape gate pins eventloop bytes/conn strictly below goroutine bytes/conn and the read path at 0 allocs/op."
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench 'Benchmark(Handshake|RecordThroughput)Telemetry(Off|On)' \
-		-count 3 -name telemetry-overhead -out docs/BENCH_telemetry.json \
-		-note "Telemetry off is a nil *telemetry.Registry: the emission hooks reduce to one pointer test each and allocs/op match the uninstrumented stack. On pays for the server-side anatomy recorder, flight-recorder events, and atomic counter/histogram updates — on a full RSA-1024 handshake over the in-memory pipe and on 4KB RC4-MD5 application records."
-	$(GO) run ./cmd/benchjson -quiet -pkg ./internal/ssl/ -bench BenchmarkBulkPath \
-		-count 3 -name bulk-path -out docs/BENCH_bulk.json \
-		-note "Bulk-path cycles/byte per suite from the pathlen collector riding the server's probe spine: 16KB records written through the full record layer, cipher and MAC cost attributed per primitive (the live Tables 11/12), plus the syscall story — writes/record (1.0 contiguous seal, ~1/64 vectored) and MB/s + records/s for the -seq1m (1MiB writes, flight off) vs -vec (flight pipeline) pair. The shape gate holds RC4 cheaper than AES, MD5 cheaper than SHA-1, 3DES a multiple of DES, writes/record at or under 1, and vectored throughput at or above the same-size sequential baseline."
 
 # Regenerate every table and figure of the paper (plus the ablations).
 repro:

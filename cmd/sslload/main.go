@@ -10,19 +10,18 @@
 //	sslload -addr localhost:4433 -concurrency 8 -duration 10s
 //
 // Self-contained smoke (spins up an in-process server, then checks
-// the report against the baseline shape gate):
+// the recorded distributions with loadgen.Result.Check):
 //
 //	sslload -selftest -duration 5s
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"sslperf/internal/baseline"
 	"sslperf/internal/loadgen"
 )
 
@@ -38,9 +37,8 @@ func main() {
 		suites      = flag.String("suites", "", "weighted cipher-suite mix, e.g. RC4-MD5:3,DES-CBC3-SHA:1 (empty = offer all)")
 		useTLS      = flag.Bool("tls", false, "offer TLS 1.0 instead of SSL 3.0")
 		seed        = flag.Uint64("seed", 0, "deterministic PRNG seed (0 = time-based)")
-		jsonOut     = flag.String("json", "", "write machine-readable report to this file")
-		note        = flag.String("note", "", "free-form note embedded in the JSON report")
-		selftest    = flag.Bool("selftest", false, "start an in-process server, load it, and gate the report shape")
+		jsonOut     = flag.String("json", "", "write the result as JSON to this file")
+		selftest    = flag.Bool("selftest", false, "start an in-process server, load it, and check the result")
 		keyBits     = flag.Int("keybits", 1024, "selftest server RSA key size")
 		fileSize    = flag.Int("filesize", 1024, "selftest server response payload bytes")
 	)
@@ -86,31 +84,27 @@ func main() {
 	}
 	fmt.Print(res.Text())
 
-	rep := res.Report("sslload "+strings.Join(os.Args[1:], " "), *note)
 	if *jsonOut != "" {
-		if err := rep.Write(*jsonOut); err != nil {
+		b, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nreport written to %s\n", *jsonOut)
+		if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("\nresult written to %s\n", *jsonOut)
 	}
 
 	if *selftest {
-		// The smoke gate: the run must have done real work, recorded
-		// clean distributions, and produced a shape-valid report.
+		// The smoke gate: the run must have done real work and recorded
+		// clean distributions.
 		if res.Done == 0 || res.Failed > res.Done/10 {
 			fatal(fmt.Errorf("selftest: %d done, %d failed: %v", res.Done, res.Failed, res.Errors))
 		}
-		violations, known := baseline.CheckShape(rep)
-		if !known {
-			fatal(fmt.Errorf("selftest: bench %q has no registered shape", rep.Bench))
+		if err := res.Check(); err != nil {
+			fatal(fmt.Errorf("selftest: %w", err))
 		}
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "shape violation [%s]: %s\n", v.Check, v.Detail)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("\nselftest OK: %d connections, report passes the %s shape gate\n", res.Done, rep.Bench)
+		fmt.Printf("\nselftest OK: %d connections, distributions consistent\n", res.Done)
 	}
 }
 

@@ -235,7 +235,7 @@ func (o *observers) engineSinks() []probe.Sink {
 // registry, mounts /metrics, /debug/flightrecorder, /debug/trace,
 // /debug/anatomy, /debug/health, and pprof on one mux, and serves it.
 func buildProbes(f probeFlags) *observers {
-	o := &observers{pathlen: pathlen.NewCollector()}
+	o := &observers{}
 	if f.TraceEvery > 0 {
 		o.tracer = trace.NewTracer(trace.Config{
 			SampleEvery: f.TraceEvery,
@@ -261,6 +261,9 @@ func buildProbes(f probeFlags) *observers {
 	o.reg = telemetry.NewRegistrySize(f.FlightRecorder)
 	mux := http.NewServeMux()
 	telemetry.Register(mux, o.reg)
+	// The path-length collector exists only where /debug/pathlength can
+	// serve it; without -telemetry connections run the sink-free path.
+	o.pathlen = pathlen.NewCollector()
 	pathlen.Register(mux, o.pathlen)
 	lifecycle.Register(mux, o.lifecycle)
 	slo.Register(mux, o.slo)

@@ -1,3 +1,6 @@
+// Package baseline folds the live anatomy profiler's Table 2/3 shares
+// through the paper's expectations, so a server can answer "is the RSA
+// step still ~90% of the handshake?" continuously at /debug/health.
 package baseline
 
 import (
@@ -50,48 +53,6 @@ type AnatomyExpectation struct {
 	// 90.4%, measured 82.2%).
 	DominantCategory       string  `json:"dominant_category"`
 	MinDominantCategoryPct float64 `json:"min_dominant_category_pct"`
-
-	// Bulk is the bulk-path half of the expectation: Tables 11/12's
-	// per-byte orderings. It gates offline via `make checkdrift`
-	// against docs/BENCH_bulk.json (the "bulk-path" shape) rather
-	// than live at /debug/health, since cycles/byte needs a sustained
-	// transfer to mean anything.
-	Bulk BulkExpectation `json:"bulk"`
-}
-
-// BulkExpectation pins the paper's Table 11/12 per-byte cost
-// orderings for the bulk data path.
-type BulkExpectation struct {
-	// CheapCipher must cost fewer cycles/byte than CostlyCipher
-	// (Table 11: RC4 is the cheapest symmetric cipher, well under
-	// AES), and CheapMAC fewer than CostlyMAC (Table 12: MD5 under
-	// SHA-1).
-	CheapCipher  string `json:"cheap_cipher"`
-	CostlyCipher string `json:"costly_cipher"`
-	CheapMAC     string `json:"cheap_mac"`
-	CostlyMAC    string `json:"costly_mac"`
-
-	// MinTripleDESRatio floors 3DES/DES cycles-per-byte: three
-	// passes should cost ~3x one, so a ratio near 1 means the triple
-	// path collapsed.
-	MinTripleDESRatio float64 `json:"min_3des_des_ratio"`
-
-	// MaxWritesPerRecord caps transport writes per sealed record on
-	// every bulk result that reports the metric. The legacy path's
-	// header+body pair cost 2; the contiguous seal costs 1; the
-	// vectored flight path a fraction of 1. Anything above the cap
-	// means the two-syscalls-per-record bug is back.
-	MaxWritesPerRecord float64 `json:"max_writes_per_record"`
-
-	// MinVectoredSpeedup floors each "-vec" result's MB/s against its
-	// matching "-seq1m" result (same suite, same 1 MiB write size,
-	// flight path off): the flight-coalesced vectored path must move
-	// at least this multiple of the sequential record-at-a-time
-	// throughput, or the pipeline is costing more than it saves. Set
-	// slightly under 1 so single-core hosts — where MAC lanes cannot
-	// physically overlap and block ciphers measure dead even — pass
-	// within benchmark noise.
-	MinVectoredSpeedup float64 `json:"min_vectored_speedup"`
 }
 
 // PaperExpectation returns the default expectation derived from the
@@ -104,18 +65,6 @@ func PaperExpectation() AnatomyExpectation {
 		MinCryptoPct:           60,
 		DominantCategory:       probe.CategoryPublic,
 		MinDominantCategoryPct: 50,
-		Bulk: BulkExpectation{
-			CheapCipher:       "RC4",
-			CostlyCipher:      "AES",
-			CheapMAC:          "MD5",
-			CostlyMAC:         "SHA-1",
-			MinTripleDESRatio: 1.8,
-			// One contiguous write per record at most; the vectored
-			// path must at least match the sequential throughput at
-			// the same write size, within single-core noise.
-			MaxWritesPerRecord: 1.0,
-			MinVectoredSpeedup: 0.95,
-		},
 	}
 }
 

@@ -101,7 +101,9 @@ func NewClientFSM(conn RecordConn, cfg *ClientConfig) (*ClientFSM, error) {
 	if cfg.Rand == nil {
 		return nil, errors.New("handshake: client needs a randomness source")
 	}
-	c := &clientState{conn: conn, cfg: cfg, msgs: newMsgReader(conn)}
+	// A client must take the server's certificate chain, which can span
+	// many records.
+	c := &clientState{conn: conn, cfg: cfg, msgs: newMsgReader(conn, 1<<20)}
 	return &ClientFSM{c: c}, nil
 }
 

@@ -17,12 +17,18 @@ import (
 type msgReader struct {
 	conn RecordConn
 	buf  []byte
+	// maxBody caps an announced message body, checked on the header
+	// before any of the body is buffered: an unauthenticated peer must
+	// not make this side hold more than its largest legitimate message.
+	maxBody int
 	// sawCCS is set when a ChangeCipherSpec record arrives while a
 	// handshake message was expected; the FSMs consume it explicitly.
 	sawCCS bool
 }
 
-func newMsgReader(c RecordConn) *msgReader { return &msgReader{conn: c} }
+func newMsgReader(c RecordConn, maxBody int) *msgReader {
+	return &msgReader{conn: c, maxBody: maxBody}
+}
 
 // fill reads records until at least n buffered handshake bytes are
 // available. On ErrWouldBlock the bytes gathered so far stay
@@ -54,8 +60,8 @@ func (r *msgReader) next() (byte, []byte, error) {
 		return 0, nil, err
 	}
 	bodyLen := int(r.buf[1])<<16 | int(r.buf[2])<<8 | int(r.buf[3])
-	if bodyLen > 1<<20 {
-		return 0, nil, fmt.Errorf("handshake: message of %d bytes is implausible", bodyLen)
+	if bodyLen > r.maxBody {
+		return 0, nil, fmt.Errorf("handshake: malformed message: %d-byte body exceeds the %d-byte cap", bodyLen, r.maxBody)
 	}
 	if err := r.fill(4 + bodyLen); err != nil {
 		return 0, nil, err

@@ -179,7 +179,9 @@ func NewServerFSM(conn RecordConn, cfg *ServerConfig, a *Anatomy) (*ServerFSM, e
 	if conn.ProbeBus() == nil || conn.ProbeBus() == cfg.Probe {
 		conn.SetProbe(bus)
 	}
-	s := &serverState{conn: conn, cfg: cfg, bus: bus, msgs: newMsgReader(conn)}
+	// A server reads nothing larger than a ClientHello or a
+	// ClientKeyExchange; one record's worth is already generous.
+	s := &serverState{conn: conn, cfg: cfg, bus: bus, msgs: newMsgReader(conn, record.MaxFragment)}
 	return &ServerFSM{s: s}, nil
 }
 

@@ -11,17 +11,12 @@ import (
 	"sslperf/internal/trace"
 )
 
-// BenchmarkHistorySample is the sampler's cost gate: one full tick
-// over every standard source (telemetry, runtime, slo, lifecycle,
-// pathlen, anatomy). The committed baseline pins 0 allocs/op and an
-// ns/op far under 1% of a CPU at the 1s default resolution — the
-// history-sampler shape in `make checkdrift`.
-func BenchmarkHistorySample(b *testing.B) {
+// warmStandardSampler builds a History over every standard source
+// (telemetry, runtime, slo, lifecycle, pathlen, anatomy) with enough
+// state that the fold paths run, and ticks it past its warm-up.
+func warmStandardSampler() *History {
 	reg := telemetry.NewRegistry()
 	tracker := slo.New(slo.Config{})
-	table := lifecycle.NewTable(lifecycle.Options{})
-	collector := pathlen.NewCollector()
-	profiler := trace.NewProfiler()
 
 	// Give the surfaces some state so the fold paths run, not the
 	// empty-case shortcuts.
@@ -37,19 +32,36 @@ func BenchmarkHistorySample(b *testing.B) {
 		Telemetry: reg,
 		Runtime:   true,
 		SLO:       tracker,
-		Lifecycle: table,
-		Pathlen:   collector,
-		Anatomy:   profiler,
+		Lifecycle: lifecycle.NewTable(lifecycle.Options{}),
+		Pathlen:   pathlen.NewCollector(),
+		Anatomy:   trace.NewProfiler(),
 	})
 
 	// Warm up: the first runtime/metrics read allocates its histogram
 	// buffers; steady state must not.
 	h.SampleNow()
 	h.SampleNow()
+	return h
+}
 
+// BenchmarkHistorySample times one full tick over every standard
+// source; it has to stay far under the 1s default sampling interval.
+func BenchmarkHistorySample(b *testing.B) {
+	h := warmStandardSampler()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.SampleNow()
+	}
+}
+
+// TestSampleNowZeroAlloc pins the steady-state tick at zero
+// allocations, so /debug/history and /debug/watch can stay on in
+// production. An allocation means a source's accessor regressed onto
+// a Snapshot()-style rendering path.
+func TestSampleNowZeroAlloc(t *testing.T) {
+	h := warmStandardSampler()
+	if a := testing.AllocsPerRun(100, h.SampleNow); a != 0 {
+		t.Fatalf("SampleNow over the standard sources allocates %.1f/tick, want 0", a)
 	}
 }

@@ -8,39 +8,25 @@ import (
 	"sslperf/internal/slo"
 )
 
-// BenchmarkConnTable pins the conn-table hot path: registering,
-// transitioning, and closing an entry must be allocation-free steady
-// state (the sync.Pool recycles entries, the shard maps reuse freed
-// slots), so attaching the observatory to a server costs bookkeeping,
-// not garbage. The figures land in docs/BENCH_lifecycle.json via make
-// bench, gated at zero allocs/op by the lifecycle-conn-table shape.
-func BenchmarkConnTable(b *testing.B) {
-	warm := func(t *Table) {
-		for i := 0; i < 64; i++ {
-			t.Register("warm").Close()
-		}
-	}
-
-	b.Run("register-close", func(b *testing.B) {
-		tab := NewTable(Options{})
-		warm(tab)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tab.Register("bench").Close()
-		}
-	})
-
-	b.Run("full-life", func(b *testing.B) {
+// connTableOps are the conn-table hot paths, each set up warm and
+// handed back as one operation. BenchmarkConnTable times them and
+// TestConnTableZeroAlloc gates them, so the two cannot measure
+// different bodies.
+var connTableOps = []struct {
+	name  string
+	setup func() (op func())
+}{
+	{"register-close", func() func() {
+		tab := warmTable(Options{})
+		return func() { tab.Register("bench").Close() }
+	}},
+	{"full-life", func() func() {
 		// The whole lifecycle a served connection pays: register,
 		// handshake transitions with step and record events on the
 		// spine, SLO fold, close.
-		tab := NewTable(Options{SLO: slo.New(slo.Config{})})
-		warm(tab)
+		tab := warmTable(Options{SLO: slo.New(slo.Config{})})
 		at := time.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		return func() {
 			c := tab.Register("bench")
 			c.HandshakeStart()
 			c.Emit(probe.Event{Kind: probe.KindStepEnter, Step: probe.StepGetClientHello, At: at})
@@ -53,17 +39,49 @@ func BenchmarkConnTable(b *testing.B) {
 			c.Draining()
 			c.Close()
 		}
-	})
-
-	b.Run("emit", func(b *testing.B) {
-		tab := NewTable(Options{})
-		c := tab.Register("bench")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 1024, Written: i&1 == 0})
+	}},
+	{"emit", func() func() {
+		c := NewTable(Options{}).Register("bench")
+		written := false
+		return func() {
+			written = !written
+			c.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 1024, Written: written})
 		}
-		b.StopTimer()
-		c.Close()
-	})
+	}},
+}
+
+func warmTable(o Options) *Table {
+	tab := NewTable(o)
+	for i := 0; i < 64; i++ {
+		tab.Register("warm").Close()
+	}
+	return tab
+}
+
+// BenchmarkConnTable times the conn-table hot path: what attaching the
+// observatory to a server costs per connection and per record event.
+func BenchmarkConnTable(b *testing.B) {
+	for _, o := range connTableOps {
+		b.Run(o.name, func(b *testing.B) {
+			op := o.setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
+// TestConnTableZeroAlloc pins the same paths at zero allocations per
+// operation: registering, transitioning, and closing an entry recycle
+// pooled entries and reuse freed shard-map slots, so the observatory
+// costs bookkeeping, not garbage. An allocation here means the entry
+// pool or the fixed-size timeline regressed.
+func TestConnTableZeroAlloc(t *testing.T) {
+	for _, o := range connTableOps {
+		if a := testing.AllocsPerRun(100, o.setup()); a != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", o.name, a)
+		}
+	}
 }

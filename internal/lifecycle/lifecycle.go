@@ -16,8 +16,8 @@
 // The table is sharded 64 ways by connection ID and entries are
 // pooled, so registering, transitioning, and closing a connection is
 // allocation-free steady-state and a million live entries do not
-// contend on one lock (docs/BENCH_lifecycle.json holds the measured
-// hot-path cost).
+// contend on one lock (TestConnTableZeroAlloc pins the 0 allocs/op,
+// BenchmarkConnTable times the hot path).
 package lifecycle
 
 import (

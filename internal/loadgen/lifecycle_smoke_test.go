@@ -57,6 +57,15 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 	if err := held.Handshake(); err != nil {
 		t.Fatal(err)
 	}
+	// The client's handshake returns on the server's Finished, a moment
+	// before the server marks its side established; one answered
+	// request proves it has.
+	if _, err := held.Write([]byte("GET /\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := held.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
 
 	var connsSnap lifecycle.Snapshot
 	getJSON(t, web.URL+"/debug/conns?state=established", &connsSnap)

@@ -18,9 +18,9 @@
 //
 // Warmup-phase transactions run but are discarded from the recorded
 // distributions. Phases (connect / handshake / first-byte / total)
-// land in log-bucketed telemetry.ValueHistograms in microseconds, and
-// the run renders as a machine-readable report in the committed
-// docs/BENCH_*.json shape so internal/baseline can gate on it.
+// land in log-bucketed telemetry.ValueHistograms in microseconds; the
+// Result renders as text or marshals as JSON, and Check holds its
+// internal consistency conditions.
 package loadgen
 
 import (

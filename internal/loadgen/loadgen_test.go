@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -121,35 +122,63 @@ func TestClosedLoopResumptionAndMix(t *testing.T) {
 	}
 }
 
-func TestReportShapePassesBaselineGate(t *testing.T) {
+func TestResultCheckAndText(t *testing.T) {
 	srv := startTestServer(t)
+	mix, err := ParseSuiteMix("RC4-MD5,DES-CBC3-SHA")
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Run(Config{
 		Addr:     srv.Addr(),
 		Rate:     200,
 		Duration: 300 * time.Millisecond,
 		Warmup:   50 * time.Millisecond,
+		Mix:      mix,
 		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := res.Report("test", "unit-test run")
-	if rep.Bench != BenchName {
-		t.Fatalf("bench = %q", rep.Bench)
+	if err := res.Check(); err != nil {
+		t.Fatalf("clean run fails its self-check: %v", err)
 	}
-	for _, name := range []string{PhaseConnect, PhaseHandshake, PhaseFirstByte, PhaseTotal, PhaseTotalCorrected, "throughput", "outcomes"} {
-		if rep.Results[name] == nil {
-			t.Fatalf("report missing %q: have %v", name, rep.SortedResults())
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Result
+	if err := json.Unmarshal(b, &back); err != nil || back.Done != res.Done || len(back.Phases) != len(res.Phases) {
+		t.Fatalf("JSON round trip: %v, done %d/%d", err, back.Done, res.Done)
+	}
+
+	// Map-keyed sections render sorted, so identical runs diff clean:
+	// each landmark must follow the previous one, on every rendering.
+	res.Errors = map[string]uint64{"read: b": 1, "dial: a": 2}
+	for i := 0; i < 20; i++ {
+		txt, at := res.Text(), 0
+		for _, want := range []string{"p95", "handshake", "suite mix:", "DES-CBC3-SHA", "RC4-MD5", "errors:", "dial: a", "read: b"} {
+			j := strings.Index(txt[at:], want)
+			if j < 0 {
+				t.Fatalf("text rendering lacks %q in order:\n%s", want, txt)
+			}
+			at += j
 		}
 	}
-	hs := rep.Results[PhaseHandshake].Metrics
-	for _, m := range []string{"mean_us", "p50_us", "p95_us", "p99_us", "max_us"} {
-		if _, ok := hs[m]; !ok {
-			t.Fatalf("handshake metrics missing %s: %v", m, hs)
-		}
+
+	// A disordered quantile or a handshake outlasting its total fails.
+	total := &res.Phases[3]
+	if total.Name != PhaseTotal {
+		t.Fatalf("phase 3 is %q", total.Name)
 	}
-	if txt := res.Text(); !strings.Contains(txt, "handshake") || !strings.Contains(txt, "p95") {
-		t.Fatalf("text rendering:\n%s", txt)
+	saved := total.Hist
+	total.Hist.P95 = total.Hist.Max + 1
+	if err := res.Check(); err == nil || !strings.Contains(err.Error(), "not monotone") {
+		t.Fatalf("disordered quantile passed: %v", err)
+	}
+	total.Hist = saved
+	total.Hist.Mean = 0
+	if err := res.Check(); err == nil || !strings.Contains(err.Error(), "exceeds mean total") {
+		t.Fatalf("handshake > total passed: %v", err)
 	}
 }
 

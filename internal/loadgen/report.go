@@ -1,67 +1,37 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
-
-	"sslperf/internal/baseline"
 )
 
-// BenchName is the report's bench field; internal/baseline registers
-// the matching expectation shape under it.
-const BenchName = "load-latency"
-
-// Report renders the run as a machine-readable report in the
-// committed docs/BENCH_*.json shape: one result per phase with
-// mean/p50/p95/p99/max in microseconds, plus throughput and outcome
-// rows, so the baseline drift engine can gate load runs exactly like
-// microbenchmarks.
-func (res *Result) Report(command, note string) *baseline.Report {
-	rep := &baseline.Report{
-		Bench:   BenchName,
-		Date:    time.Now().Format("2006-01-02"),
-		Machine: baseline.Machine(),
-		Command: command,
-		Note:    note,
-		Results: map[string]*baseline.BenchResult{},
-	}
+// Check reports whether the recorded distributions are internally
+// consistent: each phase's quantiles must be ordered (p50 <= p95 <=
+// p99 <= max) and the phases must nest (the handshake is part of the
+// total, so its mean cannot exceed the total's).
+func (res *Result) Check() error {
+	var errs []error
+	means := map[string]float64{}
 	for _, p := range res.Phases {
-		if p.Hist.Count == 0 {
+		h := p.Hist
+		if h.Count == 0 {
 			continue
 		}
-		rep.Results[p.Name] = &baseline.BenchResult{
-			Iterations: int64(p.Hist.Count),
-			Metrics: map[string]float64{
-				"mean_us": round1(p.Hist.Mean),
-				"p50_us":  float64(p.Hist.P50),
-				"p95_us":  float64(p.Hist.P95),
-				"p99_us":  float64(p.Hist.P99),
-				"max_us":  float64(p.Hist.Max),
-			},
+		means[p.Name] = h.Mean
+		if h.P50 > h.P95 || h.P95 > h.P99 || h.P99 > h.Max {
+			errs = append(errs, fmt.Errorf("%s: p50 %d / p95 %d / p99 %d / max %d not monotone",
+				p.Name, h.P50, h.P95, h.P99, h.Max))
 		}
 	}
-	secs := res.Elapsed.Seconds()
-	if secs > 0 {
-		rep.Results["throughput"] = &baseline.BenchResult{
-			Iterations: int64(res.Done),
-			Metrics: map[string]float64{
-				"conns/s":    round1(float64(res.Done) / secs),
-				"requests/s": round1(float64(res.Requests) / secs),
-				"MB/s":       round1(float64(res.Bytes) / 1e6 / secs),
-			},
-		}
+	hs, okHS := means[PhaseHandshake]
+	total, okT := means[PhaseTotal]
+	if okHS && okT && hs > total {
+		errs = append(errs, fmt.Errorf("mean handshake %.0fus exceeds mean total %.0fus", hs, total))
 	}
-	rep.Results["outcomes"] = &baseline.BenchResult{
-		Iterations: int64(res.Started),
-		Metrics: map[string]float64{
-			"done":             float64(res.Done),
-			"failed":           float64(res.Failed),
-			"resumed":          float64(res.Resumed),
-			"warmup_discarded": float64(res.WarmupDiscarded),
-		},
-	}
-	return rep
+	return errors.Join(errs...)
 }
 
 // Text renders the run as an aligned human-readable summary.
@@ -94,14 +64,14 @@ func (res *Result) Text() string {
 	}
 	if len(res.BySuite) > 0 {
 		sb.WriteString("\nsuite mix:\n")
-		for name, n := range res.BySuite {
-			fmt.Fprintf(&sb, "  %-28s %d\n", name, n)
+		for _, name := range sortedKeys(res.BySuite) {
+			fmt.Fprintf(&sb, "  %-28s %d\n", name, res.BySuite[name])
 		}
 	}
 	if len(res.Errors) > 0 {
 		sb.WriteString("\nerrors:\n")
-		for reason, n := range res.Errors {
-			fmt.Fprintf(&sb, "  %-40s %d\n", reason, n)
+		for _, reason := range sortedKeys(res.Errors) {
+			fmt.Fprintf(&sb, "  %-40s %d\n", reason, res.Errors[reason])
 		}
 	}
 	return sb.String()
@@ -120,6 +90,13 @@ func usStr(us float64) string {
 	}
 }
 
-func round1(v float64) float64 {
-	return float64(int64(v*10+0.5)) / 10
+// sortedKeys returns m's keys in order, so two identical runs render
+// identically.
+func sortedKeys(m map[string]uint64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

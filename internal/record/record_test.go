@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"io"
+	"runtime/debug"
 	"sslperf/internal/probe"
 	"strings"
 	"testing"
@@ -96,6 +97,50 @@ func TestAllSuitesRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSealOpenSteadyStateAllocs pins the pooled-buffer record path for
+// a stream and a block suite: once warm, sealing a full-size record
+// allocates at most once (the sync.Pool interface box; 0 measured) and
+// opening it at most twice (2 measured). A fresh MaxFragment buffer or
+// MAC scratch per record would show up here as 3+.
+func TestSealOpenSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates on sync paths")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, name := range []string{"RC4-MD5", "DES-CBC3-SHA"} {
+		s, _ := suite.ByName(name)
+		payload := payloadOf(MaxFragment)
+		// Two armed pairs: one only seals (its receiver never reads, so
+		// it cannot share cipher state with the pair that also opens).
+		sealer, unread, sink := oneWay()
+		arm(t, s, sealer, unread)
+		sender, receiver, buf := oneWay()
+		arm(t, s, sender, receiver)
+		seal := func() {
+			sink.Reset()
+			if err := sealer.WriteRecord(TypeApplicationData, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sealOpen := func() {
+			buf.Reset()
+			if err := sender.WriteRecord(TypeApplicationData, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := receiver.ReadRecord(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seal() // warm the pool and the layers' buffers
+		sealOpen()
+		sealAllocs := testing.AllocsPerRun(20, seal)
+		openAllocs := testing.AllocsPerRun(20, sealOpen) - sealAllocs
+		if sealAllocs > 1 || openAllocs > 2 {
+			t.Errorf("%s: %.0f allocs/record sealing, %.0f opening; want <= 1 and <= 2", name, sealAllocs, openAllocs)
+		}
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 )
 
 // BenchmarkBulkPath measures the server-side bulk transfer path per
-// suite — the workload behind docs/BENCH_bulk.json and the live
-// /debug/pathlength table. A pathlen collector rides the server's
-// spine; after the timed transfer its fold yields the cipher and MAC
-// cycles/byte (and, via the abstract-instruction CPI, the measured
-// instructions/byte) that the baseline bulk-path shape gates: RC4 must
-// stay cheaper per byte than AES and MD5 cheaper than SHA-1, the
-// ordering the paper's Tables 11/12 report.
+// suite — the workload behind the live /debug/pathlength table. A
+// pathlen collector rides the server's spine; after the timed transfer
+// its fold yields the cipher and MAC cycles/byte (and, via the
+// abstract-instruction CPI, the measured instructions/byte) in the
+// ordering the paper's Tables 11/12 report: RC4 cheaper per byte than
+// AES, MD5 cheaper than SHA-1 (pathlen.TestModelShape pins that
+// ordering on the counting kernels).
 //
 // Each result also reports the syscall story the flight work is
 // about: writes/record (transport writes per sealed record — 2 on the
@@ -25,8 +25,9 @@ import (
 // the vectored path) and records/s. The "-vec" variants push 1 MiB
 // application writes through the flight pipeline — fragmented
 // zero-copy, MACs pipelined, one vectored flush per 64-record window
-// — and the bulk shape gate holds their MB/s at or above the
-// record-at-a-time results'.
+// — to compare against the "-seq1m" record-at-a-time results;
+// TestWriteCallsPinned and the record flight tests pin the write
+// counts, bench/'s bulk_download the throughput.
 func BenchmarkBulkPath(b *testing.B) {
 	for _, name := range []string{
 		"RC4-MD5", "RC4-SHA", "DES-CBC-SHA", "DES-CBC3-SHA",
@@ -42,7 +43,7 @@ func BenchmarkBulkPath(b *testing.B) {
 
 // Bulk benchmark modes: one 16 KiB record per write (the historical
 // shape), 1 MiB writes through the sequential record-at-a-time path
-// (flight disabled — the vectored gate's baseline), and 1 MiB writes
+// (flight disabled — the vectored path's baseline), and 1 MiB writes
 // through the flight pipeline.
 type bulkMode int
 
@@ -53,7 +54,7 @@ const (
 )
 
 const (
-	bulkChunk  = 16384             // one max-size record per write
+	bulkChunk  = 16384                   // one max-size record per write
 	bulkFlight = 64 * record.MaxFragment // one full flight window per write
 )
 

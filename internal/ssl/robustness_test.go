@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/probe"
 	"sslperf/internal/suite"
 )
 
@@ -158,6 +159,22 @@ func TestServerSurvivesGarbageStreams(t *testing.T) {
 		if err := runServerAgainst(t, uint64(3000+i), garbage); err == nil {
 			t.Fatalf("server completed a handshake against garbage (%d bytes)", len(garbage))
 		}
+	}
+}
+
+// A server reads nothing larger than a ClientHello or ClientKeyExchange,
+// so a header announcing 100 KB must fail on the first record — not
+// park for the rest of a "message" an unauthenticated peer chose.
+func TestServerCapsHandshakeMessage(t *testing.T) {
+	srv := NonBlockingServer(identity(t).ServerConfig(NewPRNG(4100)))
+	body := make([]byte, 60)
+	srv.Feed(append([]byte{22, 3, 0, 0, byte(4 + len(body)), 1, 0x01, 0x86, 0xa0}, body...))
+	err := srv.HandshakeStep()
+	if err == nil || err == ErrWouldBlock {
+		t.Fatalf("server waits for a 100 KB handshake message: %v", err)
+	}
+	if got := Classify(err); got != probe.FailBadMessage {
+		t.Fatalf("oversized message classified %v (%v), want %v", got, err, probe.FailBadMessage)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // benchConfigs returns client/server configs, instrumented or not.
-func benchConfigs(b *testing.B, reg *telemetry.Registry) (*Config, *Config) {
+func benchConfigs(b testing.TB, reg *telemetry.Registry) (*Config, *Config) {
 	b.Helper()
 	id := identity(b)
 	scfg := id.ServerConfig(NewPRNG(31))
@@ -18,7 +18,7 @@ func benchConfigs(b *testing.B, reg *telemetry.Registry) (*Config, *Config) {
 
 // benchHandshake measures full handshakes per op over the in-memory
 // pipe — the disabled-path (reg == nil) run is the baseline the
-// BENCH_telemetry.json overhead figures compare against.
+// telemetry-on figure compares against.
 func benchHandshake(b *testing.B, reg *telemetry.Registry) {
 	ccfg, scfg := benchConfigs(b, reg)
 	b.ReportAllocs()

@@ -7,10 +7,10 @@ import (
 )
 
 // benchHandshakeTraced is benchHandshake with a tracer on the server
-// side: the tracing-off run is the baseline the BENCH_trace.json
-// overhead figures compare against, SampleEvery=16 is the documented
-// production setting, and SampleEvery=1 is the worst case (every
-// handshake records ~40 spans and folds into the profiler).
+// side: the tracing-off run is the baseline the other two compare
+// against, SampleEvery=16 is the documented production setting, and
+// SampleEvery=1 is the worst case (every handshake records ~40 spans
+// and folds into the profiler).
 func benchHandshakeTraced(b *testing.B, tracer *trace.Tracer) {
 	ccfg, scfg := benchConfigs(b, nil)
 	scfg.Tracer = tracer
