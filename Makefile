@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -34,6 +34,7 @@ check:
 	$(GO) vet ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
+	$(MAKE) depslint
 	$(MAKE) pathlenlint
 	$(MAKE) failclasslint
 	$(MAKE) doclint
@@ -70,10 +71,23 @@ clocklint:
 # wrapper (ssl/ssl.go); those two files are exempt.
 blocklint:
 	@bad=$$(grep -n 'io\.ReadFull\|\.Read(' internal/handshake/*.go internal/record/core.go \
-		internal/ssl/nonblock.go internal/ssl/probes.go internal/ssl/telemetry.go internal/ssl/trace.go \
+		internal/ssl/nonblock.go internal/ssl/probes.go \
 		| grep -v _test.go | grep -v 'lint:allow-read'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "blocklint: blocking reads inside the sans-IO core (mark intentional non-transport ones with // lint:allow-read):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# The protocol layers know the observatory only as the probe spine:
+# connections emit events, and whoever wires a server decides which
+# observers listen. An import of a sink package from ssl, handshake or
+# record would put the observatory back on the hot path (and link it
+# into bench/'s client).
+depslint:
+	@bad=$$($(GO) list -deps ./internal/ssl ./internal/handshake ./internal/record \
+		| grep -E '^sslperf/internal/(telemetry|trace|lifecycle|slo|history|debughttp|pathlen)$$'; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "depslint: the protocol layers import the observatory:"; \
 		echo "$$bad"; exit 1; \
 	fi
 

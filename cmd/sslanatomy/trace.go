@@ -3,6 +3,7 @@ package main
 import (
 	"time"
 
+	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
 	"sslperf/internal/trace"
@@ -28,11 +29,11 @@ func captureHandshakeTrace(seed uint64, keyBits int, suiteName string, version u
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	clientT, serverT := ssl.Pipe()
 	server := ssl.ServerConn(serverT, &ssl.Config{
-		Rand:    ssl.NewPRNG(seed + 1),
-		Key:     id.Key,
-		CertDER: id.CertDER,
-		Suites:  suites,
-		Tracer:  tracer,
+		Rand:      ssl.NewPRNG(seed + 1),
+		Key:       id.Key,
+		CertDER:   id.CertDER,
+		Suites:    suites,
+		Observers: []probe.Observer{tracer},
 	})
 	client := ssl.ClientConn(clientT, &ssl.Config{
 		Rand:               ssl.NewPRNG(seed + 2),

@@ -133,8 +133,7 @@ func listenFD(addr string) (int, error) {
 
 // acceptReady drains the accept queue, wrapping each new socket in a
 // NonBlockingConn with the same per-connection config (PRNG, batch
-// key, telemetry, lifecycle, trace sampling) the goroutine server
-// builds.
+// key, observers, trace sampling) the goroutine server builds.
 func (el *eventLoop) acceptReady() {
 	for {
 		fd, sa, err := syscall.Accept4(el.lfd,
@@ -150,13 +149,12 @@ func (el *eventLoop) acceptReady() {
 			return
 		}
 		cfg, ct := el.srv.configFor()
+		if ct != nil {
+			ct.Event("accept", trace.CatConn, 0, time.Now(), 0)
+		}
 		nc := ssl.NonBlockingServer(cfg)
 		c := &elConn{fd: fd, nc: nc, remote: sockaddrString(sa)}
 		nc.SetRemoteAddr(c.remote)
-		if ct != nil {
-			ct.Event("accept", trace.CatConn, 0, time.Now(), 0)
-			nc.SetTrace(ct)
-		}
 		if err := syscall.EpollCtl(el.epfd, syscall.EPOLL_CTL_ADD, fd,
 			&syscall.EpollEvent{Events: syscall.EPOLLIN | syscall.EPOLLRDHUP, Fd: int32(fd)}); err != nil {
 			log.Printf("epoll_ctl add: %v", err)
@@ -165,8 +163,9 @@ func (el *eventLoop) acceptReady() {
 		}
 		el.conns[fd] = c
 		// Kick the FSM once: the ClientHello has not arrived, so this
-		// suspends immediately — but it starts the telemetry/lifecycle
-		// clocks and parks the entry in the new suspended state.
+		// suspends immediately — but it opens the connection on its
+		// observers, starts their handshake clocks, and parks the table
+		// entry in the suspended state.
 		el.pump(c)
 	}
 }

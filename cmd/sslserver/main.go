@@ -122,10 +122,8 @@ func main() {
 
 	srv := &server{
 		cache:     handshake.NewSessionCache(4096),
-		telemetry: obs.reg,
+		observers: obs.conn,
 		tracer:    obs.tracer,
-		pathlen:   obs.pathlen,
-		lifecycle: obs.lifecycle,
 		connLog:   newLogLimiter(*logRate),
 		seed:      seedVal,
 		bulkWidth: *bulkWidth,
@@ -211,10 +209,11 @@ type probeFlags struct {
 	History        time.Duration
 }
 
-// observers is everything buildProbes wires up: the metrics registry
-// and span tracer the per-connection configs subscribe, the live
-// connection table with its SLO windows, plus the engine sinks
-// background engines (batch RSA) emit into.
+// observers is everything buildProbes wires up: the metrics registry,
+// live connection table (with its SLO windows) and path-length
+// collector that watch every connection, the span tracer that samples
+// them, plus the engine sinks background engines (batch RSA) emit
+// into.
 type observers struct {
 	reg       *telemetry.Registry
 	tracer    *trace.Tracer
@@ -222,12 +221,17 @@ type observers struct {
 	lifecycle *lifecycle.Table
 	slo       *slo.Tracker
 	history   *history.History
+
+	// conn is what every connection's config carries: the observers
+	// above that exist, so a server nobody can read runs the sink-free
+	// path. The tracer is not among them — configFor samples at accept
+	// and hands the connection its trace.
+	conn []probe.Observer
 }
 
-// engineSinks returns the probe sinks an engine should fan out to —
-// the spine-facing equivalent of passing Telemetry/Tracer directly.
+// engineSinks returns the probe sinks an engine should fan out to.
 func (o *observers) engineSinks() []probe.Sink {
-	return []probe.Sink{telemetry.EngineSink(o.reg), trace.EngineSink(o.tracer)}
+	return []probe.Sink{o.reg.Observe(), trace.EngineSink(o.tracer)}
 }
 
 // buildProbes is the single place the -telemetry/-trace/-pprof flag
@@ -236,12 +240,6 @@ func (o *observers) engineSinks() []probe.Sink {
 // /debug/anatomy, /debug/health, and pprof on one mux, and serves it.
 func buildProbes(f probeFlags) *observers {
 	o := &observers{}
-	if f.TraceEvery > 0 {
-		o.tracer = trace.NewTracer(trace.Config{
-			SampleEvery: f.TraceEvery,
-			MaxPerSec:   f.TraceRate,
-		})
-	}
 	if f.TelemetryAddr != "" || f.CloseLogW != nil {
 		// The conn table exists whenever something reads it: the
 		// /debug/conns + /debug/slo endpoints, or the close-log alone.
@@ -251,12 +249,22 @@ func buildProbes(f probeFlags) *observers {
 		}
 		o.slo = slo.New(slo.Config{TargetP99: f.SLOTarget, ErrorBudget: f.SLOBudget})
 		o.lifecycle = lifecycle.NewTable(lifecycle.Options{SLO: o.slo, CloseLog: cl})
+		o.conn = append(o.conn, o.lifecycle)
 	}
 	if f.TelemetryAddr == "" {
-		if o.tracer != nil || f.Pprof {
-			log.Printf("warning: -trace/-pprof need -telemetry to be served; enabling tracing without an endpoint")
+		// /debug/trace, /debug/anatomy and pprof are served on the
+		// telemetry address: without one nothing could read a trace, so
+		// none is sampled or built.
+		if f.TraceEvery > 0 || f.Pprof {
+			log.Printf("warning: -trace/-pprof need -telemetry to be served; ignoring them")
 		}
 		return o
+	}
+	if f.TraceEvery > 0 {
+		o.tracer = trace.NewTracer(trace.Config{
+			SampleEvery: f.TraceEvery,
+			MaxPerSec:   f.TraceRate,
+		})
 	}
 	o.reg = telemetry.NewRegistrySize(f.FlightRecorder)
 	mux := http.NewServeMux()
@@ -264,6 +272,7 @@ func buildProbes(f probeFlags) *observers {
 	// The path-length collector exists only where /debug/pathlength can
 	// serve it; without -telemetry connections run the sink-free path.
 	o.pathlen = pathlen.NewCollector()
+	o.conn = append(o.conn, o.reg, o.pathlen)
 	pathlen.Register(mux, o.pathlen)
 	lifecycle.Register(mux, o.lifecycle)
 	slo.Register(mux, o.slo)
@@ -341,10 +350,8 @@ type server struct {
 	certs     [][]byte
 	engine    *rsabatch.Engine
 	cache     *handshake.SessionCache
-	telemetry *telemetry.Registry
-	tracer    *trace.Tracer
-	pathlen   *pathlen.Collector
-	lifecycle *lifecycle.Table
+	observers []probe.Observer // watch every connection
+	tracer    *trace.Tracer    // samples connections at accept
 	connLog   *logLimiter
 	suites    []suite.ID
 	version   uint16
@@ -416,29 +423,31 @@ func (l *logLimiter) Suppressed() uint64 {
 
 // configFor builds the per-connection Config. Every connection gets
 // its own PRNG (ssl.PRNG is not safe for concurrent use) and, under
-// batching, the next key of the set round-robin. The returned
-// ConnTrace is non-nil when the tracer sampled this connection; it is
-// started here, at accept time, so pre-handshake setup is on the
-// trace, and the batch decrypter carries its span refs.
+// batching, the next key of the set round-robin; the accept count
+// that picks them is not an identity — the connection's ID is the one
+// its open event carries. The returned ConnTrace is non-nil when the
+// tracer sampled this connection: it is started here, at accept time,
+// so the caller can put the accept span on it, it joins the
+// connection's observers, and the batch decrypter carries its span
+// refs.
 func (s *server) configFor() (*ssl.Config, *trace.ConnTrace) {
-	id := s.connSeq.Add(1)
-	i := int(id) % len(s.keys)
+	n := s.connSeq.Add(1)
+	i := int(n) % len(s.keys)
 	cfg := &ssl.Config{
-		Rand:         ssl.NewPRNG(s.seed + 17*id),
+		Rand:         ssl.NewPRNG(s.seed + 17*n),
 		Key:          s.keys[i],
 		CertDER:      s.certs[i],
 		SessionCache: s.cache,
 		Suites:       s.suites,
 		Version:      s.version,
-		Telemetry:    s.telemetry,
-		Lifecycle:    s.lifecycle,
+		Observers:    s.observers,
 
 		BulkPipelineWidth: s.bulkWidth,
 	}
-	if s.pathlen != nil {
-		cfg.Probes = []probe.Sink{s.pathlen}
+	ct := s.tracer.ConnBegin()
+	if ct != nil {
+		cfg.Observers = append(s.observers[:len(s.observers):len(s.observers)], ct)
 	}
-	ct := s.tracer.ConnBegin(id, "server")
 	if s.engine != nil {
 		if ct != nil {
 			cfg.Decrypter = s.engine.DecrypterTraced(i, ct.Ref)
@@ -452,11 +461,10 @@ func (s *server) configFor() (*ssl.Config, *trace.ConnTrace) {
 func (s *server) serve(tc net.Conn, response []byte) {
 	accepted := time.Now()
 	cfg, ct := s.configFor()
-	conn := ssl.ServerConn(tc, cfg)
 	if ct != nil {
 		ct.Event("accept", trace.CatConn, 0, accepted, time.Since(accepted))
-		conn.SetTrace(ct)
 	}
+	conn := ssl.ServerConn(tc, cfg)
 	defer conn.Close()
 	if err := conn.Handshake(); err != nil {
 		// The telemetry registry and lifecycle close-log (when

@@ -15,6 +15,7 @@ import (
 	"sslperf/internal/history"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/loadgen"
+	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 )
@@ -33,8 +34,7 @@ func TestObservatorySmoke(t *testing.T) {
 		KeyBits:   512,
 		FileSize:  512,
 		Seed:      42,
-		Telemetry: reg,
-		Lifecycle: tab,
+		Observers: []probe.Observer{reg, tab},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +177,11 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	h := history.New(history.Config{Interval: 10 * time.Millisecond})
 	reg := telemetry.NewRegistry()
 	history.AddStandardSources(h, history.Sources{Telemetry: reg})
-	reg.ConnOpen()
-	reg.HandshakeDone("TLS_RSA_WITH_RC4_128_MD5", 0x0300, false, time.Millisecond)
+	done := probe.Event{Kind: probe.KindHandshakeDone, Fn: "TLS_RSA_WITH_RC4_128_MD5", Version: 0x0300, Dur: time.Millisecond}
+	reg.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: 1})
+	reg.Emit(done)
 	h.SampleNow()
-	reg.HandshakeDone("TLS_RSA_WITH_RC4_128_MD5", 0x0300, false, time.Millisecond)
+	reg.Emit(done)
 	h.SampleNow()
 
 	mux := http.NewServeMux()

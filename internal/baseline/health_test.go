@@ -133,7 +133,7 @@ func TestHealthEndpointAgainstRealProfiler(t *testing.T) {
 	// step durations follow the paper's shape, then read health.
 	tr := trace.NewTracer(trace.Config{})
 	for i := 0; i < 10; i++ {
-		ct := tr.ConnBegin(uint64(i), "server")
+		ct := tr.ConnBegin()
 		add := func(name, cat string, d time.Duration) {
 			ct.Event(name, cat, 0, time.Now(), d)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/pathlen"
+	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
@@ -20,10 +21,10 @@ func warmStandardSampler() *History {
 
 	// Give the surfaces some state so the fold paths run, not the
 	// empty-case shortcuts.
-	reg.ConnOpen()
-	reg.HandshakeDone("TLS_RSA_WITH_RC4_128_MD5", 0x0301, false, 2*time.Millisecond)
-	reg.RecordIO(false, false, 1024)
-	reg.RecordIO(true, false, 4096)
+	reg.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: 1})
+	reg.Emit(probe.Event{Kind: probe.KindHandshakeDone, Fn: "TLS_RSA_WITH_RC4_128_MD5", Version: 0x0301, Dur: 2 * time.Millisecond})
+	reg.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 1024})
+	reg.Emit(probe.Event{Kind: probe.KindRecordIO, Written: true, Bytes: 4096})
 	tracker.HandshakeBegin()
 	tracker.HandshakeEnd(3*time.Millisecond, false)
 

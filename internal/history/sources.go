@@ -142,7 +142,6 @@ func NewLifecycleSource(table *lifecycle.Table) *LifecycleSource {
 		{Name: "conns.handshaking", Unit: "conns", Kind: KindGauge},
 		{Name: "conns.suspended", Unit: "conns", Kind: KindGauge},
 		{Name: "conns.established", Unit: "conns", Kind: KindGauge},
-		{Name: "conns.draining", Unit: "conns", Kind: KindGauge},
 		{Name: "conns.opened", Unit: "conn/s", Kind: KindCounter},
 		{Name: "conns.closed", Unit: "conn/s", Kind: KindCounter},
 		{Name: "conns.failed", Unit: "conn/s", Kind: KindCounter},
@@ -170,12 +169,11 @@ func (s *LifecycleSource) Sample(vals []float64) {
 	vals[2] = float64(c.Handshaking)
 	vals[3] = float64(c.Suspended)
 	vals[4] = float64(c.Established)
-	vals[5] = float64(c.Draining)
-	vals[6] = float64(c.Opened)
-	vals[7] = float64(c.Closed)
-	vals[8] = float64(c.Failed)
+	vals[5] = float64(c.Opened)
+	vals[6] = float64(c.Closed)
+	vals[7] = float64(c.Failed)
 	for class := 1; class <= int(probe.FailInternal); class++ {
-		vals[8+class] = float64(c.FailByClass[class])
+		vals[7+class] = float64(c.FailByClass[class])
 	}
 }
 

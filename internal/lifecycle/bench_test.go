@@ -16,32 +16,31 @@ var connTableOps = []struct {
 	name  string
 	setup func() (op func())
 }{
-	{"register-close", func() func() {
+	{"open-close", func() func() {
 		tab := warmTable(Options{})
-		return func() { tab.Register("bench").Close() }
+		return func() { open(tab, "bench").end() }
 	}},
 	{"full-life", func() func() {
-		// The whole lifecycle a served connection pays: register,
+		// The whole lifecycle a served connection pays: open,
 		// handshake transitions with step and record events on the
 		// spine, SLO fold, close.
 		tab := warmTable(Options{SLO: slo.New(slo.Config{})})
 		at := time.Now()
 		return func() {
-			c := tab.Register("bench")
-			c.HandshakeStart()
+			c := open(tab, "bench")
+			c.start()
 			c.Emit(probe.Event{Kind: probe.KindStepEnter, Step: probe.StepGetClientHello, At: at})
 			c.Emit(probe.Event{Kind: probe.KindStepExit, Step: probe.StepGetClientHello, At: at, Dur: time.Microsecond})
 			c.Emit(probe.Event{Kind: probe.KindStepEnter, Step: probe.StepGetClientKX, At: at})
 			c.Emit(probe.Event{Kind: probe.KindStepExit, Step: probe.StepGetClientKX, At: at, Dur: time.Microsecond})
 			c.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 512, Written: false})
 			c.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 512, Written: true})
-			c.Established("RC4-MD5", 0x0300, false, time.Millisecond)
-			c.Draining()
-			c.Close()
+			c.established("RC4-MD5", 0x0300, false, time.Millisecond)
+			c.end()
 		}
 	}},
 	{"emit", func() func() {
-		c := NewTable(Options{}).Register("bench")
+		c := open(NewTable(Options{}), "bench")
 		written := false
 		return func() {
 			written = !written
@@ -53,7 +52,7 @@ var connTableOps = []struct {
 func warmTable(o Options) *Table {
 	tab := NewTable(o)
 	for i := 0; i < 64; i++ {
-		tab.Register("warm").Close()
+		open(tab, "warm").end()
 	}
 	return tab
 }
@@ -74,7 +73,7 @@ func BenchmarkConnTable(b *testing.B) {
 }
 
 // TestConnTableZeroAlloc pins the same paths at zero allocations per
-// operation: registering, transitioning, and closing an entry recycle
+// operation: opening, transitioning, and closing an entry recycle
 // pooled entries and reuse freed shard-map slots, so the observatory
 // costs bookkeeping, not garbage. An allocation here means the entry
 // pool or the fixed-size timeline regressed.

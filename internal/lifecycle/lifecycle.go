@@ -1,6 +1,6 @@
 // Package lifecycle is the live connection observatory: a lock-striped
-// table of every registered ssl.Conn, tracked from accept through the
-// handshake's Table-2 steps to established/draining/closed, with the
+// table of every observed connection, tracked from accept through the
+// handshake's Table-2 steps to established/closed, with the
 // canonical probe.FailClass taxonomy on failures and a structured
 // close-log (one JSON line per connection close) that makes per-conn
 // anatomy greppable offline.
@@ -9,12 +9,16 @@
 // this package answers the triage questions aggregates cannot: which
 // connections are stuck in step get_client_kx right now, why did the
 // last 500 handshakes fail, what did connection 123's life look like.
-// Entries ride the probe spine (each *Conn is a probe.Sink on its
-// connection's bus), so the step cursor and byte counters here cannot
-// disagree with the anatomy or telemetry surfaces.
+// The table is a probe.Observer and each entry the sink on its
+// connection's bus: the whole life — open, handshake start, park and
+// resume, outcome, close — arrives as probe events, so the states, the
+// step cursor and the byte counters here cannot disagree with the
+// anatomy or telemetry surfaces, and an entry's ID is the spine's
+// connection ID, the same number the flight recorder and the span
+// traces carry.
 //
 // The table is sharded 64 ways by connection ID and entries are
-// pooled, so registering, transitioning, and closing a connection is
+// pooled, so opening, transitioning, and closing a connection is
 // allocation-free steady-state and a million live entries do not
 // contend on one lock (TestConnTableZeroAlloc pins the 0 allocs/op,
 // BenchmarkConnTable times the hot path).
@@ -44,7 +48,6 @@ const (
 	StateHandshaking
 	StateSuspended
 	StateEstablished
-	StateDraining
 	StateClosed
 	StateFailed
 
@@ -56,7 +59,6 @@ var stateNames = [stateCount]string{
 	StateHandshaking: "handshaking",
 	StateSuspended:   "suspended",
 	StateEstablished: "established",
-	StateDraining:    "draining",
 	StateClosed:      "closed",
 	StateFailed:      "failed",
 }
@@ -96,13 +98,13 @@ type StepTiming struct {
 const maxTimeline = 16
 
 // A Conn is one live table entry. It implements probe.Sink: attached
-// to its connection's bus it maintains the current-step cursor, the
-// step timeline, and the byte/record counters from the same event
-// stream every other surface reads.
+// to its connection's bus it maintains the state, the current-step
+// cursor, the step timeline, and the byte/record counters from the
+// same event stream every other surface reads.
 type Conn struct {
 	tab *Table
 
-	// Immutable after Register.
+	// Set by the open event, immutable afterwards.
 	ID     uint64
 	Remote string
 	Opened time.Time
@@ -141,7 +143,7 @@ type shard struct {
 // Options configures a Table.
 type Options struct {
 	// SLO, when non-nil, receives handshake outcomes, in-flight
-	// transitions, and queue delays from every registered connection.
+	// transitions, and queue delays from every observed connection.
 	SLO *slo.Tracker
 	// CloseLog, when non-nil, receives one structured record per
 	// connection close.
@@ -152,7 +154,6 @@ type Options struct {
 // concurrent use; a nil *Table no-ops everywhere so callers can wire
 // it unconditionally.
 type Table struct {
-	seq    atomic.Uint64
 	shards [shardCount]shard
 	pool   sync.Pool
 
@@ -204,20 +205,15 @@ func (t *Table) CloseLog() *CloseLog {
 	return t.closeLog
 }
 
-// Register adds a connection at accept time and returns its live
-// entry (nil on a nil table — every *Conn method tolerates nil).
-func (t *Table) Register(remote string) *Conn {
+// Observe implements probe.Observer: every connection gets a pooled
+// entry, which joins the table when the open event names it. A nil
+// table declines, so callers can wire it unconditionally.
+func (t *Table) Observe() probe.Sink {
 	if t == nil {
 		return nil
 	}
 	c := t.pool.Get().(*Conn)
-	*c = Conn{tab: t, ID: t.seq.Add(1), Remote: remote, Opened: time.Now()}
-	c.lastActivity.Store(c.Opened.UnixNano())
-	t.opened.Add(1)
-	sh := &t.shards[c.ID%shardCount]
-	sh.mu.Lock()
-	sh.conns[c.ID] = c
-	sh.mu.Unlock()
+	*c = Conn{tab: t}
 	return c
 }
 
@@ -237,10 +233,9 @@ func (t *Table) Len() int {
 }
 
 // Reset drops every live entry (without close-logging them) and
-// zeroes the cumulative counters — the /debug/reset hook. The ID
-// sequence keeps running so IDs stay unique across the cut, and any
-// still-registered *Conn keeps working (its terminal Close finds the
-// entry already gone and skips the table bookkeeping).
+// zeroes the cumulative counters — the /debug/reset hook. Any
+// still-open *Conn keeps working (its close finds the entry already
+// gone and skips the table bookkeeping).
 func (t *Table) Reset() {
 	if t == nil {
 		return
@@ -275,7 +270,6 @@ type Counts struct {
 	Handshaking int
 	Suspended   int
 	Established int
-	Draining    int
 
 	Opened uint64
 	Closed uint64
@@ -310,8 +304,6 @@ func (t *Table) Counts() Counts {
 				c.Suspended++
 			case StateEstablished:
 				c.Established++
-			case StateDraining:
-				c.Draining++
 			}
 		}
 		sh.mu.Unlock()
@@ -325,99 +317,96 @@ func (t *Table) Counts() Counts {
 	return c
 }
 
-// HandshakeStart marks the connection handshaking.
-func (c *Conn) HandshakeStart() {
-	if c == nil {
-		return
+// Emit implements probe.Sink: the table entry rides its connection's
+// bus, folding the lifecycle, step boundaries, record I/O, and
+// activity out of the same event stream every other sink sees. Called
+// on the connection's goroutine only.
+func (c *Conn) Emit(e probe.Event) {
+	switch e.Kind {
+	case probe.KindConnOpen:
+		c.ID, c.Remote, c.Opened = e.Conn, e.Detail, e.At
+		c.lastActivity.Store(e.At.UnixNano())
+		c.tab.opened.Add(1)
+		sh := &c.tab.shards[c.ID%shardCount]
+		sh.mu.Lock()
+		sh.conns[c.ID] = c
+		sh.mu.Unlock()
+	case probe.KindHandshakeStart:
+		c.setState(StateAccepted, StateHandshaking)
+		c.tab.slo.HandshakeBegin()
+	case probe.KindHandshakeSuspend:
+		// The non-blocking core returned WouldBlock and the connection
+		// is parked on an event loop until the transport is ready.
+		c.setState(StateHandshaking, StateSuspended)
+	case probe.KindHandshakeResume:
+		c.setState(StateSuspended, StateHandshaking)
+	case probe.KindHandshakeDone:
+		c.mu.Lock()
+		c.state = StateEstablished
+		c.step = probe.StepNone
+		c.suite = e.Fn
+		c.version = e.Version
+		c.resumed = e.Resumed
+		c.hsDur = e.Dur
+		c.mu.Unlock()
+		c.tab.slo.HandshakeEnd(e.Dur, false)
+	case probe.KindHandshakeFail:
+		c.mu.Lock()
+		c.state = StateFailed
+		c.step = probe.StepNone
+		c.hsDur = e.Dur
+		c.failClass = e.Class
+		c.failTag = e.Fn
+		c.failDetail = e.Detail
+		c.mu.Unlock()
+		c.tab.slo.HandshakeEnd(e.Dur, true)
+	case probe.KindConnClose:
+		c.close()
+	case probe.KindStepEnter:
+		c.mu.Lock()
+		c.step = e.Step
+		if !c.sawStep {
+			c.sawStep = true
+			c.queueDelay = e.At.Sub(c.Opened)
+			c.tab.slo.ObserveQueueDelay(c.queueDelay)
+		}
+		c.mu.Unlock()
+		c.lastActivity.Store(e.At.UnixNano())
+	case probe.KindStepExit:
+		c.mu.Lock()
+		c.step = probe.StepNone
+		if c.timelineN < maxTimeline {
+			c.timeline[c.timelineN] = StepTiming{Step: e.Step, Dur: e.Dur}
+			c.timelineN++
+		}
+		c.mu.Unlock()
+		c.lastActivity.Store(e.At.UnixNano())
+	case probe.KindRecordIO:
+		if e.Written {
+			c.recordsOut.Add(1)
+			c.bytesOut.Add(uint64(e.Bytes))
+		} else {
+			c.recordsIn.Add(1)
+			c.bytesIn.Add(uint64(e.Bytes))
+		}
+		c.lastActivity.Store(time.Now().UnixNano())
 	}
-	c.mu.Lock()
-	c.state = StateHandshaking
-	c.mu.Unlock()
-	c.tab.slo.HandshakeBegin()
 }
 
-// Suspend marks a handshaking connection suspended: its non-blocking
-// core returned WouldBlock and the connection is parked on an event
-// loop until the transport is ready again. No-op outside the
-// handshake so terminal states are never clobbered.
-func (c *Conn) Suspend() {
-	if c == nil {
-		return
-	}
+// setState moves the entry from one state to the next, and nowhere
+// from any other, so a late event never clobbers a terminal state.
+func (c *Conn) setState(from, to State) {
 	c.mu.Lock()
-	if c.state == StateHandshaking {
-		c.state = StateSuspended
+	if c.state == from {
+		c.state = to
 	}
 	c.mu.Unlock()
 }
 
-// Resume moves a suspended connection back to handshaking when its
-// event loop re-enters the core. Unlike HandshakeStart it does not
-// touch the SLO in-flight gauge — the handshake never ended.
-func (c *Conn) Resume() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.state == StateSuspended {
-		c.state = StateHandshaking
-	}
-	c.mu.Unlock()
-}
-
-// Established records a successful handshake.
-func (c *Conn) Established(suiteName string, version uint16, resumed bool, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.state = StateEstablished
-	c.step = probe.StepNone
-	c.suite = suiteName
-	c.version = version
-	c.resumed = resumed
-	c.hsDur = d
-	c.mu.Unlock()
-	c.tab.slo.HandshakeEnd(d, false)
-}
-
-// Failed records a failed handshake with its canonical class and tag
-// (ssl.Classify / ssl.FailureReason) plus the free-form error text.
-func (c *Conn) Failed(class probe.FailClass, tag, detail string, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.state = StateFailed
-	c.step = probe.StepNone
-	c.hsDur = d
-	c.failClass = class
-	c.failTag = tag
-	c.failDetail = detail
-	c.mu.Unlock()
-	c.tab.slo.HandshakeEnd(d, true)
-}
-
-// Draining marks the connection draining (close initiated, flush in
-// progress). Terminal failure state is preserved.
-func (c *Conn) Draining() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.state != StateFailed {
-		c.state = StateDraining
-	}
-	c.mu.Unlock()
-}
-
-// Close finalizes the entry: emits the close-log record, removes the
+// close finalizes the entry: emits the close-log record, removes the
 // entry from the table, and recycles it. The entry must not be used
 // afterwards.
-func (c *Conn) Close() {
-	if c == nil {
-		return
-	}
+func (c *Conn) close() {
 	t := c.tab
 	c.mu.Lock()
 	if c.state != StateFailed {
@@ -451,43 +440,6 @@ func (c *Conn) Close() {
 		// Only entries still owned by the table are recycled; a Reset
 		// may have dropped this one while its connection lived on.
 		t.pool.Put(c)
-	}
-}
-
-// Emit implements probe.Sink: the table entry rides its connection's
-// bus, folding step boundaries, record I/O, and activity out of the
-// same event stream every other sink sees. Called on the connection's
-// goroutine only.
-func (c *Conn) Emit(e probe.Event) {
-	switch e.Kind {
-	case probe.KindStepEnter:
-		c.mu.Lock()
-		c.step = e.Step
-		if !c.sawStep {
-			c.sawStep = true
-			c.queueDelay = e.At.Sub(c.Opened)
-			c.tab.slo.ObserveQueueDelay(c.queueDelay)
-		}
-		c.mu.Unlock()
-		c.lastActivity.Store(e.At.UnixNano())
-	case probe.KindStepExit:
-		c.mu.Lock()
-		c.step = probe.StepNone
-		if c.timelineN < maxTimeline {
-			c.timeline[c.timelineN] = StepTiming{Step: e.Step, Dur: e.Dur}
-			c.timelineN++
-		}
-		c.mu.Unlock()
-		c.lastActivity.Store(e.At.UnixNano())
-	case probe.KindRecordIO:
-		if e.Written {
-			c.recordsOut.Add(1)
-			c.bytesOut.Add(uint64(e.Bytes))
-		} else {
-			c.recordsIn.Add(1)
-			c.bytesIn.Add(uint64(e.Bytes))
-		}
-		c.lastActivity.Store(time.Now().UnixNano())
 	}
 }
 

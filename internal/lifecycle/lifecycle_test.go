@@ -12,10 +12,37 @@ import (
 	"sslperf/internal/slo"
 )
 
+// testConns numbers the connections these tests open, standing in for
+// the spine's connection-ID sequence.
+var testConns uint64
+
+// open observes one connection on tab and opens it the way the
+// connection's bus would; nil on a nil table.
+func open(tab *Table, remote string) *Conn {
+	c, _ := tab.Observe().(*Conn)
+	if c != nil {
+		testConns++
+		c.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: testConns, Detail: remote, At: time.Now()})
+	}
+	return c
+}
+
+// The lifecycle events a connection emits.
+func (c *Conn) start() { c.Emit(probe.Event{Kind: probe.KindHandshakeStart}) }
+func (c *Conn) end()   { c.Emit(probe.Event{Kind: probe.KindConnClose}) }
+
+func (c *Conn) established(suite string, version uint16, resumed bool, d time.Duration) {
+	c.Emit(probe.Event{Kind: probe.KindHandshakeDone, Fn: suite, Version: version, Resumed: resumed, Dur: d})
+}
+
+func (c *Conn) failed(class probe.FailClass, tag, detail string, d time.Duration) {
+	c.Emit(probe.Event{Kind: probe.KindHandshakeFail, Class: class, Fn: tag, Detail: detail, Dur: d})
+}
+
 // drive walks one entry through a full successful life via the same
-// calls ssl.Conn makes.
+// events ssl.Conn emits.
 func drive(c *Conn) {
-	c.HandshakeStart()
+	c.start()
 	now := time.Now()
 	c.Emit(probe.Event{Kind: probe.KindStepEnter, Step: probe.StepGetClientHello, At: now})
 	c.Emit(probe.Event{Kind: probe.KindStepExit, Step: probe.StepGetClientHello, At: now, Dur: 100 * time.Microsecond})
@@ -23,15 +50,15 @@ func drive(c *Conn) {
 	c.Emit(probe.Event{Kind: probe.KindStepExit, Step: probe.StepGetClientKX, At: now, Dur: 900 * time.Microsecond})
 	c.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 120, Written: false})
 	c.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 800, Written: true})
-	c.Established("RC4-MD5", 0x0300, false, 2*time.Millisecond)
+	c.established("RC4-MD5", 0x0300, false, 2*time.Millisecond)
 }
 
 func TestLifecycleStates(t *testing.T) {
 	tr := slo.New(slo.Config{TargetP99: time.Second})
 	tab := NewTable(Options{SLO: tr})
-	c := tab.Register("10.0.0.1:5555")
+	c := open(tab, "10.0.0.1:5555")
 	if c == nil {
-		t.Fatal("Register returned nil")
+		t.Fatal("Observe returned nil")
 	}
 
 	wantState := func(want State) {
@@ -46,7 +73,7 @@ func TestLifecycleStates(t *testing.T) {
 	}
 
 	wantState(StateAccepted)
-	c.HandshakeStart()
+	c.start()
 	wantState(StateHandshaking)
 	if got := tr.InFlight(); got != 1 {
 		t.Fatalf("inflight %d during handshake, want 1", got)
@@ -60,7 +87,7 @@ func TestLifecycleStates(t *testing.T) {
 	}
 	c.Emit(probe.Event{Kind: probe.KindStepExit, Step: probe.StepGetClientKX, At: now, Dur: time.Millisecond})
 
-	c.Established("RC4-MD5", 0x0300, true, 3*time.Millisecond)
+	c.established("RC4-MD5", 0x0300, true, 3*time.Millisecond)
 	wantState(StateEstablished)
 	if got := tr.InFlight(); got != 0 {
 		t.Fatalf("inflight %d after handshake, want 0", got)
@@ -74,9 +101,7 @@ func TestLifecycleStates(t *testing.T) {
 		t.Fatalf("established row still shows step %q", ci.Step)
 	}
 
-	c.Draining()
-	wantState(StateDraining)
-	c.Close()
+	c.end()
 	snap = tab.Snapshot(SnapshotOptions{})
 	if snap.Live != 0 || len(snap.Conns) != 0 {
 		t.Fatalf("table not empty after close: live=%d rows=%d", snap.Live, len(snap.Conns))
@@ -97,9 +122,9 @@ func TestLifecycleStates(t *testing.T) {
 
 func TestFailedConnTagged(t *testing.T) {
 	tab := NewTable(Options{})
-	c := tab.Register("")
-	c.HandshakeStart()
-	c.Failed(probe.FailBadMAC, "bad_mac", "record: bad MAC", time.Millisecond)
+	c := open(tab, "")
+	c.start()
+	c.failed(probe.FailBadMAC, "bad_mac", "record: bad MAC", time.Millisecond)
 
 	snap := tab.Snapshot(SnapshotOptions{})
 	ci := snap.Conns[0]
@@ -107,12 +132,13 @@ func TestFailedConnTagged(t *testing.T) {
 		t.Fatalf("failed row %+v missing taxonomy", ci)
 	}
 
-	// Draining then Close must preserve the failure.
-	c.Draining()
+	// A late suspend must not clobber the failure, and neither must
+	// the close.
+	c.Emit(probe.Event{Kind: probe.KindHandshakeSuspend})
 	if got := tab.Snapshot(SnapshotOptions{}).Conns[0].State; got != "failed" {
-		t.Fatalf("draining clobbered failed state: %q", got)
+		t.Fatalf("suspend clobbered failed state: %q", got)
 	}
-	c.Close()
+	c.end()
 	snap = tab.Snapshot(SnapshotOptions{})
 	if snap.Failed != 1 {
 		t.Fatalf("failed counter %d, want 1", snap.Failed)
@@ -124,9 +150,9 @@ func TestFailedConnTagged(t *testing.T) {
 
 func TestSnapshotStateFilter(t *testing.T) {
 	tab := NewTable(Options{})
-	a := tab.Register("a")
-	b := tab.Register("b")
-	b.HandshakeStart()
+	a := open(tab, "a")
+	b := open(tab, "b")
+	b.start()
 
 	snap := tab.Snapshot(SnapshotOptions{State: "handshaking"})
 	if len(snap.Conns) != 1 || snap.Conns[0].ID != b.ID {
@@ -161,14 +187,14 @@ func TestCloseLogLine(t *testing.T) {
 	cl := NewCloseLog(&buf, 1)
 	tab := NewTable(Options{CloseLog: cl})
 
-	c := tab.Register("10.9.8.7:1234")
+	c := open(tab, "10.9.8.7:1234")
 	drive(c)
-	c.Close()
+	c.end()
 
-	f := tab.Register("")
-	f.HandshakeStart()
-	f.Failed(probe.FailPeerAlert, "peer_alert:handshake_failure", "alert: fatal handshake_failure", time.Millisecond)
-	f.Close()
+	f := open(tab, "")
+	f.start()
+	f.failed(probe.FailPeerAlert, "peer_alert:handshake_failure", "alert: fatal handshake_failure", time.Millisecond)
+	f.end()
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -223,15 +249,15 @@ func TestCloseLogSampling(t *testing.T) {
 	tab := NewTable(Options{CloseLog: cl})
 
 	for i := 0; i < 9; i++ {
-		c := tab.Register("")
+		c := open(tab, "")
 		drive(c)
-		c.Close()
+		c.end()
 	}
 	for i := 0; i < 2; i++ {
-		c := tab.Register("")
-		c.HandshakeStart()
-		c.Failed(probe.FailIOEOF, "io_eof", "EOF", time.Millisecond)
-		c.Close()
+		c := open(tab, "")
+		c.start()
+		c.failed(probe.FailIOEOF, "io_eof", "EOF", time.Millisecond)
+		c.end()
 	}
 
 	counts := cl.Counts()
@@ -260,10 +286,10 @@ func TestTableReset(t *testing.T) {
 	var buf bytes.Buffer
 	cl := NewCloseLog(&buf, 1)
 	tab := NewTable(Options{CloseLog: cl})
-	c := tab.Register("survivor")
-	done := tab.Register("")
+	c := open(tab, "survivor")
+	done := open(tab, "")
 	drive(done)
-	done.Close()
+	done.end()
 
 	tab.Reset()
 	snap := tab.Snapshot(SnapshotOptions{})
@@ -273,28 +299,16 @@ func TestTableReset(t *testing.T) {
 	if got := cl.Counts(); got != (CloseLogCounts{}) {
 		t.Fatalf("reset left close-log ledger %+v", got)
 	}
-	// The connection registered before the reset still closes safely.
+	// The connection opened before the reset still closes safely.
 	drive(c)
-	c.Close()
-
-	// IDs stay unique across the cut.
-	next := tab.Register("")
-	if next.ID <= c.ID {
-		t.Fatalf("ID sequence restarted: %d after %d", next.ID, c.ID)
-	}
+	c.end()
 }
 
 func TestNilTableAndConn(t *testing.T) {
 	var tab *Table
-	c := tab.Register("x")
-	if c != nil {
+	if tab.Observe() != nil {
 		t.Fatal("nil table returned an entry")
 	}
-	c.HandshakeStart()
-	c.Established("", 0, false, 0)
-	c.Failed(probe.FailInternal, "internal", "", 0)
-	c.Draining()
-	c.Close()
 	tab.Reset()
 	if tab.Len() != 0 {
 		t.Fatal("nil table has length")

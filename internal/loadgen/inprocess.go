@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"sslperf/internal/handshake"
-	"sslperf/internal/lifecycle"
+	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
-	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 	"sslperf/internal/workload"
 )
 
@@ -19,16 +17,12 @@ type ServerOptions struct {
 	FileSize int // response payload bytes (default 1024)
 	Seed     uint64
 
-	// Telemetry and Tracer, when set, instrument the server exactly
-	// like cmd/sslserver would — the self-test path uses them to
-	// close the loop through /debug/health without a second process.
-	Telemetry *telemetry.Registry
-	Tracer    *trace.Tracer
-
-	// Lifecycle, when set, registers every server connection in the
-	// live table, so an in-process run can smoke /debug/conns and
-	// /debug/slo end to end.
-	Lifecycle *lifecycle.Table
+	// Observers watch every server connection exactly as they would
+	// under cmd/sslserver — a metrics registry, a tracer, the live
+	// connection table — so an in-process run can smoke /debug/conns,
+	// /debug/slo and /debug/health end to end without a second
+	// process.
+	Observers []probe.Observer
 }
 
 // A Server is a minimal in-process sslserver: the same LEN-framed
@@ -70,9 +64,7 @@ func StartServer(opt ServerOptions) (*Server, error) {
 			Key:          id.Key,
 			CertDER:      id.CertDER,
 			SessionCache: handshake.NewSessionCache(4096),
-			Telemetry:    opt.Telemetry,
-			Tracer:       opt.Tracer,
-			Lifecycle:    opt.Lifecycle,
+			Observers:    opt.Observers,
 		},
 		response: workload.Response(opt.FileSize),
 	}
@@ -118,9 +110,6 @@ func (s *Server) serve(tc net.Conn, prngSeed uint64) {
 	cfg := s.cfgBase // per-connection copy
 	cfg.Rand = ssl.NewPRNG(prngSeed)
 	conn := ssl.ServerConn(tc, &cfg)
-	if ct := cfg.Tracer.ConnBegin(prngSeed, "server"); ct != nil {
-		conn.SetTrace(ct)
-	}
 	defer conn.Close()
 	if err := conn.Handshake(); err != nil {
 		return

@@ -7,13 +7,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"sslperf/internal/lifecycle"
+	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/ssl"
 	"sslperf/internal/telemetry"
+	"sslperf/internal/trace"
 )
 
 // TestLifecycleObservatorySmoke closes the loop the way an operator
@@ -34,8 +37,7 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 		KeyBits:   512,
 		FileSize:  512,
 		Seed:      42,
-		Telemetry: reg,
-		Lifecycle: tab,
+		Observers: []probe.Observer{reg, tab},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +163,104 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 	}
 	if lines != final.Closed {
 		t.Fatalf("%d close-log lines for %d closes at sample=1", lines, final.Closed)
+	}
+}
+
+// TestOneConnectionID drives 32 concurrent connections through the
+// in-process server with every sink on and checks that they all name
+// a connection by the one ID its open event carried: the /debug/conns
+// row, the close-log line, the flight-recorder events and the span
+// trace of each connection carry the same number, so an operator can
+// join them.
+func TestOneConnectionID(t *testing.T) {
+	const conns = 32
+	reg := telemetry.NewRegistry()
+	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+	var closeBuf bytes.Buffer
+	tab := lifecycle.NewTable(lifecycle.Options{
+		SLO:      slo.New(slo.Config{}),
+		CloseLog: lifecycle.NewCloseLog(&closeBuf, 1),
+	})
+	srv, err := StartServer(ServerOptions{
+		KeyBits:   512,
+		FileSize:  64,
+		Seed:      43,
+		Observers: []probe.Observer{reg, tracer, tab},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every client holds its connection established until all have
+	// been seen in the live table.
+	var ready, done sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < conns; i++ {
+		ready.Add(1)
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			err := func() error {
+				tc, err := net.Dial("tcp", srv.Addr())
+				if err != nil {
+					return err
+				}
+				c := ssl.ClientConn(tc, &ssl.Config{Rand: ssl.NewPRNG(uint64(100 + i)), InsecureSkipVerify: true})
+				defer c.Close()
+				if _, err := c.Write([]byte("GET /\n")); err != nil {
+					return err
+				}
+				if _, err := c.Read(make([]byte, 1)); err != nil {
+					return err
+				}
+				ready.Done()
+				<-release
+				return nil
+			}()
+			if err != nil {
+				t.Error(err)
+				ready.Done()
+			}
+		}(i)
+	}
+	ready.Wait()
+	table := map[uint64]bool{}
+	for _, row := range tab.Snapshot(lifecycle.SnapshotOptions{}).Conns {
+		table[row.ID] = true
+	}
+	close(release)
+	done.Wait()
+	srv.Close()
+	if len(table) != conns {
+		t.Fatalf("live table held %d connections, want %d", len(table), conns)
+	}
+
+	closeLog := map[uint64]bool{}
+	sc := bufio.NewScanner(&closeBuf)
+	for sc.Scan() {
+		var rec struct {
+			Conn uint64 `json:"conn"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		closeLog[rec.Conn] = true
+	}
+	traces := map[uint64]bool{}
+	for _, td := range tracer.Traces() {
+		traces[td.Conn] = true
+	}
+	for id := range table {
+		if !closeLog[id] || !traces[id] {
+			t.Errorf("conn %d of /debug/conns: in close-log %v, in /debug/trace %v", id, closeLog[id], traces[id])
+		}
+		evs := reg.Recorder().ConnEvents(id)
+		if len(evs) == 0 || evs[0].Kind != telemetry.EventHandshakeStart || evs[len(evs)-1].Kind != telemetry.EventClose {
+			t.Errorf("conn %d: flight recorder holds %d events, not one life from handshake_start to close", id, len(evs))
+		}
+	}
+	if len(closeLog) != conns || len(traces) != conns {
+		t.Errorf("close-log names %d connections and the trace ring %d, want %d each", len(closeLog), len(traces), conns)
 	}
 }
 

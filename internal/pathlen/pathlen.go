@@ -81,7 +81,8 @@ type stepCell struct {
 
 // A Collector is a probe.Sink folding the spine into live path-length
 // attribution. Emit is wait-free and safe from any number of
-// goroutines; attach one collector to every connection's bus.
+// goroutines; as a probe.Observer the one collector watches every
+// connection.
 type Collector struct {
 	prims [numPrims][numOps]opCell
 	steps [numSteps]stepCell
@@ -94,6 +95,14 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
+
+// Observe implements probe.Observer. A nil collector declines.
+func (c *Collector) Observe() probe.Sink {
+	if c == nil {
+		return nil
+	}
+	return c
+}
 
 // Emit implements probe.Sink.
 func (c *Collector) Emit(e probe.Event) {

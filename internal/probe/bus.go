@@ -2,6 +2,7 @@ package probe
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,6 +21,25 @@ type SinkFunc func(Event)
 
 // Emit implements Sink.
 func (f SinkFunc) Emit(e Event) { f(e) }
+
+// Observe implements Observer: one function watches every connection.
+func (f SinkFunc) Observe() Sink { return f }
+
+// An Observer is offered every connection as it opens and answers
+// with the sink that connection's events go to: itself when it
+// aggregates across connections (a metrics registry), a fresh
+// per-connection accumulator (a table entry, a span trace), or nil to
+// decline — a sampler passing this connection over. A connection all
+// of whose observers decline runs on the nil bus. The sink learns who
+// it is watching from the KindConnOpen event that follows.
+type Observer interface {
+	Observe() Sink
+}
+
+// connSeq numbers connections process-wide, so every sink that keys
+// by Event.Conn — flight recorder, span traces, the conn table and
+// its close-log — names one connection by one number.
+var connSeq atomic.Uint64
 
 // A Bus stamps events once and fans them out to its sinks. A nil
 // *Bus is the off state: every method is a nil-receiver no-op, so an
@@ -43,11 +63,16 @@ type Bus struct {
 	// stops the clock; StepResume restarts it. StepExit then reports
 	// banked + current active time, so a step that waited minutes for
 	// wire bytes still attributes only the cycles it actually spent —
-	// the /debug/anatomy shares stay exact across suspension. Sinks
-	// never see suspend/resume: the event stream remains exactly one
-	// Enter and one Exit per step.
+	// the /debug/anatomy shares stay exact across suspension. Sinks see
+	// the park as a KindHandshakeSuspend/Resume pair inside the step;
+	// the stream remains exactly one Enter and one Exit per step.
 	suspended bool
 	stepAccum time.Duration
+
+	// conn is the ID ConnOpen drew, stamped on every event; hsStart is
+	// when HandshakeStart ran.
+	conn    uint64
+	hsStart time.Time
 
 	// labelCtx carries the open step's pprof labels when profile
 	// labelling is enabled (see SetProfileLabels); nil otherwise. It is
@@ -70,9 +95,19 @@ func NewBus(sinks ...Sink) *Bus {
 	return &Bus{sinks: list}
 }
 
-// With returns a bus carrying b's sinks plus the given ones. The
-// result is a fresh bus (step cursor reset); compose sinks before the
-// handshake starts.
+// Over returns a bus over sinks that continues b's connection — the
+// same ID and handshake clock, a fresh step cursor — or nil when no
+// sinks remain. Swap sinks between steps, not inside one.
+func (b *Bus) Over(sinks ...Sink) *Bus {
+	nb := NewBus(sinks...)
+	if nb != nil && b != nil {
+		nb.conn, nb.hsStart = b.conn, b.hsStart
+	}
+	return nb
+}
+
+// With returns a bus carrying b's sinks plus the given ones (see
+// Over); compose sinks before the handshake starts.
 func (b *Bus) With(sinks ...Sink) *Bus {
 	if b == nil {
 		return NewBus(sinks...)
@@ -83,13 +118,14 @@ func (b *Bus) With(sinks ...Sink) *Bus {
 	all := make([]Sink, 0, len(b.sinks)+len(sinks))
 	all = append(all, b.sinks...)
 	all = append(all, sinks...)
-	return NewBus(all...)
+	return b.Over(all...)
 }
 
 // Active reports whether events will reach any sink.
 func (b *Bus) Active() bool { return b != nil }
 
 func (b *Bus) emit(e Event) {
+	e.Conn = b.conn
 	for _, s := range b.sinks {
 		s.Emit(e)
 	}
@@ -144,24 +180,26 @@ func (b *Bus) StepExit() {
 // StepSuspend parks the open step's clock: the active time accrued
 // since entry (or the last resume) is banked and the goroutine's
 // pprof step labels are cleared, so time spent waiting for wire bytes
-// is attributed to neither the step nor its profile bucket. No event
-// is emitted — sinks see suspension only as a gap inside one
-// Enter/Exit pair. A no-op when no step is open or already suspended.
+// is attributed to neither the step nor its profile bucket. Sinks get
+// a KindHandshakeSuspend inside the step's one Enter/Exit pair. A
+// no-op when no step is open or already suspended.
 func (b *Bus) StepSuspend() {
 	if b == nil || !b.open || b.suspended {
 		return
 	}
-	b.stepAccum += time.Since(b.stepStart)
+	now := time.Now()
+	b.stepAccum += now.Sub(b.stepStart)
 	b.suspended = true
 	if b.labelCtx != nil {
 		b.labelCtx = nil
 		clearLabels()
 	}
+	b.emit(Event{Kind: KindHandshakeSuspend, Step: b.cur, At: now})
 }
 
-// StepResume restarts a suspended step's clock and re-applies its
-// pprof labels. A no-op when no step is open or the step is not
-// suspended.
+// StepResume restarts a suspended step's clock, re-applies its pprof
+// labels and emits KindHandshakeResume. A no-op when no step is open
+// or the step is not suspended.
 func (b *Bus) StepResume() {
 	if b == nil || !b.open || !b.suspended {
 		return
@@ -171,6 +209,7 @@ func (b *Bus) StepResume() {
 	if ProfileLabels() {
 		b.labelCtx = labelStep(b.cur)
 	}
+	b.emit(Event{Kind: KindHandshakeResume, Step: b.cur, At: b.stepStart})
 }
 
 // Crypto runs fn, attributing its duration to the named crypto
@@ -286,4 +325,64 @@ func (b *Bus) EngineSpan(name string, size int, start time.Time, links []SpanRef
 	}
 	b.emit(Event{Kind: KindEngineSpan, Fn: name, Value: int64(size),
 		Links: links, At: start, Dur: time.Since(start)})
+}
+
+// ConnOpen opens the connection's stream: it draws the connection's
+// ID, which every event from here on carries, and reports the role
+// ("client" or "server") and the peer address, if known.
+func (b *Bus) ConnOpen(role, remote string) {
+	if b == nil {
+		return
+	}
+	b.conn = connSeq.Add(1)
+	b.emit(Event{Kind: KindConnOpen, Fn: role, Detail: remote, At: time.Now()})
+}
+
+// HandshakeStart starts the handshake clock that HandshakeDone and
+// HandshakeFail report against.
+func (b *Bus) HandshakeStart(role string) {
+	if b == nil {
+		return
+	}
+	b.hsStart = time.Now()
+	b.emit(Event{Kind: KindHandshakeStart, Fn: role, At: b.hsStart})
+}
+
+// HandshakeDone reports a completed handshake and what it negotiated.
+func (b *Bus) HandshakeDone(suite string, version uint16, resumed bool) {
+	if b == nil {
+		return
+	}
+	now := time.Now()
+	b.emit(Event{Kind: KindHandshakeDone, Fn: suite, Version: version,
+		Resumed: resumed, At: now, Dur: now.Sub(b.hsStart)})
+}
+
+// HandshakeFail reports a terminal handshake error under its canonical
+// class and tag, with the error text as detail.
+func (b *Bus) HandshakeFail(class FailClass, tag, detail string) {
+	if b == nil {
+		return
+	}
+	now := time.Now()
+	b.emit(Event{Kind: KindHandshakeFail, Class: class, Fn: tag,
+		Detail: detail, At: now, Dur: now.Sub(b.hsStart)})
+}
+
+// AppIO reports one application-data read or write of bytes plaintext
+// bytes that began at start (from Stamp).
+func (b *Bus) AppIO(written bool, bytes int, start time.Time) {
+	if b == nil {
+		return
+	}
+	b.emit(Event{Kind: KindAppIO, Written: written, Bytes: bytes,
+		At: start, Dur: time.Since(start)})
+}
+
+// ConnClose ends the connection's stream.
+func (b *Bus) ConnClose() {
+	if b == nil {
+		return
+	}
+	b.emit(Event{Kind: KindConnClose, At: time.Now()})
 }

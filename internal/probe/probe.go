@@ -3,12 +3,14 @@
 // The paper's contribution is attribution: the same handshake steps
 // and crypto calls must produce the Table 2/3 shares whichever tool
 // measures them. This package makes that a structural property. The
-// hot path (handshake FSM, record layer, engines) emits typed events
-// onto a Bus — one timestamp per event, one nil test on the fast
-// path — and every consumer (the perf/anatomy fold, the telemetry
-// flight recorder, the span tracer, user sinks) is a Sink fanned out
-// from that one stream. The surfaces cannot disagree because they no
-// longer measure independently.
+// hot path (connection, handshake FSM, record layer, engines) emits
+// typed events onto a Bus — one timestamp and one connection ID per
+// event, one nil test on the fast path — and every consumer (the
+// perf/anatomy fold, the telemetry registry, the span tracer, the live
+// connection table, user sinks) is a Sink fanned out from that one
+// stream, handed to the connection by an Observer; nothing reaches a
+// consumer any other way. The surfaces cannot disagree because they
+// no longer measure independently.
 //
 // The canonical Table 2 step enum lives here too: baseline shape
 // checks, /debug/anatomy, and the Chrome trace export all render step
@@ -233,20 +235,56 @@ const (
 	// executed RSA batch): Fn names it, Value carries its size, Links
 	// point at the spans it served.
 	KindEngineSpan
+
+	// The connection lifecycle. Every connection's stream is one
+	// KindConnOpen, at most one KindHandshakeStart and one of
+	// KindHandshakeDone/KindHandshakeFail, and one KindConnClose, in
+	// that order, with the step, crypto and record kinds between.
+
+	// KindConnOpen opens the stream: Conn is the ID the spine just
+	// assigned (every later event of the connection carries it), Fn
+	// the role ("client" or "server"), Detail the peer address when
+	// the transport has one.
+	KindConnOpen
+	// KindHandshakeStart marks the first handshake call; Fn is the
+	// role again.
+	KindHandshakeStart
+	// KindHandshakeSuspend and KindHandshakeResume bracket the time a
+	// sans-IO handshake sits parked on ErrWouldBlock inside a step.
+	KindHandshakeSuspend
+	KindHandshakeResume
+	// KindHandshakeDone is a completed handshake: Fn names the suite,
+	// Version and Resumed say what was negotiated, Dur is the wall
+	// time since KindHandshakeStart.
+	KindHandshakeDone
+	// KindHandshakeFail is a terminal handshake error: Class and Fn
+	// carry the canonical failure class and tag, Detail the error
+	// text, Dur the wall time since KindHandshakeStart.
+	KindHandshakeFail
+	// KindAppIO is one application-data read (a record opened) or
+	// write (Written) of Bytes plaintext bytes, timed by At/Dur.
+	KindAppIO
+	// KindConnClose ends the stream.
+	KindConnClose
 )
 
 // An Event is one occurrence on the spine. It is passed by value —
 // emitting an event performs no allocation.
 type Event struct {
 	Kind    Kind
-	Step    Step // enclosing step (step/crypto/record kinds)
+	Step    Step      // enclosing step (step/crypto/record kinds)
+	Class   FailClass // KindHandshakeFail
+	Resumed bool      // KindHandshakeDone
+	Written bool
+	Alert   bool
+	Version uint16 // KindHandshakeDone
+	Conn    uint64 // the connection's ID (0 on an engine bus)
 	Fn      string
+	Detail  string // peer address (KindConnOpen) or error text (KindHandshakeFail)
 	Op      RecordOp
 	Prim    string // crypto primitive (KindRecordCrypto), e.g. "RC4"
 	Bytes   int
 	Value   int64
-	Written bool
-	Alert   bool
 	Links   []SpanRef
 	At      time.Time
 	Dur     time.Duration

@@ -194,6 +194,65 @@ func TestStepCursorAttribution(t *testing.T) {
 	}
 }
 
+// lifecycle walks a connection's whole life on b.
+func lifecycle(b *Bus) {
+	b.ConnOpen("server", "10.0.0.1:1")
+	b.HandshakeStart("server")
+	b.StepEnter(StepGetClientHello)
+	b.StepSuspend()
+	b.StepResume()
+	b.StepExit()
+	b.HandshakeDone("RC4-MD5", 0x0300, false)
+	b.HandshakeFail(FailIOEOF, "io_eof", "EOF")
+	b.AppIO(true, 64, b.Stamp())
+	b.ConnClose()
+}
+
+// The lifecycle kinds reach every sink stamped with the ID the open
+// drew — a fresh one per connection, kept when the sinks are swapped —
+// and emitting them allocates nothing, on a live bus or a nil one.
+func TestLifecycleEventsCarryOneConnID(t *testing.T) {
+	var got []Event
+	sink := SinkFunc(func(e Event) { got = append(got, e) })
+	if sink.Observe() == nil {
+		t.Fatal("SinkFunc declined a connection")
+	}
+	first := NewBus(sink)
+	lifecycle(first)
+	want := []Kind{KindConnOpen, KindHandshakeStart, KindStepEnter, KindHandshakeSuspend,
+		KindHandshakeResume, KindStepExit, KindHandshakeDone, KindHandshakeFail, KindAppIO, KindConnClose}
+	if len(got) != len(want) {
+		t.Fatalf("saw %d events, want %d", len(got), len(want))
+	}
+	id := got[0].Conn
+	for i, e := range got {
+		if e.Kind != want[i] || e.Conn != id || id == 0 {
+			t.Fatalf("event %d = kind %d conn %d, want kind %d conn %d", i, e.Kind, e.Conn, want[i], id)
+		}
+	}
+	if open, fail := got[0], got[7]; open.Fn != "server" || open.Detail != "10.0.0.1:1" ||
+		fail.Class != FailIOEOF || fail.Fn != "io_eof" || fail.Detail != "EOF" {
+		t.Fatalf("open %+v / fail %+v lost their fields", open, fail)
+	}
+
+	got = got[:0]
+	first.Over(sink).ConnClose()
+	if got[0].Conn != id {
+		t.Fatalf("swapping sinks changed the connection ID: %d then %d", id, got[0].Conn)
+	}
+	got = got[:0]
+	NewBus(sink).ConnOpen("client", "")
+	if got[0].Conn <= id {
+		t.Fatalf("second connection drew ID %d after %d", got[0].Conn, id)
+	}
+
+	for name, b := range map[string]*Bus{"live": NewBus(SinkFunc(func(Event) {})), "nil": nil} {
+		if a := testing.AllocsPerRun(100, func() { lifecycle(b) }); a != 0 {
+			t.Errorf("%s bus: a connection's lifecycle allocates %.1f times, want 0", name, a)
+		}
+	}
+}
+
 func TestNilBusZeroAllocs(t *testing.T) {
 	var b *Bus
 	allocs := testing.AllocsPerRun(200, func() {

@@ -53,7 +53,7 @@ func (s *batchServerSetup) serverConfig(i int, rnd *PRNG, tel *telemetry.Registr
 		Decrypter: s.engine.Decrypter(i),
 		CertDER:   s.certs[i],
 		Suites:    []suite.ID{suite.RSAWithRC4128MD5},
-		Telemetry: tel,
+		Observers: []probe.Observer{tel},
 	}
 }
 
@@ -68,7 +68,7 @@ func TestBatchedHandshakes32Concurrent(t *testing.T) {
 		BatchSize: 4,
 		Linger:    2 * time.Millisecond,
 		Rand:      NewPRNG(99),
-		Probes:    []probe.Sink{telemetry.EngineSink(tel)},
+		Probes:    []probe.Sink{tel.Observe()},
 	})
 	defer setup.engine.Close()
 

@@ -67,7 +67,7 @@ func benchBulkPath(b *testing.B, suiteName string, mode bulkMode) {
 	id := identity(b)
 	scfg := id.ServerConfig(NewPRNG(77))
 	scfg.Suites = []suite.ID{s.ID}
-	scfg.Probes = []probe.Sink{col}
+	scfg.Observers = []probe.Observer{col}
 	if mode == bulkSeq {
 		scfg.BulkPipelineWidth = -1
 	}

@@ -59,8 +59,7 @@ func observedServer(t *testing.T, seed uint64, transport io.ReadWriteCloser) (er
 		CloseLog: lifecycle.NewCloseLog(&closeLog, 1),
 	})
 	cfg := identity(t).ServerConfig(NewPRNG(seed))
-	cfg.Telemetry = reg
-	cfg.Lifecycle = tab
+	cfg.Observers = []probe.Observer{reg, tab}
 	server := ServerConn(transport, cfg)
 	err := server.Handshake()
 	server.Close()
@@ -234,7 +233,7 @@ func TestFailClassSuccessPath(t *testing.T) {
 		CloseLog: lifecycle.NewCloseLog(&closeLog, 1),
 	})
 	serverCfg := identity(t).ServerConfig(NewPRNG(6001))
-	serverCfg.Lifecycle = tab
+	serverCfg.Observers = []probe.Observer{tab}
 	client, server := connect(t, clientCfg(nil), serverCfg)
 	client.Close()
 	server.Close()

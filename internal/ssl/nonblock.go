@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"sslperf/internal/handshake"
-	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/record"
-	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // ErrWouldBlock is the sans-IO sentinel: a NonBlockingConn call made
@@ -63,25 +60,21 @@ type NonBlockingConn struct {
 
 	fsm handshakeFSM
 
-	remote       string
-	lcRegistered bool
+	remote string
+	opened bool // the observers were offered the connection
 
+	hsStarted     bool
 	handshakeDone bool
-	hsErr         error     // sticky terminal handshake error
-	hsStart       time.Time // zero until the first HandshakeStep
+	hsErr         error // sticky terminal handshake error
 	result        *handshake.Result
-	anatomy       *handshake.Anatomy
-	telemetryID   uint64 // flight-recorder connection ID (0 = none)
 
-	bus       *probe.Bus   // the connection's probe spine (nil = off)
-	baseSinks []probe.Sink // sinks armed at handshake time
+	// The connection's probe spine (nil = off) and what is on it: the
+	// sinks Config.Observers answered with, then the SetAnatomy and
+	// SetCryptoObserver sugar.
+	bus       *probe.Bus
+	sinks     []probe.Sink
+	anatomy   *handshake.Anatomy
 	cryptoObs func(op record.CryptoOp, bytes int, d time.Duration)
-
-	lc *lifecycle.Conn // live table entry (nil = no table)
-
-	ct           *trace.ConnTrace // non-nil only on sampled connections
-	traceHS      uint64           // the trace's top-level handshake span
-	traceOutcome string           // outcome Finish reports at Close
 
 	// readBuf is the tail of an application record that did not fit
 	// the caller's buffer, held in readArr: a stable backing array
@@ -104,27 +97,16 @@ func NonBlockingServer(cfg *Config) *NonBlockingConn {
 	return &NonBlockingConn{rc: core, core: core, cfg: cfg}
 }
 
-// SetRemoteAddr records the peer address for the lifecycle table
-// entry. Call before the first HandshakeStep/Feed; later calls are
-// ignored (the entry is registered lazily on first use, since a
-// sans-IO core has no transport to ask).
+// SetRemoteAddr records the peer address the open event reports. Call
+// before the first HandshakeStep/Feed; later calls are ignored (the
+// connection opens lazily on first use, since a sans-IO core has no
+// transport to ask).
 func (c *NonBlockingConn) SetRemoteAddr(addr string) { c.remote = addr }
-
-// ensureRegistered creates the lifecycle entry on first use.
-func (c *NonBlockingConn) ensureRegistered() {
-	if c.lcRegistered {
-		return
-	}
-	c.lcRegistered = true
-	if c.cfg.Lifecycle != nil {
-		c.lc = c.cfg.Lifecycle.Register(c.remote)
-	}
-}
 
 // Feed hands the connection ciphertext read from the transport. The
 // bytes are copied; the caller's buffer can be reused immediately.
 func (c *NonBlockingConn) Feed(b []byte) {
-	c.ensureRegistered()
+	c.open()
 	c.core.Feed(b)
 }
 
@@ -142,26 +124,13 @@ func (c *NonBlockingConn) ConsumeOutgoing(n int) { c.core.ConsumeOutgoing(n) }
 // HandshakeDone reports whether the handshake has completed.
 func (c *NonBlockingConn) HandshakeDone() bool { return c.handshakeDone }
 
-// LifecycleEntry returns the connection's live table entry, nil when
-// no Config.Lifecycle is attached or nothing has run yet.
-func (c *NonBlockingConn) LifecycleEntry() *lifecycle.Conn { return c.lc }
-
 // SetAnatomy installs a recorder that will capture the server-side
-// handshake anatomy (Table 2). Must be called before the first
-// HandshakeStep.
-func (c *NonBlockingConn) SetAnatomy(a *handshake.Anatomy) { c.anatomy = a }
-
-// SetTrace attaches a pre-started connection trace (e.g. one begun at
-// TCP accept). Must be called before the first HandshakeStep; a nil
-// ConnTrace is ignored.
-func (c *NonBlockingConn) SetTrace(ct *trace.ConnTrace) {
-	if ct != nil {
-		c.ct = ct
-	}
+// handshake anatomy (Table 2) — one more sink on the connection's
+// bus. Must be called before the first HandshakeStep.
+func (c *NonBlockingConn) SetAnatomy(a *handshake.Anatomy) {
+	c.anatomy = a
+	c.refreshBus()
 }
-
-// Trace returns the connection's sampled trace, nil when unsampled.
-func (c *NonBlockingConn) Trace() *trace.ConnTrace { return c.ct }
 
 // Stats returns the record-layer counters.
 func (c *NonBlockingConn) Stats() record.Stats { return c.core.Stats }
@@ -173,7 +142,8 @@ func (c *NonBlockingConn) SetCryptoObserver(fn func(op record.CryptoOp, bytes in
 	c.refreshBus()
 }
 
-// role names the connection's end for telemetry and trace records.
+// role names the connection's end on its open and handshake-start
+// events.
 func (c *NonBlockingConn) role() string {
 	if c.isClient {
 		return "client"
@@ -181,20 +151,11 @@ func (c *NonBlockingConn) role() string {
 	return "server"
 }
 
-// startHandshake performs the one-time setup — telemetry open,
-// lifecycle transition, tracer sampling, bus assembly — then
+// startHandshake puts the handshake-start event on the bus, then
 // constructs the FSM over the record conn.
 func (c *NonBlockingConn) startHandshake() error {
-	c.hsStart = time.Now()
-	tel := c.cfg.Telemetry
-	if tel != nil {
-		c.telemetryStart(tel)
-	}
-	c.lc.HandshakeStart()
-	if c.ct != nil || c.cfg.Tracer != nil {
-		c.traceStart()
-	}
-	c.armProbes(tel)
+	c.hsStarted = true
+	c.bus.HandshakeStart(c.role())
 	var err error
 	if c.isClient {
 		c.fsm, err = handshake.NewClientFSM(c.rc, &handshake.ClientConfig{
@@ -208,8 +169,7 @@ func (c *NonBlockingConn) startHandshake() error {
 			InsecureSkipVerify: c.cfg.InsecureSkipVerify,
 		})
 	} else {
-		// The anatomy (when any) is already a sink on the bus, so the
-		// FSM gets the bus alone.
+		// The server FSM emits its Table 2 steps on the same bus.
 		c.fsm, err = handshake.NewServerFSM(c.rc, &handshake.ServerConfig{
 			Key:        c.cfg.Key,
 			Decrypter:  c.cfg.Decrypter,
@@ -234,7 +194,7 @@ func (c *NonBlockingConn) startHandshake() error {
 // Probe-step attribution suspends across ErrWouldBlock, so parked
 // time never enters /debug/anatomy or the telemetry step histograms.
 // Over a Layer the record conn blocks instead, so one call runs the
-// whole handshake and the lifecycle entry never reads suspended.
+// whole handshake and no observer ever sees it suspended.
 func (c *NonBlockingConn) HandshakeStep() error {
 	if c.handshakeDone {
 		return nil
@@ -245,39 +205,31 @@ func (c *NonBlockingConn) HandshakeStep() error {
 	if c.closed {
 		return errors.New("ssl: connection closed")
 	}
-	c.ensureRegistered()
+	c.open()
 	var err error
-	if c.hsStart.IsZero() {
+	if !c.hsStarted {
 		err = c.startHandshake()
-	} else {
-		c.lc.Resume()
 	}
 	if err == nil {
 		err = c.fsm.Step()
 	}
 	if err == ErrWouldBlock {
-		c.lc.Suspend()
 		return err
-	}
-	d := time.Since(c.hsStart)
-	if err == nil {
-		c.result = c.fsm.Result()
 	}
 	// The machine is finished either way; an idle connection should
 	// not pin its transcript hashes and message buffers.
+	if err == nil {
+		c.result = c.fsm.Result()
+	}
 	c.fsm = nil
-	if tel := c.cfg.Telemetry; tel != nil {
-		c.telemetryFinish(tel, d, err)
-	}
-	if c.ct != nil {
-		c.traceFinish(err)
-	}
 	if err != nil {
 		c.hsErr = err
-		c.lc.Failed(Classify(err), FailureReason(err), err.Error(), d)
+		if c.bus != nil {
+			c.bus.HandshakeFail(Classify(err), FailureReason(err), err.Error())
+		}
 		return err
 	}
-	c.lc.Established(c.result.Suite.Name, c.result.Session.Version, c.result.Resumed, d)
+	c.bus.HandshakeDone(c.result.Suite.Name, c.result.Session.Version, c.result.Resumed)
 	c.handshakeDone = true
 	return nil
 }
@@ -326,10 +278,7 @@ func (c *NonBlockingConn) ReadData(p []byte) (int, error) {
 		if c.eof {
 			return 0, io.EOF
 		}
-		var ioStart time.Time
-		if c.ct != nil {
-			ioStart = time.Now()
-		}
+		ioStart := c.bus.Stamp()
 		typ, payload, err := c.rc.ReadRecord()
 		if err != nil {
 			if ae, ok := err.(*record.AlertError); ok &&
@@ -339,9 +288,7 @@ func (c *NonBlockingConn) ReadData(p []byte) (int, error) {
 			}
 			return 0, err
 		}
-		if c.ct != nil {
-			c.ct.Event("read", trace.CatIO, c.traceHS, ioStart, time.Since(ioStart))
-		}
+		c.bus.AppIO(false, len(payload), ioStart)
 		switch typ {
 		case record.TypeApplicationData:
 			if len(payload) == 0 {
@@ -375,10 +322,7 @@ func (c *NonBlockingConn) WriteData(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	var ioStart time.Time
-	if c.ct != nil {
-		ioStart = time.Now()
-	}
+	ioStart := c.bus.Stamp()
 	// Large writes over a Layer take the flight pipeline: fragments
 	// MACed in parallel, sealed zero-copy in sequence order, and
 	// flushed as one vectored write per window. Wire bytes are
@@ -392,37 +336,28 @@ func (c *NonBlockingConn) WriteData(p []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if c.ct != nil {
-		c.ct.Event("write", trace.CatIO, c.traceHS, ioStart, time.Since(ioStart))
-	}
+	c.bus.AppIO(true, len(p), ioStart)
 	return len(p), nil
 }
 
-// Close sends close_notify (when established) and finalizes the
-// observability surfaces. Over a Core the alert bytes land in
-// Outgoing — flush them before dropping the transport if a clean
-// close matters.
+// Close sends close_notify (when established) and ends the event
+// stream. A handshake that was started and never finished ends as a
+// failure first — the peer hung up, or the server gave up on it — so
+// every observer settles what the start event opened. Over a Core the
+// alert bytes land in Outgoing — flush them before dropping the
+// transport if a clean close matters.
 func (c *NonBlockingConn) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	c.ensureRegistered()
-	c.lc.Draining()
+	c.open()
 	if c.handshakeDone {
 		c.rc.SendClose() // best effort
+	} else if c.hsStarted && c.hsErr == nil {
+		c.bus.StepExit() // the step it was parked in
+		c.bus.HandshakeFail(probe.FailIOEOF, probe.FailIOEOF.Name(), "closed mid-handshake")
 	}
-	if c.telemetryID != 0 {
-		c.cfg.Telemetry.Event(c.telemetryID, telemetry.EventClose, "", "", 0)
-	}
-	if c.ct != nil {
-		outcome := c.traceOutcome
-		if outcome == "" {
-			outcome = "closed_before_handshake"
-		}
-		c.ct.Finish(outcome)
-	}
-	c.lc.Close()
-	c.lc = nil
+	c.bus.ConnClose()
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
+	"sslperf/internal/probe"
 	"sslperf/internal/suite"
 )
 
@@ -275,7 +276,7 @@ func TestNonBlockingLifecycleSuspended(t *testing.T) {
 	table := lifecycle.NewTable(lifecycle.Options{})
 	scfg := &Config{
 		Rand: NewPRNG(5), Key: identity(t).Key, CertDER: identity(t).CertDER,
-		Lifecycle: table,
+		Observers: []probe.Observer{table},
 	}
 	srv := NonBlockingServer(scfg)
 	srv.SetRemoteAddr("10.0.0.9:999")

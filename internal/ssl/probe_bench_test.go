@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sslperf/internal/lifecycle"
+	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
@@ -14,11 +15,9 @@ import (
 // is a pointer test), the production 1-in-16 trace sampling, or every
 // sink adapter at once — anatomy fold + telemetry counters + always-on
 // span building + the lifecycle conn-table entry riding one bus.
-func probedConfigs(tb testing.TB, reg *telemetry.Registry, tracer *trace.Tracer, tab *lifecycle.Table) (ccfg, scfg *Config) {
+func probedConfigs(tb testing.TB, obs ...probe.Observer) (ccfg, scfg *Config) {
 	ccfg, scfg = benchConfigs(tb, nil)
-	scfg.Telemetry = reg
-	scfg.Tracer = tracer
-	scfg.Lifecycle = tab
+	scfg.Observers = obs
 	return ccfg, scfg
 }
 
@@ -53,12 +52,12 @@ func benchHandshakeProbed(b *testing.B, ccfg, scfg *Config) {
 }
 
 func BenchmarkHandshakeProbeOff(b *testing.B) {
-	ccfg, scfg := probedConfigs(b, nil, nil, nil)
+	ccfg, scfg := probedConfigs(b)
 	benchHandshakeProbed(b, ccfg, scfg)
 }
 
 func BenchmarkHandshakeProbeSampled16(b *testing.B) {
-	ccfg, scfg := probedConfigs(b, nil, trace.NewTracer(trace.Config{SampleEvery: 16}), nil)
+	ccfg, scfg := probedConfigs(b, trace.NewTracer(trace.Config{SampleEvery: 16}))
 	benchHandshakeProbed(b, ccfg, scfg)
 }
 
@@ -80,7 +79,7 @@ func TestAllSinksAllocBudget(t *testing.T) {
 		run() // warm pools, the registry and the tracer's rings
 		return testing.AllocsPerRun(10, run)
 	}
-	off := allocs(probedConfigs(t, nil, nil, nil))
+	off := allocs(probedConfigs(t))
 	all := allocs(allSinksConfigs(t))
 	if all-off > 64 {
 		t.Fatalf("every sink attached costs %.0f allocs/handshake over the sink-free %.0f, want <= 64", all-off, off)

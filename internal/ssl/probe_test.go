@@ -7,13 +7,16 @@ import (
 	"sslperf/internal/probe"
 )
 
-// stepRecorder is a Config.Probes sink that keeps the step-boundary
+// stepRecorder is a Config.Observers sink that keeps the step-boundary
 // and crypto events it sees, in delivery order.
 type stepRecorder struct {
 	steps  []probe.Step // KindStepEnter sequence
 	exits  []probe.Step // KindStepExit sequence
 	crypto []string     // attributed crypto fns (incl. in-step record work)
 }
+
+// Observe implements probe.Observer.
+func (r *stepRecorder) Observe() probe.Sink { return r }
 
 // Emit implements probe.Sink.
 func (r *stepRecorder) Emit(e probe.Event) {
@@ -32,7 +35,7 @@ func (r *stepRecorder) Emit(e probe.Event) {
 }
 
 // probeHandshake runs one full server handshake with n recording
-// sinks on Config.Probes plus an Anatomy, and returns both.
+// sinks on Config.Observers plus an Anatomy, and returns both.
 func probeHandshake(t *testing.T, n int) ([]*stepRecorder, *handshake.Anatomy) {
 	t.Helper()
 	id := identity(t)
@@ -40,7 +43,7 @@ func probeHandshake(t *testing.T, n int) ([]*stepRecorder, *handshake.Anatomy) {
 	recs := make([]*stepRecorder, n)
 	for i := range recs {
 		recs[i] = &stepRecorder{}
-		scfg.Probes = append(scfg.Probes, recs[i])
+		scfg.Observers = append(scfg.Observers, recs[i])
 	}
 	ct, st := Pipe()
 	client := ClientConn(ct, clientCfg(nil))
@@ -137,8 +140,8 @@ func TestProbeFanOutIdenticalAttribution(t *testing.T) {
 	}
 }
 
-// TestProbeOffBusIsNil pins the fast path: with no telemetry, tracer,
-// anatomy, or user sinks, the connection never builds a bus, so the
+// TestProbeOffBusIsNil pins the fast path: with no observer and no
+// anatomy, the connection never builds a bus, so the
 // record layer and FSM run the sink-free nil-receiver path.
 func TestProbeOffBusIsNil(t *testing.T) {
 	id := identity(t)

@@ -16,13 +16,10 @@ import (
 	"time"
 
 	"sslperf/internal/handshake"
-	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/record"
 	"sslperf/internal/rsa"
 	"sslperf/internal/suite"
-	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 	"sslperf/internal/x509lite"
 )
 
@@ -75,46 +72,23 @@ type Config struct {
 	// path — the baseline the bulk benchmarks compare against.
 	BulkPipelineWidth int
 
-	// Probes subscribes additional sinks to the connection's
-	// instrumentation spine (internal/probe): every handshake step
-	// boundary, attributed crypto call, record-layer cipher/MAC pass,
-	// and record I/O event reaches each sink in order. Sinks shared
-	// across connections must be safe for concurrent Emit calls. With
-	// no probes, telemetry, or tracer configured the spine is off and
-	// the hot path pays one nil test per hook.
-	Probes []probe.Sink
-
-	// Telemetry, when non-nil, receives live metrics and flight-
-	// recorder events from every connection using this config:
-	// handshake outcomes and latencies (with per-step histograms on
-	// the server side), record/byte/alert counters, and step-by-step
-	// event traces.
-	//
-	// Deprecated: Telemetry is a shim that wraps the registry in a
-	// telemetry.ProbeSink on the spine; it remains fully supported,
-	// but new integrations can subscribe via Probes directly.
-	Telemetry *telemetry.Registry
-
-	// Tracer, when non-nil, samples connections for per-connection
-	// span tracing (internal/trace): handshake steps, crypto calls,
-	// record-layer work, and application I/O become spans exported at
-	// /debug/trace and folded into the live anatomy profiler. An
-	// unsampled connection pays one sampling decision; a nil Tracer
-	// pays one pointer test.
-	//
-	// Deprecated: Tracer is a shim that wraps sampled connections in
-	// a trace.ProbeSink on the spine; it remains fully supported, but
-	// new integrations can subscribe via Probes directly.
-	Tracer *trace.Tracer
-
-	// Lifecycle, when non-nil, registers every connection using this
-	// config in the live connection table (internal/lifecycle): the
-	// entry tracks the connection from construction through the
-	// handshake's Table-2 steps to close, feeds the table's SLO
-	// windows, and emits its structured close-log line. The entry
-	// rides the connection's probe spine, so its step cursor and byte
-	// counters agree with every other surface.
-	Lifecycle *lifecycle.Table
+	// Observers watch every connection using this config through its
+	// instrumentation spine (internal/probe). Each is offered the
+	// connection once, as it opens — at construction for a Conn, on
+	// first use for a NonBlockingConn — and answers with the sink that
+	// then receives the connection's whole timeline in order: open,
+	// handshake start, every Table 2 step boundary and attributed
+	// crypto call, park and resume, the handshake's outcome,
+	// record-layer cipher/MAC passes and record I/O, application reads
+	// and writes, close — all stamped with the one connection ID the
+	// open event carries. The metrics registry, the span tracer (or a
+	// trace begun at accept), the live connection table and the
+	// path-length collector are all Observers; a sampler declines a
+	// connection by answering nil. A sink shared across connections
+	// must be safe for concurrent Emit calls. With no observer
+	// configured, or all declining, the spine is off and the hot path
+	// pays one nil test per hook.
+	Observers []probe.Observer
 }
 
 func (c *Config) rand() io.Reader {
@@ -148,8 +122,8 @@ func ServerConn(transport io.ReadWriteCloser, cfg *Config) *Conn {
 }
 
 // newConn builds the state machine over a Layer on transport. Unlike
-// a sans-IO conn it knows its peer already, so the lifecycle entry
-// exists from construction.
+// a sans-IO conn it knows its peer already, so it opens — observers
+// see it — from construction.
 func newConn(transport io.ReadWriteCloser, cfg *Config, isClient bool) *Conn {
 	layer := record.NewLayer(vectored(transport))
 	c := &Conn{transport: transport, nb: NonBlockingConn{
@@ -160,7 +134,7 @@ func newConn(transport io.ReadWriteCloser, cfg *Config, isClient bool) *Conn {
 		layer.SetSealPipeline(cfg.BulkPipelineWidth)
 		c.nb.flight = layer
 	}
-	c.nb.ensureRegistered()
+	c.nb.open()
 	return c
 }
 
@@ -176,23 +150,9 @@ func remoteAddr(transport io.ReadWriteCloser) string {
 	return ""
 }
 
-// LifecycleEntry returns the connection's live table entry, nil when
-// no Config.Lifecycle is attached.
-func (c *Conn) LifecycleEntry() *lifecycle.Conn { return c.nb.LifecycleEntry() }
-
 // SetAnatomy installs a recorder that will capture the server-side
 // handshake anatomy (Table 2). Must be called before Handshake.
 func (c *Conn) SetAnatomy(a *handshake.Anatomy) { c.nb.SetAnatomy(a) }
-
-// SetTrace attaches a pre-started connection trace (e.g. one begun at
-// TCP accept so the accept span is on it). Must be called before
-// Handshake; a nil ConnTrace is ignored. Without SetTrace, a
-// Config.Tracer samples the connection when the handshake starts.
-func (c *Conn) SetTrace(ct *trace.ConnTrace) { c.nb.SetTrace(ct) }
-
-// Trace returns the connection's sampled trace, nil when the
-// connection is not sampled.
-func (c *Conn) Trace() *trace.ConnTrace { return c.nb.Trace() }
 
 // Handshake runs the handshake if it has not run yet.
 func (c *Conn) Handshake() error {

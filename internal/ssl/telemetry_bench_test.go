@@ -3,6 +3,7 @@ package ssl
 import (
 	"testing"
 
+	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
 )
 
@@ -11,8 +12,11 @@ func benchConfigs(b testing.TB, reg *telemetry.Registry) (*Config, *Config) {
 	b.Helper()
 	id := identity(b)
 	scfg := id.ServerConfig(NewPRNG(31))
-	scfg.Telemetry = reg
-	ccfg := &Config{Rand: NewPRNG(32), InsecureSkipVerify: true, Telemetry: reg}
+	ccfg := &Config{Rand: NewPRNG(32), InsecureSkipVerify: true}
+	if reg != nil {
+		scfg.Observers = []probe.Observer{reg}
+		ccfg.Observers = scfg.Observers
+	}
 	return ccfg, scfg
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sslperf/internal/handshake"
+	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
 )
 
@@ -16,8 +17,8 @@ func TestTelemetryHandshakeEmission(t *testing.T) {
 	id := identity(t)
 	reg := telemetry.NewRegistry()
 	scfg := id.ServerConfig(NewPRNG(8))
-	scfg.Telemetry = reg
-	ccfg := clientCfg(func(c *Config) { c.Telemetry = reg })
+	scfg.Observers = []probe.Observer{reg}
+	ccfg := clientCfg(func(c *Config) { c.Observers = []probe.Observer{reg} })
 	client, server := connect(t, ccfg, scfg)
 
 	// Push a little application data through so byte counters move.
@@ -104,7 +105,7 @@ func TestTelemetryCountsFailures(t *testing.T) {
 	id := identity(t)
 	reg := telemetry.NewRegistry()
 	scfg := id.ServerConfig(NewPRNG(9))
-	scfg.Telemetry = reg
+	scfg.Observers = []probe.Observer{reg}
 
 	ct, st := Pipe()
 	server := ServerConn(st, scfg)
@@ -153,11 +154,11 @@ func TestTelemetryConcurrentConnections(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			scfg := id.ServerConfig(NewPRNG(uint64(100 + i)))
-			scfg.Telemetry = reg
+			scfg.Observers = []probe.Observer{reg}
 			scfg.SessionCache = cache
 			ccfg := clientCfg(func(c *Config) {
 				c.Rand = NewPRNG(uint64(200 + i))
-				c.Telemetry = reg
+				c.Observers = []probe.Observer{reg}
 			})
 			ct, st := Pipe()
 			client, server := ClientConn(ct, ccfg), ServerConn(st, scfg)

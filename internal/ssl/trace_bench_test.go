@@ -3,6 +3,7 @@ package ssl
 import (
 	"testing"
 
+	"sslperf/internal/probe"
 	"sslperf/internal/trace"
 )
 
@@ -13,7 +14,9 @@ import (
 // and folds into the profiler).
 func benchHandshakeTraced(b *testing.B, tracer *trace.Tracer) {
 	ccfg, scfg := benchConfigs(b, nil)
-	scfg.Tracer = tracer
+	if tracer != nil {
+		scfg.Observers = []probe.Observer{tracer}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,7 +19,7 @@ var traceSteps = []string{
 func TestTracedServerHandshake(t *testing.T) {
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	id := identity(t)
-	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Tracer: tracer}
+	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{tracer}}
 	client, server := connect(t, clientCfg(nil), sCfg)
 
 	// The handshake folds into the profiler immediately...
@@ -100,11 +100,11 @@ func TestTracedServerHandshake(t *testing.T) {
 func TestUnsampledConnectionHasNoTrace(t *testing.T) {
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1 << 20})
 	id := identity(t)
-	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Tracer: tracer}
+	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{tracer}}
 	client, server := connect(t, clientCfg(nil), sCfg)
 	defer client.Close()
 	defer server.Close()
-	if server.Trace() != nil {
+	if server.nb.bus != nil {
 		t.Fatal("unsampled connection carries a trace")
 	}
 	if st := tracer.Stats(); st.Sampled != 0 || st.Seen != 1 {
@@ -116,7 +116,7 @@ func TestTracedClientHandshake(t *testing.T) {
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	id := identity(t)
 	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER}
-	cCfg := clientCfg(func(c *Config) { c.Tracer = tracer })
+	cCfg := clientCfg(func(c *Config) { c.Observers = []probe.Observer{tracer} })
 	client, server := connect(t, cCfg, sCfg)
 	client.Close()
 	server.Close()
@@ -153,14 +153,14 @@ func TestTraceBatchLinks(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			i := g % len(setup.ks.Keys)
-			ct := tracer.ConnBegin(uint64(g+1), "server")
+			ct := tracer.ConnBegin()
 			sCfg := setup.serverConfig(g, NewPRNG(uint64(1000+g)), nil)
+			sCfg.Observers = []probe.Observer{ct}
 			sCfg.Decrypter = setup.engine.DecrypterTraced(i, ct.Ref)
 			cCfg := &Config{Rand: NewPRNG(uint64(2000 + g)), InsecureSkipVerify: true}
 			tc, tsrv := Pipe()
 			client := ClientConn(tc, cCfg)
 			server := ServerConn(tsrv, sCfg)
-			server.SetTrace(ct)
 			errs := make(chan error, 1)
 			go func() { errs <- client.Handshake() }()
 			if err := server.Handshake(); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
+	"sslperf/internal/probe"
 	"sslperf/internal/suite"
 	"sslperf/internal/trace"
 )
@@ -121,7 +122,7 @@ func TestBlockingConnLifecycleRegistration(t *testing.T) {
 	}
 	defer ln.Close()
 	scfg := id.ServerConfig(NewPRNG(613))
-	scfg.Lifecycle = table
+	scfg.Observers = []probe.Observer{table}
 
 	sendHello := make(chan struct{})
 	clientDone := make(chan error, 1)
@@ -143,9 +144,6 @@ func TestBlockingConnLifecycleRegistration(t *testing.T) {
 	server := ServerConn(sig, scfg)
 	defer server.Close()
 
-	if server.LifecycleEntry() == nil {
-		t.Fatal("no lifecycle entry at construction")
-	}
 	if c := table.Counts(); c.Live != 1 || c.Accepted != 1 {
 		t.Fatalf("at construction: live=%d accepted=%d, want 1/1", c.Live, c.Accepted)
 	}
@@ -239,8 +237,9 @@ func TestIOEventsFromSharedEntry(t *testing.T) {
 	id := identity(t)
 	newCfg := func(seed uint64) (*Config, *trace.Tracer) {
 		scfg := id.ServerConfig(NewPRNG(seed))
-		scfg.Tracer = trace.NewTracer(trace.Config{SampleEvery: 1})
-		return scfg, scfg.Tracer
+		tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+		scfg.Observers = []probe.Observer{tracer}
+		return scfg, tracer
 	}
 	// check counts the io events on the one published (server) trace.
 	check := func(t *testing.T, tracer *trace.Tracer) {

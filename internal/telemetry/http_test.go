@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sslperf/internal/probe"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
-	r.HandshakeDone("RC4-MD5", 0x0300, false, time.Millisecond)
+	r.Emit(hsDone("RC4-MD5", 0x0300, false, time.Millisecond))
 	h := Handler(r)
 
 	req := httptest.NewRequest("GET", "/metrics", nil)
@@ -40,10 +42,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestFlightRecorderEndpoint(t *testing.T) {
 	r := NewRegistry()
-	c1, c2 := r.ConnOpen(), r.ConnOpen()
-	r.Event(c1, EventHandshakeStart, "", "server", 0)
-	r.Event(c1, EventStepStart, "init", "", 0)
-	r.Event(c2, EventHandshakeStart, "", "server", 0)
+	r.Emit(hsStart(1))
+	r.Emit(probe.Event{Kind: probe.KindStepEnter, Conn: 1, Step: probe.StepInit})
+	r.Emit(hsStart(2))
 	h := Handler(r)
 
 	req := httptest.NewRequest("GET", "/debug/flightrecorder", nil)
@@ -75,7 +76,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &tail); err != nil {
 		t.Fatal(err)
 	}
-	if len(tail) != 1 || tail[0].Conn != c2 {
+	if len(tail) != 1 || tail[0].Conn != 2 {
 		t.Fatalf("tail = %+v", tail)
 	}
 
@@ -89,7 +90,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 
 func TestMetricsContentNegotiation(t *testing.T) {
 	r := NewRegistry()
-	r.HandshakeDone("RC4-MD5", 0x0300, false, time.Millisecond)
+	r.Emit(hsDone("RC4-MD5", 0x0300, false, time.Millisecond))
 	h := Handler(r)
 
 	// Default and explicit-garbage formats are both JSON.
@@ -125,8 +126,7 @@ func TestFlightRecorderEmptyAndLastEdges(t *testing.T) {
 		t.Fatalf("empty recorder body = %q, want []", body)
 	}
 
-	c := r.ConnOpen()
-	r.Event(c, EventHandshakeStart, "", "server", 0)
+	r.Emit(hsStart(1))
 
 	// last larger than the event count returns everything.
 	w = httptest.NewRecorder()

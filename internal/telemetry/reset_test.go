@@ -3,6 +3,8 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"sslperf/internal/probe"
 )
 
 func TestHistogramReset(t *testing.T) {
@@ -73,14 +75,14 @@ func TestFlightRecorderResetKeepsSlotInvariant(t *testing.T) {
 
 func TestRegistryReset(t *testing.T) {
 	r := NewRegistrySize(16)
-	id := r.ConnOpen()
-	r.HandshakeDone("RC4-MD5", 0x0300, false, 2*time.Millisecond)
-	r.HandshakeFailed("timeout")
-	r.ObserveStep("get_client_kx", time.Millisecond)
-	r.ObserveTimer("linger", time.Millisecond)
-	r.ObserveValue("batch_size", 4)
-	r.RecordIO(true, false, 100)
-	r.Event(id, EventClose, "", "", 0)
+	r.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: 1})
+	r.Emit(hsDone("RC4-MD5", 0x0300, false, 2*time.Millisecond))
+	r.Emit(hsFail("timeout"))
+	r.Emit(stepExit(probe.StepGetClientKX, time.Millisecond))
+	r.Emit(probe.Event{Kind: probe.KindEngineTimer, Fn: "linger", Dur: time.Millisecond})
+	r.Emit(probe.Event{Kind: probe.KindEngineValue, Fn: "batch_size", Value: 4})
+	r.Emit(recordIO(true, false, 100))
+	r.Emit(probe.Event{Kind: probe.KindConnClose, Conn: 1})
 
 	r.Reset()
 	s := r.Snapshot()
@@ -103,11 +105,11 @@ func TestRegistryReset(t *testing.T) {
 			t.Fatalf("step %s survived reset: %+v", st.Name, st.Latency)
 		}
 	}
-	// Connection IDs stay unique across the reset.
-	if next := r.ConnOpen(); next <= id {
-		t.Fatalf("conn id went backwards: %d then %d", id, next)
+	// The connection count is not a window metric: it survives.
+	if s.Connections != 1 {
+		t.Fatalf("connections = %d after reset, want 1", s.Connections)
 	}
-	r.ObserveValue("batch_size", 2)
+	r.Emit(probe.Event{Kind: probe.KindEngineValue, Fn: "batch_size", Value: 2})
 	s = r.Snapshot()
 	if len(s.Values) != 1 || s.Values[0].Values.Count != 1 {
 		t.Fatalf("post-reset value observation lost: %+v", s.Values)

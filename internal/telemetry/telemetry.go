@@ -7,9 +7,9 @@
 // (single-owner breakdowns rendered after a run), telemetry is the
 // always-on production instrument the multi-core follow-up work
 // assumes: counters are atomic, histograms are wait-free, and the
-// whole layer has a nil fast path — a nil *Registry accepts every
-// emission as a no-op costing one pointer test, so the hot path stays
-// allocation-free when telemetry is disabled.
+// whole layer has a nil fast path — a nil *Registry declines every
+// connection it is offered, so a server without telemetry runs the
+// sink-free probe bus.
 package telemetry
 
 import (
@@ -17,14 +17,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sslperf/internal/probe"
 )
 
-// A Registry aggregates the SSL stack's live metrics. All methods are
-// safe for concurrent use and all are no-ops on a nil receiver.
+// A Registry aggregates the SSL stack's live metrics. It is a
+// probe.Observer whose sink is the registry itself: every connection
+// (and every engine bus) emits into the one Registry, which keys its
+// flight-recorder entries by the connection ID the events carry. Emit
+// is safe for concurrent use; the read side is a no-op on a nil
+// receiver.
 type Registry struct {
 	start time.Time
 
-	connSeq atomic.Uint64
+	conns atomic.Uint64
 
 	handshakesFull    atomic.Uint64
 	handshakesResumed atomic.Uint64
@@ -83,10 +89,9 @@ func NewRegistrySize(events int) *Registry {
 
 // Reset zeroes every metric and drops the retained flight-recorder
 // events, so a drift window can be scoped to a load run instead of
-// the process lifetime. The connection-ID sequence and the start time
-// are preserved: IDs stay unique across the reset and uptime keeps
-// meaning "since process start". Concurrent emissions may land on
-// either side of the cut.
+// the process lifetime. The connection count and the start time are
+// preserved, so uptime keeps meaning "since process start".
+// Concurrent emissions may land on either side of the cut.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -130,21 +135,76 @@ func (r *Registry) Recorder() *FlightRecorder {
 	return r.recorder
 }
 
-// ConnOpen assigns and returns the next connection ID. IDs start at 1
-// so 0 can mean "no telemetry" in callers; a nil registry returns 0.
-func (r *Registry) ConnOpen() uint64 {
+// Observe implements probe.Observer. A nil registry declines, so it
+// can be wired unconditionally.
+func (r *Registry) Observe() probe.Sink {
 	if r == nil {
-		return 0
+		return nil
 	}
-	return r.connSeq.Add(1)
+	return r
 }
 
-// Event records a flight-recorder event for a connection.
-func (r *Registry) Event(conn uint64, kind EventKind, name, detail string, elapsed time.Duration) {
-	if r == nil {
-		return
+// Emit implements probe.Sink: lifecycle, step and crypto events become
+// flight-recorder entries under the event's connection ID; handshake
+// outcomes, step exits, record I/O and engine samples feed the
+// counters and histograms.
+func (r *Registry) Emit(e probe.Event) {
+	switch e.Kind {
+	case probe.KindConnOpen:
+		r.conns.Add(1)
+	case probe.KindHandshakeStart:
+		r.event(e, EventHandshakeStart, "", e.Fn)
+	case probe.KindStepEnter:
+		r.event(e, EventStepStart, e.Step.Name(), e.Step.Desc())
+	case probe.KindStepExit:
+		// The live, cross-connection mirror of Table 2's rows.
+		r.histogram(r.steps, &r.stepOrder, e.Step.Name()).Observe(e.Dur)
+		r.event(e, EventStepEnd, e.Step.Name(), "")
+	case probe.KindCrypto:
+		r.event(e, EventCrypto, e.Fn, e.Step.Name())
+	case probe.KindRecordCrypto:
+		// Record-layer work inside a handshake step lands in the
+		// flight recorder under its Table 2 row name; bulk-phase work
+		// is covered by the I/O counters alone (per-op events would
+		// flood the ring).
+		if e.Step != probe.StepNone {
+			r.event(e, EventCrypto, e.Op.StepFn(), e.Step.Name())
+		}
+	case probe.KindRecordIO:
+		r.recordIO(e)
+	case probe.KindHandshakeDone:
+		r.handshakeDone(e)
+	case probe.KindHandshakeFail:
+		r.handshakesFailed.Add(1)
+		reason := e.Fn
+		if reason == "" {
+			reason = "unknown"
+		}
+		r.mu.Lock()
+		r.failReasons[reason]++
+		r.mu.Unlock()
+		r.event(e, EventHandshakeFail, e.Fn, e.Detail)
+	case probe.KindConnClose:
+		r.event(e, EventClose, "", "")
+	case probe.KindEngineValue:
+		r.mu.Lock()
+		h := r.values[e.Fn]
+		if h == nil {
+			h = &ValueHistogram{}
+			r.values[e.Fn] = h
+			r.valueOrder = append(r.valueOrder, e.Fn)
+		}
+		r.mu.Unlock()
+		h.Observe(e.Value)
+	case probe.KindEngineTimer:
+		r.histogram(r.timers, &r.timerOrder, e.Fn).Observe(e.Dur)
 	}
-	r.recorder.Record(Event{Conn: conn, Kind: kind, Name: name, Detail: detail, Elapsed: elapsed})
+}
+
+// event records a flight-recorder entry for e's connection, keeping
+// the spine's stamp.
+func (r *Registry) event(e probe.Event, kind EventKind, name, detail string) {
+	r.recorder.Record(Event{Conn: e.Conn, At: e.At, Kind: kind, Name: name, Detail: detail, Elapsed: e.Dur})
 }
 
 // versionName names a wire version for metric keys.
@@ -158,111 +218,61 @@ func versionName(v uint16) string {
 	return fmt.Sprintf("%#04x", v)
 }
 
-// HandshakeDone counts one successful handshake, keyed by cipher
-// suite and version, and observes its latency (full and resumed
-// handshakes get separate histograms, matching the paper's split).
-func (r *Registry) HandshakeDone(suiteName string, version uint16, resumed bool, d time.Duration) {
-	if r == nil {
-		return
-	}
-	if resumed {
+// handshakeDone counts one successful handshake, keyed by cipher suite
+// and version, and observes its latency (full and resumed handshakes
+// get separate histograms, matching the paper's split).
+func (r *Registry) handshakeDone(e probe.Event) {
+	detail := e.Fn
+	if e.Resumed {
 		r.handshakesResumed.Add(1)
-		r.resumedLatency.Observe(d)
+		r.resumedLatency.Observe(e.Dur)
+		detail += " resumed"
 	} else {
 		r.handshakesFull.Add(1)
-		r.fullLatency.Observe(d)
+		r.fullLatency.Observe(e.Dur)
 	}
 	r.mu.Lock()
-	r.bySuite[suiteName]++
-	r.byVersion[versionName(version)]++
+	r.bySuite[e.Fn]++
+	r.byVersion[versionName(e.Version)]++
 	r.mu.Unlock()
+	r.event(e, EventHandshakeDone, "", detail)
 }
 
-// HandshakeFailed counts one failed handshake tagged with a reason
-// (an alert name or a stable error category).
-func (r *Registry) HandshakeFailed(reason string) {
-	if r == nil {
-		return
-	}
-	r.handshakesFailed.Add(1)
-	if reason == "" {
-		reason = "unknown"
-	}
+// histogram returns the named latency histogram of one family (the
+// handshake steps, or the engines' open timer vocabulary), creating
+// it on first use and remembering first-observed order.
+func (r *Registry) histogram(family map[string]*Histogram, order *[]string, name string) *Histogram {
 	r.mu.Lock()
-	r.failReasons[reason]++
-	r.mu.Unlock()
-}
-
-// ObserveStep records one handshake step's latency into that step's
-// histogram — the live, cross-connection mirror of Table 2's rows.
-func (r *Registry) ObserveStep(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.steps[name]
+	h := family[name]
 	if h == nil {
 		h = &Histogram{}
-		r.steps[name] = h
-		r.stepOrder = append(r.stepOrder, name)
+		family[name] = h
+		*order = append(*order, name)
 	}
 	r.mu.Unlock()
-	h.Observe(d)
+	return h
 }
 
-// ObserveTimer records one latency into the named engine histogram,
-// creating it on first use (e.g. the batch engine's linger window).
-func (r *Registry) ObserveTimer(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.timers[name]
-	if h == nil {
-		h = &Histogram{}
-		r.timers[name] = h
-		r.timerOrder = append(r.timerOrder, name)
-	}
-	r.mu.Unlock()
-	h.Observe(d)
-}
-
-// ObserveValue records one integer measurement into the named value
-// histogram, creating it on first use (e.g. batch sizes and queue
-// depths).
-func (r *Registry) ObserveValue(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.values[name]
-	if h == nil {
-		h = &ValueHistogram{}
-		r.values[name] = h
-		r.valueOrder = append(r.valueOrder, name)
-	}
-	r.mu.Unlock()
-	h.Observe(v)
-}
-
-// RecordIO counts one framed record moving through the record layer.
-// This is the per-record hot path: four atomic adds at most.
-func (r *Registry) RecordIO(written bool, isAlert bool, payloadBytes int) {
-	if r == nil {
-		return
-	}
-	if written {
+// recordIO counts one framed record moving through the record layer
+// (the per-record hot path: three atomic adds) and flight-records an
+// alert.
+func (r *Registry) recordIO(e probe.Event) {
+	if e.Written {
 		r.recordsOut.Add(1)
-		r.bytesOut.Add(uint64(payloadBytes))
-		if isAlert {
-			r.alertsOut.Add(1)
-		}
+		r.bytesOut.Add(uint64(e.Bytes))
 	} else {
 		r.recordsIn.Add(1)
-		r.bytesIn.Add(uint64(payloadBytes))
-		if isAlert {
-			r.alertsIn.Add(1)
-		}
+		r.bytesIn.Add(uint64(e.Bytes))
+	}
+	if !e.Alert {
+		return
+	}
+	if e.Written {
+		r.alertsOut.Add(1)
+		r.event(e, EventAlertSent, "", "")
+	} else {
+		r.alertsIn.Add(1)
+		r.event(e, EventAlertReceived, "", "")
 	}
 }
 
@@ -290,7 +300,7 @@ func (r *Registry) Counts() Counts {
 		return Counts{}
 	}
 	return Counts{
-		Connections:       r.connSeq.Load(),
+		Connections:       r.conns.Load(),
 		HandshakesFull:    r.handshakesFull.Load(),
 		HandshakesResumed: r.handshakesResumed.Load(),
 		HandshakesFailed:  r.handshakesFailed.Load(),
@@ -363,7 +373,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		At:            now,
 		UptimeSeconds: now.Sub(r.start).Seconds(),
-		Connections:   r.connSeq.Load(),
+		Connections:   r.conns.Load(),
 		Handshakes: HandshakeCounts{
 			Full:    r.handshakesFull.Load(),
 			Resumed: r.handshakesResumed.Load(),

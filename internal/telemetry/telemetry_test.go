@@ -6,18 +6,36 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sslperf/internal/probe"
 )
+
+// The events a connection puts on the spine, as these tests emit them.
+func hsStart(conn uint64) probe.Event {
+	return probe.Event{Kind: probe.KindHandshakeStart, Conn: conn, Fn: "server"}
+}
+
+func hsDone(suite string, version uint16, resumed bool, d time.Duration) probe.Event {
+	return probe.Event{Kind: probe.KindHandshakeDone, Fn: suite, Version: version, Resumed: resumed, Dur: d}
+}
+
+func hsFail(tag string) probe.Event {
+	return probe.Event{Kind: probe.KindHandshakeFail, Fn: tag}
+}
+
+func stepExit(st probe.Step, d time.Duration) probe.Event {
+	return probe.Event{Kind: probe.KindStepExit, Step: st, Dur: d}
+}
+
+func recordIO(written, alert bool, n int) probe.Event {
+	return probe.Event{Kind: probe.KindRecordIO, Written: written, Alert: alert, Bytes: n}
+}
 
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
-	if id := r.ConnOpen(); id != 0 {
-		t.Fatalf("nil ConnOpen = %d, want 0", id)
+	if r.Observe() != nil {
+		t.Fatal("nil registry offered a sink")
 	}
-	r.HandshakeDone("X", 0x0300, false, time.Millisecond)
-	r.HandshakeFailed("whatever")
-	r.ObserveStep("init", time.Microsecond)
-	r.RecordIO(true, false, 100)
-	r.Event(1, EventStepStart, "init", "", 0)
 	if rec := r.Recorder(); rec != nil {
 		t.Fatalf("nil Recorder = %v, want nil", rec)
 	}
@@ -33,21 +51,21 @@ func TestNilRegistryIsSafe(t *testing.T) {
 
 func TestRegistryCounts(t *testing.T) {
 	r := NewRegistry()
-	id := r.ConnOpen()
-	if id != 1 {
-		t.Fatalf("first conn id = %d, want 1", id)
-	}
-	r.HandshakeDone("DES-CBC3-SHA", 0x0300, false, 2*time.Millisecond)
-	r.HandshakeDone("DES-CBC3-SHA", 0x0301, true, 100*time.Microsecond)
-	r.HandshakeFailed("handshake_failure")
-	r.HandshakeFailed("")
-	r.ObserveStep("init", 5*time.Microsecond)
-	r.ObserveStep("get_client_hello", 40*time.Microsecond)
-	r.RecordIO(false, false, 1000)
-	r.RecordIO(true, false, 2000)
-	r.RecordIO(true, true, 2)
+	r.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: 1})
+	r.Emit(hsDone("DES-CBC3-SHA", 0x0300, false, 2*time.Millisecond))
+	r.Emit(hsDone("DES-CBC3-SHA", 0x0301, true, 100*time.Microsecond))
+	r.Emit(hsFail("handshake_failure"))
+	r.Emit(hsFail(""))
+	r.Emit(stepExit(probe.StepInit, 5*time.Microsecond))
+	r.Emit(stepExit(probe.StepGetClientHello, 40*time.Microsecond))
+	r.Emit(recordIO(false, false, 1000))
+	r.Emit(recordIO(true, false, 2000))
+	r.Emit(recordIO(true, true, 2))
 
 	s := r.Snapshot()
+	if s.Connections != 1 {
+		t.Fatalf("connections = %d, want 1", s.Connections)
+	}
 	if s.Handshakes.Full != 1 || s.Handshakes.Resumed != 1 || s.Handshakes.Failed != 2 {
 		t.Fatalf("handshake counts = %+v", s.Handshakes)
 	}
@@ -166,16 +184,16 @@ func TestConcurrentEmission(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				conn := r.ConnOpen()
-				r.Event(conn, EventHandshakeStart, "", "server", 0)
-				r.ObserveStep("init", time.Microsecond)
-				r.ObserveStep("get_client_hello", 2*time.Microsecond)
-				r.RecordIO(false, false, 64)
-				r.RecordIO(true, i%10 == 0, 128)
+				r.Emit(probe.Event{Kind: probe.KindConnOpen})
+				r.Emit(hsStart(0))
+				r.Emit(stepExit(probe.StepInit, time.Microsecond))
+				r.Emit(stepExit(probe.StepGetClientHello, 2*time.Microsecond))
+				r.Emit(recordIO(false, false, 64))
+				r.Emit(recordIO(true, i%10 == 0, 128))
 				if i%5 == 0 {
-					r.HandshakeFailed("bad_record_mac")
+					r.Emit(hsFail("bad_record_mac"))
 				} else {
-					r.HandshakeDone("RC4-MD5", 0x0300, i%2 == 0, time.Duration(i)*time.Microsecond)
+					r.Emit(hsDone("RC4-MD5", 0x0300, i%2 == 0, time.Duration(i)*time.Microsecond))
 				}
 				_ = r.Snapshot() // readers race with writers
 			}
@@ -193,7 +211,9 @@ func TestConcurrentEmission(t *testing.T) {
 	if s.IO.RecordsIn != uint64(total) || s.IO.RecordsOut != uint64(total) {
 		t.Fatalf("records = %+v", s.IO)
 	}
-	if s.EventsRecorded != uint64(total) || s.EventsRetained != 128 {
+	// Per connection: the start, two step ends and the outcome, plus
+	// an alert on every tenth.
+	if s.EventsRecorded != uint64(4*total+total/10) || s.EventsRetained != 128 {
 		t.Fatalf("events recorded=%d retained=%d", s.EventsRecorded, s.EventsRetained)
 	}
 	if s.Steps[0].Latency.Count != uint64(total) {
@@ -203,9 +223,9 @@ func TestConcurrentEmission(t *testing.T) {
 
 func TestSnapshotRenderers(t *testing.T) {
 	r := NewRegistry()
-	r.HandshakeDone("DES-CBC3-SHA", 0x0300, false, time.Millisecond)
-	r.ObserveStep("init", 10*time.Microsecond)
-	r.ObserveStep("send_finished", 30*time.Microsecond)
+	r.Emit(hsDone("DES-CBC3-SHA", 0x0300, false, time.Millisecond))
+	r.Emit(stepExit(probe.StepInit, 10*time.Microsecond))
+	r.Emit(stepExit(probe.StepSendFinished, 30*time.Microsecond))
 	s := r.Snapshot()
 
 	b, err := s.JSON()

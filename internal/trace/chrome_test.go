@@ -13,7 +13,7 @@ func TestChromeTraceExport(t *testing.T) {
 	// Two handshake traces whose get_client_kx steps feed one batch.
 	var refs []Ref
 	for i := 0; i < 2; i++ {
-		ct := tr.ConnBegin(uint64(10+i), "server")
+		ct := begin(tr, uint64(10+i))
 		hs := ct.Begin("handshake", CatConn, 0)
 		step := ct.Begin("get_client_kx", CatStep, hs)
 		refs = append(refs, ct.Ref())

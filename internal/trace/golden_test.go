@@ -97,10 +97,11 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	exp := baseline.PaperExpectation()
 	for conn := uint64(1); conn <= exp.MinHandshakes; conn++ {
-		ct := tracer.ConnBegin(conn, "server")
-		sink := trace.ProbeSink(ct, ct.Begin("handshake", trace.CatConn, 0))
+		ct := tracer.ConnBegin()
+		ct.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: conn, Fn: "server"})
+		ct.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server"})
 		for _, e := range events {
-			sink.Emit(e)
+			ct.Emit(e)
 		}
 		ct.Finish("ok")
 	}

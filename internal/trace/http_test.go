@@ -12,7 +12,7 @@ import (
 func tracerWithOneTrace(t *testing.T) *Tracer {
 	t.Helper()
 	tr := NewTracer(Config{})
-	ct := tr.ConnBegin(1, "server")
+	ct := begin(tr, 1)
 	s := ct.Begin("init", CatStep, 0)
 	ct.End(s, time.Millisecond)
 	ct.Finish("ok")
@@ -97,7 +97,7 @@ func TestDebugAnatomyReset(t *testing.T) {
 	}
 
 	// The profiler keeps folding after the reset.
-	ct := tr.ConnBegin(2, "server")
+	ct := begin(tr, 2)
 	sp := ct.Begin("init", CatStep, 0)
 	ct.End(sp, time.Millisecond)
 	ct.Finish("ok")

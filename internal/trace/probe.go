@@ -6,52 +6,6 @@ import (
 	"sslperf/internal/probe"
 )
 
-// probeSink turns spine events into spans on one connection's trace:
-// step enter/exit become step spans under the handshake span, crypto
-// calls become crypto events inside the open step, and record-layer
-// work becomes either a Table 2 crypto event (inside a step) or a
-// record span (bulk phase). It runs on the connection's goroutine
-// only.
-type probeSink struct {
-	ct     *ConnTrace
-	parent uint64 // the top-level handshake span
-	cur    uint64 // the open step span
-}
-
-// ProbeSink returns the probe sink that builds ct's handshake spans
-// under the given parent span, or nil when ct is nil (so the bus's
-// nil-sink filtering keeps the fast path on).
-func ProbeSink(ct *ConnTrace, parent uint64) probe.Sink {
-	if ct == nil {
-		return nil
-	}
-	return &probeSink{ct: ct, parent: parent}
-}
-
-// Emit implements probe.Sink.
-func (s *probeSink) Emit(e probe.Event) {
-	switch e.Kind {
-	case probe.KindStepEnter:
-		s.cur = s.ct.Begin(e.Step.Name(), CatStep, s.parent)
-	case probe.KindStepExit:
-		// The spine reports cumulative in-step time, which excludes
-		// I/O waits the wall clock would charge; pass it through.
-		s.ct.End(s.cur, e.Dur)
-		s.cur = 0
-	case probe.KindCrypto:
-		s.ct.Event(e.Fn, CatCrypto, s.cur, e.At, e.Dur)
-	case probe.KindRecordCrypto:
-		if e.Step != probe.StepNone {
-			// Finished-message work inside a step: the same Table 2
-			// rows (pri_encryption/pri_decryption/mac) the offline
-			// anatomy reports.
-			s.ct.Event(e.Op.StepFn(), CatCrypto, s.cur, e.At, e.Dur)
-		} else {
-			s.ct.Event(e.Op.String(), CatRecord, 0, e.At, e.Dur)
-		}
-	}
-}
-
 // engineSink folds engine-span events into the tracer's engine ring.
 type engineSink struct {
 	t *Tracer

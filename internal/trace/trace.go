@@ -3,17 +3,19 @@
 // harness (internal/core's Table 2/3 experiments).
 //
 // Every sampled connection gets a trace ID; spans cover the TCP
-// accept, each of the ten handshake steps (streamed over the probe
-// spine), the individual crypto calls inside them,
-// record-layer seal/open work, and application I/O. The batch RSA
-// engine emits engine spans *linked* to the handshake spans they
-// served, so cross-connection batching causality stays visible.
+// accept, the handshake and each of its ten steps, the individual
+// crypto calls inside them, record-layer seal/open work, and
+// application I/O — all built from the connection's probe events (a
+// Tracer is a probe.Observer, a ConnTrace the per-connection sink).
+// The batch RSA engine emits engine spans *linked* to the handshake
+// spans they served, so cross-connection batching causality stays
+// visible.
 //
 // Overhead is bounded by design: sampling is probabilistic (1-in-N)
 // plus rate-limited, completed traces land in a lock-free ring of
 // atomic pointers, and a nil *Tracer (or an unsampled connection's
-// nil *ConnTrace) accepts every call as a no-op costing one pointer
-// test — the same discipline as internal/telemetry's nil registry.
+// nil *ConnTrace) declines the connection, which then never builds a
+// probe bus for it.
 //
 // Exports are Chrome trace-event JSON (chrome://tracing / Perfetto)
 // and the continuous anatomy profiler, which folds sampled spans
@@ -63,7 +65,7 @@ type Span struct {
 // A TraceData is one completed connection trace.
 type TraceData struct {
 	ID      uint64    `json:"id"`
-	Conn    uint64    `json:"conn"` // telemetry connection ID when known
+	Conn    uint64    `json:"conn"` // the spine's connection ID
 	Role    string    `json:"role"` // "server" or "client"
 	Start   time.Time `json:"start"`
 	End     time.Time `json:"end"`
@@ -204,11 +206,19 @@ func (t *Tracer) allow() bool {
 	return t.tokens.Add(-1) >= 0
 }
 
-// ConnBegin offers one connection to the sampler. It returns a live
-// *ConnTrace for sampled connections and nil otherwise — and a nil
-// *ConnTrace is itself a valid no-op recorder, so callers thread the
-// result through unconditionally.
-func (t *Tracer) ConnBegin(conn uint64, role string) *ConnTrace {
+// Observe implements probe.Observer: it offers the connection to the
+// sampler and answers with its trace, or nil when passed over.
+func (t *Tracer) Observe() probe.Sink { return t.ConnBegin().Observe() }
+
+// ConnBegin offers one connection to the sampler ahead of its open
+// event, for callers with something to put on the trace first (the
+// accept span, a batch-RSA link target); they then hand the trace to
+// the connection as its observer. It returns nil for unsampled
+// connections — and a nil *ConnTrace is itself a valid no-op recorder
+// and a declining observer, so callers thread the result through
+// unconditionally. The connection's ID and role arrive with its open
+// event.
+func (t *Tracer) ConnBegin() *ConnTrace {
 	if t == nil {
 		return nil
 	}
@@ -222,13 +232,8 @@ func (t *Tracer) ConnBegin(conn uint64, role string) *ConnTrace {
 	}
 	t.sampled.Add(1)
 	return &ConnTrace{
-		t: t,
-		data: TraceData{
-			ID:    t.traceSeq.Add(1),
-			Conn:  conn,
-			Role:  role,
-			Start: time.Now(),
-		},
+		t:    t,
+		data: TraceData{ID: t.traceSeq.Add(1), Start: time.Now()},
 	}
 }
 
@@ -296,9 +301,15 @@ func ringSnapshot[T any](ring []atomic.Pointer[T], next uint64) []*T {
 // runs on a single goroutine but record and I/O spans can arrive from
 // whichever goroutine drives the connection afterwards, so the span
 // buffer is guarded by a mutex — paid only by sampled connections.
-// All methods are no-ops on a nil receiver.
+// All methods but Emit are no-ops on a nil receiver.
 type ConnTrace struct {
 	t *Tracer
+
+	// Emit's cursor, touched only by the connection's goroutine: the
+	// top-level handshake span, the open step span, and the outcome
+	// the close will publish.
+	hs, cur uint64
+	outcome string
 
 	mu       sync.Mutex
 	data     TraceData
@@ -316,14 +327,75 @@ func (ct *ConnTrace) TraceID() uint64 {
 	return ct.data.ID
 }
 
-// SetConn stamps the telemetry connection ID once it is known.
-func (ct *ConnTrace) SetConn(conn uint64) {
+// Observe implements probe.Observer for a trace begun ahead of its
+// connection: the trace is that connection's sink. A nil trace
+// declines.
+func (ct *ConnTrace) Observe() probe.Sink {
 	if ct == nil {
-		return
+		return nil
 	}
-	ct.mu.Lock()
-	ct.data.Conn = conn
-	ct.mu.Unlock()
+	return ct
+}
+
+// Emit implements probe.Sink, turning the connection's events into
+// spans: the handshake is a top-level span, step enter/exit become
+// step spans under it, crypto calls become crypto events inside the
+// open step, record-layer work becomes either a Table 2 crypto event
+// (inside a step) or a record span (bulk phase), application reads
+// and writes become io spans. A failed handshake finishes the trace at
+// once; a successful one folds into the anatomy profiler immediately
+// and publishes at close, so application I/O is on it.
+func (ct *ConnTrace) Emit(e probe.Event) {
+	switch e.Kind {
+	case probe.KindConnOpen:
+		ct.mu.Lock()
+		ct.data.Conn, ct.data.Role = e.Conn, e.Fn
+		ct.mu.Unlock()
+	case probe.KindHandshakeStart:
+		ct.hs = ct.Begin("handshake", CatConn, 0)
+	case probe.KindStepEnter:
+		ct.cur = ct.Begin(e.Step.Name(), CatStep, ct.hs)
+	case probe.KindStepExit:
+		// The spine reports cumulative in-step time, which excludes
+		// I/O waits the wall clock would charge; pass it through.
+		ct.End(ct.cur, e.Dur)
+		ct.cur = 0
+	case probe.KindCrypto:
+		ct.Event(e.Fn, CatCrypto, ct.cur, e.At, e.Dur)
+	case probe.KindRecordCrypto:
+		if e.Step != probe.StepNone {
+			// Finished-message work inside a step: the same Table 2
+			// rows (pri_encryption/pri_decryption/mac) the offline
+			// anatomy reports.
+			ct.Event(e.Op.StepFn(), CatCrypto, ct.cur, e.At, e.Dur)
+		} else {
+			ct.Event(e.Op.String(), CatRecord, 0, e.At, e.Dur)
+		}
+	case probe.KindHandshakeDone:
+		ct.End(ct.hs, -1)
+		ct.outcome = "ok"
+		detail := e.Fn
+		if e.Resumed {
+			ct.outcome = "resumed"
+			detail += " resumed"
+		}
+		ct.setDetail(ct.hs, detail)
+		ct.fold()
+	case probe.KindHandshakeFail:
+		ct.End(ct.hs, -1)
+		ct.Finish(e.Fn)
+	case probe.KindAppIO:
+		name := "read"
+		if e.Written {
+			name = "write"
+		}
+		ct.Event(name, CatIO, ct.hs, e.At, e.Dur)
+	case probe.KindConnClose:
+		if ct.outcome == "" {
+			ct.outcome = "closed_before_handshake"
+		}
+		ct.Finish(ct.outcome)
+	}
 }
 
 // Begin opens a span and returns its ID for End. Parent 0 means
@@ -373,12 +445,9 @@ func (ct *ConnTrace) End(id uint64, elapsed time.Duration) {
 	}
 }
 
-// SetDetail attaches the free-form attribute to an open or closed
+// setDetail attaches the free-form attribute to an open or closed
 // span.
-func (ct *ConnTrace) SetDetail(id uint64, detail string) {
-	if ct == nil || id == 0 {
-		return
-	}
+func (ct *ConnTrace) setDetail(id uint64, detail string) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	for i := range ct.data.Spans {
@@ -428,17 +497,14 @@ func (ct *ConnTrace) Ref() Ref {
 	return Ref{Trace: ct.data.ID}
 }
 
-// Fold contributes the spans recorded so far to the anatomy profiler
-// without finishing the trace. The connection calls it the moment the
-// handshake completes, so /debug/anatomy reflects a handshake as soon
-// as it is done rather than when its connection finally closes; the
-// later Finish will not fold again. Spans recorded after Fold still
-// reach the trace ring but not the profiler — by construction those
-// are I/O and record spans, which the profiler ignores anyway.
-func (ct *ConnTrace) Fold() {
-	if ct == nil {
-		return
-	}
+// fold contributes the spans recorded so far to the anatomy profiler
+// without finishing the trace, the moment the handshake completes, so
+// /debug/anatomy reflects a handshake as soon as it is done rather
+// than when its connection finally closes; the later Finish will not
+// fold again. Spans recorded after fold still reach the trace ring
+// but not the profiler — by construction those are I/O and record
+// spans, which the profiler ignores anyway.
+func (ct *ConnTrace) fold() {
 	ct.mu.Lock()
 	if ct.done || ct.folded {
 		ct.mu.Unlock()
@@ -451,7 +517,7 @@ func (ct *ConnTrace) Fold() {
 }
 
 // Finish completes the trace: closes any spans left open, stamps the
-// outcome, publishes into the tracer's ring, and (unless Fold already
+// outcome, publishes into the tracer's ring, and (unless fold already
 // ran) folds the trace into the anatomy profiler. Finish is
 // idempotent; the first outcome wins.
 func (ct *ConnTrace) Finish(outcome string) {

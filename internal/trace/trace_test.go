@@ -5,11 +5,23 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sslperf/internal/probe"
 )
+
+// begin samples one connection and opens it on the trace the way the
+// connection's bus would.
+func begin(tr *Tracer, conn uint64) *ConnTrace {
+	ct := tr.ConnBegin()
+	if ct != nil {
+		ct.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: conn, Fn: "server"})
+	}
+	return ct
+}
 
 func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
 	var tr *Tracer
-	if ct := tr.ConnBegin(1, "server"); ct != nil {
+	if ct := tr.ConnBegin(); ct != nil || tr.Observe() != nil {
 		t.Fatal("nil tracer sampled a connection")
 	}
 	tr.EngineSpan("x", "", time.Now(), time.Millisecond, nil)
@@ -27,10 +39,10 @@ func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
 	id := ct.Begin("x", CatStep, 0)
 	ct.End(id, time.Millisecond)
 	ct.Event("y", CatCrypto, 0, time.Now(), time.Millisecond)
-	ct.SetDetail(1, "d")
-	ct.SetConn(7)
-	ct.Fold()
 	ct.Finish("ok")
+	if ct.Observe() != nil {
+		t.Fatal("nil ConnTrace offered itself as a sink")
+	}
 	if ct.TraceID() != 0 {
 		t.Fatal("nil ConnTrace has a trace ID")
 	}
@@ -43,7 +55,7 @@ func TestSamplingModulus(t *testing.T) {
 	tr := NewTracer(Config{SampleEvery: 4})
 	sampled := 0
 	for i := 0; i < 16; i++ {
-		if ct := tr.ConnBegin(uint64(i), "server"); ct != nil {
+		if ct := begin(tr, uint64(i)); ct != nil {
 			sampled++
 			ct.Finish("ok")
 		}
@@ -61,7 +73,7 @@ func TestRateLimit(t *testing.T) {
 	tr := NewTracer(Config{SampleEvery: 1, MaxPerSec: 2})
 	sampled := 0
 	for i := 0; i < 10; i++ {
-		if ct := tr.ConnBegin(uint64(i), "server"); ct != nil {
+		if ct := begin(tr, uint64(i)); ct != nil {
 			sampled++
 		}
 	}
@@ -75,7 +87,7 @@ func TestRateLimit(t *testing.T) {
 
 func TestSpanLifecycleAndPublish(t *testing.T) {
 	tr := NewTracer(Config{})
-	ct := tr.ConnBegin(42, "server")
+	ct := begin(tr, 42)
 	if ct == nil {
 		t.Fatal("default config did not sample")
 	}
@@ -84,7 +96,7 @@ func TestSpanLifecycleAndPublish(t *testing.T) {
 	ct.Event("rsa_decrypt", CatCrypto, step, time.Now(), 3*time.Millisecond)
 	ct.End(step, 5*time.Millisecond) // explicit elapsed override
 	ct.End(hs, -1)                   // wall clock
-	ct.SetDetail(hs, "RSA-RC4-SHA")
+	ct.setDetail(hs, "RSA-RC4-SHA")
 	ct.Finish("ok")
 	ct.Finish("again") // idempotent: first outcome wins
 
@@ -119,7 +131,7 @@ func TestSpanLifecycleAndPublish(t *testing.T) {
 
 func TestFinishClosesOpenSpans(t *testing.T) {
 	tr := NewTracer(Config{})
-	ct := tr.ConnBegin(1, "server")
+	ct := begin(tr, 1)
 	ct.Begin("handshake", CatConn, 0) // never ended
 	ct.Finish("io_error")
 	td := tr.Traces()[0]
@@ -133,7 +145,7 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 
 func TestRefTracksCurrentStep(t *testing.T) {
 	tr := NewTracer(Config{})
-	ct := tr.ConnBegin(1, "server")
+	ct := begin(tr, 1)
 	if ref := ct.Ref(); ref.Trace != ct.TraceID() || ref.Span != 0 {
 		t.Fatalf("pre-step Ref = %+v", ref)
 	}
@@ -165,7 +177,7 @@ func TestEngineSpansRetainedAndCounted(t *testing.T) {
 func TestTraceRingWraps(t *testing.T) {
 	tr := NewTracer(Config{RingSize: 2})
 	for i := 0; i < 5; i++ {
-		ct := tr.ConnBegin(uint64(100+i), "server")
+		ct := begin(tr, uint64(100+i))
 		ct.Finish("ok")
 	}
 	traces := tr.Traces()
@@ -179,7 +191,7 @@ func TestTraceRingWraps(t *testing.T) {
 
 func TestMaxSpansFinishesTrace(t *testing.T) {
 	tr := NewTracer(Config{MaxSpans: 8})
-	ct := tr.ConnBegin(1, "server")
+	ct := begin(tr, 1)
 	for i := 0; i < 20; i++ {
 		ct.Event("write", CatIO, 0, time.Now(), time.Microsecond)
 	}
@@ -197,11 +209,11 @@ func TestMaxSpansFinishesTrace(t *testing.T) {
 
 func TestFoldThenFinishCountsOnce(t *testing.T) {
 	tr := NewTracer(Config{})
-	ct := tr.ConnBegin(1, "server")
+	ct := begin(tr, 1)
 	s := ct.Begin("init", CatStep, 0)
 	ct.End(s, time.Millisecond)
-	ct.Fold()
-	ct.Fold() // second fold is a no-op
+	ct.fold()
+	ct.fold() // second fold is a no-op
 	ct.Finish("ok")
 	snap := tr.Profiler().Snapshot()
 	if snap.Traces != 1 || snap.Handshakes != 1 {
@@ -220,7 +232,7 @@ func TestConcurrentTracing(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				ct := tr.ConnBegin(uint64(g*100+i), "server")
+				ct := begin(tr, uint64(g*100+i))
 				if ct == nil {
 					continue
 				}
