@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -24,9 +24,9 @@ race:
 
 # CI gate: static checks plus the race detector on the packages that
 # live connections emit through concurrently: the probe spine and its
-# sink adapters (telemetry, the span tracer), the record layer and the
-# macpipe sealing pipeline behind its flight path, the batch-RSA and
-# accel engines, the handshake session cache, perf (whose model-GHz
+# sink adapters (telemetry, the span tracer), the record layer (whose
+# connections share one window-buffer pool), the batch-RSA and accel
+# engines, the handshake session cache, perf (whose model-GHz
 # setting is shared mutable state), and the load generator + health
 # checks — then every fuzz target for a few seconds and a real
 # end-to-end smoke through sslload's in-process server.
@@ -34,12 +34,13 @@ check:
 	$(GO) vet ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
+	$(MAKE) seallint
 	$(MAKE) depslint
 	$(MAKE) pathlenlint
 	$(MAKE) failclasslint
 	$(MAKE) doclint
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
-		./internal/ssl/... ./internal/record/... ./internal/macpipe/... ./internal/rsabatch/... \
+		./internal/ssl/... ./internal/record/... ./internal/rsabatch/... \
 		./internal/handshake/... ./internal/accel/... ./internal/perf/... \
 		./internal/loadgen/... ./internal/baseline/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \
@@ -66,9 +67,10 @@ clocklint:
 # blocking transport read. A direct io.ReadFull or .Read( call in
 # those files would park the event loop on one connection's socket.
 # The rare legitimate read (the config's randomness source) carries a
-# "lint:allow-read" marker. A connection blocks in exactly one place,
-# the Layer adapter (record/record.go), reached through the Conn
-# wrapper (ssl/ssl.go); those two files are exempt.
+# "lint:allow-read" marker. A connection blocks in exactly one place:
+# Layer.ReadRecord in record/record.go holds the one .Read( on a
+# transport, and ssl.Conn (ssl/ssl.go) reaches it by running the same
+# state machine over a Layer; those two files are exempt.
 blocklint:
 	@bad=$$(grep -n 'io\.ReadFull\|\.Read(' internal/handshake/*.go internal/record/core.go \
 		internal/ssl/nonblock.go internal/ssl/probes.go \
@@ -77,6 +79,19 @@ blocklint:
 		echo "blocklint: blocking reads inside the sans-IO core (mark intentional non-transport ones with // lint:allow-read):"; \
 		echo "$$bad"; exit 1; \
 	fi
+
+# There is one record path: Core.seal holds the only cipher.Encrypt(
+# call of the record layer and Core.open the only cipher.Decrypt(, for
+# blocking and event-loop connections alike. A second call site is a
+# second seal or open coming back.
+seallint:
+	@for call in 'cipher\.Encrypt(' 'cipher\.Decrypt('; do \
+		sites=$$(grep -n "$$call" internal/record/*.go | grep -v _test.go); \
+		if [ $$(echo "$$sites" | grep -c .) -ne 1 ]; then \
+			echo "seallint: want exactly one $$call call site in non-test internal/record/*.go, found:"; \
+			echo "$$sites"; exit 1; \
+		fi; \
+	done
 
 # The protocol layers know the observatory only as the probe spine:
 # connections emit events, and whoever wires a server decides which

@@ -169,19 +169,17 @@ func main() {
 	}
 	fmt.Println(t)
 
-	// Sealed record path: the flight-width amortization curve.
+	// Sealed record path: write batching by write size.
 	points, err := recordSweep(*dur)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rpt := perf.NewTable("sealed record path, 1 MiB writes (width -1 = sequential, 0 = auto)",
-		"suite", "width", "MB/s", "records/s", "syscalls/record")
+	rpt := perf.NewTable("sealed record path", "suite", "write bytes", "MB/s", "writes/record")
 	for _, p := range points {
-		rpt.AddRow(p.Suite, fmt.Sprintf("%d", p.Width),
+		rpt.AddRow(p.Suite, fmt.Sprintf("%d", p.WriteBytes),
 			fmt.Sprintf("%.1f", p.MBps),
-			fmt.Sprintf("%.0f", p.RecordsSec),
-			fmt.Sprintf("%.4f", p.SyscallsPerRecord))
+			fmt.Sprintf("%.4f", p.WritesPerRecord))
 	}
 	fmt.Println(rpt)
 
@@ -260,51 +258,35 @@ type bulkReport struct {
 	RecordPath []recordPoint `json:"record_path"`
 }
 
-// recordPoint is one (suite, flight width) measurement of the sealed
-// record path — the flight-width amortization curve in machine-
-// readable form. Width -1 is the sequential record-at-a-time path
-// (flights disabled), 0 one MAC lane per core, n a fixed lane count;
-// syscalls/record is transport writes per sealed record (1 on the
-// sequential path, ~1/64 once a flight window flushes vectored).
+// recordPoint is one (suite, write size) measurement of the sealed
+// record path: writes/record is transport writes per sealed record —
+// 1 for record-sized writes, ~1/64 once a write fills its windows.
 type recordPoint struct {
-	Suite             string  `json:"suite"`
-	Width             int     `json:"width"`
-	MBps              float64 `json:"mbps"`
-	RecordsSec        float64 `json:"records_per_sec"`
-	SyscallsPerRecord float64 `json:"syscalls_per_record"`
+	Suite           string  `json:"suite"`
+	WriteBytes      int     `json:"write_bytes"`
+	MBps            float64 `json:"mbps"`
+	WritesPerRecord float64 `json:"writes_per_record"`
 }
 
-// vecDiscard is /dev/null with a vectored entry point, so the sweep
-// measures sealing and flush batching rather than a transport.
-type vecDiscard struct{}
-
-func (vecDiscard) Read(p []byte) (int, error)  { return 0, io.EOF }
-func (vecDiscard) Write(p []byte) (int, error) { return len(p), nil }
-func (vecDiscard) WriteBuffers(bufs [][]byte) (int64, error) {
-	var n int64
-	for _, b := range bufs {
-		n += int64(len(b))
-	}
-	return n, nil
-}
-
-// recordSweep drives 1 MiB application writes through an armed record
-// layer at each pipeline width, for the gate pair of suites (the
-// cheap stream cipher and the block cipher the bulk baseline tracks).
+// recordSweep drives one-record and 1 MiB application writes through
+// an armed record layer, for the cheap stream suite and the block
+// suite the bulk_download workload runs.
 func recordSweep(dur time.Duration) ([]recordPoint, error) {
-	const chunk = 1 << 20
-	payload := workload.Payload(chunk)
 	var out []recordPoint
 	for _, name := range []string{"RC4-MD5", "AES128-SHA"} {
 		s, err := suite.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, width := range []int{-1, 1, 2, 4, 0} {
-			l := record.NewLayer(vecDiscard{})
-			key := workload.Payload(s.KeyLen)
-			iv := workload.Payload(s.IVLen)
-			wc, err := s.NewCipher(key, iv, true)
+		for _, size := range []int{record.MaxFragment, 1 << 20} {
+			payload := workload.Payload(size)
+			// /dev/null as the transport, so the sweep measures sealing
+			// and write batching rather than a transport.
+			l := record.NewLayer(struct {
+				io.Reader
+				io.Writer
+			}{Writer: io.Discard})
+			wc, err := s.NewCipher(workload.Payload(s.KeyLen), workload.Payload(s.IVLen), true)
 			if err != nil {
 				return nil, err
 			}
@@ -313,40 +295,21 @@ func recordSweep(dur time.Duration) ([]recordPoint, error) {
 				return nil, err
 			}
 			l.SetWriteState(wc, wm)
-			write := func() error {
-				if width < 0 {
-					return l.WriteRecord(record.TypeApplicationData, payload)
-				}
-				return l.WriteFlight(record.TypeApplicationData, payload)
-			}
-			if width >= 0 {
-				l.SetSealPipeline(width)
-			}
-			// Warm: build flight state, fill the seal pool.
-			if err := write(); err != nil {
-				return nil, err
-			}
-			before := l.Stats
 			var n int
 			start := time.Now()
 			for time.Since(start) < dur {
-				if err := write(); err != nil {
+				if err := l.WriteRecord(record.TypeApplicationData, payload); err != nil {
 					return nil, err
 				}
 				n++
 			}
 			elapsed := time.Since(start).Seconds()
-			records := l.Stats.RecordsWritten - before.RecordsWritten
-			writes := l.Stats.WriteCalls - before.WriteCalls
-			pt := recordPoint{Suite: name, Width: width}
-			if elapsed > 0 {
-				pt.MBps = float64(n) * chunk / elapsed / 1e6
-				pt.RecordsSec = float64(records) / elapsed
-			}
-			if records > 0 {
-				pt.SyscallsPerRecord = float64(writes) / float64(records)
-			}
-			out = append(out, pt)
+			out = append(out, recordPoint{
+				Suite:           name,
+				WriteBytes:      size,
+				MBps:            float64(n) * float64(size) / elapsed / 1e6,
+				WritesPerRecord: float64(l.Stats.WriteCalls) / float64(l.Stats.RecordsWritten),
+			})
 		}
 	}
 	return out, nil

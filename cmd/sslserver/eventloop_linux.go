@@ -18,6 +18,7 @@ import (
 	"syscall"
 	"time"
 
+	"sslperf/internal/record"
 	"sslperf/internal/ssl"
 	"sslperf/internal/trace"
 )
@@ -37,6 +38,10 @@ type elConn struct {
 	// loggedEstablished keeps the per-conn success line to one.
 	loggedEstablished bool
 }
+
+// maxQueued is the sealed backlog past which a connection stops taking
+// requests until the socket drains: one record-layer window.
+const maxQueued = 64 * record.MaxFragment
 
 // eventLoop owns the epoll instance and the fd -> connection table.
 type eventLoop struct {
@@ -148,26 +153,31 @@ func (el *eventLoop) acceptReady() {
 			log.Printf("accept: %v", err)
 			return
 		}
-		cfg, ct := el.srv.configFor()
-		if ct != nil {
-			ct.Event("accept", trace.CatConn, 0, time.Now(), 0)
-		}
-		nc := ssl.NonBlockingServer(cfg)
-		c := &elConn{fd: fd, nc: nc, remote: sockaddrString(sa)}
-		nc.SetRemoteAddr(c.remote)
-		if err := syscall.EpollCtl(el.epfd, syscall.EPOLL_CTL_ADD, fd,
-			&syscall.EpollEvent{Events: syscall.EPOLLIN | syscall.EPOLLRDHUP, Fd: int32(fd)}); err != nil {
-			log.Printf("epoll_ctl add: %v", err)
-			syscall.Close(fd)
-			continue
-		}
-		el.conns[fd] = c
-		// Kick the FSM once: the ClientHello has not arrived, so this
-		// suspends immediately — but it opens the connection on its
-		// observers, starts their handshake clocks, and parks the table
-		// entry in the suspended state.
-		el.pump(c)
+		el.adopt(fd, sockaddrString(sa))
 	}
+}
+
+// adopt puts a connected non-blocking socket under the loop's care.
+func (el *eventLoop) adopt(fd int, remote string) {
+	cfg, ct := el.srv.configFor()
+	if ct != nil {
+		ct.Event("accept", trace.CatConn, 0, time.Now(), 0)
+	}
+	nc := ssl.NonBlockingServer(cfg)
+	c := &elConn{fd: fd, nc: nc, remote: remote}
+	nc.SetRemoteAddr(c.remote)
+	if err := syscall.EpollCtl(el.epfd, syscall.EPOLL_CTL_ADD, fd,
+		&syscall.EpollEvent{Events: syscall.EPOLLIN | syscall.EPOLLRDHUP, Fd: int32(fd)}); err != nil {
+		log.Printf("epoll_ctl add: %v", err)
+		syscall.Close(fd)
+		return
+	}
+	el.conns[fd] = c
+	// Kick the FSM once: the ClientHello has not arrived, so this
+	// suspends immediately — but it opens the connection on its
+	// observers, starts their handshake clocks, and parks the table
+	// entry in the suspended state.
+	el.pump(c)
 }
 
 // handle services one readiness notification.
@@ -234,20 +244,28 @@ func (el *eventLoop) pump(c *elConn) {
 				c.remote, state.Suite.Name, state.Resumed)
 		}
 	}
-	for {
+	for !c.closing {
+		if len(c.nc.Outgoing()) > maxQueued {
+			// A window of answers is already waiting on the socket: a
+			// peer that pipelines requests and does not read must not
+			// make this connection's buffer grow with every one.
+			el.flush(c)
+			if c.closing || len(c.nc.Outgoing()) > maxQueued {
+				return // torn down, or the EPOLLOUT drain re-enters here
+			}
+		}
 		n, err := c.nc.ReadData(el.abuf)
 		if err == ssl.ErrWouldBlock {
 			break
+		}
+		if err == nil && n > 0 {
+			_, err = c.nc.WriteData(el.response)
 		}
 		if err != nil {
 			// close_notify (io.EOF) or a record-layer error either way:
 			// queue our close_notify and drain.
 			c.nc.Close()
 			c.closing = true
-			break
-		}
-		if n > 0 {
-			c.nc.WriteData(el.response)
 		}
 	}
 	el.flush(c)
@@ -296,6 +314,7 @@ func (el *eventLoop) armWrite(c *elConn, want bool) {
 
 // teardown finalizes the SSL state and releases the socket.
 func (el *eventLoop) teardown(c *elConn) {
+	c.closing = true
 	delete(el.conns, c.fd)
 	c.nc.Close()
 	syscall.EpollCtl(el.epfd, syscall.EPOLL_CTL_DEL, c.fd, nil)

@@ -62,8 +62,6 @@ func main() {
 			"span-trace 1 in N connections on /debug/trace and /debug/anatomy (0 = off, 1 = every)")
 		traceRate = flag.Int("tracerate", 0,
 			"cap sampled traces per second (0 = unlimited)")
-		bulkWidth = flag.Int("bulkwidth", 0,
-			"flight-sealing MAC pipeline width for large writes: 0 = one lane per core, 1 = sequential MACs (still vectored), <0 = disable the flight path")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof under /debug/pprof/ on the telemetry address")
 		pprofLabels = flag.Bool("pprof-labels", false,
@@ -126,7 +124,6 @@ func main() {
 		tracer:    obs.tracer,
 		connLog:   newLogLimiter(*logRate),
 		seed:      seedVal,
-		bulkWidth: *bulkWidth,
 	}
 	if *suiteName != "" {
 		s, err := suite.ByName(*suiteName)
@@ -356,7 +353,6 @@ type server struct {
 	suites    []suite.ID
 	version   uint16
 	seed      uint64
-	bulkWidth int
 	connSeq   atomic.Uint64
 }
 
@@ -441,8 +437,6 @@ func (s *server) configFor() (*ssl.Config, *trace.ConnTrace) {
 		Suites:       s.suites,
 		Version:      s.version,
 		Observers:    s.observers,
-
-		BulkPipelineWidth: s.bulkWidth,
 	}
 	ct := s.tracer.ConnBegin()
 	if ct != nil {

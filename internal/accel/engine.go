@@ -5,7 +5,6 @@ import (
 
 	"sslperf/internal/aes"
 	"sslperf/internal/cbc"
-	"sslperf/internal/macpipe"
 	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
 )
@@ -74,28 +73,11 @@ func (e *Engine) EncryptFragmentSerial(data []byte) ([]byte, error) {
 	return frag, nil
 }
 
-// hashTask is one hashing-unit assignment handed to the shared
-// macpipe pool; done closes when the MAC is ready.
-type hashTask struct {
-	run  func()
-	done chan struct{}
-}
-
-// Run implements macpipe.Task.
-func (t *hashTask) Run() {
-	t.run()
-	close(t.done)
-}
-
 // EncryptFragmentPipelined overlaps the hashing unit with the AES
 // unit: the data blocks are CBC-encrypted while the MAC is computed
 // concurrently; the MAC+padding tail is encrypted afterwards,
 // chained off the last data block as CBC requires. The hashing unit
-// is a macpipe worker — the same shared pool the record layer's
-// flight sealing draws lanes from — so a fleet of engines pins
-// GOMAXPROCS goroutines rather than one per fragment; when the pool
-// is saturated the MAC runs inline after the data blocks (correct,
-// just not overlapped).
+// is a goroutine forked per fragment.
 func (e *Engine) EncryptFragmentPipelined(data []byte) ([]byte, error) {
 	bs := e.aes.BlockSize()
 	seq := e.seq
@@ -105,11 +87,11 @@ func (e *Engine) EncryptFragmentPipelined(data []byte) ([]byte, error) {
 	// both units can emit through it concurrently.
 	bus := e.Probe
 	var mac []byte
-	t := &hashTask{done: make(chan struct{})}
-	t.run = func() {
+	hashed := make(chan struct{})
+	go func() {
 		bus.Timed("mac", func() { mac = e.mac.Compute(seq, 23, data) })
-	}
-	inline := !macpipe.Submit(t)
+		close(hashed)
+	}()
 
 	macLen := e.mac.Size()
 	n := e.pad(len(data) + macLen)
@@ -125,10 +107,7 @@ func (e *Engine) EncryptFragmentPipelined(data []byte) ([]byte, error) {
 	bus.Timed("aes", func() { enc.CryptBlocks(frag[:whole], frag[:whole]) })
 
 	// Join: place MAC and padding, then encrypt the tail.
-	if inline {
-		t.Run()
-	}
-	<-t.done
+	<-hashed
 	copy(frag[len(data):], mac)
 	frag[n-1] = byte(n - len(data) - macLen - 1)
 	bus.Timed("aes", func() { enc.CryptBlocks(frag[whole:], frag[whole:]) })

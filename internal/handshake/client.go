@@ -164,7 +164,7 @@ func (c *clientState) step() error {
 		if err != nil {
 			c.err = err
 			// Best effort: tell the peer before failing.
-			c.conn.SendAlert(record.AlertLevelFatal, record.AlertHandshakeFailure)
+			c.conn.WriteRecord(record.TypeAlert, []byte{record.AlertLevelFatal, record.AlertHandshakeFailure})
 			return err
 		}
 		if c.phase == cliDone {

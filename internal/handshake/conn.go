@@ -30,8 +30,6 @@ type RecordConn interface {
 	ReadRecord() (record.ContentType, []byte, error)
 	// WriteRecord seals data, fragmenting as needed.
 	WriteRecord(typ record.ContentType, data []byte) error
-	// SendAlert seals an alert record.
-	SendAlert(level, desc byte) error
 
 	SetProtocolVersion(v uint16)
 	SetPrimitives(cipher, mac string)

@@ -284,7 +284,7 @@ func (s *serverState) step() error {
 			// Best effort: tell the peer before failing. Over a
 			// sans-IO core this queues the alert for the caller's
 			// flush.
-			s.conn.SendAlert(record.AlertLevelFatal, record.AlertHandshakeFailure)
+			s.conn.WriteRecord(record.TypeAlert, []byte{record.AlertLevelFatal, record.AlertHandshakeFailure})
 			return err
 		}
 		if s.phase == srvDone {

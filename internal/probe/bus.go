@@ -261,23 +261,6 @@ func (b *Bus) RecordCrypto(op RecordOp, prim string, bytes int, start time.Time)
 		Prim: prim, Bytes: bytes, At: start, Dur: time.Since(start)})
 }
 
-// RecordCryptoAt is RecordCrypto for work timed elsewhere: the event
-// carries an explicit duration instead of time.Since(start). The
-// record layer's sealing pipeline computes fragment MACs on worker
-// goroutines but emits the events from the connection's goroutine —
-// both stamps are taken on the worker (via Stamp, so the spine still
-// owns every clock read) and handed over with the sealed fragment, so
-// per-connection sinks keep their single-goroutine contract and the
-// cycles/byte folds see the same per-pass durations the sequential
-// path reports.
-func (b *Bus) RecordCryptoAt(op RecordOp, prim string, bytes int, start time.Time, dur time.Duration) {
-	if b == nil {
-		return
-	}
-	b.emit(Event{Kind: KindRecordCrypto, Step: b.openStep(), Op: op,
-		Prim: prim, Bytes: bytes, At: start, Dur: dur})
-}
-
 // RecordIO reports one framed record written or opened with its
 // plaintext payload size.
 func (b *Bus) RecordIO(written, alert bool, bytes int) {

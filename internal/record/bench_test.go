@@ -8,47 +8,10 @@ import (
 	"sslperf/internal/suite"
 )
 
-// benchArm installs matching cipher/MAC state for one direction
-// without a testing.T (the benchmark twin of arm).
-func benchArm(b *testing.B, s *suite.Suite, sender, receiver *Layer) {
-	b.Helper()
-	key := make([]byte, s.KeyLen)
-	iv := make([]byte, s.IVLen)
-	macSecret := make([]byte, s.MACLen())
-	for i := range key {
-		key[i] = byte(i + 1)
-	}
-	for i := range iv {
-		iv[i] = byte(i + 7)
-	}
-	for i := range macSecret {
-		macSecret[i] = byte(i + 13)
-	}
-	wc, err := s.NewCipher(key, iv, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rc, err := s.NewCipher(key, iv, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wm, err := s.NewMAC(macSecret)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := s.NewMAC(macSecret)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sender.SetWriteState(wc, wm)
-	receiver.SetReadState(rc, rm)
-}
-
 // BenchmarkRecordSeal measures the outbound hot path — MAC, pad,
-// encrypt, frame — for a full-size record. With the pooled seal
+// encrypt, frame — for a full-size record. With the reused outgoing
 // buffer this is the allocation-free path the paper's bulk-transfer
-// phase (Table 2 steps 6/8) runs per record; -benchmem shows the
-// allocs/op drop from the pre-pool make-per-record seal.
+// phase (Table 2 steps 6/8) runs per record.
 func BenchmarkRecordSeal(b *testing.B) {
 	for _, name := range []string{"RC4-MD5", "DES-CBC3-SHA"} {
 		b.Run(name, func(b *testing.B) {
@@ -62,7 +25,7 @@ func BenchmarkRecordSeal(b *testing.B) {
 			}
 			sender := NewLayer(rw{Writer: io.Discard})
 			receiver := NewLayer(rw{})
-			benchArm(b, s, sender, receiver)
+			arm(b, s, sender, receiver)
 			payload := make([]byte, MaxFragment)
 			for i := range payload {
 				payload[i] = byte(i)
@@ -80,7 +43,7 @@ func BenchmarkRecordSeal(b *testing.B) {
 }
 
 // BenchmarkRecordOpen measures the inbound path: read, decrypt,
-// unpad, verify. The receiver reuses its scratch buffer, so the
+// unpad, verify. The receiver reuses its incoming buffer, so the
 // steady state is likewise allocation-free.
 func BenchmarkRecordOpen(b *testing.B) {
 	for _, name := range []string{"RC4-MD5", "DES-CBC3-SHA"} {
@@ -96,7 +59,7 @@ func BenchmarkRecordOpen(b *testing.B) {
 			}
 			sender := NewLayer(rw{Writer: buf})
 			receiver := NewLayer(rw{Reader: buf})
-			benchArm(b, s, sender, receiver)
+			arm(b, s, sender, receiver)
 			payload := make([]byte, MaxFragment)
 			for i := range payload {
 				payload[i] = byte(i)

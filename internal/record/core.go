@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
@@ -23,10 +24,10 @@ var ErrWouldBlock = errors.New("record: would block")
 // returns ErrWouldBlock — consuming nothing — when a full record has
 // not yet been fed.
 //
-// Layer embeds Core and shadows ReadRecord/WriteRecord with blocking
-// transport equivalents, so both share one implementation of the
-// crypto state machine (same probe events, same stats, same errors).
-// Core is not safe for concurrent use.
+// Layer embeds Core and pumps a blocking transport around it, so every
+// connection runs this one implementation of the crypto state machine
+// (same probe events, same stats, same errors). Core is not safe for
+// concurrent use.
 type Core struct {
 	in  halfState
 	out halfState
@@ -62,10 +63,36 @@ type Core struct {
 	inOff    int
 
 	// outgoing holds sealed-but-undelivered records; outOff is the
-	// drain cursor (ConsumeOutgoing).
+	// drain cursor (ConsumeOutgoing). It is a recordPool or windowPool
+	// buffer (or, past a window, a one-off) borrowed by the first write
+	// and given back once drained, so an idle connection holds none.
 	outgoing []byte
 	outOff   int
 }
+
+const (
+	// recordCap holds any one sealed record: header, a maximum-size
+	// fragment, and slack for the largest MAC plus a full padding block.
+	recordCap = headerLen + MaxFragment + 64
+
+	// windowRecords bounds the records a Layer seals per transport
+	// write: 64 records × 16 KiB = 1 MiB windows, enough to amortize the
+	// write syscall ~64× while capping what one connection takes from
+	// the window pool.
+	windowRecords = 64
+	windowCap     = windowRecords * recordCap
+)
+
+// recordPool and windowPool recycle outgoing buffers across
+// connections: a sealed record is dead as soon as it is on the wire, so
+// a write borrows a buffer — one record's worth, or a window for a bulk
+// write — instead of every connection allocating its own and pinning
+// its high-water mark. sync.Pool shards per P, so under parallel load
+// these are effectively per-CPU buffers.
+var (
+	recordPool = sync.Pool{New: func() any { return new([recordCap]byte) }}
+	windowPool = sync.Pool{New: func() any { return new([windowCap]byte) }}
+)
 
 // NewCore returns a sans-IO record core with NULL security (the state
 // before ChangeCipherSpec).
@@ -137,12 +164,17 @@ func (c *Core) timeCrypto(op CryptoOp, prim string, n int, fn func()) {
 // ReadRecord returned — callers drain parsed records before feeding
 // more (the ssl.NonBlockingConn contract).
 func (c *Core) Feed(b []byte) {
+	c.compactIncoming()
+	c.incoming = append(c.incoming, b...)
+}
+
+// compactIncoming moves the unparsed bytes to the front of incoming.
+func (c *Core) compactIncoming() {
 	if c.inOff > 0 {
 		n := copy(c.incoming, c.incoming[c.inOff:])
 		c.incoming = c.incoming[:n]
 		c.inOff = 0
 	}
-	c.incoming = append(c.incoming, b...)
 }
 
 // Buffered reports how many fed bytes await parsing.
@@ -153,102 +185,115 @@ func (c *Core) Buffered() int { return len(c.incoming) - c.inOff }
 // ConsumeOutgoing.
 func (c *Core) Outgoing() []byte { return c.outgoing[c.outOff:] }
 
-// ConsumeOutgoing marks n outgoing bytes as delivered. When the
-// buffer drains completely it resets, so steady traffic reuses one
-// allocation.
+// ConsumeOutgoing marks n outgoing bytes as delivered. A buffer that
+// drains completely is given up rather than pinned for the
+// connection's life.
 func (c *Core) ConsumeOutgoing(n int) {
 	c.outOff += n
 	if c.outOff >= len(c.outgoing) {
-		c.outgoing = c.outgoing[:0]
-		c.outOff = 0
+		c.dropOutgoing()
 	}
 }
 
-// parseHeader validates one record header (type ‖ version ‖ length),
-// returning the content type and body length. Shared by the sans-IO
-// and blocking read paths so both reject exactly the same inputs.
-func (c *Core) parseHeader(hdr []byte) (ContentType, int, error) {
-	typ := ContentType(hdr[0])
-	version := binary.BigEndian.Uint16(hdr[1:])
-	length := int(binary.BigEndian.Uint16(hdr[3:]))
-	if !c.versionOK(version) {
-		return 0, 0, fmt.Errorf("record: unsupported version %#04x", version)
+// dropOutgoing gives the outgoing buffer up: a pooled one goes back to
+// its pool, a one-off to the collector.
+func (c *Core) dropOutgoing() {
+	switch cap(c.outgoing) {
+	case recordCap:
+		recordPool.Put((*[recordCap]byte)(c.outgoing[:recordCap]))
+	case windowCap:
+		windowPool.Put((*[windowCap]byte)(c.outgoing[:windowCap]))
 	}
-	if length == 0 || length > MaxFragment+2048 {
-		return 0, 0, fmt.Errorf("record: implausible record length %d", length)
+	c.outgoing, c.outOff = nil, 0
+}
+
+// reserve makes room for n more outgoing bytes in one step, so sealing
+// a whole write never regrows the buffer record by record.
+func (c *Core) reserve(n int) {
+	if len(c.outgoing)+n <= cap(c.outgoing) {
+		return
 	}
-	return typ, length, nil
+	pending := c.outgoing[c.outOff:]
+	need := len(pending) + n
+	var buf []byte
+	switch {
+	case need <= recordCap:
+		buf = recordPool.Get().(*[recordCap]byte)[:0]
+	case need <= windowCap:
+		buf = windowPool.Get().(*[windowCap]byte)[:0]
+	default:
+		buf = make([]byte, 0, need)
+	}
+	buf = append(buf, pending...)
+	c.dropOutgoing()
+	c.outgoing = buf
 }
 
 // ReadRecord parses and opens the next record from the fed bytes,
 // returning its type and plaintext payload. If a complete record has
 // not been fed yet it returns ErrWouldBlock without consuming
 // anything — feed more bytes and call again. Alerts are surfaced as
-// *AlertError exactly as on the blocking path.
+// *AlertError.
 //
 // The returned payload aliases the core's incoming buffer and is
 // valid only until the next Feed — callers that need it longer copy.
 func (c *Core) ReadRecord() (ContentType, []byte, error) {
+	typ, payload, _, err := c.readRecord()
+	return typ, payload, err
+}
+
+// readRecord is ReadRecord that also says, with ErrWouldBlock, how
+// many more wire bytes the next step needs: the rest of the header,
+// or — once the header has parsed — the rest of the record.
+func (c *Core) readRecord() (typ ContentType, payload []byte, missing int, err error) {
 	buf := c.incoming[c.inOff:]
 	if len(buf) < headerLen {
-		return 0, nil, ErrWouldBlock
+		return 0, nil, headerLen - len(buf), ErrWouldBlock
 	}
-	typ, length, err := c.parseHeader(buf)
-	if err != nil {
-		return 0, nil, err
+	typ = ContentType(buf[0])
+	version := binary.BigEndian.Uint16(buf[1:])
+	length := int(binary.BigEndian.Uint16(buf[3:]))
+	if !c.versionOK(version) {
+		return 0, nil, 0, fmt.Errorf("record: unsupported version %#04x", version)
+	}
+	if length == 0 || length > MaxFragment+2048 {
+		return 0, nil, 0, fmt.Errorf("record: implausible record length %d", length)
 	}
 	if len(buf) < headerLen+length {
-		return 0, nil, ErrWouldBlock
+		return 0, nil, headerLen + length - len(buf), ErrWouldBlock
 	}
-	payload, err := c.open(typ, buf[headerLen:headerLen+length])
+	payload, err = c.open(typ, buf[headerLen:headerLen+length])
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	c.inOff += headerLen + length
 	if c.inOff == len(c.incoming) {
 		c.incoming = c.incoming[:0]
 		c.inOff = 0
 	}
-	return c.finishRead(typ, payload)
-}
-
-// finishRead is the shared post-open tail of both read paths: stats,
-// the record-IO probe event, and alert surfacing.
-func (c *Core) finishRead(typ ContentType, payload []byte) (ContentType, []byte, error) {
 	c.Stats.RecordsRead++
 	c.Stats.BytesRead += len(payload)
-	if typ == TypeAlert {
-		c.Stats.AlertsRead++
-	}
 	c.Probe.RecordIO(false, typ == TypeAlert, len(payload))
 	if typ == TypeAlert {
+		c.Stats.AlertsRead++
 		if len(payload) != 2 {
-			return 0, nil, errors.New("record: malformed alert")
+			return 0, nil, 0, errors.New("record: malformed alert")
 		}
-		return typ, payload, &AlertError{Level: payload[0], Description: payload[1], Peer: true}
+		return typ, payload, 0, &AlertError{Level: payload[0], Description: payload[1], Peer: true}
 	}
-	return typ, payload, nil
+	return typ, payload, 0, nil
 }
 
-// sealAppend seals one fragment — header ‖ payload ‖ MAC ‖ padding,
-// MAC appended in place, padding in place, cipher in place — onto the
-// tail of buf and returns the grown slice. It emits the crypto probe
-// events but does not commit sequence/stats; commitWrite does, once
-// the record's delivery is assured (immediately on the sans-IO path,
-// after the transport Write on the blocking path).
-func (c *Core) sealAppend(buf []byte, typ ContentType, payload []byte) []byte {
+// seal appends one sealed fragment — header ‖ payload ‖ MAC ‖ padding,
+// MAC appended in place, padding in place, cipher in place — to
+// outgoing, which WriteRecord has reserved room in, so every append
+// here stays in place.
+func (c *Core) seal(typ ContentType, payload []byte) {
 	// Timing is inlined rather than routed through timeCrypto: the
 	// closure a timeCrypto call would need captures the growing body
 	// slice and forces a heap allocation per record. Stamp/RecordCrypto
 	// are nil-receiver no-ops, so the probe-off path stays branch-only.
-	//
-	// Worst case: header + payload + MAC + a full padding block; the
-	// up-front reservation keeps every later append in place.
-	if need := len(buf) + headerLen + len(payload) + 64; cap(buf) < need {
-		nb := make([]byte, len(buf), need)
-		copy(nb, buf)
-		buf = nb
-	}
+	buf := c.outgoing
 	base := len(buf)
 	rec := buf[base : base+headerLen]
 	body := append(buf[base+headerLen:base+headerLen], payload...)
@@ -279,19 +324,15 @@ func (c *Core) sealAppend(buf []byte, typ ContentType, payload []byte) []byte {
 	rec[0] = byte(typ)
 	binary.BigEndian.PutUint16(rec[1:], c.writeVersion())
 	binary.BigEndian.PutUint16(rec[3:], uint16(len(body)))
-	return buf[:base+headerLen+len(body)]
-}
+	c.outgoing = buf[:base+headerLen+len(body)]
 
-// commitWrite advances the outbound sequence number and stats for one
-// sealed fragment whose delivery is assured.
-func (c *Core) commitWrite(typ ContentType, payloadLen int) {
 	c.out.seq++
 	c.Stats.RecordsWritten++
-	c.Stats.BytesWritten += payloadLen
+	c.Stats.BytesWritten += len(payload)
 	if typ == TypeAlert {
 		c.Stats.AlertsWritten++
 	}
-	c.Probe.RecordIO(true, typ == TypeAlert, payloadLen)
+	c.Probe.RecordIO(true, typ == TypeAlert, len(payload))
 }
 
 // WriteRecord seals data of the given type into the outgoing buffer,
@@ -299,13 +340,11 @@ func (c *Core) commitWrite(typ ContentType, payloadLen int) {
 // with Outgoing/ConsumeOutgoing. (Transport write accounting —
 // Stats.WriteCalls — belongs to whoever flushes.)
 func (c *Core) WriteRecord(typ ContentType, data []byte) error {
+	records := max(1, (len(data)+MaxFragment-1)/MaxFragment)
+	c.reserve(len(data) + records*(recordCap-MaxFragment))
 	for first := true; first || len(data) > 0; first = false {
-		n := len(data)
-		if n > MaxFragment {
-			n = MaxFragment
-		}
-		c.outgoing = c.sealAppend(c.outgoing, typ, data[:n])
-		c.commitWrite(typ, n)
+		n := min(len(data), MaxFragment)
+		c.seal(typ, data[:n])
 		data = data[n:]
 	}
 	return nil
@@ -373,14 +412,4 @@ func (c *Core) checkMAC(typ ContentType, body []byte) ([]byte, error) {
 	}
 	c.in.seq++
 	return payload, nil
-}
-
-// SendAlert seals an alert record into the outgoing buffer.
-func (c *Core) SendAlert(level, desc byte) error {
-	return c.WriteRecord(TypeAlert, []byte{level, desc})
-}
-
-// SendClose seals a close_notify warning alert.
-func (c *Core) SendClose() error {
-	return c.SendAlert(AlertLevelWarning, AlertCloseNotify)
 }

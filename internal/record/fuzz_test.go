@@ -8,10 +8,13 @@ import (
 	"sslperf/internal/suite"
 )
 
-// FuzzReadRecord feeds the record reader arbitrary wire bytes through
-// both a NULL-security layer and a fully armed DES-CBC3-SHA layer; it
-// must never panic and never return a payload longer than the record
-// claimed.
+// FuzzReadRecord feeds the record reader arbitrary wire bytes with
+// NULL security and fully armed for DES-CBC3-SHA, through both
+// flavours: a Layer reading them from a transport and a Core fed them
+// whole. Neither may panic or return a payload longer than the record
+// claimed, and both must open the same records and stop at the same
+// point — where the Core wants more bytes the Layer finds the stream
+// ended, and every other error is the same error.
 func FuzzReadRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{22, 3, 0, 0, 1, 0})
@@ -26,9 +29,7 @@ func FuzzReadRecord(f *testing.F) {
 			io.Reader
 			io.Writer
 		}{Writer: buf})
-		c, _ := s.NewCipher(make([]byte, 24), make([]byte, 8), true)
-		m, _ := s.NewMAC(make([]byte, 20))
-		l.SetWriteState(c, m)
+		arm(f, s, l, NewCore())
 		l.WriteRecord(TypeApplicationData, []byte("fuzz seed payload"))
 		return buf.Bytes()
 	}()
@@ -40,20 +41,31 @@ func FuzzReadRecord(f *testing.F) {
 				io.Reader
 				io.Writer
 			}{Reader: bytes.NewReader(data), Writer: io.Discard})
+			c := NewCore()
+			c.Feed(data)
 			if armed {
 				s, _ := suite.ByName("DES-CBC3-SHA")
-				c, _ := s.NewCipher(make([]byte, 24), make([]byte, 8), false)
-				m, _ := s.NewMAC(make([]byte, 20))
-				l.SetReadState(c, m)
+				arm(t, s, NewCore(), l)
+				arm(t, s, NewCore(), c)
 			}
-			for i := 0; i < 4; i++ { // read a few records if present
-				_, payload, err := l.ReadRecord()
-				if err != nil {
-					break
+			fromLayer, fromCore := readAll(l), readAll(c)
+			if len(fromLayer.payloads) != len(fromCore.payloads) {
+				t.Fatalf("layer opened %d records, core %d", len(fromLayer.payloads), len(fromCore.payloads))
+			}
+			for i, payload := range fromLayer.payloads {
+				if len(payload) > MaxFragment+2048 {
+					t.Fatalf("payload of %d bytes exceeds what a record can carry", len(payload))
 				}
-				if len(payload) > MaxFragment {
-					t.Fatalf("payload of %d bytes exceeds max fragment", len(payload))
+				if !bytes.Equal(payload, fromCore.payloads[i]) {
+					t.Fatalf("record %d differs between layer and core", i)
 				}
+			}
+			if fromCore.err == ErrWouldBlock {
+				if fromLayer.err != io.EOF && fromLayer.err != io.ErrUnexpectedEOF {
+					t.Fatalf("core wants more bytes, layer ended with %v", fromLayer.err)
+				}
+			} else if fromLayer.err.Error() != fromCore.err.Error() {
+				t.Fatalf("layer ended with %v, core with %v", fromLayer.err, fromCore.err)
 			}
 		}
 	})

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
@@ -93,20 +92,25 @@ type AlertError struct {
 // or "alert(N)" for codes this library does not define. Telemetry
 // uses it as a stable counter tag.
 func AlertName(desc byte) string {
-	name := map[byte]string{
-		AlertCloseNotify:        "close_notify",
-		AlertUnexpectedMessage:  "unexpected_message",
-		AlertBadRecordMAC:       "bad_record_mac",
-		AlertHandshakeFailure:   "handshake_failure",
-		AlertNoCertificate:      "no_certificate",
-		AlertBadCertificate:     "bad_certificate",
-		AlertCertificateExpired: "certificate_expired",
-		AlertIllegalParameter:   "illegal_parameter",
-	}[desc]
-	if name == "" {
-		name = fmt.Sprintf("alert(%d)", desc)
+	switch desc {
+	case AlertCloseNotify:
+		return "close_notify"
+	case AlertUnexpectedMessage:
+		return "unexpected_message"
+	case AlertBadRecordMAC:
+		return "bad_record_mac"
+	case AlertHandshakeFailure:
+		return "handshake_failure"
+	case AlertNoCertificate:
+		return "no_certificate"
+	case AlertBadCertificate:
+		return "bad_certificate"
+	case AlertCertificateExpired:
+		return "certificate_expired"
+	case AlertIllegalParameter:
+		return "illegal_parameter"
 	}
-	return name
+	return fmt.Sprintf("alert(%d)", desc)
 }
 
 // Error renders the alert.
@@ -140,16 +144,11 @@ type Stats struct {
 	AlertsRead     int
 	AlertsWritten  int
 
-	// WriteCalls counts transport write operations issued (plain
-	// Writes plus vectored flight flushes). WriteCalls/RecordsWritten
-	// is the syscalls-per-record amortization: 2 on the legacy
-	// header-then-body path, 1 after the contiguous-seal fix, and
-	// 1/flight-width on the vectored flight path.
+	// WriteCalls counts the transport writes a Layer issued.
+	// WriteCalls/RecordsWritten is the syscalls-per-record
+	// amortization: 1 for writes up to a record, 1/64 once a bulk write
+	// fills its windows.
 	WriteCalls int
-	// Flights counts vectored flight flushes; FlightRecords the
-	// records sealed through the flight pipeline.
-	Flights       int
-	FlightRecords int
 }
 
 // CryptoOp identifies a record-layer crypto operation for observers.
@@ -165,82 +164,17 @@ const (
 	OpMACVerify     = probe.OpMACVerify
 )
 
-// A Layer frames records over an underlying stream: the sans-IO Core
-// (framing, MAC, padding, cipher state, sequence numbers) plus a thin
-// blocking transport adapter. The embedded Core's fields — Stats,
-// Probe — and state setters are promoted; Layer shadows ReadRecord
-// and WriteRecord with transport-backed equivalents that share the
-// Core's seal/open implementation, so the blocking and non-blocking
-// paths emit identical wire bytes and probe events. Not safe for
-// concurrent use; the ssl package serializes access.
+// A Layer frames records over a blocking stream: the sans-IO Core
+// (framing, MAC, padding, cipher state, sequence numbers, buffers)
+// plus the transport pump — the single place a connection blocks. The
+// embedded Core's fields and state setters are promoted; Layer shadows
+// only ReadRecord and WriteRecord, to move the Core's buffers from and
+// to the transport, so blocking and non-blocking connections execute
+// the same sealing and opening code. Not safe for concurrent use; the
+// ssl package serializes access.
 type Layer struct {
 	Core
-
 	rw io.ReadWriter
-
-	readBuf [headerLen]byte
-
-	// readScratch backs the record body handed to open; the payload
-	// ReadRecord returns aliases it, which is what makes the read path
-	// allocation-free per record (see ReadRecord's contract).
-	readScratch []byte
-
-	// sealWidth is the configured MAC-pipeline width for flight
-	// sealing: 0 means auto (macpipe pool width), 1 forces sequential
-	// sealing, >1 caps the helpers per flight. See SetSealPipeline.
-	sealWidth int
-
-	// fl holds the lazily-built per-layer flight state (fragment
-	// table, MAC clones, iovec list); reused across WriteFlight calls
-	// so steady-state flights allocate nothing.
-	fl *flight
-}
-
-// sealBufCap is the capacity of a pooled seal buffer: the record
-// header, a maximum-size fragment, and slack for the largest MAC plus
-// block padding. Header and body live in one buffer so a sealed
-// record is a single contiguous write — and a single iovec in a
-// flight's vectored flush.
-const sealBufCap = headerLen + MaxFragment + 64
-
-// sealPool recycles outbound record buffers across connections: one
-// seal needs header+payload+MAC+padding contiguous, and the buffer is
-// dead as soon as the fragment hits the wire, so pooling removes the
-// per-record allocation from the bulk-transfer write path. sync.Pool
-// shards per P, so under parallel load this is effectively a per-CPU
-// buffer pool.
-var sealPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, sealBufCap)
-		return &b
-	},
-}
-
-// putSealBuf returns a seal buffer to the pool — unless appends grew
-// it past the standard capacity, in which case it is dropped so a
-// burst of oversized records cannot pin the growth fleet-wide (the
-// pool would otherwise retain whatever the largest seal ever needed,
-// forever, on every P).
-func putSealBuf(bp *[]byte) {
-	if cap(*bp) > sealBufCap {
-		return
-	}
-	*bp = (*bp)[:0]
-	sealPool.Put(bp)
-}
-
-// SetSealPipeline sets the MAC-pipeline width used by WriteFlight: 0
-// selects the macpipe pool width (one lane per core), 1 disables
-// parallel MAC computation (the flight path still coalesces writes),
-// n > 1 caps the lanes a single flight uses. Changing the width
-// between flights is safe; changing it mid-flight is not possible
-// (the layer is not concurrent).
-func (l *Layer) SetSealPipeline(width int) {
-	if width < 0 {
-		width = 0
-	}
-	l.sealWidth = width
-	l.fl = nil // rebuild lanes on next flight
 }
 
 // NewLayer wraps rw in a record layer with NULL security (the state
@@ -249,96 +183,70 @@ func NewLayer(rw io.ReadWriter) *Layer {
 	return &Layer{rw: rw}
 }
 
-// SetWriteState installs the outbound cipher and MAC and resets the
-// outbound sequence number; called when sending ChangeCipherSpec. Any
-// flight state is invalidated — its lane MACs are clones of the old
-// write MAC. (Shadows Core.SetWriteState, which has no flight.)
-func (l *Layer) SetWriteState(c suite.RecordCipher, m *sslcrypto.MAC) {
-	l.Core.SetWriteState(c, m)
-	l.fl = nil
-}
-
-// WriteRecord sends data of the given type, fragmenting as needed.
-// (Shadows Core.WriteRecord: each fragment goes straight to the
-// transport instead of the outgoing buffer.)
-func (l *Layer) WriteRecord(typ ContentType, data []byte) error {
-	for first := true; first || len(data) > 0; first = false {
-		n := len(data)
-		if n > MaxFragment {
-			n = MaxFragment
-		}
-		if err := l.writeFragment(typ, data[:n]); err != nil {
-			return err
-		}
+// WriteRecord sends data of the given type, fragmenting as needed:
+// the Core seals a window of up to windowRecords records into its
+// outgoing buffer and the window leaves in one transport Write, so a
+// record costs one write and a 1 MiB response two, not 65. A failed
+// Write surfaces the transport's error; what was sealed is dropped
+// with the connection.
+func (l *Layer) WriteRecord(typ ContentType, data []byte) (err error) {
+	const window = windowRecords * MaxFragment
+	for first := true; err == nil && (first || len(data) > 0); first = false {
+		n := min(len(data), window)
+		l.Core.WriteRecord(typ, data[:n])
+		_, err = l.rw.Write(l.outgoing)
+		l.Stats.WriteCalls++
+		l.outgoing = l.outgoing[:0]
 		data = data[n:]
 	}
-	return nil
+	l.ConsumeOutgoing(0) // drained: a window goes back to the pool
+	return err
 }
 
-// writeFragment seals and sends one fragment as a single contiguous
-// write: header ‖ payload ‖ MAC ‖ padding assembled in one pooled
-// buffer by the Core's sealAppend — so a steady-state seal performs
-// zero heap allocations and one transport Write (the legacy path
-// issued two: header then body, doubling the syscall count of every
-// handshake record and small application write). Sequence and stats
-// commit only after the transport accepts the record.
-func (l *Layer) writeFragment(typ ContentType, payload []byte) (err error) {
-	bp := sealPool.Get().(*[]byte)
-	// A standard pooled buffer always suffices for payloads the record
-	// layer fragments to; sealAppend grows it for oversized callers
-	// (and putSealBuf drops the growth rather than pin it pool-wide).
-	rec := l.sealAppend((*bp)[:0], typ, payload)
-	_, err = l.rw.Write(rec)
-	l.Stats.WriteCalls++
-	*bp = rec[:0]
-	putSealBuf(bp)
-	if err != nil {
-		return err
-	}
-	l.commitWrite(typ, len(payload))
-	return nil
+// WriteFlight is WriteRecord — named by bench/probes.go; deleted by
+// the benchmark-only PR of ROADMAP 4(i).
+func (l *Layer) WriteFlight(typ ContentType, data []byte) error {
+	return l.WriteRecord(typ, data)
+}
+
+// BuffersWriter is unused — named by bench/probes.go; deleted by the
+// benchmark-only PR of ROADMAP 4(i).
+type BuffersWriter interface {
+	WriteBuffers(bufs [][]byte) (int64, error)
 }
 
 // ReadRecord reads and opens the next record, returning its type and
-// plaintext payload. Alerts are surfaced as *AlertError (close_notify
-// additionally returns ErrClosed on subsequent reads). (Shadows
-// Core.ReadRecord: blocks on the transport instead of returning
-// ErrWouldBlock.)
+// plaintext payload: Core.ReadRecord, and wherever the Core would
+// return ErrWouldBlock one blocking transport Read straight into
+// incoming's spare capacity — grown, when short, to hold the missing
+// bytes the parsed header asks for — so whatever else has already
+// arrived comes along in the same read. It returns io.EOF when the
+// stream ends at a record boundary and io.ErrUnexpectedEOF when it
+// ends inside a record.
 //
-// The returned payload aliases the layer's internal scratch buffer and
-// is valid only until the next ReadRecord call — callers that need it
-// longer must copy. (The handshake message reader copies, and the ssl
-// Conn drains its buffer before reading again, so within this stack
-// the aliasing is free.)
+// The returned payload aliases the incoming buffer and is valid only
+// until the next ReadRecord call — callers that need it longer must
+// copy. (The handshake message reader copies, and the ssl Conn drains
+// its buffer before reading again, so within this stack the aliasing
+// is free.)
 func (l *Layer) ReadRecord() (ContentType, []byte, error) {
-	if _, err := io.ReadFull(l.rw, l.readBuf[:]); err != nil {
-		return 0, nil, err
+	for {
+		typ, payload, missing, err := l.readRecord()
+		if err != ErrWouldBlock {
+			return typ, payload, err
+		}
+		l.compactIncoming()
+		have := len(l.incoming)
+		if cap(l.incoming) < have+missing {
+			l.incoming = append(make([]byte, 0, have+missing), l.incoming...)
+		}
+		n, err := l.rw.Read(l.incoming[have:cap(l.incoming)])
+		l.incoming = l.incoming[:have+n]
+		if n == 0 && err != nil {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
 	}
-	typ, length, err := l.parseHeader(l.readBuf[:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if cap(l.readScratch) < length {
-		l.readScratch = make([]byte, length)
-	}
-	body := l.readScratch[:length]
-	if _, err := io.ReadFull(l.rw, body); err != nil {
-		return 0, nil, err
-	}
-	payload, err := l.open(typ, body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return l.finishRead(typ, payload)
-}
-
-// SendAlert writes an alert record. (Shadows Core.SendAlert so the
-// alert reaches the transport, not the outgoing buffer.)
-func (l *Layer) SendAlert(level, desc byte) error {
-	return l.WriteRecord(TypeAlert, []byte{level, desc})
-}
-
-// SendClose sends a close_notify warning alert.
-func (l *Layer) SendClose() error {
-	return l.SendAlert(AlertLevelWarning, AlertCloseNotify)
 }

@@ -24,8 +24,14 @@ func oneWay() (*Layer, *Layer, *bytes.Buffer) {
 	return sender, receiver, buf
 }
 
+// keyed is either flavour of record conn: a *Core or a *Layer.
+type keyed interface {
+	SetWriteState(suite.RecordCipher, *sslcrypto.MAC)
+	SetReadState(suite.RecordCipher, *sslcrypto.MAC)
+}
+
 // arm installs matching cipher/MAC state for one direction.
-func arm(t *testing.T, s *suite.Suite, sender, receiver *Layer) {
+func arm(t testing.TB, s *suite.Suite, sender, receiver keyed) {
 	t.Helper()
 	key := make([]byte, s.KeyLen)
 	iv := make([]byte, s.IVLen)
@@ -245,7 +251,7 @@ func TestReplayRejected(t *testing.T) {
 
 func TestAlertSurfacing(t *testing.T) {
 	sender, receiver, _ := oneWay()
-	if err := sender.SendAlert(AlertLevelFatal, AlertHandshakeFailure); err != nil {
+	if err := sender.WriteRecord(TypeAlert, []byte{AlertLevelFatal, AlertHandshakeFailure}); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err := receiver.ReadRecord()
@@ -266,7 +272,7 @@ func TestAlertSurfacing(t *testing.T) {
 
 func TestCloseNotify(t *testing.T) {
 	sender, receiver, _ := oneWay()
-	if err := sender.SendClose(); err != nil {
+	if err := sender.WriteRecord(TypeAlert, []byte{AlertLevelWarning, AlertCloseNotify}); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := receiver.ReadRecord()
@@ -401,7 +407,7 @@ func TestProbeRecordIOAndAlertCounters(t *testing.T) {
 	if err := sender.WriteRecord(TypeApplicationData, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.SendAlert(AlertLevelWarning, AlertCloseNotify); err != nil {
+	if err := sender.WriteRecord(TypeAlert, []byte{AlertLevelWarning, AlertCloseNotify}); err != nil {
 		t.Fatal(err)
 	}
 	if len(sent) != 3 || !sent[0].written || sent[0].n != MaxFragment ||
@@ -429,12 +435,25 @@ func TestProbeRecordIOAndAlertCounters(t *testing.T) {
 	}
 }
 
-// TestAlertName covers known and unknown codes.
+// TestAlertName covers known and unknown codes. It is the telemetry
+// counter tag of every alert, so naming a known code must not
+// allocate.
 func TestAlertName(t *testing.T) {
 	if got := AlertName(AlertBadRecordMAC); got != "bad_record_mac" {
 		t.Fatalf("AlertName = %q", got)
 	}
 	if got := AlertName(99); got != "alert(99)" {
 		t.Fatalf("AlertName(99) = %q", got)
+	}
+	known := []byte{AlertCloseNotify, AlertUnexpectedMessage, AlertBadRecordMAC, AlertHandshakeFailure,
+		AlertNoCertificate, AlertBadCertificate, AlertCertificateExpired, AlertIllegalParameter}
+	var sink string
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, code := range known {
+			sink = AlertName(code)
+		}
+	})
+	if allocs > 0 || sink != "illegal_parameter" {
+		t.Fatalf("AlertName allocates %.1f objects over the known codes (last %q), want 0", allocs, sink)
 	}
 }

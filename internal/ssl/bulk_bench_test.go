@@ -19,46 +19,25 @@ import (
 // AES, MD5 cheaper than SHA-1 (pathlen.TestModelShape pins that
 // ordering on the counting kernels).
 //
-// Each result also reports the syscall story the flight work is
-// about: writes/record (transport writes per sealed record — 2 on the
-// legacy header+body path, 1 on the contiguous seal, a fraction on
-// the vectored path) and records/s. The "-vec" variants push 1 MiB
-// application writes through the flight pipeline — fragmented
-// zero-copy, MACs pipelined, one vectored flush per 64-record window
-// — to compare against the "-seq1m" record-at-a-time results;
-// TestWriteCallsPinned and the record flight tests pin the write
-// counts, bench/'s bulk_download the throughput.
+// Each result also reports writes/record (transport writes per sealed
+// record: 1 for record-sized writes, 1/64 for the "-1m" variants'
+// 1 MiB writes, whose windows each leave in one write) and records/s;
+// TestWriteCallsPinned and the record tests pin the write counts,
+// bench/'s bulk_download the throughput.
 func BenchmarkBulkPath(b *testing.B) {
 	for _, name := range []string{
 		"RC4-MD5", "RC4-SHA", "DES-CBC-SHA", "DES-CBC3-SHA",
 		"AES128-SHA", "AES256-SHA", "NULL-MD5",
 	} {
-		b.Run(name, func(b *testing.B) { benchBulkPath(b, name, bulkRecord) })
+		b.Run(name, func(b *testing.B) { benchBulkPath(b, name, record.MaxFragment) })
 	}
 	for _, name := range []string{"RC4-MD5", "AES128-SHA"} {
-		b.Run(name+"-seq1m", func(b *testing.B) { benchBulkPath(b, name, bulkSeq) })
-		b.Run(name+"-vec", func(b *testing.B) { benchBulkPath(b, name, bulkVec) })
+		b.Run(name+"-1m", func(b *testing.B) { benchBulkPath(b, name, 1<<20) })
 	}
 }
 
-// Bulk benchmark modes: one 16 KiB record per write (the historical
-// shape), 1 MiB writes through the sequential record-at-a-time path
-// (flight disabled — the vectored path's baseline), and 1 MiB writes
-// through the flight pipeline.
-type bulkMode int
-
-const (
-	bulkRecord bulkMode = iota
-	bulkSeq
-	bulkVec
-)
-
-const (
-	bulkChunk  = 16384                   // one max-size record per write
-	bulkFlight = 64 * record.MaxFragment // one full flight window per write
-)
-
-func benchBulkPath(b *testing.B, suiteName string, mode bulkMode) {
+// benchBulkPath times server writes of chunk bytes each.
+func benchBulkPath(b *testing.B, suiteName string, chunk int) {
 	s, err := suite.ByName(suiteName)
 	if err != nil {
 		b.Fatal(err)
@@ -68,9 +47,6 @@ func benchBulkPath(b *testing.B, suiteName string, mode bulkMode) {
 	scfg := id.ServerConfig(NewPRNG(77))
 	scfg.Suites = []suite.ID{s.ID}
 	scfg.Observers = []probe.Observer{col}
-	if mode == bulkSeq {
-		scfg.BulkPipelineWidth = -1
-	}
 	ccfg := clientCfg(func(c *Config) { c.Suites = []suite.ID{s.ID} })
 	client, server := connect(b, ccfg, scfg)
 	defer client.Close()
@@ -82,10 +58,6 @@ func benchBulkPath(b *testing.B, suiteName string, mode bulkMode) {
 		io.Copy(io.Discard, client)
 	}()
 
-	chunk := bulkChunk
-	if mode != bulkRecord {
-		chunk = bulkFlight
-	}
 	payload := make([]byte, chunk)
 	for i := range payload {
 		payload[i] = byte(i)

@@ -1,37 +1,9 @@
 package ssl
 
 import (
-	"io"
 	"net"
 	"time"
-
-	"sslperf/internal/record"
 )
-
-// vectored adapts a transport for the record layer's flight flush:
-// transports that already implement record.BuffersWriter (the
-// in-memory pipe) pass through, net.Conns gain a WriteBuffers backed
-// by net.Buffers (one writev syscall on TCP), and anything else falls
-// back to per-record writes inside the record layer.
-func vectored(t io.ReadWriteCloser) io.ReadWriter {
-	if _, ok := t.(record.BuffersWriter); ok {
-		return t
-	}
-	if nc, ok := t.(net.Conn); ok {
-		return &netVectored{nc}
-	}
-	return t
-}
-
-// netVectored wraps a net.Conn with a vectored write entry point.
-type netVectored struct{ net.Conn }
-
-// WriteBuffers flushes bufs with one writev on OS-backed connections
-// (net.Buffers consumes the slice, which the record layer permits).
-func (v *netVectored) WriteBuffers(bufs [][]byte) (int64, error) {
-	b := net.Buffers(bufs)
-	return b.WriteTo(v.Conn)
-}
 
 // Listener wraps a net.Listener, returning SSL server connections —
 // the tls.Listen analogue.

@@ -16,16 +16,6 @@ import (
 // terminal error — feed more bytes and call again.
 var ErrWouldBlock = record.ErrWouldBlock
 
-// recordConn is what a connection needs of its record layer: the
-// surface the handshake FSM drives, plus close_notify. A *record.Core
-// never blocks; a *record.Layer shadows the same entry points with
-// transport-backed ones that never return ErrWouldBlock — the only
-// difference between a sans-IO connection and a blocking one.
-type recordConn interface {
-	handshake.RecordConn
-	SendClose() error
-}
-
 // handshakeFSM is the resumable client or server machine.
 type handshakeFSM interface {
 	Step() error
@@ -52,9 +42,12 @@ type handshakeFSM interface {
 // loop runs, so one blocking read would park every connection (make
 // blocklint enforces it).
 type NonBlockingConn struct {
-	rc       recordConn
-	core     *record.Core  // rc's core: stats, probe pointer, Feed/Outgoing buffers
-	flight   *record.Layer // rc when it is a Layer with the flight path on, else nil
+	// rc is the record layer the FSM and the data path drive. A
+	// *record.Core never blocks; a *record.Layer pumps a transport
+	// around the same core and never returns ErrWouldBlock — the only
+	// difference between a sans-IO connection and a blocking one.
+	rc       handshake.RecordConn
+	core     *record.Core // rc's core: stats, probe pointer, Feed/Outgoing buffers
 	cfg      *Config
 	isClient bool
 
@@ -323,17 +316,7 @@ func (c *NonBlockingConn) WriteData(p []byte) (int, error) {
 		}
 	}
 	ioStart := c.bus.Stamp()
-	// Large writes over a Layer take the flight pipeline: fragments
-	// MACed in parallel, sealed zero-copy in sequence order, and
-	// flushed as one vectored write per window. Wire bytes are
-	// identical to the sequential path's.
-	var err error
-	if c.flight != nil && len(p) > record.MaxFragment {
-		err = c.flight.WriteFlight(record.TypeApplicationData, p)
-	} else {
-		err = c.rc.WriteRecord(record.TypeApplicationData, p)
-	}
-	if err != nil {
+	if err := c.rc.WriteRecord(record.TypeApplicationData, p); err != nil {
 		return 0, err
 	}
 	c.bus.AppIO(true, len(p), ioStart)
@@ -353,7 +336,8 @@ func (c *NonBlockingConn) Close() error {
 	c.closed = true
 	c.open()
 	if c.handshakeDone {
-		c.rc.SendClose() // best effort
+		// close_notify, best effort
+		c.rc.WriteRecord(record.TypeAlert, []byte{record.AlertLevelWarning, record.AlertCloseNotify})
 	} else if c.hsStarted && c.hsErr == nil {
 		c.bus.StepExit() // the step it was parked in
 		c.bus.HandshakeFail(probe.FailIOEOF, probe.FailIOEOF.Name(), "closed mid-handshake")

@@ -70,30 +70,9 @@ type pipeEnd struct {
 	out *pipeHalf
 }
 
-func (h *pipeHalf) writeBuffers(bufs [][]byte) (int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return 0, errors.New("ssl: write on closed pipe")
-	}
-	var n int64
-	for _, b := range bufs {
-		h.buf = append(h.buf, b...)
-		n += int64(len(b))
-	}
-	h.cond.Broadcast()
-	return n, nil
-}
-
 func (e *pipeEnd) Read(p []byte) (int, error)  { return e.in.read(p) }
 func (e *pipeEnd) Write(p []byte) (int, error) { return e.out.write(p) }
 
-// WriteBuffers implements record.BuffersWriter: the whole flight
-// lands in the peer's buffer under one lock acquisition — the
-// in-memory analogue of a single writev.
-func (e *pipeEnd) WriteBuffers(bufs [][]byte) (int64, error) {
-	return e.out.writeBuffers(bufs)
-}
 func (e *pipeEnd) Close() error {
 	e.out.close()
 	e.in.close()

@@ -62,16 +62,6 @@ type Config struct {
 	ServerName         string
 	InsecureSkipVerify bool
 
-	// BulkPipelineWidth controls the record layer's flight-sealing
-	// pipeline, the path Write takes for buffers larger than one
-	// record: 0 (the default) gives the pipeline one MAC lane per
-	// core, 1 disables parallel MAC computation (flights still seal
-	// zero-copy and flush as one vectored write), and n > 1 caps the
-	// lanes one flight uses. A negative width disables the flight path
-	// entirely, so large writes take the sequential record-at-a-time
-	// path — the baseline the bulk benchmarks compare against.
-	BulkPipelineWidth int
-
 	// Observers watch every connection using this config through its
 	// instrumentation spine (internal/probe). Each is offered the
 	// connection once, as it opens — at construction for a Conn, on
@@ -125,15 +115,11 @@ func ServerConn(transport io.ReadWriteCloser, cfg *Config) *Conn {
 // a sans-IO conn it knows its peer already, so it opens — observers
 // see it — from construction.
 func newConn(transport io.ReadWriteCloser, cfg *Config, isClient bool) *Conn {
-	layer := record.NewLayer(vectored(transport))
+	layer := record.NewLayer(transport)
 	c := &Conn{transport: transport, nb: NonBlockingConn{
 		rc: layer, core: &layer.Core, cfg: cfg, isClient: isClient,
 		remote: remoteAddr(transport),
 	}}
-	if cfg.BulkPipelineWidth >= 0 {
-		layer.SetSealPipeline(cfg.BulkPipelineWidth)
-		c.nb.flight = layer
-	}
 	c.nb.open()
 	return c
 }

@@ -131,32 +131,6 @@ func repeatByte(b byte, n int) []byte {
 // Size returns the MAC length.
 func (m *MAC) Size() int { return m.alg.Size() }
 
-// Clone returns an independent MAC with the same key and construction
-// (SSLv3 pre-HMAC or TLS HMAC form). MACs keep per-record scratch, so
-// one instance serves one goroutine; the record layer's sealing
-// pipeline clones its write MAC once per worker to compute fragment
-// MACs in parallel — the outputs are identical because the
-// construction is stateless across records given the sequence number.
-func (m *MAC) Clone() *MAC {
-	c := &MAC{alg: m.alg, tls: m.tls, version: m.version}
-	if m.alg == MACNull {
-		return c
-	}
-	c.secret = append([]byte(nil), m.secret...)
-	if m.tls {
-		if m.alg == MACMD5 {
-			c.hm = hmacx.NewMD5(c.secret)
-		} else {
-			c.hm = hmacx.NewSHA1(c.secret)
-		}
-		return c
-	}
-	c.h = m.alg.newDigest()
-	c.pad1 = repeatByte(0x36, m.alg.padLen())
-	c.pad2 = repeatByte(0x5c, m.alg.padLen())
-	return c
-}
-
 // Compute returns the MAC for a record with the given 64-bit sequence
 // number, content type and payload.
 func (m *MAC) Compute(seq uint64, contentType byte, payload []byte) []byte {

@@ -54,29 +54,12 @@ const (
 //
 // Ordering contract: record ciphers are stateful across calls — RC4
 // consumes keystream, CBC chains each call's last ciphertext block
-// into the next call's IV. Callers MUST invoke Encrypt/EncryptTo in
-// record sequence-number order, exactly once per record body, in
-// ascending byte order within a record. The record layer's sealing
-// pipeline relies on this: fragment MACs may be computed on any
-// goroutine in any order, but every cipher pass happens on the
-// caller's goroutine in sequence order.
+// into the next call's IV. Callers MUST invoke Encrypt in record
+// sequence-number order, exactly once per record body.
 type RecordCipher interface {
 	BlockSize() int
 	Encrypt(buf []byte)
 	Decrypt(buf []byte)
-}
-
-// An EncryptToCipher can encrypt from src into dst in one pass,
-// fusing the plaintext copy into the cipher pass — the record layer's
-// zero-copy seal path uses it to move application bytes into the wire
-// buffer exactly once. dst and src must have equal length (a block
-// multiple for block ciphers) and must not overlap unless identical.
-// The same ordering contract as RecordCipher.Encrypt applies:
-// EncryptTo advances the keystream/IV chain exactly as Encrypt does,
-// and the two may be interleaved freely within a record as long as
-// bytes are processed in order.
-type EncryptToCipher interface {
-	EncryptTo(dst, src []byte)
 }
 
 // A Suite describes one cipher suite.
@@ -123,18 +106,16 @@ func (s *Suite) NewMAC(secret []byte) (*sslcrypto.MAC, error) {
 // the paper's no-crypto baseline).
 type nullCipher struct{}
 
-func (nullCipher) BlockSize() int           { return 1 }
-func (nullCipher) Encrypt(buf []byte)       {}
-func (nullCipher) Decrypt(buf []byte)       {}
-func (nullCipher) EncryptTo(dst, src []byte) { copy(dst, src) }
+func (nullCipher) BlockSize() int     { return 1 }
+func (nullCipher) Encrypt(buf []byte) {}
+func (nullCipher) Decrypt(buf []byte) {}
 
 // streamCipher adapts RC4.
 type streamCipher struct{ c *rc4.Cipher }
 
-func (s streamCipher) BlockSize() int            { return 1 }
-func (s streamCipher) Encrypt(buf []byte)        { s.c.XORKeyStream(buf, buf) }
-func (s streamCipher) Decrypt(buf []byte)        { s.c.XORKeyStream(buf, buf) }
-func (s streamCipher) EncryptTo(dst, src []byte) { s.c.XORKeyStream(dst, src) }
+func (s streamCipher) BlockSize() int     { return 1 }
+func (s streamCipher) Encrypt(buf []byte) { s.c.XORKeyStream(buf, buf) }
+func (s streamCipher) Decrypt(buf []byte) { s.c.XORKeyStream(buf, buf) }
 
 // blockCipher adapts a CBC-wrapped block cipher. One direction per
 // instance, like a real record connection state.
@@ -158,15 +139,6 @@ func (b *blockCipher) Decrypt(buf []byte) {
 		panic("suite: decrypt on encrypt-side cipher")
 	}
 	b.dec.CryptBlocks(buf, buf)
-}
-
-// EncryptTo CBC-encrypts src into dst; the chained IV advances
-// exactly as an in-place Encrypt of the same bytes would.
-func (b *blockCipher) EncryptTo(dst, src []byte) {
-	if b.enc == nil {
-		panic("suite: encrypt on decrypt-side cipher")
-	}
-	b.enc.CryptBlocks(dst, src)
 }
 
 func newBlockCipher(blk cbc.Block, iv []byte, encrypt bool) (RecordCipher, error) {
