@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint kernellint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -27,7 +27,9 @@ race:
 # sink adapters (telemetry, the span tracer), the record layer (whose
 # connections share one window-buffer pool), the batch-RSA and accel
 # engines, the handshake session cache, perf (whose model-GHz
-# setting is shared mutable state), and the load generator + health
+# setting is shared mutable state), bn and rsa (a Mont's scratch pool
+# and a key's lazily built contexts and arena pool are shared by every
+# connection under that key), and the load generator + health
 # checks — then every fuzz target for a few seconds and a real
 # end-to-end smoke through sslload's in-process server.
 check:
@@ -35,6 +37,7 @@ check:
 	$(MAKE) clocklint
 	$(MAKE) blocklint
 	$(MAKE) seallint
+	$(MAKE) kernellint
 	$(MAKE) depslint
 	$(MAKE) pathlenlint
 	$(MAKE) failclasslint
@@ -44,7 +47,8 @@ check:
 		./internal/handshake/... ./internal/accel/... ./internal/perf/... \
 		./internal/loadgen/... ./internal/baseline/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \
-		./internal/history/... ./internal/debughttp/... ./cmd/ssltop/...
+		./internal/history/... ./internal/debughttp/... ./cmd/ssltop/... \
+		./internal/bn/... ./internal/rsa/...
 	$(MAKE) fuzzsmoke
 	$(MAKE) loadsmoke
 
@@ -92,6 +96,18 @@ seallint:
 			echo "$$sites"; exit 1; \
 		fi; \
 	done
+
+# The production Montgomery kernel is what every RSA and DH operation
+# of the stack runs, from pooled scratch sized once per Mont
+# (newScratch, in mont.go): an allocation in it comes back as garbage
+# per multiplication, and a profiler hook as a branch and a clock read
+# inside the word loops. Those belong to the counting kernel beside it.
+kernellint:
+	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "kernellint: allocation or profiler hook in the production Montgomery kernel:"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 # The protocol layers know the observatory only as the probe spine:
 # connections emit events, and whoever wires a server decides which

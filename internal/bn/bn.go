@@ -4,10 +4,15 @@
 // multiplication driven by a mul-add word kernel, Knuth division,
 // Montgomery reduction, and windowed modular exponentiation.
 //
-// The limb size is deliberately 32 bits. The paper's Table 8/9 anatomy
-// (bn_mul_add_words dominating RSA with a mul + add + add-with-carry
-// inner loop) is a property of 32-bit limb code on the measured
-// Pentium 4; reproducing it requires the same word size.
+// Ints are stored in 32-bit limbs, and the counting kernel of
+// Montgomery arithmetic computes on them deliberately: the paper's
+// Table 8/9 anatomy (bn_mul_add_words dominating RSA with a mul + add
+// + add-with-carry inner loop) is a property of 32-bit limb code on
+// the measured Pentium 4, and reproducing it requires the same word
+// size. That kernel runs only while a profile is being collected.
+// Otherwise Mont runs the production kernel of montkernel.go, which
+// repacks operands into 64-bit limbs at its boundary — the two-kernels
+// rule of DESIGN §5, with ProfileEnabled() as the selector.
 //
 // The package supports an Oprofile-style exclusive-time profile of its
 // internal functions (see Profile) used to regenerate the paper's
@@ -21,7 +26,8 @@ import (
 	"math/bits"
 )
 
-// Word is one limb. See the package comment for why it is 32 bits.
+// Word is one limb of an Int. See the package comment for why it is
+// 32 bits, and where it is not.
 type Word = uint32
 
 // WordBits is the number of bits per limb.
@@ -87,15 +93,20 @@ func (z *Int) Set(x *Int) *Int {
 		return z
 	}
 	profEnter(fnCopy)
-	if cap(z.d) < len(x.d) {
-		z.d = make([]Word, len(x.d))
-	} else {
-		z.d = z.d[:len(x.d)]
-	}
-	copy(z.d, x.d)
+	copy(z.resize(len(x.d)), x.d)
 	z.neg = x.neg
 	profExit()
 	return z
+}
+
+// resize returns z.d with length n and unspecified contents, reusing
+// its storage when that is large enough.
+func (z *Int) resize(n int) []Word {
+	if cap(z.d) < n {
+		z.d = make([]Word, n)
+	}
+	z.d = z.d[:n]
+	return z.d
 }
 
 // Clone returns a fresh copy of z.
@@ -156,14 +167,9 @@ func (z *Int) Words() int { return len(z.d) }
 // SetBytes interprets buf as a big-endian unsigned integer, sets z to
 // it, and returns z.
 func (z *Int) SetBytes(buf []byte) *Int {
-	n := (len(buf) + 3) / 4
-	if cap(z.d) < n {
-		z.d = make([]Word, n)
-	} else {
-		z.d = z.d[:n]
-		for i := range z.d {
-			z.d[i] = 0
-		}
+	d := z.resize((len(buf) + 3) / 4)
+	for i := range d {
+		d[i] = 0
 	}
 	z.neg = false
 	for i, b := range buf {

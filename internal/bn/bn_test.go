@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"sslperf/internal/perf"
+	"sslperf/internal/testenv"
 )
 
 // randReader is a deterministic io.Reader for reproducible tests.
@@ -624,6 +625,9 @@ func TestProfileAttributesMulAddWords(t *testing.T) {
 }
 
 func TestProfileExclusiveTime(t *testing.T) {
+	if testenv.Race {
+		t.Skip("asserts wall-clock shares, which race instrumentation distorts")
+	}
 	b := StartProfile()
 	// BN_mul calls mulAddWords; exclusive accounting must charge most
 	// of the time to the kernel, not the caller.

@@ -47,46 +47,6 @@ func (z *Int) ModExp(x, e, N *Int) *Int {
 // small while staying within a few percent of optimal.
 const expWindow = 4
 
-// Exp sets z = x^e mod m.N using fixed-window Montgomery
-// exponentiation, with x in ordinary (non-Montgomery) form in [0, N).
-func (m *Mont) Exp(z, x, e *Int) *Int {
-	if e.IsZero() {
-		return z.SetUint64(1)
-	}
-	// Precompute table[i] = x^i in Montgomery form, i in [0, 2^w).
-	table := make([]*Int, 1<<expWindow)
-	table[0] = m.One()
-	table[1] = m.ToMont(New(), x)
-	for i := 2; i < len(table); i++ {
-		table[i] = m.MulMont(New(), table[i-1], table[1])
-	}
-	bitLen := e.BitLen()
-	// Process the exponent in w-bit windows from the top.
-	top := bitLen % expWindow
-	if top == 0 {
-		top = expWindow
-	}
-	// First window.
-	first := 0
-	for i := bitLen - 1; i >= bitLen-top; i-- {
-		first = first<<1 | int(e.Bit(i))
-	}
-	acc := New().Set(table[first])
-	for i := bitLen - top - 1; i >= 0; i -= expWindow {
-		w := 0
-		for k := 0; k < expWindow; k++ {
-			w = w<<1 | int(e.Bit(i-k))
-		}
-		for k := 0; k < expWindow; k++ {
-			m.SqrMont(acc, acc)
-		}
-		if w != 0 {
-			m.MulMont(acc, acc, table[w])
-		}
-	}
-	return m.FromMont(z, acc)
-}
-
 // GCD sets z = gcd(|x|, |y|) and returns z.
 func (z *Int) GCD(x, y *Int) *Int {
 	a := x.Clone()

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sslperf/internal/testenv"
 )
 
 // withMode runs fn under the given multiplication mode.
@@ -111,6 +113,9 @@ func TestSetMulModeReturnsPrevious(t *testing.T) {
 // real work (the difference terms); under schoolbook it is nearly
 // absent from multiplication.
 func TestKaratsubaShiftsTimeToSubWords(t *testing.T) {
+	if testenv.Race {
+		t.Skip("asserts wall-clock shares, which race instrumentation distorts")
+	}
 	rnd := newRandReader(24)
 	x, _ := New().Rand(rnd, 2048, false)
 	y, _ := New().Rand(rnd, 2048, false)

@@ -9,6 +9,15 @@ import "math/bits"
 // per-level divisions are batched through Montgomery's inversion
 // trick.
 
+// residue returns x itself when it already lies in [0, N), else a
+// fresh x mod N: the division is paid only by callers that need it.
+func (m *Mont) residue(x *Int) *Int {
+	if x.neg || x.CmpAbs(m.N) >= 0 {
+		return New().Mod(x, m.N)
+	}
+	return x
+}
+
 // ExpUint64 sets z = x^e mod m.N for a machine-word exponent using
 // plain left-to-right square-and-multiply. Unlike Exp it builds no
 // window table, so for the small public exponents batch RSA works
@@ -19,9 +28,7 @@ func (m *Mont) ExpUint64(z, x *Int, e uint64) *Int {
 	if e == 0 {
 		return z.SetUint64(1)
 	}
-	var b Int
-	b.Mod(x, m.N)
-	g := m.ToMont(New(), &b)
+	g := m.ToMont(New(), m.residue(x))
 	acc := New().Set(g)
 	for i := bits.Len64(e) - 2; i >= 0; i-- {
 		m.SqrMont(acc, acc)
@@ -38,11 +45,8 @@ func (m *Mont) Exp2Uint64(z, x1 *Int, e1 uint64, x2 *Int, e2 uint64) *Int {
 	if e1 == 0 && e2 == 0 {
 		return z.SetUint64(1)
 	}
-	var b1, b2 Int
-	b1.Mod(x1, m.N)
-	b2.Mod(x2, m.N)
-	g1 := m.ToMont(New(), &b1)
-	g2 := m.ToMont(New(), &b2)
+	g1 := m.ToMont(New(), m.residue(x1))
+	g2 := m.ToMont(New(), m.residue(x2))
 	g12 := m.MulMont(New(), g1, g2)
 	table := [3]*Int{g1, g2, g12}
 	n := bits.Len64(e1)
@@ -79,11 +83,8 @@ func (m *Mont) Exp2(z, x1, e1, x2, e2 *Int) *Int {
 	if e1.IsZero() && e2.IsZero() {
 		return z.SetUint64(1)
 	}
-	var b1, b2 Int
-	b1.Mod(x1, m.N)
-	b2.Mod(x2, m.N)
-	g1 := m.ToMont(New(), &b1)
-	g2 := m.ToMont(New(), &b2)
+	g1 := m.ToMont(New(), m.residue(x1))
+	g2 := m.ToMont(New(), m.residue(x2))
 	g12 := m.MulMont(New(), g1, g2)
 	table := [3]*Int{g1, g2, g12}
 

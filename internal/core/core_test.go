@@ -1,8 +1,12 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+
+	"sslperf/internal/bn"
+	"sslperf/internal/rsa"
 )
 
 func quickCfg() *Config { return &Config{Quick: true, KeyBits: 512} }
@@ -88,8 +92,11 @@ func TestFig1TraceContainsProtocolFlow(t *testing.T) {
 	}
 }
 
+// TestTable2RSADominates runs at the paper's 1024-bit key: step 7 is
+// two 512-bit exponentiations, which must still be most of a full
+// handshake on the production kernel (paper: ~92%).
 func TestTable2RSADominates(t *testing.T) {
-	cfg := quickCfg()
+	cfg := &Config{Quick: true, KeyBits: 1024}
 	steps, total, err := runHandshakes(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +113,77 @@ func TestTable2RSADominates(t *testing.T) {
 	}
 	if *kx < 0.5*float64(total) {
 		t.Fatalf("get_client_kx = %.0f of %d; paper: ~92%%", *kx, total)
+	}
+}
+
+// TestTable7ComputationDominates: of the six phases of an RSA
+// decryption, the modular computation is by far the largest (paper:
+// 97.0% at 512 bits, 98.9% at 1024) — on the production kernel the
+// stack runs, and on the counting kernel the paper's profile tables
+// are regenerated from.
+func TestTable7ComputationDominates(t *testing.T) {
+	check := func(kernel string) {
+		b, err := profileDecrypt(quickCfg(), 1024, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top := b.SortedByElapsed()[0].Name; top != rsa.PhaseComputation {
+			t.Errorf("%s kernel: largest phase is %s, want %s\n%s", kernel, top, rsa.PhaseComputation, b)
+		}
+		if pct := b.Percent(rsa.PhaseComputation); pct < 80 {
+			t.Errorf("%s kernel: computation = %.1f%% of a decryption, want >= 80%%\n%s", kernel, pct, b)
+		}
+	}
+	check("production")
+	bn.StartProfile()
+	defer bn.StopProfile()
+	check("counting")
+}
+
+// pctCell parses the percentage in column col of a table row.
+func pctCell(t *testing.T, row []string, col int) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(row[col], 64)
+	if err != nil {
+		t.Fatalf("row %v: %v", row, err)
+	}
+	return v
+}
+
+// TestTable8MulAddWordsOnTop: the flat profile of an RSA decryption on
+// the counting kernel is topped by the mul-add word loop (paper: 47%).
+func TestTable8MulAddWordsOnTop(t *testing.T) {
+	e, _ := ByID("table8")
+	rep, err := e.Run(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rep.Tables[0].Rows()
+	if rows[0][0] != "bn_mul_add_words" {
+		t.Fatalf("top function = %s, want bn_mul_add_words\n%s", rows[0][0], rep)
+	}
+	if pct := pctCell(t, rows[0], 1); pct < 30 {
+		t.Fatalf("bn_mul_add_words = %.1f%%, want the dominant share\n%s", pct, rep)
+	}
+}
+
+// TestAblationMulRowsDiffer: the multiplication-algorithm switch only
+// exists on the counting kernel, so its rows differing is the check
+// that the ablation still profiles that kernel — Karatsuba at
+// OpenSSL's cutoff moves work into bn_sub_words and bn_add_words,
+// schoolbook leaves almost none there.
+func TestAblationMulRowsDiffer(t *testing.T) {
+	e, _ := ByID("ablation-mul")
+	rep, err := e.Run(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rep.Tables[0].Rows()
+	schoolbook, karatsuba8 := rows[0], rows[2]
+	for col, name := range map[int]string{2: "bn_sub_words", 3: "bn_add_words"} {
+		if s, k := pctCell(t, schoolbook, col), pctCell(t, karatsuba8, col); k <= s {
+			t.Errorf("%s: karatsuba (thr 8) %.1f%% not above schoolbook %.1f%%\n%s", name, k, s, rep)
+		}
 	}
 }
 

@@ -266,3 +266,39 @@ func TestAnatomyBreakdownOrder(t *testing.T) {
 		}
 	}
 }
+
+// The rollback check keeps a 48-byte pre-master only when both
+// version bytes match the ClientHello's, whatever the low byte is.
+func TestRSAPreMaster(t *testing.T) {
+	sub := bytes.Repeat([]byte{0xaa}, 48)
+	for _, tc := range []struct {
+		version uint16
+		prefix  [2]byte
+		keep    bool
+	}{
+		{0x0301, [2]byte{3, 1}, true},
+		{0x0301, [2]byte{2, 0}, false},
+		{0x0301, [2]byte{2, 1}, false},
+		{0x0301, [2]byte{3, 0}, false},
+		{0x0301, [2]byte{1, 1}, false},
+		{0x0300, [2]byte{3, 0}, true},
+		{0x0300, [2]byte{3, 1}, false},
+		{0x0300, [2]byte{9, 9}, false},
+	} {
+		pm := bytes.Repeat([]byte{0x55}, 48)
+		pm[0], pm[1] = tc.prefix[0], tc.prefix[1]
+		want := sub
+		if tc.keep {
+			want = append([]byte(nil), pm...)
+		}
+		if got := rsaPreMaster(pm, tc.version, sub); !bytes.Equal(got, want) {
+			t.Errorf("hello %#04x, pre-master % x…: kept=%v, want %v",
+				tc.version, tc.prefix, !bytes.Equal(got, sub), tc.keep)
+		}
+	}
+	for _, n := range []int{0, 47, 49} {
+		if got := rsaPreMaster(make([]byte, n), 0, sub); !bytes.Equal(got, sub) {
+			t.Errorf("%d-byte pre-master kept", n)
+		}
+	}
+}

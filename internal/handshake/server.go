@@ -636,19 +636,26 @@ func (s *serverState) getClientKeyExchange() error {
 		if s.cfg.Decrypter != nil {
 			dec = s.cfg.Decrypter
 		}
+		// Whether the ciphertext decrypted to a well-formed pre-master
+		// is exactly what Bleichenbacher's attack asks the server. So
+		// it is never answered here: a substitute is drawn before the
+		// decrypt, silently takes the place of a pre-master with bad
+		// padding, the wrong length or the wrong version, and the
+		// handshake fails where any wrong key does, at Finished. Only
+		// failures that depend on public data (ciphertext size or
+		// range, the engine) end the handshake at this step.
+		var substitute [sslcrypto.PreMasterLen]byte
+		if _, err := io.ReadFull(s.cfg.Rand, substitute[:]); err != nil { // lint:allow-read — randomness source, not the transport
+			return err
+		}
 		if err := s.bus.CryptoErr(FnRSAPrivateDecrypt, func() error {
 			var err error
 			preMaster, err = dec.DecryptPKCS1(s.cfg.Rand, ckx.encryptedPreMaster)
 			return err
-		}); err != nil {
+		}); err != nil && !errors.Is(err, rsa.ErrDecryption) {
 			return err
 		}
-		if len(preMaster) != sslcrypto.PreMasterLen {
-			return errors.New("handshake: pre-master has wrong length")
-		}
-		if uint16(preMaster[0])<<8|uint16(preMaster[1]) != s.clientHello.version {
-			return errors.New("handshake: pre-master version mismatch")
-		}
+		preMaster = rsaPreMaster(preMaster, s.clientHello.version, substitute[:])
 	}
 	s.bus.Crypto(FnGenMasterSecret, func() {
 		s.master = deriveMaster(s.version, preMaster,
@@ -659,6 +666,22 @@ func (s *serverState) getClientKeyExchange() error {
 		preMaster[i] = 0
 	}
 	return nil
+}
+
+// rsaPreMaster returns pm if it is a pre-master secret for the version
+// the client offered (the rollback check of SSLv3 §5.6.7), and
+// otherwise substitute. The version comparison and the replacement
+// are masked rather than branched on.
+func rsaPreMaster(pm []byte, version uint16, substitute []byte) []byte {
+	if len(pm) != sslcrypto.PreMasterLen {
+		return substitute
+	}
+	diff := uint((pm[0] ^ byte(version>>8)) | (pm[1] ^ byte(version)))
+	mask := -byte((diff + 0xff) >> 8) // 0xff iff the version differs
+	for i := range pm {
+		pm[i] ^= mask & (pm[i] ^ substitute[i])
+	}
+	return pm
 }
 
 // verifyClientFinished reads the first encrypted message

@@ -35,8 +35,9 @@ const (
 	// FailCertVerify is a certificate chain/validity/name failure.
 	FailCertVerify
 	// FailVersionMismatch is a protocol version the peer and we could
-	// not agree on (hello version too old, record version drift,
-	// pre-master version rollback).
+	// not agree on (hello version too old, record version drift). A
+	// pre-master version rollback is deliberately not one: step 7
+	// never reports what it decrypted, so it surfaces as FailBadMAC.
 	FailVersionMismatch
 	// FailFinishedVerify is a Finished verify-data mismatch: the
 	// transcripts disagree.

@@ -13,6 +13,7 @@ import (
 	"testing/iotest"
 
 	"sslperf/internal/suite"
+	"sslperf/internal/testenv"
 )
 
 // The Layer is a transport pump around Core. These tests pin that it
@@ -266,7 +267,7 @@ func TestFlightConcurrentLayers(t *testing.T) {
 // back. GC is disabled so AllocsPerRun cannot observe sync.Pool
 // eviction refills.
 func TestFlightSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race runtime allocates on sync paths")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -293,7 +294,7 @@ func TestFlightSteadyStateAllocs(t *testing.T) {
 // per record, costs nothing once a window is in the pool, and the
 // drained core does not keep the megabyte.
 func TestCoreWriteReservesOnce(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race runtime allocates on sync paths")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

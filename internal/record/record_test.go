@@ -10,6 +10,7 @@ import (
 
 	"sslperf/internal/sslcrypto"
 	"sslperf/internal/suite"
+	"sslperf/internal/testenv"
 )
 
 // oneWay builds a sender and receiver layer sharing one buffer.
@@ -112,7 +113,7 @@ func TestAllSuitesRoundTrip(t *testing.T) {
 // opening it at most twice (2 measured). A fresh MaxFragment buffer or
 // MAC scratch per record would show up here as 3+.
 func TestSealOpenSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race runtime allocates on sync paths")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

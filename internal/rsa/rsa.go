@@ -11,6 +11,7 @@ package rsa
 import (
 	"errors"
 	"io"
+	"math/bits"
 	"sync"
 
 	"sslperf/internal/bn"
@@ -51,7 +52,9 @@ type PublicKey struct {
 // Size returns the modulus size in bytes.
 func (pub *PublicKey) Size() int { return (pub.N.BitLen() + 7) / 8 }
 
-// PrivateKey is an RSA private key with CRT parameters.
+// PrivateKey is an RSA private key with CRT parameters. A literal with
+// the exported fields set is ready to use; the rest is built on first
+// use. A PrivateKey must not be copied after that.
 type PrivateKey struct {
 	PublicKey
 	D    *bn.Int // private exponent
@@ -60,11 +63,57 @@ type PrivateKey struct {
 	Dq   *bn.Int // D mod (Q-1)
 	Qinv *bn.Int // Q^-1 mod P
 
+	once sync.Once
+	pre  precomputed
+
 	// blind is the shared blinding pair; blindMu serializes its
 	// refresh when one key serves concurrent connections (the same
 	// reason OpenSSL locks its BN_BLINDING).
 	blindMu sync.Mutex
 	blind   *blinding
+}
+
+// precomputed is what every private operation under one key shares:
+// the Montgomery contexts for P, Q and N (so no operation pays for
+// R² mod N again), the two CRT constants in Montgomery form, and a
+// pool of arenas.
+type precomputed struct {
+	p, q, n *bn.Mont
+	qinvR   *bn.Int // Qinv·R mod P: MulMont(h, qinvR) = h·Qinv mod P
+	qR      *bn.Int // Q·R mod N: MulMont(h, qR) = h·Q for h < P
+	arenas  sync.Pool
+	err     error
+}
+
+// An arena holds every intermediate of one private operation. Its
+// Ints grow to the key's size on first use and are reused from then
+// on, so a steady-state decryption allocates only what it returns.
+// Arenas are pooled per key, never per connection.
+type arena struct {
+	c, m1, m2, h, m bn.Int
+	a, ainv         bn.Int // this operation's copy of the blinding pair
+	eb              []byte // the recovered encryption block
+}
+
+// precompute returns the key's shared state, building it on first use.
+func (priv *PrivateKey) precompute() (*precomputed, error) {
+	priv.once.Do(func() {
+		pre := &priv.pre
+		pre.arenas.New = func() any { return &arena{eb: make([]byte, priv.Size())} }
+		mont := func(n *bn.Int) *bn.Mont {
+			m, err := bn.NewMont(n)
+			if err != nil && pre.err == nil {
+				pre.err = errors.New("rsa: invalid private key: " + err.Error())
+			}
+			return m
+		}
+		if pre.p, pre.q, pre.n = mont(priv.P), mont(priv.Q), mont(priv.N); pre.err != nil {
+			return
+		}
+		pre.qinvR = pre.p.ToMont(bn.New(), pre.p.Reduce(bn.New(), priv.Qinv))
+		pre.qR = pre.n.ToMont(bn.New(), priv.Q)
+	})
+	return &priv.pre, priv.pre.err
 }
 
 // GenerateKey generates an RSA key with the given modulus bit size and
@@ -139,37 +188,47 @@ func (pub *PublicKey) public(m *bn.Int) *bn.Int {
 	return bn.New().ModExp(m, pub.E, pub.N)
 }
 
-// privateCRT applies the private operation c^d mod N using the
-// Chinese Remainder Theorem, as OpenSSL does: two half-size
-// exponentiations plus a recombination.
-func (priv *PrivateKey) privateCRT(c *bn.Int) *bn.Int {
-	m1 := bn.New().ModExp(c, priv.Dp, priv.P)
-	m2 := bn.New().ModExp(c, priv.Dq, priv.Q)
+// crt sets ar.m = c^d mod N for c in [0, N) using the Chinese
+// Remainder Theorem, as OpenSSL does: two half-size exponentiations
+// plus a recombination. Reductions and products go through the cached
+// Montgomery contexts, so nothing here divides or allocates.
+func (priv *PrivateKey) crt(pre *precomputed, ar *arena, c *bn.Int) *bn.Int {
+	pre.p.Exp(&ar.m1, pre.p.Reduce(&ar.m1, c), priv.Dp)
+	pre.q.Exp(&ar.m2, pre.q.Reduce(&ar.m2, c), priv.Dq)
 	// h = Qinv * (m1 - m2) mod P
-	h := bn.New().Sub(m1, m2)
-	h.Mod(h, priv.P)
-	h.Mul(h, priv.Qinv)
-	h.Mod(h, priv.P)
+	h := ar.h.Sub(&ar.m1, &ar.m2)
+	for h.Sign() < 0 {
+		h.Add(h, priv.P)
+	}
+	pre.p.MulMont(h, h, pre.qinvR)
 	// m = m2 + h*Q
-	m := bn.New().Mul(h, priv.Q)
-	return m.Add(m, m2)
+	pre.n.MulMont(&ar.m, h, pre.qR)
+	return ar.m.Add(&ar.m, &ar.m2)
 }
 
-// CRT exposes the raw CRT private operation c^d mod N (no blinding,
-// no padding) — the batch engine's fallback and cross-check entry
-// point. c must be in [0, N).
-func (priv *PrivateKey) CRT(c *bn.Int) *bn.Int { return priv.privateCRT(c) }
+// privateCRT applies the raw private operation c^d mod N (no
+// blinding, no padding) to c in [0, N).
+func (priv *PrivateKey) privateCRT(c *bn.Int) (*bn.Int, error) {
+	pre, err := priv.precompute()
+	if err != nil {
+		return nil, err
+	}
+	ar := pre.arenas.Get().(*arena)
+	m := priv.crt(pre, ar, c).Clone()
+	pre.arenas.Put(ar)
+	return m, nil
+}
 
 // CiphertextToInt performs the decryption front half shared with the
 // batch path: the length check of the init phase and the
 // octet-string→bignum conversion (Table 7 phases 1–2).
 func (priv *PrivateKey) CiphertextToInt(ct []byte) (*bn.Int, error) {
 	if len(ct) != priv.Size() {
-		return nil, errors.New("rsa: ciphertext length does not match key size")
+		return nil, errCiphertextLength
 	}
 	c := bn.New().SetBytes(ct)
 	if c.Cmp(priv.N) >= 0 {
-		return nil, errors.New("rsa: ciphertext out of range")
+		return nil, errCiphertextRange
 	}
 	return c, nil
 }
@@ -190,14 +249,16 @@ func (priv *PrivateKey) privatePlain(c *bn.Int) *bn.Int {
 // timing attack the paper cites ([3], Brumley & Boneh): A = r^e mod N
 // applied before the private op, Ainv = r^-1 mod N after. OpenSSL
 // refreshes the pair by squaring, which is why the paper's Table 7
-// shows blinding costing ~1% rather than a full exponentiation.
+// shows blinding costing ~1% rather than a full exponentiation. Both
+// are kept in Montgomery form mod N, so applying one to an ordinary
+// value is a single MulMont and refreshing one a single SqrMont.
 type blinding struct {
 	A    *bn.Int
 	Ainv *bn.Int
 }
 
 // setupBlinding initializes the blinding pair with fresh randomness.
-func (priv *PrivateKey) setupBlinding(rnd io.Reader) error {
+func (priv *PrivateKey) setupBlinding(pre *precomputed, rnd io.Reader) error {
 	for {
 		r, err := bn.New().RandRange(rnd, priv.N)
 		if err != nil {
@@ -207,18 +268,17 @@ func (priv *PrivateKey) setupBlinding(rnd io.Reader) error {
 		if rinv == nil {
 			continue
 		}
-		priv.blind = &blinding{A: priv.public(r), Ainv: rinv}
+		a := pre.n.Exp(bn.New(), r, priv.E)
+		priv.blind = &blinding{A: pre.n.ToMont(a, a), Ainv: pre.n.ToMont(rinv, rinv)}
 		return nil
 	}
 }
 
 // updateBlinding refreshes the pair by squaring, OpenSSL-style.
-func (priv *PrivateKey) updateBlinding() {
+func (priv *PrivateKey) updateBlinding(pre *precomputed) {
 	b := priv.blind
-	sq := bn.New().Sqr(b.A)
-	b.A.Mod(sq, priv.N)
-	sq.Sqr(b.Ainv)
-	b.Ainv.Mod(sq, priv.N)
+	pre.n.SqrMont(b.A, b.A)
+	pre.n.SqrMont(b.Ainv, b.Ainv)
 }
 
 // EncryptPKCS1 encrypts msg with PKCS#1 v1.5 block type 2 padding.
@@ -283,19 +343,22 @@ func (priv *PrivateKey) decrypt(rnd io.Reader, ct []byte, prof *perf.Breakdown) 
 		t.Start()
 	}
 
-	// Phase 1: init — context and buffer setup.
-	k := priv.Size()
-	if len(ct) != k {
-		return nil, errors.New("rsa: ciphertext length does not match key size")
+	// Phase 1: init — the key's contexts and an arena to work in.
+	if len(ct) != priv.Size() {
+		return nil, errCiphertextLength
 	}
-	work := make([]byte, 0, 2*k)
-	_ = work
+	pre, err := priv.precompute()
+	if err != nil {
+		return nil, err
+	}
+	ar := pre.arenas.Get().(*arena)
+	defer pre.arenas.Put(ar)
 	phase(PhaseInit)
 
 	// Phase 2: octet string -> multi-precision integer.
-	c := bn.New().SetBytes(ct)
+	c := ar.c.SetBytes(ct)
 	if c.Cmp(priv.N) >= 0 {
-		return nil, errors.New("rsa: ciphertext out of range")
+		return nil, errCiphertextRange
 	}
 	phase(PhaseDataToBN)
 
@@ -304,30 +367,28 @@ func (priv *PrivateKey) decrypt(rnd io.Reader, ct []byte, prof *perf.Breakdown) 
 	// decryptions each use a consistent (A, A⁻¹).
 	priv.blindMu.Lock()
 	if priv.blind == nil {
-		if err := priv.setupBlinding(rnd); err != nil {
+		if err := priv.setupBlinding(pre, rnd); err != nil {
 			priv.blindMu.Unlock()
 			return nil, err
 		}
 	} else {
-		priv.updateBlinding()
+		priv.updateBlinding(pre)
 	}
-	blindA := priv.blind.A.Clone()
-	blindAinv := priv.blind.Ainv.Clone()
+	ar.a.Set(priv.blind.A)
+	ar.ainv.Set(priv.blind.Ainv)
 	priv.blindMu.Unlock()
-	blinded := bn.New().Mul(c, blindA)
-	blinded.Mod(blinded, priv.N)
+	pre.n.MulMont(c, c, &ar.a)
 	phase(PhaseBlinding)
 
 	// Phase 4: the RSA computation c^d mod N via CRT.
-	m := priv.privateCRT(blinded)
+	m := priv.crt(pre, ar, c)
 	// Unblind: multiply by r^-1. (Charged to computation, as OpenSSL
 	// performs it inside rsa_eay_private_decrypt's compute section.)
-	m.Mul(m, blindAinv)
-	m.Mod(m, priv.N)
+	pre.n.MulMont(m, m, &ar.ainv)
 	phase(PhaseComputation)
 
 	// Phase 5: multi-precision integer -> octet string.
-	eb := m.FillBytes(make([]byte, k))
+	eb := m.FillBytes(ar.eb)
 	phase(PhaseBNToData)
 
 	// Phase 6: PKCS#1 block parsing.
@@ -336,23 +397,42 @@ func (priv *PrivateKey) decrypt(rnd io.Reader, ct []byte, prof *perf.Breakdown) 
 	return msg, err
 }
 
-// parsePKCS1Type2 strips 00 || 02 || PS || 00 padding.
+// ErrDecryption is returned when a ciphertext of the right size and
+// range decrypts to something that is not a PKCS#1 type 2 block. It
+// is the one error of DecryptPKCS1 that depends on the plaintext, so
+// a protocol answering attacker-chosen ciphertexts must not let it be
+// told apart from success (the handshake substitutes a random
+// pre-master); the others depend on public data only.
+var ErrDecryption = errors.New("rsa: invalid PKCS#1 type 2 padding")
+
+var (
+	errCiphertextLength = errors.New("rsa: ciphertext length does not match key size")
+	errCiphertextRange  = errors.New("rsa: ciphertext out of range")
+)
+
+// parsePKCS1Type2 strips 00 || 02 || PS || 00 padding (PS at least
+// eight non-zero bytes). The block is the output of a private
+// operation on attacker-chosen input, so the scan has one shape
+// whatever it holds: every byte is read, the separator's position is
+// accumulated under masks, and the three ways of being malformed are
+// folded into one bit before the only branch. What the caller can
+// still see — valid or not, and the message length — is what it
+// returns.
 func parsePKCS1Type2(eb []byte) ([]byte, error) {
-	if len(eb) < 11 || eb[0] != 0 || eb[1] != 2 {
-		return nil, errors.New("rsa: invalid PKCS#1 type 2 padding")
+	if len(eb) < 11 {
+		return nil, ErrDecryption
 	}
-	// Find the 00 separator after at least 8 padding bytes.
-	sep := -1
+	bad := uint(eb[0]) | uint(eb[1]^2)
+	sep, found := 0, uint(0)
 	for i := 2; i < len(eb); i++ {
-		if eb[i] == 0 {
-			sep = i
-			break
-		}
+		zero := (uint(eb[i]) - 1) >> (bits.UintSize - 1) // 1 iff eb[i] == 0
+		sep |= i & -int(zero&^found)
+		found |= zero
 	}
-	if sep < 10 {
-		return nil, errors.New("rsa: invalid PKCS#1 type 2 padding")
+	// Too few padding bytes: sep - 10 is negative.
+	bad |= (found ^ 1) | uint(sep-10)>>(bits.UintSize-1)
+	if bad != 0 {
+		return nil, ErrDecryption
 	}
-	out := make([]byte, len(eb)-sep-1)
-	copy(out, eb[sep+1:])
-	return out, nil
+	return append([]byte(nil), eb[sep+1:]...), nil
 }

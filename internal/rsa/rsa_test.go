@@ -9,6 +9,7 @@ import (
 
 	"sslperf/internal/bn"
 	"sslperf/internal/perf"
+	"sslperf/internal/testenv"
 )
 
 type randReader struct{ r *rand.Rand }
@@ -31,7 +32,7 @@ var (
 )
 
 // testKeys generates deterministic 512- and 1024-bit keys once.
-func testKeys(t *testing.T) (*PrivateKey, *PrivateKey) {
+func testKeys(t testing.TB) (*PrivateKey, *PrivateKey) {
 	t.Helper()
 	keyOnce.Do(func() {
 		var err error
@@ -135,9 +136,9 @@ func TestCRTMatchesPlain(t *testing.T) {
 	rnd := newRandReader(5)
 	for i := 0; i < 10; i++ {
 		c, _ := bn.New().RandRange(rnd, k512.N)
-		crt := k512.privateCRT(c)
+		crt, err := k512.privateCRT(c)
 		plain := k512.privatePlain(c)
-		if !crt.Equal(plain) {
+		if err != nil || !crt.Equal(plain) {
 			t.Fatalf("CRT %s != plain %s", crt, plain)
 		}
 	}
@@ -149,8 +150,8 @@ func TestPrivatePublicInverse(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m, _ := bn.New().RandRange(rnd, k512.N)
 		c := k512.public(m)
-		back := k512.privateCRT(c)
-		if !back.Equal(m) {
+		back, err := k512.privateCRT(c)
+		if err != nil || !back.Equal(m) {
 			t.Fatalf("decrypt(encrypt(m)) != m")
 		}
 	}
@@ -336,5 +337,47 @@ func TestParsePKCS1Type2(t *testing.T) {
 		if _, err := parsePKCS1Type2(b); err == nil {
 			t.Errorf("bad case %d accepted", i)
 		}
+	}
+}
+
+// TestDecryptSteadyStateAllocs pins the zero-allocation decrypt: with
+// the key's contexts built, the blinding pair set up and the arena and
+// scratch pools filled — by eight goroutines sharing the key, as a
+// loaded server's connections do — a DecryptPKCS1 with blinding on
+// allocates the returned pre-master and nothing else.
+func TestDecryptSteadyStateAllocs(t *testing.T) {
+	_, k1024 := testKeys(t)
+	pre := make([]byte, 48)
+	newRandReader(50).Read(pre)
+	ct, err := k1024.EncryptPKCS1(newRandReader(51), pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rnd := newRandReader(int64(52 + g))
+			for i := 0; i < 4; i++ {
+				if pt, err := k1024.DecryptPKCS1(rnd, ct); err != nil || !bytes.Equal(pt, pre) {
+					t.Errorf("concurrent decrypt: %x, %v", pt, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if testenv.Race {
+		return // the race detector's sync.Pool drops items at random
+	}
+	rnd := newRandReader(60)
+	allocs := testing.AllocsPerRun(20, func() {
+		if pt, err := k1024.DecryptPKCS1(rnd, ct); err != nil || !bytes.Equal(pt, pre) {
+			t.Fatalf("decrypt: %x, %v", pt, err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("steady-state DecryptPKCS1 allocates %.1f objects, want <= 1 (the returned slice)", allocs)
 	}
 }

@@ -62,7 +62,10 @@ func (priv *PrivateKey) SignPKCS1(h HashID, digest []byte) ([]byte, error) {
 	}
 	copy(eb[k-len(t):], t)
 	m := newIntFromBytes(eb)
-	s := priv.privateCRT(m)
+	s, err := priv.privateCRT(m)
+	if err != nil {
+		return nil, err
+	}
 	return s.FillBytes(make([]byte, k)), nil
 }
 

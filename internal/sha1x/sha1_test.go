@@ -10,6 +10,7 @@ import (
 
 	"sslperf/internal/md5x"
 	"sslperf/internal/perf"
+	"sslperf/internal/testenv"
 )
 
 // FIPS 180-2 and classic known answers.
@@ -106,7 +107,7 @@ func TestProfilePhasesShape(t *testing.T) {
 func TestSHA1SlowerThanMD5(t *testing.T) {
 	// Paper Table 10/11: SHA-1's update is more compute-intensive
 	// than MD5's (10723 vs 6679 cycles for 1KB; 135 vs 198 MB/s).
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race instrumentation distorts relative kernel timings")
 	}
 	const n = 30000

@@ -59,6 +59,10 @@ func BenchmarkGoroutinePerConnHandshake(b *testing.B) {
 // connection: establish n server-side connections, let the garbage
 // collector settle, and attribute what remains.
 func measureIdleBytes(n int, setup func(i int)) float64 {
+	// Twice: a sync.Pool's contents survive one collection in its
+	// victim cache, and what earlier tests left pooled would otherwise
+	// be freed mid-measurement and read as negative bytes per conn.
+	runtime.GC()
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
