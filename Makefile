@@ -53,11 +53,16 @@ check:
 	$(MAKE) loadsmoke
 
 # The spine owns every clock read on the handshake and record hot
-# paths (one stamp per event, sinks never re-stamp). Direct time.Now
-# calls there bypass the nil-bus fast path; the rare legitimate one
-# (config defaults) carries a "lint:allow-clock" marker.
+# paths (one stamp per event, sinks never re-stamp): an event's At is
+# the only time a sink's Emit path may use, so the packages a
+# connection's record accumulates and folds through are held to the
+# same rule. Direct time.Now calls there bypass the nil-bus fast path
+# or put a clock read on every record; the legitimate ones (config
+# defaults, constructors, the sampler that runs ahead of the bus,
+# snapshot and render code) carry a "lint:allow-clock" marker.
 clocklint:
-	@bad=$$(grep -n 'time\.Now()' internal/handshake/*.go internal/record/*.go \
+	@bad=$$(grep -n 'time\.Now()\|time\.Since(' internal/handshake/*.go internal/record/*.go \
+		internal/lifecycle/*.go internal/telemetry/*.go internal/trace/*.go internal/pathlen/*.go \
 		| grep -v _test.go | grep -v 'lint:allow-clock'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "clocklint: direct clock reads on the probe-spine hot path (mark intentional ones with // lint:allow-clock):"; \
@@ -158,9 +163,12 @@ failclasslint:
 
 # The prose must not point at things that are gone: every docs/, cmd/,
 # internal/ or examples/ path the top-level documents and the verify
-# skill mention has to exist (globs may match anything), and every
+# skill mention has to exist (globs may match anything), every
 # `make <target>` they show (in backticks or opening a code-block
-# line) has to be a target of this file.
+# line) has to be a target of this file, and every /metrics or /debug/…
+# path they name has to be one a HandleFunc mounts. The other way
+# round, a mounted path has to earn its place: each appears in an
+# EXPERIMENTS.md recipe.
 doclint:
 	@docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"; \
 	bad=$$(grep -onE '(docs|cmd|internal|examples)/[A-Za-z0-9_./*-]*' $$docs \
@@ -170,6 +178,15 @@ doclint:
 		grep -onE '(^|`)make +[a-z][a-z0-9_-]*' $$docs | sed -E 's/`?make +//' \
 		| while IFS=: read f l t; do \
 			grep -q "^$$t:" Makefile || echo "  $$f:$$l: make $$t is not a target"; \
+		done; \
+		mounted=$$(grep -rhoE --include='*.go' --exclude='*_test.go' 'HandleFunc\("/[a-z/]+' cmd internal \
+			| sed -E 's/.*"//; s|/$$||' | sort -u); \
+		grep -onE '(/debug/[a-z]+(/[a-z]+)?|/metrics)' README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md \
+		| sort -u | while IFS=: read f l p; do \
+			echo "$$mounted" | grep -qx "$$p" || echo "  $$f:$$l: $$p is not a mounted path"; \
+		done; \
+		for p in $$mounted; do \
+			grep -q "$$p" EXPERIMENTS.md || echo "  $$p is mounted but no EXPERIMENTS.md recipe uses it"; \
 		done); \
 	if [ -n "$$bad" ]; then echo "doclint: stale references:"; echo "$$bad"; exit 1; fi
 

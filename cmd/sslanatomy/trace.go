@@ -3,6 +3,7 @@ package main
 import (
 	"time"
 
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
@@ -10,7 +11,7 @@ import (
 )
 
 // captureHandshakeTrace runs one full handshake over the in-memory
-// pipe with the server traced at SampleEvery=1 and returns the Chrome
+// pipe with the server's record kept in full and returns it as Chrome
 // trace-event JSON — the single-handshake counterpart of sslserver's
 // live /debug/trace, for loading in chrome://tracing or Perfetto.
 func captureHandshakeTrace(seed uint64, keyBits int, suiteName string, version uint16) ([]byte, error) {
@@ -26,14 +27,17 @@ func captureHandshakeTrace(seed uint64, keyBits int, suiteName string, version u
 		}
 		suites = []suite.ID{s.ID}
 	}
-	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+	table := lifecycle.NewTable(lifecycle.Options{
+		Tracer: trace.NewTracer(trace.Config{SampleEvery: 1}),
+		Ring:   1,
+	})
 	clientT, serverT := ssl.Pipe()
 	server := ssl.ServerConn(serverT, &ssl.Config{
 		Rand:      ssl.NewPRNG(seed + 1),
 		Key:       id.Key,
 		CertDER:   id.CertDER,
 		Suites:    suites,
-		Observers: []probe.Observer{tracer},
+		Observers: []probe.Observer{table},
 	})
 	client := ssl.ClientConn(clientT, &ssl.Config{
 		Rand:               ssl.NewPRNG(seed + 2),
@@ -68,6 +72,6 @@ func captureHandshakeTrace(seed uint64, keyBits int, suiteName string, version u
 	}
 	<-done
 	client.Close()
-	server.Close() // finishes the sampled trace, publishing it
-	return tracer.Chrome()
+	server.Close() // retires the record into the ring
+	return lifecycle.ChromeTrace(table.Records(0), nil)
 }

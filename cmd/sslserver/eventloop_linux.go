@@ -20,7 +20,6 @@ import (
 
 	"sslperf/internal/record"
 	"sslperf/internal/ssl"
-	"sslperf/internal/trace"
 )
 
 // elConn is one event-loop connection: the non-blocking SSL core plus
@@ -159,10 +158,8 @@ func (el *eventLoop) acceptReady() {
 
 // adopt puts a connected non-blocking socket under the loop's care.
 func (el *eventLoop) adopt(fd int, remote string) {
-	cfg, ct := el.srv.configFor()
-	if ct != nil {
-		ct.Event("accept", trace.CatConn, 0, time.Now(), 0)
-	}
+	cfg, entry := el.srv.configFor()
+	entry.Mark("accept", time.Now(), 0)
 	nc := ssl.NonBlockingServer(cfg)
 	c := &elConn{fd: fd, nc: nc, remote: remote}
 	nc.SetRemoteAddr(c.remote)

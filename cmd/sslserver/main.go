@@ -51,17 +51,17 @@ func main() {
 		ssl3Only  = flag.Bool("ssl3only", false, "refuse TLS 1.0 (SSL 3.0 only)")
 		telAddr   = flag.String("telemetry", "",
 			"serve /metrics, /debug/flightrecorder, and pprof on this address (e.g. :9090)")
-		flightRec = flag.Int("flightrecorder", telemetry.DefaultFlightRecorderSize,
-			"flight-recorder ring size (events)")
+		flightRec = flag.Int("flightrecorder", 256,
+			"closed connection records kept for /debug/flightrecorder and /debug/trace")
 		rsaBatch = flag.Int("rsabatch", 0,
 			fmt.Sprintf("batch RSA decryptions across up to N concurrent handshakes (0 = off, max %d)", rsabatch.MaxBatch))
 		rsaWorkers = flag.Int("rsaworkers", 2, "batch RSA worker goroutines")
 		rsaLinger  = flag.Duration("rsalinger", 500*time.Microsecond,
 			"how long a partial RSA batch waits for more handshakes")
 		traceEvery = flag.Int("trace", 0,
-			"span-trace 1 in N connections on /debug/trace and /debug/anatomy (0 = off, 1 = every)")
+			"keep 1 in N connections in detail for /debug/trace and /debug/anatomy (0 = off, 1 = every)")
 		traceRate = flag.Int("tracerate", 0,
-			"cap sampled traces per second (0 = unlimited)")
+			"cap connections kept in detail per second (0 = unlimited)")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof under /debug/pprof/ on the telemetry address")
 		pprofLabels = flag.Bool("pprof-labels", false,
@@ -105,7 +105,7 @@ func main() {
 		closeLogW = f
 	}
 
-	obs := buildProbes(probeFlags{
+	table := buildProbes(probeFlags{
 		TelemetryAddr:  *telAddr,
 		FlightRecorder: *flightRec,
 		TraceEvery:     *traceEvery,
@@ -119,11 +119,10 @@ func main() {
 	})
 
 	srv := &server{
-		cache:     handshake.NewSessionCache(4096),
-		observers: obs.conn,
-		tracer:    obs.tracer,
-		connLog:   newLogLimiter(*logRate),
-		seed:      seedVal,
+		cache:   handshake.NewSessionCache(4096),
+		table:   table,
+		connLog: newLogLimiter(*logRate),
+		seed:    seedVal,
 	}
 	if *suiteName != "" {
 		s, err := suite.ByName(*suiteName)
@@ -153,12 +152,17 @@ func main() {
 			}
 			srv.certs = append(srv.certs, cert.Raw)
 		}
+		// The table is also the one sink engines emit into.
+		var engineSinks []probe.Sink
+		if table != nil {
+			engineSinks = []probe.Sink{table}
+		}
 		srv.engine = rsabatch.NewEngine(ks, rsabatch.Config{
 			BatchSize: *rsaBatch,
 			Linger:    *rsaLinger,
 			Workers:   *rsaWorkers,
 			Rand:      ssl.NewPRNG(seedVal + 2),
-			Probes:    obs.engineSinks(),
+			Probes:    engineSinks,
 		})
 		srv.keys = ks.Keys
 		log.Printf("batch RSA engine: width %d, linger %v, %d workers",
@@ -206,129 +210,94 @@ type probeFlags struct {
 	History        time.Duration
 }
 
-// observers is everything buildProbes wires up: the metrics registry,
-// live connection table (with its SLO windows) and path-length
-// collector that watch every connection, the span tracer that samples
-// them, plus the engine sinks background engines (batch RSA) emit
-// into.
-type observers struct {
-	reg       *telemetry.Registry
-	tracer    *trace.Tracer
-	pathlen   *pathlen.Collector
-	lifecycle *lifecycle.Table
-	slo       *slo.Tracker
-	history   *history.History
-
-	// conn is what every connection's config carries: the observers
-	// above that exist, so a server nobody can read runs the sink-free
-	// path. The tracer is not among them — configFor samples at accept
-	// and hands the connection its trace.
-	conn []probe.Observer
-}
-
-// engineSinks returns the probe sinks an engine should fan out to.
-func (o *observers) engineSinks() []probe.Sink {
-	return []probe.Sink{o.reg.Observe(), trace.EngineSink(o.tracer)}
-}
-
 // buildProbes is the single place the -telemetry/-trace/-pprof flag
-// cluster turns into live observers: it builds the tracer and
-// registry, mounts /metrics, /debug/flightrecorder, /debug/trace,
-// /debug/anatomy, /debug/health, and pprof on one mux, and serves it.
-func buildProbes(f probeFlags) *observers {
-	o := &observers{}
-	if f.TelemetryAddr != "" || f.CloseLogW != nil {
-		// The conn table exists whenever something reads it: the
-		// /debug/conns + /debug/slo endpoints, or the close-log alone.
-		var cl *lifecycle.CloseLog
-		if f.CloseLogW != nil {
-			cl = lifecycle.NewCloseLog(f.CloseLogW, f.CloseLogSample)
-		}
-		o.slo = slo.New(slo.Config{TargetP99: f.SLOTarget, ErrorBudget: f.SLOBudget})
-		o.lifecycle = lifecycle.NewTable(lifecycle.Options{SLO: o.slo, CloseLog: cl})
-		o.conn = append(o.conn, o.lifecycle)
+// cluster turns into live observers: it builds the aggregates and the
+// conn table that folds into them — the one observer every connection
+// gets, and the one sink engines emit into — mounts /metrics and the
+// /debug surfaces on one mux, and serves it. Without -telemetry or
+// -closelog nothing could read any of it, so it returns nil and the
+// server runs the sink-free path.
+func buildProbes(f probeFlags) *lifecycle.Table {
+	var opts lifecycle.Options
+	if f.CloseLogW != nil {
+		opts.CloseLog = lifecycle.NewCloseLog(f.CloseLogW, f.CloseLogSample)
 	}
 	if f.TelemetryAddr == "" {
-		// /debug/trace, /debug/anatomy and pprof are served on the
-		// telemetry address: without one nothing could read a trace, so
-		// none is sampled or built.
+		// Every /debug surface and pprof is served on the telemetry
+		// address: without one nothing could read a record, a trace or
+		// an aggregate, so none is kept — the table exists for the
+		// close-log alone, or not at all.
 		if f.TraceEvery > 0 || f.Pprof {
 			log.Printf("warning: -trace/-pprof need -telemetry to be served; ignoring them")
 		}
-		return o
+		if opts.CloseLog == nil {
+			return nil
+		}
+		return lifecycle.NewTable(opts)
 	}
 	if f.TraceEvery > 0 {
-		o.tracer = trace.NewTracer(trace.Config{
+		opts.Tracer = trace.NewTracer(trace.Config{
 			SampleEvery: f.TraceEvery,
 			MaxPerSec:   f.TraceRate,
 		})
 	}
-	o.reg = telemetry.NewRegistrySize(f.FlightRecorder)
+	opts.Registry = telemetry.NewRegistry()
+	opts.Pathlen = pathlen.NewCollector()
+	opts.SLO = slo.New(slo.Config{TargetP99: f.SLOTarget, ErrorBudget: f.SLOBudget})
+	opts.Ring = f.FlightRecorder
+	table := lifecycle.NewTable(opts)
+	profiler := opts.Tracer.Profiler()
+
 	mux := http.NewServeMux()
-	telemetry.Register(mux, o.reg)
-	// The path-length collector exists only where /debug/pathlength can
-	// serve it; without -telemetry connections run the sink-free path.
-	o.pathlen = pathlen.NewCollector()
-	o.conn = append(o.conn, o.reg, o.pathlen)
-	pathlen.Register(mux, o.pathlen)
-	lifecycle.Register(mux, o.lifecycle)
-	slo.Register(mux, o.slo)
+	telemetry.Register(mux, opts.Registry)
+	pathlen.Register(mux, opts.Pathlen)
+	lifecycle.Register(mux, table)
+	slo.Register(mux, opts.SLO)
 	var anatomySnap func() trace.AnatomySnapshot
-	if o.tracer != nil {
-		// POST /debug/anatomy/reset clears the profiler and the
-		// metrics registry together, so "warm up, reset, measure"
-		// runs read clean numbers on both surfaces.
-		trace.RegisterWithReset(mux, o.tracer, o.reg.Reset)
-		anatomySnap = o.tracer.Profiler().Snapshot
+	if profiler != nil {
+		trace.Register(mux, profiler)
+		anatomySnap = profiler.Snapshot
 	}
 	// /debug/health always mounts with telemetry: the anatomy checks
 	// need -trace, the SLO burn verdict does not.
 	baseline.RegisterHealth(mux, anatomySnap, baseline.PaperExpectation(),
-		baseline.SLOBurnCheck(o.slo, "1m", 10))
+		baseline.SLOBurnCheck(opts.SLO, "1m", 10))
 	// The history sampler ticks over every surface built above, so it
 	// wires up last. It keeps sampling whatever subset exists (no
 	// -trace means no anatomy series, etc.).
+	var hist *history.History
 	if f.History > 0 {
-		o.history = history.New(history.Config{Interval: f.History})
-		var profiler *trace.Profiler
-		if o.tracer != nil {
-			profiler = o.tracer.Profiler()
-		}
-		history.AddStandardSources(o.history, history.Sources{
-			Telemetry: o.reg,
+		hist = history.New(history.Config{Interval: f.History})
+		history.AddStandardSources(hist, history.Sources{
+			Telemetry: opts.Registry,
 			Runtime:   true,
-			SLO:       o.slo,
-			Lifecycle: o.lifecycle,
-			Pathlen:   o.pathlen,
+			SLO:       opts.SLO,
+			Lifecycle: table,
+			Pathlen:   opts.Pathlen,
 			Anatomy:   profiler,
 		})
-		history.Register(mux, o.history)
-		o.history.Start()
+		history.Register(mux, hist)
+		hist.Start()
 	}
-	// POST /debug/reset scopes every observatory at once — telemetry,
-	// anatomy profiler, path-length accumulators, conn table, SLO
-	// windows, and history rings — so "warm up, reset, measure" needs
-	// one call.
+	// POST /debug/reset is the one reset: it scopes every observatory
+	// at once — metrics, anatomy profiler, path-length sum, conn table
+	// and record ring, SLO windows, and history rings — so "warm up,
+	// reset, measure" needs one call.
 	mux.HandleFunc("/debug/reset", func(w http.ResponseWriter, req *http.Request) {
 		if !debughttp.PostOnly(w, req) {
 			return
 		}
-		o.reg.Reset()
-		if o.tracer != nil {
-			o.tracer.Profiler().Reset()
-		}
-		o.pathlen.Reset()
-		o.lifecycle.Reset()
-		o.slo.Reset()
-		o.history.Reset()
+		opts.Registry.Reset()
+		profiler.Reset()
+		opts.Pathlen.Reset()
+		table.Reset()
+		opts.SLO.Reset()
+		hist.Reset()
 		debughttp.WriteText(w, "reset\n")
 	})
 	if f.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	go func() {
 		log.Printf("telemetry on http://%s/metrics", f.TelemetryAddr)
@@ -336,24 +305,23 @@ func buildProbes(f probeFlags) *observers {
 			log.Printf("telemetry server: %v", err)
 		}
 	}()
-	return o
+	return table
 }
 
 // server holds the shared state every connection config draws from.
 // Keys/certs are parallel slices: one entry without batching, one per
 // batch exponent with it.
 type server struct {
-	keys      []*rsa.PrivateKey
-	certs     [][]byte
-	engine    *rsabatch.Engine
-	cache     *handshake.SessionCache
-	observers []probe.Observer // watch every connection
-	tracer    *trace.Tracer    // samples connections at accept
-	connLog   *logLimiter
-	suites    []suite.ID
-	version   uint16
-	seed      uint64
-	connSeq   atomic.Uint64
+	keys    []*rsa.PrivateKey
+	certs   [][]byte
+	engine  *rsabatch.Engine
+	cache   *handshake.SessionCache
+	table   *lifecycle.Table // every connection's one observer (nil: sink-free)
+	connLog *logLimiter
+	suites  []suite.ID
+	version uint16
+	seed    uint64
+	connSeq atomic.Uint64
 }
 
 // logLimiter is a token bucket over per-connection log lines: under a
@@ -421,12 +389,12 @@ func (l *logLimiter) Suppressed() uint64 {
 // its own PRNG (ssl.PRNG is not safe for concurrent use) and, under
 // batching, the next key of the set round-robin; the accept count
 // that picks them is not an identity — the connection's ID is the one
-// its open event carries. The returned ConnTrace is non-nil when the
-// tracer sampled this connection: it is started here, at accept time,
-// so the caller can put the accept span on it, it joins the
-// connection's observers, and the batch decrypter carries its span
-// refs.
-func (s *server) configFor() (*ssl.Config, *trace.ConnTrace) {
+// its open event carries. The returned entry is the connection's
+// record, non-nil when the server is observed: it is taken here, at
+// accept time, so the caller can mark the accept on it, it is the
+// connection's one observer, and the batch decrypter links its spans
+// to the entry's open step.
+func (s *server) configFor() (*ssl.Config, *lifecycle.Conn) {
 	n := s.connSeq.Add(1)
 	i := int(n) % len(s.keys)
 	cfg := &ssl.Config{
@@ -436,34 +404,30 @@ func (s *server) configFor() (*ssl.Config, *trace.ConnTrace) {
 		SessionCache: s.cache,
 		Suites:       s.suites,
 		Version:      s.version,
-		Observers:    s.observers,
 	}
-	ct := s.tracer.ConnBegin()
-	if ct != nil {
-		cfg.Observers = append(s.observers[:len(s.observers):len(s.observers)], ct)
+	entry := s.table.Begin()
+	if entry != nil {
+		cfg.Observers = []probe.Observer{entry}
 	}
 	if s.engine != nil {
-		if ct != nil {
-			cfg.Decrypter = s.engine.DecrypterTraced(i, ct.Ref)
-		} else {
-			cfg.Decrypter = s.engine.Decrypter(i)
+		cfg.Decrypter = s.engine.Decrypter(i)
+		if entry != nil {
+			cfg.Decrypter = s.engine.DecrypterTraced(i, entry.Ref)
 		}
 	}
-	return cfg, ct
+	return cfg, entry
 }
 
 func (s *server) serve(tc net.Conn, response []byte) {
 	accepted := time.Now()
-	cfg, ct := s.configFor()
-	if ct != nil {
-		ct.Event("accept", trace.CatConn, 0, accepted, time.Since(accepted))
-	}
+	cfg, entry := s.configFor()
+	entry.Mark("accept", accepted, time.Since(accepted))
 	conn := ssl.ServerConn(tc, cfg)
 	defer conn.Close()
 	if err := conn.Handshake(); err != nil {
-		// The telemetry registry and lifecycle close-log (when
-		// enabled) have already recorded this failure under the same
-		// canonical fail class via ssl.Conn; the console line rides
+		// The connection's record (when the server is observed) has
+		// already folded this failure under the same canonical fail
+		// class; the console line rides
 		// the token bucket so a failure storm cannot flood the log.
 		s.connLog.Printf("%s: handshake failed (%s): %v",
 			tc.RemoteAddr(), ssl.FailureReason(err), err)

@@ -29,12 +29,12 @@ import (
 func TestObservatorySmoke(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracker := slo.New(slo.Config{TargetP99: 5 * time.Second})
-	tab := lifecycle.NewTable(lifecycle.Options{SLO: tracker})
+	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker})
 	srv, err := loadgen.StartServer(loadgen.ServerOptions{
 		KeyBits:   512,
 		FileSize:  512,
 		Seed:      42,
-		Observers: []probe.Observer{reg, tab},
+		Observers: []probe.Observer{tab},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,11 +177,10 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	h := history.New(history.Config{Interval: 10 * time.Millisecond})
 	reg := telemetry.NewRegistry()
 	history.AddStandardSources(h, history.Sources{Telemetry: reg})
-	done := probe.Event{Kind: probe.KindHandshakeDone, Fn: "TLS_RSA_WITH_RC4_128_MD5", Version: 0x0300, Dur: time.Millisecond}
-	reg.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: 1})
-	reg.Emit(done)
+	done := &telemetry.Handshake{Suite: "TLS_RSA_WITH_RC4_128_MD5", Version: 0x0300, Dur: time.Millisecond}
+	reg.FoldHandshake(done)
 	h.SampleNow()
-	reg.Emit(done)
+	reg.FoldHandshake(done)
 	h.SampleNow()
 
 	mux := http.NewServeMux()

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"sslperf/internal/handshake"
+	"sslperf/internal/probe"
+	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
 )
 
@@ -129,20 +131,21 @@ func TestHealthEndpoint(t *testing.T) {
 }
 
 func TestHealthEndpointAgainstRealProfiler(t *testing.T) {
-	// End-to-end through a real tracer: fold synthetic traces whose
-	// step durations follow the paper's shape, then read health.
+	// End-to-end through a real profiler: fold synthetic handshakes
+	// whose step durations follow the paper's shape, then read health.
 	tr := trace.NewTracer(trace.Config{})
 	for i := 0; i < 10; i++ {
-		ct := tr.ConnBegin()
-		add := func(name, cat string, d time.Duration) {
-			ct.Event(name, cat, 0, time.Now(), d)
-		}
-		add("init", trace.CatStep, 20*time.Microsecond)
-		add("get_client_kx", trace.CatStep, 3*time.Millisecond)
-		add("send_finished", trace.CatStep, 30*time.Microsecond)
-		add("rsa_private_decryption", trace.CatCrypto, 2900*time.Microsecond)
-		add("final_finish_mac", trace.CatCrypto, 20*time.Microsecond)
-		ct.Finish("ok")
+		tr.Profiler().Fold(&telemetry.Handshake{
+			Steps: []telemetry.StepTiming{
+				{Step: probe.StepInit, Dur: 20 * time.Microsecond},
+				{Step: probe.StepGetClientKX, Dur: 3 * time.Millisecond},
+				{Step: probe.StepSendFinished, Dur: 30 * time.Microsecond},
+			},
+			Calls: []telemetry.Call{
+				{Kind: trace.CatCrypto, Name: probe.FnRSAPrivateDecrypt, Dur: 2900 * time.Microsecond},
+				{Kind: trace.CatCrypto, Name: probe.FnFinalFinishMac, Dur: 20 * time.Microsecond},
+			},
+		})
 	}
 	mux := http.NewServeMux()
 	RegisterHealth(mux, tr.Profiler().Snapshot, PaperExpectation())

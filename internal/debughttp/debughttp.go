@@ -7,6 +7,7 @@
 package debughttp
 
 import (
+	"encoding/json"
 	"net/http"
 	"strings"
 )
@@ -74,13 +75,14 @@ func WriteText(w http.ResponseWriter, s string) {
 }
 
 // Serve renders one snapshot under the shared negotiation: textFn when
-// the request wants text, jsonFn otherwise (500 on a marshal error).
-func Serve(w http.ResponseWriter, req *http.Request, textFn func() string, jsonFn func() ([]byte, error)) {
+// the request wants text, otherwise snap as indented JSON (500 on a
+// marshal error).
+func Serve(w http.ResponseWriter, req *http.Request, textFn func() string, snap any) {
 	if WantText(req) {
 		WriteText(w, textFn())
 		return
 	}
-	b, err := jsonFn()
+	b, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

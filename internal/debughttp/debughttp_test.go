@@ -1,7 +1,6 @@
 package debughttp
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -16,7 +15,7 @@ func TestWantText(t *testing.T) {
 		{"/x", "", false},
 		{"/x?format=text", "", true},
 		{"/x?format=json", "", false},
-		{"/x?format=xml", "", false},          // unknown format -> JSON (pinned)
+		{"/x?format=xml", "", false},            // unknown format -> JSON (pinned)
 		{"/x?format=json", "text/plain", false}, // explicit format beats Accept
 		{"/x", "text/plain", true},
 		{"/x", "text/plain; q=0.9", true},
@@ -38,10 +37,10 @@ func TestWantText(t *testing.T) {
 
 func TestServeHeaders(t *testing.T) {
 	text := func() string { return "hello\n" }
-	jsonFn := func() ([]byte, error) { return []byte(`{"ok":true}`), nil }
+	snap := map[string]bool{"ok": true}
 
 	w := httptest.NewRecorder()
-	Serve(w, httptest.NewRequest("GET", "/x", nil), text, jsonFn)
+	Serve(w, httptest.NewRequest("GET", "/x", nil), text, snap)
 	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("json content-type = %q", ct)
 	}
@@ -50,7 +49,7 @@ func TestServeHeaders(t *testing.T) {
 	}
 
 	w = httptest.NewRecorder()
-	Serve(w, httptest.NewRequest("GET", "/x?format=text", nil), text, jsonFn)
+	Serve(w, httptest.NewRequest("GET", "/x?format=text", nil), text, snap)
 	if ct := w.Header().Get("Content-Type"); ct != "text/plain; charset=utf-8" {
 		t.Fatalf("text content-type = %q", ct)
 	}
@@ -62,8 +61,7 @@ func TestServeHeaders(t *testing.T) {
 	}
 
 	w = httptest.NewRecorder()
-	Serve(w, httptest.NewRequest("GET", "/x", nil), text,
-		func() ([]byte, error) { return nil, errors.New("boom") })
+	Serve(w, httptest.NewRequest("GET", "/x", nil), text, make(chan int)) // not marshalable
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("marshal error status = %d", w.Code)
 	}

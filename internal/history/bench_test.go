@@ -18,23 +18,32 @@ import (
 func warmStandardSampler() *History {
 	reg := telemetry.NewRegistry()
 	tracker := slo.New(slo.Config{})
+	col := pathlen.NewCollector()
+	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker, Pathlen: col})
 
 	// Give the surfaces some state so the fold paths run, not the
-	// empty-case shortcuts.
-	reg.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: 1})
-	reg.Emit(probe.Event{Kind: probe.KindHandshakeDone, Fn: "TLS_RSA_WITH_RC4_128_MD5", Version: 0x0301, Dur: 2 * time.Millisecond})
-	reg.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 1024})
-	reg.Emit(probe.Event{Kind: probe.KindRecordIO, Written: true, Bytes: 4096})
-	tracker.HandshakeBegin()
-	tracker.HandshakeEnd(3*time.Millisecond, false)
+	// empty-case shortcuts: one connection folded and closed, one still
+	// open whose running totals every tick adds in.
+	for conn := uint64(1); conn <= 2; conn++ {
+		sink := tab.Observe()
+		sink.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: conn})
+		sink.Emit(probe.Event{Kind: probe.KindHandshakeStart})
+		sink.Emit(probe.Event{Kind: probe.KindHandshakeDone, Fn: "TLS_RSA_WITH_RC4_128_MD5", Version: 0x0301, Dur: 2 * time.Millisecond})
+		sink.Emit(probe.Event{Kind: probe.KindRecordCrypto, Op: probe.OpCipherEncrypt, Prim: "RC4", Bytes: 4096, Dur: time.Microsecond})
+		sink.Emit(probe.Event{Kind: probe.KindRecordIO, Bytes: 1024})
+		sink.Emit(probe.Event{Kind: probe.KindRecordIO, Written: true, Bytes: 4096})
+		if conn == 1 {
+			sink.Emit(probe.Event{Kind: probe.KindConnClose})
+		}
+	}
 
 	h := New(Config{Interval: time.Second})
 	AddStandardSources(h, Sources{
 		Telemetry: reg,
 		Runtime:   true,
 		SLO:       tracker,
-		Lifecycle: lifecycle.NewTable(lifecycle.Options{}),
-		Pathlen:   pathlen.NewCollector(),
+		Lifecycle: tab,
+		Pathlen:   col,
 		Anatomy:   trace.NewProfiler(),
 	})
 

@@ -26,7 +26,6 @@
 package history
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -563,17 +562,6 @@ func (h *History) DeltasSince(cursor uint64, names []string) ([]Delta, uint64) {
 		out = append(out, d)
 	}
 	return out, h.seq
-}
-
-// SortedNames returns the snapshot's series names sorted — a stable
-// iteration order for renderers.
-func (s Snapshot) SortedNames() []string {
-	names := make([]string, len(s.Series))
-	for i := range s.Series {
-		names[i] = s.Series[i].Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Series returns the named series' data, with ok reporting presence.

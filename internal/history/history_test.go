@@ -388,25 +388,19 @@ func TestHistoryHTTP(t *testing.T) {
 		}
 	}
 
-	// Reset is POST-only.
-	resp, err = http.Get(srv.URL + "/debug/history/reset")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" {
-		t.Fatalf("GET reset: status %d Allow %q", resp.StatusCode, resp.Header.Get("Allow"))
-	}
+	// The rings reset with everything else under /debug/reset; the
+	// endpoint's own reset is gone.
 	resp, err = http.Post(srv.URL+"/debug/history/reset", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST reset: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /debug/history/reset: status %d, want 404", resp.StatusCode)
 	}
+	h.Reset()
 	if snap := h.Snapshot(SnapshotOptions{}); len(snap.Series[0].Points) != 0 {
-		t.Fatal("rings not reset via HTTP")
+		t.Fatal("rings not reset")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 // Register mounts the observatory's HTTP surface on mux:
 //
 //	/debug/history       — ring snapshot (?series=a,b&res=fine|coarse&last=N)
-//	/debug/history/reset — POST-only ring reset
 //	/debug/watch         — streaming newline-delimited JSON deltas
 //	                       (?series=a,b&interval=dur), one line per fine
 //	                       tick until the client disconnects
@@ -27,17 +26,7 @@ func Register(mux *http.ServeMux, h *History) {
 			return
 		}
 		snap := h.Snapshot(opts)
-		debughttp.Serve(w, req,
-			func() string { return snap.Text() },
-			func() ([]byte, error) { return json.MarshalIndent(snap, "", "  ") },
-		)
-	})
-	mux.HandleFunc("/debug/history/reset", func(w http.ResponseWriter, req *http.Request) {
-		if !debughttp.PostOnly(w, req) {
-			return
-		}
-		h.Reset()
-		debughttp.WriteText(w, "history reset\n")
+		debughttp.Serve(w, req, snap.Text, snap)
 	})
 	mux.HandleFunc("/debug/watch", func(w http.ResponseWriter, req *http.Request) {
 		serveWatch(w, req, h)

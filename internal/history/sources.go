@@ -13,201 +13,155 @@ import (
 )
 
 // This file binds every observatory surface to the ring layer. Each
-// source's Sample reads the surface's allocation-free accessor
+// source reads the surface's allocation-free accessor
 // (telemetry.Counts, slo.Stats, lifecycle.Counts, pathlen totals,
-// trace.SharesInto) so the whole tick stays off the heap.
+// trace.SharesInto) so the whole tick stays off the heap. The
+// telemetry and pathlen reads include the open connections' running
+// totals, so records.*, bytes.* and pathlen.* move while a long
+// transfer is still in progress.
 
-// TelemetrySource samples the record/handshake counters as counter
-// series, which the snapshot renders as rates (handshakes/s, bytes/s —
-// the paper's throughput axes).
-type TelemetrySource struct {
-	reg *telemetry.Registry
+// source is a Source from a fixed series list and a sampling closure
+// that keeps whatever state it needs between ticks.
+type source struct {
+	defs   []SeriesDef
+	sample func(vals []float64)
 }
 
-// NewTelemetrySource wraps reg.
-func NewTelemetrySource(reg *telemetry.Registry) *TelemetrySource {
-	return &TelemetrySource{reg: reg}
-}
+func (s source) Series() []SeriesDef   { return s.defs }
+func (s source) Sample(vals []float64) { s.sample(vals) }
 
-var telemetryDefs = []SeriesDef{
-	{Name: "connections", Unit: "conn/s", Kind: KindCounter},
-	{Name: "handshakes.full", Unit: "hs/s", Kind: KindCounter},
-	{Name: "handshakes.resumed", Unit: "hs/s", Kind: KindCounter},
-	{Name: "handshakes.failed", Unit: "hs/s", Kind: KindCounter},
-	{Name: "records.in", Unit: "rec/s", Kind: KindCounter},
-	{Name: "records.out", Unit: "rec/s", Kind: KindCounter},
-	{Name: "bytes.in", Unit: "B/s", Kind: KindCounter},
-	{Name: "bytes.out", Unit: "B/s", Kind: KindCounter},
-	{Name: "alerts.in", Unit: "alerts/s", Kind: KindCounter},
-	{Name: "alerts.out", Unit: "alerts/s", Kind: KindCounter},
-}
+// counters and gauges build series lists of one kind, as name/unit
+// pairs.
+func counters(nameUnit ...string) []SeriesDef { return defs(KindCounter, nameUnit) }
+func gauges(nameUnit ...string) []SeriesDef   { return defs(KindGauge, nameUnit) }
 
-// Series implements Source.
-func (s *TelemetrySource) Series() []SeriesDef { return telemetryDefs }
-
-// Sample implements Source.
-func (s *TelemetrySource) Sample(vals []float64) {
-	c := s.reg.Counts()
-	vals[0] = float64(c.Connections)
-	vals[1] = float64(c.HandshakesFull)
-	vals[2] = float64(c.HandshakesResumed)
-	vals[3] = float64(c.HandshakesFailed)
-	vals[4] = float64(c.RecordsIn)
-	vals[5] = float64(c.RecordsOut)
-	vals[6] = float64(c.BytesIn)
-	vals[7] = float64(c.BytesOut)
-	vals[8] = float64(c.AlertsIn)
-	vals[9] = float64(c.AlertsOut)
-}
-
-// RuntimeSource samples the Go runtime gauges through a reusable
-// runtime/metrics buffer (allocation-free after the first read).
-type RuntimeSource struct {
-	sampler *telemetry.RuntimeSampler
-}
-
-// NewRuntimeSource returns a runtime source with its own sampler (the
-// sampler is not safe for concurrent use; the history serializes
-// Sample calls under its lock).
-func NewRuntimeSource() *RuntimeSource {
-	return &RuntimeSource{sampler: telemetry.NewRuntimeSampler()}
-}
-
-var runtimeDefs = []SeriesDef{
-	{Name: "runtime.goroutines", Unit: "goroutines", Kind: KindGauge},
-	{Name: "runtime.heap_inuse_bytes", Unit: "B", Kind: KindGauge},
-	{Name: "runtime.gc_pause_p99_us", Unit: "us", Kind: KindGauge},
-	{Name: "runtime.sched_lat_p99_us", Unit: "us", Kind: KindGauge},
-}
-
-// Series implements Source.
-func (s *RuntimeSource) Series() []SeriesDef { return runtimeDefs }
-
-// Sample implements Source.
-func (s *RuntimeSource) Sample(vals []float64) {
-	rs := s.sampler.Read()
-	vals[0] = float64(rs.Goroutines)
-	vals[1] = float64(rs.HeapInuseBytes)
-	vals[2] = float64(rs.GCPauseP99) / 1e3
-	vals[3] = float64(rs.SchedLatP99) / 1e3
-}
-
-// SLOSource samples the short (10s) SLO window each tick: p99, error
-// rate, burn rate, in-flight handshakes, and queue-delay mean — the
-// overload early-warning gauges.
-type SLOSource struct {
-	tracker *slo.Tracker
-}
-
-// NewSLOSource wraps tracker.
-func NewSLOSource(tracker *slo.Tracker) *SLOSource {
-	return &SLOSource{tracker: tracker}
-}
-
-var sloDefs = []SeriesDef{
-	{Name: "slo.p99_us", Unit: "us", Kind: KindGauge},
-	{Name: "slo.error_rate", Unit: "frac", Kind: KindGauge},
-	{Name: "slo.burn", Unit: "x", Kind: KindGauge},
-	{Name: "slo.inflight", Unit: "hs", Kind: KindGauge},
-	{Name: "slo.queue_mean_us", Unit: "us", Kind: KindGauge},
-}
-
-// Series implements Source.
-func (s *SLOSource) Series() []SeriesDef { return sloDefs }
-
-// Sample implements Source.
-func (s *SLOSource) Sample(vals []float64) {
-	ws := s.tracker.Stats(10)
-	vals[0] = ws.P99Us
-	vals[1] = ws.ErrorRate
-	vals[2] = ws.BurnRate
-	vals[3] = float64(s.tracker.InFlight())
-	vals[4] = ws.QueueMeanUs
-}
-
-// LifecycleSource samples the connection table: live per-state gauges,
-// opened/closed/failed counters, and one counter per canonical failure
-// class (fail.<tag>), so ssltop's fail-class top-K reads straight from
-// the history endpoint.
-type LifecycleSource struct {
-	table *lifecycle.Table
-	defs  []SeriesDef
-}
-
-// NewLifecycleSource wraps table.
-func NewLifecycleSource(table *lifecycle.Table) *LifecycleSource {
-	defs := []SeriesDef{
-		{Name: "conns.live", Unit: "conns", Kind: KindGauge},
-		{Name: "conns.accepted", Unit: "conns", Kind: KindGauge},
-		{Name: "conns.handshaking", Unit: "conns", Kind: KindGauge},
-		{Name: "conns.suspended", Unit: "conns", Kind: KindGauge},
-		{Name: "conns.established", Unit: "conns", Kind: KindGauge},
-		{Name: "conns.opened", Unit: "conn/s", Kind: KindCounter},
-		{Name: "conns.closed", Unit: "conn/s", Kind: KindCounter},
-		{Name: "conns.failed", Unit: "conn/s", Kind: KindCounter},
+func defs(kind Kind, nameUnit []string) []SeriesDef {
+	out := make([]SeriesDef, 0, len(nameUnit)/2)
+	for i := 0; i+1 < len(nameUnit); i += 2 {
+		out = append(out, SeriesDef{Name: nameUnit[i], Unit: nameUnit[i+1], Kind: kind})
 	}
-	// One series per canonical class, skipping FailNone (successful
-	// closes are already conns.closed).
-	for class := probe.FailClass(1); class <= probe.FailInternal; class++ {
-		defs = append(defs, SeriesDef{
-			Name: "fail." + class.Name(),
-			Unit: "fail/s",
-			Kind: KindCounter,
-		})
+	return out
+}
+
+// Sources bundles the standard observatory surfaces for
+// AddStandardSources. Nil fields (and false Runtime) are skipped.
+type Sources struct {
+	Telemetry *telemetry.Registry
+	Runtime   bool
+	SLO       *slo.Tracker
+	Lifecycle *lifecycle.Table
+	Pathlen   *pathlen.Collector
+	Anatomy   *trace.Profiler
+}
+
+// AddStandardSources registers a source per populated surface, in a
+// fixed order (telemetry, runtime, slo, conns, pathlen, anatomy).
+func AddStandardSources(h *History, s Sources) {
+	if reg := s.Telemetry; reg != nil {
+		// The record/handshake counters, which the snapshot renders as
+		// rates (handshakes/s, bytes/s — the paper's throughput axes).
+		h.AddSource(source{counters(
+			"connections", "conn/s",
+			"handshakes.full", "hs/s", "handshakes.resumed", "hs/s", "handshakes.failed", "hs/s",
+			"records.in", "rec/s", "records.out", "rec/s", "bytes.in", "B/s", "bytes.out", "B/s",
+			"alerts.in", "alerts/s", "alerts.out", "alerts/s",
+		), func(vals []float64) {
+			c := reg.Counts()
+			for i, v := range [...]uint64{
+				c.Connections, c.HandshakesFull, c.HandshakesResumed, c.HandshakesFailed,
+				c.RecordsIn, c.RecordsOut, c.BytesIn, c.BytesOut, c.AlertsReceived, c.AlertsSent,
+			} {
+				vals[i] = float64(v)
+			}
+		}})
 	}
-	return &LifecycleSource{table: table, defs: defs}
-}
-
-// Series implements Source.
-func (s *LifecycleSource) Series() []SeriesDef { return s.defs }
-
-// Sample implements Source.
-func (s *LifecycleSource) Sample(vals []float64) {
-	c := s.table.Counts()
-	vals[0] = float64(c.Live)
-	vals[1] = float64(c.Accepted)
-	vals[2] = float64(c.Handshaking)
-	vals[3] = float64(c.Suspended)
-	vals[4] = float64(c.Established)
-	vals[5] = float64(c.Opened)
-	vals[6] = float64(c.Closed)
-	vals[7] = float64(c.Failed)
-	for class := 1; class <= int(probe.FailInternal); class++ {
-		vals[7+class] = float64(c.FailByClass[class])
+	if s.Runtime {
+		// The Go runtime gauges through a reusable runtime/metrics
+		// buffer (allocation-free after the first read; the sampler is
+		// not safe for concurrent use, and the history serializes Sample
+		// calls under its lock).
+		sampler := telemetry.NewRuntimeSampler()
+		h.AddSource(source{gauges(
+			"runtime.goroutines", "goroutines", "runtime.heap_inuse_bytes", "B",
+			"runtime.gc_pause_p99_us", "us", "runtime.sched_lat_p99_us", "us",
+		), func(vals []float64) {
+			rs := sampler.Read()
+			vals[0] = float64(rs.Goroutines)
+			vals[1] = float64(rs.HeapInuseBytes)
+			vals[2] = float64(rs.GCPauseP99) / 1e3
+			vals[3] = float64(rs.SchedLatP99) / 1e3
+		}})
 	}
-}
-
-// PathlenSource samples windowed cipher and MAC cycles/byte: it keeps
-// the previous cumulative (bytes, nanos) totals and renders the delta
-// window's intensity, so the gauge tracks the *current* mix (an RC4 to
-// AES suite shift moves it within one tick, where the cumulative
-// Table-11 view only drifts).
-type PathlenSource struct {
-	collector *pathlen.Collector
-
-	prevCipherBytes, prevCipherNs uint64
-	prevMACBytes, prevMACNs       uint64
-}
-
-// NewPathlenSource wraps collector.
-func NewPathlenSource(collector *pathlen.Collector) *PathlenSource {
-	return &PathlenSource{collector: collector}
-}
-
-var pathlenDefs = []SeriesDef{
-	{Name: "pathlen.cipher_cyc_b", Unit: "cyc/B", Kind: KindGauge},
-	{Name: "pathlen.mac_cyc_b", Unit: "cyc/B", Kind: KindGauge},
-}
-
-// Series implements Source.
-func (s *PathlenSource) Series() []SeriesDef { return pathlenDefs }
-
-// Sample implements Source.
-func (s *PathlenSource) Sample(vals []float64) {
-	cb, cn := s.collector.CipherTotals()
-	mb, mn := s.collector.MACTotals()
-	vals[0] = windowedCycPerByte(cb, cn, &s.prevCipherBytes, &s.prevCipherNs)
-	vals[1] = windowedCycPerByte(mb, mn, &s.prevMACBytes, &s.prevMACNs)
+	if tracker := s.SLO; tracker != nil {
+		// The short (10s) SLO window: p99, error rate, burn rate,
+		// in-flight handshakes, and queue-delay mean — the overload
+		// early-warning gauges.
+		h.AddSource(source{gauges(
+			"slo.p99_us", "us", "slo.error_rate", "frac", "slo.burn", "x",
+			"slo.inflight", "hs", "slo.queue_mean_us", "us",
+		), func(vals []float64) {
+			ws := tracker.Stats(10)
+			vals[0] = ws.P99Us
+			vals[1] = ws.ErrorRate
+			vals[2] = ws.BurnRate
+			vals[3] = float64(tracker.InFlight())
+			vals[4] = ws.QueueMeanUs
+		}})
+	}
+	if table := s.Lifecycle; table != nil {
+		// The connection table: live per-state gauges, opened/closed/
+		// failed counters, and one counter per canonical failure class
+		// (fail.<tag>; FailNone is skipped, successful closes are already
+		// conns.closed), so ssltop's fail-class top-K reads straight
+		// from the history endpoint.
+		defs := append(gauges(
+			"conns.live", "conns", "conns.accepted", "conns", "conns.handshaking", "conns",
+			"conns.suspended", "conns", "conns.established", "conns",
+		), counters("conns.opened", "conn/s", "conns.closed", "conn/s", "conns.failed", "conn/s")...)
+		for class := probe.FailClass(1); class <= probe.FailInternal; class++ {
+			defs = append(defs, SeriesDef{Name: "fail." + class.Name(), Unit: "fail/s", Kind: KindCounter})
+		}
+		h.AddSource(source{defs, func(vals []float64) {
+			c := table.Counts()
+			for i, v := range [...]int{c.Live, c.Accepted, c.Handshaking, c.Suspended, c.Established} {
+				vals[i] = float64(v)
+			}
+			vals[5] = float64(c.Opened)
+			vals[6] = float64(c.Closed)
+			vals[7] = float64(c.Failed)
+			for class := 1; class <= int(probe.FailInternal); class++ {
+				vals[7+class] = float64(c.FailByClass[class])
+			}
+		}})
+	}
+	if collector := s.Pathlen; collector != nil {
+		// Windowed cipher and MAC cycles/byte: the previous cumulative
+		// (bytes, nanos) totals are kept and the delta window's intensity
+		// rendered, so the gauge tracks the *current* mix (an RC4 to AES
+		// suite shift moves it within one tick, where the cumulative
+		// Table-11 view only drifts).
+		var prevCipherBytes, prevCipherNs, prevMACBytes, prevMACNs uint64
+		h.AddSource(source{gauges("pathlen.cipher_cyc_b", "cyc/B", "pathlen.mac_cyc_b", "cyc/B"),
+			func(vals []float64) {
+				cb, cn, mb, mn := collector.Totals()
+				vals[0] = windowedCycPerByte(cb, cn, &prevCipherBytes, &prevCipherNs)
+				vals[1] = windowedCycPerByte(mb, mn, &prevMACBytes, &prevMACNs)
+			}})
+	}
+	if profiler := s.Anatomy; profiler != nil {
+		// The profiler's live Table-2 step shares
+		// (anatomy.share.<step>, percent of total step time) and the
+		// crypto share of handshake cost — the paper's headline split.
+		steps := probe.Steps()
+		var defs []SeriesDef
+		for _, step := range steps {
+			defs = append(defs, SeriesDef{Name: "anatomy.share." + step.Name(), Unit: "%", Kind: KindGauge})
+		}
+		defs = append(defs, SeriesDef{Name: "anatomy.crypto_share", Unit: "%", Kind: KindGauge})
+		h.AddSource(source{defs, func(vals []float64) {
+			vals[len(steps)] = profiler.SharesInto(steps, vals)
+		}})
+	}
 }
 
 // windowedCycPerByte differences cumulative totals against the
@@ -225,78 +179,4 @@ func windowedCycPerByte(bytes, ns uint64, prevBytes, prevNs *uint64) float64 {
 		return 0
 	}
 	return perf.Cycles(time.Duration(dn)) / float64(db)
-}
-
-// AnatomySource samples the profiler's live Table-2 step shares
-// (anatomy.share.<step>, percent of total step time) and the crypto
-// share of handshake cost — the paper's headline split — as gauges.
-type AnatomySource struct {
-	profiler *trace.Profiler
-	defs     []SeriesDef
-	names    []string  // step names, parallel to defs[:len(names)]
-	shares   []float64 // scratch for SharesInto
-}
-
-// NewAnatomySource wraps profiler.
-func NewAnatomySource(profiler *trace.Profiler) *AnatomySource {
-	steps := probe.Steps()
-	s := &AnatomySource{
-		profiler: profiler,
-		names:    make([]string, len(steps)),
-		shares:   make([]float64, len(steps)),
-	}
-	for i, step := range steps {
-		s.names[i] = step.Name()
-		s.defs = append(s.defs, SeriesDef{
-			Name: "anatomy.share." + s.names[i],
-			Unit: "%",
-			Kind: KindGauge,
-		})
-	}
-	s.defs = append(s.defs, SeriesDef{Name: "anatomy.crypto_share", Unit: "%", Kind: KindGauge})
-	return s
-}
-
-// Series implements Source.
-func (s *AnatomySource) Series() []SeriesDef { return s.defs }
-
-// Sample implements Source.
-func (s *AnatomySource) Sample(vals []float64) {
-	crypto := s.profiler.SharesInto(s.names, s.shares)
-	copy(vals, s.shares)
-	vals[len(s.names)] = crypto
-}
-
-// Sources bundles the standard observatory surfaces for
-// AddStandardSources. Nil fields (and false Runtime) are skipped.
-type Sources struct {
-	Telemetry *telemetry.Registry
-	Runtime   bool
-	SLO       *slo.Tracker
-	Lifecycle *lifecycle.Table
-	Pathlen   *pathlen.Collector
-	Anatomy   *trace.Profiler
-}
-
-// AddStandardSources registers a source per populated surface, in a
-// fixed order (telemetry, runtime, slo, conns, pathlen, anatomy).
-func AddStandardSources(h *History, s Sources) {
-	if s.Telemetry != nil {
-		h.AddSource(NewTelemetrySource(s.Telemetry))
-	}
-	if s.Runtime {
-		h.AddSource(NewRuntimeSource())
-	}
-	if s.SLO != nil {
-		h.AddSource(NewSLOSource(s.SLO))
-	}
-	if s.Lifecycle != nil {
-		h.AddSource(NewLifecycleSource(s.Lifecycle))
-	}
-	if s.Pathlen != nil {
-		h.AddSource(NewPathlenSource(s.Pathlen))
-	}
-	if s.Anatomy != nil {
-		h.AddSource(NewAnatomySource(s.Anatomy))
-	}
 }

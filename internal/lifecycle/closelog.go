@@ -1,70 +1,11 @@
 package lifecycle
 
 import (
-	"context"
+	"encoding/json"
 	"io"
-	"log/slog"
-	"sync/atomic"
+	"sync"
 	"time"
-
-	"sslperf/internal/probe"
 )
-
-// closeRecord is the flattened terminal view of a connection, built
-// under the entry lock at close time. It is a value type so a
-// sampled-out success costs counters only, no allocation.
-type closeRecord struct {
-	ID      uint64
-	Remote  string
-	State   State
-	Suite   string
-	Version uint16
-	Resumed bool
-
-	Opened     time.Time
-	Age        time.Duration
-	HsDur      time.Duration
-	QueueDelay time.Duration
-	sawQueue   bool
-
-	BytesIn, BytesOut     uint64
-	RecordsIn, RecordsOut uint64
-
-	FailClass  probe.FailClass
-	FailTag    string
-	FailDetail string
-
-	timeline  [maxTimeline]StepTiming
-	timelineN int
-}
-
-// closeRecordLocked snapshots the entry for the close-log. Callers
-// hold c.mu.
-func (c *Conn) closeRecordLocked() closeRecord {
-	rec := closeRecord{
-		ID:         c.ID,
-		Remote:     c.Remote,
-		State:      c.state,
-		Suite:      c.suite,
-		Version:    c.version,
-		Resumed:    c.resumed,
-		Opened:     c.Opened,
-		Age:        time.Since(c.Opened),
-		HsDur:      c.hsDur,
-		QueueDelay: c.queueDelay,
-		sawQueue:   c.sawStep,
-		BytesIn:    c.bytesIn.Load(),
-		BytesOut:   c.bytesOut.Load(),
-		RecordsIn:  c.recordsIn.Load(),
-		RecordsOut: c.recordsOut.Load(),
-		FailClass:  c.failClass,
-		FailTag:    c.failTag,
-		FailDetail: c.failDetail,
-		timeline:   c.timeline,
-		timelineN:  c.timelineN,
-	}
-	return rec
-}
 
 // CloseLogCounts is the close-log's reconciliation ledger: every close
 // is counted whether or not its line was emitted, so
@@ -78,29 +19,34 @@ type CloseLogCounts struct {
 	Suppressed uint64 `json:"suppressed"` // successes sampled out
 }
 
-// A CloseLog writes one structured JSON line per connection close
-// (log/slog, JSON handler): the full step timeline with durations,
-// suite, resumed flag, byte counts, and on failures the canonical
-// fail class, tag, and error text. Successes are sampled 1-in-N;
-// failures are always logged. A nil *CloseLog no-ops.
+// A CloseLog writes one JSON line per connection close: the closing
+// connection's record (the /debug/conns row shape — step timeline with
+// offsets and durations, suite, resumed flag, byte counts, and on
+// failures the canonical fail class, tag, and error text) under a
+// time, a level (INFO, or WARN for a failure), the message
+// "conn_close" and the connection ID as "conn". Successes are sampled
+// 1-in-N; failures are always logged. A nil *CloseLog no-ops.
 type CloseLog struct {
-	log         *slog.Logger
 	sampleEvery uint64
 
-	successes  atomic.Uint64
-	failures   atomic.Uint64
-	logged     atomic.Uint64
-	suppressed atomic.Uint64
+	mu     sync.Mutex // one close at a time: the ledger and the line
+	enc    *json.Encoder
+	counts CloseLogCounts
+}
+
+// closeLine is the line's shape: the record with a log header.
+type closeLine struct {
+	Time  time.Time `json:"time"`
+	Level string    `json:"level"`
+	Msg   string    `json:"msg"`
+	Conn  uint64    `json:"conn"`
+	Record
 }
 
 // NewCloseLog writes JSON lines to w, logging every sampleEvery'th
 // successful close (<=1 logs all successes). Failures always log.
 func NewCloseLog(w io.Writer, sampleEvery int) *CloseLog {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	h := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo})
-	return &CloseLog{log: slog.New(h), sampleEvery: uint64(sampleEvery)}
+	return &CloseLog{enc: json.NewEncoder(w), sampleEvery: uint64(max(sampleEvery, 1))}
 }
 
 // Counts returns the reconciliation ledger.
@@ -108,96 +54,40 @@ func (cl *CloseLog) Counts() CloseLogCounts {
 	if cl == nil {
 		return CloseLogCounts{}
 	}
-	return CloseLogCounts{
-		Successes:  cl.successes.Load(),
-		Failures:   cl.failures.Load(),
-		Logged:     cl.logged.Load(),
-		Suppressed: cl.suppressed.Load(),
-	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.counts
 }
 
 func (cl *CloseLog) resetCounts() {
-	if cl == nil {
-		return
+	if cl != nil {
+		cl.mu.Lock()
+		cl.counts = CloseLogCounts{}
+		cl.mu.Unlock()
 	}
-	cl.successes.Store(0)
-	cl.failures.Store(0)
-	cl.logged.Store(0)
-	cl.suppressed.Store(0)
 }
 
-// observe counts one close and emits its line subject to sampling.
-func (cl *CloseLog) observe(rec closeRecord) {
+// observe counts one close and, subject to sampling, renders the
+// closing entry's record as its line — a sampled-out success costs
+// counters only. Called by the entry's owner.
+func (cl *CloseLog) observe(c *Conn, failed bool) {
 	if cl == nil {
 		return
 	}
-	failed := rec.State == StateFailed
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	level := "INFO"
 	if failed {
-		cl.failures.Add(1)
+		cl.counts.Failures++
+		level = "WARN"
 	} else {
-		n := cl.successes.Add(1)
-		if cl.sampleEvery > 1 && n%cl.sampleEvery != 0 {
-			cl.suppressed.Add(1)
+		cl.counts.Successes++
+		if cl.counts.Successes%cl.sampleEvery != 0 {
+			cl.counts.Suppressed++
 			return
 		}
 	}
-	cl.logged.Add(1)
-	cl.emit(rec, failed)
-}
-
-// stepLine is one timeline entry in the close-log JSON.
-type stepLine struct {
-	Step string  `json:"step"`
-	Us   float64 `json:"us"`
-}
-
-func (cl *CloseLog) emit(rec closeRecord, failed bool) {
-	attrs := make([]slog.Attr, 0, 16)
-	attrs = append(attrs,
-		slog.Uint64("conn", rec.ID),
-		slog.String("state", rec.State.Name()),
-	)
-	if rec.Remote != "" {
-		attrs = append(attrs, slog.String("remote", rec.Remote))
-	}
-	if rec.Suite != "" {
-		attrs = append(attrs,
-			slog.String("suite", rec.Suite),
-			slog.String("version", versionName(rec.Version)),
-			slog.Bool("resumed", rec.Resumed),
-		)
-	}
-	attrs = append(attrs, slog.Float64("age_ms", float64(rec.Age)/float64(time.Millisecond)))
-	if rec.HsDur > 0 {
-		attrs = append(attrs, slog.Float64("handshake_us", float64(rec.HsDur)/float64(time.Microsecond)))
-	}
-	if rec.sawQueue {
-		attrs = append(attrs, slog.Float64("queue_delay_us", float64(rec.QueueDelay)/float64(time.Microsecond)))
-	}
-	attrs = append(attrs,
-		slog.Uint64("bytes_in", rec.BytesIn),
-		slog.Uint64("bytes_out", rec.BytesOut),
-		slog.Uint64("records_in", rec.RecordsIn),
-		slog.Uint64("records_out", rec.RecordsOut),
-	)
-	if rec.timelineN > 0 {
-		steps := make([]stepLine, rec.timelineN)
-		for i := 0; i < rec.timelineN; i++ {
-			steps[i] = stepLine{
-				Step: rec.timeline[i].Step.Name(),
-				Us:   float64(rec.timeline[i].Dur) / float64(time.Microsecond),
-			}
-		}
-		attrs = append(attrs, slog.Any("steps", steps))
-	}
-	level := slog.LevelInfo
-	if failed {
-		level = slog.LevelWarn
-		attrs = append(attrs,
-			slog.String("fail_class", rec.FailClass.Name()),
-			slog.String("fail_tag", rec.FailTag),
-			slog.String("fail_detail", rec.FailDetail),
-		)
-	}
-	cl.log.LogAttrs(context.Background(), level, "conn_close", attrs...)
+	cl.counts.Logged++
+	// A log line that cannot be written has nowhere to report it.
+	_ = cl.enc.Encode(&closeLine{Time: c.closed, Level: level, Msg: "conn_close", Conn: c.ID, Record: c.record(c.closed, false)})
 }

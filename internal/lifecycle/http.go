@@ -2,80 +2,27 @@ package lifecycle
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 
 	"sslperf/internal/debughttp"
+	"sslperf/internal/trace"
 )
 
-// Text renders the snapshot as an aligned table.
-func (s Snapshot) Text() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "conns: %d live (opened %d, closed %d, failed %d)\n",
-		s.Live, s.Opened, s.Closed, s.Failed)
-	if len(s.ByState) > 0 {
-		states := make([]string, 0, len(s.ByState))
-		for st := range s.ByState {
-			states = append(states, st)
-		}
-		sort.Strings(states)
-		sb.WriteString("by state:")
-		for _, st := range states {
-			fmt.Fprintf(&sb, " %s=%d", st, s.ByState[st])
-		}
-		sb.WriteByte('\n')
-	}
-	if len(s.FailClasses) > 0 {
-		tags := make([]string, 0, len(s.FailClasses))
-		for tag := range s.FailClasses {
-			tags = append(tags, tag)
-		}
-		sort.Strings(tags)
-		sb.WriteString("failures by class:")
-		for _, tag := range tags {
-			fmt.Fprintf(&sb, " %s=%d", tag, s.FailClasses[tag])
-		}
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "close-log: %d successes, %d failures, %d logged, %d suppressed\n",
-		s.CloseLog.Successes, s.CloseLog.Failures, s.CloseLog.Logged, s.CloseLog.Suppressed)
-	if len(s.Conns) == 0 {
-		return sb.String()
-	}
-	fmt.Fprintf(&sb, "%-6s %-12s %-18s %-22s %-26s %8s %8s %10s %10s %10s %s\n",
-		"id", "state", "step", "remote", "suite", "age-ms", "idle-ms", "hs-us", "bytes-in", "bytes-out", "fail")
-	for _, c := range s.Conns {
-		suite := c.Suite
-		if c.Resumed {
-			suite += " (resumed)"
-		}
-		fail := c.FailTag
-		if fail == "" {
-			fail = c.FailClass
-		}
-		fmt.Fprintf(&sb, "%-6d %-12s %-18s %-22s %-26s %8.1f %8.1f %10.0f %10d %10d %s\n",
-			c.ID, c.State, c.Step, c.Remote, suite, c.AgeMs, c.IdleMs, c.HandshakeUs,
-			c.BytesIn, c.BytesOut, fail)
-	}
-	if s.Truncated > 0 {
-		fmt.Fprintf(&sb, "... %d more rows (raise ?limit=)\n", s.Truncated)
-	}
-	return sb.String()
-}
-
-// JSON marshals the snapshot indented.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// Register mounts the connection observatory on mux:
+// Register mounts the per-connection surfaces on mux, each a rendering
+// of the table's records:
 //
-//	/debug/conns  the live connection table (?state=handshaking
-//	              filters, ?limit=N caps rows, ?format=text for the
-//	              aligned table)
+//	/debug/conns           the live connection table (?state=handshaking
+//	                       filters, ?limit=N caps rows, ?format=text for
+//	                       the aligned table)
+//	/debug/flightrecorder  open and recently closed connections in full
+//	                       (?conn=ID for one, ?last=N to tail; JSON
+//	                       records, ?format=text for per-connection
+//	                       event lists)
+//	/debug/trace           the same records plus engine spans as Chrome
+//	                       trace-event JSON — load it in chrome://tracing
+//	                       or https://ui.perfetto.dev (?format=raw for
+//	                       the records themselves)
 func Register(mux *http.ServeMux, t *Table) {
 	mux.HandleFunc("/debug/conns", func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -96,6 +43,55 @@ func Register(mux *http.ServeMux, t *Table) {
 			opts.Limit = n
 		}
 		snap := t.Snapshot(opts)
-		debughttp.Serve(w, req, snap.Text, snap.JSON)
+		debughttp.Serve(w, req, snap.Text, snap)
+	})
+	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, req *http.Request) {
+		q := req.URL.Query()
+		var conn uint64
+		if s := q.Get("conn"); s != "" {
+			var err error
+			if conn, err = strconv.ParseUint(s, 10, 64); err != nil || conn == 0 {
+				http.Error(w, "bad conn id", http.StatusBadRequest)
+				return
+			}
+		}
+		recs := t.Records(conn)
+		if s := q.Get("last"); s != "" {
+			last, err := strconv.Atoi(s)
+			if err != nil || last < 0 {
+				http.Error(w, "bad last count", http.StatusBadRequest)
+				return
+			}
+			recs = recs[max(len(recs)-last, 0):]
+		}
+		if recs == nil {
+			recs = []Record{}
+		}
+		debughttp.Serve(w, req, func() string { return FlightText(recs) }, recs)
+	})
+	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
+		var tracer *trace.Tracer
+		if t != nil {
+			tracer = t.o.Tracer
+		}
+		recs, engine := t.Records(0), tracer.EngineSpans()
+		var b []byte
+		var err error
+		// Both renderings are JSON; ?format=raw selects the records
+		// over the Chrome trace events.
+		if req.URL.Query().Get("format") == "raw" {
+			b, err = json.MarshalIndent(struct {
+				Stats   trace.Stats   `json:"stats"`
+				Records []Record      `json:"records"`
+				Engine  []*trace.Span `json:"engine_spans"`
+			}{tracer.Stats(), recs, engine}, "", " ")
+		} else {
+			b, err = ChromeTrace(recs, engine)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		debughttp.WriteJSON(w, b)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,7 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 	tracker := slo.New(slo.Config{TargetP99: 5 * time.Second})
 	var closeBuf bytes.Buffer
 	tab := lifecycle.NewTable(lifecycle.Options{
+		Registry: reg,
 		SLO:      tracker,
 		CloseLog: lifecycle.NewCloseLog(&closeBuf, 1),
 	})
@@ -37,7 +39,7 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 		KeyBits:   512,
 		FileSize:  512,
 		Seed:      42,
-		Observers: []probe.Observer{reg, tab},
+		Observers: []probe.Observer{tab},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,23 +171,24 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 // TestOneConnectionID drives 32 concurrent connections through the
 // in-process server with every sink on and checks that they all name
 // a connection by the one ID its open event carried: the /debug/conns
-// row, the close-log line, the flight-recorder events and the span
-// trace of each connection carry the same number, so an operator can
-// join them.
+// row, the close-log line and the retained record that the flight
+// recorder and the span trace render carry the same number, so an
+// operator can join them.
 func TestOneConnectionID(t *testing.T) {
 	const conns = 32
-	reg := telemetry.NewRegistry()
-	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	var closeBuf bytes.Buffer
 	tab := lifecycle.NewTable(lifecycle.Options{
+		Registry: telemetry.NewRegistry(),
+		Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
 		SLO:      slo.New(slo.Config{}),
 		CloseLog: lifecycle.NewCloseLog(&closeBuf, 1),
+		Ring:     2 * conns,
 	})
 	srv, err := StartServer(ServerOptions{
 		KeyBits:   512,
 		FileSize:  64,
 		Seed:      43,
-		Observers: []probe.Observer{reg, tracer, tab},
+		Observers: []probe.Observer{tab},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,16 +250,16 @@ func TestOneConnectionID(t *testing.T) {
 		closeLog[rec.Conn] = true
 	}
 	traces := map[uint64]bool{}
-	for _, td := range tracer.Traces() {
-		traces[td.Conn] = true
+	for _, rec := range tab.Records(0) {
+		traces[rec.ID] = true
 	}
 	for id := range table {
 		if !closeLog[id] || !traces[id] {
 			t.Errorf("conn %d of /debug/conns: in close-log %v, in /debug/trace %v", id, closeLog[id], traces[id])
 		}
-		evs := reg.Recorder().ConnEvents(id)
-		if len(evs) == 0 || evs[0].Kind != telemetry.EventHandshakeStart || evs[len(evs)-1].Kind != telemetry.EventClose {
-			t.Errorf("conn %d: flight recorder holds %d events, not one life from handshake_start to close", id, len(evs))
+		text := lifecycle.FlightText(tab.Records(id))
+		if !strings.Contains(text, "handshake_start") || !strings.HasSuffix(text, " close\n") {
+			t.Errorf("conn %d: flight recorder does not hold one life from handshake_start to close:\n%s", id, text)
 		}
 	}
 	if len(closeLog) != conns || len(traces) != conns {

@@ -18,7 +18,7 @@
 //
 // Warmup-phase transactions run but are discarded from the recorded
 // distributions. Phases (connect / handshake / first-byte / total)
-// land in log-bucketed telemetry.ValueHistograms in microseconds; the
+// land in log-bucketed telemetry.Histograms in microseconds; the
 // Result renders as text or marshals as JSON, and Check holds its
 // internal consistency conditions.
 package loadgen
@@ -159,8 +159,8 @@ const (
 
 // PhaseStats is one phase's recorded distribution (microseconds).
 type PhaseStats struct {
-	Name string                           `json:"name"`
-	Hist telemetry.ValueHistogramSnapshot `json:"hist"`
+	Name string                      `json:"name"`
+	Hist telemetry.HistogramSnapshot `json:"hist"`
 }
 
 // A Result is one completed load run.
@@ -192,8 +192,8 @@ type runner struct {
 	warmupEnd time.Time
 	deadline  time.Time
 
-	connect, handshake, firstByte  telemetry.ValueHistogram
-	total, corrected, schedLag     telemetry.ValueHistogram
+	connect, handshake, firstByte  telemetry.Histogram
+	total, corrected, schedLag     telemetry.Histogram
 	started, done, failed, resumed atomic.Uint64
 	requests, bytes, warmupDiscard atomic.Uint64
 	totalWeight                    float64
@@ -449,7 +449,7 @@ func (r *runner) result(elapsed time.Duration) *Result {
 	if r.cfg.Rate > 0 {
 		res.Mode = "open"
 	}
-	add := func(name string, h *telemetry.ValueHistogram) {
+	add := func(name string, h *telemetry.Histogram) {
 		res.Phases = append(res.Phases, PhaseStats{Name: name, Hist: h.Snapshot()})
 	}
 	add(PhaseConnect, &r.connect)

@@ -13,23 +13,10 @@ func nsDur(ns uint64) time.Duration { return time.Duration(ns) }
 
 // Register mounts the observatory on mux:
 //
-//	/debug/pathlength        JSON snapshot (?format=text for tables)
-//	/debug/pathlength/reset  POST: zero the accumulators (with any
-//	                         extra reset hooks), so a drift window can
-//	                         be measured from a clean slate
-func Register(mux *http.ServeMux, c *Collector, onReset ...func()) {
+//	/debug/pathlength  JSON snapshot (?format=text for tables)
+func Register(mux *http.ServeMux, c *Collector) {
 	mux.HandleFunc("/debug/pathlength", func(w http.ResponseWriter, req *http.Request) {
 		snap := c.Snapshot()
-		debughttp.Serve(w, req, snap.Text, snap.JSON)
-	})
-	mux.HandleFunc("/debug/pathlength/reset", func(w http.ResponseWriter, req *http.Request) {
-		if !debughttp.PostOnly(w, req) {
-			return
-		}
-		c.Reset()
-		for _, f := range onReset {
-			f()
-		}
-		w.WriteHeader(http.StatusNoContent)
+		debughttp.Serve(w, req, snap.Text, snap)
 	})
 }

@@ -1,18 +1,19 @@
 // Package pathlen is the path-length observatory: the live analogue
-// of the paper's Tables 11 and 12. It folds the probe spine's
-// RecordCrypto and step events — which already carry byte counts and
-// durations — into per-primitive and per-step cycles/byte, bytes/op,
-// and, through perf's abstract-instruction CPI model,
-// instructions/byte. The fold is wait-free (fixed arrays of atomic
-// counters, no locks, no allocation per event) so the collector can
-// sit on every connection's bus under full load, the same discipline
-// the anatomy profiler keeps.
+// of the paper's Tables 11 and 12. Each connection's record keeps a
+// Tally of the RecordCrypto and step events it saw — which already
+// carry byte counts and durations — and folds it into the Collector
+// once, when the connection closes; the Collector renders the sum as
+// per-primitive and per-step cycles/byte, bytes/op, and, through
+// perf's abstract-instruction CPI model, instructions/byte. A Tally is
+// plain single-owner counters (no locks, no atomics, no allocation per
+// event), so it costs a connection a few adds per record and the
+// shared Collector nothing until the fold.
 //
 // The paper's identity ties the three numbers together:
 //
 //	cycles/byte = CPI × instructions/byte
 //
-// The collector measures cycles/byte from wall time at the model
+// The tally measures cycles/byte from wall time at the model
 // clock (perf.Cycles); the abstract-instruction kernels supply each
 // primitive's CPI; dividing out yields a live instructions/byte that
 // can be compared directly against the model's own path length and
@@ -20,7 +21,7 @@
 package pathlen
 
 import (
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"sslperf/internal/perf"
@@ -65,106 +66,136 @@ const numSteps = int(probe.StepServerFlush) + 1
 
 // opCell is one (primitive, operation) accumulator.
 type opCell struct {
-	ops   atomic.Uint64
-	bytes atomic.Uint64
-	ns    atomic.Uint64
+	ops, bytes, ns uint64
 }
 
 // stepCell accumulates one Table-2 step: wall time from StepExit,
 // record-crypto time and bytes from in-step RecordCrypto events.
 type stepCell struct {
-	count       atomic.Uint64
-	wallNs      atomic.Uint64
-	cryptoNs    atomic.Uint64
-	cryptoBytes atomic.Uint64
+	count, wallNs, cryptoNs, cryptoBytes uint64
 }
 
-// A Collector is a probe.Sink folding the spine into live path-length
-// attribution. Emit is wait-free and safe from any number of
-// goroutines; as a probe.Observer the one collector watches every
-// connection.
-type Collector struct {
+// A Tally is one owner's path-length accumulation: a connection's
+// record holds one and forwards its step-exit and record-crypto events
+// to it; the Collector holds the sum of those that have folded. The
+// zero value is empty. Not safe for concurrent use.
+type Tally struct {
 	prims [numPrims][numOps]opCell
 	steps [numSteps]stepCell
+}
 
-	recordsIn  atomic.Uint64
-	recordsOut atomic.Uint64
-	bytesIn    atomic.Uint64
-	bytesOut   atomic.Uint64
+// Emit implements probe.Sink for the two kinds a tally counts.
+func (t *Tally) Emit(e probe.Event) {
+	switch e.Kind {
+	case probe.KindStepExit:
+		if int(e.Step) < numSteps {
+			st := &t.steps[e.Step]
+			st.count++
+			st.wallNs += uint64(e.Dur)
+		}
+	case probe.KindRecordCrypto:
+		if int(e.Op) < numOps {
+			cell := &t.prims[primIndex(e.Prim)][e.Op]
+			cell.ops++
+			cell.bytes += uint64(e.Bytes)
+			cell.ns += uint64(e.Dur)
+		}
+		if int(e.Step) < numSteps {
+			st := &t.steps[e.Step]
+			st.cryptoNs += uint64(e.Dur)
+			st.cryptoBytes += uint64(e.Bytes)
+		}
+	}
+}
+
+// Merge adds o into t.
+func (t *Tally) Merge(o *Tally) {
+	for p := range t.prims {
+		for op := range t.prims[p] {
+			cell, from := &t.prims[p][op], &o.prims[p][op]
+			cell.ops += from.ops
+			cell.bytes += from.bytes
+			cell.ns += from.ns
+		}
+	}
+	for i := range t.steps {
+		st, from := &t.steps[i], &o.steps[i]
+		st.count += from.count
+		st.wallNs += from.wallNs
+		st.cryptoNs += from.cryptoNs
+		st.cryptoBytes += from.cryptoBytes
+	}
+}
+
+// Live is the conn table as the collector reads it: connections fold
+// their tally only when they close, so a read adds the open entries'
+// running tallies, and between Lock and Unlock no connection is
+// mid-fold (see telemetry.Live).
+type Live interface {
+	sync.Locker
+	// LiveTally returns the sum of the open connections' tallies (by
+	// value: the history tick reads through this interface and must
+	// stay off the heap).
+	LiveTally() Tally
+}
+
+// A Collector is the shared sum of every folded Tally. All methods are
+// safe for concurrent use and no-ops (or zero reads) on a nil receiver.
+type Collector struct {
+	live Live
+
+	mu     sync.Mutex
+	folded Tally
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Observe implements probe.Observer. A nil collector declines.
-func (c *Collector) Observe() probe.Sink {
-	if c == nil {
-		return nil
+// SetLive names the conn table whose open connections every read adds
+// in. Call it before the first connection.
+func (c *Collector) SetLive(l Live) {
+	if c != nil {
+		c.live = l
 	}
-	return c
 }
 
-// Emit implements probe.Sink.
-func (c *Collector) Emit(e probe.Event) {
+// Fold adds one closed connection's tally.
+func (c *Collector) Fold(t *Tally) {
 	if c == nil {
 		return
 	}
-	switch e.Kind {
-	case probe.KindStepExit:
-		if int(e.Step) < numSteps {
-			st := &c.steps[e.Step]
-			st.count.Add(1)
-			st.wallNs.Add(uint64(e.Dur))
-		}
-	case probe.KindRecordCrypto:
-		if int(e.Op) < numOps {
-			cell := &c.prims[primIndex(e.Prim)][e.Op]
-			cell.ops.Add(1)
-			cell.bytes.Add(uint64(e.Bytes))
-			cell.ns.Add(uint64(e.Dur))
-		}
-		if int(e.Step) < numSteps {
-			st := &c.steps[e.Step]
-			st.cryptoNs.Add(uint64(e.Dur))
-			st.cryptoBytes.Add(uint64(e.Bytes))
-		}
-	case probe.KindRecordIO:
-		if e.Written {
-			c.recordsOut.Add(1)
-			c.bytesOut.Add(uint64(e.Bytes))
-		} else {
-			c.recordsIn.Add(1)
-			c.bytesIn.Add(uint64(e.Bytes))
-		}
-	}
+	c.mu.Lock()
+	c.folded.Merge(t)
+	c.mu.Unlock()
 }
 
-// Reset zeroes every accumulator so a drift window (one load run) can
-// be measured from a clean slate. Events folding concurrently land
-// entirely before or after the cut per cell.
+// Reset zeroes the sum so a drift window (one load run) can be
+// measured from a clean slate.
 func (c *Collector) Reset() {
 	if c == nil {
 		return
 	}
-	for p := range c.prims {
-		for o := range c.prims[p] {
-			cell := &c.prims[p][o]
-			cell.ops.Store(0)
-			cell.bytes.Store(0)
-			cell.ns.Store(0)
-		}
+	c.mu.Lock()
+	c.folded = Tally{}
+	c.mu.Unlock()
+}
+
+// read copies the folded sum plus the open connections' tallies into t.
+func (c *Collector) read(t *Tally) {
+	if c == nil {
+		return
 	}
-	for s := range c.steps {
-		st := &c.steps[s]
-		st.count.Store(0)
-		st.wallNs.Store(0)
-		st.cryptoNs.Store(0)
-		st.cryptoBytes.Store(0)
+	if c.live != nil {
+		c.live.Lock()
+		defer c.live.Unlock()
 	}
-	c.recordsIn.Store(0)
-	c.recordsOut.Store(0)
-	c.bytesIn.Store(0)
-	c.bytesOut.Store(0)
+	c.mu.Lock()
+	*t = c.folded
+	c.mu.Unlock()
+	if c.live != nil {
+		open := c.live.LiveTally()
+		t.Merge(&open)
+	}
 }
 
 // OpStat is one (primitive, operation) cell of the snapshot.
@@ -212,32 +243,27 @@ type StepRow struct {
 }
 
 // A Snapshot is the collector's current state: the continuous Tables
-// 11/12, per-step byte attribution, and record-layer totals.
+// 11/12 and per-step byte attribution. (The record-layer totals they
+// reconcile with are /metrics' io section.)
 type Snapshot struct {
 	At       time.Time `json:"at"`
 	ModelGHz float64   `json:"model_ghz"`
 
 	Prims []PrimRow `json:"primitives,omitempty"`
 	Steps []StepRow `json:"steps,omitempty"`
-
-	RecordsIn  uint64 `json:"records_in"`
-	RecordsOut uint64 `json:"records_out"`
-	BytesIn    uint64 `json:"bytes_in"`
-	BytesOut   uint64 `json:"bytes_out"`
 }
 
 // Snapshot renders the collector's accumulated state. Rows with no
 // traffic are omitted.
 func (c *Collector) Snapshot() Snapshot {
-	s := Snapshot{At: time.Now(), ModelGHz: perf.ModelGHz()}
-	if c == nil {
-		return s
-	}
+	s := Snapshot{At: time.Now(), ModelGHz: perf.ModelGHz()} // lint:allow-clock
+	var t Tally
+	c.read(&t)
 	for p := 0; p < numPrims; p++ {
 		row := PrimRow{Name: primNames[p]}
 		for o := 0; o < numOps; o++ {
-			cell := &c.prims[p][o]
-			ops, bytes, ns := cell.ops.Load(), cell.bytes.Load(), cell.ns.Load()
+			cell := &t.prims[p][o]
+			ops, bytes, ns := cell.ops, cell.bytes, cell.ns
 			if ops == 0 {
 				continue
 			}
@@ -268,9 +294,9 @@ func (c *Collector) Snapshot() Snapshot {
 		s.Prims = append(s.Prims, row)
 	}
 	for i := 0; i < numSteps; i++ {
-		st := &c.steps[i]
-		count, wall := st.count.Load(), st.wallNs.Load()
-		cns, cbytes := st.cryptoNs.Load(), st.cryptoBytes.Load()
+		st := &t.steps[i]
+		count, wall := st.count, st.wallNs
+		cns, cbytes := st.cryptoNs, st.cryptoBytes
 		if count == 0 && cns == 0 && cbytes == 0 {
 			continue
 		}
@@ -287,50 +313,27 @@ func (c *Collector) Snapshot() Snapshot {
 		}
 		s.Steps = append(s.Steps, row)
 	}
-	s.RecordsIn = c.recordsIn.Load()
-	s.RecordsOut = c.recordsOut.Load()
-	s.BytesIn = c.bytesIn.Load()
-	s.BytesOut = c.bytesOut.Load()
 	return s
 }
 
-// totalsFor sums (bytes, nanos) across all ops of the given primitive
-// rows — the wait-free accessor behind the windowed cycles/byte
-// series.
-func (c *Collector) totalsFor(lo, hi int) (bytes, ns uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	for p := lo; p <= hi; p++ {
+// Totals returns cumulative (bytes, nanos) across the cipher
+// primitives (RC4, AES, DES, 3DES, NULL) and across the MAC primitives
+// (MD5, SHA-1) without allocating, so a periodic sampler can
+// difference successive reads into live windowed cycles/byte.
+func (c *Collector) Totals() (cipherBytes, cipherNs, macBytes, macNs uint64) {
+	var t Tally
+	c.read(&t)
+	for p := primRC4; p <= primSHA1; p++ {
+		bytes, ns := &cipherBytes, &cipherNs
+		if p >= primMD5 {
+			bytes, ns = &macBytes, &macNs
+		}
 		for o := 0; o < numOps; o++ {
-			cell := &c.prims[p][o]
-			bytes += cell.bytes.Load()
-			ns += cell.ns.Load()
+			*bytes += t.prims[p][o].bytes
+			*ns += t.prims[p][o].ns
 		}
 	}
-	return bytes, ns
-}
-
-// CipherTotals returns cumulative (bytes, nanos) across the cipher
-// primitives (RC4, AES, DES, 3DES, NULL) without allocating, so a
-// periodic sampler can difference successive reads into a live
-// windowed cipher cycles/byte.
-func (c *Collector) CipherTotals() (bytes, ns uint64) {
-	return c.totalsFor(primRC4, primNULL)
-}
-
-// MACTotals is CipherTotals for the MAC primitives (MD5, SHA-1).
-func (c *Collector) MACTotals() (bytes, ns uint64) {
-	return c.totalsFor(primMD5, primSHA1)
-}
-
-// IOTotals returns the record-layer cumulative counters without
-// allocating.
-func (c *Collector) IOTotals() (recordsIn, recordsOut, bytesIn, bytesOut uint64) {
-	if c == nil {
-		return 0, 0, 0, 0
-	}
-	return c.recordsIn.Load(), c.recordsOut.Load(), c.bytesIn.Load(), c.bytesOut.Load()
+	return
 }
 
 // Prim returns the named primitive's row, if it saw traffic.

@@ -1,6 +1,7 @@
 package pathlen
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,13 @@ import (
 	"sslperf/internal/probe"
 )
 
+// newConn stands in for one connection's record: a bus over a fresh
+// tally, and the fold its close performs.
+func newConn(c *Collector) (b *probe.Bus, closeConn func()) {
+	t := new(Tally)
+	return probe.NewBus(t), func() { c.Fold(t); *t = Tally{} }
+}
+
 // emitRecord pushes one synthetic RecordCrypto event through a bus so
 // the step cursor attribution matches production emission.
 func emitRecord(b *probe.Bus, op probe.RecordOp, prim string, bytes int) {
@@ -20,14 +28,13 @@ func emitRecord(b *probe.Bus, op probe.RecordOp, prim string, bytes int) {
 
 func TestCollectorFoldsPrimitives(t *testing.T) {
 	c := NewCollector()
-	b := probe.NewBus(c)
+	b, closeConn := newConn(c)
 
 	emitRecord(b, probe.OpCipherEncrypt, "RC4", 1000)
 	emitRecord(b, probe.OpCipherEncrypt, "RC4", 24)
 	emitRecord(b, probe.OpMACCompute, "MD5", 1000)
 	emitRecord(b, probe.OpCipherDecrypt, "AES", 512)
-	b.RecordIO(true, false, 1000)
-	b.RecordIO(false, false, 512)
+	closeConn()
 
 	s := c.Snapshot()
 	rc4, ok := s.Prim("RC4")
@@ -57,14 +64,11 @@ func TestCollectorFoldsPrimitives(t *testing.T) {
 	if aes, ok := s.Prim("AES"); !ok || aes.Ops != 1 || aes.Bytes != 512 {
 		t.Errorf("AES row = %+v ok=%v, want 1 op / 512 bytes", aes, ok)
 	}
-	if s.BytesOut != 1000 || s.BytesIn != 512 || s.RecordsOut != 1 || s.RecordsIn != 1 {
-		t.Errorf("IO totals = %+v", s)
-	}
 }
 
 func TestCollectorStepAttribution(t *testing.T) {
 	c := NewCollector()
-	b := probe.NewBus(c)
+	b, closeConn := newConn(c)
 
 	// Bulk-phase crypto lands on the bulk row.
 	emitRecord(b, probe.OpCipherEncrypt, "RC4", 100)
@@ -72,6 +76,7 @@ func TestCollectorStepAttribution(t *testing.T) {
 	b.StepEnter(probe.StepSendFinished)
 	emitRecord(b, probe.OpCipherEncrypt, "RC4", 64)
 	b.StepExit()
+	closeConn()
 
 	s := c.Snapshot()
 	bulk, ok := s.Step(probe.LabelBulk)
@@ -95,8 +100,9 @@ func TestCollectorStepAttribution(t *testing.T) {
 
 func TestCollectorUnknownPrimFoldsToOther(t *testing.T) {
 	c := NewCollector()
-	b := probe.NewBus(c)
+	b, closeConn := newConn(c)
 	emitRecord(b, probe.OpCipherEncrypt, "CHACHA20", 10)
+	closeConn()
 	if row, ok := c.Snapshot().Prim("other"); !ok || row.Bytes != 10 {
 		t.Errorf("unknown primitive not folded to other: %+v ok=%v", row, ok)
 	}
@@ -104,19 +110,19 @@ func TestCollectorUnknownPrimFoldsToOther(t *testing.T) {
 
 func TestCollectorReset(t *testing.T) {
 	c := NewCollector()
-	b := probe.NewBus(c)
+	b, closeConn := newConn(c)
 	emitRecord(b, probe.OpCipherEncrypt, "RC4", 100)
-	b.RecordIO(true, false, 100)
+	closeConn()
 	c.Reset()
 	s := c.Snapshot()
-	if len(s.Prims) != 0 || len(s.Steps) != 0 || s.BytesOut != 0 {
+	if len(s.Prims) != 0 || len(s.Steps) != 0 {
 		t.Errorf("reset left state: %+v", s)
 	}
 }
 
-// TestCollectorConcurrent hammers one collector from many goroutines —
-// the shape the race gate (make check) exercises: a shared sink on
-// every connection's bus.
+// TestCollectorConcurrent folds into one collector from many goroutines
+// while another reads — the shape the race gate (make check) exercises:
+// connections closing concurrently under a scrape.
 func TestCollectorConcurrent(t *testing.T) {
 	c := NewCollector()
 	const workers, per = 8, 500
@@ -125,13 +131,17 @@ func TestCollectorConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := probe.NewBus(c)
+			b, closeConn := newConn(c)
+			defer closeConn()
 			for i := 0; i < per; i++ {
 				b.StepEnter(probe.StepSendFinished)
 				emitRecord(b, probe.OpMACCompute, "SHA-1", 64)
 				b.StepExit()
 				emitRecord(b, probe.OpCipherEncrypt, "AES", 1024)
-				b.RecordIO(true, false, 1024)
+				if i%50 == 0 {
+					closeConn()
+					c.Snapshot()
+				}
 			}
 		}()
 	}
@@ -142,8 +152,8 @@ func TestCollectorConcurrent(t *testing.T) {
 	if want := uint64(workers * per); aes.Ops != want || sha.Ops != want {
 		t.Errorf("ops = %d/%d, want %d", aes.Ops, sha.Ops, workers*per)
 	}
-	if want := uint64(workers * per * 1024); s.BytesOut != want {
-		t.Errorf("bytes out = %d, want %d", s.BytesOut, want)
+	if want := uint64(workers * per * 1024); aes.Bytes != want {
+		t.Errorf("AES bytes = %d, want %d", aes.Bytes, want)
 	}
 }
 
@@ -197,11 +207,12 @@ func TestModelShape(t *testing.T) {
 
 func TestSnapshotRenderers(t *testing.T) {
 	c := NewCollector()
-	b := probe.NewBus(c)
+	b, closeConn := newConn(c)
 	b.StepEnter(probe.StepGetFinished)
 	emitRecord(b, probe.OpMACVerify, "SHA-1", 36)
 	b.StepExit()
 	emitRecord(b, probe.OpCipherEncrypt, "RC4", 4096)
+	closeConn()
 
 	s := c.Snapshot()
 	text := s.Text()
@@ -210,8 +221,8 @@ func TestSnapshotRenderers(t *testing.T) {
 			t.Errorf("Text() missing %q:\n%s", want, text)
 		}
 	}
-	if _, err := s.JSON(); err != nil {
-		t.Fatalf("JSON(): %v", err)
+	if _, err := json.Marshal(s); err != nil {
+		t.Fatalf("snapshot does not marshal: %v", err)
 	}
 	if s.ModelGHz != perf.ModelGHz() {
 		t.Errorf("snapshot GHz = %v, want %v", s.ModelGHz, perf.ModelGHz())
@@ -220,12 +231,12 @@ func TestSnapshotRenderers(t *testing.T) {
 
 func TestHTTPEndpoint(t *testing.T) {
 	c := NewCollector()
-	b := probe.NewBus(c)
+	b, closeConn := newConn(c)
 	emitRecord(b, probe.OpCipherEncrypt, "RC4", 100)
+	closeConn()
 
 	mux := http.NewServeMux()
-	resetCalled := false
-	Register(mux, c, func() { resetCalled = true })
+	Register(mux, c)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -249,27 +260,24 @@ func TestHTTPEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// The endpoint's own reset is gone: /debug/reset covers it.
 	resp, err = http.Post(srv.URL+"/debug/pathlength/reset", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Errorf("reset status = %d", resp.StatusCode)
-	}
-	if !resetCalled {
-		t.Error("reset hook not called")
-	}
-	if s := c.Snapshot(); len(s.Prims) != 0 {
-		t.Errorf("collector not reset: %+v", s.Prims)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/pathlength/reset status = %d, want 404", resp.StatusCode)
 	}
 }
 
 // TestStepExitDurationFolds pins that wall time comes from the spine's
-// StepExit duration, not the collector's own clock.
+// StepExit duration, not the tally's own clock.
 func TestStepExitDurationFolds(t *testing.T) {
 	c := NewCollector()
-	c.Emit(probe.Event{Kind: probe.KindStepExit, Step: probe.StepInit, Dur: 5 * time.Millisecond})
+	var tally Tally
+	tally.Emit(probe.Event{Kind: probe.KindStepExit, Step: probe.StepInit, Dur: 5 * time.Millisecond})
+	c.Fold(&tally)
 	row, ok := c.Snapshot().Step(probe.StepInit.Name())
 	if !ok || row.WallNanos != uint64(5*time.Millisecond) {
 		t.Errorf("step row = %+v ok=%v", row, ok)

@@ -1,22 +1,15 @@
 package pathlen
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"sslperf/internal/perf"
 )
 
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // Text renders the snapshot as the live Tables 11/12: per-primitive
 // intensity with the model columns alongside, then per-step byte
-// attribution, then the record-layer totals the fold must reconcile
-// with.
+// attribution.
 func (s Snapshot) Text() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "live path length (model %.2f GHz)\n\n", s.ModelGHz)
@@ -56,12 +49,5 @@ func (s Snapshot) Text() string {
 		sb.WriteString(steps.String())
 	}
 
-	sb.WriteByte('\n')
-	io := perf.NewTable("record layer totals", "metric", "value")
-	io.AddRow("records_in", fmt.Sprint(s.RecordsIn))
-	io.AddRow("records_out", fmt.Sprint(s.RecordsOut))
-	io.AddRow("bytes_in", fmt.Sprint(s.BytesIn))
-	io.AddRow("bytes_out", fmt.Sprint(s.BytesOut))
-	sb.WriteString(io.String())
 	return sb.String()
 }

@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -24,11 +23,6 @@ func (s Snapshot) Text() string {
 	return sb.String()
 }
 
-// JSON marshals the snapshot indented.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // Register mounts the SLO observatory on mux:
 //
 //	/debug/slo  burn-rate windows, latency quantiles, and overload
@@ -36,6 +30,6 @@ func (s Snapshot) JSON() ([]byte, error) {
 func Register(mux *http.ServeMux, t *Tracker) {
 	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, req *http.Request) {
 		snap := t.Snapshot()
-		debughttp.Serve(w, req, snap.Text, snap.JSON)
+		debughttp.Serve(w, req, snap.Text, snap)
 	})
 }

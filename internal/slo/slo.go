@@ -16,11 +16,11 @@
 package slo
 
 import (
-	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sslperf/internal/telemetry"
 )
 
 // Window lengths reported by Snapshot, shortest first.
@@ -37,18 +37,13 @@ var windows = []struct {
 // longest window.
 const bucketCount = 300
 
-// latBuckets is the log2 latency histogram width: bucket i holds
-// durations with bit-length i nanoseconds, so 48 covers ~78 hours.
-const latBuckets = 48
-
 // bucket accumulates one wall-clock second of observations.
 type bucket struct {
 	sec    int64 // unix second this bucket currently holds
 	total  uint64
 	failed uint64
-	slow   uint64 // successes over the latency target
-	sumNs  uint64
-	lat    [latBuckets]uint32
+	slow   uint64              // successes over the latency target
+	lat    telemetry.Histogram // handshake latency, nanoseconds
 
 	queueDelays uint64
 	queueSumNs  uint64
@@ -116,14 +111,6 @@ func (t *Tracker) bucketFor(sec int64) *bucket {
 	return b
 }
 
-func latBucket(d time.Duration) int {
-	i := bits.Len64(uint64(d))
-	if i >= latBuckets {
-		i = latBuckets - 1
-	}
-	return i
-}
-
 // HandshakeBegin counts a handshake entering flight.
 func (t *Tracker) HandshakeBegin() {
 	if t == nil {
@@ -133,44 +120,28 @@ func (t *Tracker) HandshakeBegin() {
 }
 
 // HandshakeEnd records one handshake outcome and releases its
-// in-flight slot.
-func (t *Tracker) HandshakeEnd(d time.Duration, failed bool) {
+// in-flight slot. queueDelay is the connection's accept-to-first-step
+// delay — how long it waited before the handshake FSM touched it, the
+// queue-pressure gauge — or negative when no step ever ran.
+func (t *Tracker) HandshakeEnd(d time.Duration, failed bool, queueDelay time.Duration) {
 	if t == nil {
 		return
 	}
 	t.inflight.Add(-1)
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
 	t.mu.Lock()
 	b := t.bucketFor(t.now().Unix())
 	b.total++
-	b.sumNs += uint64(d)
-	b.lat[latBucket(d)]++
+	b.lat.Observe(int64(d))
 	if failed {
 		b.failed++
 	} else if d > t.target {
 		b.slow++
 	}
-	t.mu.Unlock()
-}
-
-// ObserveQueueDelay records one accept-to-first-step delay: how long
-// an accepted connection waited before the handshake FSM touched it —
-// the queue-pressure gauge.
-func (t *Tracker) ObserveQueueDelay(d time.Duration) {
-	if t == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	t.mu.Lock()
-	b := t.bucketFor(t.now().Unix())
-	b.queueDelays++
-	b.queueSumNs += uint64(d)
-	if uint64(d) > b.queueMaxNs {
-		b.queueMaxNs = uint64(d)
+	if queueDelay >= 0 {
+		b.queueDelays++
+		b.queueSumNs += uint64(queueDelay)
+		b.queueMaxNs = max(b.queueMaxNs, uint64(queueDelay))
 	}
 	t.mu.Unlock()
 }
@@ -215,11 +186,10 @@ type WindowStats struct {
 	P50Us  float64 `json:"p50_us"`
 	P99Us  float64 `json:"p99_us"`
 
-	QueueDelays     uint64  `json:"queue_delays"`
-	QueueMeanUs     float64 `json:"queue_mean_us"`
-	QueueMaxUs      float64 `json:"queue_max_us"`
-	HandshakeRate   float64 `json:"handshakes_per_sec"`
-	windowLatTotals [latBuckets]uint64
+	QueueDelays   uint64  `json:"queue_delays"`
+	QueueMeanUs   float64 `json:"queue_mean_us"`
+	QueueMaxUs    float64 `json:"queue_max_us"`
+	HandshakeRate float64 `json:"handshakes_per_sec"`
 }
 
 // A Snapshot is the /debug/slo body.
@@ -255,7 +225,8 @@ func (t *Tracker) Snapshot() Snapshot {
 // statsLocked aggregates one window from the ring. Callers hold t.mu.
 func (t *Tracker) statsLocked(nowSec int64, name string, secs int64) WindowStats {
 	ws := WindowStats{Window: name, Seconds: secs}
-	var sumNs, qSumNs, qMaxNs uint64
+	var lat telemetry.Histogram
+	var qSumNs, qMaxNs uint64
 	for i := range t.buckets {
 		b := &t.buckets[i]
 		// The current second is included; stale slots (sec outside
@@ -265,9 +236,8 @@ func (t *Tracker) statsLocked(nowSec int64, name string, secs int64) WindowStats
 			ws.Handshakes += b.total
 			ws.Failed += b.failed
 			ws.Slow += b.slow
-			sumNs += b.sumNs
-			for j, n := range b.lat {
-				ws.windowLatTotals[j] += uint64(n)
+			if b.total > 0 {
+				lat.Merge(&b.lat)
 			}
 			ws.QueueDelays += b.queueDelays
 			qSumNs += b.queueSumNs
@@ -280,9 +250,9 @@ func (t *Tracker) statsLocked(nowSec int64, name string, secs int64) WindowStats
 		ws.ErrorRate = float64(ws.Failed) / float64(ws.Handshakes)
 		ws.BadRate = float64(ws.Failed+ws.Slow) / float64(ws.Handshakes)
 		ws.BurnRate = ws.BadRate / t.budget
-		ws.MeanUs = float64(sumNs) / float64(ws.Handshakes) / 1e3
-		ws.P50Us = quantileUs(ws.windowLatTotals[:], ws.Handshakes, 0.50)
-		ws.P99Us = quantileUs(ws.windowLatTotals[:], ws.Handshakes, 0.99)
+		ws.MeanUs = float64(lat.Sum()) / float64(ws.Handshakes) / 1e3
+		ws.P50Us = float64(lat.Quantile(0.50)) / 1e3
+		ws.P99Us = float64(lat.Quantile(0.99)) / 1e3
 		ws.HandshakeRate = float64(ws.Handshakes) / float64(secs)
 	}
 	if ws.QueueDelays > 0 {
@@ -312,26 +282,6 @@ func (t *Tracker) Stats(seconds int64) WindowStats {
 	ws := t.statsLocked(nowSec, "", seconds)
 	t.mu.Unlock()
 	return ws
-}
-
-// quantileUs estimates the q-quantile in microseconds from a log2
-// nanosecond histogram, using each bucket's geometric midpoint (the
-// same convention as telemetry's ValueHistogram).
-func quantileUs(lat []uint64, total uint64, q float64) float64 {
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i, n := range lat {
-		seen += n
-		if seen >= rank {
-			lo := float64(uint64(1) << max(i-1, 0))
-			hi := float64(uint64(1) << i)
-			return math.Sqrt(lo*hi) / 1e3
-		}
-	}
-	return 0
 }
 
 // Window returns the named window's stats from s (zero stats when the

@@ -22,12 +22,12 @@ func TestWindowsAggregate(t *testing.T) {
 	// 8 fast successes, 1 slow success, 1 failure in the current second.
 	for i := 0; i < 8; i++ {
 		tr.HandshakeBegin()
-		tr.HandshakeEnd(10*time.Millisecond, false)
+		tr.HandshakeEnd(10*time.Millisecond, false, -1)
 	}
 	tr.HandshakeBegin()
-	tr.HandshakeEnd(80*time.Millisecond, false) // slow: over the 50ms target
+	tr.HandshakeEnd(80*time.Millisecond, false, -1) // slow: over the 50ms target
 	tr.HandshakeBegin()
-	tr.HandshakeEnd(5*time.Millisecond, true)
+	tr.HandshakeEnd(5*time.Millisecond, true, -1)
 
 	snap := tr.Snapshot()
 	for _, name := range []string{"10s", "1m", "5m"} {
@@ -69,11 +69,11 @@ func TestQuantilesApproximate(t *testing.T) {
 	tr, _ := newTestTracker(time.Second)
 	for i := 0; i < 100; i++ {
 		tr.HandshakeBegin()
-		tr.HandshakeEnd(10*time.Millisecond, false)
+		tr.HandshakeEnd(10*time.Millisecond, false, -1)
 	}
 	w := tr.Snapshot().Window("10s")
-	// Log2 buckets: the estimate must land within a factor of 2.
-	if w.P50Us < 5000 || w.P50Us > 20000 {
+	// Sub-octave buckets: the estimate must land within an eighth.
+	if w.P50Us < 8750 || w.P50Us > 11250 {
 		t.Fatalf("p50 %vus implausible for 10ms population", w.P50Us)
 	}
 	if w.P99Us < w.P50Us {
@@ -91,7 +91,7 @@ func TestInFlightGauge(t *testing.T) {
 	if got := tr.InFlight(); got != 2 {
 		t.Fatalf("inflight %d, want 2", got)
 	}
-	tr.HandshakeEnd(time.Millisecond, false)
+	tr.HandshakeEnd(time.Millisecond, false, -1)
 	if got := tr.InFlight(); got != 1 {
 		t.Fatalf("inflight %d, want 1", got)
 	}
@@ -107,8 +107,9 @@ func TestInFlightGauge(t *testing.T) {
 
 func TestQueueDelay(t *testing.T) {
 	tr, _ := newTestTracker(0)
-	tr.ObserveQueueDelay(2 * time.Millisecond)
-	tr.ObserveQueueDelay(6 * time.Millisecond)
+	tr.HandshakeEnd(time.Millisecond, false, 2*time.Millisecond)
+	tr.HandshakeEnd(time.Millisecond, false, 6*time.Millisecond)
+	tr.HandshakeEnd(time.Millisecond, true, -1) // no step ran: no delay to observe
 	w := tr.Snapshot().Window("10s")
 	if w.QueueDelays != 2 {
 		t.Fatalf("queue delays %d, want 2", w.QueueDelays)
@@ -127,7 +128,7 @@ func TestRingReuse(t *testing.T) {
 	tr, clk := newTestTracker(0)
 	for i := 0; i < 2*bucketCount; i++ {
 		tr.HandshakeBegin()
-		tr.HandshakeEnd(time.Millisecond, false)
+		tr.HandshakeEnd(time.Millisecond, false, -1)
 		clk.at = clk.at.Add(time.Second)
 	}
 	// One event per second, the last one second before "now" (the
@@ -144,8 +145,7 @@ func TestRingReuse(t *testing.T) {
 func TestNilTracker(t *testing.T) {
 	var tr *Tracker
 	tr.HandshakeBegin()
-	tr.HandshakeEnd(time.Second, true)
-	tr.ObserveQueueDelay(time.Second)
+	tr.HandshakeEnd(time.Second, true, time.Second)
 	tr.Reset()
 	if tr.InFlight() != 0 || tr.Target() != 0 {
 		t.Fatal("nil tracker leaked state")

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/rsabatch"
 	"sslperf/internal/suite"
@@ -45,16 +46,19 @@ func newBatchSetup(t *testing.T, cfg rsabatch.Config) *batchServerSetup {
 
 // serverConfig builds the per-connection server Config for set key i,
 // the round-robin assignment a batched deployment uses.
-func (s *batchServerSetup) serverConfig(i int, rnd *PRNG, tel *telemetry.Registry) *Config {
+func (s *batchServerSetup) serverConfig(i int, rnd *PRNG, tab *lifecycle.Table) *Config {
 	i %= len(s.ks.Keys)
-	return &Config{
+	cfg := &Config{
 		Rand:      rnd,
 		Key:       s.ks.Keys[i],
 		Decrypter: s.engine.Decrypter(i),
 		CertDER:   s.certs[i],
 		Suites:    []suite.ID{suite.RSAWithRC4128MD5},
-		Observers: []probe.Observer{tel},
 	}
+	if tab != nil {
+		cfg.Observers = []probe.Observer{tab}
+	}
+	return cfg
 }
 
 // TestBatchedHandshakes32Concurrent is the acceptance-shaped run: 32
@@ -64,11 +68,12 @@ func (s *batchServerSetup) serverConfig(i int, rnd *PRNG, tel *telemetry.Registr
 // telemetry lands in the registry the /metrics endpoint serves.
 func TestBatchedHandshakes32Concurrent(t *testing.T) {
 	tel := telemetry.NewRegistry()
+	tab := lifecycle.NewTable(lifecycle.Options{Registry: tel})
 	setup := newBatchSetup(t, rsabatch.Config{
 		BatchSize: 4,
 		Linger:    2 * time.Millisecond,
 		Rand:      NewPRNG(99),
-		Probes:    []probe.Sink{tel.Observe()},
+		Probes:    []probe.Sink{tab},
 	})
 	defer setup.engine.Close()
 
@@ -80,7 +85,7 @@ func TestBatchedHandshakes32Concurrent(t *testing.T) {
 			defer wg.Done()
 			// Each connection gets its own PRNGs: ssl.PRNG is not
 			// thread-safe and must never be shared across goroutines.
-			sCfg := setup.serverConfig(g, NewPRNG(uint64(1000+g)), tel)
+			sCfg := setup.serverConfig(g, NewPRNG(uint64(1000+g)), tab)
 			cCfg := &Config{Rand: NewPRNG(uint64(2000 + g)), InsecureSkipVerify: true}
 			ct, st := Pipe()
 			client := ClientConn(ct, cCfg)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
 	"sslperf/internal/record"
@@ -12,8 +13,8 @@ import (
 
 // BenchmarkBulkPath measures the server-side bulk transfer path per
 // suite — the workload behind the live /debug/pathlength table. A
-// pathlen collector rides the server's spine; after the timed transfer
-// its fold yields the cipher and MAC cycles/byte (and, via the
+// pathlen collector reads the server connection's tally; after the
+// timed transfer its sum yields the cipher and MAC cycles/byte (and, via the
 // abstract-instruction CPI, the measured instructions/byte) in the
 // ordering the paper's Tables 11/12 report: RC4 cheaper per byte than
 // AES, MD5 cheaper than SHA-1 (pathlen.TestModelShape pins that
@@ -46,7 +47,8 @@ func benchBulkPath(b *testing.B, suiteName string, chunk int) {
 	id := identity(b)
 	scfg := id.ServerConfig(NewPRNG(77))
 	scfg.Suites = []suite.ID{s.ID}
-	scfg.Observers = []probe.Observer{col}
+	tab := lifecycle.NewTable(lifecycle.Options{Pathlen: col})
+	scfg.Observers = []probe.Observer{tab}
 	ccfg := clientCfg(func(c *Config) { c.Suites = []suite.ID{s.ID} })
 	client, server := connect(b, ccfg, scfg)
 	defer client.Close()
@@ -62,8 +64,8 @@ func benchBulkPath(b *testing.B, suiteName string, chunk int) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	// Drop the handshake's contribution so the fold is pure bulk.
-	col.Reset()
+	// Write off the handshake's contribution so the tally is pure bulk.
+	tab.Reset()
 	before := server.Stats()
 	b.SetBytes(int64(chunk))
 	b.ResetTimer()
@@ -110,7 +112,7 @@ func benchBulkPath(b *testing.B, suiteName string, chunk int) {
 	<-drained
 	client.Close()
 
-	if snap.BytesOut == 0 {
+	if ciph.Bytes == 0 {
 		b.Fatal("collector saw no outbound bytes")
 	}
 }

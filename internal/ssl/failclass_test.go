@@ -50,26 +50,28 @@ func recordBoundaries(t *testing.T, stream []byte) []int {
 // observedServer runs a server handshake against transport with the
 // full observability stack attached — telemetry registry, lifecycle
 // table, close-log — then closes the connection so the close-log line
-// flushes.
-func observedServer(t *testing.T, seed uint64, transport io.ReadWriteCloser) (error, *telemetry.Registry, *bytes.Buffer) {
+// flushes and the record retires.
+func observedServer(t *testing.T, seed uint64, transport io.ReadWriteCloser) (error, *telemetry.Registry, *lifecycle.Table, *bytes.Buffer) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	var closeLog bytes.Buffer
 	tab := lifecycle.NewTable(lifecycle.Options{
+		Registry: reg,
 		CloseLog: lifecycle.NewCloseLog(&closeLog, 1),
+		Ring:     1,
 	})
 	cfg := identity(t).ServerConfig(NewPRNG(seed))
-	cfg.Observers = []probe.Observer{reg, tab}
+	cfg.Observers = []probe.Observer{tab}
 	server := ServerConn(transport, cfg)
 	err := server.Handshake()
 	server.Close()
-	return err, reg, &closeLog
+	return err, reg, tab, &closeLog
 }
 
 // TestFailClassMapping drives the canonical failure scenarios end to
 // end and asserts the telemetry fail-reason counter, the flight
-// recorder's terminal event, and the close-log line all carry the
-// identical canonical tag.
+// recorder's record, and the close-log line all carry the identical
+// canonical tag.
 func TestFailClassMapping(t *testing.T) {
 	c2s, _ := captureStreams(t, 5001, 5002)
 	ends := recordBoundaries(t, c2s)
@@ -125,7 +127,7 @@ func TestFailClassMapping(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err, reg, closeLog := observedServer(t, 5002, tc.transport())
+			err, reg, tab, closeLog := observedServer(t, 5002, tc.transport())
 			if err == nil {
 				t.Fatal("handshake unexpectedly succeeded")
 			}
@@ -143,18 +145,13 @@ func TestFailClassMapping(t *testing.T) {
 					snap.Handshakes.Failed, snap.Handshakes.FailReasons, tc.tag)
 			}
 
-			// The flight recorder's terminal event names the same tag.
-			var failEvents int
-			for _, ev := range reg.Recorder().Events() {
-				if ev.Kind == telemetry.EventHandshakeFail {
-					failEvents++
-					if ev.Name != tc.tag {
-						t.Fatalf("flight recorder tagged %q, want %q", ev.Name, tc.tag)
-					}
-				}
+			// The flight recorder's record names the same tag.
+			recs := tab.Records(0)
+			if len(recs) != 1 || recs[0].FailTag != tc.tag || recs[0].FailClass != tc.class.Name() {
+				t.Fatalf("flight recorder holds %+v, want one record failed as %q", recs, tc.tag)
 			}
-			if failEvents != 1 {
-				t.Fatalf("flight recorder holds %d handshake_fail events, want 1", failEvents)
+			if text := lifecycle.FlightText(recs); strings.Count(text, "handshake_fail "+tc.tag) != 1 {
+				t.Fatalf("flight recorder text does not end the handshake as %q:\n%s", tc.tag, text)
 			}
 
 			// The close-log line speaks the same taxonomy.

@@ -297,10 +297,10 @@ func TestMidHandshakeCloseSettlesEverySink(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			tracker := slo.New(slo.Config{})
-			tab := lifecycle.NewTable(lifecycle.Options{SLO: tracker})
+			tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker})
 			for i := 0; i < conns; i++ {
 				scfg := identity(t).ServerConfig(NewPRNG(uint64(710 + i)))
-				scfg.Observers = []probe.Observer{reg, tab}
+				scfg.Observers = []probe.Observer{tab}
 				f.hangup(t, scfg)
 			}
 			if got := tracker.InFlight(); got != 0 {

@@ -5,17 +5,19 @@ import (
 	"testing"
 
 	"sslperf/internal/handshake"
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
 	"sslperf/internal/suite"
+	"sslperf/internal/telemetry"
 )
 
 // TestPathlenResumedHandshakeAttribution pins byte attribution on the
 // resumed-session path: the encrypted finished exchange must charge
 // its RecordCrypto bytes to the resumed-path steps (send_finished,
 // get_cipher_spec/get_finished), the bulk transfer must land on the
-// bulk row, and the collector's record totals must equal what the
-// record layer itself counted.
+// bulk row, and the record totals the registry reports beside it must
+// equal what the record layer itself counted.
 func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 	id := identity(t)
 	cache := handshake.NewSessionCache(16)
@@ -33,13 +35,13 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 	client.Close()
 	server.Close()
 
-	// Second connection resumes, with a pathlen collector on the
-	// server's spine.
-	col := pathlen.NewCollector()
+	// Second connection resumes, with its record folding into a
+	// pathlen collector and a registry. Both are read while it lives.
+	col, reg := pathlen.NewCollector(), telemetry.NewRegistry()
 	scfg2 := id.ServerConfig(NewPRNG(62))
 	scfg2.SessionCache = cache
 	scfg2.Suites = []suite.ID{suite.RSAWithRC4128MD5}
-	scfg2.Observers = []probe.Observer{col}
+	scfg2.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{Pathlen: col, Registry: reg})}
 	ccfg2 := clientCfg(func(c *Config) {
 		c.Suites = []suite.ID{suite.RSAWithRC4128MD5}
 		c.Session = sess
@@ -86,8 +88,8 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 	}
 
 	// Bulk transfer: bytes flow both ways, land on the bulk row, and
-	// the collector's totals reconcile with the record layer's own
-	// stats — the fold drops nothing.
+	// the record's totals reconcile with the record layer's own
+	// stats — the accumulation drops nothing.
 	msg := make([]byte, 3000)
 	done := make(chan error, 1)
 	go func() {
@@ -112,16 +114,16 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 	if !ok || bulk.CryptoBytes == 0 {
 		t.Fatalf("bulk row = %+v ok=%v, want crypto bytes > 0", bulk, ok)
 	}
-	stats := server2.Stats()
-	if snap.BytesOut != uint64(stats.BytesWritten) {
-		t.Errorf("pathlen bytes_out = %d, record layer wrote %d", snap.BytesOut, stats.BytesWritten)
+	stats, counts := server2.Stats(), reg.Counts()
+	if counts.BytesOut != uint64(stats.BytesWritten) {
+		t.Errorf("bytes_out = %d, record layer wrote %d", counts.BytesOut, stats.BytesWritten)
 	}
-	if snap.BytesIn != uint64(stats.BytesRead) {
-		t.Errorf("pathlen bytes_in = %d, record layer read %d", snap.BytesIn, stats.BytesRead)
+	if counts.BytesIn != uint64(stats.BytesRead) {
+		t.Errorf("bytes_in = %d, record layer read %d", counts.BytesIn, stats.BytesRead)
 	}
-	if snap.RecordsOut != uint64(stats.RecordsWritten) || snap.RecordsIn != uint64(stats.RecordsRead) {
-		t.Errorf("pathlen records = %d/%d, record layer = %d/%d",
-			snap.RecordsIn, snap.RecordsOut, stats.RecordsRead, stats.RecordsWritten)
+	if counts.RecordsOut != uint64(stats.RecordsWritten) || counts.RecordsIn != uint64(stats.RecordsRead) {
+		t.Errorf("records = %d/%d, record layer = %d/%d",
+			counts.RecordsIn, counts.RecordsOut, stats.RecordsRead, stats.RecordsWritten)
 	}
 	// MAC bytes cover every plaintext payload byte the armed layer
 	// pushed: MD5 mac_compute bytes == plaintext written since the
@@ -129,4 +131,9 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 	// message plus the bulk records).
 	client2.Close()
 	server2.Close()
+	// Closing folded the tally: the open connection's running totals
+	// became the collector's own, counted once.
+	if after, ok := col.Snapshot().Step(probe.LabelBulk); !ok || after.CryptoBytes < bulk.CryptoBytes || after.CryptoBytes > bulk.CryptoBytes+64 {
+		t.Errorf("bulk row after close = %+v, before %+v: want the same bytes plus at most a close_notify", after, bulk)
+	}
 }

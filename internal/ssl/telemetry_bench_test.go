@@ -3,6 +3,7 @@ package ssl
 import (
 	"testing"
 
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
 )
@@ -14,7 +15,7 @@ func benchConfigs(b testing.TB, reg *telemetry.Registry) (*Config, *Config) {
 	scfg := id.ServerConfig(NewPRNG(31))
 	ccfg := &Config{Rand: NewPRNG(32), InsecureSkipVerify: true}
 	if reg != nil {
-		scfg.Observers = []probe.Observer{reg}
+		scfg.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{Registry: reg})}
 		ccfg.Observers = scfg.Observers
 	}
 	return ccfg, scfg

@@ -2,23 +2,39 @@ package ssl
 
 import (
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
 	"sslperf/internal/handshake"
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
+	"sslperf/internal/trace"
 )
+
+// observing returns the one observer a connection gets: a conn table
+// folding into reg, every connection kept in detail and the last ring
+// of them retained.
+func observing(reg *telemetry.Registry, ring int) (*lifecycle.Table, []probe.Observer) {
+	tab := lifecycle.NewTable(lifecycle.Options{
+		Registry: reg,
+		Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
+		Ring:     ring,
+	})
+	return tab, []probe.Observer{tab}
+}
 
 // TestTelemetryHandshakeEmission checks a single instrumented
 // connection populates counters, step histograms, and the flight
-// recorder with the full step-by-step trace.
+// recorder with the full step-by-step record.
 func TestTelemetryHandshakeEmission(t *testing.T) {
 	id := identity(t)
 	reg := telemetry.NewRegistry()
+	tab, obs := observing(reg, 4)
 	scfg := id.ServerConfig(NewPRNG(8))
-	scfg.Observers = []probe.Observer{reg}
-	ccfg := clientCfg(func(c *Config) { c.Observers = []probe.Observer{reg} })
+	scfg.Observers = obs
+	ccfg := clientCfg(func(c *Config) { c.Observers = obs })
 	client, server := connect(t, ccfg, scfg)
 
 	// Push a little application data through so byte counters move.
@@ -61,51 +77,53 @@ func TestTelemetryHandshakeEmission(t *testing.T) {
 		}
 	}
 
-	// Flight recorder: the server connection's trace must show the
+	// Flight recorder: the server connection's record must show the
 	// handshake lifecycle in order.
 	var serverConn uint64
-	for _, ev := range reg.Recorder().Events() {
-		if ev.Kind == telemetry.EventHandshakeStart && ev.Detail == "server" {
-			serverConn = ev.Conn
+	for _, rec := range tab.Records(0) {
+		if rec.Role == "server" {
+			serverConn = rec.ID
 		}
 	}
 	if serverConn == 0 {
-		t.Fatal("no server handshake_start event")
+		t.Fatal("no server record retained")
 	}
-	trace := reg.Recorder().ConnEvents(serverConn)
-	var kinds []telemetry.EventKind
-	for _, ev := range trace {
-		kinds = append(kinds, ev.Kind)
+	var kinds []string
+	for _, line := range strings.Split(lifecycle.FlightText(tab.Records(serverConn)), "\n")[1:] {
+		if f := strings.Fields(line); len(f) >= 2 {
+			kinds = append(kinds, f[1])
+		}
 	}
-	if kinds[0] != telemetry.EventHandshakeStart {
-		t.Fatalf("trace starts with %v", kinds[0])
+	if kinds[0] != "handshake_start" {
+		t.Fatalf("record starts with %v", kinds[0])
 	}
 	var sawStep, sawCrypto, sawDone, sawClose bool
 	for _, k := range kinds {
 		switch k {
-		case telemetry.EventStepStart:
+		case "step":
 			sawStep = true
-		case telemetry.EventCrypto:
+		case "crypto":
 			sawCrypto = true
-		case telemetry.EventHandshakeDone:
+		case "handshake_done":
 			sawDone = true
-		case telemetry.EventClose:
+		case "close":
 			sawClose = true
 		}
 	}
-	if !sawStep || !sawCrypto || !sawDone || !sawClose {
-		t.Fatalf("incomplete trace: step=%v crypto=%v done=%v close=%v (%v)",
+	if !sawStep || !sawCrypto || !sawDone || !sawClose || kinds[len(kinds)-1] != "close" {
+		t.Fatalf("incomplete record: step=%v crypto=%v done=%v close=%v (%v)",
 			sawStep, sawCrypto, sawDone, sawClose, kinds)
 	}
 }
 
 // TestTelemetryCountsFailures checks a failing handshake lands in the
-// failure counter with a reason tag and a handshake_fail event.
+// failure counter with a reason tag and a failed record.
 func TestTelemetryCountsFailures(t *testing.T) {
 	id := identity(t)
 	reg := telemetry.NewRegistry()
+	tab, obs := observing(reg, 4)
 	scfg := id.ServerConfig(NewPRNG(9))
-	scfg.Observers = []probe.Observer{reg}
+	scfg.Observers = obs
 
 	ct, st := Pipe()
 	server := ServerConn(st, scfg)
@@ -126,16 +144,16 @@ func TestTelemetryCountsFailures(t *testing.T) {
 		t.Fatalf("fail reasons = %v", s.Handshakes.FailReasons)
 	}
 	var sawFail bool
-	for _, ev := range reg.Recorder().Events() {
-		if ev.Kind == telemetry.EventHandshakeFail {
+	for _, rec := range tab.Records(0) {
+		if rec.State == "failed" {
 			sawFail = true
-			if ev.Name == "" || ev.Detail == "" {
-				t.Fatalf("fail event missing reason/detail: %+v", ev)
+			if rec.FailTag == "" || rec.FailDetail == "" {
+				t.Fatalf("failed record missing reason/detail: %+v", rec)
 			}
 		}
 	}
 	if !sawFail {
-		t.Fatal("no handshake_fail event recorded")
+		t.Fatal("no failed record retained")
 	}
 }
 
@@ -144,7 +162,8 @@ func TestTelemetryCountsFailures(t *testing.T) {
 // live emission.
 func TestTelemetryConcurrentConnections(t *testing.T) {
 	id := identity(t)
-	reg := telemetry.NewRegistrySize(512)
+	reg := telemetry.NewRegistry()
+	_, obs := observing(reg, 8)
 	cache := handshake.NewSessionCache(64)
 	const conns = 16
 
@@ -154,11 +173,11 @@ func TestTelemetryConcurrentConnections(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			scfg := id.ServerConfig(NewPRNG(uint64(100 + i)))
-			scfg.Observers = []probe.Observer{reg}
+			scfg.Observers = obs
 			scfg.SessionCache = cache
 			ccfg := clientCfg(func(c *Config) {
 				c.Rand = NewPRNG(uint64(200 + i))
-				c.Observers = []probe.Observer{reg}
+				c.Observers = obs
 			})
 			ct, st := Pipe()
 			client, server := ClientConn(ct, ccfg), ServerConn(st, scfg)

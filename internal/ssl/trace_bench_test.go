@@ -3,19 +3,20 @@ package ssl
 import (
 	"testing"
 
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/trace"
 )
 
-// benchHandshakeTraced is benchHandshake with a tracer on the server
-// side: the tracing-off run is the baseline the other two compare
-// against, SampleEvery=16 is the documented production setting, and
-// SampleEvery=1 is the worst case (every handshake records ~40 spans
-// and folds into the profiler).
+// benchHandshakeTraced is benchHandshake with a sampling conn table on
+// the server side: the tracing-off run is the baseline the other two
+// compare against, SampleEvery=16 is the documented production
+// setting, and SampleEvery=1 is the worst case (every handshake keeps
+// ~40 calls and folds into the profiler).
 func benchHandshakeTraced(b *testing.B, tracer *trace.Tracer) {
 	ccfg, scfg := benchConfigs(b, nil)
 	if tracer != nil {
-		scfg.Observers = []probe.Observer{tracer}
+		scfg.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{Tracer: tracer, Ring: 8})}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,10 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/rsabatch"
 	"sslperf/internal/trace"
 )
+
+// tracing returns a tracer sampling 1 in every and the conn table that
+// keeps its sampled connections' detail.
+func tracing(every int) (*trace.Tracer, *lifecycle.Table) {
+	tracer := trace.NewTracer(trace.Config{SampleEvery: every})
+	return tracer, lifecycle.NewTable(lifecycle.Options{Tracer: tracer, Ring: 64})
+}
 
 var traceSteps = []string{
 	"init", "get_client_hello", "send_server_hello", "send_server_cert",
@@ -17,9 +25,9 @@ var traceSteps = []string{
 }
 
 func TestTracedServerHandshake(t *testing.T) {
-	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+	tracer, table := tracing(1)
 	id := identity(t)
-	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{tracer}}
+	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{table}}
 	client, server := connect(t, clientCfg(nil), sCfg)
 
 	// The handshake folds into the profiler immediately...
@@ -39,7 +47,7 @@ func TestTracedServerHandshake(t *testing.T) {
 		t.Error("no crypto attribution folded")
 	}
 
-	// ...but the trace publishes at Close, so bulk I/O is on it.
+	// ...but the record retires at Close, so bulk I/O is on it.
 	if _, err := client.Write([]byte("ping")); err != nil {
 		t.Fatal(err)
 	}
@@ -47,84 +55,82 @@ func TestTracedServerHandshake(t *testing.T) {
 	if _, err := readFull(server, buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tracer.Traces()); got != 0 {
-		t.Fatalf("%d traces published before close", got)
+	if recs := table.Records(0); len(recs) != 1 || recs[0].State != "established" {
+		t.Fatalf("records before close = %+v, want the one open connection", recs)
 	}
 	client.Close()
 	server.Close()
 
-	traces := tracer.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("published %d traces, want 1 (the sampled server)", len(traces))
+	recs := table.Records(0)
+	if len(recs) != 1 {
+		t.Fatalf("retained %d records, want 1 (the sampled server)", len(recs))
 	}
-	td := traces[0]
-	if td.Role != "server" || td.Outcome != "ok" {
-		t.Fatalf("trace role/outcome = %s/%s", td.Role, td.Outcome)
+	rec := recs[0]
+	if rec.Role != "server" || rec.State != "closed" || rec.Detail != trace.DetailFull {
+		t.Fatalf("record role/state/detail = %s/%s/%s", rec.Role, rec.State, rec.Detail)
 	}
-	var steps []string
-	var hsDetail string
 	sawCrypto, sawIO := false, false
-	for _, sp := range td.Spans {
-		switch sp.Category {
-		case trace.CatStep:
-			steps = append(steps, sp.Name)
+	for _, call := range rec.Calls {
+		switch call.Kind {
 		case trace.CatCrypto:
 			sawCrypto = true
 		case trace.CatIO:
 			sawIO = true
-		case trace.CatConn:
-			if sp.Name == "handshake" {
-				hsDetail = sp.Detail
-			}
 		}
 	}
-	if len(steps) != len(traceSteps) {
-		t.Fatalf("trace carries %d step spans, want %d: %v", len(steps), len(traceSteps), steps)
+	if len(rec.Steps) != len(traceSteps) {
+		t.Fatalf("record carries %d steps, want %d: %v", len(rec.Steps), len(traceSteps), rec.Steps)
 	}
 	for i, want := range traceSteps {
-		if steps[i] != want {
-			t.Errorf("step span %d = %q, want %q", i, steps[i], want)
+		if rec.Steps[i].Step != want {
+			t.Errorf("step %d = %q, want %q", i, rec.Steps[i].Step, want)
 		}
 	}
 	if !sawCrypto {
-		t.Error("no crypto spans recorded")
+		t.Error("no crypto calls recorded")
 	}
 	if !sawIO {
-		t.Error("no application I/O spans recorded")
+		t.Error("no application I/O recorded")
 	}
-	if hsDetail == "" {
-		t.Error("handshake span has no suite detail")
+	if rec.Suite == "" || rec.HandshakeUs <= 0 {
+		t.Error("record has no suite or handshake duration")
 	}
 }
 
 func TestUnsampledConnectionHasNoTrace(t *testing.T) {
-	tracer := trace.NewTracer(trace.Config{SampleEvery: 1 << 20})
+	tracer, table := tracing(1 << 20)
 	id := identity(t)
-	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{tracer}}
+	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{table}}
 	client, server := connect(t, clientCfg(nil), sCfg)
-	defer client.Close()
-	defer server.Close()
-	if server.nb.bus != nil {
-		t.Fatal("unsampled connection carries a trace")
+	client.Close()
+	server.Close()
+	// Passed over by the sampler, the record keeps its timeline and
+	// totals, no detail, and stays out of the anatomy.
+	rec := table.Records(0)[0]
+	if rec.Detail != trace.DetailSampledOut || len(rec.Calls) != 0 || len(rec.Steps) != len(traceSteps) {
+		t.Fatalf("unsampled record = %+v", rec)
 	}
 	if st := tracer.Stats(); st.Sampled != 0 || st.Seen != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+	if got := tracer.Profiler().Snapshot().Traces; got != 0 {
+		t.Fatalf("unsampled connection folded into the profiler (%d traces)", got)
+	}
 }
 
 func TestTracedClientHandshake(t *testing.T) {
-	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+	tracer, table := tracing(1)
 	id := identity(t)
 	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER}
-	cCfg := clientCfg(func(c *Config) { c.Observers = []probe.Observer{tracer} })
+	cCfg := clientCfg(func(c *Config) { c.Observers = []probe.Observer{table} })
 	client, server := connect(t, cCfg, sCfg)
 	client.Close()
 	server.Close()
-	traces := tracer.Traces()
-	if len(traces) != 1 || traces[0].Role != "client" {
-		t.Fatalf("traces = %+v", traces)
+	recs := table.Records(0)
+	if len(recs) != 1 || recs[0].Role != "client" {
+		t.Fatalf("records = %+v", recs)
 	}
-	// Clients have no step observer: the trace is the handshake span
+	// Clients have no step observer: the record is the handshake
 	// plus record-layer work, and it must not pollute the profiler's
 	// handshake count.
 	if got := tracer.Profiler().Snapshot().Handshakes; got != 0 {
@@ -137,12 +143,12 @@ func TestTracedClientHandshake(t *testing.T) {
 // sampled, checking that batch spans carry links that resolve to
 // distinct handshake traces.
 func TestTraceBatchLinks(t *testing.T) {
-	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+	tracer, table := tracing(1)
 	setup := newBatchSetup(t, rsabatch.Config{
 		BatchSize: 4,
 		Linger:    2 * time.Millisecond,
 		Rand:      NewPRNG(99),
-		Probes:    []probe.Sink{trace.EngineSink(tracer)},
+		Probes:    []probe.Sink{table},
 	})
 	defer setup.engine.Close()
 
@@ -153,10 +159,10 @@ func TestTraceBatchLinks(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			i := g % len(setup.ks.Keys)
-			ct := tracer.ConnBegin()
+			entry := table.Begin()
 			sCfg := setup.serverConfig(g, NewPRNG(uint64(1000+g)), nil)
-			sCfg.Observers = []probe.Observer{ct}
-			sCfg.Decrypter = setup.engine.DecrypterTraced(i, ct.Ref)
+			sCfg.Observers = []probe.Observer{entry}
+			sCfg.Decrypter = setup.engine.DecrypterTraced(i, entry.Ref)
 			cCfg := &Config{Rand: NewPRNG(uint64(2000 + g)), InsecureSkipVerify: true}
 			tc, tsrv := Pipe()
 			client := ClientConn(tc, cCfg)
@@ -210,5 +216,18 @@ func TestTraceBatchLinks(t *testing.T) {
 	}
 	if len(linkedTraces) < 2 {
 		t.Errorf("links cover %d traces, want >= 2", len(linkedTraces))
+	}
+	// Every link names a retained connection and the step the batch
+	// served, so the export can draw the arrow.
+	recs := map[uint64]bool{}
+	for _, rec := range table.Records(0) {
+		recs[rec.ID] = true
+	}
+	for _, sp := range spans {
+		for _, l := range sp.Links {
+			if !recs[l.Trace] || probe.Step(l.Span) != probe.StepGetClientKX {
+				t.Errorf("link %+v does not name a retained connection's get_client_kx step", l)
+			}
+		}
 	}
 }

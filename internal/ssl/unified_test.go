@@ -235,23 +235,26 @@ func TestWriteCallsPinned(t *testing.T) {
 // event-loop conns gain them from the same read/write entry.
 func TestIOEventsFromSharedEntry(t *testing.T) {
 	id := identity(t)
-	newCfg := func(seed uint64) (*Config, *trace.Tracer) {
+	newCfg := func(seed uint64) (*Config, *lifecycle.Table) {
 		scfg := id.ServerConfig(NewPRNG(seed))
-		tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
-		scfg.Observers = []probe.Observer{tracer}
-		return scfg, tracer
+		table := lifecycle.NewTable(lifecycle.Options{
+			Tracer: trace.NewTracer(trace.Config{SampleEvery: 1}),
+			Ring:   1,
+		})
+		scfg.Observers = []probe.Observer{table}
+		return scfg, table
 	}
-	// check counts the io events on the one published (server) trace.
-	check := func(t *testing.T, tracer *trace.Tracer) {
+	// check counts the io events on the one retired (server) record.
+	check := func(t *testing.T, table *lifecycle.Table) {
 		t.Helper()
-		traces := tracer.Traces()
-		if len(traces) != 1 {
-			t.Fatalf("published %d traces, want 1", len(traces))
+		recs := table.Records(0)
+		if len(recs) != 1 {
+			t.Fatalf("retired %d records, want 1", len(recs))
 		}
 		got := map[string]int{}
-		for _, sp := range traces[0].Spans {
-			if sp.Category == trace.CatIO {
-				got[sp.Name]++
+		for _, call := range recs[0].Calls {
+			if call.Kind == trace.CatIO {
+				got[call.Name]++
 			}
 		}
 		if got["read"] != 1 || got["write"] != 1 || len(got) != 2 {
@@ -260,7 +263,7 @@ func TestIOEventsFromSharedEntry(t *testing.T) {
 	}
 
 	t.Run("blocking", func(t *testing.T) {
-		scfg, tracer := newCfg(616)
+		scfg, table := newCfg(616)
 		client, server := connect(t, clientCfg(nil), scfg)
 		client.Write([]byte("ping"))
 		if _, err := server.Read(make([]byte, 16)); err != nil {
@@ -270,10 +273,10 @@ func TestIOEventsFromSharedEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		server.Close()
-		check(t, tracer)
+		check(t, table)
 	})
 	t.Run("nonblocking", func(t *testing.T) {
-		scfg, tracer := newCfg(617)
+		scfg, table := newCfg(617)
 		client, server := nbEstablishedPair(t, clientCfg(nil), scfg)
 		client.WriteData([]byte("ping"))
 		server.Feed(client.Outgoing())
@@ -288,6 +291,6 @@ func TestIOEventsFromSharedEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		server.Close()
-		check(t, tracer)
+		check(t, table)
 	})
 }

@@ -1,61 +1,17 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
 
 	"sslperf/internal/debughttp"
 )
 
-// Register mounts the telemetry endpoints on mux:
+// Register mounts the registry on mux:
 //
-//	/metrics               JSON snapshot (?format=text for tables)
-//	/debug/flightrecorder  retained events, oldest-first
-//	                       (?conn=ID for one connection, ?last=N to tail)
+//	/metrics  JSON snapshot (?format=text for tables)
 func Register(mux *http.ServeMux, r *Registry) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		snap := r.Snapshot()
-		debughttp.Serve(w, req, snap.Text, snap.JSON)
+		debughttp.Serve(w, req, snap.Text, snap)
 	})
-	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, req *http.Request) {
-		fr := r.Recorder()
-		var events []Event
-		if connStr := req.URL.Query().Get("conn"); connStr != "" {
-			conn, err := strconv.ParseUint(connStr, 10, 64)
-			if err != nil {
-				http.Error(w, "bad conn id", http.StatusBadRequest)
-				return
-			}
-			events = fr.ConnEvents(conn)
-		} else {
-			events = fr.Events()
-		}
-		if lastStr := req.URL.Query().Get("last"); lastStr != "" {
-			last, err := strconv.Atoi(lastStr)
-			if err != nil || last < 0 {
-				http.Error(w, "bad last count", http.StatusBadRequest)
-				return
-			}
-			if last < len(events) {
-				events = events[len(events)-last:]
-			}
-		}
-		if events == nil {
-			events = []Event{}
-		}
-		b, err := json.MarshalIndent(events, "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		debughttp.WriteJSON(w, b)
-	})
-}
-
-// Handler returns a mux serving only the telemetry endpoints.
-func Handler(r *Registry) http.Handler {
-	mux := http.NewServeMux()
-	Register(mux, r)
-	return mux
 }

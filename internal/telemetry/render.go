@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,22 +9,17 @@ import (
 	"sslperf/internal/perf"
 )
 
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // histRow formats the common histogram columns.
 func histRow(t *perf.Table, name string, h HistogramSnapshot) {
 	t.AddRow(name,
 		fmt.Sprint(h.Count),
-		kcyc(h.Mean), kcyc(h.P50), kcyc(h.P90), kcyc(h.P99), kcyc(h.Max))
+		kcyc(int64(h.Mean)), kcyc(h.P50), kcyc(h.P90), kcyc(h.P99), kcyc(h.Max))
 }
 
-// kcyc formats a duration as thousands of model cycles, matching the
+// kcyc formats nanoseconds as thousands of model cycles, matching the
 // unit of the paper's Table 2 and the perf.Breakdown renderer.
-func kcyc(d time.Duration) string {
-	return fmt.Sprintf("%.1f", perf.Cycles(d)/1000)
+func kcyc(ns int64) string {
+	return fmt.Sprintf("%.1f", perf.Cycles(time.Duration(ns))/1000)
 }
 
 // sortedKeys returns m's keys sorted for stable text output.
@@ -65,7 +59,12 @@ func (s Snapshot) Text() string {
 	counters.AddRow("bytes_out", fmt.Sprint(s.IO.BytesOut))
 	counters.AddRow("alerts_received", fmt.Sprint(s.IO.AlertsReceived))
 	counters.AddRow("alerts_sent", fmt.Sprint(s.IO.AlertsSent))
-	counters.AddRow("events_recorded", fmt.Sprint(s.EventsRecorded))
+	counters.AddRow("records_retained", fmt.Sprint(s.Observatory.RecordsRetained))
+	counters.AddRow("records_evicted", fmt.Sprint(s.Observatory.RecordsEvicted))
+	counters.AddRow("detail_sampled_out", fmt.Sprint(s.Observatory.DetailSampledOut))
+	counters.AddRow("detail_rate_limited", fmt.Sprint(s.Observatory.DetailRateLimited))
+	counters.AddRow("detail_truncated", fmt.Sprint(s.Observatory.DetailTruncated))
+	counters.AddRow("close_log_suppressed", fmt.Sprint(s.Observatory.CloseLogSuppressed))
 	sb.WriteString(counters.String())
 	sb.WriteByte('\n')
 
@@ -95,7 +94,7 @@ func (s Snapshot) Text() string {
 		share := perf.NewBreakdown()
 		for _, st := range s.Steps {
 			histRow(steps, st.Name, st.Latency)
-			share.Add(st.Name, st.Latency.Sum)
+			share.Add(st.Name, time.Duration(st.Latency.Sum))
 		}
 		sb.WriteString(steps.String())
 		sb.WriteByte('\n')

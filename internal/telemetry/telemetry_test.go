@@ -10,39 +10,28 @@ import (
 	"sslperf/internal/probe"
 )
 
-// The events a connection puts on the spine, as these tests emit them.
-func hsStart(conn uint64) probe.Event {
-	return probe.Event{Kind: probe.KindHandshakeStart, Conn: conn, Fn: "server"}
+// The folds a connection's record makes, as these tests make them.
+func hsDone(suite string, version uint16, resumed bool, d time.Duration, steps ...StepTiming) *Handshake {
+	return &Handshake{Suite: suite, Version: version, Resumed: resumed, Dur: d, Steps: steps}
 }
 
-func hsDone(suite string, version uint16, resumed bool, d time.Duration) probe.Event {
-	return probe.Event{Kind: probe.KindHandshakeDone, Fn: suite, Version: version, Resumed: resumed, Dur: d}
+func hsFail(tag string, steps ...StepTiming) *Handshake {
+	return &Handshake{Failed: true, FailTag: tag, Steps: steps}
 }
 
-func hsFail(tag string) probe.Event {
-	return probe.Event{Kind: probe.KindHandshakeFail, Fn: tag}
-}
-
-func stepExit(st probe.Step, d time.Duration) probe.Event {
-	return probe.Event{Kind: probe.KindStepExit, Step: st, Dur: d}
-}
-
-func recordIO(written, alert bool, n int) probe.Event {
-	return probe.Event{Kind: probe.KindRecordIO, Written: written, Alert: alert, Bytes: n}
+func step(st probe.Step, d time.Duration) StepTiming {
+	return StepTiming{Step: st, Dur: d}
 }
 
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
-	if r.Observe() != nil {
-		t.Fatal("nil registry offered a sink")
-	}
-	if rec := r.Recorder(); rec != nil {
-		t.Fatalf("nil Recorder = %v, want nil", rec)
-	}
-	var fr *FlightRecorder
-	fr.Record(Event{})
-	if fr.Len() != 0 || fr.Total() != 0 || fr.Events() != nil {
-		t.Fatal("nil FlightRecorder should be empty")
+	r.FoldHandshake(hsDone("RC4-MD5", 0x0300, false, time.Millisecond))
+	r.FoldClose(IOCounts{BytesIn: 1})
+	r.ObserveEngine("batch_size", false, 4)
+	r.SetLive(nil)
+	r.Reset()
+	if c := r.Counts(); c != (Counts{}) {
+		t.Fatalf("nil Counts = %+v, want zero", c)
 	}
 	if s := r.Snapshot(); s.Connections != 0 {
 		t.Fatal("nil Snapshot should be zero")
@@ -51,16 +40,12 @@ func TestNilRegistryIsSafe(t *testing.T) {
 
 func TestRegistryCounts(t *testing.T) {
 	r := NewRegistry()
-	r.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: 1})
-	r.Emit(hsDone("DES-CBC3-SHA", 0x0300, false, 2*time.Millisecond))
-	r.Emit(hsDone("DES-CBC3-SHA", 0x0301, true, 100*time.Microsecond))
-	r.Emit(hsFail("handshake_failure"))
-	r.Emit(hsFail(""))
-	r.Emit(stepExit(probe.StepInit, 5*time.Microsecond))
-	r.Emit(stepExit(probe.StepGetClientHello, 40*time.Microsecond))
-	r.Emit(recordIO(false, false, 1000))
-	r.Emit(recordIO(true, false, 2000))
-	r.Emit(recordIO(true, true, 2))
+	r.FoldHandshake(hsDone("DES-CBC3-SHA", 0x0300, false, 2*time.Millisecond,
+		step(probe.StepInit, 5*time.Microsecond), step(probe.StepGetClientHello, 40*time.Microsecond)))
+	r.FoldHandshake(hsDone("DES-CBC3-SHA", 0x0301, true, 100*time.Microsecond))
+	r.FoldHandshake(hsFail("handshake_failure"))
+	r.FoldHandshake(hsFail(""))
+	r.FoldClose(IOCounts{RecordsIn: 1, BytesIn: 1000, RecordsOut: 2, BytesOut: 2002, AlertsSent: 1})
 
 	s := r.Snapshot()
 	if s.Connections != 1 {
@@ -87,35 +72,84 @@ func TestRegistryCounts(t *testing.T) {
 	if s.FullLatency.Count != 1 || s.ResumedLatency.Count != 1 {
 		t.Fatalf("latency counts = %d/%d", s.FullLatency.Count, s.ResumedLatency.Count)
 	}
+	if c := r.Counts(); c.HandshakesFull != 1 || c.BytesOut != 2002 || c.Connections != 1 {
+		t.Fatalf("Counts() = %+v disagrees with the snapshot", c)
+	}
+}
+
+// fakeLive stands in for the conn table: one open connection with
+// running totals, and a lock that records it was held across the read.
+type fakeLive struct {
+	sync.Mutex
+	held bool
+}
+
+func (l *fakeLive) LiveCounts() Counts {
+	if l.held = !l.TryLock(); !l.held {
+		l.Unlock()
+	}
+	return Counts{Connections: 1, IOCounts: IOCounts{BytesOut: 500}}
+}
+
+func (l *fakeLive) Observatory() ObservatoryStats {
+	return ObservatoryStats{RecordsRetained: 3, DetailSampledOut: 7}
+}
+
+// TestLiveTotalsAddedAtReadTime pins the live-read rule: Counts and
+// Snapshot report folded plus open connections, read under the table's
+// fold exclusion, and /metrics carries the observatory's own stats.
+func TestLiveTotalsAddedAtReadTime(t *testing.T) {
+	r := NewRegistry()
+	live := &fakeLive{}
+	r.SetLive(live)
+	r.FoldClose(IOCounts{BytesOut: 100})
+	c := r.Counts()
+	if c.Connections != 2 || c.BytesOut != 600 {
+		t.Fatalf("Counts() = %+v, want 2 connections / 600 bytes out (folded + live)", c)
+	}
+	if !live.held {
+		t.Fatal("live totals were read outside the fold exclusion")
+	}
+	s := r.Snapshot()
+	if s.IO.BytesOut != 600 || s.Observatory.RecordsRetained != 3 || s.Observatory.DetailSampledOut != 7 {
+		t.Fatalf("snapshot io=%+v observatory=%+v", s.IO, s.Observatory)
+	}
+	if !strings.Contains(s.Text(), "detail_sampled_out") {
+		t.Fatal("text rendering misses the observatory rows")
+	}
 }
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	var h Histogram
 	// 100 samples of 1ms, 10 of 10ms, 1 of 100ms.
 	for i := 0; i < 100; i++ {
-		h.Observe(time.Millisecond)
+		h.Observe(int64(time.Millisecond))
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(10 * time.Millisecond)
+		h.Observe(int64(10 * time.Millisecond))
 	}
-	h.Observe(100 * time.Millisecond)
+	h.Observe(int64(100 * time.Millisecond))
 	s := h.Snapshot()
 	if s.Count != 111 {
 		t.Fatalf("count = %d", s.Count)
 	}
-	if s.Max != 100*time.Millisecond {
+	if s.Max != int64(100*time.Millisecond) {
 		t.Fatalf("max = %v", s.Max)
 	}
-	// p50 falls in the 1ms bucket: upper bound exactly 1024µs.
-	if s.P50 > 2*time.Millisecond {
-		t.Fatalf("p50 = %v, want ~1ms bucket bound", s.P50)
+	within := func(name string, got int64, want time.Duration) {
+		t.Helper()
+		if err := float64(got)/float64(want) - 1; err > 0.125 || err < -0.125 {
+			t.Fatalf("%s = %v, want %v within an eighth", name, time.Duration(got), want)
+		}
 	}
-	// p99 must reach the 10ms population.
-	if s.P99 < 8*time.Millisecond || s.P99 > 32*time.Millisecond {
-		t.Fatalf("p99 = %v, want ~16ms bucket bound", s.P99)
-	}
-	if s.Mean < time.Millisecond || s.Mean > 5*time.Millisecond {
+	within("p50", s.P50, time.Millisecond)
+	within("p90", s.P90, time.Millisecond)
+	within("p99", s.P99, 10*time.Millisecond)
+	if s.Mean < float64(time.Millisecond) || s.Mean > float64(5*time.Millisecond) {
 		t.Fatalf("mean = %v", s.Mean)
+	}
+	if len(s.Buckets) != 3 {
+		t.Fatalf("buckets = %+v, want the three populated ones", s.Buckets)
 	}
 	// Empty histogram stays zero.
 	var empty Histogram
@@ -127,55 +161,38 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 
 func TestBucketForBoundaries(t *testing.T) {
 	cases := []struct {
-		d    time.Duration
+		v    int64
 		want int
 	}{
-		{0, 0},
-		{500 * time.Nanosecond, 0},
-		{time.Microsecond, 0},
-		{2 * time.Microsecond, 1},
-		{3 * time.Microsecond, 2},
-		{4 * time.Microsecond, 2},
-		{5 * time.Microsecond, 3},
-		{time.Hour, numBuckets - 1},
+		{-5, 0}, {0, 0}, {1, 1}, {3, 3},
+		{4, 4}, {5, 5}, {7, 7}, // octave 2: one value per bucket
+		{8, 8}, {9, 8}, {10, 9}, {15, 11}, // octave 3: two values per bucket
+		{16, 12}, {19, 12}, {20, 13},
+		{1 << histMaxExp, histBuckets - 1},
+		{1<<histMaxExp - 1, histBuckets - 2},
+		{1 << 62, histBuckets - 1},
 	}
 	for _, c := range cases {
-		if got := bucketFor(c.d); got != c.want {
-			t.Errorf("bucketFor(%v) = %d, want %d", c.d, got, c.want)
+		if got := bucketFor(c.v); got != c.want {
+			t.Errorf("bucketFor(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
-}
-
-func TestFlightRecorderRingEviction(t *testing.T) {
-	fr := NewFlightRecorder(4)
-	for i := 0; i < 10; i++ {
-		fr.Record(Event{Conn: uint64(i % 2), Kind: EventStepStart, Name: "s"})
-	}
-	if fr.Total() != 10 || fr.Len() != 4 {
-		t.Fatalf("total=%d len=%d", fr.Total(), fr.Len())
-	}
-	evs := fr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(6+i) {
-			t.Fatalf("event %d seq = %d, want %d (oldest-first)", i, ev.Seq, 6+i)
+	// Every bucket's range maps back onto it and the ranges tile.
+	next := int64(0)
+	for i := 0; i < histBuckets-1; i++ {
+		lo, hi := bucketRange(i)
+		if lo != next || bucketFor(lo) != i || bucketFor(hi) != i {
+			t.Fatalf("bucket %d = [%d, %d], want it to start at %d and map back", i, lo, hi, next)
 		}
-	}
-	conn0 := fr.ConnEvents(0)
-	for _, ev := range conn0 {
-		if ev.Conn != 0 {
-			t.Fatalf("conn filter leaked conn %d", ev.Conn)
+		if lo >= histSub && 4*(hi-lo+1) > lo {
+			t.Fatalf("bucket %d = [%d, %d] is wider than a quarter of its lower bound", i, lo, hi)
 		}
-	}
-	if len(conn0) != 2 {
-		t.Fatalf("conn0 events = %d, want 2", len(conn0))
+		next = hi + 1
 	}
 }
 
 func TestConcurrentEmission(t *testing.T) {
-	r := NewRegistrySize(128)
+	r := NewRegistry()
 	const workers = 8
 	const per = 200
 	var wg sync.WaitGroup
@@ -184,17 +201,14 @@ func TestConcurrentEmission(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Emit(probe.Event{Kind: probe.KindConnOpen})
-				r.Emit(hsStart(0))
-				r.Emit(stepExit(probe.StepInit, time.Microsecond))
-				r.Emit(stepExit(probe.StepGetClientHello, 2*time.Microsecond))
-				r.Emit(recordIO(false, false, 64))
-				r.Emit(recordIO(true, i%10 == 0, 128))
+				steps := []StepTiming{step(probe.StepInit, time.Microsecond), step(probe.StepGetClientHello, 2*time.Microsecond)}
 				if i%5 == 0 {
-					r.Emit(hsFail("bad_record_mac"))
+					r.FoldHandshake(hsFail("bad_record_mac", steps...))
 				} else {
-					r.Emit(hsDone("RC4-MD5", 0x0300, i%2 == 0, time.Duration(i)*time.Microsecond))
+					r.FoldHandshake(hsDone("RC4-MD5", 0x0300, i%2 == 0, time.Duration(i)*time.Microsecond, steps...))
 				}
+				r.ObserveEngine("queue_depth", false, int64(i))
+				r.FoldClose(IOCounts{RecordsIn: 1, BytesIn: 64, RecordsOut: 1, BytesOut: 128})
 				_ = r.Snapshot() // readers race with writers
 			}
 		}()
@@ -211,24 +225,21 @@ func TestConcurrentEmission(t *testing.T) {
 	if s.IO.RecordsIn != uint64(total) || s.IO.RecordsOut != uint64(total) {
 		t.Fatalf("records = %+v", s.IO)
 	}
-	// Per connection: the start, two step ends and the outcome, plus
-	// an alert on every tenth.
-	if s.EventsRecorded != uint64(4*total+total/10) || s.EventsRetained != 128 {
-		t.Fatalf("events recorded=%d retained=%d", s.EventsRecorded, s.EventsRetained)
-	}
 	if s.Steps[0].Latency.Count != uint64(total) {
 		t.Fatalf("step count = %d", s.Steps[0].Latency.Count)
+	}
+	if len(s.Values) != 1 || s.Values[0].Values.Count != uint64(total) {
+		t.Fatalf("engine values = %+v", s.Values)
 	}
 }
 
 func TestSnapshotRenderers(t *testing.T) {
 	r := NewRegistry()
-	r.Emit(hsDone("DES-CBC3-SHA", 0x0300, false, time.Millisecond))
-	r.Emit(stepExit(probe.StepInit, 10*time.Microsecond))
-	r.Emit(stepExit(probe.StepSendFinished, 30*time.Microsecond))
+	r.FoldHandshake(hsDone("DES-CBC3-SHA", 0x0300, false, time.Millisecond,
+		step(probe.StepInit, 10*time.Microsecond), step(probe.StepSendFinished, 30*time.Microsecond)))
 	s := r.Snapshot()
 
-	b, err := s.JSON()
+	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}

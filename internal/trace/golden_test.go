@@ -1,8 +1,10 @@
 package trace_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,8 +14,13 @@ import (
 
 	"sslperf/internal/baseline"
 	"sslperf/internal/handshake"
+	"sslperf/internal/lifecycle"
+	"sslperf/internal/pathlen"
 	"sslperf/internal/perf"
 	"sslperf/internal/probe"
+	"sslperf/internal/slo"
+	"sslperf/internal/ssl"
+	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
 )
 
@@ -60,9 +67,9 @@ func stepDur(name string) time.Duration {
 // TestGoldenStepNamesAcrossSurfaces replays one recorded handshake's
 // probe events into every consumer of the canonical step enum and
 // asserts the three observability surfaces — the /debug/anatomy JSON,
-// the Chrome trace export, and the offline anatomy fold the baseline
-// shape checks read — render byte-identical step names and per-step
-// totals, all matching testdata/steps.golden.
+// the Chrome trace export of the connections' records, and the offline
+// anatomy fold the baseline shape checks read — render byte-identical
+// step names and per-step totals, all matching testdata/steps.golden.
 func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	raw, err := os.ReadFile("testdata/steps.golden")
 	if err != nil {
@@ -96,14 +103,17 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	}
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	exp := baseline.PaperExpectation()
+	table := lifecycle.NewTable(lifecycle.Options{Tracer: tracer, Ring: int(exp.MinHandshakes)})
+	start, end := events[0].At, events[len(events)-1].At
 	for conn := uint64(1); conn <= exp.MinHandshakes; conn++ {
-		ct := tracer.ConnBegin()
-		ct.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: conn, Fn: "server"})
-		ct.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server"})
+		sink := table.Observe()
+		sink.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: conn, Fn: "server", At: start})
+		sink.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: start})
 		for _, e := range events {
-			ct.Emit(e)
+			sink.Emit(e)
 		}
-		ct.Finish("ok")
+		sink.Emit(probe.Event{Kind: probe.KindHandshakeDone, Fn: "RC4-MD5", Version: 0x0300, At: end, Dur: end.Sub(start)})
+		sink.Emit(probe.Event{Kind: probe.KindConnClose, At: end})
 	}
 
 	// Surface 1: the offline anatomy (what ssl.Conn.Anatomy returns).
@@ -117,7 +127,8 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 
 	// Surface 2: the /debug/anatomy JSON (the live profiler fold).
 	mux := http.NewServeMux()
-	trace.Register(mux, tracer)
+	trace.Register(mux, tracer.Profiler())
+	lifecycle.Register(mux, table)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/anatomy")
@@ -191,5 +202,186 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	rep := baseline.CheckAnatomy(tracer.Profiler().Snapshot(), exp)
 	if rep.Status != baseline.StatusOK {
 		t.Fatalf("health check on golden handshake = %s: %+v", rep.Status, rep.Checks)
+	}
+}
+
+// TestOneRecordAllSurfaces runs one real seeded full handshake and a
+// 1 KiB exchange with every observer on and checks that everything
+// that shows the connection is a rendering of the one record: the
+// /debug/conns row, the flight-recorder text, the Chrome export and the
+// close-log line carry the same connection ID, step names, step
+// durations and byte totals; and the two aggregates the handshake
+// folded into agree — /debug/anatomy's per-step time is /metrics'
+// per-step histogram sum.
+func TestOneRecordAllSurfaces(t *testing.T) {
+	id, err := ssl.NewIdentity(ssl.NewPRNG(5), 512, "golden", time.Unix(1_700_000_000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closeLog bytes.Buffer
+	reg := telemetry.NewRegistry()
+	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
+	table := lifecycle.NewTable(lifecycle.Options{
+		Registry: reg, Tracer: tracer, Pathlen: pathlen.NewCollector(),
+		SLO: slo.New(slo.Config{}), CloseLog: lifecycle.NewCloseLog(&closeLog, 1), Ring: 4,
+	})
+	mux := http.NewServeMux()
+	telemetry.Register(mux, reg)
+	trace.Register(mux, tracer.Profiler())
+	lifecycle.Register(mux, table)
+	get := func(url string, v any) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != 200 {
+			t.Fatalf("GET %s: %d", url, rec.Code)
+		}
+		if v != nil {
+			if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+				t.Fatalf("GET %s: %v", url, err)
+			}
+		}
+		return rec.Body.String()
+	}
+
+	ct, st := ssl.Pipe()
+	server := ssl.ServerConn(st, &ssl.Config{
+		Rand: ssl.NewPRNG(6), Key: id.Key, CertDER: id.CertDER,
+		Observers: []probe.Observer{table},
+	})
+	client := ssl.ClientConn(ct, &ssl.Config{Rand: ssl.NewPRNG(7), InsecureSkipVerify: true})
+	errc := make(chan error, 1)
+	go func() {
+		err := server.Handshake()
+		if err == nil {
+			if _, err = server.Read(make([]byte, 16)); err == nil {
+				_, err = server.Write(make([]byte, 1024))
+			}
+		}
+		errc <- err
+	}()
+	if err := client.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Write([]byte("GET /\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(client, make([]byte, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	// While the connection lives its row and its flight-recorder
+	// record are one snapshot of one entry.
+	var conns lifecycle.Snapshot
+	get("/debug/conns", &conns)
+	if len(conns.Conns) != 1 {
+		t.Fatalf("/debug/conns has %d rows, want 1", len(conns.Conns))
+	}
+	row := conns.Conns[0]
+	var live []lifecycle.Record
+	get(fmt.Sprintf("/debug/flightrecorder?conn=%d", row.ID), &live)
+	if len(live) != 1 || live[0].BytesOut != row.BytesOut || live[0].BytesIn != row.BytesIn ||
+		fmt.Sprint(live[0].Steps) != fmt.Sprint(row.Steps) {
+		t.Fatalf("live record %+v disagrees with its /debug/conns row %+v", live, row)
+	}
+	if row.BytesOut < 1024 || row.State != "established" || len(row.Steps) != 10 {
+		t.Fatalf("row = %+v, want an established full handshake that wrote 1 KiB", row)
+	}
+	client.Close()
+	server.Close()
+
+	// The closed record: JSON, text, Chrome and close-log.
+	var closed []lifecycle.Record
+	get(fmt.Sprintf("/debug/flightrecorder?conn=%d", row.ID), &closed)
+	if len(closed) != 1 || closed[0].State != "closed" {
+		t.Fatalf("closed record = %+v", closed)
+	}
+	rec := closed[0]
+	if fmt.Sprint(rec.Steps) != fmt.Sprint(row.Steps) || rec.HandshakeUs != row.HandshakeUs {
+		t.Fatalf("closing changed the handshake: %+v vs %+v", rec, row)
+	}
+	text := get(fmt.Sprintf("/debug/flightrecorder?format=text&conn=%d", row.ID), nil)
+	if want := fmt.Sprintf("conn %d server", rec.ID); !strings.HasPrefix(text, want) {
+		t.Fatalf("flight-recorder text starts %q, want %q", text[:40], want)
+	}
+	if want := fmt.Sprintf("in=%dB/%drec out=%dB/%drec", rec.BytesIn, rec.RecordsIn, rec.BytesOut, rec.RecordsOut); !strings.Contains(text, want) {
+		t.Fatalf("flight-recorder text misses %q:\n%s", want, text)
+	}
+	var line struct {
+		Conn     uint64               `json:"conn"`
+		BytesIn  uint64               `json:"bytes_in"`
+		BytesOut uint64               `json:"bytes_out"`
+		Steps    []lifecycle.StepLine `json:"steps"`
+	}
+	if err := json.Unmarshal(closeLog.Bytes(), &line); err != nil {
+		t.Fatalf("close-log line: %v\n%s", err, closeLog.String())
+	}
+	if line.Conn != rec.ID || line.BytesIn != rec.BytesIn || line.BytesOut != rec.BytesOut ||
+		fmt.Sprint(line.Steps) != fmt.Sprint(rec.Steps) {
+		t.Fatalf("close-log line %+v disagrees with the record %+v", line, rec)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
+			TID  uint64  `json:"tid"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	get("/debug/trace", &doc)
+	var chrome []lifecycle.StepLine
+	var sawCrypto, sawIO bool
+	for _, ev := range doc.TraceEvents {
+		if ev.TID != rec.ID {
+			continue
+		}
+		switch ev.Cat {
+		case trace.CatStep:
+			chrome = append(chrome, lifecycle.StepLine{Step: ev.Name, Us: ev.Dur})
+		case trace.CatCrypto:
+			sawCrypto = true
+		case trace.CatIO:
+			sawIO = true
+		}
+	}
+	if !sawCrypto || !sawIO {
+		t.Fatalf("chrome export misses detail: crypto=%v io=%v", sawCrypto, sawIO)
+	}
+	if len(chrome) != len(rec.Steps) {
+		t.Fatalf("chrome export has %d step spans, record %d", len(chrome), len(rec.Steps))
+	}
+	for i, st := range rec.Steps {
+		if chrome[i].Step != st.Step || chrome[i].Us != st.Us {
+			t.Fatalf("chrome step %d = %+v, record %+v", i, chrome[i], st)
+		}
+		if want := fmt.Sprintf("step %s %.1fus", st.Step, st.Us); !strings.Contains(text, want) {
+			t.Fatalf("flight-recorder text misses %q:\n%s", want, text)
+		}
+	}
+
+	// The handshake folded once into each aggregate, from the same
+	// timeline: the live Table 2 and the registry's per-step histograms
+	// hold the same time, and it is the record's.
+	anatomy := tracer.Profiler().Snapshot()
+	metrics := reg.Snapshot()
+	if len(anatomy.Steps) != len(rec.Steps) || len(metrics.Steps) != len(rec.Steps) {
+		t.Fatalf("anatomy has %d steps, /metrics %d, the record %d", len(anatomy.Steps), len(metrics.Steps), len(rec.Steps))
+	}
+	for i, st := range rec.Steps {
+		a, m := anatomy.Steps[i], metrics.Steps[i]
+		if a.Name != st.Step || m.Name != st.Step {
+			t.Fatalf("step %d: anatomy %q, /metrics %q, record %q", i, a.Name, m.Name, st.Step)
+		}
+		sum := time.Duration(m.Latency.Sum)
+		if a.Count != 1 || m.Latency.Count != 1 || a.MeanKcyc != perf.Cycles(sum)/1000 || float64(sum)/1e3 != st.Us {
+			t.Fatalf("step %s: anatomy %v kcycles ×%d, /metrics sum %v ×%d, record %vus",
+				st.Step, a.MeanKcyc, a.Count, sum, m.Latency.Count, st.Us)
+		}
+	}
+	if c := reg.Counts(); c.BytesOut != rec.BytesOut || c.BytesIn != rec.BytesIn || c.Connections != 1 {
+		t.Fatalf("registry folded %+v, record moved %d in / %d out", c, rec.BytesIn, rec.BytesOut)
 	}
 }

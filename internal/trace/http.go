@@ -1,78 +1,20 @@
 package trace
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"sslperf/internal/debughttp"
 )
 
-// Register mounts the tracing endpoints on mux:
+// Register mounts the live anatomy on mux:
 //
-//	/debug/trace          Chrome trace-event JSON of the retained
-//	                      sampled traces plus engine spans — load it
-//	                      in chrome://tracing or
-//	                      https://ui.perfetto.dev
-//	                      (?format=raw for the raw span structures)
-//	/debug/anatomy        the continuous Tables 2/3 folded from
-//	                      sampled traffic: per-step cycles, crypto
-//	                      attribution, and p50/p95/p99 step latency
-//	                      (JSON; ?format=text for aligned tables)
-//	/debug/anatomy/reset  POST-only: zero the anatomy profiler so the
-//	                      next snapshot covers only traffic from the
-//	                      reset on — the hook load runs use to scope a
-//	                      drift window to themselves
-func Register(mux *http.ServeMux, t *Tracer) {
-	RegisterWithReset(mux, t, nil)
-}
-
-// RegisterWithReset is Register with an extra hook run by
-// /debug/anatomy/reset after the profiler is zeroed — the server
-// passes its telemetry registry's Reset so one POST scopes both the
-// live anatomy and the metric counters to the window that follows.
-func RegisterWithReset(mux *http.ServeMux, t *Tracer, onReset func()) {
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
-		// Both renderings are JSON; ?format=raw selects the span
-		// structures over the Chrome trace events.
-		if req.URL.Query().Get("format") == "raw" {
-			b, err := json.MarshalIndent(struct {
-				Stats  Stats        `json:"stats"`
-				Traces []*TraceData `json:"traces"`
-				Engine []*Span      `json:"engine_spans"`
-			}{t.Stats(), t.Traces(), t.EngineSpans()}, "", " ")
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			debughttp.WriteJSON(w, b)
-			return
-		}
-		b, err := t.Chrome()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		debughttp.WriteJSON(w, b)
-	})
+//	/debug/anatomy  the continuous Tables 2/3 folded from sampled
+//	                traffic: per-step cycles, crypto attribution, and
+//	                p50/p95/p99 step latency (JSON; ?format=text for
+//	                aligned tables)
+func Register(mux *http.ServeMux, p *Profiler) {
 	mux.HandleFunc("/debug/anatomy", func(w http.ResponseWriter, req *http.Request) {
-		snap := t.Profiler().Snapshot()
-		debughttp.Serve(w, req, snap.Text, snap.JSON)
+		snap := p.Snapshot()
+		debughttp.Serve(w, req, snap.Text, snap)
 	})
-	mux.HandleFunc("/debug/anatomy/reset", func(w http.ResponseWriter, req *http.Request) {
-		if !debughttp.PostOnly(w, req) {
-			return
-		}
-		t.Profiler().Reset()
-		if onReset != nil {
-			onReset()
-		}
-		debughttp.WriteText(w, "reset\n")
-	})
-}
-
-// Handler returns a mux serving only the tracing endpoints.
-func Handler(t *Tracer) http.Handler {
-	mux := http.NewServeMux()
-	Register(mux, t)
-	return mux
 }

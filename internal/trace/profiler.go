@@ -1,122 +1,49 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"math/bits"
 	"strings"
 	"sync"
 	"time"
 
-	"sslperf/internal/handshake"
 	"sslperf/internal/perf"
+	"sslperf/internal/probe"
+	"sslperf/internal/telemetry"
 )
 
-// latBuckets covers step latencies from <1µs to ~8.4s in power-of-two
-// microsecond buckets plus one overflow bucket — the same geometry as
-// telemetry's histograms, but plain counters: the profiler folds under
-// one short mutex, so atomics would buy nothing.
-const latBuckets = 25
-
-func latBucketFor(d time.Duration) int {
-	us := d.Microseconds()
-	if us < 1 {
-		return 0
-	}
-	i := bits.Len64(uint64(us))
-	if us&(us-1) == 0 {
-		i--
-	}
-	if i >= latBuckets {
-		i = latBuckets - 1
-	}
-	return i
-}
-
-func latBucketBound(i int) time.Duration {
-	if i >= latBuckets-1 {
-		return 0 // unbounded
-	}
-	return time.Microsecond << uint(i)
-}
-
-// latHist is a single-owner latency histogram with quantile readout.
-type latHist struct {
-	counts [latBuckets]uint64
-	count  uint64
-	sum    time.Duration
-	max    time.Duration
-}
-
-func (h *latHist) observe(d time.Duration) {
-	h.counts[latBucketFor(d)]++
-	h.count++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// quantile reports q as the upper bound of the containing bucket; the
-// overflow bucket reports the observed max.
-func (h *latHist) quantile(q float64) time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.count))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			if b := latBucketBound(i); b != 0 {
-				return b
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
-
-// stepStat accumulates one handshake step across sampled traces.
-type stepStat struct {
-	hist latHist
-}
-
-// cryptoStat accumulates one crypto function across sampled traces.
+// cryptoStat accumulates one crypto function across sampled
+// connections.
 type cryptoStat struct {
 	count uint64
 	total time.Duration
 }
 
-// A Profiler folds sampled traces online into live paper-equivalents:
-// per-step cycle shares and latency quantiles (Table 2) and crypto
-// attribution by function and category (Table 3). Folding happens at
-// trace completion, so a snapshot is O(steps), never O(traces).
+// A Profiler folds sampled connections online into live
+// paper-equivalents: per-step cycle shares and latency quantiles
+// (Table 2) and crypto attribution by function and category (Table 3).
+// Folding happens once per connection, when its handshake ends, so a
+// snapshot is O(steps), never O(connections).
 type Profiler struct {
 	mu         sync.Mutex
 	traces     uint64
-	handshakes uint64 // traces that carried step spans
-	stepOrder  []string
-	steps      map[string]*stepStat
+	handshakes uint64                        // folds that carried steps
+	steps      [numSteps]telemetry.Histogram // step latency (ns), by probe.Step
 	fnOrder    []string
 	fns        map[string]*cryptoStat
-	stepTotal  time.Duration // summed step time across folded traces
+	stepTotal  time.Duration // summed step time across folds
 }
+
+// numSteps covers every probe.Step including StepNone.
+const numSteps = int(probe.StepServerFlush) + 1
 
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{
-		steps: make(map[string]*stepStat),
-		fns:   make(map[string]*cryptoStat),
-	}
+	return &Profiler{fns: make(map[string]*cryptoStat)}
 }
 
 // Reset drops everything the profiler has folded so far, so a drift
 // window (e.g. one load-generator run) can be measured from a clean
-// slate instead of the process lifetime. Traces finishing concurrently
+// slate instead of the process lifetime. Handshakes ending concurrently
 // fold entirely before or entirely after the cut.
 func (p *Profiler) Reset() {
 	if p == nil {
@@ -125,61 +52,59 @@ func (p *Profiler) Reset() {
 	p.mu.Lock()
 	p.traces = 0
 	p.handshakes = 0
-	p.stepOrder = nil
-	p.steps = make(map[string]*stepStat)
+	for i := range p.steps {
+		p.steps[i].Reset()
+	}
 	p.fnOrder = nil
 	p.fns = make(map[string]*cryptoStat)
 	p.stepTotal = 0
 	p.mu.Unlock()
 }
 
-// fold merges one completed trace. Step spans feed the per-step
-// histograms; crypto and record spans feed the function attribution.
-func (p *Profiler) fold(td *TraceData) {
+// Fold merges one sampled connection's finished handshake: its steps
+// feed the per-step histograms, its crypto calls (in-step record work
+// included, under its Table 2 row name) the function attribution. A
+// client's handshake has no steps and counts as a trace only.
+func (p *Profiler) Fold(h *telemetry.Handshake) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.traces++
-	sawStep := false
-	for i := range td.Spans {
-		sp := &td.Spans[i]
-		switch sp.Category {
-		case CatStep:
-			sawStep = true
-			st := p.steps[sp.Name]
-			if st == nil {
-				st = &stepStat{}
-				p.steps[sp.Name] = st
-				p.stepOrder = append(p.stepOrder, sp.Name)
-			}
-			st.hist.observe(sp.Duration)
-			p.stepTotal += sp.Duration
-		case CatCrypto:
-			cs := p.fns[sp.Name]
-			if cs == nil {
-				cs = &cryptoStat{}
-				p.fns[sp.Name] = cs
-				p.fnOrder = append(p.fnOrder, sp.Name)
-			}
-			cs.count++
-			cs.total += sp.Duration
+	if len(h.Steps) > 0 {
+		p.handshakes++
+	}
+	for _, st := range h.Steps {
+		if int(st.Step) < numSteps {
+			p.steps[st.Step].Observe(int64(st.Dur))
+			p.stepTotal += st.Dur
 		}
 	}
-	if sawStep {
-		p.handshakes++
+	for i := range h.Calls {
+		call := &h.Calls[i]
+		if call.Kind != CatCrypto {
+			continue
+		}
+		cs := p.fns[call.Name]
+		if cs == nil {
+			cs = &cryptoStat{}
+			p.fns[call.Name] = cs
+			p.fnOrder = append(p.fnOrder, call.Name)
+		}
+		cs.count++
+		cs.total += call.Dur
 	}
 }
 
 // SharesInto fills shares[i] with the percentage of total step time
-// currently attributed to step names[i] (0 for unseen steps), and
-// returns total crypto time as a percentage of step time — the same
-// numbers an AnatomySnapshot renders, read under one lock with no
-// allocation, for the history sampler's 1s tick. shares must be at
-// least as long as names. A nil profiler reads all zeros.
-func (p *Profiler) SharesInto(names []string, shares []float64) (cryptoSharePct float64) {
-	for i := range names {
+// currently attributed to steps[i] (0 for unseen steps), and returns
+// total crypto time as a percentage of step time — the same numbers an
+// AnatomySnapshot renders, read under one lock with no allocation, for
+// the history sampler's 1s tick. shares must be at least as long as
+// steps. A nil profiler reads all zeros.
+func (p *Profiler) SharesInto(steps []probe.Step, shares []float64) (cryptoSharePct float64) {
+	for i := range steps {
 		shares[i] = 0
 	}
 	if p == nil {
@@ -190,9 +115,9 @@ func (p *Profiler) SharesInto(names []string, shares []float64) (cryptoSharePct 
 	if p.stepTotal <= 0 {
 		return 0
 	}
-	for i, name := range names {
-		if st := p.steps[name]; st != nil {
-			shares[i] = 100 * float64(st.hist.sum) / float64(p.stepTotal)
+	for i, st := range steps {
+		if int(st) < numSteps {
+			shares[i] = 100 * float64(p.steps[st].Sum()) / float64(p.stepTotal)
 		}
 	}
 	var cryptoTotal time.Duration
@@ -253,32 +178,31 @@ func kcyc(d time.Duration) float64 { return perf.Cycles(d) / 1000 }
 // Snapshot renders the profiler's accumulated state.
 func (p *Profiler) Snapshot() AnatomySnapshot {
 	if p == nil {
-		return AnatomySnapshot{At: time.Now()}
+		return AnatomySnapshot{At: time.Now()} // lint:allow-clock
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := AnatomySnapshot{
-		At:         time.Now(),
+		At:         time.Now(), // lint:allow-clock
 		Traces:     p.traces,
 		Handshakes: p.handshakes,
 	}
-	for _, name := range p.stepOrder {
-		st := p.steps[name]
-		h := &st.hist
-		mean := time.Duration(0)
-		if h.count > 0 {
-			mean = h.sum / time.Duration(h.count)
+	// Steps come out in Table 2 order; one no handshake ran is left out.
+	for _, st := range probe.Steps() {
+		h, name := p.steps[st].Snapshot(), st.Name()
+		if h.Count == 0 {
+			continue
 		}
 		share := 0.0
 		if p.stepTotal > 0 {
-			share = 100 * float64(h.sum) / float64(p.stepTotal)
+			share = 100 * float64(h.Sum) / float64(p.stepTotal)
 		}
-		p50, p95, p99 := h.quantile(0.50), h.quantile(0.95), h.quantile(0.99)
+		p50, p95, p99 := time.Duration(h.P50), time.Duration(h.P95), time.Duration(h.P99)
 		s.Steps = append(s.Steps, AnatomyStep{
-			Name: name, Count: h.count,
-			MeanKcyc: kcyc(mean),
+			Name: name, Count: h.Count,
+			MeanKcyc: kcyc(time.Duration(h.Sum) / time.Duration(h.Count)),
 			P50Kcyc:  kcyc(p50), P95Kcyc: kcyc(p95), P99Kcyc: kcyc(p99),
-			MaxKcyc: kcyc(h.max), SharePct: share,
+			MaxKcyc: kcyc(time.Duration(h.Max)), SharePct: share,
 			P50: p50, P95: p95, P99: p99,
 		})
 	}
@@ -295,7 +219,7 @@ func (p *Profiler) Snapshot() AnatomySnapshot {
 		if p.stepTotal > 0 {
 			share = 100 * float64(cs.total) / float64(p.stepTotal)
 		}
-		cat := handshake.CategoryOf(name)
+		cat := probe.CategoryOf(name)
 		if _, ok := cats[cat]; !ok {
 			catOrder = append(catOrder, cat)
 		}
@@ -323,11 +247,6 @@ func (p *Profiler) Snapshot() AnatomySnapshot {
 		s.CryptoSharePct = 100 * float64(cryptoTotal) / float64(p.stepTotal)
 	}
 	return s
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s AnatomySnapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 // Text renders the snapshot as the live Tables 2 and 3.

@@ -5,72 +5,56 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sslperf/internal/probe"
+	"sslperf/internal/telemetry"
 )
 
-func TestLatBucketFor(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want int
-	}{
-		{0, 0},
-		{500 * time.Nanosecond, 0},
-		{time.Microsecond, 0},
-		{2 * time.Microsecond, 1},
-		{3 * time.Microsecond, 2}, // bucket i holds (2^(i-1), 2^i] µs
-		{4 * time.Microsecond, 2},
-		{time.Millisecond, 10},      // 1000µs ∈ (512, 1024]
-		{time.Second, 20},           // 1e6µs ∈ (2^19, 2^20]
-		{time.Hour, latBuckets - 1}, // overflow clamps
-	}
-	for _, c := range cases {
-		if got := latBucketFor(c.d); got != c.want {
-			t.Errorf("latBucketFor(%v) = %d, want %d", c.d, got, c.want)
-		}
-	}
-}
-
+// TestLatHistQuantiles pins the step quantiles the profiler reports:
+// they come from the observatory's one sub-octave histogram, so a
+// single sample reads back within an eighth (the log2 buckets it
+// replaced said 16µs for 10µs), the overflow bucket reports the
+// observed max, and a spread population separates p50 from p99.
 func TestLatHistQuantiles(t *testing.T) {
-	var h latHist
-	if h.quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile != 0")
+	step := func(samples ...time.Duration) AnatomyStep {
+		p := NewProfiler()
+		for _, d := range samples {
+			p.Fold(&telemetry.Handshake{Steps: []telemetry.StepTiming{{Step: probe.StepInit, Dur: d}}})
+		}
+		return p.Snapshot().Steps[0]
 	}
-	h.observe(10 * time.Microsecond)
-	// Single sample: every quantile is its bucket's upper bound (16µs).
-	for _, q := range []float64{0.01, 0.5, 0.99} {
-		if got := h.quantile(q); got != 16*time.Microsecond {
-			t.Fatalf("single-sample quantile(%v) = %v, want 16µs", q, got)
+	one := step(10 * time.Microsecond)
+	for _, q := range []time.Duration{one.P50, one.P95, one.P99} {
+		if q > 10*time.Microsecond || q < 8750*time.Nanosecond {
+			t.Fatalf("single-sample quantile = %v, want within an eighth below 10µs", q)
 		}
 	}
-	// Overflow bucket reports the observed max, not a bound.
-	var o latHist
-	o.observe(2 * time.Hour)
-	if got := o.quantile(0.5); got != 2*time.Hour {
-		t.Fatalf("overflow quantile = %v, want the max", got)
+	if over := step(2 * time.Hour); over.P50 != 2*time.Hour {
+		t.Fatalf("overflow quantile = %v, want the max", over.P50)
 	}
-	// Spread: 90 fast + 10 slow → p50 fast, p99 slow.
-	var s latHist
+	var spread []time.Duration
 	for i := 0; i < 90; i++ {
-		s.observe(5 * time.Microsecond)
+		spread = append(spread, 5*time.Microsecond)
 	}
 	for i := 0; i < 10; i++ {
-		s.observe(5 * time.Millisecond)
+		spread = append(spread, 5*time.Millisecond)
 	}
-	if got := s.quantile(0.50); got != 8*time.Microsecond {
-		t.Fatalf("p50 = %v, want 8µs bucket bound", got)
+	s := step(spread...)
+	if s.P50 < 4*time.Microsecond || s.P50 > 6*time.Microsecond {
+		t.Fatalf("p50 = %v, want ~5µs", s.P50)
 	}
-	if got := s.quantile(0.99); got < time.Millisecond {
-		t.Fatalf("p99 = %v, want in the slow band", got)
+	if s.P99 < 4*time.Millisecond {
+		t.Fatalf("p99 = %v, want in the slow band", s.P99)
 	}
 }
 
 func foldTestTrace(p *Profiler, stepDur, rsaDur time.Duration) {
-	p.fold(&TraceData{
-		ID: 1, Role: "server", Outcome: "ok",
-		Spans: []Span{
-			{ID: 1, Name: "handshake", Category: CatConn, Duration: stepDur + time.Millisecond},
-			{ID: 2, Name: "get_client_kx", Category: CatStep, Duration: stepDur},
-			{ID: 3, Name: "rsa_private_decryption", Category: CatCrypto, Parent: 2, Duration: rsaDur},
-			{ID: 4, Name: "write", Category: CatIO, Duration: time.Millisecond},
+	p.Fold(&telemetry.Handshake{
+		Dur:   stepDur + time.Millisecond,
+		Steps: []telemetry.StepTiming{{Step: probe.StepGetClientKX, Dur: stepDur}},
+		Calls: []telemetry.Call{
+			{Kind: CatCrypto, Name: probe.FnRSAPrivateDecrypt, Step: probe.StepGetClientKX, Dur: rsaDur},
+			{Kind: CatIO, Name: "write", Dur: time.Millisecond},
 		},
 	})
 }
@@ -91,7 +75,7 @@ func TestProfilerSnapshot(t *testing.T) {
 	if st.Name != "get_client_kx" || st.Count != 4 {
 		t.Fatalf("step row = %+v", st)
 	}
-	// One step is 100% of step time; conn and io spans don't count.
+	// One step is 100% of step time; io calls don't count.
 	if st.SharePct < 99.9 || st.SharePct > 100.1 {
 		t.Fatalf("share = %v, want 100", st.SharePct)
 	}
@@ -101,7 +85,7 @@ func TestProfilerSnapshot(t *testing.T) {
 	if len(snap.Crypto) != 1 || snap.Crypto[0].Name != "rsa_private_decryption" {
 		t.Fatalf("crypto rows = %+v", snap.Crypto)
 	}
-	// Categorized by handshake.CategoryOf, same as the offline Table 3.
+	// Categorized by probe.CategoryOf, same as the offline Table 3.
 	if snap.Crypto[0].Category != "public key encryption" {
 		t.Fatalf("rsa_private_decryption category = %q", snap.Crypto[0].Category)
 	}
@@ -123,7 +107,7 @@ func TestEmptySnapshotRenders(t *testing.T) {
 	if txt := snap.Text(); !strings.Contains(txt, "0 sampled traces") {
 		t.Fatalf("empty text rendering:\n%s", txt)
 	}
-	b, err := snap.JSON()
+	b, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
