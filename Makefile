@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint kernellint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint kernellint cbclint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -38,6 +38,7 @@ check:
 	$(MAKE) blocklint
 	$(MAKE) seallint
 	$(MAKE) kernellint
+	$(MAKE) cbclint
 	$(MAKE) depslint
 	$(MAKE) pathlenlint
 	$(MAKE) failclasslint
@@ -102,15 +103,35 @@ seallint:
 		fi; \
 	done
 
-# The production Montgomery kernel is what every RSA and DH operation
-# of the stack runs, from pooled scratch sized once per Mont
-# (newScratch, in mont.go): an allocation in it comes back as garbage
-# per multiplication, and a profiler hook as a branch and a clock read
-# inside the word loops. Those belong to the counting kernel beside it.
+# The production kernels are what every connection runs: the
+# Montgomery kernel under every RSA and DH operation (from pooled
+# scratch sized once per Mont — newScratch, in mont.go), the fused CBC
+# loops of aes and des under every block-cipher record, and the SHA-1
+# and MD5 block functions under every MAC and handshake hash. An
+# allocation in one comes back as garbage per multiplication or per
+# record; a profiler or probe hook, a closure or an interface-typed
+# value as a branch, a clock read or an indirect call inside the word
+# loops. Those belong to the counting kernel and the profiled forms
+# beside them (bn's mulAddWords, the */anatomy.go files).
+# (montkernel.go's two non-escaping selector closures predate the
+# closure rule and are not held to it.)
+SYMKERNELS = internal/aes/kernel.go internal/des/kernel.go internal/sha1x/block.go internal/md5x/block.go
 kernellint:
-	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go; exit 0); \
+	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go $(SYMKERNELS); \
+		grep -n 'func(\|perf\.\|probe\.\|interface' $(SYMKERNELS); exit 0); \
 	if [ -n "$$bad" ]; then \
-		echo "kernellint: allocation or profiler hook in the production Montgomery kernel:"; \
+		echo "kernellint: allocation, closure, interface or profiler hook in a production kernel:"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# cbc dispatches once per call: the chaining loop lives in the
+# cipher's EncryptCBC/DecryptCBC (kernellint's files). A single-block
+# Encrypt( or Decrypt( call in cbc's non-test code is the per-block
+# interface dispatch and the byte-wise XOR loop coming back.
+cbclint:
+	@bad=$$(grep -n '\.Encrypt(\|\.Decrypt(' internal/cbc/*.go | grep -v _test.go; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "cbclint: cbc calls a single-block cipher entry point (the fused EncryptCBC/DecryptCBC is the only dispatch):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

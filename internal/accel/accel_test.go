@@ -2,6 +2,7 @@ package accel
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"sslperf/internal/probe"
 	"sslperf/internal/sha1x"
 	"sslperf/internal/sslcrypto"
+	"sslperf/internal/testenv"
 )
 
 func TestThreeOperandISAReducesWork(t *testing.T) {
@@ -147,23 +149,26 @@ func TestEnginePipelinedThroughput(t *testing.T) {
 	// (it overlaps ~half the work; allow generous scheduling slack).
 	data := make([]byte, 16384)
 	const iters = 300
-	es := newEngine(t)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		es.EncryptFragmentSerial(data)
-	}
-	serial := time.Since(start)
-	ep := newEngine(t)
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		ep.EncryptFragmentPipelined(data)
-	}
-	piped := time.Since(start)
-	if piped > serial*3/2 {
-		t.Fatalf("pipelined (%v) much slower than serial (%v)", piped, serial)
-	}
-	t.Logf("serial %v, pipelined %v, speedup %.2fx", serial, piped,
-		float64(serial)/float64(piped))
+	testenv.Timing(t, func() error {
+		es := newEngine(t)
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			es.EncryptFragmentSerial(data)
+		}
+		serial := time.Since(start)
+		ep := newEngine(t)
+		start = time.Now()
+		for i := 0; i < iters; i++ {
+			ep.EncryptFragmentPipelined(data)
+		}
+		piped := time.Since(start)
+		if piped > serial*3/2 {
+			return fmt.Errorf("pipelined (%v) much slower than serial (%v)", piped, serial)
+		}
+		t.Logf("serial %v, pipelined %v, speedup %.2fx", serial, piped,
+			float64(serial)/float64(piped))
+		return nil
+	})
 }
 
 // TestEnginePipelinedSharedBreakdown checks the cross-goroutine

@@ -4,10 +4,14 @@
 // SubBytes, ShiftRows and MixColumns into four lookups and four XORs
 // per output word per round.
 //
-// The block operation is factored into the three parts of the paper's
-// Table 5: (1) load state + initial round-key addition, (2) the main
-// rounds, (3) the final round + store. Each part is callable on its
-// own so the anatomy harness can time them in batch.
+// The block operation exists in two forms held equal by
+// FuzzCBCKernels. The profiled form, in this file, is factored into
+// the three parts of the paper's Table 5: (1) load state + initial
+// round-key addition, (2) the main rounds, (3) the final round +
+// store; each part is callable on its own so the anatomy harness can
+// time them in batch, and nothing else calls them. The production
+// form (kernel.go) is what Encrypt, Decrypt and the fused
+// EncryptCBC/DecryptCBC run.
 package aes
 
 import (
@@ -23,12 +27,12 @@ const BlockSize = 16
 // than transcribed, since this library builds everything from scratch.
 var sbox, invSbox [256]byte
 
-// Te tables for encryption: Te0[x] packs S[x] pre-multiplied by the
-// MixColumns coefficients (02,01,01,03); Te1–Te3 are byte rotations.
-// Td tables are the decryption counterparts over the inverse S-box
-// with coefficients (0e,09,0d,0b).
-var te0, te1, te2, te3 [256]uint32
-var td0, td1, td2, td3 [256]uint32
+// Te tables for encryption: te[0][x] (Te0) packs S[x] pre-multiplied by
+// the MixColumns coefficients (02,01,01,03); Te1–Te3 are byte
+// rotations. Td tables are the decryption counterparts over the
+// inverse S-box with coefficients (0e,09,0d,0b). Each set is one array
+// so a round addresses all four off a single base register.
+var te, td [4][256]uint32
 
 // xtime multiplies by x in GF(2^8) with the AES polynomial x^8+x^4+x^3+x+1.
 func xtime(b byte) byte {
@@ -75,28 +79,28 @@ func init() {
 		s2 := xtime(s)
 		s3 := s2 ^ s
 		w := uint32(s2)<<24 | uint32(s)<<16 | uint32(s)<<8 | uint32(s3)
-		te0[i] = w
-		te1[i] = w>>8 | w<<24
-		te2[i] = w>>16 | w<<16
-		te3[i] = w>>24 | w<<8
+		te[0][i] = w
+		te[1][i] = w>>8 | w<<24
+		te[2][i] = w>>16 | w<<16
+		te[3][i] = w>>24 | w<<8
 		is := invSbox[i]
 		e := gmul(is, 0x0e)
 		n9 := gmul(is, 0x09)
 		d := gmul(is, 0x0d)
 		bb := gmul(is, 0x0b)
 		dw := uint32(e)<<24 | uint32(n9)<<16 | uint32(d)<<8 | uint32(bb)
-		td0[i] = dw
-		td1[i] = dw>>8 | dw<<24
-		td2[i] = dw>>16 | dw<<16
-		td3[i] = dw>>24 | dw<<8
+		td[0][i] = dw
+		td[1][i] = dw>>8 | dw<<24
+		td[2][i] = dw>>16 | dw<<16
+		td[3][i] = dw>>24 | dw<<8
 	}
 }
 
 // A Cipher holds the expanded key schedules for one AES key.
 type Cipher struct {
-	enc []uint32 // 4*(rounds+1) words
-	dec []uint32
-	nr  int // number of rounds: 10/12/14
+	enc, dec schedule
+	nr       int  // number of rounds: 10/12/14
+	hasDec   bool // dec has been derived
 }
 
 // New expands key (16, 24, or 32 bytes) into an AES cipher. Key
@@ -117,14 +121,14 @@ func New(key []byte) (*Cipher, error) {
 		return nil, errors.New("aes: key must be 16, 24, or 32 bytes")
 	}
 	c := &Cipher{nr: nr}
-	c.enc = expandKey(key, nr)
+	expandKey(&c.enc, key, nr)
 	return c, nil
 }
 
 // expandKey implements the FIPS 197 key schedule.
-func expandKey(key []byte, nr int) []uint32 {
+func expandKey(xk *schedule, key []byte, nr int) {
 	nk := len(key) / 4
-	w := make([]uint32, 4*(nr+1))
+	w := xk[:4*(nr+1)]
 	for i := 0; i < nk; i++ {
 		w[i] = binary.BigEndian.Uint32(key[4*i:])
 	}
@@ -141,7 +145,6 @@ func expandKey(key []byte, nr int) []uint32 {
 		}
 		w[i] = w[i-nk] ^ t
 	}
-	return w
 }
 
 func subWord(t uint32) uint32 {
@@ -149,20 +152,26 @@ func subWord(t uint32) uint32 {
 		uint32(sbox[t>>8&0xff])<<8 | uint32(sbox[t&0xff])
 }
 
-// invertKeySchedule produces the equivalent-inverse-cipher schedule:
-// reversed round order with InvMixColumns applied to the middle keys.
-func invertKeySchedule(enc []uint32, nr int) []uint32 {
-	dec := make([]uint32, len(enc))
+// needDec derives the equivalent-inverse-cipher schedule on first
+// use: reversed round order with InvMixColumns applied to the middle
+// keys. Concurrent first use from multiple goroutines is not
+// supported (record-layer cipher states are unidirectional and
+// single-goroutine).
+func (c *Cipher) needDec() {
+	if c.hasDec {
+		return
+	}
+	nr := c.nr
 	for i := 0; i <= nr; i++ {
-		copy(dec[4*i:4*i+4], enc[4*(nr-i):4*(nr-i)+4])
+		copy(c.dec[4*i:4*i+4], c.enc[4*(nr-i):4*(nr-i)+4])
 	}
 	for i := 4; i < 4*nr; i++ {
 		// InvMixColumns via the Td tables over the S-box domain.
-		w := dec[i]
-		dec[i] = td0[sbox[w>>24]] ^ td1[sbox[w>>16&0xff]] ^
-			td2[sbox[w>>8&0xff]] ^ td3[sbox[w&0xff]]
+		w := c.dec[i]
+		c.dec[i] = td[0][sbox[w>>24]] ^ td[1][sbox[w>>16&0xff]] ^
+			td[2][sbox[w>>8&0xff]] ^ td[3][sbox[w&0xff]]
 	}
-	return dec
+	c.hasDec = true
 }
 
 // Rounds returns the number of rounds (10, 12, or 14).
@@ -190,10 +199,10 @@ func (c *Cipher) encPart2(s *state) {
 	rk := 4
 	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 	for r := 1; r < c.nr; r++ {
-		t0 := te0[s0>>24] ^ te1[s1>>16&0xff] ^ te2[s2>>8&0xff] ^ te3[s3&0xff] ^ c.enc[rk]
-		t1 := te0[s1>>24] ^ te1[s2>>16&0xff] ^ te2[s3>>8&0xff] ^ te3[s0&0xff] ^ c.enc[rk+1]
-		t2 := te0[s2>>24] ^ te1[s3>>16&0xff] ^ te2[s0>>8&0xff] ^ te3[s1&0xff] ^ c.enc[rk+2]
-		t3 := te0[s3>>24] ^ te1[s0>>16&0xff] ^ te2[s1>>8&0xff] ^ te3[s2&0xff] ^ c.enc[rk+3]
+		t0 := te[0][s0>>24] ^ te[1][s1>>16&0xff] ^ te[2][s2>>8&0xff] ^ te[3][s3&0xff] ^ c.enc[rk]
+		t1 := te[0][s1>>24] ^ te[1][s2>>16&0xff] ^ te[2][s3>>8&0xff] ^ te[3][s0&0xff] ^ c.enc[rk+1]
+		t2 := te[0][s2>>24] ^ te[1][s3>>16&0xff] ^ te[2][s0>>8&0xff] ^ te[3][s1&0xff] ^ c.enc[rk+2]
+		t3 := te[0][s3>>24] ^ te[1][s0>>16&0xff] ^ te[2][s1>>8&0xff] ^ te[3][s2&0xff] ^ c.enc[rk+3]
 		s0, s1, s2, s3 = t0, t1, t2, t3
 		rk += 4
 	}
@@ -221,44 +230,17 @@ func (c *Cipher) encPart3(s *state, dst []byte) {
 
 // Encrypt encrypts one 16-byte block. dst and src may overlap.
 func (c *Cipher) Encrypt(dst, src []byte) {
-	var s state
-	c.encPart1(&s, src)
-	c.encPart2(&s)
-	c.encPart3(&s, dst)
+	s0, s1, s2, s3 := load(src)
+	s0, s1, s2, s3 = encryptWords(&c.enc, c.nr, s0, s1, s2, s3)
+	store(dst, s0, s1, s2, s3)
 }
 
 // Decrypt decrypts one 16-byte block using the equivalent inverse
 // cipher. dst and src may overlap. The first Decrypt on a Cipher
-// derives the inverse key schedule; concurrent first use from
-// multiple goroutines is not supported (record-layer cipher states
-// are unidirectional and single-goroutine).
+// derives the inverse key schedule.
 func (c *Cipher) Decrypt(dst, src []byte) {
-	if c.dec == nil {
-		c.dec = invertKeySchedule(c.enc, c.nr)
-	}
-	s0 := binary.BigEndian.Uint32(src[0:]) ^ c.dec[0]
-	s1 := binary.BigEndian.Uint32(src[4:]) ^ c.dec[1]
-	s2 := binary.BigEndian.Uint32(src[8:]) ^ c.dec[2]
-	s3 := binary.BigEndian.Uint32(src[12:]) ^ c.dec[3]
-	rk := 4
-	for r := 1; r < c.nr; r++ {
-		t0 := td0[s0>>24] ^ td1[s3>>16&0xff] ^ td2[s2>>8&0xff] ^ td3[s1&0xff] ^ c.dec[rk]
-		t1 := td0[s1>>24] ^ td1[s0>>16&0xff] ^ td2[s3>>8&0xff] ^ td3[s2&0xff] ^ c.dec[rk+1]
-		t2 := td0[s2>>24] ^ td1[s1>>16&0xff] ^ td2[s0>>8&0xff] ^ td3[s3&0xff] ^ c.dec[rk+2]
-		t3 := td0[s3>>24] ^ td1[s2>>16&0xff] ^ td2[s1>>8&0xff] ^ td3[s0&0xff] ^ c.dec[rk+3]
-		s0, s1, s2, s3 = t0, t1, t2, t3
-		rk += 4
-	}
-	t0 := uint32(invSbox[s0>>24])<<24 | uint32(invSbox[s3>>16&0xff])<<16 |
-		uint32(invSbox[s2>>8&0xff])<<8 | uint32(invSbox[s1&0xff])
-	t1 := uint32(invSbox[s1>>24])<<24 | uint32(invSbox[s0>>16&0xff])<<16 |
-		uint32(invSbox[s3>>8&0xff])<<8 | uint32(invSbox[s2&0xff])
-	t2 := uint32(invSbox[s2>>24])<<24 | uint32(invSbox[s1>>16&0xff])<<16 |
-		uint32(invSbox[s0>>8&0xff])<<8 | uint32(invSbox[s3&0xff])
-	t3 := uint32(invSbox[s3>>24])<<24 | uint32(invSbox[s2>>16&0xff])<<16 |
-		uint32(invSbox[s1>>8&0xff])<<8 | uint32(invSbox[s0&0xff])
-	binary.BigEndian.PutUint32(dst[0:], t0^c.dec[4*c.nr])
-	binary.BigEndian.PutUint32(dst[4:], t1^c.dec[4*c.nr+1])
-	binary.BigEndian.PutUint32(dst[8:], t2^c.dec[4*c.nr+2])
-	binary.BigEndian.PutUint32(dst[12:], t3^c.dec[4*c.nr+3])
+	c.needDec()
+	s0, s1, s2, s3 := load(src)
+	s0, s1, s2, s3 = decryptWords(&c.dec, c.nr, s0, s1, s2, s3)
+	store(dst, s0, s1, s2, s3)
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	stdaes "crypto/aes"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"sslperf/internal/perf"
+	"sslperf/internal/testenv"
 )
 
 func mustHex(t *testing.T, s string) []byte {
@@ -155,8 +157,7 @@ func TestSboxIsPermutationWithInverse(t *testing.T) {
 
 func TestProfileBlockPartsShape(t *testing.T) {
 	c, _ := New(make([]byte, 16))
-	b := c.ProfileBlockParts(200000)
-	names := b.Names()
+	names := c.ProfileBlockParts(1).Names()
 	want := []string{PartLoadAddKey, PartMainRounds, PartFinalRound}
 	for i := range want {
 		if names[i] != want[i] {
@@ -164,25 +165,32 @@ func TestProfileBlockPartsShape(t *testing.T) {
 		}
 	}
 	// Table 5: main rounds take ~71% (128-bit); they must dominate.
-	if pct := b.Percent(PartMainRounds); pct < 50 {
-		t.Fatalf("main rounds = %.1f%%, want dominant\n%s", pct, b)
-	}
+	testenv.Timing(t, func() error {
+		b := c.ProfileBlockParts(200000)
+		if pct := b.Percent(PartMainRounds); pct < 50 {
+			return fmt.Errorf("main rounds = %.1f%%, want dominant\n%s", pct, b)
+		}
+		return nil
+	})
 }
 
 func TestProfileBlockParts256KeyCostlier(t *testing.T) {
 	c128, _ := New(make([]byte, 16))
 	c256, _ := New(make([]byte, 32))
 	const n = 100000
-	b128 := c128.ProfileBlockParts(n)
-	b256 := c256.ProfileBlockParts(n)
-	// Larger key only grows the main rounds (paper: parts 1 and 3 fixed).
-	if b256.Elapsed(PartMainRounds) <= b128.Elapsed(PartMainRounds) {
-		t.Fatalf("256-bit main rounds (%v) not costlier than 128-bit (%v)",
-			b256.Elapsed(PartMainRounds), b128.Elapsed(PartMainRounds))
-	}
-	if b256.Percent(PartMainRounds) <= b128.Percent(PartMainRounds) {
-		t.Fatalf("256-bit main-rounds share should grow (Table 5: 71%%->78%%)")
-	}
+	testenv.Timing(t, func() error {
+		b128 := c128.ProfileBlockParts(n)
+		b256 := c256.ProfileBlockParts(n)
+		// Larger key only grows the main rounds (paper: parts 1 and 3 fixed).
+		if b256.Elapsed(PartMainRounds) <= b128.Elapsed(PartMainRounds) {
+			return fmt.Errorf("256-bit main rounds (%v) not costlier than 128-bit (%v)",
+				b256.Elapsed(PartMainRounds), b128.Elapsed(PartMainRounds))
+		}
+		if b256.Percent(PartMainRounds) <= b128.Percent(PartMainRounds) {
+			return fmt.Errorf("256-bit main-rounds share should grow (Table 5: 71%%->78%%)")
+		}
+		return nil
+	})
 }
 
 func TestCharacteristics(t *testing.T) {

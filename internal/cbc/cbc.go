@@ -8,12 +8,17 @@ package cbc
 
 import "errors"
 
-// Block is the block-cipher contract CBC chains over (the shape of
-// crypto/cipher.Block, implemented by the aes and des packages here).
+// Block is the block-cipher contract CBC chains over, implemented by
+// the aes and des packages here. The chaining loop lives with the
+// cipher — its EncryptCBC/DecryptCBC keep the chaining value in
+// registers across blocks — so this package dispatches once per call,
+// not once per block. Both process the whole blocks of src into dst
+// (which may be src) and replace iv with the chaining value the next
+// call starts from.
 type Block interface {
 	BlockSize() int
-	Encrypt(dst, src []byte)
-	Decrypt(dst, src []byte)
+	EncryptCBC(dst, src, iv []byte)
+	DecryptCBC(dst, src, iv []byte)
 }
 
 // Encrypter encrypts successive multiples of the block size in CBC
@@ -55,44 +60,19 @@ func (d *Decrypter) BlockSize() int { return d.b.BlockSize() }
 // CryptBlocks encrypts src into dst (same length, a multiple of the
 // block size). dst may be src.
 func (e *Encrypter) CryptBlocks(dst, src []byte) {
-	bs := e.b.BlockSize()
-	if len(src)%bs != 0 || len(dst) < len(src) {
-		panic("cbc: input not full blocks or output too short")
-	}
-	prev := e.iv
-	for i := 0; i < len(src); i += bs {
-		for j := 0; j < bs; j++ {
-			dst[i+j] = src[i+j] ^ prev[j]
-		}
-		e.b.Encrypt(dst[i:i+bs], dst[i:i+bs])
-		prev = dst[i : i+bs]
-	}
-	copy(e.iv, prev)
+	checkBlocks(e.b, dst, src)
+	e.b.EncryptCBC(dst, src, e.iv)
 }
 
 // CryptBlocks decrypts src into dst (same length, a multiple of the
 // block size). dst may be src.
 func (d *Decrypter) CryptBlocks(dst, src []byte) {
-	bs := d.b.BlockSize()
-	if len(src)%bs != 0 || len(dst) < len(src) {
+	checkBlocks(d.b, dst, src)
+	d.b.DecryptCBC(dst, src, d.iv)
+}
+
+func checkBlocks(b Block, dst, src []byte) {
+	if len(src)%b.BlockSize() != 0 || len(dst) < len(src) {
 		panic("cbc: input not full blocks or output too short")
 	}
-	if len(src) == 0 {
-		return
-	}
-	// Save each ciphertext block before it may be overwritten (dst
-	// may alias src), so in-place decryption chains correctly.
-	chain := d.iv
-	saved := make([]byte, bs)
-	next := make([]byte, bs)
-	for i := 0; i < len(src); i += bs {
-		copy(saved, src[i:i+bs])
-		d.b.Decrypt(dst[i:i+bs], src[i:i+bs])
-		for j := 0; j < bs; j++ {
-			dst[i+j] ^= chain[j]
-		}
-		saved, next = next, saved
-		chain = next
-	}
-	copy(d.iv, chain)
 }

@@ -8,6 +8,13 @@
 // P permutation are fused into eight 64-entry 32-bit SP tables, and
 // 3DES applies IP and FP once around the three sets of rounds (the
 // middle permutations cancel).
+//
+// The block operation exists in two forms held equal by
+// FuzzCBCKernels. The profiled form in this file (permute over
+// ipTab/fpTab, rounds16 over feistel and expand) is the one
+// anatomy.go times part by part for Table 6, and nothing else calls
+// it. The production form (kernel.go) is what Encrypt, Decrypt and the
+// fused EncryptCBC/DecryptCBC run.
 package des
 
 import (
@@ -138,6 +145,7 @@ func init() {
 				}
 			}
 			sp[i][v] = p
+			spRot[i][v] = p<<1 | p>>31
 		}
 	}
 }
@@ -202,8 +210,8 @@ func subkeys(key []byte) [16]uint64 {
 
 // A Cipher is a single-DES cipher.
 type Cipher struct {
-	enc [16]uint64
-	dec [16]uint64
+	enc      [16]uint64 // the profiled form's schedule (anatomy.go)
+	fwd, rev roundKeys  // the same subkeys packed for the kernel, in encryption and decryption order
 }
 
 // New expands an 8-byte key into a DES cipher.
@@ -211,11 +219,8 @@ func New(key []byte) (*Cipher, error) {
 	if len(key) != 8 {
 		return nil, errors.New("des: key must be 8 bytes")
 	}
-	c := &Cipher{}
-	c.enc = subkeys(key)
-	for i := range c.enc {
-		c.dec[i] = c.enc[15-i]
-	}
+	c := &Cipher{enc: subkeys(key)}
+	packKeys(&c.fwd, &c.rev, &c.enc)
 	return c, nil
 }
 
@@ -232,25 +237,28 @@ func rounds16(l, r uint32, keys *[16]uint64) (uint32, uint32) {
 }
 
 // Encrypt encrypts one 8-byte block.
-func (c *Cipher) Encrypt(dst, src []byte) { c.crypt(dst, src, &c.enc) }
+func (c *Cipher) Encrypt(dst, src []byte) { cryptBlock(dst, src, &c.fwd, nil, nil) }
 
 // Decrypt decrypts one 8-byte block.
-func (c *Cipher) Decrypt(dst, src []byte) { c.crypt(dst, src, &c.dec) }
+func (c *Cipher) Decrypt(dst, src []byte) { cryptBlock(dst, src, &c.rev, nil, nil) }
 
-func (c *Cipher) crypt(dst, src []byte, keys *[16]uint64) {
-	v := permute(&ipTab, binary.BigEndian.Uint64(src))
-	l, r := uint32(v>>32), uint32(v)
-	l, r = rounds16(l, r, keys)
-	binary.BigEndian.PutUint64(dst, permute(&fpTab, uint64(l)<<32|uint64(r)))
-}
+// EncryptCBC CBC-encrypts the whole blocks of src into dst, chaining
+// from iv and leaving the last ciphertext block there for the next
+// call. dst may be src.
+func (c *Cipher) EncryptCBC(dst, src, iv []byte) { encryptCBC(dst, src, iv, &c.fwd, nil, nil) }
+
+// DecryptCBC is the inverse of EncryptCBC. dst may be src.
+func (c *Cipher) DecryptCBC(dst, src, iv []byte) { decryptCBC(dst, src, iv, &c.rev, nil, nil) }
 
 // A TripleCipher is a 3DES (EDE3) cipher. As in libdes, IP and FP are
 // applied once around the three sets of rounds; the inner
 // permutations cancel algebraically.
 type TripleCipher struct {
-	k1enc, k1dec [16]uint64
-	k2enc, k2dec [16]uint64
-	k3enc, k3dec [16]uint64
+	k1enc, k2dec, k3enc [16]uint64 // the profiled form's schedules (anatomy.go)
+
+	// The packed round keys in the order each direction runs them:
+	// E(K1) D(K2) E(K3) to encrypt, D(K3) E(K2) D(K1) to decrypt.
+	enc, dec [3]roundKeys
 }
 
 // NewTriple expands a 24-byte key into an EDE3 cipher. A 16-byte key
@@ -260,21 +268,19 @@ func NewTriple(key []byte) (*TripleCipher, error) {
 		return nil, errors.New("des: 3DES key must be 16 or 24 bytes")
 	}
 	t := &TripleCipher{}
+	k2enc := subkeys(key[8:16])
 	t.k1enc = subkeys(key[0:8])
-	t.k2enc = subkeys(key[8:16])
 	if len(key) == 24 {
 		t.k3enc = subkeys(key[16:24])
 	} else {
 		t.k3enc = t.k1enc
 	}
-	rev := func(dst, src *[16]uint64) {
-		for i := range src {
-			dst[i] = src[15-i]
-		}
+	for i := range k2enc {
+		t.k2dec[i] = k2enc[15-i]
 	}
-	rev(&t.k1dec, &t.k1enc)
-	rev(&t.k2dec, &t.k2enc)
-	rev(&t.k3dec, &t.k3enc)
+	packKeys(&t.enc[0], &t.dec[2], &t.k1enc)
+	packKeys(&t.dec[1], &t.enc[1], &k2enc)
+	packKeys(&t.enc[2], &t.dec[0], &t.k3enc)
 	return t, nil
 }
 
@@ -283,20 +289,22 @@ func (t *TripleCipher) BlockSize() int { return BlockSize }
 
 // Encrypt encrypts one block: E(K3, D(K2, E(K1, ·))).
 func (t *TripleCipher) Encrypt(dst, src []byte) {
-	v := permute(&ipTab, binary.BigEndian.Uint64(src))
-	l, r := uint32(v>>32), uint32(v)
-	l, r = rounds16(l, r, &t.k1enc)
-	l, r = rounds16(l, r, &t.k2dec)
-	l, r = rounds16(l, r, &t.k3enc)
-	binary.BigEndian.PutUint64(dst, permute(&fpTab, uint64(l)<<32|uint64(r)))
+	cryptBlock(dst, src, &t.enc[0], &t.enc[1], &t.enc[2])
 }
 
 // Decrypt decrypts one block.
 func (t *TripleCipher) Decrypt(dst, src []byte) {
-	v := permute(&ipTab, binary.BigEndian.Uint64(src))
-	l, r := uint32(v>>32), uint32(v)
-	l, r = rounds16(l, r, &t.k3dec)
-	l, r = rounds16(l, r, &t.k2enc)
-	l, r = rounds16(l, r, &t.k1dec)
-	binary.BigEndian.PutUint64(dst, permute(&fpTab, uint64(l)<<32|uint64(r)))
+	cryptBlock(dst, src, &t.dec[0], &t.dec[1], &t.dec[2])
+}
+
+// EncryptCBC CBC-encrypts the whole blocks of src into dst, chaining
+// from iv and leaving the last ciphertext block there for the next
+// call. dst may be src.
+func (t *TripleCipher) EncryptCBC(dst, src, iv []byte) {
+	encryptCBC(dst, src, iv, &t.enc[0], &t.enc[1], &t.enc[2])
+}
+
+// DecryptCBC is the inverse of EncryptCBC. dst may be src.
+func (t *TripleCipher) DecryptCBC(dst, src, iv []byte) {
+	decryptCBC(dst, src, iv, &t.dec[0], &t.dec[1], &t.dec[2])
 }

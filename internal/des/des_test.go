@@ -4,11 +4,14 @@ import (
 	"bytes"
 	stddes "crypto/des"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"sslperf/internal/perf"
+	"sslperf/internal/testenv"
 )
 
 func mustHex(t *testing.T, s string) []byte {
@@ -183,24 +186,27 @@ func TestProfileBlockPartsShapes(t *testing.T) {
 	single, _ := New(key[:8])
 	triple, _ := NewTriple(key)
 	const n = 200000
-	bd := single.ProfileBlockParts(n)
-	bt := triple.ProfileBlockParts(n)
-	// Table 6: substitution dominates both (74.7% DES, 89.1% 3DES).
-	if pct := bd.Percent(PartSubstitution); pct < 50 {
-		t.Fatalf("DES substitution = %.1f%%, want dominant\n%s", pct, bd)
-	}
-	if pct := bt.Percent(PartSubstitution); pct < 70 {
-		t.Fatalf("3DES substitution = %.1f%%, want >70%%\n%s", pct, bt)
-	}
-	// 3DES substitution share must exceed DES's (IP/FP amortize).
-	if bt.Percent(PartSubstitution) <= bd.Percent(PartSubstitution) {
-		t.Fatal("3DES substitution share should exceed DES")
-	}
-	// Substitution time should scale ~3x between DES and 3DES.
-	ratio := float64(bt.Elapsed(PartSubstitution)) / float64(bd.Elapsed(PartSubstitution))
-	if ratio < 2.2 || ratio > 4.0 {
-		t.Fatalf("3DES/DES substitution ratio = %.2f, want ~3", ratio)
-	}
+	testenv.Timing(t, func() error {
+		bd := single.ProfileBlockParts(n)
+		bt := triple.ProfileBlockParts(n)
+		// Table 6: substitution dominates both (74.7% DES, 89.1% 3DES).
+		if pct := bd.Percent(PartSubstitution); pct < 50 {
+			return fmt.Errorf("DES substitution = %.1f%%, want dominant\n%s", pct, bd)
+		}
+		if pct := bt.Percent(PartSubstitution); pct < 70 {
+			return fmt.Errorf("3DES substitution = %.1f%%, want >70%%\n%s", pct, bt)
+		}
+		// 3DES substitution share must exceed DES's (IP/FP amortize).
+		if bt.Percent(PartSubstitution) <= bd.Percent(PartSubstitution) {
+			return errors.New("3DES substitution share should exceed DES")
+		}
+		// Substitution time should scale ~3x between DES and 3DES.
+		ratio := float64(bt.Elapsed(PartSubstitution)) / float64(bd.Elapsed(PartSubstitution))
+		if ratio < 2.2 || ratio > 4.0 {
+			return fmt.Errorf("3DES/DES substitution ratio = %.2f, want ~3", ratio)
+		}
+		return nil
+	})
 }
 
 func TestCharacteristics(t *testing.T) {

@@ -1,6 +1,17 @@
-// Package hmacx implements HMAC (RFC 2104) over this library's MD5
-// and SHA-1, the keyed-hash construction TLS 1.0 adopted in place of
-// SSLv3's ad-hoc pad1/pad2 MAC.
+// Package hmacx implements the record layer's two keyed-hash
+// constructions over this library's MD5 and SHA-1: HMAC (RFC 2104),
+// which TLS 1.0 adopted, and the SSL 3.0 MAC it grew out of. Both are
+//
+//	hash(outer ‖ hash(inner ‖ message))
+//
+// and differ only in the two key-derived prefixes: HMAC XORs the key
+// into a block of 0x36 / 0x5c bytes, SSL 3.0 follows the key with 48
+// (MD5) or 40 (SHA-1) of them.
+//
+// The prefixes never change under a key, so they are hashed once: an
+// HMAC keeps the digest state after absorbing each and every message
+// starts from a copy of it. For HMAC and the SSL 3.0 MD5 form each
+// prefix is exactly one block, which saves two compressions per MAC.
 package hmacx
 
 import (
@@ -12,47 +23,102 @@ import (
 type digest interface {
 	Write(p []byte) (int, error)
 	Sum(in []byte) []byte
-	Reset()
 	Size() int
 	BlockSize() int
 }
 
-// New returns an HMAC keyed with key over the hash produced by newHash.
-func New(newHash func() digest, key []byte) *HMAC {
-	h := &HMAC{inner: newHash(), outer: newHash()}
-	bs := h.inner.BlockSize()
-	if len(key) > bs {
-		h.inner.Write(key)
-		key = h.inner.Sum(nil)
-		h.inner.Reset()
+// HMAC is a streaming keyed-hash computation.
+type HMAC struct {
+	// innerKeyed and outerKeyed are the hash after absorbing the inner
+	// and the outer prefix; nothing writes to them after construction.
+	innerKeyed, outerKeyed digest
+	// inner is the running hash of the message; outer is scratch for
+	// Sum's second pass, which must leave inner undisturbed.
+	inner, outer digest
+	sum          [sha1x.Size]byte // the inner digest on its way into the outer pass
+}
+
+// md5States and sha1States return the four digests an HMAC works
+// with, initialized and carved from one allocation.
+func md5States() [4]digest {
+	d := new([4]md5x.Digest)
+	for i := range d {
+		d[i].Reset()
 	}
-	h.ipad = make([]byte, bs)
-	h.opad = make([]byte, bs)
-	copy(h.ipad, key)
-	copy(h.opad, key)
-	for i := 0; i < bs; i++ {
-		h.ipad[i] ^= 0x36
-		h.opad[i] ^= 0x5c
+	return [4]digest{&d[0], &d[1], &d[2], &d[3]}
+}
+
+func sha1States() [4]digest {
+	d := new([4]sha1x.Digest)
+	for i := range d {
+		d[i].Reset()
 	}
+	return [4]digest{&d[0], &d[1], &d[2], &d[3]}
+}
+
+// restore sets the running digest dst to the state saved in src, a
+// digest of the same hash.
+func restore(dst, src digest) {
+	switch s := src.(type) {
+	case *md5x.Digest:
+		*dst.(*md5x.Digest) = *s
+	case *sha1x.Digest:
+		*dst.(*sha1x.Digest) = *s
+	}
+}
+
+// keyed absorbs the two prefixes, held back to back in prefixes, into
+// the keyed states.
+func keyed(st [4]digest, prefixes []byte) *HMAC {
+	h := &HMAC{innerKeyed: st[0], outerKeyed: st[1], inner: st[2], outer: st[3]}
+	n := len(prefixes) / 2
+	h.innerKeyed.Write(prefixes[:n])
+	h.outerKeyed.Write(prefixes[n:])
 	h.Reset()
 	return h
 }
 
-// NewMD5 returns HMAC-MD5.
-func NewMD5(key []byte) *HMAC {
-	return New(func() digest { return md5x.New() }, key)
+func newHMAC(st [4]digest, key []byte) *HMAC {
+	bs := st[0].BlockSize()
+	if len(key) > bs {
+		st[2].Write(key)
+		key = st[2].Sum(nil)
+	}
+	pads := make([]byte, 2*bs)
+	copy(pads, key)
+	copy(pads[bs:], key)
+	for i := 0; i < bs; i++ {
+		pads[i] ^= 0x36
+		pads[bs+i] ^= 0x5c
+	}
+	return keyed(st, pads)
 }
+
+func newSSL3(st [4]digest, secret []byte, padLen int) *HMAC {
+	n := len(secret) + padLen
+	prefixes := make([]byte, 2*n)
+	copy(prefixes, secret)
+	copy(prefixes[n:], secret)
+	for i := len(secret); i < n; i++ {
+		prefixes[i] = 0x36
+		prefixes[n+i] = 0x5c
+	}
+	return keyed(st, prefixes)
+}
+
+// NewMD5 returns HMAC-MD5.
+func NewMD5(key []byte) *HMAC { return newHMAC(md5States(), key) }
 
 // NewSHA1 returns HMAC-SHA1.
-func NewSHA1(key []byte) *HMAC {
-	return New(func() digest { return sha1x.New() }, key)
-}
+func NewSHA1(key []byte) *HMAC { return newHMAC(sha1States(), key) }
 
-// HMAC is a streaming HMAC computation.
-type HMAC struct {
-	inner, outer digest
-	ipad, opad   []byte
-}
+// NewSSL3MD5 returns the SSL 3.0 MAC construction over MD5: the
+// secret followed by 48 pad bytes, which together fill one block.
+func NewSSL3MD5(secret []byte) *HMAC { return newSSL3(md5States(), secret, 48) }
+
+// NewSSL3SHA1 returns the SSL 3.0 MAC construction over SHA-1: the
+// secret followed by 40 pad bytes.
+func NewSSL3SHA1(secret []byte) *HMAC { return newSSL3(sha1States(), secret, 40) }
 
 // Size returns the MAC length.
 func (h *HMAC) Size() int { return h.inner.Size() }
@@ -61,10 +127,7 @@ func (h *HMAC) Size() int { return h.inner.Size() }
 func (h *HMAC) BlockSize() int { return h.inner.BlockSize() }
 
 // Reset rewinds to the keyed initial state.
-func (h *HMAC) Reset() {
-	h.inner.Reset()
-	h.inner.Write(h.ipad)
-}
+func (h *HMAC) Reset() { restore(h.inner, h.innerKeyed) }
 
 // Write absorbs message bytes. It never fails.
 func (h *HMAC) Write(p []byte) (int, error) { return h.inner.Write(p) }
@@ -72,9 +135,8 @@ func (h *HMAC) Write(p []byte) (int, error) { return h.inner.Write(p) }
 // Sum appends the MAC of everything written since Reset to in. The
 // inner state is not disturbed, so writing may continue.
 func (h *HMAC) Sum(in []byte) []byte {
-	innerSum := h.inner.Sum(nil)
-	h.outer.Reset()
-	h.outer.Write(h.opad)
+	innerSum := h.inner.Sum(h.sum[:0])
+	restore(h.outer, h.outerKeyed)
 	h.outer.Write(innerSum)
 	return h.outer.Sum(in)
 }

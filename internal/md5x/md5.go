@@ -16,7 +16,7 @@ const Size = 16
 // BlockSize is the MD5 compression block size in bytes.
 const BlockSize = 64
 
-// sineTable holds the 64 per-round additive constants
+// sineTable holds the 64 per-step additive constants
 // K[i] = floor(abs(sin(i+1)) * 2^32), computed at init rather than
 // transcribed.
 var sineTable [64]uint32
@@ -66,13 +66,13 @@ func (d *Digest) Write(p []byte) (int, error) {
 		d.n += c
 		p = p[c:]
 		if d.n == BlockSize {
-			d.block(d.buf[:])
+			block(&d.s, d.buf[:])
 			d.n = 0
 		}
 	}
-	for len(p) >= BlockSize {
-		d.block(p[:BlockSize])
-		p = p[BlockSize:]
+	if whole := len(p) &^ (BlockSize - 1); whole > 0 {
+		block(&d.s, p[:whole])
+		p = p[whole:]
 	}
 	if len(p) > 0 {
 		d.n = copy(d.buf[:], p)
@@ -84,79 +84,23 @@ func (d *Digest) Write(p []byte) (int, error) {
 // returns the result (the paper's Final phase). It does not change
 // the running state, so more data may be written afterwards.
 func (d *Digest) Sum(in []byte) []byte {
-	dd := *d // finalize a copy
-	var pad [BlockSize + 8]byte
-	pad[0] = 0x80
-	padLen := BlockSize - int((dd.len+8)%BlockSize)
-	if padLen == 0 {
-		padLen = BlockSize
+	// Finalize copies: the 0x80 marker and zero fill go into the
+	// partial block, the bit length into the last eight bytes of it or,
+	// when those are taken, of one more block.
+	s, buf := d.s, d.buf
+	buf[d.n] = 0x80
+	clear(buf[d.n+1:])
+	if d.n >= BlockSize-8 {
+		block(&s, buf[:])
+		clear(buf[:BlockSize-8])
 	}
-	var lenBlock [8]byte
-	binary.LittleEndian.PutUint64(lenBlock[:], dd.len*8)
-	dd.Write(pad[:padLen])
-	dd.Write(lenBlock[:])
+	binary.LittleEndian.PutUint64(buf[BlockSize-8:], d.len*8)
+	block(&s, buf[:])
 	var out [Size]byte
-	for i, v := range dd.s {
+	for i, v := range s {
 		binary.LittleEndian.PutUint32(out[4*i:], v)
 	}
 	return append(in, out[:]...)
-}
-
-// block runs the MD5 compression function over one 64-byte block.
-func (d *Digest) block(p []byte) {
-	var m [16]uint32
-	for i := 0; i < 16; i++ {
-		m[i] = binary.LittleEndian.Uint32(p[4*i:])
-	}
-	a, b, c, dd := d.s[0], d.s[1], d.s[2], d.s[3]
-	// Four 16-round stages, one boolean function each, as real MD5
-	// code is written (the paper's Figure 4 operations appear here:
-	// (a) is F's (X∧Y)∨(¬X∧Z), (b) is H's three-input XOR). The
-	// message-word order and rotations follow RFC 1321 §3.4.
-	ff := func(a, b, c, d, m uint32, i int, s uint) uint32 {
-		sum := a + ((b & c) | (^b & d)) + sineTable[i] + m
-		return b + (sum<<s | sum>>(32-s))
-	}
-	gg := func(a, b, c, d, m uint32, i int, s uint) uint32 {
-		sum := a + ((d & b) | (^d & c)) + sineTable[i] + m
-		return b + (sum<<s | sum>>(32-s))
-	}
-	hh := func(a, b, c, d, m uint32, i int, s uint) uint32 {
-		sum := a + (b ^ c ^ d) + sineTable[i] + m
-		return b + (sum<<s | sum>>(32-s))
-	}
-	ii := func(a, b, c, d, m uint32, i int, s uint) uint32 {
-		sum := a + (c ^ (b | ^d)) + sineTable[i] + m
-		return b + (sum<<s | sum>>(32-s))
-	}
-	for i := 0; i < 16; i += 4 {
-		a = ff(a, b, c, dd, m[i], i, 7)
-		dd = ff(dd, a, b, c, m[i+1], i+1, 12)
-		c = ff(c, dd, a, b, m[i+2], i+2, 17)
-		b = ff(b, c, dd, a, m[i+3], i+3, 22)
-	}
-	for i := 16; i < 32; i += 4 {
-		a = gg(a, b, c, dd, m[(5*i+1)%16], i, 5)
-		dd = gg(dd, a, b, c, m[(5*(i+1)+1)%16], i+1, 9)
-		c = gg(c, dd, a, b, m[(5*(i+2)+1)%16], i+2, 14)
-		b = gg(b, c, dd, a, m[(5*(i+3)+1)%16], i+3, 20)
-	}
-	for i := 32; i < 48; i += 4 {
-		a = hh(a, b, c, dd, m[(3*i+5)%16], i, 4)
-		dd = hh(dd, a, b, c, m[(3*(i+1)+5)%16], i+1, 11)
-		c = hh(c, dd, a, b, m[(3*(i+2)+5)%16], i+2, 16)
-		b = hh(b, c, dd, a, m[(3*(i+3)+5)%16], i+3, 23)
-	}
-	for i := 48; i < 64; i += 4 {
-		a = ii(a, b, c, dd, m[(7*i)%16], i, 6)
-		dd = ii(dd, a, b, c, m[(7*(i+1))%16], i+1, 10)
-		c = ii(c, dd, a, b, m[(7*(i+2))%16], i+2, 15)
-		b = ii(b, c, dd, a, m[(7*(i+3))%16], i+3, 21)
-	}
-	d.s[0] += a
-	d.s[1] += b
-	d.s[2] += c
-	d.s[3] += dd
 }
 
 // Sum16 is a convenience one-shot MD5.

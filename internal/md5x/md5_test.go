@@ -4,11 +4,14 @@ import (
 	"bytes"
 	stdmd5 "crypto/md5"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"sslperf/internal/perf"
+	"sslperf/internal/testenv"
 )
 
 // RFC 1321 appendix test suite.
@@ -104,18 +107,21 @@ func TestInterfaceValues(t *testing.T) {
 }
 
 func TestProfilePhasesShape(t *testing.T) {
-	b := ProfilePhases(1024, 20000)
-	names := b.Names()
+	names := ProfilePhases(1024, 1).Names()
 	if len(names) != 3 || names[0] != PhaseInit || names[1] != PhaseUpdate || names[2] != PhaseFinal {
 		t.Fatalf("phases = %v", names)
 	}
-	// Table 10: update is ~91% for 1024-byte input.
-	if pct := b.Percent(PhaseUpdate); pct < 60 {
-		t.Fatalf("update = %.1f%%, want dominant\n%s", pct, b)
-	}
-	if b.Percent(PhaseFinal) >= b.Percent(PhaseUpdate) {
-		t.Fatal("final should be much smaller than update")
-	}
+	testenv.Timing(t, func() error {
+		b := ProfilePhases(1024, 20000)
+		// Table 10: update is ~91% for 1024-byte input.
+		if pct := b.Percent(PhaseUpdate); pct < 60 {
+			return fmt.Errorf("update = %.1f%%, want dominant\n%s", pct, b)
+		}
+		if b.Percent(PhaseFinal) >= b.Percent(PhaseUpdate) {
+			return errors.New("final should be much smaller than update")
+		}
+		return nil
+	})
 }
 
 func TestTraces(t *testing.T) {

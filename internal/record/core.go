@@ -371,21 +371,27 @@ func (c *Core) open(typ ContentType, body []byte) ([]byte, error) {
 		if len(body) == 0 {
 			return nil, errors.New("record: empty block record")
 		}
+		// Bad padding must cost what a bad MAC costs — a peer who can
+		// tell the two apart by the clock has a padding oracle — so it
+		// is not an early return: the MAC is verified over the body as
+		// if the pad were empty, and the record then fails the same way.
 		padLen := int(body[len(body)-1])
-		if padLen+1 > len(body) {
-			return nil, &AlertError{Level: AlertLevelFatal, Description: AlertBadRecordMAC}
-		}
-		if c.version >= VersionTLS10 {
+		padOK := padLen+1 <= len(body)
+		switch {
+		case !padOK:
+		case c.version >= VersionTLS10:
 			// TLS 1.0: padding may span blocks and every pad byte
 			// must equal the count.
 			for _, b := range body[len(body)-padLen-1:] {
-				if int(b) != padLen {
-					return nil, &AlertError{Level: AlertLevelFatal, Description: AlertBadRecordMAC}
-				}
+				padOK = padOK && int(b) == padLen
 			}
-		} else if padLen >= bs {
+		default:
 			// SSLv3: padding must not exceed one block; content is
 			// arbitrary.
+			padOK = padLen < bs
+		}
+		if !padOK {
+			c.checkMAC(typ, body[:len(body)-1])
 			return nil, &AlertError{Level: AlertLevelFatal, Description: AlertBadRecordMAC}
 		}
 		body = body[:len(body)-padLen-1]

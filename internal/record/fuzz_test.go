@@ -34,6 +34,14 @@ func FuzzReadRecord(f *testing.F) {
 		return buf.Bytes()
 	}()
 	f.Add(seed)
+	// The same record with bad padding: the pad count pushed past a
+	// block (a flipped bit in the last byte of the block before the last
+	// flips it in the count), and the whole last block garbled.
+	for _, fromEnd := range []int{1 + 8, 1} {
+		bad := bytes.Clone(seed)
+		bad[len(bad)-fromEnd] ^= 0x80
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, armed := range []bool{false, true} {

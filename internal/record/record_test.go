@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"runtime/debug"
 	"sslperf/internal/probe"
@@ -29,10 +30,19 @@ func oneWay() (*Layer, *Layer, *bytes.Buffer) {
 type keyed interface {
 	SetWriteState(suite.RecordCipher, *sslcrypto.MAC)
 	SetReadState(suite.RecordCipher, *sslcrypto.MAC)
+	SetProtocolVersion(uint16)
 }
 
-// arm installs matching cipher/MAC state for one direction.
+// arm installs matching cipher/MAC state for one direction, with the
+// SSL 3.0 MAC and the version left unpinned.
 func arm(t testing.TB, s *suite.Suite, sender, receiver keyed) {
+	t.Helper()
+	armVersion(t, s, 0, sender, receiver)
+}
+
+// armVersion is arm that, for TLS 1.0, pins the version on both ends
+// and keys them with the HMAC form of the record MAC.
+func armVersion(t testing.TB, s *suite.Suite, version uint16, sender, receiver keyed) {
 	t.Helper()
 	key := make([]byte, s.KeyLen)
 	iv := make([]byte, s.IVLen)
@@ -54,16 +64,22 @@ func arm(t testing.TB, s *suite.Suite, sender, receiver keyed) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, err := s.NewMAC(macSecret)
-	if err != nil {
-		t.Fatal(err)
+	newMAC := func() *sslcrypto.MAC {
+		m, err := s.NewMAC(macSecret)
+		if version >= VersionTLS10 {
+			m, err = sslcrypto.NewTLSMAC(s.MAC, macSecret, version)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	rm, err := s.NewMAC(macSecret)
-	if err != nil {
-		t.Fatal(err)
+	if version != 0 {
+		sender.SetProtocolVersion(version)
+		receiver.SetProtocolVersion(version)
 	}
-	sender.SetWriteState(wc, wm)
-	receiver.SetReadState(rc, rm)
+	sender.SetWriteState(wc, newMAC())
+	receiver.SetReadState(rc, newMAC())
 }
 
 func TestPlaintextRoundTrip(t *testing.T) {
@@ -108,46 +124,105 @@ func TestAllSuitesRoundTrip(t *testing.T) {
 }
 
 // TestSealOpenSteadyStateAllocs pins the pooled-buffer record path for
-// a stream and a block suite: once warm, sealing a full-size record
-// allocates at most once (the sync.Pool interface box; 0 measured) and
-// opening it at most twice (2 measured). A fresh MaxFragment buffer or
-// MAC scratch per record would show up here as 3+.
+// a stream suite and both block ciphers, under the SSL 3.0 MAC and the
+// TLS 1.0 HMAC: once warm, sealing a full-size record allocates at most
+// once (the sync.Pool interface box; 0 measured) and opening it not at
+// all. A fresh MaxFragment buffer, MAC scratch or CBC chaining block
+// per record would show up here.
 func TestSealOpenSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("race runtime allocates on sync paths")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, name := range []string{"RC4-MD5", "DES-CBC3-SHA"} {
-		s, _ := suite.ByName(name)
-		payload := payloadOf(MaxFragment)
-		// Two armed pairs: one only seals (its receiver never reads, so
-		// it cannot share cipher state with the pair that also opens).
-		sealer, unread, sink := oneWay()
-		arm(t, s, sealer, unread)
-		sender, receiver, buf := oneWay()
-		arm(t, s, sender, receiver)
-		seal := func() {
-			sink.Reset()
-			if err := sealer.WriteRecord(TypeApplicationData, payload); err != nil {
-				t.Fatal(err)
+	for _, name := range []string{"RC4-MD5", "DES-CBC3-SHA", "AES128-SHA"} {
+		for _, version := range []uint16{VersionSSL30, VersionTLS10} {
+			s, _ := suite.ByName(name)
+			payload := payloadOf(MaxFragment)
+			// Two armed pairs: one only seals (its receiver never reads, so
+			// it cannot share cipher state with the pair that also opens).
+			sealer, unread, sink := oneWay()
+			armVersion(t, s, version, sealer, unread)
+			sender, receiver, buf := oneWay()
+			armVersion(t, s, version, sender, receiver)
+			seal := func() {
+				sink.Reset()
+				if err := sealer.WriteRecord(TypeApplicationData, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sealOpen := func() {
+				buf.Reset()
+				if err := sender.WriteRecord(TypeApplicationData, payload); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := receiver.ReadRecord(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seal() // warm the pool and the layers' buffers
+			sealOpen()
+			sealAllocs := testing.AllocsPerRun(20, seal)
+			openAllocs := testing.AllocsPerRun(20, sealOpen) - sealAllocs
+			if sealAllocs > 1 || openAllocs > 0 {
+				t.Errorf("%s %#04x: %.0f allocs/record sealing, %.0f opening; want <= 1 and 0", name, version, sealAllocs, openAllocs)
 			}
 		}
-		sealOpen := func() {
-			buf.Reset()
+	}
+}
+
+// TestBadPaddingCostsOneMAC closes the CBC padding oracle by count, not
+// by clock: a record whose padding is bad and a record whose MAC is bad
+// both run the MAC exactly once and both end as bad_record_mac, under
+// SSL 3.0 and TLS 1.0 rules alike. (It used to be an early return: bad
+// padding was one hash pass cheaper.)
+func TestBadPaddingCostsOneMAC(t *testing.T) {
+	s, _ := suite.ByName("AES128-SHA")
+	const bs = 16
+	// 25 payload bytes + 20 of MAC leave 3 blocks: pad count 2.
+	payload := bytes.Repeat([]byte{0x42}, 25)
+	for _, tc := range []struct {
+		name    string
+		version uint16
+		block   int  // ciphertext block to corrupt, from the end (1 = last)
+		mask    byte // XORed into that block's last byte
+	}{
+		// Corrupting the last byte of the block before the last flips
+		// the same bits of the pad count when CBC unchains it.
+		{"SSL 3.0 pad longer than a block", VersionSSL30, 2, 0x80},
+		{"TLS 1.0 pad longer than the record", VersionTLS10, 2, 0x80},
+		{"TLS 1.0 pad bytes disagree with the count", VersionTLS10, 2, 0x01},
+		// Corrupting the first block garbles payload only.
+		{"SSL 3.0 bad MAC", VersionSSL30, 3, 0x01},
+		{"TLS 1.0 bad MAC", VersionTLS10, 3, 0x01},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sender, receiver := NewCore(), NewCore()
+			armVersion(t, s, tc.version, sender, receiver)
 			if err := sender.WriteRecord(TypeApplicationData, payload); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := receiver.ReadRecord(); err != nil {
-				t.Fatal(err)
+			wire := append([]byte(nil), sender.Outgoing()...)
+			if len(wire) != headerLen+3*bs {
+				t.Fatalf("sealed record is %d bytes, want 3 blocks", len(wire)-headerLen)
 			}
-		}
-		seal() // warm the pool and the layers' buffers
-		sealOpen()
-		sealAllocs := testing.AllocsPerRun(20, seal)
-		openAllocs := testing.AllocsPerRun(20, sealOpen) - sealAllocs
-		if sealAllocs > 1 || openAllocs > 2 {
-			t.Errorf("%s: %.0f allocs/record sealing, %.0f opening; want <= 1 and <= 2", name, sealAllocs, openAllocs)
-		}
+			wire[len(wire)-(tc.block-1)*bs-1] ^= tc.mask
+
+			macs := 0
+			receiver.Probe = probe.NewBus(probe.SinkFunc(func(e probe.Event) {
+				if e.Kind == probe.KindRecordCrypto && e.Op == OpMACVerify {
+					macs++
+				}
+			}))
+			receiver.Feed(wire)
+			_, _, err := receiver.ReadRecord()
+			var alert *AlertError
+			if !errors.As(err, &alert) || alert.Description != AlertBadRecordMAC || alert.Peer {
+				t.Fatalf("ReadRecord: %v, want a local bad_record_mac alert", err)
+			}
+			if macs != 1 {
+				t.Fatalf("the MAC ran %d times, want exactly once", macs)
+			}
+		})
 	}
 }
 

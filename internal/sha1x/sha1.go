@@ -60,13 +60,13 @@ func (d *Digest) Write(p []byte) (int, error) {
 		d.n += c
 		p = p[c:]
 		if d.n == BlockSize {
-			d.block(d.buf[:])
+			block(&d.s, d.buf[:])
 			d.n = 0
 		}
 	}
-	for len(p) >= BlockSize {
-		d.block(p[:BlockSize])
-		p = p[BlockSize:]
+	if whole := len(p) &^ (BlockSize - 1); whole > 0 {
+		block(&d.s, p[:whole])
+		p = p[whole:]
 	}
 	if len(p) > 0 {
 		d.n = copy(d.buf[:], p)
@@ -77,63 +77,23 @@ func (d *Digest) Write(p []byte) (int, error) {
 // Sum appends the digest of everything written so far to in, leaving
 // the running state unchanged.
 func (d *Digest) Sum(in []byte) []byte {
-	dd := *d
-	var pad [BlockSize]byte
-	pad[0] = 0x80
-	padLen := BlockSize - int((dd.len+8)%BlockSize)
-	if padLen == 0 {
-		padLen = BlockSize
+	// Finalize copies: the 0x80 marker and zero fill go into the
+	// partial block, the bit length into the last eight bytes of it or,
+	// when those are taken, of one more block.
+	s, buf := d.s, d.buf
+	buf[d.n] = 0x80
+	clear(buf[d.n+1:])
+	if d.n >= BlockSize-8 {
+		block(&s, buf[:])
+		clear(buf[:BlockSize-8])
 	}
-	var lenBlock [8]byte
-	binary.BigEndian.PutUint64(lenBlock[:], dd.len*8)
-	dd.Write(pad[:padLen])
-	dd.Write(lenBlock[:])
+	binary.BigEndian.PutUint64(buf[BlockSize-8:], d.len*8)
+	block(&s, buf[:])
 	var out [Size]byte
-	for i, v := range dd.s {
+	for i, v := range s {
 		binary.BigEndian.PutUint32(out[4*i:], v)
 	}
 	return append(in, out[:]...)
-}
-
-// block runs the SHA-1 compression function over one 64-byte block.
-func (d *Digest) block(p []byte) {
-	var w [80]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = binary.BigEndian.Uint32(p[4*i:])
-	}
-	for i := 16; i < 80; i++ {
-		t := w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]
-		w[i] = t<<1 | t>>31
-	}
-	a, b, c, dd, e := d.s[0], d.s[1], d.s[2], d.s[3], d.s[4]
-	// Four 20-round stages, one boolean function each, as real SHA-1
-	// code is written. The paper's Figure 4 ops appear here: (a) is
-	// Ch's (X∧Y)∨(¬X∧Z), (b) is Parity's three-input XOR.
-	for i := 0; i < 20; i++ {
-		f := (b & c) | (^b & dd) // Ch
-		t := (a<<5 | a>>27) + f + e + k0 + w[i]
-		a, b, c, dd, e = t, a, b<<30|b>>2, c, dd
-	}
-	for i := 20; i < 40; i++ {
-		f := b ^ c ^ dd // Parity
-		t := (a<<5 | a>>27) + f + e + k1 + w[i]
-		a, b, c, dd, e = t, a, b<<30|b>>2, c, dd
-	}
-	for i := 40; i < 60; i++ {
-		f := (b & c) | (b & dd) | (c & dd) // Maj
-		t := (a<<5 | a>>27) + f + e + k2 + w[i]
-		a, b, c, dd, e = t, a, b<<30|b>>2, c, dd
-	}
-	for i := 60; i < 80; i++ {
-		f := b ^ c ^ dd
-		t := (a<<5 | a>>27) + f + e + k3 + w[i]
-		a, b, c, dd, e = t, a, b<<30|b>>2, c, dd
-	}
-	d.s[0] += a
-	d.s[1] += b
-	d.s[2] += c
-	d.s[3] += dd
-	d.s[4] += e
 }
 
 // Sum20 is a convenience one-shot SHA-1.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	stdsha1 "crypto/sha1"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,11 +98,14 @@ func TestBoundarySizes(t *testing.T) {
 }
 
 func TestProfilePhasesShape(t *testing.T) {
-	b := ProfilePhases(1024, 20000)
-	// Table 10: update is ~92% for 1024-byte input.
-	if pct := b.Percent(PhaseUpdate); pct < 60 {
-		t.Fatalf("update = %.1f%%, want dominant\n%s", pct, b)
-	}
+	testenv.Timing(t, func() error {
+		b := ProfilePhases(1024, 20000)
+		// Table 10: update is ~92% for 1024-byte input.
+		if pct := b.Percent(PhaseUpdate); pct < 60 {
+			return fmt.Errorf("update = %.1f%%, want dominant\n%s", pct, b)
+		}
+		return nil
+	})
 }
 
 func TestSHA1SlowerThanMD5(t *testing.T) {

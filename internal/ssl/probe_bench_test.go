@@ -8,6 +8,7 @@ import (
 	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
+	"sslperf/internal/testenv"
 	"sslperf/internal/trace"
 )
 
@@ -93,6 +94,9 @@ func BenchmarkHandshakeProbeAll(b *testing.B) {
 // bus, its sink list, and the probe closures; the record itself is
 // pooled). The timing half belongs to bench/.
 func TestAllSinksAllocBudget(t *testing.T) {
+	if testenv.Race {
+		t.Skip("race runtime allocates on sync paths and empties pools")
+	}
 	allocs := func(ccfg, scfg *Config) float64 {
 		run := func() {
 			ccfg.Rand, scfg.Rand = NewPRNG(32), NewPRNG(31)

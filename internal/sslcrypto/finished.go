@@ -67,3 +67,11 @@ func (f *FinishedHash) Sum(sender, master []byte) []byte {
 	shaOuter.Write(innerS)
 	return shaOuter.Sum(out)
 }
+
+func repeatByte(b byte, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = b
+	}
+	return p
+}

@@ -31,19 +31,6 @@ func (a MACAlgorithm) Size() int {
 	}
 }
 
-// padLen returns the SSLv3 pad length: 48 for MD5, 40 for SHA-1
-// (chosen so secret+pad fills block boundaries).
-func (a MACAlgorithm) padLen() int {
-	switch a {
-	case MACMD5:
-		return 48
-	case MACSHA1:
-		return 40
-	default:
-		return 0
-	}
-}
-
 // String names the algorithm.
 func (a MACAlgorithm) String() string {
 	switch a {
@@ -56,27 +43,8 @@ func (a MACAlgorithm) String() string {
 	}
 }
 
-// sslDigest is the common subset of md5x.Digest and sha1x.Digest.
-type sslDigest interface {
-	Write(p []byte) (int, error)
-	Sum(in []byte) []byte
-	Reset()
-	Size() int
-}
-
-func (a MACAlgorithm) newDigest() sslDigest {
-	switch a {
-	case MACMD5:
-		return md5x.New()
-	case MACSHA1:
-		return sha1x.New()
-	default:
-		return nil
-	}
-}
-
-// errTLSMACSecret reports a keying mistake for TLS MACs.
-var errTLSMACSecret = errors.New("sslcrypto: MAC secret must equal hash size")
+// errMACSecret reports a keying mistake.
+var errMACSecret = errors.New("sslcrypto: MAC secret must equal hash size")
 
 // A MAC computes a record MAC. In SSL 3.0 form (NewMAC) it is the
 // pre-HMAC construction
@@ -86,24 +54,21 @@ var errTLSMACSecret = errors.New("sslcrypto: MAC secret must equal hash size")
 // with pad1 = 0x36…, pad2 = 0x5c… — what the paper's DES-CBC3-SHA
 // suite uses for every record. In TLS 1.0 form (NewTLSMAC) it is
 // HMAC over a header that additionally includes the protocol version.
+// Either way the keyed part is hashed once, at key set-up (hmacx), and
+// a record costs the header, the payload and one outer block.
 type MAC struct {
-	alg    MACAlgorithm
-	secret []byte
-	pad1   []byte
-	pad2   []byte
-	h      sslDigest
+	alg MACAlgorithm
+	h   *hmacx.HMAC
 
 	tls     bool
 	version uint16
-	hm      *hmacx.HMAC
 
-	// Scratch reused across records: header and inner-hash buffers
-	// passed to the digest through an interface would otherwise escape
-	// to the heap on every Compute. A MAC serves one direction of one
-	// connection, so reuse is race-free.
-	hdrBuf   [13]byte
-	innerBuf [maxMACSize]byte
-	macBuf   [maxMACSize]byte
+	// Scratch reused across records: a header passed to the digest
+	// through an interface would otherwise escape to the heap on every
+	// Compute. A MAC serves one direction of one connection, so reuse
+	// is race-free.
+	hdrBuf [13]byte
+	macBuf [maxMACSize]byte
 }
 
 // NewMAC returns a MAC keyed with secret.
@@ -112,20 +77,15 @@ func NewMAC(alg MACAlgorithm, secret []byte) (*MAC, error) {
 		return &MAC{alg: alg}, nil
 	}
 	if len(secret) != alg.Size() {
-		return nil, errors.New("sslcrypto: MAC secret must equal hash size")
+		return nil, errMACSecret
 	}
-	m := &MAC{alg: alg, secret: append([]byte(nil), secret...), h: alg.newDigest()}
-	m.pad1 = repeatByte(0x36, alg.padLen())
-	m.pad2 = repeatByte(0x5c, alg.padLen())
+	m := &MAC{alg: alg}
+	if alg == MACMD5 {
+		m.h = hmacx.NewSSL3MD5(secret)
+	} else {
+		m.h = hmacx.NewSSL3SHA1(secret)
+	}
 	return m, nil
-}
-
-func repeatByte(b byte, n int) []byte {
-	p := make([]byte, n)
-	for i := range p {
-		p[i] = b
-	}
-	return p
 }
 
 // Size returns the MAC length.
@@ -138,42 +98,22 @@ func (m *MAC) Compute(seq uint64, contentType byte, payload []byte) []byte {
 }
 
 // AppendCompute appends the record MAC to dst and returns the extended
-// slice. The inner hash result stays in a stack buffer, so when dst
-// has capacity the whole computation is allocation-free — the record
-// layer's seal path depends on this.
+// slice. When dst has capacity the whole computation is
+// allocation-free — the record layer's seal path depends on this.
 func (m *MAC) AppendCompute(dst []byte, seq uint64, contentType byte, payload []byte) []byte {
 	if m.alg == MACNull {
 		return dst
 	}
+	hdr := binary.BigEndian.AppendUint64(m.hdrBuf[:0], seq)
+	hdr = append(hdr, contentType)
 	if m.tls {
-		hdr := m.hdrBuf[:13]
-		binary.BigEndian.PutUint64(hdr[0:], seq)
-		hdr[8] = contentType
-		binary.BigEndian.PutUint16(hdr[9:], m.version)
-		binary.BigEndian.PutUint16(hdr[11:], uint16(len(payload)))
-		m.hm.Reset()
-		m.hm.Write(hdr)
-		m.hm.Write(payload)
-		return m.hm.Sum(dst)
+		hdr = binary.BigEndian.AppendUint16(hdr, m.version)
 	}
-	hdr := m.hdrBuf[:11]
-	binary.BigEndian.PutUint64(hdr[0:], seq)
-	hdr[8] = contentType
-	binary.BigEndian.PutUint16(hdr[9:], uint16(len(payload)))
-
-	h := m.h
-	h.Reset()
-	h.Write(m.secret)
-	h.Write(m.pad1)
-	h.Write(hdr)
-	h.Write(payload)
-	inner := h.Sum(m.innerBuf[:0])
-
-	h.Reset()
-	h.Write(m.secret)
-	h.Write(m.pad2)
-	h.Write(inner)
-	return h.Sum(dst)
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(payload)))
+	m.h.Reset()
+	m.h.Write(hdr)
+	m.h.Write(payload)
+	return m.h.Sum(dst)
 }
 
 // maxMACSize bounds the digest output across supported hashes.

@@ -91,18 +91,13 @@ func NewTLSMAC(alg MACAlgorithm, secret []byte, version uint16) (*MAC, error) {
 		return &MAC{alg: alg}, nil
 	}
 	if len(secret) != alg.Size() {
-		return nil, errTLSMACSecret
+		return nil, errMACSecret
 	}
-	m := &MAC{
-		alg:     alg,
-		secret:  append([]byte(nil), secret...),
-		tls:     true,
-		version: version,
-	}
+	m := &MAC{alg: alg, tls: true, version: version}
 	if alg == MACMD5 {
-		m.hm = hmacx.NewMD5(m.secret)
+		m.h = hmacx.NewMD5(secret)
 	} else {
-		m.hm = hmacx.NewSHA1(m.secret)
+		m.h = hmacx.NewSHA1(secret)
 	}
 	return m, nil
 }
