@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint kernellint cbclint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint servelint kernellint cbclint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -29,14 +29,15 @@ race:
 # engines, the handshake session cache, perf (whose model-GHz
 # setting is shared mutable state), bn and rsa (a Mont's scratch pool
 # and a key's lazily built contexts and arena pool are shared by every
-# connection under that key), and the load generator + health
-# checks — then every fuzz target for a few seconds and a real
-# end-to-end smoke through sslload's in-process server.
+# connection under that key), the serve loop, and the load generator
+# + health checks — then every fuzz target for a few seconds and a real
+# end-to-end smoke: sslload against the serve loop in-process.
 check:
 	$(GO) vet ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
 	$(MAKE) seallint
+	$(MAKE) servelint
 	$(MAKE) kernellint
 	$(MAKE) cbclint
 	$(MAKE) depslint
@@ -49,7 +50,7 @@ check:
 		./internal/loadgen/... ./internal/baseline/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \
 		./internal/history/... ./internal/debughttp/... ./cmd/ssltop/... \
-		./internal/bn/... ./internal/rsa/...
+		./internal/bn/... ./internal/rsa/... ./internal/server/...
 	$(MAKE) fuzzsmoke
 	$(MAKE) loadsmoke
 
@@ -71,12 +72,14 @@ clocklint:
 	fi
 
 # The handshake FSMs, the record Core and the connection state machine
-# (ssl.NonBlockingConn, which ssl.Conn wraps and the epoll loop runs
-# directly) are sans-IO: every byte they consume arrives through
-# Core.Feed, and a short read surfaces as ErrWouldBlock — never as a
-# blocking transport read. A direct io.ReadFull or .Read( call in
-# those files would park the event loop on one connection's socket.
-# The rare legitimate read (the config's randomness source) carries a
+# (ssl.NonBlockingConn, which ssl.Conn wraps) are sans-IO: every byte
+# they consume arrives through Core.Feed, and a short read surfaces as
+# ErrWouldBlock — never as a blocking transport read. That is what lets
+# the benchmark's in-memory ssl.* layer probes and the deterministic
+# tests (golden wire equivalence, the allocation pins) drive both ends
+# of a connection from one goroutine with no transport; a direct
+# io.ReadFull or .Read( call in those files would hang them. The rare
+# legitimate read (the config's randomness source) carries a
 # "lint:allow-read" marker. A connection blocks in exactly one place:
 # Layer.ReadRecord in record/record.go holds the one .Read( on a
 # transport, and ssl.Conn (ssl/ssl.go) reaches it by running the same
@@ -92,7 +95,7 @@ blocklint:
 
 # There is one record path: Core.seal holds the only cipher.Encrypt(
 # call of the record layer and Core.open the only cipher.Decrypt(, for
-# blocking and event-loop connections alike. A second call site is a
+# blocking and sans-IO connections alike. A second call site is a
 # second seal or open coming back.
 seallint:
 	@for call in 'cipher\.Encrypt(' 'cipher\.Decrypt('; do \
@@ -102,6 +105,22 @@ seallint:
 			echo "$$sites"; exit 1; \
 		fi; \
 	done
+
+# There is one serve loop: internal/server holds the only accept loop
+# (and the only per-connection config builder) that cmd/, internal/ and
+# the web-server example run — ssl.Listener.Accept wraps one connection
+# and loops over nothing. A second .Accept() call site is a copied
+# serve loop coming back, and syscall.Epoll the readiness loop that was
+# measured against this one and deleted (EXPERIMENTS.md "One serve
+# loop").
+servelint:
+	@bad=$$(grep -rn --include='*.go' '\.Accept()\|syscall\.Epoll' cmd internal examples/webserver \
+		| grep -v '_test\.go:' \
+		| grep -v '^internal/server/server\.go:.*\.Accept()\|^internal/ssl/net\.go:.*\.Accept()'; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "servelint: an accept loop outside internal/server/server.go (or an epoll call anywhere):"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 # The production kernels are what every connection runs: the
 # Montgomery kernel under every RSA and DH operation (from pooled
@@ -189,7 +208,9 @@ failclasslint:
 # line) has to be a target of this file, and every /metrics or /debug/…
 # path they name has to be one a HandleFunc mounts. The other way
 # round, a mounted path has to earn its place: each appears in an
-# EXPERIMENTS.md recipe.
+# EXPERIMENTS.md recipe. And README's sslserver flag table is the flag
+# set of cmd/sslserver/main.go, both ways: no row for a flag that is
+# gone, no flag without a row.
 doclint:
 	@docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"; \
 	bad=$$(grep -onE '(docs|cmd|internal|examples)/[A-Za-z0-9_./*-]*' $$docs \
@@ -208,6 +229,14 @@ doclint:
 		done; \
 		for p in $$mounted; do \
 			grep -q "$$p" EXPERIMENTS.md || echo "  $$p is mounted but no EXPERIMENTS.md recipe uses it"; \
+		done; \
+		defined=$$(grep -oE 'flag\.[A-Za-z0-9]+\("[a-z-]+"' cmd/sslserver/main.go | sed -E 's/.*\("//; s/"//' | sort -u); \
+		rows=$$(sed -n '/^| `sslserver` flag/,/^$$/p' README.md | grep -oE '`-[a-z-]+' | sed 's/`-//' | sort -u); \
+		for f in $$rows; do \
+			echo "$$defined" | grep -qx -- "$$f" || echo "  README.md: sslserver flag table lists -$$f, which cmd/sslserver/main.go does not define"; \
+		done; \
+		for f in $$defined; do \
+			echo "$$rows" | grep -qx -- "$$f" || echo "  cmd/sslserver/main.go defines -$$f, which README.md's sslserver flag table lacks"; \
 		done); \
 	if [ -n "$$bad" ]; then echo "doclint: stale references:"; echo "$$bad"; exit 1; fi
 
@@ -222,8 +251,8 @@ fuzzsmoke:
 			$(GO) test -run NONE -fuzz "^$$name\$$" -fuzztime 5s $$pkg || exit 1; \
 		done
 
-# End-to-end smoke: sslload drives an in-process sslserver open-loop
-# for 5s and checks its own result (non-zero exit on failures, a
+# End-to-end smoke: sslload drives the real serve loop (internal/server,
+# in-process) open-loop for 5s and checks its own result (non-zero exit on failures, a
 # disordered quantile, or a handshake outlasting its connection).
 loadsmoke:
 	$(GO) run ./cmd/sslload -selftest -rate 200 -duration 5s -warmup 1s -resume 0.3 -seed 1

@@ -249,10 +249,9 @@ func renderPanel(f *frame) string {
 
 	// Connection states.
 	if _, ok := s.Get("conns.live"); ok {
-		fmt.Fprintf(&b, "  conns      live %.0f  accepted %.0f  handshaking %.0f  suspended %.0f  established %.0f\n",
+		fmt.Fprintf(&b, "  conns      live %.0f  accepted %.0f  handshaking %.0f  established %.0f\n",
 			lastVal(s, "conns.live"), lastVal(s, "conns.accepted"),
-			lastVal(s, "conns.handshaking"), lastVal(s, "conns.suspended"),
-			lastVal(s, "conns.established"))
+			lastVal(s, "conns.handshaking"), lastVal(s, "conns.established"))
 	}
 
 	// Fail-class top-K by window total.

@@ -15,7 +15,6 @@ import (
 	"sslperf/internal/history"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/loadgen"
-	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 )
@@ -31,10 +30,10 @@ func TestObservatorySmoke(t *testing.T) {
 	tracker := slo.New(slo.Config{TargetP99: 5 * time.Second})
 	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker})
 	srv, err := loadgen.StartServer(loadgen.ServerOptions{
-		KeyBits:   512,
-		FileSize:  512,
-		Seed:      42,
-		Observers: []probe.Observer{tab},
+		KeyBits:  512,
+		FileSize: 512,
+		Seed:     42,
+		Table:    tab,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,8 @@ import (
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/record"
+	"sslperf/internal/rsa"
+	"sslperf/internal/server"
 	"sslperf/internal/ssl"
 	"sslperf/internal/workload"
 )
@@ -44,29 +46,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := id.ServerConfig(ssl.NewPRNG(8))
-	cfg.SessionCache = handshake.NewSessionCache(1024)
-
+	srv := &server.Server{
+		Keys:    []*rsa.PrivateKey{id.Key},
+		Certs:   [][]byte{id.CertDER},
+		Cache:   handshake.NewSessionCache(1024),
+		Seed:    8,
+		Handler: serve,
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ln.Close()
 	log.Printf("https-ish server on %s", ln.Addr())
 
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go serve(ssl.ServerConn(conn, cfg))
-		}
-	}()
-
 	if *listen {
-		select {} // serve forever
+		log.Fatal(srv.Serve(ln))
 	}
+	go srv.Serve(ln) // returns nil once Close is called
+	defer srv.Close()
 
 	// Demo client: one fresh session, then resumed ones.
 	clientVersion := uint16(record.VersionSSL30)
@@ -92,7 +89,6 @@ func main() {
 // serve handles one connection: parse minimal HTTP/1.0 GETs, answer
 // with deterministic payloads.
 func serve(conn *ssl.Conn) {
-	defer conn.Close()
 	r := bufio.NewReader(conn)
 	for {
 		line, err := r.ReadString('\n')

@@ -116,21 +116,21 @@ func AddStandardSources(h *History, s Sources) {
 		// from the history endpoint.
 		defs := append(gauges(
 			"conns.live", "conns", "conns.accepted", "conns", "conns.handshaking", "conns",
-			"conns.suspended", "conns", "conns.established", "conns",
+			"conns.established", "conns",
 		), counters("conns.opened", "conn/s", "conns.closed", "conn/s", "conns.failed", "conn/s")...)
 		for class := probe.FailClass(1); class <= probe.FailInternal; class++ {
 			defs = append(defs, SeriesDef{Name: "fail." + class.Name(), Unit: "fail/s", Kind: KindCounter})
 		}
 		h.AddSource(source{defs, func(vals []float64) {
 			c := table.Counts()
-			for i, v := range [...]int{c.Live, c.Accepted, c.Handshaking, c.Suspended, c.Established} {
+			for i, v := range [...]int{c.Live, c.Accepted, c.Handshaking, c.Established} {
 				vals[i] = float64(v)
 			}
-			vals[5] = float64(c.Opened)
-			vals[6] = float64(c.Closed)
-			vals[7] = float64(c.Failed)
+			vals[4] = float64(c.Opened)
+			vals[5] = float64(c.Closed)
+			vals[6] = float64(c.Failed)
 			for class := 1; class <= int(probe.FailInternal); class++ {
-				vals[7+class] = float64(c.FailByClass[class])
+				vals[6+class] = float64(c.FailByClass[class])
 			}
 		}})
 	}

@@ -43,14 +43,12 @@ import (
 type State string
 
 // Lifecycle states, in the order a healthy connection passes through
-// them. Failed replaces Established..Closed on a handshake error.
-// Suspended is the event-loop variant of Handshaking: the non-blocking
-// core hit WouldBlock mid-handshake and the connection is parked
-// waiting for transport readiness, holding buffers but no goroutine.
+// them. Failed replaces Established..Closed on a handshake error. A
+// sans-IO connection parked on ErrWouldBlock mid-handshake is still
+// Handshaking, with its open step.
 const (
 	StateAccepted    State = "accepted"
 	StateHandshaking State = "handshaking"
-	StateSuspended   State = "suspended"
 	StateEstablished State = "established"
 	StateClosed      State = "closed"
 	StateFailed      State = "failed"
@@ -63,7 +61,7 @@ func (s State) Name() string { return string(s) }
 // ok is false for unknown names.
 func StateByName(name string) (State, bool) {
 	switch s := State(name); s {
-	case StateAccepted, StateHandshaking, StateSuspended, StateEstablished, StateClosed, StateFailed:
+	case StateAccepted, StateHandshaking, StateEstablished, StateClosed, StateFailed:
 		return s, true
 	}
 	return "", false
@@ -335,7 +333,6 @@ type Counts struct {
 	Live        int
 	Accepted    int
 	Handshaking int
-	Suspended   int
 	Established int
 	Totals
 }
@@ -355,8 +352,6 @@ func (t *Table) Counts() Counts {
 			c.Accepted++
 		case StateHandshaking:
 			c.Handshaking++
-		case StateSuspended:
-			c.Suspended++
 		case StateEstablished:
 			c.Established++
 		}
@@ -395,12 +390,6 @@ func (c *Conn) Emit(e probe.Event) {
 		c.hsStart = e.At
 		c.setState(StateAccepted, StateHandshaking)
 		c.tab.o.SLO.HandshakeBegin()
-	case probe.KindHandshakeSuspend:
-		// The non-blocking core returned WouldBlock and the connection
-		// is parked on an event loop until the transport is ready.
-		c.setState(StateHandshaking, StateSuspended)
-	case probe.KindHandshakeResume:
-		c.setState(StateSuspended, StateHandshaking)
 	case probe.KindStepEnter:
 		c.step, c.stepStart, c.lastActivity = e.Step, e.At, e.At
 		if !c.sawStep {

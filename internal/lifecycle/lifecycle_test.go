@@ -132,11 +132,11 @@ func TestFailedConnTagged(t *testing.T) {
 		t.Fatalf("failed row %+v missing taxonomy", ci)
 	}
 
-	// A late suspend must not clobber the failure, and neither must
-	// the close.
-	c.Emit(probe.Event{Kind: probe.KindHandshakeSuspend})
+	// A late handshake start must not clobber the failure, and neither
+	// must the close.
+	c.start()
 	if got := tab.Snapshot(SnapshotOptions{}).Conns[0].State; got != "failed" {
-		t.Fatalf("suspend clobbered failed state: %q", got)
+		t.Fatalf("late start clobbered failed state: %q", got)
 	}
 	c.end()
 	snap = tab.Snapshot(SnapshotOptions{})

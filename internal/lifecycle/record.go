@@ -90,7 +90,7 @@ func (c *Conn) record(now time.Time, full bool) Record {
 	if c.version != 0 {
 		r.Version = telemetry.VersionName(c.version)
 	}
-	if (c.state == StateHandshaking || c.state == StateSuspended) && c.step != probe.StepNone {
+	if c.state == StateHandshaking && c.step != probe.StepNone {
 		r.Step = c.step.Name()
 	}
 	if !c.hsStart.IsZero() {

@@ -2,11 +2,12 @@ package loadgen
 
 import (
 	"net"
-	"sync"
 	"time"
 
 	"sslperf/internal/handshake"
-	"sslperf/internal/probe"
+	"sslperf/internal/lifecycle"
+	"sslperf/internal/rsa"
+	"sslperf/internal/server"
 	"sslperf/internal/ssl"
 	"sslperf/internal/workload"
 )
@@ -17,25 +18,19 @@ type ServerOptions struct {
 	FileSize int // response payload bytes (default 1024)
 	Seed     uint64
 
-	// Observers watch every server connection exactly as they would
-	// under cmd/sslserver — a metrics registry, a tracer, the live
-	// connection table — so an in-process run can smoke /debug/conns,
+	// Table observes every server connection exactly as it would under
+	// cmd/sslserver, so an in-process run can smoke /debug/conns,
 	// /debug/slo and /debug/health end to end without a second
-	// process.
-	Observers []probe.Observer
+	// process. Nil runs sink-free.
+	Table *lifecycle.Table
 }
 
-// A Server is a minimal in-process sslserver: the same LEN-framed
-// request/response protocol over a real TCP listener, so the load
+// A Server is sslserver in-process — the same server.Server, the same
+// any-read-one-response handler — on a loopback listener, so the load
 // generator (and `make loadsmoke`) can run self-contained.
 type Server struct {
-	ln       net.Listener
-	cfgBase  ssl.Config
-	response []byte
-	connSeq  uint64
-	mu       sync.Mutex
-	wg       sync.WaitGroup
-	closed   bool
+	srv *server.Server
+	ln  net.Listener
 }
 
 // StartServer generates an identity, listens on 127.0.0.1:0, and
@@ -58,39 +53,15 @@ func StartServer(opt ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		ln: ln,
-		cfgBase: ssl.Config{
-			Key:          id.Key,
-			CertDER:      id.CertDER,
-			SessionCache: handshake.NewSessionCache(4096),
-			Observers:    opt.Observers,
-		},
-		response: workload.Response(opt.FileSize),
-	}
-	seed := opt.Seed
-	go func() {
-		for {
-			tc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				tc.Close()
-				return
-			}
-			s.connSeq++
-			id := s.connSeq
-			s.wg.Add(1)
-			s.mu.Unlock()
-			go func() {
-				defer s.wg.Done()
-				s.serve(tc, seed+17*id)
-			}()
-		}
-	}()
+	s := &Server{ln: ln, srv: &server.Server{
+		Keys:    []*rsa.PrivateKey{id.Key},
+		Certs:   [][]byte{id.CertDER},
+		Cache:   handshake.NewSessionCache(4096),
+		Seed:    opt.Seed,
+		Table:   opt.Table,
+		Handler: server.Respond(workload.Response(opt.FileSize)),
+	}}
+	go s.srv.Serve(ln) // returns nil once Close is called
 	return s, nil
 }
 
@@ -98,29 +69,4 @@ func StartServer(opt ServerOptions) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting and waits for in-flight connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.ln.Close()
-	s.wg.Wait()
-}
-
-func (s *Server) serve(tc net.Conn, prngSeed uint64) {
-	cfg := s.cfgBase // per-connection copy
-	cfg.Rand = ssl.NewPRNG(prngSeed)
-	conn := ssl.ServerConn(tc, &cfg)
-	defer conn.Close()
-	if err := conn.Handshake(); err != nil {
-		return
-	}
-	buf := make([]byte, 4096)
-	for {
-		if _, err := conn.Read(buf); err != nil {
-			return
-		}
-		if _, err := conn.Write(s.response); err != nil {
-			return
-		}
-	}
-}
+func (s *Server) Close() { s.srv.Close() }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/ssl"
 	"sslperf/internal/telemetry"
@@ -36,10 +35,10 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 		CloseLog: lifecycle.NewCloseLog(&closeBuf, 1),
 	})
 	srv, err := StartServer(ServerOptions{
-		KeyBits:   512,
-		FileSize:  512,
-		Seed:      42,
-		Observers: []probe.Observer{tab},
+		KeyBits:  512,
+		FileSize: 512,
+		Seed:     42,
+		Table:    tab,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,10 +184,10 @@ func TestOneConnectionID(t *testing.T) {
 		Ring:     2 * conns,
 	})
 	srv, err := StartServer(ServerOptions{
-		KeyBits:   512,
-		FileSize:  64,
-		Seed:      43,
-		Observers: []probe.Observer{tab},
+		KeyBits:  512,
+		FileSize: 64,
+		Seed:     43,
+		Table:    tab,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,8 @@ type flavour struct {
 	garbage func(t *testing.T, scfg *Config)
 	// hangup starts the server's handshake and ends the connection
 	// while it waits for a ClientHello: the peer closes the transport
-	// under a blocking Conn; the event loop, told of the hang-up,
-	// closes a sans-IO one.
+	// under a blocking Conn; the driver of a sans-IO one, told of the
+	// hang-up, closes it.
 	hangup func(t *testing.T, scfg *Config)
 }
 

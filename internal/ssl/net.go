@@ -1,7 +1,10 @@
 package ssl
 
 import (
+	"encoding/binary"
+	"io"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -10,6 +13,7 @@ import (
 type Listener struct {
 	inner net.Listener
 	cfg   *Config
+	mu    sync.Mutex // serializes draws from cfg.Rand
 }
 
 // Listen announces on the network address and wraps accepted
@@ -29,13 +33,30 @@ func NewListener(inner net.Listener, cfg *Config) *Listener {
 
 // Accept waits for a connection and returns it wrapped as an SSL
 // server Conn. The handshake is deferred to the first Read/Write (or
-// an explicit Handshake call), as crypto/tls does.
+// an explicit Handshake call), as crypto/tls does. A PRNG is not safe
+// for concurrent use and accepted connections handshake concurrently,
+// so each gets a copy of the config whose Rand is its own PRNG, seeded
+// from the listener's source (a nil Rand already means one per use).
 func (l *Listener) Accept() (*Conn, error) {
 	tc, err := l.inner.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return ServerConn(tc, l.cfg), nil
+	cfg := l.cfg
+	if cfg.Rand != nil {
+		var seed [8]byte
+		l.mu.Lock()
+		_, err = io.ReadFull(cfg.Rand, seed[:])
+		l.mu.Unlock()
+		if err != nil {
+			tc.Close()
+			return nil, err
+		}
+		perConn := *cfg
+		perConn.Rand = NewPRNG(binary.LittleEndian.Uint64(seed[:]))
+		cfg = &perConn
+	}
+	return ServerConn(tc, cfg), nil
 }
 
 // Addr reports the listener's address.

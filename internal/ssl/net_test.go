@@ -2,6 +2,7 @@ package ssl
 
 import (
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,6 +81,62 @@ func TestDialHandshakeFailureClosesSocket(t *testing.T) {
 	}); err == nil {
 		t.Fatal("Dial succeeded despite name mismatch")
 	}
+}
+
+// Connections accepted from one Listener handshake concurrently, and a
+// PRNG is not safe for concurrent use: each must draw its server random
+// and session ID from a source of its own. Under -race (make check)
+// this fails on a Listener that hands every connection cfg.Rand itself.
+func TestListenerConcurrentDials(t *testing.T) {
+	const dials = 8
+	ln, err := Listen("tcp", "127.0.0.1:0", identity(t).ServerConfig(NewPRNG(504)))
+	if err != nil {
+		t.Skip("no loopback:", err)
+	}
+	defer ln.Close()
+	var servers sync.WaitGroup
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			servers.Add(1)
+			go func() {
+				defer servers.Done()
+				defer c.Close()
+				if err := c.Handshake(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}()
+
+	ids := make(chan string, dials)
+	for i := 0; i < dials; i++ {
+		go func(i int) {
+			conn, err := Dial("tcp", ln.Addr().String(),
+				&Config{Rand: NewPRNG(uint64(520 + i)), InsecureSkipVerify: true})
+			if err != nil {
+				t.Error(err)
+				ids <- ""
+				return
+			}
+			defer conn.Close()
+			state, _ := conn.ConnectionState()
+			ids <- string(state.SessionID)
+		}(i)
+	}
+	seen := make(map[string]bool)
+	for i := 0; i < dials; i++ {
+		id := <-ids
+		if id != "" && seen[id] {
+			t.Errorf("two connections drew the same session ID %x", id)
+		}
+		seen[id] = true
+	}
+	ln.Close()
+	servers.Wait()
 }
 
 // TestCertificateChain exercises a 3-level chain: root CA ->

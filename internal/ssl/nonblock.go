@@ -33,14 +33,14 @@ type handshakeFSM interface {
 // ErrWouldBlock; ReadData/WriteData move application data through the
 // negotiated channel the same way.
 //
-// A NonBlockingConn performs no locking: it is designed for a single
-// event-loop goroutine and all methods must be called from one
-// goroutine at a time. Handshake-step attribution pauses across
+// A NonBlockingConn performs no locking: all methods must be called
+// from one goroutine at a time. Handshake-step attribution pauses across
 // suspensions so parked wall-time never pollutes step durations.
 //
-// Nothing in this type may touch a transport — it is what the epoll
-// loop runs, so one blocking read would park every connection (make
-// blocklint enforces it).
+// Nothing in this type may touch a transport — the benchmark's layer
+// probes and the golden wire test drive both ends of a connection from
+// one goroutine, where one blocking read would hang (make blocklint
+// enforces it).
 type NonBlockingConn struct {
 	// rc is the record layer the FSM and the data path drive. A
 	// *record.Core never blocks; a *record.Layer pumps a transport

@@ -269,33 +269,53 @@ func nbEstablishedPair(t testing.TB, ccfg, scfg *Config) (*NonBlockingConn, *Non
 	return cli, srv
 }
 
-// The lifecycle table must see the event-loop states: suspended while
-// the FSM waits for bytes (with the open Table-2 step preserved),
-// established on completion, gone after close.
+// A sans-IO connection parked on ErrWouldBlock mid-handshake is
+// handshaking on the lifecycle table, with its open Table-2 step
+// preserved; however often it parks, every step is entered and exited
+// once and its duration counts active time only. Established on
+// completion, gone after close.
 func TestNonBlockingLifecycleSuspended(t *testing.T) {
 	table := lifecycle.NewTable(lifecycle.Options{})
+	var enters, exits []probe.Step
+	var parks int
+	var helloDur time.Duration
+	steps := probe.SinkFunc(func(e probe.Event) {
+		switch e.Kind {
+		case probe.KindStepEnter:
+			enters = append(enters, e.Step)
+		case probe.KindStepExit:
+			exits = append(exits, e.Step)
+			if e.Step == probe.StepGetClientHello {
+				helloDur = e.Dur
+			}
+		case probe.KindHandshakeSuspend:
+			parks++
+		}
+	})
 	scfg := &Config{
 		Rand: NewPRNG(5), Key: identity(t).Key, CertDER: identity(t).CertDER,
-		Observers: []probe.Observer{table},
+		Observers: []probe.Observer{table, steps},
 	}
 	srv := NonBlockingServer(scfg)
 	srv.SetRemoteAddr("10.0.0.9:999")
 	if err := srv.HandshakeStep(); err != ErrWouldBlock {
 		t.Fatalf("first step with no bytes: want ErrWouldBlock, got %v", err)
 	}
-	if c := table.Counts(); c.Suspended != 1 || c.Handshaking != 0 {
-		t.Fatalf("after suspension: suspended=%d handshaking=%d, want 1/0", c.Suspended, c.Handshaking)
+	if c := table.Counts(); c.Handshaking != 1 || c.Live != 1 {
+		t.Fatalf("parked: handshaking=%d live=%d, want 1/1", c.Handshaking, c.Live)
 	}
 	snap := table.Snapshot(lifecycle.SnapshotOptions{})
-	if len(snap.Conns) != 1 || snap.Conns[0].State != "suspended" {
-		t.Fatalf("snapshot state = %+v, want one suspended conn", snap.Conns)
+	if len(snap.Conns) != 1 || snap.Conns[0].State != "handshaking" {
+		t.Fatalf("snapshot state = %+v, want one handshaking conn", snap.Conns)
 	}
 	if snap.Conns[0].Remote != "10.0.0.9:999" {
 		t.Fatalf("remote = %q", snap.Conns[0].Remote)
 	}
-	if snap.Conns[0].Step == "" {
-		t.Fatal("suspended conn lost its open step cursor")
+	if got, want := snap.Conns[0].Step, probe.StepGetClientHello.Name(); got != want {
+		t.Fatalf("parked conn's open step = %q, want %q", got, want)
 	}
+	const parked = 30 * time.Millisecond
+	time.Sleep(parked) // waiting for the ClientHello: must not count
 
 	// Drive it to completion with a client.
 	cli := NonBlockingClient(&Config{Rand: NewPRNG(6), InsecureSkipVerify: true})
@@ -314,8 +334,18 @@ func TestNonBlockingLifecycleSuspended(t *testing.T) {
 			srv.ConsumeOutgoing(len(o))
 		}
 	}
-	if c := table.Counts(); c.Established != 1 || c.Suspended != 0 {
-		t.Fatalf("after handshake: established=%d suspended=%d, want 1/0", c.Established, c.Suspended)
+	if c := table.Counts(); c.Established != 1 || c.Handshaking != 0 {
+		t.Fatalf("after handshake: established=%d handshaking=%d, want 1/0", c.Established, c.Handshaking)
+	}
+	if parks < 2 {
+		t.Fatalf("the handshake parked %d times: it never waited on the client, so the test proved nothing", parks)
+	}
+	if !stepsEqual(enters, fullHandshakeSteps) || !stepsEqual(exits, fullHandshakeSteps) {
+		t.Fatalf("steps entered %v, exited %v, want each of %v once", enters, exits, fullHandshakeSteps)
+	}
+	if helloDur <= 0 || helloDur >= parked {
+		t.Fatalf("%s took %v with %v of it parked: want active time only",
+			probe.StepGetClientHello.Name(), helloDur, parked)
 	}
 	srv.Close()
 	if c := table.Counts(); c.Live != 0 {

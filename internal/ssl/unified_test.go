@@ -110,9 +110,9 @@ func (r *readSignal) Read(p []byte) (int, error) {
 
 // TestBlockingConnLifecycleRegistration pins the two lifecycle facts a
 // blocking Conn must keep now that the sans-IO conn (which registers
-// lazily and parks in suspended) does its bookkeeping: the entry
-// exists from construction under the transport's peer address, and a
-// handshake parked in a transport read is handshaking, not suspended.
+// lazily) does its bookkeeping: the entry exists from construction
+// under the transport's peer address, and a handshake parked in a
+// transport read is handshaking.
 func TestBlockingConnLifecycleRegistration(t *testing.T) {
 	id := identity(t)
 	table := lifecycle.NewTable(lifecycle.Options{})
@@ -155,9 +155,8 @@ func TestBlockingConnLifecycleRegistration(t *testing.T) {
 	serverDone := make(chan error, 1)
 	go func() { serverDone <- server.Handshake() }()
 	<-sig.entered // the server is waiting for a ClientHello nobody has sent
-	if c := table.Counts(); c.Handshaking != 1 || c.Suspended != 0 {
-		t.Fatalf("parked in the transport: handshaking=%d suspended=%d, want 1/0",
-			c.Handshaking, c.Suspended)
+	if c := table.Counts(); c.Handshaking != 1 {
+		t.Fatalf("parked in the transport: handshaking=%d, want 1", c.Handshaking)
 	}
 	close(sendHello)
 	if err := <-serverDone; err != nil {
@@ -166,8 +165,8 @@ func TestBlockingConnLifecycleRegistration(t *testing.T) {
 	if err := <-clientDone; err != nil {
 		t.Fatal(err)
 	}
-	if c := table.Counts(); c.Established != 1 || c.Suspended != 0 {
-		t.Fatalf("after handshake: established=%d suspended=%d, want 1/0", c.Established, c.Suspended)
+	if c := table.Counts(); c.Established != 1 {
+		t.Fatalf("after handshake: established=%d, want 1", c.Established)
 	}
 }
 

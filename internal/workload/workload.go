@@ -126,8 +126,8 @@ func Payload(n int) []byte {
 	return buf
 }
 
-// Response builds the reply sslserver (both serve loops) and the load
-// generator's in-process server send for every request: "LEN n\n"
+// Response builds the reply sslserver and the load generator's
+// in-process server (server.Respond) send for every request: "LEN n\n"
 // followed by Payload(n). A server formats it once at start-up and
 // every connection writes the same read-only slice — at 1 MiB a
 // per-request copy costs more than sealing the records does.

@@ -12,8 +12,8 @@
 //     transport (Pipe is the paper's in-memory "ssltest" setup).
 //   - NonBlockingClient, NonBlockingServer — the sans-IO form of the
 //     same connections, driven by Feed/HandshakeStep/Outgoing with
-//     ErrWouldBlock suspension (what `sslserver -eventloop` parks
-//     thousands of idle connections on without goroutine stacks).
+//     ErrWouldBlock suspension: no transport, no goroutine (what
+//     the benchmark's layer probes and the golden wire test drive).
 //   - NewIdentity — server key + self-signed certificate.
 //   - SuiteByName — the cipher suites ("DES-CBC3-SHA" is the paper's).
 //   - Experiments / ExperimentByID — the Table/Figure reproductions.
