@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint servelint kernellint cbclint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cbclint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -29,14 +29,17 @@ race:
 # engines, the handshake session cache, perf (whose model-GHz
 # setting is shared mutable state), bn and rsa (a Mont's scratch pool
 # and a key's lazily built contexts and arena pool are shared by every
-# connection under that key), the serve loop, and the load generator
-# + health checks — then every fuzz target for a few seconds and a real
-# end-to-end smoke: sslload against the serve loop in-process.
+# connection under that key), des (its SP and PC tables, built in init,
+# are read by every connection's key schedule and rounds), the serve
+# loop, and the load generator + health checks — then every fuzz
+# target for a few seconds and a real end-to-end smoke: sslload
+# against the serve loop in-process.
 check:
 	$(GO) vet ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
 	$(MAKE) seallint
+	$(MAKE) writelint
 	$(MAKE) servelint
 	$(MAKE) kernellint
 	$(MAKE) cbclint
@@ -50,7 +53,7 @@ check:
 		./internal/loadgen/... ./internal/baseline/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \
 		./internal/history/... ./internal/debughttp/... ./cmd/ssltop/... \
-		./internal/bn/... ./internal/rsa/... ./internal/server/...
+		./internal/bn/... ./internal/rsa/... ./internal/server/... ./internal/des/...
 	$(MAKE) fuzzsmoke
 	$(MAKE) loadsmoke
 
@@ -105,6 +108,19 @@ seallint:
 			echo "$$sites"; exit 1; \
 		fi; \
 	done
+
+# There is one transport write: Layer.write, which WriteRecord (each
+# window) and Flush (the held handshake flight; ReadRecord flushes
+# before it blocks) both go through, so whatever is held leaves ahead
+# of the next record. A second .Write( call site is a record written
+# around the held flight — out of order on the wire, or one write per
+# record coming back.
+writelint:
+	@sites=$$(grep -n '\.Write(' internal/record/*.go | grep -v _test.go); \
+	if [ $$(echo "$$sites" | grep -c .) -ne 1 ]; then \
+		echo "writelint: want exactly one transport .Write( call site in non-test internal/record/*.go, found:"; \
+		echo "$$sites"; exit 1; \
+	fi
 
 # There is one serve loop: internal/server holds the only accept loop
 # (and the only per-connection config builder) that cmd/, internal/ and

@@ -105,30 +105,42 @@ var sp [8][64]uint32
 
 // Byte-indexed permutation tables: ipTab[i][b] is the contribution of
 // input byte i having value b to the permuted 64-bit output, making
-// IP eight lookups + ORs instead of 64 bit moves; likewise fpTab.
-var ipTab, fpTab [8][256]uint64
+// IP eight lookups + ORs instead of 64 bit moves; likewise fpTab, and
+// for the key schedule pc1Tab (the 64-bit key to the 56-bit C‖D) and
+// pc2Tab (the 56-bit C‖D, seven bytes, to a 48-bit subkey).
+var (
+	ipTab, fpTab, pc1Tab [8][256]uint64
+	pc2Tab               [7][256]uint64
+)
 
-func buildPermTab(tab *[8][256]uint64, spec *[64]byte) {
-	for byteIdx := 0; byteIdx < 8; byteIdx++ {
-		for v := 0; v < 256; v++ {
-			var out uint64
-			for outBit := 0; outBit < 64; outBit++ {
-				inBit := int(spec[outBit]) - 1 // 0-indexed from MSB
-				if inBit/8 != byteIdx {
-					continue
-				}
-				if v&(0x80>>uint(inBit%8)) != 0 {
-					out |= 1 << uint(63-outBit)
-				}
-			}
-			tab[byteIdx][v] = out
+// buildPermTab fills tab for the bit selection spec (1-indexed input
+// positions, MSB first, over an input of len(tab) bytes; one entry per
+// output bit, MSB first). A selection moves every bit on its own, so
+// the OR of one lookup per input byte is the whole permutation, and a
+// byte value's entry is the OR of its single bits' entries.
+func buildPermTab(tab [][256]uint64, spec []byte) {
+	for out, in := range spec {
+		in-- // 0-indexed from the MSB
+		tab[in/8][0x80>>(in%8)] |= 1 << (len(spec) - 1 - out)
+	}
+	for i := range tab {
+		for b := 1; b < 256; b++ {
+			low := b & -b
+			tab[i][b] = tab[i][b^low] | tab[i][low]
 		}
 	}
 }
 
 func init() {
-	buildPermTab(&ipTab, &ipSpec)
-	buildPermTab(&fpTab, &fpSpec)
+	buildPermTab(ipTab[:], ipSpec[:])
+	buildPermTab(fpTab[:], fpSpec[:])
+	buildPermTab(pc1Tab[:], pc1[:])
+	buildPermTab(pc2Tab[:], pc2[:])
+	var turned uint
+	for i, n := range leftRotations {
+		turned += uint(n)
+		rotationsBefore[i] = turned
+	}
 	for i := 0; i < 8; i++ {
 		for v := 0; v < 64; v++ {
 			row := (v>>4)&2 | v&1
@@ -178,32 +190,26 @@ func feistel(r uint32, k uint64) uint32 {
 		sp[6][x>>6&0x3f] ^ sp[7][x&0x3f]
 }
 
+// rotationsBefore[i] is the sum of leftRotations[:i+1]: how far round
+// i's C and D have turned from PC-1's output (filled by init).
+var rotationsBefore [16]uint
+
 // subkeys derives the sixteen 48-bit round subkeys from an 8-byte key
-// (parity bits ignored), the "key setup" of the paper's Figure 3.
+// (parity bits ignored), the "key setup" of the paper's Figure 3: PC-1
+// by eight lookups, then per round C and D rotated and PC-2 by seven.
+// Each 28-bit half is held twice over, side by side, so its rotation by
+// n is one shift right by 28-n. Nothing branches on a key bit, so a
+// fresh key per connection costs what a repeated one does.
 func subkeys(key []byte) [16]uint64 {
-	k64 := binary.BigEndian.Uint64(key)
-	// PC1: 64 -> 56 bits.
-	var cd uint64
-	for i, bit := range pc1 {
-		if k64&(1<<uint(64-bit)) != 0 {
-			cd |= 1 << uint(55-i)
-		}
-	}
-	c := uint32(cd >> 28)
-	d := uint32(cd & 0x0fffffff)
+	cd := permute(&pc1Tab, binary.BigEndian.Uint64(key))
+	cc, dd := (cd>>28)*(1<<28+1), (cd&0x0fffffff)*(1<<28+1)
 	var out [16]uint64
-	for round := 0; round < 16; round++ {
-		n := uint(leftRotations[round])
-		c = (c<<n | c>>(28-n)) & 0x0fffffff
-		d = (d<<n | d>>(28-n)) & 0x0fffffff
-		merged := uint64(c)<<28 | uint64(d)
-		var k uint64
-		for i, bit := range pc2 {
-			if merged&(1<<uint(56-bit)) != 0 {
-				k |= 1 << uint(47-i)
-			}
-		}
-		out[round] = k
+	for round, n := range rotationsBefore {
+		s := (28 - n) & 63 // the mask drops the compiler's shift-overflow guard
+		cd = (cc>>s&0x0fffffff)<<28 | dd>>s&0x0fffffff
+		out[round] = pc2Tab[0][cd>>48&0xff] | pc2Tab[1][cd>>40&0xff] | pc2Tab[2][cd>>32&0xff] |
+			pc2Tab[3][cd>>24&0xff] | pc2Tab[4][cd>>16&0xff] | pc2Tab[5][cd>>8&0xff] |
+			pc2Tab[6][cd&0xff]
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package des
 import (
 	"bytes"
 	stddes "crypto/des"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -167,6 +168,57 @@ func TestEncryptDecryptInverseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSubkeys is the FIPS 46-3 key schedule bit by bit — the form
+// subkeys had before its tables, kept as the reference they must
+// reproduce. It branches on every key bit.
+func refSubkeys(key []byte) [16]uint64 {
+	k64 := binary.BigEndian.Uint64(key)
+	// PC1: 64 -> 56 bits.
+	var cd uint64
+	for i, bit := range pc1 {
+		if k64&(1<<uint(64-bit)) != 0 {
+			cd |= 1 << uint(55-i)
+		}
+	}
+	c := uint32(cd >> 28)
+	d := uint32(cd & 0x0fffffff)
+	var out [16]uint64
+	for round := 0; round < 16; round++ {
+		n := uint(leftRotations[round])
+		c = (c<<n | c>>(28-n)) & 0x0fffffff
+		d = (d<<n | d>>(28-n)) & 0x0fffffff
+		merged := uint64(c)<<28 | uint64(d)
+		var k uint64
+		for i, bit := range pc2 {
+			if merged&(1<<uint(56-bit)) != 0 {
+				k |= 1 << uint(47-i)
+			}
+		}
+		out[round] = k
+	}
+	return out
+}
+
+// TestSubkeysMatchReference holds the table-driven key schedule to the
+// bit-by-bit one: 10,000 PRNG keys, the all-zero and all-ones keys and
+// the four weak keys of FIPS 74.
+func TestSubkeysMatchReference(t *testing.T) {
+	keys := []string{
+		"0000000000000000", "ffffffffffffffff",
+		"0101010101010101", "fefefefefefefefe", "e0e0e0e0f1f1f1f1", "1f1f1f1f0e0e0e0e",
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 10000; i++ {
+		keys = append(keys, fmt.Sprintf("%016x", r.Uint64()))
+	}
+	for _, k := range keys {
+		key := mustHex(t, k)
+		if got, want := subkeys(key), refSubkeys(key); got != want {
+			t.Fatalf("key %s: subkeys = %x, reference %x", k, got, want)
+		}
 	}
 }
 

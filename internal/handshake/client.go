@@ -265,22 +265,26 @@ func (c *clientState) runPhase() error {
 			// after the server's.
 			c.phase = cliSendFinal
 		} else {
-			c.finish()
-			c.phase = cliDone
+			return c.finish()
 		}
 
 	case cliSendFinal:
 		if err := c.sendCCSAndFinished(); err != nil {
 			return err
 		}
-		c.finish()
-		c.phase = cliDone
+		return c.finish()
 	}
 	return nil
 }
 
-// finish records the completed handshake's outcome.
-func (c *clientState) finish() {
+// finish sends the held final flight (a resumed handshake's CCS +
+// Finished; a full one's left before the server's was read) and
+// records the completed handshake's outcome.
+func (c *clientState) finish() error {
+	if err := c.conn.Flush(); err != nil {
+		return err
+	}
+	c.phase = cliDone
 	c.res = &Result{
 		Suite:   c.suite,
 		Resumed: c.resumed,
@@ -291,6 +295,7 @@ func (c *clientState) finish() {
 			Version: c.version,
 		},
 	}
+	return nil
 }
 
 // sendHello builds and sends the ClientHello. The record layer stays

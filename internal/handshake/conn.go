@@ -28,8 +28,14 @@ type RecordConn interface {
 	// ReadRecord returns the next opened record, or ErrWouldBlock on
 	// a sans-IO core that has not been fed a complete record.
 	ReadRecord() (record.ContentType, []byte, error)
-	// WriteRecord seals data, fragmenting as needed.
+	// WriteRecord seals data, fragmenting as needed. A Layer holds
+	// handshake and ChangeCipherSpec records until it would block in a
+	// read, until Flush, or until a record of another type follows.
 	WriteRecord(typ record.ContentType, data []byte) error
+	// Flush sends what WriteRecord holds: the FSMs call it once their
+	// last flight is sealed (the server in step 9, server_flush). A
+	// no-op on a Core, whose caller drains Outgoing itself.
+	Flush() error
 
 	SetProtocolVersion(v uint16)
 	SetPrimitives(cipher, mac string)

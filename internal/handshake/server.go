@@ -436,8 +436,14 @@ func (s *serverState) runPhase() error {
 		s.phase = srvFlush
 
 	case srvFlush:
-		// Step 9: server_flush — scrub and cache.
-		if s.cfg.Cache != nil && len(s.sessionID) > 0 {
+		// Step 9: server_flush — send the held final flight (the
+		// CCS + Finished of a full handshake; a resumed one's left when
+		// the server read the client's), then cache a new session (a
+		// resumed one is in the cache already).
+		if err := s.conn.Flush(); err != nil {
+			return err
+		}
+		if s.cfg.Cache != nil && len(s.sessionID) > 0 && !s.resumed {
 			s.cfg.Cache.Put(&Session{
 				ID:      append([]byte(nil), s.sessionID...),
 				Suite:   s.suite.ID,

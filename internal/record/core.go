@@ -335,6 +335,10 @@ func (c *Core) seal(typ ContentType, payload []byte) {
 	c.Probe.RecordIO(true, typ == TypeAlert, len(payload))
 }
 
+// Flush is a no-op: a Core has no transport, and its caller drains
+// Outgoing at its own pace. (Layer.Flush writes the held flight.)
+func (c *Core) Flush() error { return nil }
+
 // WriteRecord seals data of the given type into the outgoing buffer,
 // fragmenting as needed. It never blocks; the caller drains the bytes
 // with Outgoing/ConsumeOutgoing. (Transport write accounting —

@@ -401,13 +401,31 @@ func TestLayerReadPump(t *testing.T) {
 
 	check("one byte per Read", readAll(receiver(iotest.OneByteReader(bytes.NewReader(wire)))), 4, io.EOF)
 
-	// The first record costs two Reads (header, then the body the header
-	// asks for); the buffer is then big enough that the three small
-	// records arrive in one Read; the fourth Read finds the end.
+	// The first record, a full-size one, costs two Reads (firstRead
+	// bytes, then the rest of the body the header asks for); the buffer
+	// is then big enough that the three small records arrive in one
+	// Read; the fourth Read finds the end.
 	counted := &countingReader{r: bytes.NewReader(wire)}
 	check("whole stream available", readAll(receiver(counted)), 4, io.EOF)
 	if counted.reads != 4 {
 		t.Errorf("whole stream available: %d transport Reads, want 4", counted.reads)
+	}
+
+	// A stream of small records is one Read, where a 5-byte header read
+	// and then exactly the record made the first record alone cost two.
+	smallSender := NewCore()
+	arm(t, s, smallSender, NewCore())
+	for _, p := range sent[1:] {
+		smallSender.WriteRecord(TypeApplicationData, p)
+	}
+	small := receiver(bytes.NewReader(smallSender.Outgoing()))
+	for _, p := range sent[1:] {
+		if typ, payload, err := small.ReadRecord(); err != nil || typ != TypeApplicationData || !bytes.Equal(payload, p) {
+			t.Fatalf("small records: read %v %x, %v", typ, payload, err)
+		}
+	}
+	if small.Stats.ReadCalls != 1 {
+		t.Errorf("small records available: %d transport Reads, want 1", small.Stats.ReadCalls)
 	}
 
 	check("ends at a record boundary", readAll(receiver(bytes.NewReader(wire[:ends[1]]))), 2, io.EOF)

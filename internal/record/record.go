@@ -144,11 +144,17 @@ type Stats struct {
 	AlertsRead     int
 	AlertsWritten  int
 
-	// WriteCalls counts the transport writes a Layer issued.
-	// WriteCalls/RecordsWritten is the syscalls-per-record
-	// amortization: 1 for writes up to a record, 1/64 once a bulk write
-	// fills its windows.
+	// WriteCalls counts the transport writes a Layer issued: one per
+	// handshake flight (its records are held until the Layer would
+	// block in a read, is flushed, or sends the next application-data
+	// or alert record, which then carries them), one per application
+	// write up to a window, 1/64 of a record once a bulk write fills its
+	// windows.
 	WriteCalls int
+	// ReadCalls counts the transport reads a Layer issued. The first
+	// takes up to firstRead bytes, so a whole flight that has arrived
+	// costs one.
+	ReadCalls int
 }
 
 // CryptoOp identifies a record-layer crypto operation for observers.
@@ -168,14 +174,21 @@ const (
 // (framing, MAC, padding, cipher state, sequence numbers, buffers)
 // plus the transport pump — the single place a connection blocks. The
 // embedded Core's fields and state setters are promoted; Layer shadows
-// only ReadRecord and WriteRecord, to move the Core's buffers from and
-// to the transport, so blocking and non-blocking connections execute
-// the same sealing and opening code. Not safe for concurrent use; the
-// ssl package serializes access.
+// only ReadRecord, WriteRecord and Flush, to move the Core's buffers
+// from and to the transport, so blocking and non-blocking connections
+// execute the same sealing and opening code. Not safe for concurrent
+// use; the ssl package serializes access.
 type Layer struct {
 	Core
 	rw io.ReadWriter
 }
+
+// firstRead is the least incoming grows to when it must grow: enough
+// for a ClientHello, a client's ChangeCipherSpec + Finished or a
+// server's first flight with a 1024-bit certificate (≈ 860 B) to
+// arrive in one transport Read, instead of a 5-byte header read and
+// then exactly the record.
+const firstRead = 1024
 
 // NewLayer wraps rw in a record layer with NULL security (the state
 // before ChangeCipherSpec).
@@ -183,23 +196,53 @@ func NewLayer(rw io.ReadWriter) *Layer {
 	return &Layer{rw: rw}
 }
 
-// WriteRecord sends data of the given type, fragmenting as needed:
-// the Core seals a window of up to windowRecords records into its
-// outgoing buffer and the window leaves in one transport Write, so a
-// record costs one write and a 1 MiB response two, not 65. A failed
-// Write surfaces the transport's error; what was sealed is dropped
-// with the connection.
+// WriteRecord sends data of the given type, fragmenting as needed.
+//
+// Handshake and ChangeCipherSpec records are only sealed: a handshake
+// flight waits in outgoing, as OpenSSL's handshake messages wait in its
+// buffering BIO, and leaves in one transport Write when the Layer
+// would block in ReadRecord, on Flush, or ahead of the next record of
+// any other type (so a fatal alert carries the flight it follows).
+//
+// Any other record is written at once: the Core seals a window of up
+// to windowRecords records behind whatever is held and the lot leaves
+// in one transport Write, so a record costs one write and a 1 MiB
+// response two, not 65. A failed Write surfaces the transport's error;
+// what was sealed is dropped with the connection.
 func (l *Layer) WriteRecord(typ ContentType, data []byte) (err error) {
+	if typ == TypeHandshake || typ == TypeChangeCipherSpec {
+		return l.Core.WriteRecord(typ, data)
+	}
 	const window = windowRecords * MaxFragment
 	for first := true; err == nil && (first || len(data) > 0); first = false {
 		n := min(len(data), window)
 		l.Core.WriteRecord(typ, data[:n])
-		_, err = l.rw.Write(l.outgoing)
-		l.Stats.WriteCalls++
-		l.outgoing = l.outgoing[:0]
+		err = l.write()
 		data = data[n:]
 	}
 	l.ConsumeOutgoing(0) // drained: a window goes back to the pool
+	return err
+}
+
+// Flush writes the held handshake records, if any, in one transport
+// Write — Table 2's step 9, server_flush. The handshake calls it when
+// its last flight is sealed; ReadRecord calls it before it blocks.
+func (l *Layer) Flush() error {
+	if len(l.Outgoing()) == 0 {
+		return nil
+	}
+	err := l.write()
+	l.ConsumeOutgoing(0) // drained: the buffer goes back to the pool
+	return err
+}
+
+// write is the Layer's one transport Write: everything sealed and not
+// yet sent. It keeps the buffer for the next window; the callers give
+// it back.
+func (l *Layer) write() error {
+	_, err := l.rw.Write(l.Outgoing())
+	l.Stats.WriteCalls++
+	l.outgoing, l.outOff = l.outgoing[:0], 0
 	return err
 }
 
@@ -217,12 +260,13 @@ type BuffersWriter interface {
 
 // ReadRecord reads and opens the next record, returning its type and
 // plaintext payload: Core.ReadRecord, and wherever the Core would
-// return ErrWouldBlock one blocking transport Read straight into
+// return ErrWouldBlock the held flight's Flush (the peer may be waiting
+// for it) and then one blocking transport Read straight into
 // incoming's spare capacity — grown, when short, to hold the missing
-// bytes the parsed header asks for — so whatever else has already
-// arrived comes along in the same read. It returns io.EOF when the
-// stream ends at a record boundary and io.ErrUnexpectedEOF when it
-// ends inside a record.
+// bytes the parsed header asks for and at least firstRead — so
+// whatever else has already arrived comes along in the same read. It
+// returns io.EOF when the stream ends at a record boundary and
+// io.ErrUnexpectedEOF when it ends inside a record.
 //
 // The returned payload aliases the incoming buffer and is valid only
 // until the next ReadRecord call — callers that need it longer must
@@ -235,12 +279,16 @@ func (l *Layer) ReadRecord() (ContentType, []byte, error) {
 		if err != ErrWouldBlock {
 			return typ, payload, err
 		}
+		if err := l.Flush(); err != nil {
+			return 0, nil, err
+		}
 		l.compactIncoming()
 		have := len(l.incoming)
 		if cap(l.incoming) < have+missing {
-			l.incoming = append(make([]byte, 0, have+missing), l.incoming...)
+			l.incoming = append(make([]byte, 0, max(have+missing, firstRead)), l.incoming...)
 		}
 		n, err := l.rw.Read(l.incoming[have:cap(l.incoming)])
+		l.Stats.ReadCalls++
 		l.incoming = l.incoming[:have+n]
 		if n == 0 && err != nil {
 			if err == io.EOF && have > 0 {

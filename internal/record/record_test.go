@@ -88,6 +88,9 @@ func TestPlaintextRoundTrip(t *testing.T) {
 	if err := sender.WriteRecord(TypeHandshake, msg); err != nil {
 		t.Fatal(err)
 	}
+	if err := sender.Flush(); err != nil { // a handshake record waits for its flight
+		t.Fatal(err)
+	}
 	typ, got, err := receiver.ReadRecord()
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,11 @@ package ssl
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 
 	"sslperf/internal/handshake"
@@ -170,14 +172,24 @@ func TestBlockingConnLifecycleRegistration(t *testing.T) {
 	}
 }
 
-// Transport writes per operation at the parent commit (blocking Conn
-// over the in-memory pipe, RSA key exchange): the syscall shape the
-// benchmark's end-to-end workloads see must not move with the merge.
+// Transport writes and reads per operation (blocking Conn over the
+// in-memory pipe, RSA key exchange): the syscall shape the benchmark's
+// end-to-end workloads see. A Layer holds a handshake flight until it
+// would block in a read, so a handshake is one write per flight a side
+// sends — the protocol's two a side, less the resumed server's second,
+// which it never sends — where it was one per record: 4/5 full and
+// 3/3 resumed (client/server) before ISSUE 29. A server's first read
+// takes the whole ClientHello, and the client's closing
+// ChangeCipherSpec + Finished arrive in one read: 2 reads either way,
+// where a header read and then a body read made the ClientHello alone
+// cost 2.
 const (
-	fullHandshakeClientWrites    = 4
-	fullHandshakeServerWrites    = 5
-	resumedHandshakeClientWrites = 3
-	resumedHandshakeServerWrites = 3
+	fullHandshakeClientWrites    = 2
+	fullHandshakeServerWrites    = 2
+	resumedHandshakeClientWrites = 2
+	resumedHandshakeServerWrites = 1
+	fullHandshakeServerReads     = 2
+	resumedHandshakeServerReads  = 2
 	write256Writes               = 1
 	write1MiB7Writes             = 2 // one 64-record flight window, then the 65th record
 )
@@ -195,11 +207,12 @@ func TestWriteCallsPinned(t *testing.T) {
 	check := func(what string, got, want int) {
 		t.Helper()
 		if got != want {
-			t.Errorf("%s: %d transport writes, parent commit had %d", what, got, want)
+			t.Errorf("%s: %d transport calls, want %d", what, got, want)
 		}
 	}
-	check("full handshake, client", client.Stats().WriteCalls, fullHandshakeClientWrites)
-	check("full handshake, server", server.Stats().WriteCalls, fullHandshakeServerWrites)
+	check("full handshake, client writes", client.Stats().WriteCalls, fullHandshakeClientWrites)
+	check("full handshake, server writes", server.Stats().WriteCalls, fullHandshakeServerWrites)
+	check("full handshake, server reads", server.Stats().ReadCalls, fullHandshakeServerReads)
 
 	before := server.Stats().WriteCalls
 	if _, err := server.Write(make([]byte, 256)); err != nil {
@@ -224,8 +237,85 @@ func TestWriteCallsPinned(t *testing.T) {
 	if st, _ := rserver.ConnectionState(); !st.Resumed {
 		t.Fatal("second connection did not resume")
 	}
-	check("resumed handshake, client", rclient.Stats().WriteCalls, resumedHandshakeClientWrites)
-	check("resumed handshake, server", rserver.Stats().WriteCalls, resumedHandshakeServerWrites)
+	check("resumed handshake, client writes", rclient.Stats().WriteCalls, resumedHandshakeClientWrites)
+	check("resumed handshake, server writes", rserver.Stats().WriteCalls, resumedHandshakeServerWrites)
+	check("resumed handshake, server reads", rserver.Stats().ReadCalls, resumedHandshakeServerReads)
+}
+
+// TestFailedFlightCarriesAlert: a server whose handshake fails with a
+// flight sealed and held (ServerHello + Certificate, then a DHE suite
+// it cannot sign for without its key) sends flight and fatal alert in
+// one write, and the client reads the flight and then why it ended.
+func TestFailedFlightCarriesAlert(t *testing.T) {
+	id := identity(t)
+	ct, st := Pipe()
+	client := ClientConn(ct, clientCfg(func(c *Config) {
+		c.Suites = []suite.ID{suite.DHERSAWithAES128CBCSHA}
+	}))
+	server := ServerConn(st, &Config{Rand: NewPRNG(618), Decrypter: id.Key, CertDER: id.CertDER})
+	clientErr := make(chan error, 1)
+	go func() { clientErr <- client.Handshake() }()
+	if err := server.Handshake(); err == nil {
+		t.Fatal("a DHE handshake without the signing key succeeded")
+	}
+	if s := server.Stats(); s.WriteCalls != 1 || s.RecordsWritten != 3 || s.AlertsWritten != 1 {
+		t.Fatalf("server wrote %d records (%d alerts) in %d writes, want ServerHello, Certificate and the alert in 1",
+			s.RecordsWritten, s.AlertsWritten, s.WriteCalls)
+	}
+	if got := FailureReason(<-clientErr); got != "peer_alert:handshake_failure" {
+		t.Fatalf("client failure = %s, want peer_alert:handshake_failure", got)
+	}
+}
+
+// failingWrites passes its first ok writes to the transport and fails
+// every later one with err.
+type failingWrites struct {
+	io.ReadWriteCloser
+	ok  int
+	err error
+}
+
+func (f *failingWrites) Write(p []byte) (int, error) {
+	if f.ok == 0 {
+		return 0, f.err
+	}
+	f.ok--
+	return f.ReadWriteCloser.Write(p)
+}
+
+// TestFlushErrorSurfaces: a held flight's write failing is the
+// handshake's error, classified, whether the flush is the client's
+// before its first read or the server's in step 9 — never a hang in a
+// read the peer cannot answer, nor an error that lost its cause.
+func TestFlushErrorSurfaces(t *testing.T) {
+	id := identity(t)
+	broken := &net.OpError{Op: "write", Net: "pipe", Err: syscall.EPIPE}
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		if !errors.Is(err, syscall.EPIPE) {
+			t.Fatalf("handshake error = %v, want the transport's %v", err, broken)
+		}
+		if c := Classify(err); c != probe.FailIOEOF {
+			t.Fatalf("classified %s, want %s", c.Name(), probe.FailIOEOF.Name())
+		}
+	}
+	t.Run("client first flight", func(t *testing.T) {
+		ct, _ := Pipe()
+		client := ClientConn(&failingWrites{ReadWriteCloser: ct, err: broken}, clientCfg(nil))
+		check(t, client.Handshake())
+	})
+	t.Run("server step 9", func(t *testing.T) {
+		ct, st := Pipe()
+		client := ClientConn(ct, clientCfg(nil))
+		server := ServerConn(&failingWrites{ReadWriteCloser: st, ok: 1, err: broken}, id.ServerConfig(NewPRNG(619)))
+		clientErr := make(chan error, 1)
+		go func() { clientErr <- client.Handshake() }()
+		check(t, server.Handshake())
+		server.Close() // the client waits for a Finished that will not come
+		if <-clientErr == nil {
+			t.Fatal("the client completed a handshake whose last server flight was never sent")
+		}
+	})
 }
 
 // TestIOEventsFromSharedEntry checks that a sampled connection's

@@ -44,34 +44,35 @@ func (f *FinishedHash) Write(p []byte) (int, error) {
 // The result is 36 bytes (16 MD5 + 20 SHA-1).
 func (f *FinishedHash) Sum(sender, master []byte) []byte {
 	out := make([]byte, 0, md5x.Size+sha1x.Size)
+	var inner [sha1x.Size]byte
 
 	mdInner := *f.md5 // copy running state
 	mdInner.Write(sender)
 	mdInner.Write(master)
-	mdInner.Write(repeatByte(0x36, 48))
-	inner := mdInner.Sum(nil)
+	mdInner.Write(pad1[:48])
 	mdOuter := md5x.New()
 	mdOuter.Write(master)
-	mdOuter.Write(repeatByte(0x5c, 48))
-	mdOuter.Write(inner)
+	mdOuter.Write(pad2[:48])
+	mdOuter.Write(mdInner.Sum(inner[:0]))
 	out = mdOuter.Sum(out)
 
 	shaInner := *f.sha
 	shaInner.Write(sender)
 	shaInner.Write(master)
-	shaInner.Write(repeatByte(0x36, 40))
-	innerS := shaInner.Sum(nil)
+	shaInner.Write(pad1[:40])
 	shaOuter := sha1x.New()
 	shaOuter.Write(master)
-	shaOuter.Write(repeatByte(0x5c, 40))
-	shaOuter.Write(innerS)
+	shaOuter.Write(pad2[:40])
+	shaOuter.Write(shaInner.Sum(inner[:0]))
 	return shaOuter.Sum(out)
 }
 
-func repeatByte(b byte, n int) []byte {
-	p := make([]byte, n)
-	for i := range p {
-		p[i] = b
+// pad1 and pad2 are the SSLv3 pads: 48 bytes of 0x36 and of 0x5c
+// after an MD5 secret, the first 40 after a SHA-1 one.
+var pad1, pad2 [48]byte
+
+func init() {
+	for i := range pad1 {
+		pad1[i], pad2[i] = 0x36, 0x5c
 	}
-	return p
 }

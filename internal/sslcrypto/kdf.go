@@ -26,21 +26,21 @@ const PreMasterLen = 48
 // 16 bytes until n bytes are produced.
 func deriveBytes(secret, seed []byte, n int) []byte {
 	out := make([]byte, 0, (n+15)/16*16)
-	sha := sha1x.New()
-	md := md5x.New()
+	var sha sha1x.Digest
+	var md md5x.Digest
+	var label [26]byte // 'A' … 'Z': 416 bytes, past any key block
+	var inner [sha1x.Size]byte
 	for i := 0; len(out) < n; i++ {
-		label := make([]byte, i+1)
-		for j := range label {
+		for j := range label[:i+1] {
 			label[j] = byte('A' + i)
 		}
 		sha.Reset()
-		sha.Write(label)
+		sha.Write(label[:i+1])
 		sha.Write(secret)
 		sha.Write(seed)
-		inner := sha.Sum(nil)
 		md.Reset()
 		md.Write(secret)
-		md.Write(inner)
+		md.Write(sha.Sum(inner[:0]))
 		out = md.Sum(out)
 	}
 	return out[:n]
@@ -49,9 +49,7 @@ func deriveBytes(secret, seed []byte, n int) []byte {
 // MasterSecret derives the 48-byte master secret from the pre-master
 // secret and the hello randoms (client random first, per SSLv3 §6.1).
 func MasterSecret(preMaster, clientRandom, serverRandom []byte) []byte {
-	seed := make([]byte, 0, len(clientRandom)+len(serverRandom))
-	seed = append(seed, clientRandom...)
-	seed = append(seed, serverRandom...)
+	seed := append(append(make([]byte, 0, 64), clientRandom...), serverRandom...)
 	return deriveBytes(preMaster, seed, MasterSecretLen)
 }
 
@@ -59,8 +57,6 @@ func MasterSecret(preMaster, clientRandom, serverRandom []byte) []byte {
 // (server random first, per SSLv3 §6.2.2). The block is sliced into
 // client/server MAC secrets, keys, and IVs by the record layer.
 func KeyBlock(master, clientRandom, serverRandom []byte, n int) []byte {
-	seed := make([]byte, 0, len(clientRandom)+len(serverRandom))
-	seed = append(seed, serverRandom...)
-	seed = append(seed, clientRandom...)
+	seed := append(append(make([]byte, 0, 64), serverRandom...), clientRandom...)
 	return deriveBytes(master, seed, n)
 }
