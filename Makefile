@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cbclint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint gencheck cbclint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -42,6 +42,7 @@ check:
 	$(MAKE) writelint
 	$(MAKE) servelint
 	$(MAKE) kernellint
+	$(MAKE) gencheck
 	$(MAKE) cbclint
 	$(MAKE) depslint
 	$(MAKE) pathlenlint
@@ -149,14 +150,30 @@ servelint:
 # loops. Those belong to the counting kernel and the profiled forms
 # beside them (bn's mulAddWords, the */anatomy.go files).
 # (montkernel.go's two non-escaping selector closures predate the
-# closure rule and are not held to it.)
+# closure rule and are not held to it.) The generated 8-limb kernel,
+# mont8.go, is also held to its shape: outside comments, no if, for,
+# switch or goto, and no index that is not a constant — straight-line
+# code whose every load and store is at a fixed offset.
 SYMKERNELS = internal/aes/kernel.go internal/des/kernel.go internal/sha1x/block.go internal/md5x/block.go
 kernellint:
-	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go $(SYMKERNELS); \
-		grep -n 'func(\|perf\.\|probe\.\|interface' $(SYMKERNELS); exit 0); \
+	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go internal/bn/mont8.go $(SYMKERNELS); \
+		grep -n 'func(\|perf\.\|probe\.\|interface' internal/bn/mont8.go $(SYMKERNELS); \
+		sed 's|//.*||' internal/bn/mont8.go | grep -nwE 'if|for|switch|goto' | sed 's|^|internal/bn/mont8.go:|'; \
+		sed 's|//.*||' internal/bn/mont8.go | grep -nE '\[[^]]*[^]0-9][^]]*\]' | sed 's|^|internal/bn/mont8.go:|'; exit 0); \
 	if [ -n "$$bad" ]; then \
-		echo "kernellint: allocation, closure, interface or profiler hook in a production kernel:"; \
+		echo "kernellint: allocation, closure, interface, profiler hook or (mont8.go) branch, loop or computed index in a production kernel:"; \
 		echo "$$bad"; exit 1; \
+	fi
+
+# mont8.go is generated by gen_mont8.go (go generate ./internal/bn):
+# regenerate it into a temporary file and fail on any difference, so
+# the committed kernel is always what the generator emits.
+gencheck:
+	@tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
+	$(GO) run internal/bn/gen_mont8.go > $$tmp || exit 1; \
+	if ! diff -u internal/bn/mont8.go $$tmp; then \
+		echo "gencheck: internal/bn/mont8.go is not what internal/bn/gen_mont8.go generates (go generate ./internal/bn)"; \
+		exit 1; \
 	fi
 
 # cbc dispatches once per call: the chaining loop lives in the

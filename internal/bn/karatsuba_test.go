@@ -1,6 +1,7 @@
 package bn
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -132,15 +133,18 @@ func TestKaratsubaShiftsTimeToSubWords(t *testing.T) {
 		})
 		return b.sub, b.mul
 	}
-	kSub, _ := measure(MulKaratsuba)
-	sSub, sMul := measure(MulSchoolbook)
-	if kSub <= sSub {
-		t.Fatalf("karatsuba bn_sub_words share %.2f%% not above schoolbook's %.2f%%",
-			kSub, sSub)
-	}
-	if sMul < 70 {
-		t.Fatalf("schoolbook should be mostly bn_mul_add_words, got %.2f%%", sMul)
-	}
+	testenv.Timing(t, func() error {
+		kSub, _ := measure(MulKaratsuba)
+		sSub, sMul := measure(MulSchoolbook)
+		if kSub <= sSub {
+			return fmt.Errorf("karatsuba bn_sub_words share %.2f%% not above schoolbook's %.2f%%",
+				kSub, sSub)
+		}
+		if sMul < 70 {
+			return fmt.Errorf("schoolbook should be mostly bn_mul_add_words, got %.2f%%", sMul)
+		}
+		return nil
+	})
 }
 
 type perfBreakdown struct{ sub, mul float64 }

@@ -2,17 +2,19 @@ package bn
 
 import "math/bits"
 
+//go:generate go run gen_mont8.go -o mont8.go
+
 // The production Montgomery kernel: what Mont.MulMont, SqrMont,
 // ToMont, FromMont, Reduce and Exp run whenever no profile is being
 // collected. It works on 64-bit limbs (little-endian []uint64 of
 // exactly m.k limbs, packed from the Int's 32-bit words once at the
 // exported boundary), interleaves multiplication and reduction in one
-// pass (CIOS), squares with half the cross products, and keeps every
-// intermediate in a montScratch sized once per Mont — so nothing in
-// this file allocates, and nothing in it calls the profiler (`make
-// kernellint`). The final subtraction and the window-table lookup have
-// the same shape whatever the operand values: no branch or memory
-// address depends on a secret.
+// pass (CIOS; at exactly 8 limbs, mont8.go's straight-line product
+// scanning), squares with half the cross products, and keeps every
+// intermediate in a montScratch sized once per Mont — so nothing here
+// allocates or calls the profiler (`make kernellint`). The final
+// subtraction and the window-table lookup have the same shape whatever
+// the operand values: no branch or memory address depends on a secret.
 //
 // The 32-bit mulAddWords/redc code in mont.go computes the same
 // function with the same R and is what the paper's Tables 8 and 9
@@ -53,12 +55,22 @@ func unpackLimbs(dst []Word, src []uint64) {
 	}
 }
 
-// mul64 sets z = x·y·R⁻¹ mod N for k-limb x, y < N, by coarsely
-// integrated operand scanning: each outer step adds x·y[i] and the
-// multiple u·N that clears the low limb, shifted down one limb, in a
-// single pass with two carry chains. t needs k+1 limbs; z may alias x
-// or y.
+// mul64 sets z = x·y·R⁻¹ mod N for k-limb x, y < N. t needs k+1
+// limbs; z may alias x or y. The width picks the kernel through one
+// call of a method expression, which keeps mul64 (and sqr64) inlinable:
+// a second frame on every multiplication cost 7 % at k = 4.
 func (m *Mont) mul64(z, x, y, t []uint64) {
+	f := (*Mont).mulCIOS
+	if len(m.n64) == 8 {
+		f = (*Mont).mulU8
+	}
+	f(m, z, x, y, t)
+}
+
+// mulCIOS is mul64 at any k, by coarsely integrated operand scanning:
+// each outer step adds x·y[i] and the multiple u·N that clears the low
+// limb, shifted down one limb, in a single pass with two carry chains.
+func (m *Mont) mulCIOS(z, x, y, t []uint64) {
 	n := m.n64
 	k := len(n)
 	x, y, z, t = x[:k], y[:k], z[:k], t[:k+1]
@@ -97,10 +109,18 @@ func (m *Mont) mul64(z, x, y, t []uint64) {
 	m.finalSub(z, t[:k], t[k])
 }
 
-// sqr64 sets z = x²·R⁻¹ mod N: the k(k−1)/2 cross products once,
-// doubled, plus the k diagonal squares, then one reduction pass.
-// t needs 2k limbs; z may alias x.
+// sqr64 sets z = x²·R⁻¹ mod N. t needs 2k limbs; z may alias x.
 func (m *Mont) sqr64(z, x, t []uint64) {
+	f := (*Mont).sqrCIOS
+	if len(m.n64) == 8 {
+		f = (*Mont).sqrU8
+	}
+	f(m, z, x, t)
+}
+
+// sqrCIOS is sqr64 at any k: the k(k−1)/2 cross products once,
+// doubled, plus the k diagonal squares, then one reduction pass.
+func (m *Mont) sqrCIOS(z, x, t []uint64) {
 	k := len(m.n64)
 	x, t = x[:k], t[:2*k]
 	for i := range t {

@@ -3,6 +3,7 @@ package bn
 import (
 	"bytes"
 	"math/big"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -40,6 +41,11 @@ func FuzzMontKernels(f *testing.F) {
 	f.Add(ff[:20], ff[:20], ff[:19], ff[:9], uint64(0), uint64(0))
 	f.Add(append([]byte{0x80}, make([]byte, 63)...), ff, ff, ff[:8], uint64(17), uint64(23))
 	f.Add(bytes.Repeat([]byte{0xa5}, 160), ff, ff[:33], ff[:40], uint64(111546435), uint64(19))
+	// Exactly 8 limbs, mont8.go's width: N = 2^512−1 with x = y = N−1,
+	// and N with every limb 0x8000000000000001.
+	nm1 := append(bytes.Repeat([]byte{0xff}, 63), 0xfe)
+	f.Add(ff, nm1, nm1, ff[:32], ^uint64(0), uint64(65537))
+	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, 8), ff, ff[:40], ff, uint64(3), uint64(1)<<40)
 	f.Fuzz(func(t *testing.T, nb, xb, yb, eb []byte, e1, e2 uint64) {
 		if len(nb) > 160 || len(eb) > 160 {
 			t.Skip()
@@ -88,6 +94,82 @@ func FuzzMontKernels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMont8MatchesGeneric holds the generated 8-limb kernels (mont8.go)
+// equal, limb for limb, to the generic CIOS loops they stand in for at
+// that width: 200 PRNG operand pairs on each of 50 PRNG 512-bit moduli,
+// then every pair of the edge operands 0, 1, N−1, R mod N and all-ones
+// limbs on those moduli and on 2^511+1 and 2^512−1, each product also
+// computed with z = x, z = y and z = x = y.
+func TestMont8MatchesGeneric(t *testing.T) {
+	rnd := rand.New(rand.NewSource(8))
+	limbs := func() []uint64 {
+		x := make([]uint64, 8)
+		for i := range x {
+			x[i] = rnd.Uint64()
+		}
+		return x
+	}
+	toInt := func(x []uint64) *Int { return New().store(x) }
+	pack := func(x *Int) []uint64 {
+		l := make([]uint64, 8)
+		packLimbs(l, x.d)
+		return l
+	}
+	r := New().Lsh(NewInt(1), 512)
+	moduli := []*Int{New().Add(New().Lsh(NewInt(1), 511), NewInt(1)), New().Sub(r, NewInt(1))}
+	for i := 0; i < 50; i++ {
+		n := limbs()
+		n[0] |= 1
+		n[7] |= 1 << 63
+		moduli = append(moduli, toInt(n))
+	}
+	tm := make([]uint64, 2*8)
+	want, got := make([]uint64, 8), make([]uint64, 8)
+	for mi, n := range moduli {
+		m, err := NewMont(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(x, y []uint64) {
+			t.Helper()
+			same := func(op string, z []uint64) {
+				t.Helper()
+				for i := range want {
+					if z[i] != want[i] {
+						t.Fatalf("modulus %d %s: x=%x y=%x: got %x, want %x", mi, op, x, y, z, want)
+					}
+				}
+			}
+			m.mulCIOS(want, x, y, tm)
+			m.mulU8(got, x, y, tm)
+			same("mul", got)
+			m.mulU8(got, append(got[:0], x...), y, tm)
+			same("mul z=x", got)
+			m.mulU8(got, x, append(got[:0], y...), tm)
+			same("mul z=y", got)
+			m.sqrCIOS(want, x, tm)
+			m.sqrU8(got, x, tm)
+			same("sqr", got)
+			m.sqrU8(got, append(got[:0], x...), tm)
+			same("sqr z=x", got)
+			m.mulU8(got, append(got[:0], x...), got, tm)
+			same("mul z=x=y", got)
+		}
+		if mi >= 2 {
+			for i := 0; i < 200; i++ {
+				check(pack(New().Mod(toInt(limbs()), n)), pack(New().Mod(toInt(limbs()), n)))
+			}
+		}
+		edges := [][]uint64{make([]uint64, 8), pack(NewInt(1)), pack(New().Sub(n, NewInt(1))), m.one64,
+			{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
+		for _, x := range edges {
+			for _, y := range edges {
+				check(x, y)
+			}
+		}
+	}
 }
 
 // TestMontOutOfRangeOperands pins the memory-safety guard: operands

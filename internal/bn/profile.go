@@ -31,22 +31,27 @@ const (
 // loop is bn_mul_add_words, so the loop's time shows up under
 // bn_mul_add_words and only the remainder under BN_from_montgomery.
 //
+// The bookkeeping around a call is charged to nobody, and it is
+// measured call by call, not calibrated: a frame's span in its parent
+// runs from the clock read that opens profEnter to the one that closes
+// profExit, plus the one clock read's worth the two ends leave outside
+// it, timed by a back-to-back pair of reads in profEnter. A constant
+// calibrated once per process goes stale as the host's speed moves, and
+// a few ns too many, credited once per child, zero a caller with many
+// children (a 4096-bit BN_mul has about 500).
+//
 // Profiling is process-global and not safe for concurrent use; it is
 // meant for single-goroutine experiment runs, like the paper's.
 type profiler struct {
 	enabled bool
 	stack   []profFrame
 	b       *perf.Breakdown
-	// overhead is the calibrated cost of one enter/exit pair that is
-	// NOT captured between the pair's two timestamps (and therefore
-	// would otherwise be charged to the caller's self time).
-	overhead time.Duration
 }
 
 type profFrame struct {
-	name  string
-	start time.Time
-	child time.Duration
+	name         string
+	enter, start time.Time     // profEnter's first and last clock read
+	read, child  time.Duration // one clock read; the children's spans
 }
 
 var prof profiler
@@ -55,38 +60,10 @@ var prof profiler
 // It returns the breakdown that will accumulate results; read it after
 // StopProfile. Starting while already started resets the profile.
 func StartProfile() *perf.Breakdown {
-	calibrateOnce()
 	prof.b = perf.NewBreakdown()
 	prof.stack = prof.stack[:0]
 	prof.enabled = true
 	return prof.b
-}
-
-var calibrated bool
-
-// calibrateOnce measures the uncaptured per-call cost of the
-// enter/exit pair so it can be credited back to callees instead of
-// inflating callers, the standard instrumenting-profiler compensation.
-func calibrateOnce() {
-	if calibrated {
-		return
-	}
-	calibrated = true
-	prof.b = perf.NewBreakdown()
-	prof.stack = prof.stack[:0]
-	prof.enabled = true
-	const n = 20000
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		profEnter("calibration")
-		profExit()
-	}
-	wall := time.Since(start)
-	captured := prof.b.Elapsed("calibration")
-	prof.enabled = false
-	if wall > captured {
-		prof.overhead = (wall - captured) / n
-	}
 }
 
 // StopProfile stops collecting. The breakdown returned by StartProfile
@@ -103,22 +80,22 @@ func profEnter(name string) {
 	if !prof.enabled {
 		return
 	}
-	prof.stack = append(prof.stack, profFrame{name: name, start: time.Now()})
+	prof.stack = append(prof.stack, profFrame{name: name, enter: time.Now()})
+	f := &prof.stack[len(prof.stack)-1]
+	r := time.Now()
+	f.start = time.Now()
+	f.read = f.start.Sub(r)
 }
 
 func profExit() {
 	if !prof.enabled || len(prof.stack) == 0 {
 		return
 	}
+	end := time.Now()
 	top := prof.stack[len(prof.stack)-1]
 	prof.stack = prof.stack[:len(prof.stack)-1]
-	total := time.Since(top.start)
-	self := total - top.child
-	if self < 0 {
-		self = 0
-	}
-	prof.b.Add(top.name, self)
+	prof.b.Add(top.name, max(end.Sub(top.start)-top.child, 0))
 	if len(prof.stack) > 0 {
-		prof.stack[len(prof.stack)-1].child += total + prof.overhead
+		prof.stack[len(prof.stack)-1].child += time.Since(top.enter) + top.read
 	}
 }
