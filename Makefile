@@ -33,9 +33,14 @@ race:
 # are read by every connection's key schedule and rounds), the serve
 # loop, and the load generator + health checks — then every fuzz
 # target for a few seconds and a real end-to-end smoke: sslload
-# against the serve loop in-process.
+# against the serve loop in-process. On amd64, vet's asmdecl checks
+# aesni_amd64.s against its Go declarations; the two cross-builds keep
+# the table-only fallback (aesni_other.go) compiling where there is no
+# assembly.
 check:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/aes/...
+	GOARCH=386 $(GO) build ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
 	$(MAKE) seallint
@@ -142,7 +147,8 @@ servelint:
 # The production kernels are what every connection runs: the
 # Montgomery kernel under every RSA and DH operation (from pooled
 # scratch sized once per Mont — newScratch, in mont.go), the fused CBC
-# loops of aes and des under every block-cipher record, and the SHA-1
+# loops of aes and des under every block-cipher record (and, for aes on
+# an AES-NI CPU, the Go entry points to the round instructions), the SHA-1
 # and MD5 block functions under every MAC and handshake hash. An
 # allocation in one comes back as garbage per multiplication or per
 # record; a profiler or probe hook, a closure or an interface-typed
@@ -154,7 +160,7 @@ servelint:
 # mont8.go, is also held to its shape: outside comments, no if, for,
 # switch or goto, and no index that is not a constant — straight-line
 # code whose every load and store is at a fixed offset.
-SYMKERNELS = internal/aes/kernel.go internal/des/kernel.go internal/sha1x/block.go internal/md5x/block.go
+SYMKERNELS = internal/aes/kernel.go internal/aes/aesni_amd64.go internal/des/kernel.go internal/sha1x/block.go internal/md5x/block.go
 kernellint:
 	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go internal/bn/mont8.go $(SYMKERNELS); \
 		grep -n 'func(\|perf\.\|probe\.\|interface' internal/bn/mont8.go $(SYMKERNELS); \
@@ -179,7 +185,10 @@ gencheck:
 # cbc dispatches once per call: the chaining loop lives in the
 # cipher's EncryptCBC/DecryptCBC (kernellint's files). A single-block
 # Encrypt( or Decrypt( call in cbc's non-test code is the per-block
-# interface dispatch and the byte-wise XOR loop coming back.
+# interface dispatch and the byte-wise XOR loop coming back — and, for
+# aes on an AES-NI CPU, where the single-block path is itself one-block
+# CBC from a zero chaining value, one kernel entry (and one load of
+# every round key) per block.
 cbclint:
 	@bad=$$(grep -n '\.Encrypt(\|\.Decrypt(' internal/cbc/*.go | grep -v _test.go; exit 0); \
 	if [ -n "$$bad" ]; then \

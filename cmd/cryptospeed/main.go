@@ -65,8 +65,13 @@ func main() {
 	}
 
 	type prim struct {
-		name string
-		fn   func(data []byte)
+		name   string
+		kernel string // which of a primitive's kernels this CPU runs, where it has two
+		fn     func(data []byte)
+	}
+	aesKernel := "tables"
+	if aes.HardwareRounds() {
+		aesKernel = "AESENC"
 	}
 	aesC, _ := aes.New(make([]byte, 16))
 	aes256, _ := aes.New(make([]byte, 32))
@@ -77,39 +82,39 @@ func main() {
 	dbuf := make([]byte, 8)
 
 	prims := []prim{
-		{"aes-128", func(d []byte) {
+		{"aes-128", aesKernel, func(d []byte) {
 			for i := 0; i+16 <= len(d); i += 16 {
 				aesC.Encrypt(buf, d[i:i+16])
 			}
 		}},
-		{"aes-256", func(d []byte) {
+		{"aes-256", aesKernel, func(d []byte) {
 			for i := 0; i+16 <= len(d); i += 16 {
 				aes256.Encrypt(buf, d[i:i+16])
 			}
 		}},
-		{"des", func(d []byte) {
+		{"des", "", func(d []byte) {
 			for i := 0; i+8 <= len(d); i += 8 {
 				desC.Encrypt(dbuf, d[i:i+8])
 			}
 		}},
-		{"3des", func(d []byte) {
+		{"3des", "", func(d []byte) {
 			for i := 0; i+8 <= len(d); i += 8 {
 				tdes.Encrypt(dbuf, d[i:i+8])
 			}
 		}},
-		{"rc4", func(d []byte) { rc4C.XORKeyStream(d, d) }},
-		{"md5", func(d []byte) { md5x.Sum16(d) }},
-		{"sha1", func(d []byte) { sha1x.Sum20(d) }},
+		{"rc4", "", func(d []byte) { rc4C.XORKeyStream(d, d) }},
+		{"md5", "", func(d []byte) { md5x.Sum16(d) }},
+		{"sha1", "", func(d []byte) { sha1x.Sum20(d) }},
 	}
 	hmacSHA1 := hmacx.NewSHA1(workload.Payload(20))
 	hmacMD5 := hmacx.NewMD5(workload.Payload(16))
 	prims = append(prims,
-		prim{"hmac-md5", func(d []byte) {
+		prim{"hmac-md5", "", func(d []byte) {
 			hmacMD5.Reset()
 			hmacMD5.Write(d)
 			hmacMD5.Sum(nil)
 		}},
-		prim{"hmac-sha1", func(d []byte) {
+		prim{"hmac-sha1", "", func(d []byte) {
 			hmacSHA1.Reset()
 			hmacSHA1.Write(d)
 			hmacSHA1.Sum(nil)
@@ -123,7 +128,7 @@ func main() {
 		var report bulkReport
 		report.ModelGHz = perf.ModelGHz()
 		for _, p := range prims {
-			pr := bulkPrim{Name: p.name}
+			pr := bulkPrim{Name: p.name, Kernel: p.kernel}
 			if m, ok := pathlen.ModelFor(modelName(p.name)); ok {
 				pr.ModelCPI = m.CPI
 				pr.ModelInstrPerByte = m.InstrPerByte
@@ -162,6 +167,9 @@ func main() {
 		append([]string{"primitive"}, sizeHeaders()...)...)
 	for _, p := range prims {
 		row := []string{p.name}
+		if p.kernel != "" {
+			row[0] += " (" + p.kernel + ")"
+		}
 		for _, size := range sizes {
 			row = append(row, fmt.Sprintf("%.1f", speed(size, *dur, p.fn)))
 		}
@@ -247,6 +255,7 @@ type bulkPoint struct {
 
 type bulkPrim struct {
 	Name              string      `json:"name"`
+	Kernel            string      `json:"kernel,omitempty"`
 	ModelCPI          float64     `json:"model_cpi,omitempty"`
 	ModelInstrPerByte float64     `json:"model_instr_per_byte,omitempty"`
 	Points            []bulkPoint `json:"points"`

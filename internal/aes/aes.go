@@ -4,14 +4,16 @@
 // SubBytes, ShiftRows and MixColumns into four lookups and four XORs
 // per output word per round.
 //
-// The block operation exists in two forms held equal by
+// The block operation exists in three forms held equal by
 // FuzzCBCKernels. The profiled form, in this file, is factored into
 // the three parts of the paper's Table 5: (1) load state + initial
 // round-key addition, (2) the main rounds, (3) the final round +
 // store; each part is callable on its own so the anatomy harness can
-// time them in batch, and nothing else calls them. The production
-// form (kernel.go) is what Encrypt, Decrypt and the fused
-// EncryptCBC/DecryptCBC run.
+// time them in batch, and nothing else calls them. The fused
+// EncryptCBC/DecryptCBC and the single-block Encrypt/Decrypt run one
+// of two fast forms: on an amd64 CPU whose CPUID reports AES-NI, the
+// round instructions (aesni_amd64.s, where a single block is one-block
+// CBC); on any other, the table kernel (kernel.go).
 package aes
 
 import (
@@ -228,19 +230,7 @@ func (c *Cipher) encPart3(s *state, dst []byte) {
 	binary.BigEndian.PutUint32(dst[12:], t3^c.enc[rk+3])
 }
 
-// Encrypt encrypts one 16-byte block. dst and src may overlap.
-func (c *Cipher) Encrypt(dst, src []byte) {
-	s0, s1, s2, s3 := load(src)
-	s0, s1, s2, s3 = encryptWords(&c.enc, c.nr, s0, s1, s2, s3)
-	store(dst, s0, s1, s2, s3)
-}
-
-// Decrypt decrypts one 16-byte block using the equivalent inverse
-// cipher. dst and src may overlap. The first Decrypt on a Cipher
-// derives the inverse key schedule.
-func (c *Cipher) Decrypt(dst, src []byte) {
-	c.needDec()
-	s0, s1, s2, s3 := load(src)
-	s0, s1, s2, s3 = decryptWords(&c.dec, c.nr, s0, s1, s2, s3)
-	store(dst, s0, s1, s2, s3)
-}
+// HardwareRounds reports whether this CPU runs EncryptCBC, DecryptCBC,
+// Encrypt and Decrypt on its AES round instructions (AESENC/AESDEC)
+// rather than on the table kernel.
+func HardwareRounds() bool { return hasAESNI }

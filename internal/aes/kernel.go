@@ -2,10 +2,12 @@ package aes
 
 import "encoding/binary"
 
-// The production kernel: what Encrypt, Decrypt and the fused CBC
-// entry points run. aes.go's encPart1/2/3 are the same cipher split
-// the way the paper's Table 5 times it, and only anatomy.go (and the
-// tests that hold the two equal) call them.
+// The table kernel: what Encrypt, Decrypt and the fused CBC entry
+// points run on a CPU without AES round instructions (aesni_amd64.go
+// picks), and the reference the round-instruction kernel is tested
+// against. aes.go's encPart1/2/3 are the same cipher split the way the
+// paper's Table 5 times it, and only anatomy.go (and the tests that
+// hold the forms equal) call them.
 //
 // The state stays in eight locals that alternate as a round's input
 // and output, the key schedule is a fixed array so every index is a
@@ -151,10 +153,24 @@ func store(b []byte, s0, s1, s2, s3 uint32) {
 	binary.BigEndian.PutUint32(b[12:], s3)
 }
 
-// EncryptCBC CBC-encrypts the whole blocks of src into dst with the
-// chaining value held as four words, starting from iv and leaving the
-// last ciphertext block there for the next call. dst may be src.
-func (c *Cipher) EncryptCBC(dst, src, iv []byte) {
+// encryptBlockTables is Encrypt on the tables.
+func (c *Cipher) encryptBlockTables(dst, src []byte) {
+	s0, s1, s2, s3 := load(src)
+	s0, s1, s2, s3 = encryptWords(&c.enc, c.nr, s0, s1, s2, s3)
+	store(dst, s0, s1, s2, s3)
+}
+
+// decryptBlockTables is Decrypt on the tables.
+func (c *Cipher) decryptBlockTables(dst, src []byte) {
+	c.needDec()
+	s0, s1, s2, s3 := load(src)
+	s0, s1, s2, s3 = decryptWords(&c.dec, c.nr, s0, s1, s2, s3)
+	store(dst, s0, s1, s2, s3)
+}
+
+// encryptCBCTables is EncryptCBC on the tables, the chaining value
+// held as four words.
+func (c *Cipher) encryptCBCTables(dst, src, iv []byte) {
 	c0, c1, c2, c3 := load(iv)
 	for i := 0; i+BlockSize <= len(src); i += BlockSize {
 		s0, s1, s2, s3 := load(src[i : i+BlockSize])
@@ -164,9 +180,9 @@ func (c *Cipher) EncryptCBC(dst, src, iv []byte) {
 	store(iv, c0, c1, c2, c3)
 }
 
-// DecryptCBC is the inverse of EncryptCBC. Each ciphertext block is
-// in registers before its plaintext is stored, so dst may be src.
-func (c *Cipher) DecryptCBC(dst, src, iv []byte) {
+// decryptCBCTables is DecryptCBC on the tables. Each ciphertext block
+// is in registers before its plaintext is stored, so dst may be src.
+func (c *Cipher) decryptCBCTables(dst, src, iv []byte) {
 	c.needDec()
 	c0, c1, c2, c3 := load(iv)
 	for i := 0; i+BlockSize <= len(src); i += BlockSize {
