@@ -34,12 +34,13 @@ race:
 # loop, and the load generator + health checks — then every fuzz
 # target for a few seconds and a real end-to-end smoke: sslload
 # against the serve loop in-process. On amd64, vet's asmdecl checks
-# aesni_amd64.s against its Go declarations; the two cross-builds keep
-# the table-only fallback (aesni_other.go) compiling where there is no
-# assembly.
+# aesni_amd64.s and sha1x's block_amd64.s against their Go
+# declarations; the cross-builds keep the fallbacks with no assembly
+# (aesni_other.go, sha1x's block_other.go) compiling.
 check:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/aes/...
+	GOARCH=arm64 $(GO) vet ./internal/sha1x/...
 	GOARCH=386 $(GO) build ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
@@ -149,7 +150,8 @@ servelint:
 # scratch sized once per Mont — newScratch, in mont.go), the fused CBC
 # loops of aes and des under every block-cipher record (and, for aes on
 # an AES-NI CPU, the Go entry points to the round instructions), the SHA-1
-# and MD5 block functions under every MAC and handshake hash. An
+# and MD5 block functions under every MAC and handshake hash (and, for
+# SHA-1, the Go entry point to SHA1RNDS4 on a CPU that has it). An
 # allocation in one comes back as garbage per multiplication or per
 # record; a profiler or probe hook, a closure or an interface-typed
 # value as a branch, a clock read or an indirect call inside the word
@@ -160,7 +162,7 @@ servelint:
 # mont8.go, is also held to its shape: outside comments, no if, for,
 # switch or goto, and no index that is not a constant — straight-line
 # code whose every load and store is at a fixed offset.
-SYMKERNELS = internal/aes/kernel.go internal/aes/aesni_amd64.go internal/des/kernel.go internal/sha1x/block.go internal/md5x/block.go
+SYMKERNELS = internal/aes/kernel.go internal/aes/aesni_amd64.go internal/des/kernel.go internal/sha1x/block.go internal/sha1x/block_amd64.go internal/md5x/block.go
 kernellint:
 	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go internal/bn/mont8.go $(SYMKERNELS); \
 		grep -n 'func(\|perf\.\|probe\.\|interface' internal/bn/mont8.go $(SYMKERNELS); \

@@ -69,9 +69,12 @@ func main() {
 		kernel string // which of a primitive's kernels this CPU runs, where it has two
 		fn     func(data []byte)
 	}
-	aesKernel := "tables"
+	aesKernel, sha1Kernel := "tables", "scalar"
 	if aes.HardwareRounds() {
 		aesKernel = "AESENC"
+	}
+	if sha1x.HardwareRounds() {
+		sha1Kernel = "SHA1RNDS4"
 	}
 	aesC, _ := aes.New(make([]byte, 16))
 	aes256, _ := aes.New(make([]byte, 32))
@@ -104,7 +107,7 @@ func main() {
 		}},
 		{"rc4", "", func(d []byte) { rc4C.XORKeyStream(d, d) }},
 		{"md5", "", func(d []byte) { md5x.Sum16(d) }},
-		{"sha1", "", func(d []byte) { sha1x.Sum20(d) }},
+		{"sha1", sha1Kernel, func(d []byte) { sha1x.Sum20(d) }},
 	}
 	hmacSHA1 := hmacx.NewSHA1(workload.Payload(20))
 	hmacMD5 := hmacx.NewMD5(workload.Payload(16))
@@ -114,7 +117,7 @@ func main() {
 			hmacMD5.Write(d)
 			hmacMD5.Sum(nil)
 		}},
-		prim{"hmac-sha1", "", func(d []byte) {
+		prim{"hmac-sha1", sha1Kernel, func(d []byte) {
 			hmacSHA1.Reset()
 			hmacSHA1.Write(d)
 			hmacSHA1.Sum(nil)

@@ -46,5 +46,6 @@ func runTable10(cfg *Config) (*Report, error) {
 		Tables: []*perf.Table{t},
 		Notes: []string{
 			"paper totals: MD5 6679 cycles, SHA-1 10723 cycles for 1KB — SHA-1 ~1.6x MD5, a ratio this stack should roughly preserve",
+			"the SHA-1 column is the scalar rounds, the form the paper timed, on every CPU; where CPUID reports the SHA extensions connections hash on SHA1RNDS4 instead (fig4, table11)",
 		}}, nil
 }

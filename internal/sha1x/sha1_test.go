@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sslperf/internal/md5x"
 	"sslperf/internal/perf"
@@ -110,17 +111,27 @@ func TestProfilePhasesShape(t *testing.T) {
 
 func TestSHA1SlowerThanMD5(t *testing.T) {
 	// Paper Table 10/11: SHA-1's update is more compute-intensive
-	// than MD5's (10723 vs 6679 cycles for 1KB; 135 vs 198 MB/s).
+	// than MD5's (10723 vs 6679 cycles for 1KB; 135 vs 198 MB/s). That
+	// is a claim about the scalar rounds, the form the paper timed and
+	// ProfilePhases runs everywhere. On a CPU with the SHA extensions
+	// the kernel Digest ships (SHA1RNDS4) is about 2.5x faster than MD5.
+	// The scalar margin is thin (about 30 vs 27 µs per 16 KiB), so the
+	// two hashes take turns in ten short rounds — a neighbour's burst
+	// lands on both — and the comparison retries (testenv.Timing).
 	if testenv.Race {
 		t.Skip("race instrumentation distorts relative kernel timings")
 	}
-	const n = 30000
-	sha := ProfilePhases(1024, n)
-	md := md5x.ProfilePhases(1024, n)
-	if sha.Elapsed(PhaseUpdate) <= md.Elapsed(md5x.PhaseUpdate) {
-		t.Fatalf("SHA-1 update (%v) should exceed MD5 update (%v)",
-			sha.Elapsed(PhaseUpdate), md.Elapsed(md5x.PhaseUpdate))
-	}
+	testenv.Timing(t, func() error {
+		var sha, md time.Duration
+		for range 10 {
+			sha += ProfilePhases(1024, 3000).Elapsed(PhaseUpdate)
+			md += md5x.ProfilePhases(1024, 3000).Elapsed(md5x.PhaseUpdate)
+		}
+		if sha <= md {
+			return fmt.Errorf("scalar SHA-1 update (%v) should exceed MD5 update (%v)", sha, md)
+		}
+		return nil
+	})
 }
 
 func TestTraces(t *testing.T) {
