@@ -25,8 +25,8 @@ race:
 # CI gate: static checks plus the race detector on the packages that
 # live connections emit through concurrently: the probe spine and its
 # sink adapters (telemetry, the span tracer), the record layer (whose
-# connections share one window-buffer pool), the batch-RSA and accel
-# engines, the handshake session cache, perf (whose model-GHz
+# connections share one window-buffer pool), the accel engine's
+# goroutine pipeline, the handshake session cache, perf (whose model-GHz
 # setting is shared mutable state), bn and rsa (a Mont's scratch pool
 # and a key's lazily built contexts and arena pool are shared by every
 # connection under that key), des (its SP and PC tables, built in init,
@@ -55,7 +55,7 @@ check:
 	$(MAKE) failclasslint
 	$(MAKE) doclint
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
-		./internal/ssl/... ./internal/record/... ./internal/rsabatch/... \
+		./internal/ssl/... ./internal/record/... \
 		./internal/handshake/... ./internal/accel/... ./internal/perf/... \
 		./internal/loadgen/... ./internal/baseline/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \

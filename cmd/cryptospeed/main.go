@@ -21,7 +21,6 @@ import (
 	"sslperf/internal/rc4"
 	"sslperf/internal/record"
 	"sslperf/internal/rsa"
-	"sslperf/internal/rsabatch"
 	"sslperf/internal/sha1x"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
@@ -50,19 +49,9 @@ func main() {
 	var (
 		dur     = flag.Duration("duration", 200*time.Millisecond, "time per measurement point")
 		rsaBits = flag.Int("rsabits", 1024, "RSA key size")
-		batch   = flag.Int("batch", 0,
-			fmt.Sprintf("measure batch RSA decryption at widths 1..N instead of the full sweep (max %d)", rsabatch.MaxBatch))
 		jsonOut = flag.Bool("json", false, "emit machine-readable JSON")
 	)
 	flag.Parse()
-
-	if *batch > 0 {
-		if err := batchMode(*rsaBits, *batch, *dur, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	type prim struct {
 		name   string
@@ -345,97 +334,6 @@ func modelName(name string) string {
 		return "SHA-1"
 	}
 	return ""
-}
-
-// batchPoint is one width of the amortization curve.
-type batchPoint struct {
-	Batch       int     `json:"batch"`
-	DecryptsSec float64 `json:"decrypts_per_sec"`
-	Speedup     float64 `json:"speedup"` // ops/s relative to width 1
-}
-
-type batchReport struct {
-	Bits     int          `json:"bits"`
-	Duration string       `json:"duration"`
-	Points   []batchPoint `json:"points"`
-}
-
-// batchMode measures the Fiat batch-RSA amortization curve: decrypted
-// ciphertexts per second at widths 1..max, where width 1 is the
-// engine's per-request CRT path and wider points resolve the whole
-// window with one full-size exponentiation (KeySet.DecryptBatch).
-func batchMode(bits, max int, dur time.Duration, jsonOut bool) error {
-	if max > rsabatch.MaxBatch {
-		return fmt.Errorf("cryptospeed: -batch %d exceeds the maximum width %d", max, rsabatch.MaxBatch)
-	}
-	if !jsonOut {
-		fmt.Printf("generating %d-bit batch key set (width %d)...\n", bits, max)
-	}
-	ks, err := rsabatch.GenerateKeySet(ssl.NewPRNG(1), bits, max)
-	if err != nil {
-		return err
-	}
-	rnd := ssl.NewPRNG(2)
-	cts := make([][]byte, max)
-	for i, key := range ks.Keys {
-		msg := workload.Payload(48)
-		if cts[i], err = key.EncryptPKCS1(rnd, msg); err != nil {
-			return err
-		}
-	}
-
-	report := batchReport{Bits: bits, Duration: dur.String()}
-	for w := 1; w <= max; w++ {
-		idxs := make([]int, w)
-		for i := range idxs {
-			idxs[i] = i
-		}
-		var n int
-		start := time.Now()
-		for time.Since(start) < dur {
-			if w == 1 {
-				// The singleton path a batch engine takes when no
-				// concurrent request arrives in the linger window.
-				if _, err := ks.Keys[0].DecryptPKCS1(rnd, cts[0]); err != nil {
-					return err
-				}
-			} else {
-				_, errs, err := ks.DecryptBatch(rnd, idxs, cts[:w])
-				if err != nil {
-					return err
-				}
-				for _, e := range errs {
-					if e != nil {
-						return e
-					}
-				}
-			}
-			n += w
-		}
-		report.Points = append(report.Points, batchPoint{
-			Batch:       w,
-			DecryptsSec: float64(n) / time.Since(start).Seconds(),
-		})
-	}
-	base := report.Points[0].DecryptsSec
-	for i := range report.Points {
-		report.Points[i].Speedup = report.Points[i].DecryptsSec / base
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(report)
-	}
-	t := perf.NewTable(fmt.Sprintf("batch RSA decrypt, %d-bit shared modulus", bits),
-		"batch", "decrypts/s", "speedup")
-	for _, p := range report.Points {
-		t.AddRow(fmt.Sprintf("%d", p.Batch),
-			fmt.Sprintf("%.1f", p.DecryptsSec),
-			fmt.Sprintf("%.2fx", p.Speedup))
-	}
-	fmt.Println(t)
-	return nil
 }
 
 func sizeHeaders() []string {

@@ -35,7 +35,7 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit reports as a JSON array instead of text tables")
 		traceOut   = flag.String("trace", "", "write a single-handshake Chrome trace to this file and exit")
 		pathLen    = flag.Bool("pathlen", false, "print the abstract-instruction path-length model (Table 11) and exit")
-		foldProf   = flag.String("foldprofile", "", "fold a pprof CPU profile by sslstep/sslfn/sslengine labels and exit")
+		foldProf   = flag.String("foldprofile", "", "fold a pprof CPU profile by sslstep/sslfn labels and exit")
 	)
 	flag.Parse()
 	perf.SetModelGHz(*ghz)

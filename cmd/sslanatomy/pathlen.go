@@ -39,8 +39,8 @@ func runPathlenModel(jsonOut bool) error {
 }
 
 // foldKeys are the label keys a -foldprofile run groups by, in
-// presentation order: Table 2 step, crypto function, engine.
-var foldKeys = []string{probe.LabelKeyStep, probe.LabelKeyFn, probe.LabelKeyEngine}
+// presentation order: Table 2 step, then crypto function.
+var foldKeys = []string{probe.LabelKeyStep, probe.LabelKeyFn}
 
 // runFoldProfile reads a pprof CPU profile (written by a server run
 // with -pprof-labels) and folds its samples by the spine's label

@@ -73,5 +73,5 @@ func captureHandshakeTrace(seed uint64, keyBits int, suiteName string, version u
 	<-done
 	client.Close()
 	server.Close() // retires the record into the ring
-	return lifecycle.ChromeTrace(table.Records(0), nil)
+	return lifecycle.ChromeTrace(table.Records(0))
 }

@@ -1,8 +1,8 @@
 // Command sslclient drives HTTPS-like transactions against sslserver
 // (the curl analogue of the paper's client machine) and reports
 // handshake and transfer latencies, with optional session resumption
-// and concurrent connections (-parallel) for load-shaping a batched
-// server.
+// and concurrent connections (-parallel) for loading the server from
+// many connections at once.
 package main
 
 import (

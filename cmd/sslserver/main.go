@@ -1,17 +1,10 @@
 // Command sslserver serves a static payload over SSLv3 on TCP — the
 // measured half of the paper's web-server setup. Pair it with
 // sslclient to drive HTTPS-like transactions across real sockets.
-//
-// With -rsabatch N the server deploys a Fiat batch-RSA key set:
-// N certificates over one shared modulus with distinct small public
-// exponents, assigned to connections round-robin, so concurrent
-// ClientKeyExchange decryptions amortize into one full-size
-// exponentiation per batch (see internal/rsabatch).
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -26,7 +19,6 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
-	"sslperf/internal/rsabatch"
 	"sslperf/internal/server"
 	"sslperf/internal/slo"
 	"sslperf/internal/ssl"
@@ -34,7 +26,6 @@ import (
 	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
 	"sslperf/internal/workload"
-	"sslperf/internal/x509lite"
 )
 
 // Settings that every recipe, test and benchmark runs at one value:
@@ -44,8 +35,6 @@ const (
 	sloBudget       = 0.01 // allowed fraction of failed-or-slow handshakes (a 99% objective)
 	logRate         = 10   // per-connection console lines per second
 	historyInterval = time.Second
-	rsaWorkers      = 2
-	rsaLinger       = 500 * time.Microsecond // how long a partial RSA batch waits for more handshakes
 )
 
 func main() {
@@ -57,14 +46,12 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "PRNG seed (0 = time-based)")
 		telAddr   = flag.String("telemetry", "",
 			"serve /metrics, the /debug surfaces and pprof on this address (e.g. :9090)")
-		rsaBatch = flag.Int("rsabatch", 0,
-			fmt.Sprintf("batch RSA decryptions across up to N concurrent handshakes (0 = off, max %d)", rsabatch.MaxBatch))
 		traceEvery = flag.Int("trace", 0,
 			"keep 1 in N connections in detail for /debug/trace and /debug/anatomy (0 = off, 1 = every)")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof under /debug/pprof/ on the telemetry address")
 		pprofLabels = flag.Bool("pprof-labels", false,
-			"attach pprof labels (sslstep/sslfn/sslcat/sslengine) to handshake, crypto, and bulk work so CPU profiles fold by Table 2 step")
+			"attach pprof labels (sslstep/sslfn/sslcat) to handshake, crypto, and bulk work so CPU profiles fold by Table 2 step")
 		sloTarget = flag.Duration("slotarget", 50*time.Millisecond,
 			"handshake-latency SLO target: successes slower than this burn the error budget on /debug/slo")
 		closeLogPath = flag.String("closelog", "",
@@ -113,48 +100,12 @@ func main() {
 		srv.Suites = []suite.ID{s.ID}
 	}
 
-	if *rsaBatch > 0 {
-		log.Printf("generating %d-bit batch key set (width %d)...", *keyBits, *rsaBatch)
-		ks, err := rsabatch.GenerateKeySet(ssl.NewPRNG(seedVal), *keyBits, *rsaBatch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		now := time.Now()
-		rnd := ssl.NewPRNG(seedVal + 1)
-		for i, key := range ks.Keys {
-			cn := fmt.Sprintf("sslserver-batch-%d", i)
-			cert, err := x509lite.Create(rnd, cn, &key.PublicKey, cn, key,
-				now.Add(-24*time.Hour), now.Add(365*24*time.Hour))
-			if err != nil {
-				log.Fatal(err)
-			}
-			srv.Certs = append(srv.Certs, cert.Raw)
-		}
-		// The table is also the one sink engines emit into.
-		var engineSinks []probe.Sink
-		if table != nil {
-			engineSinks = []probe.Sink{table}
-		}
-		engine := rsabatch.NewEngine(ks, rsabatch.Config{
-			BatchSize: *rsaBatch,
-			Linger:    rsaLinger,
-			Workers:   rsaWorkers,
-			Rand:      ssl.NewPRNG(seedVal + 2),
-			Probes:    engineSinks,
-		})
-		srv.Keys = ks.Keys
-		srv.Decrypter = engine.DecrypterTraced
-		log.Printf("batch RSA engine: width %d, linger %v, %d workers",
-			*rsaBatch, rsaLinger, rsaWorkers)
-	} else {
-		log.Printf("generating %d-bit identity...", *keyBits)
-		id, err := ssl.NewIdentity(ssl.NewPRNG(seedVal), *keyBits, "sslserver", time.Now())
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv.Keys = append(srv.Keys, id.Key)
-		srv.Certs = append(srv.Certs, id.CertDER)
+	log.Printf("generating %d-bit identity...", *keyBits)
+	id, err := ssl.NewIdentity(ssl.NewPRNG(seedVal), *keyBits, "sslserver", time.Now())
+	if err != nil {
+		log.Fatal(err)
 	}
+	srv.Key, srv.Cert = id.Key, id.CertDER
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -167,10 +118,9 @@ func main() {
 // buildProbes is the single place the -telemetry/-trace/-pprof flag
 // cluster turns into live observers: it builds the aggregates and the
 // conn table that folds into them — the one observer every connection
-// gets, and the one sink engines emit into — mounts /metrics and the
-// /debug surfaces on one mux, and serves it. Without -telemetry or
-// -closelog nothing could read any of it, so it returns nil and the
-// server runs the sink-free path.
+// gets — mounts /metrics and the /debug surfaces on one mux, and
+// serves it. Without -telemetry or -closelog nothing could read any of
+// it, so it returns nil and the server runs the sink-free path.
 func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Duration, closeLog *lifecycle.CloseLog) *lifecycle.Table {
 	opts := lifecycle.Options{CloseLog: closeLog}
 	if telAddr == "" {

@@ -20,7 +20,6 @@ import (
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/record"
-	"sslperf/internal/rsa"
 	"sslperf/internal/server"
 	"sslperf/internal/ssl"
 	"sslperf/internal/workload"
@@ -47,8 +46,8 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := &server.Server{
-		Keys:    []*rsa.PrivateKey{id.Key},
-		Certs:   [][]byte{id.CertDER},
+		Key:     id.Key,
+		Cert:    id.CertDER,
 		Cache:   handshake.NewSessionCache(1024),
 		Seed:    8,
 		Handler: serve,

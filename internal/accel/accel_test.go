@@ -9,7 +9,6 @@ import (
 	"sslperf/internal/aes"
 	"sslperf/internal/md5x"
 	"sslperf/internal/perf"
-	"sslperf/internal/probe"
 	"sslperf/internal/sha1x"
 	"sslperf/internal/sslcrypto"
 	"sslperf/internal/testenv"
@@ -169,54 +168,4 @@ func TestEnginePipelinedThroughput(t *testing.T) {
 			float64(serial)/float64(piped))
 		return nil
 	})
-}
-
-// TestEnginePipelinedSharedBreakdown checks the cross-goroutine
-// attribution: the hashing-unit goroutine and the cipher unit add
-// into one SharedBreakdown concurrently, and the pipelined output
-// still matches the serial one.
-func TestEnginePipelinedSharedBreakdown(t *testing.T) {
-	mk := func() *Engine {
-		e, err := NewEngine(make([]byte, 16), make([]byte, 16),
-			make([]byte, 20), sslcrypto.MACSHA1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte(i)
-	}
-
-	es := mk()
-	want, err := es.EncryptFragmentSerial(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ep := mk()
-	breakdown := perf.NewSharedBreakdown()
-	ep.Probe = probe.NewBus(breakdown)
-	const iters = 50
-	for i := 0; i < iters; i++ {
-		ep.Reset()
-		got, err := ep.EncryptFragmentPipelined(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("instrumented pipelined output differs from serial")
-		}
-	}
-	b := breakdown.Snapshot()
-	if b.Count("mac") != iters {
-		t.Fatalf("mac attributions = %d, want %d", b.Count("mac"), iters)
-	}
-	if b.Count("aes") != 2*iters { // data blocks + tail per fragment
-		t.Fatalf("aes attributions = %d, want %d", b.Count("aes"), 2*iters)
-	}
-	if b.Elapsed("mac") == 0 || b.Elapsed("aes") == 0 {
-		t.Fatal("attributed time should be non-zero")
-	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"sslperf/internal/aes"
 	"sslperf/internal/cbc"
-	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
 )
 
@@ -21,13 +20,6 @@ type Engine struct {
 	iv  []byte
 	mac *sslcrypto.MAC
 	seq uint64
-
-	// Probe, when non-nil, receives "mac" and "aes" engine-timer
-	// events from the pipelined path. The hashing unit emits from its
-	// own goroutine, concurrent with the cipher unit, so attached
-	// sinks must tolerate concurrent Emit calls (a
-	// perf.SharedBreakdown does; a plain Breakdown does not).
-	Probe *probe.Bus
 }
 
 // NewEngine builds an engine with an AES key, CBC IV, and a MAC
@@ -82,14 +74,10 @@ func (e *Engine) EncryptFragmentPipelined(data []byte) ([]byte, error) {
 	bs := e.aes.BlockSize()
 	seq := e.seq
 	e.seq++
-	// Read the bus once, on the caller's goroutine, before the
-	// hashing unit forks; the bus itself is stateless on this path so
-	// both units can emit through it concurrently.
-	bus := e.Probe
 	var mac []byte
 	hashed := make(chan struct{})
 	go func() {
-		bus.Timed("mac", func() { mac = e.mac.Compute(seq, 23, data) })
+		mac = e.mac.Compute(seq, 23, data)
 		close(hashed)
 	}()
 
@@ -104,13 +92,13 @@ func (e *Engine) EncryptFragmentPipelined(data []byte) ([]byte, error) {
 	}
 	// Encrypt the whole data blocks now, in parallel with the MAC.
 	whole := len(data) / bs * bs
-	bus.Timed("aes", func() { enc.CryptBlocks(frag[:whole], frag[:whole]) })
+	enc.CryptBlocks(frag[:whole], frag[:whole])
 
 	// Join: place MAC and padding, then encrypt the tail.
 	<-hashed
 	copy(frag[len(data):], mac)
 	frag[n-1] = byte(n - len(data) - macLen - 1)
-	bus.Timed("aes", func() { enc.CryptBlocks(frag[whole:], frag[whole:]) })
+	enc.CryptBlocks(frag[whole:], frag[whole:])
 	return frag, nil
 }
 

@@ -12,17 +12,14 @@ import (
 
 // montResults runs every exported Montgomery entry point once on
 // whichever kernel is selected and returns the results in a fixed
-// order: ToMont(x), x·y, x², x^e, x^e1, x^e1·y^e2, (x·y) mod N by
-// Reduce.
-func montResults(m *Mont, x, y, e *Int, e1, e2 uint64) []*Int {
+// order: ToMont(x), x·y, x², x^e, (x·y) mod N by Reduce.
+func montResults(m *Mont, x, y, e *Int) []*Int {
 	xm, ym := m.ToMont(New(), x), m.ToMont(New(), y)
 	return []*Int{
 		xm,
 		m.FromMont(New(), m.MulMont(New(), xm, ym)),
 		m.FromMont(New(), m.SqrMont(New(), xm)),
 		m.Exp(New(), x, e),
-		m.ExpUint64(New(), x, e1),
-		m.Exp2Uint64(New(), x, e1, y, e2),
 		m.Reduce(New(), New().Mul(x, y)),
 	}
 }
@@ -35,18 +32,18 @@ func montResults(m *Mont, x, y, e *Int, e1, e2 uint64) []*Int {
 // Montgomery form itself, so values may cross between them.
 func FuzzMontKernels(f *testing.F) {
 	ff := bytes.Repeat([]byte{0xff}, 64)
-	f.Add([]byte{3}, []byte{2}, []byte{1}, []byte{5}, uint64(3), uint64(0))
-	f.Add([]byte{1, 0, 0, 0, 1}, []byte{0xff, 0xff}, []byte{7}, []byte{1, 0}, uint64(65537), uint64(3))
-	f.Add(ff, ff[:63], ff[:1], ff, ^uint64(0), uint64(1)<<63)
-	f.Add(ff[:20], ff[:20], ff[:19], ff[:9], uint64(0), uint64(0))
-	f.Add(append([]byte{0x80}, make([]byte, 63)...), ff, ff, ff[:8], uint64(17), uint64(23))
-	f.Add(bytes.Repeat([]byte{0xa5}, 160), ff, ff[:33], ff[:40], uint64(111546435), uint64(19))
+	f.Add([]byte{3}, []byte{2}, []byte{1}, []byte{5})
+	f.Add([]byte{1, 0, 0, 0, 1}, []byte{0xff, 0xff}, []byte{7}, []byte{1, 0})
+	f.Add(ff, ff[:63], ff[:1], ff)
+	f.Add(ff[:20], ff[:20], ff[:19], ff[:9])
+	f.Add(append([]byte{0x80}, make([]byte, 63)...), ff, ff, ff[:8])
+	f.Add(bytes.Repeat([]byte{0xa5}, 160), ff, ff[:33], ff[:40])
 	// Exactly 8 limbs, mont8.go's width: N = 2^512−1 with x = y = N−1,
 	// and N with every limb 0x8000000000000001.
 	nm1 := append(bytes.Repeat([]byte{0xff}, 63), 0xfe)
-	f.Add(ff, nm1, nm1, ff[:32], ^uint64(0), uint64(65537))
-	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, 8), ff, ff[:40], ff, uint64(3), uint64(1)<<40)
-	f.Fuzz(func(t *testing.T, nb, xb, yb, eb []byte, e1, e2 uint64) {
+	f.Add(ff, nm1, nm1, ff[:32])
+	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, 8), ff, ff[:40], ff)
+	f.Fuzz(func(t *testing.T, nb, xb, yb, eb []byte) {
 		if len(nb) > 160 || len(eb) > 160 {
 			t.Skip()
 		}
@@ -63,28 +60,22 @@ func FuzzMontKernels(f *testing.F) {
 		y := New().Mod(New().SetBytes(yb), n)
 		e := New().SetBytes(eb)
 
-		fast := montResults(m, x, y, e, e1, e2)
+		fast := montResults(m, x, y, e)
 		StartProfile()
-		counting := montResults(m, x, y, e, e1, e2)
+		counting := montResults(m, x, y, e)
 		StopProfile()
 
 		bn, bx, by := toBig(n), toBig(x), toBig(y)
 		xy := new(big.Int).Mul(bx, by)
 		xy.Mod(xy, bn)
-		pow := func(b *big.Int, e uint64) *big.Int {
-			return new(big.Int).Exp(b, new(big.Int).SetUint64(e), bn)
-		}
-		x1y2 := new(big.Int).Mul(pow(bx, e1), pow(by, e2))
 		want := []*big.Int{
 			new(big.Int).Mod(new(big.Int).Lsh(bx, uint(64*m.k)), bn),
 			xy,
 			new(big.Int).Exp(bx, big.NewInt(2), bn),
 			new(big.Int).Exp(bx, toBig(e), bn),
-			pow(bx, e1),
-			x1y2.Mod(x1y2, bn),
 			xy,
 		}
-		names := []string{"ToMont", "MulMont", "SqrMont", "Exp", "ExpUint64", "Exp2Uint64", "Reduce"}
+		names := []string{"ToMont", "MulMont", "SqrMont", "Exp", "Reduce"}
 		for i, w := range want {
 			if toBig(fast[i]).Cmp(w) != 0 {
 				t.Errorf("production %s mod %s = %s, want %s", names[i], n, fast[i], w.Text(16))

@@ -19,7 +19,8 @@ import (
 type ServerConfig struct {
 	Key *rsa.PrivateKey // server RSA key (decrypts the CKE, signs DHE params)
 	// Decrypter, when non-nil, handles the ClientKeyExchange
-	// decryption instead of Key — the hook the batch RSA engine plugs
+	// decryption instead of Key — the seam a constant-shape decrypter
+	// (no branch or allocation that depends on the padding) plugs
 	// into. Key is still required for DHE signing; for RSA key
 	// exchange a Decrypter alone suffices.
 	Decrypter rsa.Decrypter
@@ -649,7 +650,7 @@ func (s *serverState) getClientKeyExchange() error {
 		// padding, the wrong length or the wrong version, and the
 		// handshake fails where any wrong key does, at Finished. Only
 		// failures that depend on public data (ciphertext size or
-		// range, the engine) end the handshake at this step.
+		// range, the decrypter) end the handshake at this step.
 		var substitute [sslcrypto.PreMasterLen]byte
 		if _, err := io.ReadFull(s.cfg.Rand, substitute[:]); err != nil { // lint:allow-read — randomness source, not the transport
 			return err

@@ -19,7 +19,7 @@ func sess(id string) *Session {
 }
 
 // TestSessionCacheParallel hammers one cache from many goroutines
-// with interleaved Put/Get/Len — the shape a batched server produces
+// with interleaved Put/Get/Len — the shape a busy server produces
 // when ≥32 connections finish handshakes concurrently. Run under
 // -race (make check does) this is the cache's concurrency contract.
 func TestSessionCacheParallel(t *testing.T) {

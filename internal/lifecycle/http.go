@@ -19,8 +19,8 @@ import (
 //	                       (?conn=ID for one, ?last=N to tail; JSON
 //	                       records, ?format=text for per-connection
 //	                       event lists)
-//	/debug/trace           the same records plus engine spans as Chrome
-//	                       trace-event JSON — load it in chrome://tracing
+//	/debug/trace           the same records as Chrome trace-event
+//	                       JSON — load it in chrome://tracing
 //	                       or https://ui.perfetto.dev (?format=raw for
 //	                       the records themselves)
 func Register(mux *http.ServeMux, t *Table) {
@@ -74,19 +74,18 @@ func Register(mux *http.ServeMux, t *Table) {
 		if t != nil {
 			tracer = t.o.Tracer
 		}
-		recs, engine := t.Records(0), tracer.EngineSpans()
+		recs := t.Records(0)
 		var b []byte
 		var err error
 		// Both renderings are JSON; ?format=raw selects the records
 		// over the Chrome trace events.
 		if req.URL.Query().Get("format") == "raw" {
 			b, err = json.MarshalIndent(struct {
-				Stats   trace.Stats   `json:"stats"`
-				Records []Record      `json:"records"`
-				Engine  []*trace.Span `json:"engine_spans"`
-			}{tracer.Stats(), recs, engine}, "", " ")
+				Stats   trace.Stats `json:"stats"`
+				Records []Record    `json:"records"`
+			}{tracer.Stats(), recs}, "", " ")
 		} else {
-			b, err = ChromeTrace(recs, engine)
+			b, err = ChromeTrace(recs)
 		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

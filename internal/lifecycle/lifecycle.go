@@ -25,7 +25,6 @@
 package lifecycle
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,8 +138,7 @@ type Options struct {
 	// and each closed connection's record/byte totals.
 	Registry *telemetry.Registry
 	// Tracer samples which connections keep their detail; their
-	// handshakes fold into its anatomy profiler, and engine spans
-	// emitted into the table land in its ring.
+	// handshakes fold into its anatomy profiler.
 	Tracer *trace.Tracer
 	// Pathlen receives each closed connection's path-length tally.
 	Pathlen *pathlen.Collector
@@ -217,10 +215,9 @@ func (t *Table) Observe() probe.Sink {
 }
 
 // Begin takes one connection's entry ahead of the connection, for
-// callers with something to put on the record first (the accept mark,
-// a batch-RSA link target); the entry is then the connection's only
-// observer. A nil table returns a nil *Conn, itself a declining
-// observer whose Mark and Ref no-op.
+// callers with something to put on the record first (the accept mark);
+// the entry is then the connection's only observer. A nil table
+// returns a nil *Conn, itself a declining observer whose Mark no-ops.
 func (t *Table) Begin() *Conn {
 	if t == nil {
 		return nil
@@ -237,23 +234,6 @@ func (c *Conn) Observe() probe.Sink {
 		return nil
 	}
 	return c
-}
-
-// Emit implements probe.Sink for engine buses: the table is the one
-// shared sink background engines (batch RSA) emit into, routing their
-// samples to the registry and their spans to the tracer's ring.
-func (t *Table) Emit(e probe.Event) {
-	if t == nil {
-		return
-	}
-	switch e.Kind {
-	case probe.KindEngineValue:
-		t.o.Registry.ObserveEngine(e.Fn, false, e.Value)
-	case probe.KindEngineTimer:
-		t.o.Registry.ObserveEngine(e.Fn, true, int64(e.Dur))
-	case probe.KindEngineSpan:
-		t.o.Tracer.EngineSpan(e.Fn, fmt.Sprintf("size=%d", e.Value), e.At, e.Dur, e.Links)
-	}
 }
 
 // Reset zeroes the totals and the ring and writes off what the open
@@ -475,19 +455,6 @@ func (c *Conn) Mark(name string, at time.Time, d time.Duration) {
 	c.mu.Lock()
 	c.call(trace.CatConn, name, probe.Event{At: at, Dur: d})
 	c.mu.Unlock()
-}
-
-// Ref returns a link target for engine spans: the connection and its
-// open handshake step. Safe to call from the connection's goroutine
-// while workers resolve the link concurrently; the zero Ref on a nil
-// entry.
-func (c *Conn) Ref() trace.Ref {
-	if c == nil {
-		return trace.Ref{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return trace.Ref{Trace: c.ID, Span: uint64(c.step)}
 }
 
 // handshakeEnd records the handshake's outcome and folds it, with the

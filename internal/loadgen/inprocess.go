@@ -6,7 +6,6 @@ import (
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/rsa"
 	"sslperf/internal/server"
 	"sslperf/internal/ssl"
 	"sslperf/internal/workload"
@@ -54,8 +53,8 @@ func StartServer(opt ServerOptions) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{ln: ln, srv: &server.Server{
-		Keys:    []*rsa.PrivateKey{id.Key},
-		Certs:   [][]byte{id.CertDER},
+		Key:     id.Key,
+		Cert:    id.CertDER,
 		Cache:   handshake.NewSessionCache(4096),
 		Seed:    opt.Seed,
 		Table:   opt.Table,

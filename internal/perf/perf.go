@@ -103,8 +103,7 @@ type Sample struct {
 // A Breakdown accumulates time by region name, preserving first-seen
 // order, and renders percentage tables like the ones in the paper.
 // It is single-owner by design — not safe for concurrent use; each
-// measured activity owns one and pays no synchronization for it. Use
-// SharedBreakdown when goroutines must aggregate into one breakdown.
+// measured activity owns one and pays no synchronization for it.
 type Breakdown struct {
 	order   []string
 	elapsed map[string]time.Duration

@@ -10,8 +10,8 @@ import (
 // emitting goroutine, in sink attachment order; a slow sink slows the
 // connection. Sinks attached to per-connection buses see one
 // goroutine at a time (the ssl package serializes connections), but a
-// sink shared across connections or attached to an engine bus must be
-// safe for concurrent Emit calls.
+// sink shared across connections must be safe for concurrent Emit
+// calls.
 type Sink interface {
 	Emit(Event)
 }
@@ -49,8 +49,8 @@ var connSeq atomic.Uint64
 //
 // The step cursor (StepEnter/StepExit) is single-owner state: only
 // the handshake goroutine moves it. Stateless emissions (RecordIO,
-// the Engine* helpers) may come from any goroutine as long as the
-// sinks tolerate it.
+// AppIO) may come from any goroutine as long as the sinks tolerate
+// it.
 type Bus struct {
 	sinks []Sink
 
@@ -269,45 +269,6 @@ func (b *Bus) RecordIO(written, alert bool, bytes int) {
 	}
 	b.emit(Event{Kind: KindRecordIO, Step: b.openStep(), Written: written,
 		Alert: alert, Bytes: bytes})
-}
-
-// EngineValue reports a dimensionless engine sample.
-func (b *Bus) EngineValue(name string, v int64) {
-	if b == nil {
-		return
-	}
-	b.emit(Event{Kind: KindEngineValue, Fn: name, Value: v})
-}
-
-// EngineTimer reports a completed engine region.
-func (b *Bus) EngineTimer(name string, d time.Duration) {
-	if b == nil {
-		return
-	}
-	b.emit(Event{Kind: KindEngineTimer, Fn: name, Dur: d})
-}
-
-// Timed runs fn, reporting its duration as an engine timer. On a nil
-// bus fn runs untimed.
-func (b *Bus) Timed(name string, f func()) {
-	if b == nil {
-		f()
-		return
-	}
-	start := time.Now()
-	f()
-	b.emit(Event{Kind: KindEngineTimer, Fn: name, At: start, Dur: time.Since(start)})
-}
-
-// EngineSpan reports one cross-connection engine operation of the
-// given size that began at start (from Stamp), linked to the spans it
-// served.
-func (b *Bus) EngineSpan(name string, size int, start time.Time, links []SpanRef) {
-	if b == nil {
-		return
-	}
-	b.emit(Event{Kind: KindEngineSpan, Fn: name, Value: int64(size),
-		Links: links, At: start, Dur: time.Since(start)})
 }
 
 // ConnOpen opens the connection's stream: it draws the connection's

@@ -16,8 +16,7 @@ var profileLabels atomic.Bool
 // every bus in the process. When enabled, each handshake step sets the
 // goroutine label sslstep=<Table 2 name> between StepEnter and
 // StepExit, each Bus.Crypto call additionally carries sslfn=<function>
-// and sslcat=<Table 3 category>, and LabelEngine tags engine work —
-// so a CPU profile captured while traffic flows folds directly onto
+// and sslcat=<Table 3 category> — so a CPU profile captured while traffic flows folds directly onto
 // the paper's step and category rows.
 func SetProfileLabels(on bool) { profileLabels.Store(on) }
 
@@ -33,10 +32,6 @@ const LabelKeyFn = "sslfn"
 // LabelKeyCategory is the pprof label key carrying the Table 3
 // category.
 const LabelKeyCategory = "sslcat"
-
-// LabelKeyEngine is the pprof label key naming engine work (e.g. the
-// RSA batching engine's batch execution).
-const LabelKeyEngine = "sslengine"
 
 // LabelBulk is the step-label value used for bulk-phase work outside
 // any handshake step (the record layer's application-data path).
@@ -71,17 +66,5 @@ func LabelBulkPhase(f func()) {
 		return
 	}
 	pprof.Do(context.Background(), pprof.Labels(LabelKeyStep, LabelBulk),
-		func(context.Context) { f() })
-}
-
-// LabelEngine runs f under the engine label when profile labelling is
-// enabled (and plainly otherwise). Engine goroutines (the RSA batch
-// workers) wrap batch execution in it.
-func LabelEngine(name string, f func()) {
-	if !ProfileLabels() {
-		f()
-		return
-	}
-	pprof.Do(context.Background(), pprof.Labels(LabelKeyEngine, name),
 		func(context.Context) { f() })
 }

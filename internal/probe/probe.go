@@ -3,7 +3,7 @@
 // The paper's contribution is attribution: the same handshake steps
 // and crypto calls must produce the Table 2/3 shares whichever tool
 // measures them. This package makes that a structural property. The
-// hot path (connection, handshake FSM, record layer, engines) emits
+// hot path (connection, handshake FSM, record layer) emits
 // typed events onto a Bus — one timestamp and one connection ID per
 // event, one nil test on the fast path — and every consumer (the
 // perf/anatomy fold, the telemetry registry, the span tracer, the live
@@ -195,14 +195,6 @@ func (o RecordOp) StepFn() string {
 	}
 }
 
-// A SpanRef names a span in some trace — the link target for
-// cross-trace causality (a batch span pointing at the handshake spans
-// it served). The zero SpanRef means "no link".
-type SpanRef struct {
-	Trace uint64 `json:"trace"`
-	Span  uint64 `json:"span"`
-}
-
 // Kind discriminates probe events.
 type Kind uint8
 
@@ -225,16 +217,6 @@ const (
 	// fragment) or successfully opened, with its plaintext size in
 	// Bytes and Alert set for alert records.
 	KindRecordIO
-	// KindEngineValue is a dimensionless engine sample (queue depth,
-	// batch size): Fn names the metric, Value carries it.
-	KindEngineValue
-	// KindEngineTimer is a timed engine region: Fn names it, Dur times
-	// it.
-	KindEngineTimer
-	// KindEngineSpan is one cross-connection engine operation (e.g. an
-	// executed RSA batch): Fn names it, Value carries its size, Links
-	// point at the spans it served.
-	KindEngineSpan
 
 	// The connection lifecycle. Every connection's stream is one
 	// KindConnOpen, at most one KindHandshakeStart and one of
@@ -278,14 +260,12 @@ type Event struct {
 	Written bool
 	Alert   bool
 	Version uint16 // KindHandshakeDone
-	Conn    uint64 // the connection's ID (0 on an engine bus)
+	Conn    uint64 // the connection's ID
 	Fn      string
 	Detail  string // peer address (KindConnOpen) or error text (KindHandshakeFail)
 	Op      RecordOp
 	Prim    string // crypto primitive (KindRecordCrypto), e.g. "RC4"
 	Bytes   int
-	Value   int64
-	Links   []SpanRef
 	At      time.Time
 	Dur     time.Duration
 }

@@ -1,9 +1,6 @@
 package probe
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestStepTable(t *testing.T) {
 	wantIndex := map[Step]int{
@@ -143,7 +140,7 @@ func TestWithComposes(t *testing.T) {
 	var b *Bus
 	b = b.With(recordingSink{0, &log})
 	b = b.With(recordingSink{1, &log})
-	b.EngineValue("depth", 3)
+	b.RecordIO(true, false, 3)
 	if len(log) != 2 || log[0].sink != 0 || log[1].sink != 1 {
 		t.Fatalf("With did not preserve order: %+v", log)
 	}
@@ -262,10 +259,14 @@ func TestNilBusZeroAllocs(t *testing.T) {
 		b.StepExit()
 		b.RecordCrypto(OpMACCompute, "MD5", 64, b.Stamp())
 		b.RecordIO(true, false, 64)
-		b.EngineValue("depth", 1)
-		b.EngineTimer("linger", time.Microsecond)
-		b.Timed("mac", func() {})
-		b.EngineSpan("rsa_batch", 4, b.Stamp(), nil)
+		b.StepSuspend()
+		b.StepResume()
+		b.ConnOpen("server", "")
+		b.HandshakeStart("server")
+		b.HandshakeDone("RC4-MD5", 0x0300, false)
+		b.HandshakeFail(FailIOEOF, "io_eof", "EOF")
+		b.AppIO(true, 64, b.Stamp())
+		b.ConnClose()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil bus allocated %.1f times per run, want 0", allocs)
@@ -279,9 +280,8 @@ func TestNilBusRunsFunctions(t *testing.T) {
 	if err := b.CryptoErr("y", func() error { ran++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	b.Timed("z", func() { ran++ })
-	if ran != 3 {
-		t.Fatalf("nil bus ran %d of 3 functions", ran)
+	if ran != 2 {
+		t.Fatalf("nil bus ran %d of 2 functions", ran)
 	}
 	if b.Active() {
 		t.Error("nil bus reports Active")

@@ -35,9 +35,7 @@ var Phases = []string{
 }
 
 // A Decrypter performs the RSA private-key operation on a PKCS#1
-// v1.5 ciphertext. *PrivateKey implements it directly (CRT with
-// blinding); the rsabatch package provides implementations that
-// amortize the modular exponentiation across concurrent requests.
+// v1.5 ciphertext. *PrivateKey implements it (CRT with blinding).
 // Implementations must be safe for concurrent use.
 type Decrypter interface {
 	DecryptPKCS1(rnd io.Reader, ct []byte) ([]byte, error)

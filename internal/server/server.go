@@ -28,16 +28,9 @@ import (
 // A Server serves SSL connections from one listener. Set the exported
 // fields before Serve; they are read-only afterwards.
 type Server struct {
-	// Keys and Certs are parallel: connection n uses entry n mod
-	// len(Keys) — one entry normally, one per batch exponent under
-	// batch RSA.
-	Keys  []*rsa.PrivateKey
-	Certs [][]byte
-	// Decrypter, when non-nil, supplies the step-7 decrypter of a
-	// connection using key i (the batch-RSA engine's DecrypterTraced);
-	// ref names the connection's record and open step for the engine's
-	// spans, nil when the server is unobserved.
-	Decrypter func(i int, ref func() probe.SpanRef) rsa.Decrypter
+	// Key and Cert are the identity every connection presents.
+	Key  *rsa.PrivateKey
+	Cert []byte
 
 	Cache   *handshake.SessionCache
 	Suites  []suite.ID // nil: every registered suite
@@ -161,20 +154,18 @@ func (s *Server) Close() {
 }
 
 // configFor builds the per-connection Config. Every connection gets
-// its own PRNG (ssl.PRNG is not safe for concurrent use) and the next
-// key round-robin; the accept count that picks them is not an identity
-// — the connection's ID is the one its open event carries. The
-// returned entry is the connection's record, non-nil when the server
-// is observed: it is taken here, at accept time, so the caller can
-// mark the accept on it, it is the connection's one observer, and the
-// decrypter links its spans to the entry's open step.
+// its own PRNG (ssl.PRNG is not safe for concurrent use); the accept
+// count that seeds it is not an identity — the connection's ID is the
+// one its open event carries. The returned entry is the connection's
+// record, non-nil when the server is observed: it is taken here, at
+// accept time, so the caller can mark the accept on it, and it is the
+// connection's one observer.
 func (s *Server) configFor() (*ssl.Config, *lifecycle.Conn) {
 	n := s.connSeq.Add(1)
-	i := int(n) % len(s.Keys)
 	cfg := &ssl.Config{
 		Rand:         ssl.NewPRNG(s.Seed + 17*n),
-		Key:          s.Keys[i],
-		CertDER:      s.Certs[i],
+		Key:          s.Key,
+		CertDER:      s.Cert,
 		SessionCache: s.Cache,
 		Suites:       s.Suites,
 		Version:      s.Version,
@@ -182,13 +173,6 @@ func (s *Server) configFor() (*ssl.Config, *lifecycle.Conn) {
 	entry := s.Table.Begin()
 	if entry != nil {
 		cfg.Observers = []probe.Observer{entry}
-	}
-	if s.Decrypter != nil {
-		var ref func() probe.SpanRef
-		if entry != nil {
-			ref = entry.Ref
-		}
-		cfg.Decrypter = s.Decrypter(i, ref)
 	}
 	return cfg, entry
 }

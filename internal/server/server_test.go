@@ -23,32 +23,26 @@ import (
 	"sslperf/internal/workload"
 )
 
-// identities are two 512-bit server identities, generated once.
-var identities = sync.OnceValue(func() []*ssl.Identity {
-	ids := make([]*ssl.Identity, 2)
-	for i := range ids {
-		id, err := ssl.NewIdentity(ssl.NewPRNG(uint64(900+i)), 512, "server-test", time.Now())
-		if err != nil {
-			panic(err)
-		}
-		ids[i] = id
+// identity is a 512-bit server identity, generated once.
+var identity = sync.OnceValue(func() *ssl.Identity {
+	id, err := ssl.NewIdentity(ssl.NewPRNG(900), 512, "server-test", time.Now())
+	if err != nil {
+		panic(err)
 	}
-	return ids
+	return id
 })
 
-// newServer returns a Server over the first nkeys test identities
-// answering every request with response.
-func newServer(nkeys int, seed uint64, response []byte) *Server {
-	s := &Server{
+// newServer returns a Server over the test identity answering every
+// request with response.
+func newServer(seed uint64, response []byte) *Server {
+	id := identity()
+	return &Server{
+		Key:     id.Key,
+		Cert:    id.CertDER,
 		Cache:   handshake.NewSessionCache(16),
 		Seed:    seed,
 		Handler: Respond(response),
 	}
-	for _, id := range identities()[:nkeys] {
-		s.Keys = append(s.Keys, id.Key)
-		s.Certs = append(s.Certs, id.CertDER)
-	}
-	return s
 }
 
 // pipeListener is a stub net.Listener: Accept hands out what the test
@@ -149,7 +143,7 @@ func TestServeSurvivesAcceptErrors(t *testing.T) {
 	t.Cleanup(func() { log.SetOutput(os.Stderr) })
 
 	response := workload.Response(256)
-	s := newServer(1, 1, response)
+	s := newServer(1, response)
 	s.Log = NewLog(100)
 	ln := newPipeListener()
 	for i := 0; i < 3; i++ {
@@ -171,7 +165,7 @@ func TestServeSurvivesAcceptErrors(t *testing.T) {
 func TestServeReturnsWhenListenerCloses(t *testing.T) {
 	ln := newPipeListener()
 	ln.Close()
-	if err := newServer(1, 1, nil).Serve(ln); !errors.Is(err, net.ErrClosed) {
+	if err := newServer(1, nil).Serve(ln); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("Serve on a closed listener returned %v, want net.ErrClosed", err)
 	}
 }
@@ -183,7 +177,7 @@ func TestCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Skip("no loopback:", err)
 	}
-	s := newServer(1, 3, nil)
+	s := newServer(3, nil)
 	entered, release := make(chan struct{}), make(chan struct{})
 	var finished atomic.Bool
 	s.Handler = func(*ssl.Conn) {
@@ -223,18 +217,18 @@ func TestCloseDrains(t *testing.T) {
 	}
 	s.Close()
 
-	early := newServer(1, 3, nil)
+	early := newServer(3, nil)
 	early.Close()
 	if err := early.Serve(newPipeListener()); err != nil {
 		t.Fatalf("Serve after Close returned %v, want nil", err)
 	}
 }
 
-// serverFlights serves n sequential connections from a fresh two-key
-// server and returns what each client read during its handshake.
+// serverFlights serves n sequential connections from a fresh server
+// and returns what each client read during its handshake.
 func serverFlights(t *testing.T, seed uint64, n int) [][]byte {
 	t.Helper()
-	s := newServer(2, seed, nil)
+	s := newServer(seed, nil)
 	ln := newPipeListener()
 	stop := start(s, ln)
 	var flights [][]byte
@@ -260,11 +254,11 @@ func helloRandom(flight []byte) []byte { return flight[15:43] }
 
 // Every connection draws from its own PRNG, NewPRNG(Seed + 17n): no
 // two ServerHello randoms agree, and a seed reproduces the sequence.
-// Keys alternate round-robin.
+// Every connection is served the one certificate.
 func TestPerConnectionConfig(t *testing.T) {
 	a, b := serverFlights(t, 11, 4), serverFlights(t, 11, 4)
 	other := serverFlights(t, 12, 1)
-	ids := identities()
+	cert := identity().CertDER
 	for i := range a {
 		if !bytes.Equal(helloRandom(a[i]), helloRandom(b[i])) {
 			t.Errorf("connection %d: seed 11 gave two different ServerHello randoms", i)
@@ -274,10 +268,8 @@ func TestPerConnectionConfig(t *testing.T) {
 				t.Errorf("connections %d and %d share a ServerHello random", j, i)
 			}
 		}
-		// Connection n (from 1) uses key n mod 2.
-		want, not := ids[(i+1)%2].CertDER, ids[i%2].CertDER
-		if !bytes.Contains(a[i], want) || bytes.Contains(a[i], not) {
-			t.Errorf("connection %d was not served key %d's certificate", i, (i+1)%2)
+		if !bytes.Contains(a[i], cert) {
+			t.Errorf("connection %d was not served the server's certificate", i)
 		}
 	}
 	if bytes.Equal(helloRandom(a[0]), helloRandom(other[0])) {
@@ -294,7 +286,7 @@ func TestTableRecordsEveryConnection(t *testing.T) {
 		Ring:   8,
 	})
 	response := workload.Response(64)
-	s := newServer(1, 21, response)
+	s := newServer(21, response)
 	s.Table = table
 	ln := newPipeListener()
 	stop := start(s, ln)
@@ -323,7 +315,7 @@ func TestTableRecordsEveryConnection(t *testing.T) {
 		}
 	}
 
-	cfg, entry := newServer(1, 21, nil).configFor()
+	cfg, entry := newServer(21, nil).configFor()
 	if entry != nil || cfg.Observers != nil {
 		t.Fatalf("a server without a table attached observers %v (entry %v)", cfg.Observers, entry)
 	}
@@ -382,7 +374,7 @@ func TestPipelinedBacklogBounded(t *testing.T) {
 		t.Skip("no loopback:", err)
 	}
 	ln := &tapListener{Listener: inner}
-	stop := start(newServer(1, 31, response), ln)
+	stop := start(newServer(31, response), ln)
 
 	client, err := ssl.Dial("tcp", ln.Addr().String(),
 		&ssl.Config{Rand: ssl.NewPRNG(32), InsecureSkipVerify: true})

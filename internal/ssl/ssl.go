@@ -47,8 +47,9 @@ type Config struct {
 	// Server side.
 	Key *rsa.PrivateKey
 	// Decrypter, when non-nil, handles the ClientKeyExchange RSA
-	// decryption instead of Key — the hook for the batch RSA engine
-	// (internal/rsabatch). Key remains required for DHE signing.
+	// decryption instead of Key — the seam a constant-shape decrypter
+	// (no branch or allocation that depends on the padding) plugs
+	// into. Key remains required for DHE signing.
 	Decrypter rsa.Decrypter
 	CertDER   []byte
 	// CertChain holds intermediate certificates (leaf's issuer

@@ -48,6 +48,19 @@ func connect(t testing.TB, clientCfg, serverCfg *Config) (*Conn, *Conn) {
 	return client, server
 }
 
+// readFull reads exactly len(p) bytes from c.
+func readFull(c *Conn, p []byte) (int, error) {
+	total := 0
+	for total < len(p) {
+		n, err := c.Read(p[total:])
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
 func clientCfg(mod func(*Config)) *Config {
 	cfg := &Config{Rand: NewPRNG(7), InsecureSkipVerify: true}
 	if mod != nil {

@@ -1,13 +1,10 @@
 package ssl
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
-	"sslperf/internal/rsabatch"
 	"sslperf/internal/trace"
 )
 
@@ -135,99 +132,5 @@ func TestTracedClientHandshake(t *testing.T) {
 	// handshake count.
 	if got := tracer.Profiler().Snapshot().Handshakes; got != 0 {
 		t.Fatalf("client trace counted as %d step-bearing handshakes", got)
-	}
-}
-
-// TestTraceBatchLinks is the acceptance-shaped cross-trace run:
-// concurrent handshakes against the batch RSA engine, every connection
-// sampled, checking that batch spans carry links that resolve to
-// distinct handshake traces.
-func TestTraceBatchLinks(t *testing.T) {
-	tracer, table := tracing(1)
-	setup := newBatchSetup(t, rsabatch.Config{
-		BatchSize: 4,
-		Linger:    2 * time.Millisecond,
-		Rand:      NewPRNG(99),
-		Probes:    []probe.Sink{table},
-	})
-	defer setup.engine.Close()
-
-	const conns = 16
-	var wg sync.WaitGroup
-	for g := 0; g < conns; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			i := g % len(setup.ks.Keys)
-			entry := table.Begin()
-			sCfg := setup.serverConfig(g, NewPRNG(uint64(1000+g)), nil)
-			sCfg.Observers = []probe.Observer{entry}
-			sCfg.Decrypter = setup.engine.DecrypterTraced(i, entry.Ref)
-			cCfg := &Config{Rand: NewPRNG(uint64(2000 + g)), InsecureSkipVerify: true}
-			tc, tsrv := Pipe()
-			client := ClientConn(tc, cCfg)
-			server := ServerConn(tsrv, sCfg)
-			errs := make(chan error, 1)
-			go func() { errs <- client.Handshake() }()
-			if err := server.Handshake(); err != nil {
-				t.Errorf("conn %d: server handshake: %v", g, err)
-				return
-			}
-			if err := <-errs; err != nil {
-				t.Errorf("conn %d: client handshake: %v", g, err)
-				return
-			}
-			client.Close()
-			server.Close()
-		}(g)
-	}
-	wg.Wait()
-
-	if st := setup.engine.Stats(); st.Batched == 0 {
-		t.Skipf("no decryption batched this run (stats: %+v)", st)
-	}
-	spans := tracer.EngineSpans()
-	if len(spans) == 0 {
-		t.Fatal("engine emitted batches but no engine spans")
-	}
-	linkedTraces := map[uint64]bool{}
-	multi := false
-	for _, sp := range spans {
-		if sp.Name != "rsa_batch" || sp.Category != trace.CatEngine {
-			t.Fatalf("unexpected engine span %+v", sp)
-		}
-		if sp.Duration <= 0 {
-			t.Errorf("engine span has no duration: %+v", sp)
-		}
-		seen := map[uint64]bool{}
-		for _, l := range sp.Links {
-			if l.Trace == 0 {
-				t.Errorf("zero link on %+v", sp)
-			}
-			seen[l.Trace] = true
-			linkedTraces[l.Trace] = true
-		}
-		if len(seen) >= 2 {
-			multi = true
-		}
-	}
-	if !multi {
-		t.Errorf("no batch span links two distinct handshake traces (spans: %d)", len(spans))
-	}
-	if len(linkedTraces) < 2 {
-		t.Errorf("links cover %d traces, want >= 2", len(linkedTraces))
-	}
-	// Every link names a retained connection and the step the batch
-	// served, so the export can draw the arrow.
-	recs := map[uint64]bool{}
-	for _, rec := range table.Records(0) {
-		recs[rec.ID] = true
-	}
-	for _, sp := range spans {
-		for _, l := range sp.Links {
-			if !recs[l.Trace] || probe.Step(l.Span) != probe.StepGetClientKX {
-				t.Errorf("link %+v does not name a retained connection's get_client_kx step", l)
-			}
-		}
 	}
 }

@@ -101,29 +101,5 @@ func (s Snapshot) Text() string {
 		sb.WriteString("per-step share of total handshake time:\n")
 		sb.WriteString(share.String())
 	}
-
-	if len(s.Timers) > 0 {
-		sb.WriteByte('\n')
-		timers := perf.NewTable("engine timers (kcycles)",
-			"timer", "n", "mean", "p50", "p90", "p99", "max")
-		for _, t := range s.Timers {
-			histRow(timers, t.Name, t.Latency)
-		}
-		sb.WriteString(timers.String())
-	}
-
-	if len(s.Values) > 0 {
-		sb.WriteByte('\n')
-		values := perf.NewTable("engine values",
-			"value", "n", "mean", "p50", "p99", "max")
-		for _, v := range s.Values {
-			values.AddRow(v.Name,
-				fmt.Sprint(v.Values.Count),
-				fmt.Sprintf("%.2f", v.Values.Mean),
-				fmt.Sprint(v.Values.P50), fmt.Sprint(v.Values.P99),
-				fmt.Sprint(v.Values.Max))
-		}
-		sb.WriteString(values.String())
-	}
 	return sb.String()
 }

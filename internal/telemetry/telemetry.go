@@ -132,8 +132,8 @@ type Live interface {
 const numSteps = int(probe.StepServerFlush) + 1
 
 // A Registry aggregates the SSL stack's live metrics, fed by the conn
-// table's folds and by ObserveEngine from background engines. All
-// methods are safe for concurrent use and no-ops on a nil receiver.
+// table's folds. All methods are safe for concurrent use and no-ops on
+// a nil receiver.
 type Registry struct {
 	start time.Time
 	live  Live
@@ -149,19 +149,6 @@ type Registry struct {
 	bySuite     map[string]uint64
 	byVersion   map[string]uint64
 	failReasons map[string]uint64
-
-	// Named engine histograms: open vocabulary for subsystems like the
-	// RSA batch engine, which emits queue-depth, batch-size, and
-	// linger-latency distributions here.
-	engine      map[string]*engineHist
-	engineOrder []string
-}
-
-// engineHist is one named engine distribution: a timed region in
-// nanoseconds (timer) or a dimensionless value.
-type engineHist struct {
-	Histogram
-	timer bool
 }
 
 // NewRegistry returns an empty registry.
@@ -171,7 +158,6 @@ func NewRegistry() *Registry {
 		bySuite:     make(map[string]uint64),
 		byVersion:   make(map[string]uint64),
 		failReasons: make(map[string]uint64),
-		engine:      make(map[string]*engineHist),
 	}
 }
 
@@ -200,12 +186,6 @@ func (r *Registry) Reset() {
 	r.bySuite = make(map[string]uint64)
 	r.byVersion = make(map[string]uint64)
 	r.failReasons = make(map[string]uint64)
-	// Named histograms are reset in place, not dropped: an emitter
-	// that grabbed one before the cut keeps feeding the same (now
-	// zeroed) histogram, so no observation is lost to a stale pointer.
-	for _, h := range r.engine {
-		h.Reset()
-	}
 	r.mu.Unlock()
 }
 
@@ -270,24 +250,6 @@ func (r *Registry) FoldClose(io IOCounts) {
 	r.mu.Unlock()
 }
 
-// ObserveEngine records one engine sample under its metric name: a
-// timed region in nanoseconds (timer) or a dimensionless value such as
-// a queue depth or batch size.
-func (r *Registry) ObserveEngine(name string, timer bool, v int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.engine[name]
-	if h == nil {
-		h = &engineHist{timer: timer}
-		r.engine[name] = h
-		r.engineOrder = append(r.engineOrder, name)
-	}
-	r.mu.Unlock()
-	h.Observe(v)
-}
-
 // Counts reads the cumulative counters, open connections included,
 // without allocating. A nil registry reads all zeros.
 func (r *Registry) Counts() Counts {
@@ -319,17 +281,11 @@ type HandshakeCounts struct {
 	FailReasons map[string]uint64 `json:"fail_reasons,omitempty"`
 }
 
-// StepSnapshot is one handshake step's or engine timer's latency
-// distribution, in nanoseconds.
+// StepSnapshot is one handshake step's latency distribution, in
+// nanoseconds.
 type StepSnapshot struct {
 	Name    string            `json:"name"`
 	Latency HistogramSnapshot `json:"latency"`
-}
-
-// ValueSnapshot is one named engine value's distribution.
-type ValueSnapshot struct {
-	Name   string            `json:"name"`
-	Values HistogramSnapshot `json:"values"`
 }
 
 // A Snapshot is a copy of every metric for rendering; counters may
@@ -344,8 +300,6 @@ type Snapshot struct {
 	FullLatency    HistogramSnapshot `json:"full_handshake_latency"`
 	ResumedLatency HistogramSnapshot `json:"resumed_handshake_latency"`
 	Steps          []StepSnapshot    `json:"steps,omitempty"`
-	Timers         []StepSnapshot    `json:"timers,omitempty"`
-	Values         []ValueSnapshot   `json:"values,omitempty"`
 	Observatory    ObservatoryStats  `json:"observatory"`
 	Runtime        RuntimeSnapshot   `json:"runtime"`
 }
@@ -385,13 +339,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s.Handshakes.BySuite = copyMap(r.bySuite)
 	s.Handshakes.ByVersion = copyMap(r.byVersion)
 	s.Handshakes.FailReasons = copyMap(r.failReasons)
-	for _, name := range r.engineOrder {
-		if h := r.engine[name]; h.timer {
-			s.Timers = append(s.Timers, StepSnapshot{Name: name, Latency: h.Snapshot()})
-		} else {
-			s.Values = append(s.Values, ValueSnapshot{Name: name, Values: h.Snapshot()})
-		}
-	}
 	r.mu.Unlock()
 	return s
 }

@@ -27,7 +27,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.FoldHandshake(hsDone("RC4-MD5", 0x0300, false, time.Millisecond))
 	r.FoldClose(IOCounts{BytesIn: 1})
-	r.ObserveEngine("batch_size", false, 4)
 	r.SetLive(nil)
 	r.Reset()
 	if c := r.Counts(); c != (Counts{}) {
@@ -207,7 +206,6 @@ func TestConcurrentEmission(t *testing.T) {
 				} else {
 					r.FoldHandshake(hsDone("RC4-MD5", 0x0300, i%2 == 0, time.Duration(i)*time.Microsecond, steps...))
 				}
-				r.ObserveEngine("queue_depth", false, int64(i))
 				r.FoldClose(IOCounts{RecordsIn: 1, BytesIn: 64, RecordsOut: 1, BytesOut: 128})
 				_ = r.Snapshot() // readers race with writers
 			}
@@ -227,9 +225,6 @@ func TestConcurrentEmission(t *testing.T) {
 	}
 	if s.Steps[0].Latency.Count != uint64(total) {
 		t.Fatalf("step count = %d", s.Steps[0].Latency.Count)
-	}
-	if len(s.Values) != 1 || s.Values[0].Values.Count != uint64(total) {
-		t.Fatalf("engine values = %+v", s.Values)
 	}
 }
 

@@ -55,10 +55,6 @@ func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
 	if v := tr.Sample(); v != "" {
 		t.Fatalf("nil tracer sampled a connection: %q", v)
 	}
-	tr.EngineSpan("x", "", time.Now(), time.Millisecond, nil)
-	if got := tr.EngineSpans(); got != nil {
-		t.Fatalf("nil tracer EngineSpans() = %v", got)
-	}
 	if got := tr.Stats(); got != (trace.Stats{}) {
 		t.Fatalf("nil tracer Stats() = %+v", got)
 	}
@@ -70,9 +66,6 @@ func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
 	c.Mark("accept", time.Now(), time.Millisecond)
 	if c.Observe() != nil {
 		t.Fatal("nil entry offered itself as a sink")
-	}
-	if c.Ref() != (trace.Ref{}) {
-		t.Fatal("nil entry returned a non-zero Ref")
 	}
 
 	// A table without a tracer keeps the timeline and no detail.
@@ -135,20 +128,8 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 		t.Fatalf("record = %+v", r)
 	}
 	// The unfinished life still exports.
-	if _, err := lifecycle.ChromeTrace(tab.Records(0), nil); err != nil {
+	if _, err := lifecycle.ChromeTrace(tab.Records(0)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRefTracksCurrentStep(t *testing.T) {
-	tab, _ := newTable(trace.Config{}, 0)
-	c := begin(tab)
-	if ref := c.Ref(); ref.Trace != c.ID || ref.Span != 0 {
-		t.Fatalf("pre-step Ref = %+v", ref)
-	}
-	c.Emit(probe.Event{Kind: probe.KindStepEnter, Step: probe.StepGetClientKX, At: time.Now()})
-	if ref := c.Ref(); ref.Trace != c.ID || ref.Span != uint64(probe.StepGetClientKX) {
-		t.Fatalf("in-step Ref = %+v, want step %d", ref, probe.StepGetClientKX)
 	}
 }
 
@@ -215,11 +196,10 @@ func TestConcurrentTracing(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				c := begin(tab)
 				step(c, probe.StepInit, time.Microsecond, probe.Event{Kind: probe.KindCrypto, Fn: "md5", Dur: time.Microsecond})
-				tr.EngineSpan("rsa_batch", "size=2", time.Now(), time.Microsecond, []trace.Ref{c.Ref()})
 				done(c, "RC4-MD5")
 				end(c)
 				if i%10 == 0 {
-					lifecycle.ChromeTrace(tab.Records(0), tr.EngineSpans())
+					lifecycle.ChromeTrace(tab.Records(0))
 				}
 			}
 		}()
@@ -237,24 +217,20 @@ func TestConcurrentTracing(t *testing.T) {
 	}
 }
 
+// The export is connection-only: every span on the one "ssl
+// connections" process, a thread per connection, and no flow events.
 func TestChromeTraceExport(t *testing.T) {
-	tab, tr := newTable(trace.Config{}, 4)
-	base := time.Now()
-
-	// Two handshakes whose get_client_kx steps feed one batch.
-	var refs []trace.Ref
+	tab, _ := newTable(trace.Config{}, 4)
 	for i := 0; i < 2; i++ {
 		c := begin(tab)
 		c.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: time.Now()})
 		c.Emit(probe.Event{Kind: probe.KindStepEnter, Step: probe.StepGetClientKX, At: time.Now()})
-		refs = append(refs, c.Ref())
 		c.Emit(probe.Event{Kind: probe.KindStepExit, Step: probe.StepGetClientKX, At: time.Now(), Dur: 2 * time.Millisecond})
 		done(c, "RC4-MD5")
 		end(c)
 	}
-	tr.EngineSpan("rsa_batch", "size=2", base, 4*time.Millisecond, refs)
 
-	b, err := lifecycle.ChromeTrace(tab.Records(0), tr.EngineSpans())
+	b, err := lifecycle.ChromeTrace(tab.Records(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +241,6 @@ func TestChromeTraceExport(t *testing.T) {
 			Ph   string         `json:"ph"`
 			PID  uint64         `json:"pid"`
 			TID  uint64         `json:"tid"`
-			BP   string         `json:"bp"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -277,52 +252,35 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Fatalf("displayTimeUnit = %q", doc.DisplayTimeUnit)
 	}
 
-	const pidConns, pidEngine = 1, 2
-	var complete, meta, flowS, flowF, engine int
+	threads := map[uint64]bool{}
+	var complete, meta int
 	for _, e := range doc.TraceEvents {
 		switch e.Ph {
 		case "X":
 			complete++
-			if e.Cat == trace.CatEngine {
-				engine++
-				if e.PID != pidEngine {
-					t.Errorf("engine span on pid %d", e.PID)
-				}
-				links, ok := e.Args["links"].([]any)
-				if !ok || len(links) != 2 {
-					t.Errorf("engine span links = %v", e.Args["links"])
-				}
-			} else if e.PID != pidConns {
-				t.Errorf("%s span on pid %d", e.Cat, e.PID)
+			if e.PID != 1 {
+				t.Errorf("%s span %q on pid %d, want 1", e.Cat, e.Name, e.PID)
 			}
+			threads[e.TID] = true
 		case "M":
 			meta++
-		case "s":
-			flowS++
-		case "f":
-			flowF++
-			if e.BP != "e" {
-				t.Errorf("flow finish without bp=e")
-			}
+		default:
+			t.Errorf("unexpected %q event %q", e.Ph, e.Name)
 		}
 	}
-	if complete != 5 { // 2×(handshake+step) + 1 batch
-		t.Fatalf("complete events = %d, want 5", complete)
+	if complete != 4 { // 2×(handshake+step)
+		t.Fatalf("complete events = %d, want 4", complete)
 	}
-	if engine != 1 {
-		t.Fatalf("engine spans = %d, want 1", engine)
+	if len(threads) != 2 {
+		t.Fatalf("spans on %d threads, want one per connection (2)", len(threads))
 	}
-	// One flow arrow per linked handshake step.
-	if flowS != 2 || flowF != 2 {
-		t.Fatalf("flow events = %d starts / %d finishes, want 2/2", flowS, flowF)
-	}
-	if meta < 4 { // 2 process names + rsabatch thread + ≥2 conn threads... at least 4
-		t.Fatalf("metadata events = %d", meta)
+	if meta != 3 { // the process name + one thread name per connection
+		t.Fatalf("metadata events = %d, want 3", meta)
 	}
 }
 
 func TestChromeEmptyTracerLoads(t *testing.T) {
-	b, err := lifecycle.ChromeTrace(nil, nil)
+	b, err := lifecycle.ChromeTrace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

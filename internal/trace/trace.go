@@ -7,16 +7,12 @@
 // application I/O between them are kept only for the connections the
 // Tracer's sampler picks — 1 in N, under a per-second cap — so the
 // cost of detail is bounded. A sampled connection's finished handshake
-// folds into the Profiler, the continuous Tables 2 and 3. The Tracer
-// also retains the spans of cross-connection engine work (RSA
-// batches), each linked to the handshake steps it served.
+// folds into the Profiler, the continuous Tables 2 and 3.
 package trace
 
 import (
 	"sync/atomic"
 	"time"
-
-	"sslperf/internal/probe"
 )
 
 // Span categories used by the SSL stack. Category strings become the
@@ -27,7 +23,6 @@ const (
 	CatCrypto = "crypto" // a crypto call attributed inside a step
 	CatRecord = "record" // record-layer cipher/MAC work
 	CatIO     = "io"     // application Read/Write
-	CatEngine = "engine" // cross-connection engine work (e.g. RSA batches)
 )
 
 // What a connection's record keeps beyond its step timeline and
@@ -40,27 +35,8 @@ const (
 	DetailTruncated   = "truncated"    // kept, then cut at the per-record cap
 )
 
-// A Ref names a step of some connection — Trace is the connection's
-// ID, Span the step — the link a batch span carries to each handshake
-// step it served. The zero Ref means "no link". It is the probe spine's
-// SpanRef, so engines carry links without importing this package.
-type Ref = probe.SpanRef
-
-// A Span is one timed region of engine work.
-type Span struct {
-	ID       uint64        `json:"id"`
-	Name     string        `json:"name"`
-	Category string        `json:"cat"`
-	Start    time.Time     `json:"start"`
-	Duration time.Duration `json:"dur_ns"`
-	// Detail carries one free-form attribute (batch size).
-	Detail string `json:"detail,omitempty"`
-	// Links point at the handshake steps this span served.
-	Links []Ref `json:"links,omitempty"`
-}
-
 // Config tunes a Tracer. The zero value samples every connection with
-// the default engine ring and no rate limit.
+// no rate limit.
 type Config struct {
 	// SampleEvery samples one connection in N (1 or 0 = every
 	// connection). Sampling is modular over the arrival counter so a
@@ -71,10 +47,6 @@ type Config struct {
 	// SampleEvery (0 = unlimited). The cap bounds the cost of detail
 	// under connection floods regardless of the sampling ratio.
 	MaxPerSec int
-
-	// EngineRingSize is how many completed engine spans (batch spans)
-	// are retained (default 1024).
-	EngineRingSize int
 }
 
 // Stats counts tracer activity.
@@ -82,10 +54,9 @@ type Stats struct {
 	Seen        uint64 `json:"seen"`         // connections offered to the sampler
 	Sampled     uint64 `json:"sampled"`      // connections keeping detail
 	RateLimited uint64 `json:"rate_limited"` // sampling hits dropped by MaxPerSec
-	EngineSpans uint64 `json:"engine_spans"` // engine spans recorded
 }
 
-// A Tracer samples connections and retains engine spans. All methods
+// A Tracer samples connections. All methods
 // are safe for concurrent use and no-ops on nil.
 type Tracer struct {
 	cfg Config
@@ -98,28 +69,15 @@ type Tracer struct {
 	tokens     atomic.Int64
 	lastRefill atomic.Int64 // unix nanos of the last refill
 
-	// Lock-free ring of engine spans: writers claim a slot with an
-	// atomic counter and publish with an atomic pointer store, so
-	// engines never take a lock and readers always see whole values.
-	engine     []atomic.Pointer[Span]
-	engineNext atomic.Uint64
-
 	prof *Profiler
 }
 
-// NewTracer returns a tracer with cfg's sampling and retention.
+// NewTracer returns a tracer with cfg's sampling.
 func NewTracer(cfg Config) *Tracer {
 	if cfg.SampleEvery < 1 {
 		cfg.SampleEvery = 1
 	}
-	if cfg.EngineRingSize <= 0 {
-		cfg.EngineRingSize = 1024
-	}
-	t := &Tracer{
-		cfg:    cfg,
-		engine: make([]atomic.Pointer[Span], cfg.EngineRingSize),
-		prof:   NewProfiler(),
-	}
+	t := &Tracer{cfg: cfg, prof: NewProfiler()}
 	t.lastRefill.Store(time.Now().UnixNano()) // lint:allow-clock
 	t.tokens.Store(int64(cfg.MaxPerSec))
 	return t
@@ -143,7 +101,6 @@ func (t *Tracer) Stats() Stats {
 		Seen:        t.seen.Load(),
 		Sampled:     t.sampled.Load(),
 		RateLimited: t.rateLimited.Load(),
-		EngineSpans: t.engineNext.Load(),
 	}
 }
 
@@ -180,34 +137,4 @@ func (t *Tracer) Sample() string {
 	}
 	t.sampled.Add(1)
 	return DetailFull
-}
-
-// EngineSpan records one cross-connection engine span (e.g. an RSA
-// batch) with links to the handshake steps it served.
-func (t *Tracer) EngineSpan(name, detail string, start time.Time, d time.Duration, links []Ref) {
-	if t == nil {
-		return
-	}
-	i := t.engineNext.Add(1)
-	t.engine[(i-1)%uint64(len(t.engine))].Store(&Span{
-		ID: i, Name: name, Category: CatEngine,
-		Start: start, Duration: d, Detail: detail, Links: links,
-	})
-}
-
-// EngineSpans returns the retained engine spans, oldest-first. Writers
-// may lap the read, but every loaded pointer is a complete published
-// value.
-func (t *Tracer) EngineSpans() []*Span {
-	if t == nil {
-		return nil
-	}
-	next, n := t.engineNext.Load(), uint64(len(t.engine))
-	out := make([]*Span, 0, min(next, n))
-	for i := next - min(next, n); i < next; i++ {
-		if sp := t.engine[i%n].Load(); sp != nil {
-			out = append(out, sp)
-		}
-	}
-	return out
 }

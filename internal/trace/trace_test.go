@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestSamplingModulus(t *testing.T) {
 	tr := NewTracer(Config{SampleEvery: 4})
@@ -43,24 +39,5 @@ func TestRateLimit(t *testing.T) {
 	}
 	if st := tr.Stats(); st.RateLimited != 8 {
 		t.Fatalf("RateLimited = %d, want 8", st.RateLimited)
-	}
-}
-
-func TestEngineSpansRetainedAndCounted(t *testing.T) {
-	tr := NewTracer(Config{EngineRingSize: 4})
-	for i := 0; i < 6; i++ {
-		tr.EngineSpan("rsa_batch", fmt.Sprintf("size=%d", i), time.Now(),
-			time.Millisecond, []Ref{{Trace: 1, Span: uint64(i)}})
-	}
-	spans := tr.EngineSpans()
-	if len(spans) != 4 {
-		t.Fatalf("ring of 4 retained %d spans", len(spans))
-	}
-	// Oldest-first: the ring was lapped, so the oldest survivor is #2.
-	if spans[0].Detail != "size=2" || spans[3].Detail != "size=5" {
-		t.Fatalf("snapshot order wrong: %q .. %q", spans[0].Detail, spans[3].Detail)
-	}
-	if st := tr.Stats(); st.EngineSpans != 6 {
-		t.Fatalf("EngineSpans stat = %d, want 6", st.EngineSpans)
 	}
 }
