@@ -31,7 +31,7 @@ race:
 # and a key's lazily built contexts and arena pool are shared by every
 # connection under that key), des (its SP and PC tables, built in init,
 # are read by every connection's key schedule and rounds), the serve
-# loop, and the load generator + health checks — then every fuzz
+# loop, and the load generator — then every fuzz
 # target for a few seconds and a real end-to-end smoke: sslload
 # against the serve loop in-process. On amd64, vet's asmdecl checks
 # aesni_amd64.s and sha1x's block_amd64.s against their Go
@@ -57,7 +57,7 @@ check:
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
 		./internal/ssl/... ./internal/record/... \
 		./internal/handshake/... ./internal/accel/... ./internal/perf/... \
-		./internal/loadgen/... ./internal/baseline/... ./internal/pathlen/... \
+		./internal/loadgen/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \
 		./internal/history/... ./internal/debughttp/... ./cmd/ssltop/... \
 		./internal/bn/... ./internal/rsa/... ./internal/server/... ./internal/des/...

@@ -1,8 +1,8 @@
 // Command sslclient drives HTTPS-like transactions against sslserver
 // (the curl analogue of the paper's client machine) and reports
-// handshake and transfer latencies, with optional session resumption
-// and concurrent connections (-parallel) for loading the server from
-// many connections at once.
+// handshake and transfer latencies, with optional session resumption.
+// It makes one connection at a time; sslload -concurrency loads a
+// server from many at once.
 package main
 
 import (
@@ -26,9 +26,8 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:4433", "server address")
 		n         = flag.Int("n", 10, "number of connections")
-		parallel  = flag.Int("parallel", 1, "concurrent connections (each worker gets its own PRNG and session chain)")
 		reqPerCon = flag.Int("requests", 1, "requests per connection")
-		resume    = flag.Bool("resume", false, "resume sessions after each worker's first connection")
+		resume    = flag.Bool("resume", false, "resume the previous connection's session after the first")
 		suiteName = flag.String("suite", "", "restrict to one cipher suite")
 		seed      = flag.Uint64("seed", 0, "PRNG seed (0 = time-based)")
 		useTLS    = flag.Bool("tls", false, "offer TLS 1.0 instead of SSL 3.0")
@@ -50,18 +49,53 @@ func main() {
 		}
 		base.Suites = []suite.ID{s.ID}
 	}
-	stats := runPool(*addr, base, seedVal, *n, *parallel, *reqPerCon, *resume, log.Printf)
+	stats, err := run(*addr, base, seedVal, *n, *reqPerCon, *resume)
 
-	fmt.Printf("connections: %d (%d resumed, %d failed, %d workers)\n",
-		stats.Done, stats.Resumed, stats.Failed, stats.Workers)
+	fmt.Printf("connections: %d (%d resumed)\n", stats.Done, stats.Resumed)
 	if stats.Done > 0 {
 		fmt.Printf("avg handshake: %v\n", stats.Handshake/time.Duration(stats.Done))
 		fmt.Printf("avg transaction: %v\n", stats.Transfer/time.Duration(stats.Requests))
 	}
 	fmt.Printf("payload bytes: %d\n", stats.Bytes)
-	if stats.Failed > 0 {
-		log.Fatalf("%d connections failed", stats.Failed)
+	if err != nil {
+		log.Fatal(err)
 	}
+}
+
+// runStats aggregates one run's successful connections.
+type runStats struct {
+	Done     int
+	Resumed  int
+	Requests int
+
+	Handshake time.Duration // summed across connections
+	Transfer  time.Duration // summed across requests
+	Bytes     int
+}
+
+// run makes n connections one after another from one PRNG. With
+// resume, every connection after the first offers the session the one
+// before it ended with — the browser-like chain the paper's client
+// machines model. The first failed connection ends the run.
+func run(addr string, base *ssl.Config, seed uint64, n, reqPerCon int, resume bool) (runStats, error) {
+	var stats runStats
+	rnd := ssl.NewPRNG(seed)
+	var session *handshake.Session
+	for i := 0; i < n; i++ {
+		hs, xfer, bytes, resumed, err := transact(addr, base, rnd, session, resume, reqPerCon, &session)
+		if err != nil {
+			return stats, fmt.Errorf("conn %d: %w", i, err)
+		}
+		stats.Done++
+		stats.Requests += reqPerCon
+		stats.Handshake += hs
+		stats.Transfer += xfer
+		stats.Bytes += bytes
+		if resumed {
+			stats.Resumed++
+		}
+	}
+	return stats, nil
 }
 
 // transact runs one connection: handshake, reqPerCon request/response

@@ -7,30 +7,9 @@ import (
 	"sslperf/internal/ssl"
 )
 
-func TestRunPoolParallel(t *testing.T) {
-	srv, err := loadgen.StartServer(loadgen.ServerOptions{KeyBits: 512, FileSize: 256, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	base := &ssl.Config{InsecureSkipVerify: true}
-	stats := runPool(srv.Addr(), base, 99, 12, 4, 2, false, t.Logf)
-	if stats.Workers != 4 {
-		t.Fatalf("workers = %d", stats.Workers)
-	}
-	if stats.Failed != 0 || stats.Done != 12 {
-		t.Fatalf("done %d, failed %d", stats.Done, stats.Failed)
-	}
-	if stats.Resumed != 0 {
-		t.Fatalf("resumed %d without -resume", stats.Resumed)
-	}
-	if stats.Requests != 24 || stats.Bytes != 12*2*256 {
-		t.Fatalf("requests %d bytes %d", stats.Requests, stats.Bytes)
-	}
-}
-
-func TestRunPoolResumePerWorkerChain(t *testing.T) {
+// TestRunResumeChain: four connections with resumption are one full
+// handshake and three that resume the session the one before ended with.
+func TestRunResumeChain(t *testing.T) {
 	srv, err := loadgen.StartServer(loadgen.ServerOptions{KeyBits: 512, FileSize: 256, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -38,30 +17,14 @@ func TestRunPoolResumePerWorkerChain(t *testing.T) {
 	defer srv.Close()
 
 	base := &ssl.Config{InsecureSkipVerify: true}
-	// 3 workers × 4 connections with resumption: each worker's first
-	// connection is full, the remaining three chain its session.
-	stats := runPool(srv.Addr(), base, 21, 12, 3, 1, true, t.Logf)
-	if stats.Failed != 0 || stats.Done != 12 {
-		t.Fatalf("done %d, failed %d", stats.Done, stats.Failed)
-	}
-	if want := 12 - 3; stats.Resumed != want {
-		t.Fatalf("resumed %d, want %d (one full handshake per worker)", stats.Resumed, want)
-	}
-}
-
-func TestRunPoolClampsWorkers(t *testing.T) {
-	srv, err := loadgen.StartServer(loadgen.ServerOptions{KeyBits: 512, FileSize: 64, Seed: 13})
+	stats, err := run(srv.Addr(), base, 21, 4, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	base := &ssl.Config{InsecureSkipVerify: true}
-	stats := runPool(srv.Addr(), base, 5, 2, 8, 1, false, t.Logf)
-	if stats.Workers != 2 {
-		t.Fatalf("workers = %d, want clamp to n=2", stats.Workers)
+	if stats.Done != 4 || stats.Resumed != 3 {
+		t.Fatalf("done %d, resumed %d, want 4 and 3", stats.Done, stats.Resumed)
 	}
-	if stats.Done != 2 || stats.Failed != 0 {
-		t.Fatalf("done %d failed %d", stats.Done, stats.Failed)
+	if stats.Requests != 8 || stats.Bytes != 4*2*256 {
+		t.Fatalf("requests %d bytes %d", stats.Requests, stats.Bytes)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"os"
 	"time"
 
-	"sslperf/internal/baseline"
 	"sslperf/internal/debughttp"
 	"sslperf/internal/handshake"
 	"sslperf/internal/history"
@@ -47,7 +46,7 @@ func main() {
 		telAddr   = flag.String("telemetry", "",
 			"serve /metrics, the /debug surfaces and pprof on this address (e.g. :9090)")
 		traceEvery = flag.Int("trace", 0,
-			"keep 1 in N connections in detail for /debug/trace and /debug/anatomy (0 = off, 1 = every)")
+			"keep 1 in N connections in detail: their calls on /debug/trace and in /debug/anatomy's crypto rows (0 = off, 1 = every)")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof under /debug/pprof/ on the telemetry address")
 		pprofLabels = flag.Bool("pprof-labels", false,
@@ -144,25 +143,14 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 	opts.SLO = slo.New(slo.Config{TargetP99: sloTarget, ErrorBudget: sloBudget})
 	opts.Ring = flightRecords
 	table := lifecycle.NewTable(opts)
-	profiler := opts.Tracer.Profiler()
 
 	mux := http.NewServeMux()
 	telemetry.Register(mux, opts.Registry)
 	pathlen.Register(mux, opts.Pathlen)
 	lifecycle.Register(mux, table)
 	slo.Register(mux, opts.SLO)
-	var anatomySnap func() trace.AnatomySnapshot
-	if profiler != nil {
-		trace.Register(mux, profiler)
-		anatomySnap = profiler.Snapshot
-	}
-	// /debug/health always mounts with telemetry: the anatomy checks
-	// need -trace, the SLO burn verdict does not.
-	baseline.RegisterHealth(mux, anatomySnap, baseline.PaperExpectation(),
-		baseline.SLOBurnCheck(opts.SLO, "1m", 10))
 	// The history sampler ticks over every surface built above, so it
-	// wires up last. It keeps sampling whatever subset exists (no
-	// -trace means no anatomy series, etc.).
+	// wires up last.
 	hist := history.New(history.Config{Interval: historyInterval})
 	history.AddStandardSources(hist, history.Sources{
 		Telemetry: opts.Registry,
@@ -170,12 +158,11 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 		SLO:       opts.SLO,
 		Lifecycle: table,
 		Pathlen:   opts.Pathlen,
-		Anatomy:   profiler,
 	})
 	history.Register(mux, hist)
 	hist.Start()
 	// POST /debug/reset is the one reset: it scopes every observatory
-	// at once — metrics, anatomy profiler, path-length sum, conn table
+	// at once — metrics and the anatomy, path-length sum, conn table
 	// and record ring, SLO windows, and history rings — so "warm up,
 	// reset, measure" needs one call.
 	mux.HandleFunc("/debug/reset", func(w http.ResponseWriter, req *http.Request) {
@@ -183,7 +170,6 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 			return
 		}
 		opts.Registry.Reset()
-		profiler.Reset()
 		opts.Pathlen.Reset()
 		table.Reset()
 		opts.SLO.Reset()

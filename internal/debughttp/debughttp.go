@@ -49,28 +49,17 @@ func noStore(w http.ResponseWriter) {
 	w.Header().Set("Cache-Control", "no-store")
 }
 
-// HeadJSON sets the standard JSON headers without writing a body, for
-// handlers that pick their own status code (health's 503).
-func HeadJSON(w http.ResponseWriter) {
-	noStore(w)
-	w.Header().Set("Content-Type", "application/json")
-}
-
-// HeadText is HeadJSON for the text rendering.
-func HeadText(w http.ResponseWriter) {
-	noStore(w)
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-}
-
 // WriteJSON serves b as JSON with the standard headers.
 func WriteJSON(w http.ResponseWriter, b []byte) {
-	HeadJSON(w)
+	noStore(w)
+	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
 }
 
 // WriteText serves s as plain text with the standard headers.
 func WriteText(w http.ResponseWriter, s string) {
-	HeadText(w)
+	noStore(w)
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write([]byte(s))
 }
 

@@ -9,7 +9,6 @@ import (
 	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // warmStandardSampler builds a History over every standard source
@@ -44,7 +43,6 @@ func warmStandardSampler() *History {
 		SLO:       tracker,
 		Lifecycle: tab,
 		Pathlen:   col,
-		Anatomy:   trace.NewProfiler(),
 	})
 
 	// Warm up: the first runtime/metrics read allocates its histogram

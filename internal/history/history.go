@@ -1,6 +1,6 @@
 // Package history is the time-series half of the observatory: where
-// every surface built so far (telemetry counters, SLO windows, the
-// anatomy profiler, path-length folds, the lifecycle table) answers
+// every surface built so far (telemetry counters and the live anatomy,
+// SLO windows, path-length folds, the lifecycle table) answers
 // "what is true right now", this layer answers "what happened over the
 // last five minutes as load ramped past saturation" — the trajectory
 // view the paper's whole method implies (Table 2 shares and the
@@ -18,8 +18,8 @@
 //
 // The sampling path is zero-allocation in steady state: sources fill
 // preallocated scratch slices from wait-free accessors
-// (telemetry.Registry.Counts, slo.Tracker.Stats, lifecycle.Table.Counts,
-// pathlen totals, trace.Profiler.SharesInto), and ring writes are
+// (telemetry.Registry.Counts and SharesInto, slo.Tracker.Stats,
+// lifecycle.Table.Counts, pathlen totals), and ring writes are
 // plain stores under one mutex. TestSampleNowZeroAlloc pins the 0
 // allocs/tick; BenchmarkHistorySample times the tick (a few µs, far
 // under 1% of a CPU at 1s resolution).

@@ -39,7 +39,7 @@ func newObservatory() *observatory {
 	o.h, _ = newTestHistory(Config{Interval: time.Second, FineSlots: 64})
 	AddStandardSources(o.h, Sources{
 		Telemetry: o.reg, Runtime: true, SLO: tracker,
-		Lifecycle: o.tab, Pathlen: o.col, Anatomy: o.tracer.Profiler(),
+		Lifecycle: o.tab, Pathlen: o.col,
 	})
 	return o
 }
@@ -129,9 +129,10 @@ func TestLiveConnectionCountsBeforeClose(t *testing.T) {
 
 // TestConcurrentEmitAndRead is the -race gate for the one-record
 // design: eight connections emit (and open and close) while /metrics,
-// /debug/conns, /debug/trace, /debug/flightrecorder and the history
-// tick read. At every tick the counters must be monotone — a read that
-// caught a connection mid-fold would see its bytes twice or not at all.
+// /debug/anatomy, /debug/conns, /debug/trace, /debug/flightrecorder and
+// the history tick read. At every tick the counters must be monotone —
+// a read that caught a connection mid-fold would see its bytes twice or
+// not at all.
 func TestConcurrentEmitAndRead(t *testing.T) {
 	o := newObservatory()
 	mux := http.NewServeMux()
@@ -156,7 +157,7 @@ func TestConcurrentEmitAndRead(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	for _, url := range []string{"/metrics", "/debug/conns", "/debug/trace", "/debug/flightrecorder?format=text", "/debug/pathlength"} {
+	for _, url := range []string{"/metrics", "/debug/anatomy", "/debug/conns", "/debug/trace", "/debug/flightrecorder?format=text", "/debug/pathlength"} {
 		readers.Add(1)
 		go func(url string) {
 			defer readers.Done()
@@ -206,7 +207,7 @@ func TestConcurrentEmitAndRead(t *testing.T) {
 	if b, _, _, _ := o.col.Totals(); b != uint64(conns*lives*writes*100) {
 		t.Fatalf("cipher bytes = %d, want %d", b, conns*lives*writes*100)
 	}
-	if got := o.tracer.Profiler().Snapshot().Handshakes; got != conns*lives {
-		t.Fatalf("profiler folded %d handshakes, want %d", got, conns*lives)
+	if a := o.reg.Anatomy(); a.Handshakes != conns*lives || a.Sampled != conns*lives {
+		t.Fatalf("anatomy folded %d handshakes (%d sampled), want %d", a.Handshakes, a.Sampled, conns*lives)
 	}
 }

@@ -9,13 +9,12 @@ import (
 	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // This file binds every observatory surface to the ring layer. Each
 // source reads the surface's allocation-free accessor
-// (telemetry.Counts, slo.Stats, lifecycle.Counts, pathlen totals,
-// trace.SharesInto) so the whole tick stays off the heap. The
+// (telemetry.Counts and SharesInto, slo.Stats, lifecycle.Counts,
+// pathlen totals) so the whole tick stays off the heap. The
 // telemetry and pathlen reads include the open connections' running
 // totals, so records.*, bytes.* and pathlen.* move while a long
 // transfer is still in progress.
@@ -51,11 +50,11 @@ type Sources struct {
 	SLO       *slo.Tracker
 	Lifecycle *lifecycle.Table
 	Pathlen   *pathlen.Collector
-	Anatomy   *trace.Profiler
 }
 
 // AddStandardSources registers a source per populated surface, in a
-// fixed order (telemetry, runtime, slo, conns, pathlen, anatomy).
+// fixed order (telemetry, runtime, slo, conns, pathlen, then the
+// telemetry registry's anatomy shares).
 func AddStandardSources(h *History, s Sources) {
 	if reg := s.Telemetry; reg != nil {
 		// The record/handshake counters, which the snapshot renders as
@@ -148,10 +147,10 @@ func AddStandardSources(h *History, s Sources) {
 				vals[1] = windowedCycPerByte(mb, mn, &prevMACBytes, &prevMACNs)
 			}})
 	}
-	if profiler := s.Anatomy; profiler != nil {
-		// The profiler's live Table-2 step shares
+	if reg := s.Telemetry; reg != nil {
+		// The registry's live Table-2 step shares
 		// (anatomy.share.<step>, percent of total step time) and the
-		// crypto share of handshake cost — the paper's headline split.
+		// sampled handshakes' crypto share — the paper's headline split.
 		steps := probe.Steps()
 		var defs []SeriesDef
 		for _, step := range steps {
@@ -159,7 +158,7 @@ func AddStandardSources(h *History, s Sources) {
 		}
 		defs = append(defs, SeriesDef{Name: "anatomy.crypto_share", Unit: "%", Kind: KindGauge})
 		h.AddSource(source{defs, func(vals []float64) {
-			vals[len(steps)] = profiler.SharesInto(steps, vals)
+			vals[len(steps)] = reg.SharesInto(steps, vals)
 		}})
 	}
 }

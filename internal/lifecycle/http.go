@@ -1,12 +1,10 @@
 package lifecycle
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 
 	"sslperf/internal/debughttp"
-	"sslperf/internal/trace"
 )
 
 // Register mounts the per-connection surfaces on mux, each a rendering
@@ -21,8 +19,7 @@ import (
 //	                       event lists)
 //	/debug/trace           the same records as Chrome trace-event
 //	                       JSON — load it in chrome://tracing
-//	                       or https://ui.perfetto.dev (?format=raw for
-//	                       the records themselves)
+//	                       or https://ui.perfetto.dev
 func Register(mux *http.ServeMux, t *Table) {
 	mux.HandleFunc("/debug/conns", func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -70,23 +67,7 @@ func Register(mux *http.ServeMux, t *Table) {
 		debughttp.Serve(w, req, func() string { return FlightText(recs) }, recs)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
-		var tracer *trace.Tracer
-		if t != nil {
-			tracer = t.o.Tracer
-		}
-		recs := t.Records(0)
-		var b []byte
-		var err error
-		// Both renderings are JSON; ?format=raw selects the records
-		// over the Chrome trace events.
-		if req.URL.Query().Get("format") == "raw" {
-			b, err = json.MarshalIndent(struct {
-				Stats   trace.Stats `json:"stats"`
-				Records []Record    `json:"records"`
-			}{tracer.Stats(), recs}, "", " ")
-		} else {
-			b, err = ChromeTrace(recs)
-		}
+		b, err := ChromeTrace(t.Records(0))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -7,12 +7,12 @@
 // record/byte and per-primitive crypto totals, and, for the
 // connections the tracer's sampler picks, the crypto calls and
 // application I/O in detail. It is folded into the shared aggregates
-// once when its handshake ends (metrics registry, anatomy profiler, SLO
-// windows) and once when it closes (record/byte totals, path-length
-// tally), then retired into one ring of closed records. The
-// /debug/conns row, the /debug/flightrecorder event list, the
-// /debug/trace Chrome spans and the close-log line are renderers of
-// that record, so they cannot disagree. Nothing shared is written per
+// once when its handshake ends (metrics registry — the live Tables 2/3
+// included — and SLO windows) and once when it closes (record/byte
+// totals, path-length tally), then retired into one ring of closed
+// records. The /debug/conns row, the /debug/flightrecorder event list,
+// the /debug/trace Chrome spans and the close-log line are renderers
+// of that record, so they cannot disagree. Nothing shared is written per
 // step or per record; readers that must see a connection while it
 // lives add the open entries' running totals at read time
 // (telemetry.Live, pathlen.Live).
@@ -134,11 +134,11 @@ type shard struct {
 
 // Options names what a Table folds into; every field may be nil.
 type Options struct {
-	// Registry receives each handshake outcome with its step timeline,
-	// and each closed connection's record/byte totals.
+	// Registry receives each handshake outcome with its step timeline
+	// (and, when sampled, its crypto calls), and each closed
+	// connection's record/byte totals.
 	Registry *telemetry.Registry
-	// Tracer samples which connections keep their detail; their
-	// handshakes fold into its anatomy profiler.
+	// Tracer samples which connections keep their detail.
 	Tracer *trace.Tracer
 	// Pathlen receives each closed connection's path-length tally.
 	Pathlen *pathlen.Collector
@@ -459,7 +459,7 @@ func (c *Conn) Mark(name string, at time.Time, d time.Duration) {
 
 // handshakeEnd records the handshake's outcome and folds it, with the
 // step timeline and (when sampled) the calls so far — the first of the
-// record's two folds.
+// record's two folds, and the only one of its handshake.
 func (c *Conn) handshakeEnd(e probe.Event) {
 	failed := e.Kind == probe.KindHandshakeFail
 	c.mu.Lock()
@@ -474,10 +474,10 @@ func (c *Conn) handshakeEnd(e probe.Event) {
 	h := telemetry.Handshake{
 		Suite: c.suite, Version: c.version, Resumed: c.resumed,
 		Failed: failed, FailTag: c.failTag, Dur: e.Dur,
-		Steps: c.timeline[:c.timelineN],
+		Steps:   c.timeline[:c.timelineN],
+		Sampled: c.detail == trace.DetailFull || c.detail == trace.DetailTruncated,
 	}
-	sampled := c.detail == trace.DetailFull || c.detail == trace.DetailTruncated
-	if sampled {
+	if h.Sampled {
 		h.Calls = c.calls
 	}
 	queueDelay := time.Duration(-1)
@@ -488,9 +488,6 @@ func (c *Conn) handshakeEnd(e probe.Event) {
 
 	t := c.tab
 	t.o.Registry.FoldHandshake(&h)
-	if sampled {
-		t.o.Tracer.Profiler().Fold(&h)
-	}
 	t.o.SLO.HandshakeEnd(e.Dur, failed, queueDelay)
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // A Record is the rendering copy of one connection's record, open or
-// closed: the /debug/conns row, and the element of the
-// /debug/flightrecorder and /debug/trace?format=raw bodies. Times
-// inside it are microsecond offsets from Opened.
+// closed: the /debug/conns row, the element of the
+// /debug/flightrecorder body and what a /debug/trace thread renders.
+// Times inside it are microsecond offsets from Opened.
 type Record struct {
 	ID      uint64 `json:"id"`
 	Role    string `json:"role,omitempty"`

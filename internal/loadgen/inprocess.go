@@ -18,9 +18,9 @@ type ServerOptions struct {
 	Seed     uint64
 
 	// Table observes every server connection exactly as it would under
-	// cmd/sslserver, so an in-process run can smoke /debug/conns,
-	// /debug/slo and /debug/health end to end without a second
-	// process. Nil runs sink-free.
+	// cmd/sslserver, so an in-process run can smoke /debug/conns and
+	// /debug/slo end to end without a second process. Nil runs
+	// sink-free.
 	Table *lifecycle.Table
 }
 

@@ -12,8 +12,8 @@
 // consumer any other way. The surfaces cannot disagree because they
 // no longer measure independently.
 //
-// The canonical Table 2 step enum lives here too: baseline shape
-// checks, /debug/anatomy, and the Chrome trace export all render step
+// The canonical Table 2 step enum lives here too: the offline anatomy,
+// /debug/anatomy, and the Chrome trace export all render step
 // names through Step.Name, so a renamed step is a compile-time event,
 // not a silent attribution drift.
 package probe
@@ -137,8 +137,8 @@ const (
 )
 
 // CategoryOf maps a crypto function name (the Fn* constants) onto its
-// Table 3 category. Every consumer — the anatomy fold, the telemetry
-// renderers, the trace profiler — shares this mapping so offline and
+// Table 3 category. Every consumer — the offline anatomy fold and the
+// telemetry registry's live one — shares this mapping so offline and
 // continuous attributions agree.
 func CategoryOf(fn string) string {
 	switch fn {

@@ -285,7 +285,7 @@ func (t *Tracker) Stats(seconds int64) WindowStats {
 }
 
 // Window returns the named window's stats from s (zero stats when the
-// name is unknown) — the convenience /debug/health's burn check uses.
+// name is unknown).
 func (s Snapshot) Window(name string) WindowStats {
 	for _, w := range s.Windows {
 		if w.Window == name {

@@ -64,9 +64,9 @@ func TestTelemetryHandshakeEmission(t *testing.T) {
 	}
 	// Server-side anatomy must have produced the Table 2 steps.
 	stepNames := map[string]bool{}
-	for _, st := range s.Steps {
+	for _, st := range reg.Anatomy().Steps {
 		stepNames[st.Name] = true
-		if st.Latency.Count == 0 {
+		if st.Count == 0 {
 			t.Fatalf("step %q has empty histogram", st.Name)
 		}
 	}
@@ -210,9 +210,9 @@ func TestTelemetryConcurrentConnections(t *testing.T) {
 	if s.FullLatency.Count != 2*conns {
 		t.Fatalf("latency observations = %d", s.FullLatency.Count)
 	}
-	for _, st := range s.Steps {
-		if st.Name == "init" && st.Latency.Count != conns {
-			t.Fatalf("init step count = %d, want %d", st.Latency.Count, conns)
+	for _, st := range reg.Anatomy().Steps {
+		if st.Name == "init" && st.Count != conns {
+			t.Fatalf("init step count = %d, want %d", st.Count, conns)
 		}
 	}
 }

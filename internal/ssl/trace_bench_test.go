@@ -5,6 +5,7 @@ import (
 
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
+	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
 )
 
@@ -12,11 +13,13 @@ import (
 // the server side: the tracing-off run is the baseline the other two
 // compare against, SampleEvery=16 is the documented production
 // setting, and SampleEvery=1 is the worst case (every handshake keeps
-// ~40 calls and folds into the profiler).
+// ~40 calls and folds them into the registry's anatomy).
 func benchHandshakeTraced(b *testing.B, tracer *trace.Tracer) {
 	ccfg, scfg := benchConfigs(b, nil)
 	if tracer != nil {
-		scfg.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{Tracer: tracer, Ring: 8})}
+		scfg.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{
+			Tracer: tracer, Registry: telemetry.NewRegistry(), Ring: 8,
+		})}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,14 +5,16 @@ import (
 
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
+	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
 )
 
-// tracing returns a tracer sampling 1 in every and the conn table that
-// keeps its sampled connections' detail.
-func tracing(every int) (*trace.Tracer, *lifecycle.Table) {
-	tracer := trace.NewTracer(trace.Config{SampleEvery: every})
-	return tracer, lifecycle.NewTable(lifecycle.Options{Tracer: tracer, Ring: 64})
+// tracing returns a tracer sampling 1 in every, the registry the
+// handshakes fold into and the conn table that keeps its sampled
+// connections' detail.
+func tracing(every int) (*trace.Tracer, *telemetry.Registry, *lifecycle.Table) {
+	tracer, reg := trace.NewTracer(trace.Config{SampleEvery: every}), telemetry.NewRegistry()
+	return tracer, reg, lifecycle.NewTable(lifecycle.Options{Tracer: tracer, Registry: reg, Ring: 64})
 }
 
 var traceSteps = []string{
@@ -22,22 +24,22 @@ var traceSteps = []string{
 }
 
 func TestTracedServerHandshake(t *testing.T) {
-	tracer, table := tracing(1)
+	_, reg, table := tracing(1)
 	id := identity(t)
 	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{table}}
 	client, server := connect(t, clientCfg(nil), sCfg)
 
-	// The handshake folds into the profiler immediately...
-	snap := tracer.Profiler().Snapshot()
-	if snap.Handshakes != 1 {
-		t.Fatalf("profiler saw %d handshakes before close, want 1", snap.Handshakes)
+	// The handshake folds into the anatomy immediately...
+	snap := reg.Anatomy()
+	if snap.Handshakes != 1 || snap.Sampled != 1 {
+		t.Fatalf("anatomy saw %d handshakes (%d sampled) before close, want 1", snap.Handshakes, snap.Sampled)
 	}
 	if len(snap.Steps) != len(traceSteps) {
-		t.Fatalf("profiler folded %d steps, want %d: %+v", len(snap.Steps), len(traceSteps), snap.Steps)
+		t.Fatalf("anatomy folded %d steps, want %d: %+v", len(snap.Steps), len(traceSteps), snap.Steps)
 	}
 	for i, want := range traceSteps {
 		if snap.Steps[i].Name != want {
-			t.Errorf("profiler step %d = %q, want %q", i, snap.Steps[i].Name, want)
+			t.Errorf("anatomy step %d = %q, want %q", i, snap.Steps[i].Name, want)
 		}
 	}
 	if snap.CryptoSharePct <= 0 {
@@ -95,14 +97,15 @@ func TestTracedServerHandshake(t *testing.T) {
 }
 
 func TestUnsampledConnectionHasNoTrace(t *testing.T) {
-	tracer, table := tracing(1 << 20)
+	tracer, reg, table := tracing(1 << 20)
 	id := identity(t)
 	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{table}}
 	client, server := connect(t, clientCfg(nil), sCfg)
 	client.Close()
 	server.Close()
 	// Passed over by the sampler, the record keeps its timeline and
-	// totals, no detail, and stays out of the anatomy.
+	// totals and no detail: it counts in the anatomy's step rows and
+	// stays out of its crypto rows.
 	rec := table.Records(0)[0]
 	if rec.Detail != trace.DetailSampledOut || len(rec.Calls) != 0 || len(rec.Steps) != len(traceSteps) {
 		t.Fatalf("unsampled record = %+v", rec)
@@ -110,13 +113,14 @@ func TestUnsampledConnectionHasNoTrace(t *testing.T) {
 	if st := tracer.Stats(); st.Sampled != 0 || st.Seen != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := tracer.Profiler().Snapshot().Traces; got != 0 {
-		t.Fatalf("unsampled connection folded into the profiler (%d traces)", got)
+	if a := reg.Anatomy(); a.Handshakes != 1 || a.Sampled != 0 || len(a.Crypto) != 0 {
+		t.Fatalf("unsampled connection: anatomy %d handshakes, %d sampled, %d crypto rows, want 1/0/0",
+			a.Handshakes, a.Sampled, len(a.Crypto))
 	}
 }
 
 func TestTracedClientHandshake(t *testing.T) {
-	tracer, table := tracing(1)
+	_, reg, table := tracing(1)
 	id := identity(t)
 	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER}
 	cCfg := clientCfg(func(c *Config) { c.Observers = []probe.Observer{table} })
@@ -128,9 +132,9 @@ func TestTracedClientHandshake(t *testing.T) {
 		t.Fatalf("records = %+v", recs)
 	}
 	// Clients have no step observer: the record is the handshake
-	// plus record-layer work, and it must not pollute the profiler's
+	// plus record-layer work, and it must not pollute the anatomy's
 	// handshake count.
-	if got := tracer.Profiler().Snapshot().Handshakes; got != 0 {
-		t.Fatalf("client trace counted as %d step-bearing handshakes", got)
+	if a := reg.Anatomy(); a.Handshakes != 0 || a.Sampled != 0 {
+		t.Fatalf("client trace counted as %d step-bearing handshakes (%d sampled)", a.Handshakes, a.Sampled)
 	}
 }

@@ -48,8 +48,8 @@ func bucketRange(i int) (lo, hi int64) {
 // values (nanoseconds, microseconds, byte counts — the owner picks the
 // unit) in wait-free sub-octave buckets. Observe is a
 // few atomic adds, so it can sit on a shared path; owners that already
-// serialize (the anatomy profiler, the SLO ring) pay nothing extra for
-// the atomics. The zero value is ready to use.
+// serialize (the SLO ring) pay nothing extra for the atomics. The zero
+// value is ready to use.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	sum    atomic.Int64

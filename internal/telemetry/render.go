@@ -16,10 +16,10 @@ func histRow(t *perf.Table, name string, h HistogramSnapshot) {
 		kcyc(int64(h.Mean)), kcyc(h.P50), kcyc(h.P90), kcyc(h.P99), kcyc(h.Max))
 }
 
-// kcyc formats nanoseconds as thousands of model cycles, matching the
-// unit of the paper's Table 2 and the perf.Breakdown renderer.
+// kcyc formats nanoseconds as thousands of model cycles, the unit of
+// the paper's Table 2.
 func kcyc(ns int64) string {
-	return fmt.Sprintf("%.1f", perf.Cycles(time.Duration(ns))/1000)
+	return fmt.Sprintf("%.1f", kcycles(time.Duration(ns)))
 }
 
 // sortedKeys returns m's keys sorted for stable text output.
@@ -33,8 +33,9 @@ func sortedKeys(m map[string]uint64) []string {
 }
 
 // Text renders the snapshot as aligned tables in the style of the
-// perf package's paper tables: a counter summary, handshake latency
-// distributions, and a per-step share table built on perf.Breakdown.
+// perf package's paper tables: a counter summary, the Go runtime and
+// the handshake latency distributions. The per-step tables are
+// /debug/anatomy's.
 func (s Snapshot) Text() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "telemetry snapshot (uptime %.1fs, %d connections)\n\n",
@@ -84,22 +85,5 @@ func (s Snapshot) Text() string {
 	histRow(lat, "full", s.FullLatency)
 	histRow(lat, "resumed", s.ResumedLatency)
 	sb.WriteString(lat.String())
-
-	if len(s.Steps) > 0 {
-		sb.WriteByte('\n')
-		steps := perf.NewTable("handshake steps (kcycles)",
-			"step", "n", "mean", "p50", "p90", "p99", "max")
-		// share reuses perf.Breakdown's percentage rendering over the
-		// accumulated per-step time — the live Table 2.
-		share := perf.NewBreakdown()
-		for _, st := range s.Steps {
-			histRow(steps, st.Name, st.Latency)
-			share.Add(st.Name, time.Duration(st.Latency.Sum))
-		}
-		sb.WriteString(steps.String())
-		sb.WriteByte('\n')
-		sb.WriteString("per-step share of total handshake time:\n")
-		sb.WriteString(share.String())
-	}
 	return sb.String()
 }

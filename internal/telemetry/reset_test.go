@@ -63,8 +63,8 @@ func TestRegistryReset(t *testing.T) {
 	if s.FullLatency.Count != 0 {
 		t.Fatalf("latency survived reset: %+v", s.FullLatency)
 	}
-	if len(s.Steps) != 0 {
-		t.Fatalf("steps survived reset: %+v", s.Steps)
+	if a := r.Anatomy(); len(a.Steps) != 0 || a.Handshakes != 0 {
+		t.Fatalf("steps survived reset: %+v", a)
 	}
 	// The connection count is not a window metric: it survives.
 	if s.Connections != 1 {

@@ -1,8 +1,9 @@
 // Package telemetry is the aggregate half of the live observability
 // layer: the counters, latency distributions and keyed tallies behind
-// /metrics, the one Histogram type every distribution in the
-// observatory uses, and the shapes a connection's record (package
-// lifecycle) hands over when it folds.
+// /metrics, the live Tables 2/3 behind /debug/anatomy, the one
+// Histogram type every distribution in the observatory uses, and the
+// shapes a connection's record (package lifecycle) hands over when it
+// folds.
 //
 // Where internal/perf is the paper's offline measurement substrate,
 // telemetry is the always-on production instrument. Nothing here rides
@@ -52,9 +53,11 @@ type Handshake struct {
 	FailTag string
 	Dur     time.Duration
 	Steps   []StepTiming
-	// Calls is the connection's detail so far; nil unless the sampler
-	// picked the connection.
-	Calls []Call
+	// Sampled reports that the tracer's sampler kept the connection in
+	// detail: Calls is its detail so far (nil otherwise), and its crypto
+	// calls fold into the anatomy's Table 3 rows.
+	Sampled bool
+	Calls   []Call
 }
 
 // IOCounts is the record-layer section of a snapshot, and what one
@@ -141,7 +144,7 @@ type Registry struct {
 	fullLatency    Histogram
 	resumedLatency Histogram
 	// steps is the live, cross-connection mirror of Table 2's rows,
-	// indexed by probe.Step.
+	// indexed by probe.Step: every handshake's timeline folds here.
 	steps [numSteps]Histogram
 
 	mu          sync.Mutex
@@ -149,6 +152,15 @@ type Registry struct {
 	bySuite     map[string]uint64
 	byVersion   map[string]uint64
 	failReasons map[string]uint64
+	// stepped counts the handshakes that folded a step timeline. The
+	// rest is Table 3's side, from sampled handshakes only (anatomy.go):
+	// their crypto calls by function, their count and their summed step
+	// time.
+	stepped         uint64
+	fns             map[string]*cryptoStat
+	fnOrder         []string
+	sampled         uint64
+	sampledStepTime time.Duration
 }
 
 // NewRegistry returns an empty registry.
@@ -158,6 +170,7 @@ func NewRegistry() *Registry {
 		bySuite:     make(map[string]uint64),
 		byVersion:   make(map[string]uint64),
 		failReasons: make(map[string]uint64),
+		fns:         make(map[string]*cryptoStat),
 	}
 }
 
@@ -186,6 +199,8 @@ func (r *Registry) Reset() {
 	r.bySuite = make(map[string]uint64)
 	r.byVersion = make(map[string]uint64)
 	r.failReasons = make(map[string]uint64)
+	r.stepped, r.sampled, r.sampledStepTime = 0, 0, 0
+	r.fns, r.fnOrder = make(map[string]*cryptoStat), nil
 	r.mu.Unlock()
 }
 
@@ -203,18 +218,27 @@ func VersionName(v uint16) string {
 // FoldHandshake counts one finished handshake — by outcome, and for a
 // success by cipher suite and version, with its latency in the full or
 // resumed histogram, matching the paper's split — and observes every
-// step it completed, failed handshakes included.
+// step it completed, failed handshakes included. A sampled handshake's
+// crypto calls fold too.
 func (r *Registry) FoldHandshake(h *Handshake) {
 	if r == nil {
 		return
 	}
+	var stepTime time.Duration
 	for _, st := range h.Steps {
 		if int(st.Step) < numSteps {
 			r.steps[st.Step].Observe(int64(st.Dur))
+			stepTime += st.Dur
 		}
 	}
 	lat := &r.fullLatency
 	r.mu.Lock()
+	if len(h.Steps) > 0 {
+		r.stepped++
+		if h.Sampled {
+			r.foldSampled(h, stepTime)
+		}
+	}
 	if h.Failed {
 		r.counts.HandshakesFailed++
 		reason := h.FailTag
@@ -281,13 +305,6 @@ type HandshakeCounts struct {
 	FailReasons map[string]uint64 `json:"fail_reasons,omitempty"`
 }
 
-// StepSnapshot is one handshake step's latency distribution, in
-// nanoseconds.
-type StepSnapshot struct {
-	Name    string            `json:"name"`
-	Latency HistogramSnapshot `json:"latency"`
-}
-
 // A Snapshot is a copy of every metric for rendering; counters may
 // advance between individual loads but each value is a real point on
 // its own timeline. Latencies are in nanoseconds.
@@ -299,7 +316,6 @@ type Snapshot struct {
 	IO             IOCounts          `json:"io"`
 	FullLatency    HistogramSnapshot `json:"full_handshake_latency"`
 	ResumedLatency HistogramSnapshot `json:"resumed_handshake_latency"`
-	Steps          []StepSnapshot    `json:"steps,omitempty"`
 	Observatory    ObservatoryStats  `json:"observatory"`
 	Runtime        RuntimeSnapshot   `json:"runtime"`
 }
@@ -327,13 +343,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	if r.live != nil {
 		s.Observatory = r.live.Observatory()
-	}
-	// Steps come out in Table 2 order; a step no handshake ran is left
-	// out.
-	for _, st := range probe.Steps() {
-		if h := r.steps[st].Snapshot(); h.Count > 0 {
-			s.Steps = append(s.Steps, StepSnapshot{Name: st.Name(), Latency: h})
-		}
 	}
 	r.mu.Lock()
 	s.Handshakes.BySuite = copyMap(r.bySuite)

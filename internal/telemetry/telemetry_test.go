@@ -65,8 +65,8 @@ func TestRegistryCounts(t *testing.T) {
 	if s.IO.BytesIn != 1000 || s.IO.BytesOut != 2002 || s.IO.RecordsOut != 2 || s.IO.AlertsSent != 1 {
 		t.Fatalf("io = %+v", s.IO)
 	}
-	if len(s.Steps) != 2 || s.Steps[0].Name != "init" || s.Steps[1].Name != "get_client_hello" {
-		t.Fatalf("steps = %+v", s.Steps)
+	if a := r.Anatomy(); len(a.Steps) != 2 || a.Steps[0].Name != "init" || a.Steps[1].Name != "get_client_hello" {
+		t.Fatalf("steps = %+v", a.Steps)
 	}
 	if s.FullLatency.Count != 1 || s.ResumedLatency.Count != 1 {
 		t.Fatalf("latency counts = %d/%d", s.FullLatency.Count, s.ResumedLatency.Count)
@@ -223,8 +223,8 @@ func TestConcurrentEmission(t *testing.T) {
 	if s.IO.RecordsIn != uint64(total) || s.IO.RecordsOut != uint64(total) {
 		t.Fatalf("records = %+v", s.IO)
 	}
-	if s.Steps[0].Latency.Count != uint64(total) {
-		t.Fatalf("step count = %d", s.Steps[0].Latency.Count)
+	if a := r.Anatomy(); a.Steps[0].Count != uint64(total) || a.Handshakes != uint64(total) {
+		t.Fatalf("step count = %d, handshakes %d", a.Steps[0].Count, a.Handshakes)
 	}
 }
 
@@ -247,11 +247,17 @@ func TestSnapshotRenderers(t *testing.T) {
 	}
 
 	txt := s.Text()
-	for _, want := range []string{"handshakes_full", "suite:DES-CBC3-SHA",
-		"handshake steps", "send_finished", "per-step share"} {
+	for _, want := range []string{"handshakes_full", "suite:DES-CBC3-SHA", "handshake latency"} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("text output missing %q:\n%s", want, txt)
 		}
+	}
+	// The step table renders in one place, /debug/anatomy.
+	if strings.Contains(txt, "send_finished") {
+		t.Fatalf("/metrics text still renders the step table:\n%s", txt)
+	}
+	if txt := r.Anatomy().Text(); !strings.Contains(txt, "continuous Table 2") || !strings.Contains(txt, "send_finished") {
+		t.Fatalf("anatomy text misses the step table:\n%s", txt)
 	}
 }
 

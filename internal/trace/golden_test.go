@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"sslperf/internal/baseline"
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/pathlen"
@@ -33,6 +33,9 @@ const (
 	goldenKXDur  = 200 * time.Millisecond
 	goldenRSADur = 190 * time.Millisecond
 )
+
+// goldenConns is how many connections replay the golden handshake.
+const goldenConns = 8
 
 // goldenEvents builds the deterministic probe event stream of one
 // synthetic server handshake covering every canonical Table 2 step.
@@ -68,8 +71,8 @@ func stepDur(name string) time.Duration {
 // probe events into every consumer of the canonical step enum and
 // asserts the three observability surfaces — the /debug/anatomy JSON,
 // the Chrome trace export of the connections' records, and the offline
-// anatomy fold the baseline shape checks read — render byte-identical
-// step names and per-step totals, all matching testdata/steps.golden.
+// anatomy fold — render byte-identical step names and per-step totals,
+// all matching testdata/steps.golden.
 func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	raw, err := os.ReadFile("testdata/steps.golden")
 	if err != nil {
@@ -94,18 +97,18 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	}
 
 	// Replay the same event stream into the offline anatomy fold and
-	// into enough traced connections to clear the health checker's
-	// MinHandshakes floor.
+	// into several traced connections.
 	events := goldenEvents()
 	anatomy := handshake.NewAnatomy()
 	for _, e := range events {
 		anatomy.Emit(e)
 	}
-	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
-	exp := baseline.PaperExpectation()
-	table := lifecycle.NewTable(lifecycle.Options{Tracer: tracer, Ring: int(exp.MinHandshakes)})
+	reg := telemetry.NewRegistry()
+	table := lifecycle.NewTable(lifecycle.Options{
+		Tracer: trace.NewTracer(trace.Config{SampleEvery: 1}), Registry: reg, Ring: goldenConns,
+	})
 	start, end := events[0].At, events[len(events)-1].At
-	for conn := uint64(1); conn <= exp.MinHandshakes; conn++ {
+	for conn := uint64(1); conn <= goldenConns; conn++ {
 		sink := table.Observe()
 		sink.Emit(probe.Event{Kind: probe.KindConnOpen, Conn: conn, Fn: "server", At: start})
 		sink.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: start})
@@ -125,9 +128,9 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 		}
 	}
 
-	// Surface 2: the /debug/anatomy JSON (the live profiler fold).
+	// Surface 2: the /debug/anatomy JSON (the registry's live fold).
 	mux := http.NewServeMux()
-	trace.Register(mux, tracer.Profiler())
+	telemetry.Register(mux, reg)
 	lifecycle.Register(mux, table)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -191,18 +194,6 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 			t.Fatalf("%s step names diverged from golden:\n got %v\nwant %v", surface, names, goldenNames)
 		}
 	}
-
-	// The baseline shape checker reads the same names: the paper
-	// expectation's dominant step must be a canonical name and the
-	// replayed handshake must satisfy the Table 2/3 shape.
-	if exp.DominantStep != probe.StepGetClientKX.Name() {
-		t.Fatalf("baseline dominant step %q is not the canonical %q",
-			exp.DominantStep, probe.StepGetClientKX.Name())
-	}
-	rep := baseline.CheckAnatomy(tracer.Profiler().Snapshot(), exp)
-	if rep.Status != baseline.StatusOK {
-		t.Fatalf("health check on golden handshake = %s: %+v", rep.Status, rep.Checks)
-	}
 }
 
 // TestOneRecordAllSurfaces runs one real seeded full handshake and a
@@ -210,9 +201,8 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 // that shows the connection is a rendering of the one record: the
 // /debug/conns row, the flight-recorder text, the Chrome export and the
 // close-log line carry the same connection ID, step names, step
-// durations and byte totals; and the two aggregates the handshake
-// folded into agree — /debug/anatomy's per-step time is /metrics'
-// per-step histogram sum.
+// durations and byte totals; and the handshake folded once into the
+// registry, whose /debug/anatomy step rows hold the record's step time.
 func TestOneRecordAllSurfaces(t *testing.T) {
 	id, err := ssl.NewIdentity(ssl.NewPRNG(5), 512, "golden", time.Unix(1_700_000_000, 0))
 	if err != nil {
@@ -227,7 +217,6 @@ func TestOneRecordAllSurfaces(t *testing.T) {
 	})
 	mux := http.NewServeMux()
 	telemetry.Register(mux, reg)
-	trace.Register(mux, tracer.Profiler())
 	lifecycle.Register(mux, table)
 	get := func(url string, v any) string {
 		t.Helper()
@@ -362,24 +351,24 @@ func TestOneRecordAllSurfaces(t *testing.T) {
 		}
 	}
 
-	// The handshake folded once into each aggregate, from the same
-	// timeline: the live Table 2 and the registry's per-step histograms
-	// hold the same time, and it is the record's.
-	anatomy := tracer.Profiler().Snapshot()
-	metrics := reg.Snapshot()
-	if len(anatomy.Steps) != len(rec.Steps) || len(metrics.Steps) != len(rec.Steps) {
-		t.Fatalf("anatomy has %d steps, /metrics %d, the record %d", len(anatomy.Steps), len(metrics.Steps), len(rec.Steps))
+	// The handshake folded once, from the same timeline: the live
+	// Table 2 holds the record's step time, and the sampled handshake's
+	// crypto calls fill Table 3.
+	var anatomy telemetry.Anatomy
+	get("/debug/anatomy", &anatomy)
+	if len(anatomy.Steps) != len(rec.Steps) || anatomy.Handshakes != 1 || anatomy.Sampled != 1 {
+		t.Fatalf("anatomy has %d steps over %d handshakes (%d sampled), the record %d steps",
+			len(anatomy.Steps), anatomy.Handshakes, anatomy.Sampled, len(rec.Steps))
 	}
 	for i, st := range rec.Steps {
-		a, m := anatomy.Steps[i], metrics.Steps[i]
-		if a.Name != st.Step || m.Name != st.Step {
-			t.Fatalf("step %d: anatomy %q, /metrics %q, record %q", i, a.Name, m.Name, st.Step)
+		a := anatomy.Steps[i]
+		want := perf.Cycles(time.Duration(math.Round(st.Us*1e3))) / 1000
+		if a.Name != st.Step || a.Count != 1 || a.MeanKcyc != want || a.MaxKcyc != want {
+			t.Fatalf("step %d: anatomy %s %v kcycles ×%d, record %s %vus", i, a.Name, a.MeanKcyc, a.Count, st.Step, st.Us)
 		}
-		sum := time.Duration(m.Latency.Sum)
-		if a.Count != 1 || m.Latency.Count != 1 || a.MeanKcyc != perf.Cycles(sum)/1000 || float64(sum)/1e3 != st.Us {
-			t.Fatalf("step %s: anatomy %v kcycles ×%d, /metrics sum %v ×%d, record %vus",
-				st.Step, a.MeanKcyc, a.Count, sum, m.Latency.Count, st.Us)
-		}
+	}
+	if anatomy.CryptoSharePct <= 0 || len(anatomy.Crypto) == 0 {
+		t.Fatalf("sampled handshake folded no crypto: %+v", anatomy)
 	}
 	if c := reg.Counts(); c.BytesOut != rec.BytesOut || c.BytesIn != rec.BytesIn || c.Connections != 1 {
 		t.Fatalf("registry folded %+v, record moved %d in / %d out", c, rec.BytesIn, rec.BytesOut)

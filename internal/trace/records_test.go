@@ -45,9 +45,11 @@ func done(c *lifecycle.Conn, suite string) {
 
 func end(c *lifecycle.Conn) { c.Emit(probe.Event{Kind: probe.KindConnClose, At: time.Now()}) }
 
-func newTable(cfg trace.Config, ring int) (*lifecycle.Table, *trace.Tracer) {
-	tr := trace.NewTracer(cfg)
-	return lifecycle.NewTable(lifecycle.Options{Tracer: tr, Registry: telemetry.NewRegistry(), Ring: ring}), tr
+// newTable returns a table sampling by cfg and keeping ring closed
+// records, its tracer, and the registry its handshakes fold into.
+func newTable(cfg trace.Config, ring int) (*lifecycle.Table, *trace.Tracer, *telemetry.Registry) {
+	tr, reg := trace.NewTracer(cfg), telemetry.NewRegistry()
+	return lifecycle.NewTable(lifecycle.Options{Tracer: tr, Registry: reg, Ring: ring}), tr, reg
 }
 
 func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
@@ -57,9 +59,6 @@ func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
 	}
 	if got := tr.Stats(); got != (trace.Stats{}) {
 		t.Fatalf("nil tracer Stats() = %+v", got)
-	}
-	if tr.Profiler() != nil {
-		t.Fatal("nil tracer returned a profiler")
 	}
 
 	var c *lifecycle.Conn
@@ -79,7 +78,7 @@ func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
 }
 
 func TestSpanLifecycleAndPublish(t *testing.T) {
-	tab, tr := newTable(trace.Config{}, 4)
+	tab, tr, _ := newTable(trace.Config{}, 4)
 	c := begin(tab)
 	c.Mark("accept", time.Now(), time.Microsecond)
 	c.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: time.Now()})
@@ -117,7 +116,7 @@ func TestSpanLifecycleAndPublish(t *testing.T) {
 }
 
 func TestFinishClosesOpenSpans(t *testing.T) {
-	tab, _ := newTable(trace.Config{}, 4)
+	tab, _, _ := newTable(trace.Config{}, 4)
 	c := begin(tab)
 	c.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: time.Now()})
 	c.Emit(probe.Event{Kind: probe.KindStepEnter, Step: probe.StepInit, At: time.Now()}) // never exited
@@ -134,7 +133,7 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 }
 
 func TestTraceRingWraps(t *testing.T) {
-	tab, _ := newTable(trace.Config{}, 2)
+	tab, _, _ := newTable(trace.Config{}, 2)
 	var ids []uint64
 	for i := 0; i < 5; i++ {
 		c := begin(tab)
@@ -151,7 +150,7 @@ func TestTraceRingWraps(t *testing.T) {
 }
 
 func TestMaxSpansFinishesTrace(t *testing.T) {
-	tab, _ := newTable(trace.Config{}, 1)
+	tab, _, _ := newTable(trace.Config{}, 1)
 	c := begin(tab)
 	for i := 0; i < 1000; i++ {
 		c.Emit(probe.Event{Kind: probe.KindAppIO, Written: true, Bytes: 1, At: time.Now(), Dur: time.Microsecond})
@@ -167,19 +166,19 @@ func TestMaxSpansFinishesTrace(t *testing.T) {
 }
 
 func TestFoldThenFinishCountsOnce(t *testing.T) {
-	tab, tr := newTable(trace.Config{}, 1)
+	tab, _, reg := newTable(trace.Config{}, 1)
 	c := begin(tab)
 	step(c, probe.StepInit, time.Millisecond)
 	done(c, "RC4-MD5")
 	// The handshake folds the moment it ends, not when the connection
 	// finally closes; the close does not fold it again.
-	if snap := tr.Profiler().Snapshot(); snap.Handshakes != 1 {
-		t.Fatalf("profiler saw %d handshakes before close, want 1", snap.Handshakes)
+	if snap := reg.Anatomy(); snap.Handshakes != 1 {
+		t.Fatalf("anatomy saw %d handshakes before close, want 1", snap.Handshakes)
 	}
 	end(c)
-	snap := tr.Profiler().Snapshot()
-	if snap.Traces != 1 || snap.Handshakes != 1 {
-		t.Fatalf("folded %d traces / %d handshakes, want 1/1", snap.Traces, snap.Handshakes)
+	snap := reg.Anatomy()
+	if snap.Handshakes != 1 || snap.Sampled != 1 {
+		t.Fatalf("folded %d handshakes / %d sampled, want 1/1", snap.Handshakes, snap.Sampled)
 	}
 	if len(snap.Steps) != 1 || snap.Steps[0].Count != 1 {
 		t.Fatalf("steps = %+v", snap.Steps)
@@ -187,7 +186,7 @@ func TestFoldThenFinishCountsOnce(t *testing.T) {
 }
 
 func TestConcurrentTracing(t *testing.T) {
-	tab, tr := newTable(trace.Config{SampleEvery: 2}, 16)
+	tab, tr, reg := newTable(trace.Config{SampleEvery: 2}, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -200,6 +199,7 @@ func TestConcurrentTracing(t *testing.T) {
 				end(c)
 				if i%10 == 0 {
 					lifecycle.ChromeTrace(tab.Records(0))
+					reg.Anatomy()
 				}
 			}
 		}()
@@ -209,8 +209,8 @@ func TestConcurrentTracing(t *testing.T) {
 	if st.Seen != 400 || st.Sampled != 200 {
 		t.Fatalf("seen/sampled = %d/%d, want 400/200", st.Seen, st.Sampled)
 	}
-	if got := tr.Profiler().Snapshot().Handshakes; got != 200 {
-		t.Fatalf("profiler folded %d handshakes, want 200", got)
+	if a := reg.Anatomy(); a.Handshakes != 400 || a.Sampled != 200 {
+		t.Fatalf("anatomy folded %d handshakes, %d sampled, want 400 and 200", a.Handshakes, a.Sampled)
 	}
 	if got := len(tab.Records(0)); got != 16 {
 		t.Fatalf("ring retained %d records, want 16", got)
@@ -220,7 +220,7 @@ func TestConcurrentTracing(t *testing.T) {
 // The export is connection-only: every span on the one "ssl
 // connections" process, a thread per connection, and no flow events.
 func TestChromeTraceExport(t *testing.T) {
-	tab, _ := newTable(trace.Config{}, 4)
+	tab, _, _ := newTable(trace.Config{}, 4)
 	for i := 0; i < 2; i++ {
 		c := begin(tab)
 		c.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: time.Now()})
@@ -295,7 +295,7 @@ func TestChromeEmptyTracerLoads(t *testing.T) {
 
 func tableWithOneRecord(t *testing.T) http.Handler {
 	t.Helper()
-	tab, _ := newTable(trace.Config{}, 4)
+	tab, _, _ := newTable(trace.Config{}, 4)
 	c := begin(tab)
 	step(c, probe.StepInit, time.Millisecond)
 	done(c, "RC4-MD5")
@@ -328,22 +328,5 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("no events exported")
-	}
-}
-
-func TestDebugTraceRawFormat(t *testing.T) {
-	_, body := getOK(t, tableWithOneRecord(t), "/debug/trace?format=raw")
-	var raw struct {
-		Stats   trace.Stats        `json:"stats"`
-		Records []lifecycle.Record `json:"records"`
-	}
-	if err := json.Unmarshal(body, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw.Stats.Sampled != 1 || len(raw.Records) != 1 {
-		t.Fatalf("raw = sampled %d, %d records", raw.Stats.Sampled, len(raw.Records))
-	}
-	if raw.Records[0].Steps[0].Step != "init" {
-		t.Fatalf("step = %+v", raw.Records[0].Steps[0])
 	}
 }

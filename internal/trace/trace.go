@@ -1,13 +1,13 @@
-// Package trace decides which connections keep their detail and folds
-// that detail into the live anatomy: the always-on counterpart of the
-// one-shot anatomy harness (internal/core's Table 2/3 experiments).
+// Package trace decides which connections keep their detail.
 //
 // A connection's record (package lifecycle) always keeps its step
 // timeline and totals; the crypto calls, record-layer passes and
 // application I/O between them are kept only for the connections the
 // Tracer's sampler picks — 1 in N, under a per-second cap — so the
 // cost of detail is bounded. A sampled connection's finished handshake
-// folds into the Profiler, the continuous Tables 2 and 3.
+// carries its crypto calls into the metrics registry's Table 3 rows
+// (telemetry.Registry.Anatomy, the always-on counterpart of
+// internal/core's Table 2/3 experiments).
 package trace
 
 import (
@@ -68,8 +68,6 @@ type Tracer struct {
 	// Token bucket for MaxPerSec, refilled a second at a time.
 	tokens     atomic.Int64
 	lastRefill atomic.Int64 // unix nanos of the last refill
-
-	prof *Profiler
 }
 
 // NewTracer returns a tracer with cfg's sampling.
@@ -77,19 +75,10 @@ func NewTracer(cfg Config) *Tracer {
 	if cfg.SampleEvery < 1 {
 		cfg.SampleEvery = 1
 	}
-	t := &Tracer{cfg: cfg, prof: NewProfiler()}
+	t := &Tracer{cfg: cfg}
 	t.lastRefill.Store(time.Now().UnixNano()) // lint:allow-clock
 	t.tokens.Store(int64(cfg.MaxPerSec))
 	return t
-}
-
-// Profiler returns the online anatomy profiler sampled connections
-// fold into (nil on a nil tracer).
-func (t *Tracer) Profiler() *Profiler {
-	if t == nil {
-		return nil
-	}
-	return t.prof
 }
 
 // Stats snapshots the tracer counters.
