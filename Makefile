@@ -25,8 +25,8 @@ race:
 # CI gate: static checks plus the race detector on the packages that
 # live connections emit through concurrently: the probe spine and its
 # sink adapters (telemetry, the span tracer), the record layer (whose
-# connections share one window-buffer pool), the accel engine's
-# goroutine pipeline, the handshake session cache, perf (whose model-GHz
+# connections share one window-buffer pool), the handshake session
+# cache, perf (whose model-GHz
 # setting is shared mutable state), bn and rsa (a Mont's scratch pool
 # and a key's lazily built contexts and arena pool are shared by every
 # connection under that key), des (its SP and PC tables, built in init,
@@ -34,13 +34,15 @@ race:
 # loop, and the load generator — then every fuzz
 # target for a few seconds and a real end-to-end smoke: sslload
 # against the serve loop in-process. On amd64, vet's asmdecl checks
-# aesni_amd64.s and sha1x's block_amd64.s against their Go
-# declarations; the cross-builds keep the fallbacks with no assembly
-# (aesni_other.go, sha1x's block_other.go) compiling.
+# aesni_amd64.s, sha1x's block_amd64.s and aessha1's stitch_amd64.s
+# against their Go declarations; the cross-builds keep the fallbacks
+# with no assembly (aesni_other.go, sha1x's block_other.go, aessha1's
+# stitch_other.go) compiling.
 check:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/aes/...
 	GOARCH=arm64 $(GO) vet ./internal/sha1x/...
+	GOARCH=arm64 $(GO) vet ./internal/aessha1/...
 	GOARCH=386 $(GO) build ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
@@ -56,7 +58,7 @@ check:
 	$(MAKE) doclint
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
 		./internal/ssl/... ./internal/record/... \
-		./internal/handshake/... ./internal/accel/... ./internal/perf/... \
+		./internal/handshake/... ./internal/perf/... \
 		./internal/loadgen/... ./internal/pathlen/... \
 		./internal/lifecycle/... ./internal/slo/... \
 		./internal/history/... ./internal/debughttp/... ./cmd/ssltop/... \
@@ -151,7 +153,9 @@ servelint:
 # loops of aes and des under every block-cipher record (and, for aes on
 # an AES-NI CPU, the Go entry points to the round instructions), the SHA-1
 # and MD5 block functions under every MAC and handshake hash (and, for
-# SHA-1, the Go entry point to SHA1RNDS4 on a CPU that has it). An
+# SHA-1, the Go entry point to SHA1RNDS4 on a CPU that has it), and the
+# Go side of the stitched AES-CBC + SHA-1 loop under every AES-SHA
+# record sealed on a CPU with both. An
 # allocation in one comes back as garbage per multiplication or per
 # record; a profiler or probe hook, a closure or an interface-typed
 # value as a branch, a clock read or an indirect call inside the word
@@ -162,7 +166,7 @@ servelint:
 # mont8.go, is also held to its shape: outside comments, no if, for,
 # switch or goto, and no index that is not a constant — straight-line
 # code whose every load and store is at a fixed offset.
-SYMKERNELS = internal/aes/kernel.go internal/aes/aesni_amd64.go internal/des/kernel.go internal/sha1x/block.go internal/sha1x/block_amd64.go internal/md5x/block.go
+SYMKERNELS = internal/aes/kernel.go internal/aes/aesni_amd64.go internal/des/kernel.go internal/sha1x/block.go internal/sha1x/block_amd64.go internal/md5x/block.go internal/aessha1/aessha1.go internal/aessha1/stitch_amd64.go
 kernellint:
 	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go internal/bn/mont8.go $(SYMKERNELS); \
 		grep -n 'func(\|perf\.\|probe\.\|interface' internal/bn/mont8.go $(SYMKERNELS); \

@@ -422,11 +422,11 @@ func BenchmarkFigure6Engine(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Pipelined", func(b *testing.B) {
+	b.Run("Stitched", func(b *testing.B) {
 		e := mk(b)
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := e.EncryptFragmentPipelined(data); err != nil {
+			if _, err := e.EncryptFragmentStitched(data); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sslperf/internal/aes"
+	"sslperf/internal/aessha1"
 	"sslperf/internal/des"
 	"sslperf/internal/dh"
 	"sslperf/internal/hmacx"
@@ -177,7 +178,11 @@ func main() {
 	}
 	rpt := perf.NewTable("sealed record path", "suite", "write bytes", "MB/s", "writes/record")
 	for _, p := range points {
-		rpt.AddRow(p.Suite, fmt.Sprintf("%d", p.WriteBytes),
+		name := p.Suite
+		if p.Kernel != "" {
+			name += " (" + p.Kernel + ")"
+		}
+		rpt.AddRow(name, fmt.Sprintf("%d", p.WriteBytes),
 			fmt.Sprintf("%.1f", p.MBps),
 			fmt.Sprintf("%.4f", p.WritesPerRecord))
 	}
@@ -262,8 +267,11 @@ type bulkReport struct {
 // recordPoint is one (suite, write size) measurement of the sealed
 // record path: writes/record is transport writes per sealed record —
 // 1 for record-sized writes, ~1/64 once a write fills its windows.
+// Kernel names the form an AES128-SHA record is sealed in on this CPU:
+// the stitched AES-CBC + SHA-1 loop, or two passes.
 type recordPoint struct {
 	Suite           string  `json:"suite"`
+	Kernel          string  `json:"kernel,omitempty"`
 	WriteBytes      int     `json:"write_bytes"`
 	MBps            float64 `json:"mbps"`
 	WritesPerRecord float64 `json:"writes_per_record"`
@@ -278,6 +286,13 @@ func recordSweep(dur time.Duration) ([]recordPoint, error) {
 		s, err := suite.ByName(name)
 		if err != nil {
 			return nil, err
+		}
+		kernel := ""
+		if name == "AES128-SHA" {
+			kernel = "two passes"
+			if aessha1.HardwareRounds() {
+				kernel = "AESENC+SHA1RNDS4"
+			}
 		}
 		for _, size := range []int{record.MaxFragment, 1 << 20} {
 			payload := workload.Payload(size)
@@ -307,6 +322,7 @@ func recordSweep(dur time.Duration) ([]recordPoint, error) {
 			elapsed := time.Since(start).Seconds()
 			out = append(out, recordPoint{
 				Suite:           name,
+				Kernel:          kernel,
 				WriteBytes:      size,
 				MBps:            float64(n) * float64(size) / elapsed / 1e6,
 				WritesPerRecord: float64(l.Stats.WriteCalls) / float64(l.Stats.RecordsWritten),

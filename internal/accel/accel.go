@@ -6,9 +6,10 @@
 //     SHA-1 spend on their three-input boolean functions (Figure 4).
 //  2. Hardware units — a table-lookup unit that executes all four
 //     basic operations of an AES round in parallel (Figure 5).
-//  3. Crypto engines — an asynchronous engine that overlaps the AES
-//     encryption of a record fragment with its MAC computation
-//     (Figure 6); implemented here functionally with goroutines.
+//  3. Crypto engines — an engine that overlaps the AES encryption of
+//     a record fragment with its MAC computation (Figure 6); built
+//     here on one core, as the stitched AES-CBC + SHA-1 loop of
+//     internal/aessha1, and modelled (ModelOverlapSpeedup, EngineSim).
 //
 // The first two are latency models over the perf.Trace abstract
 // instruction streams; the third is real, runnable code whose

@@ -2,7 +2,6 @@ package accel
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"sslperf/internal/perf"
 	"sslperf/internal/sha1x"
 	"sslperf/internal/sslcrypto"
-	"sslperf/internal/testenv"
 )
 
 func TestThreeOperandISAReducesWork(t *testing.T) {
@@ -81,8 +79,11 @@ func newEngine(t testing.TB) *Engine {
 	return e
 }
 
-func TestEnginePipelinedEqualsSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 15, 16, 17, 1024, 4096, 10000} {
+// TestEngineStitchedEqualsSerial holds the one-pass fragment to the
+// serial one across the 16- and 64-byte phase boundaries, through the
+// stitched kernel wherever this CPU has it.
+func TestEngineStitchedEqualsSerial(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 120, 121, 1024, 4096, 10000, 16384} {
 		data := make([]byte, n)
 		for i := range data {
 			data[i] = byte(i * 31)
@@ -93,16 +94,23 @@ func TestEnginePipelinedEqualsSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		ep := newEngine(t)
-		piped, err := ep.EncryptFragmentPipelined(data)
+		stitched, err := ep.EncryptFragmentStitched(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(serial, piped) {
-			t.Fatalf("n=%d: pipelined fragment differs from serial", n)
+		if !bytes.Equal(serial, stitched) {
+			t.Fatalf("n=%d: stitched fragment differs from serial", n)
 		}
 		if len(serial)%16 != 0 {
 			t.Fatalf("n=%d: fragment %d not a block multiple", n, len(serial))
 		}
+	}
+	md5, err := NewEngine(make([]byte, 16), make([]byte, 16), make([]byte, 16), sslcrypto.MACMD5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := md5.EncryptFragmentStitched([]byte("data")); err == nil {
+		t.Fatal("stitched fragment accepted an MD5 MAC")
 	}
 }
 
@@ -138,34 +146,4 @@ func TestComponentTimesAndModel(t *testing.T) {
 	if got := ModelOverlapSpeedup(time.Millisecond, time.Millisecond); got != 2.0 {
 		t.Fatalf("balanced speedup = %v, want 2", got)
 	}
-}
-
-func TestEnginePipelinedThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	// The pipelined engine should not be slower on large fragments
-	// (it overlaps ~half the work; allow generous scheduling slack).
-	data := make([]byte, 16384)
-	const iters = 300
-	testenv.Timing(t, func() error {
-		es := newEngine(t)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			es.EncryptFragmentSerial(data)
-		}
-		serial := time.Since(start)
-		ep := newEngine(t)
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			ep.EncryptFragmentPipelined(data)
-		}
-		piped := time.Since(start)
-		if piped > serial*3/2 {
-			return fmt.Errorf("pipelined (%v) much slower than serial (%v)", piped, serial)
-		}
-		t.Logf("serial %v, pipelined %v, speedup %.2fx", serial, piped,
-			float64(serial)/float64(piped))
-		return nil
-	})
 }

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"errors"
 	"time"
 
 	"sslperf/internal/aes"
@@ -10,11 +11,10 @@ import (
 
 // Engine is the Figure 6 crypto engine: an AES encryption unit and a
 // hashing unit fed by a control unit. EncryptFragment produces an SSL
-// record fragment body (data ‖ MAC ‖ padding, CBC-encrypted); the
-// pipelined path overlaps the MAC computation of the data with the
-// AES encryption of the data, exactly as the paper's control-unit
-// description has it — the MAC and trailing padding are encrypted
-// last, after the hashing unit delivers them.
+// record fragment body (data ‖ MAC ‖ padding, CBC-encrypted), each
+// fragment from the engine's IV: serially (MAC, then encrypt), or
+// stitched, the MAC computation of the data overlapped with its AES
+// encryption, exactly as the paper's control-unit description has it.
 type Engine struct {
 	aes *aes.Cipher
 	iv  []byte
@@ -65,44 +65,30 @@ func (e *Engine) EncryptFragmentSerial(data []byte) ([]byte, error) {
 	return frag, nil
 }
 
-// EncryptFragmentPipelined overlaps the hashing unit with the AES
-// unit: the data blocks are CBC-encrypted while the MAC is computed
-// concurrently; the MAC+padding tail is encrypted afterwards,
-// chained off the last data block as CBC requires. The hashing unit
-// is a goroutine forked per fragment.
-func (e *Engine) EncryptFragmentPipelined(data []byte) ([]byte, error) {
-	bs := e.aes.BlockSize()
+// EncryptFragmentStitched produces the same fragment in one pass over
+// the data: the AES unit encrypts it while the hashing unit MACs it —
+// on a CPU with AES-NI and the SHA extensions one instruction stream
+// with AESENC interleaved into SHA1RNDS4 (internal/aessha1), the
+// figure's two units busy at once on one core. The MAC and padding
+// are encrypted last, chained off the data's last block, as CBC and
+// the paper's control unit have it. The MAC must be SHA-1.
+func (e *Engine) EncryptFragmentStitched(data []byte) ([]byte, error) {
+	if e.mac.Algorithm() != sslcrypto.MACSHA1 {
+		return nil, errors.New("accel: the stitched fragment needs a SHA-1 MAC")
+	}
 	seq := e.seq
 	e.seq++
-	var mac []byte
-	hashed := make(chan struct{})
-	go func() {
-		mac = e.mac.Compute(seq, 23, data)
-		close(hashed)
-	}()
-
-	macLen := e.mac.Size()
-	n := e.pad(len(data) + macLen)
+	n := e.pad(len(data) + e.mac.Size())
 	frag := make([]byte, n)
-	copy(frag, data)
-
-	enc, err := cbc.NewEncrypter(e.aes, e.iv)
-	if err != nil {
-		return nil, err
-	}
-	// Encrypt the whole data blocks now, in parallel with the MAC.
-	whole := len(data) / bs * bs
-	enc.CryptBlocks(frag[:whole], frag[:whole])
-
-	// Join: place MAC and padding, then encrypt the tail.
-	<-hashed
-	copy(frag[len(data):], mac)
-	frag[n-1] = byte(n - len(data) - macLen - 1)
-	enc.CryptBlocks(frag[whole:], frag[whole:])
+	iv := append([]byte(nil), e.iv...)
+	body, done := e.mac.AppendComputeCBC(frag[:len(data)], seq, 23, data, e.aes, frag, iv)
+	copy(frag[done:len(data)], data[done:])
+	frag[n-1] = byte(n - len(body) - 1)
+	e.aes.EncryptCBC(frag[done:], frag[done:], iv)
 	return frag, nil
 }
 
-// Reset rewinds the sequence number (so serial and pipelined runs of
+// Reset rewinds the sequence number (so serial and stitched runs of
 // the same inputs produce identical fragments for equivalence tests).
 func (e *Engine) Reset() { e.seq = 0 }
 

@@ -179,6 +179,12 @@ func (c *Cipher) needDec() {
 // Rounds returns the number of rounds (10, 12, or 14).
 func (c *Cipher) Rounds() int { return c.nr }
 
+// EncSchedule returns the encryption key schedule, big-endian words
+// with the first 4*(Rounds()+1) used, for a kernel outside this package
+// that runs the rounds itself: the stitched AES-CBC + SHA-1 loop
+// (internal/aessha1).
+func (c *Cipher) EncSchedule() *[60]uint32 { return (*[60]uint32)(&c.enc) }
+
 // BlockSize returns the AES block size (16).
 func (c *Cipher) BlockSize() int { return BlockSize }
 

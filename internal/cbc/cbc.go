@@ -57,6 +57,12 @@ func (e *Encrypter) BlockSize() int { return e.b.BlockSize() }
 // BlockSize returns the underlying cipher's block size.
 func (d *Decrypter) BlockSize() int { return d.b.BlockSize() }
 
+// Chain returns the cipher and the live chaining value, for a caller
+// that encrypts part of the stream outside CryptBlocks (the stitched
+// AES-CBC + SHA-1 seal); the next CryptBlocks starts from whatever it
+// leaves in the chaining value.
+func (e *Encrypter) Chain() (Block, []byte) { return e.b, e.iv }
+
 // CryptBlocks encrypts src into dst (same length, a multiple of the
 // block size). dst may be src.
 func (e *Encrypter) CryptBlocks(dst, src []byte) {

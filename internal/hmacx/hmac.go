@@ -129,6 +129,14 @@ func (h *HMAC) BlockSize() int { return h.inner.BlockSize() }
 // Reset rewinds to the keyed initial state.
 func (h *HMAC) Reset() { restore(h.inner, h.innerKeyed) }
 
+// InnerSHA1 returns the running inner digest of a SHA-1 form (nil for
+// MD5), for a caller that hashes part of the message together with
+// other work: the stitched AES-CBC + SHA-1 seal (internal/aessha1).
+func (h *HMAC) InnerSHA1() *sha1x.Digest {
+	d, _ := h.inner.(*sha1x.Digest)
+	return d
+}
+
 // Write absorbs message bytes. It never fails.
 func (h *HMAC) Write(p []byte) (int, error) { return h.inner.Write(p) }
 

@@ -29,8 +29,10 @@ import (
 )
 
 // Primitive row indexes. The set is fixed so the fold can use a flat
-// array: every primitive the suite registry can name, plus a catchall
-// for anything new that has not been given a row yet (visible, not
+// array: every primitive the suite registry can name, the stitched
+// AES+SHA-1 seal (record.PrimAESSHA1, one event for cipher and MAC,
+// which no abstract-instruction model covers), plus a catchall for
+// anything new that has not been given a row yet (visible, not
 // silently dropped).
 const (
 	primRC4 = iota
@@ -40,11 +42,12 @@ const (
 	primNULL
 	primMD5
 	primSHA1
+	primAESSHA1 // a stitched seal: AES-CBC and its SHA-1 MAC in one timed pass
 	primOther
 	numPrims
 )
 
-var primNames = [numPrims]string{"RC4", "AES", "DES", "3DES", "NULL", "MD5", "SHA-1", "other"}
+var primNames = [numPrims]string{"RC4", "AES", "DES", "3DES", "NULL", "MD5", "SHA-1", "AES+SHA-1", "other"}
 
 // primIndex interns a primitive name onto its row. A linear scan over
 // ≤8 entries beats a map on the hot path and needs no hashing.

@@ -11,6 +11,7 @@ import (
 
 	"sslperf/internal/perf"
 	"sslperf/internal/probe"
+	"sslperf/internal/record"
 )
 
 // newConn stands in for one connection's record: a bus over a fresh
@@ -281,5 +282,29 @@ func TestStepExitDurationFolds(t *testing.T) {
 	row, ok := c.Snapshot().Step(probe.StepInit.Name())
 	if !ok || row.WallNanos != uint64(5*time.Millisecond) {
 		t.Errorf("step row = %+v ok=%v", row, ok)
+	}
+}
+
+// TestCollectorStitchedPrimHasOwnRow pins where a stitched seal's one
+// event lands: its own AES+SHA-1 row, not folded into AES, SHA-1 or
+// other, and with no model columns (no abstract-instruction kernel
+// covers the pair).
+func TestCollectorStitchedPrimHasOwnRow(t *testing.T) {
+	c := NewCollector()
+	b, closeConn := newConn(c)
+	emitRecord(b, probe.OpCipherEncrypt, record.PrimAESSHA1, 100)
+	closeConn()
+	s := c.Snapshot()
+	row, ok := s.Prim(record.PrimAESSHA1)
+	if !ok || row.Bytes != 100 || row.Ops != 1 {
+		t.Fatalf("stitched seal row = %+v ok=%v, want one op of 100 bytes", row, ok)
+	}
+	if row.ModelCPI != 0 || row.InstrPerByte != 0 {
+		t.Errorf("stitched seal row carries model columns: %+v", row)
+	}
+	for _, name := range []string{"AES", "SHA-1", "other"} {
+		if r, ok := s.Prim(name); ok {
+			t.Errorf("stitched seal also counted under %s: %+v", name, r)
+		}
 	}
 }

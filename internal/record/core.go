@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
+	"sslperf/internal/aessha1"
 	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
 	"sslperf/internal/suite"
@@ -139,6 +141,10 @@ func (c *Core) SetPrimitives(cipher, mac string) {
 // outbound sequence number; called when sending ChangeCipherSpec.
 func (c *Core) SetWriteState(ci suite.RecordCipher, m *sslcrypto.MAC) {
 	c.out = halfState{cipher: ci, mac: m}
+	if m != nil && m.Algorithm() == sslcrypto.MACSHA1 {
+		c.out.aes, c.out.iv = suite.AESCBC(ci)
+	}
+	c.out.stitched = c.out.aes != nil && aessha1.HardwareRounds()
 }
 
 // SetReadState installs the inbound cipher and MAC and resets the
@@ -284,10 +290,25 @@ func (c *Core) readRecord() (typ ContentType, payload []byte, missing int, err e
 	return typ, payload, 0, nil
 }
 
+// stitchMin is the shortest payload the stitched seal takes: the MAC
+// header leaves the hash at most 63 bytes short of a block, so any
+// payload this long has a whole 64-byte group behind that. Shorter
+// records (the handshake's Finished among them) seal in two passes.
+const stitchMin = 128
+
 // seal appends one sealed fragment — header ‖ payload ‖ MAC ‖ padding,
 // MAC appended in place, padding in place, cipher in place — to
 // outgoing, which WriteRecord has reserved room in, so every append
 // here stays in place.
+//
+// It has two forms. The two-pass form copies the payload into the
+// record, MACs it, then encrypts the body: two timed events. The
+// stitched form (AES-CBC with a SHA-1 MAC on a CPU with both units)
+// reads the payload where the caller holds it, encrypts its leading
+// 64-byte groups straight into the record in the pass that hashes them
+// (sslcrypto.MAC.AppendComputeCBC), and leaves the rest of the body —
+// the payload's tail, the MAC, the padding — to the one cipher call
+// below, chained on from the same IV: one timed event, PrimAESSHA1.
 func (c *Core) seal(typ ContentType, payload []byte) {
 	// Timing is inlined rather than routed through timeCrypto: the
 	// closure a timeCrypto call would need captures the growing body
@@ -296,11 +317,25 @@ func (c *Core) seal(typ ContentType, payload []byte) {
 	buf := c.outgoing
 	base := len(buf)
 	rec := buf[base : base+headerLen]
-	body := append(buf[base+headerLen:base+headerLen], payload...)
-	if c.out.mac != nil {
-		start := c.Probe.Stamp()
-		body = c.out.mac.AppendCompute(body, c.out.seq, byte(typ), payload)
-		c.Probe.RecordCrypto(OpMACCompute, c.macPrim, len(payload), start)
+	body := buf[base+headerLen : base+headerLen]
+	stitched := c.out.stitched && len(payload) >= stitchMin
+	// done counts the body bytes already encrypted, prim names the
+	// primitive the cipher event reports, start when it began.
+	done, prim := 0, c.cipherPrim
+	var start time.Time
+	if stitched {
+		start = c.Probe.Stamp()
+		prim = PrimAESSHA1
+		body = body[:len(payload)]
+		body, done = c.out.mac.AppendComputeCBC(body, c.out.seq, byte(typ), payload, c.out.aes, body, c.out.iv)
+		copy(body[done:len(payload)], payload[done:])
+	} else {
+		body = append(body, payload...)
+		if c.out.mac != nil {
+			start := c.Probe.Stamp()
+			body = c.out.mac.AppendCompute(body, c.out.seq, byte(typ), payload)
+			c.Probe.RecordCrypto(OpMACCompute, c.macPrim, len(payload), start)
+		}
 	}
 	if c.out.active() {
 		if bs := c.out.cipher.BlockSize(); bs > 1 {
@@ -317,9 +352,11 @@ func (c *Core) seal(typ ContentType, payload []byte) {
 			}
 			body = append(body, byte(padLen))
 		}
-		start := c.Probe.Stamp()
-		c.out.cipher.Encrypt(body)
-		c.Probe.RecordCrypto(OpCipherEncrypt, c.cipherPrim, len(body), start)
+		if !stitched {
+			start = c.Probe.Stamp()
+		}
+		c.out.cipher.Encrypt(body[done:])
+		c.Probe.RecordCrypto(OpCipherEncrypt, prim, len(body), start)
 	}
 	rec[0] = byte(typ)
 	binary.BigEndian.PutUint16(rec[1:], c.writeVersion())

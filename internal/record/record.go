@@ -2,8 +2,10 @@
 // fragmentation, MAC computation/verification, CBC padding, and
 // encryption state management. Every byte of the paper's bulk data
 // transfer phase flows through this layer — one MAC and one cipher
-// pass per record, exactly the work the paper's crypto-engine sketch
-// (Figure 6) wants to overlap.
+// pass per record, the work the paper's crypto-engine sketch (Figure
+// 6) overlaps; on a CPU with AES-NI and the SHA extensions an
+// AES128/256-SHA record is sealed with the two in one pass
+// (internal/aessha1).
 package record
 
 import (
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"io"
 
+	"sslperf/internal/aes"
 	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
 	"sslperf/internal/suite"
@@ -130,6 +133,16 @@ type halfState struct {
 	cipher suite.RecordCipher
 	mac    *sslcrypto.MAC
 	seq    uint64
+
+	// aes and iv are the AES cipher and live CBC chaining value behind
+	// an AES-CBC write cipher whose MAC is SHA-1 (suite.AESCBC) — the
+	// pair the stitched seal runs — and nil otherwise. stitched selects
+	// that form; SetWriteState sets it where aessha1.HardwareRounds
+	// holds, so every other host, suite and direction seals in two
+	// passes.
+	aes      *aes.Cipher
+	iv       []byte
+	stitched bool
 }
 
 // active reports whether encryption is enabled in this direction.
@@ -169,6 +182,11 @@ const (
 	OpMACCompute    = probe.OpMACCompute
 	OpMACVerify     = probe.OpMACVerify
 )
+
+// PrimAESSHA1 names the primitive of a stitched seal's one
+// KindRecordCrypto event: AES-CBC and the SHA-1 MAC in one pass, whose
+// time is not split between them.
+const PrimAESSHA1 = "AES+SHA-1"
 
 // A Layer frames records over a blocking stream: the sans-IO Core
 // (framing, MAC, padding, cipher state, sequence numbers, buffers)

@@ -120,6 +120,23 @@ func (d *Digest) sum(in []byte, generic bool) []byte {
 	return append(in, out[:]...)
 }
 
+// Buffered returns how many bytes of a partial block the digest holds.
+func (d *Digest) Buffered() int { return d.n }
+
+// Chain is for a kernel outside this package that compresses whole
+// blocks of the message itself, the stitched AES-CBC + SHA-1 loop
+// (internal/aessha1): it counts the next n bytes, a multiple of
+// BlockSize, as written and returns the chaining words, which the
+// caller must advance over exactly those bytes before the digest is
+// used again. The digest must hold no partial block.
+func (d *Digest) Chain(n int) *[5]uint32 {
+	if d.n != 0 || n%BlockSize != 0 {
+		panic("sha1x: Chain off a block boundary")
+	}
+	d.len += uint64(n)
+	return &d.s
+}
+
 // HardwareRounds reports whether this CPU runs Digest on the SHA
 // extensions (SHA1RNDS4) rather than the scalar rounds.
 func HardwareRounds() bool { return hasSHANI }

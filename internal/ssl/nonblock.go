@@ -67,7 +67,7 @@ type NonBlockingConn struct {
 	bus       *probe.Bus
 	sinks     []probe.Sink
 	anatomy   *handshake.Anatomy
-	cryptoObs func(op record.CryptoOp, bytes int, d time.Duration)
+	cryptoObs func(op record.CryptoOp, prim string, bytes int, d time.Duration)
 
 	// readBuf is the tail of an application record that did not fit
 	// the caller's buffer, held in readArr: a stable backing array
@@ -130,7 +130,7 @@ func (c *NonBlockingConn) Stats() record.Stats { return c.core.Stats }
 
 // SetCryptoObserver routes bulk-phase record-layer crypto timings to
 // fn; pass nil to remove. See Conn.SetCryptoObserver.
-func (c *NonBlockingConn) SetCryptoObserver(fn func(op record.CryptoOp, bytes int, d time.Duration)) {
+func (c *NonBlockingConn) SetCryptoObserver(fn func(op record.CryptoOp, prim string, bytes int, d time.Duration)) {
 	c.cryptoObs = fn
 	c.refreshBus()
 }

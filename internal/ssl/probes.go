@@ -45,7 +45,7 @@ func (c *NonBlockingConn) refreshBus() {
 // forwarded, matching the pre-spine behavior where the handshake FSM
 // claimed the finished-message work for Table 2.
 type bulkCryptoSink struct {
-	fn func(op record.CryptoOp, bytes int, d time.Duration)
+	fn func(op record.CryptoOp, prim string, bytes int, d time.Duration)
 }
 
 // Emit implements probe.Sink.
@@ -53,5 +53,5 @@ func (s bulkCryptoSink) Emit(e probe.Event) {
 	if e.Kind != probe.KindRecordCrypto || e.Step != probe.StepNone {
 		return
 	}
-	s.fn(e.Op, e.Bytes, e.Dur)
+	s.fn(e.Op, e.Prim, e.Bytes, e.Dur)
 }

@@ -200,11 +200,12 @@ func (c *Conn) Close() error {
 func (c *Conn) Stats() record.Stats { return c.nb.Stats() }
 
 // SetCryptoObserver routes bulk-phase record-layer crypto timings
-// (cipher and MAC operations with payload sizes) to fn; pass nil to
-// remove. Handshake-phase record work (the encrypted finished
+// (cipher and MAC operations with their primitive — record.PrimAESSHA1
+// for a stitched seal, one timing for both — and payload sizes) to fn;
+// pass nil to remove. Handshake-phase record work (the encrypted finished
 // messages) is attributed to Table 2 rows on the spine instead, as it
 // always was. The Figure 2 and Table 1 experiments use this to
 // measure the crypto share of bulk transfers.
-func (c *Conn) SetCryptoObserver(fn func(op record.CryptoOp, bytes int, d time.Duration)) {
+func (c *Conn) SetCryptoObserver(fn func(op record.CryptoOp, prim string, bytes int, d time.Duration)) {
 	c.nb.SetCryptoObserver(fn)
 }

@@ -370,7 +370,7 @@ func TestStatsAndObserver(t *testing.T) {
 	id := identity(t)
 	client, server := connect(t, clientCfg(nil), id.ServerConfig(NewPRNG(23)))
 	var decrypts, verifies, bytesSeen int
-	server.SetCryptoObserver(func(op record.CryptoOp, n int, d time.Duration) {
+	server.SetCryptoObserver(func(op record.CryptoOp, _ string, n int, d time.Duration) {
 		switch op {
 		case record.OpCipherDecrypt:
 			decrypts++

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"sslperf/internal/aes"
+	"sslperf/internal/aessha1"
 	"sslperf/internal/hmacx"
 	"sslperf/internal/md5x"
 	"sslperf/internal/sha1x"
@@ -91,6 +93,9 @@ func NewMAC(alg MACAlgorithm, secret []byte) (*MAC, error) {
 // Size returns the MAC length.
 func (m *MAC) Size() int { return m.alg.Size() }
 
+// Algorithm returns the hash under the MAC.
+func (m *MAC) Algorithm() MACAlgorithm { return m.alg }
+
 // Compute returns the MAC for a record with the given 64-bit sequence
 // number, content type and payload.
 func (m *MAC) Compute(seq uint64, contentType byte, payload []byte) []byte {
@@ -104,16 +109,34 @@ func (m *MAC) AppendCompute(dst []byte, seq uint64, contentType byte, payload []
 	if m.alg == MACNull {
 		return dst
 	}
+	m.start(seq, contentType, len(payload))
+	m.h.Write(payload)
+	return m.h.Sum(dst)
+}
+
+// AppendComputeCBC is AppendCompute for a SHA-1 MAC whose record is
+// AES-CBC encrypted under c: the payload's leading 64-byte groups are
+// encrypted into enc, from the chaining value iv, in the pass that
+// hashes them (aessha1.EncryptHash). It returns dst with the MAC
+// appended and how many payload bytes it encrypted, a multiple of 64
+// that may be 0; the caller encrypts the rest of the record from iv.
+func (m *MAC) AppendComputeCBC(dst []byte, seq uint64, contentType byte, payload []byte, c *aes.Cipher, enc, iv []byte) ([]byte, int) {
+	m.start(seq, contentType, len(payload))
+	n := aessha1.EncryptHash(c, enc, iv, m.h.InnerSHA1(), payload)
+	return m.h.Sum(dst), n
+}
+
+// start rewinds the hash to its keyed state and absorbs the record
+// header: sequence number, content type, (TLS) version and length.
+func (m *MAC) start(seq uint64, contentType byte, n int) {
 	hdr := binary.BigEndian.AppendUint64(m.hdrBuf[:0], seq)
 	hdr = append(hdr, contentType)
 	if m.tls {
 		hdr = binary.BigEndian.AppendUint16(hdr, m.version)
 	}
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(payload)))
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(n))
 	m.h.Reset()
 	m.h.Write(hdr)
-	m.h.Write(payload)
-	return m.h.Sum(dst)
 }
 
 // maxMACSize bounds the digest output across supported hashes.

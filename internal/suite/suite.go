@@ -141,6 +141,24 @@ func (b *blockCipher) Decrypt(buf []byte) {
 	b.dec.CryptBlocks(buf, buf)
 }
 
+// AESCBC returns the AES cipher and the live chaining value behind an
+// encrypt-side AES-CBC record cipher, and nil, nil for any other: the
+// stitched AES-CBC + SHA-1 seal encrypts the first part of a record
+// outside Encrypt, and the Encrypt of the rest continues from the
+// chaining value it leaves.
+func AESCBC(ci RecordCipher) (*aes.Cipher, []byte) {
+	b, ok := ci.(*blockCipher)
+	if !ok || b.enc == nil {
+		return nil, nil
+	}
+	blk, iv := b.enc.Chain()
+	c, ok := blk.(*aes.Cipher)
+	if !ok {
+		return nil, nil
+	}
+	return c, iv
+}
+
 func newBlockCipher(blk cbc.Block, iv []byte, encrypt bool) (RecordCipher, error) {
 	bc := &blockCipher{bs: blk.BlockSize()}
 	var err error

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/aessha1"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
 	"sslperf/internal/workload"
@@ -178,5 +179,29 @@ func TestCryptoSplitBreakdownOrder(t *testing.T) {
 	}
 	if c.Total() != 10 {
 		t.Fatalf("total = %d", c.Total())
+	}
+}
+
+// TestStitchedSealCountedOnce checks an AES128-SHA transfer's bulk
+// seals land in the split exactly once: on a CPU that stitches them,
+// as private+hash (one timing, not split between the two), and
+// otherwise as the usual private and hash passes.
+func TestStitchedSealCountedOnce(t *testing.T) {
+	s, err := suite.ByName("AES128-SHA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := NewServer(identity(t), s).RunTransaction(64*1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stitched := res.Crypto.Stitched > 0; stitched != aessha1.HardwareRounds() {
+		t.Fatalf("stitched time %v on a CPU where the kernel is %v", res.Crypto.Stitched, aessha1.HardwareRounds())
+	}
+	if res.Crypto.Private == 0 || res.Crypto.Hash == 0 {
+		t.Fatalf("request open and finished messages not measured: %+v", res.Crypto)
+	}
+	if got := res.Crypto.Breakdown().Elapsed("private+hash"); got != res.Crypto.Stitched {
+		t.Fatalf("breakdown private+hash %v, stitched time %v", got, res.Crypto.Stitched)
 	}
 }
