@@ -26,8 +26,8 @@ race:
 # live connections emit through concurrently: the probe spine and its
 # sink adapters (telemetry, the span tracer), the record layer (whose
 # connections share one window-buffer pool), the handshake session
-# cache, perf (whose model-GHz
-# setting is shared mutable state), bn and rsa (a Mont's scratch pool
+# cache, perf (whose model-GHz setting is shared mutable state), bn
+# and rsa (a Mont's scratch pool
 # and a key's lazily built contexts and arena pool are shared by every
 # connection under that key), des (its SP and PC tables, built in init,
 # are read by every connection's key schedule and rounds), the serve

@@ -81,7 +81,7 @@ func (e *Engine) EncryptFragmentStitched(data []byte) ([]byte, error) {
 	n := e.pad(len(data) + e.mac.Size())
 	frag := make([]byte, n)
 	iv := append([]byte(nil), e.iv...)
-	body, done := e.mac.AppendComputeCBC(frag[:len(data)], seq, 23, data, e.aes, frag, iv)
+	body, done := e.mac.AppendComputeCBC(frag[:len(data)], seq, 23, data, e.aes, iv)
 	copy(frag[done:len(data)], data[done:])
 	frag[n-1] = byte(n - len(body) - 1)
 	e.aes.EncryptCBC(frag[done:], frag[done:], iv)

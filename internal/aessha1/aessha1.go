@@ -41,9 +41,9 @@ func EncryptHash(c *aes.Cipher, dst, iv []byte, d *sha1x.Digest, p []byte) int {
 	return n
 }
 
-// twoPass is groups without the stitched kernel: the cipher, then
-// the hash.
+// twoPass is groups without the stitched kernel: the hash, then the
+// cipher, which may overwrite hashed bytes when dst is src.
 func twoPass(c *aes.Cipher, dst, src, iv []byte, d *sha1x.Digest, hashed []byte) {
-	c.EncryptCBC(dst, src, iv)
 	d.Write(hashed)
+	c.EncryptCBC(dst, src, iv)
 }

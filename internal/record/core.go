@@ -327,7 +327,7 @@ func (c *Core) seal(typ ContentType, payload []byte) {
 		start = c.Probe.Stamp()
 		prim = PrimAESSHA1
 		body = body[:len(payload)]
-		body, done = c.out.mac.AppendComputeCBC(body, c.out.seq, byte(typ), payload, c.out.aes, body, c.out.iv)
+		body, done = c.out.mac.AppendComputeCBC(body, c.out.seq, byte(typ), payload, c.out.aes, c.out.iv)
 		copy(body[done:len(payload)], payload[done:])
 	} else {
 		body = append(body, payload...)

@@ -115,15 +115,17 @@ func (m *MAC) AppendCompute(dst []byte, seq uint64, contentType byte, payload []
 }
 
 // AppendComputeCBC is AppendCompute for a SHA-1 MAC whose record is
-// AES-CBC encrypted under c: the payload's leading 64-byte groups are
-// encrypted into enc, from the chaining value iv, in the pass that
-// hashes them (aessha1.EncryptHash). It returns dst with the MAC
-// appended and how many payload bytes it encrypted, a multiple of 64
-// that may be 0; the caller encrypts the rest of the record from iv.
-func (m *MAC) AppendComputeCBC(dst []byte, seq uint64, contentType byte, payload []byte, c *aes.Cipher, enc, iv []byte) ([]byte, int) {
+// AES-CBC encrypted under c. body is the payload's place in the
+// record, len(payload) long: the payload's leading 64-byte groups are
+// encrypted into it, from the chaining value iv, in the pass that
+// hashes them (aessha1.EncryptHash), and the MAC is appended after it.
+// It returns the extended body and how many payload bytes it
+// encrypted, a multiple of 64 that may be 0; the caller fills in the
+// rest of the payload and encrypts the rest of the record from iv.
+func (m *MAC) AppendComputeCBC(body []byte, seq uint64, contentType byte, payload []byte, c *aes.Cipher, iv []byte) ([]byte, int) {
 	m.start(seq, contentType, len(payload))
-	n := aessha1.EncryptHash(c, enc, iv, m.h.InnerSHA1(), payload)
-	return m.h.Sum(dst), n
+	n := aessha1.EncryptHash(c, body, iv, m.h.InnerSHA1(), payload)
+	return m.h.Sum(body), n
 }
 
 // start rewinds the hash to its keyed state and absorbs the record
