@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint gencheck cbclint depslint pathlenlint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint gencheck cbclint depslint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -53,7 +53,6 @@ check:
 	$(MAKE) gencheck
 	$(MAKE) cbclint
 	$(MAKE) depslint
-	$(MAKE) pathlenlint
 	$(MAKE) failclasslint
 	$(MAKE) doclint
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
@@ -215,28 +214,10 @@ depslint:
 		echo "$$bad"; exit 1; \
 	fi
 
-# Every probe.Step constant must carry a path-length row mapping in
-# internal/pathlen/steps.go (the stepClasses table), mirroring
-# clocklint's grep discipline: a new handshake step cannot ship
-# without deciding which /debug/pathlength class its bytes charge to.
-# TestStepClassesCoverProbeSteps enforces the same invariant
-# in-language; this catches it before the test suite even runs.
-pathlenlint:
-	@steps=$$(sed -n 's/^\t\(Step[A-Za-z0-9]*\) Step = iota.*/\1/p; s/^\t\(Step[A-Za-z0-9]*\)$$/\1/p' internal/probe/probe.go | sort -u); \
-	missing=""; \
-	for s in $$steps; do \
-		grep -q "probe\.$$s:" internal/pathlen/steps.go || missing="$$missing $$s"; \
-	done; \
-	if [ -n "$$missing" ]; then \
-		echo "pathlenlint: probe.Step constants with no stepClasses row in internal/pathlen/steps.go:$$missing"; \
-		exit 1; \
-	fi
-
 # Every probe.FailClass constant must carry a name row in the
 # failClassInfo table and a case in the internal/ssl mapping test
 # (TestClassifyTable), so a new failure class cannot ship without a
-# canonical tag and a pinned example of what maps onto it — the same
-# grep discipline pathlenlint applies to handshake steps.
+# canonical tag and a pinned example of what maps onto it.
 failclasslint:
 	@classes=$$(sed -n 's/^\t\(Fail[A-Za-z0-9]*\) FailClass = iota.*/\1/p; s/^\t\(Fail[A-Za-z0-9]*\)$$/\1/p' internal/probe/failclass.go | sort -u); \
 	missing=""; \

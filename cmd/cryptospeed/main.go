@@ -59,13 +59,6 @@ func main() {
 		kernel string // which of a primitive's kernels this CPU runs, where it has two
 		fn     func(data []byte)
 	}
-	aesKernel, sha1Kernel := "tables", "scalar"
-	if aes.HardwareRounds() {
-		aesKernel = "AESENC"
-	}
-	if sha1x.HardwareRounds() {
-		sha1Kernel = "SHA1RNDS4"
-	}
 	aesC, _ := aes.New(make([]byte, 16))
 	aes256, _ := aes.New(make([]byte, 32))
 	desC, _ := des.New(make([]byte, 8))
@@ -75,12 +68,12 @@ func main() {
 	dbuf := make([]byte, 8)
 
 	prims := []prim{
-		{"aes-128", aesKernel, func(d []byte) {
+		{"aes-128", aes.Kernel(), func(d []byte) {
 			for i := 0; i+16 <= len(d); i += 16 {
 				aesC.Encrypt(buf, d[i:i+16])
 			}
 		}},
-		{"aes-256", aesKernel, func(d []byte) {
+		{"aes-256", aes.Kernel(), func(d []byte) {
 			for i := 0; i+16 <= len(d); i += 16 {
 				aes256.Encrypt(buf, d[i:i+16])
 			}
@@ -97,7 +90,7 @@ func main() {
 		}},
 		{"rc4", "", func(d []byte) { rc4C.XORKeyStream(d, d) }},
 		{"md5", "", func(d []byte) { md5x.Sum16(d) }},
-		{"sha1", sha1Kernel, func(d []byte) { sha1x.Sum20(d) }},
+		{"sha1", sha1x.Kernel(), func(d []byte) { sha1x.Sum20(d) }},
 	}
 	hmacSHA1 := hmacx.NewSHA1(workload.Payload(20))
 	hmacMD5 := hmacx.NewMD5(workload.Payload(16))
@@ -107,7 +100,7 @@ func main() {
 			hmacMD5.Write(d)
 			hmacMD5.Sum(nil)
 		}},
-		prim{"hmac-sha1", sha1Kernel, func(d []byte) {
+		prim{"hmac-sha1", sha1x.Kernel(), func(d []byte) {
 			hmacSHA1.Reset()
 			hmacSHA1.Write(d)
 			hmacSHA1.Sum(nil)
@@ -289,10 +282,7 @@ func recordSweep(dur time.Duration) ([]recordPoint, error) {
 		}
 		kernel := ""
 		if name == "AES128-SHA" {
-			kernel = "two passes"
-			if aessha1.HardwareRounds() {
-				kernel = "AESENC+SHA1RNDS4"
-			}
+			kernel = aessha1.Kernel()
 		}
 		for _, size := range []int{record.MaxFragment, 1 << 20} {
 			payload := workload.Payload(size)

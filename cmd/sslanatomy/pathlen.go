@@ -11,9 +11,10 @@ import (
 )
 
 // runPathlenModel prints the abstract-instruction path-length model —
-// the offline half of the Tables 11/12 reproduction. The live half is
-// the running server's /debug/pathlength fold; this table is what its
-// model columns are seeded from.
+// the offline half of the Tables 11/12 reproduction, and the only
+// place its CPI and instructions/byte appear: the running server's
+// /debug/pathlength measures cycles/byte on the kernels that ran,
+// which this model of the table and scalar kernels does not describe.
 func runPathlenModel(jsonOut bool) error {
 	models := pathlen.Models()
 	if jsonOut {

@@ -16,7 +16,6 @@ import (
 	"sslperf/internal/handshake"
 	"sslperf/internal/history"
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
 	"sslperf/internal/server"
 	"sslperf/internal/slo"
@@ -139,14 +138,12 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 		opts.Tracer = trace.NewTracer(trace.Config{SampleEvery: traceEvery})
 	}
 	opts.Registry = telemetry.NewRegistry()
-	opts.Pathlen = pathlen.NewCollector()
 	opts.SLO = slo.New(slo.Config{TargetP99: sloTarget, ErrorBudget: sloBudget})
 	opts.Ring = flightRecords
 	table := lifecycle.NewTable(opts)
 
 	mux := http.NewServeMux()
 	telemetry.Register(mux, opts.Registry)
-	pathlen.Register(mux, opts.Pathlen)
 	lifecycle.Register(mux, table)
 	slo.Register(mux, opts.SLO)
 	// The history sampler ticks over every surface built above, so it
@@ -157,12 +154,11 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 		Runtime:   true,
 		SLO:       opts.SLO,
 		Lifecycle: table,
-		Pathlen:   opts.Pathlen,
 	})
 	history.Register(mux, hist)
 	hist.Start()
 	// POST /debug/reset is the one reset: it scopes every observatory
-	// at once — metrics and the anatomy, path-length sum, conn table
+	// at once — metrics with the anatomy and path length, conn table
 	// and record ring, SLO windows, and history rings — so "warm up,
 	// reset, measure" needs one call.
 	mux.HandleFunc("/debug/reset", func(w http.ResponseWriter, req *http.Request) {
@@ -170,7 +166,6 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 			return
 		}
 		opts.Registry.Reset()
-		opts.Pathlen.Reset()
 		table.Reset()
 		opts.SLO.Reset()
 		hist.Reset()

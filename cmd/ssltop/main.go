@@ -299,9 +299,15 @@ func renderPanel(f *frame) string {
 		}
 	}
 
-	// Pathlength gauges, when the window moved bytes.
-	if c, m := lastVal(s, "pathlen.cipher_cyc_b"), lastVal(s, "pathlen.mac_cyc_b"); c > 0 || m > 0 {
-		fmt.Fprintf(&b, "  pathlen    cipher %.1f cyc/B  mac %.1f cyc/B\n", c, m)
+	// Pathlength gauges, when the window moved bytes; the stitched
+	// AES+SHA-1 seal only where it ran.
+	c, m, st := lastVal(s, "pathlen.cipher_cyc_b"), lastVal(s, "pathlen.mac_cyc_b"), lastVal(s, "pathlen.stitched_cyc_b")
+	if c > 0 || m > 0 || st > 0 {
+		fmt.Fprintf(&b, "  pathlen    cipher %.1f cyc/B  mac %.1f cyc/B", c, m)
+		if st > 0 {
+			fmt.Fprintf(&b, "  stitched %.1f cyc/B", st)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -240,3 +240,12 @@ func (c *Cipher) encPart3(s *state, dst []byte) {
 // Encrypt and Decrypt on its AES round instructions (AESENC/AESDEC)
 // rather than on the table kernel.
 func HardwareRounds() bool { return hasAESNI }
+
+// Kernel names the kernel HardwareRounds picks, for the reports that
+// time it: "AESENC" or "tables".
+func Kernel() string {
+	if hasAESNI {
+		return "AESENC"
+	}
+	return "tables"
+}

@@ -20,6 +20,15 @@ const group = sha1x.BlockSize
 // stitched loop (AESENC beside SHA1RNDS4) rather than as two passes.
 func HardwareRounds() bool { return hasStitch }
 
+// Kernel names the form HardwareRounds picks, for the reports that
+// time it: "AESENC+SHA1RNDS4" or "two passes".
+func Kernel() string {
+	if hasStitch {
+		return "AESENC+SHA1RNDS4"
+	}
+	return "two passes"
+}
+
 // EncryptHash writes p into the SHA-1 digest d and CBC-encrypts the
 // leading 64-byte groups of p into dst under c, from the chaining
 // value iv, which it leaves holding the last ciphertext block. The

@@ -48,7 +48,7 @@ func runFig4(cfg *Config) (*Report, error) {
 		write        func(p []byte) (int, error)
 	}{
 		{"MD5", "scalar", func(tr *perf.Trace) { md5x.TraceHash(tr, 1024) }, md.Write},
-		{"SHA-1", sha1Kernel(), func(tr *perf.Trace) { sha1x.TraceHash(tr, 1024) }, sha.Write},
+		{"SHA-1", sha1x.Kernel(), func(tr *perf.Trace) { sha1x.TraceHash(tr, 1024) }, sha.Write},
 	} {
 		var before perf.Trace
 		h.trace(&before)
@@ -75,17 +75,8 @@ func runFig4(cfg *Config) (*Report, error) {
 		}}, nil
 }
 
-// sha1Kernel names the SHA-1 kernel this CPU runs, for the rows of the
-// experiments that time it.
-func sha1Kernel() string {
-	if sha1x.HardwareRounds() {
-		return "SHA1RNDS4"
-	}
-	return "scalar"
-}
-
 func runFig5(cfg *Config) (*Report, error) {
-	kernel := aesKernel()
+	kernel := aes.Kernel()
 	t := perf.NewTable("Figure 5: modeled AES round hardware unit, beside the shipped kernel",
 		"key size", "sw cycles/block", "hw cycles/block", "speedup",
 		"shipped kernel", "measured ns/block")
@@ -118,26 +109,8 @@ func runFig5(cfg *Config) (*Report, error) {
 		}}, nil
 }
 
-// aesKernel names the AES kernel this CPU runs, for the rows of the
-// experiments that time it.
-func aesKernel() string {
-	if aes.HardwareRounds() {
-		return "AESENC"
-	}
-	return "tables"
-}
-
-// stitchKernel names the form a stitched AES-CBC + SHA-1 seal runs on
-// this CPU, for the rows of the experiments that time it.
-func stitchKernel() string {
-	if aessha1.HardwareRounds() {
-		return "AESENC+SHA1RNDS4"
-	}
-	return "two passes"
-}
-
 func runFig6(cfg *Config) (*Report, error) {
-	kernel := stitchKernel()
+	kernel := aessha1.Kernel()
 	t := perf.NewTable("Figure 6: crypto engine on one core — two-pass vs stitched AES-CBC + SHA-1 fragment",
 		"fragment", "two-pass us", "stitched us", "measured speedup",
 		"engine model speedup", "stitched kernel")

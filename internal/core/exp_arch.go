@@ -150,9 +150,9 @@ func runTable11(cfg *Config) (*Report, error) {
 		row := name
 		switch name {
 		case "AES":
-			row = fmt.Sprintf("AES (%s)", aesKernel())
+			row = fmt.Sprintf("AES (%s)", aes.Kernel())
 		case "SHA-1":
-			row = fmt.Sprintf("SHA-1 (%s)", sha1Kernel())
+			row = fmt.Sprintf("SHA-1 (%s)", sha1x.Kernel())
 		}
 		t.AddRow(row,
 			fmt.Sprintf("%.2f", tr.CPI()),
@@ -160,7 +160,7 @@ func runTable11(cfg *Config) (*Report, error) {
 			fmt.Sprintf("%.2f", measured[name]),
 			p[0], p[1], p[2])
 	}
-	t.AddRow(fmt.Sprintf("AES+SHA-1 (%s)", stitchKernel()), "-", "-",
+	t.AddRow(fmt.Sprintf("AES+SHA-1 (%s)", aessha1.Kernel()), "-", "-",
 		fmt.Sprintf("%.2f", measured["AES+SHA-1"]), "-", "-", "-")
 	return &Report{ID: "table11", Title: "Architectural characteristics",
 		Tables: []*perf.Table{t},

@@ -5,20 +5,18 @@ import (
 	"time"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 )
 
 // warmStandardSampler builds a History over every standard source
-// (telemetry, runtime, slo, lifecycle, pathlen, anatomy) with enough
-// state that the fold paths run, and ticks it past its warm-up.
+// (telemetry, runtime, slo, lifecycle, record crypto, anatomy) with
+// enough state that the fold paths run, and ticks it past its warm-up.
 func warmStandardSampler() *History {
 	reg := telemetry.NewRegistry()
 	tracker := slo.New(slo.Config{})
-	col := pathlen.NewCollector()
-	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker, Pathlen: col})
+	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker})
 
 	// Give the surfaces some state so the fold paths run, not the
 	// empty-case shortcuts: one connection folded and closed, one still
@@ -42,7 +40,6 @@ func warmStandardSampler() *History {
 		Runtime:   true,
 		SLO:       tracker,
 		Lifecycle: tab,
-		Pathlen:   col,
 	})
 
 	// Warm up: the first runtime/metrics read allocates its histogram

@@ -19,7 +19,7 @@
 // The sampling path is zero-allocation in steady state: sources fill
 // preallocated scratch slices from wait-free accessors
 // (telemetry.Registry.Counts and SharesInto, slo.Tracker.Stats,
-// lifecycle.Table.Counts, pathlen totals), and ring writes are
+// lifecycle.Table.Counts), and ring writes are
 // plain stores under one mutex. TestSampleNowZeroAlloc pins the 0
 // allocs/tick; BenchmarkHistorySample times the tick (a few µs, far
 // under 1% of a CPU at 1s resolution).

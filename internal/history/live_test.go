@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
+	"sslperf/internal/record"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
@@ -20,7 +20,6 @@ import (
 // ticked by hand.
 type observatory struct {
 	reg    *telemetry.Registry
-	col    *pathlen.Collector
 	tracer *trace.Tracer
 	tab    *lifecycle.Table
 	h      *History
@@ -29,17 +28,16 @@ type observatory struct {
 func newObservatory() *observatory {
 	o := &observatory{
 		reg:    telemetry.NewRegistry(),
-		col:    pathlen.NewCollector(),
 		tracer: trace.NewTracer(trace.Config{SampleEvery: 1}),
 	}
 	tracker := slo.New(slo.Config{})
 	o.tab = lifecycle.NewTable(lifecycle.Options{
-		Registry: o.reg, Tracer: o.tracer, Pathlen: o.col, SLO: tracker, Ring: 16,
+		Registry: o.reg, Tracer: o.tracer, SLO: tracker, Ring: 16,
 	})
 	o.h, _ = newTestHistory(Config{Interval: time.Second, FineSlots: 64})
 	AddStandardSources(o.h, Sources{
 		Telemetry: o.reg, Runtime: true, SLO: tracker,
-		Lifecycle: o.tab, Pathlen: o.col,
+		Lifecycle: o.tab,
 	})
 	return o
 }
@@ -68,11 +66,45 @@ func write(sink probe.Sink, n int) {
 	sink.Emit(probe.Event{Kind: probe.KindAppIO, Written: true, Bytes: n, At: at, Dur: 6 * time.Microsecond})
 }
 
+// cipherBytes reads the registry's cipher bytes, open connections
+// included.
+func cipherBytes(reg *telemetry.Registry) uint64 {
+	c := reg.Counts()
+	return c.Crypto.Groups()[0].Bytes
+}
+
+// TestStitchedSealMovesGauge pins that a stitched AES-CBC + SHA-1 seal,
+// one event for cipher and MAC, shows on the live gauges: its own
+// pathlen.stitched_cyc_b moves, and the cipher and MAC gauges, which
+// its bytes are not in, stay at zero.
+func TestStitchedSealMovesGauge(t *testing.T) {
+	o := newObservatory()
+	sink := o.establish()
+	o.h.SampleNow() // baseline
+	sink.Emit(probe.Event{Kind: probe.KindRecordCrypto, Op: probe.OpCipherEncrypt, Prim: record.PrimAESSHA1,
+		Bytes: 16384, At: time.Now(), Dur: 20 * time.Microsecond})
+	o.h.SampleNow()
+	last := func(name string) float64 {
+		t.Helper()
+		sd, ok := o.h.Snapshot(SnapshotOptions{Series: []string{name}}).Get(name)
+		if !ok || len(sd.Points) < 2 {
+			t.Fatalf("series %s has no point 1: %+v", name, sd)
+		}
+		return sd.Points[1]
+	}
+	if got := last("pathlen.stitched_cyc_b"); got <= 0 {
+		t.Errorf("pathlen.stitched_cyc_b after a 16 KB stitched seal = %v, want > 0", got)
+	}
+	if c, m := last("pathlen.cipher_cyc_b"), last("pathlen.mac_cyc_b"); c != 0 || m != 0 {
+		t.Errorf("cipher/mac gauges = %v/%v after a stitched seal alone, want 0/0", c, m)
+	}
+}
+
 // TestLiveConnectionCountsBeforeClose pins the live-read rule end to
-// end: a long-lived connection folds its record/byte totals and its
-// path-length tally only when it closes, yet the registry's counters
-// and the history's records.*, bytes.* and pathlen.* series move while
-// it is still open — and closing it counts nothing a second time.
+// end: a long-lived connection folds its record/byte and record-crypto
+// totals only when it closes, yet the registry's counters and the
+// history's records.*, bytes.* and pathlen.* series move while it is
+// still open — and closing it counts nothing a second time.
 func TestLiveConnectionCountsBeforeClose(t *testing.T) {
 	o := newObservatory()
 	sink := o.establish()
@@ -86,7 +118,7 @@ func TestLiveConnectionCountsBeforeClose(t *testing.T) {
 		t.Fatalf("registry counts with the connection still open = %+v, want %d bytes / %d records / 1 connection",
 			c, n*records, records)
 	}
-	if b, _, _, _ := o.col.Totals(); b != n*records {
+	if b := cipherBytes(o.reg); b != n*records {
 		t.Fatalf("cipher bytes with the connection still open = %d, want %d", b, n*records)
 	}
 	o.h.SampleNow()
@@ -115,7 +147,7 @@ func TestLiveConnectionCountsBeforeClose(t *testing.T) {
 	if c := o.reg.Counts(); c.BytesOut != n*records || c.RecordsOut != records || c.Connections != 1 {
 		t.Fatalf("registry counts after close = %+v: double-counted or lost", c)
 	}
-	if b, _, _, _ := o.col.Totals(); b != n*records {
+	if b := cipherBytes(o.reg); b != n*records {
 		t.Fatalf("cipher bytes after close = %d, want %d", b, n*records)
 	}
 	o.h.SampleNow()
@@ -138,7 +170,6 @@ func TestConcurrentEmitAndRead(t *testing.T) {
 	mux := http.NewServeMux()
 	telemetry.Register(mux, o.reg)
 	lifecycle.Register(mux, o.tab)
-	pathlen.Register(mux, o.col)
 
 	const conns, lives, writes = 8, 20, 10
 	var wg sync.WaitGroup
@@ -204,7 +235,7 @@ func TestConcurrentEmitAndRead(t *testing.T) {
 		c.RecordsOut != want*writes || c.BytesOut != want*writes*100 {
 		t.Fatalf("final counts = %+v, want %d connections × %d records of 100 bytes", c, want, writes)
 	}
-	if b, _, _, _ := o.col.Totals(); b != uint64(conns*lives*writes*100) {
+	if b := cipherBytes(o.reg); b != uint64(conns*lives*writes*100) {
 		t.Fatalf("cipher bytes = %d, want %d", b, conns*lives*writes*100)
 	}
 	if a := o.reg.Anatomy(); a.Handshakes != conns*lives || a.Sampled != conns*lives {

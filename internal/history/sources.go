@@ -1,11 +1,7 @@
 package history
 
 import (
-	"time"
-
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/pathlen"
-	"sslperf/internal/perf"
 	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
@@ -13,11 +9,10 @@ import (
 
 // This file binds every observatory surface to the ring layer. Each
 // source reads the surface's allocation-free accessor
-// (telemetry.Counts and SharesInto, slo.Stats, lifecycle.Counts,
-// pathlen totals) so the whole tick stays off the heap. The
-// telemetry and pathlen reads include the open connections' running
-// totals, so records.*, bytes.* and pathlen.* move while a long
-// transfer is still in progress.
+// (telemetry.Counts and SharesInto, slo.Stats, lifecycle.Counts) so
+// the whole tick stays off the heap. The telemetry reads include the
+// open connections' running totals, so records.*, bytes.* and
+// pathlen.* move while a long transfer is still in progress.
 
 // source is a Source from a fixed series list and a sampling closure
 // that keeps whatever state it needs between ticks.
@@ -49,12 +44,11 @@ type Sources struct {
 	Runtime   bool
 	SLO       *slo.Tracker
 	Lifecycle *lifecycle.Table
-	Pathlen   *pathlen.Collector
 }
 
 // AddStandardSources registers a source per populated surface, in a
-// fixed order (telemetry, runtime, slo, conns, pathlen, then the
-// telemetry registry's anatomy shares).
+// fixed order (telemetry, runtime, slo, conns, then the telemetry
+// registry's record-crypto intensity and anatomy shares).
 func AddStandardSources(h *History, s Sources) {
 	if reg := s.Telemetry; reg != nil {
 		// The record/handshake counters, which the snapshot renders as
@@ -133,21 +127,28 @@ func AddStandardSources(h *History, s Sources) {
 			}
 		}})
 	}
-	if collector := s.Pathlen; collector != nil {
-		// Windowed cipher and MAC cycles/byte: the previous cumulative
-		// (bytes, nanos) totals are kept and the delta window's intensity
-		// rendered, so the gauge tracks the *current* mix (an RC4 to AES
-		// suite shift moves it within one tick, where the cumulative
-		// Table-11 view only drifts).
-		var prevCipherBytes, prevCipherNs, prevMACBytes, prevMACNs uint64
-		h.AddSource(source{gauges("pathlen.cipher_cyc_b", "cyc/B", "pathlen.mac_cyc_b", "cyc/B"),
-			func(vals []float64) {
-				cb, cn, mb, mn := collector.Totals()
-				vals[0] = windowedCycPerByte(cb, cn, &prevCipherBytes, &prevCipherNs)
-				vals[1] = windowedCycPerByte(mb, mn, &prevMACBytes, &prevMACNs)
-			}})
-	}
 	if reg := s.Telemetry; reg != nil {
+		// Windowed cipher, MAC and stitched-seal cycles/byte: the
+		// previous cumulative (bytes, nanos) totals are kept and the
+		// delta window's intensity rendered, so the gauge tracks the
+		// *current* mix (an RC4 to AES suite shift moves it within one
+		// tick, where the cumulative Table-11 view only drifts). 0 when
+		// the window saw no bytes.
+		var prev [3]telemetry.CryptoCell
+		h.AddSource(source{gauges(
+			"pathlen.cipher_cyc_b", "cyc/B", "pathlen.mac_cyc_b", "cyc/B", "pathlen.stitched_cyc_b", "cyc/B",
+		), func(vals []float64) {
+			c := reg.Counts()
+			for i, g := range c.Crypto.Groups() {
+				window := g // counters rewound (/debug/reset): the new totals are the window
+				if g.Bytes >= prev[i].Bytes && g.Nanos >= prev[i].Nanos {
+					window = telemetry.CryptoCell{Bytes: g.Bytes - prev[i].Bytes, Nanos: g.Nanos - prev[i].Nanos}
+				}
+				prev[i] = g
+				vals[i] = window.CyclesPerByte()
+			}
+		}})
+
 		// The registry's live Table-2 step shares
 		// (anatomy.share.<step>, percent of total step time) and the
 		// sampled handshakes' crypto share — the paper's headline split.
@@ -161,21 +162,4 @@ func AddStandardSources(h *History, s Sources) {
 			vals[len(steps)] = reg.SharesInto(steps, vals)
 		}})
 	}
-}
-
-// windowedCycPerByte differences cumulative totals against the
-// previous tick and returns the window's cycles/byte (0 when the
-// window saw no bytes, or after a reset rewound the counters).
-func windowedCycPerByte(bytes, ns uint64, prevBytes, prevNs *uint64) float64 {
-	db, dn := bytes-*prevBytes, ns-*prevNs
-	if bytes < *prevBytes || ns < *prevNs {
-		// Counters rewound (/debug/reset): treat the new totals as the
-		// window.
-		db, dn = bytes, ns
-	}
-	*prevBytes, *prevNs = bytes, ns
-	if db == 0 {
-		return 0
-	}
-	return perf.Cycles(time.Duration(dn)) / float64(db)
 }

@@ -3,19 +3,19 @@
 //
 // A Table is the only probe.Observer a server attaches and each entry
 // the only sink on its connection's bus. The entry accumulates the
-// open/handshake/close facts, the Table-2 step timeline, plain
-// record/byte and per-primitive crypto totals, and, for the
-// connections the tracer's sampler picks, the crypto calls and
-// application I/O in detail. It is folded into the shared aggregates
-// once when its handshake ends (metrics registry — the live Tables 2/3
-// included — and SLO windows) and once when it closes (record/byte
-// totals, path-length tally), then retired into one ring of closed
-// records. The /debug/conns row, the /debug/flightrecorder event list,
-// the /debug/trace Chrome spans and the close-log line are renderers
-// of that record, so they cannot disagree. Nothing shared is written per
-// step or per record; readers that must see a connection while it
-// lives add the open entries' running totals at read time
-// (telemetry.Live, pathlen.Live).
+// open/handshake/close facts, the Table-2 step timeline with each
+// step's record crypto, plain record/byte and per-primitive crypto
+// totals, and, for the connections the tracer's sampler picks, the
+// crypto calls and application I/O in detail. It is folded into the
+// shared aggregates once when its handshake ends (metrics registry —
+// the live Tables 2/3 included — and SLO windows) and once when it
+// closes (record/byte and crypto totals, the live Table 11), then
+// retired into one ring of closed records. The /debug/conns row, the
+// /debug/flightrecorder event list, the /debug/trace Chrome spans and
+// the close-log line are renderers of that record, so they cannot
+// disagree. Nothing shared is written per step or per record; readers
+// that must see a connection while it lives add the open entries'
+// running totals at read time (telemetry.Live).
 //
 // The table is sharded 64 ways by connection ID and entries are
 // pooled, so opening, transitioning, and closing a connection is
@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
@@ -115,13 +114,13 @@ type Conn struct {
 
 	timeline  [maxTimeline]telemetry.StepTiming
 	timelineN int
-	calls     []telemetry.Call
+	// stepCrypto is the open step's record crypto so far.
+	stepCrypto telemetry.CryptoCell
+	calls      []telemetry.Call
 
-	// Running totals, folded into the registry and the path-length
-	// collector when the connection closes. ioBase is what a table
-	// Reset has already written off.
+	// Running totals, folded into the registry when the connection
+	// closes. ioBase is what a table Reset has already written off.
 	io, ioBase telemetry.IOCounts
-	tally      pathlen.Tally
 }
 
 // shardCount stripes the table; must be a power of two.
@@ -136,12 +135,10 @@ type shard struct {
 type Options struct {
 	// Registry receives each handshake outcome with its step timeline
 	// (and, when sampled, its crypto calls), and each closed
-	// connection's record/byte totals.
+	// connection's record/byte and record-crypto totals.
 	Registry *telemetry.Registry
 	// Tracer samples which connections keep their detail.
 	Tracer *trace.Tracer
-	// Pathlen receives each closed connection's path-length tally.
-	Pathlen *pathlen.Collector
 	// SLO receives handshake outcomes and queue delays.
 	SLO *slo.Tracker
 	// CloseLog writes one line per connection close.
@@ -200,7 +197,6 @@ func NewTable(opts Options) *Table {
 		t.shards[i].conns = make(map[uint64]*Conn)
 	}
 	opts.Registry.SetLive(live{t})
-	opts.Pathlen.SetLive(live{t})
 	return t
 }
 
@@ -243,10 +239,7 @@ func (t *Table) Reset() {
 	if t == nil {
 		return
 	}
-	t.each(func(c *Conn) {
-		c.ioBase = c.io
-		c.tally = pathlen.Tally{}
-	})
+	t.each(func(c *Conn) { c.ioBase = c.io })
 	t.mu.Lock()
 	clear(t.ring)
 	t.ringNext, t.totals = 0, Totals{}
@@ -269,8 +262,7 @@ func (t *Table) each(fn func(c *Conn)) {
 	}
 }
 
-// live is the table as the registry and the path-length collector
-// read it (telemetry.Live, pathlen.Live).
+// live is the table as the registry reads it (telemetry.Live).
 type live struct{ t *Table }
 
 func (l live) Lock()   { l.t.folds.Lock() }
@@ -282,11 +274,6 @@ func (l live) LiveCounts() (c telemetry.Counts) {
 		c.IOCounts.Add(conn.io.Sub(conn.ioBase))
 	})
 	return c
-}
-
-func (l live) LiveTally() (t pathlen.Tally) {
-	l.t.each(func(conn *Conn) { t.Merge(&conn.tally) })
-	return t
 }
 
 func (l live) Observatory() telemetry.ObservatoryStats {
@@ -372,6 +359,7 @@ func (c *Conn) Emit(e probe.Event) {
 		c.tab.o.SLO.HandshakeBegin()
 	case probe.KindStepEnter:
 		c.step, c.stepStart, c.lastActivity = e.Step, e.At, e.At
+		c.stepCrypto = telemetry.CryptoCell{}
 		if !c.sawStep {
 			c.sawStep = true
 			c.queueDelay = e.At.Sub(c.Opened)
@@ -379,15 +367,17 @@ func (c *Conn) Emit(e probe.Event) {
 	case probe.KindStepExit:
 		c.step, c.lastActivity = probe.StepNone, e.At
 		if c.timelineN < maxTimeline {
-			c.timeline[c.timelineN] = telemetry.StepTiming{Step: e.Step, Start: c.stepStart, Dur: e.Dur}
+			c.timeline[c.timelineN] = telemetry.StepTiming{
+				Step: e.Step, Start: c.stepStart, Dur: e.Dur, Crypto: c.stepCrypto,
+			}
 			c.timelineN++
 		}
-		c.tally.Emit(e)
 	case probe.KindCrypto:
 		c.call(trace.CatCrypto, e.Fn, e)
 	case probe.KindRecordCrypto:
-		c.tally.Emit(e)
+		c.io.Crypto.Count(e)
 		if e.Step != probe.StepNone {
+			c.stepCrypto.Count(e)
 			// Finished-message work inside a step: the same Table 2 rows
 			// (pri_encryption/pri_decryption/mac) the offline anatomy
 			// reports.
@@ -512,7 +502,6 @@ func (c *Conn) close(at time.Time) {
 	delete(sh.conns, c.ID)
 	sh.mu.Unlock()
 	t.o.Registry.FoldClose(io)
-	t.o.Pathlen.Fold(&c.tally)
 	t.folds.RUnlock()
 
 	evicted := c

@@ -1,3 +1,11 @@
+// Package pathlen is the offline half of the paper's Tables 11 and 12:
+// the abstract-instruction path-length model of each primitive (CPI
+// and instructions/byte of the code the paper traced, which
+// cryptospeed and sslanatomy -pathlen print) and a fold of a pprof CPU
+// profile by the spine's sample labels (sslanatomy -foldprofile). The
+// live measurement is the telemetry registry's /debug/pathlength,
+// which carries no model columns: the model describes the table and
+// scalar kernels, not the AESENC or SHA1RNDS4 code a CPU may run.
 package pathlen
 
 import (
@@ -21,7 +29,7 @@ type Model struct {
 	InstrPerByte float64 `json:"instr_per_byte"`
 	// CyclesPerByte is the model's prediction CPI × instr/byte, and
 	// MBps the throughput that implies at the model clock — the
-	// numbers the live measurement is compared against.
+	// numbers a measurement (cryptospeed) is compared against.
 	CyclesPerByte float64 `json:"cycles_per_byte"`
 	MBps          float64 `json:"mbps"`
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // This file folds a pprof CPU profile by its sample labels — the
-// offline cross-check of the live collector. The spine attributes
-// time by instrumented regions; a sampled profile attributes it by
-// where the PC actually was. When the bus threads sslstep/sslfn
+// offline cross-check of the live step attribution. The spine
+// attributes time by instrumented regions; a sampled profile
+// attributes it by where the PC actually was. When the bus threads sslstep/sslfn
 // labels through (probe.SetProfileLabels), grouping profile samples
 // by label must reproduce the spine's step shares; disagreement means
 // uninstrumented work.

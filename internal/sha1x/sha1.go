@@ -141,6 +141,15 @@ func (d *Digest) Chain(n int) *[5]uint32 {
 // extensions (SHA1RNDS4) rather than the scalar rounds.
 func HardwareRounds() bool { return hasSHANI }
 
+// Kernel names the kernel HardwareRounds picks, for the reports that
+// time it: "SHA1RNDS4" or "scalar".
+func Kernel() string {
+	if hasSHANI {
+		return "SHA1RNDS4"
+	}
+	return "scalar"
+}
+
 // Sum20 is a convenience one-shot SHA-1.
 func Sum20(data []byte) [Size]byte {
 	d := New()

@@ -6,7 +6,6 @@ import (
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
 	"sslperf/internal/suite"
 	"sslperf/internal/telemetry"
@@ -36,12 +35,12 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 	server.Close()
 
 	// Second connection resumes, with its record folding into a
-	// pathlen collector and a registry. Both are read while it lives.
-	col, reg := pathlen.NewCollector(), telemetry.NewRegistry()
+	// registry, which is read while it lives.
+	reg := telemetry.NewRegistry()
 	scfg2 := id.ServerConfig(NewPRNG(62))
 	scfg2.SessionCache = cache
 	scfg2.Suites = []suite.ID{suite.RSAWithRC4128MD5}
-	scfg2.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{Pathlen: col, Registry: reg})}
+	scfg2.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{Registry: reg})}
 	ccfg2 := clientCfg(func(c *Config) {
 		c.Suites = []suite.ID{suite.RSAWithRC4128MD5}
 		c.Session = sess
@@ -51,27 +50,29 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 		t.Fatal("second handshake did not resume")
 	}
 
-	snap := col.Snapshot()
+	steps := map[string]telemetry.AnatomyStep{}
+	for _, row := range reg.Anatomy().Steps {
+		steps[row.Name] = row
+	}
+	snap := reg.Pathlength()
 	// The server's finished message is the first encrypted record it
 	// writes: its MAC and cipher bytes belong to send_finished.
-	sf, ok := snap.Step(probe.StepSendFinished.Name())
-	if !ok || sf.CryptoBytes == 0 {
-		t.Errorf("send_finished crypto bytes = %+v ok=%v, want > 0", sf, ok)
+	if sf := steps[probe.StepSendFinished.Name()]; sf.CryptoBytes == 0 {
+		t.Errorf("send_finished crypto bytes = %+v, want > 0", sf)
 	}
 	// The client's finished message is the first encrypted record the
 	// server reads: decrypt + MAC-verify bytes belong to
 	// get_cipher_spec/get_finished.
-	gf, ok := snap.Step(probe.StepGetFinished.Name())
-	if !ok || gf.CryptoBytes == 0 {
-		t.Errorf("get_finished crypto bytes = %+v ok=%v, want > 0", gf, ok)
+	if gf := steps[probe.StepGetFinished.Name()]; gf.CryptoBytes == 0 {
+		t.Errorf("get_finished crypto bytes = %+v, want > 0", gf)
 	}
 	// A resumed handshake runs gen_key_block but never the RSA
 	// decrypt step; no bulk row exists yet.
-	if row, ok := snap.Step(probe.StepGetClientKX.Name()); ok && row.CryptoBytes > 0 {
+	if row := steps[probe.StepGetClientKX.Name()]; row.CryptoBytes > 0 {
 		t.Errorf("resumed path charged bytes to get_client_kx: %+v", row)
 	}
-	if _, ok := snap.Step(probe.LabelBulk); ok {
-		t.Errorf("bulk row present before any application data")
+	if snap.Bulk != nil {
+		t.Errorf("bulk row present before any application data: %+v", snap.Bulk)
 	}
 	// The primitives are the suite's: RC4 cipher bytes and MD5 MAC
 	// bytes, nothing on the other rows.
@@ -109,10 +110,9 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap = col.Snapshot()
-	bulk, ok := snap.Step(probe.LabelBulk)
-	if !ok || bulk.CryptoBytes == 0 {
-		t.Fatalf("bulk row = %+v ok=%v, want crypto bytes > 0", bulk, ok)
+	bulk := reg.Pathlength().Bulk
+	if bulk == nil || bulk.Bytes == 0 {
+		t.Fatalf("bulk row = %+v, want crypto bytes > 0", bulk)
 	}
 	stats, counts := server2.Stats(), reg.Counts()
 	if counts.BytesOut != uint64(stats.BytesWritten) {
@@ -131,9 +131,9 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 	// message plus the bulk records).
 	client2.Close()
 	server2.Close()
-	// Closing folded the tally: the open connection's running totals
-	// became the collector's own, counted once.
-	if after, ok := col.Snapshot().Step(probe.LabelBulk); !ok || after.CryptoBytes < bulk.CryptoBytes || after.CryptoBytes > bulk.CryptoBytes+64 {
+	// Closing folded the record: the open connection's running totals
+	// became the registry's own, counted once.
+	if after := reg.Pathlength().Bulk; after == nil || after.Bytes < bulk.Bytes || after.Bytes > bulk.Bytes+64 {
 		t.Errorf("bulk row after close = %+v, before %+v: want the same bytes plus at most a close_notify", after, bulk)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/pathlen"
 	"sslperf/internal/probe"
 	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
@@ -41,7 +40,6 @@ func allSinksConfigs(tb testing.TB) (ccfg, scfg *Config) {
 	return probedConfigs(tb, lifecycle.NewTable(lifecycle.Options{
 		Registry: telemetry.NewRegistry(),
 		Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
-		Pathlen:  pathlen.NewCollector(),
 		SLO:      slo.New(slo.Config{}),
 		Ring:     benchRing,
 	}))

@@ -105,6 +105,10 @@ type AnatomyStep struct {
 	P99Kcyc  float64 `json:"p99_kcycles"`
 	MaxKcyc  float64 `json:"max_kcycles"`
 	SharePct float64 `json:"share_pct"`
+	// CryptoBytes and CryptoCycPerByte are the record crypto inside the
+	// step (the encrypted finished messages).
+	CryptoBytes      uint64  `json:"crypto_bytes,omitempty"`
+	CryptoCycPerByte float64 `json:"crypto_cycles_per_byte,omitempty"`
 
 	P50 time.Duration `json:"p50_ns"`
 	P95 time.Duration `json:"p95_ns"`
@@ -150,6 +154,8 @@ func (r *Registry) Anatomy() Anatomy {
 	if r == nil {
 		return s
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	// Steps come out in Table 2 order; one no handshake ran is left out.
 	total := r.stepTotal()
 	for _, st := range probe.Steps() {
@@ -163,12 +169,11 @@ func (r *Registry) Anatomy() Anatomy {
 			MeanKcyc: kcycles(time.Duration(h.Sum) / time.Duration(h.Count)),
 			P50Kcyc:  kcycles(p50), P95Kcyc: kcycles(p95), P99Kcyc: kcycles(p99),
 			MaxKcyc: kcycles(time.Duration(h.Max)), SharePct: pct(h.Sum, total),
+			CryptoBytes: r.stepCrypto[st].Bytes, CryptoCycPerByte: r.stepCrypto[st].CyclesPerByte(),
 			P50: p50, P95: p95, P99: p99,
 		})
 	}
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s.Handshakes, s.Sampled = r.stepped, r.sampled
 	perHS := func(d time.Duration) float64 {
 		if r.sampled == 0 {
@@ -206,15 +211,20 @@ func (s Anatomy) Text() string {
 		s.Handshakes, s.Sampled, perf.ModelGHz())
 
 	steps := perf.NewTable("handshake steps (continuous Table 2, kcycles, every handshake)",
-		"step", "n", "mean", "p50", "p95", "p99", "max", "share")
+		"step", "n", "mean", "p50", "p95", "p99", "max", "share", "crypto B", "crypto cyc/B")
 	for _, st := range s.Steps {
+		cycB := "-"
+		if st.CryptoBytes > 0 {
+			cycB = fmt.Sprintf("%.1f", st.CryptoCycPerByte)
+		}
 		steps.AddRow(st.Name, fmt.Sprint(st.Count),
 			fmt.Sprintf("%.1f", st.MeanKcyc),
 			fmt.Sprintf("%.1f", st.P50Kcyc),
 			fmt.Sprintf("%.1f", st.P95Kcyc),
 			fmt.Sprintf("%.1f", st.P99Kcyc),
 			fmt.Sprintf("%.1f", st.MaxKcyc),
-			fmt.Sprintf("%.2f%%", st.SharePct))
+			fmt.Sprintf("%.2f%%", st.SharePct),
+			fmt.Sprint(st.CryptoBytes), cycB)
 	}
 	sb.WriteString(steps.String())
 

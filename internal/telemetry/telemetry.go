@@ -1,9 +1,9 @@
 // Package telemetry is the aggregate half of the live observability
 // layer: the counters, latency distributions and keyed tallies behind
-// /metrics, the live Tables 2/3 behind /debug/anatomy, the one
-// Histogram type every distribution in the observatory uses, and the
-// shapes a connection's record (package lifecycle) hands over when it
-// folds.
+// /metrics, the live Tables 2/3 behind /debug/anatomy and Table 11
+// behind /debug/pathlength, the one Histogram type every distribution
+// in the observatory uses, and the shapes a connection's record
+// (package lifecycle) hands over when it folds.
 //
 // Where internal/perf is the paper's offline measurement substrate,
 // telemetry is the always-on production instrument. Nothing here rides
@@ -22,12 +22,14 @@ import (
 )
 
 // StepTiming is one completed handshake step on a connection's
-// timeline: when it was entered and the active time it took (parked
-// intervals excluded, as the spine reports it).
+// timeline: when it was entered, the active time it took (parked
+// intervals excluded, as the spine reports it) and the record crypto
+// that ran inside it.
 type StepTiming struct {
-	Step  probe.Step
-	Start time.Time
-	Dur   time.Duration
+	Step   probe.Step
+	Start  time.Time
+	Dur    time.Duration
+	Crypto CryptoCell
 }
 
 // A Call is one timed item of a connection's detail: an attributed
@@ -61,14 +63,16 @@ type Handshake struct {
 }
 
 // IOCounts is the record-layer section of a snapshot, and what one
-// closing connection adds to it.
+// closing connection adds to it. Crypto is rendered by
+// /debug/pathlength, not with the byte counters.
 type IOCounts struct {
-	RecordsIn      uint64 `json:"records_in"`
-	RecordsOut     uint64 `json:"records_out"`
-	BytesIn        uint64 `json:"bytes_in"`
-	BytesOut       uint64 `json:"bytes_out"`
-	AlertsReceived uint64 `json:"alerts_received"`
-	AlertsSent     uint64 `json:"alerts_sent"`
+	RecordsIn      uint64       `json:"records_in"`
+	RecordsOut     uint64       `json:"records_out"`
+	BytesIn        uint64       `json:"bytes_in"`
+	BytesOut       uint64       `json:"bytes_out"`
+	AlertsReceived uint64       `json:"alerts_received"`
+	AlertsSent     uint64       `json:"alerts_sent"`
+	Crypto         CryptoCounts `json:"-"`
 }
 
 // Add accumulates o into c.
@@ -79,6 +83,7 @@ func (c *IOCounts) Add(o IOCounts) {
 	c.BytesOut += o.BytesOut
 	c.AlertsReceived += o.AlertsReceived
 	c.AlertsSent += o.AlertsSent
+	c.Crypto.add(&o.Crypto)
 }
 
 // Sub returns c minus o, field by field.
@@ -90,6 +95,7 @@ func (c IOCounts) Sub(o IOCounts) IOCounts {
 		BytesOut:       c.BytesOut - o.BytesOut,
 		AlertsReceived: c.AlertsReceived - o.AlertsReceived,
 		AlertsSent:     c.AlertsSent - o.AlertsSent,
+		Crypto:         c.Crypto.sub(&o.Crypto),
 	}
 }
 
@@ -152,11 +158,12 @@ type Registry struct {
 	bySuite     map[string]uint64
 	byVersion   map[string]uint64
 	failReasons map[string]uint64
-	// stepped counts the handshakes that folded a step timeline. The
-	// rest is Table 3's side, from sampled handshakes only (anatomy.go):
-	// their crypto calls by function, their count and their summed step
-	// time.
+	// stepped counts the handshakes that folded a step timeline, and
+	// stepCrypto their in-step record crypto by step. The rest is Table
+	// 3's side, from sampled handshakes only (anatomy.go): their crypto
+	// calls by function, their count and their summed step time.
 	stepped         uint64
+	stepCrypto      [numSteps]CryptoCell
 	fns             map[string]*cryptoStat
 	fnOrder         []string
 	sampled         uint64
@@ -200,6 +207,7 @@ func (r *Registry) Reset() {
 	r.byVersion = make(map[string]uint64)
 	r.failReasons = make(map[string]uint64)
 	r.stepped, r.sampled, r.sampledStepTime = 0, 0, 0
+	r.stepCrypto = [numSteps]CryptoCell{}
 	r.fns, r.fnOrder = make(map[string]*cryptoStat), nil
 	r.mu.Unlock()
 }
@@ -218,21 +226,22 @@ func VersionName(v uint16) string {
 // FoldHandshake counts one finished handshake — by outcome, and for a
 // success by cipher suite and version, with its latency in the full or
 // resumed histogram, matching the paper's split — and observes every
-// step it completed, failed handshakes included. A sampled handshake's
-// crypto calls fold too.
+// step it completed with the record crypto inside it, failed
+// handshakes included. A sampled handshake's crypto calls fold too.
 func (r *Registry) FoldHandshake(h *Handshake) {
 	if r == nil {
 		return
 	}
 	var stepTime time.Duration
+	lat := &r.fullLatency
+	r.mu.Lock()
 	for _, st := range h.Steps {
 		if int(st.Step) < numSteps {
 			r.steps[st.Step].Observe(int64(st.Dur))
+			r.stepCrypto[st.Step].add(st.Crypto)
 			stepTime += st.Dur
 		}
 	}
-	lat := &r.fullLatency
-	r.mu.Lock()
 	if len(h.Steps) > 0 {
 		r.stepped++
 		if h.Sampled {
@@ -262,8 +271,8 @@ func (r *Registry) FoldHandshake(h *Handshake) {
 	}
 }
 
-// FoldClose counts one closed connection and the records, bytes and
-// alerts it moved.
+// FoldClose counts one closed connection and the records, bytes,
+// alerts and record crypto it moved.
 func (r *Registry) FoldClose(io IOCounts) {
 	if r == nil {
 		return

@@ -15,7 +15,6 @@ import (
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/pathlen"
 	"sslperf/internal/perf"
 	"sslperf/internal/probe"
 	"sslperf/internal/slo"
@@ -212,7 +211,7 @@ func TestOneRecordAllSurfaces(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	table := lifecycle.NewTable(lifecycle.Options{
-		Registry: reg, Tracer: tracer, Pathlen: pathlen.NewCollector(),
+		Registry: reg, Tracer: tracer,
 		SLO: slo.New(slo.Config{}), CloseLog: lifecycle.NewCloseLog(&closeLog, 1), Ring: 4,
 	})
 	mux := http.NewServeMux()
