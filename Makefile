@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint gencheck cbclint depslint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint gencheck cbclint depslint spinelint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -53,6 +53,7 @@ check:
 	$(MAKE) gencheck
 	$(MAKE) cbclint
 	$(MAKE) depslint
+	$(MAKE) spinelint
 	$(MAKE) failclasslint
 	$(MAKE) doclint
 	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
@@ -211,6 +212,19 @@ depslint:
 		| grep -E '^sslperf/internal/(telemetry|trace|lifecycle|slo|history|debughttp|pathlen)$$'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "depslint: the protocol layers import the observatory:"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# Config.Observers is the one seam onto a connection's event stream:
+# ssl builds each connection's bus, once, from the sinks its observers
+# answer with (internal/ssl/probes.go). A probe.NewBus( call anywhere
+# else in non-test Go is a second way onto the bus — a side door that
+# watches a connection no observer was offered.
+spinelint:
+	@bad=$$(grep -rn --include='*.go' 'probe\.NewBus(' . \
+		| grep -v '_test\.go:' | grep -v '^\./internal/probe/' | grep -v '^\./internal/ssl/probes\.go:'; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "spinelint: a probe bus built outside internal/ssl/probes.go (Config.Observers is the one seam):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -121,16 +121,12 @@ func main() {
 			}
 			for _, size := range sizes {
 				mbps := speed(size, *dur, p.fn)
-				pt := bulkPoint{
+				pr.Points = append(pr.Points, bulkPoint{
 					Size:          size,
 					MBps:          mbps,
 					OpsSec:        mbps * 1e6 / float64(size),
 					CyclesPerByte: perf.ModelGHz() * 1e3 / mbps,
-				}
-				if pr.ModelCPI > 0 {
-					pt.InstrPerByte = pt.CyclesPerByte / pr.ModelCPI
-				}
-				pr.Points = append(pr.Points, pt)
+				})
 			}
 			report.Prims = append(report.Prims, pr)
 		}
@@ -240,9 +236,13 @@ type bulkPoint struct {
 	MBps          float64 `json:"mbps"`
 	OpsSec        float64 `json:"ops_per_sec"`
 	CyclesPerByte float64 `json:"cycles_per_byte"`
-	InstrPerByte  float64 `json:"instr_per_byte,omitempty"`
 }
 
+// bulkPrim is one primitive's sweep. ModelCPI and ModelInstrPerByte
+// are the offline abstract-instruction model's (package pathlen),
+// which describes the table and scalar kernels the paper traced, so no
+// point divides its measured cycles/byte by them: Kernel may name a
+// different kernel.
 type bulkPrim struct {
 	Name              string      `json:"name"`
 	Kernel            string      `json:"kernel,omitempty"`

@@ -38,34 +38,32 @@ func ExamplePipe() {
 	// Output: ping
 }
 
-// ExampleConn_SetAnatomy captures the Table 2 handshake anatomy of
-// one server-side handshake.
-func ExampleConn_SetAnatomy() {
-	id, err := sslperf.NewIdentity(sslperf.NewPRNG(4), 512, "anatomy", time.Now())
+// ExampleExperimentByID_table2 reproduces the paper's Table 2: the
+// server handshake split into its steps, each with the crypto calls it
+// made.
+func ExampleExperimentByID_table2() {
+	e, err := sslperf.ExperimentByID("table2")
 	if err != nil {
 		panic(err)
 	}
-	clientEnd, serverEnd := sslperf.Pipe()
-	client := sslperf.ClientConn(clientEnd, &sslperf.Config{
-		Rand: sslperf.NewPRNG(5), InsecureSkipVerify: true,
-	})
-	server := sslperf.ServerConn(serverEnd, &sslperf.Config{
-		Rand: sslperf.NewPRNG(6), Key: id.Key, CertDER: id.CertDER,
-	})
-	anatomy := sslperf.NewAnatomy()
-	server.SetAnatomy(anatomy)
-	go client.Handshake()
-	if err := server.Handshake(); err != nil {
+	rep, err := e.Run(&sslperf.ExperimentConfig{Quick: true, KeyBits: 512})
+	if err != nil {
 		panic(err)
 	}
 	// Step 5 (get_client_kx) holds the RSA private decryption, the
 	// paper's dominant handshake cost.
-	for _, step := range anatomy.Steps {
-		if step.Name == "get_client_kx" {
-			fmt.Println(step.Index, step.Name, len(step.Crypto) > 0)
+	var step string
+	var calls []string
+	for _, row := range rep.Tables[0].Rows() {
+		if row[1] != "" {
+			step = row[0] + " " + row[1]
+		}
+		if step == "5 get_client_kx" {
+			calls = append(calls, row[3])
 		}
 	}
-	// Output: 5 get_client_kx true
+	fmt.Println("5 get_client_kx", calls)
+	// Output: 5 get_client_kx [finish_mac rsa_private_decryption gen_master_secret]
 }
 
 // ExampleSuiteByName looks up the paper's cipher suite.

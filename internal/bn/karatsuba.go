@@ -53,9 +53,6 @@ func SetMulMode(m MulMode) MulMode {
 	return prev
 }
 
-// CurrentMulMode reports the active multiplication mode.
-func CurrentMulMode() MulMode { return mulMode }
-
 // mulSlices dispatches x*y on raw limb slices, returning a fresh
 // product slice of len(x)+len(y) limbs (unnormalized).
 func mulSlices(x, y []Word) []Word {

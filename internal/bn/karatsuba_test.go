@@ -102,7 +102,7 @@ func TestModExpSameUnderBothModes(t *testing.T) {
 
 func TestSetMulModeReturnsPrevious(t *testing.T) {
 	prev := SetMulMode(MulSchoolbook)
-	if CurrentMulMode() != MulSchoolbook {
+	if mulMode != MulSchoolbook {
 		t.Fatal("mode not set")
 	}
 	if SetMulMode(prev) != MulSchoolbook {

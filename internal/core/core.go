@@ -221,6 +221,7 @@ func suiteByName(name string) (*suite.Suite, error) { return suite.ByName(name) 
 
 // kcyc formats a duration as thousands of model cycles, the unit of
 // the paper's Table 2.
-func kcyc(d time.Duration) string {
-	return fmt.Sprintf("%.1f", perf.Cycles(d)/1000)
-}
+func kcyc(d time.Duration) string { return kc(perf.Cycles(d) / 1000) }
+
+// kc formats thousands of model cycles as Table 2 prints them.
+func kc(k float64) string { return fmt.Sprintf("%.1f", k) }

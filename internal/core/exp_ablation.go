@@ -66,7 +66,7 @@ func runAblationLatency(cfg *Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		full.Add(rf.Anatomy.Total())
+		full.Add(rf.Handshake)
 		rr, s2, err := srv.RunTransaction(1024, sess)
 		if err != nil {
 			return nil, err
@@ -74,7 +74,7 @@ func runAblationLatency(cfg *Config) (*Report, error) {
 		if !rr.Resumed {
 			return nil, fmt.Errorf("resumption failed at %d", i)
 		}
-		resumed.Add(rr.Anatomy.Total())
+		resumed.Add(rr.Handshake)
 		sess = s2
 	}
 	t := perf.NewTable(

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
-	"sslperf/internal/handshake"
 	"sslperf/internal/perf"
+	"sslperf/internal/probe"
+	"sslperf/internal/telemetry"
 )
 
 // paperTable2 holds the paper's per-step latencies (thousands of
@@ -24,59 +24,29 @@ var paperTable2 = map[string]float64{
 }
 
 // runHandshakes performs n instrumented full handshakes and returns
-// the per-step averages, merged crypto calls included.
-func runHandshakes(cfg *Config, n int) ([]handshake.Step, time.Duration, error) {
+// the server registry's Tables 2 and 3 over exactly those handshakes.
+func runHandshakes(cfg *Config, n int) (telemetry.Anatomy, error) {
 	srv, err := serverFor(cfg)
 	if err != nil {
-		return nil, 0, err
+		return telemetry.Anatomy{}, err
 	}
-	// Steps keyed by name, preserving first-seen order.
-	var order []string
-	agg := map[string]*handshake.Step{}
-	var total time.Duration
+	srv.Registry().Reset()
 	for i := 0; i < n; i++ {
-		res, _, err := srv.RunTransaction(64, nil)
-		if err != nil {
-			return nil, 0, err
+		if _, _, err := srv.RunTransaction(64, nil); err != nil {
+			return telemetry.Anatomy{}, err
 		}
-		for _, s := range res.Anatomy.Steps {
-			key := s.Name
-			dst, ok := agg[key]
-			if !ok {
-				cp := s
-				cp.Crypto = nil
-				agg[key] = &cp
-				dst = agg[key]
-				order = append(order, key)
-			} else {
-				dst.Elapsed += s.Elapsed
-			}
-			// Merge crypto calls by name.
-			for _, c := range s.Crypto {
-				found := false
-				for j := range dst.Crypto {
-					if dst.Crypto[j].Name == c.Name {
-						dst.Crypto[j].Elapsed += c.Elapsed
-						found = true
-					}
-				}
-				if !found {
-					dst.Crypto = append(dst.Crypto, c)
-				}
-			}
-		}
-		total += res.Anatomy.Total()
 	}
-	out := make([]handshake.Step, 0, len(order))
-	for _, key := range order {
-		s := *agg[key]
-		s.Elapsed /= time.Duration(n)
-		for j := range s.Crypto {
-			s.Crypto[j].Elapsed /= time.Duration(n)
-		}
-		out = append(out, s)
+	return srv.Registry().Anatomy(), nil
+}
+
+// stepKcyc sums the steps' mean time: one full handshake's total,
+// since each of its steps runs once.
+func stepKcyc(a telemetry.Anatomy) float64 {
+	var total float64
+	for _, s := range a.Steps {
+		total += s.MeanKcyc
 	}
-	return out, total / time.Duration(n), nil
+	return total
 }
 
 func init() {
@@ -85,7 +55,7 @@ func init() {
 		Title:    "Execution time breakdown in SSL handshake",
 		PaperRef: "10 server steps; get_client_kx (RSA) 18.9M cycles of 20.5M total",
 		Run: func(cfg *Config) (*Report, error) {
-			steps, total, err := runHandshakes(cfg, cfg.iters())
+			a, err := runHandshakes(cfg, cfg.iters())
 			if err != nil {
 				return nil, err
 			}
@@ -95,25 +65,25 @@ func init() {
 				"step", "functionality", "latency (Kcycles)",
 				"crypto functions called", "crypto latency (Kcycles)",
 				"paper (Kcycles)")
-			for _, s := range steps {
+			for _, s := range a.Steps {
 				paper := ""
 				if v, ok := paperTable2[s.Name]; ok {
 					paper = fmt.Sprintf("%.1f", v)
 				}
 				if len(s.Crypto) == 0 {
-					t.AddRow(fmt.Sprint(s.Index), s.Name, kcyc(s.Elapsed), "", "", paper)
+					t.AddRow(fmt.Sprint(s.Index), s.Name, kc(s.MeanKcyc), "", "", paper)
 					continue
 				}
 				for i, c := range s.Crypto {
 					if i == 0 {
-						t.AddRow(fmt.Sprint(s.Index), s.Name, kcyc(s.Elapsed),
-							c.Name, kcyc(c.Elapsed), paper)
+						t.AddRow(fmt.Sprint(s.Index), s.Name, kc(s.MeanKcyc),
+							c.Name, kc(c.MeanKcyc), paper)
 					} else {
-						t.AddRow("", "", "", c.Name, kcyc(c.Elapsed), "")
+						t.AddRow("", "", "", c.Name, kc(c.MeanKcyc), "")
 					}
 				}
 			}
-			t.AddRow("", "total", kcyc(total), "", "", "20540")
+			t.AddRow("", "total", kc(stepKcyc(a)), "", "", "20540")
 			rep := &Report{ID: "table2", Title: "SSL handshake anatomy", Tables: []*perf.Table{t}}
 			rep.Notes = append(rep.Notes,
 				"paper column: 2.26 GHz Pentium 4 + OpenSSL 0.9.7d; ours: this Go stack at the model frequency",
@@ -127,39 +97,26 @@ func init() {
 		Title:    "Crypto operations during SSL handshake",
 		PaperRef: "public 90.4%, private 0.1%, hash 2.8%, other 1.7%, crypto total 95.0%",
 		Run: func(cfg *Config) (*Report, error) {
-			srv, err := serverFor(cfg)
+			a, err := runHandshakes(cfg, cfg.iters())
 			if err != nil {
 				return nil, err
 			}
-			agg := perf.NewBreakdown()
-			var sslTotal, cryptoTotal time.Duration
-			n := cfg.iters()
-			for i := 0; i < n; i++ {
-				res, _, err := srv.RunTransaction(64, nil)
-				if err != nil {
-					return nil, err
-				}
-				agg.Merge(res.Anatomy.CryptoBreakdown())
-				sslTotal += res.Anatomy.Total()
-				cryptoTotal += res.Anatomy.CryptoTotal()
-			}
 			paper := map[string]string{
-				handshake.CategoryPublic:  "90.4",
-				handshake.CategoryPrivate: "0.1",
-				handshake.CategoryHash:    "2.8",
-				handshake.CategoryOther:   "1.7",
+				probe.CategoryPublic:  "90.4",
+				probe.CategoryPrivate: "0.1",
+				probe.CategoryHash:    "2.8",
+				probe.CategoryOther:   "1.7",
 			}
 			t := perf.NewTable("Table 3: crypto operations during SSL handshake",
 				"functionality", "latency (Kcycles)", "% of handshake", "paper %")
-			for _, name := range agg.Names() {
-				share := 100 * float64(agg.Elapsed(name)) / float64(sslTotal)
-				t.AddRow(name, kcyc(agg.Elapsed(name)/time.Duration(n)),
-					fmt.Sprintf("%.1f", share), paper[name])
+			var crypto float64
+			for _, c := range a.Categories {
+				crypto += c.Kcyc
+				t.AddRow(c.Name, kc(c.Kcyc), fmt.Sprintf("%.1f", c.SharePct), paper[c.Name])
 			}
-			t.AddRow("total crypto operations",
-				kcyc(cryptoTotal/time.Duration(n)),
-				fmt.Sprintf("%.1f", 100*float64(cryptoTotal)/float64(sslTotal)), "95.0")
-			t.AddRow("total SSL processing", kcyc(sslTotal/time.Duration(n)), "100", "100")
+			t.AddRow("total crypto operations", kc(crypto),
+				fmt.Sprintf("%.1f", a.CryptoSharePct), "95.0")
+			t.AddRow("total SSL processing", kc(stepKcyc(a)), "100", "100")
 			return &Report{ID: "table3", Title: "Crypto during handshake",
 				Tables: []*perf.Table{t}}, nil
 		},

@@ -69,7 +69,7 @@ func nonBlockPair(t *testing.T, id suite.ID, seed uint64, scache *SessionCache, 
 	cliCore, srvCore := record.NewCore(), record.NewCore()
 	srv, err := NewServerFSM(srvCore, &ServerConfig{
 		Key: key, CertDER: intCert.Raw, Rand: rnd(seed), Cache: scache,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestNonBlockingTerminalErrorQueuesAlert(t *testing.T) {
 	srvCore := record.NewCore()
 	srv, err := NewServerFSM(srvCore, &ServerConfig{
 		Key: key, CertDER: intCert.Raw, Rand: rnd(3),
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package handshake
 
 import (
 	"bytes"
-	"sslperf/internal/probe"
 	"testing"
-	"time"
 
 	"sslperf/internal/suite"
 )
@@ -186,84 +184,6 @@ func TestSessionCacheIgnoresNil(t *testing.T) {
 	c.Put(&Session{})
 	if c.Len() != 0 {
 		t.Fatal("cached a nil/empty session")
-	}
-}
-
-func TestAnatomyNilSafe(t *testing.T) {
-	// A typed-nil *Anatomy is a valid no-op sink: a bus holding one
-	// must deliver every event kind without panicking.
-	var a *Anatomy
-	bus := probe.NewBus(a)
-	bus.StepEnter(probe.StepInit)
-	bus.Crypto("f", func() {})
-	bus.StepExit()
-	if err := bus.CryptoErr("g", func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	bus.RecordCrypto(probe.OpMACCompute, "MD5", 1, bus.Stamp())
-	bus.RecordIO(true, false, 1)
-}
-
-func TestAnatomyStepAccounting(t *testing.T) {
-	a := NewAnatomy()
-	bus := probe.NewBus(a)
-	bus.StepEnter(probe.StepInit)
-	bus.Crypto("op_a", func() { time.Sleep(2 * time.Millisecond) })
-	bus.StepExit()
-	bus.StepEnter(probe.StepGetClientHello)
-	bus.Crypto("op_b", func() { time.Sleep(time.Millisecond) })
-	bus.StepExit()
-	if len(a.Steps) != 2 {
-		t.Fatalf("steps = %d", len(a.Steps))
-	}
-	if a.Steps[0].Name != probe.StepInit.Name() || a.Steps[1].Index != 1 {
-		t.Fatalf("step identity = %+v", a.Steps)
-	}
-	if a.Steps[0].Elapsed < 2*time.Millisecond {
-		t.Fatal("step time too small")
-	}
-	if a.Steps[0].CryptoTotal() == 0 || a.Steps[1].CryptoTotal() == 0 {
-		t.Fatal("crypto not attributed")
-	}
-	if a.Total() < 3*time.Millisecond {
-		t.Fatalf("total = %v", a.Total())
-	}
-	if a.CryptoTotal() > a.Total() {
-		t.Fatal("crypto exceeds total")
-	}
-}
-
-func TestAnatomyCategoryMapping(t *testing.T) {
-	cases := map[string]string{
-		FnRSAPrivateDecrypt: CategoryPublic,
-		FnPriDecryption:     CategoryPrivate,
-		FnPriEncryption:     CategoryPrivate,
-		FnFinishMac:         CategoryHash,
-		FnGenMasterSecret:   CategoryHash,
-		FnGenKeyBlock:       CategoryHash,
-		FnRandPseudoBytes:   CategoryOther,
-		FnX509:              CategoryOther,
-	}
-	for fn, want := range cases {
-		if got := CategoryOf(fn); got != want {
-			t.Errorf("CategoryOf(%s) = %s, want %s", fn, got, want)
-		}
-	}
-}
-
-func TestAnatomyBreakdownOrder(t *testing.T) {
-	a := NewAnatomy()
-	bus := probe.NewBus(a)
-	bus.StepEnter(probe.StepGetClientKX)
-	bus.Crypto(FnRSAPrivateDecrypt, func() { time.Sleep(time.Millisecond) })
-	bus.StepExit()
-	b := a.CryptoBreakdown()
-	names := b.Names()
-	want := []string{CategoryPublic, CategoryPrivate, CategoryHash, CategoryOther}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("breakdown order %v", names)
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/probe"
 	"sslperf/internal/record"
 	"sslperf/internal/rsa"
 	"sslperf/internal/suite"
@@ -140,7 +141,7 @@ func runPair(t *testing.T, scfg *ServerConfig, ccfg *ClientConfig) (*Result, *Re
 		r, err := runToEnd(NewClientFSM(clientLayer, ccfg))
 		cc <- out{r, err}
 	}()
-	sres, serr := runToEnd(NewServerFSM(serverLayer, scfg, nil))
+	sres, serr := runToEnd(NewServerFSM(serverLayer, scfg))
 	cres := <-cc
 	if serr != nil {
 		return nil, nil, serr
@@ -176,13 +177,13 @@ func TestServerConfigValidation(t *testing.T) {
 		io.Reader
 		io.Writer
 	}{})
-	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{CertDER: cert.Raw, Rand: rnd(1)}, nil)); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{CertDER: cert.Raw, Rand: rnd(1)})); err == nil {
 		t.Fatal("server without key accepted")
 	}
-	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{Key: key, Rand: rnd(1)}, nil)); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{Key: key, Rand: rnd(1)})); err == nil {
 		t.Fatal("server without cert accepted")
 	}
-	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{Key: key, CertDER: cert.Raw}, nil)); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{Key: key, CertDER: cert.Raw})); err == nil {
 		t.Fatal("server without randomness accepted")
 	}
 	if _, err := runToEnd(NewClientFSM(layer, &ClientConfig{})); err == nil {
@@ -256,23 +257,32 @@ func TestAnatomyResumedShape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resumed handshake with anatomy: must not contain get_client_kx.
+	// Resumed handshake with a step sink on its bus: must not contain
+	// get_client_kx.
 	ct, st := testPipe()
-	a := NewAnatomy()
+	var steps []probe.Step
+	bus := probe.NewBus(probe.SinkFunc(func(e probe.Event) {
+		if e.Kind == probe.KindStepEnter {
+			steps = append(steps, e.Step)
+		}
+	}))
 	go runToEnd(NewClientFSM(record.NewLayer(ct), &ClientConfig{
 		Rand: rnd(11), InsecureSkipVerify: true, Session: cres.Session,
 	}))
 	sres, err := runToEnd(NewServerFSM(record.NewLayer(st),
-		&ServerConfig{Key: key, CertDER: cert.Raw, Rand: rnd(12), Cache: cache}, a))
+		&ServerConfig{Key: key, CertDER: cert.Raw, Rand: rnd(12), Cache: cache, Probe: bus}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sres.Resumed {
 		t.Fatal("not resumed")
 	}
-	for _, s := range a.Steps {
-		if s.Name == "get_client_kx" || s.Name == "send_server_cert" {
-			t.Fatalf("resumed handshake ran step %q", s.Name)
+	if len(steps) == 0 {
+		t.Fatal("resumed handshake emitted no steps")
+	}
+	for _, s := range steps {
+		if s.Name() == "get_client_kx" || s.Name() == "send_server_cert" {
+			t.Fatalf("resumed handshake ran step %q", s.Name())
 		}
 	}
 }

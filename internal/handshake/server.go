@@ -41,7 +41,7 @@ type ServerConfig struct {
 	// Probe, when non-nil, is the instrumentation bus the handshake
 	// emits step/crypto events on. The ssl package passes the
 	// connection's bus (already carrying its sinks); direct callers
-	// can pass their own or rely on the a parameter of Server.
+	// can pass their own.
 	Probe *probe.Bus
 }
 
@@ -159,30 +159,24 @@ type ServerFSM struct {
 }
 
 // NewServerFSM validates the configuration and wires the probe spine,
-// returning a machine parked before step 0. When a is non-nil it
-// records the Table 2 step/crypto anatomy (it joins cfg.Probe's
-// sinks, if any). The record conn's probe bus is pointed at the same
-// bus when not already set, so the record-layer work of the encrypted
-// finished messages lands on the same spine; it stays attached after
-// the handshake (bulk-phase events carry StepNone and the anatomy
-// ignores them).
-func NewServerFSM(conn RecordConn, cfg *ServerConfig, a *Anatomy) (*ServerFSM, error) {
+// returning a machine parked before step 0. The record conn's probe
+// bus is pointed at cfg.Probe when not already set, so the
+// record-layer work of the encrypted finished messages lands on the
+// same spine; it stays attached after the handshake (bulk-phase
+// events carry StepNone).
+func NewServerFSM(conn RecordConn, cfg *ServerConfig) (*ServerFSM, error) {
 	if (cfg.Key == nil && cfg.Decrypter == nil) || len(cfg.CertDER) == 0 {
 		return nil, errors.New("handshake: server needs a key and certificate")
 	}
 	if cfg.Rand == nil {
 		return nil, errors.New("handshake: server needs a randomness source")
 	}
-	bus := cfg.Probe
-	if a != nil {
-		bus = bus.With(a)
-	}
-	if conn.ProbeBus() == nil || conn.ProbeBus() == cfg.Probe {
-		conn.SetProbe(bus)
+	if conn.ProbeBus() == nil {
+		conn.SetProbe(cfg.Probe)
 	}
 	// A server reads nothing larger than a ClientHello or a
 	// ClientKeyExchange; one record's worth is already generous.
-	s := &serverState{conn: conn, cfg: cfg, bus: bus, msgs: newMsgReader(conn, record.MaxFragment)}
+	s := &serverState{conn: conn, cfg: cfg, bus: cfg.Probe, msgs: newMsgReader(conn, record.MaxFragment)}
 	return &ServerFSM{s: s}, nil
 }
 
@@ -303,7 +297,7 @@ func (s *serverState) runPhase() error {
 	case srvInit:
 		// Step 0: init — internal data structures and the transcript
 		// hashes (init_finished_mac).
-		s.bus.Crypto(FnInitFinishedMac, func() { s.fin = sslcrypto.NewFinishedHash() })
+		s.bus.Crypto(probe.FnInitFinishedMac, func() { s.fin = sslcrypto.NewFinishedHash() })
 		s.phase = srvClientHello
 
 	case srvClientHello:
@@ -349,7 +343,7 @@ func (s *serverState) runPhase() error {
 	case srvServerDone:
 		// Step 4: send_server_done + buffer control.
 		done := serverHelloDone()
-		s.bus.Crypto(FnFinishMac, func() { s.fin.Write(done) })
+		s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(done) })
 		if err := s.conn.WriteRecord(record.TypeHandshake, done); err != nil {
 			return err
 		}
@@ -370,11 +364,11 @@ func (s *serverState) runPhase() error {
 		if err := s.msgs.readCCS(); err != nil {
 			return err
 		}
-		if err := s.bus.CryptoErr(FnGenKeyBlock, s.buildCipherStates); err != nil {
+		if err := s.bus.CryptoErr(probe.FnGenKeyBlock, s.buildCipherStates); err != nil {
 			return err
 		}
 		s.conn.SetReadState(s.inCipher, s.inMAC)
-		s.bus.Crypto(FnFinalFinishMac, func() {
+		s.bus.Crypto(probe.FnFinalFinishMac, func() {
 			s.expected = verifyDataFor(s.version, s.fin, true, s.master)
 		})
 		s.phase = srvClientFinished
@@ -403,7 +397,7 @@ func (s *serverState) runPhase() error {
 		s.phase = srvFlush
 
 	case srvResumedKeyBlock:
-		if err := s.bus.CryptoErr(FnGenKeyBlock, s.buildCipherStates); err != nil {
+		if err := s.bus.CryptoErr(probe.FnGenKeyBlock, s.buildCipherStates); err != nil {
 			return err
 		}
 		s.phase = srvResumedCCS
@@ -425,7 +419,7 @@ func (s *serverState) runPhase() error {
 			return err
 		}
 		s.conn.SetReadState(s.inCipher, s.inMAC)
-		s.bus.Crypto(FnFinalFinishMac, func() {
+		s.bus.Crypto(probe.FnFinalFinishMac, func() {
 			s.expected = verifyDataFor(s.version, s.fin, true, s.master)
 		})
 		s.phase = srvResumedClientFin
@@ -485,7 +479,7 @@ func (s *serverState) getClientHello() error {
 	}
 	s.conn.SetProtocolVersion(s.version)
 	// Absorb into the transcript (finish_mac).
-	s.bus.Crypto(FnFinishMac, func() { s.fin.Write(raw) })
+	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 
 	// Resumption probe.
 	if s.cfg.Cache != nil && len(s.clientHello.sessionID) > 0 {
@@ -523,7 +517,7 @@ func (s *serverState) getClientHello() error {
 
 	// Generate a fresh session id (rand_pseudo_bytes).
 	s.sessionID = make([]byte, SessionIDLen)
-	return s.bus.CryptoErr(FnRandPseudoBytes, func() error {
+	return s.bus.CryptoErr(probe.FnRandPseudoBytes, func() error {
 		_, err := io.ReadFull(s.cfg.Rand, s.sessionID) // lint:allow-read — randomness source, not the transport
 		return err
 	})
@@ -540,7 +534,7 @@ func (s *serverState) offered(id suite.ID) bool {
 }
 
 func (s *serverState) sendServerHello() error {
-	if err := s.bus.CryptoErr(FnRandPseudoBytes, func() error {
+	if err := s.bus.CryptoErr(probe.FnRandPseudoBytes, func() error {
 		return fillRandom(s.cfg.Rand, s.serverRandom[:], s.cfg.now())
 	}); err != nil {
 		return err
@@ -552,7 +546,7 @@ func (s *serverState) sendServerHello() error {
 	}
 	hello.random = s.serverRandom
 	raw := hello.marshal()
-	s.bus.Crypto(FnFinishMac, func() { s.fin.Write(raw) })
+	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 	return s.conn.WriteRecord(record.TypeHandshake, raw)
 }
 
@@ -560,12 +554,12 @@ func (s *serverState) sendCertificate() error {
 	var raw []byte
 	// Building the certificate message is the "X509 functions" cost
 	// of Table 2 step 3.
-	s.bus.Crypto(FnX509, func() {
+	s.bus.Crypto(probe.FnX509, func() {
 		certs := append([][]byte{s.cfg.CertDER}, s.cfg.Chain...)
 		msg := certificateMsg{certificates: certs}
 		raw = msg.marshal()
 	})
-	s.bus.Crypto(FnFinishMac, func() { s.fin.Write(raw) })
+	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 	return s.conn.WriteRecord(record.TypeHandshake, raw)
 }
 
@@ -576,7 +570,7 @@ func (s *serverState) sendServerKeyExchange() error {
 		return errors.New("handshake: DHE suites need the full RSA key for signing")
 	}
 	params := s.cfg.dhParams()
-	if err := s.bus.CryptoErr(FnDHGenerateKey, func() error {
+	if err := s.bus.CryptoErr(probe.FnDHGenerateKey, func() error {
 		var err error
 		s.dhKey, err = dh.GenerateKey(s.cfg.Rand, params)
 		return err
@@ -589,7 +583,7 @@ func (s *serverState) sendServerKeyExchange() error {
 		y: s.dhKey.Y.Bytes(),
 	}
 	digest := skeDigest(s.clientHello.random[:], s.serverRandom[:], ske.paramBytes())
-	if err := s.bus.CryptoErr(FnRSASign, func() error {
+	if err := s.bus.CryptoErr(probe.FnRSASign, func() error {
 		var err error
 		ske.sig, err = s.cfg.Key.SignPKCS1(rsa.HashMD5SHA1, digest)
 		return err
@@ -597,7 +591,7 @@ func (s *serverState) sendServerKeyExchange() error {
 		return err
 	}
 	raw := ske.marshal()
-	s.bus.Crypto(FnFinishMac, func() { s.fin.Write(raw) })
+	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 	return s.conn.WriteRecord(record.TypeHandshake, raw)
 }
 
@@ -609,7 +603,7 @@ func (s *serverState) getClientKeyExchange() error {
 	if msgType != typeClientKeyExchange {
 		return fmt.Errorf("handshake: expected ClientKeyExchange, got type %d", msgType)
 	}
-	s.bus.Crypto(FnFinishMac, func() { s.fin.Write(raw) })
+	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 
 	var preMaster []byte
 	if s.suite.Kx == suite.KxDHERSA {
@@ -617,7 +611,7 @@ func (s *serverState) getClientKeyExchange() error {
 		if err := ckx.unmarshal(raw[4:]); err != nil {
 			return err
 		}
-		if err := s.bus.CryptoErr(FnDHComputeKey, func() error {
+		if err := s.bus.CryptoErr(probe.FnDHComputeKey, func() error {
 			peerY := newIntFromBytes(ckx.y)
 			var err error
 			preMaster, err = s.dhKey.SharedSecret(peerY)
@@ -655,7 +649,7 @@ func (s *serverState) getClientKeyExchange() error {
 		if _, err := io.ReadFull(s.cfg.Rand, substitute[:]); err != nil { // lint:allow-read — randomness source, not the transport
 			return err
 		}
-		if err := s.bus.CryptoErr(FnRSAPrivateDecrypt, func() error {
+		if err := s.bus.CryptoErr(probe.FnRSAPrivateDecrypt, func() error {
 			var err error
 			preMaster, err = dec.DecryptPKCS1(s.cfg.Rand, ckx.encryptedPreMaster)
 			return err
@@ -664,7 +658,7 @@ func (s *serverState) getClientKeyExchange() error {
 		}
 		preMaster = rsaPreMaster(preMaster, s.clientHello.version, substitute[:])
 	}
-	s.bus.Crypto(FnGenMasterSecret, func() {
+	s.bus.Crypto(probe.FnGenMasterSecret, func() {
 		s.master = deriveMaster(s.version, preMaster,
 			s.clientHello.random[:], s.serverRandom[:])
 	})
@@ -715,7 +709,7 @@ func (s *serverState) verifyClientFinished() error {
 	}
 	// The client's finished message joins the transcript for the
 	// server's own finished hash.
-	s.bus.Crypto(FnFinishMac, func() { s.fin.Write(raw) })
+	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 	return nil
 }
 
@@ -729,12 +723,12 @@ func (s *serverState) sendCCS() error {
 
 func (s *serverState) sendFinished() error {
 	var verify []byte
-	s.bus.Crypto(FnFinalFinishMac, func() {
+	s.bus.Crypto(probe.FnFinalFinishMac, func() {
 		verify = verifyDataFor(s.version, s.fin, false, s.master)
 	})
 	msg := finishedMsg{verify: verify}
 	raw := msg.marshal()
-	s.bus.Crypto(FnFinishMac, func() { s.fin.Write(raw) })
+	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 	return s.conn.WriteRecord(record.TypeHandshake, raw)
 }
 

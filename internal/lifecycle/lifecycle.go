@@ -378,9 +378,8 @@ func (c *Conn) Emit(e probe.Event) {
 		c.io.Crypto.Count(e)
 		if e.Step != probe.StepNone {
 			c.stepCrypto.Count(e)
-			// Finished-message work inside a step: the same Table 2 rows
-			// (pri_encryption/pri_decryption/mac) the offline anatomy
-			// reports.
+			// Finished-message work inside a step: Table 2's
+			// pri_encryption/pri_decryption/mac rows.
 			c.call(trace.CatCrypto, e.Op.StepFn(), e)
 		} else {
 			c.call(trace.CatRecord, e.Op.String(), e)

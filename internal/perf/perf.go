@@ -90,9 +90,6 @@ func (t *Timer) Elapsed() time.Duration {
 	return t.elapsed
 }
 
-// Cycles reports the accumulated time in model cycles.
-func (t *Timer) Cycles() float64 { return Cycles(t.Elapsed()) }
-
 // A Sample is one attributed measurement: a named region and the time
 // spent in it.
 type Sample struct {
@@ -107,15 +104,11 @@ type Sample struct {
 type Breakdown struct {
 	order   []string
 	elapsed map[string]time.Duration
-	count   map[string]int
 }
 
 // NewBreakdown returns an empty breakdown.
 func NewBreakdown() *Breakdown {
-	return &Breakdown{
-		elapsed: make(map[string]time.Duration),
-		count:   make(map[string]int),
-	}
+	return &Breakdown{elapsed: make(map[string]time.Duration)}
 }
 
 // Add attributes d to region name.
@@ -124,24 +117,10 @@ func (b *Breakdown) Add(name string, d time.Duration) {
 		b.order = append(b.order, name)
 	}
 	b.elapsed[name] += d
-	b.count[name]++
-}
-
-// Time executes fn, attributing its duration to region name, and
-// returns that duration.
-func (b *Breakdown) Time(name string, fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	b.Add(name, d)
-	return d
 }
 
 // Elapsed returns the accumulated time for region name.
 func (b *Breakdown) Elapsed(name string) time.Duration { return b.elapsed[name] }
-
-// Count returns how many times region name was attributed.
-func (b *Breakdown) Count(name string) int { return b.count[name] }
 
 // Names returns the region names in first-seen order.
 func (b *Breakdown) Names() []string {
@@ -177,15 +156,6 @@ func (b *Breakdown) Scale(n int) {
 	}
 	for k, d := range b.elapsed {
 		b.elapsed[k] = d / time.Duration(n)
-	}
-}
-
-// Merge adds all of other's regions into b.
-func (b *Breakdown) Merge(other *Breakdown) {
-	for _, name := range other.order {
-		b.Add(name, other.elapsed[name])
-		// Add counted once; fix up to reflect other's count.
-		b.count[name] += other.count[name] - 1
 	}
 }
 

@@ -120,9 +120,6 @@ func TestBreakdownBasics(t *testing.T) {
 	if got := b.Elapsed("a"); got != 20*time.Millisecond {
 		t.Fatalf("Elapsed(a) = %v, want 20ms", got)
 	}
-	if got := b.Count("a"); got != 2 {
-		t.Fatalf("Count(a) = %d, want 2", got)
-	}
 	if got := b.Total(); got != 50*time.Millisecond {
 		t.Fatalf("Total = %v, want 50ms", got)
 	}
@@ -142,17 +139,6 @@ func TestBreakdownEmptyPercent(t *testing.T) {
 	}
 }
 
-func TestBreakdownTime(t *testing.T) {
-	b := NewBreakdown()
-	d := b.Time("work", func() { time.Sleep(time.Millisecond) })
-	if d < time.Millisecond {
-		t.Fatalf("Time returned %v, want >= 1ms", d)
-	}
-	if b.Elapsed("work") != d {
-		t.Fatalf("attributed %v, returned %v", b.Elapsed("work"), d)
-	}
-}
-
 func TestBreakdownScale(t *testing.T) {
 	b := NewBreakdown()
 	b.Add("a", 100*time.Millisecond)
@@ -169,25 +155,6 @@ func TestBreakdownScalePanics(t *testing.T) {
 		}
 	}()
 	NewBreakdown().Scale(0)
-}
-
-func TestBreakdownMerge(t *testing.T) {
-	a := NewBreakdown()
-	a.Add("x", time.Second)
-	b := NewBreakdown()
-	b.Add("x", time.Second)
-	b.Add("y", 2*time.Second)
-	b.Add("y", time.Second)
-	a.Merge(b)
-	if got := a.Elapsed("x"); got != 2*time.Second {
-		t.Fatalf("merged x = %v, want 2s", got)
-	}
-	if got := a.Elapsed("y"); got != 3*time.Second {
-		t.Fatalf("merged y = %v, want 3s", got)
-	}
-	if got := a.Count("y"); got != 2 {
-		t.Fatalf("merged count(y) = %d, want 2", got)
-	}
 }
 
 func TestBreakdownSortedByElapsed(t *testing.T) {
@@ -338,51 +305,5 @@ func TestTraceString(t *testing.T) {
 	out := tr.String()
 	if !strings.Contains(out, "rotate") || !strings.Contains(out, "path length") {
 		t.Fatalf("Trace.String missing content:\n%s", out)
-	}
-}
-
-// TestBreakdownMergeCountSemantics pins down the count bookkeeping:
-// Merge adds other's counts, not one-per-region, and regions new to
-// the receiver keep their full count and first-seen order.
-func TestBreakdownMergeCountSemantics(t *testing.T) {
-	a := NewBreakdown()
-	a.Add("x", time.Second)
-	a.Add("x", time.Second)
-
-	b := NewBreakdown()
-	for i := 0; i < 5; i++ {
-		b.Add("x", time.Second)
-	}
-	for i := 0; i < 3; i++ {
-		b.Add("new", time.Second)
-	}
-	a.Merge(b)
-
-	if got := a.Count("x"); got != 7 {
-		t.Fatalf("count(x) = %d, want 2+5=7", got)
-	}
-	if got := a.Count("new"); got != 3 {
-		t.Fatalf("count(new) = %d, want 3", got)
-	}
-	if got := a.Elapsed("new"); got != 3*time.Second {
-		t.Fatalf("elapsed(new) = %v, want 3s", got)
-	}
-	if names := a.Names(); len(names) != 2 || names[0] != "x" || names[1] != "new" {
-		t.Fatalf("names = %v", names)
-	}
-
-	// Merging an empty breakdown changes nothing.
-	before := a.Total()
-	a.Merge(NewBreakdown())
-	if a.Total() != before || a.Count("x") != 7 {
-		t.Fatal("merge of empty breakdown mutated receiver")
-	}
-
-	// Merge is count-accurate even when the source region count is 1.
-	c := NewBreakdown()
-	c.Add("solo", time.Second)
-	a.Merge(c)
-	if got := a.Count("solo"); got != 1 {
-		t.Fatalf("count(solo) = %d, want 1", got)
 	}
 }

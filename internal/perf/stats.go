@@ -78,15 +78,6 @@ func (s *Series) Percentile(p float64) time.Duration {
 	return s.samples[rank-1]
 }
 
-// Min returns the smallest sample (0 when empty).
-func (s *Series) Min() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.samples[0]
-}
-
 // Max returns the largest sample (0 when empty).
 func (s *Series) Max() time.Duration {
 	if len(s.samples) == 0 {

@@ -26,15 +26,15 @@ func TestSeriesBasics(t *testing.T) {
 	if got := s.Percentile(100); got != 100*time.Millisecond {
 		t.Fatalf("p100 = %v", got)
 	}
-	if s.Min() != time.Millisecond || s.Max() != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
+	if s.Percentile(0) != time.Millisecond || s.Max() != 100*time.Millisecond {
+		t.Fatalf("min/max = %v/%v", s.Percentile(0), s.Max())
 	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
 	if s.Mean() != 0 || s.StdDev() != 0 || s.Percentile(50) != 0 ||
-		s.Min() != 0 || s.Max() != 0 {
+		s.Percentile(0) != 0 || s.Max() != 0 {
 		t.Fatal("empty series should report zeros")
 	}
 }
@@ -62,7 +62,7 @@ func TestSeriesAddAfterPercentile(t *testing.T) {
 	s.Add(2 * time.Millisecond)
 	_ = s.Percentile(50)
 	s.Add(1 * time.Millisecond) // must re-sort
-	if got := s.Min(); got != time.Millisecond {
+	if got := s.Percentile(0); got != time.Millisecond {
 		t.Fatalf("min after add = %v", got)
 	}
 }
@@ -98,8 +98,8 @@ func TestSeriesSingleSample(t *testing.T) {
 	if s.Mean() != 7*time.Millisecond || s.StdDev() != 0 {
 		t.Fatalf("mean/stddev = %v/%v", s.Mean(), s.StdDev())
 	}
-	if s.Min() != s.Max() || s.Min() != 7*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
+	if s.Percentile(0) != s.Max() || s.Percentile(0) != 7*time.Millisecond {
+		t.Fatalf("min/max = %v/%v", s.Percentile(0), s.Max())
 	}
 }
 
@@ -116,8 +116,8 @@ func TestSeriesUnsortedInput(t *testing.T) {
 	if got := s.Percentile(10); got != 10*time.Millisecond {
 		t.Fatalf("p10 = %v, want 10ms", got)
 	}
-	if s.Min() != 10*time.Millisecond || s.Max() != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
+	if s.Percentile(0) != 10*time.Millisecond || s.Max() != 100*time.Millisecond {
+		t.Fatalf("min/max = %v/%v", s.Percentile(0), s.Max())
 	}
 	// Interleave: a later out-of-order Add must invalidate the sort.
 	s.Add(5 * time.Millisecond)

@@ -95,32 +95,6 @@ func NewBus(sinks ...Sink) *Bus {
 	return &Bus{sinks: list}
 }
 
-// Over returns a bus over sinks that continues b's connection — the
-// same ID and handshake clock, a fresh step cursor — or nil when no
-// sinks remain. Swap sinks between steps, not inside one.
-func (b *Bus) Over(sinks ...Sink) *Bus {
-	nb := NewBus(sinks...)
-	if nb != nil && b != nil {
-		nb.conn, nb.hsStart = b.conn, b.hsStart
-	}
-	return nb
-}
-
-// With returns a bus carrying b's sinks plus the given ones (see
-// Over); compose sinks before the handshake starts.
-func (b *Bus) With(sinks ...Sink) *Bus {
-	if b == nil {
-		return NewBus(sinks...)
-	}
-	if len(sinks) == 0 {
-		return b
-	}
-	all := make([]Sink, 0, len(b.sinks)+len(sinks))
-	all = append(all, b.sinks...)
-	all = append(all, sinks...)
-	return b.Over(all...)
-}
-
 // Active reports whether events will reach any sink.
 func (b *Bus) Active() bool { return b != nil }
 

@@ -5,14 +5,15 @@
 // measures them. This package makes that a structural property. The
 // hot path (connection, handshake FSM, record layer) emits
 // typed events onto a Bus — one timestamp and one connection ID per
-// event, one nil test on the fast path — and every consumer (the
-// perf/anatomy fold, the telemetry registry, the span tracer, the live
-// connection table, user sinks) is a Sink fanned out from that one
-// stream, handed to the connection by an Observer; nothing reaches a
-// consumer any other way. The surfaces cannot disagree because they
-// no longer measure independently.
+// event, one nil test on the fast path — and every consumer (the live
+// connection table and, through it, the metrics registry's Tables 2
+// and 3 that both /debug/anatomy and the offline experiments render,
+// user sinks) is a Sink fanned out from that one stream, handed to the
+// connection by an Observer on its Config; nothing reaches a consumer
+// any other way. The surfaces cannot disagree because they no longer
+// measure independently.
 //
-// The canonical Table 2 step enum lives here too: the offline anatomy,
+// The canonical Table 2 step enum lives here too: the experiments,
 // /debug/anatomy, and the Chrome trace export all render step
 // names through Step.Name, so a renamed step is a compile-time event,
 // not a silent attribution drift.
@@ -137,9 +138,8 @@ const (
 )
 
 // CategoryOf maps a crypto function name (the Fn* constants) onto its
-// Table 3 category. Every consumer — the offline anatomy fold and the
-// telemetry registry's live one — shares this mapping so offline and
-// continuous attributions agree.
+// Table 3 category. Every consumer shares this mapping: the metrics
+// registry's Table 3 rows and the experiments' crypto split.
 func CategoryOf(fn string) string {
 	switch fn {
 	case FnRSAPrivateDecrypt, FnRSASign, FnDHGenerateKey, FnDHComputeKey:

@@ -47,7 +47,7 @@ type Core struct {
 	// cipherPrim/macPrim name the primitives behind the armed cipher
 	// states ("RC4", "MD5", …); SetPrimitives installs them when the
 	// handshake arms encryption. They live on the core, not the bus,
-	// so observer swaps (ssl.Conn.refreshBus) cannot lose them.
+	// which only carries the events.
 	cipherPrim string
 	macPrim    string
 
@@ -155,7 +155,7 @@ func (c *Core) SetReadState(ci suite.RecordCipher, m *sslcrypto.MAC) {
 
 // timeCrypto runs fn, reporting it on the probe bus when one is
 // attached.
-func (c *Core) timeCrypto(op CryptoOp, prim string, n int, fn func()) {
+func (c *Core) timeCrypto(op probe.RecordOp, prim string, n int, fn func()) {
 	if c.Probe == nil {
 		fn()
 		return
@@ -334,7 +334,7 @@ func (c *Core) seal(typ ContentType, payload []byte) {
 		if c.out.mac != nil {
 			start := c.Probe.Stamp()
 			body = c.out.mac.AppendCompute(body, c.out.seq, byte(typ), payload)
-			c.Probe.RecordCrypto(OpMACCompute, c.macPrim, len(payload), start)
+			c.Probe.RecordCrypto(probe.OpMACCompute, c.macPrim, len(payload), start)
 		}
 	}
 	if c.out.active() {
@@ -356,7 +356,7 @@ func (c *Core) seal(typ ContentType, payload []byte) {
 			start = c.Probe.Stamp()
 		}
 		c.out.cipher.Encrypt(body[done:])
-		c.Probe.RecordCrypto(OpCipherEncrypt, prim, len(body), start)
+		c.Probe.RecordCrypto(probe.OpCipherEncrypt, prim, len(body), start)
 	}
 	rec[0] = byte(typ)
 	binary.BigEndian.PutUint16(rec[1:], c.writeVersion())
@@ -405,7 +405,7 @@ func (c *Core) open(typ ContentType, body []byte) ([]byte, error) {
 	if bs > 1 && len(body)%bs != 0 {
 		return nil, errors.New("record: ciphertext not a block multiple")
 	}
-	c.timeCrypto(OpCipherDecrypt, c.cipherPrim, len(body), func() {
+	c.timeCrypto(probe.OpCipherDecrypt, c.cipherPrim, len(body), func() {
 		c.in.cipher.Decrypt(body)
 	})
 	if bs > 1 {
@@ -451,7 +451,7 @@ func (c *Core) checkMAC(typ ContentType, body []byte) ([]byte, error) {
 	}
 	payload, mac := body[:len(body)-macLen], body[len(body)-macLen:]
 	var ok bool
-	c.timeCrypto(OpMACVerify, c.macPrim, len(payload), func() {
+	c.timeCrypto(probe.OpMACVerify, c.macPrim, len(payload), func() {
 		ok = c.in.mac.Verify(c.in.seq, byte(typ), payload, mac)
 	})
 	if !ok {

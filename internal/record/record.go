@@ -14,7 +14,6 @@ import (
 	"io"
 
 	"sslperf/internal/aes"
-	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
 	"sslperf/internal/suite"
 )
@@ -169,19 +168,6 @@ type Stats struct {
 	// costs one.
 	ReadCalls int
 }
-
-// CryptoOp identifies a record-layer crypto operation for observers.
-// It is the probe spine's RecordOp; the alias keeps the historical
-// record-layer API intact.
-type CryptoOp = probe.RecordOp
-
-// Observable record-layer crypto operations.
-const (
-	OpCipherEncrypt = probe.OpCipherEncrypt
-	OpCipherDecrypt = probe.OpCipherDecrypt
-	OpMACCompute    = probe.OpMACCompute
-	OpMACVerify     = probe.OpMACVerify
-)
 
 // PrimAESSHA1 names the primitive of a stitched seal's one
 // KindRecordCrypto event: AES-CBC and the SHA-1 MAC in one pass, whose

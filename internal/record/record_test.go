@@ -212,7 +212,7 @@ func TestBadPaddingCostsOneMAC(t *testing.T) {
 
 			macs := 0
 			receiver.Probe = probe.NewBus(probe.SinkFunc(func(e probe.Event) {
-				if e.Kind == probe.KindRecordCrypto && e.Op == OpMACVerify {
+				if e.Kind == probe.KindRecordCrypto && e.Op == probe.OpMACVerify {
 					macs++
 				}
 			}))

@@ -148,7 +148,7 @@ func TestStitchedSealOneEvent(t *testing.T) {
 		}
 	}))
 	sender.WriteRecord(TypeApplicationData, make([]byte, MaxFragment))
-	if len(events) != 1 || events[0].Prim != PrimAESSHA1 || events[0].Op != OpCipherEncrypt ||
+	if len(events) != 1 || events[0].Prim != PrimAESSHA1 || events[0].Op != probe.OpCipherEncrypt ||
 		events[0].Bytes != len(sender.Outgoing())-headerLen {
 		t.Fatalf("16 KB stitched seal emitted %+v, want one %q cipher_encrypt event over the body", events, PrimAESSHA1)
 	}

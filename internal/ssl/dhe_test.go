@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"sslperf/internal/handshake"
+	"sslperf/internal/probe"
 	"sslperf/internal/suite"
+	"sslperf/internal/telemetry"
 )
 
 func TestDHEHandshakeDetails(t *testing.T) {
@@ -31,18 +33,21 @@ func TestDHEHandshakeDetails(t *testing.T) {
 
 func TestDHEAnatomyHasServerKx(t *testing.T) {
 	id := identity(t)
+	reg := telemetry.NewRegistry()
+	_, obs := observing(reg, 1)
+	scfg := id.ServerConfig(NewPRNG(42))
+	scfg.Observers = obs
 	ct, st := Pipe()
 	client := ClientConn(ct, clientCfg(func(c *Config) {
 		c.Suites = []suite.ID{suite.DHERSAWith3DESEDECBCSHA}
 	}))
-	server := ServerConn(st, id.ServerConfig(NewPRNG(42)))
-	a := handshake.NewAnatomy()
-	server.SetAnatomy(a)
+	server := ServerConn(st, scfg)
 	go client.Handshake()
 	if err := server.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	var kxStep *handshake.Step
+	a := reg.Anatomy()
+	var kxStep *telemetry.AnatomyStep
 	for i := range a.Steps {
 		if a.Steps[i].Name == "send_server_kx" {
 			kxStep = &a.Steps[i]
@@ -54,9 +59,9 @@ func TestDHEAnatomyHasServerKx(t *testing.T) {
 	var sawGen, sawSign bool
 	for _, c := range kxStep.Crypto {
 		switch c.Name {
-		case handshake.FnDHGenerateKey:
+		case probe.FnDHGenerateKey:
 			sawGen = true
-		case handshake.FnRSASign:
+		case probe.FnRSASign:
 			sawSign = true
 		}
 	}
@@ -66,7 +71,7 @@ func TestDHEAnatomyHasServerKx(t *testing.T) {
 	// The DHE handshake pays BOTH a DH exponentiation and an RSA
 	// signature — its public-key cost must exceed plain RSA's share
 	// of work; at minimum the kx step itself must be expensive.
-	if kxStep.Elapsed == 0 {
+	if kxStep.MeanKcyc == 0 {
 		t.Fatal("kx step cost not recorded")
 	}
 }
@@ -95,7 +100,7 @@ func TestDHEResumptionWorks(t *testing.T) {
 	}
 }
 
-func stepNames(a *handshake.Anatomy) []string {
+func stepNames(a telemetry.Anatomy) []string {
 	var out []string
 	for _, s := range a.Steps {
 		out = append(out, s.Name)

@@ -3,7 +3,6 @@ package ssl
 import (
 	"errors"
 	"io"
-	"time"
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/probe"
@@ -61,13 +60,9 @@ type NonBlockingConn struct {
 	hsErr         error // sticky terminal handshake error
 	result        *handshake.Result
 
-	// The connection's probe spine (nil = off) and what is on it: the
-	// sinks Config.Observers answered with, then the SetAnatomy and
-	// SetCryptoObserver sugar.
-	bus       *probe.Bus
-	sinks     []probe.Sink
-	anatomy   *handshake.Anatomy
-	cryptoObs func(op record.CryptoOp, prim string, bytes int, d time.Duration)
+	// The connection's probe spine (nil = off), over the sinks
+	// Config.Observers answered with.
+	bus *probe.Bus
 
 	// readBuf is the tail of an application record that did not fit
 	// the caller's buffer, held in readArr: a stable backing array
@@ -117,23 +112,8 @@ func (c *NonBlockingConn) ConsumeOutgoing(n int) { c.core.ConsumeOutgoing(n) }
 // HandshakeDone reports whether the handshake has completed.
 func (c *NonBlockingConn) HandshakeDone() bool { return c.handshakeDone }
 
-// SetAnatomy installs a recorder that will capture the server-side
-// handshake anatomy (Table 2) — one more sink on the connection's
-// bus. Must be called before the first HandshakeStep.
-func (c *NonBlockingConn) SetAnatomy(a *handshake.Anatomy) {
-	c.anatomy = a
-	c.refreshBus()
-}
-
 // Stats returns the record-layer counters.
 func (c *NonBlockingConn) Stats() record.Stats { return c.core.Stats }
-
-// SetCryptoObserver routes bulk-phase record-layer crypto timings to
-// fn; pass nil to remove. See Conn.SetCryptoObserver.
-func (c *NonBlockingConn) SetCryptoObserver(fn func(op record.CryptoOp, prim string, bytes int, d time.Duration)) {
-	c.cryptoObs = fn
-	c.refreshBus()
-}
 
 // role names the connection's end on its open and handshake-start
 // events.
@@ -174,7 +154,7 @@ func (c *NonBlockingConn) startHandshake() error {
 			Time:       c.cfg.Time,
 			MaxVersion: c.cfg.Version,
 			Probe:      c.bus,
-		}, nil)
+		})
 	}
 	return err
 }

@@ -3,7 +3,6 @@ package ssl
 import (
 	"testing"
 
-	"sslperf/internal/handshake"
 	"sslperf/internal/probe"
 )
 
@@ -35,8 +34,9 @@ func (r *stepRecorder) Emit(e probe.Event) {
 }
 
 // probeHandshake runs one full server handshake with n recording
-// sinks on Config.Observers plus an Anatomy, and returns both.
-func probeHandshake(t *testing.T, n int) ([]*stepRecorder, *handshake.Anatomy) {
+// sinks on Config.Observers plus one more observer after them, and
+// returns the n and the last.
+func probeHandshake(t *testing.T, n int) ([]*stepRecorder, *stepRecorder) {
 	t.Helper()
 	id := identity(t)
 	scfg := id.ServerConfig(NewPRNG(91))
@@ -45,11 +45,11 @@ func probeHandshake(t *testing.T, n int) ([]*stepRecorder, *handshake.Anatomy) {
 		recs[i] = &stepRecorder{}
 		scfg.Observers = append(scfg.Observers, recs[i])
 	}
+	last := &stepRecorder{}
+	scfg.Observers = append(scfg.Observers, last)
 	ct, st := Pipe()
 	client := ClientConn(ct, clientCfg(nil))
 	server := ServerConn(st, scfg)
-	a := handshake.NewAnatomy()
-	server.SetAnatomy(a)
 	errs := make(chan error, 1)
 	go func() { errs <- client.Handshake() }()
 	if err := server.Handshake(); err != nil {
@@ -60,7 +60,7 @@ func probeHandshake(t *testing.T, n int) ([]*stepRecorder, *handshake.Anatomy) {
 	}
 	client.Close()
 	server.Close()
-	return recs, a
+	return recs, last
 }
 
 // fullHandshakeSteps is the canonical step sequence of a full
@@ -91,13 +91,13 @@ func stepsEqual(a, b []probe.Step) bool {
 }
 
 // TestProbeFanOutIdenticalAttribution runs handshakes with 0, 1, and
-// 3 user sinks and asserts every sink — and the anatomy fold riding
+// 3 user sinks and asserts every sink — and the observer after them on
 // the same bus — sees the identical canonical step sequence.
 func TestProbeFanOutIdenticalAttribution(t *testing.T) {
-	var anatomies []*handshake.Anatomy
+	var lasts []*stepRecorder
 	for _, n := range []int{0, 1, 3} {
-		recs, a := probeHandshake(t, n)
-		anatomies = append(anatomies, a)
+		recs, last := probeHandshake(t, n)
+		lasts = append(lasts, last)
 		for i, r := range recs {
 			if !stepsEqual(r.steps, fullHandshakeSteps) {
 				t.Fatalf("n=%d sink %d saw steps %v, want %v", n, i, r.steps, fullHandshakeSteps)
@@ -122,26 +122,26 @@ func TestProbeFanOutIdenticalAttribution(t *testing.T) {
 			}
 		}
 	}
-	// The anatomy fold is identical no matter how many other sinks
-	// share the bus.
-	for i, a := range anatomies {
-		if len(a.Steps) != len(fullHandshakeSteps) {
-			t.Fatalf("run %d anatomy has %d steps, want %d", i, len(a.Steps), len(fullHandshakeSteps))
+	// The last observer's view is identical no matter how many other
+	// sinks share the bus.
+	for i, last := range lasts {
+		if len(last.steps) != len(fullHandshakeSteps) {
+			t.Fatalf("run %d last observer has %d steps, want %d", i, len(last.steps), len(fullHandshakeSteps))
 		}
-		for j, st := range a.Steps {
-			if st.Name != fullHandshakeSteps[j].Name() {
-				t.Fatalf("run %d anatomy step %d = %q, want %q",
-					i, j, st.Name, fullHandshakeSteps[j].Name())
+		for j, st := range last.steps {
+			if st.Name() != fullHandshakeSteps[j].Name() {
+				t.Fatalf("run %d last observer step %d = %q, want %q",
+					i, j, st.Name(), fullHandshakeSteps[j].Name())
 			}
-			if st.Name != anatomies[0].Steps[j].Name {
-				t.Fatalf("anatomy step names diverge across sink counts")
+			if st.Name() != lasts[0].steps[j].Name() {
+				t.Fatalf("last observer's step names diverge across sink counts")
 			}
 		}
 	}
 }
 
-// TestProbeOffBusIsNil pins the fast path: with no observer and no
-// anatomy, the connection never builds a bus, so the
+// TestProbeOffBusIsNil pins the fast path: with no observer, the
+// connection never builds a bus, so the
 // record layer and FSM run the sink-free nil-receiver path.
 func TestProbeOffBusIsNil(t *testing.T) {
 	id := identity(t)

@@ -137,10 +137,6 @@ func remoteAddr(transport io.ReadWriteCloser) string {
 	return ""
 }
 
-// SetAnatomy installs a recorder that will capture the server-side
-// handshake anatomy (Table 2). Must be called before Handshake.
-func (c *Conn) SetAnatomy(a *handshake.Anatomy) { c.nb.SetAnatomy(a) }
-
 // Handshake runs the handshake if it has not run yet.
 func (c *Conn) Handshake() error {
 	c.mu.Lock()
@@ -198,14 +194,3 @@ func (c *Conn) Close() error {
 
 // Stats returns the record-layer counters.
 func (c *Conn) Stats() record.Stats { return c.nb.Stats() }
-
-// SetCryptoObserver routes bulk-phase record-layer crypto timings
-// (cipher and MAC operations with their primitive — record.PrimAESSHA1
-// for a stitched seal, one timing for both — and payload sizes) to fn;
-// pass nil to remove. Handshake-phase record work (the encrypted finished
-// messages) is attributed to Table 2 rows on the spine instead, as it
-// always was. The Figure 2 and Table 1 experiments use this to
-// measure the crypto share of bulk transfers.
-func (c *Conn) SetCryptoObserver(fn func(op record.CryptoOp, prim string, bytes int, d time.Duration)) {
-	c.nb.SetCryptoObserver(fn)
-}

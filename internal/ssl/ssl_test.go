@@ -9,8 +9,9 @@ import (
 	"time"
 
 	"sslperf/internal/handshake"
-	"sslperf/internal/record"
+	"sslperf/internal/probe"
 	"sslperf/internal/suite"
+	"sslperf/internal/telemetry"
 )
 
 var (
@@ -259,22 +260,27 @@ func TestAnatomyCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := telemetry.NewRegistry()
+	_, obs := observing(reg, 1)
+	scfg := id.ServerConfig(NewPRNG(21))
+	scfg.Observers = obs
 	ct, st := Pipe()
 	client := ClientConn(ct, clientCfg(nil))
-	server := ServerConn(st, id.ServerConfig(NewPRNG(21)))
-	a := handshake.NewAnatomy()
-	server.SetAnatomy(a)
+	server := ServerConn(st, scfg)
 	go client.Handshake()
 	if err := server.Handshake(); err != nil {
 		t.Fatal(err)
 	}
+	a := reg.Anatomy()
 	if len(a.Steps) < 9 {
 		t.Fatalf("recorded %d steps, want >= 9", len(a.Steps))
 	}
 	// Step 5 (get_client_kx) must carry the RSA private decryption
 	// and dominate the handshake, per Table 2.
-	var step5 *handshake.Step
+	var step5 *telemetry.AnatomyStep
+	var total float64
 	for i := range a.Steps {
+		total += a.Steps[i].MeanKcyc
 		if a.Steps[i].Name == "get_client_kx" {
 			step5 = &a.Steps[i]
 		}
@@ -284,22 +290,28 @@ func TestAnatomyCapture(t *testing.T) {
 	}
 	var hasRSA bool
 	for _, c := range step5.Crypto {
-		if c.Name == handshake.FnRSAPrivateDecrypt {
+		if c.Name == probe.FnRSAPrivateDecrypt {
 			hasRSA = true
 		}
 	}
 	if !hasRSA {
 		t.Fatalf("step 5 crypto calls: %+v", step5.Crypto)
 	}
-	if step5.Elapsed < a.Total()/2 {
-		t.Fatalf("get_client_kx is %v of %v total; paper says ~92%%",
-			step5.Elapsed, a.Total())
+	if step5.MeanKcyc < total/2 {
+		t.Fatalf("get_client_kx is %v of %v total kcycles; paper says ~92%%",
+			step5.MeanKcyc, total)
 	}
 	// Table 3: public key encryption dominates the crypto breakdown.
-	cb := a.CryptoBreakdown()
-	if cb.Percent(handshake.CategoryPublic) < 50 {
+	var public, crypto float64
+	for _, c := range a.Categories {
+		crypto += c.Kcyc
+		if c.Name == probe.CategoryPublic {
+			public = c.Kcyc
+		}
+	}
+	if 100*public < 50*crypto {
 		t.Fatalf("public key share %.1f%%, want dominant\n%s",
-			cb.Percent(handshake.CategoryPublic), cb)
+			100*public/crypto, a.Text())
 	}
 }
 
@@ -368,17 +380,23 @@ func TestPRNGDeterministic(t *testing.T) {
 
 func TestStatsAndObserver(t *testing.T) {
 	id := identity(t)
-	client, server := connect(t, clientCfg(nil), id.ServerConfig(NewPRNG(23)))
 	var decrypts, verifies, bytesSeen int
-	server.SetCryptoObserver(func(op record.CryptoOp, _ string, n int, d time.Duration) {
-		switch op {
-		case record.OpCipherDecrypt:
+	scfg := id.ServerConfig(NewPRNG(23))
+	scfg.Observers = []probe.Observer{probe.SinkFunc(func(e probe.Event) {
+		// Bulk-phase record crypto only: the finished messages' passes
+		// run inside a handshake step.
+		if e.Kind != probe.KindRecordCrypto || e.Step != probe.StepNone {
+			return
+		}
+		switch e.Op {
+		case probe.OpCipherDecrypt:
 			decrypts++
-			bytesSeen += n
-		case record.OpMACVerify:
+			bytesSeen += e.Bytes
+		case probe.OpMACVerify:
 			verifies++
 		}
-	})
+	})}
+	client, server := connect(t, clientCfg(nil), scfg)
 	go client.Write(make([]byte, 1000))
 	buf := make([]byte, 1000)
 	io.ReadFull(server, buf)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -10,17 +11,30 @@ import (
 	"sslperf/internal/trace"
 )
 
-// The registry is the one live fold of the paper's Tables 2 and 3: the
+// The registry is the one fold of the paper's Tables 2 and 3, live
+// (/debug/anatomy) and offline (the experiments that render it): the
 // per-step histograms take every handshake's timeline, and the crypto
 // rows take the calls of the handshakes the tracer's sampler kept in
-// detail. Crypto shares divide by those sampled handshakes' own step
-// time, so they read the same under 1-in-N sampling as with every
-// connection kept.
+// detail, keyed by the step they ran in. Crypto shares divide by those
+// sampled handshakes' own step time, so they read the same under 1-in-N
+// sampling as with every connection kept.
 
-// cryptoStat accumulates one crypto function across sampled handshakes.
+// cryptoKey names one Table 2 crypto row: a function called inside a
+// step.
+type cryptoKey struct {
+	step probe.Step
+	fn   string
+}
+
+// cryptoStat accumulates one crypto row across sampled handshakes.
 type cryptoStat struct {
 	count uint64
 	total time.Duration
+}
+
+// categories are Table 3's rows, in the paper's order.
+var categories = [...]string{
+	probe.CategoryPublic, probe.CategoryPrivate, probe.CategoryHash, probe.CategoryOther,
 }
 
 // foldSampled merges a sampled handshake's crypto calls (in-step record
@@ -34,11 +48,12 @@ func (r *Registry) foldSampled(h *Handshake, stepTime time.Duration) {
 		if call.Kind != trace.CatCrypto {
 			continue
 		}
-		cs := r.fns[call.Name]
+		key := cryptoKey{call.Step, call.Name}
+		cs := r.fns[key]
 		if cs == nil {
 			cs = &cryptoStat{}
-			r.fns[call.Name] = cs
-			r.fnOrder = append(r.fnOrder, call.Name)
+			r.fns[key] = cs
+			r.fnOrder = append(r.fnOrder, key)
 		}
 		cs.count++
 		cs.total += call.Dur
@@ -97,6 +112,7 @@ func (r *Registry) SharesInto(steps []probe.Step, shares []float64) (cryptoShare
 
 // AnatomyStep is one live Table 2 row, over every handshake.
 type AnatomyStep struct {
+	Index    int     `json:"index"` // the Table 2 row number
 	Name     string  `json:"name"`
 	Count    uint64  `json:"count"`
 	MeanKcyc float64 `json:"mean_kcycles"`
@@ -109,15 +125,20 @@ type AnatomyStep struct {
 	// step (the encrypted finished messages).
 	CryptoBytes      uint64  `json:"crypto_bytes,omitempty"`
 	CryptoCycPerByte float64 `json:"crypto_cycles_per_byte,omitempty"`
+	// Crypto is the sampled crypto calls made inside the step: Table
+	// 2's crypto column.
+	Crypto []AnatomyCrypto `json:"crypto,omitempty"`
 
 	P50 time.Duration `json:"p50_ns"`
 	P95 time.Duration `json:"p95_ns"`
 	P99 time.Duration `json:"p99_ns"`
 }
 
-// AnatomyCrypto is one live Table 3 attribution row, over the sampled
-// handshakes.
+// AnatomyCrypto is one crypto function called inside one step, over
+// the sampled handshakes: a Table 2 crypto row, attributed to its Table
+// 3 category.
 type AnatomyCrypto struct {
+	Step     string  `json:"step"`
 	Name     string  `json:"name"`
 	Category string  `json:"category"`
 	Count    uint64  `json:"count"`
@@ -125,7 +146,8 @@ type AnatomyCrypto struct {
 	SharePct float64 `json:"share_pct"`    // of sampled step time
 }
 
-// AnatomyCategory is one Table 3 category summary row.
+// AnatomyCategory is one Table 3 category summary row. Categories
+// come out in the paper's order.
 type AnatomyCategory struct {
 	Name     string  `json:"name"`
 	Kcyc     float64 `json:"kcycles_per_handshake"`
@@ -156,24 +178,6 @@ func (r *Registry) Anatomy() Anatomy {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Steps come out in Table 2 order; one no handshake ran is left out.
-	total := r.stepTotal()
-	for _, st := range probe.Steps() {
-		h := r.steps[st].Snapshot()
-		if h.Count == 0 {
-			continue
-		}
-		p50, p95, p99 := time.Duration(h.P50), time.Duration(h.P95), time.Duration(h.P99)
-		s.Steps = append(s.Steps, AnatomyStep{
-			Name: st.Name(), Count: h.Count,
-			MeanKcyc: kcycles(time.Duration(h.Sum) / time.Duration(h.Count)),
-			P50Kcyc:  kcycles(p50), P95Kcyc: kcycles(p95), P99Kcyc: kcycles(p99),
-			MaxKcyc: kcycles(time.Duration(h.Max)), SharePct: pct(h.Sum, total),
-			CryptoBytes: r.stepCrypto[st].Bytes, CryptoCycPerByte: r.stepCrypto[st].CyclesPerByte(),
-			P50: p50, P95: p95, P99: p99,
-		})
-	}
-
 	s.Handshakes, s.Sampled = r.stepped, r.sampled
 	perHS := func(d time.Duration) float64 {
 		if r.sampled == 0 {
@@ -181,26 +185,52 @@ func (r *Registry) Anatomy() Anatomy {
 		}
 		return kcycles(d / time.Duration(r.sampled))
 	}
-	cats := map[string]time.Duration{}
-	var catOrder []string
-	for _, name := range r.fnOrder {
-		cs := r.fns[name]
-		cat := probe.CategoryOf(name)
-		if _, ok := cats[cat]; !ok {
-			catOrder = append(catOrder, cat)
-		}
-		cats[cat] += cs.total
+	var cats [len(categories)]time.Duration
+	var seen [len(categories)]bool
+	for _, key := range r.fnOrder {
+		cs := r.fns[key]
+		cat := probe.CategoryOf(key.fn)
+		i := slices.Index(categories[:], cat)
+		cats[i] += cs.total
+		seen[i] = true
 		s.Crypto = append(s.Crypto, AnatomyCrypto{
-			Name: name, Category: cat, Count: cs.count,
+			Step: key.step.Name(), Name: key.fn, Category: cat, Count: cs.count,
 			MeanKcyc: perHS(cs.total), SharePct: pct(cs.total, r.sampledStepTime),
 		})
 	}
-	for _, cat := range catOrder {
-		s.Categories = append(s.Categories, AnatomyCategory{
-			Name: cat, Kcyc: perHS(cats[cat]), SharePct: pct(cats[cat], r.sampledStepTime),
-		})
+	for i, cat := range categories {
+		if seen[i] {
+			s.Categories = append(s.Categories, AnatomyCategory{
+				Name: cat, Kcyc: perHS(cats[i]), SharePct: pct(cats[i], r.sampledStepTime),
+			})
+		}
 	}
 	s.CryptoSharePct = pct(r.cryptoTotal(), r.sampledStepTime)
+
+	// Steps come out in Table 2 order, each with the calls made inside
+	// it in first-seen order; one no handshake ran is left out.
+	total := r.stepTotal()
+	for _, st := range probe.Steps() {
+		h := r.steps[st].Snapshot()
+		if h.Count == 0 {
+			continue
+		}
+		p50, p95, p99 := time.Duration(h.P50), time.Duration(h.P95), time.Duration(h.P99)
+		row := AnatomyStep{
+			Index: st.Index(), Name: st.Name(), Count: h.Count,
+			MeanKcyc: kcycles(time.Duration(h.Sum) / time.Duration(h.Count)),
+			P50Kcyc:  kcycles(p50), P95Kcyc: kcycles(p95), P99Kcyc: kcycles(p99),
+			MaxKcyc: kcycles(time.Duration(h.Max)), SharePct: pct(h.Sum, total),
+			CryptoBytes: r.stepCrypto[st].Bytes, CryptoCycPerByte: r.stepCrypto[st].CyclesPerByte(),
+			P50: p50, P95: p95, P99: p99,
+		}
+		for i, key := range r.fnOrder {
+			if key.step == st {
+				row.Crypto = append(row.Crypto, s.Crypto[i])
+			}
+		}
+		s.Steps = append(s.Steps, row)
+	}
 	return s
 }
 
@@ -230,10 +260,10 @@ func (s Anatomy) Text() string {
 
 	if len(s.Crypto) > 0 {
 		sb.WriteByte('\n')
-		fns := perf.NewTable("crypto attribution (continuous Table 3, sampled handshakes)",
-			"function", "category", "n", "kcycles/hs", "share")
+		fns := perf.NewTable("crypto attribution (continuous Table 3 by Table 2 step, sampled handshakes)",
+			"step", "function", "category", "n", "kcycles/hs", "share")
 		for _, c := range s.Crypto {
-			fns.AddRow(c.Name, c.Category, fmt.Sprint(c.Count),
+			fns.AddRow(c.Step, c.Name, c.Category, fmt.Sprint(c.Count),
 				fmt.Sprintf("%.1f", c.MeanKcyc),
 				fmt.Sprintf("%.2f%%", c.SharePct))
 		}

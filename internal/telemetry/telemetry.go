@@ -1,16 +1,17 @@
 // Package telemetry is the aggregate half of the live observability
 // layer: the counters, latency distributions and keyed tallies behind
-// /metrics, the live Tables 2/3 behind /debug/anatomy and Table 11
-// behind /debug/pathlength, the one Histogram type every distribution
-// in the observatory uses, and the shapes a connection's record
-// (package lifecycle) hands over when it folds.
+// /metrics, the Tables 2/3 behind /debug/anatomy and Table 11 behind
+// /debug/pathlength, the one Histogram type every distribution in the
+// observatory uses, and the shapes a connection's record (package
+// lifecycle) hands over when it folds.
 //
 // Where internal/perf is the paper's offline measurement substrate,
-// telemetry is the always-on production instrument. Nothing here rides
-// a connection's probe bus: the conn table folds each connection into
-// the Registry once when its handshake ends and once when it closes,
-// so the registry's lock is taken twice per connection, never per step
-// or per record.
+// telemetry is the always-on production instrument, and the offline
+// table2/table3 experiments read their Tables 2/3 from it too. Nothing
+// here rides a connection's probe bus: the conn table folds each
+// connection into the Registry once when its handshake ends and once
+// when it closes, so the registry's lock is taken twice per
+// connection, never per step or per record.
 package telemetry
 
 import (
@@ -159,13 +160,14 @@ type Registry struct {
 	byVersion   map[string]uint64
 	failReasons map[string]uint64
 	// stepped counts the handshakes that folded a step timeline, and
-	// stepCrypto their in-step record crypto by step. The rest is Table
-	// 3's side, from sampled handshakes only (anatomy.go): their crypto
-	// calls by function, their count and their summed step time.
+	// stepCrypto their in-step record crypto by step. The rest is from
+	// sampled handshakes only (anatomy.go): their crypto calls by step
+	// and function in first-seen order, their count and their summed
+	// step time.
 	stepped         uint64
 	stepCrypto      [numSteps]CryptoCell
-	fns             map[string]*cryptoStat
-	fnOrder         []string
+	fns             map[cryptoKey]*cryptoStat
+	fnOrder         []cryptoKey
 	sampled         uint64
 	sampledStepTime time.Duration
 }
@@ -177,7 +179,7 @@ func NewRegistry() *Registry {
 		bySuite:     make(map[string]uint64),
 		byVersion:   make(map[string]uint64),
 		failReasons: make(map[string]uint64),
-		fns:         make(map[string]*cryptoStat),
+		fns:         make(map[cryptoKey]*cryptoStat),
 	}
 }
 
@@ -208,7 +210,7 @@ func (r *Registry) Reset() {
 	r.failReasons = make(map[string]uint64)
 	r.stepped, r.sampled, r.sampledStepTime = 0, 0, 0
 	r.stepCrypto = [numSteps]CryptoCell{}
-	r.fns, r.fnOrder = make(map[string]*cryptoStat), nil
+	r.fns, r.fnOrder = make(map[cryptoKey]*cryptoStat), nil
 	r.mu.Unlock()
 }
 

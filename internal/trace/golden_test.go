@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/perf"
 	"sslperf/internal/probe"
@@ -68,10 +67,10 @@ func stepDur(name string) time.Duration {
 
 // TestGoldenStepNamesAcrossSurfaces replays one recorded handshake's
 // probe events into every consumer of the canonical step enum and
-// asserts the three observability surfaces — the /debug/anatomy JSON,
-// the Chrome trace export of the connections' records, and the offline
-// anatomy fold — render byte-identical step names and per-step totals,
-// all matching testdata/steps.golden.
+// asserts the observability surfaces — the /debug/anatomy JSON (the
+// registry every Table 2 rendering reads) and the Chrome trace export
+// of the connections' records — render byte-identical step names and
+// per-step totals, all matching testdata/steps.golden.
 func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	raw, err := os.ReadFile("testdata/steps.golden")
 	if err != nil {
@@ -95,13 +94,8 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 		t.Fatalf("probe.Steps() table diverged from testdata/steps.golden:\n%s", rendered.String())
 	}
 
-	// Replay the same event stream into the offline anatomy fold and
-	// into several traced connections.
+	// Replay the same event stream into several traced connections.
 	events := goldenEvents()
-	anatomy := handshake.NewAnatomy()
-	for _, e := range events {
-		anatomy.Emit(e)
-	}
 	reg := telemetry.NewRegistry()
 	table := lifecycle.NewTable(lifecycle.Options{
 		Tracer: trace.NewTracer(trace.Config{SampleEvery: 1}), Registry: reg, Ring: goldenConns,
@@ -118,16 +112,7 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 		sink.Emit(probe.Event{Kind: probe.KindConnClose, At: end})
 	}
 
-	// Surface 1: the offline anatomy (what ssl.Conn.Anatomy returns).
-	var anatomyNames []string
-	for i, st := range anatomy.Steps {
-		anatomyNames = append(anatomyNames, st.Name)
-		if st.Elapsed != stepDur(st.Name) {
-			t.Fatalf("anatomy step %d (%s) elapsed %v, want %v", i, st.Name, st.Elapsed, stepDur(st.Name))
-		}
-	}
-
-	// Surface 2: the /debug/anatomy JSON (the registry's live fold).
+	// Surface 1: the /debug/anatomy JSON (the registry's fold).
 	mux := http.NewServeMux()
 	telemetry.Register(mux, reg)
 	lifecycle.Register(mux, table)
@@ -156,7 +141,7 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 		}
 	}
 
-	// Surface 3: the Chrome trace export.
+	// Surface 2: the Chrome trace export.
 	resp, err = http.Get(srv.URL + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +170,6 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	}
 
 	for surface, names := range map[string][]string{
-		"anatomy":        anatomyNames,
 		"/debug/anatomy": debugNames,
 		"chrome trace":   chromeNames,
 	} {

@@ -5,9 +5,9 @@
 // application I/O between them are kept only for the connections the
 // Tracer's sampler picks — 1 in N, under a per-second cap — so the
 // cost of detail is bounded. A sampled connection's finished handshake
-// carries its crypto calls into the metrics registry's Table 3 rows
-// (telemetry.Registry.Anatomy, the always-on counterpart of
-// internal/core's Table 2/3 experiments).
+// carries its crypto calls into the metrics registry's Table 2/3 rows
+// (telemetry.Registry.Anatomy, which internal/core's Table 2/3
+// experiments render too).
 package trace
 
 import (

@@ -14,13 +14,17 @@ package webmodel
 import (
 	"errors"
 	"io"
+	"math"
 	"time"
 
 	"sslperf/internal/handshake"
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/perf"
-	"sslperf/internal/record"
+	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
+	"sslperf/internal/telemetry"
+	"sslperf/internal/trace"
 	"sslperf/internal/workload"
 )
 
@@ -51,6 +55,20 @@ func (c *CryptoSplit) Add(o CryptoSplit) {
 	c.Stitched += o.Stitched
 }
 
+// add charges d to a Table 3 category (probe.Category*).
+func (c *CryptoSplit) add(category string, d time.Duration) {
+	switch category {
+	case probe.CategoryPublic:
+		c.Public += d
+	case probe.CategoryPrivate:
+		c.Private += d
+	case probe.CategoryHash:
+		c.Hash += d
+	default:
+		c.Other += d
+	}
+}
+
 // Scale divides every category by n (for averaging over runs).
 func (c *CryptoSplit) Scale(n int) {
 	if n <= 0 {
@@ -64,26 +82,12 @@ func (c *CryptoSplit) Scale(n int) {
 	c.Stitched /= d
 }
 
-// Breakdown renders the split as a perf.Breakdown in Figure 2's
-// category order, with a private+hash row when records were stitched.
-func (c CryptoSplit) Breakdown() *perf.Breakdown {
-	b := perf.NewBreakdown()
-	b.Add("public", c.Public)
-	b.Add("private", c.Private)
-	b.Add("hash", c.Hash)
-	b.Add("other", c.Other)
-	if c.Stitched > 0 {
-		b.Add("private+hash", c.Stitched)
-	}
-	return b
-}
-
 // TransactionResult is the measured server-side cost of one HTTPS
 // transaction.
 type TransactionResult struct {
 	Crypto    CryptoSplit
-	SSLTotal  time.Duration      // all server-side SSL work (crypto + framing)
-	Anatomy   *handshake.Anatomy // per-step handshake record
+	SSLTotal  time.Duration // all server-side SSL work (crypto + framing)
+	Handshake time.Duration // the handshake's summed step time (Table 2's total)
 	Resumed   bool
 	BytesSent int
 }
@@ -97,7 +101,9 @@ func (r *TransactionResult) SSLNonCrypto() time.Duration {
 	return nc
 }
 
-// Server is a reusable measured SSL server endpoint.
+// Server is a reusable measured SSL server endpoint. Its connections
+// are observed the way a live server's are: one conn table, every
+// connection kept in detail, folding into one metrics registry.
 type Server struct {
 	Identity *ssl.Identity
 	Suite    *suite.Suite
@@ -105,17 +111,33 @@ type Server struct {
 	Seed     uint64
 	// Version pins the protocol version (0 = SSL 3.0, the paper's).
 	Version uint16
+
+	reg   *telemetry.Registry
+	table *lifecycle.Table
 }
 
 // NewServer builds a measurement server with a session cache.
 func NewServer(id *ssl.Identity, s *suite.Suite) *Server {
+	reg := telemetry.NewRegistry()
 	return &Server{
 		Identity: id,
 		Suite:    s,
 		Cache:    handshake.NewSessionCache(4096),
 		Seed:     1,
+		reg:      reg,
+		// A ring of one keeps the record RunSession just closed.
+		table: lifecycle.NewTable(lifecycle.Options{
+			Registry: reg,
+			Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
+			Ring:     1,
+		}),
 	}
 }
+
+// Registry is the registry every handshake the server ran folds into:
+// its Anatomy is Tables 2 and 3 over those handshakes, and Reset
+// scopes it to a measured loop.
+func (srv *Server) Registry() *telemetry.Registry { return srv.reg }
 
 // RunTransaction performs one HTTPS-like exchange: the client sends a
 // request, the server responds with fileSize bytes. It returns the
@@ -145,28 +167,13 @@ func (srv *Server) RunSession(txs []workload.Transaction, resume *handshake.Sess
 		CertDER:      srv.Identity.CertDER,
 		SessionCache: srv.Cache,
 		Version:      srv.Version,
+		Observers:    []probe.Observer{srv.table},
 	}
 
 	client := ssl.ClientConn(ct, clientCfg)
 	server := ssl.ServerConn(st, serverCfg)
-
-	anatomy := handshake.NewAnatomy()
-	server.SetAnatomy(anatomy)
-
-	res := &TransactionResult{Anatomy: anatomy}
-	// Observe bulk crypto: cipher ops count as private-key
-	// encryption, MAC ops as hashing (Figure 2's categories), and a
-	// stitched seal, both at once, as itself.
-	server.SetCryptoObserver(func(op record.CryptoOp, prim string, n int, d time.Duration) {
-		switch {
-		case prim == record.PrimAESSHA1:
-			res.Crypto.Stitched += d
-		case op == record.OpCipherEncrypt, op == record.OpCipherDecrypt:
-			res.Crypto.Private += d
-		case op == record.OpMACCompute, op == record.OpMACVerify:
-			res.Crypto.Hash += d
-		}
-	})
+	defer server.Close()
+	res := &TransactionResult{}
 
 	// Drive the client in a goroutine.
 	clientErr := make(chan error, 1)
@@ -227,13 +234,7 @@ func (srv *Server) RunSession(txs []workload.Transaction, resume *handshake.Sess
 		return nil, nil, err
 	}
 	server.Close()
-
-	// Fold the handshake's crypto calls into the categories.
-	cb := anatomy.CryptoBreakdown()
-	res.Crypto.Public += cb.Elapsed(handshake.CategoryPublic)
-	res.Crypto.Private += cb.Elapsed(handshake.CategoryPrivate)
-	res.Crypto.Hash += cb.Elapsed(handshake.CategoryHash)
-	res.Crypto.Other += cb.Elapsed(handshake.CategoryOther)
+	srv.fold(res)
 
 	res.SSLTotal = sslTimer.Elapsed() - (readWait() - waitStart)
 	if res.SSLTotal < res.Crypto.Total() {
@@ -253,6 +254,40 @@ func (srv *Server) RunSession(txs []workload.Transaction, resume *handshake.Sess
 	}
 	return res, sess, nil
 }
+
+// fold reads the connection's closed record into res: the handshake's
+// step time, its crypto calls by Table 3 category, and every record
+// pass — the finished messages' and the transfer's — from the
+// per-primitive cells, as private-key encryption (cipher), hashing
+// (MAC) or a stitched seal (both at once). The cells, not the calls,
+// count the passes: a record's calls stop at its cap.
+func (srv *Server) fold(res *TransactionResult) {
+	// The ring keeps one record, the newest: the one just closed.
+	recs := srv.table.Records(0)
+	rec := recs[len(recs)-1]
+	for _, st := range rec.Steps {
+		res.Handshake += usDuration(st.Us)
+	}
+	for _, c := range rec.Calls {
+		if c.Kind != trace.CatCrypto {
+			continue
+		}
+		switch c.Name {
+		case probe.FnPriEncryption, probe.FnPriDecryption, probe.FnMac:
+			// An in-step record pass, counted from the cells.
+		default:
+			res.Crypto.add(probe.CategoryOf(c.Name), usDuration(c.Us))
+		}
+	}
+	g := rec.Crypto.Groups()
+	res.Crypto.Private += time.Duration(g[0].Nanos)
+	res.Crypto.Hash += time.Duration(g[1].Nanos)
+	res.Crypto.Stitched += time.Duration(g[2].Nanos)
+}
+
+// usDuration converts a record's microsecond figure back to the
+// duration it was rendered from.
+func usDuration(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
 
 // ErrNoTransactions is returned for an empty session.
 var ErrNoTransactions = errors.New("webmodel: session has no transactions")

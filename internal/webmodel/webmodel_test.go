@@ -1,11 +1,14 @@
 package webmodel
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"sslperf/internal/aessha1"
+	"sslperf/internal/perf"
+	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
 	"sslperf/internal/workload"
@@ -137,6 +140,9 @@ func TestEnvironmentModelCalibration(t *testing.T) {
 		SSLTotal:  5 * time.Millisecond,
 		BytesSent: 1024,
 	}
+	if c := (CryptoSplit{Public: 1, Private: 2, Hash: 3, Other: 4}); c.Total() != 10 {
+		t.Fatalf("total = %d", c.Total())
+	}
 	b := m.Transaction(res)
 	// At the calibration point the shares must reproduce Table 1.
 	if got := b.Percent(ComponentLibcrypto) + b.Percent(ComponentLibssl); got < 69 || got > 74 {
@@ -168,20 +174,6 @@ func TestEnvironmentModelExtrapolation(t *testing.T) {
 	}
 }
 
-func TestCryptoSplitBreakdownOrder(t *testing.T) {
-	c := CryptoSplit{Public: 1, Private: 2, Hash: 3, Other: 4}
-	names := c.Breakdown().Names()
-	want := []string{"public", "private", "hash", "other"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("order = %v", names)
-		}
-	}
-	if c.Total() != 10 {
-		t.Fatalf("total = %d", c.Total())
-	}
-}
-
 // TestStitchedSealCountedOnce checks an AES128-SHA transfer's bulk
 // seals land in the split exactly once: on a CPU that stitches them,
 // as private+hash (one timing, not split between the two), and
@@ -201,7 +193,41 @@ func TestStitchedSealCountedOnce(t *testing.T) {
 	if res.Crypto.Private == 0 || res.Crypto.Hash == 0 {
 		t.Fatalf("request open and finished messages not measured: %+v", res.Crypto)
 	}
-	if got := res.Crypto.Breakdown().Elapsed("private+hash"); got != res.Crypto.Stitched {
-		t.Fatalf("breakdown private+hash %v, stitched time %v", got, res.Crypto.Stitched)
+}
+
+// TestRegistryFoldsEveryTransaction: the server's registry folds every
+// handshake RunSession ran, and its Table 2 rows are the per-transaction
+// handshake times, split by step.
+func TestRegistryFoldsEveryTransaction(t *testing.T) {
+	srv := newServer(t)
+	const n = 3
+	var handshake time.Duration
+	for i := 0; i < n; i++ {
+		res, _, err := srv.RunTransaction(1024, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handshake += res.Handshake
+	}
+	a := srv.Registry().Anatomy()
+	if a.Handshakes != n || a.Sampled != n {
+		t.Fatalf("registry folded %d handshakes (%d sampled), want %d", a.Handshakes, a.Sampled, n)
+	}
+	var stepKcyc float64
+	var rsa bool
+	for _, st := range a.Steps {
+		if st.Count != n {
+			t.Fatalf("step %s folded %d times, want %d", st.Name, st.Count, n)
+		}
+		stepKcyc += st.MeanKcyc
+		for _, c := range st.Crypto {
+			rsa = rsa || (st.Name == probe.StepGetClientKX.Name() && c.Name == probe.FnRSAPrivateDecrypt)
+		}
+	}
+	if len(a.Steps) != 10 || !rsa {
+		t.Fatalf("Table 2 rows = %+v, want the ten steps of a full handshake with the RSA decryption in get_client_kx", a.Steps)
+	}
+	if want := perf.Cycles(handshake/n) / 1000; math.Abs(stepKcyc-want) > 1e-3*want {
+		t.Fatalf("registry steps sum to %.3f kcycles per handshake, the transactions' handshake time to %.3f", stepKcyc, want)
 	}
 }

@@ -16,8 +16,9 @@
 //     the benchmark's layer probes and the golden wire test drive).
 //   - NewIdentity — server key + self-signed certificate.
 //   - SuiteByName — the cipher suites ("DES-CBC3-SHA" is the paper's).
-//   - Experiments / ExperimentByID — the Table/Figure reproductions.
-//   - NewAnatomy — per-step handshake instrumentation (Table 2).
+//   - Experiments / ExperimentByID — the Table/Figure reproductions
+//     (Tables 2 and 3 are the per-step handshake anatomy).
+//   - Config.Observers — the one way to watch a connection's events.
 //
 // It is a performance-study artifact, not a secure transport: SSLv3
 // is obsolete and the default randomness is a seedable PRNG.
@@ -50,8 +51,6 @@ type (
 	Session = handshake.Session
 	// SessionCache stores server-side resumable sessions.
 	SessionCache = handshake.SessionCache
-	// Anatomy records the Table 2 per-step handshake breakdown.
-	Anatomy = handshake.Anatomy
 )
 
 // Cipher-suite types.
@@ -126,9 +125,6 @@ var NewIdentity = ssl.NewIdentity
 func NewSessionCache(capacity int) *SessionCache {
 	return handshake.NewSessionCache(capacity)
 }
-
-// NewAnatomy returns an empty handshake anatomy recorder.
-func NewAnatomy() *Anatomy { return handshake.NewAnatomy() }
 
 // SuiteByName finds a cipher suite by its OpenSSL-style name, e.g.
 // "DES-CBC3-SHA".
