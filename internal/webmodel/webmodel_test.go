@@ -140,9 +140,6 @@ func TestEnvironmentModelCalibration(t *testing.T) {
 		SSLTotal:  5 * time.Millisecond,
 		BytesSent: 1024,
 	}
-	if c := (CryptoSplit{Public: 1, Private: 2, Hash: 3, Other: 4}); c.Total() != 10 {
-		t.Fatalf("total = %d", c.Total())
-	}
 	b := m.Transaction(res)
 	// At the calibration point the shares must reproduce Table 1.
 	if got := b.Percent(ComponentLibcrypto) + b.Percent(ComponentLibssl); got < 69 || got > 74 {
@@ -171,6 +168,22 @@ func TestEnvironmentModelExtrapolation(t *testing.T) {
 	bb := m.Transaction(big)
 	if bb.Elapsed(ComponentVMLinux) <= bs.Elapsed(ComponentVMLinux) {
 		t.Fatal("kernel cost did not grow with bytes")
+	}
+}
+
+// TestCryptoSplitBreakdownOrder checks add charges Table 3's categories,
+// in Figure 2's order, to the public, private, hash and other fields,
+// and Total sums them.
+func TestCryptoSplitBreakdownOrder(t *testing.T) {
+	var c CryptoSplit
+	for i, cat := range []string{probe.CategoryPublic, probe.CategoryPrivate, probe.CategoryHash, probe.CategoryOther} {
+		c.add(cat, time.Duration(i+1))
+	}
+	if want := (CryptoSplit{Public: 1, Private: 2, Hash: 3, Other: 4}); c != want {
+		t.Fatalf("split = %+v, want %+v", c, want)
+	}
+	if c.Total() != 10 {
+		t.Fatalf("total = %d", c.Total())
 	}
 }
 
