@@ -34,15 +34,17 @@ race:
 # loop, and the load generator — then every fuzz
 # target for a few seconds and a real end-to-end smoke: sslload
 # against the serve loop in-process. On amd64, vet's asmdecl checks
-# aesni_amd64.s, sha1x's block_amd64.s and aessha1's stitch_amd64.s
-# against their Go declarations; the cross-builds keep the fallbacks
-# with no assembly (aesni_other.go, sha1x's block_other.go, aessha1's
-# stitch_other.go) compiling.
+# aesni_amd64.s, sha1x's block_amd64.s, aessha1's stitch_amd64.s and
+# bn's mont8_amd64.s and cpuid_amd64.s against their Go declarations;
+# the cross-builds keep the fallbacks with no assembly (aesni_other.go,
+# sha1x's block_other.go, aessha1's stitch_other.go, bn's
+# mont8_other.go) compiling.
 check:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/aes/...
 	GOARCH=arm64 $(GO) vet ./internal/sha1x/...
 	GOARCH=arm64 $(GO) vet ./internal/aessha1/...
+	GOARCH=arm64 $(GO) vet ./internal/bn/...
 	GOARCH=386 $(GO) build ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
@@ -165,28 +167,40 @@ servelint:
 # closure rule and are not held to it.) The generated 8-limb kernel,
 # mont8.go, is also held to its shape: outside comments, no if, for,
 # switch or goto, and no index that is not a constant — straight-line
-# code whose every load and store is at a fixed offset.
+# code whose every load and store is at a fixed offset. Its generated
+# assembly, mont8_amd64.s, likewise has no CALL, no jump and no label,
+# except one loop: a label right after PCALIGN and jumps back to it.
 SYMKERNELS = internal/aes/kernel.go internal/aes/aesni_amd64.go internal/des/kernel.go internal/sha1x/block.go internal/sha1x/block_amd64.go internal/md5x/block.go internal/aessha1/aessha1.go internal/aessha1/stitch_amd64.go
 kernellint:
-	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go internal/bn/mont8.go $(SYMKERNELS); \
-		grep -n 'func(\|perf\.\|probe\.\|interface' internal/bn/mont8.go $(SYMKERNELS); \
+	@bad=$$(grep -n 'profEnter(\|make(\|new(' internal/bn/montkernel.go internal/bn/mont8.go internal/bn/mont8_amd64.go $(SYMKERNELS); \
+		grep -n 'func(\|perf\.\|probe\.\|interface' internal/bn/mont8.go internal/bn/mont8_amd64.go $(SYMKERNELS); \
 		sed 's|//.*||' internal/bn/mont8.go | grep -nwE 'if|for|switch|goto' | sed 's|^|internal/bn/mont8.go:|'; \
-		sed 's|//.*||' internal/bn/mont8.go | grep -nE '\[[^]]*[^]0-9][^]]*\]' | sed 's|^|internal/bn/mont8.go:|'; exit 0); \
+		sed 's|//.*||' internal/bn/mont8.go | grep -nE '\[[^]]*[^]0-9][^]]*\]' | sed 's|^|internal/bn/mont8.go:|'; \
+		awk '{ sub(/\/\/.*/, "") } /^[ \t]*$$/ { next } \
+			/^[A-Za-z_][A-Za-z0-9_]*:/ { l = $$0; sub(/:.*/, "", l); \
+				if (prev ~ /PCALIGN/) loop[l] = 1; else print FILENAME ":" NR ": label " l " not after PCALIGN"; } \
+			$$1 ~ /^J/ && !loop[$$2] { print FILENAME ":" NR ": " $$0 } \
+			$$1 == "CALL" { print FILENAME ":" NR ": " $$0 } \
+			{ prev = $$0 }' internal/bn/mont8_amd64.s; exit 0); \
 	if [ -n "$$bad" ]; then \
-		echo "kernellint: allocation, closure, interface, profiler hook or (mont8.go) branch, loop or computed index in a production kernel:"; \
+		echo "kernellint: allocation, closure, interface, profiler hook or (mont8.go, mont8_amd64.s) branch, call, loop or computed index in a production kernel:"; \
 		echo "$$bad"; exit 1; \
 	fi
 
-# mont8.go is generated by gen_mont8.go (go generate ./internal/bn):
-# regenerate it into a temporary file and fail on any difference, so
-# the committed kernel is always what the generator emits.
+# mont8.go and mont8_amd64.s are generated by gen_mont8.go (go
+# generate ./internal/bn): regenerate each into a temporary file and
+# fail on any difference, so the committed kernels are always what the
+# generator emits.
 gencheck:
 	@tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
-	$(GO) run internal/bn/gen_mont8.go > $$tmp || exit 1; \
-	if ! diff -u internal/bn/mont8.go $$tmp; then \
-		echo "gencheck: internal/bn/mont8.go is not what internal/bn/gen_mont8.go generates (go generate ./internal/bn)"; \
-		exit 1; \
-	fi
+	for out in mont8.go:-asm=false mont8_amd64.s:-asm; do \
+		f=internal/bn/$${out%%:*}; \
+		$(GO) run internal/bn/gen_mont8.go $${out#*:} > $$tmp || exit 1; \
+		if ! diff -u $$f $$tmp; then \
+			echo "gencheck: $$f is not what internal/bn/gen_mont8.go generates (go generate ./internal/bn)"; \
+			exit 1; \
+		fi; \
+	done
 
 # cbc dispatches once per call: the chaining loop lives in the
 # cipher's EncryptCBC/DecryptCBC (kernellint's files). A single-block

@@ -13,6 +13,7 @@ import (
 
 	"sslperf/internal/aes"
 	"sslperf/internal/aessha1"
+	"sslperf/internal/bn"
 	"sslperf/internal/des"
 	"sslperf/internal/dh"
 	"sslperf/internal/hmacx"
@@ -204,9 +205,10 @@ func main() {
 	priv := opRate(func() { key.DecryptPKCS1(rnd, ct) })
 	pub := opRate(func() { key.EncryptPKCS1(rnd, msg) })
 	rt := perf.NewTable("asymmetric op rates", "operation", "ops/s", "equivalent MB/s")
-	rt.AddRow("rsa private (decrypt)", fmt.Sprintf("%.1f", priv),
+	kernel := " (" + bn.Kernel() + ")"
+	rt.AddRow("rsa private (decrypt)"+kernel, fmt.Sprintf("%.1f", priv),
 		fmt.Sprintf("%.3f", priv*float64(key.Size())/1e6))
-	rt.AddRow("rsa public (encrypt)", fmt.Sprintf("%.1f", pub),
+	rt.AddRow("rsa public (encrypt)"+kernel, fmt.Sprintf("%.1f", pub),
 		fmt.Sprintf("%.3f", pub*float64(key.Size())/1e6))
 
 	// Ephemeral DH (the DHE suites' per-handshake cost).
@@ -224,8 +226,8 @@ func main() {
 	rndDH := ssl.NewPRNG(5)
 	genRate := opRate(func() { dh.GenerateKey(rndDH, params) })
 	ssRate := opRate(func() { ephemeral.SharedSecret(peer.Y) })
-	rt.AddRow("dh-1024 generate", fmt.Sprintf("%.1f", genRate), "")
-	rt.AddRow("dh-1024 agree", fmt.Sprintf("%.1f", ssRate), "")
+	rt.AddRow("dh-1024 generate"+kernel, fmt.Sprintf("%.1f", genRate), "")
+	rt.AddRow("dh-1024 agree"+kernel, fmt.Sprintf("%.1f", ssRate), "")
 	fmt.Println(rt)
 }
 

@@ -3,6 +3,7 @@ package bn
 import "math/bits"
 
 //go:generate go run gen_mont8.go -o mont8.go
+//go:generate go run gen_mont8.go -asm -o mont8_amd64.s
 
 // The production Montgomery kernel: what Mont.MulMont, SqrMont,
 // ToMont, FromMont, Reduce and Exp run whenever no profile is being
@@ -10,9 +11,11 @@ import "math/bits"
 // exactly m.k limbs, packed from the Int's 32-bit words once at the
 // exported boundary), interleaves multiplication and reduction in one
 // pass (CIOS; at exactly 8 limbs, mont8.go's straight-line product
-// scanning), squares with half the cross products, and keeps every
-// intermediate in a montScratch sized once per Mont — so nothing here
-// allocates or calls the profiler (`make kernellint`). The final
+// scanning, and at 8 and 16 limbs on a CPU with BMI2 and ADX,
+// mont8_amd64.s's MULX/ADCX/ADOX rows), squares with half the cross
+// products, and keeps every intermediate in a montScratch sized once
+// per Mont — so nothing here allocates or calls the profiler (`make
+// kernellint`). The final
 // subtraction and the window-table lookup have the same shape whatever
 // the operand values: no branch or memory address depends on a secret.
 //
@@ -20,6 +23,21 @@ import "math/bits"
 // function with the same R and is what the paper's Tables 8 and 9
 // profile; FuzzMontKernels holds the two equal to each other and to
 // math/big.
+
+// HardwareMul reports whether this CPU runs the 8- and 16-limb
+// Montgomery products (every RSA-1024 CRT half, RSA-1024 public op and
+// DH-1024 step) on MULX/ADCX/ADOX rather than on the generated Go and
+// the CIOS loops.
+func HardwareMul() bool { return hasADX }
+
+// Kernel names the kernel HardwareMul picks, for the reports that time
+// it: "MULX/ADX" or "Go".
+func Kernel() string {
+	if hasADX {
+		return "MULX/ADX"
+	}
+	return "Go"
+}
 
 // montScratch is the working memory of one in-flight Montgomery
 // operation, carved from a single backing array by Mont.newScratch.
@@ -56,13 +74,17 @@ func unpackLimbs(dst []Word, src []uint64) {
 }
 
 // mul64 sets z = x·y·R⁻¹ mod N for k-limb x, y < N. t needs k+1
-// limbs; z may alias x or y. The width picks the kernel through one
-// call of a method expression, which keeps mul64 (and sqr64) inlinable:
-// a second frame on every multiplication cost 7 % at k = 4.
+// limbs; z may alias x or y. The width and the adx bool pick the
+// kernel, called once through a method expression, which keeps mul64
+// (and sqr64) inlinable: a second frame on every multiplication cost
+// 7 % at k = 4.
 func (m *Mont) mul64(z, x, y, t []uint64) {
 	f := (*Mont).mulCIOS
-	if len(m.n64) == 8 {
+	if m.k == 8 {
 		f = (*Mont).mulU8
+	}
+	if m.adx {
+		f = (*Mont).mulX
 	}
 	f(m, z, x, y, t)
 }
@@ -112,8 +134,11 @@ func (m *Mont) mulCIOS(z, x, y, t []uint64) {
 // sqr64 sets z = x²·R⁻¹ mod N. t needs 2k limbs; z may alias x.
 func (m *Mont) sqr64(z, x, t []uint64) {
 	f := (*Mont).sqrCIOS
-	if len(m.n64) == 8 {
+	if m.k == 8 {
 		f = (*Mont).sqrU8
+	}
+	if m.adx {
+		f = (*Mont).sqrX
 	}
 	f(m, z, x, t)
 }
@@ -247,12 +272,12 @@ func (m *Mont) exp64(s *montScratch, e []Word) {
 	window := func(i int) uint {
 		return uint(e[i/perWord]>>(expWindow*uint(i%perWord))) & (1<<expWindow - 1)
 	}
-	selectEntry(s.acc, tab, window(windows-1))
+	m.selectEntry(s.acc, tab, window(windows-1))
 	for i := windows - 2; i >= 0; i-- {
 		for j := 0; j < expWindow; j++ {
 			m.sqr64(s.acc, s.acc, s.t)
 		}
-		selectEntry(s.y, tab, window(i))
+		m.selectEntry(s.y, tab, window(i))
 		m.mul64(s.acc, s.acc, s.y, s.t)
 	}
 	m.fromMont64(s.acc, s.acc, s.t)

@@ -43,6 +43,11 @@ func FuzzMontKernels(f *testing.F) {
 	nm1 := append(bytes.Repeat([]byte{0xff}, 63), 0xfe)
 	f.Add(ff, nm1, nm1, ff[:32])
 	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, 8), ff, ff[:40], ff)
+	// Exactly 16 limbs, the width of mulADX16: the same two moduli.
+	ff128 := bytes.Repeat([]byte{0xff}, 128)
+	nm1x := append(bytes.Repeat([]byte{0xff}, 127), 0xfe)
+	f.Add(ff128, nm1x, nm1x, ff[:32])
+	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, 16), ff128, ff[:40], ff)
 	f.Fuzz(func(t *testing.T, nb, xb, yb, eb []byte) {
 		if len(nb) > 160 || len(eb) > 160 {
 			t.Skip()
@@ -87,16 +92,65 @@ func FuzzMontKernels(f *testing.F) {
 	})
 }
 
-// TestMont8MatchesGeneric holds the generated 8-limb kernels (mont8.go)
-// equal, limb for limb, to the generic CIOS loops they stand in for at
-// that width: 200 PRNG operand pairs on each of 50 PRNG 512-bit moduli,
-// then every pair of the edge operands 0, 1, N−1, R mod N and all-ones
-// limbs on those moduli and on 2^511+1 and 2^512−1, each product also
-// computed with z = x, z = y and z = x = y.
+// TestMont8MatchesGeneric holds each 8-limb form equal, limb for limb,
+// to the generic CIOS loops it stands in for at that width: the
+// generated Go (mulU8, sqrU8, mont8.go) everywhere, and the generated
+// MULX/ADCX/ADOX assembly (mulX, sqrX, mont8_amd64.s) where CPUID
+// reports BMI2 and ADX. The operands are 200 PRNG pairs on each of 50
+// PRNG 512-bit moduli, then every pair of the edge operands 0, 1, N−1,
+// R mod N and all-ones limbs on those moduli and on 2^511+1 and
+// 2^512−1, each product also computed with z = x, z = y and z = x = y.
 func TestMont8MatchesGeneric(t *testing.T) {
-	rnd := rand.New(rand.NewSource(8))
+	for _, f := range []kernelForm{{"go", (*Mont).mulU8, (*Mont).sqrU8}, {"adx", (*Mont).mulX, (*Mont).sqrX}} {
+		t.Run(f.name, func(t *testing.T) {
+			if f.name == "adx" && !hasADX {
+				t.Skip("CPU lacks BMI2/ADX")
+			}
+			matchGeneric(t, 8, f.mul, f.sqr)
+		})
+	}
+}
+
+// TestMont16MatchesGeneric holds the 16-limb MULX/ADCX/ADOX multiply
+// (mulX, and sqrX, which is that multiply with y = x) equal to the
+// CIOS loops on the same operand set at 1024 bits, where CPUID reports
+// BMI2 and ADX.
+func TestMont16MatchesGeneric(t *testing.T) {
+	if !hasADX {
+		t.Skip("CPU lacks BMI2/ADX")
+	}
+	matchGeneric(t, 16, (*Mont).mulX, (*Mont).sqrX)
+}
+
+// TestSelect8MatchesGeneric holds Exp's 8-limb window lookup on SSE2
+// (Mont.selectEntry at k = 8) equal to the generic selectEntry for every
+// window value, on a table of PRNG limbs.
+func TestSelect8MatchesGeneric(t *testing.T) {
+	rnd := rand.New(rand.NewSource(16))
+	m := &Mont{k: 8}
+	table := make([]uint64, 8<<expWindow)
+	for i := range table {
+		table[i] = rnd.Uint64()
+	}
+	want, got := make([]uint64, 8), make([]uint64, 8)
+	for w := uint(0); w < 1<<expWindow; w++ {
+		selectEntry(want, table, w)
+		m.selectEntry(got, table, w)
+		for i := range want {
+			if got[i] != want[i] || want[i] != table[8*int(w)+i] {
+				t.Fatalf("w=%d: got %x, generic %x, entry %x", w, got, want, table[8*w:8*w+8])
+			}
+		}
+	}
+}
+
+// matchGeneric checks mul and sqr against mulCIOS and sqrCIOS on
+// k-limb moduli: 200 PRNG operand pairs on each of 50 PRNG moduli,
+// then the edge operands on those and on 2^(64k−1)+1 and 2^(64k)−1.
+func matchGeneric(t *testing.T, k int, mul func(m *Mont, z, x, y, t []uint64), sqr func(m *Mont, z, x, t []uint64)) {
+	rnd := rand.New(rand.NewSource(int64(k)))
 	limbs := func() []uint64 {
-		x := make([]uint64, 8)
+		x := make([]uint64, k)
 		for i := range x {
 			x[i] = rnd.Uint64()
 		}
@@ -104,20 +158,24 @@ func TestMont8MatchesGeneric(t *testing.T) {
 	}
 	toInt := func(x []uint64) *Int { return New().store(x) }
 	pack := func(x *Int) []uint64 {
-		l := make([]uint64, 8)
+		l := make([]uint64, k)
 		packLimbs(l, x.d)
 		return l
 	}
-	r := New().Lsh(NewInt(1), 512)
-	moduli := []*Int{New().Add(New().Lsh(NewInt(1), 511), NewInt(1)), New().Sub(r, NewInt(1))}
+	r := New().Lsh(NewInt(1), uint(64*k))
+	moduli := []*Int{New().Add(New().Lsh(NewInt(1), uint(64*k-1)), NewInt(1)), New().Sub(r, NewInt(1))}
 	for i := 0; i < 50; i++ {
 		n := limbs()
 		n[0] |= 1
-		n[7] |= 1 << 63
+		n[k-1] |= 1 << 63
 		moduli = append(moduli, toInt(n))
 	}
-	tm := make([]uint64, 2*8)
-	want, got := make([]uint64, 8), make([]uint64, 8)
+	tm := make([]uint64, 2*k)
+	want, got := make([]uint64, k), make([]uint64, k)
+	ones := make([]uint64, k)
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
 	for mi, n := range moduli {
 		m, err := NewMont(n)
 		if err != nil {
@@ -134,18 +192,18 @@ func TestMont8MatchesGeneric(t *testing.T) {
 				}
 			}
 			m.mulCIOS(want, x, y, tm)
-			m.mulU8(got, x, y, tm)
+			mul(m, got, x, y, tm)
 			same("mul", got)
-			m.mulU8(got, append(got[:0], x...), y, tm)
+			mul(m, got, append(got[:0], x...), y, tm)
 			same("mul z=x", got)
-			m.mulU8(got, x, append(got[:0], y...), tm)
+			mul(m, got, x, append(got[:0], y...), tm)
 			same("mul z=y", got)
 			m.sqrCIOS(want, x, tm)
-			m.sqrU8(got, x, tm)
+			sqr(m, got, x, tm)
 			same("sqr", got)
-			m.sqrU8(got, append(got[:0], x...), tm)
+			sqr(m, got, append(got[:0], x...), tm)
 			same("sqr z=x", got)
-			m.mulU8(got, append(got[:0], x...), got, tm)
+			mul(m, got, append(got[:0], x...), got, tm)
 			same("mul z=x=y", got)
 		}
 		if mi >= 2 {
@@ -153,8 +211,7 @@ func TestMont8MatchesGeneric(t *testing.T) {
 				check(pack(New().Mod(toInt(limbs()), n)), pack(New().Mod(toInt(limbs()), n)))
 			}
 		}
-		edges := [][]uint64{make([]uint64, 8), pack(NewInt(1)), pack(New().Sub(n, NewInt(1))), m.one64,
-			{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
+		edges := [][]uint64{make([]uint64, k), pack(NewInt(1)), pack(New().Sub(n, NewInt(1))), m.one64, ones}
 		for _, x := range edges {
 			for _, y := range edges {
 				check(x, y)
@@ -281,5 +338,47 @@ func BenchmarkMontExp512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Exp(z, x, e)
+	}
+}
+
+// kernelForm is one Montgomery multiply and square, called by name.
+type kernelForm struct {
+	name string
+	mul  func(m *Mont, z, x, y, t []uint64)
+	sqr  func(m *Mont, z, x, t []uint64)
+}
+
+// BenchmarkMont8 times each 8-limb form by name, with no packing: the
+// generic CIOS loops, the generated Go and, where CPUID reports BMI2
+// and ADX, the generated MULX/ADCX/ADOX assembly.
+func BenchmarkMont8(b *testing.B) {
+	benchForms(b, 512, []kernelForm{{"cios", (*Mont).mulCIOS, (*Mont).sqrCIOS}, {"go", (*Mont).mulU8, (*Mont).sqrU8}, {"adx", (*Mont).mulX, (*Mont).sqrX}})
+}
+
+// BenchmarkMont16 times the 16-limb forms by name: the CIOS loops and,
+// where CPUID reports it, the MULX/ADCX/ADOX multiply.
+func BenchmarkMont16(b *testing.B) {
+	benchForms(b, 1024, []kernelForm{{"cios", (*Mont).mulCIOS, (*Mont).sqrCIOS}, {"adx", (*Mont).mulX, (*Mont).sqrX}})
+}
+
+func benchForms(b *testing.B, bits int, forms []kernelForm) {
+	m, x, _ := benchMont(b, bits)
+	xl := make([]uint64, m.k)
+	packLimbs(xl, m.ToMont(New(), x).d)
+	z, tm := make([]uint64, m.k), make([]uint64, 2*m.k)
+	for _, f := range forms {
+		if f.name == "adx" && !hasADX {
+			continue
+		}
+		b.Run(f.name+"/mul", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.mul(m, z, xl, xl, tm)
+			}
+		})
+		b.Run(f.name+"/sqr", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.sqr(m, z, xl, tm)
+			}
+		})
 	}
 }

@@ -209,7 +209,7 @@ func TestTable9Listing(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := rep.String()
-	for _, want := range []string{"mull %ebp", "adcl", "widening multiply"} {
+	for _, want := range []string{"mull %ebp", "adcl", "widening multiply", "shipped kernel: " + bn.Kernel(), "SqrMont"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table9 missing %q", want)
 		}

@@ -169,6 +169,9 @@ func runTable9(cfg *Config) (*Report, error) {
 	for _, row := range bn.InnerLoopListing() {
 		t.AddRow(row[0], row[1])
 	}
+	mul, sqr := timeMont512(cfg.scale(20000))
+	t.AddRow("shipped kernel: "+bn.Kernel(),
+		fmt.Sprintf("measured 512-bit MulMont %.0f ns, SqrMont %.0f ns", mul, sqr))
 	// Also show the abstract per-limb trace the model uses.
 	var tr perf.Trace
 	bn.TraceMulAddWords(&tr, 1)
@@ -179,6 +182,29 @@ func runTable9(cfg *Config) (*Report, error) {
 	}
 	return &Report{ID: "table9", Title: "bn_mul_add_words inner loop",
 		Tables: []*perf.Table{t, mix}}, nil
+}
+
+// timeMont512 returns the mean ns of n MulMont and of n SqrMont on a
+// fixed odd 512-bit modulus: the width of an RSA-1024 CRT half, on the
+// kernel this CPU runs.
+func timeMont512(n int) (mul, sqr float64) {
+	m, err := bn.NewMont(bn.New().AddWord(bn.New().Lsh(bn.NewInt(0xb7e151628aed2a6b), 448), 0x9e3779b9))
+	if err != nil {
+		panic(err)
+	}
+	x := m.ToMont(bn.New(), bn.New().Lsh(bn.NewInt(0x243f6a8885a308d3), 440))
+	z := bn.New()
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		m.MulMont(z, x, x)
+	}
+	mul = float64(time.Since(start).Nanoseconds()) / float64(n)
+	start = time.Now()
+	for i := 0; i < n; i++ {
+		m.SqrMont(z, x)
+	}
+	sqr = float64(time.Since(start).Nanoseconds()) / float64(n)
+	return mul, sqr
 }
 
 // measureRSAThroughput returns decrypted bytes/second for Table 11.

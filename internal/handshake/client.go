@@ -475,7 +475,10 @@ func (c *clientState) verifyCert(cert *x509lite.Certificate, intermediates [][]b
 			cert.SubjectCN, c.cfg.ServerName)
 	}
 	if c.cfg.RootCert == nil {
-		return cert.CheckSignature(cert.PublicKey) // self-signed
+		if err := cert.CheckSignature(cert.PublicKey); err != nil {
+			return fmt.Errorf("handshake: self-signed certificate: %w", err)
+		}
+		return nil
 	}
 	current := cert
 	for i, der := range intermediates {

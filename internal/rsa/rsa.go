@@ -181,9 +181,26 @@ func (priv *PrivateKey) Validate() error {
 	return nil
 }
 
-// public applies the public operation m^e mod N.
+// public applies the public operation m^e mod N by square-and-multiply
+// over e's bits in the Montgomery domain: e is public, so the shape may
+// follow it, and e = 65537 costs 16 squarings and one multiplication
+// where ModExp's fixed windows take about 36 operations. A modulus
+// NewMont refuses (even, or not above 1) or an exponent below 1 takes
+// ModExp, whose answer it has always been.
 func (pub *PublicKey) public(m *bn.Int) *bn.Int {
-	return bn.New().ModExp(m, pub.E, pub.N)
+	mont, err := bn.NewMont(pub.N)
+	if err != nil || pub.E.Sign() <= 0 {
+		return bn.New().ModExp(m, pub.E, pub.N)
+	}
+	x := mont.ToMont(bn.New(), mont.Reduce(bn.New(), m))
+	acc := x.Clone()
+	for i := pub.E.BitLen() - 2; i >= 0; i-- {
+		mont.SqrMont(acc, acc)
+		if pub.E.Bit(i) == 1 {
+			mont.MulMont(acc, acc, x)
+		}
+	}
+	return mont.FromMont(acc, acc)
 }
 
 // crt sets ar.m = c^d mod N for c in [0, N) using the Chinese

@@ -157,6 +157,42 @@ func TestPrivatePublicInverse(t *testing.T) {
 	}
 }
 
+// TestPublicMatchesModExp holds the public op's square-and-multiply
+// equal to ModExp, which it replaced: on both test keys with m ≥ N
+// too, on odd moduli from 1 to 40 words, and on the moduli NewMont
+// refuses (even, 1), which take ModExp itself and so must not panic.
+func TestPublicMatchesModExp(t *testing.T) {
+	k512, k1024 := testKeys(t)
+	rnd := newRandReader(40)
+	check := func(n, e, m *bn.Int) {
+		t.Helper()
+		pub := &PublicKey{N: n, E: e}
+		if got, want := pub.public(m), bn.New().ModExp(m, e, n); !got.Equal(want) {
+			t.Fatalf("public(%s) mod %s, e=%s = %s, want %s", m, n, e, got, want)
+		}
+	}
+	for _, k := range []*PrivateKey{k512, k1024} {
+		for i := 0; i < 5; i++ {
+			m, _ := bn.New().RandRange(rnd, k.N)
+			check(k.N, k.E, m)
+			check(k.N, k.E, bn.New().Add(m, k.N))
+		}
+	}
+	for words := 1; words <= 40; words++ {
+		n, _ := bn.New().Rand(rnd, 32*words, false)
+		if !n.IsOdd() {
+			n.AddWord(n, 1)
+		}
+		m, _ := bn.New().Rand(rnd, 32*words+5, false)
+		for _, e := range []*bn.Int{bn.NewInt(1), bn.NewInt(3), bn.NewInt(65537), n} {
+			check(n, e, m)
+			check(bn.New().Add(n, n), e, m)
+		}
+	}
+	check(bn.NewInt(1), bn.NewInt(65537), bn.NewInt(5))
+	check(bn.NewInt(2), bn.NewInt(65537), bn.NewInt(5))
+}
+
 func TestAgainstMathBig(t *testing.T) {
 	k512, _ := testKeys(t)
 	// Cross-check the public op against math/big.

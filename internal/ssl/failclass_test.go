@@ -8,11 +8,16 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"sslperf/internal/bn"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/record"
+	"sslperf/internal/rsa"
+	"sslperf/internal/suite"
 	"sslperf/internal/telemetry"
+	"sslperf/internal/x509lite"
 )
 
 // timeoutTransport fails every read with a net.Error timeout.
@@ -247,5 +252,50 @@ func TestFailClassSuccessPath(t *testing.T) {
 	}
 	if tab.Snapshot(lifecycle.SnapshotOptions{}).Failed != 0 {
 		t.Fatal("table counted a failure on the success path")
+	}
+}
+
+// TestEvenModulusCertificate hands the client a certificate whose RSA
+// modulus is even (the server's N plus one), which no Montgomery
+// context accepts. The public op takes ModExp's division path for it,
+// so the handshake ends in a classified failure, not a panic: with
+// verification on, the certificate's self-signature does not check;
+// with it off, the pre-master the client encrypts under the bogus key
+// decrypts to garbage, and the server's MAC check fails.
+func TestEvenModulusCertificate(t *testing.T) {
+	id := identity(t)
+	even := &rsa.PublicKey{N: bn.New().AddWord(id.Key.N, 1), E: id.Key.E}
+	now := time.Now()
+	cert, err := x509lite.Create(NewPRNG(7), "ssl-test", even, "ssl-test", id.Key,
+		now.Add(-time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		verify bool
+		class  probe.FailClass
+	}{
+		{"verify", true, probe.FailCertVerify},
+		{"skip-verify", false, probe.FailPeerAlert},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct, st := Pipe()
+			client := ClientConn(ct, &Config{
+				Rand:               NewPRNG(8),
+				Suites:             []suite.ID{suite.RSAWith3DESEDECBCSHA},
+				InsecureSkipVerify: !tc.verify,
+			})
+			server := ServerConn(st, &Config{Rand: NewPRNG(9), Key: id.Key, CertDER: cert.Raw})
+			go func() {
+				server.Handshake()
+				server.Close()
+			}()
+			err := client.Handshake()
+			client.Close()
+			if got := Classify(err); got != tc.class {
+				t.Fatalf("client handshake error %v classified %v, want %v", err, got, tc.class)
+			}
+		})
 	}
 }
