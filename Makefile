@@ -62,8 +62,8 @@ check:
 		./internal/ssl/... ./internal/record/... \
 		./internal/handshake/... ./internal/perf/... \
 		./internal/loadgen/... ./internal/pathlen/... \
-		./internal/lifecycle/... ./internal/slo/... \
-		./internal/history/... ./internal/debughttp/... ./cmd/ssltop/... \
+		./internal/lifecycle/... ./internal/history/... \
+		./internal/debughttp/... ./cmd/ssltop/... \
 		./internal/bn/... ./internal/rsa/... ./internal/server/... ./internal/des/...
 	$(MAKE) fuzzsmoke
 	$(MAKE) loadsmoke
@@ -223,7 +223,7 @@ cbclint:
 # into bench/'s client).
 depslint:
 	@bad=$$($(GO) list -deps ./internal/ssl ./internal/handshake ./internal/record \
-		| grep -E '^sslperf/internal/(telemetry|trace|lifecycle|slo|history|debughttp|pathlen)$$'; exit 0); \
+		| grep -E '^sslperf/internal/(telemetry|trace|lifecycle|history|debughttp|pathlen)$$'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "depslint: the protocol layers import the observatory:"; \
 		echo "$$bad"; exit 1; \

@@ -18,7 +18,6 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/server"
-	"sslperf/internal/slo"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
 	"sslperf/internal/telemetry"
@@ -50,7 +49,7 @@ func main() {
 			"expose net/http/pprof under /debug/pprof/ on the telemetry address")
 		pprofLabels = flag.Bool("pprof-labels", false,
 			"attach pprof labels (sslstep/sslfn/sslcat) to handshake, crypto, and bulk work so CPU profiles fold by Table 2 step")
-		sloTarget = flag.Duration("slotarget", 50*time.Millisecond,
+		sloTarget = flag.Duration("slotarget", telemetry.DefaultSLOTarget,
 			"handshake-latency SLO target: successes slower than this burn the error budget on /debug/slo")
 		closeLogPath = flag.String("closelog", "",
 			"write one structured JSON line per connection close to this file (\"stderr\" for stderr)")
@@ -138,36 +137,34 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 		opts.Tracer = trace.NewTracer(trace.Config{SampleEvery: traceEvery})
 	}
 	opts.Registry = telemetry.NewRegistry()
-	opts.SLO = slo.New(slo.Config{TargetP99: sloTarget, ErrorBudget: sloBudget})
+	opts.Registry.SetSLOTarget(sloTarget)
 	opts.Ring = flightRecords
 	table := lifecycle.NewTable(opts)
 
 	mux := http.NewServeMux()
 	telemetry.Register(mux, opts.Registry)
 	lifecycle.Register(mux, table)
-	slo.Register(mux, opts.SLO)
 	// The history sampler ticks over every surface built above, so it
-	// wires up last.
+	// wires up last; /debug/slo is a view of its rings.
 	hist := history.New(history.Config{Interval: historyInterval})
 	history.AddStandardSources(hist, history.Sources{
 		Telemetry: opts.Registry,
 		Runtime:   true,
-		SLO:       opts.SLO,
 		Lifecycle: table,
 	})
 	history.Register(mux, hist)
+	history.RegisterSLO(mux, hist, opts.Registry, sloBudget)
 	hist.Start()
 	// POST /debug/reset is the one reset: it scopes every observatory
 	// at once — metrics with the anatomy and path length, conn table
-	// and record ring, SLO windows, and history rings — so "warm up,
-	// reset, measure" needs one call.
+	// and record ring, and the history rings /debug/slo reads — so
+	// "warm up, reset, measure" needs one call.
 	mux.HandleFunc("/debug/reset", func(w http.ResponseWriter, req *http.Request) {
 		if !debughttp.PostOnly(w, req) {
 			return
 		}
 		opts.Registry.Reset()
 		table.Reset()
-		opts.SLO.Reset()
 		hist.Reset()
 		debughttp.WriteText(w, "reset\n")
 	})

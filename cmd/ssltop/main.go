@@ -1,9 +1,10 @@
 // Command ssltop is the terminal observatory: it polls one or many
 // sslserver instances' /debug/history endpoints and renders a live
-// dashboard — handshake and bulk throughput sparklines, the SLO burn
-// gauge, connection-state counts, the fail-class top-K, and the
-// paper's Table 2 anatomy shares as horizontal bars — refreshing in
-// place like top(1).
+// dashboard — handshake and bulk throughput sparklines, each tick's
+// SLO burn rate (from the failed and slow handshake counters),
+// connection-state counts, the fail-class top-K, and the paper's
+// Table 2 anatomy shares as horizontal bars — refreshing in place like
+// top(1).
 //
 //	ssltop :9090                      # one server, live
 //	ssltop :9090 :9091 :9092          # a fleet, stacked panels
@@ -31,6 +32,10 @@ import (
 
 	"sslperf/internal/history"
 )
+
+// errorBudget is sslserver's: the allowed fraction of failed-or-slow
+// handshakes the burn line divides by.
+const errorBudget = 0.01
 
 func main() {
 	var (
@@ -230,21 +235,30 @@ func renderPanel(f *frame) string {
 		return b.String()
 	}
 
-	// Throughput sparklines: handshakes (full+resumed+failed summed
+	// Throughput sparklines: handshakes (full+resumed summed
 	// point-wise), bulk bytes out.
 	hs := sumSeries(s, "handshakes.full", "handshakes.resumed")
 	fmt.Fprintf(&b, "  handshakes %8.1f/s  %s\n", tail(hs), history.Sparkline(hs, 40))
 	if sd, ok := s.Get("bytes.out"); ok {
 		fmt.Fprintf(&b, "  bulk out   %8s/s  %s\n", humanBytes(sd.Last), history.Sparkline(sd.Points, 40))
 	}
-	if sd, ok := s.Get("slo.burn"); ok {
+	if _, ok := s.Get("handshakes.slow"); ok {
+		// Each tick's burn rate: failed or slow handshakes over all of
+		// them, over sslserver's error budget.
+		burn := sumSeries(s, "handshakes.failed", "handshakes.slow")
+		total := sumSeries(s, "handshakes.full", "handshakes.resumed", "handshakes.failed")
+		for i, t := range total {
+			if t > 0 {
+				burn[i] /= t * errorBudget
+			}
+		}
 		status := "ok"
-		if sd.Last > 1 {
+		if tail(burn) > 1 {
 			status = "BURNING"
 		}
 		fmt.Fprintf(&b, "  slo burn   %8.2fx   %s  p99 %.0fus inflight %.0f  [%s]\n",
-			sd.Last, history.Sparkline(sd.Points, 40),
-			lastVal(s, "slo.p99_us"), lastVal(s, "slo.inflight"), status)
+			tail(burn), history.Sparkline(burn, 40),
+			lastVal(s, "slo.p99_us"), lastVal(s, "conns.handshaking"), status)
 	}
 
 	// Connection states.

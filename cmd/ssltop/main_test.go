@@ -15,7 +15,6 @@ import (
 	"sslperf/internal/history"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/loadgen"
-	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 )
 
@@ -27,8 +26,8 @@ import (
 // one-shot dashboard renders non-empty from the same endpoint.
 func TestObservatorySmoke(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tracker := slo.New(slo.Config{TargetP99: 5 * time.Second})
-	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker})
+	reg.SetSLOTarget(5 * time.Second)
+	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg})
 	srv, err := loadgen.StartServer(loadgen.ServerOptions{
 		KeyBits:  512,
 		FileSize: 512,
@@ -44,7 +43,6 @@ func TestObservatorySmoke(t *testing.T) {
 	history.AddStandardSources(h, history.Sources{
 		Telemetry: reg,
 		Runtime:   true,
-		SLO:       tracker,
 		Lifecycle: tab,
 	})
 	// Baseline before any traffic: the first sample's delta is always

@@ -6,17 +6,15 @@ import (
 
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
-	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 )
 
 // warmStandardSampler builds a History over every standard source
-// (telemetry, runtime, slo, lifecycle, record crypto, anatomy) with
+// (telemetry with record crypto and anatomy, runtime, lifecycle) with
 // enough state that the fold paths run, and ticks it past its warm-up.
 func warmStandardSampler() *History {
 	reg := telemetry.NewRegistry()
-	tracker := slo.New(slo.Config{})
-	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker})
+	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg})
 
 	// Give the surfaces some state so the fold paths run, not the
 	// empty-case shortcuts: one connection folded and closed, one still
@@ -38,7 +36,6 @@ func warmStandardSampler() *History {
 	AddStandardSources(h, Sources{
 		Telemetry: reg,
 		Runtime:   true,
-		SLO:       tracker,
 		Lifecycle: tab,
 	})
 

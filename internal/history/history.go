@@ -1,6 +1,6 @@
 // Package history is the time-series half of the observatory: where
 // every surface built so far (telemetry counters and the live anatomy,
-// SLO windows, path-length folds, the lifecycle table) answers
+// path-length folds, the lifecycle table) answers
 // "what is true right now", this layer answers "what happened over the
 // last five minutes as load ramped past saturation" — the trajectory
 // view the paper's whole method implies (Table 2 shares and the
@@ -14,13 +14,15 @@
 // per-tick deltas, so rates (handshakes/s, bytes/s) are first-class
 // and the sum of a window's deltas reconciles exactly against the
 // underlying cumulative counter; gauge series store the sampled value,
-// with the coarse ring holding per-window means.
+// with the coarse ring holding per-window means. The SLO's 10s/1m/5m
+// burn-rate windows (/debug/slo) are sums over the fine ring, taken at
+// read time.
 //
 // The sampling path is zero-allocation in steady state: sources fill
 // preallocated scratch slices from wait-free accessors
-// (telemetry.Registry.Counts and SharesInto, slo.Tracker.Stats,
-// lifecycle.Table.Counts), and ring writes are
-// plain stores under one mutex. TestSampleNowZeroAlloc pins the 0
+// (telemetry.Registry.Counts, Tick and SharesInto,
+// lifecycle.Table.Counts), and ring writes are plain stores under one
+// mutex. TestSampleNowZeroAlloc pins the 0
 // allocs/tick; BenchmarkHistorySample times the tick (a few µs, far
 // under 1% of a CPU at 1s resolution).
 package history
@@ -128,9 +130,8 @@ type History struct {
 	ticksInCoarse int
 	lastAt        time.Time
 
-	running bool
-	stop    chan struct{}
-	done    chan struct{}
+	stop chan struct{} // non-nil while the sampler runs
+	done chan struct{}
 }
 
 // New returns an empty history with cfg's geometry.
@@ -168,14 +169,6 @@ func (h *History) Interval() time.Duration {
 	return h.interval
 }
 
-// CoarseInterval returns the coarse resolution.
-func (h *History) CoarseInterval() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.interval * time.Duration(h.coarseEvery)
-}
-
 // AddSource registers a source. Call before Start (concurrent
 // registration is safe but samples taken before registration will not
 // cover the new series). Series whose names collide with already
@@ -203,21 +196,6 @@ func (h *History) AddSource(src Source) {
 		ss.series = append(ss.series, st)
 	}
 	h.sources = append(h.sources, ss)
-}
-
-// SeriesNames returns every registered series name in registration
-// order.
-func (h *History) SeriesNames() []string {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	names := make([]string, len(h.series))
-	for i, s := range h.series {
-		names[i] = s.def.Name
-	}
-	return names
 }
 
 // Seq returns the number of fine samples taken so far — the watch
@@ -252,24 +230,19 @@ func (h *History) SampleNow() {
 				continue
 			}
 			v := ss.scratch[i]
-			var point float64
+			point := v
 			if st.def.Kind == KindCounter {
-				delta := v - st.lastRaw
-				if !st.haveRaw {
-					delta = 0
-				} else if delta < 0 {
-					// The counter restarted (a /debug/reset upstream):
-					// re-baseline, crediting the new count since zero.
-					delta = v
+				// A counter below its last sample restarted (a
+				// /debug/reset upstream): re-baseline, crediting the new
+				// count since zero.
+				switch {
+				case !st.haveRaw:
+					point = 0
+				case v >= st.lastRaw:
+					point = v - st.lastRaw
 				}
-				st.lastRaw = v
-				st.haveRaw = true
-				point = delta
-			} else {
-				st.lastRaw = v
-				st.haveRaw = true
-				point = v
 			}
+			st.lastRaw, st.haveRaw = v, true
 			st.fine[slot] = point
 			st.acc += point
 			st.accN++
@@ -304,13 +277,11 @@ func (h *History) Start() {
 		return
 	}
 	h.mu.Lock()
-	if h.running {
+	if h.stop != nil {
 		h.mu.Unlock()
 		return
 	}
-	h.running = true
-	h.stop = make(chan struct{})
-	h.done = make(chan struct{})
+	h.stop, h.done = make(chan struct{}), make(chan struct{})
 	stop, done := h.stop, h.done
 	h.mu.Unlock()
 	go func() {
@@ -335,13 +306,12 @@ func (h *History) Stop() {
 		return
 	}
 	h.mu.Lock()
-	if !h.running {
-		h.mu.Unlock()
+	stop, done := h.stop, h.done
+	h.stop = nil
+	h.mu.Unlock()
+	if stop == nil {
 		return
 	}
-	h.running = false
-	stop, done := h.stop, h.done
-	h.mu.Unlock()
 	close(stop)
 	<-done
 }
@@ -428,7 +398,7 @@ func (h *History) Snapshot(opts SnapshotOptions) Snapshot {
 	step := h.interval
 	seq, first, slots := h.seq, h.fineFirst, h.fineSlots
 	if opts.Coarse {
-		step = h.CoarseInterval()
+		step *= time.Duration(h.coarseEvery)
 		seq, first, slots = h.coarseSeq, h.coarseFirst, h.coarseSlots
 	}
 	snap := Snapshot{
@@ -441,29 +411,14 @@ func (h *History) Snapshot(opts SnapshotOptions) Snapshot {
 		snap.At = h.now()
 	}
 
-	// The valid extent: samples (start, seq], bounded by the ring size
-	// and any Reset cut.
-	start := first
-	if seq > uint64(slots) && seq-uint64(slots) > start {
-		start = seq - uint64(slots)
+	start := validStart(first, seq, slots)
+	if opts.Last > 0 && seq-start > uint64(opts.Last) {
+		start = seq - uint64(opts.Last)
 	}
 	n := int(seq - start)
-	if opts.Last > 0 && n > opts.Last {
-		start = seq - uint64(opts.Last)
-		n = opts.Last
-	}
 
 	stepSecs := step.Seconds()
-	pick := h.series
-	if opts.Series != nil {
-		pick = pick[:0:0]
-		for _, name := range opts.Series {
-			if st := h.byName[name]; st != nil {
-				pick = append(pick, st)
-			}
-		}
-	}
-	for _, st := range pick {
+	for _, st := range h.pick(opts.Series) {
 		ring := st.fine
 		if opts.Coarse {
 			ring = st.coarse
@@ -488,12 +443,7 @@ func (h *History) Snapshot(opts SnapshotOptions) Snapshot {
 			sd.Min, sd.Max = sd.Points[0], sd.Points[0]
 			var total float64
 			for _, v := range sd.Points {
-				if v < sd.Min {
-					sd.Min = v
-				}
-				if v > sd.Max {
-					sd.Max = v
-				}
+				sd.Min, sd.Max = min(sd.Min, v), max(sd.Max, v)
 				total += v
 			}
 			sd.Mean = total / float64(len(sd.Points))
@@ -505,6 +455,30 @@ func (h *History) Snapshot(opts SnapshotOptions) Snapshot {
 		snap.Series = append(snap.Series, sd)
 	}
 	return snap
+}
+
+// validStart is the first sample of a ring's valid extent, samples
+// [start, seq): from first (the Reset cut), bounded by the ring size.
+func validStart(first, seq uint64, slots int) uint64 {
+	if seq > uint64(slots) {
+		return max(first, seq-uint64(slots))
+	}
+	return first
+}
+
+// pick returns the named series that exist, or every series when names
+// is nil. Callers hold h.mu.
+func (h *History) pick(names []string) []*seriesState {
+	if names == nil {
+		return h.series
+	}
+	var out []*seriesState
+	for _, name := range names {
+		if st := h.byName[name]; st != nil {
+			out = append(out, st)
+		}
+	}
+	return out
 }
 
 // A Delta is one fine tick's values for the selected series — one
@@ -525,25 +499,11 @@ func (h *History) DeltasSince(cursor uint64, names []string) ([]Delta, uint64) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	start := cursor
-	if start < h.fineFirst {
-		start = h.fineFirst
-	}
-	if h.seq > uint64(h.fineSlots) && h.seq-uint64(h.fineSlots) > start {
-		start = h.seq - uint64(h.fineSlots)
-	}
+	start := validStart(max(cursor, h.fineFirst), h.seq, h.fineSlots)
 	if start >= h.seq {
 		return nil, h.seq
 	}
-	pick := h.series
-	if names != nil {
-		pick = pick[:0:0]
-		for _, name := range names {
-			if st := h.byName[name]; st != nil {
-				pick = append(pick, st)
-			}
-		}
-	}
+	pick := h.pick(names)
 	stepSecs := h.interval.Seconds()
 	out := make([]Delta, 0, h.seq-start)
 	for s := start; s < h.seq; s++ {

@@ -320,9 +320,8 @@ func TestDuplicateSeriesKeepsFirst(t *testing.T) {
 	src.counter.Store(2)
 	h.SampleNow()
 	h.SampleNow()
-	names := h.SeriesNames()
-	if len(names) != 2 {
-		t.Fatalf("names = %v, want the first registration only", names)
+	if series := h.Snapshot(SnapshotOptions{}).Series; len(series) != 2 {
+		t.Fatalf("series = %+v, want the first registration only", series)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/record"
-	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
 )
@@ -30,14 +29,12 @@ func newObservatory() *observatory {
 		reg:    telemetry.NewRegistry(),
 		tracer: trace.NewTracer(trace.Config{SampleEvery: 1}),
 	}
-	tracker := slo.New(slo.Config{})
 	o.tab = lifecycle.NewTable(lifecycle.Options{
-		Registry: o.reg, Tracer: o.tracer, SLO: tracker, Ring: 16,
+		Registry: o.reg, Tracer: o.tracer, Ring: 16,
 	})
 	o.h, _ = newTestHistory(Config{Interval: time.Second, FineSlots: 64})
 	AddStandardSources(o.h, Sources{
-		Telemetry: o.reg, Runtime: true, SLO: tracker,
-		Lifecycle: o.tab,
+		Telemetry: o.reg, Runtime: true, Lifecycle: o.tab,
 	})
 	return o
 }

@@ -3,16 +3,15 @@ package history
 import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
-	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 )
 
 // This file binds every observatory surface to the ring layer. Each
 // source reads the surface's allocation-free accessor
-// (telemetry.Counts and SharesInto, slo.Stats, lifecycle.Counts) so
-// the whole tick stays off the heap. The telemetry reads include the
-// open connections' running totals, so records.*, bytes.* and
-// pathlen.* move while a long transfer is still in progress.
+// (telemetry.Counts, Tick and SharesInto, lifecycle.Counts) so the
+// whole tick stays off the heap. The telemetry reads include the open
+// connections' running totals, so records.*, bytes.* and pathlen.*
+// move while a long transfer is still in progress.
 
 // source is a Source from a fixed series list and a sampling closure
 // that keeps whatever state it needs between ticks.
@@ -42,31 +41,14 @@ func defs(kind Kind, nameUnit []string) []SeriesDef {
 type Sources struct {
 	Telemetry *telemetry.Registry
 	Runtime   bool
-	SLO       *slo.Tracker
 	Lifecycle *lifecycle.Table
 }
 
 // AddStandardSources registers a source per populated surface, in a
-// fixed order (telemetry, runtime, slo, conns, then the telemetry
-// registry's record-crypto intensity and anatomy shares).
+// fixed order (telemetry, runtime, conns).
 func AddStandardSources(h *History, s Sources) {
 	if reg := s.Telemetry; reg != nil {
-		// The record/handshake counters, which the snapshot renders as
-		// rates (handshakes/s, bytes/s — the paper's throughput axes).
-		h.AddSource(source{counters(
-			"connections", "conn/s",
-			"handshakes.full", "hs/s", "handshakes.resumed", "hs/s", "handshakes.failed", "hs/s",
-			"records.in", "rec/s", "records.out", "rec/s", "bytes.in", "B/s", "bytes.out", "B/s",
-			"alerts.in", "alerts/s", "alerts.out", "alerts/s",
-		), func(vals []float64) {
-			c := reg.Counts()
-			for i, v := range [...]uint64{
-				c.Connections, c.HandshakesFull, c.HandshakesResumed, c.HandshakesFailed,
-				c.RecordsIn, c.RecordsOut, c.BytesIn, c.BytesOut, c.AlertsReceived, c.AlertsSent,
-			} {
-				vals[i] = float64(v)
-			}
-		}})
+		h.AddSource(telemetrySource(reg))
 	}
 	if s.Runtime {
 		// The Go runtime gauges through a reusable runtime/metrics
@@ -83,22 +65,6 @@ func AddStandardSources(h *History, s Sources) {
 			vals[1] = float64(rs.HeapInuseBytes)
 			vals[2] = float64(rs.GCPauseP99) / 1e3
 			vals[3] = float64(rs.SchedLatP99) / 1e3
-		}})
-	}
-	if tracker := s.SLO; tracker != nil {
-		// The short (10s) SLO window: p99, error rate, burn rate,
-		// in-flight handshakes, and queue-delay mean — the overload
-		// early-warning gauges.
-		h.AddSource(source{gauges(
-			"slo.p99_us", "us", "slo.error_rate", "frac", "slo.burn", "x",
-			"slo.inflight", "hs", "slo.queue_mean_us", "us",
-		), func(vals []float64) {
-			ws := tracker.Stats(10)
-			vals[0] = ws.P99Us
-			vals[1] = ws.ErrorRate
-			vals[2] = ws.BurnRate
-			vals[3] = float64(tracker.InFlight())
-			vals[4] = ws.QueueMeanUs
 		}})
 	}
 	if table := s.Lifecycle; table != nil {
@@ -127,39 +93,66 @@ func AddStandardSources(h *History, s Sources) {
 			}
 		}})
 	}
-	if reg := s.Telemetry; reg != nil {
-		// Windowed cipher, MAC and stitched-seal cycles/byte: the
-		// previous cumulative (bytes, nanos) totals are kept and the
-		// delta window's intensity rendered, so the gauge tracks the
-		// *current* mix (an RC4 to AES suite shift moves it within one
-		// tick, where the cumulative Table-11 view only drifts). 0 when
-		// the window saw no bytes.
-		var prev [3]telemetry.CryptoCell
-		h.AddSource(source{gauges(
-			"pathlen.cipher_cyc_b", "cyc/B", "pathlen.mac_cyc_b", "cyc/B", "pathlen.stitched_cyc_b", "cyc/B",
-		), func(vals []float64) {
-			c := reg.Counts()
-			for i, g := range c.Crypto.Groups() {
-				window := g // counters rewound (/debug/reset): the new totals are the window
-				if g.Bytes >= prev[i].Bytes && g.Nanos >= prev[i].Nanos {
-					window = telemetry.CryptoCell{Bytes: g.Bytes - prev[i].Bytes, Nanos: g.Nanos - prev[i].Nanos}
-				}
-				prev[i] = g
-				vals[i] = window.CyclesPerByte()
-			}
-		}})
+}
 
-		// The registry's live Table-2 step shares
-		// (anatomy.share.<step>, percent of total step time) and the
-		// sampled handshakes' crypto share — the paper's headline split.
-		steps := probe.Steps()
-		var defs []SeriesDef
-		for _, step := range steps {
-			defs = append(defs, SeriesDef{Name: "anatomy.share." + step.Name(), Unit: "%", Kind: KindGauge})
-		}
-		defs = append(defs, SeriesDef{Name: "anatomy.crypto_share", Unit: "%", Kind: KindGauge})
-		h.AddSource(source{defs, func(vals []float64) {
-			vals[len(steps)] = reg.SharesInto(steps, vals)
-		}})
+// telemetrySource is every registry-backed series, filled from one
+// Registry.Counts read per tick: that read takes the conn table's fold
+// lock and walks every live entry.
+func telemetrySource(reg *telemetry.Registry) Source {
+	// The record/handshake counters, which the snapshot renders as
+	// rates (handshakes/s, bytes/s — the paper's throughput axes), and
+	// the SLO's slow, latency and queue-delay sums that /debug/slo's
+	// windows add up.
+	defs := counters(
+		"connections", "conn/s",
+		"handshakes.full", "hs/s", "handshakes.resumed", "hs/s", "handshakes.failed", "hs/s",
+		"records.in", "rec/s", "records.out", "rec/s", "bytes.in", "B/s", "bytes.out", "B/s",
+		"alerts.in", "alerts/s", "alerts.out", "alerts/s",
+		"handshakes.slow", "hs/s", "handshakes.time_us", "us/s",
+		"queue.delays", "hs/s", "queue.delay_us", "us/s",
+	)
+	// Gauges: the tick's worst handshakes (the p99 latency of the
+	// successes and the largest queue delay among the handshakes that
+	// ended in it), then windowed cipher, MAC and stitched-seal
+	// cycles/byte: the previous cumulative (bytes, nanos) totals are
+	// kept and the delta window's intensity rendered, so the gauge
+	// tracks the *current* mix (an RC4 to AES suite shift moves it
+	// within one tick, where the cumulative Table-11 view only drifts).
+	// 0 when the window saw no bytes. Then the registry's live Table-2
+	// step shares (anatomy.share.<step>, percent of total step time) and
+	// the sampled handshakes' crypto share — the paper's headline split.
+	tick := len(defs)
+	defs = append(defs, gauges("slo.p99_us", "us", "queue.max_us", "us",
+		"pathlen.cipher_cyc_b", "cyc/B", "pathlen.mac_cyc_b", "cyc/B", "pathlen.stitched_cyc_b", "cyc/B")...)
+	shares := len(defs)
+	steps := probe.Steps()
+	for _, step := range steps {
+		defs = append(defs, SeriesDef{Name: "anatomy.share." + step.Name(), Unit: "%", Kind: KindGauge})
 	}
+	defs = append(defs, SeriesDef{Name: "anatomy.crypto_share", Unit: "%", Kind: KindGauge})
+
+	var lat, queue telemetry.Tick
+	var prev [3]telemetry.CryptoCell
+	return source{defs, func(vals []float64) {
+		c := reg.Counts()
+		for i, v := range [...]uint64{
+			c.Connections, c.HandshakesFull, c.HandshakesResumed, c.HandshakesFailed,
+			c.RecordsIn, c.RecordsOut, c.BytesIn, c.BytesOut, c.AlertsReceived, c.AlertsSent,
+			c.HandshakesSlow, uint64(c.HandshakeTime.Microseconds()),
+			c.QueueDelays, uint64(c.QueueDelay.Microseconds()),
+		} {
+			vals[i] = float64(v)
+		}
+		p99, queueMax := reg.Tick(&lat, &queue)
+		vals[tick], vals[tick+1] = float64(p99)/1e3, float64(queueMax)/1e3
+		for i, g := range c.Crypto.Groups() {
+			window := g // counters rewound (/debug/reset): the new totals are the window
+			if g.Bytes >= prev[i].Bytes && g.Nanos >= prev[i].Nanos {
+				window = telemetry.CryptoCell{Bytes: g.Bytes - prev[i].Bytes, Nanos: g.Nanos - prev[i].Nanos}
+			}
+			prev[i] = g
+			vals[tick+2+i] = window.CyclesPerByte()
+		}
+		vals[len(vals)-1] = reg.SharesInto(steps, vals[shares:])
+	}}
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"sslperf/internal/probe"
-	"sslperf/internal/slo"
+	"sslperf/internal/telemetry"
 )
 
 // connTableOps are the conn-table hot paths, each set up warm and
@@ -23,8 +23,8 @@ var connTableOps = []struct {
 	{"full-life", func() func() {
 		// The whole lifecycle a served connection pays: open,
 		// handshake transitions with step and record events on the
-		// spine, SLO fold, close.
-		tab := warmTable(Options{SLO: slo.New(slo.Config{})})
+		// spine, registry fold, close.
+		tab := warmTable(Options{})
 		at := time.Now()
 		return func() {
 			c := open(tab, "bench")
@@ -49,7 +49,10 @@ var connTableOps = []struct {
 	}},
 }
 
+// warmTable builds a table folding into a registry and cycles enough
+// entries through it to fill the pool and the shard maps.
 func warmTable(o Options) *Table {
+	o.Registry = telemetry.NewRegistry()
 	tab := NewTable(o)
 	for i := 0; i < 64; i++ {
 		open(tab, "warm").end()

@@ -7,13 +7,13 @@
 // step's record crypto, plain record/byte and per-primitive crypto
 // totals, and, for the connections the tracer's sampler picks, the
 // crypto calls and application I/O in detail. It is folded into the
-// shared aggregates once when its handshake ends (metrics registry —
-// the live Tables 2/3 included — and SLO windows) and once when it
-// closes (record/byte and crypto totals, the live Table 11), then
-// retired into one ring of closed records. The /debug/conns row, the
-// /debug/flightrecorder event list, the /debug/trace Chrome spans and
-// the close-log line are renderers of that record, so they cannot
-// disagree. Nothing shared is written per step or per record; readers
+// shared aggregates once when its handshake ends (metrics registry,
+// the live Tables 2/3 and the SLO's slow and queue-delay counts) and
+// once when it closes (record/byte and crypto totals, the live Table
+// 11), then retired into one ring of closed records. The /debug/conns
+// row, the /debug/flightrecorder event list, the /debug/trace Chrome
+// spans and the close-log line are renderers of that record, so they
+// cannot disagree. Nothing shared is written per step or per record; readers
 // that must see a connection while it lives add the open entries'
 // running totals at read time (telemetry.Live).
 //
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"sslperf/internal/probe"
-	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
 )
@@ -106,8 +105,7 @@ type Conn struct {
 	resumed    bool
 	hsStart    time.Time
 	hsDur      time.Duration
-	queueDelay time.Duration // accept to first step enter
-	sawStep    bool
+	queueDelay time.Duration // accept to first step enter, -1 before it
 	failClass  probe.FailClass
 	failTag    string
 	failDetail string
@@ -139,8 +137,6 @@ type Options struct {
 	Registry *telemetry.Registry
 	// Tracer samples which connections keep their detail.
 	Tracer *trace.Tracer
-	// SLO receives handshake outcomes and queue delays.
-	SLO *slo.Tracker
 	// CloseLog writes one line per connection close.
 	CloseLog *CloseLog
 	// Ring is how many closed records are retained (0 = none).
@@ -219,7 +215,7 @@ func (t *Table) Begin() *Conn {
 		return nil
 	}
 	c := t.pool.Get().(*Conn)
-	*c = Conn{tab: t, state: StateAccepted, calls: c.calls[:0], detail: t.o.Tracer.Sample()}
+	*c = Conn{tab: t, state: StateAccepted, queueDelay: -1, calls: c.calls[:0], detail: t.o.Tracer.Sample()}
 	return c
 }
 
@@ -356,13 +352,11 @@ func (c *Conn) Emit(e probe.Event) {
 	case probe.KindHandshakeStart:
 		c.hsStart = e.At
 		c.setState(StateAccepted, StateHandshaking)
-		c.tab.o.SLO.HandshakeBegin()
 	case probe.KindStepEnter:
 		c.step, c.stepStart, c.lastActivity = e.Step, e.At, e.At
 		c.stepCrypto = telemetry.CryptoCell{}
-		if !c.sawStep {
-			c.sawStep = true
-			c.queueDelay = e.At.Sub(c.Opened)
+		if c.queueDelay < 0 {
+			c.queueDelay = max(e.At.Sub(c.Opened), 0)
 		}
 	case probe.KindStepExit:
 		c.step, c.lastActivity = probe.StepNone, e.At
@@ -462,22 +456,15 @@ func (c *Conn) handshakeEnd(e probe.Event) {
 	}
 	h := telemetry.Handshake{
 		Suite: c.suite, Version: c.version, Resumed: c.resumed,
-		Failed: failed, FailTag: c.failTag, Dur: e.Dur,
+		Failed: failed, FailTag: c.failTag, Dur: e.Dur, QueueDelay: c.queueDelay,
 		Steps:   c.timeline[:c.timelineN],
 		Sampled: c.detail == trace.DetailFull || c.detail == trace.DetailTruncated,
 	}
 	if h.Sampled {
 		h.Calls = c.calls
 	}
-	queueDelay := time.Duration(-1)
-	if c.sawStep {
-		queueDelay = c.queueDelay
-	}
 	c.mu.Unlock()
-
-	t := c.tab
-	t.o.Registry.FoldHandshake(&h)
-	t.o.SLO.HandshakeEnd(e.Dur, failed, queueDelay)
+	c.tab.o.Registry.FoldHandshake(&h)
 }
 
 // close logs the record, unlinks it from the table and folds its

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"sslperf/internal/probe"
-	"sslperf/internal/slo"
+	"sslperf/internal/telemetry"
 )
 
 // testConns numbers the connections these tests open, standing in for
@@ -54,8 +54,8 @@ func drive(c *Conn) {
 }
 
 func TestLifecycleStates(t *testing.T) {
-	tr := slo.New(slo.Config{TargetP99: time.Second})
-	tab := NewTable(Options{SLO: tr})
+	reg := telemetry.NewRegistry()
+	tab := NewTable(Options{Registry: reg})
 	c := open(tab, "10.0.0.1:5555")
 	if c == nil {
 		t.Fatal("Observe returned nil")
@@ -75,7 +75,7 @@ func TestLifecycleStates(t *testing.T) {
 	wantState(StateAccepted)
 	c.start()
 	wantState(StateHandshaking)
-	if got := tr.InFlight(); got != 1 {
+	if got := tab.Counts().Handshaking; got != 1 {
 		t.Fatalf("inflight %d during handshake, want 1", got)
 	}
 
@@ -89,7 +89,7 @@ func TestLifecycleStates(t *testing.T) {
 
 	c.established("RC4-MD5", 0x0300, true, 3*time.Millisecond)
 	wantState(StateEstablished)
-	if got := tr.InFlight(); got != 0 {
+	if got := tab.Counts().Handshaking; got != 0 {
 		t.Fatalf("inflight %d after handshake, want 0", got)
 	}
 	snap = tab.Snapshot(SnapshotOptions{})
@@ -110,18 +110,20 @@ func TestLifecycleStates(t *testing.T) {
 		t.Fatalf("counters opened=%d closed=%d failed=%d, want 1/1/0",
 			snap.Opened, snap.Closed, snap.Failed)
 	}
-	// The handshake outcome and the first-step queue delay reached SLO.
-	w := tr.Snapshot().Window("10s")
-	if w.Handshakes != 1 || w.Failed != 0 {
-		t.Fatalf("slo saw %d handshakes (%d failed), want 1/0", w.Handshakes, w.Failed)
+	// The handshake outcome and the first-step queue delay reached the
+	// registry.
+	rc := reg.Counts()
+	if rc.HandshakesResumed != 1 || rc.HandshakesFailed != 0 {
+		t.Fatalf("registry saw %d handshakes (%d failed), want 1/0", rc.HandshakesResumed, rc.HandshakesFailed)
 	}
-	if w.QueueDelays != 1 {
-		t.Fatalf("slo saw %d queue delays, want 1", w.QueueDelays)
+	if rc.QueueDelays != 1 || rc.QueueDelay <= 0 {
+		t.Fatalf("registry saw %d queue delays summing %v, want 1 > 0", rc.QueueDelays, rc.QueueDelay)
 	}
 }
 
 func TestFailedConnTagged(t *testing.T) {
-	tab := NewTable(Options{})
+	reg := telemetry.NewRegistry()
+	tab := NewTable(Options{Registry: reg})
 	c := open(tab, "")
 	c.start()
 	c.failed(probe.FailBadMAC, "bad_mac", "record: bad MAC", time.Millisecond)
@@ -145,6 +147,10 @@ func TestFailedConnTagged(t *testing.T) {
 	}
 	if got := snap.FailClasses["bad_mac"]; got != 1 {
 		t.Fatalf("fail class histogram %v, want bad_mac=1", snap.FailClasses)
+	}
+	// It never entered a step, so it has no queue delay to observe.
+	if rc := reg.Counts(); rc.HandshakesFailed != 1 || rc.QueueDelays != 0 {
+		t.Fatalf("registry saw %d failures and %d queue delays, want 1/0", rc.HandshakesFailed, rc.QueueDelays)
 	}
 }
 

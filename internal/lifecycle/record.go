@@ -99,7 +99,7 @@ func (c *Conn) record(now time.Time, full bool) Record {
 	if c.hsDur > 0 {
 		r.HandshakeUs = us(c.hsDur)
 	}
-	if c.sawStep {
+	if c.queueDelay >= 0 {
 		r.QueueDelayUs = us(c.queueDelay)
 	}
 	if c.state == StateFailed {

@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/history"
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/slo"
 	"sslperf/internal/ssl"
 	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
@@ -27,11 +27,10 @@ import (
 // handshake counters.
 func TestLifecycleObservatorySmoke(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tracker := slo.New(slo.Config{TargetP99: 5 * time.Second})
+	reg.SetSLOTarget(5 * time.Second)
 	var closeBuf bytes.Buffer
 	tab := lifecycle.NewTable(lifecycle.Options{
 		Registry: reg,
-		SLO:      tracker,
 		CloseLog: lifecycle.NewCloseLog(&closeBuf, 1),
 	})
 	srv, err := StartServer(ServerOptions{
@@ -46,7 +45,12 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 
 	mux := http.NewServeMux()
 	lifecycle.Register(mux, tab)
-	slo.Register(mux, tracker)
+	// The history ticks by hand: once before the load (its baseline)
+	// and once after, so the run lands in one tick of /debug/slo.
+	hist := history.New(history.Config{Interval: time.Second})
+	history.AddStandardSources(hist, history.Sources{Telemetry: reg, Lifecycle: tab})
+	history.RegisterSLO(mux, hist, reg, 0.01)
+	hist.SampleNow()
 	web := httptest.NewServer(mux)
 	defer web.Close()
 
@@ -94,10 +98,14 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 		t.Fatal("load run completed no connections")
 	}
 
-	var sloSnap slo.Snapshot
+	hist.SampleNow()
+	var sloSnap history.SLOSnapshot
 	getJSON(t, web.URL+"/debug/slo", &sloSnap)
-	w10 := sloSnap.Window("10s")
-	if w10.Handshakes == 0 {
+	if len(sloSnap.Windows) != 3 {
+		t.Fatalf("/debug/slo serves %d windows, want 3", len(sloSnap.Windows))
+	}
+	w10 := sloSnap.Windows[0]
+	if w10.Window != "10s" || w10.Handshakes == 0 {
 		t.Fatalf("SLO 10s window empty after a load run: %+v", sloSnap)
 	}
 	if w10.QueueDelays == 0 {
@@ -179,7 +187,6 @@ func TestOneConnectionID(t *testing.T) {
 	tab := lifecycle.NewTable(lifecycle.Options{
 		Registry: telemetry.NewRegistry(),
 		Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
-		SLO:      slo.New(slo.Config{}),
 		CloseLog: lifecycle.NewCloseLog(&closeBuf, 1),
 		Ring:     2 * conns,
 	})

@@ -6,7 +6,6 @@ import (
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
-	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 )
 
@@ -289,21 +288,20 @@ func TestLifecycleEventOrder(t *testing.T) {
 
 // TestMidHandshakeCloseSettlesEverySink is the slow-loris regression:
 // a connection that ends while its handshake waits for bytes used to
-// vanish from every ledger — closed, never failed — and leak the SLO
-// in-flight gauge. It must end as an io_eof failure everywhere.
+// vanish from every ledger — closed, never failed — and leak the
+// table's in-flight (handshaking) count. It must end as an io_eof failure everywhere.
 func TestMidHandshakeCloseSettlesEverySink(t *testing.T) {
 	const conns = 5
 	for _, f := range flavours {
 		t.Run(f.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			tracker := slo.New(slo.Config{})
-			tab := lifecycle.NewTable(lifecycle.Options{Registry: reg, SLO: tracker})
+			tab := lifecycle.NewTable(lifecycle.Options{Registry: reg})
 			for i := 0; i < conns; i++ {
 				scfg := identity(t).ServerConfig(NewPRNG(uint64(710 + i)))
 				scfg.Observers = []probe.Observer{tab}
 				f.hangup(t, scfg)
 			}
-			if got := tracker.InFlight(); got != 0 {
+			if got := tab.Counts().Handshaking; got != 0 {
 				t.Errorf("in-flight gauge = %d after every connection closed, want 0", got)
 			}
 			snap := tab.Snapshot(lifecycle.SnapshotOptions{})

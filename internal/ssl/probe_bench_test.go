@@ -5,7 +5,6 @@ import (
 
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
-	"sslperf/internal/slo"
 	"sslperf/internal/telemetry"
 	"sslperf/internal/testenv"
 	"sslperf/internal/trace"
@@ -40,7 +39,6 @@ func allSinksConfigs(tb testing.TB) (ccfg, scfg *Config) {
 	return probedConfigs(tb, lifecycle.NewTable(lifecycle.Options{
 		Registry: telemetry.NewRegistry(),
 		Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
-		SLO:      slo.New(slo.Config{}),
 		Ring:     benchRing,
 	}))
 }

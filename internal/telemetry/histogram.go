@@ -47,9 +47,8 @@ func bucketRange(i int) (lo, hi int64) {
 // A Histogram is the observatory's one distribution type: int64
 // values (nanoseconds, microseconds, byte counts — the owner picks the
 // unit) in wait-free sub-octave buckets. Observe is a
-// few atomic adds, so it can sit on a shared path; owners that already
-// serialize (the SLO ring) pay nothing extra for the atomics. The zero
-// value is ready to use.
+// few atomic adds, so it can sit on a shared path. The zero value is
+// ready to use.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	sum    atomic.Int64
@@ -65,19 +64,6 @@ func (h *Histogram) Observe(v int64) {
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			return
 		}
-	}
-}
-
-// Merge adds o's observations to h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.counts {
-		if n := o.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.sum.Add(o.sum.Load())
-	if m := o.max.Load(); m > h.max.Load() {
-		h.max.Store(m)
 	}
 }
 
@@ -103,12 +89,6 @@ func (h *Histogram) load(counts *[histBuckets]uint64) (total uint64) {
 	return total
 }
 
-// Quantile returns the q-quantile without allocating (0 when empty).
-func (h *Histogram) Quantile(q float64) int64 {
-	var counts [histBuckets]uint64
-	return quantile(&counts, h.load(&counts), q, h.max.Load())
-}
-
 // quantile is the one quantile routine: the midpoint of the bucket
 // holding the rank-th sample — at most an eighth off the true value —
 // and never above the observed max, which is also what the overflow
@@ -132,6 +112,35 @@ func quantile(counts *[histBuckets]uint64, total uint64, q float64, max int64) i
 		return min(lo+(hi-lo)/2, max)
 	}
 	return max
+}
+
+// A Tick reads cumulative histograms one interval at a time: from the
+// bucket deltas against one saved copy of the previous counts, so the
+// read allocates nothing.
+type Tick struct{ prev [histBuckets]uint64 }
+
+// next saves hs' summed bucket counts and returns the q-quantile of
+// the values they observed since the previous call (0 when none). A
+// bucket below its saved count was Reset: its new count is the delta.
+func (t *Tick) next(q float64, hs ...*Histogram) int64 {
+	var cur, delta [histBuckets]uint64
+	var total uint64
+	var hi int64
+	for _, h := range hs {
+		for i := range cur {
+			cur[i] += h.counts[i].Load()
+		}
+		hi = max(hi, h.max.Load())
+	}
+	for i, c := range cur {
+		delta[i] = c - t.prev[i]
+		if c < t.prev[i] {
+			delta[i] = c
+		}
+		total += delta[i]
+	}
+	t.prev = cur
+	return quantile(&delta, total, q, hi)
 }
 
 // A Bucket is one non-empty histogram bucket: Count values at or below

@@ -55,7 +55,10 @@ type Handshake struct {
 	Failed  bool
 	FailTag string
 	Dur     time.Duration
-	Steps   []StepTiming
+	// QueueDelay is the accept-to-first-step wait, negative when no
+	// step ran.
+	QueueDelay time.Duration
+	Steps      []StepTiming
 	// Sampled reports that the tracer's sampler kept the connection in
 	// detail: Calls is its detail so far (nil otherwise), and its crypto
 	// calls fold into the anatomy's Table 3 rows.
@@ -108,6 +111,14 @@ type Counts struct {
 	HandshakesFull    uint64
 	HandshakesResumed uint64
 	HandshakesFailed  uint64
+	// HandshakesSlow counts the successes slower than the SLO target,
+	// and HandshakeTime sums every success's latency.
+	HandshakesSlow uint64
+	HandshakeTime  time.Duration
+	// QueueDelays counts the handshakes that entered a step, and
+	// QueueDelay sums their accept-to-first-step waits.
+	QueueDelays uint64
+	QueueDelay  time.Duration
 	IOCounts
 }
 
@@ -145,11 +156,13 @@ const numSteps = int(probe.StepServerFlush) + 1
 // table's folds. All methods are safe for concurrent use and no-ops on
 // a nil receiver.
 type Registry struct {
-	start time.Time
-	live  Live
+	start     time.Time
+	live      Live
+	sloTarget time.Duration
 
 	fullLatency    Histogram
 	resumedLatency Histogram
+	queueDelay     Histogram
 	// steps is the live, cross-connection mirror of Table 2's rows,
 	// indexed by probe.Step: every handshake's timeline folds here.
 	steps [numSteps]Histogram
@@ -176,6 +189,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		start:       time.Now(), // lint:allow-clock
+		sloTarget:   DefaultSLOTarget,
 		bySuite:     make(map[string]uint64),
 		byVersion:   make(map[string]uint64),
 		failReasons: make(map[string]uint64),
@@ -191,6 +205,26 @@ func (r *Registry) SetLive(l Live) {
 	}
 }
 
+// DefaultSLOTarget is the handshake-latency objective a registry
+// starts with.
+const DefaultSLOTarget = 50 * time.Millisecond
+
+// SetSLOTarget sets the handshake-latency objective: a success slower
+// than d counts as slow. Call it before the first connection.
+func (r *Registry) SetSLOTarget(d time.Duration) {
+	if r != nil {
+		r.sloTarget = d
+	}
+}
+
+// SLOTarget returns the handshake-latency objective.
+func (r *Registry) SLOTarget() time.Duration {
+	if r == nil {
+		return 0
+	}
+	return r.sloTarget
+}
+
 // Reset zeroes every metric but the connection count, so a drift
 // window can be scoped to a load run; the start time is preserved.
 // Concurrent folds may land on either side of the cut.
@@ -200,6 +234,7 @@ func (r *Registry) Reset() {
 	}
 	r.fullLatency.Reset()
 	r.resumedLatency.Reset()
+	r.queueDelay.Reset()
 	for i := range r.steps {
 		r.steps[i].Reset()
 	}
@@ -227,9 +262,10 @@ func VersionName(v uint16) string {
 
 // FoldHandshake counts one finished handshake — by outcome, and for a
 // success by cipher suite and version, with its latency in the full or
-// resumed histogram, matching the paper's split — and observes every
-// step it completed with the record crypto inside it, failed
-// handshakes included. A sampled handshake's crypto calls fold too.
+// resumed histogram, matching the paper's split, and as slow when it
+// missed the SLO target — and observes its queue delay and every step
+// it completed with the record crypto inside it, failed handshakes
+// included. A sampled handshake's crypto calls fold too.
 func (r *Registry) FoldHandshake(h *Handshake) {
 	if r == nil {
 		return
@@ -264,8 +300,17 @@ func (r *Registry) FoldHandshake(h *Handshake) {
 		} else {
 			r.counts.HandshakesFull++
 		}
+		if h.Dur > r.sloTarget {
+			r.counts.HandshakesSlow++
+		}
+		r.counts.HandshakeTime += h.Dur
 		r.bySuite[h.Suite]++
 		r.byVersion[VersionName(h.Version)]++
+	}
+	if h.QueueDelay >= 0 {
+		r.counts.QueueDelays++
+		r.counts.QueueDelay += h.QueueDelay
+		r.queueDelay.Observe(int64(h.QueueDelay))
 	}
 	r.mu.Unlock()
 	if !h.Failed {
@@ -304,6 +349,17 @@ func (r *Registry) Counts() Counts {
 		c.IOCounts.Add(open.IOCounts)
 	}
 	return c
+}
+
+// Tick reads the handshakes folded since the previous call with the
+// same ticks: the p99 of the successes' latency and the largest queue
+// delay. A nil registry reads zeros.
+func (r *Registry) Tick(lat, queue *Tick) (p99, queueMax time.Duration) {
+	if r == nil {
+		return 0, 0
+	}
+	return time.Duration(lat.next(0.99, &r.fullLatency, &r.resumedLatency)),
+		time.Duration(queue.next(1, &r.queueDelay))
 }
 
 // HandshakeCounts is the handshake section of a snapshot.

@@ -76,6 +76,44 @@ func TestRegistryCounts(t *testing.T) {
 	}
 }
 
+// TestSLOCounts pins the SLO's facts in the registry: a success slower
+// than the target counts as slow (a failure never does), only the
+// handshakes that entered a step observe a queue delay, the ticks read
+// just what folded since the previous tick, and Reset zeroes it all.
+func TestSLOCounts(t *testing.T) {
+	r := NewRegistry()
+	r.SetSLOTarget(50 * time.Millisecond)
+	queued := func(h *Handshake, q time.Duration) *Handshake { h.QueueDelay = q; return h }
+	r.FoldHandshake(queued(hsDone("RC4-MD5", 0x0300, false, 10*time.Millisecond), 2*time.Millisecond))
+	r.FoldHandshake(queued(hsDone("RC4-MD5", 0x0300, true, 80*time.Millisecond), 6*time.Millisecond))
+	r.FoldHandshake(queued(&Handshake{Failed: true, Dur: time.Second}, -1)) // no step ran
+
+	c := r.Counts()
+	if c.HandshakesSlow != 1 || c.HandshakeTime != 90*time.Millisecond {
+		t.Fatalf("slow = %d, handshake time = %v, want 1 and 90ms", c.HandshakesSlow, c.HandshakeTime)
+	}
+	if c.QueueDelays != 2 || c.QueueDelay/time.Duration(c.QueueDelays) != 4*time.Millisecond {
+		t.Fatalf("queue delays = %d summing %v, want 2 with a 4ms mean", c.QueueDelays, c.QueueDelay)
+	}
+	near := func(got, want time.Duration) bool { return got >= want*7/8 && got <= want*9/8 }
+	var lat, queue Tick
+	if p, m := r.Tick(&lat, &queue); !near(p, 80*time.Millisecond) || !near(m, 6*time.Millisecond) {
+		t.Fatalf("first tick p99 = %v, queue max = %v, want ~80ms and ~6ms", p, m)
+	}
+	if p, m := r.Tick(&lat, &queue); p != 0 || m != 0 {
+		t.Fatalf("an empty tick reads p99 = %v, queue max = %v, want 0", p, m)
+	}
+
+	r.Reset()
+	if c := r.Counts(); c.HandshakesSlow != 0 || c.HandshakeTime != 0 || c.QueueDelays != 0 || c.QueueDelay != 0 {
+		t.Fatalf("SLO counts survived reset: %+v", c)
+	}
+	r.FoldHandshake(queued(hsDone("RC4-MD5", 0x0300, false, time.Millisecond), 3*time.Millisecond))
+	if _, m := r.Tick(&lat, &queue); !near(m, 3*time.Millisecond) {
+		t.Fatalf("queue max after a reset = %v, want ~3ms", m)
+	}
+}
+
 // fakeLive stands in for the conn table: one open connection with
 // running totals, and a lock that records it was held across the read.
 type fakeLive struct {

@@ -16,7 +16,6 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/perf"
 	"sslperf/internal/probe"
-	"sslperf/internal/slo"
 	"sslperf/internal/ssl"
 	"sslperf/internal/telemetry"
 	"sslperf/internal/trace"
@@ -196,7 +195,7 @@ func TestOneRecordAllSurfaces(t *testing.T) {
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	table := lifecycle.NewTable(lifecycle.Options{
 		Registry: reg, Tracer: tracer,
-		SLO: slo.New(slo.Config{}), CloseLog: lifecycle.NewCloseLog(&closeLog, 1), Ring: 4,
+		CloseLog: lifecycle.NewCloseLog(&closeLog, 1), Ring: 4,
 	})
 	mux := http.NewServeMux()
 	telemetry.Register(mux, reg)
