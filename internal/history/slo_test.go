@@ -27,10 +27,10 @@ func fold(reg *telemetry.Registry, failed bool, d, queue time.Duration) {
 	reg.FoldHandshake(&telemetry.Handshake{Suite: "RC4-MD5", Failed: failed, Dur: d, QueueDelay: queue})
 }
 
-// TestSLOWindows: 8 fast successes, 1 slow one and 1 failure in one
-// tick read the same rates in every window, then age out of the
+// TestWindowsAggregate: 8 fast successes, 1 slow one and 1 failure in
+// one tick read the same rates in every window, then age out of the
 // windows shortest first.
-func TestSLOWindows(t *testing.T) {
+func TestWindowsAggregate(t *testing.T) {
 	h, reg := newSLOHistory(0)
 	for i := 0; i < 8; i++ {
 		fold(reg, false, 10*time.Millisecond, 2*time.Millisecond)
@@ -85,6 +85,29 @@ func TestSLOWindows(t *testing.T) {
 	}
 	if w := h.SLO(reg.SLOTarget(), 0.01).Windows[2]; w.Handshakes != 0 || w.Seconds != 300 {
 		t.Fatalf("5m window over %vs retained %d handshakes after 316 ticks", w.Seconds, w.Handshakes)
+	}
+}
+
+// TestQuantilesApproximate: a tick of 100 handshakes at 10ms reads an
+// exact mean and a p99 within a sub-octave bucket's eighth of 10ms in
+// every window.
+func TestQuantilesApproximate(t *testing.T) {
+	h, reg := newSLOHistory(0)
+	for i := 0; i < 100; i++ {
+		fold(reg, false, 10*time.Millisecond, -1)
+	}
+	h.SampleNow()
+
+	for _, w := range h.SLO(time.Second, 0.01).Windows {
+		if w.Handshakes != 100 || w.Slow != 0 {
+			t.Fatalf("%s window: handshakes=%d slow=%d, want 100/0", w.Window, w.Handshakes, w.Slow)
+		}
+		if math.Abs(w.MeanUs-10000) > 1e-6 {
+			t.Fatalf("%s window mean %vus, want 10000", w.Window, w.MeanUs)
+		}
+		if w.P99Us < 8750 || w.P99Us > 11250 {
+			t.Fatalf("%s window p99 %vus implausible for a 10ms population", w.Window, w.P99Us)
+		}
 	}
 }
 
