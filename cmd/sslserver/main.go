@@ -28,9 +28,8 @@ import (
 // Settings that every recipe, test and benchmark runs at one value:
 // constants, not flags.
 const (
-	flightRecords   = 256  // closed records kept for /debug/flightrecorder and /debug/trace
-	sloBudget       = 0.01 // allowed fraction of failed-or-slow handshakes (a 99% objective)
-	logRate         = 10   // per-connection console lines per second
+	flightRecords   = 256 // closed records kept for /debug/flightrecorder and /debug/trace
+	logRate         = 10  // per-connection console lines per second
 	historyInterval = time.Second
 )
 
@@ -153,7 +152,7 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 		Lifecycle: table,
 	})
 	history.Register(mux, hist)
-	history.RegisterSLO(mux, hist, opts.Registry, sloBudget)
+	history.RegisterSLO(mux, hist, opts.Registry)
 	hist.Start()
 	// POST /debug/reset is the one reset: it scopes every observatory
 	// at once — metrics with the anatomy and path length, conn table

@@ -33,10 +33,6 @@ import (
 	"sslperf/internal/history"
 )
 
-// errorBudget is sslserver's: the allowed fraction of failed-or-slow
-// handshakes the burn line divides by.
-const errorBudget = 0.01
-
 func main() {
 	var (
 		interval = flag.Duration("interval", time.Second, "refresh interval")
@@ -243,14 +239,11 @@ func renderPanel(f *frame) string {
 		fmt.Fprintf(&b, "  bulk out   %8s/s  %s\n", humanBytes(sd.Last), history.Sparkline(sd.Points, 40))
 	}
 	if _, ok := s.Get("handshakes.slow"); ok {
-		// Each tick's burn rate: failed or slow handshakes over all of
-		// them, over sslserver's error budget.
+		// Each tick's burn rate, by the rule /debug/slo's windows use.
 		burn := sumSeries(s, "handshakes.failed", "handshakes.slow")
 		total := sumSeries(s, "handshakes.full", "handshakes.resumed", "handshakes.failed")
-		for i, t := range total {
-			if t > 0 {
-				burn[i] /= t * errorBudget
-			}
+		for i := range burn {
+			burn[i] = history.BurnRate(burn[i], total[i])
 		}
 		status := "ok"
 		if tail(burn) > 1 {

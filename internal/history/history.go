@@ -130,8 +130,9 @@ type History struct {
 	ticksInCoarse int
 	lastAt        time.Time
 
-	stop chan struct{} // non-nil while the sampler runs
-	done chan struct{}
+	running bool
+	stop    chan struct{}
+	done    chan struct{}
 }
 
 // New returns an empty history with cfg's geometry.
@@ -230,19 +231,24 @@ func (h *History) SampleNow() {
 				continue
 			}
 			v := ss.scratch[i]
-			point := v
+			var point float64
 			if st.def.Kind == KindCounter {
-				// A counter below its last sample restarted (a
-				// /debug/reset upstream): re-baseline, crediting the new
-				// count since zero.
-				switch {
-				case !st.haveRaw:
-					point = 0
-				case v >= st.lastRaw:
-					point = v - st.lastRaw
+				delta := v - st.lastRaw
+				if !st.haveRaw {
+					delta = 0
+				} else if delta < 0 {
+					// The counter restarted (a /debug/reset upstream):
+					// re-baseline, crediting the new count since zero.
+					delta = v
 				}
+				st.lastRaw = v
+				st.haveRaw = true
+				point = delta
+			} else {
+				st.lastRaw = v
+				st.haveRaw = true
+				point = v
 			}
-			st.lastRaw, st.haveRaw = v, true
 			st.fine[slot] = point
 			st.acc += point
 			st.accN++
@@ -277,11 +283,13 @@ func (h *History) Start() {
 		return
 	}
 	h.mu.Lock()
-	if h.stop != nil {
+	if h.running {
 		h.mu.Unlock()
 		return
 	}
-	h.stop, h.done = make(chan struct{}), make(chan struct{})
+	h.running = true
+	h.stop = make(chan struct{})
+	h.done = make(chan struct{})
 	stop, done := h.stop, h.done
 	h.mu.Unlock()
 	go func() {
@@ -306,12 +314,13 @@ func (h *History) Stop() {
 		return
 	}
 	h.mu.Lock()
-	stop, done := h.stop, h.done
-	h.stop = nil
-	h.mu.Unlock()
-	if stop == nil {
+	if !h.running {
+		h.mu.Unlock()
 		return
 	}
+	h.running = false
+	stop, done := h.stop, h.done
+	h.mu.Unlock()
 	close(stop)
 	<-done
 }
@@ -385,6 +394,10 @@ type Snapshot struct {
 	StepSecs float64      `json:"step_secs"`
 	Seq      uint64       `json:"seq"`
 	Series   []SeriesData `json:"series"`
+
+	// baseline reports that the points start at the samples' baseline
+	// (the first after start or a Reset), where every counter reads 0.
+	baseline bool
 }
 
 // Snapshot copies the selected window out of the rings.
@@ -416,6 +429,7 @@ func (h *History) Snapshot(opts SnapshotOptions) Snapshot {
 		start = seq - uint64(opts.Last)
 	}
 	n := int(seq - start)
+	snap.baseline = n > 0 && start == first
 
 	stepSecs := step.Seconds()
 	for _, st := range h.pick(opts.Series) {
@@ -443,7 +457,12 @@ func (h *History) Snapshot(opts SnapshotOptions) Snapshot {
 			sd.Min, sd.Max = sd.Points[0], sd.Points[0]
 			var total float64
 			for _, v := range sd.Points {
-				sd.Min, sd.Max = min(sd.Min, v), max(sd.Max, v)
+				if v < sd.Min {
+					sd.Min = v
+				}
+				if v > sd.Max {
+					sd.Max = v
+				}
 				total += v
 			}
 			sd.Mean = total / float64(len(sd.Points))

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -154,14 +154,24 @@ func Sparkline(vals []float64, width int) string {
 	}
 	mn, mx := pts[0], pts[0]
 	for _, v := range pts {
-		mn, mx = min(mn, v), max(mx, v)
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
 	}
 	out := make([]rune, len(pts))
 	for i, v := range pts {
 		level := 0
 		if mx > mn {
 			level = int((v - mn) / (mx - mn) * float64(len(sparkRunes)-1))
-			level = min(max(level, 0), len(sparkRunes)-1)
+			if level < 0 {
+				level = 0
+			}
+			if level >= len(sparkRunes) {
+				level = len(sparkRunes) - 1
+			}
 		}
 		out[i] = sparkRunes[level]
 	}
@@ -180,13 +190,21 @@ func (s Snapshot) Text() string {
 	}
 	nameW := len("series")
 	for i := range s.Series {
-		nameW = max(nameW, len(s.Series[i].Name))
+		if n := len(s.Series[i].Name); n > nameW {
+			nameW = n
+		}
 	}
 	fmt.Fprintf(&b, "%-*s  %10s  %10s  %10s  %10s  %-9s  %s\n",
 		nameW, "series", "last", "min", "max", "mean", "unit", "trend")
-	series := slices.Clone(s.Series)
-	slices.SortFunc(series, func(a, b SeriesData) int { return strings.Compare(a.Name, b.Name) })
-	for _, sd := range series {
+	byName := make(map[string]SeriesData, len(s.Series))
+	names := make([]string, 0, len(s.Series))
+	for i := range s.Series {
+		byName[s.Series[i].Name] = s.Series[i]
+		names = append(names, s.Series[i].Name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		sd := byName[name]
 		fmt.Fprintf(&b, "%-*s  %10s  %10s  %10s  %10s  %-9s  %s\n",
 			nameW, sd.Name,
 			fmtVal(sd.Last), fmtVal(sd.Min), fmtVal(sd.Max), fmtVal(sd.Mean),

@@ -10,6 +10,20 @@ import (
 	"sslperf/internal/telemetry"
 )
 
+// ErrorBudget is the SLO's allowed fraction of failed-or-slow
+// handshakes (a 99% objective).
+const ErrorBudget = 0.01
+
+// BurnRate is the rate bad (failed or slow) handshakes out of total
+// spend the error budget at: 1.0 spends it exactly, 10 ten times too
+// fast. It is 0 when there were no handshakes.
+func BurnRate(bad, total float64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return bad / total / ErrorBudget
+}
+
 // sloWindows are the view's windows, shortest first.
 var sloWindows = []struct {
 	name string
@@ -24,7 +38,8 @@ var sloSeries = []string{
 
 // WindowStats is one window's aggregated view. Seconds is the span the
 // ring actually holds, which is shorter than the window while the
-// server is younger than it or just after a reset.
+// server is younger than it or just after a reset: the baseline sample
+// taken at start or after a Reset adds no time to it.
 type WindowStats struct {
 	Window  string  `json:"window"`
 	Seconds float64 `json:"seconds"`
@@ -35,10 +50,9 @@ type WindowStats struct {
 
 	ErrorRate float64 `json:"error_rate"`
 	BadRate   float64 `json:"bad_rate"` // (failed+slow)/handshakes
-	// BurnRate is BadRate over the error budget: 1.0 consumes the
-	// budget exactly, 10 burns it ten times too fast — the 10s window
-	// spikes before the 5m one confirms, the early signal load shedding
-	// needs before queues reach the RSA step.
+	// BurnRate is BadRate over the error budget — the 10s window spikes
+	// before the 5m one confirms, the early signal load shedding needs
+	// before queues reach the RSA step.
 	BurnRate float64 `json:"burn_rate"`
 
 	// MeanUs is the successes' mean latency; P99Us is the worst tick's
@@ -62,10 +76,10 @@ type SLOSnapshot struct {
 }
 
 // SLO is the /debug/slo view: the fine ring summed into the three
-// windows, judged against target and budget. A nil history has no
+// windows, judged against target and ErrorBudget. A nil history has no
 // windows.
-func (h *History) SLO(target time.Duration, budget float64) SLOSnapshot {
-	snap := SLOSnapshot{TargetP99Ms: float64(target) / 1e6, ErrorBudget: budget}
+func (h *History) SLO(target time.Duration) SLOSnapshot {
+	snap := SLOSnapshot{TargetP99Ms: float64(target) / 1e6, ErrorBudget: ErrorBudget}
 	if h == nil {
 		snap.At = time.Now()
 		return snap
@@ -74,9 +88,13 @@ func (h *History) SLO(target time.Duration, budget float64) SLOSnapshot {
 		s := h.Snapshot(SnapshotOptions{Series: sloSeries, Last: max(1, int(w.d/h.interval))})
 		snap.At = s.At
 		sd := func(name string) SeriesData { d, _ := s.Get(name); return d }
+		ticks := len(sd("handshakes.full").Points)
+		if s.baseline {
+			ticks--
+		}
 		ws := WindowStats{
 			Window:      w.name,
-			Seconds:     float64(len(sd("handshakes.full").Points)) * s.StepSecs,
+			Seconds:     float64(ticks) * s.StepSecs,
 			Failed:      uint64(sd("handshakes.failed").Sum),
 			Slow:        uint64(sd("handshakes.slow").Sum),
 			P99Us:       sd("slo.p99_us").Max,
@@ -88,7 +106,7 @@ func (h *History) SLO(target time.Duration, budget float64) SLOSnapshot {
 		if ws.Handshakes > 0 {
 			ws.ErrorRate = float64(ws.Failed) / float64(ws.Handshakes)
 			ws.BadRate = float64(ws.Failed+ws.Slow) / float64(ws.Handshakes)
-			ws.BurnRate = ws.BadRate / budget
+			ws.BurnRate = BurnRate(float64(ws.Failed+ws.Slow), float64(ws.Handshakes))
 			ws.HandshakeRate = float64(ws.Handshakes) / ws.Seconds
 		}
 		if done > 0 {
@@ -119,13 +137,13 @@ func (s SLOSnapshot) Text() string {
 }
 
 // RegisterSLO mounts the SLO view of h on mux, judged against reg's
-// SLO target and budget:
+// SLO target and ErrorBudget:
 //
 //	/debug/slo  burn-rate windows, worst-tick p99 and overload gauges
 //	            (?format=text for the aligned table)
-func RegisterSLO(mux *http.ServeMux, h *History, reg *telemetry.Registry, budget float64) {
+func RegisterSLO(mux *http.ServeMux, h *History, reg *telemetry.Registry) {
 	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, req *http.Request) {
-		snap := h.SLO(reg.SLOTarget(), budget)
+		snap := h.SLO(reg.SLOTarget())
 		debughttp.Serve(w, req, snap.Text, snap)
 	})
 }

@@ -39,7 +39,7 @@ func TestWindowsAggregate(t *testing.T) {
 	fold(reg, true, 5*time.Millisecond, -1)                   // no step ran: no queue delay
 	h.SampleNow()
 
-	snap := h.SLO(reg.SLOTarget(), 0.01)
+	snap := h.SLO(reg.SLOTarget())
 	if len(snap.Windows) != 3 || snap.TargetP99Ms != 50 {
 		t.Fatalf("snapshot = %+v, want three windows against a 50ms target", snap)
 	}
@@ -71,7 +71,7 @@ func TestWindowsAggregate(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		h.SampleNow()
 	}
-	snap = h.SLO(reg.SLOTarget(), 0.01)
+	snap = h.SLO(reg.SLOTarget())
 	if w := snap.Windows[0]; w.Handshakes != 0 || w.P99Us != 0 {
 		t.Fatalf("10s window retained %d handshakes (p99 %vus) after 15 ticks", w.Handshakes, w.P99Us)
 	}
@@ -83,7 +83,7 @@ func TestWindowsAggregate(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		h.SampleNow()
 	}
-	if w := h.SLO(reg.SLOTarget(), 0.01).Windows[2]; w.Handshakes != 0 || w.Seconds != 300 {
+	if w := h.SLO(reg.SLOTarget()).Windows[2]; w.Handshakes != 0 || w.Seconds != 300 {
 		t.Fatalf("5m window over %vs retained %d handshakes after 316 ticks", w.Seconds, w.Handshakes)
 	}
 }
@@ -98,7 +98,7 @@ func TestQuantilesApproximate(t *testing.T) {
 	}
 	h.SampleNow()
 
-	for _, w := range h.SLO(time.Second, 0.01).Windows {
+	for _, w := range h.SLO(time.Second).Windows {
 		if w.Handshakes != 100 || w.Slow != 0 {
 			t.Fatalf("%s window: handshakes=%d slow=%d, want 100/0", w.Window, w.Handshakes, w.Slow)
 		}
@@ -112,8 +112,8 @@ func TestQuantilesApproximate(t *testing.T) {
 }
 
 // TestSLORateOverHeldTicks: a history younger than its windows divides
-// by the ticks it holds, so every window reads the same rate over the
-// same span.
+// by the ticks it holds, past the baseline sample, so every window reads
+// the same rate over the same span; a Reset starts the span again.
 func TestSLORateOverHeldTicks(t *testing.T) {
 	h, reg := newSLOHistory(0)
 	for tick := 0; tick < 4; tick++ {
@@ -122,13 +122,28 @@ func TestSLORateOverHeldTicks(t *testing.T) {
 		}
 		h.SampleNow()
 	}
-	snap := h.SLO(reg.SLOTarget(), 0.01)
+	snap := h.SLO(reg.SLOTarget())
 	short, long := snap.Windows[0], snap.Windows[2]
-	if short.Seconds != 5 || long.Seconds != 5 {
-		t.Fatalf("spans %vs and %vs, want the 5 ticks held", short.Seconds, long.Seconds)
+	if short.Seconds != 4 || long.Seconds != 4 {
+		t.Fatalf("spans %vs and %vs, want the 4 intervals after the baseline", short.Seconds, long.Seconds)
 	}
-	if long.HandshakeRate != short.HandshakeRate || short.HandshakeRate != 12.0/5 {
-		t.Fatalf("5m row %v hs/s, 10s row %v hs/s, want both 2.4", long.HandshakeRate, short.HandshakeRate)
+	if long.HandshakeRate != short.HandshakeRate || short.HandshakeRate != 12.0/4 {
+		t.Fatalf("5m row %v hs/s, 10s row %v hs/s, want both 3", long.HandshakeRate, short.HandshakeRate)
+	}
+
+	// A Reset's first sample is a baseline again: two more ticks of 3
+	// handshakes are 6 over 2 seconds.
+	reg.Reset()
+	h.Reset()
+	h.SampleNow()
+	for tick := 0; tick < 2; tick++ {
+		for i := 0; i < 3; i++ {
+			fold(reg, false, time.Millisecond, time.Millisecond)
+		}
+		h.SampleNow()
+	}
+	if w := h.SLO(reg.SLOTarget()).Windows[2]; w.Seconds != 2 || w.Handshakes != 6 || w.HandshakeRate != 3 {
+		t.Fatalf("5m row after a reset: %d handshakes over %vs at %v hs/s, want 6 over 2s at 3", w.Handshakes, w.Seconds, w.HandshakeRate)
 	}
 
 	// A ring shorter than a window bounds its span too.
@@ -137,7 +152,7 @@ func TestSLORateOverHeldTicks(t *testing.T) {
 		fold(reg, false, time.Millisecond, time.Millisecond)
 		h.SampleNow()
 	}
-	if w := h.SLO(reg.SLOTarget(), 0.01).Windows[0]; w.Seconds != 8 || w.HandshakeRate != 1 {
+	if w := h.SLO(reg.SLOTarget()).Windows[0]; w.Seconds != 8 || w.HandshakeRate != 1 {
 		t.Fatalf("10s window over an 8-slot ring: %vs at %v hs/s, want 8s at 1", w.Seconds, w.HandshakeRate)
 	}
 }
@@ -149,7 +164,7 @@ func TestSLOViewHTTP(t *testing.T) {
 	fold(reg, false, time.Millisecond, time.Millisecond)
 	h.SampleNow()
 	mux := http.NewServeMux()
-	RegisterSLO(mux, h, reg, 0.01)
+	RegisterSLO(mux, h, reg)
 	get := func(mux *http.ServeMux, url string) string {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -171,11 +186,11 @@ func TestSLOViewHTTP(t *testing.T) {
 	}
 
 	var nilHist *History
-	if snap := nilHist.SLO(time.Second, 0.01); len(snap.Windows) != 0 {
+	if snap := nilHist.SLO(time.Second); len(snap.Windows) != 0 {
 		t.Fatalf("nil history produced windows: %+v", snap.Windows)
 	}
 	empty := http.NewServeMux()
-	RegisterSLO(empty, nil, nil, 0.01)
+	RegisterSLO(empty, nil, nil)
 	if body := get(empty, "/debug/slo"); !strings.Contains(body, `"windows": null`) {
 		t.Fatalf("nil history view: %s", body)
 	}

@@ -49,7 +49,7 @@ func TestLifecycleObservatorySmoke(t *testing.T) {
 	// and once after, so the run lands in one tick of /debug/slo.
 	hist := history.New(history.Config{Interval: time.Second})
 	history.AddStandardSources(hist, history.Sources{Telemetry: reg, Lifecycle: tab})
-	history.RegisterSLO(mux, hist, reg, 0.01)
+	history.RegisterSLO(mux, hist, reg)
 	hist.SampleNow()
 	web := httptest.NewServer(mux)
 	defer web.Close()

@@ -210,11 +210,16 @@ func (r *Registry) SetLive(l Live) {
 const DefaultSLOTarget = 50 * time.Millisecond
 
 // SetSLOTarget sets the handshake-latency objective: a success slower
-// than d counts as slow. Call it before the first connection.
+// than d counts as slow. A d of 0 or less means DefaultSLOTarget. Call
+// it before the first connection.
 func (r *Registry) SetSLOTarget(d time.Duration) {
-	if r != nil {
-		r.sloTarget = d
+	if r == nil {
+		return
 	}
+	if d <= 0 {
+		d = DefaultSLOTarget
+	}
+	r.sloTarget = d
 }
 
 // SLOTarget returns the handshake-latency objective.

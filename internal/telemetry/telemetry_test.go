@@ -76,12 +76,19 @@ func TestRegistryCounts(t *testing.T) {
 	}
 }
 
-// TestSLOCounts pins the SLO's facts in the registry: a success slower
-// than the target counts as slow (a failure never does), only the
-// handshakes that entered a step observe a queue delay, the ticks read
-// just what folded since the previous tick, and Reset zeroes it all.
+// TestSLOCounts pins the SLO's facts in the registry: a target of 0 or
+// less means the default, a success slower than the target counts as
+// slow (a failure never does), only the handshakes that entered a step
+// observe a queue delay, the ticks read just what folded since the
+// previous tick, and Reset zeroes it all.
 func TestSLOCounts(t *testing.T) {
 	r := NewRegistry()
+	for _, d := range []time.Duration{0, -time.Second} {
+		r.SetSLOTarget(time.Second)
+		if r.SetSLOTarget(d); r.SLOTarget() != DefaultSLOTarget {
+			t.Fatalf("SetSLOTarget(%v) left target %v, want the default %v", d, r.SLOTarget(), DefaultSLOTarget)
+		}
+	}
 	r.SetSLOTarget(50 * time.Millisecond)
 	queued := func(h *Handshake, q time.Duration) *Handshake { h.QueueDelay = q; return h }
 	r.FoldHandshake(queued(hsDone("RC4-MD5", 0x0300, false, 10*time.Millisecond), 2*time.Millisecond))

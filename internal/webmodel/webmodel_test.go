@@ -1,7 +1,6 @@
 package webmodel
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
-	"sslperf/internal/testenv"
 	"sslperf/internal/workload"
 )
 
@@ -88,20 +86,17 @@ func TestFigure2Shape(t *testing.T) {
 			100 * float64(agg.Private) / total,
 			100 * float64(agg.Hash) / total
 	}
-	testenv.Timing(t, func() error {
-		pub1, priv1, _ := shareAt(1 << 10)
-		pub32, priv32, _ := shareAt(32 << 10)
-		if pub1 < 50 {
-			return fmt.Errorf("public share at 1KB = %.1f%%, want dominant (paper ~90%%)", pub1)
-		}
-		if pub32 >= pub1 {
-			return fmt.Errorf("public share should fall with size: %.1f%% -> %.1f%%", pub1, pub32)
-		}
-		if priv32 <= priv1 {
-			return fmt.Errorf("private share should grow with size: %.1f%% -> %.1f%%", priv1, priv32)
-		}
-		return nil
-	})
+	pub1, priv1, _ := shareAt(1 << 10)
+	pub32, priv32, _ := shareAt(32 << 10)
+	if pub1 < 50 {
+		t.Fatalf("public share at 1KB = %.1f%%, want dominant (paper ~90%%)", pub1)
+	}
+	if pub32 >= pub1 {
+		t.Fatalf("public share should fall with size: %.1f%% -> %.1f%%", pub1, pub32)
+	}
+	if priv32 <= priv1 {
+		t.Fatalf("private share should grow with size: %.1f%% -> %.1f%%", priv1, priv32)
+	}
 }
 
 func TestResumptionSkipsRSA(t *testing.T) {
