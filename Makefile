@@ -24,7 +24,7 @@ race:
 
 # CI gate: static checks plus the race detector on the packages that
 # live connections emit through concurrently: the probe spine and its
-# sink adapters (telemetry, the span tracer), the record layer (whose
+# sinks (telemetry, the conn table), the record layer (whose
 # connections share one window-buffer pool), the handshake session
 # cache, perf (whose model-GHz setting is shared mutable state), bn
 # and rsa (a Mont's scratch pool
@@ -58,7 +58,7 @@ check:
 	$(MAKE) spinelint
 	$(MAKE) failclasslint
 	$(MAKE) doclint
-	$(GO) test -race ./internal/probe/... ./internal/telemetry/... ./internal/trace/... \
+	$(GO) test -race ./internal/probe/... ./internal/telemetry/... \
 		./internal/ssl/... ./internal/record/... \
 		./internal/handshake/... ./internal/perf/... \
 		./internal/loadgen/... ./internal/pathlen/... \
@@ -74,11 +74,11 @@ check:
 # connection's record accumulates and folds through are held to the
 # same rule. Direct time.Now calls there bypass the nil-bus fast path
 # or put a clock read on every record; the legitimate ones (config
-# defaults, constructors, the sampler that runs ahead of the bus,
-# snapshot and render code) carry a "lint:allow-clock" marker.
+# defaults, constructors, snapshot and render code) carry a
+# "lint:allow-clock" marker.
 clocklint:
 	@bad=$$(grep -n 'time\.Now()\|time\.Since(' internal/handshake/*.go internal/record/*.go \
-		internal/lifecycle/*.go internal/telemetry/*.go internal/trace/*.go internal/pathlen/*.go \
+		internal/lifecycle/*.go internal/telemetry/*.go internal/pathlen/*.go \
 		| grep -v _test.go | grep -v 'lint:allow-clock'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "clocklint: direct clock reads on the probe-spine hot path (mark intentional ones with // lint:allow-clock):"; \
@@ -223,22 +223,22 @@ cbclint:
 # into bench/'s client).
 depslint:
 	@bad=$$($(GO) list -deps ./internal/ssl ./internal/handshake ./internal/record \
-		| grep -E '^sslperf/internal/(telemetry|trace|lifecycle|history|debughttp|pathlen)$$'; exit 0); \
+		| grep -E '^sslperf/internal/(telemetry|lifecycle|history|debughttp|pathlen)$$'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "depslint: the protocol layers import the observatory:"; \
 		echo "$$bad"; exit 1; \
 	fi
 
-# Config.Observers is the one seam onto a connection's event stream:
-# ssl builds each connection's bus, once, from the sinks its observers
-# answer with (internal/ssl/probes.go). A probe.NewBus( call anywhere
+# Config.Observer is the one seam onto a connection's event stream:
+# ssl builds each connection's bus, once, from the one sink its
+# observer answers with (internal/ssl/probes.go). A probe.NewBus( call anywhere
 # else in non-test Go is a second way onto the bus — a side door that
 # watches a connection no observer was offered.
 spinelint:
 	@bad=$$(grep -rn --include='*.go' 'probe\.NewBus(' . \
 		| grep -v '_test\.go:' | grep -v '^\./internal/probe/' | grep -v '^\./internal/ssl/probes\.go:'; exit 0); \
 	if [ -n "$$bad" ]; then \
-		echo "spinelint: a probe bus built outside internal/ssl/probes.go (Config.Observers is the one seam):"; \
+		echo "spinelint: a probe bus built outside internal/ssl/probes.go (Config.Observer is the one seam):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

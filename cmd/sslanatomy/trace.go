@@ -4,10 +4,8 @@ import (
 	"time"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
-	"sslperf/internal/trace"
 )
 
 // captureHandshakeTrace runs one full handshake over the in-memory
@@ -28,16 +26,16 @@ func captureHandshakeTrace(seed uint64, keyBits int, suiteName string, version u
 		suites = []suite.ID{s.ID}
 	}
 	table := lifecycle.NewTable(lifecycle.Options{
-		Tracer: trace.NewTracer(trace.Config{SampleEvery: 1}),
-		Ring:   1,
+		SampleEvery: 1,
+		Ring:        1,
 	})
 	clientT, serverT := ssl.Pipe()
 	server := ssl.ServerConn(serverT, &ssl.Config{
-		Rand:      ssl.NewPRNG(seed + 1),
-		Key:       id.Key,
-		CertDER:   id.CertDER,
-		Suites:    suites,
-		Observers: []probe.Observer{table},
+		Rand:     ssl.NewPRNG(seed + 1),
+		Key:      id.Key,
+		CertDER:  id.CertDER,
+		Suites:   suites,
+		Observer: table,
 	})
 	client := ssl.ClientConn(clientT, &ssl.Config{
 		Rand:               ssl.NewPRNG(seed + 2),

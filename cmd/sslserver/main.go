@@ -21,7 +21,6 @@ import (
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 	"sslperf/internal/workload"
 )
 
@@ -132,9 +131,7 @@ func buildProbes(telAddr string, traceEvery int, pprofOn bool, sloTarget time.Du
 		}
 		return lifecycle.NewTable(opts)
 	}
-	if traceEvery > 0 {
-		opts.Tracer = trace.NewTracer(trace.Config{SampleEvery: traceEvery})
-	}
+	opts.SampleEvery = traceEvery
 	opts.Registry = telemetry.NewRegistry()
 	opts.Registry.SetSLOTarget(sloTarget)
 	opts.Ring = flightRecords

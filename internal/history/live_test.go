@@ -12,25 +12,20 @@ import (
 	"sslperf/internal/probe"
 	"sslperf/internal/record"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // observatory is every surface a -telemetry -trace server builds,
 // ticked by hand.
 type observatory struct {
-	reg    *telemetry.Registry
-	tracer *trace.Tracer
-	tab    *lifecycle.Table
-	h      *History
+	reg *telemetry.Registry
+	tab *lifecycle.Table
+	h   *History
 }
 
 func newObservatory() *observatory {
-	o := &observatory{
-		reg:    telemetry.NewRegistry(),
-		tracer: trace.NewTracer(trace.Config{SampleEvery: 1}),
-	}
+	o := &observatory{reg: telemetry.NewRegistry()}
 	o.tab = lifecycle.NewTable(lifecycle.Options{
-		Registry: o.reg, Tracer: o.tracer, Ring: 16,
+		Registry: o.reg, SampleEvery: 1, Ring: 16,
 	})
 	o.h, _ = newTestHistory(Config{Interval: time.Second, FineSlots: 64})
 	AddStandardSources(o.h, Sources{

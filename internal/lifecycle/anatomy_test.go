@@ -1,4 +1,4 @@
-package trace_test
+package lifecycle_test
 
 import (
 	"encoding/json"
@@ -11,7 +11,6 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // The live anatomy is the metrics registry's fold of what the sampler
@@ -56,7 +55,7 @@ func getAnatomy(t *testing.T, reg *telemetry.Registry) telemetry.Anatomy {
 // kept — it divides by the sampled handshakes' own step time.
 func TestAnatomySampledStepsCountEveryHandshake(t *testing.T) {
 	read := func(every int) telemetry.Anatomy {
-		tab, _, reg := newTable(trace.Config{SampleEvery: every}, 0)
+		tab, _, reg := newTable(every, 0)
 		for i := 0; i < 16; i++ {
 			anatomyHandshake(tab, 10*time.Millisecond, 8*time.Millisecond)
 		}
@@ -119,7 +118,7 @@ func TestLatHistQuantiles(t *testing.T) {
 // TestProfilerSnapshot: the anatomy of four sampled handshakes, each a
 // 10 ms step holding an 8 ms RSA decryption.
 func TestProfilerSnapshot(t *testing.T) {
-	tab, _, reg := newTable(trace.Config{}, 0)
+	tab, _, reg := newTable(1, 0)
 	for i := 0; i < 4; i++ {
 		anatomyHandshake(tab, 10*time.Millisecond, 8*time.Millisecond)
 	}
@@ -176,7 +175,7 @@ func TestEmptySnapshotRenders(t *testing.T) {
 }
 
 func TestSnapshotTextTables(t *testing.T) {
-	tab, _, reg := newTable(trace.Config{}, 0)
+	tab, _, reg := newTable(1, 0)
 	anatomyHandshake(tab, 10*time.Millisecond, 8*time.Millisecond)
 	txt := reg.Anatomy().Text()
 	for _, want := range []string{
@@ -194,7 +193,7 @@ func TestSnapshotTextTables(t *testing.T) {
 // which /debug/reset calls with every other surface's — and keeps
 // folding afterwards; the endpoint has no reset of its own.
 func TestDebugAnatomyReset(t *testing.T) {
-	tab, _, reg := newTable(trace.Config{}, 0)
+	tab, _, reg := newTable(1, 0)
 	anatomyHandshake(tab, time.Millisecond, 0)
 	if s := reg.Anatomy(); s.Handshakes != 1 {
 		t.Fatalf("pre-reset anatomy = %+v", s)
@@ -224,7 +223,7 @@ func TestDebugAnatomyReset(t *testing.T) {
 }
 
 func TestDebugAnatomyEndpoint(t *testing.T) {
-	tab, _, reg := newTable(trace.Config{}, 0)
+	tab, _, reg := newTable(1, 0)
 	anatomyHandshake(tab, time.Millisecond, 0)
 	if snap := getAnatomy(t, reg); snap.Handshakes != 1 || len(snap.Steps) != 1 {
 		t.Fatalf("anatomy = %+v", snap)

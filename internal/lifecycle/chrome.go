@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"sslperf/internal/trace"
+	"sslperf/internal/telemetry"
 )
 
 // chromeEvent is one Chrome trace-event (the "Trace Event Format"
@@ -61,7 +61,7 @@ func ChromeTrace(recs []Record) ([]byte, error) {
 			Args: map[string]any{"name": fmt.Sprintf("conn %d (%s, %s)", r.ID, r.Role, r.State)},
 		})
 		if r.HandshakeUs > 0 {
-			hs := span("handshake", trace.CatConn, r.HandshakeAtUs, r.HandshakeUs)
+			hs := span("handshake", telemetry.CatConn, r.HandshakeAtUs, r.HandshakeUs)
 			if r.Suite != "" {
 				hs.Args["detail"] = r.Suite
 				if r.Resumed {
@@ -70,7 +70,7 @@ func ChromeTrace(recs []Record) ([]byte, error) {
 			}
 		}
 		for _, st := range r.Steps {
-			span(st.Step, trace.CatStep, st.AtUs, st.Us)
+			span(st.Step, telemetry.CatStep, st.AtUs, st.Us)
 		}
 		for _, c := range r.Calls {
 			ev := span(c.Name, c.Kind, c.AtUs, c.Us)

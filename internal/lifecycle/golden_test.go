@@ -1,4 +1,4 @@
-package trace_test
+package lifecycle_test
 
 import (
 	"bytes"
@@ -18,7 +18,6 @@ import (
 	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // goldenDur is the synthetic per-step latency of the recorded
@@ -97,7 +96,7 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	events := goldenEvents()
 	reg := telemetry.NewRegistry()
 	table := lifecycle.NewTable(lifecycle.Options{
-		Tracer: trace.NewTracer(trace.Config{SampleEvery: 1}), Registry: reg, Ring: goldenConns,
+		SampleEvery: 1, Registry: reg, Ring: goldenConns,
 	})
 	start, end := events[0].At, events[len(events)-1].At
 	for conn := uint64(1); conn <= goldenConns; conn++ {
@@ -159,7 +158,7 @@ func TestGoldenStepNamesAcrossSurfaces(t *testing.T) {
 	}
 	var chromeNames []string
 	for _, ev := range doc.TraceEvents {
-		if ev.Cat != trace.CatStep || ev.TID != 1 {
+		if ev.Cat != telemetry.CatStep || ev.TID != 1 {
 			continue
 		}
 		chromeNames = append(chromeNames, ev.Name)
@@ -192,9 +191,8 @@ func TestOneRecordAllSurfaces(t *testing.T) {
 	}
 	var closeLog bytes.Buffer
 	reg := telemetry.NewRegistry()
-	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
 	table := lifecycle.NewTable(lifecycle.Options{
-		Registry: reg, Tracer: tracer,
+		Registry: reg, SampleEvery: 1,
 		CloseLog: lifecycle.NewCloseLog(&closeLog, 1), Ring: 4,
 	})
 	mux := http.NewServeMux()
@@ -218,7 +216,7 @@ func TestOneRecordAllSurfaces(t *testing.T) {
 	ct, st := ssl.Pipe()
 	server := ssl.ServerConn(st, &ssl.Config{
 		Rand: ssl.NewPRNG(6), Key: id.Key, CertDER: id.CertDER,
-		Observers: []probe.Observer{table},
+		Observer: table,
 	})
 	client := ssl.ClientConn(ct, &ssl.Config{Rand: ssl.NewPRNG(7), InsecureSkipVerify: true})
 	errc := make(chan error, 1)
@@ -310,11 +308,11 @@ func TestOneRecordAllSurfaces(t *testing.T) {
 			continue
 		}
 		switch ev.Cat {
-		case trace.CatStep:
+		case telemetry.CatStep:
 			chrome = append(chrome, lifecycle.StepLine{Step: ev.Name, Us: ev.Dur})
-		case trace.CatCrypto:
+		case telemetry.CatCrypto:
 			sawCrypto = true
-		case trace.CatIO:
+		case telemetry.CatIO:
 			sawIO = true
 		}
 	}

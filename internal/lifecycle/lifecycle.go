@@ -5,7 +5,7 @@
 // the only sink on its connection's bus. The entry accumulates the
 // open/handshake/close facts, the Table-2 step timeline with each
 // step's record crypto, plain record/byte and per-primitive crypto
-// totals, and, for the connections the tracer's sampler picks, the
+// totals, and, for the connections its 1-in-N sampler picks, the
 // crypto calls and application I/O in detail. It is folded into the
 // shared aggregates once when its handshake ends (metrics registry,
 // the live Tables 2/3 and the SLO's slow and queue-delay counts) and
@@ -32,7 +32,6 @@ import (
 
 	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // State is a connection's position in its lifecycle, by its snake_case
@@ -75,6 +74,15 @@ const (
 	maxCalls = 256
 )
 
+// What a connection's record keeps beyond its step timeline and
+// totals, as the record reports it. The zero value "" means nobody
+// asked: the table's SampleEvery is 0.
+const (
+	DetailFull       = "full"
+	DetailSampledOut = "sampled_out" // the 1-in-N sampler passed it over
+	DetailTruncated  = "truncated"   // kept, then cut at the per-record cap
+)
+
 // A Conn is one connection's record: a live table entry until the
 // connection closes, then one slot of the closed-record ring. It is the
 // probe.Sink on its connection's bus, emitted into by the connection's
@@ -91,7 +99,7 @@ type Conn struct {
 	// mu guards everything below against snapshot readers.
 	mu sync.Mutex
 
-	// detail is what the sampler let this record keep (trace.Detail*).
+	// detail is what the sampler let this record keep (Detail*).
 	detail string
 
 	state        State
@@ -129,14 +137,16 @@ type shard struct {
 	conns map[uint64]*Conn
 }
 
-// Options names what a Table folds into; every field may be nil.
+// Options names what a Table folds into; every field may be zero.
 type Options struct {
 	// Registry receives each handshake outcome with its step timeline
 	// (and, when sampled, its crypto calls), and each closed
 	// connection's record/byte and record-crypto totals.
 	Registry *telemetry.Registry
-	// Tracer samples which connections keep their detail.
-	Tracer *trace.Tracer
+	// SampleEvery keeps 1 in N connections in detail, by arrival
+	// order, so a steady load sees an unbiased 1/N cross-section (0 =
+	// none, 1 = every connection).
+	SampleEvery int
 	// CloseLog writes one line per connection close.
 	CloseLog *CloseLog
 	// Ring is how many closed records are retained (0 = none).
@@ -167,7 +177,9 @@ type Table struct {
 	ring     []*Conn
 	ringNext uint64
 
-	truncated atomic.Uint64 // records whose detail hit maxCalls
+	arrivals   atomic.Uint64 // connections offered to the sampler
+	sampledOut atomic.Uint64 // records the sampler passed over
+	truncated  atomic.Uint64 // records whose detail hit maxCalls
 }
 
 // numFailClasses covers every probe.FailClass including FailNone.
@@ -215,8 +227,22 @@ func (t *Table) Begin() *Conn {
 		return nil
 	}
 	c := t.pool.Get().(*Conn)
-	*c = Conn{tab: t, state: StateAccepted, queueDelay: -1, calls: c.calls[:0], detail: t.o.Tracer.Sample()}
+	*c = Conn{tab: t, state: StateAccepted, queueDelay: -1, calls: c.calls[:0], detail: t.sample()}
 	return c
+}
+
+// sample offers one connection to the sampler and answers with what
+// its record keeps: DetailFull for 1 in SampleEvery arrivals,
+// DetailSampledOut for the rest, "" when the table keeps no detail.
+func (t *Table) sample() string {
+	if t.o.SampleEvery <= 0 {
+		return ""
+	}
+	if t.arrivals.Add(1)%uint64(t.o.SampleEvery) != 0 {
+		t.sampledOut.Add(1)
+		return DetailSampledOut
+	}
+	return DetailFull
 }
 
 // Observe implements probe.Observer for an entry begun ahead of its
@@ -240,6 +266,7 @@ func (t *Table) Reset() {
 	clear(t.ring)
 	t.ringNext, t.totals = 0, Totals{}
 	t.mu.Unlock()
+	t.sampledOut.Store(0)
 	t.truncated.Store(0)
 	t.o.CloseLog.resetCounts()
 }
@@ -274,7 +301,6 @@ func (l live) LiveCounts() (c telemetry.Counts) {
 
 func (l live) Observatory() telemetry.ObservatoryStats {
 	t := l.t
-	st := t.o.Tracer.Stats()
 	t.mu.Lock()
 	retained := min(t.ringNext, uint64(len(t.ring)))
 	evicted := t.ringNext - retained
@@ -282,8 +308,7 @@ func (l live) Observatory() telemetry.ObservatoryStats {
 	return telemetry.ObservatoryStats{
 		RecordsRetained:    int(retained),
 		RecordsEvicted:     evicted,
-		DetailSampledOut:   st.Seen - st.Sampled - st.RateLimited,
-		DetailRateLimited:  st.RateLimited,
+		DetailSampledOut:   t.sampledOut.Load(),
 		DetailTruncated:    t.truncated.Load(),
 		CloseLogSuppressed: t.o.CloseLog.Counts().Suppressed,
 	}
@@ -367,16 +392,16 @@ func (c *Conn) Emit(e probe.Event) {
 			c.timelineN++
 		}
 	case probe.KindCrypto:
-		c.call(trace.CatCrypto, e.Fn, e)
+		c.call(telemetry.CatCrypto, e.Fn, e)
 	case probe.KindRecordCrypto:
 		c.io.Crypto.Count(e)
 		if e.Step != probe.StepNone {
 			c.stepCrypto.Count(e)
 			// Finished-message work inside a step: Table 2's
 			// pri_encryption/pri_decryption/mac rows.
-			c.call(trace.CatCrypto, e.Op.StepFn(), e)
+			c.call(telemetry.CatCrypto, e.Op.StepFn(), e)
 		} else {
-			c.call(trace.CatRecord, e.Op.String(), e)
+			c.call(telemetry.CatRecord, e.Op.String(), e)
 		}
 	case probe.KindRecordIO:
 		if e.Written {
@@ -399,7 +424,7 @@ func (c *Conn) Emit(e probe.Event) {
 		if e.Written {
 			name = "write"
 		}
-		c.call(trace.CatIO, name, e)
+		c.call(telemetry.CatIO, name, e)
 	}
 	c.mu.Unlock()
 }
@@ -416,11 +441,11 @@ func (c *Conn) setState(from, to State) {
 // call appends one timed item to a sampled connection's detail.
 // Callers hold c.mu.
 func (c *Conn) call(kind, name string, e probe.Event) {
-	if c.detail != trace.DetailFull {
+	if c.detail != DetailFull {
 		return
 	}
 	if len(c.calls) >= maxCalls {
-		c.detail = trace.DetailTruncated
+		c.detail = DetailTruncated
 		c.tab.truncated.Add(1)
 		return
 	}
@@ -436,7 +461,7 @@ func (c *Conn) Mark(name string, at time.Time, d time.Duration) {
 		return
 	}
 	c.mu.Lock()
-	c.call(trace.CatConn, name, probe.Event{At: at, Dur: d})
+	c.call(telemetry.CatConn, name, probe.Event{At: at, Dur: d})
 	c.mu.Unlock()
 }
 
@@ -458,7 +483,7 @@ func (c *Conn) handshakeEnd(e probe.Event) {
 		Suite: c.suite, Version: c.version, Resumed: c.resumed,
 		Failed: failed, FailTag: c.failTag, Dur: e.Dur, QueueDelay: c.queueDelay,
 		Steps:   c.timeline[:c.timelineN],
-		Sampled: c.detail == trace.DetailFull || c.detail == trace.DetailTruncated,
+		Sampled: c.detail == DetailFull || c.detail == DetailTruncated,
 	}
 	if h.Sampled {
 		h.Calls = c.calls

@@ -315,6 +315,56 @@ func TestTableReset(t *testing.T) {
 	c.end()
 }
 
+// The sampler keeps 1 in SampleEvery arrivals in detail and counts the
+// rest as sampled out; at 0 it offers nothing and the detail stays "".
+func TestSamplingModulus(t *testing.T) {
+	for _, tc := range []struct {
+		every, full, out int
+	}{{4, 4, 12}, {1, 16, 0}, {0, 0, 0}} {
+		tab := NewTable(Options{SampleEvery: tc.every})
+		full, out := 0, 0
+		for i := 0; i < 16; i++ {
+			c := open(tab, "")
+			switch c.detail {
+			case DetailFull:
+				full++
+			case DetailSampledOut:
+				out++
+			case "":
+			default:
+				t.Fatalf("SampleEvery=%d: verdict %q", tc.every, c.detail)
+			}
+			c.end()
+		}
+		if full != tc.full || out != tc.out {
+			t.Fatalf("SampleEvery=%d over 16 connections kept %d, passed over %d, want %d/%d",
+				tc.every, full, out, tc.full, tc.out)
+		}
+		if got := (live{tab}).Observatory().DetailSampledOut; got != uint64(tc.out) {
+			t.Fatalf("SampleEvery=%d: detail_sampled_out = %d, want %d", tc.every, got, tc.out)
+		}
+	}
+}
+
+// Reset zeroes detail_sampled_out with the table's other counters, so
+// after it the count covers only the connections since.
+func TestResetZeroesSampledOut(t *testing.T) {
+	tab := NewTable(Options{SampleEvery: 2})
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			c := open(tab, "")
+			drive(c)
+			c.end()
+		}
+	}
+	run(4)
+	tab.Reset()
+	run(2)
+	if got := (live{tab}).Observatory().DetailSampledOut; got != 1 {
+		t.Fatalf("detail_sampled_out after reset = %d, want 1", got)
+	}
+}
+
 func TestNilTableAndConn(t *testing.T) {
 	var tab *Table
 	if tab.Observe() != nil {

@@ -40,8 +40,8 @@ type Record struct {
 	FailDetail string `json:"fail_detail,omitempty"`
 
 	// Detail says what the record kept beyond the step timeline and
-	// the totals: "full", or why not ("sampled_out", "rate_limited",
-	// "truncated" at the per-record cap; empty without -trace).
+	// the totals: "full", or why not ("sampled_out", or "truncated"
+	// at the per-record cap; empty without -trace).
 	Detail string     `json:"detail,omitempty"`
 	Steps  []StepLine `json:"steps,omitempty"`
 	Calls  []CallLine `json:"calls,omitempty"`
@@ -57,7 +57,7 @@ type StepLine struct {
 // CallLine is one item of a sampled record's detail: a crypto call, a
 // bulk-phase record pass, an application read or write, the accept.
 type CallLine struct {
-	Kind  string  `json:"kind"` // the Chrome category (trace.Cat*)
+	Kind  string  `json:"kind"` // the Chrome category (telemetry.Cat*)
 	Name  string  `json:"name"`
 	Step  string  `json:"step,omitempty"`
 	AtUs  float64 `json:"at_us"`

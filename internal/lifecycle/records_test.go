@@ -1,4 +1,4 @@
-package trace_test
+package lifecycle_test
 
 import (
 	"encoding/json"
@@ -12,7 +12,6 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // A sampled connection's spans are its record's step timeline and
@@ -45,29 +44,37 @@ func done(c *lifecycle.Conn, suite string) {
 
 func end(c *lifecycle.Conn) { c.Emit(probe.Event{Kind: probe.KindConnClose, At: time.Now()}) }
 
-// newTable returns a table sampling by cfg and keeping ring closed
-// records, its tracer, and the registry its handshakes fold into.
-func newTable(cfg trace.Config, ring int) (*lifecycle.Table, *trace.Tracer, *telemetry.Registry) {
-	tr, reg := trace.NewTracer(cfg), telemetry.NewRegistry()
-	return lifecycle.NewTable(lifecycle.Options{Tracer: tr, Registry: reg, Ring: ring}), tr, reg
+// newTable returns a table keeping 1 in every connections in detail
+// and ring closed records, its sampler's counts, and the registry its
+// handshakes fold into.
+func newTable(every, ring int) (*lifecycle.Table, sampler, *telemetry.Registry) {
+	reg := telemetry.NewRegistry()
+	tab := lifecycle.NewTable(lifecycle.Options{SampleEvery: every, Registry: reg, Ring: ring})
+	return tab, sampler{tab, reg}, reg
+}
+
+// sampler reads a table's detail sampler back: the connections offered
+// to it (every one these tests open) and those it kept in detail.
+type sampler struct {
+	tab *lifecycle.Table
+	reg *telemetry.Registry
+}
+
+type samplerStats struct{ Seen, Sampled uint64 }
+
+func (s sampler) Stats() samplerStats {
+	seen := s.tab.Counts().Opened
+	return samplerStats{Seen: seen, Sampled: seen - s.reg.Snapshot().Observatory.DetailSampledOut}
 }
 
 func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
-	var tr *trace.Tracer
-	if v := tr.Sample(); v != "" {
-		t.Fatalf("nil tracer sampled a connection: %q", v)
-	}
-	if got := tr.Stats(); got != (trace.Stats{}) {
-		t.Fatalf("nil tracer Stats() = %+v", got)
-	}
-
 	var c *lifecycle.Conn
 	c.Mark("accept", time.Now(), time.Millisecond)
 	if c.Observe() != nil {
 		t.Fatal("nil entry offered itself as a sink")
 	}
 
-	// A table without a tracer keeps the timeline and no detail.
+	// A table with SampleEvery 0 keeps the timeline and no detail.
 	tab := lifecycle.NewTable(lifecycle.Options{Ring: 1})
 	live := begin(tab)
 	step(live, probe.StepInit, time.Millisecond, probe.Event{Kind: probe.KindCrypto, Fn: "md5", Dur: time.Microsecond})
@@ -78,7 +85,7 @@ func TestNilTracerAndConnTraceAreNoOps(t *testing.T) {
 }
 
 func TestSpanLifecycleAndPublish(t *testing.T) {
-	tab, tr, _ := newTable(trace.Config{}, 4)
+	tab, tr, _ := newTable(1, 4)
 	c := begin(tab)
 	c.Mark("accept", time.Now(), time.Microsecond)
 	c.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: time.Now()})
@@ -98,16 +105,16 @@ func TestSpanLifecycleAndPublish(t *testing.T) {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
 	r := recs[0]
-	if r.Role != "server" || r.State != "closed" || r.Suite != "RC4-SHA" || r.Detail != trace.DetailFull {
+	if r.Role != "server" || r.State != "closed" || r.Suite != "RC4-SHA" || r.Detail != lifecycle.DetailFull {
 		t.Fatalf("record = %+v", r)
 	}
 	if len(r.Steps) != 1 || r.Steps[0].Step != "get_client_kx" || r.Steps[0].Us != 5000 {
 		t.Fatalf("steps = %+v (explicit elapsed not honored?)", r.Steps)
 	}
-	if len(r.Calls) != 2 || r.Calls[0].Kind != trace.CatConn || r.Calls[0].Name != "accept" {
+	if len(r.Calls) != 2 || r.Calls[0].Kind != telemetry.CatConn || r.Calls[0].Name != "accept" {
 		t.Fatalf("calls = %+v", r.Calls)
 	}
-	if rsa := r.Calls[1]; rsa.Kind != trace.CatCrypto || rsa.Step != "get_client_kx" || rsa.Us != 3000 {
+	if rsa := r.Calls[1]; rsa.Kind != telemetry.CatCrypto || rsa.Step != "get_client_kx" || rsa.Us != 3000 {
 		t.Fatalf("crypto call not filed under its step: %+v", rsa)
 	}
 	if r.HandshakeUs != 7000 {
@@ -116,7 +123,7 @@ func TestSpanLifecycleAndPublish(t *testing.T) {
 }
 
 func TestFinishClosesOpenSpans(t *testing.T) {
-	tab, _, _ := newTable(trace.Config{}, 4)
+	tab, _, _ := newTable(1, 4)
 	c := begin(tab)
 	c.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: time.Now()})
 	c.Emit(probe.Event{Kind: probe.KindStepEnter, Step: probe.StepInit, At: time.Now()}) // never exited
@@ -133,7 +140,7 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 }
 
 func TestTraceRingWraps(t *testing.T) {
-	tab, _, _ := newTable(trace.Config{}, 2)
+	tab, _, _ := newTable(1, 2)
 	var ids []uint64
 	for i := 0; i < 5; i++ {
 		c := begin(tab)
@@ -150,14 +157,14 @@ func TestTraceRingWraps(t *testing.T) {
 }
 
 func TestMaxSpansFinishesTrace(t *testing.T) {
-	tab, _, _ := newTable(trace.Config{}, 1)
+	tab, _, _ := newTable(1, 1)
 	c := begin(tab)
 	for i := 0; i < 1000; i++ {
 		c.Emit(probe.Event{Kind: probe.KindAppIO, Written: true, Bytes: 1, At: time.Now(), Dur: time.Microsecond})
 	}
 	end(c)
 	r := tab.Records(0)[0]
-	if r.Detail != trace.DetailTruncated {
+	if r.Detail != lifecycle.DetailTruncated {
 		t.Fatalf("detail = %q, want truncated", r.Detail)
 	}
 	if n := len(r.Calls); n == 0 || n >= 1000 {
@@ -166,7 +173,7 @@ func TestMaxSpansFinishesTrace(t *testing.T) {
 }
 
 func TestFoldThenFinishCountsOnce(t *testing.T) {
-	tab, _, reg := newTable(trace.Config{}, 1)
+	tab, _, reg := newTable(1, 1)
 	c := begin(tab)
 	step(c, probe.StepInit, time.Millisecond)
 	done(c, "RC4-MD5")
@@ -186,7 +193,7 @@ func TestFoldThenFinishCountsOnce(t *testing.T) {
 }
 
 func TestConcurrentTracing(t *testing.T) {
-	tab, tr, reg := newTable(trace.Config{SampleEvery: 2}, 16)
+	tab, tr, reg := newTable(2, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -220,7 +227,7 @@ func TestConcurrentTracing(t *testing.T) {
 // The export is connection-only: every span on the one "ssl
 // connections" process, a thread per connection, and no flow events.
 func TestChromeTraceExport(t *testing.T) {
-	tab, _, _ := newTable(trace.Config{}, 4)
+	tab, _, _ := newTable(1, 4)
 	for i := 0; i < 2; i++ {
 		c := begin(tab)
 		c.Emit(probe.Event{Kind: probe.KindHandshakeStart, Fn: "server", At: time.Now()})
@@ -295,7 +302,7 @@ func TestChromeEmptyTracerLoads(t *testing.T) {
 
 func tableWithOneRecord(t *testing.T) http.Handler {
 	t.Helper()
-	tab, _, _ := newTable(trace.Config{}, 4)
+	tab, _, _ := newTable(1, 4)
 	c := begin(tab)
 	step(c, probe.StepInit, time.Millisecond)
 	done(c, "RC4-MD5")

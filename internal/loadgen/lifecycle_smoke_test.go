@@ -16,7 +16,6 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/ssl"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // TestLifecycleObservatorySmoke closes the loop the way an operator
@@ -185,10 +184,10 @@ func TestOneConnectionID(t *testing.T) {
 	const conns = 32
 	var closeBuf bytes.Buffer
 	tab := lifecycle.NewTable(lifecycle.Options{
-		Registry: telemetry.NewRegistry(),
-		Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
-		CloseLog: lifecycle.NewCloseLog(&closeBuf, 1),
-		Ring:     2 * conns,
+		Registry:    telemetry.NewRegistry(),
+		SampleEvery: 1,
+		CloseLog:    lifecycle.NewCloseLog(&closeBuf, 1),
+		Ring:        2 * conns,
 	})
 	srv, err := StartServer(ServerOptions{
 		KeyBits:  512,

@@ -7,11 +7,10 @@ import (
 )
 
 // A Sink consumes probe events. Emit is called synchronously on the
-// emitting goroutine, in sink attachment order; a slow sink slows the
-// connection. Sinks attached to per-connection buses see one
-// goroutine at a time (the ssl package serializes connections), but a
-// sink shared across connections must be safe for concurrent Emit
-// calls.
+// emitting goroutine; a slow sink slows the connection. A sink on a
+// per-connection bus sees one goroutine at a time (the ssl package
+// serializes connections), but a sink shared across connections must
+// be safe for concurrent Emit calls.
 type Sink interface {
 	Emit(Event)
 }
@@ -28,31 +27,30 @@ func (f SinkFunc) Observe() Sink { return f }
 // An Observer is offered every connection as it opens and answers
 // with the sink that connection's events go to: itself when it
 // aggregates across connections (a metrics registry), a fresh
-// per-connection accumulator (a table entry, a span trace), or nil to
-// decline — a sampler passing this connection over. A connection all
-// of whose observers decline runs on the nil bus. The sink learns who
-// it is watching from the KindConnOpen event that follows.
+// per-connection accumulator (a table entry), or nil to decline. A
+// connection whose observer declines runs on the nil bus. The sink
+// learns who it is watching from the KindConnOpen event that follows.
 type Observer interface {
 	Observe() Sink
 }
 
 // connSeq numbers connections process-wide, so every sink that keys
-// by Event.Conn — flight recorder, span traces, the conn table and
-// its close-log — names one connection by one number.
+// by Event.Conn — the conn table and its close-log — names one
+// connection by one number.
 var connSeq atomic.Uint64
 
-// A Bus stamps events once and fans them out to its sinks. A nil
-// *Bus is the off state: every method is a nil-receiver no-op, so an
+// A Bus stamps events and hands them to its one sink. A nil *Bus is
+// the off state: every method is a nil-receiver no-op, so an
 // uninstrumented hot path pays one pointer test and performs zero
-// allocations — NewBus returns nil when no sinks are attached
-// precisely so that the fast path engages.
+// allocations — NewBus returns nil for a nil sink precisely so that
+// the fast path engages.
 //
 // The step cursor (StepEnter/StepExit) is single-owner state: only
 // the handshake goroutine moves it. Stateless emissions (RecordIO,
-// AppIO) may come from any goroutine as long as the sinks tolerate
+// AppIO) may come from any goroutine as long as the sink tolerates
 // it.
 type Bus struct {
-	sinks []Sink
+	sink Sink
 
 	cur       Step
 	open      bool
@@ -80,29 +78,21 @@ type Bus struct {
 	labelCtx context.Context
 }
 
-// NewBus builds a bus over the non-nil sinks, returning nil (the
-// no-op bus) when none remain.
-func NewBus(sinks ...Sink) *Bus {
-	var list []Sink
-	for _, s := range sinks {
-		if s != nil {
-			list = append(list, s)
-		}
-	}
-	if len(list) == 0 {
+// NewBus builds a bus over sink, returning nil (the no-op bus) for a
+// nil sink.
+func NewBus(sink Sink) *Bus {
+	if sink == nil {
 		return nil
 	}
-	return &Bus{sinks: list}
+	return &Bus{sink: sink}
 }
 
-// Active reports whether events will reach any sink.
+// Active reports whether events will reach a sink.
 func (b *Bus) Active() bool { return b != nil }
 
 func (b *Bus) emit(e Event) {
 	e.Conn = b.conn
-	for _, s := range b.sinks {
-		s.Emit(e)
-	}
+	b.sink.Emit(e)
 }
 
 // openStep returns the step the cursor is inside, or StepNone.

@@ -7,11 +7,11 @@
 // typed events onto a Bus — one timestamp and one connection ID per
 // event, one nil test on the fast path — and every consumer (the live
 // connection table and, through it, the metrics registry's Tables 2
-// and 3 that both /debug/anatomy and the offline experiments render,
-// user sinks) is a Sink fanned out from that one stream, handed to the
-// connection by an Observer on its Config; nothing reaches a consumer
-// any other way. The surfaces cannot disagree because they no longer
-// measure independently.
+// and 3 that both /debug/anatomy and the offline experiments render)
+// reads that one stream through the one Sink the connection's bus
+// carries, handed to the connection by the Observer on its Config;
+// nothing reaches a consumer any other way. The surfaces cannot
+// disagree because they no longer measure independently.
 //
 // The canonical Table 2 step enum lives here too: the experiments,
 // /debug/anatomy, and the Chrome trace export all render step

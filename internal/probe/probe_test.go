@@ -68,8 +68,7 @@ func TestRecordOpStepFn(t *testing.T) {
 	}
 }
 
-// recordingSink captures events tagged with its id, shared across
-// sinks to verify fan-out ordering.
+// recordingSink captures events tagged with its id.
 type recordingSink struct {
 	id  int
 	log *[]struct {
@@ -85,50 +84,18 @@ func (s recordingSink) Emit(e Event) {
 	}{s.id, e})
 }
 
-func TestFanOutOrdering(t *testing.T) {
-	var log []struct {
-		sink int
-		e    Event
-	}
-	b := NewBus(recordingSink{0, &log}, recordingSink{1, &log}, recordingSink{2, &log})
-	b.StepEnter(StepInit)
-	b.Crypto(FnInitFinishedMac, func() {})
-	b.StepExit()
-
-	// Three events, each delivered to all three sinks in attachment
-	// order before the next event starts.
-	if len(log) != 9 {
-		t.Fatalf("got %d deliveries, want 9", len(log))
-	}
-	wantKinds := []Kind{KindStepEnter, KindCrypto, KindStepExit}
-	for i, entry := range log {
-		if entry.sink != i%3 {
-			t.Errorf("delivery %d went to sink %d, want %d", i, entry.sink, i%3)
-		}
-		if entry.e.Kind != wantKinds[i/3] {
-			t.Errorf("delivery %d has kind %d, want %d", i, entry.e.Kind, wantKinds[i/3])
-		}
-		if entry.e.Kind == KindCrypto && entry.e.Step != StepInit {
-			t.Errorf("crypto event attributed to %q, want %q", entry.e.Step.Name(), StepInit.Name())
-		}
-	}
-}
-
 func TestNewBusFiltersNilSinks(t *testing.T) {
-	if b := NewBus(); b != nil {
-		t.Error("NewBus() with no sinks should be nil")
-	}
-	if b := NewBus(nil, nil); b != nil {
-		t.Error("NewBus(nil, nil) should be nil")
+	if b := NewBus(nil); b != nil {
+		t.Error("NewBus(nil) should be nil")
 	}
 	var log []struct {
 		sink int
 		e    Event
 	}
-	b := NewBus(nil, recordingSink{7, &log})
+	b := NewBus(recordingSink{7, &log})
 	b.RecordIO(true, false, 5)
 	if len(log) != 1 || log[0].sink != 7 {
-		t.Fatalf("nil sinks not filtered: %+v", log)
+		t.Fatalf("event not delivered to the sink: %+v", log)
 	}
 }
 

@@ -234,27 +234,6 @@ func (priv *PrivateKey) privateCRT(c *bn.Int) (*bn.Int, error) {
 	return m, nil
 }
 
-// CiphertextToInt performs the decryption front half shared with the
-// batch path: the length check of the init phase and the
-// octet-string→bignum conversion (Table 7 phases 1–2).
-func (priv *PrivateKey) CiphertextToInt(ct []byte) (*bn.Int, error) {
-	if len(ct) != priv.Size() {
-		return nil, errCiphertextLength
-	}
-	c := bn.New().SetBytes(ct)
-	if c.Cmp(priv.N) >= 0 {
-		return nil, errCiphertextRange
-	}
-	return c, nil
-}
-
-// FinishDecrypt performs the decryption back half shared with the
-// batch path: bignum→octet-string conversion and PKCS#1 block
-// parsing (Table 7 phases 5–6) on a recovered plaintext integer.
-func (priv *PrivateKey) FinishDecrypt(m *bn.Int) ([]byte, error) {
-	return parsePKCS1Type2(m.FillBytes(make([]byte, priv.Size())))
-}
-
 // privatePlain applies c^d mod N without CRT (for cross-checking).
 func (priv *PrivateKey) privatePlain(c *bn.Int) *bn.Int {
 	return bn.New().ModExp(c, priv.D, priv.N)

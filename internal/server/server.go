@@ -172,7 +172,7 @@ func (s *Server) configFor() (*ssl.Config, *lifecycle.Conn) {
 	}
 	entry := s.Table.Begin()
 	if entry != nil {
-		cfg.Observers = []probe.Observer{entry}
+		cfg.Observer = entry
 	}
 	return cfg, entry
 }

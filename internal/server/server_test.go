@@ -19,7 +19,7 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/record"
 	"sslperf/internal/ssl"
-	"sslperf/internal/trace"
+	"sslperf/internal/telemetry"
 	"sslperf/internal/workload"
 )
 
@@ -282,8 +282,8 @@ func TestPerConnectionConfig(t *testing.T) {
 // the server has closed. An unobserved one attaches nothing.
 func TestTableRecordsEveryConnection(t *testing.T) {
 	table := lifecycle.NewTable(lifecycle.Options{
-		Tracer: trace.NewTracer(trace.Config{SampleEvery: 1}),
-		Ring:   8,
+		SampleEvery: 1,
+		Ring:        8,
 	})
 	response := workload.Response(64)
 	s := newServer(21, response)
@@ -310,14 +310,14 @@ func TestTableRecordsEveryConnection(t *testing.T) {
 		t.Fatalf("%d records retained, want 3", len(recs))
 	}
 	for _, r := range recs {
-		if len(r.Calls) == 0 || r.Calls[0].Name != "accept" || r.Calls[0].Kind != trace.CatConn {
+		if len(r.Calls) == 0 || r.Calls[0].Name != "accept" || r.Calls[0].Kind != telemetry.CatConn {
 			t.Errorf("conn %d: record does not open with the accept mark: %+v", r.ID, r.Calls)
 		}
 	}
 
 	cfg, entry := newServer(21, nil).configFor()
-	if entry != nil || cfg.Observers != nil {
-		t.Fatalf("a server without a table attached observers %v (entry %v)", cfg.Observers, entry)
+	if entry != nil || cfg.Observer != nil {
+		t.Fatalf("a server without a table attached observer %v (entry %v)", cfg.Observer, entry)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/probe"
 	"sslperf/internal/record"
 	"sslperf/internal/suite"
 	"sslperf/internal/telemetry"
@@ -48,7 +47,7 @@ func benchBulkPath(b *testing.B, suiteName string, chunk int) {
 	scfg := id.ServerConfig(NewPRNG(77))
 	scfg.Suites = []suite.ID{s.ID}
 	tab := lifecycle.NewTable(lifecycle.Options{Registry: reg})
-	scfg.Observers = []probe.Observer{tab}
+	scfg.Observer = tab
 	ccfg := clientCfg(func(c *Config) { c.Suites = []suite.ID{s.ID} })
 	client, server := connect(b, ccfg, scfg)
 	defer client.Close()

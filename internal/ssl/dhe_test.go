@@ -34,9 +34,8 @@ func TestDHEHandshakeDetails(t *testing.T) {
 func TestDHEAnatomyHasServerKx(t *testing.T) {
 	id := identity(t)
 	reg := telemetry.NewRegistry()
-	_, obs := observing(reg, 1)
 	scfg := id.ServerConfig(NewPRNG(42))
-	scfg.Observers = obs
+	scfg.Observer = observing(reg, 1)
 	ct, st := Pipe()
 	client := ClientConn(ct, clientCfg(func(c *Config) {
 		c.Suites = []suite.ID{suite.DHERSAWith3DESEDECBCSHA}

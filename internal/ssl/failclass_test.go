@@ -66,7 +66,7 @@ func observedServer(t *testing.T, seed uint64, transport io.ReadWriteCloser) (er
 		Ring:     1,
 	})
 	cfg := identity(t).ServerConfig(NewPRNG(seed))
-	cfg.Observers = []probe.Observer{tab}
+	cfg.Observer = tab
 	server := ServerConn(transport, cfg)
 	err := server.Handshake()
 	server.Close()
@@ -235,7 +235,7 @@ func TestFailClassSuccessPath(t *testing.T) {
 		CloseLog: lifecycle.NewCloseLog(&closeLog, 1),
 	})
 	serverCfg := identity(t).ServerConfig(NewPRNG(6001))
-	serverCfg.Observers = []probe.Observer{tab}
+	serverCfg.Observer = tab
 	client, server := connect(t, clientCfg(nil), serverCfg)
 	client.Close()
 	server.Close()

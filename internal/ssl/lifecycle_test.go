@@ -218,12 +218,12 @@ func TestLifecycleEventOrder(t *testing.T) {
 		// their events to the returned slices.
 		recorded := func(seed uint64) (ccfg, scfg *Config, cli, srv *[]probe.Event) {
 			cli, srv = new([]probe.Event), new([]probe.Event)
-			record := func(into *[]probe.Event) []probe.Observer {
-				return []probe.Observer{probe.SinkFunc(func(e probe.Event) { *into = append(*into, e) })}
+			record := func(into *[]probe.Event) probe.Observer {
+				return probe.SinkFunc(func(e probe.Event) { *into = append(*into, e) })
 			}
 			scfg = id.ServerConfig(NewPRNG(seed))
-			scfg.Observers = record(srv)
-			ccfg = clientCfg(func(c *Config) { c.Observers = record(cli) })
+			scfg.Observer = record(srv)
+			ccfg = clientCfg(func(c *Config) { c.Observer = record(cli) })
 			return ccfg, scfg, cli, srv
 		}
 		parks := func(evs []probe.Event) (suspends, resumes int) {
@@ -298,7 +298,7 @@ func TestMidHandshakeCloseSettlesEverySink(t *testing.T) {
 			tab := lifecycle.NewTable(lifecycle.Options{Registry: reg})
 			for i := 0; i < conns; i++ {
 				scfg := identity(t).ServerConfig(NewPRNG(uint64(710 + i)))
-				scfg.Observers = []probe.Observer{tab}
+				scfg.Observer = tab
 				f.hangup(t, scfg)
 			}
 			if got := tab.Counts().Handshaking; got != 0 {

@@ -53,15 +53,15 @@ type NonBlockingConn struct {
 	fsm handshakeFSM
 
 	remote string
-	opened bool // the observers were offered the connection
+	opened bool // the observer was offered the connection
 
 	hsStarted     bool
 	handshakeDone bool
 	hsErr         error // sticky terminal handshake error
 	result        *handshake.Result
 
-	// The connection's probe spine (nil = off), over the sinks
-	// Config.Observers answered with.
+	// The connection's probe spine (nil = off), over the sink
+	// Config.Observer answered with.
 	bus *probe.Bus
 
 	// readBuf is the tail of an application record that did not fit

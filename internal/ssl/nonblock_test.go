@@ -269,6 +269,21 @@ func nbEstablishedPair(t testing.TB, ccfg, scfg *Config) (*NonBlockingConn, *Non
 	return cli, srv
 }
 
+// tee is a connection's one observer made of two: every event goes to
+// the entry the table answers with, then to the counting sink.
+type tee struct {
+	table *lifecycle.Table
+	sink  probe.Sink
+}
+
+func (o tee) Observe() probe.Sink {
+	entry := o.table.Observe()
+	return probe.SinkFunc(func(e probe.Event) {
+		entry.Emit(e)
+		o.sink.Emit(e)
+	})
+}
+
 // A sans-IO connection parked on ErrWouldBlock mid-handshake is
 // handshaking on the lifecycle table, with its open Table-2 step
 // preserved; however often it parks, every step is entered and exited
@@ -294,7 +309,7 @@ func TestNonBlockingLifecycleSuspended(t *testing.T) {
 	})
 	scfg := &Config{
 		Rand: NewPRNG(5), Key: identity(t).Key, CertDER: identity(t).CertDER,
-		Observers: []probe.Observer{table, steps},
+		Observer: tee{table, steps},
 	}
 	srv := NonBlockingServer(scfg)
 	srv.SetRemoteAddr("10.0.0.9:999")

@@ -40,7 +40,7 @@ func TestPathlenResumedHandshakeAttribution(t *testing.T) {
 	scfg2 := id.ServerConfig(NewPRNG(62))
 	scfg2.SessionCache = cache
 	scfg2.Suites = []suite.ID{suite.RSAWithRC4128MD5}
-	scfg2.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{Registry: reg})}
+	scfg2.Observer = lifecycle.NewTable(lifecycle.Options{Registry: reg})
 	ccfg2 := clientCfg(func(c *Config) {
 		c.Suites = []suite.ID{suite.RSAWithRC4128MD5}
 		c.Session = sess

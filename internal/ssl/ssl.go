@@ -63,23 +63,22 @@ type Config struct {
 	ServerName         string
 	InsecureSkipVerify bool
 
-	// Observers watch every connection using this config through its
-	// instrumentation spine (internal/probe). Each is offered the
+	// Observer watches every connection using this config through its
+	// instrumentation spine (internal/probe). It is offered the
 	// connection once, as it opens — at construction for a Conn, on
-	// first use for a NonBlockingConn — and answers with the sink that
-	// then receives the connection's whole timeline in order: open,
-	// handshake start, every Table 2 step boundary and attributed
+	// first use for a NonBlockingConn — and answers with the one sink
+	// that then receives the connection's whole timeline in order:
+	// open, handshake start, every Table 2 step boundary and attributed
 	// crypto call, park and resume, the handshake's outcome,
 	// record-layer cipher/MAC passes and record I/O, application reads
 	// and writes, close — all stamped with the one connection ID the
-	// open event carries. The metrics registry, the span tracer (or a
-	// trace begun at accept), the live connection table and the
-	// path-length collector are all Observers; a sampler declines a
-	// connection by answering nil. A sink shared across connections
-	// must be safe for concurrent Emit calls. With no observer
-	// configured, or all declining, the spine is off and the hot path
+	// open event carries. The live connection table (and, through each
+	// entry, the metrics registry) is the product's Observer; it may
+	// decline a connection by answering nil. A sink shared across
+	// connections must be safe for concurrent Emit calls. With no
+	// observer, or one declining, the spine is off and the hot path
 	// pays one nil test per hook.
-	Observers []probe.Observer
+	Observer probe.Observer
 }
 
 func (c *Config) rand() io.Reader {
@@ -113,8 +112,8 @@ func ServerConn(transport io.ReadWriteCloser, cfg *Config) *Conn {
 }
 
 // newConn builds the state machine over a Layer on transport. Unlike
-// a sans-IO conn it knows its peer already, so it opens — observers
-// see it — from construction.
+// a sans-IO conn it knows its peer already, so it opens — its observer
+// sees it — from construction.
 func newConn(transport io.ReadWriteCloser, cfg *Config, isClient bool) *Conn {
 	layer := record.NewLayer(transport)
 	c := &Conn{transport: transport, nb: NonBlockingConn{

@@ -261,9 +261,8 @@ func TestAnatomyCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	_, obs := observing(reg, 1)
 	scfg := id.ServerConfig(NewPRNG(21))
-	scfg.Observers = obs
+	scfg.Observer = observing(reg, 1)
 	ct, st := Pipe()
 	client := ClientConn(ct, clientCfg(nil))
 	server := ServerConn(st, scfg)
@@ -382,7 +381,7 @@ func TestStatsAndObserver(t *testing.T) {
 	id := identity(t)
 	var decrypts, verifies, bytesSeen int
 	scfg := id.ServerConfig(NewPRNG(23))
-	scfg.Observers = []probe.Observer{probe.SinkFunc(func(e probe.Event) {
+	scfg.Observer = probe.SinkFunc(func(e probe.Event) {
 		// Bulk-phase record crypto only: the finished messages' passes
 		// run inside a handshake step.
 		if e.Kind != probe.KindRecordCrypto || e.Step != probe.StepNone {
@@ -395,7 +394,7 @@ func TestStatsAndObserver(t *testing.T) {
 		case probe.OpMACVerify:
 			verifies++
 		}
-	})}
+	})
 	client, server := connect(t, clientCfg(nil), scfg)
 	go client.Write(make([]byte, 1000))
 	buf := make([]byte, 1000)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
 )
 
@@ -15,8 +14,8 @@ func benchConfigs(b testing.TB, reg *telemetry.Registry) (*Config, *Config) {
 	scfg := id.ServerConfig(NewPRNG(31))
 	ccfg := &Config{Rand: NewPRNG(32), InsecureSkipVerify: true}
 	if reg != nil {
-		scfg.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{Registry: reg})}
-		ccfg.Observers = scfg.Observers
+		scfg.Observer = lifecycle.NewTable(lifecycle.Options{Registry: reg})
+		ccfg.Observer = scfg.Observer
 	}
 	return ccfg, scfg
 }

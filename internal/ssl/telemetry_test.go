@@ -8,21 +8,19 @@ import (
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // observing returns the one observer a connection gets: a conn table
 // folding into reg, every connection kept in detail and the last ring
 // of them retained.
-func observing(reg *telemetry.Registry, ring int) (*lifecycle.Table, []probe.Observer) {
+func observing(reg *telemetry.Registry, ring int) *lifecycle.Table {
 	tab := lifecycle.NewTable(lifecycle.Options{
-		Registry: reg,
-		Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
-		Ring:     ring,
+		Registry:    reg,
+		SampleEvery: 1,
+		Ring:        ring,
 	})
-	return tab, []probe.Observer{tab}
+	return tab
 }
 
 // TestTelemetryHandshakeEmission checks a single instrumented
@@ -31,10 +29,10 @@ func observing(reg *telemetry.Registry, ring int) (*lifecycle.Table, []probe.Obs
 func TestTelemetryHandshakeEmission(t *testing.T) {
 	id := identity(t)
 	reg := telemetry.NewRegistry()
-	tab, obs := observing(reg, 4)
+	tab := observing(reg, 4)
 	scfg := id.ServerConfig(NewPRNG(8))
-	scfg.Observers = obs
-	ccfg := clientCfg(func(c *Config) { c.Observers = obs })
+	scfg.Observer = tab
+	ccfg := clientCfg(func(c *Config) { c.Observer = tab })
 	client, server := connect(t, ccfg, scfg)
 
 	// Push a little application data through so byte counters move.
@@ -121,9 +119,9 @@ func TestTelemetryHandshakeEmission(t *testing.T) {
 func TestTelemetryCountsFailures(t *testing.T) {
 	id := identity(t)
 	reg := telemetry.NewRegistry()
-	tab, obs := observing(reg, 4)
+	tab := observing(reg, 4)
 	scfg := id.ServerConfig(NewPRNG(9))
-	scfg.Observers = obs
+	scfg.Observer = tab
 
 	ct, st := Pipe()
 	server := ServerConn(st, scfg)
@@ -163,7 +161,7 @@ func TestTelemetryCountsFailures(t *testing.T) {
 func TestTelemetryConcurrentConnections(t *testing.T) {
 	id := identity(t)
 	reg := telemetry.NewRegistry()
-	_, obs := observing(reg, 8)
+	tab := observing(reg, 8)
 	cache := handshake.NewSessionCache(64)
 	const conns = 16
 
@@ -173,11 +171,11 @@ func TestTelemetryConcurrentConnections(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			scfg := id.ServerConfig(NewPRNG(uint64(100 + i)))
-			scfg.Observers = obs
+			scfg.Observer = tab
 			scfg.SessionCache = cache
 			ccfg := clientCfg(func(c *Config) {
 				c.Rand = NewPRNG(uint64(200 + i))
-				c.Observers = obs
+				c.Observer = tab
 			})
 			ct, st := Pipe()
 			client, server := ClientConn(ct, ccfg), ServerConn(st, scfg)

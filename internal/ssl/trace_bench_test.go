@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // benchHandshakeTraced is benchHandshake with a sampling conn table on
@@ -14,12 +12,12 @@ import (
 // compare against, SampleEvery=16 is the documented production
 // setting, and SampleEvery=1 is the worst case (every handshake keeps
 // ~40 calls and folds them into the registry's anatomy).
-func benchHandshakeTraced(b *testing.B, tracer *trace.Tracer) {
+func benchHandshakeTraced(b *testing.B, every int) {
 	ccfg, scfg := benchConfigs(b, nil)
-	if tracer != nil {
-		scfg.Observers = []probe.Observer{lifecycle.NewTable(lifecycle.Options{
-			Tracer: tracer, Registry: telemetry.NewRegistry(), Ring: 8,
-		})}
+	if every > 0 {
+		scfg.Observer = lifecycle.NewTable(lifecycle.Options{
+			SampleEvery: every, Registry: telemetry.NewRegistry(), Ring: 8,
+		})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -39,12 +37,12 @@ func benchHandshakeTraced(b *testing.B, tracer *trace.Tracer) {
 	}
 }
 
-func BenchmarkHandshakeTraceOff(b *testing.B) { benchHandshakeTraced(b, nil) }
+func BenchmarkHandshakeTraceOff(b *testing.B) { benchHandshakeTraced(b, 0) }
 
 func BenchmarkHandshakeTraceSampled16(b *testing.B) {
-	benchHandshakeTraced(b, trace.NewTracer(trace.Config{SampleEvery: 16}))
+	benchHandshakeTraced(b, 16)
 }
 
 func BenchmarkHandshakeTraceAlways(b *testing.B) {
-	benchHandshakeTraced(b, trace.NewTracer(trace.Config{SampleEvery: 1}))
+	benchHandshakeTraced(b, 1)
 }

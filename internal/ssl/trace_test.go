@@ -4,17 +4,14 @@ import (
 	"testing"
 
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
-// tracing returns a tracer sampling 1 in every, the registry the
-// handshakes fold into and the conn table that keeps its sampled
-// connections' detail.
-func tracing(every int) (*trace.Tracer, *telemetry.Registry, *lifecycle.Table) {
-	tracer, reg := trace.NewTracer(trace.Config{SampleEvery: every}), telemetry.NewRegistry()
-	return tracer, reg, lifecycle.NewTable(lifecycle.Options{Tracer: tracer, Registry: reg, Ring: 64})
+// tracing returns the registry the handshakes fold into and the conn
+// table that keeps 1 in every connections in detail.
+func tracing(every int) (*telemetry.Registry, *lifecycle.Table) {
+	reg := telemetry.NewRegistry()
+	return reg, lifecycle.NewTable(lifecycle.Options{SampleEvery: every, Registry: reg, Ring: 64})
 }
 
 var traceSteps = []string{
@@ -24,9 +21,9 @@ var traceSteps = []string{
 }
 
 func TestTracedServerHandshake(t *testing.T) {
-	_, reg, table := tracing(1)
+	reg, table := tracing(1)
 	id := identity(t)
-	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{table}}
+	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observer: table}
 	client, server := connect(t, clientCfg(nil), sCfg)
 
 	// The handshake folds into the anatomy immediately...
@@ -65,15 +62,15 @@ func TestTracedServerHandshake(t *testing.T) {
 		t.Fatalf("retained %d records, want 1 (the sampled server)", len(recs))
 	}
 	rec := recs[0]
-	if rec.Role != "server" || rec.State != "closed" || rec.Detail != trace.DetailFull {
+	if rec.Role != "server" || rec.State != "closed" || rec.Detail != lifecycle.DetailFull {
 		t.Fatalf("record role/state/detail = %s/%s/%s", rec.Role, rec.State, rec.Detail)
 	}
 	sawCrypto, sawIO := false, false
 	for _, call := range rec.Calls {
 		switch call.Kind {
-		case trace.CatCrypto:
+		case telemetry.CatCrypto:
 			sawCrypto = true
-		case trace.CatIO:
+		case telemetry.CatIO:
 			sawIO = true
 		}
 	}
@@ -97,9 +94,9 @@ func TestTracedServerHandshake(t *testing.T) {
 }
 
 func TestUnsampledConnectionHasNoTrace(t *testing.T) {
-	tracer, reg, table := tracing(1 << 20)
+	reg, table := tracing(1 << 20)
 	id := identity(t)
-	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observers: []probe.Observer{table}}
+	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER, Observer: table}
 	client, server := connect(t, clientCfg(nil), sCfg)
 	client.Close()
 	server.Close()
@@ -107,11 +104,11 @@ func TestUnsampledConnectionHasNoTrace(t *testing.T) {
 	// totals and no detail: it counts in the anatomy's step rows and
 	// stays out of its crypto rows.
 	rec := table.Records(0)[0]
-	if rec.Detail != trace.DetailSampledOut || len(rec.Calls) != 0 || len(rec.Steps) != len(traceSteps) {
+	if rec.Detail != lifecycle.DetailSampledOut || len(rec.Calls) != 0 || len(rec.Steps) != len(traceSteps) {
 		t.Fatalf("unsampled record = %+v", rec)
 	}
-	if st := tracer.Stats(); st.Sampled != 0 || st.Seen != 1 {
-		t.Fatalf("stats = %+v", st)
+	if st := reg.Snapshot().Observatory; st.DetailSampledOut != 1 {
+		t.Fatalf("observatory = %+v, want 1 sampled out", st)
 	}
 	if a := reg.Anatomy(); a.Handshakes != 1 || a.Sampled != 0 || len(a.Crypto) != 0 {
 		t.Fatalf("unsampled connection: anatomy %d handshakes, %d sampled, %d crypto rows, want 1/0/0",
@@ -120,10 +117,10 @@ func TestUnsampledConnectionHasNoTrace(t *testing.T) {
 }
 
 func TestTracedClientHandshake(t *testing.T) {
-	_, reg, table := tracing(1)
+	reg, table := tracing(1)
 	id := identity(t)
 	sCfg := &Config{Rand: NewPRNG(3), Key: id.Key, CertDER: id.CertDER}
-	cCfg := clientCfg(func(c *Config) { c.Observers = []probe.Observer{table} })
+	cCfg := clientCfg(func(c *Config) { c.Observer = table })
 	client, server := connect(t, cCfg, sCfg)
 	client.Close()
 	server.Close()

@@ -13,7 +13,7 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/suite"
-	"sslperf/internal/trace"
+	"sslperf/internal/telemetry"
 )
 
 // Behaviour the merge of Conn onto NonBlockingConn could silently
@@ -124,7 +124,7 @@ func TestBlockingConnLifecycleRegistration(t *testing.T) {
 	}
 	defer ln.Close()
 	scfg := id.ServerConfig(NewPRNG(613))
-	scfg.Observers = []probe.Observer{table}
+	scfg.Observer = table
 
 	sendHello := make(chan struct{})
 	clientDone := make(chan error, 1)
@@ -327,10 +327,10 @@ func TestIOEventsFromSharedEntry(t *testing.T) {
 	newCfg := func(seed uint64) (*Config, *lifecycle.Table) {
 		scfg := id.ServerConfig(NewPRNG(seed))
 		table := lifecycle.NewTable(lifecycle.Options{
-			Tracer: trace.NewTracer(trace.Config{SampleEvery: 1}),
-			Ring:   1,
+			SampleEvery: 1,
+			Ring:        1,
 		})
-		scfg.Observers = []probe.Observer{table}
+		scfg.Observer = table
 		return scfg, table
 	}
 	// check counts the io events on the one retired (server) record.
@@ -342,7 +342,7 @@ func TestIOEventsFromSharedEntry(t *testing.T) {
 		}
 		got := map[string]int{}
 		for _, call := range recs[0].Calls {
-			if call.Kind == trace.CatIO {
+			if call.Kind == telemetry.CatIO {
 				got[call.Name]++
 			}
 		}

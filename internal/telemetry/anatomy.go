@@ -8,13 +8,12 @@ import (
 
 	"sslperf/internal/perf"
 	"sslperf/internal/probe"
-	"sslperf/internal/trace"
 )
 
 // The registry is the one fold of the paper's Tables 2 and 3, live
 // (/debug/anatomy) and offline (the experiments that render it): the
 // per-step histograms take every handshake's timeline, and the crypto
-// rows take the calls of the handshakes the tracer's sampler kept in
+// rows take the calls of the handshakes the conn table's sampler kept in
 // detail, keyed by the step they ran in. Crypto shares divide by those
 // sampled handshakes' own step time, so they read the same under 1-in-N
 // sampling as with every connection kept.
@@ -45,7 +44,7 @@ func (r *Registry) foldSampled(h *Handshake, stepTime time.Duration) {
 	r.sampledStepTime += stepTime
 	for i := range h.Calls {
 		call := &h.Calls[i]
-		if call.Kind != trace.CatCrypto {
+		if call.Kind != CatCrypto {
 			continue
 		}
 		key := cryptoKey{call.Step, call.Name}

@@ -5,12 +5,11 @@ import (
 	"time"
 
 	"sslperf/internal/probe"
-	"sslperf/internal/trace"
 )
 
 // crypto is one attributed crypto call of a sampled handshake's detail.
 func crypto(st probe.Step, fn string, d time.Duration) Call {
-	return Call{Kind: trace.CatCrypto, Name: fn, Step: st, Dur: d}
+	return Call{Kind: CatCrypto, Name: fn, Step: st, Dur: d}
 }
 
 // sampled is a finished full handshake the sampler kept in detail.

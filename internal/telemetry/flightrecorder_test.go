@@ -13,7 +13,6 @@ import (
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 )
 
 // The flight recorder is the conn table's ring of closed records (and
@@ -45,9 +44,9 @@ func finish(sink probe.Sink, id uint64) {
 func newTable(ring int) (*lifecycle.Table, *telemetry.Registry) {
 	reg := telemetry.NewRegistry()
 	return lifecycle.NewTable(lifecycle.Options{
-		Registry: reg,
-		Tracer:   trace.NewTracer(trace.Config{}),
-		Ring:     ring,
+		Registry:    reg,
+		SampleEvery: 1,
+		Ring:        ring,
 	}), reg
 }
 

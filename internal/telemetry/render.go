@@ -63,7 +63,6 @@ func (s Snapshot) Text() string {
 	counters.AddRow("records_retained", fmt.Sprint(s.Observatory.RecordsRetained))
 	counters.AddRow("records_evicted", fmt.Sprint(s.Observatory.RecordsEvicted))
 	counters.AddRow("detail_sampled_out", fmt.Sprint(s.Observatory.DetailSampledOut))
-	counters.AddRow("detail_rate_limited", fmt.Sprint(s.Observatory.DetailRateLimited))
 	counters.AddRow("detail_truncated", fmt.Sprint(s.Observatory.DetailTruncated))
 	counters.AddRow("close_log_suppressed", fmt.Sprint(s.Observatory.CloseLogSuppressed))
 	sb.WriteString(counters.String())

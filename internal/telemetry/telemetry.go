@@ -36,7 +36,7 @@ type StepTiming struct {
 // A Call is one timed item of a connection's detail: an attributed
 // crypto call, a bulk-phase record cipher/MAC pass, an application
 // read or write, or a connection-level mark such as the accept. Kind
-// is the category the Chrome export files it under (trace.Cat*).
+// is the category the Chrome export files it under (Cat*).
 type Call struct {
 	Kind  string
 	Name  string
@@ -45,6 +45,15 @@ type Call struct {
 	Dur   time.Duration
 	Bytes int
 }
+
+// Call kinds, and the Chrome export's categories for a record's spans.
+const (
+	CatConn   = "conn"   // connection lifecycle (accept, handshake)
+	CatStep   = "step"   // one of the ten handshake steps
+	CatCrypto = "crypto" // a crypto call attributed inside a step
+	CatRecord = "record" // record-layer cipher/MAC work
+	CatIO     = "io"     // application Read/Write
+)
 
 // A Handshake is one connection's finished handshake as its record
 // folds it into the aggregates.
@@ -59,7 +68,7 @@ type Handshake struct {
 	// step ran.
 	QueueDelay time.Duration
 	Steps      []StepTiming
-	// Sampled reports that the tracer's sampler kept the connection in
+	// Sampled reports that the table's sampler kept the connection in
 	// detail: Calls is its detail so far (nil otherwise), and its crypto
 	// calls fold into the anatomy's Table 3 rows.
 	Sampled bool
@@ -125,13 +134,12 @@ type Counts struct {
 // ObservatoryStats is the observatory reporting on itself — the
 // answers to "why is connection N not on /debug/trace": closed records
 // the ring holds and has evicted, connections that kept no detail (the
-// sampler passed them over, or its rate limit refused them) or had it
-// cut at the per-record cap, close-log lines sampling suppressed.
+// sampler passed them over) or had it cut at the per-record cap,
+// close-log lines sampling suppressed.
 type ObservatoryStats struct {
 	RecordsRetained    int    `json:"records_retained"`
 	RecordsEvicted     uint64 `json:"records_evicted"`
 	DetailSampledOut   uint64 `json:"detail_sampled_out"`
-	DetailRateLimited  uint64 `json:"detail_rate_limited"`
 	DetailTruncated    uint64 `json:"detail_truncated"`
 	CloseLogSuppressed uint64 `json:"close_log_suppressed"`
 }

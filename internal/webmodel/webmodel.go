@@ -12,7 +12,6 @@
 package webmodel
 
 import (
-	"errors"
 	"io"
 	"math"
 	"time"
@@ -24,7 +23,6 @@ import (
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
 	"sslperf/internal/telemetry"
-	"sslperf/internal/trace"
 	"sslperf/internal/workload"
 )
 
@@ -127,9 +125,9 @@ func NewServer(id *ssl.Identity, s *suite.Suite) *Server {
 		reg:      reg,
 		// A ring of one keeps the record RunSession just closed.
 		table: lifecycle.NewTable(lifecycle.Options{
-			Registry: reg,
-			Tracer:   trace.NewTracer(trace.Config{SampleEvery: 1}),
-			Ring:     1,
+			Registry:    reg,
+			SampleEvery: 1,
+			Ring:        1,
 		}),
 	}
 }
@@ -167,7 +165,7 @@ func (srv *Server) RunSession(txs []workload.Transaction, resume *handshake.Sess
 		CertDER:      srv.Identity.CertDER,
 		SessionCache: srv.Cache,
 		Version:      srv.Version,
-		Observers:    []probe.Observer{srv.table},
+		Observer:     srv.table,
 	}
 
 	client := ssl.ClientConn(ct, clientCfg)
@@ -269,7 +267,7 @@ func (srv *Server) fold(res *TransactionResult) {
 		res.Handshake += usDuration(st.Us)
 	}
 	for _, c := range rec.Calls {
-		if c.Kind != trace.CatCrypto {
+		if c.Kind != telemetry.CatCrypto {
 			continue
 		}
 		switch c.Name {
@@ -288,6 +286,3 @@ func (srv *Server) fold(res *TransactionResult) {
 // usDuration converts a record's microsecond figure back to the
 // duration it was rendered from.
 func usDuration(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
-
-// ErrNoTransactions is returned for an empty session.
-var ErrNoTransactions = errors.New("webmodel: session has no transactions")

@@ -18,7 +18,8 @@
 //   - SuiteByName — the cipher suites ("DES-CBC3-SHA" is the paper's).
 //   - Experiments / ExperimentByID — the Table/Figure reproductions
 //     (Tables 2 and 3 are the per-step handshake anatomy).
-//   - Config.Observers — the one way to watch a connection's events.
+//   - Config.Observer — the one way to watch a connection's events,
+//     through the one sink it answers with.
 //
 // It is a performance-study artifact, not a secure transport: SSLv3
 // is obsolete and the default randomness is a seedable PRNG.

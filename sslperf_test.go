@@ -65,7 +65,7 @@ func TestFacadeAnatomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A step sink on the server's Config.Observers, the one seam.
+	// A step sink on the server's Config.Observer, the one seam.
 	var steps int
 	var total time.Duration
 	ct, st := sslperf.Pipe()
@@ -74,12 +74,12 @@ func TestFacadeAnatomy(t *testing.T) {
 	})
 	server := sslperf.ServerConn(st, &sslperf.Config{
 		Rand: sslperf.NewPRNG(6), Key: id.Key, CertDER: id.CertDER,
-		Observers: []probe.Observer{probe.SinkFunc(func(e probe.Event) {
+		Observer: probe.SinkFunc(func(e probe.Event) {
 			if e.Kind == probe.KindStepExit {
 				steps++
 				total += e.Dur
 			}
-		})},
+		}),
 	})
 	go client.Handshake()
 	if err := server.Handshake(); err != nil {
