@@ -113,7 +113,7 @@ func main() {
 		// MB/s, ops/s, and cycles/byte at the model clock, with the
 		// abstract-instruction model columns where one exists.
 		var report bulkReport
-		report.ModelGHz = perf.ModelGHz()
+		report.ModelGHz = perf.ModelGHz
 		for _, p := range prims {
 			pr := bulkPrim{Name: p.name, Kernel: p.kernel}
 			if m, ok := pathlen.ModelFor(modelName(p.name)); ok {
@@ -126,7 +126,7 @@ func main() {
 					Size:          size,
 					MBps:          mbps,
 					OpsSec:        mbps * 1e6 / float64(size),
-					CyclesPerByte: perf.ModelGHz() * 1e3 / mbps,
+					CyclesPerByte: perf.ModelGHz * 1e3 / mbps,
 				})
 			}
 			report.Prims = append(report.Prims, pr)

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"sslperf/internal/core"
-	"sslperf/internal/perf"
 	"sslperf/internal/record"
 )
 
@@ -29,7 +28,6 @@ func main() {
 		keyBits    = flag.Int("keybits", 1024, "server RSA key size")
 		iters      = flag.Int("iterations", 10, "measurement repetitions")
 		quick      = flag.Bool("quick", false, "reduced workloads (CI mode)")
-		ghz        = flag.Float64("ghz", 2.26, "model clock frequency for cycle conversion")
 		suiteName  = flag.String("suite", "", "cipher suite for protocol experiments (default DES-CBC3-SHA)")
 		useTLS     = flag.Bool("tls", false, "run protocol experiments over TLS 1.0 instead of SSL 3.0")
 		jsonOut    = flag.Bool("json", false, "emit reports as a JSON array instead of text tables")
@@ -38,7 +36,6 @@ func main() {
 		foldProf   = flag.String("foldprofile", "", "fold a pprof CPU profile by sslstep/sslfn labels and exit")
 	)
 	flag.Parse()
-	perf.SetModelGHz(*ghz)
 
 	if *pathLen {
 		if err := runPathlenModel(*jsonOut); err != nil {

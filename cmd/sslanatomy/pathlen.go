@@ -23,10 +23,10 @@ func runPathlenModel(jsonOut bool) error {
 		return enc.Encode(struct {
 			GHz    float64         `json:"model_ghz"`
 			Models []pathlen.Model `json:"models"`
-		}{perf.ModelGHz(), models})
+		}{perf.ModelGHz, models})
 	}
 	t := perf.NewTable(
-		fmt.Sprintf("abstract-instruction path length model (Table 11, %.2f GHz clock)", perf.ModelGHz()),
+		fmt.Sprintf("abstract-instruction path length model (Table 11, %.2f GHz clock)", perf.ModelGHz),
 		"primitive", "CPI", "instr/B", "cyc/B", "MB/s")
 	for _, m := range models {
 		t.AddRow(m.Name,

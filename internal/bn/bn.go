@@ -161,9 +161,6 @@ func (z *Int) Bit(i int) uint {
 	return uint(z.d[w]>>b) & 1
 }
 
-// Words returns the number of limbs in |z|.
-func (z *Int) Words() int { return len(z.d) }
-
 // SetBytes interprets buf as a big-endian unsigned integer, sets z to
 // it, and returns z.
 func (z *Int) SetBytes(buf []byte) *Int {

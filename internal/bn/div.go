@@ -32,9 +32,6 @@ func DivMod(q, r, x, y *Int) *Int {
 	return q
 }
 
-// Div sets z = x div y (truncated) and returns z.
-func (z *Int) Div(x, y *Int) *Int { return DivMod(z, nil, x, y) }
-
 // Mod sets z = x mod y with the result always in [0, |y|), i.e. the
 // non-negative residue (the convention modular crypto code needs),
 // and returns z.

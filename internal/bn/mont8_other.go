@@ -2,8 +2,7 @@
 
 package bn
 
-// hasADX is false off amd64: 8-limb products run mulU8 and sqrU8, the
-// rest the CIOS loops.
+// hasADX is false off amd64: every width runs the CIOS loops.
 const hasADX = false
 
 // mulX and sqrX name the MULX/ADCX/ADOX forms; off amd64 no Mont

@@ -2,17 +2,15 @@ package bn
 
 import "math/bits"
 
-//go:generate go run gen_mont8.go -o mont8.go
-//go:generate go run gen_mont8.go -asm -o mont8_amd64.s
+//go:generate go run gen_mont8.go -o mont8_amd64.s
 
 // The production Montgomery kernel: what Mont.MulMont, SqrMont,
 // ToMont, FromMont, Reduce and Exp run whenever no profile is being
 // collected. It works on 64-bit limbs (little-endian []uint64 of
 // exactly m.k limbs, packed from the Int's 32-bit words once at the
 // exported boundary), interleaves multiplication and reduction in one
-// pass (CIOS; at exactly 8 limbs, mont8.go's straight-line product
-// scanning, and at 8 and 16 limbs on a CPU with BMI2 and ADX,
-// mont8_amd64.s's MULX/ADCX/ADOX rows), squares with half the cross
+// pass (CIOS; at 8 and 16 limbs on a CPU with BMI2 and ADX, the same
+// rows on MULX/ADCX/ADOX in mont8_amd64.s), squares with half the cross
 // products, and keeps every intermediate in a montScratch sized once
 // per Mont — so nothing here allocates or calls the profiler (`make
 // kernellint`). The final
@@ -24,14 +22,10 @@ import "math/bits"
 // profile; FuzzMontKernels holds the two equal to each other and to
 // math/big.
 
-// HardwareMul reports whether this CPU runs the 8- and 16-limb
-// Montgomery products (every RSA-1024 CRT half, RSA-1024 public op and
-// DH-1024 step) on MULX/ADCX/ADOX rather than on the generated Go and
-// the CIOS loops.
-func HardwareMul() bool { return hasADX }
-
-// Kernel names the kernel HardwareMul picks, for the reports that time
-// it: "MULX/ADX" or "Go".
+// Kernel names the form this CPU runs the 8- and 16-limb Montgomery
+// products on (every RSA-1024 CRT half, RSA-1024 public op and DH-1024
+// step), for the reports that time it: "MULX/ADX", or "Go" for the
+// CIOS loops.
 func Kernel() string {
 	if hasADX {
 		return "MULX/ADX"
@@ -74,15 +68,11 @@ func unpackLimbs(dst []Word, src []uint64) {
 }
 
 // mul64 sets z = x·y·R⁻¹ mod N for k-limb x, y < N. t needs k+1
-// limbs; z may alias x or y. The width and the adx bool pick the
-// kernel, called once through a method expression, which keeps mul64
-// (and sqr64) inlinable: a second frame on every multiplication cost
-// 7 % at k = 4.
+// limbs; z may alias x or y. The adx bool picks the kernel, called
+// once through a method expression, which keeps mul64 (and sqr64)
+// inlinable: a second frame on every multiplication cost 7 % at k = 4.
 func (m *Mont) mul64(z, x, y, t []uint64) {
 	f := (*Mont).mulCIOS
-	if m.k == 8 {
-		f = (*Mont).mulU8
-	}
 	if m.adx {
 		f = (*Mont).mulX
 	}
@@ -134,9 +124,6 @@ func (m *Mont) mulCIOS(z, x, y, t []uint64) {
 // sqr64 sets z = x²·R⁻¹ mod N. t needs 2k limbs; z may alias x.
 func (m *Mont) sqr64(z, x, t []uint64) {
 	f := (*Mont).sqrCIOS
-	if m.k == 8 {
-		f = (*Mont).sqrU8
-	}
 	if m.adx {
 		f = (*Mont).sqrX
 	}

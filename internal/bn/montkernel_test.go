@@ -26,10 +26,12 @@ func montResults(m *Mont, x, y, e *Int) []*Int {
 
 // FuzzMontKernels is the differential test of the kernel swap: for an
 // arbitrary odd modulus of 1 to 40 32-bit limbs (odd limb counts leave
-// the top 64-bit limb half empty), the production kernel, the counting
-// kernel (selected by StartProfile, as sslanatomy does) and math/big
-// agree on every exported operation, and the two kernels agree on the
-// Montgomery form itself, so values may cross between them.
+// the top 64-bit limb half empty), the production kernel, the same
+// Mont held to the portable CIOS loops (adx off, the path of a CPU
+// without BMI2/ADX), the counting kernel (selected by StartProfile, as
+// sslanatomy does) and math/big agree on every exported operation, and
+// the kernels agree on the Montgomery form itself, so values may cross
+// between them.
 func FuzzMontKernels(f *testing.F) {
 	ff := bytes.Repeat([]byte{0xff}, 64)
 	f.Add([]byte{3}, []byte{2}, []byte{1}, []byte{5})
@@ -38,7 +40,7 @@ func FuzzMontKernels(f *testing.F) {
 	f.Add(ff[:20], ff[:20], ff[:19], ff[:9])
 	f.Add(append([]byte{0x80}, make([]byte, 63)...), ff, ff, ff[:8])
 	f.Add(bytes.Repeat([]byte{0xa5}, 160), ff, ff[:33], ff[:40])
-	// Exactly 8 limbs, mont8.go's width: N = 2^512−1 with x = y = N−1,
+	// Exactly 8 limbs, mulADX8's width: N = 2^512−1 with x = y = N−1,
 	// and N with every limb 0x8000000000000001.
 	nm1 := append(bytes.Repeat([]byte{0xff}, 63), 0xfe)
 	f.Add(ff, nm1, nm1, ff[:32])
@@ -66,6 +68,9 @@ func FuzzMontKernels(f *testing.F) {
 		e := New().SetBytes(eb)
 
 		fast := montResults(m, x, y, e)
+		p, _ := NewMont(n) // n was accepted above
+		p.adx = false
+		portable := montResults(p, x, y, e)
 		StartProfile()
 		counting := montResults(m, x, y, e)
 		StopProfile()
@@ -85,6 +90,9 @@ func FuzzMontKernels(f *testing.F) {
 			if toBig(fast[i]).Cmp(w) != 0 {
 				t.Errorf("production %s mod %s = %s, want %s", names[i], n, fast[i], w.Text(16))
 			}
+			if toBig(portable[i]).Cmp(w) != 0 {
+				t.Errorf("portable %s mod %s = %s, want %s", names[i], n, portable[i], w.Text(16))
+			}
 			if toBig(counting[i]).Cmp(w) != 0 {
 				t.Errorf("counting %s mod %s = %s, want %s", names[i], n, counting[i], w.Text(16))
 			}
@@ -92,23 +100,20 @@ func FuzzMontKernels(f *testing.F) {
 	})
 }
 
-// TestMont8MatchesGeneric holds each 8-limb form equal, limb for limb,
-// to the generic CIOS loops it stands in for at that width: the
-// generated Go (mulU8, sqrU8, mont8.go) everywhere, and the generated
-// MULX/ADCX/ADOX assembly (mulX, sqrX, mont8_amd64.s) where CPUID
-// reports BMI2 and ADX. The operands are 200 PRNG pairs on each of 50
-// PRNG 512-bit moduli, then every pair of the edge operands 0, 1, N−1,
-// R mod N and all-ones limbs on those moduli and on 2^511+1 and
-// 2^512−1, each product also computed with z = x, z = y and z = x = y.
+// TestMont8MatchesGeneric holds the 8-limb MULX/ADCX/ADOX assembly
+// (mulX, sqrX, mont8_amd64.s) equal, limb for limb, to the generic CIOS
+// loops it stands in for at that width, where CPUID reports BMI2 and
+// ADX. The operands are 200 PRNG pairs on each of 50 PRNG 512-bit
+// moduli, then every pair of the edge operands 0, 1, N−1, R mod N and
+// all-ones limbs on those moduli and on 2^511+1 and 2^512−1, each
+// product also computed with z = x, z = y and z = x = y.
 func TestMont8MatchesGeneric(t *testing.T) {
-	for _, f := range []kernelForm{{"go", (*Mont).mulU8, (*Mont).sqrU8}, {"adx", (*Mont).mulX, (*Mont).sqrX}} {
-		t.Run(f.name, func(t *testing.T) {
-			if f.name == "adx" && !hasADX {
-				t.Skip("CPU lacks BMI2/ADX")
-			}
-			matchGeneric(t, 8, f.mul, f.sqr)
-		})
-	}
+	t.Run("adx", func(t *testing.T) {
+		if !hasADX {
+			t.Skip("CPU lacks BMI2/ADX")
+		}
+		matchGeneric(t, 8, (*Mont).mulX, (*Mont).sqrX)
+	})
 }
 
 // TestMont16MatchesGeneric holds the 16-limb MULX/ADCX/ADOX multiply
@@ -349,10 +354,10 @@ type kernelForm struct {
 }
 
 // BenchmarkMont8 times each 8-limb form by name, with no packing: the
-// generic CIOS loops, the generated Go and, where CPUID reports BMI2
-// and ADX, the generated MULX/ADCX/ADOX assembly.
+// generic CIOS loops and, where CPUID reports BMI2 and ADX, the
+// generated MULX/ADCX/ADOX assembly.
 func BenchmarkMont8(b *testing.B) {
-	benchForms(b, 512, []kernelForm{{"cios", (*Mont).mulCIOS, (*Mont).sqrCIOS}, {"go", (*Mont).mulU8, (*Mont).sqrU8}, {"adx", (*Mont).mulX, (*Mont).sqrX}})
+	benchForms(b, 512, []kernelForm{{"cios", (*Mont).mulCIOS, (*Mont).sqrCIOS}, {"adx", (*Mont).mulX, (*Mont).sqrX}})
 }
 
 // BenchmarkMont16 times the 16-limb forms by name: the CIOS loops and,

@@ -96,7 +96,7 @@ func buildModels() {
 		m.CyclesPerByte = m.CPI * m.InstrPerByte
 		if m.CyclesPerByte > 0 {
 			// bytes/s = clock / (cycles/byte); scale to MB/s.
-			m.MBps = perf.ModelGHz() * 1e9 / m.CyclesPerByte / 1e6
+			m.MBps = perf.ModelGHz * 1e9 / m.CyclesPerByte / 1e6
 		}
 		modelTable[name] = m
 	}

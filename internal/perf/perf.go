@@ -3,7 +3,7 @@
 // It plays the role of the measurement tools in the original paper:
 // Oprofile/VTune (wall-clock attribution to code regions) and SoftSDV
 // (dynamic instruction accounting). Wall time is captured with the
-// monotonic clock and converted to "model cycles" at a configurable
+// monotonic clock and converted to "model cycles" at a fixed model
 // frequency so reports are comparable with the paper's 2.26 GHz
 // Pentium 4 numbers. Instruction accounting is done by counting
 // abstract operation classes emitted by instrumented kernels.
@@ -11,42 +11,25 @@ package perf
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
-// modelGHz is the clock frequency used to convert measured
-// nanoseconds into "cycles" for report comparability with the paper's
-// machine (2.26 GHz Pentium 4). It scales every cycle figure uniformly
-// and has no effect on percentages or ratios. Stored as float64 bits
-// behind an atomic: live render paths (telemetry, the anatomy
-// profiler) read it while command-line flags and tests set it.
-var modelGHz atomic.Uint64
-
-func init() { SetModelGHz(2.26) }
-
-// ModelGHz returns the model clock frequency.
-func ModelGHz() float64 { return math.Float64frombits(modelGHz.Load()) }
-
-// SetModelGHz sets the model clock frequency. Non-positive values are
-// ignored so a zero-valued flag cannot zero every cycle figure.
-func SetModelGHz(ghz float64) {
-	if ghz > 0 {
-		modelGHz.Store(math.Float64bits(ghz))
-	}
-}
+// ModelGHz is the clock frequency used to convert measured nanoseconds
+// into "cycles" for report comparability with the paper's machine
+// (2.26 GHz Pentium 4). It scales every cycle figure uniformly and has
+// no effect on percentages or ratios.
+const ModelGHz = 2.26
 
 // Cycles converts a duration to model cycles at ModelGHz.
 func Cycles(d time.Duration) float64 {
-	return float64(d.Nanoseconds()) * ModelGHz()
+	return float64(d.Nanoseconds()) * ModelGHz
 }
 
 // Duration converts model cycles back into wall time at ModelGHz.
 func Duration(cycles float64) time.Duration {
-	return time.Duration(cycles / ModelGHz())
+	return time.Duration(cycles / ModelGHz)
 }
 
 // A Timer measures one region of code with the monotonic clock.

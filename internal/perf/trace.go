@@ -172,7 +172,7 @@ func (t *Trace) ThroughputMBps() float64 {
 		return 0
 	}
 	cyclesPerByte := cyc / float64(t.Bytes)
-	bytesPerSec := ModelGHz() * 1e9 / cyclesPerByte
+	bytesPerSec := ModelGHz * 1e9 / cyclesPerByte
 	return bytesPerSec / 1e6
 }
 

@@ -26,11 +26,6 @@ func Listen(network, addr string, cfg *Config) (*Listener, error) {
 	return &Listener{inner: ln, cfg: cfg}, nil
 }
 
-// NewListener wraps an existing net.Listener.
-func NewListener(inner net.Listener, cfg *Config) *Listener {
-	return &Listener{inner: inner, cfg: cfg}
-}
-
 // Accept waits for a connection and returns it wrapped as an SSL
 // server Conn. The handshake is deferred to the first Read/Write (or
 // an explicit Handshake call), as crypto/tls does. A PRNG is not safe

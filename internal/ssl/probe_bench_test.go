@@ -11,9 +11,9 @@ import (
 
 // The probe spine's deployment points: no observer at all (the bus is
 // nil and every hook is a pointer test), or a conn table whose entry is
-// the one sink on the server's bus — with the production 1-in-16
-// detail sampling, or with every aggregate a server can attach folding
-// from it and every connection kept in detail.
+// the one sink on the server's bus, with every aggregate a server can
+// attach folding from it — and the production 1-in-16 detail sampling
+// (sslserver -telemetry -trace 16), or every connection kept in detail.
 func probedConfigs(tb testing.TB) (ccfg, scfg *Config) { return benchConfigs(tb, nil) }
 
 func observedConfigs(tb testing.TB, obs probe.Observer) (ccfg, scfg *Config) {
@@ -30,18 +30,13 @@ const benchRing = 8
 
 func sampledConfigs(tb testing.TB, every int) (ccfg, scfg *Config) {
 	return observedConfigs(tb, lifecycle.NewTable(lifecycle.Options{
+		Registry:    telemetry.NewRegistry(),
 		SampleEvery: every,
 		Ring:        benchRing,
 	}))
 }
 
-func allSinksConfigs(tb testing.TB) (ccfg, scfg *Config) {
-	return observedConfigs(tb, lifecycle.NewTable(lifecycle.Options{
-		Registry:    telemetry.NewRegistry(),
-		SampleEvery: 1,
-		Ring:        benchRing,
-	}))
-}
+func allSinksConfigs(tb testing.TB) (ccfg, scfg *Config) { return sampledConfigs(tb, 1) }
 
 // handshakeOnce runs one full handshake over the in-memory pipe, the
 // client on its own goroutine, and closes both ends.

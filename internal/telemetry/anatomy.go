@@ -237,7 +237,7 @@ func (r *Registry) Anatomy() Anatomy {
 func (s Anatomy) Text() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "live anatomy (%d handshakes, %d sampled for crypto, model %.2f GHz)\n\n",
-		s.Handshakes, s.Sampled, perf.ModelGHz())
+		s.Handshakes, s.Sampled, perf.ModelGHz)
 
 	steps := perf.NewTable("handshake steps (continuous Table 2, kcycles, every handshake)",
 		"step", "n", "mean", "p50", "p95", "p99", "max", "share", "crypto B", "crypto cyc/B")

@@ -207,7 +207,7 @@ func primRow(name, kernel string, cell CryptoCell) PrimRow {
 // Pathlength renders the registry's record crypto, open connections
 // included. Rows with no traffic are left out.
 func (r *Registry) Pathlength() Pathlength {
-	s := Pathlength{At: time.Now(), ModelGHz: perf.ModelGHz()} // lint:allow-clock
+	s := Pathlength{At: time.Now(), ModelGHz: perf.ModelGHz} // lint:allow-clock
 	c := r.Counts().Crypto
 	for p := range c.Prims {
 		var sum CryptoCell

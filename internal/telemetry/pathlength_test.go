@@ -268,8 +268,8 @@ func TestPathlengthRenderers(t *testing.T) {
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("page does not marshal: %v", err)
 	}
-	if s.ModelGHz != perf.ModelGHz() {
-		t.Errorf("page GHz = %v, want %v", s.ModelGHz, perf.ModelGHz())
+	if s.ModelGHz != perf.ModelGHz {
+		t.Errorf("page GHz = %v, want %v", s.ModelGHz, perf.ModelGHz)
 	}
 	if text := reg.Anatomy().Text(); !strings.Contains(text, "crypto cyc/B") {
 		t.Errorf("anatomy text has no per-step crypto columns:\n%s", text)
