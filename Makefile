@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint gencheck cbclint depslint spinelint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -22,25 +22,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# CI gate: static checks plus the race detector on the packages that
-# live connections emit through concurrently: the probe spine and its
-# sinks (telemetry, the conn table), the record layer (whose
-# connections share one window-buffer pool), the handshake session
-# cache, perf (whose helpers every live render path calls), bn
-# and rsa (a Mont's scratch pool
-# and a key's lazily built contexts and arena pool are shared by every
-# connection under that key), des (its SP and PC tables, built in init,
-# are read by every connection's key schedule and rounds), the serve
-# loop, and the load generator — then every fuzz
-# target for a few seconds and a real end-to-end smoke: sslload
-# against the serve loop in-process. On amd64, vet's asmdecl checks
-# aesni_amd64.s, sha1x's block_amd64.s, aessha1's stitch_amd64.s and
-# bn's mont8_amd64.s and cpuid_amd64.s against their Go declarations;
-# the cross-builds keep the fallbacks with no assembly (aesni_other.go,
-# sha1x's block_other.go, aessha1's stitch_other.go, bn's
-# mont8_other.go) compiling.
+# CI gate: static checks, the whole suite under the race detector,
+# every fuzz target for a few seconds, and a real end-to-end smoke:
+# sslload against the serve loop in-process. On amd64, vet's asmdecl
+# checks every .s against its Go declarations (cpufeat's CPUID routine
+# among them); the cross-builds keep the fallbacks with no assembly
+# (the *_other.go files of cpufeat, aes, sha1x, aessha1 and bn)
+# compiling.
 check:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/cpufeat/...
 	GOARCH=arm64 $(GO) vet ./internal/aes/...
 	GOARCH=arm64 $(GO) vet ./internal/sha1x/...
 	GOARCH=arm64 $(GO) vet ./internal/aessha1/...
@@ -52,19 +43,14 @@ check:
 	$(MAKE) writelint
 	$(MAKE) servelint
 	$(MAKE) kernellint
+	$(MAKE) cpuidlint
 	$(MAKE) gencheck
 	$(MAKE) cbclint
 	$(MAKE) depslint
 	$(MAKE) spinelint
 	$(MAKE) failclasslint
 	$(MAKE) doclint
-	$(GO) test -race ./internal/probe/... ./internal/telemetry/... \
-		./internal/ssl/... ./internal/record/... \
-		./internal/handshake/... ./internal/perf/... \
-		./internal/loadgen/... ./internal/pathlen/... \
-		./internal/lifecycle/... ./internal/history/... \
-		./internal/debughttp/... ./cmd/ssltop/... \
-		./internal/bn/... ./internal/rsa/... ./internal/server/... ./internal/des/...
+	$(MAKE) race
 	$(MAKE) fuzzsmoke
 	$(MAKE) loadsmoke
 
@@ -183,6 +169,24 @@ kernellint:
 			{ prev = $$0 }' internal/bn/mont8_amd64.s; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "kernellint: allocation, closure, interface, profiler hook or (mont8_amd64.s) branch, call or loop in a production kernel:"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# One CPU feature table: internal/cpufeat holds the only CPUID
+# instruction, and every kernel reads its bool from cpufeat.X86 (at
+# construction, or per call in aessha1), so a form can be masked for
+# the tests and the isa experiment. A CPUID in any other .s is a private
+# feature stub coming back, and a HardwareRounds identifier the
+# per-package bools the table replaced. Every file named here must
+# exist.
+CPUIDFILE = internal/cpufeat/cpufeat_amd64.s
+cpuidlint:
+	@test -f $(CPUIDFILE) || { echo "cpuidlint: $(CPUIDFILE) does not exist (renamed? update the Makefile)"; exit 1; }
+	@grep -q 'CPUID' $(CPUIDFILE) || { echo "cpuidlint: $(CPUIDFILE) holds no CPUID"; exit 1; }
+	@bad=$$(grep -rnE --include='*.s' --exclude-dir=.bench_build '^[^/]*\bCPUID\b' . | grep -v '^\./internal/cpufeat/'; \
+		grep -rn --include='*.go' --exclude-dir=.bench_build -w 'HardwareRounds' .; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "cpuidlint: a CPUID outside internal/cpufeat, or a HardwareRounds identifier (read cpufeat.X86):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -11,14 +11,17 @@
 // store; each part is callable on its own so the anatomy harness can
 // time them in batch, and nothing else calls them. The fused
 // EncryptCBC/DecryptCBC and the single-block Encrypt/Decrypt run one
-// of two fast forms: on an amd64 CPU whose CPUID reports AES-NI, the
-// round instructions (aesni_amd64.s, where a single block is one-block
-// CBC); on any other, the table kernel (kernel.go).
+// of two fast forms, fixed when New builds the Cipher: where
+// cpufeat.X86.AES holds, the round instructions (aesni_amd64.s, where
+// a single block is one-block CBC); on any other, the table kernel
+// (kernel.go).
 package aes
 
 import (
 	"encoding/binary"
 	"errors"
+
+	"sslperf/internal/cpufeat"
 )
 
 // BlockSize is the AES block size in bytes.
@@ -103,6 +106,7 @@ type Cipher struct {
 	enc, dec schedule
 	nr       int  // number of rounds: 10/12/14
 	hasDec   bool // dec has been derived
+	ni       bool // built where cpufeat.X86.AES held: runs AESENC/AESDEC
 }
 
 // New expands key (16, 24, or 32 bytes) into an AES cipher. Key
@@ -122,7 +126,7 @@ func New(key []byte) (*Cipher, error) {
 	default:
 		return nil, errors.New("aes: key must be 16, 24, or 32 bytes")
 	}
-	c := &Cipher{nr: nr}
+	c := &Cipher{nr: nr, ni: cpufeat.X86.AES}
 	expandKey(&c.enc, key, nr)
 	return c, nil
 }
@@ -236,15 +240,14 @@ func (c *Cipher) encPart3(s *state, dst []byte) {
 	binary.BigEndian.PutUint32(dst[12:], t3^c.enc[rk+3])
 }
 
-// HardwareRounds reports whether this CPU runs EncryptCBC, DecryptCBC,
-// Encrypt and Decrypt on its AES round instructions (AESENC/AESDEC)
-// rather than on the table kernel.
-func HardwareRounds() bool { return hasAESNI }
+// Kernel names the kernel a Cipher built now runs, for the reports
+// that time it: "AESENC" or "tables".
+func Kernel() string { return (&Cipher{ni: cpufeat.X86.AES}).Kernel() }
 
-// Kernel names the kernel HardwareRounds picks, for the reports that
-// time it: "AESENC" or "tables".
-func Kernel() string {
-	if hasAESNI {
+// Kernel names the kernel c's EncryptCBC, DecryptCBC, Encrypt and
+// Decrypt run: "AESENC" or "tables".
+func (c *Cipher) Kernel() string {
+	if c.ni {
 		return "AESENC"
 	}
 	return "tables"

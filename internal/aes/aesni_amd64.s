@@ -42,16 +42,6 @@ GLOBL bswap32<>(SB), RODATA|NOPTR, $16
 #define DEC4SP(off) MOVOU off(SP), X5; ALL4(AESDEC, X5)
 #define DEC1SP(off) MOVOU off(SP), X5; AESDEC X5, X0
 
-// func cpuidAES() bool
-TEXT ·cpuidAES(SB), NOSPLIT, $0-1
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	ANDL  $0x02000200, CX // ECX bit 25 (AES) and bit 9 (SSSE3, PSHUFB)
-	CMPL  CX, $0x02000200
-	SETEQ ret+0(FP)
-	RET
-
 // func encryptCBCAsm(xk *uint32, nr int, dst, src, iv *byte, n int)
 // n is a non-zero multiple of 16. The chain is serial, one block at a
 // time; AES-256's round-1 key is the one read from the stack per block.

@@ -2,12 +2,12 @@ package aes
 
 import "encoding/binary"
 
-// The table kernel: what Encrypt, Decrypt and the fused CBC entry
-// points run on a CPU without AES round instructions (aesni_amd64.go
-// picks), and the reference the round-instruction kernel is tested
-// against. aes.go's encPart1/2/3 are the same cipher split the way the
-// paper's Table 5 times it, and only anatomy.go (and the tests that
-// hold the forms equal) call them.
+// The table kernel: what the entry points at the end of this file run
+// on a Cipher built without AES round instructions, and the reference
+// the round-instruction kernel is tested against. aes.go's
+// encPart1/2/3 are the same cipher split the way the paper's Table 5
+// times it, and only anatomy.go (and the tests that hold the forms
+// equal) call them.
 //
 // The state stays in eight locals that alternate as a round's input
 // and output, the key schedule is a fixed array so every index is a
@@ -192,4 +192,61 @@ func (c *Cipher) decryptCBCTables(dst, src, iv []byte) {
 		c0, c1, c2, c3 = s0, s1, s2, s3
 	}
 	store(iv, c0, c1, c2, c3)
+}
+
+// EncryptCBC CBC-encrypts the whole blocks of src into dst, starting
+// from the chaining value iv and leaving the last ciphertext block
+// there for the next call. dst may be src. It and the three below run
+// the round instructions where c.ni is set, else the tables.
+func (c *Cipher) EncryptCBC(dst, src, iv []byte) {
+	if !c.ni {
+		c.encryptCBCTables(dst, src, iv)
+		return
+	}
+	_ = iv[BlockSize-1]
+	if n := len(src) &^ (BlockSize - 1); n > 0 {
+		_ = dst[n-1]
+		encryptCBCAsm(&c.enc[0], c.nr, &dst[0], &src[0], &iv[0], n)
+	}
+}
+
+// DecryptCBC is the inverse of EncryptCBC. dst may be src.
+func (c *Cipher) DecryptCBC(dst, src, iv []byte) {
+	if !c.ni {
+		c.decryptCBCTables(dst, src, iv)
+		return
+	}
+	c.needDec()
+	_ = iv[BlockSize-1]
+	if n := len(src) &^ (BlockSize - 1); n > 0 {
+		_ = dst[n-1]
+		decryptCBCAsm(&c.dec[0], c.nr, &dst[0], &src[0], &iv[0], n)
+	}
+}
+
+// Encrypt encrypts one 16-byte block; on the round instructions, as
+// one-block CBC from a zero chaining value. dst and src may overlap.
+func (c *Cipher) Encrypt(dst, src []byte) {
+	if !c.ni {
+		c.encryptBlockTables(dst, src)
+		return
+	}
+	var iv [BlockSize]byte
+	_, _ = dst[BlockSize-1], src[BlockSize-1]
+	encryptCBCAsm(&c.enc[0], c.nr, &dst[0], &src[0], &iv[0], BlockSize)
+}
+
+// Decrypt decrypts one 16-byte block using the equivalent inverse
+// cipher; on the round instructions, as one-block CBC from a zero
+// chaining value. dst and src may overlap. The first Decrypt on a
+// Cipher derives the inverse key schedule.
+func (c *Cipher) Decrypt(dst, src []byte) {
+	if !c.ni {
+		c.decryptBlockTables(dst, src)
+		return
+	}
+	c.needDec()
+	var iv [BlockSize]byte
+	_, _ = dst[BlockSize-1], src[BlockSize-1]
+	decryptCBCAsm(&c.dec[0], c.nr, &dst[0], &src[0], &iv[0], BlockSize)
 }

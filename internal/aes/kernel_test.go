@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/testenv"
 )
 
@@ -33,7 +34,7 @@ type cbcKernel struct {
 func cbcKernels() []cbcKernel {
 	ks := []cbcKernel{{"tables", (*Cipher).encryptCBCTables, (*Cipher).decryptCBCTables,
 		(*Cipher).encryptBlockTables, (*Cipher).decryptBlockTables}}
-	if hasAESNI {
+	if cpufeat.X86.AES {
 		ks = append(ks, cbcKernel{"aesni", (*Cipher).EncryptCBC, (*Cipher).DecryptCBC,
 			(*Cipher).Encrypt, (*Cipher).Decrypt})
 	}
@@ -169,7 +170,7 @@ func TestShortBuffersPanic(t *testing.T) {
 				if recover() == nil {
 					t.Fatal("no panic")
 				}
-				if hasAESNI && (!bytes.Equal(dst, make([]byte, len(dst))) || !bytes.Equal(iv, bytes.Repeat([]byte{0xee}, len(iv)))) {
+				if c.ni && (!bytes.Equal(dst, make([]byte, len(dst))) || !bytes.Equal(iv, bytes.Repeat([]byte{0xee}, len(iv)))) {
 					t.Fatalf("the kernel ran before the panic: dst %x, iv %x", dst, iv)
 				}
 			}()

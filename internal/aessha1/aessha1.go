@@ -1,14 +1,15 @@
 // Package aessha1 is the paper's Figure 6 on one core: the AES-CBC
 // encryption of a record and the SHA-1 hash of its MAC, run together.
 // The figure's engine overlaps an AES unit with a hashing unit; a CPU
-// that reports both AES-NI and the SHA extensions has the two units,
-// and one instruction stream that interleaves AESENC with SHA1RNDS4
-// (stitch_amd64.s) keeps both busy. Everywhere else the two run one
+// with AES-NI and the SHA extensions (cpufeat.X86.AES and SHA) has the
+// two units, and one instruction stream that interleaves AESENC with
+// SHA1RNDS4 (stitch_amd64.s) keeps both busy. Everywhere else the two run one
 // after the other, on whatever kernels aes and sha1x pick.
 package aessha1
 
 import (
 	"sslperf/internal/aes"
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/sha1x"
 )
 
@@ -16,14 +17,10 @@ import (
 // turn: four AES blocks, one SHA-1 block.
 const group = sha1x.BlockSize
 
-// HardwareRounds reports whether this CPU runs EncryptHash as one
-// stitched loop (AESENC beside SHA1RNDS4) rather than as two passes.
-func HardwareRounds() bool { return hasStitch }
-
-// Kernel names the form HardwareRounds picks, for the reports that
-// time it: "AESENC+SHA1RNDS4" or "two passes".
+// Kernel names the form EncryptHash runs now, for the reports that
+// time it: "AESENC+SHA1RNDS4" (one stitched loop) or "two passes".
 func Kernel() string {
-	if hasStitch {
+	if cpufeat.X86.AES && cpufeat.X86.SHA {
 		return "AESENC+SHA1RNDS4"
 	}
 	return "two passes"
@@ -48,6 +45,20 @@ func EncryptHash(c *aes.Cipher, dst, iv []byte, d *sha1x.Digest, p []byte) int {
 	groups(c, dst[:n], p[:n], iv, d, p[head:head+n])
 	d.Write(p[head+n:])
 	return n
+}
+
+// groups CBC-encrypts src into dst from iv and writes hashed into d,
+// which holds no partial block; src and hashed are the same non-zero
+// multiple of group long. It runs the stitched loop while cpufeat.X86
+// holds both AES and SHA, else twoPass.
+func groups(c *aes.Cipher, dst, src, iv []byte, d *sha1x.Digest, hashed []byte) {
+	if !cpufeat.X86.AES || !cpufeat.X86.SHA {
+		twoPass(c, dst, src, iv, d, hashed)
+		return
+	}
+	n := len(src)
+	_, _, _ = dst[n-1], hashed[n-1], iv[aes.BlockSize-1]
+	encryptSHA1(&c.EncSchedule()[0], c.Rounds(), &dst[0], &src[0], &iv[0], n, d.Chain(n), &hashed[0])
 }
 
 // twoPass is groups without the stitched kernel: the hash, then the

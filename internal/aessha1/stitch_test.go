@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sslperf/internal/aes"
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/sha1x"
 )
 
@@ -75,7 +76,7 @@ func TestEncryptHashMatchesStdlib(t *testing.T) {
 // TestStitchedEqualsTwoPass holds the kernel this CPU runs to the two
 // passes over the same groups.
 func TestStitchedEqualsTwoPass(t *testing.T) {
-	if !hasStitch {
+	if !cpufeat.X86.AES || !cpufeat.X86.SHA {
 		t.Skip("no stitched kernel on this CPU")
 	}
 	for _, keyLen := range []int{16, 32} {
@@ -129,7 +130,7 @@ func BenchmarkEncryptHash(b *testing.B) {
 		on   bool
 	}{{"stitched", true}, {"two-pass", false}}
 	for _, f := range forms {
-		if f.on && !hasStitch {
+		if f.on && (!cpufeat.X86.AES || !cpufeat.X86.SHA) {
 			continue
 		}
 		b.Run(f.name, func(b *testing.B) {

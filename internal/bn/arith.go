@@ -53,21 +53,6 @@ func mulAddWords(z, x []Word, y Word) Word {
 	return Word(carry)
 }
 
-// mulWords computes z[i] = x[i]*y + carry, returning the final carry.
-// (bn_mul_words)
-func mulWords(z, x []Word, y Word) Word {
-	profEnter(fnMulWords)
-	var carry uint64
-	yy := uint64(y)
-	for i := range x {
-		t := uint64(x[i])*yy + carry
-		z[i] = Word(t)
-		carry = t >> WordBits
-	}
-	profExit()
-	return Word(carry)
-}
-
 // uadd sets z = |x| + |y| ignoring signs. z may alias x or y.
 func (z *Int) uadd(x, y *Int) {
 	if len(x.d) < len(y.d) {

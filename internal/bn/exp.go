@@ -47,20 +47,6 @@ func (z *Int) ModExp(x, e, N *Int) *Int {
 // small while staying within a few percent of optimal.
 const expWindow = 4
 
-// GCD sets z = gcd(|x|, |y|) and returns z.
-func (z *Int) GCD(x, y *Int) *Int {
-	a := x.Clone()
-	b := y.Clone()
-	a.neg, b.neg = false, false
-	var r Int
-	for !b.IsZero() {
-		DivMod(nil, &r, a, b)
-		a.Set(b)
-		b.Set(&r)
-	}
-	return z.Set(a)
-}
-
 // ModInverse sets z = x⁻¹ mod N (the value v in [1, N) with
 // x·v ≡ 1 mod N) and returns z, or nil if no inverse exists.
 func (z *Int) ModInverse(x, N *Int) *Int {

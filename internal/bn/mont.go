@@ -3,6 +3,8 @@ package bn
 import (
 	"errors"
 	"sync"
+
+	"sslperf/internal/cpufeat"
 )
 
 // Mont holds the precomputed constants for Montgomery arithmetic
@@ -27,7 +29,7 @@ type Mont struct {
 	n0    uint64   // -N^-1 mod 2^64
 	rr64  []uint64 // RR
 	one64 []uint64 // R mod N, 1 in Montgomery form
-	adx   bool     // k is 8 or 16 and the CPU runs mulX/sqrX
+	adx   bool     // k is 8 or 16 and cpufeat.X86.ADX held: mulX/sqrX
 	pool  sync.Pool
 
 	// Counting kernel: N zero-padded to 2k 32-bit limbs.
@@ -40,7 +42,7 @@ func NewMont(N *Int) (*Mont, error) {
 		return nil, errors.New("bn: Montgomery modulus must be odd and > 1")
 	}
 	k := (len(N.d) + 1) / 2
-	m := &Mont{N: N.Clone(), k: k, adx: hasADX && (k == 8 || k == 16)}
+	m := &Mont{N: N.Clone(), k: k, adx: cpufeat.X86.ADX && (k == 8 || k == 16)}
 	limbs := make([]uint64, 3*k)
 	m.n64, m.rr64, m.one64 = limbs[:k], limbs[k:2*k], limbs[2*k:]
 	packLimbs(m.n64, N.d)

@@ -1,15 +1,12 @@
 package bn
 
-// On amd64 a CPU that reports BMI2 and ADX runs the 8- and 16-limb
-// Montgomery multiply and square on MULX/ADCX/ADOX (mont8_amd64.s,
-// generated by gen_mont8.go); any other runs the CIOS loops at every
-// width. Exp's 8-limb window lookup runs on SSE2 on every amd64 CPU.
-// The operands are cut to their sizes here, in Go, so the assembly
-// never reads or writes outside the slices it is given.
-
-var hasADX = cpuidADX()
-
-func cpuidADX() bool
+// On amd64 a Mont built where cpufeat.X86.ADX holds (BMI2 and ADX)
+// runs the 8- and 16-limb Montgomery multiply and square on
+// MULX/ADCX/ADOX (mont8_amd64.s, generated by gen_mont8.go); any other
+// runs the CIOS loops at every width. Exp's 8-limb window lookup runs
+// on SSE2 on every amd64 CPU. The operands are cut to their sizes
+// here, in Go, so the assembly never reads or writes outside the
+// slices it is given.
 
 //go:noescape
 func mulADX8(z, x, y, n *[8]uint64, n0 uint64)

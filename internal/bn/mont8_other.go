@@ -2,11 +2,9 @@
 
 package bn
 
-// hasADX is false off amd64: every width runs the CIOS loops.
-const hasADX = false
-
 // mulX and sqrX name the MULX/ADCX/ADOX forms; off amd64 no Mont
-// selects them (adx is never set), and they are the CIOS loops.
+// selects them (cpufeat.X86.ADX is false, so adx is never set), and
+// they are the CIOS loops.
 func (m *Mont) mulX(z, x, y, t []uint64) { m.mulCIOS(z, x, y, t) }
 
 func (m *Mont) sqrX(z, x, t []uint64) { m.sqrCIOS(z, x, t) }

@@ -1,6 +1,10 @@
 package bn
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"sslperf/internal/cpufeat"
+)
 
 //go:generate go run gen_mont8.go -o mont8_amd64.s
 
@@ -9,7 +13,7 @@ import "math/bits"
 // collected. It works on 64-bit limbs (little-endian []uint64 of
 // exactly m.k limbs, packed from the Int's 32-bit words once at the
 // exported boundary), interleaves multiplication and reduction in one
-// pass (CIOS; at 8 and 16 limbs on a CPU with BMI2 and ADX, the same
+// pass (CIOS; at 8 and 16 limbs where cpufeat.X86.ADX holds, the same
 // rows on MULX/ADCX/ADOX in mont8_amd64.s), squares with half the cross
 // products, and keeps every intermediate in a montScratch sized once
 // per Mont — so nothing here allocates or calls the profiler (`make
@@ -22,12 +26,16 @@ import "math/bits"
 // profile; FuzzMontKernels holds the two equal to each other and to
 // math/big.
 
-// Kernel names the form this CPU runs the 8- and 16-limb Montgomery
-// products on (every RSA-1024 CRT half, RSA-1024 public op and DH-1024
-// step), for the reports that time it: "MULX/ADX", or "Go" for the
-// CIOS loops.
-func Kernel() string {
-	if hasADX {
+// Kernel names the form a Mont built now runs the 8- and 16-limb
+// Montgomery products on (every RSA-1024 CRT half, RSA-1024 public op
+// and DH-1024 step), for the reports that time it: "MULX/ADX", or "Go"
+// for the CIOS loops.
+func Kernel() string { return (&Mont{adx: cpufeat.X86.ADX}).Kernel() }
+
+// Kernel names the form m's products run on: "MULX/ADX", or "Go" for
+// the CIOS loops (at every width but 8 and 16 limbs, whatever the CPU).
+func (m *Mont) Kernel() string {
+	if m.adx {
 		return "MULX/ADX"
 	}
 	return "Go"

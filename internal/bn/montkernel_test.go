@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/testenv"
 )
 
@@ -109,7 +110,7 @@ func FuzzMontKernels(f *testing.F) {
 // product also computed with z = x, z = y and z = x = y.
 func TestMont8MatchesGeneric(t *testing.T) {
 	t.Run("adx", func(t *testing.T) {
-		if !hasADX {
+		if !cpufeat.X86.ADX {
 			t.Skip("CPU lacks BMI2/ADX")
 		}
 		matchGeneric(t, 8, (*Mont).mulX, (*Mont).sqrX)
@@ -121,7 +122,7 @@ func TestMont8MatchesGeneric(t *testing.T) {
 // CIOS loops on the same operand set at 1024 bits, where CPUID reports
 // BMI2 and ADX.
 func TestMont16MatchesGeneric(t *testing.T) {
-	if !hasADX {
+	if !cpufeat.X86.ADX {
 		t.Skip("CPU lacks BMI2/ADX")
 	}
 	matchGeneric(t, 16, (*Mont).mulX, (*Mont).sqrX)
@@ -372,7 +373,7 @@ func benchForms(b *testing.B, bits int, forms []kernelForm) {
 	packLimbs(xl, m.ToMont(New(), x).d)
 	z, tm := make([]uint64, m.k), make([]uint64, 2*m.k)
 	for _, f := range forms {
-		if f.name == "adx" && !hasADX {
+		if f.name == "adx" && !cpufeat.X86.ADX {
 			continue
 		}
 		b.Run(f.name+"/mul", func(b *testing.B) {

@@ -61,18 +61,3 @@ func (z *Int) Sqr(x *Int) *Int {
 	profExit()
 	return z
 }
-
-// MulWord sets z = x * w and returns z.
-func (z *Int) MulWord(x *Int, w Word) *Int {
-	if x.IsZero() || w == 0 {
-		z.d = z.d[:0]
-		z.neg = false
-		return z
-	}
-	out := make([]Word, len(x.d)+1)
-	out[len(x.d)] = mulWords(out[:len(x.d)], x.d, w)
-	neg := x.neg
-	z.d = out
-	z.neg = neg
-	return z.norm()
-}

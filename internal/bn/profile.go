@@ -13,7 +13,6 @@ const (
 	fnMulAddWords    = "bn_mul_add_words"
 	fnSubWords       = "bn_sub_words"
 	fnAddWords       = "bn_add_words"
-	fnMulWords       = "bn_mul_words"
 	fnFromMontgomery = "BN_from_montgomery"
 	fnUsub           = "BN_usub"
 	fnCopy           = "BN_copy"

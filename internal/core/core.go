@@ -139,9 +139,9 @@ func All() []*Experiment {
 		"fig1": 0, "table1": 1, "fig2": 2, "table2": 3, "table3": 4,
 		"fig3": 5, "table4": 6, "table5": 7, "table6": 8, "table7": 9,
 		"table8": 10, "table9": 11, "table10": 12, "table11": 13,
-		"table12": 14, "fig4": 15, "fig5": 16, "fig6": 17,
-		"ablation-mul": 18, "ablation-resume": 19, "ablation-kx": 20,
-		"ablation-version": 21, "ablation-latency": 22,
+		"table12": 14, "fig4": 15, "fig5": 16, "fig6": 17, "isa": 18,
+		"ablation-mul": 19, "ablation-resume": 20, "ablation-kx": 21,
+		"ablation-version": 22, "ablation-latency": 23,
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		return order[out[i].ID] < order[out[j].ID]

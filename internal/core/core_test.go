@@ -16,7 +16,7 @@ func TestRegistryCompleteAndOrdered(t *testing.T) {
 	want := []string{
 		"fig1", "table1", "fig2", "table2", "table3", "fig3", "table4",
 		"table5", "table6", "table7", "table8", "table9", "table10",
-		"table11", "table12", "fig4", "fig5", "fig6",
+		"table11", "table12", "fig4", "fig5", "fig6", "isa",
 		"ablation-mul", "ablation-resume", "ablation-kx",
 		"ablation-version", "ablation-latency",
 	}

@@ -247,7 +247,7 @@ func TestOpString(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Table X", "name", "value")
 	tb.AddRow("alpha", "1")
-	tb.AddRowf("beta", 2.5)
+	tb.AddRow("beta", "2.50")
 	tb.AddRow("gamma") // short row padded
 	out := tb.String()
 	for _, want := range []string{"Table X", "alpha", "beta", "2.50", "gamma"} {

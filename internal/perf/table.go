@@ -31,23 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row built from format/args pairs: each cell is a
-// fmt.Sprint of the corresponding argument.
-func (t *Table) AddRowf(cells ...interface{}) {
-	s := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			s[i] = fmt.Sprintf("%.2f", v)
-		case string:
-			s[i] = v
-		default:
-			s[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(s...)
-}
-
 // NumRows reports the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 

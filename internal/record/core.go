@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sslperf/internal/aessha1"
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/probe"
 	"sslperf/internal/sslcrypto"
 	"sslperf/internal/suite"
@@ -144,7 +145,25 @@ func (c *Core) SetWriteState(ci suite.RecordCipher, m *sslcrypto.MAC) {
 	if m != nil && m.Algorithm() == sslcrypto.MACSHA1 {
 		c.out.aes, c.out.iv = suite.AESCBC(ci)
 	}
-	c.out.stitched = c.out.aes != nil && aessha1.HardwareRounds()
+	c.out.stitched = c.out.aes != nil && cpufeat.X86.AES && cpufeat.X86.SHA
+}
+
+// Kernels names the kernels the write state's objects run, as they
+// report them: its AES cipher's, its SHA-1 MAC's and, where
+// SetWriteState chose it, the stitched seal's. A write state with
+// neither names none.
+func (c *Core) Kernels() []string {
+	var ks []string
+	if c.out.aes != nil {
+		ks = append(ks, c.out.aes.Kernel())
+	}
+	if d := c.out.mac.SHA1(); d != nil {
+		ks = append(ks, d.Kernel())
+	}
+	if c.out.stitched {
+		ks = append(ks, aessha1.Kernel())
+	}
+	return ks
 }
 
 // SetReadState installs the inbound cipher and MAC and resets the

@@ -136,8 +136,8 @@ type halfState struct {
 	// aes and iv are the AES cipher and live CBC chaining value behind
 	// an AES-CBC write cipher whose MAC is SHA-1 (suite.AESCBC) — the
 	// pair the stitched seal runs — and nil otherwise. stitched selects
-	// that form; SetWriteState sets it where aessha1.HardwareRounds
-	// holds, so every other host, suite and direction seals in two
+	// that form; SetWriteState sets it where cpufeat.X86 holds both AES
+	// and SHA, so every other host, suite and direction seals in two
 	// passes.
 	aes      *aes.Cipher
 	iv       []byte

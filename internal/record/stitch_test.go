@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"sslperf/internal/aessha1"
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/probe"
 	"sslperf/internal/suite"
 )
@@ -131,7 +131,7 @@ func FuzzSealStitched(f *testing.F) {
 // MAC together, not split by a ratio — while a record below stitchMin
 // keeps the two-pass form's MAC and cipher events.
 func TestStitchedSealOneEvent(t *testing.T) {
-	if !aessha1.HardwareRounds() {
+	if !cpufeat.X86.AES || !cpufeat.X86.SHA {
 		t.Skip("this CPU has no stitched AES-CBC + SHA-1 kernel")
 	}
 	s, _ := suite.ByName("AES128-SHA")

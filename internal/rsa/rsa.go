@@ -164,6 +164,17 @@ func GenerateKey(rnd io.Reader, bits int) (*PrivateKey, error) {
 	}
 }
 
+// Kernels names the kernels the key's private operation multiplies on,
+// as its Montgomery contexts mod P, Q and N report them, building them
+// if no operation has yet; nil for a key they cannot be built for.
+func (priv *PrivateKey) Kernels() []string {
+	pre, err := priv.precompute()
+	if err != nil {
+		return nil
+	}
+	return []string{pre.p.Kernel(), pre.q.Kernel(), pre.n.Kernel()}
+}
+
 // Validate performs basic sanity checks on the key.
 func (priv *PrivateKey) Validate() error {
 	n := bn.New().Mul(priv.P, priv.Q)

@@ -27,29 +27,6 @@ GLOBL flip<>(SB), RODATA|NOPTR, $16
 	SHA1NEXTE w, e; MOVO X0, next; SHA1MSG2 w, w1; \
 	SHA1RNDS4 $f, e, X0; SHA1MSG1 w, w3; PXOR w, w2
 
-// func cpuidSHA() bool
-TEXT ·cpuidSHA(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
-	XORL  AX, AX
-	XORL  CX, CX
-	CPUID
-	CMPL  AX, $7
-	JB    no
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	ANDL  $0x00080200, CX // ECX bit 19 (SSE4.1, PINSRD) and bit 9 (SSSE3, PSHUFB)
-	CMPL  CX, $0x00080200
-	JNE   no
-	MOVL  $7, AX
-	XORL  CX, CX
-	CPUID
-	BTL   $29, BX         // EBX bit 29: SHA
-	SETCS ret+0(FP)
-
-no:
-	RET
-
 // func blockSHANI(s *[5]uint32, p *byte, n int)
 // n is a non-zero multiple of 64.
 TEXT ·blockSHANI(SB), NOSPLIT, $0-24

@@ -5,21 +5,30 @@ import (
 	stdsha1 "crypto/sha1"
 	"encoding/hex"
 	"testing"
+
+	"sslperf/internal/cpufeat"
 )
 
 // kernel is one form of the compression function, named by the bool
-// compress, write and sum take: blockGeneric (generic set) or block.
+// a Digest picks it on: blockGeneric (shani clear) or block.
 type kernel struct {
-	name    string
-	generic bool
+	name  string
+	shani bool
+}
+
+// digest is a fresh Digest that compresses on k.
+func (k kernel) digest() *Digest {
+	d := New()
+	d.shani = k.shani
+	return d
 }
 
 // kernels is blockGeneric on every host and, where this CPU reports
 // the SHA extensions, block — there blockSHANI, the kernel Digest runs.
 func kernels() []kernel {
-	ks := []kernel{{"generic", true}}
-	if hasSHANI {
-		ks = append(ks, kernel{"shani", false})
+	ks := []kernel{{"generic", false}}
+	if cpufeat.X86.SHA {
+		ks = append(ks, kernel{"shani", true})
 	}
 	return ks
 }
@@ -36,16 +45,16 @@ func FuzzHashBlocks(f *testing.F) {
 		a := int(cut1) % (len(data) + 1)
 		b := a + int(cut2)%(len(data)-a+1)
 		for _, k := range kernels() {
-			d, ref := New(), stdsha1.New()
-			d.write(data[:a], k.generic)
+			d, ref := k.digest(), stdsha1.New()
+			d.Write(data[:a])
 			ref.Write(data[:a])
-			if got, want := d.sum(nil, k.generic), ref.Sum(nil); !bytes.Equal(got, want) {
+			if got, want := d.Sum(nil), ref.Sum(nil); !bytes.Equal(got, want) {
 				t.Fatalf("%s: after %d bytes: %x, want %x", k.name, a, got, want)
 			}
-			d.write(data[a:b], k.generic)
-			d.write(data[b:], k.generic)
+			d.Write(data[a:b])
+			d.Write(data[b:])
 			ref.Write(data[a:])
-			if got, want := d.sum(nil, k.generic), ref.Sum(nil); !bytes.Equal(got, want) {
+			if got, want := d.Sum(nil), ref.Sum(nil); !bytes.Equal(got, want) {
 				t.Fatalf("%s: %d bytes written as %d+%d+%d: %x, want %x", k.name, len(data), a, b-a, len(data)-b, got, want)
 			}
 		}
@@ -71,11 +80,11 @@ func TestKernelsEveryLength(t *testing.T) {
 				want := stdsha1.Sum(msg)
 				for _, tail := range []int{0, 1, BlockSize - 1} {
 					for _, split := range []int{0, blocks / 2, blocks} {
-						d := New()
-						compress(&d.s, msg[:split*BlockSize], k.generic)
-						compress(&d.s, buf[off+split*BlockSize:off+blocks*BlockSize+tail], k.generic)
+						d := k.digest()
+						d.compress(&d.s, msg[:split*BlockSize])
+						d.compress(&d.s, buf[off+split*BlockSize:off+blocks*BlockSize+tail])
 						d.len = uint64(len(msg))
-						if got := d.sum(nil, true); !bytes.Equal(got, want[:]) {
+						if got := d.Sum(nil); !bytes.Equal(got, want[:]) {
 							t.Fatalf("%s: %d blocks at offset %d, tail %d, split after %d: %x, want %x",
 								k.name, blocks, off, tail, split, got, want)
 						}
@@ -90,9 +99,9 @@ func TestKernelsEveryLength(t *testing.T) {
 // through one call of each kernel.
 func TestMillionA(t *testing.T) {
 	for _, k := range kernels() {
-		d := New()
-		d.write(bytes.Repeat([]byte{'a'}, 1000000), k.generic)
-		if got := hex.EncodeToString(d.sum(nil, k.generic)); got != "34aa973cd4c4daa4f61eeb2bdbad27316534016f" {
+		d := k.digest()
+		d.Write(bytes.Repeat([]byte{'a'}, 1000000))
+		if got := hex.EncodeToString(d.Sum(nil)); got != "34aa973cd4c4daa4f61eeb2bdbad27316534016f" {
 			t.Fatalf("%s: million a's = %s", k.name, got)
 		}
 	}
@@ -104,10 +113,10 @@ func TestMillionA(t *testing.T) {
 func BenchmarkBlock(b *testing.B) {
 	for _, k := range kernels() {
 		b.Run(k.name, func(b *testing.B) {
-			d, buf := New(), make([]byte, 16384)
+			d, buf := k.digest(), make([]byte, 16384)
 			b.SetBytes(int64(len(buf)))
 			for i := 0; i < b.N; i++ {
-				compress(&d.s, buf, k.generic)
+				d.compress(&d.s, buf)
 			}
 		})
 	}

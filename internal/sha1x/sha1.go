@@ -5,13 +5,17 @@
 // which is why the paper measures it ~60% slower.
 //
 // The compression function has two forms: the written-out scalar
-// rounds (blockGeneric, block.go), which Table 10 times, and, on an
-// amd64 CPU that reports the SHA extensions, SHA1RNDS4
-// (block_amd64.s), about three times faster. Digest runs whichever
-// this CPU has (HardwareRounds).
+// rounds (blockGeneric, block.go), which Table 10 times, and, where
+// cpufeat.X86.SHA holds, SHA1RNDS4 (block_amd64.s), about three times
+// faster. A Digest runs the form the table named when it was last
+// Reset (Kernel).
 package sha1x
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"sslperf/internal/cpufeat"
+)
 
 // Size is the SHA-1 digest length in bytes (160 bits).
 const Size = 20
@@ -33,6 +37,9 @@ type Digest struct {
 	buf [BlockSize]byte
 	n   int
 	len uint64
+	// shani is cpufeat.X86.SHA as of the last Reset: compress on
+	// SHA1RNDS4 (block), else on blockGeneric (ProfilePhases clears it).
+	shani bool
 }
 
 // New returns an initialized SHA-1 digest.
@@ -49,6 +56,7 @@ func (d *Digest) Reset() {
 	d.s = [5]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0}
 	d.n = 0
 	d.len = 0
+	d.shani = cpufeat.X86.SHA
 }
 
 // Size returns the digest length (20).
@@ -59,48 +67,41 @@ func (d *Digest) BlockSize() int { return BlockSize }
 
 // Write absorbs p into the digest. It never fails.
 func (d *Digest) Write(p []byte) (int, error) {
-	d.write(p, false)
-	return len(p), nil
-}
-
-// compress runs blockGeneric when generic is set and otherwise the
-// kernel this CPU runs (block). The choice is a bool, not a function
-// value: an indirect call would make every hashed buffer escape.
-func compress(s *[5]uint32, p []byte, generic bool) {
-	if generic {
-		blockGeneric(s, p)
-	} else {
-		block(s, p)
-	}
-}
-
-// write is Write on the kernel compress picks.
-func (d *Digest) write(p []byte, generic bool) {
 	d.len += uint64(len(p))
+	n := len(p)
 	if d.n > 0 {
 		c := copy(d.buf[d.n:], p)
 		d.n += c
 		p = p[c:]
 		if d.n == BlockSize {
-			compress(&d.s, d.buf[:], generic)
+			d.compress(&d.s, d.buf[:])
 			d.n = 0
 		}
 	}
 	if whole := len(p) &^ (BlockSize - 1); whole > 0 {
-		compress(&d.s, p[:whole], generic)
+		d.compress(&d.s, p[:whole])
 		p = p[whole:]
 	}
 	if len(p) > 0 {
 		d.n = copy(d.buf[:], p)
 	}
+	return n, nil
+}
+
+// compress runs SHA1RNDS4 (block) where d.shani is set and otherwise
+// blockGeneric. The choice is a bool, not a function value: an
+// indirect call would make every hashed buffer escape.
+func (d *Digest) compress(s *[5]uint32, p []byte) {
+	if d.shani {
+		block(s, p)
+	} else {
+		blockGeneric(s, p)
+	}
 }
 
 // Sum appends the digest of everything written so far to in, leaving
 // the running state unchanged.
-func (d *Digest) Sum(in []byte) []byte { return d.sum(in, false) }
-
-// sum is Sum on the kernel compress picks.
-func (d *Digest) sum(in []byte, generic bool) []byte {
+func (d *Digest) Sum(in []byte) []byte {
 	// Finalize copies: the 0x80 marker and zero fill go into the
 	// partial block, the bit length into the last eight bytes of it or,
 	// when those are taken, of one more block.
@@ -108,11 +109,11 @@ func (d *Digest) sum(in []byte, generic bool) []byte {
 	buf[d.n] = 0x80
 	clear(buf[d.n+1:])
 	if d.n >= BlockSize-8 {
-		compress(&s, buf[:], generic)
+		d.compress(&s, buf[:])
 		clear(buf[:BlockSize-8])
 	}
 	binary.BigEndian.PutUint64(buf[BlockSize-8:], d.len*8)
-	compress(&s, buf[:], generic)
+	d.compress(&s, buf[:])
 	var out [Size]byte
 	for i, v := range s {
 		binary.BigEndian.PutUint32(out[4*i:], v)
@@ -137,14 +138,13 @@ func (d *Digest) Chain(n int) *[5]uint32 {
 	return &d.s
 }
 
-// HardwareRounds reports whether this CPU runs Digest on the SHA
-// extensions (SHA1RNDS4) rather than the scalar rounds.
-func HardwareRounds() bool { return hasSHANI }
+// Kernel names the kernel a Digest reset now runs, for the reports
+// that time it: "SHA1RNDS4" or "scalar".
+func Kernel() string { return (&Digest{shani: cpufeat.X86.SHA}).Kernel() }
 
-// Kernel names the kernel HardwareRounds picks, for the reports that
-// time it: "SHA1RNDS4" or "scalar".
-func Kernel() string {
-	if hasSHANI {
+// Kernel names the kernel d runs: "SHA1RNDS4" or "scalar".
+func (d *Digest) Kernel() string {
+	if d.shani {
 		return "SHA1RNDS4"
 	}
 	return "scalar"

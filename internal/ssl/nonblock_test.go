@@ -46,6 +46,24 @@ func (r *recordingRW) bytes() []byte {
 	return append([]byte(nil), r.log.Bytes()...)
 }
 
+// An exchange is what one run of a transcript helper returns: each
+// side's complete wire transcript, the client's session, whether the
+// handshake resumed, and the kernels the run's objects report at its
+// end — each side's record write state, then the server key's
+// Montgomery contexts.
+type exchange struct {
+	cli, srv []byte
+	sess     *handshake.Session
+	resumed  bool
+	kernels  []string
+}
+
+// kernelsOf collects what the objects of one connection pair report.
+func kernelsOf(cli, srv *NonBlockingConn) []string {
+	ks := append(cli.core.Kernels(), srv.core.Kernels()...)
+	return append(ks, srv.cfg.Key.Kernels()...)
+}
+
 // blockingTranscript runs one full blocking-Conn exchange — handshake,
 // client request, server response, server close, client close — over
 // an in-memory pipe with recording transports, returning each side's
@@ -55,6 +73,16 @@ func blockingTranscript(t *testing.T, id suite.ID, seedC, seedS uint64,
 	cache *handshake.SessionCache, sess *handshake.Session,
 	req, resp []byte) (cliWire, srvWire []byte, out *handshake.Session, resumed bool) {
 	t.Helper()
+	x := blockingExchange(t, id, seedC, seedS, cache, sess, req, resp)
+	return x.cli, x.srv, x.sess, x.resumed
+}
+
+// blockingExchange is blockingTranscript, returning its exchange.
+func blockingExchange(t *testing.T, id suite.ID, seedC, seedS uint64,
+	cache *handshake.SessionCache, sess *handshake.Session, req, resp []byte) exchange {
+	t.Helper()
+	var out *handshake.Session
+	var resumed bool
 	ct, st := Pipe()
 	rc := &recordingRW{rw: ct}
 	rs := &recordingRW{rw: st}
@@ -100,7 +128,7 @@ func blockingTranscript(t *testing.T, id suite.ID, seedC, seedS uint64,
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	return rc.bytes(), rs.bytes(), out, resumed
+	return exchange{rc.bytes(), rs.bytes(), out, resumed, kernelsOf(&client.nb, &server.nb)}
 }
 
 // nonBlockingTranscript runs the identical exchange through a
@@ -109,6 +137,14 @@ func blockingTranscript(t *testing.T, id suite.ID, seedC, seedS uint64,
 func nonBlockingTranscript(t *testing.T, id suite.ID, seedC, seedS uint64,
 	cache *handshake.SessionCache, sess *handshake.Session,
 	req, resp []byte) (cliWire, srvWire []byte, out *handshake.Session, resumed bool) {
+	t.Helper()
+	x := nonBlockingExchange(t, id, seedC, seedS, cache, sess, req, resp)
+	return x.cli, x.srv, x.sess, x.resumed
+}
+
+// nonBlockingExchange is nonBlockingTranscript, returning its exchange.
+func nonBlockingExchange(t *testing.T, id suite.ID, seedC, seedS uint64,
+	cache *handshake.SessionCache, sess *handshake.Session, req, resp []byte) exchange {
 	t.Helper()
 	cli := NonBlockingClient(&Config{
 		Rand: NewPRNG(seedC), Suites: []suite.ID{id}, Time: fixedTestTime,
@@ -190,14 +226,14 @@ func nonBlockingTranscript(t *testing.T, id suite.ID, seedC, seedS uint64,
 	if _, err := cli.ReadData(buf); err != io.EOF {
 		t.Fatalf("after close_notify: want EOF, got %v", err)
 	}
-	out, _ = cli.Session()
+	out, _ := cli.Session()
 	st, err := cli.ConnectionState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli.Close()
 	move(cli, nil, &cliLog) // capture the client's close_notify
-	return cliLog.Bytes(), srvLog.Bytes(), out, st.Resumed
+	return exchange{cliLog.Bytes(), srvLog.Bytes(), out, st.Resumed, kernelsOf(cli, srv)}
 }
 
 // The golden wire-equivalence gate: for every suite, full and resumed,

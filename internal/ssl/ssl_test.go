@@ -8,27 +8,46 @@ import (
 	"testing"
 	"time"
 
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/handshake"
 	"sslperf/internal/probe"
+	"sslperf/internal/rsa"
 	"sslperf/internal/suite"
 	"sslperf/internal/telemetry"
 )
 
 var (
 	idOnce sync.Once
-	testID *Identity
+	idMu   sync.Mutex
+	testID map[cpufeat.Features]*Identity
 )
 
+// identity is the tests' server identity. Each cpufeat mask gets its
+// own copy of the one key and certificate, so a key's Montgomery
+// contexts, built on its first private operation, run the kernels of
+// the mask the test runs under, and the wire stays the same.
 func identity(t testing.TB) *Identity {
 	t.Helper()
 	idOnce.Do(func() {
-		var err error
-		testID, err = NewIdentity(NewPRNG(42), 512, "ssl-test", time.Now())
+		id, err := NewIdentity(NewPRNG(42), 512, "ssl-test", time.Now())
 		if err != nil {
 			panic(err)
 		}
+		testID = map[cpufeat.Features]*Identity{cpufeat.X86: id}
 	})
-	return testID
+	idMu.Lock()
+	defer idMu.Unlock()
+	id := testID[cpufeat.X86]
+	if id == nil {
+		for _, base := range testID {
+			k := base.Key
+			id = &Identity{Key: &rsa.PrivateKey{PublicKey: k.PublicKey, D: k.D, P: k.P, Q: k.Q,
+				Dp: k.Dp, Dq: k.Dq, Qinv: k.Qinv}, Cert: base.Cert, CertDER: base.CertDER}
+			break
+		}
+		testID[cpufeat.X86] = id
+	}
+	return id
 }
 
 // connect runs a full handshake over an in-memory pipe, returning the

@@ -96,6 +96,15 @@ func (m *MAC) Size() int { return m.alg.Size() }
 // Algorithm returns the hash under the MAC.
 func (m *MAC) Algorithm() MACAlgorithm { return m.alg }
 
+// SHA1 returns the running inner digest of a SHA-1 MAC, and nil for a
+// nil MAC or any other hash.
+func (m *MAC) SHA1() *sha1x.Digest {
+	if m == nil || m.alg != MACSHA1 {
+		return nil
+	}
+	return m.h.InnerSHA1()
+}
+
 // Compute returns the MAC for a record with the given 64-bit sequence
 // number, content type and payload.
 func (m *MAC) Compute(seq uint64, contentType byte, payload []byte) []byte {
@@ -124,7 +133,7 @@ func (m *MAC) AppendCompute(dst []byte, seq uint64, contentType byte, payload []
 // rest of the payload and encrypts the rest of the record from iv.
 func (m *MAC) AppendComputeCBC(body []byte, seq uint64, contentType byte, payload []byte, c *aes.Cipher, iv []byte) ([]byte, int) {
 	m.start(seq, contentType, len(payload))
-	n := aessha1.EncryptHash(c, body, iv, m.h.InnerSHA1(), payload)
+	n := aessha1.EncryptHash(c, body, iv, m.SHA1(), payload)
 	return m.h.Sum(body), n
 }
 

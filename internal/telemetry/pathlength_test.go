@@ -11,6 +11,7 @@ import (
 
 	"sslperf/internal/aes"
 	"sslperf/internal/aessha1"
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/perf"
 	"sslperf/internal/probe"
@@ -234,7 +235,7 @@ func TestPathlengthNamesKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{"AES": aes.Kernel(), "SHA-1": sha1x.Kernel(), record.PrimAESSHA1: aessha1.Kernel()}
-	if aes.HardwareRounds() && want["AES"] != "AESENC" {
+	if cpufeat.X86.AES && want["AES"] != "AESENC" {
 		t.Fatalf("aes.Kernel() = %q on a CPU with AES-NI", want["AES"])
 	}
 	for name, kernel := range want {

@@ -101,7 +101,7 @@ func TestFacadeSuites(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	if len(sslperf.Experiments()) != 23 {
+	if len(sslperf.Experiments()) != 24 {
 		t.Fatalf("experiments = %d", len(sslperf.Experiments()))
 	}
 	e, err := sslperf.ExperimentByID("table4")
