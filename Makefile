@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint tracelint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -48,6 +48,7 @@ check:
 	$(MAKE) cbclint
 	$(MAKE) depslint
 	$(MAKE) spinelint
+	$(MAKE) tracelint
 	$(MAKE) failclasslint
 	$(MAKE) doclint
 	$(MAKE) race
@@ -239,6 +240,24 @@ spinelint:
 		| grep -v '_test\.go:' | grep -v '^\./internal/probe/' | grep -v '^\./internal/ssl/probes\.go:'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "spinelint: a probe bus built outside internal/ssl/probes.go (Config.Observer is the one seam):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# One table of the paper's primitives: internal/pathlen/primitives.go
+# builds each primitive's model trace (Tables 11 and 12) from the
+# counting kernels, and every experiment and command reads the traces
+# there. A TraceEncryptBlock(, TraceHash(, TraceKeystream( or
+# TraceRSADecrypt( call in non-test Go outside the primitive packages
+# and that file is a second copy of a trace coming back. The file must
+# exist.
+PRIMTABLE = internal/pathlen/primitives.go
+tracelint:
+	@test -f $(PRIMTABLE) || { echo "tracelint: $(PRIMTABLE) does not exist (renamed? update the Makefile)"; exit 1; }
+	@bad=$$(grep -rnE --include='*.go' --exclude-dir=.bench_build 'Trace(EncryptBlock|Hash|Keystream|RSADecrypt)\(' . \
+		| grep -v '_test\.go:' | grep -v '^\./internal/\(aes\|des\|rc4\|md5x\|sha1x\|bn\)/' \
+		| grep -v '^\./$(PRIMTABLE):'; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "tracelint: a primitive's model trace built outside $(PRIMTABLE) (read pathlen.Primitives):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

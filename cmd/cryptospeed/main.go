@@ -14,13 +14,10 @@ import (
 	"sslperf/internal/aes"
 	"sslperf/internal/aessha1"
 	"sslperf/internal/bn"
-	"sslperf/internal/des"
 	"sslperf/internal/dh"
 	"sslperf/internal/hmacx"
-	"sslperf/internal/md5x"
 	"sslperf/internal/pathlen"
 	"sslperf/internal/perf"
-	"sslperf/internal/rc4"
 	"sslperf/internal/record"
 	"sslperf/internal/rsa"
 	"sslperf/internal/sha1x"
@@ -55,53 +52,35 @@ func main() {
 	)
 	flag.Parse()
 
+	// The paper's primitives, from the one table (RSA is timed below as
+	// an op rate), then the rows it has no entry for.
 	type prim struct {
 		name   string
 		kernel string // which of a primitive's kernels this CPU runs, where it has two
+		model  *perf.Trace
 		fn     func(data []byte)
 	}
-	aesC, _ := aes.New(make([]byte, 16))
-	aes256, _ := aes.New(make([]byte, 32))
-	desC, _ := des.New(make([]byte, 8))
-	tdes, _ := des.NewTriple(make([]byte, 24))
-	rc4C, _ := rc4.New(make([]byte, 16))
-	buf := make([]byte, 16)
-	dbuf := make([]byte, 8)
-
-	prims := []prim{
-		{"aes-128", aes.Kernel(), func(d []byte) {
-			for i := 0; i+16 <= len(d); i += 16 {
-				aesC.Encrypt(buf, d[i:i+16])
-			}
-		}},
-		{"aes-256", aes.Kernel(), func(d []byte) {
-			for i := 0; i+16 <= len(d); i += 16 {
-				aes256.Encrypt(buf, d[i:i+16])
-			}
-		}},
-		{"des", "", func(d []byte) {
-			for i := 0; i+8 <= len(d); i += 8 {
-				desC.Encrypt(dbuf, d[i:i+8])
-			}
-		}},
-		{"3des", "", func(d []byte) {
-			for i := 0; i+8 <= len(d); i += 8 {
-				tdes.Encrypt(dbuf, d[i:i+8])
-			}
-		}},
-		{"rc4", "", func(d []byte) { rc4C.XORKeyStream(d, d) }},
-		{"md5", "", func(d []byte) { md5x.Sum16(d) }},
-		{"sha1", sha1x.Kernel(), func(d []byte) { sha1x.Sum20(d) }},
+	var prims []prim
+	for _, p := range pathlen.Primitives {
+		if run := p.Run(); run != nil {
+			prims = append(prims, prim{p.Name, p.Kernel(), p.Trace(), run})
+		}
 	}
+	aes256, _ := aes.New(make([]byte, 32))
 	hmacSHA1 := hmacx.NewSHA1(workload.Payload(20))
 	hmacMD5 := hmacx.NewMD5(workload.Payload(16))
 	prims = append(prims,
-		prim{"hmac-md5", "", func(d []byte) {
+		prim{"AES-256", aes.Kernel(), nil, func(d []byte) {
+			for i := 0; i+aes.BlockSize <= len(d); i += aes.BlockSize {
+				aes256.Encrypt(d[i:i+aes.BlockSize], d[i:i+aes.BlockSize])
+			}
+		}},
+		prim{"HMAC-MD5", "", nil, func(d []byte) {
 			hmacMD5.Reset()
 			hmacMD5.Write(d)
 			hmacMD5.Sum(nil)
 		}},
-		prim{"hmac-sha1", sha1x.Kernel(), func(d []byte) {
+		prim{"HMAC-SHA-1", sha1x.Kernel(), nil, func(d []byte) {
 			hmacSHA1.Reset()
 			hmacSHA1.Write(d)
 			hmacSHA1.Sum(nil)
@@ -116,9 +95,9 @@ func main() {
 		report.ModelGHz = perf.ModelGHz
 		for _, p := range prims {
 			pr := bulkPrim{Name: p.name, Kernel: p.kernel}
-			if m, ok := pathlen.ModelFor(modelName(p.name)); ok {
-				pr.ModelCPI = m.CPI
-				pr.ModelInstrPerByte = m.InstrPerByte
+			if p.model != nil {
+				pr.ModelCPI = p.model.CPI()
+				pr.ModelInstrPerByte = p.model.PathLength()
 			}
 			for _, size := range sizes {
 				mbps := speed(size, *dur, p.fn)
@@ -241,7 +220,7 @@ type bulkPoint struct {
 }
 
 // bulkPrim is one primitive's sweep. ModelCPI and ModelInstrPerByte
-// are the offline abstract-instruction model's (package pathlen),
+// are its 1 KB trace's in the primitive table (package pathlen),
 // which describes the table and scalar kernels the paper traced, so no
 // point divides its measured cycles/byte by them: Kernel may name a
 // different kernel.
@@ -322,26 +301,6 @@ func recordSweep(dur time.Duration) ([]recordPoint, error) {
 		}
 	}
 	return out, nil
-}
-
-// modelName maps cryptospeed's primitive names onto the pathlen
-// model's rows (aes-256 and the HMACs have no model row).
-func modelName(name string) string {
-	switch name {
-	case "aes-128":
-		return "AES"
-	case "des":
-		return "DES"
-	case "3des":
-		return "3DES"
-	case "rc4":
-		return "RC4"
-	case "md5":
-		return "MD5"
-	case "sha1":
-		return "SHA-1"
-	}
-	return ""
 }
 
 func sizeHeaders() []string {

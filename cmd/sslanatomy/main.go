@@ -32,18 +32,10 @@ func main() {
 		useTLS     = flag.Bool("tls", false, "run protocol experiments over TLS 1.0 instead of SSL 3.0")
 		jsonOut    = flag.Bool("json", false, "emit reports as a JSON array instead of text tables")
 		traceOut   = flag.String("trace", "", "write a single-handshake Chrome trace to this file and exit")
-		pathLen    = flag.Bool("pathlen", false, "print the abstract-instruction path-length model (Table 11) and exit")
 		foldProf   = flag.String("foldprofile", "", "fold a pprof CPU profile by sslstep/sslfn labels and exit")
 	)
 	flag.Parse()
 
-	if *pathLen {
-		if err := runPathlenModel(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *foldProf != "" {
 		if err := runFoldProfile(*foldProf, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -10,35 +10,6 @@ import (
 	"sslperf/internal/probe"
 )
 
-// runPathlenModel prints the abstract-instruction path-length model —
-// the offline half of the Tables 11/12 reproduction, and the only
-// place its CPI and instructions/byte appear: the running server's
-// /debug/pathlength measures cycles/byte on the kernels that ran,
-// which this model of the table and scalar kernels does not describe.
-func runPathlenModel(jsonOut bool) error {
-	models := pathlen.Models()
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
-			GHz    float64         `json:"model_ghz"`
-			Models []pathlen.Model `json:"models"`
-		}{perf.ModelGHz, models})
-	}
-	t := perf.NewTable(
-		fmt.Sprintf("abstract-instruction path length model (Table 11, %.2f GHz clock)", perf.ModelGHz),
-		"primitive", "CPI", "instr/B", "cyc/B", "MB/s")
-	for _, m := range models {
-		t.AddRow(m.Name,
-			fmt.Sprintf("%.3f", m.CPI),
-			fmt.Sprintf("%.2f", m.InstrPerByte),
-			fmt.Sprintf("%.2f", m.CyclesPerByte),
-			fmt.Sprintf("%.1f", m.MBps))
-	}
-	fmt.Println(t)
-	return nil
-}
-
 // foldKeys are the label keys a -foldprofile run groups by, in
 // presentation order: Table 2 step, then crypto function.
 var foldKeys = []string{probe.LabelKeyStep, probe.LabelKeyFn}

@@ -1,15 +1,20 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"sslperf/internal/bn"
 	"sslperf/internal/rsa"
+	"sslperf/internal/testenv"
 )
 
 func quickCfg() *Config { return &Config{Quick: true, KeyBits: 512} }
+
+// raceSkip is why the wall-clock share tests skip under -race.
+const raceSkip = "asserts wall-clock shares: the race detector instruments the Go code but not the asm bignum"
 
 func TestRegistryCompleteAndOrdered(t *testing.T) {
 	all := All()
@@ -62,7 +67,7 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Fatalf("suspiciously short report:\n%s", out)
 			}
 			for _, tbl := range rep.Tables {
-				if tbl.NumRows() == 0 {
+				if len(tbl.Rows()) == 0 {
 					t.Fatalf("empty table %q", tbl.Title)
 				}
 			}
@@ -96,25 +101,31 @@ func TestFig1TraceContainsProtocolFlow(t *testing.T) {
 // two 512-bit exponentiations, which must still be most of a full
 // handshake on the production kernel (paper: ~92%).
 func TestTable2RSADominates(t *testing.T) {
+	if testenv.Race {
+		t.Skip(raceSkip)
+	}
 	cfg := &Config{Quick: true, KeyBits: 1024}
-	a, err := runHandshakes(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := stepKcyc(a)
-	var kx *float64
-	for _, s := range a.Steps {
-		if s.Name == "get_client_kx" {
-			v := s.MeanKcyc
-			kx = &v
+	testenv.Timing(t, func() error {
+		a, err := runHandshakes(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if kx == nil {
-		t.Fatal("no get_client_kx step")
-	}
-	if *kx < 0.5*total {
-		t.Fatalf("get_client_kx = %.0f of %.0f; paper: ~92%%", *kx, total)
-	}
+		total := stepKcyc(a)
+		var kx *float64
+		for _, s := range a.Steps {
+			if s.Name == "get_client_kx" {
+				v := s.MeanKcyc
+				kx = &v
+			}
+		}
+		if kx == nil {
+			t.Fatal("no get_client_kx step")
+		}
+		if *kx < 0.5*total {
+			return fmt.Errorf("get_client_kx = %.0f of %.0f; paper: ~92%%", *kx, total)
+		}
+		return nil
+	})
 }
 
 // TestTable7ComputationDominates: of the six phases of an RSA
@@ -123,17 +134,23 @@ func TestTable2RSADominates(t *testing.T) {
 // stack runs, and on the counting kernel the paper's profile tables
 // are regenerated from.
 func TestTable7ComputationDominates(t *testing.T) {
+	if testenv.Race {
+		t.Skip(raceSkip)
+	}
 	check := func(kernel string) {
-		b, err := profileDecrypt(quickCfg(), 1024, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if top := b.SortedByElapsed()[0].Name; top != rsa.PhaseComputation {
-			t.Errorf("%s kernel: largest phase is %s, want %s\n%s", kernel, top, rsa.PhaseComputation, b)
-		}
-		if pct := b.Percent(rsa.PhaseComputation); pct < 80 {
-			t.Errorf("%s kernel: computation = %.1f%% of a decryption, want >= 80%%\n%s", kernel, pct, b)
-		}
+		testenv.Timing(t, func() error {
+			b, err := profileDecrypt(quickCfg(), 1024, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if top := b.SortedByElapsed()[0].Name; top != rsa.PhaseComputation {
+				return fmt.Errorf("%s kernel: largest phase is %s, want %s\n%s", kernel, top, rsa.PhaseComputation, b)
+			}
+			if pct := b.Percent(rsa.PhaseComputation); pct < 80 {
+				return fmt.Errorf("%s kernel: computation = %.1f%% of a decryption, want >= 80%%\n%s", kernel, pct, b)
+			}
+			return nil
+		})
 	}
 	check("production")
 	bn.StartProfile()
@@ -154,18 +171,24 @@ func pctCell(t *testing.T, row []string, col int) float64 {
 // TestTable8MulAddWordsOnTop: the flat profile of an RSA decryption on
 // the counting kernel is topped by the mul-add word loop (paper: 47%).
 func TestTable8MulAddWordsOnTop(t *testing.T) {
+	if testenv.Race {
+		t.Skip(raceSkip)
+	}
 	e, _ := ByID("table8")
-	rep, err := e.Run(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := rep.Tables[0].Rows()
-	if rows[0][0] != "bn_mul_add_words" {
-		t.Fatalf("top function = %s, want bn_mul_add_words\n%s", rows[0][0], rep)
-	}
-	if pct := pctCell(t, rows[0], 1); pct < 30 {
-		t.Fatalf("bn_mul_add_words = %.1f%%, want the dominant share\n%s", pct, rep)
-	}
+	testenv.Timing(t, func() error {
+		rep, err := e.Run(quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := rep.Tables[0].Rows()
+		if rows[0][0] != "bn_mul_add_words" {
+			return fmt.Errorf("top function = %s, want bn_mul_add_words\n%s", rows[0][0], rep)
+		}
+		if pct := pctCell(t, rows[0], 1); pct < 30 {
+			return fmt.Errorf("bn_mul_add_words = %.1f%%, want the dominant share\n%s", pct, rep)
+		}
+		return nil
+	})
 }
 
 // TestAblationMulRowsDiffer: the multiplication-algorithm switch only
@@ -174,18 +197,24 @@ func TestTable8MulAddWordsOnTop(t *testing.T) {
 // OpenSSL's cutoff moves work into bn_sub_words and bn_add_words,
 // schoolbook leaves almost none there.
 func TestAblationMulRowsDiffer(t *testing.T) {
+	if testenv.Race {
+		t.Skip(raceSkip)
+	}
 	e, _ := ByID("ablation-mul")
-	rep, err := e.Run(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := rep.Tables[0].Rows()
-	schoolbook, karatsuba8 := rows[0], rows[2]
-	for col, name := range map[int]string{2: "bn_sub_words", 3: "bn_add_words"} {
-		if s, k := pctCell(t, schoolbook, col), pctCell(t, karatsuba8, col); k <= s {
-			t.Errorf("%s: karatsuba (thr 8) %.1f%% not above schoolbook %.1f%%\n%s", name, k, s, rep)
+	testenv.Timing(t, func() error {
+		rep, err := e.Run(quickCfg())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		rows := rep.Tables[0].Rows()
+		schoolbook, karatsuba8 := rows[0], rows[2]
+		for col, name := range map[int]string{2: "bn_sub_words", 3: "bn_add_words"} {
+			if s, k := pctCell(t, schoolbook, col), pctCell(t, karatsuba8, col); k <= s {
+				return fmt.Errorf("%s: karatsuba (thr 8) %.1f%% not above schoolbook %.1f%%\n%s", name, k, s, rep)
+			}
+		}
+		return nil
+	})
 }
 
 func TestTable4StaticContent(t *testing.T) {
@@ -228,5 +257,29 @@ func TestIdentityCached(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("identity not cached")
+	}
+}
+
+// TestRSAKeyPerSeed: the RSA experiments' key cache is keyed by seed as
+// well as size, so a second seed in one process gets a key of its own,
+// and one seed gets the same key back.
+func TestRSAKeyPerSeed(t *testing.T) {
+	a, err := rsaKeyFor(&Config{Seed: 1}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rsaKeyFor(&Config{Seed: 2}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := rsaKeyFor(&Config{Seed: 1}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.N.Cmp(b.N) == 0 {
+		t.Error("seeds 1 and 2 share one modulus")
+	}
+	if again != a {
+		t.Error("seed 1's key not cached")
 	}
 }

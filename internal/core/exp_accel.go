@@ -8,6 +8,7 @@ import (
 	"sslperf/internal/aes"
 	"sslperf/internal/aessha1"
 	"sslperf/internal/md5x"
+	"sslperf/internal/pathlen"
 	"sslperf/internal/perf"
 	"sslperf/internal/sha1x"
 	"sslperf/internal/sslcrypto"
@@ -44,15 +45,13 @@ func runFig4(cfg *Config) (*Report, error) {
 	md, sha := md5x.New(), sha1x.New()
 	for _, h := range []struct {
 		name, kernel string
-		trace        func(tr *perf.Trace)
 		write        func(p []byte) (int, error)
 	}{
-		{"MD5", "scalar", func(tr *perf.Trace) { md5x.TraceHash(tr, 1024) }, md.Write},
-		{"SHA-1", sha1x.Kernel(), func(tr *perf.Trace) { sha1x.TraceHash(tr, 1024) }, sha.Write},
+		{"MD5", "scalar", md.Write},
+		{"SHA-1", sha1x.Kernel(), sha.Write},
 	} {
-		var before perf.Trace
-		h.trace(&before)
-		after := accel.ThreeOperandISA(&before)
+		before := pathlen.Lookup(h.name).Trace()
+		after := accel.ThreeOperandISA(before)
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			h.write(buf)
@@ -62,7 +61,7 @@ func runFig4(cfg *Config) (*Report, error) {
 			fmt.Sprint(before.Total()), fmt.Sprint(after.Total()),
 			fmt.Sprintf("%.0f", before.EstimatedCycles()),
 			fmt.Sprintf("%.0f", after.EstimatedCycles()),
-			fmt.Sprintf("%.2fx", accel.Speedup(&before, after)),
+			fmt.Sprintf("%.2fx", accel.Speedup(before, after)),
 			h.kernel, fmt.Sprintf("%.1f", ns))
 	}
 	scalar := sha1x.ProfilePhases(len(buf), n).Elapsed(sha1x.PhaseUpdate)
@@ -87,9 +86,11 @@ func runFig5(cfg *Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		var tr perf.Trace
-		c.TraceEncryptBlock(&tr)
-		sw, hw := accel.AESRoundUnit(&tr, c.Rounds())
+		tr, rounds, err := pathlen.AESBlockTrace(keyLen)
+		if err != nil {
+			return nil, err
+		}
+		sw, hw := accel.AESRoundUnit(tr, rounds)
 		// CBC encryption is one serial chain of blocks, so ns/block is
 		// the latency of one block through the kernel, as the model's.
 		n := cfg.scale(200)

@@ -6,11 +6,8 @@ import (
 
 	"sslperf/internal/aes"
 	"sslperf/internal/aessha1"
-	"sslperf/internal/bn"
-	"sslperf/internal/des"
-	"sslperf/internal/md5x"
+	"sslperf/internal/pathlen"
 	"sslperf/internal/perf"
-	"sslperf/internal/rc4"
 	"sslperf/internal/sha1x"
 	"sslperf/internal/workload"
 )
@@ -30,96 +27,13 @@ func init() {
 	})
 }
 
-// primitiveTraces builds the 1KB abstract traces for each primitive.
-func primitiveTraces() (map[string]*perf.Trace, []string) {
-	names := []string{"AES", "DES", "3DES", "RC4", "RSA", "MD5", "SHA-1"}
-	out := map[string]*perf.Trace{}
-
-	aesC, _ := aes.New(make([]byte, 16))
-	tr := &perf.Trace{}
-	for i := 0; i < 64; i++ { // 64 blocks = 1KB
-		aesC.TraceEncryptBlock(tr)
+// mbps times n runs of fn over data, in MB/s.
+func mbps(n int, data []byte, fn func([]byte)) float64 {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		fn(data)
 	}
-	out["AES"] = tr
-
-	desC, _ := des.New(make([]byte, 8))
-	tr = &perf.Trace{}
-	for i := 0; i < 128; i++ {
-		desC.TraceEncryptBlock(tr)
-	}
-	out["DES"] = tr
-
-	tdesC, _ := des.NewTriple(make([]byte, 24))
-	tr = &perf.Trace{}
-	for i := 0; i < 128; i++ {
-		tdesC.TraceEncryptBlock(tr)
-	}
-	out["3DES"] = tr
-
-	tr = &perf.Trace{}
-	rc4.TraceKeystream(tr, 1024)
-	out["RC4"] = tr
-
-	tr = &perf.Trace{}
-	bn.TraceRSADecrypt(tr, 1024)
-	tr.Bytes = 128
-	out["RSA"] = tr
-
-	tr = &perf.Trace{}
-	md5x.TraceHash(tr, 1024)
-	out["MD5"] = tr
-
-	tr = &perf.Trace{}
-	sha1x.TraceHash(tr, 1024)
-	out["SHA-1"] = tr
-	return out, names
-}
-
-// measuredThroughput measures wall-clock MB/s for the symmetric
-// primitives and hashes over 1KB units.
-func measuredThroughput(cfg *Config) map[string]float64 {
-	n := cfg.scale(20000)
-	data := workload.Payload(1024)
-	out := map[string]float64{}
-	run := func(name string, fn func()) {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			fn()
-		}
-		elapsed := time.Since(start).Seconds()
-		out[name] = float64(n) * 1024 / elapsed / 1e6
-	}
-	aesC, _ := aes.New(make([]byte, 16))
-	buf := make([]byte, 16)
-	run("AES", func() {
-		for i := 0; i+16 <= len(data); i += 16 {
-			aesC.Encrypt(buf, data[i:i+16])
-		}
-	})
-	desC, _ := des.New(make([]byte, 8))
-	dbuf := make([]byte, 8)
-	run("DES", func() {
-		for i := 0; i+8 <= len(data); i += 8 {
-			desC.Encrypt(dbuf, data[i:i+8])
-		}
-	})
-	tdesC, _ := des.NewTriple(make([]byte, 24))
-	run("3DES", func() {
-		for i := 0; i+8 <= len(data); i += 8 {
-			tdesC.Encrypt(dbuf, data[i:i+8])
-		}
-	})
-	rc4C, _ := rc4.New(make([]byte, 16))
-	rbuf := make([]byte, 1024)
-	run("RC4", func() { rc4C.XORKeyStream(rbuf, data) })
-	run("MD5", func() { md5x.Sum16(data) })
-	run("SHA-1", func() { sha1x.Sum20(data) })
-	d, iv, enc := sha1x.New(), make([]byte, 16), make([]byte, len(data))
-	run("AES+SHA-1", func() {
-		d.Reset()
-		aessha1.EncryptHash(aesC, enc, iv, d, data)
-	})
-	return out
+	return float64(n) * float64(len(data)) / time.Since(start).Seconds() / 1e6
 }
 
 var paperTable11 = map[string][3]string{
@@ -133,35 +47,40 @@ var paperTable11 = map[string][3]string{
 }
 
 func runTable11(cfg *Config) (*Report, error) {
-	traces, names := primitiveTraces()
-	measured := measuredThroughput(cfg)
 	rsaTput, err := measureRSAThroughput(cfg)
 	if err != nil {
 		return nil, err
 	}
-	measured["RSA"] = rsaTput / 1e6
+	n, data := cfg.scale(20000), workload.Payload(1024)
 
 	t := perf.NewTable("Table 11: architectural characteristics (1KB units; RSA-1024)",
 		"primitive", "CPI (model)", "path length (ops/B)", "throughput (MB/s, measured)",
 		"paper CPI", "paper path len", "paper MB/s")
-	for _, name := range names {
-		tr := traces[name]
-		p := paperTable11[name]
-		row := name
-		switch name {
-		case "AES":
-			row = fmt.Sprintf("AES (%s)", aes.Kernel())
-		case "SHA-1":
-			row = fmt.Sprintf("SHA-1 (%s)", sha1x.Kernel())
+	for _, prim := range pathlen.Primitives {
+		tr := prim.Trace()
+		p := paperTable11[prim.Name]
+		row := prim.Name
+		if k := prim.Kernel(); k != "" {
+			row = fmt.Sprintf("%s (%s)", prim.Name, k)
+		}
+		measured := rsaTput / 1e6
+		if run := prim.Run(); run != nil {
+			measured = mbps(n, data, run)
 		}
 		t.AddRow(row,
 			fmt.Sprintf("%.2f", tr.CPI()),
 			fmt.Sprintf("%.0f", tr.PathLength()),
-			fmt.Sprintf("%.2f", measured[name]),
+			fmt.Sprintf("%.2f", measured),
 			p[0], p[1], p[2])
 	}
+	aesC, _ := aes.New(make([]byte, 16))
+	d, iv, enc := sha1x.New(), make([]byte, 16), make([]byte, len(data))
+	stitched := mbps(n, data, func(b []byte) {
+		d.Reset()
+		aessha1.EncryptHash(aesC, enc, iv, d, b)
+	})
 	t.AddRow(fmt.Sprintf("AES+SHA-1 (%s)", aessha1.Kernel()), "-", "-",
-		fmt.Sprintf("%.2f", measured["AES+SHA-1"]), "-", "-", "-")
+		fmt.Sprintf("%.2f", stitched), "-", "-", "-")
 	return &Report{ID: "table11", Title: "Architectural characteristics",
 		Tables: []*perf.Table{t},
 		Notes: []string{
@@ -172,11 +91,10 @@ func runTable11(cfg *Config) (*Report, error) {
 }
 
 func runTable12(cfg *Config) (*Report, error) {
-	traces, names := primitiveTraces()
 	var tables []*perf.Table
-	for _, name := range names {
-		top, covered := traces[name].TopMix(10)
-		t := perf.NewTable(fmt.Sprintf("Table 12 (%s): top operation classes", name),
+	for _, p := range pathlen.Primitives {
+		top, covered := p.Trace().TopMix(10)
+		t := perf.NewTable(fmt.Sprintf("Table 12 (%s): top operation classes", p.Name),
 			"op class", "x86 analogue", "%")
 		for _, e := range top {
 			t.AddRow(e.Op.String(), x86Analogue(e.Op), fmt.Sprintf("%.2f", e.Percent))

@@ -8,6 +8,7 @@ import (
 	"sslperf/internal/aes"
 	"sslperf/internal/cipherinfo"
 	"sslperf/internal/des"
+	"sslperf/internal/pathlen"
 	"sslperf/internal/perf"
 	"sslperf/internal/rc4"
 	"sslperf/internal/workload"
@@ -82,47 +83,26 @@ func keySetupShare(setup func(key []byte), keyLen int, encrypt func(data []byte)
 
 func runFig3(cfg *Config) (*Report, error) {
 	n := cfg.scale(2000)
-	aesC, _ := aes.New(workload.Payload(16))
-	desC, _ := des.New(workload.Payload(8))
-	tdesC, _ := des.NewTriple(workload.Payload(24))
-
-	type cipherCase struct {
-		name    string
-		keyLen  int
-		setup   func(key []byte)
-		encrypt func(data []byte)
+	// Each encryption runs on one cipher (for RC4, one persistent
+	// stream), so the setup cost is only in the setup measurement.
+	cases := []struct {
+		name   string
+		keyLen int
+		setup  func(key []byte)
+	}{
+		{"AES", 16, func(k []byte) { aes.New(k) }},
+		{"DES", 8, func(k []byte) { des.New(k) }},
+		{"3DES", 24, func(k []byte) { des.NewTriple(k) }},
+		{"RC4", 16, func(k []byte) { rc4.New(k) }},
 	}
-	aesBuf := make([]byte, 16)
-	desBuf := make([]byte, 8)
-	cases := []cipherCase{
-		{"AES", 16, func(k []byte) { aes.New(k) }, func(d []byte) {
-			for i := 0; i+16 <= len(d); i += 16 {
-				aesC.Encrypt(aesBuf, d[i:i+16])
-			}
-		}},
-		{"DES", 8, func(k []byte) { des.New(k) }, func(d []byte) {
-			for i := 0; i+8 <= len(d); i += 8 {
-				desC.Encrypt(desBuf, d[i:i+8])
-			}
-		}},
-		{"3DES", 24, func(k []byte) { des.NewTriple(k) }, func(d []byte) {
-			for i := 0; i+8 <= len(d); i += 8 {
-				tdesC.Encrypt(desBuf, d[i:i+8])
-			}
-		}},
-		{"RC4", 16, func(k []byte) { rc4.New(k) }, nil},
-	}
-	// RC4's kernel runs on a persistent stream so the setup cost is
-	// only in the setup measurement.
-	rc4Stream, _ := rc4.New(workload.Payload(16))
-	cases[3].encrypt = func(d []byte) { rc4Stream.XORKeyStream(d, d) }
 
 	t := perf.NewTable("Figure 3: key setup percentage during encryption",
 		"data size", "AES %", "DES %", "3DES %", "RC4 %")
 	for _, size := range workload.FileSweep() {
 		row := []string{fmt.Sprintf("%dKB", size/1024)}
 		for _, c := range cases {
-			row = append(row, fmt.Sprintf("%.1f", keySetupShare(c.setup, c.keyLen, c.encrypt, size, n)))
+			encrypt := pathlen.Lookup(c.name).Run()
+			row = append(row, fmt.Sprintf("%.1f", keySetupShare(c.setup, c.keyLen, encrypt, size, n)))
 		}
 		t.AddRow(row...)
 	}

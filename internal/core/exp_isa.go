@@ -13,6 +13,7 @@ import (
 	"sslperf/internal/bn"
 	"sslperf/internal/cpufeat"
 	"sslperf/internal/handshake"
+	"sslperf/internal/pathlen"
 	"sslperf/internal/perf"
 	"sslperf/internal/rsa"
 	"sslperf/internal/sha1x"
@@ -237,15 +238,12 @@ func isaRecord(cli, srv *ssl.NonBlockingConn, payload, buf []byte) (time.Duratio
 // AES unit times measured on 16 KB fragments.
 func isaModels(cfg *Config) [3]string {
 	var out [3]string
-	if c, err := aes.New(make([]byte, 16)); err == nil {
-		var tr perf.Trace
-		c.TraceEncryptBlock(&tr)
-		sw, hw := accel.AESRoundUnit(&tr, c.Rounds())
+	if tr, rounds, err := pathlen.AESBlockTrace(16); err == nil {
+		sw, hw := accel.AESRoundUnit(tr, rounds)
 		out[0] = fmt.Sprintf("%.1fx", sw/hw)
 	}
-	var sha perf.Trace
-	sha1x.TraceHash(&sha, 1024)
-	out[1] = fmt.Sprintf("%.2fx", accel.Speedup(&sha, accel.ThreeOperandISA(&sha)))
+	sha := pathlen.Lookup("SHA-1").Trace()
+	out[1] = fmt.Sprintf("%.2fx", accel.Speedup(sha, accel.ThreeOperandISA(sha)))
 	out[2] = "-"
 	if e, err := accel.NewEngine(make([]byte, 16), make([]byte, 16), workload.Payload(20), sslcrypto.MACSHA1); err == nil {
 		macT, aesT := e.ComponentTimes(workload.Payload(16384), cfg.scale(200))

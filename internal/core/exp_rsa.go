@@ -31,19 +31,22 @@ func init() {
 	})
 }
 
-// rsaKeyFor generates (and caches via the experiment identity cache
-// pattern) an RSA key of the given size.
-var rsaKeys = map[int]*rsa.PrivateKey{}
+// rsaKeys memoizes the RSA experiments' keys per (seed, bits), under
+// idMu, as identityFor does the server identities.
+var rsaKeys = map[[2]uint64]*rsa.PrivateKey{}
 
 func rsaKeyFor(cfg *Config, bits int) (*rsa.PrivateKey, error) {
-	if k, ok := rsaKeys[bits]; ok {
+	key := [2]uint64{cfg.seed(), uint64(bits)}
+	idMu.Lock()
+	defer idMu.Unlock()
+	if k, ok := rsaKeys[key]; ok {
 		return k, nil
 	}
 	k, err := rsa.GenerateKey(ssl.NewPRNG(cfg.seed()+uint64(bits)), bits)
 	if err != nil {
 		return nil, err
 	}
-	rsaKeys[bits] = k
+	rsaKeys[key] = k
 	return k, nil
 }
 

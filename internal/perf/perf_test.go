@@ -141,7 +141,7 @@ func TestBreakdownString(t *testing.T) {
 func TestTraceCountsAndTotal(t *testing.T) {
 	var tr Trace
 	tr.Emit(OpXor, 10)
-	tr.N1(OpXor)
+	tr.Emit(OpXor, 1)
 	tr.Emit(OpMul, 5)
 	if got := tr.Count(OpXor); got != 11 {
 		t.Fatalf("Count(xor) = %d, want 11", got)
@@ -255,8 +255,8 @@ func TestTableRendering(t *testing.T) {
 			t.Fatalf("table output missing %q:\n%s", want, out)
 		}
 	}
-	if tb.NumRows() != 3 {
-		t.Fatalf("NumRows = %d, want 3", tb.NumRows())
+	if n := len(tb.Rows()); n != 3 {
+		t.Fatalf("len(Rows()) = %d, want 3", n)
 	}
 }
 

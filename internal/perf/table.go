@@ -31,9 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Header returns a copy of the column headers.
 func (t *Table) Header() []string {
 	return append([]string(nil), t.header...)

@@ -102,9 +102,6 @@ type Trace struct {
 // Emit records n occurrences of op.
 func (t *Trace) Emit(op Op, n uint64) { t.counts[op] += n }
 
-// N1 records one occurrence of op.
-func (t *Trace) N1(op Op) { t.counts[op]++ }
-
 // Count returns the number of recorded occurrences of op.
 func (t *Trace) Count(op Op) uint64 { return t.counts[op] }
 

@@ -87,9 +87,6 @@ func NewBus(sink Sink) *Bus {
 	return &Bus{sink: sink}
 }
 
-// Active reports whether events will reach a sink.
-func (b *Bus) Active() bool { return b != nil }
-
 func (b *Bus) emit(e Event) {
 	e.Conn = b.conn
 	b.sink.Emit(e)

@@ -64,20 +64,6 @@ func Characteristics() cipherinfo.Characteristics {
 	}
 }
 
-// TraceKeySetup emits the abstract operations of the RC4 key schedule
-// into tr: 256 iterations of table read/accumulate/swap.
-func TraceKeySetup(tr *perf.Trace) {
-	const n = 256
-	tr.Emit(perf.OpStore, n)    // identity fill
-	tr.Emit(perf.OpLookup, 2*n) // s[i], key[i%len]
-	tr.Emit(perf.OpAdd, 2*n)
-	tr.Emit(perf.OpAnd, n)     // index wrap
-	tr.Emit(perf.OpStore, 2*n) // swap writes
-	tr.Emit(perf.OpLoad, n)
-	tr.Emit(perf.OpBranch, n)
-	tr.Emit(perf.OpCmp, n)
-}
-
 // TraceKeystream emits the abstract operations of generating n
 // keystream bytes into tr. Per byte: 3 table reads, 2 writes, index
 // arithmetic (adds + masks), the output XOR, and a load/store for the

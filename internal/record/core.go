@@ -112,9 +112,6 @@ func (c *Core) SetProbe(b *probe.Bus) { c.Probe = b }
 // records must match it.
 func (c *Core) SetProtocolVersion(v uint16) { c.version = v }
 
-// ProtocolVersion reports the pinned version (0 when still flexible).
-func (c *Core) ProtocolVersion() uint16 { return c.version }
-
 func (c *Core) writeVersion() uint16 {
 	if c.version == 0 {
 		return VersionSSL30

@@ -388,8 +388,8 @@ func TestVersionHandling(t *testing.T) {
 	if _, _, err := pinned.ReadRecord(); err == nil {
 		t.Fatal("pinned SSL3 layer accepted TLS record")
 	}
-	if pinned.ProtocolVersion() != VersionSSL30 {
-		t.Fatal("ProtocolVersion not reported")
+	if pinned.version != VersionSSL30 {
+		t.Fatal("pinned version not kept")
 	}
 	// And the pinned version is emitted on the wire.
 	out := &bytes.Buffer{}

@@ -1,8 +1,7 @@
 // Package workload defines the deterministic request patterns the
 // experiments replay: the paper's web-server file-size sweep, and the
-// two session archetypes its conclusions contrast — banking-style
-// workloads (many short sessions, handshake-dominated) and B2B-style
-// workloads (long bulk sessions, cipher-dominated).
+// banking-style workload of its conclusion (many short sessions,
+// handshake-dominated).
 package workload
 
 import "fmt"
@@ -24,28 +23,6 @@ type Session struct {
 type Pattern struct {
 	Name     string
 	Sessions []Session
-}
-
-// TotalBytes sums the response payloads across the pattern.
-func (p *Pattern) TotalBytes() int {
-	total := 0
-	for _, s := range p.Sessions {
-		for _, tx := range s.Transactions {
-			total += tx.ResponseLen
-		}
-	}
-	return total
-}
-
-// NumHandshakes counts full (non-resumed) handshakes.
-func (p *Pattern) NumHandshakes() int {
-	n := 0
-	for _, s := range p.Sessions {
-		if !s.Resume {
-			n++
-		}
-	}
-	return n
 }
 
 // DefaultRequestLen models a typical HTTP GET with headers.
@@ -91,25 +68,6 @@ func Banking(n int, resumeRatio float64) Pattern {
 				{RequestLen: 300, ResponseLen: 1024},
 			},
 		})
-	}
-	return p
-}
-
-// B2B returns a few long sessions, each transferring transferSize
-// bytes in txPerSession transactions — the paper's "long sessions of
-// data exchange" where bulk encryption dominates.
-func B2B(sessions, txPerSession, transferSize int) Pattern {
-	p := Pattern{Name: "b2b"}
-	per := transferSize / txPerSession
-	for i := 0; i < sessions; i++ {
-		s := Session{}
-		for j := 0; j < txPerSession; j++ {
-			s.Transactions = append(s.Transactions, Transaction{
-				RequestLen:  DefaultRequestLen,
-				ResponseLen: per,
-			})
-		}
-		p.Sessions = append(p.Sessions, s)
 	}
 	return p
 }

@@ -23,11 +23,10 @@ func TestWebPattern(t *testing.T) {
 	if len(p.Sessions) != 5 {
 		t.Fatalf("sessions = %d", len(p.Sessions))
 	}
-	if p.TotalBytes() != 5*1024 {
-		t.Fatalf("total bytes = %d", p.TotalBytes())
-	}
-	if p.NumHandshakes() != 5 {
-		t.Fatalf("handshakes = %d", p.NumHandshakes())
+	for _, s := range p.Sessions {
+		if s.Resume || len(s.Transactions) != 1 || s.Transactions[0].ResponseLen != 1024 {
+			t.Fatalf("session = %+v, want one full-handshake 1024-byte response", s)
+		}
 	}
 }
 
@@ -46,22 +45,10 @@ func TestBankingResumeRatio(t *testing.T) {
 		t.Fatal("first session cannot resume")
 	}
 	// Zero ratio -> no resumption.
-	p0 := Banking(10, 0)
-	if p0.NumHandshakes() != 10 {
-		t.Fatal("zero ratio should mean all full handshakes")
-	}
-}
-
-func TestB2BPattern(t *testing.T) {
-	p := B2B(2, 4, 1<<20)
-	if len(p.Sessions) != 2 {
-		t.Fatalf("sessions = %d", len(p.Sessions))
-	}
-	if len(p.Sessions[0].Transactions) != 4 {
-		t.Fatalf("transactions = %d", len(p.Sessions[0].Transactions))
-	}
-	if p.TotalBytes() != 2*(1<<20) {
-		t.Fatalf("total = %d", p.TotalBytes())
+	for _, s := range Banking(10, 0).Sessions {
+		if s.Resume {
+			t.Fatal("zero ratio should mean all full handshakes")
+		}
 	}
 }
 
