@@ -203,17 +203,23 @@ gencheck:
 		exit 1; \
 	fi
 
-# cbc dispatches once per call: the chaining loop lives in the
-# cipher's EncryptCBC/DecryptCBC (kernellint's files). A single-block
-# Encrypt( or Decrypt( call in cbc's non-test code is the per-block
+# CBC dispatches once per record: suite's blockCipher holds the
+# cipher, its direction and its chaining value, and the chaining loop
+# lives in the cipher's EncryptCBC/DecryptCBC (kernellint's files). A
+# single-block Encrypt( or Decrypt( call in suite.go is the per-block
 # interface dispatch and the byte-wise XOR loop coming back — and, for
 # aes on an AES-NI CPU, where the single-block path is itself one-block
 # CBC from a zero chaining value, one kernel entry (and one load of
-# every round key) per block.
+# every round key) per block. The file must exist: a rename would
+# otherwise switch the check off in silence.
+CBCFILE = internal/suite/suite.go
 cbclint:
-	@bad=$$(grep -n '\.Encrypt(\|\.Decrypt(' internal/cbc/*.go | grep -v _test.go; exit 0); \
+	@test -f $(CBCFILE) || { echo "cbclint: $(CBCFILE) does not exist (renamed? update the Makefile)"; exit 1; }
+	@grep -q '\.EncryptCBC(' $(CBCFILE) && grep -q '\.DecryptCBC(' $(CBCFILE) \
+		|| { echo "cbclint: $(CBCFILE) calls no EncryptCBC/DecryptCBC (moved? update the Makefile)"; exit 1; }
+	@bad=$$(grep -n '\.Encrypt(\|\.Decrypt(' $(CBCFILE); exit 0); \
 	if [ -n "$$bad" ]; then \
-		echo "cbclint: cbc calls a single-block cipher entry point (the fused EncryptCBC/DecryptCBC is the only dispatch):"; \
+		echo "cbclint: $(CBCFILE) calls a single-block cipher entry point (the fused EncryptCBC/DecryptCBC is the only dispatch):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

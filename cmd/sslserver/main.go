@@ -1,6 +1,7 @@
 // Command sslserver serves a static payload over SSLv3 on TCP — the
 // measured half of the paper's web-server setup. Pair it with
-// sslclient to drive HTTPS-like transactions across real sockets.
+// sslload to drive HTTPS-like transactions across real sockets
+// (-concurrency 1 -resume 1 for one sequential session chain).
 package main
 
 import (

@@ -4,7 +4,7 @@
 // flags, drives a few requests against itself (one full handshake,
 // then resumed sessions) and prints per-request timings.
 //
-// Run with -listen to keep serving (e.g. for sslclient or curl-era
+// Run with -listen to keep serving (e.g. for sslload or curl-era
 // browsers that still speak SSLv3/TLS1.0 — none survive, which is
 // rather the point of studying 2005 in a simulator).
 package main

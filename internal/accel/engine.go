@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sslperf/internal/aes"
-	"sslperf/internal/cbc"
 	"sslperf/internal/sslcrypto"
 )
 
@@ -17,7 +16,7 @@ import (
 // encryption, exactly as the paper's control-unit description has it.
 type Engine struct {
 	aes *aes.Cipher
-	iv  []byte
+	iv  [aes.BlockSize]byte
 	mac *sslcrypto.MAC
 	seq uint64
 }
@@ -25,6 +24,9 @@ type Engine struct {
 // NewEngine builds an engine with an AES key, CBC IV, and a MAC
 // secret for the hashing unit.
 func NewEngine(key, iv, macSecret []byte, macAlg sslcrypto.MACAlgorithm) (*Engine, error) {
+	if len(iv) != aes.BlockSize {
+		return nil, errors.New("accel: IV length must equal the AES block size")
+	}
 	c, err := aes.New(key)
 	if err != nil {
 		return nil, err
@@ -33,11 +35,13 @@ func NewEngine(key, iv, macSecret []byte, macAlg sslcrypto.MACAlgorithm) (*Engin
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{aes: c, iv: append([]byte(nil), iv...), mac: m}, nil
+	e := &Engine{aes: c, mac: m}
+	copy(e.iv[:], iv)
+	return e, nil
 }
 
-// buildTail appends MAC and SSLv3-style padding to reach a block
-// multiple, returning the full fragment length.
+// pad returns the length of a fragment of total data and MAC bytes
+// once SSLv3-style padding takes it to a block multiple.
 func (e *Engine) pad(total int) int {
 	bs := e.aes.BlockSize()
 	padLen := bs - (total+1)%bs
@@ -57,11 +61,8 @@ func (e *Engine) EncryptFragmentSerial(data []byte) ([]byte, error) {
 	copy(frag, data)
 	copy(frag[len(data):], mac)
 	frag[n-1] = byte(n - len(data) - len(mac) - 1)
-	enc, err := cbc.NewEncrypter(e.aes, e.iv)
-	if err != nil {
-		return nil, err
-	}
-	enc.CryptBlocks(frag, frag)
+	iv := e.iv
+	e.aes.EncryptCBC(frag, frag, iv[:])
 	return frag, nil
 }
 
@@ -80,11 +81,11 @@ func (e *Engine) EncryptFragmentStitched(data []byte) ([]byte, error) {
 	e.seq++
 	n := e.pad(len(data) + e.mac.Size())
 	frag := make([]byte, n)
-	iv := append([]byte(nil), e.iv...)
-	body, done := e.mac.AppendComputeCBC(frag[:len(data)], seq, 23, data, e.aes, iv)
+	iv := e.iv
+	body, done := e.mac.AppendComputeCBC(frag[:len(data)], seq, 23, data, e.aes, iv[:])
 	copy(frag[done:len(data)], data[done:])
 	frag[n-1] = byte(n - len(body) - 1)
-	e.aes.EncryptCBC(frag[done:], frag[done:], iv)
+	e.aes.EncryptCBC(frag[done:], frag[done:], iv[:])
 	return frag, nil
 }
 
@@ -106,13 +107,10 @@ func (e *Engine) ComponentTimes(data []byte, iters int) (macTime, aesTime time.D
 	macTime = time.Since(start) / time.Duration(iters)
 
 	frag := make([]byte, e.pad(len(data)+e.mac.Size()))
-	enc, err := cbc.NewEncrypter(e.aes, e.iv)
-	if err != nil {
-		return 0, 0
-	}
+	iv := e.iv
 	start = time.Now()
 	for i := 0; i < iters; i++ {
-		enc.CryptBlocks(frag, frag)
+		e.aes.EncryptCBC(frag, frag, iv[:])
 	}
 	aesTime = time.Since(start) / time.Duration(iters)
 	return macTime, aesTime

@@ -194,3 +194,36 @@ func TestParseSuiteMixErrors(t *testing.T) {
 		t.Fatalf("default weight: %v %v", mix, err)
 	}
 }
+
+// TestRunResumeChain: one closed-loop worker with every connection
+// offering resumption is a sequential session chain — one full
+// handshake, then connections that each resume the session the one
+// before ended with.
+func TestRunResumeChain(t *testing.T) {
+	srv, err := StartServer(ServerOptions{KeyBits: 512, FileSize: 256, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	res, err := Run(Config{
+		Addr:           srv.Addr(),
+		Concurrency:    1,
+		Duration:       300 * time.Millisecond,
+		Requests:       2,
+		ResumeFraction: 1,
+		Seed:           21,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 0 {
+		t.Fatalf("%d failures: %v", res.Failed, res.Errors)
+	}
+	if res.Done < 4 || res.Resumed != res.Done-1 {
+		t.Fatalf("done %d, resumed %d, want ≥ 4 and all but the first", res.Done, res.Resumed)
+	}
+	if res.Requests != 2*res.Done || res.Bytes != res.Done*2*uint64(256+len("LEN 256\n")) {
+		t.Fatalf("requests %d bytes %d for %d connections", res.Requests, res.Bytes, res.Done)
+	}
+}

@@ -2,6 +2,7 @@ package ssl
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sslperf/internal/handshake"
@@ -64,8 +65,15 @@ func serverHandshakeAllocs(t *testing.T, cache *handshake.SessionCache, sess *ha
 }
 
 // meanServerAllocs is serverHandshakeAllocs' mean over ten handshakes,
-// after one that builds the key's contexts and fills the pools.
+// after one that builds the key's contexts and fills the pools. It runs
+// them on one P with the collector off: a collection empties the pools
+// the handshake draws from, and a goroutine moved to another P misses
+// the objects its old P holds privately, and either shows as a burst of
+// a dozen or more objects in whichever handshake follows — the
+// runtime's, not the connection's. The count is then exact.
 func meanServerAllocs(t *testing.T, cache *handshake.SessionCache, sess *handshake.Session) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serverHandshakeAllocs(t, cache, sess)
 	const runs = 10
 	var total uint64
@@ -78,12 +86,16 @@ func meanServerAllocs(t *testing.T, cache *handshake.SessionCache, sess *handsha
 
 // TestFullHandshakeServerAllocs pins what the zero-allocation RSA
 // decrypt bought the connection: a full handshake costs the server at
-// most 200 heap objects (it was 4,077, of which 3,984 were step 7's
-// bignum temporaries — garbage the one-CPU server collected at
+// most 49 heap objects (47 measured since the CBC record cipher holds
+// its chaining value inline; it was 4,077, of which 3,984 were step
+// 7's bignum temporaries — garbage the one-CPU server collected at
 // 260 MB/s under load).
 func TestFullHandshakeServerAllocs(t *testing.T) {
-	if mean := meanServerAllocs(t, nil, nil); mean > 200 {
-		t.Fatalf("full handshake allocates %.0f objects on the server, want <= 200", mean)
+	if testenv.Race {
+		t.Skip("race runtime allocates on sync paths and drops pooled objects")
+	}
+	if mean := meanServerAllocs(t, nil, nil); mean > 49 {
+		t.Fatalf("full handshake allocates %.0f objects on the server, want <= 49", mean)
 	} else {
 		t.Logf("full handshake: %.0f server allocs", mean)
 	}
@@ -91,7 +103,7 @@ func TestFullHandshakeServerAllocs(t *testing.T) {
 
 // TestResumedHandshakeServerAllocs pins the resumed handshake, where
 // nothing but hashing, the key schedules and message handling runs, at
-// 50 server objects (43 measured; 74 before ISSUE 29's diet: the SSLv3
+// 41 server objects (39 measured; 74 before the allocation diet: the SSLv3
 // pad bytes built per use, KDF labels and digests summed into fresh
 // slices, and a resumed session put back into the cache it came from).
 func TestResumedHandshakeServerAllocs(t *testing.T) {
@@ -100,8 +112,8 @@ func TestResumedHandshakeServerAllocs(t *testing.T) {
 	}
 	cache := handshake.NewSessionCache(4)
 	_, sess := serverHandshakeAllocs(t, cache, nil)
-	if mean := meanServerAllocs(t, cache, sess); mean > 50 {
-		t.Fatalf("resumed handshake allocates %.0f objects on the server, want <= 50", mean)
+	if mean := meanServerAllocs(t, cache, sess); mean > 41 {
+		t.Fatalf("resumed handshake allocates %.0f objects on the server, want <= 41", mean)
 	} else {
 		t.Logf("resumed handshake: %.0f server allocs", mean)
 	}

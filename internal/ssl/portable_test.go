@@ -84,8 +84,11 @@ func TestPortableStackWireEquivalence(t *testing.T) {
 // here.
 func TestPortableHandshakeServerAllocs(t *testing.T) {
 	t.Run("full", func(t *testing.T) {
-		if mean := masked(func() float64 { return meanServerAllocs(t, nil, nil) }); mean > 200 {
-			t.Fatalf("portable full handshake allocates %.0f objects on the server, want <= 200", mean)
+		if testenv.Race {
+			t.Skip("race runtime allocates on sync paths and drops pooled objects")
+		}
+		if mean := masked(func() float64 { return meanServerAllocs(t, nil, nil) }); mean > 49 {
+			t.Fatalf("portable full handshake allocates %.0f objects on the server, want <= 49", mean)
 		}
 	})
 	t.Run("resumed", func(t *testing.T) {
@@ -97,8 +100,8 @@ func TestPortableHandshakeServerAllocs(t *testing.T) {
 			_, sess := serverHandshakeAllocs(t, cache, nil)
 			return meanServerAllocs(t, cache, sess)
 		})
-		if mean > 50 {
-			t.Fatalf("portable resumed handshake allocates %.0f objects on the server, want <= 50", mean)
+		if mean > 41 {
+			t.Fatalf("portable resumed handshake allocates %.0f objects on the server, want <= 41", mean)
 		}
 	})
 }

@@ -1,8 +1,8 @@
 // Package suite defines the SSLv3 cipher suites this library speaks —
 // RSA key exchange with the symmetric ciphers and MACs the paper
-// evaluates. A suite binds a record cipher constructor, a MAC
-// algorithm, and the key-material geometry the key block is sliced
-// into.
+// evaluates. A suite is one row of a table: the cipher it builds its
+// record ciphers from, a MAC algorithm, and the key-material geometry
+// the key block is sliced into.
 package suite
 
 import (
@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"sslperf/internal/aes"
-	"sslperf/internal/cbc"
 	"sslperf/internal/des"
 	"sslperf/internal/rc4"
 	"sslperf/internal/sslcrypto"
@@ -76,8 +75,6 @@ type Suite struct {
 	// paper's Tables 11/12 account per-primitive work under,
 	// independent of key size.
 	CipherAlgo string
-
-	newCipher func(key, iv []byte, encrypt bool) (RecordCipher, error)
 }
 
 // MACLen returns the MAC output size in bytes.
@@ -89,12 +86,38 @@ func (s *Suite) KeyMaterialLen() int {
 	return 2*s.MACLen() + 2*s.KeyLen + 2*s.IVLen
 }
 
-// NewCipher builds the record cipher for one direction.
+// NewCipher builds the record cipher for one direction from the
+// suite's CipherAlgo.
 func (s *Suite) NewCipher(key, iv []byte, encrypt bool) (RecordCipher, error) {
 	if len(key) != s.KeyLen || len(iv) != s.IVLen {
 		return nil, errors.New("suite: wrong key or IV length")
 	}
-	return s.newCipher(key, iv, encrypt)
+	var b cbcBlock
+	var err error
+	switch s.CipherAlgo {
+	case "NULL":
+		return nullCipher{}, nil
+	case "RC4":
+		c, err := rc4.New(key)
+		if err != nil {
+			return nil, err
+		}
+		return streamCipher{c}, nil
+	case "DES":
+		b, err = des.New(key)
+	case "3DES":
+		b, err = des.NewTriple(key)
+	case "AES":
+		b, err = aes.New(key)
+	default:
+		return nil, fmt.Errorf("suite: unknown cipher %q", s.CipherAlgo)
+	}
+	if err != nil {
+		return nil, err
+	}
+	bc := &blockCipher{b: b, encrypt: encrypt}
+	copy(bc.iv[:], iv)
+	return bc, nil
 }
 
 // NewMAC builds a record MAC keyed with secret.
@@ -117,28 +140,52 @@ func (s streamCipher) BlockSize() int     { return 1 }
 func (s streamCipher) Encrypt(buf []byte) { s.c.XORKeyStream(buf, buf) }
 func (s streamCipher) Decrypt(buf []byte) { s.c.XORKeyStream(buf, buf) }
 
-// blockCipher adapts a CBC-wrapped block cipher. One direction per
-// instance, like a real record connection state.
-type blockCipher struct {
-	enc *cbc.Encrypter
-	dec *cbc.Decrypter
-	bs  int
+// cbcBlock is the block cipher a CBC record cipher chains over:
+// aes.Cipher, des.Cipher and des.TripleCipher. The chaining loop lives
+// with the cipher — its EncryptCBC/DecryptCBC keep the chaining value
+// in registers across blocks — so a record dispatches once, not once
+// per block. Both process the whole blocks of src into dst (which may
+// be src) and replace iv with the chaining value the next call starts
+// from.
+type cbcBlock interface {
+	BlockSize() int
+	EncryptCBC(dst, src, iv []byte)
+	DecryptCBC(dst, src, iv []byte)
 }
 
-func (b *blockCipher) BlockSize() int { return b.bs }
+// blockCipher is a CBC record cipher: one direction per instance, like
+// a real record connection state. The chaining value is CBC's serial
+// state (the paper's Figure 6): each record's last ciphertext block is
+// the next record's IV.
+type blockCipher struct {
+	b       cbcBlock
+	encrypt bool
+	iv      [aes.BlockSize]byte // the chaining value; its first BlockSize() bytes
+}
+
+func (b *blockCipher) BlockSize() int { return b.b.BlockSize() }
 
 func (b *blockCipher) Encrypt(buf []byte) {
-	if b.enc == nil {
+	if !b.encrypt {
 		panic("suite: encrypt on decrypt-side cipher")
 	}
-	b.enc.CryptBlocks(buf, buf)
+	b.b.EncryptCBC(buf, buf, b.chain(buf))
 }
 
 func (b *blockCipher) Decrypt(buf []byte) {
-	if b.dec == nil {
+	if b.encrypt {
 		panic("suite: decrypt on encrypt-side cipher")
 	}
-	b.dec.CryptBlocks(buf, buf)
+	b.b.DecryptCBC(buf, buf, b.chain(buf))
+}
+
+// chain returns the live chaining value for a record of whole blocks.
+func (b *blockCipher) chain(buf []byte) []byte {
+	bs := b.b.BlockSize()
+	if len(buf)%bs != 0 {
+		panic("suite: CBC input not full blocks")
+	}
+	return b.iv[:bs]
 }
 
 // AESCBC returns the AES cipher and the live chaining value behind an
@@ -148,167 +195,48 @@ func (b *blockCipher) Decrypt(buf []byte) {
 // chaining value it leaves.
 func AESCBC(ci RecordCipher) (*aes.Cipher, []byte) {
 	b, ok := ci.(*blockCipher)
-	if !ok || b.enc == nil {
+	if !ok || !b.encrypt {
 		return nil, nil
 	}
-	blk, iv := b.enc.Chain()
-	c, ok := blk.(*aes.Cipher)
+	c, ok := b.b.(*aes.Cipher)
 	if !ok {
 		return nil, nil
 	}
-	return c, iv
+	return c, b.iv[:aes.BlockSize]
 }
 
-func newBlockCipher(blk cbc.Block, iv []byte, encrypt bool) (RecordCipher, error) {
-	bc := &blockCipher{bs: blk.BlockSize()}
-	var err error
-	if encrypt {
-		bc.enc, err = cbc.NewEncrypter(blk, iv)
-	} else {
-		bc.dec, err = cbc.NewDecrypter(blk, iv)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return bc, nil
-}
-
-var registry = map[ID]*Suite{}
-var ordered []ID
-
-func register(s *Suite) {
-	registry[s.ID] = s
-	ordered = append(ordered, s.ID)
-}
-
-func init() {
-	register(&Suite{
-		ID: RSAWithRC4128MD5, Name: "RC4-MD5", CipherAlgo: "RC4",
-		KeyLen: 16, IVLen: 0, MAC: sslcrypto.MACMD5,
-		newCipher: func(key, _ []byte, _ bool) (RecordCipher, error) {
-			c, err := rc4.New(key)
-			if err != nil {
-				return nil, err
-			}
-			return streamCipher{c}, nil
-		},
-	})
-	register(&Suite{
-		ID: RSAWithRC4128SHA, Name: "RC4-SHA", CipherAlgo: "RC4",
-		KeyLen: 16, IVLen: 0, MAC: sslcrypto.MACSHA1,
-		newCipher: func(key, _ []byte, _ bool) (RecordCipher, error) {
-			c, err := rc4.New(key)
-			if err != nil {
-				return nil, err
-			}
-			return streamCipher{c}, nil
-		},
-	})
-	register(&Suite{
-		ID: RSAWithDESCBCSHA, Name: "DES-CBC-SHA", CipherAlgo: "DES",
-		KeyLen: 8, IVLen: 8, MAC: sslcrypto.MACSHA1,
-		newCipher: func(key, iv []byte, encrypt bool) (RecordCipher, error) {
-			blk, err := des.New(key)
-			if err != nil {
-				return nil, err
-			}
-			return newBlockCipher(blk, iv, encrypt)
-		},
-	})
-	register(&Suite{
-		ID: RSAWith3DESEDECBCSHA, Name: "DES-CBC3-SHA", CipherAlgo: "3DES",
-		KeyLen: 24, IVLen: 8, MAC: sslcrypto.MACSHA1,
-		newCipher: func(key, iv []byte, encrypt bool) (RecordCipher, error) {
-			blk, err := des.NewTriple(key)
-			if err != nil {
-				return nil, err
-			}
-			return newBlockCipher(blk, iv, encrypt)
-		},
-	})
-	register(&Suite{
-		ID: RSAWithAES128CBCSHA, Name: "AES128-SHA", CipherAlgo: "AES",
-		KeyLen: 16, IVLen: 16, MAC: sslcrypto.MACSHA1,
-		newCipher: func(key, iv []byte, encrypt bool) (RecordCipher, error) {
-			blk, err := aes.New(key)
-			if err != nil {
-				return nil, err
-			}
-			return newBlockCipher(blk, iv, encrypt)
-		},
-	})
-	register(&Suite{
-		ID: RSAWithAES256CBCSHA, Name: "AES256-SHA", CipherAlgo: "AES",
-		KeyLen: 32, IVLen: 16, MAC: sslcrypto.MACSHA1,
-		newCipher: func(key, iv []byte, encrypt bool) (RecordCipher, error) {
-			blk, err := aes.New(key)
-			if err != nil {
-				return nil, err
-			}
-			return newBlockCipher(blk, iv, encrypt)
-		},
-	})
-	register(&Suite{
-		ID: DHERSAWith3DESEDECBCSHA, Name: "EDH-RSA-DES-CBC3-SHA", Kx: KxDHERSA, CipherAlgo: "3DES",
-		KeyLen: 24, IVLen: 8, MAC: sslcrypto.MACSHA1,
-		newCipher: func(key, iv []byte, encrypt bool) (RecordCipher, error) {
-			blk, err := des.NewTriple(key)
-			if err != nil {
-				return nil, err
-			}
-			return newBlockCipher(blk, iv, encrypt)
-		},
-	})
-	register(&Suite{
-		ID: DHERSAWithAES128CBCSHA, Name: "DHE-RSA-AES128-SHA", Kx: KxDHERSA, CipherAlgo: "AES",
-		KeyLen: 16, IVLen: 16, MAC: sslcrypto.MACSHA1,
-		newCipher: func(key, iv []byte, encrypt bool) (RecordCipher, error) {
-			blk, err := aes.New(key)
-			if err != nil {
-				return nil, err
-			}
-			return newBlockCipher(blk, iv, encrypt)
-		},
-	})
-	register(&Suite{
-		ID: DHERSAWithAES256CBCSHA, Name: "DHE-RSA-AES256-SHA", Kx: KxDHERSA, CipherAlgo: "AES",
-		KeyLen: 32, IVLen: 16, MAC: sslcrypto.MACSHA1,
-		newCipher: func(key, iv []byte, encrypt bool) (RecordCipher, error) {
-			blk, err := aes.New(key)
-			if err != nil {
-				return nil, err
-			}
-			return newBlockCipher(blk, iv, encrypt)
-		},
-	})
-	// NULL suites register last so default preference lists put real
-	// ciphers first; they exist as the paper's no-crypto baseline.
-	register(&Suite{
-		ID: RSAWithNullMD5, Name: "NULL-MD5", CipherAlgo: "NULL",
-		KeyLen: 0, IVLen: 0, MAC: sslcrypto.MACMD5,
-		newCipher: func(_, _ []byte, _ bool) (RecordCipher, error) { return nullCipher{}, nil },
-	})
-	register(&Suite{
-		ID: RSAWithNullSHA, Name: "NULL-SHA", CipherAlgo: "NULL",
-		KeyLen: 0, IVLen: 0, MAC: sslcrypto.MACSHA1,
-		newCipher: func(_, _ []byte, _ bool) (RecordCipher, error) { return nullCipher{}, nil },
-	})
+// suites is every suite in registration (preference) order. NULL
+// suites come last so default preference lists put real ciphers first;
+// they exist as the paper's no-crypto baseline.
+var suites = []*Suite{
+	{ID: RSAWithRC4128MD5, Name: "RC4-MD5", CipherAlgo: "RC4", KeyLen: 16, MAC: sslcrypto.MACMD5},
+	{ID: RSAWithRC4128SHA, Name: "RC4-SHA", CipherAlgo: "RC4", KeyLen: 16, MAC: sslcrypto.MACSHA1},
+	{ID: RSAWithDESCBCSHA, Name: "DES-CBC-SHA", CipherAlgo: "DES", KeyLen: 8, IVLen: 8, MAC: sslcrypto.MACSHA1},
+	{ID: RSAWith3DESEDECBCSHA, Name: "DES-CBC3-SHA", CipherAlgo: "3DES", KeyLen: 24, IVLen: 8, MAC: sslcrypto.MACSHA1},
+	{ID: RSAWithAES128CBCSHA, Name: "AES128-SHA", CipherAlgo: "AES", KeyLen: 16, IVLen: 16, MAC: sslcrypto.MACSHA1},
+	{ID: RSAWithAES256CBCSHA, Name: "AES256-SHA", CipherAlgo: "AES", KeyLen: 32, IVLen: 16, MAC: sslcrypto.MACSHA1},
+	{ID: DHERSAWith3DESEDECBCSHA, Name: "EDH-RSA-DES-CBC3-SHA", Kx: KxDHERSA, CipherAlgo: "3DES", KeyLen: 24, IVLen: 8, MAC: sslcrypto.MACSHA1},
+	{ID: DHERSAWithAES128CBCSHA, Name: "DHE-RSA-AES128-SHA", Kx: KxDHERSA, CipherAlgo: "AES", KeyLen: 16, IVLen: 16, MAC: sslcrypto.MACSHA1},
+	{ID: DHERSAWithAES256CBCSHA, Name: "DHE-RSA-AES256-SHA", Kx: KxDHERSA, CipherAlgo: "AES", KeyLen: 32, IVLen: 16, MAC: sslcrypto.MACSHA1},
+	{ID: RSAWithNullMD5, Name: "NULL-MD5", CipherAlgo: "NULL", MAC: sslcrypto.MACMD5},
+	{ID: RSAWithNullSHA, Name: "NULL-SHA", CipherAlgo: "NULL", MAC: sslcrypto.MACSHA1},
 }
 
 // ByID looks a suite up by wire identifier.
 func ByID(id ID) (*Suite, error) {
-	s, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("suite: unknown cipher suite %#04x", uint16(id))
+	for _, s := range suites {
+		if s.ID == id {
+			return s, nil
+		}
 	}
-	return s, nil
+	return nil, fmt.Errorf("suite: unknown cipher suite %#04x", uint16(id))
 }
 
 // ByName looks a suite up by its OpenSSL-style name.
 func ByName(name string) (*Suite, error) {
-	for _, id := range ordered {
-		if registry[id].Name == name {
-			return registry[id], nil
+	for _, s := range suites {
+		if s.Name == name {
+			return s, nil
 		}
 	}
 	return nil, fmt.Errorf("suite: unknown cipher suite %q", name)
@@ -316,18 +244,14 @@ func ByName(name string) (*Suite, error) {
 
 // All returns every registered suite in registration order.
 func All() []*Suite {
-	out := make([]*Suite, 0, len(ordered))
-	for _, id := range ordered {
-		out = append(out, registry[id])
-	}
-	return out
+	return append([]*Suite(nil), suites...)
 }
 
 // Choose picks the first of the client's offered suites the server
 // supports, mirroring the cipher negotiation in handshake step 1.
 func Choose(offered []ID) (*Suite, error) {
 	for _, id := range offered {
-		if s, ok := registry[id]; ok {
+		if s, err := ByID(id); err == nil {
 			return s, nil
 		}
 	}

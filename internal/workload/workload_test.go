@@ -68,7 +68,7 @@ func TestPayloadDeterministic(t *testing.T) {
 	}
 }
 
-// The framing is what sslclient, sslload and bench/ parse and verify
+// The framing is what sslload and bench/ parse and verify
 // byte for byte; it must stay "LEN n\n" + Payload(n).
 func TestResponseFraming(t *testing.T) {
 	want := append([]byte("LEN 1500\n"), Payload(1500)...)
