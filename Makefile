@@ -270,8 +270,22 @@ tracelint:
 # Every probe.FailClass constant must carry a name row in the
 # failClassInfo table and a case in the internal/ssl mapping test
 # (TestClassifyTable), so a new failure class cannot ship without a
-# canonical tag and a pinned example of what maps onto it.
+# canonical tag and a pinned example of what maps onto it. A class is
+# decided where its error is made (a *probe.FailError), so the
+# classifier, internal/ssl/failclass.go, reads no error text: an
+# .Error() call or a strings. function there is message sniffing
+# coming back. Every file named here must exist: a rename would
+# otherwise switch its check off in silence.
+FAILCLASSFILES = internal/probe/failclass.go internal/ssl/failclass.go internal/ssl/failclass_test.go
 failclasslint:
+	@for f in $(FAILCLASSFILES); do \
+		test -f $$f || { echo "failclasslint: $$f does not exist (renamed? update the Makefile)"; exit 1; }; \
+	done
+	@bad=$$(grep -n '\.Error()\|strings\.' internal/ssl/failclass.go; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "failclasslint: internal/ssl/failclass.go reads error text (decide the class where the error is made, as a *probe.FailError):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@classes=$$(sed -n 's/^\t\(Fail[A-Za-z0-9]*\) FailClass = iota.*/\1/p; s/^\t\(Fail[A-Za-z0-9]*\)$$/\1/p' internal/probe/failclass.go | sort -u); \
 	missing=""; \
 	for c in $$classes; do \

@@ -3,11 +3,11 @@ package handshake
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
 	"sslperf/internal/dh"
+	"sslperf/internal/probe"
 	"sslperf/internal/record"
 	"sslperf/internal/rsa"
 	"sslperf/internal/sslcrypto"
@@ -77,7 +77,7 @@ const (
 	cliSendHello cliPhase = iota
 	cliServerHello
 	cliCertificate
-	cliPostCert
+	cliServerKX
 	cliServerDone
 	cliSendKX
 	cliResumedKeys
@@ -197,36 +197,27 @@ func (c *clientState) runPhase() error {
 		if err := c.readCertificate(); err != nil {
 			return err
 		}
-		c.phase = cliPostCert
+		c.phase = cliServerKX
 
-	case cliPostCert:
+	case cliServerKX:
 		// For DHE suites the server sends its signed ephemeral
 		// parameters before ServerHelloDone; for RSA suites the next
 		// message is ServerHelloDone itself.
-		msgType, raw, err := c.msgs.next()
-		if err != nil {
-			return err
-		}
 		if c.suite.Kx == suite.KxDHERSA {
-			if err := c.readServerKeyExchange(msgType, raw); err != nil {
+			if err := c.readServerKeyExchange(); err != nil {
 				return err
 			}
-			c.phase = cliServerDone
-		} else {
-			if err := c.readServerDone(msgType, raw); err != nil {
-				return err
-			}
-			c.phase = cliSendKX
 		}
+		c.phase = cliServerDone
 
 	case cliServerDone:
-		msgType, raw, err := c.msgs.next()
+		// ServerHelloDone (certificate request is not sent: clients
+		// are not authenticated, as in the paper's setup).
+		raw, err := c.msgs.expect(typeServerHelloDone, "ServerHelloDone")
 		if err != nil {
 			return err
 		}
-		if err := c.readServerDone(msgType, raw); err != nil {
-			return err
-		}
+		c.fin.Write(raw)
 		c.phase = cliSendKX
 
 	case cliSendKX:
@@ -307,7 +298,7 @@ func (c *clientState) sendHello() error {
 		cipherSuites: c.cfg.offered(),
 		compressions: []byte{0},
 	}
-	if err := fillRandom(c.cfg.Rand, c.clientRandom[:], c.cfg.now()); err != nil {
+	if err := fillRandom(c.cfg.Rand, &c.clientRandom, c.cfg.now()); err != nil {
 		return err
 	}
 	hello.random = c.clientRandom
@@ -320,12 +311,9 @@ func (c *clientState) sendHello() error {
 }
 
 func (c *clientState) readServerHello() error {
-	msgType, raw, err := c.msgs.next()
+	raw, err := c.msgs.expect(typeServerHello, "ServerHello")
 	if err != nil {
 		return err
-	}
-	if msgType != typeServerHello {
-		return fmt.Errorf("handshake: expected ServerHello, got type %d", msgType)
 	}
 	if err := c.serverHello.unmarshal(raw[4:]); err != nil {
 		return err
@@ -333,12 +321,12 @@ func (c *clientState) readServerHello() error {
 	c.fin.Write(raw)
 	offered := c.cfg.version()
 	if c.serverHello.version < record.VersionSSL30 || c.serverHello.version > offered {
-		return fmt.Errorf("handshake: server version %#04x", c.serverHello.version)
+		return probe.Failf(probe.FailVersionMismatch, "handshake: server version %#04x", c.serverHello.version)
 	}
 	c.version = c.serverHello.version
 	c.conn.SetProtocolVersion(c.version)
 	if c.suite, err = suite.ByID(c.serverHello.cipherSuite); err != nil {
-		return err
+		return probe.Fail(probe.FailBadMessage, err)
 	}
 
 	// Resumption: the server echoes our offered session id.
@@ -347,22 +335,19 @@ func (c *clientState) readServerHello() error {
 		c.resumed = true
 		c.master = append([]byte(nil), c.cfg.Session.Master...)
 		if c.suite.ID != c.cfg.Session.Suite {
-			return errors.New("handshake: resumed session changed cipher suite")
+			return badMessage("handshake: resumed session changed cipher suite")
 		}
 		if c.cfg.Session.Version != 0 && c.cfg.Session.Version != c.version {
-			return errors.New("handshake: resumed session changed protocol version")
+			return probe.Failf(probe.FailVersionMismatch, "handshake: resumed session changed protocol version")
 		}
 	}
 	return nil
 }
 
 func (c *clientState) readCertificate() error {
-	msgType, raw, err := c.msgs.next()
+	raw, err := c.msgs.expect(typeCertificate, "Certificate")
 	if err != nil {
 		return err
-	}
-	if msgType != typeCertificate {
-		return fmt.Errorf("handshake: expected Certificate, got type %d", msgType)
 	}
 	var certMsg certificateMsg
 	if err := certMsg.unmarshal(raw[4:]); err != nil {
@@ -371,7 +356,7 @@ func (c *clientState) readCertificate() error {
 	c.fin.Write(raw)
 	cert, err := x509lite.Parse(certMsg.certificates[0])
 	if err != nil {
-		return err
+		return probe.Fail(probe.FailCertVerify, err)
 	}
 	if err := c.verifyCert(cert, certMsg.certificates[1:]); err != nil {
 		return err
@@ -380,9 +365,10 @@ func (c *clientState) readCertificate() error {
 	return nil
 }
 
-func (c *clientState) readServerKeyExchange(msgType byte, raw []byte) error {
-	if msgType != typeServerKeyExchange {
-		return fmt.Errorf("handshake: expected ServerKeyExchange, got type %d", msgType)
+func (c *clientState) readServerKeyExchange() error {
+	raw, err := c.msgs.expect(typeServerKeyExchange, "ServerKeyExchange")
+	if err != nil {
+		return err
 	}
 	ske := &serverKeyExchangeMsg{}
 	if err := ske.unmarshal(raw[4:]); err != nil {
@@ -391,19 +377,9 @@ func (c *clientState) readServerKeyExchange(msgType byte, raw []byte) error {
 	c.fin.Write(raw)
 	digest := skeDigest(c.clientRandom[:], c.serverHello.random[:], ske.paramBytes())
 	if err := c.cert.PublicKey.VerifyPKCS1(rsa.HashMD5SHA1, digest, ske.sig); err != nil {
-		return fmt.Errorf("handshake: ServerKeyExchange signature: %w", err)
+		return probe.Failf(probe.FailCertVerify, "handshake: ServerKeyExchange signature: %w", err)
 	}
 	c.ske = ske
-	return nil
-}
-
-func (c *clientState) readServerDone(msgType byte, raw []byte) error {
-	// ServerHelloDone (certificate request is not sent: clients are
-	// not authenticated, as in the paper's setup).
-	if msgType != typeServerHelloDone {
-		return fmt.Errorf("handshake: expected ServerHelloDone, got type %d", msgType)
-	}
-	c.fin.Write(raw)
 	return nil
 }
 
@@ -414,13 +390,16 @@ func (c *clientState) sendKeyExchange() error {
 	var rawCkx []byte
 	if c.suite.Kx == suite.KxDHERSA {
 		params := &dh.Params{P: newIntFromBytes(c.ske.p), G: newIntFromBytes(c.ske.g)}
+		if err := params.Validate(); err != nil {
+			return probe.Fail(probe.FailBadMessage, err)
+		}
 		key, err := dh.GenerateKey(c.cfg.Rand, params)
 		if err != nil {
 			return err
 		}
 		preMaster, err = key.SharedSecret(newIntFromBytes(c.ske.y))
 		if err != nil {
-			return err
+			return probe.Fail(probe.FailBadMessage, err)
 		}
 		key.Cleanse()
 		ckx := clientDHPublicMsg{y: key.Y.Bytes()}
@@ -436,6 +415,10 @@ func (c *clientState) sendKeyExchange() error {
 		}
 		encrypted, err := c.cert.PublicKey.EncryptPKCS1(c.cfg.Rand, preMaster)
 		if err != nil {
+			if c.cert.PublicKey.Size() < sslcrypto.PreMasterLen+11 {
+				// The certificate's modulus cannot carry a pre-master.
+				err = probe.Fail(probe.FailCertVerify, err)
+			}
 			return err
 		}
 		if c.version >= record.VersionTLS10 {
@@ -468,15 +451,15 @@ func (c *clientState) verifyCert(cert *x509lite.Certificate, intermediates [][]b
 	}
 	now := c.cfg.now()
 	if !cert.ValidAt(now) {
-		return errors.New("handshake: server certificate expired or not yet valid")
+		return probe.Failf(probe.FailCertVerify, "handshake: server certificate expired or not yet valid")
 	}
 	if c.cfg.ServerName != "" && cert.SubjectCN != c.cfg.ServerName {
-		return fmt.Errorf("handshake: certificate CN %q does not match %q",
+		return probe.Failf(probe.FailCertVerify, "handshake: certificate CN %q does not match %q",
 			cert.SubjectCN, c.cfg.ServerName)
 	}
 	if c.cfg.RootCert == nil {
 		if err := cert.CheckSignature(cert.PublicKey); err != nil {
-			return fmt.Errorf("handshake: self-signed certificate: %w", err)
+			return probe.Failf(probe.FailCertVerify, "handshake: self-signed certificate: %w", err)
 		}
 		return nil
 	}
@@ -484,17 +467,17 @@ func (c *clientState) verifyCert(cert *x509lite.Certificate, intermediates [][]b
 	for i, der := range intermediates {
 		inter, err := x509lite.Parse(der)
 		if err != nil {
-			return fmt.Errorf("handshake: intermediate %d: %w", i, err)
+			return probe.Failf(probe.FailCertVerify, "handshake: intermediate %d: %w", i, err)
 		}
 		if !inter.ValidAt(now) {
-			return fmt.Errorf("handshake: intermediate %d expired", i)
+			return probe.Failf(probe.FailCertVerify, "handshake: intermediate %d expired", i)
 		}
 		if err := current.CheckSignatureFrom(inter); err != nil {
-			return fmt.Errorf("handshake: chain link %d: %w", i, err)
+			return probe.Failf(probe.FailCertVerify, "handshake: chain link %d: %w", i, err)
 		}
 		current = inter
 	}
-	return current.CheckSignatureFrom(c.cfg.RootCert)
+	return probe.Fail(probe.FailCertVerify, current.CheckSignatureFrom(c.cfg.RootCert))
 }
 
 func (c *clientState) sendCCSAndFinished() error {
@@ -514,19 +497,16 @@ func (c *clientState) sendCCSAndFinished() error {
 // verifyServerFinished reads the server Finished and compares it to
 // the hashes cliServerCCS precomputed.
 func (c *clientState) verifyServerFinished() error {
-	msgType, raw, err := c.msgs.next()
+	raw, err := c.msgs.expect(typeFinished, "Finished")
 	if err != nil {
 		return err
-	}
-	if msgType != typeFinished {
-		return fmt.Errorf("handshake: expected Finished, got type %d", msgType)
 	}
 	var fin finishedMsg
 	if err := fin.unmarshal(raw[4:], finishedLenFor(c.version)); err != nil {
 		return err
 	}
 	if !bytes.Equal(fin.verify, c.expected) {
-		return errors.New("handshake: server finished verification failed")
+		return probe.Failf(probe.FailFinishedVerify, "handshake: server finished verification failed")
 	}
 	c.fin.Write(raw)
 	return nil

@@ -8,9 +8,8 @@ package handshake
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 
+	"sslperf/internal/probe"
 	"sslperf/internal/suite"
 )
 
@@ -36,6 +35,13 @@ const SessionIDLen = 32
 
 // FinishedLen is the SSLv3 finished verify-data length (MD5 ‖ SHA-1).
 const FinishedLen = 36
+
+// badMessage is the error of a message whose bytes do not decode, or
+// that the protocol does not allow where it came: the peer's fault,
+// probe.FailBadMessage.
+func badMessage(format string, args ...any) error {
+	return probe.Failf(probe.FailBadMessage, format, args...)
+}
 
 // header builds the 4-byte handshake message header.
 func header(msgType byte, bodyLen int) []byte {
@@ -75,7 +81,7 @@ func (m *clientHelloMsg) marshal() []byte {
 
 func (m *clientHelloMsg) unmarshal(body []byte) error {
 	if len(body) < 2+RandomLen+1 {
-		return errors.New("handshake: ClientHello too short")
+		return badMessage("handshake: ClientHello too short")
 	}
 	m.version = binary.BigEndian.Uint16(body)
 	copy(m.random[:], body[2:])
@@ -83,14 +89,14 @@ func (m *clientHelloMsg) unmarshal(body []byte) error {
 	idLen := int(rest[0])
 	rest = rest[1:]
 	if idLen > 32 || len(rest) < idLen+2 {
-		return errors.New("handshake: bad session id")
+		return badMessage("handshake: bad session id")
 	}
 	m.sessionID = append([]byte(nil), rest[:idLen]...)
 	rest = rest[idLen:]
 	csLen := int(binary.BigEndian.Uint16(rest))
 	rest = rest[2:]
 	if csLen%2 != 0 || len(rest) < csLen+1 {
-		return errors.New("handshake: bad cipher suite list")
+		return badMessage("handshake: bad cipher suite list")
 	}
 	m.cipherSuites = m.cipherSuites[:0]
 	for i := 0; i < csLen; i += 2 {
@@ -100,7 +106,7 @@ func (m *clientHelloMsg) unmarshal(body []byte) error {
 	compLen := int(rest[0])
 	rest = rest[1:]
 	if len(rest) < compLen {
-		return errors.New("handshake: bad compression list")
+		return badMessage("handshake: bad compression list")
 	}
 	m.compressions = append([]byte(nil), rest[:compLen]...)
 	return nil
@@ -128,7 +134,7 @@ func (m *serverHelloMsg) marshal() []byte {
 
 func (m *serverHelloMsg) unmarshal(body []byte) error {
 	if len(body) < 2+RandomLen+1 {
-		return errors.New("handshake: ServerHello too short")
+		return badMessage("handshake: ServerHello too short")
 	}
 	m.version = binary.BigEndian.Uint16(body)
 	copy(m.random[:], body[2:])
@@ -136,7 +142,7 @@ func (m *serverHelloMsg) unmarshal(body []byte) error {
 	idLen := int(rest[0])
 	rest = rest[1:]
 	if idLen > 32 || len(rest) < idLen+3 {
-		return errors.New("handshake: bad ServerHello tail")
+		return badMessage("handshake: bad ServerHello tail")
 	}
 	m.sessionID = append([]byte(nil), rest[:idLen]...)
 	rest = rest[idLen:]
@@ -166,28 +172,28 @@ func (m *certificateMsg) marshal() []byte {
 
 func (m *certificateMsg) unmarshal(body []byte) error {
 	if len(body) < 3 {
-		return errors.New("handshake: Certificate too short")
+		return badMessage("handshake: Certificate too short")
 	}
 	total := int(body[0])<<16 | int(body[1])<<8 | int(body[2])
 	rest := body[3:]
 	if total != len(rest) {
-		return errors.New("handshake: Certificate length mismatch")
+		return badMessage("handshake: Certificate length mismatch")
 	}
 	m.certificates = m.certificates[:0]
 	for len(rest) > 0 {
 		if len(rest) < 3 {
-			return errors.New("handshake: truncated certificate entry")
+			return badMessage("handshake: truncated certificate entry")
 		}
 		n := int(rest[0])<<16 | int(rest[1])<<8 | int(rest[2])
 		rest = rest[3:]
 		if len(rest) < n {
-			return errors.New("handshake: truncated certificate body")
+			return badMessage("handshake: truncated certificate body")
 		}
 		m.certificates = append(m.certificates, append([]byte(nil), rest[:n]...))
 		rest = rest[n:]
 	}
 	if len(m.certificates) == 0 {
-		return errors.New("handshake: empty certificate chain")
+		return badMessage("handshake: empty certificate chain")
 	}
 	return nil
 }
@@ -204,7 +210,7 @@ func (m *clientKeyExchangeMsg) marshal() []byte {
 
 func (m *clientKeyExchangeMsg) unmarshal(body []byte) error {
 	if len(body) == 0 {
-		return errors.New("handshake: empty ClientKeyExchange")
+		return badMessage("handshake: empty ClientKeyExchange")
 	}
 	m.encryptedPreMaster = append([]byte(nil), body...)
 	return nil
@@ -227,11 +233,11 @@ func appendOpaque16(out, v []byte) []byte {
 
 func readOpaque16(in []byte) (v, rest []byte, err error) {
 	if len(in) < 2 {
-		return nil, nil, errors.New("handshake: truncated vector")
+		return nil, nil, badMessage("handshake: truncated vector")
 	}
 	n := int(binary.BigEndian.Uint16(in))
 	if len(in) < 2+n {
-		return nil, nil, errors.New("handshake: vector exceeds message")
+		return nil, nil, badMessage("handshake: vector exceeds message")
 	}
 	return in[2 : 2+n], in[2+n:], nil
 }
@@ -266,10 +272,10 @@ func (m *serverKeyExchangeMsg) unmarshal(body []byte) error {
 		return err
 	}
 	if len(body) != 0 {
-		return errors.New("handshake: trailing bytes in ServerKeyExchange")
+		return badMessage("handshake: trailing bytes in ServerKeyExchange")
 	}
 	if len(m.p) == 0 || len(m.g) == 0 || len(m.y) == 0 || len(m.sig) == 0 {
-		return errors.New("handshake: empty ServerKeyExchange field")
+		return badMessage("handshake: empty ServerKeyExchange field")
 	}
 	return nil
 }
@@ -290,7 +296,7 @@ func (m *clientDHPublicMsg) unmarshal(body []byte) error {
 		return err
 	}
 	if len(body) != 0 || len(m.y) == 0 {
-		return errors.New("handshake: malformed DH ClientKeyExchange")
+		return badMessage("handshake: malformed DH ClientKeyExchange")
 	}
 	return nil
 }
@@ -306,7 +312,7 @@ func (m *finishedMsg) marshal() []byte {
 
 func (m *finishedMsg) unmarshal(body []byte, wantLen int) error {
 	if len(body) != wantLen {
-		return fmt.Errorf("handshake: Finished is %d bytes, want %d", len(body), wantLen)
+		return badMessage("handshake: Finished is %d bytes, want %d", len(body), wantLen)
 	}
 	m.verify = append([]byte(nil), body...)
 	return nil

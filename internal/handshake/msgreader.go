@@ -1,11 +1,6 @@
 package handshake
 
-import (
-	"errors"
-	"fmt"
-
-	"sslperf/internal/record"
-)
+import "sslperf/internal/record"
 
 // msgReader assembles handshake messages from handshake-type records,
 // which may each carry several messages or a fraction of one. It
@@ -21,9 +16,6 @@ type msgReader struct {
 	// before any of the body is buffered: an unauthenticated peer must
 	// not make this side hold more than its largest legitimate message.
 	maxBody int
-	// sawCCS is set when a ChangeCipherSpec record arrives while a
-	// handshake message was expected; the FSMs consume it explicitly.
-	sawCCS bool
 }
 
 func newMsgReader(c RecordConn, maxBody int) *msgReader {
@@ -43,9 +35,9 @@ func (r *msgReader) fill(n int) error {
 		case record.TypeHandshake:
 			r.buf = append(r.buf, payload...)
 		case record.TypeChangeCipherSpec:
-			return errors.New("handshake: unexpected ChangeCipherSpec")
+			return badMessage("handshake: unexpected ChangeCipherSpec")
 		default:
-			return fmt.Errorf("handshake: unexpected %v record", typ)
+			return badMessage("handshake: unexpected %v record", typ)
 		}
 	}
 	return nil
@@ -61,7 +53,7 @@ func (r *msgReader) next() (byte, []byte, error) {
 	}
 	bodyLen := int(r.buf[1])<<16 | int(r.buf[2])<<8 | int(r.buf[3])
 	if bodyLen > r.maxBody {
-		return 0, nil, fmt.Errorf("handshake: malformed message: %d-byte body exceeds the %d-byte cap", bodyLen, r.maxBody)
+		return 0, nil, badMessage("handshake: malformed message: %d-byte body exceeds the %d-byte cap", bodyLen, r.maxBody)
 	}
 	if err := r.fill(4 + bodyLen); err != nil {
 		return 0, nil, err
@@ -73,18 +65,31 @@ func (r *msgReader) next() (byte, []byte, error) {
 	return msgType, out, nil
 }
 
+// expect returns the next handshake message's wire bytes, which must
+// be of type want (named name in the error when they are not).
+func (r *msgReader) expect(want byte, name string) ([]byte, error) {
+	msgType, raw, err := r.next()
+	if err != nil {
+		return nil, err
+	}
+	if msgType != want {
+		return nil, badMessage("handshake: expected %s, got type %d", name, msgType)
+	}
+	return raw, nil
+}
+
 // readCCS consumes a ChangeCipherSpec record. Any buffered handshake
 // bytes at this point mean the peer interleaved messages illegally.
 func (r *msgReader) readCCS() error {
 	if len(r.buf) != 0 {
-		return errors.New("handshake: data buffered across ChangeCipherSpec")
+		return badMessage("handshake: data buffered across ChangeCipherSpec")
 	}
 	typ, payload, err := r.conn.ReadRecord()
 	if err != nil {
 		return err
 	}
 	if typ != record.TypeChangeCipherSpec || len(payload) != 1 || payload[0] != 1 {
-		return fmt.Errorf("handshake: expected ChangeCipherSpec, got %v", typ)
+		return badMessage("handshake: expected ChangeCipherSpec, got %v", typ)
 	}
 	return nil
 }

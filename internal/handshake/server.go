@@ -3,7 +3,6 @@ package handshake
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
@@ -149,11 +148,14 @@ func (p srvPhase) probeStep() probe.Step {
 // record core and call Step again), nil when the handshake is
 // complete, or a terminal error (after which a fatal alert has been
 // queued on the record connection and further Steps return the same
-// error). Over a *record.Layer the reads park in the transport
-// instead, so a single Step runs the machine to completion — blocking
-// and non-blocking handshakes share every line of FSM code and are
-// wire-identical by construction. Either way the record conn is left
-// armed with the negotiated bulk cipher in both directions.
+// error). A terminal error the peer's bytes caused is a
+// *probe.FailError carrying its class, decided here; an unclassified
+// one is local (probe.FailInternal). Over a *record.Layer the reads
+// park in the transport instead, so a single Step runs the machine to
+// completion — blocking and non-blocking handshakes share every line
+// of FSM code and are wire-identical by construction. Either way the
+// record conn is left armed with the negotiated bulk cipher in both
+// directions.
 type ServerFSM struct {
 	s *serverState
 }
@@ -460,18 +462,15 @@ func (s *serverState) runPhase() error {
 }
 
 func (s *serverState) getClientHello() error {
-	msgType, raw, err := s.msgs.next()
+	raw, err := s.msgs.expect(typeClientHello, "ClientHello")
 	if err != nil {
 		return err
-	}
-	if msgType != typeClientHello {
-		return fmt.Errorf("handshake: expected ClientHello, got type %d", msgType)
 	}
 	if err := s.clientHello.unmarshal(raw[4:]); err != nil {
 		return err
 	}
 	if s.clientHello.version < record.VersionSSL30 {
-		return fmt.Errorf("handshake: client version %#04x too old", s.clientHello.version)
+		return probe.Failf(probe.FailVersionMismatch, "handshake: client version %#04x too old", s.clientHello.version)
 	}
 	s.version = s.clientHello.version
 	if max := s.cfg.maxVersion(); s.version > max {
@@ -511,7 +510,7 @@ func (s *serverState) getClientHello() error {
 	}
 	chosen, err := suite.Choose(offered)
 	if err != nil {
-		return err
+		return probe.Fail(probe.FailBadMessage, err)
 	}
 	s.suite = chosen
 
@@ -535,7 +534,7 @@ func (s *serverState) offered(id suite.ID) bool {
 
 func (s *serverState) sendServerHello() error {
 	if err := s.bus.CryptoErr(probe.FnRandPseudoBytes, func() error {
-		return fillRandom(s.cfg.Rand, s.serverRandom[:], s.cfg.now())
+		return fillRandom(s.cfg.Rand, &s.serverRandom, s.cfg.now())
 	}); err != nil {
 		return err
 	}
@@ -596,12 +595,9 @@ func (s *serverState) sendServerKeyExchange() error {
 }
 
 func (s *serverState) getClientKeyExchange() error {
-	msgType, raw, err := s.msgs.next()
+	raw, err := s.msgs.expect(typeClientKeyExchange, "ClientKeyExchange")
 	if err != nil {
 		return err
-	}
-	if msgType != typeClientKeyExchange {
-		return fmt.Errorf("handshake: expected ClientKeyExchange, got type %d", msgType)
 	}
 	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 
@@ -617,7 +613,7 @@ func (s *serverState) getClientKeyExchange() error {
 			preMaster, err = s.dhKey.SharedSecret(peerY)
 			return err
 		}); err != nil {
-			return err
+			return probe.Fail(probe.FailBadMessage, err)
 		}
 		s.dhKey.Cleanse()
 	} else {
@@ -625,7 +621,7 @@ func (s *serverState) getClientKeyExchange() error {
 		if s.version >= record.VersionTLS10 {
 			inner, rest, err := readOpaque16(body)
 			if err != nil || len(rest) != 0 {
-				return errors.New("handshake: malformed TLS ClientKeyExchange")
+				return badMessage("handshake: malformed TLS ClientKeyExchange")
 			}
 			body = inner
 		}
@@ -649,11 +645,15 @@ func (s *serverState) getClientKeyExchange() error {
 		if _, err := io.ReadFull(s.cfg.Rand, substitute[:]); err != nil { // lint:allow-read — randomness source, not the transport
 			return err
 		}
-		if err := s.bus.CryptoErr(probe.FnRSAPrivateDecrypt, func() error {
+		err := s.bus.CryptoErr(probe.FnRSAPrivateDecrypt, func() error {
 			var err error
 			preMaster, err = dec.DecryptPKCS1(s.cfg.Rand, ckx.encryptedPreMaster)
 			return err
-		}); err != nil && !errors.Is(err, rsa.ErrDecryption) {
+		})
+		switch {
+		case errors.Is(err, rsa.ErrCiphertextLength), errors.Is(err, rsa.ErrCiphertextRange):
+			return probe.Fail(probe.FailBadMessage, err)
+		case err != nil && !errors.Is(err, rsa.ErrDecryption):
 			return err
 		}
 		preMaster = rsaPreMaster(preMaster, s.clientHello.version, substitute[:])
@@ -693,19 +693,16 @@ func (s *serverState) verifyClientFinished() error {
 	// emit on the same bus with the current step attached, so Table 2
 	// reports its pri_decryption and mac rows without any observer
 	// swapping.
-	msgType, raw, err := s.msgs.next()
+	raw, err := s.msgs.expect(typeFinished, "Finished")
 	if err != nil {
 		return err
-	}
-	if msgType != typeFinished {
-		return fmt.Errorf("handshake: expected Finished, got type %d", msgType)
 	}
 	var fin finishedMsg
 	if err := fin.unmarshal(raw[4:], finishedLenFor(s.version)); err != nil {
 		return err
 	}
 	if !bytes.Equal(fin.verify, s.expected) {
-		return errors.New("handshake: client finished verification failed")
+		return probe.Failf(probe.FailFinishedVerify, "handshake: client finished verification failed")
 	}
 	// The client's finished message joins the transcript for the
 	// server's own finished hash.
@@ -734,10 +731,7 @@ func (s *serverState) sendFinished() error {
 
 // fillRandom fills buf with a 4-byte timestamp followed by random
 // bytes, the SSLv3 hello-random layout.
-func fillRandom(rnd io.Reader, buf []byte, now time.Time) error {
-	if len(buf) != RandomLen {
-		return errors.New("handshake: random buffer must be 32 bytes")
-	}
+func fillRandom(rnd io.Reader, buf *[RandomLen]byte, now time.Time) error {
 	t := uint32(now.Unix())
 	buf[0] = byte(t >> 24)
 	buf[1] = byte(t >> 16)

@@ -9,10 +9,12 @@ import "fmt"
 // their tags from a FailClass, so "why did the last 500 handshakes
 // fail" has the same answer whichever surface is asked.
 //
-// The classifier that maps real errors onto these classes lives in
-// internal/ssl (it needs the record and net error types); the enum
-// lives here on the spine so sinks can consume it without importing
-// the protocol layers.
+// A class is decided where the error is made: internal/handshake and
+// internal/record return a *FailError wherever they know the cause,
+// and ssl.Classify reads the class off it (adding only the transport
+// cases — alerts, timeouts, EOF — that no protocol site makes). The
+// enum and the error live here on the spine so sinks can consume them
+// without importing the protocol layers.
 type FailClass uint8
 
 // Failure classes. Every constant must have a row in failClassInfo
@@ -32,7 +34,9 @@ const (
 	// FailBadMAC is a locally detected record MAC or CBC padding
 	// failure — corruption or tampering on the wire.
 	FailBadMAC
-	// FailCertVerify is a certificate chain/validity/name failure.
+	// FailCertVerify is a server certificate that does not parse or
+	// verify: its DER, chain, validity or name, or the
+	// ServerKeyExchange signature its key must check.
 	FailCertVerify
 	// FailVersionMismatch is a protocol version the peer and we could
 	// not agree on (hello version too old, record version drift). A
@@ -43,13 +47,16 @@ const (
 	// transcripts disagree.
 	FailFinishedVerify
 	// FailBadMessage is a malformed, unexpected, or unparseable
-	// protocol message.
+	// protocol message — DH parameters or a public value out of range,
+	// a hello that offers nothing this side accepts and a resumed
+	// session that changes suite among them.
 	FailBadMessage
 	// FailRecordError is a record-layer framing error (implausible
 	// length, non-block-multiple ciphertext, ...).
 	FailRecordError
-	// FailInternal is everything else: local resource or logic errors
-	// that are our fault, not the peer's.
+	// FailInternal is everything else: local configuration (no key or
+	// certificate, no randomness), resource or logic errors, and any
+	// error no site classified — our fault, not the peer's.
 	FailInternal
 
 	failClassCount
@@ -90,4 +97,30 @@ func FailClasses() []FailClass {
 		out = append(out, c)
 	}
 	return out
+}
+
+// A FailError is an error whose FailClass its site decided. Its text
+// is the wrapped error's, so wrapping changes no message.
+type FailError struct {
+	Class FailClass
+	Err   error
+}
+
+func (e *FailError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the wrapped error.
+func (e *FailError) Unwrap() error { return e.Err }
+
+// Fail returns err as a failure of class c, or nil when err is nil.
+func Fail(c FailClass, err error) error {
+	if err == nil {
+		return nil
+	}
+	return &FailError{Class: c, Err: err}
+}
+
+// Failf returns a new failure of class c with fmt.Errorf's text (%w
+// wraps as it does there).
+func Failf(c FailClass, format string, args ...any) error {
+	return &FailError{Class: c, Err: fmt.Errorf(format, args...)}
 }

@@ -3,7 +3,6 @@ package record
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -276,10 +275,10 @@ func (c *Core) readRecord() (typ ContentType, payload []byte, missing int, err e
 	version := binary.BigEndian.Uint16(buf[1:])
 	length := int(binary.BigEndian.Uint16(buf[3:]))
 	if !c.versionOK(version) {
-		return 0, nil, 0, fmt.Errorf("record: unsupported version %#04x", version)
+		return 0, nil, 0, probe.Failf(probe.FailVersionMismatch, "record: unsupported version %#04x", version)
 	}
 	if length == 0 || length > MaxFragment+2048 {
-		return 0, nil, 0, fmt.Errorf("record: implausible record length %d", length)
+		return 0, nil, 0, probe.Failf(probe.FailRecordError, "record: implausible record length %d", length)
 	}
 	if len(buf) < headerLen+length {
 		return 0, nil, headerLen + length - len(buf), ErrWouldBlock
@@ -299,7 +298,7 @@ func (c *Core) readRecord() (typ ContentType, payload []byte, missing int, err e
 	if typ == TypeAlert {
 		c.Stats.AlertsRead++
 		if len(payload) != 2 {
-			return 0, nil, 0, errors.New("record: malformed alert")
+			return 0, nil, 0, probe.Failf(probe.FailRecordError, "record: malformed alert")
 		}
 		return typ, payload, 0, &AlertError{Level: payload[0], Description: payload[1], Peer: true}
 	}
@@ -419,14 +418,14 @@ func (c *Core) open(typ ContentType, body []byte) ([]byte, error) {
 	}
 	bs := c.in.cipher.BlockSize()
 	if bs > 1 && len(body)%bs != 0 {
-		return nil, errors.New("record: ciphertext not a block multiple")
+		return nil, probe.Failf(probe.FailRecordError, "record: ciphertext not a block multiple")
 	}
 	c.timeCrypto(probe.OpCipherDecrypt, c.cipherPrim, len(body), func() {
 		c.in.cipher.Decrypt(body)
 	})
 	if bs > 1 {
 		if len(body) == 0 {
-			return nil, errors.New("record: empty block record")
+			return nil, probe.Failf(probe.FailRecordError, "record: empty block record")
 		}
 		// Bad padding must cost what a bad MAC costs — a peer who can
 		// tell the two apart by the clock has a padding oracle — so it
@@ -463,7 +462,7 @@ func (c *Core) checkMAC(typ ContentType, body []byte) ([]byte, error) {
 	}
 	macLen := c.in.mac.Size()
 	if len(body) < macLen {
-		return nil, errors.New("record: record shorter than MAC")
+		return nil, probe.Failf(probe.FailRecordError, "record: record shorter than MAC")
 	}
 	payload, mac := body[:len(body)-macLen], body[len(body)-macLen:]
 	var ok bool

@@ -9,7 +9,6 @@
 package record
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -123,9 +122,6 @@ func (a *AlertError) Error() string {
 	}
 	return fmt.Sprintf("ssl: %s alert: %s", lvl, AlertName(a.Description))
 }
-
-// ErrClosed is returned after a close_notify alert has been received.
-var ErrClosed = errors.New("record: connection closed by close_notify")
 
 // halfState is one direction's cryptographic state.
 type halfState struct {

@@ -350,7 +350,7 @@ func (priv *PrivateKey) decrypt(rnd io.Reader, ct []byte, prof *perf.Breakdown) 
 
 	// Phase 1: init — the key's contexts and an arena to work in.
 	if len(ct) != priv.Size() {
-		return nil, errCiphertextLength
+		return nil, ErrCiphertextLength
 	}
 	pre, err := priv.precompute()
 	if err != nil {
@@ -363,7 +363,7 @@ func (priv *PrivateKey) decrypt(rnd io.Reader, ct []byte, prof *perf.Breakdown) 
 	// Phase 2: octet string -> multi-precision integer.
 	c := ar.c.SetBytes(ct)
 	if c.Cmp(priv.N) >= 0 {
-		return nil, errCiphertextRange
+		return nil, ErrCiphertextRange
 	}
 	phase(PhaseDataToBN)
 
@@ -410,9 +410,12 @@ func (priv *PrivateKey) decrypt(rnd io.Reader, ct []byte, prof *perf.Breakdown) 
 // pre-master); the others depend on public data only.
 var ErrDecryption = errors.New("rsa: invalid PKCS#1 type 2 padding")
 
+// ErrCiphertextLength and ErrCiphertextRange are the errors
+// DecryptPKCS1 returns for a ciphertext of the wrong size or not below
+// N: properties of the bytes a peer sent, not of the key.
 var (
-	errCiphertextLength = errors.New("rsa: ciphertext length does not match key size")
-	errCiphertextRange  = errors.New("rsa: ciphertext out of range")
+	ErrCiphertextLength = errors.New("rsa: ciphertext length does not match key size")
+	ErrCiphertextRange  = errors.New("rsa: ciphertext out of range")
 )
 
 // parsePKCS1Type2 strips 00 || 02 || PS || 00 padding (PS at least

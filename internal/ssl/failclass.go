@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 
 	"sslperf/internal/probe"
 	"sslperf/internal/record"
@@ -16,7 +15,10 @@ import (
 // telemetry FailReasons counters, the flight recorder, the lifecycle
 // close-log, sslserver's failure lines — classifies through this one
 // function, so the same broken handshake carries the same class
-// everywhere.
+// everywhere. It decides only the transport cases (alerts, timeouts,
+// EOF and other network errors); every protocol failure's class was
+// decided where its error was made, and is read off the
+// *probe.FailError. An error no site classified is FailInternal.
 func Classify(err error) probe.FailClass {
 	if err == nil {
 		return probe.FailNone
@@ -44,31 +46,11 @@ func Classify(err error) probe.FailClass {
 		// or the network went away.
 		return probe.FailIOEOF
 	}
-	// The handshake package reports protocol failures as plain errors;
-	// sniff the stable message prefixes. New handshake error sites
-	// should keep these substrings (the fail-class mapping test pins
-	// one representative per class).
-	msg := err.Error()
-	switch {
-	case strings.Contains(msg, "finished verification failed"):
-		return probe.FailFinishedVerify
-	case strings.Contains(msg, "certificate"),
-		strings.Contains(msg, "chain link"),
-		strings.Contains(msg, "intermediate"):
-		return probe.FailCertVerify
-	case strings.Contains(msg, "version"):
-		return probe.FailVersionMismatch
-	case strings.Contains(msg, "record:"):
-		return probe.FailRecordError
-	case strings.Contains(msg, "expected "),
-		strings.Contains(msg, "malformed"),
-		strings.Contains(msg, "unexpected"),
-		strings.Contains(msg, "too old"),
-		strings.Contains(msg, "wrong length"):
-		return probe.FailBadMessage
-	default:
-		return probe.FailInternal
+	var fe *probe.FailError
+	if errors.As(err, &fe) {
+		return fe.Class
 	}
+	return probe.FailInternal
 }
 
 // FailureReason returns the stable, low-cardinality failure tag for

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -180,11 +181,15 @@ func TestFailClassMapping(t *testing.T) {
 }
 
 // TestClassifyTable pins the classifier over one representative error
-// per class, including the message-sniffed handshake classes the
-// end-to-end scenarios above do not reach. failclasslint requires
-// every probe.FailClass constant to appear here, so a new class
-// cannot ship without deciding what maps onto it.
+// per class: the transport errors it decides itself, and typed errors
+// whose site decided (TestPeerBytesFailClass drives the real sites
+// end to end). failclasslint requires every probe.FailClass constant
+// to appear here, so a new class cannot ship without deciding what
+// maps onto it.
 func TestClassifyTable(t *testing.T) {
+	// A server with no key fails before it reads a byte: local
+	// configuration, not the peer.
+	noKey := NonBlockingServer(&Config{Rand: NewPRNG(1)}).HandshakeStep()
 	cases := []struct {
 		err   error
 		class probe.FailClass
@@ -201,14 +206,18 @@ func TestClassifyTable(t *testing.T) {
 			probe.FailBadMAC, "bad_mac"},
 		{&record.AlertError{Level: record.AlertLevelFatal, Description: record.AlertUnexpectedMessage},
 			probe.FailRecordError, "record_error"},
-		{errors.New("handshake: server finished verification failed"), probe.FailFinishedVerify, "finished_verify"},
-		{errors.New("handshake: server certificate expired or not yet valid"), probe.FailCertVerify, "cert_verify"},
-		{errors.New("handshake: chain link 1: signature mismatch"), probe.FailCertVerify, "cert_verify"},
-		{errors.New("handshake: client version 0x0002 too old"), probe.FailVersionMismatch, "version_mismatch"},
-		{errors.New("record: message too large"), probe.FailRecordError, "record_error"},
-		{errors.New("handshake: expected ClientHello, got type 7"), probe.FailBadMessage, "bad_message"},
-		{errors.New("handshake: malformed ClientKeyExchange"), probe.FailBadMessage, "bad_message"},
+		{probe.Failf(probe.FailFinishedVerify, "handshake: server finished verification failed"), probe.FailFinishedVerify, "finished_verify"},
+		{probe.Failf(probe.FailCertVerify, "handshake: chain link %d: %w", 1, errors.New("rsa: signature mismatch")), probe.FailCertVerify, "cert_verify"},
+		{probe.Failf(probe.FailVersionMismatch, "handshake: client version %#04x too old", 2), probe.FailVersionMismatch, "version_mismatch"},
+		{probe.Failf(probe.FailRecordError, "record: implausible record length %d", 0), probe.FailRecordError, "record_error"},
+		{probe.Failf(probe.FailBadMessage, "handshake: expected ClientHello, got type %d", 7), probe.FailBadMessage, "bad_message"},
+		// Wrapping keeps the class the site decided.
+		{fmt.Errorf("serve: %w", probe.Fail(probe.FailBadMessage, errors.New("suite: no shared cipher suite"))), probe.FailBadMessage, "bad_message"},
+		{noKey, probe.FailInternal, "internal"},
 		{errors.New("something inexplicable"), probe.FailInternal, "internal"},
+	}
+	if noKey == nil || noKey.Error() != "handshake: server needs a key and certificate" {
+		t.Fatalf("keyless server: %v", noKey)
 	}
 	for _, tc := range cases {
 		name := "nil"

@@ -278,7 +278,7 @@ func (c *NonBlockingConn) ReadData(p []byte) (int, error) {
 			return n, nil
 		case record.TypeHandshake:
 		default:
-			return 0, errors.New("ssl: unexpected record type " + typ.String())
+			return 0, probe.Failf(probe.FailBadMessage, "ssl: unexpected record type %v", typ)
 		}
 	}
 }

@@ -73,18 +73,30 @@ type MAC struct {
 	macBuf [maxMACSize]byte
 }
 
-// NewMAC returns a MAC keyed with secret.
+// NewMAC returns the SSL 3.0 record MAC keyed with secret.
 func NewMAC(alg MACAlgorithm, secret []byte) (*MAC, error) {
+	return newMAC(alg, secret, false, 0)
+}
+
+// newMAC is NewMAC and NewTLSMAC: the two differ only in the keyed
+// hash (the SSL 3.0 pad construction or HMAC) and in the version TLS
+// adds to the MACed header.
+func newMAC(alg MACAlgorithm, secret []byte, tls bool, version uint16) (*MAC, error) {
+	m := &MAC{alg: alg, tls: tls, version: version}
 	if alg == MACNull {
-		return &MAC{alg: alg}, nil
+		return m, nil
 	}
 	if len(secret) != alg.Size() {
 		return nil, errMACSecret
 	}
-	m := &MAC{alg: alg}
-	if alg == MACMD5 {
+	switch {
+	case alg == MACMD5 && tls:
+		m.h = hmacx.NewMD5(secret)
+	case alg == MACMD5:
 		m.h = hmacx.NewSSL3MD5(secret)
-	} else {
+	case tls:
+		m.h = hmacx.NewSHA1(secret)
+	default:
 		m.h = hmacx.NewSSL3SHA1(secret)
 	}
 	return m, nil

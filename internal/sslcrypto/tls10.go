@@ -87,17 +87,5 @@ func (f *FinishedHash) TLSVerifyData(isClient bool, master []byte) []byte {
 // seq ‖ type ‖ version ‖ length ‖ data. version is the negotiated
 // protocol version included in the MACed header.
 func NewTLSMAC(alg MACAlgorithm, secret []byte, version uint16) (*MAC, error) {
-	if alg == MACNull {
-		return &MAC{alg: alg}, nil
-	}
-	if len(secret) != alg.Size() {
-		return nil, errMACSecret
-	}
-	m := &MAC{alg: alg, tls: true, version: version}
-	if alg == MACMD5 {
-		m.h = hmacx.NewMD5(secret)
-	} else {
-		m.h = hmacx.NewSHA1(secret)
-	}
-	return m, nil
+	return newMAC(alg, secret, true, version)
 }
