@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint tracelint failclasslint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint tracelint failclasslint fsmlint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -50,6 +50,7 @@ check:
 	$(MAKE) spinelint
 	$(MAKE) tracelint
 	$(MAKE) failclasslint
+	$(MAKE) fsmlint
 	$(MAKE) doclint
 	$(MAKE) race
 	$(MAKE) fuzzsmoke
@@ -295,6 +296,24 @@ failclasslint:
 	if [ -n "$$missing" ]; then \
 		echo "failclasslint: probe.FailClass constants missing a failClassInfo name or a mapping-test case:$$missing"; \
 		exit 1; \
+	fi
+
+# The handshake is one plan table per role (serverPlans, clientPlans):
+# each row names what it reads, and the driver in the file below does
+# every read. An .expect( or .readCCS( call in any other non-test
+# internal/handshake file is a handler reading for itself again, where
+# neither the plans nor TestIllegalTransitions can see it. The file
+# must exist and hold both calls: a rename would otherwise switch the
+# check off in silence.
+FSMFILE = internal/handshake/fsm.go
+fsmlint:
+	@test -f $(FSMFILE) || { echo "fsmlint: $(FSMFILE) does not exist (renamed? update the Makefile)"; exit 1; }
+	@grep -q '\.expect(' $(FSMFILE) && grep -q '\.readCCS(' $(FSMFILE) \
+		|| { echo "fsmlint: $(FSMFILE) calls no .expect(/.readCCS( (moved? update the Makefile)"; exit 1; }
+	@bad=$$(grep -n '\.expect(\|\.readCCS(' internal/handshake/*.go | grep -v '_test\.go:' | grep -v '^$(FSMFILE):'; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "fsmlint: a handshake read outside the plan driver $(FSMFILE):"; \
+		echo "$$bad"; exit 1; \
 	fi
 
 # The prose must not point at things that are gone: every docs/, cmd/,

@@ -4,6 +4,7 @@ import (
 	"io"
 	"sync"
 
+	"sslperf/internal/handshake"
 	"sslperf/internal/record"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
@@ -15,13 +16,6 @@ type wireEvent struct {
 	recordType string
 	message    string
 	bytes      int
-}
-
-var msgNames = map[byte]string{
-	0: "HelloRequest", 1: "ClientHello", 2: "ServerHello",
-	11: "Certificate", 12: "ServerKeyExchange", 13: "CertificateRequest",
-	14: "ServerHelloDone", 15: "CertificateVerify", 16: "ClientKeyExchange",
-	20: "Finished",
 }
 
 // eventLog collects wire events from both directions; client and
@@ -73,9 +67,7 @@ func (s *sniffer) emit(typ record.ContentType, body []byte) {
 		if s.encrypted {
 			ev.message = "Finished (encrypted)"
 		} else if len(body) > 0 {
-			if name, ok := msgNames[body[0]]; ok {
-				ev.message = name
-			}
+			ev.message = handshake.MessageName(body[0])
 		}
 	case record.TypeChangeCipherSpec:
 		s.encrypted = true

@@ -67,26 +67,6 @@ func (c *ClientConfig) offered() []suite.ID {
 	return out
 }
 
-// cliPhase enumerates the client FSM's resumable states; the same
-// one-suspension-point discipline as srvPhase applies (the only read
-// is at a phase's head, so re-entry after WouldBlock repeats no
-// work).
-type cliPhase int
-
-const (
-	cliSendHello cliPhase = iota
-	cliServerHello
-	cliCertificate
-	cliServerKX
-	cliServerDone
-	cliSendKX
-	cliResumedKeys
-	cliServerCCS
-	cliServerFinished
-	cliSendFinal
-	cliDone
-)
-
 // ClientFSM is the resumable client handshake, leaving its record
 // conn armed with the negotiated bulk cipher in both directions; see
 // ServerFSM for the Step contract (ErrWouldBlock / nil / sticky
@@ -103,28 +83,63 @@ func NewClientFSM(conn RecordConn, cfg *ClientConfig) (*ClientFSM, error) {
 	}
 	// A client must take the server's certificate chain, which can span
 	// many records.
-	c := &clientState{conn: conn, cfg: cfg, msgs: newMsgReader(conn, 1<<20)}
-	return &ClientFSM{c: c}, nil
+	m := machine{conn: conn, msgs: newMsgReader(conn, 1<<20)}
+	return &ClientFSM{c: &clientState{machine: m, cfg: cfg}}, nil
 }
 
 // Step advances the machine; see ServerFSM.Step.
-func (f *ClientFSM) Step() error { return f.c.step() }
+func (f *ClientFSM) Step() error { return drive(&f.c.machine, f.c, &clientPlans) }
 
 // Done reports whether the handshake completed successfully.
-func (f *ClientFSM) Done() bool { return f.c.phase == cliDone && f.c.err == nil }
+func (f *ClientFSM) Done() bool { return f.c.res != nil }
 
 // Result returns the completed handshake's outcome, or nil before
 // Done.
 func (f *ClientFSM) Result() *Result { return f.c.res }
 
-type clientState struct {
-	conn RecordConn
-	cfg  *ClientConfig
-	msgs *msgReader
+// clientPlans are the client's three paths. The client is not the
+// measured party, so its rows carry no Table 2 step and its machine
+// no probe bus.
+var clientPlans = [numPlans][]row[*clientState]{
+	planRSA: {
+		{in: none, run: (*clientState).sendHello},
+		{in: typeServerHello, run: (*clientState).readServerHello},
+		{in: typeCertificate, run: (*clientState).readCertificate},
+		{in: typeServerHelloDone, run: (*clientState).readServerDone},
+		{in: none, run: (*clientState).sendKeyExchange},
+		{in: none, run: (*clientState).keyBlock},
+		{in: none, run: (*clientState).sendCCSAndFinished},
+		{in: ccs, run: (*clientState).prepareFinished},
+		{in: typeFinished, run: (*clientState).verifyServerFinished},
+		{in: none, run: (*clientState).finish},
+	},
+	planDHE: {
+		{in: none, run: (*clientState).sendHello},
+		{in: typeServerHello, run: (*clientState).readServerHello},
+		{in: typeCertificate, run: (*clientState).readCertificate},
+		{in: typeServerKeyExchange, run: (*clientState).readServerKeyExchange},
+		{in: typeServerHelloDone, run: (*clientState).readServerDone},
+		{in: none, run: (*clientState).sendKeyExchange},
+		{in: none, run: (*clientState).keyBlock},
+		{in: none, run: (*clientState).sendCCSAndFinished},
+		{in: ccs, run: (*clientState).prepareFinished},
+		{in: typeFinished, run: (*clientState).verifyServerFinished},
+		{in: none, run: (*clientState).finish},
+	},
+	planResumed: {
+		{in: none, run: (*clientState).sendHello},
+		{in: typeServerHello, run: (*clientState).readServerHello},
+		{in: none, run: (*clientState).keyBlock},
+		{in: ccs, run: (*clientState).prepareFinished},
+		{in: typeFinished, run: (*clientState).verifyServerFinished},
+		{in: none, run: (*clientState).sendCCSAndFinished},
+		{in: none, run: (*clientState).finish},
+	},
+}
 
-	phase cliPhase
-	err   error // sticky terminal error
-	res   *Result
+type clientState struct {
+	machine
+	cfg *ClientConfig
 
 	fin          *sslcrypto.FinishedHash
 	version      uint16
@@ -136,7 +151,7 @@ type clientState struct {
 	resumed      bool
 
 	// cert is the parsed server leaf; ske the DHE parameters — both
-	// carried across phases (the key exchange needs them after the
+	// carried across rows (the key exchange needs them after the
 	// reads that produced them).
 	cert *x509lite.Certificate
 	ske  *serverKeyExchangeMsg
@@ -146,136 +161,13 @@ type clientState struct {
 	expected []byte
 }
 
-// step is the FSM driver. The client has no probe bus (only the
-// server side is the paper's measured party), so the driver is the
-// bare phase loop.
-func (c *clientState) step() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.phase == cliDone {
-		return nil
-	}
-	for {
-		err := c.runPhase()
-		if err == ErrWouldBlock {
-			return err
-		}
-		if err != nil {
-			c.err = err
-			// Best effort: tell the peer before failing.
-			c.conn.WriteRecord(record.TypeAlert, []byte{record.AlertLevelFatal, record.AlertHandshakeFailure})
-			return err
-		}
-		if c.phase == cliDone {
-			return nil
-		}
-	}
-}
-
-// runPhase executes the current phase's slice of work, advancing
-// c.phase on success.
-func (c *clientState) runPhase() error {
-	switch c.phase {
-	case cliSendHello:
-		if err := c.sendHello(); err != nil {
-			return err
-		}
-		c.phase = cliServerHello
-
-	case cliServerHello:
-		if err := c.readServerHello(); err != nil {
-			return err
-		}
-		if c.resumed {
-			c.phase = cliResumedKeys
-		} else {
-			c.phase = cliCertificate
-		}
-
-	case cliCertificate:
-		if err := c.readCertificate(); err != nil {
-			return err
-		}
-		c.phase = cliServerKX
-
-	case cliServerKX:
-		// For DHE suites the server sends its signed ephemeral
-		// parameters before ServerHelloDone; for RSA suites the next
-		// message is ServerHelloDone itself.
-		if c.suite.Kx == suite.KxDHERSA {
-			if err := c.readServerKeyExchange(); err != nil {
-				return err
-			}
-		}
-		c.phase = cliServerDone
-
-	case cliServerDone:
-		// ServerHelloDone (certificate request is not sent: clients
-		// are not authenticated, as in the paper's setup).
-		raw, err := c.msgs.expect(typeServerHelloDone, "ServerHelloDone")
-		if err != nil {
-			return err
-		}
-		c.fin.Write(raw)
-		c.phase = cliSendKX
-
-	case cliSendKX:
-		// ClientKeyExchange, then CCS + client Finished under the new
-		// keys — all writes, no suspension point.
-		if err := c.sendKeyExchange(); err != nil {
-			return err
-		}
-		if err := c.sendCCSAndFinished(); err != nil {
-			return err
-		}
-		c.phase = cliServerCCS
-
-	case cliResumedKeys:
-		c.keys = sliceKeyBlock(c.version, c.suite, c.master, c.clientRandom[:], c.serverHello.random[:])
-		c.phase = cliServerCCS
-
-	case cliServerCCS:
-		// Server CCS: arm the read state and precompute the expected
-		// server finished hashes.
-		if err := c.msgs.readCCS(); err != nil {
-			return err
-		}
-		if err := armRead(c.version, c.conn, c.suite, c.keys.serverKey, c.keys.serverIV, c.keys.serverMAC); err != nil {
-			return err
-		}
-		c.expected = verifyDataFor(c.version, c.fin, false, c.master)
-		c.phase = cliServerFinished
-
-	case cliServerFinished:
-		if err := c.verifyServerFinished(); err != nil {
-			return err
-		}
-		if c.resumed {
-			// Resumed sessions respond with the client's CCS+Finished
-			// after the server's.
-			c.phase = cliSendFinal
-		} else {
-			return c.finish()
-		}
-
-	case cliSendFinal:
-		if err := c.sendCCSAndFinished(); err != nil {
-			return err
-		}
-		return c.finish()
-	}
-	return nil
-}
-
 // finish sends the held final flight (a resumed handshake's CCS +
 // Finished; a full one's left before the server's was read) and
 // records the completed handshake's outcome.
-func (c *clientState) finish() error {
+func (c *clientState) finish([]byte) error {
 	if err := c.conn.Flush(); err != nil {
 		return err
 	}
-	c.phase = cliDone
 	c.res = &Result{
 		Suite:   c.suite,
 		Resumed: c.resumed,
@@ -291,7 +183,7 @@ func (c *clientState) finish() error {
 
 // sendHello builds and sends the ClientHello. The record layer stays
 // flexible until the ServerHello pins the negotiated version.
-func (c *clientState) sendHello() error {
+func (c *clientState) sendHello([]byte) error {
 	c.fin = sslcrypto.NewFinishedHash()
 	hello := clientHelloMsg{
 		version:      c.cfg.version(),
@@ -310,11 +202,9 @@ func (c *clientState) sendHello() error {
 	return c.conn.WriteRecord(record.TypeHandshake, rawHello)
 }
 
-func (c *clientState) readServerHello() error {
-	raw, err := c.msgs.expect(typeServerHello, "ServerHello")
-	if err != nil {
-		return err
-	}
+// readServerHello holds the server to what the client offered and
+// picks the plan.
+func (c *clientState) readServerHello(raw []byte) error {
 	if err := c.serverHello.unmarshal(raw[4:]); err != nil {
 		return err
 	}
@@ -325,8 +215,15 @@ func (c *clientState) readServerHello() error {
 	}
 	c.version = c.serverHello.version
 	c.conn.SetProtocolVersion(c.version)
+	var err error
 	if c.suite, err = suite.ByID(c.serverHello.cipherSuite); err != nil {
 		return probe.Fail(probe.FailBadMessage, err)
+	}
+	if !allows(c.cfg.Suites, c.suite.ID) {
+		return badMessage("handshake: server chose cipher suite %#04x, which the client did not offer", uint16(c.suite.ID))
+	}
+	if c.serverHello.compression != 0 {
+		return badMessage("handshake: server chose compression method %d, which the client did not offer", c.serverHello.compression)
 	}
 
 	// Resumption: the server echoes our offered session id.
@@ -341,14 +238,11 @@ func (c *clientState) readServerHello() error {
 			return probe.Failf(probe.FailVersionMismatch, "handshake: resumed session changed protocol version")
 		}
 	}
+	c.plan = planFor(c.resumed, c.suite)
 	return nil
 }
 
-func (c *clientState) readCertificate() error {
-	raw, err := c.msgs.expect(typeCertificate, "Certificate")
-	if err != nil {
-		return err
-	}
+func (c *clientState) readCertificate(raw []byte) error {
 	var certMsg certificateMsg
 	if err := certMsg.unmarshal(raw[4:]); err != nil {
 		return err
@@ -365,11 +259,9 @@ func (c *clientState) readCertificate() error {
 	return nil
 }
 
-func (c *clientState) readServerKeyExchange() error {
-	raw, err := c.msgs.expect(typeServerKeyExchange, "ServerKeyExchange")
-	if err != nil {
-		return err
-	}
+// readServerKeyExchange takes a DHE suite's signed ephemeral
+// parameters, sent before ServerHelloDone.
+func (c *clientState) readServerKeyExchange(raw []byte) error {
 	ske := &serverKeyExchangeMsg{}
 	if err := ske.unmarshal(raw[4:]); err != nil {
 		return err
@@ -383,9 +275,16 @@ func (c *clientState) readServerKeyExchange() error {
 	return nil
 }
 
+// readServerDone takes ServerHelloDone (certificate request is not
+// sent: clients are not authenticated, as in the paper's setup).
+func (c *clientState) readServerDone(raw []byte) error {
+	c.fin.Write(raw)
+	return nil
+}
+
 // sendKeyExchange builds and sends the ClientKeyExchange and derives
-// the master secret and key block.
-func (c *clientState) sendKeyExchange() error {
+// the master secret.
+func (c *clientState) sendKeyExchange([]byte) error {
 	var preMaster []byte
 	var rawCkx []byte
 	if c.suite.Kx == suite.KxDHERSA {
@@ -438,7 +337,22 @@ func (c *clientState) sendKeyExchange() error {
 	for i := range preMaster {
 		preMaster[i] = 0
 	}
+	return nil
+}
+
+// keyBlock derives and slices the key block from the master secret.
+func (c *clientState) keyBlock([]byte) error {
 	c.keys = sliceKeyBlock(c.version, c.suite, c.master, c.clientRandom[:], c.serverHello.random[:])
+	return nil
+}
+
+// prepareFinished installs the read state once the server's CCS is
+// in and precomputes the expected server finished hashes.
+func (c *clientState) prepareFinished([]byte) error {
+	if err := armRead(c.version, c.conn, c.suite, c.keys.serverKey, c.keys.serverIV, c.keys.serverMAC); err != nil {
+		return err
+	}
+	c.expected = verifyDataFor(c.version, c.fin, false, c.master)
 	return nil
 }
 
@@ -480,7 +394,7 @@ func (c *clientState) verifyCert(cert *x509lite.Certificate, intermediates [][]b
 	return probe.Fail(probe.FailCertVerify, current.CheckSignatureFrom(c.cfg.RootCert))
 }
 
-func (c *clientState) sendCCSAndFinished() error {
+func (c *clientState) sendCCSAndFinished([]byte) error {
 	if err := c.conn.WriteRecord(record.TypeChangeCipherSpec, []byte{1}); err != nil {
 		return err
 	}
@@ -494,13 +408,9 @@ func (c *clientState) sendCCSAndFinished() error {
 	return c.conn.WriteRecord(record.TypeHandshake, raw)
 }
 
-// verifyServerFinished reads the server Finished and compares it to
-// the hashes cliServerCCS precomputed.
-func (c *clientState) verifyServerFinished() error {
-	raw, err := c.msgs.expect(typeFinished, "Finished")
-	if err != nil {
-		return err
-	}
+// verifyServerFinished compares the server Finished to the hashes
+// prepareFinished precomputed.
+func (c *clientState) verifyServerFinished(raw []byte) error {
 	var fin finishedMsg
 	if err := fin.unmarshal(raw[4:], finishedLenFor(c.version)); err != nil {
 		return err

@@ -1,7 +1,8 @@
 // Package handshake implements the SSL 3.0 handshake protocol: the
-// message codecs, the client state machine, and a server state
-// machine partitioned into the ten steps of the paper's Table 2 with
-// per-step and per-crypto-call latency capture. Session-ID resumption
+// message codecs and their one table, and each role's handshake as
+// plans — lists of rows one driver walks — with the server's rows
+// tagged with the ten steps of the paper's Table 2 for per-step and
+// per-crypto-call latency capture. Session-ID resumption
 // — the paper's "session re-negotiation using the previously setup
 // keys" that avoids the RSA operation — is supported on both sides.
 package handshake
@@ -26,6 +27,47 @@ const (
 	typeClientKeyExchange  = 16
 	typeFinished           = 20
 )
+
+// A sender is the role that sends a handshake message.
+type sender uint8
+
+const (
+	byClient sender = 1 << iota
+	byServer
+)
+
+// messages is the one table of handshake messages: the name expect
+// puts in its error and the Figure 1 sniffer prints, and the role that
+// sends each. The plans read their inputs' types from it, and the
+// illegal-transition test feeds every row of it to every reading row
+// of every plan.
+var messages = [...]struct {
+	typ  byte
+	name string
+	from sender
+}{
+	{typeHelloRequest, "HelloRequest", byServer},
+	{typeClientHello, "ClientHello", byClient},
+	{typeServerHello, "ServerHello", byServer},
+	{typeCertificate, "Certificate", byServer | byClient},
+	{typeServerKeyExchange, "ServerKeyExchange", byServer},
+	{typeCertificateRequest, "CertificateRequest", byServer},
+	{typeServerHelloDone, "ServerHelloDone", byServer},
+	{typeCertificateVerify, "CertificateVerify", byClient},
+	{typeClientKeyExchange, "ClientKeyExchange", byClient},
+	{typeFinished, "Finished", byServer | byClient},
+}
+
+// MessageName returns the name of handshake message type typ, or ""
+// for a type outside the message table.
+func MessageName(typ byte) string {
+	for _, m := range messages {
+		if m.typ == typ {
+			return m.name
+		}
+	}
+	return ""
+}
 
 // RandomLen is the hello random length (4-byte timestamp + 28 random).
 const RandomLen = 32

@@ -66,14 +66,15 @@ func (r *msgReader) next() (byte, []byte, error) {
 }
 
 // expect returns the next handshake message's wire bytes, which must
-// be of type want (named name in the error when they are not).
-func (r *msgReader) expect(want byte, name string) ([]byte, error) {
+// be of type want (named from the message table in the error when
+// they are not).
+func (r *msgReader) expect(want byte) ([]byte, error) {
 	msgType, raw, err := r.next()
 	if err != nil {
 		return nil, err
 	}
 	if msgType != want {
-		return nil, badMessage("handshake: expected %s, got type %d", name, msgType)
+		return nil, badMessage("handshake: expected %s, got type %d", MessageName(want), msgType)
 	}
 	return raw, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"time"
 
 	"sslperf/internal/dh"
@@ -65,6 +66,11 @@ func (c *ServerConfig) now() time.Time {
 	return time.Now() // lint:allow-clock — config default, not a hot-path stamp
 }
 
+// allows reports whether a configured suite list (nil = all) holds id.
+func allows(list []suite.ID, id suite.ID) bool {
+	return list == nil || slices.Contains(list, id)
+}
+
 // Result reports the outcome of a completed handshake.
 type Result struct {
 	Suite   *suite.Suite
@@ -72,78 +78,8 @@ type Result struct {
 	Resumed bool
 }
 
-// srvPhase enumerates the server FSM's resumable states. Each phase
-// is one uninterruptible slice of work whose only suspension point is
-// its leading read: a phase either returns ErrWouldBlock having done
-// nothing but buffer partial records (safe to re-enter), or runs to
-// completion exactly once — so crypto probe events are never emitted
-// twice however often a phase resumes.
-type srvPhase int
-
-const (
-	srvInit srvPhase = iota
-	srvClientHello
-	srvServerHello
-	srvCert
-	srvServerKX
-	srvServerDone
-	srvClientKX
-	srvClientCCS
-	srvClientFinished
-	srvSendCCS
-	srvSendFinished
-	srvResumedKeyBlock
-	srvResumedCCS
-	srvResumedFinished
-	srvResumedClientCCS
-	srvResumedClientFin
-	srvFlush
-	srvDone
-)
-
-// probeStep maps each phase onto its Table-2 step. Adjacent phases
-// sharing a step (the CCS-read and finished-verify halves of
-// get_finished) stay inside one StepEnter/StepExit pair, and the bus
-// suspends rather than exits across WouldBlock, so sinks see exactly
-// the event stream the straight-line FSM emitted.
-func (p srvPhase) probeStep() probe.Step {
-	switch p {
-	case srvInit:
-		return probe.StepInit
-	case srvClientHello:
-		return probe.StepGetClientHello
-	case srvServerHello:
-		return probe.StepSendServerHello
-	case srvCert:
-		return probe.StepSendServerCert
-	case srvServerKX:
-		return probe.StepSendServerKX
-	case srvServerDone:
-		return probe.StepSendServerDone
-	case srvClientKX:
-		return probe.StepGetClientKX
-	case srvClientCCS, srvClientFinished:
-		return probe.StepGetFinished
-	case srvSendCCS:
-		return probe.StepSendCipherSpec
-	case srvSendFinished:
-		return probe.StepSendFinished
-	case srvResumedKeyBlock:
-		return probe.StepGenKeyBlock
-	case srvResumedCCS:
-		return probe.StepSendCipherSpec
-	case srvResumedFinished:
-		return probe.StepSendFinished
-	case srvResumedClientCCS, srvResumedClientFin:
-		return probe.StepGetFinished
-	case srvFlush:
-		return probe.StepServerFlush
-	}
-	return probe.StepNone
-}
-
 // ServerFSM is the resumable server handshake: one Step call advances
-// through as many phases as the fed bytes allow, returning
+// through as many rows of its plan as the fed bytes allow, returning
 // ErrWouldBlock when the peer's next flight has not arrived (feed the
 // record core and call Step again), nil when the handshake is
 // complete, or a terminal error (after which a fatal alert has been
@@ -178,30 +114,70 @@ func NewServerFSM(conn RecordConn, cfg *ServerConfig) (*ServerFSM, error) {
 	}
 	// A server reads nothing larger than a ClientHello or a
 	// ClientKeyExchange; one record's worth is already generous.
-	s := &serverState{conn: conn, cfg: cfg, bus: cfg.Probe, msgs: newMsgReader(conn, record.MaxFragment)}
-	return &ServerFSM{s: s}, nil
+	m := machine{conn: conn, bus: cfg.Probe, msgs: newMsgReader(conn, record.MaxFragment)}
+	return &ServerFSM{s: &serverState{machine: m, cfg: cfg}}, nil
 }
 
 // Step advances the machine; see ServerFSM.
-func (f *ServerFSM) Step() error { return f.s.step() }
+func (f *ServerFSM) Step() error { return drive(&f.s.machine, f.s, &serverPlans) }
 
 // Done reports whether the handshake completed successfully.
-func (f *ServerFSM) Done() bool { return f.s.phase == srvDone && f.s.err == nil }
+func (f *ServerFSM) Done() bool { return f.s.res != nil }
 
 // Result returns the completed handshake's outcome, or nil before
 // Done.
 func (f *ServerFSM) Result() *Result { return f.s.res }
 
-type serverState struct {
-	conn RecordConn
-	cfg  *ServerConfig
-	bus  *probe.Bus
-	msgs *msgReader
+// serverPlans are the server's three paths through Table 2's steps.
+// The full plans differ only in the DHE server key exchange; the
+// resumed one skips steps 3–7 and sends its CCS and Finished before
+// reading the client's.
+var serverPlans = [numPlans][]row[*serverState]{
+	planRSA: {
+		{none, probe.StepInit, (*serverState).initHashes},
+		{typeClientHello, probe.StepGetClientHello, (*serverState).getClientHello},
+		{none, probe.StepSendServerHello, (*serverState).sendServerHello},
+		{none, probe.StepSendServerCert, (*serverState).sendCertificate},
+		{none, probe.StepSendServerDone, (*serverState).sendServerDone},
+		{typeClientKeyExchange, probe.StepGetClientKX, (*serverState).getClientKeyExchange},
+		{ccs, probe.StepGetFinished, (*serverState).genKeyBlock},
+		{none, probe.StepGetFinished, (*serverState).prepareFinished},
+		{typeFinished, probe.StepGetFinished, (*serverState).verifyClientFinished},
+		{none, probe.StepSendCipherSpec, (*serverState).sendCCS},
+		{none, probe.StepSendFinished, (*serverState).sendFinished},
+		{none, probe.StepServerFlush, (*serverState).flush},
+	},
+	planDHE: {
+		{none, probe.StepInit, (*serverState).initHashes},
+		{typeClientHello, probe.StepGetClientHello, (*serverState).getClientHello},
+		{none, probe.StepSendServerHello, (*serverState).sendServerHello},
+		{none, probe.StepSendServerCert, (*serverState).sendCertificate},
+		{none, probe.StepSendServerKX, (*serverState).sendServerKeyExchange},
+		{none, probe.StepSendServerDone, (*serverState).sendServerDone},
+		{typeClientKeyExchange, probe.StepGetClientKX, (*serverState).getClientKeyExchange},
+		{ccs, probe.StepGetFinished, (*serverState).genKeyBlock},
+		{none, probe.StepGetFinished, (*serverState).prepareFinished},
+		{typeFinished, probe.StepGetFinished, (*serverState).verifyClientFinished},
+		{none, probe.StepSendCipherSpec, (*serverState).sendCCS},
+		{none, probe.StepSendFinished, (*serverState).sendFinished},
+		{none, probe.StepServerFlush, (*serverState).flush},
+	},
+	planResumed: {
+		{none, probe.StepInit, (*serverState).initHashes},
+		{typeClientHello, probe.StepGetClientHello, (*serverState).getClientHello},
+		{none, probe.StepSendServerHello, (*serverState).sendServerHello},
+		{none, probe.StepGenKeyBlock, (*serverState).genKeyBlock},
+		{none, probe.StepSendCipherSpec, (*serverState).sendCCS},
+		{none, probe.StepSendFinished, (*serverState).sendFinished},
+		{ccs, probe.StepGetFinished, (*serverState).prepareFinished},
+		{typeFinished, probe.StepGetFinished, (*serverState).verifyClientFinished},
+		{none, probe.StepServerFlush, (*serverState).flush},
+	},
+}
 
-	phase    srvPhase
-	openStep probe.Step // probe step currently entered (StepNone between steps)
-	err      error      // sticky terminal error
-	res      *Result
+type serverState struct {
+	machine
+	cfg *ServerConfig
 
 	fin          *sslcrypto.FinishedHash
 	version      uint16
@@ -214,8 +190,8 @@ type serverState struct {
 	resumed      bool
 
 	// expected is the precomputed client finished verify data: the
-	// final_finish_mac runs in the CCS phase (exactly once), so the
-	// finished-verify phase can resume across WouldBlock without
+	// final_finish_mac runs in prepareFinished (exactly once), so the
+	// finished-verify row can resume across WouldBlock without
 	// re-emitting the crypto event.
 	expected []byte
 
@@ -248,229 +224,68 @@ func (s *serverState) buildCipherStates() error {
 	return err
 }
 
-// step is the FSM driver: it opens/closes probe steps at phase
-// boundaries, suspends the step clock across WouldBlock, and turns a
-// terminal error into a queued fatal alert.
-func (s *serverState) step() error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.phase == srvDone {
-		return nil
-	}
-	// Re-entry after WouldBlock: restart the suspended step's clock
-	// (a no-op on first entry or a nil bus).
-	s.bus.StepResume()
-	for {
-		if st := s.phase.probeStep(); st != s.openStep {
-			// StepEnter closes the previous step first, so sinks see
-			// the same Exit-then-Enter stream the straight-line code
-			// emitted.
-			s.bus.StepEnter(st)
-			s.openStep = st
-		}
-		err := s.runPhase()
-		if err == ErrWouldBlock {
-			s.bus.StepSuspend()
-			return err
-		}
-		if err != nil {
-			s.bus.StepExit()
-			s.openStep = probe.StepNone
-			s.err = err
-			// Best effort: tell the peer before failing. Over a
-			// sans-IO core this queues the alert for the caller's
-			// flush.
-			s.conn.WriteRecord(record.TypeAlert, []byte{record.AlertLevelFatal, record.AlertHandshakeFailure})
-			return err
-		}
-		if s.phase == srvDone {
-			s.bus.StepExit()
-			s.openStep = probe.StepNone
-			return nil
-		}
-	}
+// initHashes is step 0, init: internal data structures and the
+// transcript hashes (init_finished_mac).
+func (s *serverState) initHashes([]byte) error {
+	s.bus.Crypto(probe.FnInitFinishedMac, func() { s.fin = sslcrypto.NewFinishedHash() })
+	return nil
 }
 
-// runPhase executes the current phase's slice of work, advancing
-// s.phase on success.
-func (s *serverState) runPhase() error {
-	switch s.phase {
-	case srvInit:
-		// Step 0: init — internal data structures and the transcript
-		// hashes (init_finished_mac).
-		s.bus.Crypto(probe.FnInitFinishedMac, func() { s.fin = sslcrypto.NewFinishedHash() })
-		s.phase = srvClientHello
+// genKeyBlock is gen_key_block: step 6's first half after the client
+// CCS of a full handshake, a step of its own when resuming.
+func (s *serverState) genKeyBlock([]byte) error {
+	return s.bus.CryptoErr(probe.FnGenKeyBlock, s.buildCipherStates)
+}
 
-	case srvClientHello:
-		// Step 1: get_client_hello — check version, get client random
-		// and session-id, choose a cipher, generate a new session id.
-		if err := s.getClientHello(); err != nil {
-			return err
-		}
-		s.phase = srvServerHello
+// prepareFinished installs the read state once the client's CCS is
+// in and precomputes the expected client finished hashes.
+func (s *serverState) prepareFinished([]byte) error {
+	s.conn.SetReadState(s.inCipher, s.inMAC)
+	s.bus.Crypto(probe.FnFinalFinishMac, func() {
+		s.expected = verifyDataFor(s.version, s.fin, true, s.master)
+	})
+	return nil
+}
 
-	case srvServerHello:
-		// Step 2: send_server_hello.
-		if err := s.sendServerHello(); err != nil {
-			return err
-		}
-		if s.resumed {
-			s.phase = srvResumedKeyBlock
-		} else {
-			s.phase = srvCert
-		}
-
-	case srvCert:
-		// Step 3: send_server_cert. (For RSA suites the server key
-		// exchange and certificate request messages are skipped, as in
-		// the paper: the certificate's RSA key does the key exchange
-		// and clients are not authenticated. DHE suites send the
-		// signed ephemeral parameters right after the certificate.)
-		if err := s.sendCertificate(); err != nil {
-			return err
-		}
-		if s.suite.Kx == suite.KxDHERSA {
-			s.phase = srvServerKX
-		} else {
-			s.phase = srvServerDone
-		}
-
-	case srvServerKX:
-		if err := s.sendServerKeyExchange(); err != nil {
-			return err
-		}
-		s.phase = srvServerDone
-
-	case srvServerDone:
-		// Step 4: send_server_done + buffer control.
-		done := serverHelloDone()
-		s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(done) })
-		if err := s.conn.WriteRecord(record.TypeHandshake, done); err != nil {
-			return err
-		}
-		s.phase = srvClientKX
-
-	case srvClientKX:
-		// Step 5: get_client_kx — RSA-decrypt the pre-master, derive
-		// the master secret.
-		if err := s.getClientKeyExchange(); err != nil {
-			return err
-		}
-		s.phase = srvClientCCS
-
-	case srvClientCCS:
-		// Step 6, first half: read the client ChangeCipherSpec,
-		// generate the key block, arm the read state, and precompute
-		// the expected client finished hashes.
-		if err := s.msgs.readCCS(); err != nil {
-			return err
-		}
-		if err := s.bus.CryptoErr(probe.FnGenKeyBlock, s.buildCipherStates); err != nil {
-			return err
-		}
-		s.conn.SetReadState(s.inCipher, s.inMAC)
-		s.bus.Crypto(probe.FnFinalFinishMac, func() {
-			s.expected = verifyDataFor(s.version, s.fin, true, s.master)
+// flush is step 9, server_flush: send the held final flight (the CCS
+// + Finished of a full handshake; a resumed one's left when the server
+// read the client's), then cache a new session (a resumed one is in
+// the cache already).
+func (s *serverState) flush([]byte) error {
+	if err := s.conn.Flush(); err != nil {
+		return err
+	}
+	if s.cfg.Cache != nil && len(s.sessionID) > 0 && !s.resumed {
+		s.cfg.Cache.Put(&Session{
+			ID:      append([]byte(nil), s.sessionID...),
+			Suite:   s.suite.ID,
+			Master:  append([]byte(nil), s.master...),
+			Version: s.version,
 		})
-		s.phase = srvClientFinished
-
-	case srvClientFinished:
-		// Step 6, second half: verify the (first encrypted) client
-		// finished message.
-		if err := s.verifyClientFinished(); err != nil {
-			return err
-		}
-		s.phase = srvSendCCS
-
-	case srvSendCCS:
-		// Step 7: send_cipher_spec.
-		if err := s.sendCCS(); err != nil {
-			return err
-		}
-		s.phase = srvSendFinished
-
-	case srvSendFinished:
-		// Step 8: send_finished — server finished hashes with 'SRVR'
-		// padding, MACed and encrypted under the new keys.
-		if err := s.sendFinished(); err != nil {
-			return err
-		}
-		s.phase = srvFlush
-
-	case srvResumedKeyBlock:
-		if err := s.bus.CryptoErr(probe.FnGenKeyBlock, s.buildCipherStates); err != nil {
-			return err
-		}
-		s.phase = srvResumedCCS
-
-	case srvResumedCCS:
-		if err := s.sendCCS(); err != nil {
-			return err
-		}
-		s.phase = srvResumedFinished
-
-	case srvResumedFinished:
-		if err := s.sendFinished(); err != nil {
-			return err
-		}
-		s.phase = srvResumedClientCCS
-
-	case srvResumedClientCCS:
-		if err := s.msgs.readCCS(); err != nil {
-			return err
-		}
-		s.conn.SetReadState(s.inCipher, s.inMAC)
-		s.bus.Crypto(probe.FnFinalFinishMac, func() {
-			s.expected = verifyDataFor(s.version, s.fin, true, s.master)
-		})
-		s.phase = srvResumedClientFin
-
-	case srvResumedClientFin:
-		if err := s.verifyClientFinished(); err != nil {
-			return err
-		}
-		s.phase = srvFlush
-
-	case srvFlush:
-		// Step 9: server_flush — send the held final flight (the
-		// CCS + Finished of a full handshake; a resumed one's left when
-		// the server read the client's), then cache a new session (a
-		// resumed one is in the cache already).
-		if err := s.conn.Flush(); err != nil {
-			return err
-		}
-		if s.cfg.Cache != nil && len(s.sessionID) > 0 && !s.resumed {
-			s.cfg.Cache.Put(&Session{
-				ID:      append([]byte(nil), s.sessionID...),
-				Suite:   s.suite.ID,
-				Master:  append([]byte(nil), s.master...),
-				Version: s.version,
-			})
-		}
-		s.res = &Result{
-			Suite:   s.suite,
-			Resumed: s.resumed,
-			Session: &Session{
-				ID: s.sessionID, Suite: s.suite.ID,
-				Master: s.master, Version: s.version,
-			},
-		}
-		s.phase = srvDone
+	}
+	s.res = &Result{
+		Suite:   s.suite,
+		Resumed: s.resumed,
+		Session: &Session{
+			ID: s.sessionID, Suite: s.suite.ID,
+			Master: s.master, Version: s.version,
+		},
 	}
 	return nil
 }
 
-func (s *serverState) getClientHello() error {
-	raw, err := s.msgs.expect(typeClientHello, "ClientHello")
-	if err != nil {
-		return err
-	}
+// getClientHello is step 1: check version, get client random and
+// session-id, choose a cipher (or the session to resume) and the
+// plan, generate a new session id.
+func (s *serverState) getClientHello(raw []byte) error {
 	if err := s.clientHello.unmarshal(raw[4:]); err != nil {
 		return err
 	}
 	if s.clientHello.version < record.VersionSSL30 {
 		return probe.Failf(probe.FailVersionMismatch, "handshake: client version %#04x too old", s.clientHello.version)
+	}
+	if !slices.Contains(s.clientHello.compressions, 0) {
+		return badMessage("handshake: ClientHello offers no null compression method")
 	}
 	s.version = s.clientHello.version
 	if max := s.cfg.maxVersion(); s.version > max {
@@ -480,10 +295,13 @@ func (s *serverState) getClientHello() error {
 	// Absorb into the transcript (finish_mac).
 	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 
-	// Resumption probe.
+	// Resumption probe: a session resumes only with a suite the client
+	// offered and this server still allows; otherwise, as crypto/tls
+	// does, the handshake falls back to a full one.
 	if s.cfg.Cache != nil && len(s.clientHello.sessionID) > 0 {
 		if sess := s.cfg.Cache.Get(s.clientHello.sessionID); sess != nil && sess.Version == s.version {
-			if sessSuite, err := suite.ByID(sess.Suite); err == nil && s.offered(sess.Suite) {
+			if sessSuite, err := suite.ByID(sess.Suite); err == nil &&
+				slices.Contains(s.clientHello.cipherSuites, sess.Suite) && allows(s.cfg.Suites, sess.Suite) {
 				s.resumed = true
 				s.suite = sessSuite
 				s.sessionID = append([]byte(nil), sess.ID...)
@@ -492,6 +310,7 @@ func (s *serverState) getClientHello() error {
 		}
 	}
 	if s.resumed {
+		s.plan = planResumed
 		return nil
 	}
 
@@ -513,6 +332,7 @@ func (s *serverState) getClientHello() error {
 		return probe.Fail(probe.FailBadMessage, err)
 	}
 	s.suite = chosen
+	s.plan = planFor(false, chosen)
 
 	// Generate a fresh session id (rand_pseudo_bytes).
 	s.sessionID = make([]byte, SessionIDLen)
@@ -522,17 +342,8 @@ func (s *serverState) getClientHello() error {
 	})
 }
 
-// offered reports whether the client offered the given suite.
-func (s *serverState) offered(id suite.ID) bool {
-	for _, cs := range s.clientHello.cipherSuites {
-		if cs == id {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *serverState) sendServerHello() error {
+// sendServerHello is step 2.
+func (s *serverState) sendServerHello([]byte) error {
 	if err := s.bus.CryptoErr(probe.FnRandPseudoBytes, func() error {
 		return fillRandom(s.cfg.Rand, &s.serverRandom, s.cfg.now())
 	}); err != nil {
@@ -549,7 +360,12 @@ func (s *serverState) sendServerHello() error {
 	return s.conn.WriteRecord(record.TypeHandshake, raw)
 }
 
-func (s *serverState) sendCertificate() error {
+// sendCertificate is step 3, send_server_cert. (For RSA suites the
+// server key exchange and certificate request messages are skipped, as
+// in the paper: the certificate's RSA key does the key exchange and
+// clients are not authenticated. DHE suites send the signed ephemeral
+// parameters right after the certificate.)
+func (s *serverState) sendCertificate([]byte) error {
 	var raw []byte
 	// Building the certificate message is the "X509 functions" cost
 	// of Table 2 step 3.
@@ -564,7 +380,7 @@ func (s *serverState) sendCertificate() error {
 
 // sendServerKeyExchange generates the ephemeral DH key, signs the
 // parameters with the server's RSA key, and sends the message.
-func (s *serverState) sendServerKeyExchange() error {
+func (s *serverState) sendServerKeyExchange([]byte) error {
 	if s.cfg.Key == nil {
 		return errors.New("handshake: DHE suites need the full RSA key for signing")
 	}
@@ -594,11 +410,17 @@ func (s *serverState) sendServerKeyExchange() error {
 	return s.conn.WriteRecord(record.TypeHandshake, raw)
 }
 
-func (s *serverState) getClientKeyExchange() error {
-	raw, err := s.msgs.expect(typeClientKeyExchange, "ClientKeyExchange")
-	if err != nil {
-		return err
-	}
+// sendServerDone is step 4, send_server_done + buffer control.
+func (s *serverState) sendServerDone([]byte) error {
+	done := serverHelloDone()
+	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(done) })
+	return s.conn.WriteRecord(record.TypeHandshake, done)
+}
+
+// getClientKeyExchange is step 5, get_client_kx: RSA-decrypt the
+// pre-master (or compute the DHE shared secret) and derive the master
+// secret.
+func (s *serverState) getClientKeyExchange(raw []byte) error {
 	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 
 	var preMaster []byte
@@ -685,18 +507,12 @@ func rsaPreMaster(pm []byte, version uint16, substitute []byte) []byte {
 	return pm
 }
 
-// verifyClientFinished reads the first encrypted message
-// (pri_decryption + mac via the record layer) and compares it to the
-// expected hashes the CCS phase precomputed.
-func (s *serverState) verifyClientFinished() error {
-	// The record layer's decryption and MAC of the finished message
-	// emit on the same bus with the current step attached, so Table 2
-	// reports its pri_decryption and mac rows without any observer
-	// swapping.
-	raw, err := s.msgs.expect(typeFinished, "Finished")
-	if err != nil {
-		return err
-	}
+// verifyClientFinished takes the first encrypted message and compares
+// it to the expected hashes prepareFinished precomputed. The record
+// layer's decryption and MAC of it emit on the same bus with the
+// current step attached, so Table 2 reports its pri_decryption and mac
+// rows without any observer swapping.
+func (s *serverState) verifyClientFinished(raw []byte) error {
 	var fin finishedMsg
 	if err := fin.unmarshal(raw[4:], finishedLenFor(s.version)); err != nil {
 		return err
@@ -710,7 +526,8 @@ func (s *serverState) verifyClientFinished() error {
 	return nil
 }
 
-func (s *serverState) sendCCS() error {
+// sendCCS is step 7, send_cipher_spec.
+func (s *serverState) sendCCS([]byte) error {
 	if err := s.conn.WriteRecord(record.TypeChangeCipherSpec, []byte{1}); err != nil {
 		return err
 	}
@@ -718,7 +535,9 @@ func (s *serverState) sendCCS() error {
 	return nil
 }
 
-func (s *serverState) sendFinished() error {
+// sendFinished is step 8: the server finished hashes with 'SRVR'
+// padding, MACed and encrypted under the new keys.
+func (s *serverState) sendFinished([]byte) error {
 	var verify []byte
 	s.bus.Crypto(probe.FnFinalFinishMac, func() {
 		verify = verifyDataFor(s.version, s.fin, false, s.master)

@@ -5,11 +5,13 @@ import (
 	"crypto/md5"
 	"crypto/sha1"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"sslperf/internal/dh"
 	"sslperf/internal/handshake"
 	"sslperf/internal/probe"
+	"sslperf/internal/record"
 	"sslperf/internal/rsa"
 	"sslperf/internal/suite"
 )
@@ -296,12 +298,40 @@ func genuine(t testing.TB) (c2s, s2c []byte) {
 	return c2s, s2c
 }
 
+// offeredSuites parses the cipher suites of the ClientHello that opens
+// stream, gathered from as many handshake records as it spans; nil
+// when stream does not open with a whole one.
+func offeredSuites(stream []byte) []suite.ID {
+	var msg []byte
+	for len(stream) >= 5 && stream[0] == 22 {
+		n := int(binary.BigEndian.Uint16(stream[3:]))
+		if len(stream) < 5+n {
+			break
+		}
+		msg = append(msg, stream[5:5+n]...)
+		stream = stream[5+n:]
+	}
+	if len(msg) < 4+2+handshake.RandomLen+1 || msg[0] != 1 {
+		return nil
+	}
+	body := msg[4+2+handshake.RandomLen:]
+	body = body[1+int(body[0]):]
+	var ids []suite.ID
+	for i := 2; i+1 < len(body) && i < 2+int(binary.BigEndian.Uint16(body)); i += 2 {
+		ids = append(ids, suite.ID(binary.BigEndian.Uint16(body[i:])))
+	}
+	return ids
+}
+
 // FuzzHandshakeFSM feeds the client or the server of peerConn a valid
 // prefix of what its peer sends (cut anywhere) followed by arbitrary
-// bytes, in arbitrary chunks. Neither may panic; once established,
-// each application read must consume input, so reading stops within
-// a bound; and whatever failure the fed bytes cause must be one the
-// peer is to blame for, never FailInternal or FailNone.
+// bytes, in arbitrary chunks. Neither may panic; a handshake that
+// completes must have negotiated a suite its own config allows (and,
+// on a server, that the fed ClientHello offered) at a version no
+// higher than its own maximum; once established, each application
+// read must consume input, so reading stops within a bound; and
+// whatever failure the fed bytes cause must be one the peer is to
+// blame for, never FailInternal or FailNone.
 func FuzzHandshakeFSM(f *testing.F) {
 	c2s, s2c := genuine(f)
 	hello := start(peerConn(f, true))
@@ -324,6 +354,20 @@ func FuzzHandshakeFSM(f *testing.F) {
 			return int(split>>58) + 1
 		})
 		if err == nil && c.HandshakeDone() {
+			st, _ := c.ConnectionState()
+			top := c.cfg.Version
+			if top == 0 && client {
+				top = record.VersionSSL30
+			} else if top == 0 {
+				top = record.VersionTLS10
+			}
+			if c.cfg.Suites != nil && !slices.Contains(c.cfg.Suites, st.Suite.ID) ||
+				!client && !slices.Contains(offeredSuites(stream), st.Suite.ID) {
+				t.Fatalf("negotiated %s, which was not offered and allowed", st.Suite.Name)
+			}
+			if st.Version > top {
+				t.Fatalf("negotiated version %#04x above this side's maximum %#04x", st.Version, top)
+			}
 			buf := make([]byte, 16)
 			for reads := 0; err == nil; reads++ {
 				if reads > len(stream) {
