@@ -23,8 +23,8 @@ race:
 	$(GO) test -race ./...
 
 # CI gate: static checks, the whole suite under the race detector,
-# every fuzz target for a few seconds, and a real end-to-end smoke:
-# sslload against the serve loop in-process. On amd64, vet's asmdecl
+# every fuzz target for a few seconds, a real end-to-end smoke:
+# sslload against the serve loop in-process, and the five examples. On amd64, vet's asmdecl
 # checks every .s against its Go declarations (cpufeat's CPUID routine
 # among them); the cross-builds keep the fallbacks with no assembly
 # (the *_other.go files of cpufeat, aes, sha1x, aessha1 and bn)
@@ -55,6 +55,7 @@ check:
 	$(MAKE) race
 	$(MAKE) fuzzsmoke
 	$(MAKE) loadsmoke
+	$(MAKE) examples
 
 # The spine owns every clock read on the handshake and record hot
 # paths (one stamp per event, sinks never re-stamp): an event's At is

@@ -44,12 +44,19 @@ func main() {
 		return
 	}
 
+	cfg := &core.Config{
+		Seed:       *seed,
+		KeyBits:    *keyBits,
+		Iterations: *iters,
+		Quick:      *quick,
+		SuiteName:  *suiteName,
+	}
+	if *useTLS {
+		cfg.Version = record.VersionTLS10
+	}
+
 	if *traceOut != "" {
-		version := uint16(0)
-		if *useTLS {
-			version = record.VersionTLS10
-		}
-		b, err := captureHandshakeTrace(*seed, *keyBits, *suiteName, version)
+		b, err := core.HandshakeTrace(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -68,17 +75,6 @@ func main() {
 			fmt.Printf("%-8s %s\n         paper: %s\n", e.ID, e.Title, e.PaperRef)
 		}
 		return
-	}
-
-	cfg := &core.Config{
-		Seed:       *seed,
-		KeyBits:    *keyBits,
-		Iterations: *iters,
-		Quick:      *quick,
-		SuiteName:  *suiteName,
-	}
-	if *useTLS {
-		cfg.Version = record.VersionTLS10
 	}
 
 	var exps []*core.Experiment

@@ -35,7 +35,7 @@ func main() {
 	run := func(resumeRatio float64) (time.Duration, time.Duration, int) {
 		srv := webmodel.NewServer(id, s)
 		pattern := workload.Banking(*sessions, resumeRatio)
-		var sslTime, rsaTime time.Duration
+		var sslTime time.Duration
 		resumed := 0
 		var prev *handshake.Session
 		for _, sess := range pattern.Sessions {
@@ -51,10 +51,9 @@ func main() {
 				resumed++
 			}
 			sslTime += res.SSLTotal
-			rsaTime += res.Crypto.Public
 			prev = newSess
 		}
-		return sslTime, rsaTime, resumed
+		return sslTime, srv.Split().Public, resumed
 	}
 
 	noResume, rsaNo, _ := run(0)

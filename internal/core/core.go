@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"sslperf/internal/lifecycle"
 	"sslperf/internal/perf"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
@@ -207,6 +208,21 @@ func serverFor(cfg *Config) (*webmodel.Server, error) {
 	return srv, nil
 }
 
+// HandshakeTrace runs one 1KB transaction on the configured server and
+// returns the connection's record as Chrome trace-event JSON — the
+// single-handshake counterpart of sslserver's live /debug/trace, for
+// loading in chrome://tracing or Perfetto.
+func HandshakeTrace(cfg *Config) ([]byte, error) {
+	srv, err := serverFor(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := srv.RunTransaction(1024, nil); err != nil {
+		return nil, err
+	}
+	return lifecycle.ChromeTrace(srv.Records())
+}
+
 func paperSuite() *suite.Suite {
 	s, err := suite.ByName("DES-CBC3-SHA")
 	if err != nil {
@@ -222,6 +238,10 @@ func suiteByName(name string) (*suite.Suite, error) { return suite.ByName(name) 
 // kcyc formats a duration as thousands of model cycles, the unit of
 // the paper's Table 2.
 func kcyc(d time.Duration) string { return kc(perf.Cycles(d) / 1000) }
+
+// kcycPer formats a total over n transactions as kcyc formats one
+// transaction's mean.
+func kcycPer(d time.Duration, n int) string { return kcyc(d / time.Duration(n)) }
 
 // kc formats thousands of model cycles as Table 2 prints them.
 func kc(k float64) string { return fmt.Sprintf("%.1f", k) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -281,5 +282,63 @@ func TestRSAKeyPerSeed(t *testing.T) {
 	}
 	if again != a {
 		t.Error("seed 1's key not cached")
+	}
+}
+
+// The ten server-side steps of Table 2, in protocol order.
+var table2Steps = []string{
+	"init",
+	"get_client_hello",
+	"send_server_hello",
+	"send_server_cert",
+	"send_server_done",
+	"get_client_kx",
+	"get_cipher_spec/get_finished",
+	"send_cipher_spec",
+	"send_finished",
+	"server_flush",
+}
+
+func TestCaptureHandshakeTrace(t *testing.T) {
+	b, err := HandshakeTrace(&Config{Seed: 1, KeyBits: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	var steps []string
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" && e.Cat == "step" {
+			steps = append(steps, e.Name)
+		}
+	}
+	if len(steps) != len(table2Steps) {
+		t.Fatalf("got %d step spans %v, want the %d Table 2 steps", len(steps), steps, len(table2Steps))
+	}
+	for i, want := range table2Steps {
+		if steps[i] != want {
+			t.Errorf("step span %d = %q, want %q", i, steps[i], want)
+		}
+	}
+	var cats = map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" {
+			cats[e.Cat] = true
+		}
+	}
+	for _, want := range []string{"conn", "step", "crypto", "io"} {
+		if !cats[want] {
+			t.Errorf("no %q spans in trace (have %v)", want, cats)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sslperf/internal/perf"
 	"sslperf/internal/record"
 	"sslperf/internal/ssl"
+	"sslperf/internal/telemetry"
 	"sslperf/internal/webmodel"
 )
 
@@ -56,17 +57,15 @@ func runAblationLatency(cfg *Config) (*Report, error) {
 	if n < 5 {
 		n = 5
 	}
-	var full, resumed perf.Series
 	_, sess, err := srv.RunTransaction(1024, nil)
 	if err != nil {
 		return nil, err
 	}
+	srv.Registry().Reset()
 	for i := 0; i < n; i++ {
-		rf, _, err := srv.RunTransaction(1024, nil)
-		if err != nil {
+		if _, _, err := srv.RunTransaction(1024, nil); err != nil {
 			return nil, err
 		}
-		full.Add(rf.Handshake)
 		rr, s2, err := srv.RunTransaction(1024, sess)
 		if err != nil {
 			return nil, err
@@ -74,23 +73,23 @@ func runAblationLatency(cfg *Config) (*Report, error) {
 		if !rr.Resumed {
 			return nil, fmt.Errorf("resumption failed at %d", i)
 		}
-		resumed.Add(rr.Handshake)
 		sess = s2
 	}
 	t := perf.NewTable(
 		fmt.Sprintf("Ablation: handshake latency distribution (n=%d, Kcycles)", n),
-		"handshake", "mean", "p50", "p90", "p99", "max", "stddev")
-	row := func(name string, s *perf.Series) {
-		t.AddRow(name, kcyc(s.Mean()), kcyc(s.Percentile(50)),
-			kcyc(s.Percentile(90)), kcyc(s.Percentile(99)),
-			kcyc(s.Max()), kcyc(s.StdDev()))
+		"handshake", "mean", "p50", "p90", "p99", "max")
+	row := func(name string, h telemetry.HistogramSnapshot) {
+		t.AddRow(name, kcyc(time.Duration(h.Mean)), kcyc(time.Duration(h.P50)),
+			kcyc(time.Duration(h.P90)), kcyc(time.Duration(h.P99)), kcyc(time.Duration(h.Max)))
 	}
-	row("full", &full)
-	row("resumed", &resumed)
+	snap := srv.Registry().Snapshot()
+	row("full", snap.FullLatency)
+	row("resumed", snap.ResumedLatency)
 	return &Report{ID: "ablation-latency", Title: "Handshake latency distribution",
 		Tables: []*perf.Table{t},
 		Notes: []string{
 			"full handshakes are tightly distributed around the RSA operation; resumed ones are both ~5x faster at the median and much flatter",
+			"the rows are the server registry's full and resumed handshake-latency histograms (the ones /metrics serves): wall time from handshake start to done, the client's turns included; a bucket spans at most a quarter of its lower bound, and a percentile is its bucket's midpoint, at most an eighth off the exact one",
 		}}, nil
 }
 
@@ -108,19 +107,12 @@ func runAblationVersion(cfg *Config) (*Report, error) {
 	}{{"SSL 3.0", record.VersionSSL30}, {"TLS 1.0", record.VersionTLS10}} {
 		srv := webmodel.NewServer(id, paperSuite())
 		srv.Version = v.ver
-		var split webmodel.CryptoSplit
-		var total time.Duration
-		for i := 0; i < n; i++ {
-			res, _, err := srv.RunTransaction(8192, nil)
-			if err != nil {
-				return nil, err
-			}
-			split.Add(res.Crypto)
-			total += res.SSLTotal
+		total, err := runTransactions(srv, n, 8192)
+		if err != nil {
+			return nil, err
 		}
-		split.Scale(n)
-		total /= time.Duration(n)
-		t.AddRow(v.name, kcyc(total), kcyc(split.Public), kcyc(split.Hash), kcyc(split.Private))
+		split := srv.Split()
+		t.AddRow(v.name, kcycPer(total, n), kcycPer(split.Public, n), kcycPer(split.Hash, n), kcycPer(split.Private, n))
 	}
 	return &Report{ID: "ablation-version", Title: "Protocol version ablation",
 		Tables: []*perf.Table{t},
@@ -143,19 +135,12 @@ func runAblationKx(cfg *Config) (*Report, error) {
 			return nil, err
 		}
 		srv := webmodel.NewServer(id, s)
-		var split webmodel.CryptoSplit
-		var total time.Duration
-		for i := 0; i < n; i++ {
-			res, _, err := srv.RunTransaction(1024, nil)
-			if err != nil {
-				return nil, err
-			}
-			split.Add(res.Crypto)
-			total += res.SSLTotal
+		total, err := runTransactions(srv, n, 1024)
+		if err != nil {
+			return nil, err
 		}
-		split.Scale(n)
-		total /= time.Duration(n)
-		t.AddRow(name, kcyc(total), kcyc(split.Public), kcyc(split.Hash))
+		split := srv.Split()
+		t.AddRow(name, kcycPer(total, n), kcycPer(split.Public, n), kcycPer(split.Hash, n))
 	}
 	return &Report{ID: "ablation-kx", Title: "Key exchange ablation",
 		Tables: []*perf.Table{t},
@@ -233,40 +218,41 @@ func runAblationMul(cfg *Config) (*Report, error) {
 }
 
 func runAblationResume(cfg *Config) (*Report, error) {
-	srv, err := serverFor(cfg)
-	if err != nil {
-		return nil, err
-	}
 	n := cfg.iters()
-
-	var full, resumed webmodel.CryptoSplit
-	var fullTotal, resumedTotal time.Duration
-	_, sess, err := srv.RunTransaction(1024, nil)
+	// Full and resumed sessions alternate, each kind on its own server
+	// (and so its own registry) over one session cache.
+	fullSrv, err := serverFor(cfg)
 	if err != nil {
 		return nil, err
 	}
+	resumedSrv, err := serverFor(cfg)
+	if err != nil {
+		return nil, err
+	}
+	resumedSrv.Cache = fullSrv.Cache
+	_, sess, err := fullSrv.RunTransaction(1024, nil)
+	if err != nil {
+		return nil, err
+	}
+	fullSrv.Registry().Reset()
+	var fullTotal, resumedTotal time.Duration
 	for i := 0; i < n; i++ {
-		rf, _, err := srv.RunTransaction(1024, nil)
+		rf, _, err := fullSrv.RunTransaction(1024, nil)
 		if err != nil {
 			return nil, err
 		}
-		full.Add(rf.Crypto)
 		fullTotal += rf.SSLTotal
-		rr, s2, err := srv.RunTransaction(1024, sess)
+		rr, s2, err := resumedSrv.RunTransaction(1024, sess)
 		if err != nil {
 			return nil, err
 		}
 		if !rr.Resumed {
 			return nil, fmt.Errorf("resumption failed on iteration %d", i)
 		}
-		resumed.Add(rr.Crypto)
 		resumedTotal += rr.SSLTotal
 		sess = s2
 	}
-	full.Scale(n)
-	resumed.Scale(n)
-	fullTotal /= time.Duration(n)
-	resumedTotal /= time.Duration(n)
+	full, resumed := fullSrv.Split(), resumedSrv.Split()
 
 	t := perf.NewTable("Ablation: full vs resumed session (1KB transaction, DES-CBC3-SHA)",
 		"metric", "full handshake", "resumed", "saving")
@@ -275,7 +261,7 @@ func runAblationResume(cfg *Config) (*Report, error) {
 		if a > 0 {
 			saving = fmt.Sprintf("%.1f%%", 100*(1-float64(b)/float64(a)))
 		}
-		t.AddRow(name, kcyc(a)+" Kcyc", kcyc(b)+" Kcyc", saving)
+		t.AddRow(name, kcycPer(a, n)+" Kcyc", kcycPer(b, n)+" Kcyc", saving)
 	}
 	row("SSL processing", fullTotal, resumedTotal)
 	row("public key crypto", full.Public, resumed.Public)

@@ -30,11 +30,8 @@ func runHandshakes(cfg *Config, n int) (telemetry.Anatomy, error) {
 	if err != nil {
 		return telemetry.Anatomy{}, err
 	}
-	srv.Registry().Reset()
-	for i := 0; i < n; i++ {
-		if _, _, err := srv.RunTransaction(64, nil); err != nil {
-			return telemetry.Anatomy{}, err
-		}
+	if _, err := runTransactions(srv, n, 64); err != nil {
+		return telemetry.Anatomy{}, err
 	}
 	return srv.Registry().Anatomy(), nil
 }

@@ -30,6 +30,22 @@ func init() {
 	})
 }
 
+// runTransactions scopes srv's registry to n full transactions of size
+// bytes, which it runs, and returns their summed SSL time. The registry
+// then reads their crypto split and Tables 2 and 3.
+func runTransactions(srv *webmodel.Server, n, size int) (time.Duration, error) {
+	srv.Registry().Reset()
+	var sslTotal time.Duration
+	for i := 0; i < n; i++ {
+		res, _, err := srv.RunTransaction(size, nil)
+		if err != nil {
+			return 0, err
+		}
+		sslTotal += res.SSLTotal
+	}
+	return sslTotal, nil
+}
+
 func runFig1(cfg *Config) (*Report, error) {
 	id, err := identityFor(cfg)
 	if err != nil {
@@ -53,29 +69,14 @@ func runTable1(cfg *Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	const size = 1024
 	n := cfg.iters()
-	var agg *webmodel.TransactionResult
-	var sslTotal time.Duration
-	for i := 0; i < n; i++ {
-		res, _, err := srv.RunTransaction(1024, nil)
-		if err != nil {
-			return nil, err
-		}
-		if agg == nil {
-			agg = res
-		} else {
-			agg.Crypto.Add(res.Crypto)
-			agg.SSLTotal += res.SSLTotal
-			agg.BytesSent += res.BytesSent
-		}
-		sslTotal += res.SSLTotal
+	sslTotal, err := runTransactions(srv, n, size)
+	if err != nil {
+		return nil, err
 	}
-	// Average the accumulated measurements down to one transaction.
-	agg.BytesSent /= n
-	agg.Crypto.Scale(n)
-	agg.SSLTotal /= time.Duration(n)
-	env := webmodel.CalibrateEnvironment(sslTotal / time.Duration(n))
-	b := env.Transaction(agg)
+	sslMean, cryptoMean := sslTotal/time.Duration(n), srv.Split().Total()/time.Duration(n)
+	b := webmodel.CalibrateEnvironment(sslMean).Transaction(cryptoMean, sslMean, size)
 	paper := map[string]string{
 		webmodel.ComponentLibcrypto: "70.83",
 		webmodel.ComponentLibssl:    "0.82",
@@ -111,14 +112,10 @@ func runFig2(cfg *Config) (*Report, error) {
 		"file size", "public %", "private %", "hash %", "other %", "private+hash %")
 	n := cfg.iters()
 	for _, size := range workload.FileSweep() {
-		var agg webmodel.CryptoSplit
-		for i := 0; i < n; i++ {
-			res, _, err := srv.RunTransaction(size, nil)
-			if err != nil {
-				return nil, err
-			}
-			agg.Add(res.Crypto)
+		if _, err := runTransactions(srv, n, size); err != nil {
+			return nil, err
 		}
+		agg := srv.Split()
 		total := float64(agg.Total())
 		t.AddRow(fmt.Sprintf("%dKB", size/1024),
 			fmt.Sprintf("%.1f", 100*float64(agg.Public)/total),

@@ -32,47 +32,6 @@ func Duration(cycles float64) time.Duration {
 	return time.Duration(cycles / ModelGHz)
 }
 
-// A Timer measures one region of code with the monotonic clock.
-// The zero Timer is ready to use.
-type Timer struct {
-	start   time.Time
-	elapsed time.Duration
-	running bool
-}
-
-// Start begins (or resumes) timing.
-func (t *Timer) Start() {
-	if !t.running {
-		t.start = time.Now()
-		t.running = true
-	}
-}
-
-// Stop ends the current timing interval and accumulates it.
-func (t *Timer) Stop() {
-	if t.running {
-		t.elapsed += time.Since(t.start)
-		t.running = false
-	}
-}
-
-// Reset clears accumulated time; a running timer keeps running from now.
-func (t *Timer) Reset() {
-	t.elapsed = 0
-	if t.running {
-		t.start = time.Now()
-	}
-}
-
-// Elapsed reports the accumulated duration, including the current
-// interval if the timer is running.
-func (t *Timer) Elapsed() time.Duration {
-	if t.running {
-		return t.elapsed + time.Since(t.start)
-	}
-	return t.elapsed
-}
-
 // A Sample is one attributed measurement: a named region and the time
 // spent in it.
 type Sample struct {

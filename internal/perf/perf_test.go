@@ -24,56 +24,6 @@ func TestCyclesScalesWithModelGHz(t *testing.T) {
 	}
 }
 
-func TestTimerAccumulates(t *testing.T) {
-	var tm Timer
-	tm.Start()
-	time.Sleep(2 * time.Millisecond)
-	tm.Stop()
-	first := tm.Elapsed()
-	if first < time.Millisecond {
-		t.Fatalf("elapsed %v, want >= 1ms", first)
-	}
-	tm.Start()
-	time.Sleep(2 * time.Millisecond)
-	tm.Stop()
-	if tm.Elapsed() <= first {
-		t.Fatalf("second interval not accumulated: %v <= %v", tm.Elapsed(), first)
-	}
-}
-
-func TestTimerIdempotentStartStop(t *testing.T) {
-	var tm Timer
-	tm.Start()
-	tm.Start() // no-op
-	tm.Stop()
-	e := tm.Elapsed()
-	tm.Stop() // no-op
-	if tm.Elapsed() != e {
-		t.Fatalf("Stop on stopped timer changed elapsed")
-	}
-}
-
-func TestTimerReset(t *testing.T) {
-	var tm Timer
-	tm.Start()
-	time.Sleep(time.Millisecond)
-	tm.Stop()
-	tm.Reset()
-	if tm.Elapsed() != 0 {
-		t.Fatalf("after Reset elapsed = %v, want 0", tm.Elapsed())
-	}
-}
-
-func TestTimerElapsedWhileRunning(t *testing.T) {
-	var tm Timer
-	tm.Start()
-	time.Sleep(time.Millisecond)
-	if tm.Elapsed() == 0 {
-		t.Fatal("running timer reported zero elapsed")
-	}
-	tm.Stop()
-}
-
 func TestBreakdownBasics(t *testing.T) {
 	b := NewBreakdown()
 	b.Add("a", 10*time.Millisecond)

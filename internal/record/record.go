@@ -247,13 +247,13 @@ func (l *Layer) write() error {
 }
 
 // WriteFlight is WriteRecord — named by bench/probes.go; deleted by
-// the benchmark-only PR of ROADMAP 4(i).
+// the benchmark-only PR of ROADMAP 6(0).
 func (l *Layer) WriteFlight(typ ContentType, data []byte) error {
 	return l.WriteRecord(typ, data)
 }
 
 // BuffersWriter is unused — named by bench/probes.go; deleted by the
-// benchmark-only PR of ROADMAP 4(i).
+// benchmark-only PR of ROADMAP 6(0).
 type BuffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
 }

@@ -143,6 +143,8 @@ type AnatomyCrypto struct {
 	Count    uint64  `json:"count"`
 	MeanKcyc float64 `json:"mean_kcycles"` // per sampled handshake
 	SharePct float64 `json:"share_pct"`    // of sampled step time
+	// Total is the row's time summed over the sampled handshakes.
+	Total time.Duration `json:"total_ns"`
 }
 
 // AnatomyCategory is one Table 3 category summary row. Categories
@@ -195,6 +197,7 @@ func (r *Registry) Anatomy() Anatomy {
 		s.Crypto = append(s.Crypto, AnatomyCrypto{
 			Step: key.step.Name(), Name: key.fn, Category: cat, Count: cs.count,
 			MeanKcyc: perHS(cs.total), SharePct: pct(cs.total, r.sampledStepTime),
+			Total: cs.total,
 		})
 	}
 	for i, cat := range categories {

@@ -61,13 +61,14 @@ func CalibrateEnvironment(sslAt1KB time.Duration) EnvironmentModel {
 	}
 }
 
-// Transaction composes the measured SSL result with the modeled
-// environment into a Table 1-style breakdown (values in cycles).
-func (m EnvironmentModel) Transaction(res *TransactionResult) *perf.Breakdown {
+// Transaction composes one transaction's measured crypto and SSL time
+// with the modeled environment into a Table 1-style breakdown: libssl
+// is the SSL work that is not crypto.
+func (m EnvironmentModel) Transaction(crypto, sslTotal time.Duration, bytesSent int) *perf.Breakdown {
 	b := perf.NewBreakdown()
-	kb := float64(res.BytesSent) / 1024
-	b.Add(ComponentLibcrypto, res.Crypto.Total())
-	b.Add(ComponentLibssl, res.SSLNonCrypto())
+	kb := float64(bytesSent) / 1024
+	b.Add(ComponentLibcrypto, crypto)
+	b.Add(ComponentLibssl, max(sslTotal-crypto, 0))
 	b.Add(ComponentHTTPD, perf.Duration(m.HTTPDFixed+m.HTTPDPerKB*kb))
 	b.Add(ComponentVMLinux, perf.Duration(m.KernelFixed+m.KernelPerKB*kb))
 	b.Add(ComponentOther, perf.Duration(m.OtherFixed+m.OtherPerKB*kb))

@@ -13,12 +13,10 @@ package webmodel
 
 import (
 	"io"
-	"math"
 	"time"
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
-	"sslperf/internal/perf"
 	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
@@ -44,59 +42,12 @@ func (c CryptoSplit) Total() time.Duration {
 	return c.Public + c.Private + c.Hash + c.Other + c.Stitched
 }
 
-// Add accumulates another split.
-func (c *CryptoSplit) Add(o CryptoSplit) {
-	c.Public += o.Public
-	c.Private += o.Private
-	c.Hash += o.Hash
-	c.Other += o.Other
-	c.Stitched += o.Stitched
-}
-
-// add charges d to a Table 3 category (probe.Category*).
-func (c *CryptoSplit) add(category string, d time.Duration) {
-	switch category {
-	case probe.CategoryPublic:
-		c.Public += d
-	case probe.CategoryPrivate:
-		c.Private += d
-	case probe.CategoryHash:
-		c.Hash += d
-	default:
-		c.Other += d
-	}
-}
-
-// Scale divides every category by n (for averaging over runs).
-func (c *CryptoSplit) Scale(n int) {
-	if n <= 0 {
-		return
-	}
-	d := time.Duration(n)
-	c.Public /= d
-	c.Private /= d
-	c.Hash /= d
-	c.Other /= d
-	c.Stitched /= d
-}
-
-// TransactionResult is the measured server-side cost of one HTTPS
-// transaction.
+// TransactionResult is what one session measured that the server's
+// registry cannot know.
 type TransactionResult struct {
-	Crypto    CryptoSplit
-	SSLTotal  time.Duration // all server-side SSL work (crypto + framing)
-	Handshake time.Duration // the handshake's summed step time (Table 2's total)
+	SSLTotal  time.Duration // all server-side SSL work (crypto + framing), pipe waits excluded
 	Resumed   bool
 	BytesSent int
-}
-
-// SSLNonCrypto is the libssl share: SSL work that is not crypto.
-func (r *TransactionResult) SSLNonCrypto() time.Duration {
-	nc := r.SSLTotal - r.Crypto.Total()
-	if nc < 0 {
-		return 0
-	}
-	return nc
 }
 
 // Server is a reusable measured SSL server endpoint. Its connections
@@ -136,6 +87,46 @@ func NewServer(id *ssl.Identity, s *suite.Suite) *Server {
 // its Anatomy is Tables 2 and 3 over those handshakes, and Reset
 // scopes it to a measured loop.
 func (srv *Server) Registry() *telemetry.Registry { return srv.reg }
+
+// Records returns the connection record the server retains: the
+// session it ran last, every call kept.
+func (srv *Server) Records() []lifecycle.Record { return srv.table.Records(0) }
+
+// Split reads the crypto split of every session since the registry's
+// last Reset, summed: the handshakes' crypto calls by Table 3 category,
+// and every record pass — the finished messages' and the transfer's —
+// from the per-primitive cells, as private-key encryption (cipher),
+// hashing (MAC) or a stitched seal (both at once). The cells, not the
+// calls, count the passes: a record's calls stop at its cap.
+func (srv *Server) Split() CryptoSplit {
+	counts := srv.reg.Counts()
+	return split(srv.reg.Anatomy().Crypto, counts.Crypto.Groups())
+}
+
+// split adds Table 2's crypto rows to the record cells by category,
+// less the in-step record rows the cells already count.
+func split(rows []telemetry.AnatomyCrypto, cells [3]telemetry.CryptoCell) CryptoSplit {
+	c := CryptoSplit{
+		Private:  time.Duration(cells[0].Nanos),
+		Hash:     time.Duration(cells[1].Nanos),
+		Stitched: time.Duration(cells[2].Nanos),
+	}
+	for _, row := range rows {
+		switch {
+		case row.Name == probe.FnPriEncryption, row.Name == probe.FnPriDecryption, row.Name == probe.FnMac:
+			// An in-step record pass, counted from the cells.
+		case row.Category == probe.CategoryPublic:
+			c.Public += row.Total
+		case row.Category == probe.CategoryPrivate:
+			c.Private += row.Total
+		case row.Category == probe.CategoryHash:
+			c.Hash += row.Total
+		default:
+			c.Other += row.Total
+		}
+	}
+	return c
+}
 
 // RunTransaction performs one HTTPS-like exchange: the client sends a
 // request, the server responds with fileSize bytes. It returns the
@@ -203,27 +194,22 @@ func (srv *Server) RunSession(txs []workload.Transaction, resume *handshake.Sess
 		return waiter.ReadWait()
 	}
 	waitStart := readWait()
-	var sslTimer perf.Timer
-	sslTimer.Start()
-	if err := server.Handshake(); err != nil {
-		sslTimer.Stop()
+	timed := func(f func() error) error {
+		start := time.Now()
+		err := f()
+		res.SSLTotal += time.Since(start)
+		return err
+	}
+	if err := timed(server.Handshake); err != nil {
 		return nil, nil, err
 	}
-	sslTimer.Stop()
-
 	for _, tx := range txs {
 		buf := make([]byte, tx.RequestLen)
-		sslTimer.Start()
-		_, err := io.ReadFull(server, buf)
-		sslTimer.Stop()
-		if err != nil {
+		if err := timed(func() error { _, err := io.ReadFull(server, buf); return err }); err != nil {
 			return nil, nil, err
 		}
 		resp := workload.Payload(tx.ResponseLen)
-		sslTimer.Start()
-		_, err = server.Write(resp)
-		sslTimer.Stop()
-		if err != nil {
+		if err := timed(func() error { _, err := server.Write(resp); return err }); err != nil {
 			return nil, nil, err
 		}
 		res.BytesSent += tx.ResponseLen
@@ -232,14 +218,7 @@ func (srv *Server) RunSession(txs []workload.Transaction, resume *handshake.Sess
 		return nil, nil, err
 	}
 	server.Close()
-	srv.fold(res)
-
-	res.SSLTotal = sslTimer.Elapsed() - (readWait() - waitStart)
-	if res.SSLTotal < res.Crypto.Total() {
-		// The observer windows can slightly exceed the outer timer
-		// due to timer granularity; clamp.
-		res.SSLTotal = res.Crypto.Total()
-	}
+	res.SSLTotal -= readWait() - waitStart
 	state, err := server.ConnectionState()
 	if err != nil {
 		return nil, nil, err
@@ -252,37 +231,3 @@ func (srv *Server) RunSession(txs []workload.Transaction, resume *handshake.Sess
 	}
 	return res, sess, nil
 }
-
-// fold reads the connection's closed record into res: the handshake's
-// step time, its crypto calls by Table 3 category, and every record
-// pass — the finished messages' and the transfer's — from the
-// per-primitive cells, as private-key encryption (cipher), hashing
-// (MAC) or a stitched seal (both at once). The cells, not the calls,
-// count the passes: a record's calls stop at its cap.
-func (srv *Server) fold(res *TransactionResult) {
-	// The ring keeps one record, the newest: the one just closed.
-	recs := srv.table.Records(0)
-	rec := recs[len(recs)-1]
-	for _, st := range rec.Steps {
-		res.Handshake += usDuration(st.Us)
-	}
-	for _, c := range rec.Calls {
-		if c.Kind != telemetry.CatCrypto {
-			continue
-		}
-		switch c.Name {
-		case probe.FnPriEncryption, probe.FnPriDecryption, probe.FnMac:
-			// An in-step record pass, counted from the cells.
-		default:
-			res.Crypto.add(probe.CategoryOf(c.Name), usDuration(c.Us))
-		}
-	}
-	g := rec.Crypto.Groups()
-	res.Crypto.Private += time.Duration(g[0].Nanos)
-	res.Crypto.Hash += time.Duration(g[1].Nanos)
-	res.Crypto.Stitched += time.Duration(g[2].Nanos)
-}
-
-// usDuration converts a record's microsecond figure back to the
-// duration it was rendered from.
-func usDuration(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }

@@ -1,16 +1,15 @@
 package webmodel
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"sslperf/internal/cpufeat"
-	"sslperf/internal/perf"
 	"sslperf/internal/probe"
 	"sslperf/internal/ssl"
 	"sslperf/internal/suite"
+	"sslperf/internal/telemetry"
 	"sslperf/internal/testenv"
 	"sslperf/internal/workload"
 )
@@ -53,13 +52,14 @@ func TestRunTransactionMeasures(t *testing.T) {
 	if res.BytesSent != 1024 {
 		t.Fatalf("sent %d bytes", res.BytesSent)
 	}
-	if res.Crypto.Public == 0 {
+	split := srv.Split()
+	if split.Public == 0 {
 		t.Fatal("no RSA time measured")
 	}
-	if res.Crypto.Private == 0 || res.Crypto.Hash == 0 {
-		t.Fatalf("bulk crypto not measured: %+v", res.Crypto)
+	if split.Private == 0 || split.Hash == 0 {
+		t.Fatalf("bulk crypto not measured: %+v", split)
 	}
-	if res.SSLTotal < res.Crypto.Total() {
+	if res.SSLTotal < split.Total() {
 		t.Fatal("SSL total below crypto total")
 	}
 	if sess == nil || len(sess.ID) == 0 {
@@ -76,15 +76,14 @@ func TestFigure2Shape(t *testing.T) {
 	}
 	srv := newServer(t)
 	shareAt := func(size int) (public, private, hash float64) {
-		var agg CryptoSplit
-		// Average a few runs to stabilize.
+		// Sum a few runs to stabilize.
+		srv.Registry().Reset()
 		for i := 0; i < 3; i++ {
-			res, _, err := srv.RunTransaction(size, nil)
-			if err != nil {
+			if _, _, err := srv.RunTransaction(size, nil); err != nil {
 				t.Fatal(err)
 			}
-			agg.Add(res.Crypto)
 		}
+		agg := srv.Split()
 		total := float64(agg.Total())
 		return 100 * float64(agg.Public) / total,
 			100 * float64(agg.Private) / total,
@@ -109,6 +108,7 @@ func TestResumptionSkipsRSA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Registry().Reset()
 	res2, _, err := srv.RunTransaction(1024, sess)
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +116,8 @@ func TestResumptionSkipsRSA(t *testing.T) {
 	if !res2.Resumed {
 		t.Fatal("second transaction did not resume")
 	}
-	if res2.Crypto.Public != 0 {
-		t.Fatalf("resumed session still paid %v of RSA", res2.Crypto.Public)
+	if public := srv.Split().Public; public != 0 {
+		t.Fatalf("resumed session still paid %v of RSA", public)
 	}
 }
 
@@ -139,12 +139,7 @@ func TestRunSessionMultipleTransactions(t *testing.T) {
 func TestEnvironmentModelCalibration(t *testing.T) {
 	ssl1KB := 5 * time.Millisecond
 	m := CalibrateEnvironment(ssl1KB)
-	res := &TransactionResult{
-		Crypto:    CryptoSplit{Public: 4 * time.Millisecond, Hash: time.Millisecond},
-		SSLTotal:  5 * time.Millisecond,
-		BytesSent: 1024,
-	}
-	b := m.Transaction(res)
+	b := m.Transaction(5*time.Millisecond, 5*time.Millisecond, 1024)
 	// At the calibration point the shares must reproduce Table 1.
 	if got := b.Percent(ComponentLibcrypto) + b.Percent(ComponentLibssl); got < 69 || got > 74 {
 		t.Fatalf("ssl share = %.1f%%, want ~71.65%%\n%s", got, b)
@@ -159,35 +154,70 @@ func TestEnvironmentModelCalibration(t *testing.T) {
 
 func TestEnvironmentModelExtrapolation(t *testing.T) {
 	m := CalibrateEnvironment(5 * time.Millisecond)
-	small := &TransactionResult{
-		Crypto: CryptoSplit{Public: 4 * time.Millisecond}, SSLTotal: 5 * time.Millisecond,
-		BytesSent: 1024,
-	}
+	bs := m.Transaction(4*time.Millisecond, 5*time.Millisecond, 1024)
 	// A 32x larger response must increase the modeled kernel cost.
-	big := &TransactionResult{
-		Crypto:   CryptoSplit{Public: 4 * time.Millisecond, Private: 2 * time.Millisecond},
-		SSLTotal: 7 * time.Millisecond, BytesSent: 32 * 1024,
-	}
-	bs := m.Transaction(small)
-	bb := m.Transaction(big)
+	bb := m.Transaction(6*time.Millisecond, 7*time.Millisecond, 32*1024)
 	if bb.Elapsed(ComponentVMLinux) <= bs.Elapsed(ComponentVMLinux) {
 		t.Fatal("kernel cost did not grow with bytes")
 	}
 }
 
-// TestCryptoSplitBreakdownOrder checks add charges Table 3's categories,
-// in Figure 2's order, to the public, private, hash and other fields,
-// and Total sums them.
+// TestCryptoSplitBreakdownOrder checks split charges Table 3's
+// categories, in Figure 2's order, to the public, private, hash and
+// other fields on top of the record cells, skips the in-step record
+// rows the cells already count, and Total sums them.
 func TestCryptoSplitBreakdownOrder(t *testing.T) {
-	var c CryptoSplit
-	for i, cat := range []string{probe.CategoryPublic, probe.CategoryPrivate, probe.CategoryHash, probe.CategoryOther} {
-		c.add(cat, time.Duration(i+1))
+	rows := []telemetry.AnatomyCrypto{
+		{Name: probe.FnRSAPrivateDecrypt, Category: probe.CategoryPublic, Total: 1},
+		{Name: "cipher", Category: probe.CategoryPrivate, Total: 2},
+		{Name: probe.FnGenKeyBlock, Category: probe.CategoryHash, Total: 3},
+		{Name: probe.FnRandPseudoBytes, Category: probe.CategoryOther, Total: 4},
+		{Name: probe.FnPriEncryption, Category: probe.CategoryPrivate, Total: 100},
+		{Name: probe.FnPriDecryption, Category: probe.CategoryPrivate, Total: 100},
+		{Name: probe.FnMac, Category: probe.CategoryHash, Total: 100},
 	}
-	if want := (CryptoSplit{Public: 1, Private: 2, Hash: 3, Other: 4}); c != want {
+	c := split(rows, [3]telemetry.CryptoCell{{Nanos: 10}, {Nanos: 20}, {Nanos: 40}})
+	if want := (CryptoSplit{Public: 1, Private: 12, Hash: 23, Other: 4, Stitched: 40}); c != want {
 		t.Fatalf("split = %+v, want %+v", c, want)
 	}
-	if c.Total() != 10 {
+	if c.Total() != 80 {
 		t.Fatalf("total = %d", c.Total())
+	}
+}
+
+// TestSplitCountsEachRecordPassOnce: over one 1 KB DES-CBC3-SHA
+// transaction, the split's private-key time is the registry's cipher
+// cells exactly, and its hashing the handshake's hash rows but the
+// in-step MAC plus the MAC cells — the finished messages' record
+// passes, which are Table 2 rows as well as cells, count once.
+func TestSplitCountsEachRecordPassOnce(t *testing.T) {
+	srv := newServer(t)
+	if _, _, err := srv.RunTransaction(1024, nil); err != nil {
+		t.Fatal(err)
+	}
+	counts := srv.Registry().Counts()
+	cells := counts.Crypto.Groups()
+	var hash time.Duration
+	inStep := map[string]bool{}
+	for _, row := range srv.Registry().Anatomy().Crypto {
+		switch row.Name {
+		case probe.FnPriEncryption, probe.FnPriDecryption, probe.FnMac:
+			inStep[row.Name] = row.Total > 0
+		default:
+			if row.Category == probe.CategoryHash {
+				hash += row.Total
+			}
+		}
+	}
+	if !inStep[probe.FnPriEncryption] || !inStep[probe.FnPriDecryption] || !inStep[probe.FnMac] {
+		t.Fatalf("in-step record rows = %v, want all three timed", inStep)
+	}
+	got := srv.Split()
+	if want := time.Duration(cells[0].Nanos); got.Private != want {
+		t.Fatalf("split private %v, cipher cells %v", got.Private, want)
+	}
+	if want := hash + time.Duration(cells[1].Nanos); got.Hash != want {
+		t.Fatalf("split hash %v, handshake hash rows + MAC cells %v", got.Hash, want)
 	}
 }
 
@@ -200,51 +230,43 @@ func TestStitchedSealCountedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := NewServer(identity(t), s).RunTransaction(64*1024, nil)
-	if err != nil {
+	srv := NewServer(identity(t), s)
+	if _, _, err := srv.RunTransaction(64*1024, nil); err != nil {
 		t.Fatal(err)
 	}
-	if stitched, kernel := res.Crypto.Stitched > 0, cpufeat.X86.AES && cpufeat.X86.SHA; stitched != kernel {
-		t.Fatalf("stitched time %v on a CPU where the kernel is %v", res.Crypto.Stitched, kernel)
+	split := srv.Split()
+	if stitched, kernel := split.Stitched > 0, cpufeat.X86.AES && cpufeat.X86.SHA; stitched != kernel {
+		t.Fatalf("stitched time %v on a CPU where the kernel is %v", split.Stitched, kernel)
 	}
-	if res.Crypto.Private == 0 || res.Crypto.Hash == 0 {
-		t.Fatalf("request open and finished messages not measured: %+v", res.Crypto)
+	if split.Private == 0 || split.Hash == 0 {
+		t.Fatalf("request open and finished messages not measured: %+v", split)
 	}
 }
 
 // TestRegistryFoldsEveryTransaction: the server's registry folds every
-// handshake RunSession ran, and its Table 2 rows are the per-transaction
-// handshake times, split by step.
+// handshake RunSession ran, each with its ten steps.
 func TestRegistryFoldsEveryTransaction(t *testing.T) {
 	srv := newServer(t)
 	const n = 3
-	var handshake time.Duration
 	for i := 0; i < n; i++ {
-		res, _, err := srv.RunTransaction(1024, nil)
-		if err != nil {
+		if _, _, err := srv.RunTransaction(1024, nil); err != nil {
 			t.Fatal(err)
 		}
-		handshake += res.Handshake
 	}
 	a := srv.Registry().Anatomy()
 	if a.Handshakes != n || a.Sampled != n {
 		t.Fatalf("registry folded %d handshakes (%d sampled), want %d", a.Handshakes, a.Sampled, n)
 	}
-	var stepKcyc float64
 	var rsa bool
 	for _, st := range a.Steps {
 		if st.Count != n {
 			t.Fatalf("step %s folded %d times, want %d", st.Name, st.Count, n)
 		}
-		stepKcyc += st.MeanKcyc
 		for _, c := range st.Crypto {
 			rsa = rsa || (st.Name == probe.StepGetClientKX.Name() && c.Name == probe.FnRSAPrivateDecrypt)
 		}
 	}
 	if len(a.Steps) != 10 || !rsa {
 		t.Fatalf("Table 2 rows = %+v, want the ten steps of a full handshake with the RSA decryption in get_client_kx", a.Steps)
-	}
-	if want := perf.Cycles(handshake/n) / 1000; math.Abs(stepKcyc-want) > 1e-3*want {
-		t.Fatalf("registry steps sum to %.3f kcycles per handshake, the transactions' handshake time to %.3f", stepKcyc, want)
 	}
 }
