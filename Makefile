@@ -377,9 +377,12 @@ loadsmoke:
 repro:
 	$(GO) run ./cmd/sslanatomy -experiment all -iterations 5
 
-# Refresh the committed raw results.
+# Refresh the committed raw results. The first line names the run: its
+# UTC date, the Go toolchain, the CPU model and how many CPUs it had.
 results:
-	$(GO) run ./cmd/sslanatomy -experiment all -iterations 5 > docs/RESULTS.txt
+	{ printf '# %s · %s · %s · nproc %s\n' "$$(date -u '+%Y-%m-%d %H:%M UTC')" "$$($(GO) version)" \
+		"$$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -1)" "$$(nproc)"; \
+	  $(GO) run ./cmd/sslanatomy -experiment all -iterations 5; } > docs/RESULTS.txt
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -82,7 +82,7 @@ func main() {
 	table := buildProbes(*telAddr, *traceEvery, *pprofOn, *sloTarget, closeLog)
 
 	srv := &server.Server{
-		Cache:   handshake.NewSessionCache(4096),
+		Config:  ssl.Config{SessionCache: handshake.NewSessionCache(4096)},
 		Seed:    seedVal,
 		Table:   table,
 		Log:     server.NewLog(logRate),
@@ -93,7 +93,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv.Suites = []suite.ID{s.ID}
+		srv.Config.Suites = []suite.ID{s.ID}
 	}
 
 	log.Printf("generating %d-bit identity...", *keyBits)
@@ -101,7 +101,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv.Key, srv.Cert = id.Key, id.CertDER
+	srv.Config.Key, srv.Config.CertDER = id.Key, id.CertDER
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

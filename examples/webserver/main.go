@@ -46,9 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := &server.Server{
-		Key:     id.Key,
-		Cert:    id.CertDER,
-		Cache:   handshake.NewSessionCache(1024),
+		Config:  ssl.Config{Key: id.Key, CertDER: id.CertDER, SessionCache: handshake.NewSessionCache(1024)},
 		Seed:    8,
 		Handler: serve,
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"time"
 
 	"sslperf/internal/dh"
 	"sslperf/internal/probe"
@@ -15,91 +14,34 @@ import (
 	"sslperf/internal/x509lite"
 )
 
-// ClientConfig holds the client-side handshake parameters.
-type ClientConfig struct {
-	Rand   io.Reader
-	Suites []suite.ID // offered suites in preference order; nil = all
-	Time   func() time.Time
-
-	// Version is the protocol version to offer: record.VersionSSL30
-	// (the default, the paper's protocol) or record.VersionTLS10.
-	Version uint16
-
-	// Session, when non-nil, is offered for resumption.
-	Session *Session
-
-	// RootCert, when non-nil, must have signed the server's
-	// certificate. When nil together with InsecureSkipVerify=false,
-	// the server certificate must be self-signed and valid.
-	RootCert *x509lite.Certificate
-
-	// InsecureSkipVerify disables certificate validation (the
-	// standalone-measurement configuration).
-	InsecureSkipVerify bool
-
-	// ServerName, when set, must match the certificate subject CN.
-	ServerName string
-}
-
-func (c *ClientConfig) version() uint16 {
-	if c.Version == 0 {
-		return record.VersionSSL30
-	}
-	return c.Version
-}
-
-func (c *ClientConfig) now() time.Time {
-	if c.Time != nil {
-		return c.Time()
-	}
-	return time.Now() // lint:allow-clock — config default, not a hot-path stamp
-}
-
-func (c *ClientConfig) offered() []suite.ID {
-	if c.Suites != nil {
-		return c.Suites
-	}
-	all := suite.All()
-	out := make([]suite.ID, len(all))
-	for i, s := range all {
-		out[i] = s.ID
-	}
-	return out
-}
-
 // ClientFSM is the resumable client handshake, leaving its record
 // conn armed with the negotiated bulk cipher in both directions; see
 // ServerFSM for the Step contract (ErrWouldBlock / nil / sticky
 // terminal error with a queued fatal alert).
 type ClientFSM struct {
-	c *clientState
+	c clientState
 }
 
-// NewClientFSM validates the configuration, returning a machine
-// parked before the ClientHello.
-func NewClientFSM(conn RecordConn, cfg *ClientConfig) (*ClientFSM, error) {
-	if cfg.Rand == nil {
+// NewClientFSM returns a machine parked before the ClientHello, which
+// reads cfg and draws from rand; see NewServerFSM.
+func NewClientFSM(conn RecordConn, cfg *Config, bus *probe.Bus, rand io.Reader) (*ClientFSM, error) {
+	if rand == nil {
 		return nil, errors.New("handshake: client needs a randomness source")
 	}
 	// A client must take the server's certificate chain, which can span
 	// many records.
-	m := machine{conn: conn, msgs: newMsgReader(conn, 1<<20)}
-	return &ClientFSM{c: &clientState{machine: m, cfg: cfg}}, nil
+	return &ClientFSM{c: clientState{machine: newMachine(conn, cfg, bus, rand, 1<<20)}}, nil
 }
 
 // Step advances the machine; see ServerFSM.Step.
-func (f *ClientFSM) Step() error { return drive(&f.c.machine, f.c, &clientPlans) }
+func (f *ClientFSM) Step() error { return drive(&f.c.machine, &f.c, &clientPlans) }
 
-// Done reports whether the handshake completed successfully.
-func (f *ClientFSM) Done() bool { return f.c.res != nil }
-
-// Result returns the completed handshake's outcome, or nil before
-// Done.
+// Result returns the completed handshake's outcome, or nil before it
+// completes.
 func (f *ClientFSM) Result() *Result { return f.c.res }
 
 // clientPlans are the client's three paths. The client is not the
-// measured party, so its rows carry no Table 2 step and its machine
-// no probe bus.
+// measured party, so its rows carry no Table 2 step.
 var clientPlans = [numPlans][]row[*clientState]{
 	planRSA: {
 		{in: none, run: (*clientState).sendHello},
@@ -139,7 +81,6 @@ var clientPlans = [numPlans][]row[*clientState]{
 
 type clientState struct {
 	machine
-	cfg *ClientConfig
 
 	fin          *sslcrypto.FinishedHash
 	version      uint16
@@ -186,11 +127,11 @@ func (c *clientState) finish([]byte) error {
 func (c *clientState) sendHello([]byte) error {
 	c.fin = sslcrypto.NewFinishedHash()
 	hello := clientHelloMsg{
-		version:      c.cfg.version(),
+		version:      c.cfg.offeredVersion(),
 		cipherSuites: c.cfg.offered(),
 		compressions: []byte{0},
 	}
-	if err := fillRandom(c.cfg.Rand, &c.clientRandom, c.cfg.now()); err != nil {
+	if err := fillRandom(c.rand, &c.clientRandom, c.cfg.now()); err != nil {
 		return err
 	}
 	hello.random = c.clientRandom
@@ -209,8 +150,7 @@ func (c *clientState) readServerHello(raw []byte) error {
 		return err
 	}
 	c.fin.Write(raw)
-	offered := c.cfg.version()
-	if c.serverHello.version < record.VersionSSL30 || c.serverHello.version > offered {
+	if c.serverHello.version < record.VersionSSL30 || c.serverHello.version > c.cfg.offeredVersion() {
 		return probe.Failf(probe.FailVersionMismatch, "handshake: server version %#04x", c.serverHello.version)
 	}
 	c.version = c.serverHello.version
@@ -292,7 +232,7 @@ func (c *clientState) sendKeyExchange([]byte) error {
 		if err := params.Validate(); err != nil {
 			return probe.Fail(probe.FailBadMessage, err)
 		}
-		key, err := dh.GenerateKey(c.cfg.Rand, params)
+		key, err := dh.GenerateKey(c.rand, params)
 		if err != nil {
 			return err
 		}
@@ -307,12 +247,12 @@ func (c *clientState) sendKeyExchange([]byte) error {
 		// RSA: encrypt a fresh pre-master prefixed with the OFFERED
 		// version (the rollback check of SSLv3 §5.6.7).
 		preMaster = make([]byte, sslcrypto.PreMasterLen)
-		preMaster[0] = byte(c.cfg.version() >> 8)
-		preMaster[1] = byte(c.cfg.version())
-		if _, err := io.ReadFull(c.cfg.Rand, preMaster[2:]); err != nil { // lint:allow-read — randomness source, not the transport
+		preMaster[0] = byte(c.cfg.offeredVersion() >> 8)
+		preMaster[1] = byte(c.cfg.offeredVersion())
+		if _, err := io.ReadFull(c.rand, preMaster[2:]); err != nil { // lint:allow-read — randomness source, not the transport
 			return err
 		}
-		encrypted, err := c.cert.PublicKey.EncryptPKCS1(c.cfg.Rand, preMaster)
+		encrypted, err := c.cert.PublicKey.EncryptPKCS1(c.rand, preMaster)
 		if err != nil {
 			if c.cert.PublicKey.Size() < sslcrypto.PreMasterLen+11 {
 				// The certificate's modulus cannot carry a pre-master.

@@ -1,6 +1,8 @@
 package handshake
 
 import (
+	"io"
+
 	"sslperf/internal/probe"
 	"sslperf/internal/record"
 	"sslperf/internal/suite"
@@ -56,17 +58,33 @@ func planFor(resumed bool, s *suite.Suite) plan {
 	return planRSA
 }
 
-// machine is what the driver keeps for either role.
+// machine is what drive keeps for either role, and what both
+// roles' handlers read: the caller's config (never written) and the
+// connection's resolved randomness.
 type machine struct {
 	conn RecordConn
-	bus  *probe.Bus // the server's step spine; nil on the client
-	msgs *msgReader
+	bus  *probe.Bus // the connection's spine; only the server's rows enter steps on it
+	msgs msgReader
+	cfg  *Config
+	rand io.Reader
 
 	plan plan
 	at   int        // the row to run next
 	open probe.Step // probe step currently entered (StepNone between steps)
 	err  error      // sticky terminal error
 	res  *Result    // set by a plan's last row
+}
+
+// newMachine is a machine parked before its plan's first row, reading
+// messages of at most maxBody bytes from conn. The record conn joins
+// bus when it is on none yet, so the record-layer work of the
+// encrypted finished messages lands on the same spine; it stays
+// attached after the handshake (bulk-phase events carry StepNone).
+func newMachine(conn RecordConn, cfg *Config, bus *probe.Bus, rand io.Reader, maxBody int) machine {
+	if conn.ProbeBus() == nil {
+		conn.SetProbe(bus)
+	}
+	return machine{conn: conn, bus: bus, msgs: msgReader{conn: conn, maxBody: maxBody}, cfg: cfg, rand: rand}
 }
 
 // drive runs s's plan from row m.at. A row's only suspension point is

@@ -29,7 +29,7 @@ func shuttle(t *testing.T, cliCore, srvCore *record.Core, cli *ClientFSM, srv *S
 	}
 	for i := 0; i < 100000; i++ {
 		progress := false
-		if !cli.Done() {
+		if cli.Result() == nil {
 			cliSteps++
 			if err := cli.Step(); err == nil {
 				progress = true
@@ -40,7 +40,7 @@ func shuttle(t *testing.T, cliCore, srvCore *record.Core, cli *ClientFSM, srv *S
 		if move(cliCore, srvCore) {
 			progress = true
 		}
-		if !srv.Done() {
+		if srv.Result() == nil {
 			srvSteps++
 			if err := srv.Step(); err == nil {
 				progress = true
@@ -51,7 +51,7 @@ func shuttle(t *testing.T, cliCore, srvCore *record.Core, cli *ClientFSM, srv *S
 		if move(srvCore, cliCore) {
 			progress = true
 		}
-		if cli.Done() && srv.Done() {
+		if cli.Result() != nil && srv.Result() != nil {
 			return cliSteps, srvSteps
 		}
 		if !progress {
@@ -67,16 +67,15 @@ func nonBlockPair(t *testing.T, id suite.ID, seed uint64, scache *SessionCache, 
 	t.Helper()
 	key, _ := intIdentity(t)
 	cliCore, srvCore := record.NewCore(), record.NewCore()
-	srv, err := NewServerFSM(srvCore, &ServerConfig{
-		Key: key, CertDER: intCert.Raw, Rand: rnd(seed), Cache: scache,
-	})
+	srv, err := NewServerFSM(srvCore, &Config{
+		Key: key, CertDER: intCert.Raw, SessionCache: scache,
+	}, nil, rnd(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := NewClientFSM(cliCore, &ClientConfig{
-		Rand: rnd(seed + 1), Suites: []suite.ID{id},
-		InsecureSkipVerify: true, Session: sess,
-	})
+	cli, err := NewClientFSM(cliCore, &Config{
+		Suites: []suite.ID{id}, InsecureSkipVerify: true, Session: sess,
+	}, nil, rnd(seed+1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +148,7 @@ func TestNonBlockingByteAtATime(t *testing.T) {
 func TestNonBlockingTerminalErrorQueuesAlert(t *testing.T) {
 	key, _ := intIdentity(t)
 	srvCore := record.NewCore()
-	srv, err := NewServerFSM(srvCore, &ServerConfig{
-		Key: key, CertDER: intCert.Raw, Rand: rnd(3),
-	})
+	srv, err := NewServerFSM(srvCore, &Config{Key: key, CertDER: intCert.Raw}, nil, rnd(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func runToEnd[F interface {
 }
 
 // runPair drives both machines directly over raw record layers.
-func runPair(t *testing.T, scfg *ServerConfig, ccfg *ClientConfig) (*Result, *Result, error) {
+func runPair(t *testing.T, scfg, ccfg *Config) (*Result, *Result, error) {
 	t.Helper()
 	ct, st := testPipe()
 	clientLayer := record.NewLayer(ct)
@@ -138,10 +138,10 @@ func runPair(t *testing.T, scfg *ServerConfig, ccfg *ClientConfig) (*Result, *Re
 	}
 	cc := make(chan out, 1)
 	go func() {
-		r, err := runToEnd(NewClientFSM(clientLayer, ccfg))
+		r, err := runToEnd(NewClientFSM(clientLayer, ccfg, nil, ccfg.Rand))
 		cc <- out{r, err}
 	}()
-	sres, serr := runToEnd(NewServerFSM(serverLayer, scfg))
+	sres, serr := runToEnd(NewServerFSM(serverLayer, scfg, nil, scfg.Rand))
 	cres := <-cc
 	if serr != nil {
 		return nil, nil, serr
@@ -155,8 +155,8 @@ func runPair(t *testing.T, scfg *ServerConfig, ccfg *ClientConfig) (*Result, *Re
 func TestDirectHandshakeAgreement(t *testing.T) {
 	key, cert := intIdentity(t)
 	cres, sres, err := runPair(t,
-		&ServerConfig{Key: key, CertDER: cert.Raw, Rand: rnd(1)},
-		&ClientConfig{Rand: rnd(2), InsecureSkipVerify: true})
+		&Config{Key: key, CertDER: cert.Raw, Rand: rnd(1)},
+		&Config{Rand: rnd(2), InsecureSkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +177,16 @@ func TestServerConfigValidation(t *testing.T) {
 		io.Reader
 		io.Writer
 	}{})
-	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{CertDER: cert.Raw, Rand: rnd(1)})); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &Config{CertDER: cert.Raw}, nil, rnd(1))); err == nil {
 		t.Fatal("server without key accepted")
 	}
-	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{Key: key, Rand: rnd(1)})); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &Config{Key: key}, nil, rnd(1))); err == nil {
 		t.Fatal("server without cert accepted")
 	}
-	if _, err := runToEnd(NewServerFSM(layer, &ServerConfig{Key: key, CertDER: cert.Raw})); err == nil {
+	if _, err := runToEnd(NewServerFSM(layer, &Config{Key: key, CertDER: cert.Raw}, nil, nil)); err == nil {
 		t.Fatal("server without randomness accepted")
 	}
-	if _, err := runToEnd(NewClientFSM(layer, &ClientConfig{})); err == nil {
+	if _, err := runToEnd(NewClientFSM(layer, &Config{}, nil, nil)); err == nil {
 		t.Fatal("client without randomness accepted")
 	}
 }
@@ -210,8 +210,8 @@ func TestRootCertChainVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := runPair(t,
-		&ServerConfig{Key: key, CertDER: srvCert.Raw, Rand: rnd(3)},
-		&ClientConfig{Rand: rnd(4), RootCert: caCert, ServerName: "chained-server"},
+		&Config{Key: key, CertDER: srvCert.Raw, Rand: rnd(3)},
+		&Config{Rand: rnd(4), RootCert: caCert, ServerName: "chained-server"},
 	); err != nil {
 		t.Fatalf("chain-verified handshake failed: %v", err)
 	}
@@ -220,8 +220,8 @@ func TestRootCertChainVerification(t *testing.T) {
 	otherCA, _ := x509lite.Create(rnd(9014), "other-ca", &otherKey.PublicKey,
 		"other-ca", otherKey, now.Add(-time.Hour), now.Add(time.Hour))
 	if _, _, err := runPair(t,
-		&ServerConfig{Key: key, CertDER: srvCert.Raw, Rand: rnd(5)},
-		&ClientConfig{Rand: rnd(6), RootCert: otherCA},
+		&Config{Key: key, CertDER: srvCert.Raw, Rand: rnd(5)},
+		&Config{Rand: rnd(6), RootCert: otherCA},
 	); err == nil {
 		t.Fatal("wrong root accepted")
 	}
@@ -231,11 +231,11 @@ func TestServerSuitePreferenceOrder(t *testing.T) {
 	key, cert := intIdentity(t)
 	// Server prefers AES256 over RC4 regardless of client order.
 	cres, _, err := runPair(t,
-		&ServerConfig{
+		&Config{
 			Key: key, CertDER: cert.Raw, Rand: rnd(7),
 			Suites: []suite.ID{suite.RSAWithAES256CBCSHA, suite.RSAWithRC4128MD5},
 		},
-		&ClientConfig{
+		&Config{
 			Rand:               rnd(8),
 			InsecureSkipVerify: true,
 			Suites:             []suite.ID{suite.RSAWithRC4128MD5, suite.RSAWithAES256CBCSHA},
@@ -251,8 +251,8 @@ func TestServerSuitePreferenceOrder(t *testing.T) {
 func TestAnatomyResumedShape(t *testing.T) {
 	key, cert := intIdentity(t)
 	cache := NewSessionCache(4)
-	scfg := &ServerConfig{Key: key, CertDER: cert.Raw, Rand: rnd(9), Cache: cache}
-	cres, _, err := runPair(t, scfg, &ClientConfig{Rand: rnd(10), InsecureSkipVerify: true})
+	scfg := &Config{Key: key, CertDER: cert.Raw, Rand: rnd(9), SessionCache: cache}
+	cres, _, err := runPair(t, scfg, &Config{Rand: rnd(10), InsecureSkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +266,11 @@ func TestAnatomyResumedShape(t *testing.T) {
 			steps = append(steps, e.Step)
 		}
 	}))
-	go runToEnd(NewClientFSM(record.NewLayer(ct), &ClientConfig{
-		Rand: rnd(11), InsecureSkipVerify: true, Session: cres.Session,
-	}))
+	go runToEnd(NewClientFSM(record.NewLayer(ct), &Config{
+		InsecureSkipVerify: true, Session: cres.Session,
+	}, nil, rnd(11)))
 	sres, err := runToEnd(NewServerFSM(record.NewLayer(st),
-		&ServerConfig{Key: key, CertDER: cert.Raw, Rand: rnd(12), Cache: cache, Probe: bus}))
+		&Config{Key: key, CertDER: cert.Raw, SessionCache: cache}, bus, rnd(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +290,8 @@ func TestAnatomyResumedShape(t *testing.T) {
 func TestTLSDirectHandshake(t *testing.T) {
 	key, cert := intIdentity(t)
 	cres, sres, err := runPair(t,
-		&ServerConfig{Key: key, CertDER: cert.Raw, Rand: rnd(13)},
-		&ClientConfig{Rand: rnd(14), InsecureSkipVerify: true,
+		&Config{Key: key, CertDER: cert.Raw, Rand: rnd(13)},
+		&Config{Rand: rnd(14), InsecureSkipVerify: true,
 			Version: record.VersionTLS10})
 	if err != nil {
 		t.Fatal(err)

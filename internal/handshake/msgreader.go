@@ -18,10 +18,6 @@ type msgReader struct {
 	maxBody int
 }
 
-func newMsgReader(c RecordConn, maxBody int) *msgReader {
-	return &msgReader{conn: c, maxBody: maxBody}
-}
-
 // fill reads records until at least n buffered handshake bytes are
 // available. On ErrWouldBlock the bytes gathered so far stay
 // buffered; call again after feeding the core.

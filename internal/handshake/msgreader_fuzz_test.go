@@ -74,7 +74,7 @@ func FuzzMsgReaderIncremental(f *testing.F) {
 		chunks := [][]byte{wire[:a], wire[a:b], wire[b:]}
 
 		core := record.NewCore()
-		r := newMsgReader(core, record.MaxFragment)
+		r := &msgReader{conn: core, maxBody: record.MaxFragment}
 		var got [][]byte
 		var terminal error
 		fed := 0
@@ -128,7 +128,7 @@ func FuzzMsgReaderIncremental(f *testing.F) {
 // arriving byte-by-byte suspends without consuming until complete.
 func TestMsgReaderCCSByteAtATime(t *testing.T) {
 	core := record.NewCore()
-	r := newMsgReader(core, record.MaxFragment)
+	r := &msgReader{conn: core, maxBody: record.MaxFragment}
 	ccs := []byte{byte(record.TypeChangeCipherSpec), 3, 0, 0, 1, 1}
 	for _, b := range ccs {
 		if err := r.readCCS(); err != ErrWouldBlock {

@@ -15,57 +15,6 @@ import (
 	"sslperf/internal/suite"
 )
 
-// ServerConfig holds the server-side handshake parameters.
-type ServerConfig struct {
-	Key *rsa.PrivateKey // server RSA key (decrypts the CKE, signs DHE params)
-	// Decrypter, when non-nil, handles the ClientKeyExchange
-	// decryption instead of Key — the seam a constant-shape decrypter
-	// (no branch or allocation that depends on the padding) plugs
-	// into. Key is still required for DHE signing; for RSA key
-	// exchange a Decrypter alone suffices.
-	Decrypter rsa.Decrypter
-	CertDER   []byte // DER leaf certificate presented to clients
-	// Chain holds intermediate certificates (leaf's issuer first),
-	// sent after the leaf in the Certificate message.
-	Chain  [][]byte
-	Rand   io.Reader     // randomness source
-	Cache  *SessionCache // optional: enables session resumption
-	Suites []suite.ID    // acceptable suites in preference order; nil = all
-	Time   func() time.Time
-	// DHParams is the group for DHE suites; defaults to the 1024-bit
-	// Oakley group 2.
-	DHParams *dh.Params
-	// MaxVersion caps the negotiated protocol version; 0 means
-	// TLS 1.0 (the server speaks both SSL 3.0 and TLS 1.0).
-	MaxVersion uint16
-	// Probe, when non-nil, is the instrumentation bus the handshake
-	// emits step/crypto events on. The ssl package passes the
-	// connection's bus (already carrying its sinks); direct callers
-	// can pass their own.
-	Probe *probe.Bus
-}
-
-func (c *ServerConfig) maxVersion() uint16 {
-	if c.MaxVersion == 0 {
-		return record.VersionTLS10
-	}
-	return c.MaxVersion
-}
-
-func (c *ServerConfig) dhParams() *dh.Params {
-	if c.DHParams != nil {
-		return c.DHParams
-	}
-	return dh.Group1024()
-}
-
-func (c *ServerConfig) now() time.Time {
-	if c.Time != nil {
-		return c.Time()
-	}
-	return time.Now() // lint:allow-clock — config default, not a hot-path stamp
-}
-
 // allows reports whether a configured suite list (nil = all) holds id.
 func allows(list []suite.ID, id suite.ID) bool {
 	return list == nil || slices.Contains(list, id)
@@ -93,39 +42,31 @@ type Result struct {
 // record conn is left armed with the negotiated bulk cipher in both
 // directions.
 type ServerFSM struct {
-	s *serverState
+	s serverState
 }
 
-// NewServerFSM validates the configuration and wires the probe spine,
-// returning a machine parked before step 0. The record conn's probe
-// bus is pointed at cfg.Probe when not already set, so the
-// record-layer work of the encrypted finished messages lands on the
-// same spine; it stays attached after the handshake (bulk-phase
-// events carry StepNone).
-func NewServerFSM(conn RecordConn, cfg *ServerConfig) (*ServerFSM, error) {
+// NewServerFSM validates the configuration, returning a machine
+// parked before step 0 that emits its Table 2 steps on bus (nil: no
+// spine) and draws its randomness from rand. It reads cfg and never
+// writes it, so the caller's Config is the handshake's only copy of
+// its settings.
+func NewServerFSM(conn RecordConn, cfg *Config, bus *probe.Bus, rand io.Reader) (*ServerFSM, error) {
 	if (cfg.Key == nil && cfg.Decrypter == nil) || len(cfg.CertDER) == 0 {
 		return nil, errors.New("handshake: server needs a key and certificate")
 	}
-	if cfg.Rand == nil {
+	if rand == nil {
 		return nil, errors.New("handshake: server needs a randomness source")
-	}
-	if conn.ProbeBus() == nil {
-		conn.SetProbe(cfg.Probe)
 	}
 	// A server reads nothing larger than a ClientHello or a
 	// ClientKeyExchange; one record's worth is already generous.
-	m := machine{conn: conn, bus: cfg.Probe, msgs: newMsgReader(conn, record.MaxFragment)}
-	return &ServerFSM{s: &serverState{machine: m, cfg: cfg}}, nil
+	return &ServerFSM{s: serverState{machine: newMachine(conn, cfg, bus, rand, record.MaxFragment)}}, nil
 }
 
 // Step advances the machine; see ServerFSM.
-func (f *ServerFSM) Step() error { return drive(&f.s.machine, f.s, &serverPlans) }
+func (f *ServerFSM) Step() error { return drive(&f.s.machine, &f.s, &serverPlans) }
 
-// Done reports whether the handshake completed successfully.
-func (f *ServerFSM) Done() bool { return f.s.res != nil }
-
-// Result returns the completed handshake's outcome, or nil before
-// Done.
+// Result returns the completed handshake's outcome, or nil before it
+// completes.
 func (f *ServerFSM) Result() *Result { return f.s.res }
 
 // serverPlans are the server's three paths through Table 2's steps.
@@ -177,7 +118,6 @@ var serverPlans = [numPlans][]row[*serverState]{
 
 type serverState struct {
 	machine
-	cfg *ServerConfig
 
 	fin          *sslcrypto.FinishedHash
 	version      uint16
@@ -255,8 +195,8 @@ func (s *serverState) flush([]byte) error {
 	if err := s.conn.Flush(); err != nil {
 		return err
 	}
-	if s.cfg.Cache != nil && len(s.sessionID) > 0 && !s.resumed {
-		s.cfg.Cache.Put(&Session{
+	if s.cfg.SessionCache != nil && len(s.sessionID) > 0 && !s.resumed {
+		s.cfg.SessionCache.Put(&Session{
 			ID:      append([]byte(nil), s.sessionID...),
 			Suite:   s.suite.ID,
 			Master:  append([]byte(nil), s.master...),
@@ -298,8 +238,8 @@ func (s *serverState) getClientHello(raw []byte) error {
 	// Resumption probe: a session resumes only with a suite the client
 	// offered and this server still allows; otherwise, as crypto/tls
 	// does, the handshake falls back to a full one.
-	if s.cfg.Cache != nil && len(s.clientHello.sessionID) > 0 {
-		if sess := s.cfg.Cache.Get(s.clientHello.sessionID); sess != nil && sess.Version == s.version {
+	if s.cfg.SessionCache != nil && len(s.clientHello.sessionID) > 0 {
+		if sess := s.cfg.SessionCache.Get(s.clientHello.sessionID); sess != nil && sess.Version == s.version {
 			if sessSuite, err := suite.ByID(sess.Suite); err == nil &&
 				slices.Contains(s.clientHello.cipherSuites, sess.Suite) && allows(s.cfg.Suites, sess.Suite) {
 				s.resumed = true
@@ -337,7 +277,7 @@ func (s *serverState) getClientHello(raw []byte) error {
 	// Generate a fresh session id (rand_pseudo_bytes).
 	s.sessionID = make([]byte, SessionIDLen)
 	return s.bus.CryptoErr(probe.FnRandPseudoBytes, func() error {
-		_, err := io.ReadFull(s.cfg.Rand, s.sessionID) // lint:allow-read — randomness source, not the transport
+		_, err := io.ReadFull(s.rand, s.sessionID) // lint:allow-read — randomness source, not the transport
 		return err
 	})
 }
@@ -345,7 +285,7 @@ func (s *serverState) getClientHello(raw []byte) error {
 // sendServerHello is step 2.
 func (s *serverState) sendServerHello([]byte) error {
 	if err := s.bus.CryptoErr(probe.FnRandPseudoBytes, func() error {
-		return fillRandom(s.cfg.Rand, &s.serverRandom, s.cfg.now())
+		return fillRandom(s.rand, &s.serverRandom, s.cfg.now())
 	}); err != nil {
 		return err
 	}
@@ -370,7 +310,7 @@ func (s *serverState) sendCertificate([]byte) error {
 	// Building the certificate message is the "X509 functions" cost
 	// of Table 2 step 3.
 	s.bus.Crypto(probe.FnX509, func() {
-		certs := append([][]byte{s.cfg.CertDER}, s.cfg.Chain...)
+		certs := append([][]byte{s.cfg.CertDER}, s.cfg.CertChain...)
 		msg := certificateMsg{certificates: certs}
 		raw = msg.marshal()
 	})
@@ -384,10 +324,10 @@ func (s *serverState) sendServerKeyExchange([]byte) error {
 	if s.cfg.Key == nil {
 		return errors.New("handshake: DHE suites need the full RSA key for signing")
 	}
-	params := s.cfg.dhParams()
+	params := dh.Group1024()
 	if err := s.bus.CryptoErr(probe.FnDHGenerateKey, func() error {
 		var err error
-		s.dhKey, err = dh.GenerateKey(s.cfg.Rand, params)
+		s.dhKey, err = dh.GenerateKey(s.rand, params)
 		return err
 	}); err != nil {
 		return err
@@ -464,12 +404,12 @@ func (s *serverState) getClientKeyExchange(raw []byte) error {
 		// failures that depend on public data (ciphertext size or
 		// range, the decrypter) end the handshake at this step.
 		var substitute [sslcrypto.PreMasterLen]byte
-		if _, err := io.ReadFull(s.cfg.Rand, substitute[:]); err != nil { // lint:allow-read — randomness source, not the transport
+		if _, err := io.ReadFull(s.rand, substitute[:]); err != nil { // lint:allow-read — randomness source, not the transport
 			return err
 		}
 		err := s.bus.CryptoErr(probe.FnRSAPrivateDecrypt, func() error {
 			var err error
-			preMaster, err = dec.DecryptPKCS1(s.cfg.Rand, ckx.encryptedPreMaster)
+			preMaster, err = dec.DecryptPKCS1(s.rand, ckx.encryptedPreMaster)
 			return err
 		})
 		switch {

@@ -53,9 +53,7 @@ func StartServer(opt ServerOptions) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{ln: ln, srv: &server.Server{
-		Key:     id.Key,
-		Cert:    id.CertDER,
-		Cache:   handshake.NewSessionCache(4096),
+		Config:  ssl.Config{Key: id.Key, CertDER: id.CertDER, SessionCache: handshake.NewSessionCache(4096)},
 		Seed:    opt.Seed,
 		Table:   opt.Table,
 		Handler: server.Respond(workload.Response(opt.FileSize)),

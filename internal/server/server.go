@@ -17,24 +17,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
 	"sslperf/internal/probe"
-	"sslperf/internal/rsa"
 	"sslperf/internal/ssl"
-	"sslperf/internal/suite"
 )
 
 // A Server serves SSL connections from one listener. Set the exported
 // fields before Serve; they are read-only afterwards.
 type Server struct {
-	// Key and Cert are the identity every connection presents.
-	Key  *rsa.PrivateKey
-	Cert []byte
-
-	Cache   *handshake.SessionCache
-	Suites  []suite.ID // nil: every registered suite
-	Version uint16     // 0: accept up to TLS 1.0
+	// Config is every connection's template: the identity it presents
+	// (Key, CertDER), its SessionCache, Suites and Version. Each
+	// connection reads a copy whose Rand and Observer are its own.
+	Config ssl.Config
 	// Seed makes the run reproducible: connection n draws its
 	// randomness from NewPRNG(Seed + 17n).
 	Seed uint64
@@ -153,28 +147,22 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// configFor builds the per-connection Config. Every connection gets
-// its own PRNG (ssl.PRNG is not safe for concurrent use); the accept
-// count that seeds it is not an identity — the connection's ID is the
-// one its open event carries. The returned entry is the connection's
-// record, non-nil when the server is observed: it is taken here, at
-// accept time, so the caller can mark the accept on it, and it is the
-// connection's one observer.
+// configFor copies the template into the per-connection Config. Every
+// connection gets its own PRNG (ssl.PRNG is not safe for concurrent
+// use); the accept count that seeds it is not an identity — the
+// connection's ID is the one its open event carries. The returned
+// entry is the connection's record, non-nil when the server is
+// observed: it is taken here, at accept time, so the caller can mark
+// the accept on it, and it is the connection's one observer.
 func (s *Server) configFor() (*ssl.Config, *lifecycle.Conn) {
 	n := s.connSeq.Add(1)
-	cfg := &ssl.Config{
-		Rand:         ssl.NewPRNG(s.Seed + 17*n),
-		Key:          s.Key,
-		CertDER:      s.Cert,
-		SessionCache: s.Cache,
-		Suites:       s.Suites,
-		Version:      s.Version,
-	}
+	cfg := s.Config
+	cfg.Rand, cfg.Observer = ssl.NewPRNG(s.Seed+17*n), nil
 	entry := s.Table.Begin()
 	if entry != nil {
 		cfg.Observer = entry
 	}
-	return cfg, entry
+	return &cfg, entry
 }
 
 func (s *Server) serve(tc net.Conn) {

@@ -37,9 +37,7 @@ var identity = sync.OnceValue(func() *ssl.Identity {
 func newServer(seed uint64, response []byte) *Server {
 	id := identity()
 	return &Server{
-		Key:     id.Key,
-		Cert:    id.CertDER,
-		Cache:   handshake.NewSessionCache(16),
+		Config:  ssl.Config{Key: id.Key, CertDER: id.CertDER, SessionCache: handshake.NewSessionCache(16)},
 		Seed:    seed,
 		Handler: Respond(response),
 	}

@@ -3,6 +3,7 @@ package ssl
 import (
 	"errors"
 	"io"
+	"time"
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/probe"
@@ -125,36 +126,22 @@ func (c *NonBlockingConn) role() string {
 }
 
 // startHandshake puts the handshake-start event on the bus, then
-// constructs the FSM over the record conn.
+// constructs the FSM over the record conn. The FSM reads the caller's
+// Config; a nil Rand resolves here to one time-seeded PRNG for this
+// connection.
 func (c *NonBlockingConn) startHandshake() error {
 	c.hsStarted = true
 	c.bus.HandshakeStart(c.role())
+	rnd := c.cfg.Rand
+	if rnd == nil {
+		rnd = NewPRNG(uint64(time.Now().UnixNano()))
+	}
 	var err error
 	if c.isClient {
-		c.fsm, err = handshake.NewClientFSM(c.rc, &handshake.ClientConfig{
-			Rand:               c.cfg.rand(),
-			Suites:             c.cfg.Suites,
-			Time:               c.cfg.Time,
-			Version:            c.cfg.Version,
-			Session:            c.cfg.Session,
-			RootCert:           c.cfg.RootCert,
-			ServerName:         c.cfg.ServerName,
-			InsecureSkipVerify: c.cfg.InsecureSkipVerify,
-		})
+		c.fsm, err = handshake.NewClientFSM(c.rc, c.cfg, c.bus, rnd)
 	} else {
 		// The server FSM emits its Table 2 steps on the same bus.
-		c.fsm, err = handshake.NewServerFSM(c.rc, &handshake.ServerConfig{
-			Key:        c.cfg.Key,
-			Decrypter:  c.cfg.Decrypter,
-			CertDER:    c.cfg.CertDER,
-			Chain:      c.cfg.CertChain,
-			Rand:       c.cfg.rand(),
-			Cache:      c.cfg.SessionCache,
-			Suites:     c.cfg.Suites,
-			Time:       c.cfg.Time,
-			MaxVersion: c.cfg.Version,
-			Probe:      c.bus,
-		})
+		c.fsm, err = handshake.NewServerFSM(c.rc, c.cfg, c.bus, rnd)
 	}
 	return err
 }

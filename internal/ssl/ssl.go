@@ -13,80 +13,16 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"sslperf/internal/handshake"
-	"sslperf/internal/probe"
 	"sslperf/internal/record"
-	"sslperf/internal/rsa"
 	"sslperf/internal/suite"
-	"sslperf/internal/x509lite"
 )
 
-// Config carries the parameters for both connection ends.
-type Config struct {
-	// Rand is the randomness source; NewPRNG(seed) gives the
-	// deterministic generator the experiments use. Defaults to a
-	// time-seeded PRNG.
-	Rand io.Reader
-
-	// Suites restricts the cipher suites offered/accepted, in
-	// preference order. Nil means all registered suites.
-	Suites []suite.ID
-
-	// Version selects the protocol: for clients the version to offer
-	// (default SSL 3.0, the paper's protocol; record.VersionTLS10
-	// enables the TLS 1.0 extension), for servers the maximum to
-	// accept (default TLS 1.0, i.e. both).
-	Version uint16
-
-	// Time supplies the current time (certificate validity and hello
-	// randoms). Defaults to time.Now.
-	Time func() time.Time
-
-	// Server side.
-	Key *rsa.PrivateKey
-	// Decrypter, when non-nil, handles the ClientKeyExchange RSA
-	// decryption instead of Key — the seam a constant-shape decrypter
-	// (no branch or allocation that depends on the padding) plugs
-	// into. Key remains required for DHE signing.
-	Decrypter rsa.Decrypter
-	CertDER   []byte
-	// CertChain holds intermediate certificates (leaf's issuer
-	// first) sent after the leaf.
-	CertChain    [][]byte
-	SessionCache *handshake.SessionCache
-
-	// Client side.
-	Session            *handshake.Session
-	RootCert           *x509lite.Certificate
-	ServerName         string
-	InsecureSkipVerify bool
-
-	// Observer watches every connection using this config through its
-	// instrumentation spine (internal/probe). It is offered the
-	// connection once, as it opens — at construction for a Conn, on
-	// first use for a NonBlockingConn — and answers with the one sink
-	// that then receives the connection's whole timeline in order:
-	// open, handshake start, every Table 2 step boundary and attributed
-	// crypto call, park and resume, the handshake's outcome,
-	// record-layer cipher/MAC passes and record I/O, application reads
-	// and writes, close — all stamped with the one connection ID the
-	// open event carries. The live connection table (and, through each
-	// entry, the metrics registry) is the product's Observer; it may
-	// decline a connection by answering nil. A sink shared across
-	// connections must be safe for concurrent Emit calls. With no
-	// observer, or one declining, the spine is off and the hot path
-	// pays one nil test per hook.
-	Observer probe.Observer
-}
-
-func (c *Config) rand() io.Reader {
-	if c.Rand != nil {
-		return c.Rand
-	}
-	return NewPRNG(uint64(time.Now().UnixNano()))
-}
+// Config carries the parameters for both connection ends. It is the
+// handshake's own config type: a connection reads the caller's Config
+// and keeps no copy of it (see handshake.Config for the fields).
+type Config = handshake.Config
 
 // A Conn is one end of an SSL connection over a blocking transport.
 // Read/Write trigger the handshake on first use. It is a lock and a
