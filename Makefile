@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint tracelint failclasslint fsmlint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint tracelint failclasslint fsmlint pairlint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -51,6 +51,7 @@ check:
 	$(MAKE) tracelint
 	$(MAKE) failclasslint
 	$(MAKE) fsmlint
+	$(MAKE) pairlint
 	$(MAKE) doclint
 	$(MAKE) race
 	$(MAKE) fuzzsmoke
@@ -86,10 +87,12 @@ clocklint:
 # "lint:allow-read" marker. A connection blocks in exactly one place:
 # Layer.ReadRecord in record/record.go holds the one .Read( on a
 # transport, and ssl.Conn (ssl/ssl.go) reaches it by running the same
-# state machine over a Layer; those two files are exempt.
+# state machine over a Layer; those two files are exempt. The offline
+# experiments' BIO pair, webmodel.Pair (webmodel/pair.go), steps both
+# ends of a connection on one goroutine and is held to the same rule.
 blocklint:
 	@bad=$$(grep -n 'io\.ReadFull\|\.Read(' internal/handshake/*.go internal/record/core.go \
-		internal/ssl/nonblock.go internal/ssl/probes.go \
+		internal/ssl/nonblock.go internal/ssl/probes.go $(PAIRFILE) \
 		| grep -v _test.go | grep -v 'lint:allow-read'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "blocklint: blocking reads inside the sans-IO core (mark intentional non-transport ones with // lint:allow-read):"; \
@@ -317,6 +320,24 @@ fsmlint:
 		echo "$$bad"; exit 1; \
 	fi
 
+# The offline experiments run on one pair, webmodel.Pair: a client and
+# a server sans-IO connection stepped in turn on the calling goroutine,
+# as ssltest steps its BIO pair, timing the server's calls alone. An
+# ssl.Pipe( call or a go statement in non-test internal/core or
+# internal/webmodel is a second, blocking transaction coming back: a
+# client goroutine whose waits the server's steps would be charged
+# for. The pair's file must exist (blocklint reads it too): a rename
+# would otherwise switch both checks off in silence.
+PAIRFILE = internal/webmodel/pair.go
+pairlint:
+	@test -f $(PAIRFILE) || { echo "pairlint: $(PAIRFILE) does not exist (renamed? update the Makefile)"; exit 1; }
+	@bad=$$(grep -nE 'ssl\.Pipe\(|^[[:space:]]*go[[:space:]]' internal/core/*.go internal/webmodel/*.go \
+		| grep -v '_test\.go:'; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "pairlint: a pipe or a goroutine in the offline experiments (drive a webmodel.Pair):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
 # The prose must not point at things that are gone: every docs/, cmd/,
 # internal/ or examples/ path the top-level documents and the verify
 # skill mention has to exist (globs may match anything), every
@@ -378,10 +399,14 @@ repro:
 	$(GO) run ./cmd/sslanatomy -experiment all -iterations 5
 
 # Refresh the committed raw results. The first line names the run: its
-# UTC date, the Go toolchain, the CPU model and how many CPUs it had.
+# UTC date, the Go toolchain, the CPU model — its name, and its family,
+# model and stepping, which tell apart two hosts a hypervisor gives one
+# generic name — and how many CPUs it had.
 results:
-	{ printf '# %s · %s · %s · nproc %s\n' "$$(date -u '+%Y-%m-%d %H:%M UTC')" "$$($(GO) version)" \
-		"$$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -1)" "$$(nproc)"; \
+	{ printf '# %s · %s · %s (%s) · nproc %s\n' "$$(date -u '+%Y-%m-%d %H:%M UTC')" "$$($(GO) version)" \
+		"$$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -1)" \
+		"$$(awk -F': *' '/^cpu family/ { f = $$2 } /^model[[:space:]]*:/ { m = $$2 } /^stepping/ { s = $$2; exit } \
+			END { printf "family %s, model %s, stepping %s", f, m, s }' /proc/cpuinfo 2>/dev/null)" "$$(nproc)"; \
 	  $(GO) run ./cmd/sslanatomy -experiment all -iterations 5; } > docs/RESULTS.txt
 
 examples:

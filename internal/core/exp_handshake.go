@@ -84,7 +84,8 @@ func init() {
 			rep := &Report{ID: "table2", Title: "SSL handshake anatomy", Tables: []*perf.Table{t}}
 			rep.Notes = append(rep.Notes,
 				"paper column: 2.26 GHz Pentium 4 + OpenSSL 0.9.7d; ours: this Go stack at the model frequency",
-				"shape check: get_client_kx (the RSA private decryption) must dominate everything else")
+				"shape check: get_client_kx (the RSA private decryption) must dominate everything else",
+				"server_flush writes nothing here: the pair the handshakes run on has no transport, as ssltest's BIO pair has none; a live server's step 9 carries its final flight's write")
 			return rep, nil
 		},
 	})

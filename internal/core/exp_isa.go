@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -20,6 +19,7 @@ import (
 	"sslperf/internal/ssl"
 	"sslperf/internal/sslcrypto"
 	"sslperf/internal/suite"
+	"sslperf/internal/webmodel"
 	"sslperf/internal/workload"
 )
 
@@ -111,7 +111,7 @@ func runISA(cfg *Config) (*Report, error) {
 		Notes: []string{
 			fmt.Sprintf("host: %s/%s, %d CPUs; features this CPU reports: AES %v, SHA %v, ADX %v (a masked feature the CPU lacks reads as all on)",
 				runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), detected.AES, detected.SHA, detected.ADX),
-			fmt.Sprintf("server us/op: the server's own Feed/HandshakeStep calls of an in-process sans-IO handshake (RSA-%d, SSL 3.0, no syscalls), or its ReadData of one 16 KB client record plus its WriteData of one 16 KB record; the median of %d ops per way, the five ways taking turns over %d rounds", cfg.keyBits(), rounds*n, rounds),
+			fmt.Sprintf("server us/op: the server's Spent on a webmodel.Pair (its own Feed/HandshakeStep calls of an in-process sans-IO handshake, RSA-%d, SSL 3.0, no syscalls), or its Feed and ReadData of one 16 KB client record plus its WriteData of one 16 KB record; the median of %d ops per way, the five ways taking turns over %d rounds", cfg.keyBits(), rounds*n, rounds),
 			"each way masks its features (cpufeat.Disable) before the key's Montgomery contexts and the connections are built, so every object runs the masked table's kernels; the kernels column is what those objects' packages name under that mask",
 			"share bought = (masked - all on) / masked; masking AES or SHA also turns off the stitched seal, so their rows include what fig6's engine buys, and 'all three' compares none with all on",
 			"model speedup: fig5's AES-128 round unit (software vs hardware model cycles per block), fig4's three-operand ISA on SHA-1, and fig6's engine overlap implied by measured MAC and AES unit times; the paper models no wider multiply, so ADX (Table 9's loop on MULX/ADCX/ADOX) has none",
@@ -120,116 +120,62 @@ func runISA(cfg *Config) (*Report, error) {
 
 // isaRun masks off, builds a fresh copy of id's key so its Montgomery
 // contexts are built under the mask, and times n of each isaLoads
-// operation after one of each as a warm-up. It returns the server time
-// of each op of each load and the kernels the masked table names.
+// operation after one of each as a warm-up, each on a Pair. It returns
+// the server time of each op of each load and the kernels the masked
+// table names.
 func isaRun(id *ssl.Identity, off cpufeat.Features, n int) (spent [3][]time.Duration, kernels string, err error) {
 	defer cpufeat.Disable(off)()
 	k := id.Key
-	fresh := &ssl.Identity{Key: &rsa.PrivateKey{PublicKey: k.PublicKey, D: k.D, P: k.P, Q: k.Q,
-		Dp: k.Dp, Dq: k.Dq, Qinv: k.Qinv}, CertDER: id.CertDER}
+	key := &rsa.PrivateKey{PublicKey: k.PublicKey, D: k.D, P: k.P, Q: k.Q, Dp: k.Dp, Dq: k.Dq, Qinv: k.Qinv}
 	kernels = fmt.Sprintf("%s, %s, %s, %s", aes.Kernel(), sha1x.Kernel(), bn.Kernel(), aessha1.Kernel())
+	// connect runs one AES128-SHA handshake, resuming sess from cache
+	// when sess is non-nil.
+	connect := func(cache *handshake.SessionCache, sess *handshake.Session, seed uint64) (*webmodel.Pair, error) {
+		p := webmodel.NewPair(&ssl.Config{Rand: ssl.NewPRNG(2*seed + 1), InsecureSkipVerify: true,
+			Suites: []suite.ID{suite.RSAWithAES128CBCSHA}, Session: sess},
+			&ssl.Config{Rand: ssl.NewPRNG(2*seed + 2), Key: key, CertDER: id.CertDER, SessionCache: cache})
+		if err := p.Handshake(); err != nil {
+			return nil, err
+		}
+		if st, _ := p.Server.ConnectionState(); st.Resumed != (sess != nil) {
+			return nil, fmt.Errorf("resumed = %v with a session offered = %v", st.Resumed, sess != nil)
+		}
+		return p, nil
+	}
 	cache := handshake.NewSessionCache(4)
-	_, _, _, sess, err := isaPair(fresh, cache, nil, 0)
+	first, err := connect(cache, nil, 0)
 	if err != nil {
 		return spent, "", err
 	}
-	cli, srv, _, _, err := isaPair(fresh, cache, sess, 1)
+	sess, err := first.Client.Session()
 	if err != nil {
 		return spent, "", err
 	}
-	payload, buf := workload.Payload(16384), make([]byte, 16384)
+	established, err := connect(cache, sess, 1)
+	if err != nil {
+		return spent, "", err
+	}
+	payload := workload.Payload(16384)
 	for i := 0; i <= n; i++ {
-		_, _, full, _, err := isaPair(fresh, nil, nil, uint64(2*i+2))
+		full, err := connect(nil, nil, uint64(2*i+2))
 		if err != nil {
 			return spent, "", err
 		}
-		_, _, resumed, _, err := isaPair(fresh, cache, sess, uint64(2*i+3))
+		resumed, err := connect(cache, sess, uint64(2*i+3))
 		if err != nil {
 			return spent, "", err
 		}
-		records, err := isaRecord(cli, srv, payload, buf)
-		if err != nil {
+		before := established.Spent()
+		if err := established.Exchange(payload, payload); err != nil {
 			return spent, "", err
 		}
 		if i > 0 {
-			spent[0] = append(spent[0], full)
-			spent[1] = append(spent[1], resumed)
-			spent[2] = append(spent[2], records)
+			spent[0] = append(spent[0], full.Spent())
+			spent[1] = append(spent[1], resumed.Spent())
+			spent[2] = append(spent[2], established.Spent()-before)
 		}
 	}
 	return spent, kernels, nil
-}
-
-// isaPair runs one AES128-SHA handshake over a sans-IO pair on this
-// goroutine, resuming sess from cache when sess is non-nil. It returns
-// the established pair, the time the server's calls took, and the
-// client's session.
-func isaPair(id *ssl.Identity, cache *handshake.SessionCache, sess *handshake.Session, seed uint64) (cli, srv *ssl.NonBlockingConn, server time.Duration, out *handshake.Session, err error) {
-	cli = ssl.NonBlockingClient(&ssl.Config{Rand: ssl.NewPRNG(2*seed + 1), InsecureSkipVerify: true,
-		Suites: []suite.ID{suite.RSAWithAES128CBCSHA}, Session: sess})
-	srv = ssl.NonBlockingServer(&ssl.Config{Rand: ssl.NewPRNG(2*seed + 2), Key: id.Key, CertDER: id.CertDER,
-		SessionCache: cache})
-	for i := 0; !cli.HandshakeDone() || !srv.HandshakeDone(); i++ {
-		if i > 1000 {
-			return nil, nil, 0, nil, errors.New("handshake did not converge")
-		}
-		if err := cli.HandshakeStep(); err != nil && err != ssl.ErrWouldBlock {
-			return nil, nil, 0, nil, fmt.Errorf("client: %w", err)
-		}
-		start := time.Now()
-		if o := cli.Outgoing(); len(o) > 0 {
-			srv.Feed(o)
-			cli.ConsumeOutgoing(len(o))
-		}
-		err := srv.HandshakeStep()
-		server += time.Since(start)
-		if err != nil && err != ssl.ErrWouldBlock {
-			return nil, nil, 0, nil, fmt.Errorf("server: %w", err)
-		}
-		if o := srv.Outgoing(); len(o) > 0 {
-			cli.Feed(o)
-			srv.ConsumeOutgoing(len(o))
-		}
-	}
-	if st, _ := srv.ConnectionState(); st.Resumed != (sess != nil) {
-		return nil, nil, 0, nil, fmt.Errorf("resumed = %v with a session offered = %v", st.Resumed, sess != nil)
-	}
-	out, err = cli.Session()
-	return cli, srv, server, out, err
-}
-
-// isaRecord sends one payload each way over an established pair and
-// returns the server's time: opening the client's record (Feed,
-// ReadData) and sealing its own (WriteData).
-func isaRecord(cli, srv *ssl.NonBlockingConn, payload, buf []byte) (time.Duration, error) {
-	if _, err := cli.WriteData(payload); err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	o := cli.Outgoing()
-	srv.Feed(o)
-	for got := 0; got < len(payload); {
-		m, err := srv.ReadData(buf)
-		if err != nil {
-			return 0, err
-		}
-		got += m
-	}
-	if _, err := srv.WriteData(payload); err != nil {
-		return 0, err
-	}
-	server := time.Since(start)
-	cli.ConsumeOutgoing(len(o))
-	cli.Feed(srv.Outgoing())
-	srv.ConsumeOutgoing(len(srv.Outgoing()))
-	for got := 0; got < len(payload); {
-		m, err := cli.ReadData(buf)
-		if err != nil {
-			return 0, err
-		}
-		got += m
-	}
-	return server, nil
 }
 
 // isaModels computes the three model speedups the paper's figures

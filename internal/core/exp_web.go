@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"sslperf/internal/handshake"
 	"sslperf/internal/perf"
+	"sslperf/internal/record"
+	"sslperf/internal/ssl"
+	"sslperf/internal/suite"
 	"sslperf/internal/webmodel"
 	"sslperf/internal/workload"
 )
@@ -46,20 +50,57 @@ func runTransactions(srv *webmodel.Server, n, size int) (time.Duration, error) {
 	return sslTotal, nil
 }
 
+// runFig1 runs one full handshake, a small request and response and
+// the close on a Pair, and lists every record the pair moves.
 func runFig1(cfg *Config) (*Report, error) {
 	id, err := identityFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	trace, err := traceHandshake(cfg, id)
-	if err != nil {
-		return nil, err
-	}
 	t := perf.NewTable("Figure 1: SSL protocol flow (observed on the wire)",
 		"direction", "record type", "handshake message", "bytes")
-	for _, ev := range trace {
-		t.AddRow(ev.dir, ev.recordType, ev.message, fmt.Sprint(ev.bytes))
+	p := webmodel.NewPair(&ssl.Config{
+		Rand:               ssl.NewPRNG(cfg.seed() + 100),
+		Suites:             []suite.ID{paperSuite().ID},
+		InsecureSkipVerify: true,
+	}, &ssl.Config{
+		Rand:    ssl.NewPRNG(cfg.seed() + 101),
+		Key:     id.Key,
+		CertDER: id.CertDER,
+	})
+	var encrypted [2]bool // per direction: a ChangeCipherSpec has passed
+	p.Wire = func(toServer bool, b []byte) {
+		dir, d := "S -> C", 0
+		if toServer {
+			dir, d = "C -> S", 1
+		}
+		for len(b) >= 5 {
+			typ, body := record.ContentType(b[0]), b[5:5+(int(b[3])<<8|int(b[4]))]
+			b = b[5+len(body):]
+			message := ""
+			switch typ {
+			case record.TypeHandshake:
+				if encrypted[d] {
+					message = "Finished (encrypted)"
+				} else if len(body) > 0 {
+					message = handshake.MessageName(body[0])
+				}
+			case record.TypeChangeCipherSpec:
+				encrypted[d] = true
+			case record.TypeApplicationData:
+				message = "(encrypted data)"
+			}
+			t.AddRow(dir, typ.String(), message, fmt.Sprint(len(body)))
+		}
 	}
+	defer p.Close()
+	if err := p.Handshake(); err != nil {
+		return nil, err
+	}
+	if err := p.Exchange([]byte("GET / HTTP/1.0\r\n\r\n"), make([]byte, 64)); err != nil {
+		return nil, err
+	}
+	p.Close()
 	return &Report{ID: "fig1", Title: "Protocol flow", Tables: []*perf.Table{t},
 		Notes: []string{"server key exchange and certificate request are skipped: the certificate's RSA key performs the exchange (as in the paper's cipher suite)"}}, nil
 }

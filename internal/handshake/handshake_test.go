@@ -74,25 +74,21 @@ func TestServerHelloRoundTrip(t *testing.T) {
 }
 
 func TestCertificateMsgRoundTrip(t *testing.T) {
-	m := certificateMsg{certificates: [][]byte{
-		bytes.Repeat([]byte{1}, 300),
-		bytes.Repeat([]byte{2}, 5),
-	}}
+	leaf, ca := bytes.Repeat([]byte{1}, 300), bytes.Repeat([]byte{2}, 5)
 	var got certificateMsg
-	if err := got.unmarshal(m.marshal()[4:]); err != nil {
+	if err := got.unmarshal(marshalCertificate(leaf, [][]byte{ca})[4:]); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.certificates) != 2 ||
-		!bytes.Equal(got.certificates[0], m.certificates[0]) ||
-		!bytes.Equal(got.certificates[1], m.certificates[1]) {
+		!bytes.Equal(got.certificates[0], leaf) ||
+		!bytes.Equal(got.certificates[1], ca) {
 		t.Fatal("certificate chain mismatch")
 	}
 }
 
 func TestCertificateMsgRejectsEmpty(t *testing.T) {
-	m := certificateMsg{}
 	var got certificateMsg
-	if err := got.unmarshal(m.marshal()[4:]); err == nil {
+	if err := got.unmarshal([]byte{0, 0, 0}); err == nil { // a chain of no certificates
 		t.Fatal("empty chain accepted")
 	}
 }

@@ -198,18 +198,26 @@ type certificateMsg struct {
 	certificates [][]byte
 }
 
-func (m *certificateMsg) marshal() []byte {
-	inner := 0
-	for _, c := range m.certificates {
+// marshalCertificate builds the Certificate message of leaf and then
+// chain, header and body in one allocation straight from the DER
+// bytes.
+func marshalCertificate(leaf []byte, chain [][]byte) []byte {
+	inner := 3 + len(leaf)
+	for _, c := range chain {
 		inner += 3 + len(c)
 	}
-	body := make([]byte, 0, 3+inner)
-	body = append(body, byte(inner>>16), byte(inner>>8), byte(inner))
-	for _, c := range m.certificates {
-		body = append(body, byte(len(c)>>16), byte(len(c)>>8), byte(len(c)))
-		body = append(body, c...)
+	out := append(make([]byte, 0, 7+inner), header(typeCertificate, 3+inner)...)
+	out = appendCert(append(out, byte(inner>>16), byte(inner>>8), byte(inner)), leaf)
+	for _, c := range chain {
+		out = appendCert(out, c)
 	}
-	return marshalMsg(typeCertificate, body)
+	return out
+}
+
+// appendCert appends one entry of a certificate list: its 3-byte length
+// and its DER bytes.
+func appendCert(out, der []byte) []byte {
+	return append(append(out, byte(len(der)>>16), byte(len(der)>>8), byte(len(der))), der...)
 }
 
 func (m *certificateMsg) unmarshal(body []byte) error {

@@ -309,11 +309,7 @@ func (s *serverState) sendCertificate([]byte) error {
 	var raw []byte
 	// Building the certificate message is the "X509 functions" cost
 	// of Table 2 step 3.
-	s.bus.Crypto(probe.FnX509, func() {
-		certs := append([][]byte{s.cfg.CertDER}, s.cfg.CertChain...)
-		msg := certificateMsg{certificates: certs}
-		raw = msg.marshal()
-	})
+	s.bus.Crypto(probe.FnX509, func() { raw = marshalCertificate(s.cfg.CertDER, s.cfg.CertChain) })
 	s.bus.Crypto(probe.FnFinishMac, func() { s.fin.Write(raw) })
 	return s.conn.WriteRecord(record.TypeHandshake, raw)
 }

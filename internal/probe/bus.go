@@ -56,8 +56,9 @@ type Bus struct {
 	open      bool
 	stepStart time.Time
 
-	// suspended/stepAccum support non-blocking handshakes parked on
-	// WouldBlock: StepSuspend banks the active time accrued so far and
+	// suspended/stepAccum support handshakes waiting for the peer — a
+	// sans-IO one parked on ErrWouldBlock, a blocking one inside its
+	// transport read: StepSuspend banks the active time accrued so far and
 	// stops the clock; StepResume restarts it. StepExit then reports
 	// banked + current active time, so a step that waited minutes for
 	// wire bytes still attributes only the cycles it actually spent —

@@ -232,7 +232,8 @@ const (
 	// role again.
 	KindHandshakeStart
 	// KindHandshakeSuspend and KindHandshakeResume bracket the time a
-	// sans-IO handshake sits parked on ErrWouldBlock inside a step.
+	// handshake waits for its peer inside a step: a sans-IO one parked
+	// on ErrWouldBlock, a blocking one in its transport read.
 	KindHandshakeSuspend
 	KindHandshakeResume
 	// KindHandshakeDone is a completed handshake: Fn names the suite,

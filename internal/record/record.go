@@ -261,7 +261,8 @@ type BuffersWriter interface {
 // ReadRecord reads and opens the next record, returning its type and
 // plaintext payload: Core.ReadRecord, and wherever the Core would
 // return ErrWouldBlock the held flight's Flush (the peer may be waiting
-// for it) and then one blocking transport Read straight into
+// for it) and then, with the open handshake step suspended, one
+// blocking transport Read straight into
 // incoming's spare capacity — grown, when short, to hold the missing
 // bytes the parsed header asks for and at least firstRead — so
 // whatever else has already arrived comes along in the same read. It
@@ -287,7 +288,12 @@ func (l *Layer) ReadRecord() (ContentType, []byte, error) {
 		if cap(l.incoming) < have+missing {
 			l.incoming = append(make([]byte, 0, max(have+missing, firstRead)), l.incoming...)
 		}
+		// The wait for the peer is not the open step's work: its clock
+		// parks across the read, as a sans-IO step's does across
+		// ErrWouldBlock.
+		l.Probe.StepSuspend()
 		n, err := l.rw.Read(l.incoming[have:cap(l.incoming)])
+		l.Probe.StepResume()
 		l.Stats.ReadCalls++
 		l.incoming = l.incoming[:have+n]
 		if n == 0 && err != nil {

@@ -2,6 +2,7 @@ package ssl
 
 import (
 	"testing"
+	"time"
 
 	"sslperf/internal/handshake"
 	"sslperf/internal/lifecycle"
@@ -246,9 +247,11 @@ func TestLifecycleEventOrder(t *testing.T) {
 			if (*cli)[0].Conn == (*srv)[0].Conn {
 				t.Fatal("the two ends share a connection ID")
 			}
-			// Only a sans-IO handshake parks, and every park is resumed.
+			// Every park is resumed: a blocking handshake parks across
+			// its transport reads, a sans-IO one across ErrWouldBlock,
+			// which it always meets.
 			s, r := parks(*srv)
-			if s != r || (s > 0) != (f.name == "sans-io") {
+			if s != r || (f.name == "sans-io" && s == 0) {
 				t.Fatalf("%d suspends, %d resumes", s, r)
 			}
 		})
@@ -317,5 +320,46 @@ func TestMidHandshakeCloseSettlesEverySink(t *testing.T) {
 				t.Errorf("registry handshakes = %+v, want %d failed as io_eof", hs, conns)
 			}
 		})
+	}
+}
+
+// TestBlockingReadParksStep: a blocking server charges its Table 2
+// steps for its own work, not for the peer. Over a Pipe the client
+// stalls before its hello; the server's get_client_hello must park
+// across the wait and report the microseconds of parsing it, not the
+// stall.
+func TestBlockingReadParksStep(t *testing.T) {
+	const stall = 30 * time.Millisecond
+	var evs []probe.Event
+	scfg := identity(t).ServerConfig(NewPRNG(720))
+	scfg.Observer = probe.SinkFunc(func(e probe.Event) { evs = append(evs, e) })
+	ct, st := Pipe()
+	client, server := ClientConn(ct, clientCfg(nil)), ServerConn(st, scfg)
+	defer client.Close()
+	defer server.Close()
+	done := make(chan error, 1)
+	go func() {
+		time.Sleep(stall)
+		done <- client.Handshake()
+	}()
+	if err := server.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	suspends, dur := 0, time.Duration(-1)
+	for _, e := range evs {
+		switch {
+		case e.Step != probe.StepGetClientHello:
+		case e.Kind == probe.KindHandshakeSuspend:
+			suspends++
+		case e.Kind == probe.KindStepExit:
+			dur = e.Dur
+		}
+	}
+	if suspends == 0 || dur < 0 || dur >= stall/2 {
+		t.Fatalf("get_client_hello: %d suspends, %v in-step after a %v stall; want a park and under %v",
+			suspends, dur, stall, stall/2)
 	}
 }

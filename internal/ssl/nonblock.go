@@ -154,7 +154,8 @@ func (c *NonBlockingConn) startHandshake() error {
 // Probe-step attribution suspends across ErrWouldBlock, so parked
 // time never enters /debug/anatomy or the telemetry step histograms.
 // Over a Layer the record conn blocks instead, so one call runs the
-// whole handshake and no observer ever sees it suspended.
+// whole handshake, and the Layer suspends the step across each
+// blocking transport read the same way.
 func (c *NonBlockingConn) HandshakeStep() error {
 	if c.handshakeDone {
 		return nil

@@ -4,22 +4,15 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"time"
 )
 
 // pipeHalf is one direction of the in-memory transport: an unbounded
-// buffer with blocking reads, so a writer never stalls — the analogue
-// of the memory buffers the paper's standalone ssltest relays
-// messages through.
+// buffer with blocking reads, so a writer never stalls.
 type pipeHalf struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []byte
 	closed bool
-	// waited accumulates time readers spent blocked waiting for
-	// data. Measurement code subtracts it so transport stalls are
-	// not charged to SSL processing.
-	waited time.Duration
 }
 
 func newPipeHalf() *pipeHalf {
@@ -42,12 +35,8 @@ func (h *pipeHalf) write(p []byte) (int, error) {
 func (h *pipeHalf) read(p []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.buf) == 0 && !h.closed {
-		start := time.Now()
-		for len(h.buf) == 0 && !h.closed {
-			h.cond.Wait()
-		}
-		h.waited += time.Since(start)
+	for len(h.buf) == 0 && !h.closed {
+		h.cond.Wait()
 	}
 	if len(h.buf) == 0 {
 		return 0, io.EOF
@@ -79,24 +68,11 @@ func (e *pipeEnd) Close() error {
 	return nil
 }
 
-// ReadWait reports how long reads on this end have blocked waiting
-// for the peer — transport stall, not SSL work.
-func (e *pipeEnd) ReadWait() time.Duration {
-	e.in.mu.Lock()
-	defer e.in.mu.Unlock()
-	return e.in.waited
-}
-
-// ReadWaiter is implemented by Pipe ends; measurement code uses it to
-// exclude transport stalls from SSL-processing time.
-type ReadWaiter interface {
-	ReadWait() time.Duration
-}
-
 // Pipe returns the two ends of an in-memory duplex transport with
 // unbounded buffering: writes always succeed immediately, reads block
-// until data or close. This is the paper's standalone-measurement
-// transport — no sockets, no kernel, no network.
+// until data or close: two Conns on one machine, no sockets, no
+// kernel, no network. It measures nothing; the offline experiments run
+// on webmodel.Pair, which has no transport at all.
 func Pipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
 	a2b := newPipeHalf()
 	b2a := newPipeHalf()

@@ -79,7 +79,7 @@ func TestPortableStackWireEquivalence(t *testing.T) {
 
 // TestPortableHandshakeServerAllocs holds the portable stack to the
 // allocation floors TestFullHandshakeServerAllocs and
-// TestResumedHandshakeServerAllocs pin on the CPU's own kernels (44
+// TestResumedHandshakeServerAllocs pin on the CPU's own kernels (43
 // full and 36 resumed measured masked, as unmasked): a portable form
 // that allocated per record or per handshake would show here.
 func TestPortableHandshakeServerAllocs(t *testing.T) {

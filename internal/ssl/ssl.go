@@ -1,8 +1,7 @@
 // Package ssl ties the record layer and handshake protocol into a
 // connection API modeled on crypto/tls: Conn wraps any
-// io.ReadWriteCloser transport (TCP, or the in-memory pipe that
-// replicates the paper's standalone ssltest setup) and exposes
-// Read/Write over the negotiated SSLv3 channel.
+// io.ReadWriteCloser transport (TCP, or the in-memory Pipe) and
+// exposes Read/Write over the negotiated SSLv3 channel.
 //
 // This package reproduces a 2005 performance study. SSLv3 and these
 // cipher suites are obsolete and the default randomness source is a

@@ -1,10 +1,12 @@
 // Package webmodel reproduces the paper's web-server environment
 // measurements. The SSL side of an HTTPS transaction — handshake and
-// bulk transfer — is *measured* on this library's own stack over an
-// in-memory transport; the non-SSL components the paper reports in
-// Table 1 (Apache httpd, the Linux kernel's TCP stack, libc) are
-// *modeled* with per-request and per-byte cost coefficients
-// calibrated once against the paper's own Table 1 at the 1 KB point.
+// bulk transfer — is *measured* on this library's own stack: a client
+// and a server driven in turn on one goroutine over a Pair, ssltest's
+// BIO pair, which times the server's calls alone. The non-SSL
+// components the paper reports in Table 1 (Apache httpd, the Linux
+// kernel's TCP stack, libc) are *modeled* with per-request and
+// per-byte cost coefficients calibrated once against the paper's own
+// Table 1 at the 1 KB point.
 //
 // The shape that matters — how the crypto share moves as the file
 // size grows (Figure 2), and how SSL dwarfs the server application —
@@ -12,7 +14,6 @@
 package webmodel
 
 import (
-	"io"
 	"time"
 
 	"sslperf/internal/handshake"
@@ -45,7 +46,7 @@ func (c CryptoSplit) Total() time.Duration {
 // TransactionResult is what one session measured that the server's
 // registry cannot know.
 type TransactionResult struct {
-	SSLTotal  time.Duration // all server-side SSL work (crypto + framing), pipe waits excluded
+	SSLTotal  time.Duration // all server-side SSL work (crypto + framing): the Pair's Spent
 	Resumed   bool
 	BytesSent int
 }
@@ -138,94 +139,42 @@ func (srv *Server) RunTransaction(fileSize int, resume *handshake.Session) (*Tra
 }
 
 // RunSession performs a full SSL session carrying the given
-// transactions, measuring the server side.
+// transactions on a Pair, measuring the server side.
 func (srv *Server) RunSession(txs []workload.Transaction, resume *handshake.Session) (*TransactionResult, *handshake.Session, error) {
 	srv.Seed += 2
-	ct, st := ssl.Pipe()
-
-	clientCfg := &ssl.Config{
+	p := NewPair(&ssl.Config{
 		Rand:               ssl.NewPRNG(srv.Seed),
 		Suites:             []suite.ID{srv.Suite.ID},
 		InsecureSkipVerify: true,
 		Session:            resume,
 		Version:            srv.Version,
-	}
-	serverCfg := &ssl.Config{
+	}, &ssl.Config{
 		Rand:         ssl.NewPRNG(srv.Seed + 1),
 		Key:          srv.Identity.Key,
 		CertDER:      srv.Identity.CertDER,
 		SessionCache: srv.Cache,
 		Version:      srv.Version,
 		Observer:     srv.table,
-	}
-
-	client := ssl.ClientConn(ct, clientCfg)
-	server := ssl.ServerConn(st, serverCfg)
-	defer server.Close()
-	res := &TransactionResult{}
-
-	// Drive the client in a goroutine.
-	clientErr := make(chan error, 1)
-	go func() {
-		defer client.Close()
-		for _, tx := range txs {
-			req := workload.Payload(tx.RequestLen)
-			if _, err := client.Write(req); err != nil {
-				clientErr <- err
-				return
-			}
-			buf := make([]byte, tx.ResponseLen)
-			if _, err := io.ReadFull(client, buf); err != nil {
-				clientErr <- err
-				return
-			}
-		}
-		clientErr <- nil
-	}()
-
-	// Server side, measured. Transport stalls (waiting for the
-	// client's bytes) are excluded via the pipe's ReadWait counter,
-	// so SSLTotal reflects server-side processing only.
-	waiter, _ := st.(ssl.ReadWaiter)
-	readWait := func() time.Duration {
-		if waiter == nil {
-			return 0
-		}
-		return waiter.ReadWait()
-	}
-	waitStart := readWait()
-	timed := func(f func() error) error {
-		start := time.Now()
-		err := f()
-		res.SSLTotal += time.Since(start)
-		return err
-	}
-	if err := timed(server.Handshake); err != nil {
+	})
+	defer p.Close()
+	if err := p.Handshake(); err != nil {
 		return nil, nil, err
 	}
+	res := &TransactionResult{}
 	for _, tx := range txs {
-		buf := make([]byte, tx.RequestLen)
-		if err := timed(func() error { _, err := io.ReadFull(server, buf); return err }); err != nil {
-			return nil, nil, err
-		}
-		resp := workload.Payload(tx.ResponseLen)
-		if err := timed(func() error { _, err := server.Write(resp); return err }); err != nil {
+		if err := p.Exchange(workload.Payload(tx.RequestLen), workload.Payload(tx.ResponseLen)); err != nil {
 			return nil, nil, err
 		}
 		res.BytesSent += tx.ResponseLen
 	}
-	if err := <-clientErr; err != nil {
-		return nil, nil, err
-	}
-	server.Close()
-	res.SSLTotal -= readWait() - waitStart
-	state, err := server.ConnectionState()
+	p.Close()
+	res.SSLTotal = p.Spent()
+	state, err := p.Server.ConnectionState()
 	if err != nil {
 		return nil, nil, err
 	}
 	res.Resumed = state.Resumed
-
-	sess, err := client.Session()
+	sess, err := p.Client.Session()
 	if err != nil {
 		return nil, nil, err
 	}

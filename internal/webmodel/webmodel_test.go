@@ -1,6 +1,8 @@
 package webmodel
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -76,7 +78,10 @@ func TestFigure2Shape(t *testing.T) {
 	}
 	srv := newServer(t)
 	shareAt := func(size int) (public, private, hash float64) {
-		// Sum a few runs to stabilize.
+		// Sum a few runs to stabilize, with the collector held off: a
+		// collection landing inside a short hash call can outweigh it.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		srv.Registry().Reset()
 		for i := 0; i < 3; i++ {
 			if _, _, err := srv.RunTransaction(size, nil); err != nil {
