@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check clocklint blocklint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint tracelint failclasslint fsmlint pairlint doclint fuzzsmoke loadsmoke repro results examples clean
+.PHONY: all build vet test race check clocklint blocklint driverlint seallint writelint servelint kernellint cpuidlint gencheck cbclint depslint spinelint tracelint failclasslint fsmlint pairlint doclint fuzzsmoke loadsmoke repro results examples clean
 
 all: build vet test
 
@@ -39,6 +39,7 @@ check:
 	GOARCH=386 $(GO) build ./...
 	$(MAKE) clocklint
 	$(MAKE) blocklint
+	$(MAKE) driverlint
 	$(MAKE) seallint
 	$(MAKE) writelint
 	$(MAKE) servelint
@@ -85,9 +86,9 @@ clocklint:
 # io.ReadFull or .Read( call in those files would hang them. The rare
 # legitimate read (the config's randomness source) carries a
 # "lint:allow-read" marker. A connection blocks in exactly one place:
-# Layer.ReadRecord in record/record.go holds the one .Read( on a
-# transport, and ssl.Conn (ssl/ssl.go) reaches it by running the same
-# state machine over a Layer; those two files are exempt. The offline
+# Layer.Fill in record/record.go holds the one .Read( on a transport,
+# and ssl.Conn (ssl/ssl.go) calls it between calls into the same state
+# machine; those two files are exempt. The offline
 # experiments' BIO pair, webmodel.Pair (webmodel/pair.go), steps both
 # ends of a connection on one goroutine and is held to the same rule.
 blocklint:
@@ -96,6 +97,33 @@ blocklint:
 		| grep -v _test.go | grep -v 'lint:allow-read'; exit 0); \
 	if [ -n "$$bad" ]; then \
 		echo "blocklint: blocking reads inside the sans-IO core (mark intentional non-transport ones with // lint:allow-read):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# There is one record driver: the handshake FSMs and NonBlockingConn
+# drive a *record.Core and nothing else, and ssl.Conn is a loop around
+# them that writes Outgoing (Layer.Flush) and, on ErrWouldBlock, reads
+# the transport once (Layer.Fill). RecordConn or record.Layer in the
+# handshake or nonblock.go, an FSM constructor taking anything but a
+# *record.Core, a ReadRecord method on Layer, or a second transport
+# .Read( in internal/record is a second, blocking route to the machine
+# coming back: one whose steps and read spans are charged for the
+# peer. The files named here must exist: a rename would otherwise
+# switch the check off in silence.
+DRIVERFILES = internal/record/record.go internal/ssl/nonblock.go internal/handshake/fsm.go
+driverlint:
+	@for f in $(DRIVERFILES); do \
+		test -f $$f || { echo "driverlint: $$f does not exist (renamed? update the Makefile)"; exit 1; }; \
+	done
+	@bad=$$(grep -nw 'RecordConn\|record\.Layer' internal/handshake/*.go internal/ssl/nonblock.go | grep -v '_test\.go:'; \
+		grep -n '^func New\(Client\|Server\)FSM(' internal/handshake/*.go | grep -v '_test\.go:' | grep -v '(conn \*record\.Core,'; \
+		grep -n '^func ([A-Za-z_]* \*\?Layer) ReadRecord(' internal/record/*.go | grep -v '_test\.go:'; \
+		[ $$(grep -l '^func New\(Client\|Server\)FSM(conn \*record\.Core,' internal/handshake/*.go | grep -vc '_test\.go') -eq 2 ] \
+			|| echo "no NewClientFSM/NewServerFSM taking a *record.Core"; \
+		sites=$$(grep -n '\.Read(' internal/record/*.go | grep -v '_test\.go:'); \
+		[ $$(echo "$$sites" | grep -c .) -le 1 ] || echo "$$sites"; exit 0); \
+	if [ -n "$$bad" ]; then \
+		echo "driverlint: a second route from a transport to the handshake machine:"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -112,12 +140,11 @@ seallint:
 		fi; \
 	done
 
-# There is one transport write: Layer.write, which WriteRecord (each
-# window) and Flush (the held handshake flight; ReadRecord flushes
-# before it blocks) both go through, so whatever is held leaves ahead
-# of the next record. A second .Write( call site is a record written
-# around the held flight — out of order on the wire, or one write per
-# record coming back.
+# There is one transport write: Layer.Flush, which ssl.Conn calls
+# after every call into the machine (and per window of a bulk write),
+# so whatever the machine queued leaves in order, in one write. A
+# second .Write( call site is a record written around what is queued —
+# out of order on the wire, or one write per record coming back.
 writelint:
 	@sites=$$(grep -n '\.Write(' internal/record/*.go | grep -v _test.go); \
 	if [ $$(echo "$$sites" | grep -c .) -ne 1 ]; then \

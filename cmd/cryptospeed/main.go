@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -139,21 +138,19 @@ func main() {
 	}
 	fmt.Println(t)
 
-	// Sealed record path: write batching by write size.
+	// Sealed record path by write size.
 	points, err := recordSweep(*dur)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rpt := perf.NewTable("sealed record path", "suite", "write bytes", "MB/s", "writes/record")
+	rpt := perf.NewTable("sealed record path", "suite", "write bytes", "MB/s")
 	for _, p := range points {
 		name := p.Suite
 		if p.Kernel != "" {
 			name += " (" + p.Kernel + ")"
 		}
-		rpt.AddRow(name, fmt.Sprintf("%d", p.WriteBytes),
-			fmt.Sprintf("%.1f", p.MBps),
-			fmt.Sprintf("%.4f", p.WritesPerRecord))
+		rpt.AddRow(name, fmt.Sprintf("%d", p.WriteBytes), fmt.Sprintf("%.1f", p.MBps))
 	}
 	fmt.Println(rpt)
 
@@ -239,21 +236,19 @@ type bulkReport struct {
 }
 
 // recordPoint is one (suite, write size) measurement of the sealed
-// record path: writes/record is transport writes per sealed record —
-// 1 for record-sized writes, ~1/64 once a write fills its windows.
-// Kernel names the form an AES128-SHA record is sealed in on this CPU:
-// the stitched AES-CBC + SHA-1 loop, or two passes.
+// record path. Kernel names the form an AES128-SHA record is sealed in
+// on this CPU: the stitched AES-CBC + SHA-1 loop, or two passes. (Write
+// batching is ssl.Conn's, pinned by its TestWriteCallsPinned.)
 type recordPoint struct {
-	Suite           string  `json:"suite"`
-	Kernel          string  `json:"kernel,omitempty"`
-	WriteBytes      int     `json:"write_bytes"`
-	MBps            float64 `json:"mbps"`
-	WritesPerRecord float64 `json:"writes_per_record"`
+	Suite      string  `json:"suite"`
+	Kernel     string  `json:"kernel,omitempty"`
+	WriteBytes int     `json:"write_bytes"`
+	MBps       float64 `json:"mbps"`
 }
 
-// recordSweep drives one-record and 1 MiB application writes through
-// an armed record layer, for the cheap stream suite and the block
-// suite the bulk_download workload runs.
+// recordSweep seals one-record and 1 MiB application writes on an
+// armed record core, draining Outgoing after each, for the cheap
+// stream suite and the block suite the bulk_download workload runs.
 func recordSweep(dur time.Duration) ([]recordPoint, error) {
 	var out []recordPoint
 	for _, name := range []string{"RC4-MD5", "AES128-SHA"} {
@@ -267,12 +262,7 @@ func recordSweep(dur time.Duration) ([]recordPoint, error) {
 		}
 		for _, size := range []int{record.MaxFragment, 1 << 20} {
 			payload := workload.Payload(size)
-			// /dev/null as the transport, so the sweep measures sealing
-			// and write batching rather than a transport.
-			l := record.NewLayer(struct {
-				io.Reader
-				io.Writer
-			}{Writer: io.Discard})
+			core := record.NewCore()
 			wc, err := s.NewCipher(workload.Payload(s.KeyLen), workload.Payload(s.IVLen), true)
 			if err != nil {
 				return nil, err
@@ -281,22 +271,20 @@ func recordSweep(dur time.Duration) ([]recordPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			l.SetWriteState(wc, wm)
+			core.SetWriteState(wc, wm)
 			var n int
 			start := time.Now()
 			for time.Since(start) < dur {
-				if err := l.WriteRecord(record.TypeApplicationData, payload); err != nil {
-					return nil, err
-				}
+				core.WriteRecord(record.TypeApplicationData, payload)
+				core.ConsumeOutgoing(len(core.Outgoing()))
 				n++
 			}
 			elapsed := time.Since(start).Seconds()
 			out = append(out, recordPoint{
-				Suite:           name,
-				Kernel:          kernel,
-				WriteBytes:      size,
-				MBps:            float64(n) * float64(size) / elapsed / 1e6,
-				WritesPerRecord: float64(l.Stats.WriteCalls) / float64(l.Stats.RecordsWritten),
+				Suite:      name,
+				Kernel:     kernel,
+				WriteBytes: size,
+				MBps:       float64(n) * float64(size) / elapsed / 1e6,
 			})
 		}
 	}

@@ -85,7 +85,7 @@ func init() {
 			rep.Notes = append(rep.Notes,
 				"paper column: 2.26 GHz Pentium 4 + OpenSSL 0.9.7d; ours: this Go stack at the model frequency",
 				"shape check: get_client_kx (the RSA private decryption) must dominate everything else",
-				"server_flush writes nothing here: the pair the handshakes run on has no transport, as ssltest's BIO pair has none; a live server's step 9 carries its final flight's write")
+				"server_flush writes nothing, here or live: the handshake machine never touches a transport, and its driver writes the final flight after the step (the paper's step 9 flushes OpenSSL's buffers)")
 			return rep, nil
 		},
 	})

@@ -24,7 +24,7 @@ type ClientFSM struct {
 
 // NewClientFSM returns a machine parked before the ClientHello, which
 // reads cfg and draws from rand; see NewServerFSM.
-func NewClientFSM(conn RecordConn, cfg *Config, bus *probe.Bus, rand io.Reader) (*ClientFSM, error) {
+func NewClientFSM(conn *record.Core, cfg *Config, bus *probe.Bus, rand io.Reader) (*ClientFSM, error) {
 	if rand == nil {
 		return nil, errors.New("handshake: client needs a randomness source")
 	}
@@ -102,13 +102,10 @@ type clientState struct {
 	expected []byte
 }
 
-// finish sends the held final flight (a resumed handshake's CCS +
-// Finished; a full one's left before the server's was read) and
-// records the completed handshake's outcome.
+// finish records the completed handshake's outcome. (A resumed
+// handshake's CCS + Finished are still in Outgoing; the driver writes
+// them once Step returns.)
 func (c *clientState) finish([]byte) error {
-	if err := c.conn.Flush(); err != nil {
-		return err
-	}
 	c.res = &Result{
 		Suite:   c.suite,
 		Resumed: c.resumed,

@@ -8,6 +8,11 @@ import (
 	"sslperf/internal/suite"
 )
 
+// ErrWouldBlock is re-exported from the record package: the FSM needs
+// more wire bytes before it can make progress. Callers feed the
+// record core and call Step again; no handshake state is lost.
+var ErrWouldBlock = record.ErrWouldBlock
+
 // The handshake is data. A plan is one role's path through it — full
 // with RSA key exchange, full with DHE, or resumed — as a list of
 // rows (serverPlans in server.go, clientPlans in client.go). A row
@@ -62,7 +67,7 @@ func planFor(resumed bool, s *suite.Suite) plan {
 // roles' handlers read: the caller's config (never written) and the
 // connection's resolved randomness.
 type machine struct {
-	conn RecordConn
+	conn *record.Core
 	bus  *probe.Bus // the connection's spine; only the server's rows enter steps on it
 	msgs msgReader
 	cfg  *Config
@@ -76,11 +81,11 @@ type machine struct {
 }
 
 // newMachine is a machine parked before its plan's first row, reading
-// messages of at most maxBody bytes from conn. The record conn joins
+// messages of at most maxBody bytes from conn. The record core joins
 // bus when it is on none yet, so the record-layer work of the
 // encrypted finished messages lands on the same spine; it stays
 // attached after the handshake (bulk-phase events carry StepNone).
-func newMachine(conn RecordConn, cfg *Config, bus *probe.Bus, rand io.Reader, maxBody int) machine {
+func newMachine(conn *record.Core, cfg *Config, bus *probe.Bus, rand io.Reader, maxBody int) machine {
 	if conn.ProbeBus() == nil {
 		conn.SetProbe(bus)
 	}
@@ -126,8 +131,8 @@ func drive[S any](m *machine, s S, plans *[numPlans][]row[S]) error {
 			m.bus.StepExit()
 			m.open = probe.StepNone
 			m.err = err
-			// Best effort: tell the peer before failing. Over a sans-IO
-			// core this queues the alert for the caller's flush.
+			// Best effort: tell the peer before failing. The alert is
+			// queued in Outgoing for the caller's flush.
 			m.conn.WriteRecord(record.TypeAlert, []byte{record.AlertLevelFatal, record.AlertHandshakeFailure})
 			return err
 		}

@@ -33,65 +33,6 @@ func rnd(seed uint64) io.Reader {
 	return prngReader{rand.New(rand.NewSource(int64(seed)))}
 }
 
-// testPipe is a minimal buffered duplex transport for driving the
-// FSMs directly (the ssl package's Pipe can't be imported here — it
-// would create an import cycle in tests).
-type pipeSide struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []byte
-	closed bool
-}
-
-func newPipeSide() *pipeSide {
-	s := &pipeSide{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-type pipeConn struct{ in, out *pipeSide }
-
-func (c *pipeConn) Write(p []byte) (int, error) {
-	c.out.mu.Lock()
-	defer c.out.mu.Unlock()
-	if c.out.closed {
-		return 0, io.ErrClosedPipe
-	}
-	c.out.buf = append(c.out.buf, p...)
-	c.out.cond.Broadcast()
-	return len(p), nil
-}
-
-func (c *pipeConn) Read(p []byte) (int, error) {
-	c.in.mu.Lock()
-	defer c.in.mu.Unlock()
-	for len(c.in.buf) == 0 && !c.in.closed {
-		c.in.cond.Wait()
-	}
-	if len(c.in.buf) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, c.in.buf)
-	c.in.buf = c.in.buf[n:]
-	return n, nil
-}
-
-func (c *pipeConn) Close() error {
-	for _, s := range []*pipeSide{c.in, c.out} {
-		s.mu.Lock()
-		s.closed = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-func testPipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
-	a2b := newPipeSide()
-	b2a := newPipeSide()
-	return &pipeConn{in: b2a, out: a2b}, &pipeConn{in: a2b, out: b2a}
-}
-
 func intIdentity(t *testing.T) (*rsa.PrivateKey, *x509lite.Certificate) {
 	t.Helper()
 	intOnce.Do(func() {
@@ -110,46 +51,44 @@ func intIdentity(t *testing.T) (*rsa.PrivateKey, *x509lite.Certificate) {
 	return intKey, intCert
 }
 
-// runToEnd steps a freshly built FSM once. Over a blocking record
-// layer that is the whole handshake: its reads park in the transport
-// instead of returning ErrWouldBlock.
-func runToEnd[F interface {
-	Step() error
-	Result() *Result
-}](fsm F, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	if err := fsm.Step(); err != nil {
-		return nil, err
-	}
-	return fsm.Result(), nil
-}
-
-// runPair drives both machines directly over raw record layers.
+// runPair drives both machines over sans-IO record cores on the
+// calling goroutine, moving each one's output to the other, and returns
+// the first terminal error either side meets.
 func runPair(t *testing.T, scfg, ccfg *Config) (*Result, *Result, error) {
 	t.Helper()
-	ct, st := testPipe()
-	clientLayer := record.NewLayer(ct)
-	serverLayer := record.NewLayer(st)
-	type out struct {
-		res *Result
-		err error
+	return runPairOn(t, scfg, ccfg, nil)
+}
+
+// runPairOn is runPair with the server's steps on bus.
+func runPairOn(t *testing.T, scfg, ccfg *Config, bus *probe.Bus) (*Result, *Result, error) {
+	t.Helper()
+	cliCore, srvCore := record.NewCore(), record.NewCore()
+	cli, err := NewClientFSM(cliCore, ccfg, nil, ccfg.Rand)
+	if err != nil {
+		return nil, nil, err
 	}
-	cc := make(chan out, 1)
-	go func() {
-		r, err := runToEnd(NewClientFSM(clientLayer, ccfg, nil, ccfg.Rand))
-		cc <- out{r, err}
-	}()
-	sres, serr := runToEnd(NewServerFSM(serverLayer, scfg, nil, scfg.Rand))
-	cres := <-cc
-	if serr != nil {
-		return nil, nil, serr
+	srv, err := NewServerFSM(srvCore, scfg, bus, scfg.Rand)
+	if err != nil {
+		return nil, nil, err
 	}
-	if cres.err != nil {
-		return nil, nil, cres.err
+	move := func(from, to *record.Core) {
+		to.Feed(from.Outgoing())
+		from.ConsumeOutgoing(len(from.Outgoing()))
 	}
-	return cres.res, sres, nil
+	for i := 0; cli.Result() == nil || srv.Result() == nil; i++ {
+		if i > 100 {
+			t.Fatal("handshake did not converge")
+		}
+		if err := cli.Step(); err != nil && err != ErrWouldBlock {
+			return nil, nil, err
+		}
+		move(cliCore, srvCore)
+		if err := srv.Step(); err != nil && err != ErrWouldBlock {
+			return nil, nil, err
+		}
+		move(srvCore, cliCore)
+	}
+	return cli.Result(), srv.Result(), nil
 }
 
 func TestDirectHandshakeAgreement(t *testing.T) {
@@ -173,20 +112,17 @@ func TestDirectHandshakeAgreement(t *testing.T) {
 
 func TestServerConfigValidation(t *testing.T) {
 	key, cert := intIdentity(t)
-	layer := record.NewLayer(struct {
-		io.Reader
-		io.Writer
-	}{})
-	if _, err := runToEnd(NewServerFSM(layer, &Config{CertDER: cert.Raw}, nil, rnd(1))); err == nil {
+	core := record.NewCore()
+	if _, err := NewServerFSM(core, &Config{CertDER: cert.Raw}, nil, rnd(1)); err == nil {
 		t.Fatal("server without key accepted")
 	}
-	if _, err := runToEnd(NewServerFSM(layer, &Config{Key: key}, nil, rnd(1))); err == nil {
+	if _, err := NewServerFSM(core, &Config{Key: key}, nil, rnd(1)); err == nil {
 		t.Fatal("server without cert accepted")
 	}
-	if _, err := runToEnd(NewServerFSM(layer, &Config{Key: key, CertDER: cert.Raw}, nil, nil)); err == nil {
+	if _, err := NewServerFSM(core, &Config{Key: key, CertDER: cert.Raw}, nil, nil); err == nil {
 		t.Fatal("server without randomness accepted")
 	}
-	if _, err := runToEnd(NewClientFSM(layer, &Config{}, nil, nil)); err == nil {
+	if _, err := NewClientFSM(core, &Config{}, nil, nil); err == nil {
 		t.Fatal("client without randomness accepted")
 	}
 }
@@ -259,18 +195,15 @@ func TestAnatomyResumedShape(t *testing.T) {
 
 	// Resumed handshake with a step sink on its bus: must not contain
 	// get_client_kx.
-	ct, st := testPipe()
 	var steps []probe.Step
 	bus := probe.NewBus(probe.SinkFunc(func(e probe.Event) {
 		if e.Kind == probe.KindStepEnter {
 			steps = append(steps, e.Step)
 		}
 	}))
-	go runToEnd(NewClientFSM(record.NewLayer(ct), &Config{
-		InsecureSkipVerify: true, Session: cres.Session,
-	}, nil, rnd(11)))
-	sres, err := runToEnd(NewServerFSM(record.NewLayer(st),
-		&Config{Key: key, CertDER: cert.Raw, SessionCache: cache}, bus, rnd(12)))
+	_, sres, err := runPairOn(t,
+		&Config{Key: key, CertDER: cert.Raw, SessionCache: cache, Rand: rnd(12)},
+		&Config{InsecureSkipVerify: true, Session: cres.Session, Rand: rnd(11)}, bus)
 	if err != nil {
 		t.Fatal(err)
 	}

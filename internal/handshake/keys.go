@@ -100,7 +100,7 @@ func finishedLenFor(version uint16) int {
 }
 
 // armWrite installs the outbound cipher state for one side.
-func armWrite(version uint16, l RecordConn, s *suite.Suite, key, iv, macSecret []byte) error {
+func armWrite(version uint16, l *record.Core, s *suite.Suite, key, iv, macSecret []byte) error {
 	c, err := s.NewCipher(key, iv, true)
 	if err != nil {
 		return err
@@ -115,7 +115,7 @@ func armWrite(version uint16, l RecordConn, s *suite.Suite, key, iv, macSecret [
 }
 
 // armRead installs the inbound cipher state for one side.
-func armRead(version uint16, l RecordConn, s *suite.Suite, key, iv, macSecret []byte) error {
+func armRead(version uint16, l *record.Core, s *suite.Suite, key, iv, macSecret []byte) error {
 	c, err := s.NewCipher(key, iv, false)
 	if err != nil {
 		return err

@@ -4,13 +4,13 @@ import "sslperf/internal/record"
 
 // msgReader assembles handshake messages from handshake-type records,
 // which may each carry several messages or a fraction of one. It
-// reads through the RecordConn interface, so over a sans-IO core its
-// calls surface ErrWouldBlock: every method is re-entrant — partial
+// reads from the sans-IO record core, so its calls surface
+// ErrWouldBlock: every method is re-entrant — partial
 // progress (buffered fragments of a message split across record
 // boundaries) is kept in buf, nothing is consumed twice, and the same
 // call simply resumes once more bytes are fed.
 type msgReader struct {
-	conn RecordConn
+	conn *record.Core
 	buf  []byte
 	// maxBody caps an announced message body, checked on the header
 	// before any of the body is buffered: an unauthenticated peer must

@@ -27,20 +27,21 @@ type Result struct {
 	Resumed bool
 }
 
-// ServerFSM is the resumable server handshake: one Step call advances
-// through as many rows of its plan as the fed bytes allow, returning
-// ErrWouldBlock when the peer's next flight has not arrived (feed the
-// record core and call Step again), nil when the handshake is
-// complete, or a terminal error (after which a fatal alert has been
-// queued on the record connection and further Steps return the same
-// error). A terminal error the peer's bytes caused is a
+// ServerFSM is the resumable server handshake over a sans-IO record
+// core: one Step call advances through as many rows of its plan as the
+// fed bytes allow, returning ErrWouldBlock when the peer's next flight
+// has not arrived (drain Outgoing, feed the core and call Step again),
+// nil when the handshake is complete, or a terminal error (after which
+// a fatal alert has been queued in Outgoing and further Steps return
+// the same error). A terminal error the peer's bytes caused is a
 // *probe.FailError carrying its class, decided here; an unclassified
-// one is local (probe.FailInternal). Over a *record.Layer the reads
-// park in the transport instead, so a single Step runs the machine to
-// completion — blocking and non-blocking handshakes share every line
-// of FSM code and are wire-identical by construction. Either way the
-// record conn is left armed with the negotiated bulk cipher in both
-// directions.
+// one is local (probe.FailInternal). The machine never touches a
+// transport: a blocking connection (ssl.Conn) is a loop that writes
+// Outgoing and reads once per ErrWouldBlock around this same Step, so
+// blocking and sans-IO handshakes run every line of FSM code alike,
+// charge each step only its own work, and are wire-identical by
+// construction. The core is left armed with the negotiated bulk cipher
+// in both directions.
 type ServerFSM struct {
 	s serverState
 }
@@ -50,7 +51,7 @@ type ServerFSM struct {
 // spine) and draws its randomness from rand. It reads cfg and never
 // writes it, so the caller's Config is the handshake's only copy of
 // its settings.
-func NewServerFSM(conn RecordConn, cfg *Config, bus *probe.Bus, rand io.Reader) (*ServerFSM, error) {
+func NewServerFSM(conn *record.Core, cfg *Config, bus *probe.Bus, rand io.Reader) (*ServerFSM, error) {
 	if (cfg.Key == nil && cfg.Decrypter == nil) || len(cfg.CertDER) == 0 {
 		return nil, errors.New("handshake: server needs a key and certificate")
 	}
@@ -187,14 +188,12 @@ func (s *serverState) prepareFinished([]byte) error {
 	return nil
 }
 
-// flush is step 9, server_flush: send the held final flight (the CCS
-// + Finished of a full handshake; a resumed one's left when the server
-// read the client's), then cache a new session (a resumed one is in
-// the cache already).
+// flush is step 9, server_flush: cache a new session (a resumed one
+// is in the cache already). The paper's step 9 also flushes the
+// buffered final flight to the socket; here the machine only leaves it
+// in Outgoing, and whoever drives it writes it after Step returns, so
+// the write is charged to no step on either driver.
 func (s *serverState) flush([]byte) error {
-	if err := s.conn.Flush(); err != nil {
-		return err
-	}
 	if s.cfg.SessionCache != nil && len(s.sessionID) > 0 && !s.resumed {
 		s.cfg.SessionCache.Put(&Session{
 			ID:      append([]byte(nil), s.sessionID...),

@@ -56,10 +56,11 @@ type Bus struct {
 	open      bool
 	stepStart time.Time
 
-	// suspended/stepAccum support handshakes waiting for the peer — a
-	// sans-IO one parked on ErrWouldBlock, a blocking one inside its
-	// transport read: StepSuspend banks the active time accrued so far and
-	// stops the clock; StepResume restarts it. StepExit then reports
+	// suspended/stepAccum support handshakes waiting for the peer,
+	// parked on ErrWouldBlock (a blocking ssl.Conn waits for its
+	// transport between two calls into the same machine): StepSuspend
+	// banks the active time accrued so far and stops the clock;
+	// StepResume restarts it. StepExit then reports
 	// banked + current active time, so a step that waited minutes for
 	// wire bytes still attributes only the cycles it actually spent —
 	// the /debug/anatomy shares stay exact across suspension. Sinks see

@@ -232,8 +232,8 @@ const (
 	// role again.
 	KindHandshakeStart
 	// KindHandshakeSuspend and KindHandshakeResume bracket the time a
-	// handshake waits for its peer inside a step: a sans-IO one parked
-	// on ErrWouldBlock, a blocking one in its transport read.
+	// handshake waits for its peer inside a step, parked on
+	// ErrWouldBlock (sans-IO or blocking alike).
 	KindHandshakeSuspend
 	KindHandshakeResume
 	// KindHandshakeDone is a completed handshake: Fn names the suite,

@@ -50,7 +50,7 @@ func BenchmarkRecordSeal(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := sender.WriteRecord(TypeApplicationData, payload); err != nil {
+				if err := sendRecord(sender, TypeApplicationData, payload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -86,11 +86,11 @@ func BenchmarkRecordOpen(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				buf.Reset()
-				if err := sender.WriteRecord(TypeApplicationData, payload); err != nil {
+				if err := sendRecord(sender, TypeApplicationData, payload); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, _, err := receiver.ReadRecord(); err != nil {
+				if _, _, err := readRecord(receiver); err != nil {
 					b.Fatal(err)
 				}
 			}

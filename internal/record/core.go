@@ -26,7 +26,7 @@ var ErrWouldBlock = errors.New("record: would block")
 // returns ErrWouldBlock — consuming nothing — when a full record has
 // not yet been fed.
 //
-// Layer embeds Core and pumps a blocking transport around it, so every
+// Layer embeds Core and adds the transport (Flush, Fill), so every
 // connection runs this one implementation of the crypto state machine
 // (same probe events, same stats, same errors). Core is not safe for
 // concurrent use.
@@ -64,6 +64,12 @@ type Core struct {
 	incoming []byte
 	inOff    int
 
+	// inErr, once set, is the error that ended the input for good: a
+	// Layer whose transport failed sets it, and ReadRecord returns it
+	// wherever it would have returned ErrWouldBlock. A sans-IO core's
+	// input never ends (nil).
+	inErr error
+
 	// outgoing holds sealed-but-undelivered records; outOff is the
 	// drain cursor (ConsumeOutgoing). It is a recordPool or windowPool
 	// buffer (or, past a window, a one-off) borrowed by the first write
@@ -77,12 +83,12 @@ const (
 	// fragment, and slack for the largest MAC plus a full padding block.
 	recordCap = headerLen + MaxFragment + 64
 
-	// windowRecords bounds the records a Layer seals per transport
+	// WindowRecords bounds the records ssl.Conn seals per transport
 	// write: 64 records × 16 KiB = 1 MiB windows, enough to amortize the
 	// write syscall ~64× while capping what one connection takes from
 	// the window pool.
-	windowRecords = 64
-	windowCap     = windowRecords * recordCap
+	WindowRecords = 64
+	windowCap     = WindowRecords * recordCap
 )
 
 // recordPool and windowPool recycle outgoing buffers across
@@ -253,39 +259,32 @@ func (c *Core) reserve(n int) {
 // ReadRecord parses and opens the next record from the fed bytes,
 // returning its type and plaintext payload. If a complete record has
 // not been fed yet it returns ErrWouldBlock without consuming
-// anything — feed more bytes and call again. Alerts are surfaced as
+// anything — feed more bytes and call again — or, once a Layer's
+// transport has failed, that failure. Alerts are surfaced as
 // *AlertError.
 //
 // The returned payload aliases the core's incoming buffer and is
 // valid only until the next Feed — callers that need it longer copy.
 func (c *Core) ReadRecord() (ContentType, []byte, error) {
-	typ, payload, _, err := c.readRecord()
-	return typ, payload, err
-}
-
-// readRecord is ReadRecord that also says, with ErrWouldBlock, how
-// many more wire bytes the next step needs: the rest of the header,
-// or — once the header has parsed — the rest of the record.
-func (c *Core) readRecord() (typ ContentType, payload []byte, missing int, err error) {
 	buf := c.incoming[c.inOff:]
 	if len(buf) < headerLen {
-		return 0, nil, headerLen - len(buf), ErrWouldBlock
+		return 0, nil, c.wouldBlock()
 	}
-	typ = ContentType(buf[0])
+	typ := ContentType(buf[0])
 	version := binary.BigEndian.Uint16(buf[1:])
 	length := int(binary.BigEndian.Uint16(buf[3:]))
 	if !c.versionOK(version) {
-		return 0, nil, 0, probe.Failf(probe.FailVersionMismatch, "record: unsupported version %#04x", version)
+		return 0, nil, probe.Failf(probe.FailVersionMismatch, "record: unsupported version %#04x", version)
 	}
 	if length == 0 || length > MaxFragment+2048 {
-		return 0, nil, 0, probe.Failf(probe.FailRecordError, "record: implausible record length %d", length)
+		return 0, nil, probe.Failf(probe.FailRecordError, "record: implausible record length %d", length)
 	}
 	if len(buf) < headerLen+length {
-		return 0, nil, headerLen + length - len(buf), ErrWouldBlock
+		return 0, nil, c.wouldBlock()
 	}
-	payload, err = c.open(typ, buf[headerLen:headerLen+length])
+	payload, err := c.open(typ, buf[headerLen:headerLen+length])
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, nil, err
 	}
 	c.inOff += headerLen + length
 	if c.inOff == len(c.incoming) {
@@ -298,11 +297,29 @@ func (c *Core) readRecord() (typ ContentType, payload []byte, missing int, err e
 	if typ == TypeAlert {
 		c.Stats.AlertsRead++
 		if len(payload) != 2 {
-			return 0, nil, 0, probe.Failf(probe.FailRecordError, "record: malformed alert")
+			return 0, nil, probe.Failf(probe.FailRecordError, "record: malformed alert")
 		}
-		return typ, payload, 0, &AlertError{Level: payload[0], Description: payload[1], Peer: true}
+		return typ, payload, &AlertError{Level: payload[0], Description: payload[1], Peer: true}
 	}
-	return typ, payload, 0, nil
+	return typ, payload, nil
+}
+
+// wouldBlock is ErrWouldBlock, or the error that ended the input.
+func (c *Core) wouldBlock() error {
+	if c.inErr != nil {
+		return c.inErr
+	}
+	return ErrWouldBlock
+}
+
+// missing is how many more wire bytes the next record needs: the rest
+// of its header, or — once the header is in — the rest of the record.
+func (c *Core) missing() int {
+	buf := c.incoming[c.inOff:]
+	if len(buf) < headerLen {
+		return headerLen - len(buf)
+	}
+	return max(0, headerLen+int(binary.BigEndian.Uint16(buf[3:]))-len(buf))
 }
 
 // stitchMin is the shortest payload the stitched seal takes: the MAC
@@ -386,10 +403,6 @@ func (c *Core) seal(typ ContentType, payload []byte) {
 	}
 	c.Probe.RecordIO(true, typ == TypeAlert, len(payload))
 }
-
-// Flush is a no-op: a Core has no transport, and its caller drains
-// Outgoing at its own pace. (Layer.Flush writes the held flight.)
-func (c *Core) Flush() error { return nil }
 
 // WriteRecord seals data of the given type into the outgoing buffer,
 // fragmenting as needed. It never blocks; the caller drains the bytes

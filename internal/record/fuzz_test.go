@@ -9,9 +9,8 @@ import (
 )
 
 // FuzzReadRecord feeds the record reader arbitrary wire bytes with
-// NULL security and fully armed for DES-CBC3-SHA, through both
-// flavours: a Layer reading them from a transport and a Core fed them
-// whole. Neither may panic or return a payload longer than the record
+// NULL security and fully armed for DES-CBC3-SHA, two ways: a Layer
+// filling its Core from a transport and a Core fed them whole. Neither may panic or return a payload longer than the record
 // claimed, and both must open the same records and stop at the same
 // point — where the Core wants more bytes the Layer finds the stream
 // ended, and every other error is the same error.
@@ -30,7 +29,7 @@ func FuzzReadRecord(f *testing.F) {
 			io.Writer
 		}{Writer: buf})
 		arm(f, s, l, NewCore())
-		l.WriteRecord(TypeApplicationData, []byte("fuzz seed payload"))
+		sendRecord(l, TypeApplicationData, []byte("fuzz seed payload"))
 		return buf.Bytes()
 	}()
 	f.Add(seed)
@@ -56,7 +55,7 @@ func FuzzReadRecord(f *testing.F) {
 				arm(t, s, NewCore(), l)
 				arm(t, s, NewCore(), c)
 			}
-			fromLayer, fromCore := readAll(l), readAll(c)
+			fromLayer, fromCore := readAll(layerReads(l)), readAll(c.ReadRecord)
 			if len(fromLayer.payloads) != len(fromCore.payloads) {
 				t.Fatalf("layer opened %d records, core %d", len(fromLayer.payloads), len(fromCore.payloads))
 			}

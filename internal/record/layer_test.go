@@ -18,8 +18,8 @@ import (
 
 // The Layer is a transport pump around Core. These tests pin that it
 // adds nothing of its own: the same wire bytes as a bare Core, one
-// transport Write per window, no allocation, and reads that block
-// where the Core would return ErrWouldBlock. (A "flight" in the test
+// transport Write per Flush, no allocation, and one transport Read per
+// Fill, sized by what the Core is missing. (A "flight" in the test
 // names is one multi-record write.)
 
 // countingBuffer is a bytes.Buffer that counts the Writes it takes.
@@ -57,7 +57,7 @@ func payloadOf(n int) []byte {
 	return p
 }
 
-// checkSameWire writes each piece through a Layer and through a Core
+// checkSameWire sends each piece through a Layer and seals it on a Core
 // keyed alike, and requires the bytes the Layer put on its transport
 // to equal the bytes the Core left in Outgoing.
 func checkSameWire(t *testing.T, s *suite.Suite, pieces [][]byte) {
@@ -67,7 +67,7 @@ func checkSameWire(t *testing.T, s *suite.Suite, pieces [][]byte) {
 	arm(t, s, core, NewCore())
 	for _, data := range pieces {
 		wire.Reset()
-		if err := layer.WriteRecord(TypeApplicationData, data); err != nil {
+		if err := sendRecord(layer, TypeApplicationData, data); err != nil {
 			t.Fatal(err)
 		}
 		if err := core.WriteRecord(TypeApplicationData, data); err != nil {
@@ -85,8 +85,8 @@ func checkSameWire(t *testing.T, s *suite.Suite, pieces [][]byte) {
 
 // TestFlightWireEquivalence: for every suite a Layer is byte-for-byte
 // a Core plus a transport, whatever the write's width in records —
-// none (one empty record), one, a few inside a window, and 65, which
-// crosses into a second window.
+// none (one empty record), one, a few, and 65, more than ssl.Conn's
+// window.
 func TestFlightWireEquivalence(t *testing.T) {
 	widths := []struct {
 		records int
@@ -140,10 +140,10 @@ func FuzzFlightEquivalence(f *testing.F) {
 }
 
 // TestFlightRoundTrip sends multi-record writes through every suite
-// and reads the records back, covering the window boundary (exactly
-// one window, one byte over) and multi-window writes.
+// and reads the records back, covering the window pool's boundary
+// (exactly one window, one byte over) and writes of several windows.
 func TestFlightRoundTrip(t *testing.T) {
-	window := windowRecords * MaxFragment
+	window := WindowRecords * MaxFragment
 	for _, s := range suite.All() {
 		t.Run(s.Name, func(t *testing.T) {
 			sizes := []int{MaxFragment + 1, window + 1}
@@ -155,12 +155,12 @@ func TestFlightRoundTrip(t *testing.T) {
 			sender, receiver, _ := flightSender(t, s)
 			for _, n := range sizes {
 				data := payloadOf(n)
-				if err := sender.WriteRecord(TypeApplicationData, data); err != nil {
+				if err := sendRecord(sender, TypeApplicationData, data); err != nil {
 					t.Fatal(err)
 				}
 				var got []byte
 				for len(got) < n {
-					typ, payload, err := receiver.ReadRecord()
+					typ, payload, err := readRecord(receiver)
 					if err != nil {
 						t.Fatalf("size %d: read: %v", n, err)
 					}
@@ -182,32 +182,46 @@ type brokenWriter struct{ err error }
 
 func (w brokenWriter) Write([]byte) (int, error) { return 0, w.err }
 
-// TestFlightWriteCoalescing asserts the syscall story: one transport
-// Write per window of 64 records, so 3 MiB leaves in 3 writes and one
-// byte more in 4 — and a failed Write surfaces the transport's error.
+// TestFlightWriteCoalescing asserts the syscall story: whatever was
+// sealed since the last Flush — a handshake flight of several records
+// and the alert behind it, or a write of several windows — leaves in
+// one transport Write, an empty Flush writes nothing, and a failed
+// Write surfaces the transport's error. (ssl.Conn cuts an application
+// write into windows; TestWriteCallsPinned counts those.)
 func TestFlightWriteCoalescing(t *testing.T) {
 	s, _ := suite.ByName("RC4-MD5")
 	sender, _, buf := flightSender(t, s)
-	window := windowRecords * MaxFragment
-	for _, c := range []struct{ size, writes, records int }{
-		{256, 1, 1},
-		{3 * MaxFragment, 1, 3},
-		{3 * window, 3, 3 * windowRecords},
-		{window + 1, 2, windowRecords + 1},
+	window := WindowRecords * MaxFragment
+	for _, c := range []struct {
+		sizes   []int
+		typ     ContentType
+		records int
+	}{
+		{[]int{256}, TypeApplicationData, 1},
+		{[]int{3 * MaxFragment}, TypeApplicationData, 3},
+		{[]int{80, 700, 4}, TypeHandshake, 3},
+		{[]int{3 * window}, TypeApplicationData, 3 * WindowRecords},
+		{[]int{window + 1, 2}, TypeApplicationData, WindowRecords + 2},
 	} {
 		before, writes := sender.Stats, buf.writes
-		if err := sender.WriteRecord(TypeApplicationData, payloadOf(c.size)); err != nil {
+		for _, n := range c.sizes {
+			sender.WriteRecord(c.typ, payloadOf(n))
+		}
+		if err := sender.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if got := buf.writes - writes; got != c.writes {
-			t.Errorf("%d-byte write: %d transport writes, want %d", c.size, got, c.writes)
+		if got := buf.writes - writes; got != 1 {
+			t.Errorf("%v %v: %d transport writes, want 1", c.typ, c.sizes, got)
 		}
-		if got := sender.Stats.WriteCalls - before.WriteCalls; got != c.writes {
-			t.Errorf("%d-byte write: Stats.WriteCalls += %d, want %d", c.size, got, c.writes)
+		if got := sender.Stats.WriteCalls - before.WriteCalls; got != 1 {
+			t.Errorf("%v %v: Stats.WriteCalls += %d, want 1", c.typ, c.sizes, got)
 		}
 		if got := sender.Stats.RecordsWritten - before.RecordsWritten; got != c.records {
-			t.Errorf("%d-byte write: RecordsWritten += %d, want %d", c.size, got, c.records)
+			t.Errorf("%v %v: RecordsWritten += %d, want %d", c.typ, c.sizes, got, c.records)
 		}
+	}
+	if err := sender.Flush(); err != nil || buf.writes != 5 || sender.Stats.WriteCalls != 5 {
+		t.Errorf("empty Flush: %v, %d transport writes in all, want 5", err, buf.writes)
 	}
 
 	broken := errors.New("transport broke")
@@ -215,7 +229,7 @@ func TestFlightWriteCoalescing(t *testing.T) {
 		io.Reader
 		io.Writer
 	}{Writer: brokenWriter{broken}})
-	if err := failing.WriteRecord(TypeApplicationData, payloadOf(2*window)); err != broken {
+	if err := sendRecord(failing, TypeApplicationData, payloadOf(2*window)); err != broken {
 		t.Fatalf("write on a broken transport returned %v, want the transport's error", err)
 	}
 	if failing.Stats.WriteCalls != 1 || len(failing.Outgoing()) != 0 {
@@ -239,13 +253,13 @@ func TestFlightConcurrentLayers(t *testing.T) {
 			defer wg.Done()
 			data := payloadOf(5*MaxFragment + 123)
 			for iter := 0; iter < 10; iter++ {
-				if err := sender.WriteRecord(TypeApplicationData, data); err != nil {
+				if err := sendRecord(sender, TypeApplicationData, data); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
 				var got []byte
 				for len(got) < len(data) {
-					_, payload, err := receiver.ReadRecord()
+					_, payload, err := readRecord(receiver)
 					if err != nil {
 						t.Errorf("read: %v", err)
 						return
@@ -279,7 +293,7 @@ func TestFlightSteadyStateAllocs(t *testing.T) {
 	}{Writer: io.Discard}
 	data := payloadOf(1 << 20)
 	write := func() {
-		if err := sender.WriteRecord(TypeApplicationData, data); err != nil {
+		if err := sendRecord(sender, TypeApplicationData, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,18 +349,21 @@ type readTrace struct {
 	err      error
 }
 
-// readAll opens records from r until the first error.
-func readAll(r interface {
-	ReadRecord() (ContentType, []byte, error)
-}) (tr readTrace) {
+// readAll opens records with read until the first error.
+func readAll(read func() (ContentType, []byte, error)) (tr readTrace) {
 	for {
-		_, payload, err := r.ReadRecord()
+		_, payload, err := read()
 		if err != nil {
 			tr.err = err
 			return tr
 		}
 		tr.payloads = append(tr.payloads, append([]byte{}, payload...))
 	}
+}
+
+// layerReads is readRecord of l, for readAll.
+func layerReads(l *Layer) func() (ContentType, []byte, error) {
+	return func() (ContentType, []byte, error) { return readRecord(l) }
 }
 
 // countingReader counts the Reads a transport served.
@@ -360,7 +377,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// TestLayerReadPump covers the read side of the pump: however the
+// TestLayerReadPump covers Fill, the read side of the pump: however the
 // transport slices the stream the same records come out, a Read that
 // carries several records serves them all, and a stream that ends
 // reports io.EOF at a record boundary and io.ErrUnexpectedEOF inside a
@@ -384,6 +401,9 @@ func TestLayerReadPump(t *testing.T) {
 		arm(t, s, NewCore(), l)
 		return l
 	}
+	reads := func(transport io.Reader) func() (ContentType, []byte, error) {
+		return layerReads(receiver(transport))
+	}
 	check := func(what string, got readTrace, records int, end error) {
 		t.Helper()
 		if got.err != end {
@@ -399,14 +419,14 @@ func TestLayerReadPump(t *testing.T) {
 		}
 	}
 
-	check("one byte per Read", readAll(receiver(iotest.OneByteReader(bytes.NewReader(wire)))), 4, io.EOF)
+	check("one byte per Read", readAll(reads(iotest.OneByteReader(bytes.NewReader(wire)))), 4, io.EOF)
 
 	// The first record, a full-size one, costs two Reads (firstRead
 	// bytes, then the rest of the body the header asks for); the buffer
 	// is then big enough that the three small records arrive in one
 	// Read; the fourth Read finds the end.
 	counted := &countingReader{r: bytes.NewReader(wire)}
-	check("whole stream available", readAll(receiver(counted)), 4, io.EOF)
+	check("whole stream available", readAll(reads(counted)), 4, io.EOF)
 	if counted.reads != 4 {
 		t.Errorf("whole stream available: %d transport Reads, want 4", counted.reads)
 	}
@@ -420,7 +440,7 @@ func TestLayerReadPump(t *testing.T) {
 	}
 	small := receiver(bytes.NewReader(smallSender.Outgoing()))
 	for _, p := range sent[1:] {
-		if typ, payload, err := small.ReadRecord(); err != nil || typ != TypeApplicationData || !bytes.Equal(payload, p) {
+		if typ, payload, err := readRecord(small); err != nil || typ != TypeApplicationData || !bytes.Equal(payload, p) {
 			t.Fatalf("small records: read %v %x, %v", typ, payload, err)
 		}
 	}
@@ -428,10 +448,10 @@ func TestLayerReadPump(t *testing.T) {
 		t.Errorf("small records available: %d transport Reads, want 1", small.Stats.ReadCalls)
 	}
 
-	check("ends at a record boundary", readAll(receiver(bytes.NewReader(wire[:ends[1]]))), 2, io.EOF)
-	check("ends mid-header", readAll(receiver(bytes.NewReader(wire[:ends[1]+3]))), 2, io.ErrUnexpectedEOF)
-	check("ends mid-body", readAll(receiver(bytes.NewReader(wire[:ends[2]-10]))), 2, io.ErrUnexpectedEOF)
-	check("ends after a header", readAll(receiver(bytes.NewReader(wire[:ends[1]+headerLen]))), 2, io.ErrUnexpectedEOF)
-	check("ends inside the first header", readAll(receiver(bytes.NewReader(wire[:2]))), 0, io.ErrUnexpectedEOF)
-	check("empty stream", readAll(receiver(bytes.NewReader(nil))), 0, io.EOF)
+	check("ends at a record boundary", readAll(reads(bytes.NewReader(wire[:ends[1]]))), 2, io.EOF)
+	check("ends mid-header", readAll(reads(bytes.NewReader(wire[:ends[1]+3]))), 2, io.ErrUnexpectedEOF)
+	check("ends mid-body", readAll(reads(bytes.NewReader(wire[:ends[2]-10]))), 2, io.ErrUnexpectedEOF)
+	check("ends after a header", readAll(reads(bytes.NewReader(wire[:ends[1]+headerLen]))), 2, io.ErrUnexpectedEOF)
+	check("ends inside the first header", readAll(reads(bytes.NewReader(wire[:2]))), 0, io.ErrUnexpectedEOF)
+	check("empty stream", readAll(reads(bytes.NewReader(nil))), 0, io.EOF)
 }

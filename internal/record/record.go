@@ -152,16 +152,13 @@ type Stats struct {
 	AlertsRead     int
 	AlertsWritten  int
 
-	// WriteCalls counts the transport writes a Layer issued: one per
-	// handshake flight (its records are held until the Layer would
-	// block in a read, is flushed, or sends the next application-data
-	// or alert record, which then carries them), one per application
-	// write up to a window, 1/64 of a record once a bulk write fills its
-	// windows.
+	// WriteCalls counts the transport writes a Layer issued (Flush):
+	// ssl.Conn flushes once per call into the machine, so a handshake
+	// costs one per flight and an application write one per window.
 	WriteCalls int
-	// ReadCalls counts the transport reads a Layer issued. The first
-	// takes up to firstRead bytes, so a whole flight that has arrived
-	// costs one.
+	// ReadCalls counts the transport reads a Layer issued (Fill). The
+	// first takes up to firstRead bytes, so a whole flight that has
+	// arrived costs one.
 	ReadCalls int
 }
 
@@ -170,14 +167,19 @@ type Stats struct {
 // time is not split between them.
 const PrimAESSHA1 = "AES+SHA-1"
 
-// A Layer frames records over a blocking stream: the sans-IO Core
-// (framing, MAC, padding, cipher state, sequence numbers, buffers)
-// plus the transport pump — the single place a connection blocks. The
-// embedded Core's fields and state setters are promoted; Layer shadows
-// only ReadRecord, WriteRecord and Flush, to move the Core's buffers
-// from and to the transport, so blocking and non-blocking connections
-// execute the same sealing and opening code. Not safe for concurrent
-// use; the ssl package serializes access.
+// A Layer pumps a blocking transport around the sans-IO Core
+// (framing, MAC, padding, cipher state, sequence numbers, buffers),
+// which it embeds: every method that seals or opens a record is the
+// Core's, promoted, and Layer adds only the transport — Flush writes
+// what the Core has sealed, Fill reads what it asks for. ssl.Conn
+// drives the one connection state machine over the Core and calls
+// these two whenever the machine has output or returns ErrWouldBlock,
+// so blocking and sans-IO connections run the same code up to the
+// transport. A transport that fails, either way, ends the Core's
+// input: its ReadRecord then returns that error where it would have
+// returned ErrWouldBlock, so the machine ends on it as on any terminal
+// error. Not safe for concurrent use; the ssl package serializes
+// access.
 type Layer struct {
 	Core
 	rw io.ReadWriter
@@ -196,111 +198,68 @@ func NewLayer(rw io.ReadWriter) *Layer {
 	return &Layer{rw: rw}
 }
 
-// WriteRecord sends data of the given type, fragmenting as needed.
-//
-// Handshake and ChangeCipherSpec records are only sealed: a handshake
-// flight waits in outgoing, as OpenSSL's handshake messages wait in its
-// buffering BIO, and leaves in one transport Write when the Layer
-// would block in ReadRecord, on Flush, or ahead of the next record of
-// any other type (so a fatal alert carries the flight it follows).
-//
-// Any other record is written at once: the Core seals a window of up
-// to windowRecords records behind whatever is held and the lot leaves
-// in one transport Write, so a record costs one write and a 1 MiB
-// response two, not 65. A failed Write surfaces the transport's error;
-// what was sealed is dropped with the connection.
-func (l *Layer) WriteRecord(typ ContentType, data []byte) (err error) {
-	if typ == TypeHandshake || typ == TypeChangeCipherSpec {
-		return l.Core.WriteRecord(typ, data)
-	}
-	const window = windowRecords * MaxFragment
-	for first := true; err == nil && (first || len(data) > 0); first = false {
-		n := min(len(data), window)
-		l.Core.WriteRecord(typ, data[:n])
-		err = l.write()
-		data = data[n:]
-	}
-	l.ConsumeOutgoing(0) // drained: a window goes back to the pool
-	return err
-}
-
-// Flush writes the held handshake records, if any, in one transport
-// Write — Table 2's step 9, server_flush. The handshake calls it when
-// its last flight is sealed; ReadRecord calls it before it blocks.
+// Flush is the Layer's one transport Write: everything sealed and not
+// yet sent, in one call. The buffer goes back to its pool whether or
+// not the Write succeeds; a failed Write returns the transport's error
+// and ends the input, and what was sealed is dropped with the
+// connection.
 func (l *Layer) Flush() error {
 	if len(l.Outgoing()) == 0 {
 		return nil
 	}
-	err := l.write()
-	l.ConsumeOutgoing(0) // drained: the buffer goes back to the pool
-	return err
-}
-
-// write is the Layer's one transport Write: everything sealed and not
-// yet sent. It keeps the buffer for the next window; the callers give
-// it back.
-func (l *Layer) write() error {
 	_, err := l.rw.Write(l.Outgoing())
 	l.Stats.WriteCalls++
-	l.outgoing, l.outOff = l.outgoing[:0], 0
+	l.ConsumeOutgoing(len(l.Outgoing()))
+	return l.end(err)
+}
+
+// Fill is the Layer's one transport Read, made when the Core has
+// returned ErrWouldBlock: straight into incoming's spare capacity,
+// grown, when short, to hold the missing bytes the buffered header
+// asks for and at least firstRead, so whatever else has already
+// arrived comes along in the same read. It returns io.EOF when the
+// stream ends at a record boundary and io.ErrUnexpectedEOF when it
+// ends inside a record; either, or any other failure, ends the input.
+func (l *Layer) Fill() error {
+	if l.inErr != nil {
+		return l.inErr
+	}
+	l.compactIncoming()
+	have := len(l.incoming)
+	if need := have + l.missing(); cap(l.incoming) < need {
+		l.incoming = append(make([]byte, 0, max(need, firstRead)), l.incoming...)
+	}
+	n, err := l.rw.Read(l.incoming[have:cap(l.incoming)])
+	l.Stats.ReadCalls++
+	l.incoming = l.incoming[:have+n]
+	if n == 0 && err != nil {
+		if err == io.EOF && have > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return l.end(err)
+	}
+	return nil
+}
+
+// end records err, when it is the transport's first failure, as the
+// end of the input, and returns it.
+func (l *Layer) end(err error) error {
+	if l.inErr == nil {
+		l.inErr = err
+	}
 	return err
 }
 
-// WriteFlight is WriteRecord — named by bench/probes.go; deleted by
-// the benchmark-only PR of ROADMAP 6(0).
+// WriteFlight seals data and flushes it: one transport Write, whatever
+// its width — named by bench/probes.go; deleted by the benchmark-only
+// PR of ROADMAP 6(0).
 func (l *Layer) WriteFlight(typ ContentType, data []byte) error {
-	return l.WriteRecord(typ, data)
+	l.WriteRecord(typ, data)
+	return l.Flush()
 }
 
 // BuffersWriter is unused — named by bench/probes.go; deleted by the
 // benchmark-only PR of ROADMAP 6(0).
 type BuffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
-}
-
-// ReadRecord reads and opens the next record, returning its type and
-// plaintext payload: Core.ReadRecord, and wherever the Core would
-// return ErrWouldBlock the held flight's Flush (the peer may be waiting
-// for it) and then, with the open handshake step suspended, one
-// blocking transport Read straight into
-// incoming's spare capacity — grown, when short, to hold the missing
-// bytes the parsed header asks for and at least firstRead — so
-// whatever else has already arrived comes along in the same read. It
-// returns io.EOF when the stream ends at a record boundary and
-// io.ErrUnexpectedEOF when it ends inside a record.
-//
-// The returned payload aliases the incoming buffer and is valid only
-// until the next ReadRecord call — callers that need it longer must
-// copy. (The handshake message reader copies, and the ssl Conn drains
-// its buffer before reading again, so within this stack the aliasing
-// is free.)
-func (l *Layer) ReadRecord() (ContentType, []byte, error) {
-	for {
-		typ, payload, missing, err := l.readRecord()
-		if err != ErrWouldBlock {
-			return typ, payload, err
-		}
-		if err := l.Flush(); err != nil {
-			return 0, nil, err
-		}
-		l.compactIncoming()
-		have := len(l.incoming)
-		if cap(l.incoming) < have+missing {
-			l.incoming = append(make([]byte, 0, max(have+missing, firstRead)), l.incoming...)
-		}
-		// The wait for the peer is not the open step's work: its clock
-		// parks across the read, as a sans-IO step's does across
-		// ErrWouldBlock.
-		l.Probe.StepSuspend()
-		n, err := l.rw.Read(l.incoming[have:cap(l.incoming)])
-		l.Probe.StepResume()
-		l.Stats.ReadCalls++
-		l.incoming = l.incoming[:have+n]
-		if n == 0 && err != nil {
-			if err == io.EOF && have > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, err
-		}
-	}
 }

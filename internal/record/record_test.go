@@ -26,7 +26,28 @@ func oneWay() (*Layer, *Layer, *bytes.Buffer) {
 	return sender, receiver, buf
 }
 
-// keyed is either flavour of record conn: a *Core or a *Layer.
+// sendRecord seals data on l and writes it to l's transport, as
+// ssl.Conn writes what each call into the machine queued.
+func sendRecord(l *Layer, typ ContentType, data []byte) error {
+	l.WriteRecord(typ, data)
+	return l.Flush()
+}
+
+// readRecord opens l's next record, reading its transport once per
+// ErrWouldBlock, as ssl.Conn's pump does.
+func readRecord(l *Layer) (ContentType, []byte, error) {
+	for {
+		typ, payload, err := l.ReadRecord()
+		if err != ErrWouldBlock {
+			return typ, payload, err
+		}
+		if err := l.Fill(); err != nil {
+			return 0, nil, err
+		}
+	}
+}
+
+// keyed is a *Core or a *Layer, whose Core's setters it promotes.
 type keyed interface {
 	SetWriteState(suite.RecordCipher, *sslcrypto.MAC)
 	SetReadState(suite.RecordCipher, *sslcrypto.MAC)
@@ -85,13 +106,10 @@ func armVersion(t testing.TB, s *suite.Suite, version uint16, sender, receiver k
 func TestPlaintextRoundTrip(t *testing.T) {
 	sender, receiver, _ := oneWay()
 	msg := []byte("hello, handshake")
-	if err := sender.WriteRecord(TypeHandshake, msg); err != nil {
+	if err := sendRecord(sender, TypeHandshake, msg); err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.Flush(); err != nil { // a handshake record waits for its flight
-		t.Fatal(err)
-	}
-	typ, got, err := receiver.ReadRecord()
+	typ, got, err := readRecord(receiver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +129,10 @@ func TestAllSuitesRoundTrip(t *testing.T) {
 				bytes.Repeat([]byte{0xab}, 1000),
 				[]byte("x"),
 			} {
-				if err := sender.WriteRecord(TypeApplicationData, msg); err != nil {
+				if err := sendRecord(sender, TypeApplicationData, msg); err != nil {
 					t.Fatalf("write %d: %v", i, err)
 				}
-				typ, got, err := receiver.ReadRecord()
+				typ, got, err := readRecord(receiver)
 				if err != nil {
 					t.Fatalf("read %d: %v", i, err)
 				}
@@ -149,16 +167,16 @@ func TestSealOpenSteadyStateAllocs(t *testing.T) {
 			armVersion(t, s, version, sender, receiver)
 			seal := func() {
 				sink.Reset()
-				if err := sealer.WriteRecord(TypeApplicationData, payload); err != nil {
+				if err := sendRecord(sealer, TypeApplicationData, payload); err != nil {
 					t.Fatal(err)
 				}
 			}
 			sealOpen := func() {
 				buf.Reset()
-				if err := sender.WriteRecord(TypeApplicationData, payload); err != nil {
+				if err := sendRecord(sender, TypeApplicationData, payload); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := receiver.ReadRecord(); err != nil {
+				if _, _, err := readRecord(receiver); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -238,7 +256,7 @@ func TestCiphertextActuallyEncrypted(t *testing.T) {
 	}{Reader: buf, Writer: io.Discard})
 	arm(t, s, sender, recv)
 	secret := []byte("very secret plaintext payload!")
-	if err := sender.WriteRecord(TypeApplicationData, secret); err != nil {
+	if err := sendRecord(sender, TypeApplicationData, secret); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(buf.Bytes(), secret) {
@@ -254,12 +272,12 @@ func TestFragmentation(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	if err := sender.WriteRecord(TypeApplicationData, big); err != nil {
+	if err := sendRecord(sender, TypeApplicationData, big); err != nil {
 		t.Fatal(err)
 	}
 	var got []byte
 	for len(got) < len(big) {
-		typ, chunk, err := receiver.ReadRecord()
+		typ, chunk, err := readRecord(receiver)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,12 +305,12 @@ func TestTamperedRecordRejected(t *testing.T) {
 		io.Writer
 	}{Reader: buf, Writer: io.Discard})
 	arm(t, s, sender, recv)
-	if err := sender.WriteRecord(TypeApplicationData, []byte("do not touch")); err != nil {
+	if err := sendRecord(sender, TypeApplicationData, []byte("do not touch")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0x80 // flip a ciphertext bit
-	_, _, err := recv.ReadRecord()
+	_, _, err := readRecord(recv)
 	if err == nil {
 		t.Fatal("tampered record accepted")
 	}
@@ -315,25 +333,25 @@ func TestReplayRejected(t *testing.T) {
 		io.Writer
 	}{Reader: buf, Writer: io.Discard})
 	arm(t, s, sender, recv)
-	if err := sender.WriteRecord(TypeApplicationData, []byte("once")); err != nil {
+	if err := sendRecord(sender, TypeApplicationData, []byte("once")); err != nil {
 		t.Fatal(err)
 	}
 	wire := append([]byte{}, buf.Bytes()...)
-	if _, _, err := recv.ReadRecord(); err != nil {
+	if _, _, err := readRecord(recv); err != nil {
 		t.Fatal(err)
 	}
 	buf.Write(wire) // replay
-	if _, _, err := recv.ReadRecord(); err == nil {
+	if _, _, err := readRecord(recv); err == nil {
 		t.Fatal("replayed record accepted")
 	}
 }
 
 func TestAlertSurfacing(t *testing.T) {
 	sender, receiver, _ := oneWay()
-	if err := sender.WriteRecord(TypeAlert, []byte{AlertLevelFatal, AlertHandshakeFailure}); err != nil {
+	if err := sendRecord(sender, TypeAlert, []byte{AlertLevelFatal, AlertHandshakeFailure}); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := receiver.ReadRecord()
+	typ, _, err := readRecord(receiver)
 	if typ != TypeAlert {
 		t.Fatalf("type %v", typ)
 	}
@@ -351,10 +369,10 @@ func TestAlertSurfacing(t *testing.T) {
 
 func TestCloseNotify(t *testing.T) {
 	sender, receiver, _ := oneWay()
-	if err := sender.WriteRecord(TypeAlert, []byte{AlertLevelWarning, AlertCloseNotify}); err != nil {
+	if err := sendRecord(sender, TypeAlert, []byte{AlertLevelWarning, AlertCloseNotify}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := receiver.ReadRecord()
+	_, _, err := readRecord(receiver)
 	ae, ok := err.(*AlertError)
 	if !ok || ae.Description != AlertCloseNotify || ae.Level != AlertLevelWarning {
 		t.Fatalf("err = %v", err)
@@ -373,19 +391,19 @@ func TestVersionHandling(t *testing.T) {
 	ssl2Rec := []byte{byte(TypeHandshake), 0x02, 0x00, 0x00, 0x01, 0x00}
 
 	// A flexible (pre-negotiation) layer accepts both modern versions.
-	if _, _, err := mk(tls10Rec).ReadRecord(); err != nil {
+	if _, _, err := readRecord(mk(tls10Rec)); err != nil {
 		t.Fatalf("flexible layer rejected TLS 1.0: %v", err)
 	}
-	if _, _, err := mk(ssl30Rec).ReadRecord(); err != nil {
+	if _, _, err := readRecord(mk(ssl30Rec)); err != nil {
 		t.Fatalf("flexible layer rejected SSL 3.0: %v", err)
 	}
-	if _, _, err := mk(ssl2Rec).ReadRecord(); err == nil {
+	if _, _, err := readRecord(mk(ssl2Rec)); err == nil {
 		t.Fatal("flexible layer accepted SSLv2")
 	}
 	// Once pinned, the other version is rejected.
 	pinned := mk(tls10Rec)
 	pinned.SetProtocolVersion(VersionSSL30)
-	if _, _, err := pinned.ReadRecord(); err == nil {
+	if _, _, err := readRecord(pinned); err == nil {
 		t.Fatal("pinned SSL3 layer accepted TLS record")
 	}
 	if pinned.version != VersionSSL30 {
@@ -398,7 +416,7 @@ func TestVersionHandling(t *testing.T) {
 		io.Writer
 	}{Reader: bytes.NewReader(nil), Writer: out})
 	send.SetProtocolVersion(VersionTLS10)
-	send.WriteRecord(TypeApplicationData, []byte("x"))
+	sendRecord(send, TypeApplicationData, []byte("x"))
 	if out.Bytes()[1] != 0x03 || out.Bytes()[2] != 0x01 {
 		t.Fatalf("wire version = %x", out.Bytes()[1:3])
 	}
@@ -411,7 +429,7 @@ func TestRejectsTruncatedRecord(t *testing.T) {
 		io.Reader
 		io.Writer
 	}{Reader: buf, Writer: io.Discard})
-	if _, _, err := recv.ReadRecord(); err == nil {
+	if _, _, err := readRecord(recv); err == nil {
 		t.Fatal("accepted truncated record")
 	}
 }
@@ -419,8 +437,8 @@ func TestRejectsTruncatedRecord(t *testing.T) {
 func TestStatsCount(t *testing.T) {
 	sender, receiver, _ := oneWay()
 	payload := []byte("count me")
-	sender.WriteRecord(TypeApplicationData, payload)
-	receiver.ReadRecord()
+	sendRecord(sender, TypeApplicationData, payload)
+	readRecord(receiver)
 	if sender.Stats.RecordsWritten != 1 || sender.Stats.BytesWritten != len(payload) {
 		t.Fatalf("sender stats %+v", sender.Stats)
 	}
@@ -455,8 +473,8 @@ func TestMACKeyMismatchRejected(t *testing.T) {
 	rc, _ := s.NewCipher(nil, nil, false)
 	sender.SetWriteState(wc, wm)
 	recv.SetReadState(rc, rm)
-	sender.WriteRecord(TypeApplicationData, []byte("mismatch"))
-	if _, _, err := recv.ReadRecord(); err == nil {
+	sendRecord(sender, TypeApplicationData, []byte("mismatch"))
+	if _, _, err := readRecord(recv); err == nil {
 		t.Fatal("accepted record with wrong MAC key")
 	}
 }
@@ -483,10 +501,10 @@ func TestProbeRecordIOAndAlertCounters(t *testing.T) {
 	receiver.Probe = collect(&recv)
 
 	payload := bytes.Repeat([]byte{0xAB}, MaxFragment+10) // forces 2 fragments
-	if err := sender.WriteRecord(TypeApplicationData, payload); err != nil {
+	if err := sendRecord(sender, TypeApplicationData, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.WriteRecord(TypeAlert, []byte{AlertLevelWarning, AlertCloseNotify}); err != nil {
+	if err := sendRecord(sender, TypeAlert, []byte{AlertLevelWarning, AlertCloseNotify}); err != nil {
 		t.Fatal(err)
 	}
 	if len(sent) != 3 || !sent[0].written || sent[0].n != MaxFragment ||
@@ -498,11 +516,11 @@ func TestProbeRecordIOAndAlertCounters(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ {
-		if _, _, err := receiver.ReadRecord(); err != nil {
+		if _, _, err := readRecord(receiver); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := receiver.ReadRecord() // the alert surfaces as an error
+	_, _, err := readRecord(receiver) // the alert surfaces as an error
 	if ae, ok := err.(*AlertError); !ok || ae.Description != AlertCloseNotify {
 		t.Fatalf("expected close_notify alert, got %v", err)
 	}

@@ -45,7 +45,7 @@ type Server struct {
 
 	connSeq atomic.Uint64
 
-	mu   sync.Mutex
+	mu   sync.Mutex // Close holds it from closing done until ln is closed
 	ln   net.Listener
 	done chan struct{}  // closed by Close
 	wg   sync.WaitGroup // the accept loop and every connection
@@ -108,7 +108,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		if err != nil {
 			select {
 			case <-done:
-				return nil
+				return s.closed()
 			default:
 			}
 			if errors.Is(err, net.ErrClosed) {
@@ -118,7 +118,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.Log.Printf("accept: %v; retrying in %v", err, delay)
 			select {
 			case <-done:
-				return nil
+				return s.closed()
 			case <-time.After(delay):
 			}
 			continue
@@ -127,6 +127,16 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		go s.serve(tc)
 	}
+}
+
+// closed returns nil once Close has closed the listener. Accept lets
+// go of the socket as soon as Close starts, and the poller may then run
+// its close(2) on Close's goroutine, so Serve waits for Close's lock
+// before it returns: whoever Serve returns to finds the port closed.
+func (s *Server) closed() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return nil
 }
 
 // Close stops accepting and waits for the connections in flight to
@@ -139,11 +149,10 @@ func (s *Server) Close() {
 	default:
 		close(done)
 	}
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close() // its error is Accept's to report
+	if s.ln != nil {
+		s.ln.Close() // its error is Accept's to report
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 

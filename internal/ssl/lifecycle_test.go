@@ -247,11 +247,10 @@ func TestLifecycleEventOrder(t *testing.T) {
 			if (*cli)[0].Conn == (*srv)[0].Conn {
 				t.Fatal("the two ends share a connection ID")
 			}
-			// Every park is resumed: a blocking handshake parks across
-			// its transport reads, a sans-IO one across ErrWouldBlock,
-			// which it always meets.
-			s, r := parks(*srv)
-			if s != r || (f.name == "sans-io" && s == 0) {
+			// Every park is resumed: both flavours park across
+			// ErrWouldBlock, which a server always meets before the
+			// ClientHello.
+			if s, r := parks(*srv); s != r || s == 0 {
 				t.Fatalf("%d suspends, %d resumes", s, r)
 			}
 		})
@@ -271,6 +270,9 @@ func TestLifecycleEventOrder(t *testing.T) {
 				if e.Kind == probe.KindHandshakeDone && !e.Resumed {
 					t.Fatalf("server's outcome %+v is not a resumed handshake", e)
 				}
+			}
+			if s, r := parks(*srv); s != r || s == 0 {
+				t.Fatalf("%d suspends, %d resumes", s, r)
 			}
 		})
 		t.Run(f.name+"/failed", func(t *testing.T) {
@@ -361,5 +363,44 @@ func TestBlockingReadParksStep(t *testing.T) {
 	if suspends == 0 || dur < 0 || dur >= stall/2 {
 		t.Fatalf("get_client_hello: %d suspends, %v in-step after a %v stall; want a park and under %v",
 			suspends, dur, stall, stall/2)
+	}
+}
+
+// TestBlockingAppReadParks: a blocking server's application read span
+// is its own work too. Over a Pipe the client stalls between its
+// handshake and its request; the server's one read event must report
+// the microseconds of opening the record, not the stall.
+func TestBlockingAppReadParks(t *testing.T) {
+	const stall = 30 * time.Millisecond
+	var evs []probe.Event
+	scfg := identity(t).ServerConfig(NewPRNG(721))
+	scfg.Observer = probe.SinkFunc(func(e probe.Event) { evs = append(evs, e) })
+	ct, st := Pipe()
+	client, server := ClientConn(ct, clientCfg(nil)), ServerConn(st, scfg)
+	defer client.Close()
+	defer server.Close()
+	done := make(chan error, 1)
+	go func() {
+		err := client.Handshake()
+		if err == nil {
+			time.Sleep(stall)
+			_, err = client.Write([]byte("GET /"))
+		}
+		done <- err
+	}()
+	if _, err := server.Read(make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	var reads []time.Duration
+	for _, e := range evs {
+		if e.Kind == probe.KindAppIO && !e.Written {
+			reads = append(reads, e.Dur)
+		}
+	}
+	if len(reads) != 1 || reads[0] >= stall/2 {
+		t.Fatalf("read events %v after a %v stall; want one, under %v", reads, stall, stall/2)
 	}
 }

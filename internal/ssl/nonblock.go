@@ -25,10 +25,10 @@ type handshakeFSM interface {
 // A NonBlockingConn is one end of an SSL connection with no transport
 // attached: the sans-IO core for event-driven servers, and the one
 // connection state machine of this package (Conn is this type behind
-// a mutex, driving a transport-backed record layer). Wire bytes go
-// in through Feed and come out through Outgoing/ConsumeOutgoing; the
-// caller owns the socket, the readiness notification, and the buffer
-// shuttling. HandshakeStep advances the resumable handshake FSM until
+// a mutex, with a loop that moves its bytes to and from a transport).
+// Wire bytes go in through Feed and come out through
+// Outgoing/ConsumeOutgoing; the caller owns the socket, the readiness
+// notification, and the buffer shuttling. HandshakeStep advances the resumable handshake FSM until
 // it either completes, fails terminally, or suspends with
 // ErrWouldBlock; ReadData/WriteData move application data through the
 // negotiated channel the same way.
@@ -42,12 +42,10 @@ type handshakeFSM interface {
 // one goroutine, where one blocking read would hang (make blocklint
 // enforces it).
 type NonBlockingConn struct {
-	// rc is the record layer the FSM and the data path drive. A
-	// *record.Core never blocks; a *record.Layer pumps a transport
-	// around the same core and never returns ErrWouldBlock — the only
-	// difference between a sans-IO connection and a blocking one.
-	rc       handshake.RecordConn
-	core     *record.Core // rc's core: stats, probe pointer, Feed/Outgoing buffers
+	// core is the record layer the FSM and the data path drive; it
+	// never blocks. A Conn's is the Core of its Layer, whose transport
+	// the Conn pumps from outside.
+	core     *record.Core
 	cfg      *Config
 	isClient bool
 
@@ -76,14 +74,12 @@ type NonBlockingConn struct {
 
 // NonBlockingClient builds the client end of a sans-IO connection.
 func NonBlockingClient(cfg *Config) *NonBlockingConn {
-	core := record.NewCore()
-	return &NonBlockingConn{rc: core, core: core, cfg: cfg, isClient: true}
+	return &NonBlockingConn{core: record.NewCore(), cfg: cfg, isClient: true}
 }
 
 // NonBlockingServer builds the server end of a sans-IO connection.
 func NonBlockingServer(cfg *Config) *NonBlockingConn {
-	core := record.NewCore()
-	return &NonBlockingConn{rc: core, core: core, cfg: cfg}
+	return &NonBlockingConn{core: record.NewCore(), cfg: cfg}
 }
 
 // SetRemoteAddr records the peer address the open event reports. Call
@@ -126,7 +122,7 @@ func (c *NonBlockingConn) role() string {
 }
 
 // startHandshake puts the handshake-start event on the bus, then
-// constructs the FSM over the record conn. The FSM reads the caller's
+// constructs the FSM over the record core. The FSM reads the caller's
 // Config; a nil Rand resolves here to one time-seeded PRNG for this
 // connection.
 func (c *NonBlockingConn) startHandshake() error {
@@ -138,10 +134,10 @@ func (c *NonBlockingConn) startHandshake() error {
 	}
 	var err error
 	if c.isClient {
-		c.fsm, err = handshake.NewClientFSM(c.rc, c.cfg, c.bus, rnd)
+		c.fsm, err = handshake.NewClientFSM(c.core, c.cfg, c.bus, rnd)
 	} else {
 		// The server FSM emits its Table 2 steps on the same bus.
-		c.fsm, err = handshake.NewServerFSM(c.rc, c.cfg, c.bus, rnd)
+		c.fsm, err = handshake.NewServerFSM(c.core, c.cfg, c.bus, rnd)
 	}
 	return err
 }
@@ -153,9 +149,6 @@ func (c *NonBlockingConn) startHandshake() error {
 // which is sticky and has already queued a fatal alert in Outgoing.
 // Probe-step attribution suspends across ErrWouldBlock, so parked
 // time never enters /debug/anatomy or the telemetry step histograms.
-// Over a Layer the record conn blocks instead, so one call runs the
-// whole handshake, and the Layer suspends the step across each
-// blocking transport read the same way.
 func (c *NonBlockingConn) HandshakeStep() error {
 	if c.handshakeDone {
 		return nil
@@ -240,7 +233,7 @@ func (c *NonBlockingConn) ReadData(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		ioStart := c.bus.Stamp()
-		typ, payload, err := c.rc.ReadRecord()
+		typ, payload, err := c.core.ReadRecord()
 		if err != nil {
 			if ae, ok := err.(*record.AlertError); ok &&
 				ae.Description == record.AlertCloseNotify {
@@ -255,9 +248,9 @@ func (c *NonBlockingConn) ReadData(p []byte) (int, error) {
 			if len(payload) == 0 {
 				continue
 			}
-			// The payload aliases the record conn's buffer, which the
-			// next Feed (Core) or record read (Layer) overwrites: copy
-			// straight to the caller and keep only what did not fit.
+			// The payload aliases the core's buffer, which the next
+			// Feed overwrites: copy straight to the caller and keep
+			// only what did not fit.
 			n := copy(p, payload)
 			if n < len(payload) {
 				c.readArr = append(c.readArr[:0], payload[n:]...)
@@ -272,8 +265,8 @@ func (c *NonBlockingConn) ReadData(p []byte) (int, error) {
 }
 
 // WriteData seals p into application-data records (fragmenting as
-// needed). Over a Core it never blocks: the records land in Outgoing
-// and the caller flushes at its own pace.
+// needed). It never blocks: the records land in Outgoing and the
+// caller flushes at its own pace.
 func (c *NonBlockingConn) WriteData(p []byte) (int, error) {
 	if c.closed {
 		return 0, errors.New("ssl: connection closed")
@@ -284,9 +277,7 @@ func (c *NonBlockingConn) WriteData(p []byte) (int, error) {
 		}
 	}
 	ioStart := c.bus.Stamp()
-	if err := c.rc.WriteRecord(record.TypeApplicationData, p); err != nil {
-		return 0, err
-	}
+	c.core.WriteRecord(record.TypeApplicationData, p)
 	c.bus.AppIO(true, len(p), ioStart)
 	return len(p), nil
 }
@@ -294,9 +285,9 @@ func (c *NonBlockingConn) WriteData(p []byte) (int, error) {
 // Close sends close_notify (when established) and ends the event
 // stream. A handshake that was started and never finished ends as a
 // failure first — the peer hung up, or the server gave up on it — so
-// every observer settles what the start event opened. Over a Core the
-// alert bytes land in Outgoing — flush them before dropping the
-// transport if a clean close matters.
+// every observer settles what the start event opened. The alert bytes
+// land in Outgoing — flush them before dropping the transport if a
+// clean close matters.
 func (c *NonBlockingConn) Close() error {
 	if c.closed {
 		return nil
@@ -305,7 +296,7 @@ func (c *NonBlockingConn) Close() error {
 	c.open()
 	if c.handshakeDone {
 		// close_notify, best effort
-		c.rc.WriteRecord(record.TypeAlert, []byte{record.AlertLevelWarning, record.AlertCloseNotify})
+		c.core.WriteRecord(record.TypeAlert, []byte{record.AlertLevelWarning, record.AlertCloseNotify})
 	} else if c.hsStarted && c.hsErr == nil {
 		c.bus.StepExit() // the step it was parked in
 		c.bus.HandshakeFail(probe.FailIOEOF, probe.FailIOEOF.Name(), "closed mid-handshake")

@@ -81,6 +81,14 @@ func blockingTranscript(t *testing.T, id suite.ID, seedC, seedS uint64,
 func blockingExchange(t *testing.T, id suite.ID, seedC, seedS uint64,
 	cache *handshake.SessionCache, sess *handshake.Session, req, resp []byte) exchange {
 	t.Helper()
+	return observedBlockingExchange(t, nil, id, seedC, seedS, cache, sess, req, resp)
+}
+
+// observedBlockingExchange is blockingExchange with obs watching the
+// server.
+func observedBlockingExchange(t *testing.T, obs probe.Observer, id suite.ID, seedC, seedS uint64,
+	cache *handshake.SessionCache, sess *handshake.Session, req, resp []byte) exchange {
+	t.Helper()
 	var out *handshake.Session
 	var resumed bool
 	ct, st := Pipe()
@@ -92,7 +100,7 @@ func blockingExchange(t *testing.T, id suite.ID, seedC, seedS uint64,
 	})
 	server := ServerConn(rs, &Config{
 		Rand: NewPRNG(seedS), Key: identity(t).Key, CertDER: identity(t).CertDER,
-		Time: fixedTestTime, SessionCache: cache,
+		Time: fixedTestTime, SessionCache: cache, Observer: obs,
 	})
 	errs := make(chan error, 1)
 	go func() {
@@ -146,13 +154,21 @@ func nonBlockingTranscript(t *testing.T, id suite.ID, seedC, seedS uint64,
 func nonBlockingExchange(t *testing.T, id suite.ID, seedC, seedS uint64,
 	cache *handshake.SessionCache, sess *handshake.Session, req, resp []byte) exchange {
 	t.Helper()
+	return observedNonBlockingExchange(t, nil, id, seedC, seedS, cache, sess, req, resp)
+}
+
+// observedNonBlockingExchange is nonBlockingExchange with obs watching
+// the server.
+func observedNonBlockingExchange(t *testing.T, obs probe.Observer, id suite.ID, seedC, seedS uint64,
+	cache *handshake.SessionCache, sess *handshake.Session, req, resp []byte) exchange {
+	t.Helper()
 	cli := NonBlockingClient(&Config{
 		Rand: NewPRNG(seedC), Suites: []suite.ID{id}, Time: fixedTestTime,
 		InsecureSkipVerify: true, Session: sess,
 	})
 	srv := NonBlockingServer(&Config{
 		Rand: NewPRNG(seedS), Key: identity(t).Key, CertDER: identity(t).CertDER,
-		Time: fixedTestTime, SessionCache: cache,
+		Time: fixedTestTime, SessionCache: cache, Observer: obs,
 	})
 	var cliLog, srvLog bytes.Buffer
 	move := func(from, to *NonBlockingConn, log *bytes.Buffer) bool {
@@ -276,6 +292,60 @@ func TestNonBlockingWireEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDriversEmitSameEvents: a blocking Conn is a loop over the
+// sans-IO machine, so its server puts on the spine the stream a
+// NonBlockingConn server does for the same exchange — every field but
+// the clock's (At, Dur) and the connection ID, which is drawn
+// process-wide — once the parks are dropped: each driver parks wherever
+// its peer had not yet sent, and that is the transport's doing.
+func TestDriversEmitSameEvents(t *testing.T) {
+	req := bytes.Repeat([]byte("q"), 512)
+	resp := bytes.Repeat([]byte("r"), 20000)
+	type run func(*testing.T, probe.Observer, suite.ID, uint64, uint64,
+		*handshake.SessionCache, *handshake.Session, []byte, []byte) exchange
+	record := func(into *[]probe.Event) probe.Observer {
+		return probe.SinkFunc(func(e probe.Event) {
+			if e.Kind != probe.KindHandshakeSuspend && e.Kind != probe.KindHandshakeResume {
+				e.At, e.Dur, e.Conn = time.Time{}, 0, 0
+				*into = append(*into, e)
+			}
+		})
+	}
+	for _, name := range []string{"DES-CBC3-SHA", "AES128-SHA"} {
+		s, err := suite.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			var evs [2][2][]probe.Event // [blocking, sans-IO][full, resumed]
+			for d, r := range []run{observedBlockingExchange, observedNonBlockingExchange} {
+				cache := handshake.NewSessionCache(16)
+				full := r(t, record(&evs[d][0]), s.ID, 31, 32, cache, nil, req, resp)
+				if x := r(t, record(&evs[d][1]), s.ID, 41, 42, cache, full.sess, req, resp); !x.resumed {
+					t.Fatal("second exchange did not resume")
+				}
+			}
+			for i, mode := range []string{"full", "resumed"} {
+				b, n := evs[0][i], evs[1][i]
+				for j := range max(len(b), len(n)) {
+					if j >= len(b) || j >= len(n) || b[j] != n[j] {
+						t.Fatalf("%s: server streams part at event %d of %d/%d:\nblocking %+v\nsans-IO  %+v",
+							mode, j, len(b), len(n), at(b, j), at(n, j))
+					}
+				}
+			}
+		})
+	}
+}
+
+// at is evs[i], or the zero event past its end.
+func at(evs []probe.Event, i int) probe.Event {
+	if i < len(evs) {
+		return evs[i]
+	}
+	return probe.Event{}
 }
 
 // nbEstablishedPair shuttles a NonBlockingConn pair to established.

@@ -25,14 +25,18 @@ type Config = handshake.Config
 
 // A Conn is one end of an SSL connection over a blocking transport.
 // Read/Write trigger the handshake on first use. It is a lock and a
-// transport around the one connection state machine, NonBlockingConn,
-// here driving a record.Layer — whose reads park in the transport
-// instead of returning ErrWouldBlock, so every step call runs to
-// completion. Conn serializes access internally, but the handshake
-// itself must not race with Read/Write from other goroutines.
+// transport pump around the one connection state machine,
+// NonBlockingConn, whose record core is a record.Layer's: each method
+// calls the machine, writes what it queued, and where it returned
+// ErrWouldBlock reads the transport once and calls it again — the
+// blocking mode is a loop over the sans-IO one, so a wait for the peer
+// happens between calls and no handshake step or I/O span is charged
+// for it. Conn serializes access internally, but the handshake itself
+// must not race with Read/Write from other goroutines.
 type Conn struct {
 	mu        sync.Mutex
 	transport io.ReadWriteCloser
+	layer     *record.Layer // pumps transport; its Core is nb's
 	nb        NonBlockingConn
 }
 
@@ -46,17 +50,39 @@ func ServerConn(transport io.ReadWriteCloser, cfg *Config) *Conn {
 	return newConn(transport, cfg, false)
 }
 
-// newConn builds the state machine over a Layer on transport. Unlike
-// a sans-IO conn it knows its peer already, so it opens — its observer
-// sees it — from construction.
+// newConn builds the state machine over the Core of a Layer on
+// transport. Unlike a sans-IO conn it knows its peer already, so it
+// opens — its observer sees it — from construction.
 func newConn(transport io.ReadWriteCloser, cfg *Config, isClient bool) *Conn {
 	layer := record.NewLayer(transport)
-	c := &Conn{transport: transport, nb: NonBlockingConn{
-		rc: layer, core: &layer.Core, cfg: cfg, isClient: isClient,
+	c := &Conn{transport: transport, layer: layer, nb: NonBlockingConn{
+		core: &layer.Core, cfg: cfg, isClient: isClient,
 		remote: remoteAddr(transport),
 	}}
 	c.nb.open()
 	return c
+}
+
+// pump runs call until it stops returning ErrWouldBlock: after every
+// call it writes whatever the machine queued (a flight, a record, an
+// alert), and on ErrWouldBlock it reads the transport once. A failed
+// transport ends the record core's input, so the next call meets the
+// failure where it would have blocked and ends on it as the machine
+// ends on any error: a handshake still running fails through the FSM's
+// own terminal path (step exit, queued alert, one classified failure).
+// A failed write after the machine is done is call's error.
+func (c *Conn) pump(call func() error) error {
+	for {
+		err := call()
+		ferr := c.layer.Flush()
+		if err != ErrWouldBlock {
+			if err == nil {
+				err = ferr
+			}
+			return err
+		}
+		c.layer.Fill() // a failure ends the core's input: the next call returns it
+	}
 }
 
 // remoteAddr extracts the peer address when the transport has one
@@ -71,11 +97,13 @@ func remoteAddr(transport io.ReadWriteCloser) string {
 	return ""
 }
 
-// Handshake runs the handshake if it has not run yet.
+// Handshake runs the handshake if it has not run yet. An error writing
+// its last flight, after the machine is done, is returned here, as a
+// sans-IO caller sees it from its own transport write.
 func (c *Conn) Handshake() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.nb.HandshakeStep()
+	return c.pump(c.nb.HandshakeStep)
 }
 
 // ConnectionState reports the negotiated parameters; valid after
@@ -101,18 +129,41 @@ func (c *Conn) Session() (*handshake.Session, error) {
 	return c.nb.Session()
 }
 
-// Write sends application data.
+// Write sends application data: it seals a window of up to
+// record.WindowRecords records and writes it in one transport Write,
+// window by window, so a record-sized write costs one Write and a
+// 1 MiB + 7 B one two, while a connection never holds more than a
+// window of sealed bytes.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.nb.WriteData(p)
+	if err := c.pump(c.nb.HandshakeStep); err != nil {
+		return 0, err
+	}
+	const window = record.WindowRecords * record.MaxFragment
+	for n := 0; ; {
+		w := min(len(p)-n, window)
+		if _, err := c.nb.WriteData(p[n : n+w]); err != nil {
+			return n, err
+		}
+		if err := c.layer.Flush(); err != nil {
+			return n, err
+		}
+		if n += w; n == len(p) {
+			return n, nil
+		}
+	}
 }
 
 // Read receives application data.
-func (c *Conn) Read(p []byte) (int, error) {
+func (c *Conn) Read(p []byte) (n int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.nb.ReadData(p)
+	err = c.pump(func() error {
+		n, err = c.nb.ReadData(p)
+		return err
+	})
+	return n, err
 }
 
 // Close sends close_notify and closes the transport.
@@ -122,7 +173,8 @@ func (c *Conn) Close() error {
 	if c.nb.closed {
 		return nil
 	}
-	c.nb.Close() // close_notify is best effort
+	c.nb.Close()
+	c.layer.Flush() // close_notify is best effort
 	return c.transport.Close()
 }
 
