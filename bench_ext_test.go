@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sslperf"
-	"sslperf/internal/accel"
 	"sslperf/internal/dh"
 	"sslperf/internal/hmacx"
 	"sslperf/internal/record"
@@ -103,20 +102,6 @@ func BenchmarkDH(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkEngineSim(b *testing.B) {
-	work := make([]int, 1000)
-	for i := range work {
-		work[i] = 16384
-	}
-	sim := accel.DefaultEngineSim()
-	sim.AESUnits, sim.HashUnits = 4, 2
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(work); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkRecordLayerBulk(b *testing.B) {

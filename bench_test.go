@@ -24,7 +24,6 @@ import (
 	"sslperf/internal/rc4"
 	"sslperf/internal/rsa"
 	"sslperf/internal/sha1x"
-	"sslperf/internal/sslcrypto"
 	"sslperf/internal/webmodel"
 	"sslperf/internal/workload"
 )
@@ -396,36 +395,6 @@ func BenchmarkFigure5AESRoundUnit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		accel.AESRoundUnit(&tr, c.Rounds())
 	}
-}
-
-func BenchmarkFigure6Engine(b *testing.B) {
-	data := workload.Payload(16384)
-	mk := func(b *testing.B) *accel.Engine {
-		e, err := accel.NewEngine(make([]byte, 16), make([]byte, 16),
-			workload.Payload(20), sslcrypto.MACSHA1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return e
-	}
-	b.Run("Serial", func(b *testing.B) {
-		e := mk(b)
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := e.EncryptFragmentSerial(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Stitched", func(b *testing.B) {
-		e := mk(b)
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := e.EncryptFragmentStitched(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func byteName(n int) string {

@@ -7,16 +7,18 @@
 //  2. Hardware units — a table-lookup unit that executes all four
 //     basic operations of an AES round in parallel (Figure 5).
 //  3. Crypto engines — an engine that overlaps the AES encryption of
-//     a record fragment with its MAC computation (Figure 6); built
-//     here on one core, as the stitched AES-CBC + SHA-1 loop of
-//     internal/aessha1, and modelled (ModelOverlapSpeedup, EngineSim).
+//     a record fragment with its MAC computation (Figure 6).
 //
 // The first two are latency models over the perf.Trace abstract
-// instruction streams; the third is real, runnable code whose
-// speedup is measured, not estimated.
+// instruction streams. The third is a model over two measured unit
+// times (ModelOverlapSpeedup); the overlap itself ships as the record
+// layer's stitched AES-CBC + SHA-1 seal (internal/aessha1), which
+// sslanatomy -experiment fig6 times against the two-pass seal.
 package accel
 
 import (
+	"time"
+
 	"sslperf/internal/perf"
 )
 
@@ -27,47 +29,32 @@ import (
 //
 // For MD5: F/G/I rounds use (and,not,or) triples and H uses xor,xor —
 // roughly half the logical ops merge away. The model removes 40% of
-// xor/and/or/not ops and an equal number of moves (bounded by the
-// available moves), returning the transformed trace.
+// xor/and/or/not ops and half as many moves (bounded by the available
+// moves), returning the transformed trace.
 func ThreeOperandISA(tr *perf.Trace) *perf.Trace {
-	out := &perf.Trace{}
-	out.Add(tr)
-	logical := [...]perf.Op{perf.OpXor, perf.OpAnd, perf.OpOr, perf.OpNot}
+	out := *tr
 	var removedLogical uint64
-	for _, op := range logical {
-		n := out.Count(op)
-		remove := n * 2 / 5 // 40%: second instruction of each fused pair
+	for _, op := range [...]perf.Op{perf.OpXor, perf.OpAnd, perf.OpOr, perf.OpNot} {
+		remove := out.Count(op) * 2 / 5 // 40%: second instruction of each fused pair
 		removedLogical += remove
-		subtract(out, op, remove)
+		subtract(&out, op, remove)
 	}
 	// The fused sequences no longer spill intermediates.
-	removeMoves := removedLogical / 2
-	if m := out.Count(perf.OpMove); removeMoves > m {
-		removeMoves = m
-	}
-	subtract(out, perf.OpMove, removeMoves)
-	return out
+	subtract(&out, perf.OpMove, removedLogical/2)
+	return &out
 }
 
-// subtract removes n occurrences of op from tr by rebuilding counts.
+// subtract removes n occurrences of op from tr, or all it has.
+// perf.Trace has no decrement, so the counts are rebuilt.
 func subtract(tr *perf.Trace, op perf.Op, n uint64) {
-	if n == 0 {
-		return
-	}
-	have := tr.Count(op)
-	if n > have {
-		n = have
-	}
-	// perf.Trace has no decrement; rebuild.
-	var nt perf.Trace
-	for o := 0; o < perf.NumOps; o++ {
-		c := tr.Count(perf.Op(o))
-		if perf.Op(o) == op {
-			c -= n
+	nt := perf.Trace{Bytes: tr.Bytes}
+	for o := perf.Op(0); int(o) < perf.NumOps; o++ {
+		c := tr.Count(o)
+		if o == op {
+			c -= min(n, c)
 		}
-		nt.Emit(perf.Op(o), c)
+		nt.Emit(o, c)
 	}
-	nt.Bytes = tr.Bytes
 	*tr = nt
 }
 
@@ -101,4 +88,14 @@ func AESRoundUnit(software *perf.Trace, rounds int) (swCycles, hwCycles float64)
 	mem.Emit(perf.OpStore, 4)
 	hwCycles = float64(rounds)*RoundUnitLatency + mem.EstimatedCycles()
 	return swCycles, hwCycles
+}
+
+// ModelOverlapSpeedup returns the Figure 6 engine speedup implied by
+// the component times: serial = mac+aes, overlapped = max(mac, aes).
+func ModelOverlapSpeedup(macTime, aesTime time.Duration) float64 {
+	overlapped := max(macTime, aesTime)
+	if overlapped == 0 {
+		return 0
+	}
+	return float64(macTime+aesTime) / float64(overlapped)
 }

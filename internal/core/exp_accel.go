@@ -2,16 +2,19 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"sslperf/internal/accel"
 	"sslperf/internal/aes"
-	"sslperf/internal/aessha1"
+	"sslperf/internal/cpufeat"
 	"sslperf/internal/md5x"
 	"sslperf/internal/pathlen"
 	"sslperf/internal/perf"
+	"sslperf/internal/probe"
+	"sslperf/internal/record"
 	"sslperf/internal/sha1x"
-	"sslperf/internal/sslcrypto"
+	"sslperf/internal/suite"
 	"sslperf/internal/workload"
 )
 
@@ -110,90 +113,104 @@ func runFig5(cfg *Config) (*Report, error) {
 		}}, nil
 }
 
-func runFig6(cfg *Config) (*Report, error) {
-	kernel := aessha1.Kernel()
-	t := perf.NewTable("Figure 6: crypto engine on one core — two-pass vs stitched AES-CBC + SHA-1 fragment",
-		"fragment", "two-pass us", "stitched us", "measured speedup",
-		"engine model speedup", "stitched kernel")
-	iters := cfg.scale(2000)
-	// The last size is a full 16KB fragment, whose unit times the
-	// attribution note reports.
-	var macT, aesT time.Duration
-	for _, size := range []int{1024, 4096, 16384} {
-		data := workload.Payload(size)
-		e, err := accel.NewEngine(make([]byte, 16), make([]byte, 16),
-			workload.Payload(20), sslcrypto.MACSHA1)
-		if err != nil {
-			return nil, err
-		}
-		// The two forms take turns, a quarter of the fragments at a
-		// time, so a drift in host speed lands on both.
-		var serial, stitched time.Duration
-		for round := 0; round < 4; round++ {
-			start := time.Now()
-			for i := 0; i < iters/4+1; i++ {
-				if _, err := e.EncryptFragmentSerial(data); err != nil {
-					return nil, err
-				}
-			}
-			serial += time.Since(start)
-			start = time.Now()
-			for i := 0; i < iters/4+1; i++ {
-				if _, err := e.EncryptFragmentStitched(data); err != nil {
-					return nil, err
-				}
-			}
-			stitched += time.Since(start)
-		}
-		per := func(d time.Duration) float64 {
-			return d.Seconds() * 1e6 / float64(4*(iters/4+1))
-		}
-		macT, aesT = e.ComponentTimes(data, iters/4+1)
-		t.AddRow(fmt.Sprintf("%dB", size),
-			fmt.Sprintf("%.2f", per(serial)),
-			fmt.Sprintf("%.2f", per(stitched)),
-			fmt.Sprintf("%.2fx", float64(serial)/float64(stitched)),
-			fmt.Sprintf("%.2fx", accel.ModelOverlapSpeedup(macT, aesT)),
-			kernel)
-	}
-	busy := float64(macT + aesT)
-	unitNote := fmt.Sprintf(
-		"engine unit attribution over 16KB fragments (ComponentTimes): mac %.0f%%, aes %.0f%% of unit-busy time",
-		100*float64(macT)/busy, 100*float64(aesT)/busy)
+// fig6Sizes are the application records Figure 6 seals.
+var fig6Sizes = []int{1024, 4096, 16384}
 
-	// Discrete-event engine simulation: unit-count scaling for a bulk
-	// stream of 16KB records (the paper: "several crypto units within
-	// one engine can run in parallel in the bulk transfer phase").
-	sim := perf.NewTable("Figure 6 (simulated engine): unit scaling on 1000 x 16KB records",
-		"AES+hash units", "throughput (MB/s @1GHz)", "speedup vs serial",
-		"AES util", "hash util")
-	work := make([]int, 1000)
-	for i := range work {
-		work[i] = 16384
+// fig6Cores returns two identically keyed AES128-SHA record cores: one
+// armed as a connection arms it (stitched where this CPU has AES-NI and
+// the SHA extensions), one armed with SHA masked, so it seals in two
+// passes. The mask covers SetWriteState alone: objects built under it
+// would hash on the scalar rounds, and the stitched loop, which reads
+// the feature table at every call, would run two passes under it.
+func fig6Cores() (stitched, twoPass *record.Core, err error) {
+	s, err := suite.ByName("AES128-SHA")
+	if err != nil {
+		return nil, nil, err
 	}
-	base := accel.DefaultEngineSim()
-	serial, err := base.SerialBaseline(work)
+	var cores [2]*record.Core
+	for i, off := range []cpufeat.Features{{}, {SHA: true}} {
+		ci, err := s.NewCipher(workload.Payload(s.KeyLen), workload.Payload(s.IVLen), true)
+		if err != nil {
+			return nil, nil, err
+		}
+		m, err := s.NewMAC(workload.Payload(s.MACLen()))
+		if err != nil {
+			return nil, nil, err
+		}
+		cores[i] = record.NewCore()
+		cores[i].SetPrimitives(s.CipherAlgo, s.MAC.String())
+		restore := cpufeat.Disable(off)
+		cores[i].SetWriteState(ci, m)
+		restore()
+	}
+	return cores[0], cores[1], nil
+}
+
+// sealRecords seals n application records of data on c, draining its
+// outgoing buffer after each, as a connection's write does.
+func sealRecords(c *record.Core, data []byte, n int) {
+	for i := 0; i < n; i++ {
+		_ = c.WriteRecord(record.TypeApplicationData, data) // seals into memory: never fails
+		c.ConsumeOutgoing(len(c.Outgoing()))
+	}
+}
+
+// unitTimes seals n records of data on a two-pass core with a bus
+// attached and returns the mean MAC and cipher time per record its own
+// record-crypto events report: the units a Figure 6 engine overlaps.
+func unitTimes(twoPass *record.Core, data []byte, n int) (mac, aes time.Duration) {
+	twoPass.Probe = probe.NewBus(probe.SinkFunc(func(e probe.Event) {
+		switch {
+		case e.Kind != probe.KindRecordCrypto:
+		case e.Op == probe.OpMACCompute:
+			mac += e.Dur
+		case e.Op == probe.OpCipherEncrypt:
+			aes += e.Dur
+		}
+	}))
+	sealRecords(twoPass, data, n)
+	twoPass.Probe = nil
+	return mac / time.Duration(n), aes / time.Duration(n)
+}
+
+func runFig6(cfg *Config) (*Report, error) {
+	stitched, twoPass, err := fig6Cores()
 	if err != nil {
 		return nil, err
 	}
-	for _, cfgU := range [][2]int{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {4, 2}, {8, 4}} {
-		s := accel.DefaultEngineSim()
-		s.AESUnits, s.HashUnits = cfgU[0], cfgU[1]
-		res, err := s.Run(work)
-		if err != nil {
-			return nil, err
+	t := perf.NewTable("Figure 6: crypto engine on one core — record.Core's AES128-SHA seal, two-pass vs stitched",
+		"record", "two-pass us", "stitched us", "measured speedup",
+		"engine model speedup", "two-pass kernels", "stitched kernels")
+	n := cfg.scale(2000)/4 + 1
+	// The last size is a full 16KB record, whose unit times the
+	// attribution note reports.
+	var macT, aesT time.Duration
+	for _, size := range fig6Sizes {
+		data := workload.Payload(size)
+		// The two forms take turns, a quarter of the records at a time,
+		// so a drift in host speed lands on both. Neither has a probe.
+		var spent [2]time.Duration
+		for round := 0; round < 4; round++ {
+			for i, c := range []*record.Core{twoPass, stitched} {
+				start := time.Now()
+				sealRecords(c, data, n)
+				spent[i] += time.Since(start)
+			}
 		}
-		sim.AddRow(fmt.Sprintf("%d+%d", cfgU[0], cfgU[1]),
-			fmt.Sprintf("%.0f", res.ThroughputMBps(1.0)),
-			fmt.Sprintf("%.2fx", serial.TotalCycles/res.TotalCycles),
-			fmt.Sprintf("%.0f%%", 100*res.AESUtilization),
-			fmt.Sprintf("%.0f%%", 100*res.HashUtilization))
+		macT, aesT = unitTimes(twoPass, data, n)
+		t.AddRow(fmt.Sprintf("%dB", size),
+			fmt.Sprintf("%.2f", spent[0].Seconds()*1e6/float64(4*n)),
+			fmt.Sprintf("%.2f", spent[1].Seconds()*1e6/float64(4*n)),
+			fmt.Sprintf("%.2fx", float64(spent[0])/float64(spent[1])),
+			fmt.Sprintf("%.2fx", accel.ModelOverlapSpeedup(macT, aesT)),
+			strings.Join(twoPass.Kernels(), " "), strings.Join(stitched.Kernels(), " "))
 	}
-	return &Report{ID: "fig6", Title: "Crypto engine on one core",
-		Tables: []*perf.Table{t, sim},
+	busy := float64(macT + aesT)
+	return &Report{ID: "fig6", Title: "Crypto engine on one core", Tables: []*perf.Table{t},
 		Notes: []string{
-			"measured columns: one fragment (data ‖ SHA-1 MAC ‖ padding, AES-128-CBC) sealed both ways on one core — MAC then encrypt, and one pass with the cipher and the hash interleaved (AESENC beside SHA1RNDS4, where CPUID reports both; otherwise the same two passes); model column: hardware-engine speedup implied by the separately measured MAC and AES unit times (serial = mac+aes vs overlapped = max)",
-			unitNote,
-			"the simulated engine uses Figure 5's round-unit service rate; scaling flattens once the slower pool saturates",
+			"measured columns: application records (payload ‖ SHA-1 MAC ‖ padding, AES-128-CBC) sealed by record.Core.WriteRecord, the seal every connection runs, on two identically keyed cores — one armed with the SHA extensions masked, so it MACs then encrypts, and one armed as it ships, which encrypts and hashes in one interleaved pass (AESENC beside SHA1RNDS4, where CPUID reports both; otherwise the same two passes); kernel columns: each core's Kernels()",
+			"model column: hardware-engine speedup implied by the two-pass core's MAC and AES unit times, from its own record-crypto probe events on a separate pass (serial = mac+aes vs overlapped = max)",
+			fmt.Sprintf("engine unit attribution over 16KB records (two-pass core's probe events): mac %.0f%%, aes %.0f%% of unit-busy time",
+				100*float64(macT)/busy, 100*float64(aesT)/busy),
 		}}, nil
 }

@@ -84,7 +84,7 @@ func runTable11(cfg *Config) (*Report, error) {
 	return &Report{ID: "table11", Title: "Architectural characteristics",
 		Tables: []*perf.Table{t},
 		Notes: []string{
-			"AES+SHA-1 is no primitive of the paper's: it is the bulk record's AES-CBC encryption and SHA-1 hash of the same bytes in one pass, the form an AES128-SHA record is sealed in where CPUID reports AES-NI and the SHA extensions (otherwise two passes, as its row names); MB/s counts each byte once; the AES and SHA-1 rows above time single-block calls and one-shot digests, so the two-pass form of the same work is timed by fig6 and BenchmarkEncryptHash, not by those rows; the abstract model has no trace for it",
+			"AES+SHA-1 is no primitive of the paper's: it is the bulk record's AES-CBC encryption and SHA-1 hash of the same bytes in one pass, the form an AES128-SHA record is sealed in where CPUID reports AES-NI and the SHA extensions (otherwise two passes, as its row names); MB/s counts each byte once; the AES and SHA-1 rows above time single-block calls and one-shot digests, so the two-pass form of the same work is timed by fig6 (record.Core's seal, armed for two passes) and BenchmarkEncryptHash, not by those rows; the abstract model has no trace for it",
 			"CPI and path length come from the abstract instruction model (SoftSDV substitute) of the code the paper traced (for AES, the tables; for SHA-1, the scalar rounds); throughput is wall-clock on this machine, for AES and SHA-1 on the kernel its row names",
 			"paper ordering to check: RSA slowest by orders of magnitude; RC4 fastest symmetric; 3DES ~3x DES; MD5 faster than SHA-1 — which holds for the scalar SHA-1 rounds and reverses on SHA1RNDS4",
 		}}, nil

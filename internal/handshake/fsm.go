@@ -86,8 +86,8 @@ type machine struct {
 // encrypted finished messages lands on the same spine; it stays
 // attached after the handshake (bulk-phase events carry StepNone).
 func newMachine(conn *record.Core, cfg *Config, bus *probe.Bus, rand io.Reader, maxBody int) machine {
-	if conn.ProbeBus() == nil {
-		conn.SetProbe(bus)
+	if conn.Probe == nil {
+		conn.Probe = bus
 	}
 	return machine{conn: conn, bus: bus, msgs: msgReader{conn: conn, maxBody: maxBody}, cfg: cfg, rand: rand}
 }

@@ -106,12 +106,6 @@ var (
 // before ChangeCipherSpec).
 func NewCore() *Core { return &Core{} }
 
-// ProbeBus returns the attached instrumentation bus (nil when off).
-func (c *Core) ProbeBus() *probe.Bus { return c.Probe }
-
-// SetProbe attaches the instrumentation bus.
-func (c *Core) SetProbe(b *probe.Bus) { c.Probe = b }
-
 // SetProtocolVersion pins the record-layer protocol version after
 // negotiation. Subsequent records are emitted with it and inbound
 // records must match it.

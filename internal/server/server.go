@@ -181,18 +181,24 @@ func (s *Server) serve(tc net.Conn) {
 	entry.Mark("accept", accepted, time.Since(accepted))
 	conn := ssl.ServerConn(tc, cfg)
 	defer conn.Close()
-	if err := conn.Handshake(); err != nil {
-		// The connection's record (when the server is observed) has
-		// already folded this failure under the same canonical fail
-		// class; the console line rides the token bucket so a failure
-		// storm cannot flood the log.
+	err := conn.Handshake()
+	state, serr := conn.ConnectionState()
+	switch {
+	case serr != nil:
+		// The machine failed, and the record (when observed) folds it
+		// under the same fail class. The line rides the token bucket, so
+		// a failure storm cannot flood the log.
 		s.Log.Printf("%s: handshake failed (%s): %v",
 			tc.RemoteAddr(), ssl.FailureReason(err), err)
-		return
+	case err != nil:
+		// The machine finished, and the record counts the handshake
+		// done; only writing its last flight failed.
+		s.Log.Printf("%s: %s resumed=%v, then transport error (%s): %v",
+			tc.RemoteAddr(), state.Suite.Name, state.Resumed, ssl.FailureReason(err), err)
+	default:
+		s.Log.Printf("%s: %s resumed=%v", tc.RemoteAddr(), state.Suite.Name, state.Resumed)
+		s.Handler(conn)
 	}
-	state, _ := conn.ConnectionState()
-	s.Log.Printf("%s: %s resumed=%v", tc.RemoteAddr(), state.Suite.Name, state.Resumed)
-	s.Handler(conn)
 }
 
 // A Log is a token bucket over console lines: under a failure storm

@@ -319,6 +319,57 @@ func TestTableRecordsEveryConnection(t *testing.T) {
 	}
 }
 
+// lastWriteFails passes the connection's first Write through and fails
+// every later one: a server's full handshake writes its first flight
+// and then fails in step 9, after the machine is done.
+type lastWriteFails struct {
+	pipeConn
+	writes int
+}
+
+func (c *lastWriteFails) Write(p []byte) (int, error) {
+	if c.writes++; c.writes > 1 {
+		return 0, &net.OpError{Op: "write", Net: "pipe", Err: syscall.EPIPE}
+	}
+	return c.pipeConn.Write(p)
+}
+
+// A handshake the machine finished but whose last flight could not be
+// written has one outcome: the table and the registry count it done,
+// and the log line names an established connection with a transport
+// error, not a failed handshake.
+func TestLastFlightWriteErrorOneOutcome(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	reg := telemetry.NewRegistry()
+	table := lifecycle.NewTable(lifecycle.Options{Registry: reg})
+	s := newServer(31, nil)
+	s.Table, s.Log = table, NewLog(100)
+	ln := newPipeListener()
+	stop := start(s, ln)
+	ct, st := ssl.Pipe()
+	ln.next <- &lastWriteFails{pipeConn: pipeConn{st}}
+	if err := ssl.ClientConn(ct, &ssl.Config{Rand: ssl.NewPRNG(32), InsecureSkipVerify: true}).Handshake(); err == nil {
+		t.Fatal("the client completed a handshake whose last server flight was never sent")
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	if line := logged.String(); strings.Contains(line, "handshake failed") ||
+		!strings.Contains(line, "resumed=false, then transport error (io_eof)") {
+		t.Errorf("log = %q, want an established connection with a transport error", line)
+	}
+	if snap := table.Snapshot(lifecycle.SnapshotOptions{}); snap.Opened != 1 || snap.Closed != 1 || snap.Failed != 0 {
+		t.Errorf("table opened/closed/failed = %d/%d/%d, want 1/1/0", snap.Opened, snap.Closed, snap.Failed)
+	}
+	if hs := reg.Snapshot().Handshakes; hs.Full != 1 || hs.Failed != 0 {
+		t.Errorf("registry handshakes = %+v, want one full, none failed", hs)
+	}
+}
+
 // tapListener counts the bytes each accepted connection has written
 // and whether a Write is in progress.
 type tapListener struct {

@@ -14,6 +14,6 @@ func (c *NonBlockingConn) open() {
 	if o := c.cfg.Observer; o != nil {
 		c.bus = probe.NewBus(o.Observe())
 	}
-	c.core.SetProbe(c.bus)
+	c.core.Probe = c.bus
 	c.bus.ConnOpen(c.role(), c.remote)
 }

@@ -19,7 +19,9 @@ import (
 // Behaviour the merge of Conn onto NonBlockingConn could silently
 // change: both connection flavours now run one read loop, one write
 // entry, one handshake start/finish, so each test below drives the
-// shared code through both record conns (Core and Layer).
+// shared code both ways — sans-IO, feeding the machine's record core
+// by hand, and through ssl.Conn's pump, which feeds the same core from
+// its transport whenever the machine would block.
 
 // TestShortReadSurvivesFeed reads one record through a buffer smaller
 // than it, feeding more ciphertext between the two reads. The opened
@@ -70,10 +72,11 @@ func TestShortReadSurvivesFeed(t *testing.T) {
 	}
 }
 
-// TestShortReadBlocking is the same contract over a Layer: the opened
-// payload aliases the layer's read scratch, which the next record
-// overwrites, so sips smaller than a record must still see its bytes
-// after a later record has been read into the same scratch.
+// TestShortReadBlocking is the same contract through ssl.Conn's pump:
+// the opened payload aliases the core's incoming buffer, which the
+// pump's next transport read compacts and refills, so sips smaller
+// than a record must still see its bytes after a later record has been
+// read into the same buffer.
 func TestShortReadBlocking(t *testing.T) {
 	id := identity(t)
 	client, server := connect(t, clientCfg(nil), id.ServerConfig(NewPRNG(612)))
@@ -174,9 +177,10 @@ func TestBlockingConnLifecycleRegistration(t *testing.T) {
 
 // Transport writes and reads per operation (blocking Conn over the
 // in-memory pipe, RSA key exchange): the syscall shape the benchmark's
-// end-to-end workloads see. A Layer holds a handshake flight until it
-// would block in a read, so a handshake is one write per flight a side
-// sends — the protocol's two a side, less the resumed server's second,
+// end-to-end workloads see. ssl.Conn's pump writes what the machine
+// queued once per call into it, and the machine returns only when it
+// would block for the peer's bytes or is done, so a handshake is one
+// write per flight a side sends — the protocol's two a side, less the resumed server's second,
 // which it never sends — where it was one per record: 4/5 full and
 // 3/3 resumed (client/server) before ISSUE 29. A server's first read
 // takes the whole ClientHello, and the client's closing
